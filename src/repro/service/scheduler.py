@@ -42,10 +42,25 @@ the shared external link serves deadline traffic first too.
 
 ``fifo`` preserves submission order exactly -- the naive baseline the
 benchmarks compare against.
+
+**Cost.**  This runs once per admission window on the host, for every
+query of every workload, so it is O(tasks) to bucket (one ``Plan``
+hash per task) plus O(share groups x log chips) to order.  Both the
+per-chip fair drain and the cross-chip interleave are "repeatedly pick
+the minimum key, then change only the picked one's key" loops, so they
+run off :mod:`heapq` heads that hold *the same key tuples* a scan over
+all tenants / chips would compare.  Keys are unique (they end in the
+tenant name / chip id), so the heap's head is the scan's minimum, the
+emission order is the scan's, and the floats behind the keys (virtual
+finish times, remaining chip work) are accumulated in the same order
+on the same operands.  ``tests/service/test_scheduler_equivalence.py``
+holds the order to the scan-based reference in
+``tests/reference_control_path.py``.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -185,197 +200,232 @@ def schedule_window(
         tasks = live
     if policy == "fifo":
         return list(tasks) + parked
+    groups = _share_groups(tasks, estimate, share)
     if policy == "edf":
-        return (
-            _edf_schedule(tasks, estimate, info or {}, share, gc_busy)
-            + parked
-        )
-
-    # 1./2. Bucket per chip by plan identity and LPT-order each chip's
-    #    unique buckets by their estimated cost.
-    chip_queues: dict[int, list[tuple[float, list[ChunkTask]]]] = {}
-    chip_work: dict[int, float] = {}
-    for chip, entries in _chip_share_groups(tasks, estimate, share).items():
-        weighted = [(cost, group) for group, cost, _ in entries]
-        weighted.sort(key=lambda item: -item[0])
-        chip_queues[chip] = weighted
-        chip_work[chip] = sum(cost for cost, _ in weighted)
-    if gc_busy:
-        for chip, extra in gc_busy.items():
-            if chip in chip_work:
-                chip_work[chip] += extra
-
-    # 3. Emit buckets from the chip with the most remaining work.
-    ordered: list[ChunkTask] = []
-    while chip_queues:
-        chip = max(chip_queues, key=lambda c: (chip_work[c], -c))
-        cost, group = chip_queues[chip].pop(0)
-        chip_work[chip] -= cost
-        ordered.extend(group)
-        if not chip_queues[chip]:
-            del chip_queues[chip]
-    return ordered + parked
-
-
-def _chip_share_groups(
-    tasks: Sequence[ChunkTask],
-    estimate: LatencyEstimator,
-    share: bool,
-) -> dict[int, list[tuple[list[ChunkTask], float, int]]]:
-    """Per chip: share-group buckets ``(group, cost, arrival)`` in
-    first-seen order -- the step every non-FIFO policy starts from.
-    A bucket's cost is one sense when sharing (subscribers are free)
-    and one per task otherwise; ``arrival`` is the bucket's first
-    position in the submitted order."""
-    per_chip: dict[int, dict[Plan, list[ChunkTask]]] = {}
-    arrival: dict[tuple[int, Plan], int] = {}
-    for position, task in enumerate(tasks):
-        per_chip.setdefault(task.chip, {}).setdefault(
-            task.plan, []
-        ).append(task)
-        arrival.setdefault((task.chip, task.plan), position)
-    grouped: dict[int, list[tuple[list[ChunkTask], float, int]]] = {}
-    for chip, buckets in per_chip.items():
-        entries = []
-        for plan, group in buckets.items():
-            unit = estimate(group[0])
-            cost = unit if share else unit * len(group)
-            entries.append((group, cost, arrival[(chip, plan)]))
-        grouped[chip] = entries
-    return grouped
+        chip_queues = _edf_queues(groups, info or {})
+    else:
+        chip_queues = _lpt_queues(groups)
+    return _interleave(chip_queues, gc_busy) + parked
 
 
 class _Bucket(NamedTuple):
-    """One share group under the ``edf`` policy: its urgency
-    (earliest subscriber deadline, negated max priority, arrival
-    position), its estimated cost, and the tenant it is billed to
-    (the heaviest-weight subscriber)."""
+    """One share group as the schedule sees it.
+
+    The first three fields are its urgency and sort as a plain tuple:
+    earliest subscriber deadline (``inf`` for none), negated highest
+    subscriber priority, and ``arrival`` -- the bucket's creation
+    rank, which orders buckets exactly as their first positions in
+    the submitted task list do and is unique, so comparisons never
+    reach the fields behind it.  ``client`` / ``weight`` name the
+    tenant the bucket is billed to under ``edf`` (its heaviest-weight
+    subscriber); ``balanced`` leaves all but cost and group at the
+    deadline-free defaults.
+    """
 
     deadline: float
     neg_priority: int
     arrival: int
     cost: float
-    client: str
-    weight: float
     group: list[ChunkTask]
+    client: str = ""
+    weight: float = 1.0
 
-    def urgency_key(self) -> tuple[float, int, int]:
-        return (self.deadline, self.neg_priority, self.arrival)
 
-
-def _edf_schedule(
+def _share_groups(
     tasks: Sequence[ChunkTask],
     estimate: LatencyEstimator,
-    info: Mapping[int, QueryInfo],
     share: bool,
-    gc_busy: Mapping[int, float] | None = None,
-) -> list[ChunkTask]:
-    """Earliest-deadline-first within weighted-fair tenant shares.
+) -> list[tuple[int, float, list[ChunkTask]]]:
+    """Share-group buckets ``(chip, cost, group)`` in first-seen order
+    -- the step every non-FIFO policy starts from.  A bucket's cost is
+    one sense when sharing (subscribers are free) and one per task
+    otherwise.  One pass, one ``Plan`` hash per task."""
+    buckets: dict[tuple[int, Plan], list[ChunkTask]] = {}
+    for task in tasks:
+        buckets.setdefault((task.chip, task.plan), []).append(task)
+    groups = []
+    for (chip, _), group in buckets.items():
+        unit = estimate(group[0])
+        groups.append((chip, unit if share else unit * len(group), group))
+    return groups
 
-    Per chip: share-group buckets are formed exactly as in
-    ``balanced`` (a shared sense's subscribers drain together), each
-    bucket inheriting the most urgent deadline and highest priority
+
+def _lpt_queues(
+    groups: list[tuple[int, float, list[ChunkTask]]],
+) -> dict[int, list[_Bucket]]:
+    """``balanced``: each chip's buckets longest sense first (stable,
+    so equal costs keep first-seen order)."""
+    queues: dict[int, list[_Bucket]] = {}
+    for arrival, (chip, cost, group) in enumerate(groups):
+        queues.setdefault(chip, []).append(
+            _Bucket(_NO_DEADLINE, 0, arrival, cost, group)
+        )
+    for queue in queues.values():
+        queue.sort(key=lambda bucket: -bucket.cost)
+    return queues
+
+
+def _edf_queues(
+    groups: list[tuple[int, float, list[ChunkTask]]],
+    info: Mapping[int, QueryInfo],
+) -> dict[int, list[_Bucket]]:
+    """``edf``: earliest-deadline-first within weighted-fair tenant
+    shares, per chip.
+
+    Each bucket inherits the most urgent deadline and highest priority
     among its subscribers and the tenant of its heaviest-weight
-    subscriber.  Emission interleaves two concerns:
+    subscriber (the first such, in group order).  Per chip, emission
+    interleaves two concerns:
 
     * buckets holding a real deadline are served in (deadline,
       -priority, arrival) order -- EDF, which on a serial resource
       meets every deadline any order could meet;
-    * deadline-free buckets are served start-time-fair across
-      tenants: each tenant accrues virtual time ``cost / weight`` per
-      emitted bucket and the smallest virtual finish time goes next,
-      so a scan tenant's long queue no longer starves other tenants'
-      work -- it gets its weighted share and no more.
+    * deadline-free buckets are served start-time-fair across tenants
+      (:func:`_fair_drain`).
 
     A deadline bucket always goes before a deadline-free one (missing
     a stated SLO to polish fairness of best-effort traffic would be
-    backwards).  Across chips, the chip whose head bucket is most
-    urgent emits next (ties: longest remaining estimated work, as in
-    ``balanced``), ordering the shared downstream link the same way.
+    backwards).
     """
     default = QueryInfo()
-    # 1. Bucket per chip by plan identity (shared with ``balanced``),
-    #    then lift each share group into its EDF attributes.
-    # 2. Per chip: EDF order for deadline buckets, weighted-fair
-    #    virtual time across tenants for the rest.
-    chip_queues: dict[int, list[_Bucket]] = {}
-    chip_work: dict[int, float] = {}
-    for chip, groups in _chip_share_groups(tasks, estimate, share).items():
-        entries: list[_Bucket] = []
-        for group, cost, first_seen in groups:
-            metas = [info.get(task.query, default) for task in group]
-            deadline = min(
-                (
-                    m.deadline_us
-                    for m in metas
-                    if m.deadline_us is not None
-                ),
-                default=_NO_DEADLINE,
-            )
-            priority = max(m.priority for m in metas)
-            owner = max(metas, key=lambda m: m.weight)
-            entries.append(
-                _Bucket(
-                    deadline=deadline,
-                    neg_priority=-priority,
-                    arrival=first_seen,
-                    cost=cost,
-                    client=owner.client,
-                    weight=owner.weight,
-                    group=group,
+    #: query -> (deadline or inf, priority, weight, client), resolved
+    #: once per window however many chunk tasks the query has.
+    resolved: dict[int, tuple[float, int, float, str]] = {}
+    per_chip: dict[int, tuple[list[_Bucket], list[_Bucket]]] = {}
+    for arrival, (chip, cost, group) in enumerate(groups):
+        # Below every real priority / weight (weights are positive),
+        # so the group's first subscriber always replaces them.
+        deadline, priority = _NO_DEADLINE, -_NO_DEADLINE
+        weight, client = 0.0, ""
+        for task in group:
+            meta = resolved.get(task.query)
+            if meta is None:
+                query = info.get(task.query, default)
+                meta = resolved[task.query] = (
+                    _NO_DEADLINE
+                    if query.deadline_us is None
+                    else query.deadline_us,
+                    query.priority,
+                    query.weight,
+                    query.client,
                 )
+            if meta[0] < deadline:
+                deadline = meta[0]
+            if meta[1] > priority:
+                priority = meta[1]
+            if meta[2] > weight:
+                weight, client = meta[2], meta[3]
+        lists = per_chip.get(chip)
+        if lists is None:
+            lists = per_chip[chip] = ([], [])
+        urgent, relaxed = lists
+        (relaxed if deadline == _NO_DEADLINE else urgent).append(
+            _Bucket(deadline, -priority, arrival, cost, group, client, weight)
+        )
+    queues: dict[int, list[_Bucket]] = {}
+    for chip, (urgent, relaxed) in per_chip.items():
+        urgent.sort()
+        relaxed.sort()
+        queues[chip] = urgent + _fair_drain(relaxed)
+    return queues
+
+
+def _fair_drain(relaxed: list[_Bucket]) -> list[_Bucket]:
+    """Weighted-fair interleave of one chip's deadline-free buckets
+    (given in (-priority, arrival) order, which each tenant's queue
+    keeps): a tenant accrues virtual time ``cost / weight`` per
+    emitted bucket and the tenant whose head bucket has the smallest
+    virtual finish time ``(virtual + cost / weight, client)`` emits
+    next, so a scan tenant's long queue no longer starves other
+    tenants' work -- it gets its weighted share and no more.
+
+    Exactness of the heap: it holds one entry per tenant under exactly
+    that key, and between two picks only the chosen tenant's key
+    changes, so the heap's head is what a ``min`` over all tenants
+    would return.  The key's first element *is* the tenant's virtual
+    time after the emission (the same ``virtual + cost / weight`` on
+    the same operands), so it is carried forward instead of being
+    accumulated a second time.
+    """
+    tenants: dict[str, list[_Bucket]] = {}
+    for bucket in relaxed:
+        tenants.setdefault(bucket.client, []).append(bucket)
+    if len(tenants) < 2:
+        return relaxed
+    heap = []
+    for client, queue in tenants.items():
+        upcoming = iter(queue)
+        head = next(upcoming)
+        heap.append((head.cost / head.weight, client, head, upcoming))
+    heapq.heapify(heap)
+    fair: list[_Bucket] = []
+    while heap:
+        virtual, client, bucket, upcoming = heap[0]
+        fair.append(bucket)
+        head = next(upcoming, None)
+        if head is None:
+            heapq.heappop(heap)
+        else:
+            heapq.heapreplace(
+                heap,
+                (virtual + head.cost / head.weight, client, head, upcoming),
             )
-        entries.sort(key=_Bucket.urgency_key)
-        urgent = [e for e in entries if e.deadline != _NO_DEADLINE]
-        relaxed = [e for e in entries if e.deadline == _NO_DEADLINE]
-        # Weighted-fair interleave of the deadline-free buckets: each
-        # tenant's queue keeps its (priority, arrival) order; the
-        # tenant with the smallest virtual finish time emits next.
-        tenant_queues: dict[str, list[_Bucket]] = {}
-        for entry in relaxed:
-            tenant_queues.setdefault(entry.client, []).append(entry)
-        virtual: dict[str, float] = {t: 0.0 for t in tenant_queues}
-        fair: list[_Bucket] = []
-        while tenant_queues:
-            tenant = min(
-                tenant_queues,
-                key=lambda t: (
-                    virtual[t]
-                    + tenant_queues[t][0].cost / tenant_queues[t][0].weight,
-                    t,
-                ),
-            )
-            entry = tenant_queues[tenant].pop(0)
-            virtual[tenant] += entry.cost / entry.weight
-            fair.append(entry)
-            if not tenant_queues[tenant]:
-                del tenant_queues[tenant]
-        queue = urgent + fair
-        chip_queues[chip] = queue
-        chip_work[chip] = sum(e.cost for e in queue)
+    return fair
+
+
+def _interleave(
+    chip_queues: dict[int, list[_Bucket]],
+    gc_busy: Mapping[int, float] | None,
+) -> list[ChunkTask]:
+    """Emit the chips' queues in one global order: the chip whose head
+    bucket is most urgent goes next, ties broken by longest remaining
+    estimated work (``gc_busy`` counted in), then lowest chip id -- so
+    the shared downstream link serves deadline traffic first and stays
+    fed from the chip with the deepest queue.  Under ``balanced`` every
+    bucket carries the same deadline-free urgency and the order is
+    longest-remaining-work alone.
+
+    Exactness of the heap: it holds one entry per chip keyed
+    ``(head deadline, head -priority, -remaining work, chip)``, the
+    chip id makes keys unique, and an emission changes only the
+    emitting chip's head and remaining work, so the heap's head is
+    what a ``min`` over all chips would return; ``chip_work`` is
+    summed and decremented in queue order, as a scan would.
+    """
+    chip_work = {
+        chip: sum([bucket.cost for bucket in queue])
+        for chip, queue in chip_queues.items()
+    }
     if gc_busy:
         for chip, extra in gc_busy.items():
             if chip in chip_work:
                 chip_work[chip] += extra
 
-    # 3. Interleave chips by most urgent head, then most remaining
-    #    work (the shared link serves deadline traffic first).
-    ordered: list[ChunkTask] = []
-    while chip_queues:
-        chip = min(
-            chip_queues,
-            key=lambda c: (
-                chip_queues[c][0].deadline,
-                chip_queues[c][0].neg_priority,
-                -chip_work[c],
-                c,
-            ),
+    def entry(chip: int, head: _Bucket, upcoming) -> tuple:
+        return (
+            head.deadline,
+            head.neg_priority,
+            -chip_work[chip],
+            chip,
+            head,
+            upcoming,
         )
-        bucket = chip_queues[chip].pop(0)
-        chip_work[chip] -= bucket.cost
-        ordered.extend(bucket.group)
-        if not chip_queues[chip]:
-            del chip_queues[chip]
+
+    heap = []
+    for chip, queue in chip_queues.items():
+        upcoming = iter(queue)
+        heap.append(entry(chip, next(upcoming), upcoming))
+    heapq.heapify(heap)
+    ordered: list[ChunkTask] = []
+    while heap:
+        _, _, _, chip, bucket, upcoming = heap[0]
+        ordered += bucket.group
+        head = next(upcoming, None)
+        if head is None:
+            heapq.heappop(heap)
+        else:
+            chip_work[chip] -= bucket.cost
+            heapq.heapreplace(heap, entry(chip, head, upcoming))
     return ordered
 
 

@@ -433,8 +433,8 @@ class QueryService:
         #: reconstruction replaces chip-loss failures with parity-
         #: rebuilt results, and the scheduler prices offline chips'
         #: tasks as degraded work instead of parking them.
-        reconstruct = bool(getattr(self.ssd, "parity", False))
-        injector = getattr(self.ssd, "fault_injector", None)
+        reconstruct = self.ssd.parity
+        injector = self.ssd.fault_injector
         recovery = self.recovery
         if (
             recovery is None
@@ -444,6 +444,7 @@ class QueryService:
             recovery = RecoveryPolicy()
         faults_before = injector.faults_injected if injector else 0
         quarantines_before = self.health.quarantines
+        stage_job = self.engine.stage_job
         manager = self.maintenance
         if manager is not None:
             maint_before = (
@@ -484,7 +485,7 @@ class QueryService:
             # placement-event generation bump and the probation drain
             # happen here, mirroring the EWMA quarantine path below.
             for chip_id, chip in enumerate(self.ssd.chips):
-                if not getattr(chip, "offline", False):
+                if not chip.offline:
                     continue
                 if self.health.is_permanent(chip_id):
                     continue
@@ -541,9 +542,39 @@ class QueryService:
                 for query_id, meta in info.items()
             }
             chip_obs: dict[int, list[int]] = {}
+            #: (query, chip) -> the one zero-latency job all of that
+            #: query's cache-served chunks on that chip share.
+            idle_jobs: dict[tuple[int, int], StageJob] = {}
             for outcome in outcomes:
                 task = outcome.task
                 state = states[task.query]
+                if outcome.cached:
+                    # A cache hit spent no flash time, retried nothing
+                    # and cannot carry an error: of the accounting
+                    # below only these updates are not additions of
+                    # zero.  Its pipeline job is identical for every
+                    # chunk the query has on the chip, so one instance
+                    # is listed for all of them.
+                    query, chip = task.query, task.chip
+                    state.pieces[task.chunk] = outcome.data
+                    state.chip_busy.setdefault(chip, 0.0)
+                    state.cached_chunks += 1
+                    cached_plans += 1
+                    cached_senses += task.plan.n_senses
+                    job = idle_jobs.get((query, chip))
+                    if job is None:
+                        priority, deadline_s, preemptible = directives[query]
+                        job = idle_jobs[(query, chip)] = stage_job(
+                            chip,
+                            0.0,
+                            ready_at_s=ready_s,
+                            priority=priority,
+                            deadline_s=deadline_s,
+                            preemptible=preemptible,
+                        )
+                    jobs.append(job)
+                    job_owner.append(query)
+                    continue
                 state.pieces[task.chunk] = outcome.data
                 state.n_senses += outcome.n_senses
                 state.energy_nj += outcome.energy_nj
@@ -577,11 +608,7 @@ class QueryService:
                         reconstruction_overhead_us += busy_us
                 if outcome.degraded:
                     state.degraded_chunks += 1
-                if outcome.cached:
-                    state.cached_chunks += 1
-                    cached_plans += 1
-                    cached_senses += task.plan.n_senses
-                elif outcome.shared:
+                if outcome.shared:
                     state.shared_chunks += 1
                     shared_plans += 1
                     shared_senses += task.plan.n_senses
@@ -608,7 +635,7 @@ class QueryService:
                         )
                 priority, deadline_s, preemptible = directives[task.query]
                 jobs.append(
-                    self.engine.stage_job(
+                    stage_job(
                         task.chip,
                         outcome.latency_us,
                         ready_at_s=ready_s,
@@ -625,7 +652,7 @@ class QueryService:
                     # query-owned jobs, so the query's completion time
                     # and the survivors' utilization both see them.
                     jobs.append(
-                        self.engine.stage_job(
+                        stage_job(
                             rchip,
                             busy_us,
                             ready_at_s=ready_s,

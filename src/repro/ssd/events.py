@@ -98,7 +98,7 @@ class ArbitrationConfig:
             raise ValueError("min_remaining_s must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StageJob:
     """One unit of work flowing through the pipeline.
 
@@ -123,6 +123,15 @@ class StageJob:
     timeline, and :attr:`StageReport.fault_overhead` totals it.  Both
     simulators skip the addition entirely at 0.0, keeping fault-free
     schedules float-identical.
+
+    Construction validates everything the simulators rely on
+    (alignment, at least one stage, no negative duration or delay), so
+    neither event loop re-checks per event.  A value object by
+    convention: slotted rather than frozen, because the service builds
+    one per chunk task and a frozen dataclass pays an
+    ``object.__setattr__`` per field -- never mutate one (the service
+    lists one shared instance many times); derive with
+    :func:`dataclasses.replace`.
     """
 
     ready_at: float
@@ -138,6 +147,8 @@ class StageJob:
             raise ValueError("durations and resources must align")
         if not self.durations:
             raise ValueError("job needs at least one stage")
+        if min(self.durations) < 0:
+            raise ValueError("duration must be >= 0")
         if self.fault_delay_s < 0:
             raise ValueError("fault_delay_s must be >= 0")
 
@@ -271,8 +282,11 @@ def simulate_stages(
 
     Jobs are admitted to each resource in ready-time order (ties broken
     by submission order), matching how a real controller arbitrates a
-    shared bus.  Implemented as a single event loop over (ready, seq)
-    heaps per resource to stay exact when streams interleave.
+    shared bus.  Implemented as a single sweep over all stage events
+    in global ``(ready, seq)`` order to stay exact when streams
+    interleave; the order comes from merging the sorted stage-0
+    arrivals with a heap of downstream events (see the comment in the
+    body for why the merge is exact and how ties break).
 
     With ``arbitration`` set, the simulation switches to the
     preemptible resource model (see the module docstring): waiting
@@ -290,53 +304,75 @@ def simulate_stages(
         # queries) simulates to an idle, zero-makespan report.
         return StageReport(makespan=0.0, completion_times=[])
 
-    # One global heap of pending stage executions in ready order.
-    # Executing in global ready order is exact for feed-forward FCFS
-    # pipelines: per resource, jobs are served in ready order (FCFS),
-    # and a downstream push always carries ready >= the ready of the
-    # event that produced it, so the sweep never goes back in time.
+    # Executing stage events in global (ready, seq) order is exact for
+    # feed-forward FCFS pipelines: per resource, jobs are served in
+    # ready order (FCFS), and a downstream event always carries ready
+    # >= the ready of the event that produced it, so the sweep never
+    # goes back in time.  ``seq`` numbers events in creation order:
+    # the N stage-0 arrivals first (seq == job index), every
+    # downstream event after them (seq >= N).
     #
-    # Resource state is kept in plain dicts rather than
-    # :class:`SerialResource` objects: the service layer replays one
-    # job per chunk per window through here (thousands per run), and
-    # inlining the available/busy/served bookkeeping removes a method
-    # call and four attribute accesses per stage execution --
-    # semantics identical to ``SerialResource.execute``, which remains
-    # the single-resource API.
+    # That order is produced by a merge instead of one heap of N
+    # entries.  The arrivals are simply the job indices sorted by
+    # ``ready_at`` (the sort is stable, which is the seq tie-break
+    # among them); only downstream events live in a heap, whose size
+    # is the number of jobs in flight.  The heap's head runs next only
+    # when its time is *strictly* earlier than the next arrival's: at
+    # equal times the arrival's smaller seq wins.  Nothing here
+    # assumes which resource names appear at which stage.
+    n_jobs = len(jobs)
+    ready = [job.ready_at for job in jobs]
+    arrivals = sorted(range(n_jobs), key=ready.__getitem__)
+    arrived = 0
+    next_ready = ready[arrivals[0]]
     heap: list[tuple[float, int, int, int]] = []
     push = heapq.heappush
     pop = heapq.heappop
-    seq = 0
-    for idx, job in enumerate(jobs):
-        push(heap, (job.ready_at, seq, idx, 0))
-        seq += 1
+    seq = n_jobs
 
-    available: dict[str, float] = {}
-    busy: dict[str, float] = {}
-    served: dict[str, int] = {}
-    completion = [0.0] * len(jobs)
+    #: name -> [available at, busy seconds, jobs served]; semantics
+    #: identical to :class:`SerialResource`, which remains the
+    #: single-resource API (inlined: the service layer replays one job
+    #: per chunk per window through here).
+    resources: dict[str, list] = {}
+    completion = [0.0] * n_jobs
     fault_overhead = 0.0
-    while heap:
-        ready_at, _, idx, stage = pop(heap)
-        job = jobs[idx]
+    while True:
+        if heap and (arrived == n_jobs or heap[0][0] < next_ready):
+            ready_at, _, idx, stage = pop(heap)
+            job = jobs[idx]
+            duration = job.durations[stage]
+        elif arrived < n_jobs:
+            idx = arrivals[arrived]
+            arrived += 1
+            ready_at = next_ready
+            if arrived < n_jobs:
+                next_ready = ready[arrivals[arrived]]
+            stage = 0
+            job = jobs[idx]
+            duration = job.durations[0]
+            if job.fault_delay_s:
+                # Recovery time occupies the die ahead of the useful
+                # work; guarded so fault-free schedules stay
+                # float-identical.
+                duration += job.fault_delay_s
+                fault_overhead += job.fault_delay_s
+        else:
+            break
         name = job.resources[stage]
-        duration = job.durations[stage]
-        if duration < 0:
-            raise ValueError("duration must be >= 0")
-        if stage == 0 and job.fault_delay_s:
-            # Recovery time occupies the die ahead of the useful work;
-            # guarded so fault-free schedules stay float-identical.
-            duration += job.fault_delay_s
-            fault_overhead += job.fault_delay_s
-        start = available.get(name, 0.0)
+        state = resources.get(name)
+        if state is None:
+            state = resources[name] = [0.0, 0.0, 0]
+        start = state[0]
         if ready_at > start:
             start = ready_at
         end = start + duration
-        available[name] = end
-        busy[name] = busy.get(name, 0.0) + duration
-        served[name] = served.get(name, 0) + 1
-        if stage + 1 < len(job.durations):
-            push(heap, (end, seq, idx, stage + 1))
+        state[0] = end
+        state[1] += duration
+        state[2] += 1
+        stage += 1
+        if stage < len(job.durations):
+            push(heap, (end, seq, idx, stage))
             seq += 1
         else:
             completion[idx] = end
@@ -344,8 +380,8 @@ def simulate_stages(
     return StageReport(
         makespan=max(completion),
         completion_times=completion,
-        resource_busy=busy,
-        resource_jobs=served,
+        resource_busy={name: s[1] for name, s in resources.items()},
+        resource_jobs={name: s[2] for name, s in resources.items()},
         fault_overhead=fault_overhead,
     )
 
@@ -388,9 +424,6 @@ def _simulate_arbitrated(
     """
     if not jobs:
         return StageReport(makespan=0.0, completion_times=[])
-    for job in jobs:
-        if any(d < 0 for d in job.durations):
-            raise ValueError("duration must be >= 0")
 
     push = heapq.heappush
     pop = heapq.heappop

@@ -641,14 +641,9 @@ class PreparedQuery:
 
     def tasks(self, query: int) -> list[ChunkTask]:
         """Flatten the per-chip queues into attributed chunk tasks."""
+        expr = self.expr
         return [
-            ChunkTask(
-                query=query,
-                chunk=chunk,
-                chip=chip,
-                plan=plan,
-                expr=self.expr,
-            )
+            ChunkTask(query, chunk, chip, plan, expr)
             for chip, queue in sorted(self.queues.items())
             for chunk, plan in queue
         ]
@@ -963,13 +958,13 @@ class QueryEngine:
         exactly in the simulated timeline."""
         dma_s, ext_s, resources = self._stage_constants(chip)
         return StageJob(
-            ready_at=ready_at_s,
-            durations=(latency_us * 1e-6, dma_s, ext_s),
-            resources=resources,
-            priority=priority,
-            deadline=deadline_s,
-            preemptible=preemptible,
-            fault_delay_s=fault_delay_us * 1e-6,
+            ready_at_s,
+            (latency_us * 1e-6, dma_s, ext_s),
+            resources,
+            priority,
+            deadline_s,
+            preemptible,
+            fault_delay_us * 1e-6,
         )
 
     def _drain_pool(self, size: int) -> ThreadPoolExecutor:
@@ -1183,7 +1178,7 @@ class QueryEngine:
             self.stack_cache if packed and batch and self.stack_reuse
             else None
         )
-        injector = getattr(self.ssd, "fault_injector", None)
+        injector = self.ssd.fault_injector
         if recovery is not None and (
             injector is None or not injector.active
         ):
@@ -1208,9 +1203,7 @@ class QueryEngine:
             # drains write disjoint `outcomes` slots, so the list
             # needs no lock.  Engine stat counters accumulate locally
             # and merge once at the end under the engine lock.
-            if chip in offline_chips or getattr(
-                self.ssd.chips[chip], "offline", False
-            ):
+            if chip in offline_chips or self.ssd.chips[chip].offline:
                 # Quarantined or fail-stopped: fail fast without
                 # touching the die (the scheduler already parked
                 # quarantined chips at the window tail; a chip that
@@ -1248,15 +1241,17 @@ class QueryEngine:
                 # flash work and no executor dispatch.
                 if cache is not None:
                     pending = []
+                    lookup = cache.get
+                    miss = pending.append
                     for position in positions:
                         task = order[position]
-                        words = cache.get(chip, task.plan)
+                        words = lookup(chip, task.plan)
                         if words is not None:
                             outcomes[position] = outcome(
                                 task, words, 0, 0.0, 0.0, False, True
                             )
                         else:
-                            pending.append(position)
+                            miss(position)
                     if not pending:
                         return
                 # Dedup next: unique plans in first-appearance order,
@@ -1449,7 +1444,7 @@ class QueryEngine:
         else:
             for chip, positions in per_chip.items():
                 drain(chip, positions)
-        if reconstruct and getattr(self.ssd, "parity", False):
+        if reconstruct and self.ssd.parity:
             self._reconstruct_failures(order, outcomes, cache)
         return outcomes
 

@@ -2,12 +2,23 @@
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.flash.chip import NandFlashChip
 from repro.flash.errors import OperatingCondition
 from repro.flash.geometry import ChipGeometry
+
+# Test-only helper modules beside this file (``reference_control_path``,
+# the scan-based scheduler and one-heap event sweep the equivalence
+# suites compare against) are imported by bare name from any test
+# directory.
+_HERE = str(Path(__file__).resolve().parent)
+if _HERE not in sys.path:
+    sys.path.insert(0, _HERE)
 
 
 @pytest.fixture

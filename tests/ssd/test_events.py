@@ -40,6 +40,8 @@ class TestStageJob:
             StageJob(0.0, (1.0,), ("a", "b"))
         with pytest.raises(ValueError, match="at least one"):
             StageJob(0.0, (), ())
+        with pytest.raises(ValueError, match="duration must be >= 0"):
+            StageJob(0.0, (1.0, -1.0), ("a", "b"))
 
 
 class TestSimulateStages:
@@ -82,6 +84,12 @@ class TestSimulateStages:
             StageJob(0.0, (1.0, 4.0), ("b", "shared")),
         ]
         assert simulate_stages(jobs).makespan == pytest.approx(9.0)
+
+    def test_negative_duration_rejected(self):
+        """FCFS twin of the arbitrated test: the job validates its own
+        durations, so neither simulator re-checks per event."""
+        with pytest.raises(ValueError, match="duration must be >= 0"):
+            simulate_stages([StageJob(0.0, (1.0, -1.0), ("r", "s"))])
 
     def test_ready_times_respected(self):
         jobs = [StageJob(10.0, (1.0,), ("a",))]
