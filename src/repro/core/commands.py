@@ -58,12 +58,27 @@ def bitmap_to_wordlines(bitmap: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MwsCommand:
-    """One MWS command: ISCM flags plus per-block page bitmaps."""
+    """One MWS command: ISCM flags plus per-block page bitmaps.
+
+    Slotted: bound plans hold thousands of these, and a slot costs a
+    pointer where an instance ``__dict__`` costs hundreds of bytes.
+    """
 
     iscm: IscmFlags
     targets: tuple[tuple[BlockAddress, tuple[int, ...]], ...]
+    #: Memo slots, not part of the command's value.  ``_hash``: the
+    #: recursive hash (plans are dict keys, and their hash covers
+    #: every command).  ``_resolved``: where the executing chip found
+    #: this command's operand rows, see
+    #: :meth:`~repro.flash.chip.NandFlashChip.execute_sense_batch`.
+    _hash: int | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _resolved: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.targets:
@@ -73,9 +88,7 @@ class MwsCommand:
                 raise ValueError("MWS target with empty wordline set")
 
     def __hash__(self) -> int:
-        # Commands serve as dict keys on the chip's batched-resolution
-        # cache; memoize the recursive hash (value objects, immutable).
-        cached = self.__dict__.get("_hash")
+        cached = self._hash
         if cached is None:
             cached = hash((self.iscm, self.targets))
             object.__setattr__(self, "_hash", cached)

@@ -151,10 +151,14 @@ class MwsExecutor:
         #: dispatch counter -- only ever sees one thread at a time
         #: even when several services execute over one SSD.
         self.lock = threading.Lock()
-        #: Window-identity layout memo: tuple of info ids -> (pinned
-        #: infos, (commands, sense_base, lane_groups)).  Bounded like
-        #: the chip memo caches.
-        self._layout_cache: dict[tuple, tuple] = {}
+        #: Window-identity layout memo, one window deep like the
+        #: replay memo below: (pinned infos, (commands, sense_base,
+        #: lane_groups)) of the *last* window.  Its one client is the
+        #: steady-state repeated window, which must get the same
+        #: command-list object back (the chip keys its V_TH schedule
+        #: cache on it); service windows that never repeat would only
+        #: fill a deeper memo with entries that never hit.
+        self._layout_memo: tuple | None = None
         #: Steady-state window replay memo (see execute_batch_reuse):
         #: (plans, per-plan rows, per-plan C-latch rows, latch op
         #: marks).  One window deep -- repeats of the *last* window
@@ -243,7 +247,9 @@ class MwsExecutor:
             _bits=chip.output_cache(plan.plane), **common
         )
 
-    def execute_batch(self, plans: list[Plan]) -> list[ExecutionResult]:
+    def execute_batch(
+        self, plans: list[Plan], attempts: list[int] | None = None
+    ) -> list[ExecutionResult]:
         """Drain a queue of plans batch-first (see module docstring).
 
         Off the packed error-free plane (error injection,
@@ -264,27 +270,52 @@ class MwsExecutor:
         3. counters are charged plan-by-plan in scalar step order, so
            per-plan latency/energy deltas -- and the chip counters
            themselves -- are float-identical to ``execute_many``.
+
+        ``attempts`` is the fault-recovery drain's per-plan attempt
+        multiplicity (packed plane only, after :meth:`retry_batchable`
+        said yes): plan ``i`` is charged as ``attempts[i]`` back-to-back
+        scalar executions -- its whole charge sequence, its read
+        disturb and one result transfer per attempt, with the per-plan
+        deltas spanning all of them.  A retried plan re-senses the
+        same error-free bits, so sensing and latch replay still run
+        once.
         """
         chip = self.chip
         if not plans:
             return []
-        if not chip.packed:
-            results = self._execute_batch_vth(plans)
-            if results is not None:
-                return results
-            return self.execute_many(plans)
         # ------------------------------------------------------------
         # 1. Flatten senses plan-major; group lanes by step signature
         #    (memoized per plan -- bound plans recur across windows).
         # ------------------------------------------------------------
-        infos = self._batch_infos(plans)
+        infos = self._batch_infos(plans) if chip.packed else None
         if infos is None:
-            # A rogue cross-plane XOR has no batched equivalent; let
-            # the scalar protocol judge the whole queue.
+            if attempts is not None:
+                raise RuntimeError(
+                    "attempt multiplicities need a retry_batchable queue"
+                )
+            if not chip.packed:
+                results = self._execute_batch_vth(plans)
+                if results is not None:
+                    return results
+            # A rogue cross-plane XOR (or, off the packed plane, an
+            # MLC target) has no batched equivalent; let the scalar
+            # protocol judge the whole queue.
             return self.execute_many(plans)
         self.dispatches += 1
         commands, sense_base, lane_groups = self._batch_layout(infos)
         words = chip.execute_sense_batch(commands)
+        if attempts is not None:
+            # The batch accounted one attempt's read disturb; failed
+            # attempts sensed the same wordlines again (``note_read``
+            # is a pure counter).
+            block_of = chip.plane_array.block
+            for info, n in zip(infos, attempts):
+                if n > 1:
+                    for command in info[3]:
+                        for address, wordlines in command.targets:
+                            block_of(address).note_read(
+                                (n - 1) * len(wordlines)
+                            )
         # ------------------------------------------------------------
         # 2. Latch replay per (plane, signature) lane group.
         # ------------------------------------------------------------
@@ -294,7 +325,42 @@ class MwsExecutor:
         # ------------------------------------------------------------
         # 3. Cost accounting, plan-by-plan in scalar step order.
         # ------------------------------------------------------------
-        return self._charge_results(infos, plan_words, packed=True)
+        return self._charge_results(
+            infos, plan_words, packed=True, attempts=attempts
+        )
+
+    def retry_batchable(self, plans: list[Plan]) -> bool:
+        """Whether a fault-recovery queue may drain through
+        :meth:`execute_batch` with attempt multiplicities.  Probes
+        only -- nothing executes, draws or counts.  ``False`` (the
+        queue stays on the scalar retry loop) off the packed plane,
+        for a cross-plane XOR, and for any plan targeting an injected
+        bad block: the scalar loop ends such a plan at its first
+        attempt with a typed fault, which no multiplicity expresses.
+        MLC targets need no check here -- they only matter on the
+        V_TH plane, which a retried packed sense never touches.
+        """
+        if not self.chip.packed:
+            return False
+        infos = self._batch_infos(plans)
+        return infos is not None and not self._targets_bad_block(infos)
+
+    def _targets_bad_block(self, infos: list[tuple]) -> bool:
+        """Whether any sense of the queue targets an injected bad
+        block, by the injector's side-effect-free probe (asking is
+        not a fault; the scalar loop that then runs counts the hit)."""
+        chip = self.chip
+        injector = chip.fault_injector
+        if injector is None or not injector.config.bad_blocks:
+            return False
+        probe = injector.has_bad_block
+        chip_id = chip.fault_chip_id
+        return any(
+            probe(chip_id, address)
+            for info in infos
+            for command in info[3]
+            for address, _ in command.targets
+        )
 
     def execute_batch_reuse(
         self,
@@ -473,15 +539,9 @@ class MwsExecutor:
         infos = self._batch_infos(plans)
         if infos is None:
             return None
+        if self._targets_bad_block(infos):
+            return None
         commands, sense_base, lane_groups = self._batch_layout(infos)
-        injector = chip.fault_injector
-        if injector is not None:
-            for command in commands:
-                for block_addr, _ in command.targets:
-                    if injector.is_bad_block(
-                        chip.fault_chip_id, block_addr
-                    ):
-                        return None
         bits = chip.execute_sense_batch_vth(commands, force_vth=True)
         if bits is None:
             return None
@@ -519,18 +579,19 @@ class MwsExecutor:
         """Flatten sense commands plan-major and group plan lanes by
         their ``(plane, ISCM signature)`` key.
 
-        Memoized on the window's info identity: infos are pinned on
-        their plans, so a repeated window presents the same objects
+        Memoized on the last window's info identity: infos are pinned
+        on their plans, so a repeated window presents the same objects
         and gets the same layout back -- including the *same command
         list object*, which is what lets the chip key its V_TH
-        schedule cache on window identity.  Pinning the infos in the
-        entry keeps their ids unique among live objects, so an id
-        match is an identity match.
+        schedule cache on window identity.
         """
-        key = tuple(map(id, infos))
-        cached = self._layout_cache.get(key)
-        if cached is not None:
-            return cached[1]
+        memo = self._layout_memo
+        if (
+            memo is not None
+            and len(memo[0]) == len(infos)
+            and all(a is b for a, b in zip(memo[0], infos))
+        ):
+            return memo[1]
         commands: list = []
         sense_base: list[int] = []
         lane_groups: dict[tuple, list[int]] = {}
@@ -539,9 +600,7 @@ class MwsExecutor:
             commands.extend(plan_commands)
             lane_groups.setdefault(gkey, []).append(index)
         layout = (commands, sense_base, lane_groups)
-        if len(self._layout_cache) >= 4096:
-            self._layout_cache.clear()
-        self._layout_cache[key] = (tuple(infos), layout)
+        self._layout_memo = (tuple(infos), layout)
         return layout
 
     def _replay_latches(
@@ -592,6 +651,7 @@ class MwsExecutor:
         *,
         packed: bool,
         extra_senses: int = 0,
+        attempts: list[int] | None = None,
     ) -> list[ExecutionResult]:
         """Charge counters plan-by-plan in scalar step order and build
         the per-plan results.
@@ -599,10 +659,12 @@ class MwsExecutor:
         Performs the same sequence of counter additions the scalar
         loop performs -- including one extra ``charge_sense``-shaped
         addition per sense per margin read (``extra_senses``, the
-        degraded ladder) -- so per-plan latency/energy deltas and the
-        chip counters themselves stay float-identical
-        (charge_sense/charge_xor inlined with the memoized cost cache
-        -- queue hot loop).
+        degraded ladder), and the whole per-plan sequence once per
+        attempt (``attempts``, the retry loop: a failed attempt
+        occupied the die and shipped its discarded page) -- so
+        per-plan latency/energy deltas and the chip counters
+        themselves stay float-identical (charge_sense/charge_xor
+        inlined with the memoized cost cache -- queue hot loop).
         """
         chip = self.chip
         counters = chip.counters
@@ -616,23 +678,24 @@ class MwsExecutor:
             busy_before = counters.busy_us
             energy_before = counters.energy_nj
             senses_before = counters.senses
-            for charge in charges:
-                if charge is None:  # latch XOR
-                    counters.busy_us += 1.0
-                    counters.energy_nj += xor_cost
-                    continue
-                for _ in range(1 + extra_senses):
-                    cost = cost_cache.get(charge)
-                    if cost is None:
-                        charge_sense(charge[0], charge[1])
+            for _ in range(1 if attempts is None else attempts[index]):
+                for charge in charges:
+                    if charge is None:  # latch XOR
+                        counters.busy_us += 1.0
+                        counters.energy_nj += xor_cost
                         continue
-                    counters.senses += 1
-                    counters.wordlines_sensed += charge[0]
-                    counters.busy_us += cost[0]
-                    counters.energy_nj += cost[1]
-            # The plan's result leaves the chip exactly once, as in
-            # the scalar path's output_cache call.
-            counters.transfers_out += 1
+                    for _ in range(1 + extra_senses):
+                        cost = cost_cache.get(charge)
+                        if cost is None:
+                            charge_sense(charge[0], charge[1])
+                            continue
+                        counters.senses += 1
+                        counters.wordlines_sensed += charge[0]
+                        counters.busy_us += cost[0]
+                        counters.energy_nj += cost[1]
+                # The result leaves the chip once per execution, as
+                # in the scalar path's output_cache call.
+                counters.transfers_out += 1
             results.append(
                 result(
                     counters.senses - senses_before,

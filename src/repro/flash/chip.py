@@ -157,17 +157,23 @@ class NandFlashChip:
         #: from quarantine (a breaker state that can half-open): an
         #: offline chip never serves again.
         self.offline = False
-        #: MwsCommand -> (stacked operand-row snapshot, group-size
-        #: profile, (block, n_wordlines) read-accounting pairs,
-        #: per-block layout versions) for the batched path.  Commands
+        #: Validity token of the batched path's per-command resolution
+        #: memo.  :meth:`execute_sense_batch` pins ``(token, per-block
+        #: (block, row indices) sources, group-size profile, per-block
+        #: layout versions)`` on each command it resolves -- commands
         #: are immutable value objects the engine's bound-plan cache
         #: reuses across windows and block objects are stable once
-        #: materialized, so resolution (address validation, plane
-        #: check, block lookup), the metadata scan, and the row gather
-        #: run once per distinct command -- revalidated only when a
-        #: target block's ``layout_version`` moves (program/erase,
-        #: which are the only writers of the packed plane).
-        self._resolved_targets: dict[object, tuple] = {}
+        #: materialized, so resolution (address validation, bad-block
+        #: and plane checks, block lookup) and the metadata scan run
+        #: once per command object, revalidated only when a target
+        #: block's ``layout_version`` moves (program/erase, the only
+        #: writers of the packed plane).  The memo lives and dies with
+        #: its command, so a plan rebound after a placement change
+        #: leaves nothing behind on the chip; only *where* the rows
+        #: live is kept, and the rows are gathered window by window.
+        #: A memo counts only while it carries this chip's current
+        #: token: attaching a fault injector mints a new one.
+        self._resolve_token = object()
         #: id(commands) -> (pinned command list, vref_offset,
         #: force_vth, prepared V_TH schedule, (block, layout_version)
         #: revalidation pairs) for the batched error plane.  The
@@ -200,8 +206,8 @@ class NandFlashChip:
         bad-block set existed."""
         self.fault_injector = injector
         self.fault_chip_id = chip_id
+        self._resolve_token = object()
         with self._memo_lock:
-            self._resolved_targets.clear()
             self._vth_schedules.clear()
 
     def cycle_block(self, address: BlockAddress, pe_cycles: int) -> None:
@@ -613,38 +619,36 @@ class NandFlashChip:
                 "execute_sense_batch requires the packed error-free "
                 "plane; use execute_sense per command instead"
             )
-        resolved = self._resolved_targets
-        stacks: list[np.ndarray] = []
+        token = self._resolve_token
+        sources: list[tuple] = []
         profiles: list[tuple[int, ...]] = []
         for command in commands:
-            cached = resolved.get(command)
-            if cached is not None:
-                stack, profile, reads, versions = cached
-                for (block, _), version in zip(reads, versions):
+            cached = command._resolved
+            if cached is not None and cached[0] is token:
+                for (block, _), version in zip(cached[1], cached[3]):
                     if block.layout_version != version:
+                        cached = None
                         break
-                else:
-                    for block, n_wordlines in reads:
-                        block.note_read(n_wordlines)
-                    stacks.append(stack)
-                    profiles.append(profile)
-                    continue
-            _, blocks = self._resolve_targets(command.targets)
-            stack, profile, reads = self.sensing.gather_sense(blocks)
-            for block, n_wordlines in reads:
-                block.note_read(n_wordlines)
-            with self._memo_lock:
-                if len(resolved) >= 4096:
-                    resolved.clear()
-                resolved[command] = (
-                    stack,
+            else:
+                cached = None
+            if cached is None:
+                _, blocks = self._resolve_targets(command.targets)
+                source, profile = self.sensing.resolve_sense(blocks)
+                cached = (
+                    token,
+                    source,
                     profile,
-                    reads,
-                    tuple(block.layout_version for block, _ in reads),
+                    tuple(block.layout_version for block, _ in source),
                 )
-            stacks.append(stack)
+                # One atomic store of an immutable tuple into the
+                # frozen command's memo slot.
+                object.__setattr__(command, "_resolved", cached)
+            _, source, profile, _ = cached
+            for (block, _), n_wordlines in zip(source, profile):
+                block.note_read(n_wordlines)
+            sources.append(source)
             profiles.append(profile)
-        return self.sensing.sense_batch_stacks(stacks, profiles)
+        return self.sensing.sense_batch_stacks(sources, profiles)
 
     def execute_sense_batch_vth(
         self,

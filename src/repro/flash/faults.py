@@ -18,10 +18,17 @@ erase succeeds; reliability work needs the opposite.  A
 Determinism is the load-bearing property: every random draw comes from
 a per-chip ``np.random.default_rng((seed, chip))`` stream, and the
 query engine only draws inside the owning chip's drain (under the
-executor lock).  The draw sequence per chip is therefore a pure
-function of that chip's attempt sequence -- identical at any worker
-count, which is what lets the chaos property suites compare runs at
-``workers=1`` and ``workers=4`` bit for bit.
+executor lock).  Sense-attempt draws never depend on sensed data, so
+their order is fixed by one function,
+:meth:`FaultInjector.attempt_draws` -- per plan, per attempt: stall,
+then sense fault, stopping at the first clean attempt or when the
+retry budget is spent.  The batched drain runs it for a chip's whole
+queue up front (the *attempt schedule*) and the scalar loop runs it
+plan by plan; both consume the stream identically, so the draw
+sequence per chip is a pure function of that chip's schedule --
+identical at any worker count and under either drain, which is what
+lets the chaos property suites compare runs at ``workers=1`` and
+``workers=4``, batched and scalar, bit for bit.
 
 An injector whose every rate is zero and whose bad-block set is empty
 is *inactive* (:attr:`FaultInjector.active` is ``False``): the chip and
@@ -32,7 +39,7 @@ a build with no injector at all.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -166,6 +173,29 @@ class FaultInjector:
             return True
         return False
 
+    def attempt_draws(
+        self, chip: int, policy: "RecoveryPolicy"
+    ) -> Iterator[tuple[bool, float]]:
+        """The fault draws of one plan's sense attempts, in the order
+        every drain makes them: per attempt ``draw_stall`` then
+        ``draw_sense_fault``, yielding ``(faulted, recovery_us)`` --
+        whether that attempt reports failure and the stall + backoff
+        time accumulated so far.  Ends after the first clean attempt,
+        or after ``policy.max_retries + 1`` faulted ones (the last
+        yield is then a fault: retries are exhausted).  The backoff of
+        a failed attempt is added when the next one is drawn, so a
+        consumer that stops early -- the scalar loop on a persistent
+        fault -- has drawn and charged exactly what it executed.
+        """
+        recovery_us = 0.0
+        for attempt in range(1, policy.max_retries + 2):
+            recovery_us += self.draw_stall(chip)
+            faulted = self.draw_sense_fault(chip)
+            yield faulted, recovery_us
+            if not faulted:
+                return
+            recovery_us += policy.backoff_us(attempt)
+
     def draw_program_fault(self, chip: int) -> bool:
         if self.config.program_fault_rate <= 0.0:
             return False
@@ -186,11 +216,23 @@ class FaultInjector:
     # Bad blocks (persistent; no randomness)
     # ------------------------------------------------------------------
 
+    def has_bad_block(self, chip: int, address: BlockAddress) -> bool:
+        """Side-effect-free membership probe: whether ``address`` (any
+        address carrying plane/block/subblock) is a listed bad block.
+        For callers that are *asking*, not operating -- batch
+        pre-checks, GC scans, drains; only an operation that actually
+        hits the block goes through :meth:`is_bad_block`."""
+        return (
+            chip,
+            address.plane,
+            address.block,
+            address.subblock,
+        ) in self._bad_blocks
+
     def is_bad_block(self, chip: int, address: BlockAddress) -> bool:
-        if not self._bad_blocks:
-            return False
-        key = (chip, address.plane, address.block, address.subblock)
-        if key in self._bad_blocks:
+        """Whether an operation on ``address`` hits a bad block;
+        counts the hit."""
+        if self._bad_blocks and self.has_bad_block(chip, address):
             self._note(chip, "bad_block_hits")
             return True
         return False

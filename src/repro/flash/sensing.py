@@ -56,7 +56,12 @@ from repro.flash.array import BlockArray
 from repro.flash.errors import ErrorModel, OperatingCondition
 from repro.flash.geometry import StringGroup
 from repro.flash.ispp import ProgramMode
-from repro.flash.packing import pack_bits, unpack_rows, unpack_words
+from repro.flash.packing import (
+    pack_bits,
+    unpack_rows,
+    unpack_words,
+    words_per_page,
+)
 
 
 class SenseMode(enum.Enum):
@@ -519,71 +524,63 @@ class SensingEngine:
         per-block read-disturb accounting match the scalar path
         exactly.
         """
-        stacks: list[np.ndarray] = []
+        sources: list[tuple] = []
         profiles: list[tuple[int, ...]] = []
         for targets in senses:
-            stack, profile, reads = self.gather_sense(targets)
-            for block, n_wordlines in reads:
-                block.note_read(n_wordlines)
-            stacks.append(stack)
+            source, profile = self.resolve_sense(targets)
+            for block, rows in source:
+                block.note_read(len(rows))
+            sources.append(source)
             profiles.append(profile)
-        return self.sense_batch_stacks(stacks, profiles)
+        return self.sense_batch_stacks(sources, profiles)
 
-    def gather_sense(
+    def resolve_sense(
         self,
         targets: list[tuple[BlockArray, tuple[int, ...]]],
     ) -> tuple[
-        np.ndarray,
-        tuple[int, ...],
-        tuple[tuple[BlockArray, int], ...],
+        tuple[tuple[BlockArray, np.ndarray], ...], tuple[int, ...]
     ]:
-        """Validate one MWS operation's targets and gather its packed
-        operand rows: returns ``(stack, profile, reads)`` -- the
-        ``(total_rows, n_words)`` row stack, the per-block wordline
-        counts, and the ``(block, n_wordlines)`` read-disturb pairs.
-        Deliberately does *not* account the read disturb: callers do
-        (via ``note_read``), so a memoizing caller -- the chip's
-        batched command cache -- can re-account cache hits without
-        re-gathering.  Shared by :meth:`sense_batch` and
+        """Validate one MWS operation's targets and resolve where its
+        packed operand rows live: returns ``(source, profile)`` -- the
+        per-block ``(block, sorted row indices)`` pairs and the
+        per-block wordline counts.  Nothing is read yet:
+        :meth:`sense_batch_stacks` gathers the rows, window by window,
+        straight into its per-profile tensors, so a memoizing caller
+        -- the chip's batched command cache -- holds a few indices
+        per command rather than a copy of its pages.  Deliberately
+        does *not* account the read disturb either: callers do (via
+        ``note_read``), so cache hits re-account without re-resolving.
+        Shared by :meth:`sense_batch` and
         :meth:`~repro.flash.chip.NandFlashChip.execute_sense_batch`
-        so validation and gathering cannot drift between them."""
+        so validation cannot drift between them."""
         if not targets:
             raise ValueError("inter-block MWS requires at least one target")
-        profile: list[int] = []
-        reads: list[tuple[BlockArray, int]] = []
-        rows_list: list[np.ndarray] = []
+        source = []
         for block, wordlines in targets:
             wordlines = tuple(wordlines)
             self._scan_metadata(block, wordlines)
-            rows_list.append(block.packed_rows(self._rows(wordlines)))
-            n_wordlines = len(wordlines)
-            profile.append(n_wordlines)
-            reads.append((block, n_wordlines))
-        stack = (
-            rows_list[0]
-            if len(rows_list) == 1
-            else np.concatenate(rows_list, axis=0)
-        )
-        return stack, tuple(profile), tuple(reads)
+            source.append((block, self._rows(wordlines)))
+        return tuple(source), tuple(len(rows) for _, rows in source)
 
     def sense_batch_stacks(
         self,
-        stacks: list[np.ndarray],
+        sources: list[tuple],
         profiles: list[tuple[int, ...]],
     ) -> np.ndarray:
-        """:meth:`sense_batch` minus validation and gathering:
-        ``stacks[i]`` is one sense's operand rows already stacked into
-        a ``(total_rows, n_words)`` array and ``profiles[i]`` its
-        per-block wordline counts.  The chip's batched entry point
-        memoizes gather/validation per command (revalidated via block
+        """:meth:`sense_batch` minus validation: ``sources[i]`` is one
+        sense's resolved ``(block, row indices)`` pairs and
+        ``profiles[i]`` its per-block wordline counts
+        (:meth:`resolve_sense`).  The chip's batched entry point
+        memoizes resolution per command (revalidated via block
         ``layout_version``) and calls this directly, so steady-state
-        windows pay only the per-profile tensor reduces."""
+        windows pay only the row gathers and the per-profile tensor
+        reduces."""
         if not (self.packed and not self.inject_errors):
             raise RuntimeError(
                 "sense_batch requires the packed error-free plane; "
                 "error injection and packed=False evaluate per sense"
             )
-        n = len(stacks)
+        n = len(sources)
         if n == 0:
             raise ValueError("sense_batch requires at least one sense")
         groups: dict[tuple[int, ...], list[int]] = {}
@@ -593,13 +590,18 @@ class SensingEngine:
                 groups[profile] = [i]
             else:
                 group.append(i)
-        n_words = stacks[0].shape[1]
+        n_words = words_per_page(sources[0][0][0].geometry.page_size_bits)
         out = np.empty((n, n_words), dtype=np.uint64)
         self.restacked_tensors += len(groups)
         for profile, members in groups.items():
             total_rows = sum(profile)
             tensor = np.concatenate(
-                [stacks[i] for i in members], axis=0
+                [
+                    block.packed_rows(rows)
+                    for i in members
+                    for block, rows in sources[i]
+                ],
+                axis=0,
             ).reshape(len(members), total_rows, n_words)
             if len(profile) == 1:
                 # Pure intra-block AND (one string group per sense).

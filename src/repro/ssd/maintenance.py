@@ -221,28 +221,17 @@ class MaintenanceManager:
         address order for determinism.  Stuck bad blocks are excluded
         -- they cannot be erased, only retired by the scrub."""
         injector = self.ssd.fault_injector
-        # Checked against the config set, not is_bad_block(): the
-        # injector hook counts hits, and a GC scan is not a fault.
-        bad = (
-            frozenset(
-                (int(c), int(p), int(b), int(s))
-                for (c, p, b, s) in injector.config.bad_blocks
-            )
-            if injector is not None
-            else frozenset()
-        )
+        # The side-effect-free probe, not is_bad_block(): that hook
+        # counts hits, and a GC scan is not a fault.
         candidates = [
             occ
             for occ in self.occupancy(chip_index)
             if occ.address.plane == plane
             and occ.invalid >= self.config.min_invalid_pages
-            and (
-                chip_index,
-                occ.address.plane,
-                occ.address.block,
-                occ.address.subblock,
+            and not (
+                injector is not None
+                and injector.has_bad_block(chip_index, occ.address)
             )
-            not in bad
         ]
         candidates.sort(
             key=lambda occ: (-occ.invalid_ratio, occ.pe_cycles, occ.address)
@@ -475,14 +464,6 @@ class MaintenanceManager:
         if not healthy:
             return []
         injector = ssd.fault_injector
-        bad = (
-            frozenset(
-                (int(c), int(p), int(b), int(s))
-                for (c, p, b, s) in injector.config.bad_blocks
-            )
-            if injector is not None
-            else frozenset()
-        )
         busy_before = [c.counters.busy_us for c in ssd.chips]
         columns: dict[int, list[str]] = {}
         for name in ftl.vectors():
@@ -502,13 +483,9 @@ class MaintenanceManager:
                     chunk_name = ssd._chunk_operand_name(name, chunk)
                     stored = src_ctrl.stored(chunk_name)
                     address = stored.address
-                    key = (
-                        sick,
-                        address.plane,
-                        address.block,
-                        address.subblock,
-                    )
-                    if key in bad:
+                    if injector is not None and injector.has_bad_block(
+                        sick, address
+                    ):
                         stuck += 1
                         continue
                     logical = src_ctrl.chip.read_page(

@@ -989,80 +989,70 @@ class QueryEngine:
         injector,
         policy: RecoveryPolicy,
         force_degraded: bool,
+        draws: Iterable[tuple[bool, float]] | None = None,
     ) -> tuple:
-        """Execute one plan under the fault-recovery policy.
+        """Execute one plan under the fault-recovery policy, one
+        scalar execution per attempt -- the reference semantics of
+        the recovery plane, the fallback for queues the batched drain
+        declines, and the route of a plan that exhausts its retries.
 
         Returns ``(data, n_senses, latency_us, energy_nj, retries,
         recovery_us, degraded, error)``.  Chip cost fields are counter
         deltas across *every* attempt -- a failed sense still occupied
         the die -- while ``recovery_us`` holds the controller-side
         backoff and injected stalls (charged to the event simulation,
-        not the chip).  All fault draws come from the chip's own
-        deterministic stream and happen inside this chip's drain, so
-        the sequence is identical at any worker count.
+        not the chip).  Fault draws come from
+        :meth:`~repro.flash.faults.FaultInjector.attempt_draws`, one
+        attempt ahead of each execution -- or from ``draws``, the
+        plan's already-drawn attempts, when the batched drain hands
+        over a plan whose schedule ended in exhaustion.  Either way
+        they come off the chip's own deterministic stream inside this
+        chip's drain, so the sequence is identical at any worker
+        count.
         """
-        chip_obj = executor.chip
-        counters = chip_obj.counters
+        counters = executor.chip.counters
         busy_before = counters.busy_us
         energy_before = counters.energy_nj
         senses_before = counters.senses
         recovery_us = 0.0
         retries = 0
-        degraded = False
+        degraded = force_degraded
         error: Exception | None = None
         result = None
-        if force_degraded:
-            # A health-degraded chip serves directly on the careful
-            # V_TH margin-read path, immune to transient sense faults.
-            degraded = True
-            try:
-                result = executor.execute_degraded(
-                    plan, extra_senses=policy.degraded_extra_senses
-                )
-            except FlashFault as fault:
-                error = fault
-        else:
-            attempt = 0
-            while True:
-                attempt += 1
-                recovery_us += injector.draw_stall(chip)
-                faulted = injector.draw_sense_fault(chip)
-                try:
+        try:
+            if not force_degraded:
+                if draws is None:
+                    draws = injector.attempt_draws(chip, policy)
+                for faulted, recovery_us in draws:
+                    # A persistent fault (bad block) raises out of the
+                    # first attempt: retrying cannot help, and nothing
+                    # further is drawn.
                     result = executor.execute(plan)
-                except FlashFault as fault:
-                    # Persistent (bad block): retrying cannot help.
-                    error = fault
-                    retries = attempt - 1
-                    break
-                if not faulted:
-                    retries = attempt - 1
-                    break
-                # Transient failure: the attempt's chip time is spent,
-                # its data is discarded.
-                result = None
-                if attempt > policy.max_retries:
+                    if not faulted:
+                        break
+                    # Transient failure: the attempt's chip time is
+                    # spent, its data is discarded.
+                    result = None
+                    retries += 1
+                else:
                     retries = policy.max_retries
                     if policy.degraded_mode:
                         degraded = True
-                        try:
-                            result = executor.execute_degraded(
-                                plan,
-                                extra_senses=policy.degraded_extra_senses,
-                            )
-                        except FlashFault as fault:
-                            error = fault
                     else:
                         error = RetryExhaustedError(
-                            f"sense retry exhausted after {attempt} "
+                            f"sense retry exhausted after {retries + 1} "
                             f"attempts on chip {chip}",
-                            attempts=attempt,
+                            attempts=retries + 1,
                         )
-                    break
-                recovery_us += policy.backoff_us(attempt)
-        if result is None and error is None:  # pragma: no cover
-            error = RetryExhaustedError(
-                f"sense recovery failed on chip {chip}", attempts=retries + 1
-            )
+            if degraded:
+                # A health-degraded chip serves directly on the careful
+                # V_TH margin-read path, immune to transient sense
+                # faults; an exhausted plan falls back to it.
+                result = executor.execute_degraded(
+                    plan, extra_senses=policy.degraded_extra_senses
+                )
+        except FlashFault as fault:
+            error = fault
         data = None
         if result is not None:
             data = result.words if self.ssd.packed else result.bits
@@ -1076,6 +1066,111 @@ class QueryEngine:
             degraded,
             error,
         )
+
+    def _drain_recovered(
+        self,
+        executor,
+        chip: int,
+        plans: list[Plan],
+        injector,
+        policy: RecoveryPolicy,
+        force_degraded: bool,
+        batch: bool,
+    ) -> list[tuple]:
+        """Drain one chip's unique-plan queue under the fault-recovery
+        policy; one :meth:`_execute_recovered`-shaped record per plan.
+
+        Recovery is a parameter of the batched drain, not a scalar
+        side path.  A health-degraded chip draws nothing and batches
+        through the V_TH margin-read plane.  A healthy chip under an
+        active injector **pre-draws the queue's attempt schedule** --
+        fault draws never depend on sensed data, so running
+        ``attempt_draws`` for every plan up front consumes the chip's
+        stream exactly as the scalar loop would between executions --
+        and then drains the queue as one
+        :meth:`~repro.core.mws.MwsExecutor.execute_batch` whose
+        charging repeats each plan once per drawn attempt.  The queue
+        splits only at a plan whose every attempt faulted: the batch
+        before it runs, then that plan's failed attempts and degraded
+        fallback (or ``RetryExhaustedError``) in scalar order from its
+        already-drawn schedule, then the rest -- so chip counters
+        accumulate in the scalar order.  Queues with no batched
+        equivalent (either executor probe says so *before* anything
+        is drawn or executed) and ``batch=False`` keep the per-plan
+        loop.
+        """
+        packed = self.ssd.packed
+        if force_degraded:
+            batched = (
+                executor.execute_degraded_batch(
+                    plans, extra_senses=policy.degraded_extra_senses
+                )
+                if batch
+                else None
+            )
+            if batched is not None:
+                return [
+                    (
+                        result.words if packed else result.bits,
+                        result.n_senses,
+                        result.latency_us,
+                        result.energy_nj,
+                        0,
+                        0.0,
+                        True,
+                        None,
+                    )
+                    for result in batched
+                ]
+        elif batch and executor.retry_batchable(plans):
+            schedule = [
+                list(injector.attempt_draws(chip, policy)) for _ in plans
+            ]
+            records: list[tuple] = []
+
+            def run_batch(lo: int, hi: int) -> None:
+                span = schedule[lo:hi]
+                results = executor.execute_batch(
+                    plans[lo:hi], [len(draws) for draws in span]
+                )
+                for result, draws in zip(results, span):
+                    records.append(
+                        (
+                            result.words,
+                            result.n_senses,
+                            result.latency_us,
+                            result.energy_nj,
+                            len(draws) - 1,
+                            draws[-1][1],
+                            False,
+                            None,
+                        )
+                    )
+
+            start = 0
+            for index, draws in enumerate(schedule):
+                if draws[-1][0]:  # the last attempt faulted too
+                    run_batch(start, index)
+                    records.append(
+                        self._execute_recovered(
+                            executor,
+                            chip,
+                            plans[index],
+                            injector,
+                            policy,
+                            False,
+                            draws,
+                        )
+                    )
+                    start = index + 1
+            run_batch(start, len(plans))
+            return records
+        return [
+            self._execute_recovered(
+                executor, chip, plan, injector, policy, force_degraded
+            )
+            for plan in plans
+        ]
 
     def execute_tasks(
         self,
@@ -1140,8 +1235,13 @@ class QueryEngine:
         The last three parameters form the fault-recovery plane (see
         :mod:`repro.flash.faults`).  With ``recovery`` set *and* an
         active injector attached to the SSD, each unique plan executes
-        through the retry/backoff/degraded policy on the scalar path
-        (per-plan fault draws need per-plan execution); chips listed in
+        under the retry/backoff/degraded policy -- still as one
+        batched dispatch per chip when ``batch`` is on: fault draws
+        never depend on sensed data, so the chip's drain pre-draws
+        the queue's attempt schedule and charges each plan once per
+        drawn attempt (:meth:`_drain_recovered`; queues with no
+        batched equivalent, and ``batch=False``, keep the per-plan
+        loop, identical to the last counter); chips listed in
         ``degraded`` serve directly on the V_TH margin-read path
         (batched through
         :meth:`~repro.core.mws.MwsExecutor.execute_degraded_batch`
@@ -1172,8 +1272,8 @@ class QueryEngine:
         if cache is not None:
             cache.begin_epoch()
         # Stack reuse engages only where its oracle applies: packed
-        # plane, batched drain, no fault recovery (the recover branch
-        # runs scalar / degraded paths that never restack anyway).
+        # plane, batched drain, no fault recovery (the recovery drain
+        # batches without it -- _drain_recovered).
         stacks = (
             self.stack_cache if packed and batch and self.stack_reuse
             else None
@@ -1273,70 +1373,25 @@ class QueryEngine:
                 dispatched_before = executor.dispatches
                 restacked_before = sensing.restacked_tensors
                 if recover:
-                    # Fault recovery needs per-plan draws and retries,
-                    # so the queue runs scalar through the policy --
-                    # except the health-degraded margin-read path,
-                    # which draws nothing and batches through the
-                    # V_TH plane when possible (None falls back to
-                    # the scalar loop: bad blocks, MLC, cross-plane
-                    # XOR, unpacked chips).
-                    policy = (
+                    # Recovery rides the batched drain too: degraded
+                    # chips through the V_TH margin-read plane, healthy
+                    # ones from a pre-drawn attempt schedule; queues
+                    # with no batched equivalent fall back to the
+                    # per-plan loop (see _drain_recovered).
+                    records = self._drain_recovered(
+                        executor,
+                        chip,
+                        [order[position].plan for position in unique],
+                        injector,
                         recovery
                         if recovery is not None
-                        else RecoveryPolicy()
+                        else RecoveryPolicy(),
+                        chip_degraded,
+                        batch,
                     )
-                    batched = None
-                    if chip_degraded and batch:
-                        batched = executor.execute_degraded_batch(
-                            [order[p].plan for p in unique],
-                            extra_senses=policy.degraded_extra_senses,
-                        )
-                    if batched is not None:
-                        for position, result in zip(unique, batched):
-                            task = order[position]
-                            data = (
-                                result.words if packed else result.bits
-                            )
-                            outcomes[position] = outcome(
-                                task,
-                                data,
-                                result.n_senses,
-                                result.latency_us,
-                                result.energy_nj,
-                                False,
-                                False,
-                                0,
-                                0.0,
-                                True,
-                                None,
-                            )
-                            if cache is not None:
-                                cache.put(
-                                    chip,
-                                    task.plan,
-                                    data,
-                                    result.n_senses,
-                                )
-                        unique = []
-                    for position in unique:
+                    for position, record in zip(unique, records):
                         task = order[position]
-                        (
-                            data,
-                            n_senses,
-                            latency_us,
-                            energy_nj,
-                            retries,
-                            recovery_us,
-                            was_degraded,
-                            error,
-                        ) = self._execute_recovered(
-                            executor,
-                            chip,
-                            task.plan,
-                            injector,
-                            policy,
-                            chip_degraded,
-                        )
+                        data, n_senses, latency_us, energy_nj = record[:4]
                         outcomes[position] = outcome(
                             task,
                             data,
@@ -1345,15 +1400,12 @@ class QueryEngine:
                             energy_nj,
                             False,
                             False,
-                            retries,
-                            recovery_us,
-                            was_degraded,
-                            error,
+                            *record[4:],
                         )
                         if (
                             cache is not None
-                            and error is None
                             and data is not None
+                            and record[-1] is None
                         ):
                             cache.put(chip, task.plan, data, n_senses)
                 else:

@@ -351,3 +351,121 @@ def test_recovery_policy_explicit_override_respected():
     # fails until health routing kicks in.
     assert report.stats.queries_failed > 0
     assert report.stats.degraded_senses >= 0
+
+
+# ----------------------------------------------------------------------
+# The batched recovery drain is invisible from the service
+# ----------------------------------------------------------------------
+
+
+def _chip_loss_trace(monkeypatch, *, batch):
+    """A ``chip_loss``-shaped mini trace (parity SSD, 1 % sense faults
+    and stalls, a chip killed a third of the way in, paced rebuild),
+    served through the engine's default batched drain or -- the
+    service takes no such option, so from outside -- with the engine
+    pinned to ``batch=False``.  Returns the reports, the event
+    simulator's reports, and the engine's stats."""
+    import repro.service.service as service_module
+
+    geometry = ChipGeometry(
+        planes_per_die=1,
+        blocks_per_plane=16,
+        subblocks_per_block=2,
+        wordlines_per_string=8,
+        page_size_bits=128,
+    )
+    ssd = SmallSsd(
+        n_chips=4,
+        geometry=geometry,
+        seed=3,
+        parity=True,
+        fault_injector=FaultInjector(
+            FaultConfig(seed=3, sense_fault_rate=0.01, stall_rate=0.01)
+        ),
+    )
+    rng = np.random.default_rng(3)
+    names = [f"v{i}" for i in range(6)]
+    for name in names:
+        ssd.write_vector(
+            name,
+            rng.integers(0, 2, ssd.page_bits * 12, dtype=np.uint8),
+            group="g",
+        )
+    v = [Operand(name) for name in names]
+    pool = [
+        And(v[0], v[1]),
+        And(And(v[1], v[2]), v[3]),
+        Xor(v[2], v[4]),
+        Xor(And(v[3], v[4]), v[5]),
+        And(And(And(v[0], v[2]), v[4]), v[5]),
+        Not(And(v[1], v[5])),
+    ]
+    stage_reports = []
+    simulate = service_module.simulate_stages
+
+    def recording_simulate(jobs, **kwargs):
+        stage_reports.append(simulate(jobs, **kwargs))
+        return stage_reports[-1]
+
+    reports = []
+    with monkeypatch.context() as patch:
+        patch.setattr(service_module, "simulate_stages", recording_simulate)
+        if not batch:
+            drain = ssd.engine.execute_tasks
+            patch.setattr(
+                ssd.engine,
+                "execute_tasks",
+                lambda tasks, **kwargs: drain(tasks, batch=False, **kwargs),
+            )
+        service = ssd.service(window_us=400.0, policy="edf", maintenance=True)
+        for round_idx in range(9):
+            if round_idx == 3:
+                ssd.kill_chip(2)
+            start = 4000.0 * round_idx
+            service.submit_traffic(
+                [
+                    (
+                        start + 90.0 * i,
+                        "loss",
+                        pool[int(rng.integers(len(pool)))],
+                        0,
+                        start + 90.0 * i + 2000.0 if i % 2 else None,
+                    )
+                    for i in range(24)
+                ]
+            )
+            reports.append(service.run())
+    return reports, stage_reports, ssd.engine.stats
+
+
+def test_batched_recovery_drain_is_invisible_from_the_service(monkeypatch):
+    batched, batched_stages, batched_engine = _chip_loss_trace(
+        monkeypatch, batch=True
+    )
+    scalar, scalar_stages, scalar_engine = _chip_loss_trace(
+        monkeypatch, batch=False
+    )
+    # The trace really is chip_loss-shaped: faults were retried, the
+    # loss was reconstructed around and then rebuilt.
+    assert sum(r.stats.fault_retries for r in batched) > 0
+    assert sum(r.stats.reconstructed_plans for r in batched) > 0
+    assert sum(r.stats.columns_rebuilt for r in batched) > 0
+    assert sum(r.stats.queries_failed for r in batched) == 0
+    for report, twin in zip(batched, scalar):
+        assert report.stats == twin.stats
+        assert [q.latency_us for q in report.queries] == [
+            q.latency_us for q in twin.queries
+        ]
+        assert [q.result.energy_nj for q in report.queries] == [
+            q.result.energy_nj for q in twin.queries
+        ]
+    assert [s.completion_times for s in batched_stages] == [
+        s.completion_times for s in scalar_stages
+    ]
+    # ...and the fast path is engaged: one dispatch per chip-window
+    # instead of one per plan attempt.  If recovery ever drops back
+    # to the scalar loop this is what notices.
+    assert (
+        batched_engine.executor_dispatches * 10
+        <= scalar_engine.executor_dispatches
+    )

@@ -12,6 +12,21 @@ virtual clock, the caches' hit counts, the flash counters); any
 difference exits 1 naming it.  Host medians are printed side by side
 and never gated -- shared runners are too noisy to refuse a build on.
 
+A host-side PR that legitimately moves a count (fewer executor
+dispatches, say) cannot re-record the baseline -- only a ``[benchmark]``
+PR may -- so it declares the move instead, once per count::
+
+    --moved chip_loss:ssd.query_engine.executor_dispatches
+    --moved chip_loss:ssd.query_engine.restacked_tensors:worse
+
+A declared count is reported ``MOVED (declared)`` and does not fail the
+check, but the declaration is itself checked: exit 1 if the count did
+*not* differ (a stale list), or moved the other way than declared --
+by default towards its ``better`` direction in ``BENCHMARK.json``; a
+count expected to get worse must say ``:worse``, in the open.  ``sim``
+metrics can never be declared.  The list empties at the next
+re-record.
+
 The modelled numbers are exact for a *NumPy major version* (the traffic
 generators draw from ``numpy.random``), so when the fresh record's
 major version differs from the baseline's ``environment`` the check is
@@ -28,26 +43,74 @@ from pathlib import Path
 EXACT_REL = 1e-9
 EXACT_SECTIONS = ("sim", "counts")
 HOST_METRICS = ("setup_s", "wall_qps", "cpu_us_per_query", "peak_rss_mb")
+MANIFEST = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
-def differences(base: dict, new: dict) -> list[str]:
-    """One line per exact number that is missing or differs."""
+def parse_moved(specs: list[str], manifest: dict) -> dict[tuple, bool]:
+    """``--moved`` arguments as ``(workload, name) -> lower_expected``:
+    whether the declaration says the count goes *down*.  Raises
+    ``ValueError`` for anything that cannot be declared."""
+    better = {m["name"]: m["better"] for m in manifest["per_layer"]}
+    moved = {}
+    for spec in specs:
+        workload, _, rest = spec.partition(":")
+        name, _, direction = rest.partition(":")
+        if name not in better:
+            raise ValueError(
+                f"{spec}: only a count from BENCHMARK.json's per_layer "
+                f"list can be declared -- never a sim metric"
+            )
+        if direction not in ("", "worse"):
+            raise ValueError(f"{spec}: direction is ':worse' or nothing")
+        moved[workload, name] = (better[name] == "lower") == (not direction)
+    return moved
+
+
+def verdicts(
+    base: dict, new: dict, moved: dict[tuple, bool]
+) -> list[tuple[bool, str]]:
+    """``(passes, line)`` per exact number that is missing or differs
+    from the baseline, and per declaration nothing matched.  Only a
+    declared count that moved the declared way passes."""
     out = []
+    unmatched = dict(moved)
     for workload, entry in base["workloads"].items():
         fresh = new["workloads"].get(workload)
         if fresh is None:
-            out.append(f"{workload}: missing from the new record")
+            out.append(
+                (False, f"MOVED {workload}: missing from the new record")
+            )
             continue
         for section in EXACT_SECTIONS:
             for name, want in entry[section].items():
                 got = fresh[section].get(name)
+                what = f"{workload}: {section}.{name}"
                 if got is None:
-                    out.append(f"{workload}: {section}.{name} missing")
-                elif abs(got - want) > EXACT_REL * abs(want):
+                    out.append((False, f"MOVED {what} missing"))
+                    continue
+                if abs(got - want) <= EXACT_REL * abs(want):
+                    continue
+                values = f"= {got!r}, baseline {want!r}"
+                lower_expected = (
+                    unmatched.pop((workload, name), None)
+                    if section == "counts"
+                    else None
+                )
+                if lower_expected is None:
+                    out.append((False, f"MOVED {what} {values}"))
+                elif (got < want) == lower_expected:
+                    out.append((True, f"MOVED (declared) {what} {values}"))
+                else:
                     out.append(
-                        f"{workload}: {section}.{name} = {got!r}, "
-                        f"baseline {want!r}"
+                        (
+                            False,
+                            f"MOVED (declared the other way) {what} {values}",
+                        )
                     )
+    out.extend(
+        (False, f"STALE --moved {workload}:{name}: equals the baseline")
+        for workload, name in unmatched
+    )
     return out
 
 
@@ -67,9 +130,20 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("baseline", type=Path)
     parser.add_argument("new", type=Path)
+    parser.add_argument(
+        "--moved",
+        action="append",
+        default=[],
+        metavar="WORKLOAD:NAME[:worse]",
+        help="a count this change is declared to move (repeatable)",
+    )
     args = parser.parse_args(argv)
     base = json.loads(args.baseline.read_text())
     new = json.loads(args.new.read_text())
+    try:
+        moved = parse_moved(args.moved, json.loads(MANIFEST.read_text()))
+    except ValueError as exc:
+        parser.error(str(exc))
 
     base_numpy = base["environment"]["numpy"]
     new_numpy = new["environment"]["numpy"]
@@ -88,16 +162,17 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     print_host(base, new)
-    diffs = differences(base, new)
-    for line in diffs:
-        print(f"MOVED {line}")
+    found = verdicts(base, new, moved)
+    for _, line in found:
+        print(line)
     checked = sum(
         len(entry[section])
         for entry in base["workloads"].values()
         for section in EXACT_SECTIONS
     )
-    print(f"{len(diffs)} of {checked} sim/count values differ from baseline")
-    return 1 if diffs else 0
+    differ = sum(line.startswith("MOVED") for _, line in found)
+    print(f"{differ} of {checked} sim/count values differ from baseline")
+    return 0 if all(passes for passes, _ in found) else 1
 
 
 if __name__ == "__main__":
