@@ -112,7 +112,10 @@ def _batch_info(plan: Plan) -> tuple | None:
                 | iscm.transfer
             )
             capture_steps.append(iscm)
-            charges.append((step.n_wordlines, step.n_blocks))
+            targets = step.command.targets
+            charges.append(
+                (sum([len(wls) for _, wls in targets]), len(targets))
+            )
             commands.append(step.command)
         elif isinstance(step, XorStep):
             if step.plane != plan.plane:
@@ -164,6 +167,10 @@ class MwsExecutor:
         #: marks).  One window deep -- repeats of the *last* window
         #: are the service steady state.
         self._window_memo: tuple | None = None
+        #: (timing instance, (n_wordlines, n_blocks) -> tMWS us) for
+        #: :meth:`estimate_latency_us`.  The model is a pure function
+        #: of the shape, and the shapes a geometry admits are few.
+        self._t_mws_table: tuple[TimingModel, dict] = (self.timing, {})
 
     def execute(self, plan: Plan) -> ExecutionResult:
         self.dispatches += 1
@@ -446,13 +453,15 @@ class MwsExecutor:
             # Fresh senses charge their own read disturb inside
             # execute_sense_batch; reused plans re-apply theirs below.
             sensed = chip.execute_sense_batch(miss_commands)
-            plane_array = chip.plane_array
             for index, start, stop in miss_slices:
                 rows = sensed[start:stop]
+                # The batch just resolved (or revalidated) every
+                # command's blocks; read them back off the command
+                # instead of resolving each address again.
                 reads = tuple(
-                    (plane_array.block(address), len(wordlines))
+                    (block, len(block_rows))
                     for command in infos[index][3]
-                    for address, wordlines in command.targets
+                    for block, block_rows in command._resolved[1]
                 )
                 plan_rows[index] = rows
                 store(plans[index], rows, reads)
@@ -460,11 +469,14 @@ class MwsExecutor:
             for block, n_wordlines in reads:
                 block.note_read(n_wordlines)
         self.dispatches += 1
-        words = (
-            plan_rows[0]
-            if len(plan_rows) == 1
-            else np.concatenate(plan_rows, axis=0)
-        )
+        # An all-miss window sensed exactly ``commands``, plan-major:
+        # its rows are the window's payload as they stand.
+        if not hit_reads:
+            words = sensed
+        elif len(plan_rows) == 1:
+            words = plan_rows[0]
+        else:
+            words = np.concatenate(plan_rows, axis=0)
         plan_words = self._replay_latches(
             plans, infos, words, sense_base, lane_groups
         )
@@ -725,11 +737,26 @@ class MwsExecutor:
         atomic ``__setattr__`` -- racing threads write the identical
         value, so it needs no lock.
         """
+        timing = self.timing
         cached = plan.__dict__.get("_est_latency_us")
-        if cached is not None and cached[0] is self.timing:
+        if cached is not None and cached[0] is timing:
             return cached[1]
+        # A fresh plan: one walk of its steps serves this estimate and
+        # the batched drain that follows (``_batch_info``), and each
+        # sense shape's tMWS is modelled once per timing instance.
+        info = _batch_info(plan)
+        profile = plan.sense_profile() if info is None else info[2]
+        table = self._t_mws_table
+        if table[0] is not timing:
+            table = self._t_mws_table = (timing, {})
+        t_mws_us = table[1]
         total = 0.0
-        for wordlines, blocks in plan.sense_profile():
-            total += self.timing.t_mws_us(wordlines, blocks)
-        object.__setattr__(plan, "_est_latency_us", (self.timing, total))
+        for shape in profile:
+            if shape is None:  # a latch XOR: no sense time
+                continue
+            us = t_mws_us.get(shape)
+            if us is None:
+                us = t_mws_us[shape] = timing.t_mws_us(*shape)
+            total += us
+        object.__setattr__(plan, "_est_latency_us", (timing, total))
         return total

@@ -40,6 +40,8 @@ the same move: translate once, execute across the bulk dimension).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 from repro.core.commands import MwsCommand
 from repro.core.expressions import (
@@ -79,6 +81,13 @@ class OperandDirectory:
 
     def __init__(self) -> None:
         self._operands: dict[str, StoredOperand] = {}
+        #: Read-only live view of name -> placement, for callers that
+        #: resolve many names (the query engine's per-chunk views): a
+        #: miss raises a bare ``KeyError``, so they word the
+        #: "not stored" error themselves.
+        self.operands: Mapping[str, StoredOperand] = MappingProxyType(
+            self._operands
+        )
         #: Placement generation: bumped on every register/unregister
         #: so caches of resolved physical layouts (the query engine's
         #: bound plans) can detect that this chip's directory changed.

@@ -357,6 +357,16 @@ class BlockArray:
         sensing fast path operates directly on these)."""
         return self._packed[rows]
 
+    def gather_packed_rows(self, rows: np.ndarray, out: np.ndarray) -> None:
+        """:meth:`packed_rows` copied straight into ``out`` (the
+        batched sensing kernel's slot of a group tensor).  ``rows``
+        must already be valid wordline indices -- resolving a sense
+        (:meth:`SensingEngine.resolve_sense`) rejects any other --
+        because the gather indexes in ``wrap`` mode: NumPy's default
+        ``raise`` mode fills a temporary first and copies it over,
+        which is the second copy this method exists to avoid."""
+        np.take(self._packed, rows, axis=0, out=out, mode="wrap")
+
     def stored_rows(self, rows: np.ndarray) -> np.ndarray:
         """Unpacked 0/1 pages of the selected wordlines."""
         return unpack_rows(

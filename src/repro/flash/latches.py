@@ -187,14 +187,22 @@ class LatchBank:
         if packed:
             shape = (n_lanes, self._n_words)
             dtype = np.uint64
-            fill = FULL_WORD
         else:
             shape = (n_lanes, self.page_bits)
             dtype = np.uint8
-            fill = 1
+        # Initialization is tracked, not written: ``ones AND data`` is
+        # ``data`` and ``zeros OR sense`` is ``sense``, so the capture
+        # after an S-latch init and the transfer after a C-latch init
+        # are plain copies into buffers that were never filled.
+        # ``sense_fresh`` lasts from an init to the capture of the
+        # same step; ``cache_zeroed`` lasts until something writes the
+        # C-latch, and the zeros are materialized only for a reader
+        # that would see them (latch XOR, the landing copy, the
+        # returned rows).
         sense: np.ndarray | None = None
         cache: np.ndarray | None = None
         sense_fresh = False
+        cache_zeroed = False
         next_matrix = 0
         for step in steps:
             if step is None:  # the latch XOR command
@@ -202,6 +210,9 @@ class LatchBank:
                     raise LatchStateError(
                         "XOR requires both latches to hold data"
                     )
+                if cache_zeroed:
+                    cache.fill(0)
+                    cache_zeroed = False
                 cache ^= sense
                 continue
             data = matrices[next_matrix]
@@ -213,13 +224,11 @@ class LatchBank:
                 )
             if step.init_cache:
                 if cache is None:
-                    cache = np.zeros(shape, dtype=dtype)
-                else:
-                    cache.fill(0)
+                    cache = np.empty(shape, dtype=dtype)
+                cache_zeroed = True
             if step.init_sense:
                 if sense is None:
                     sense = np.empty(shape, dtype=dtype)
-                sense.fill(fill)
                 sense_fresh = True
             if step.inverse:
                 if sense is None or not sense_fresh:
@@ -232,6 +241,8 @@ class LatchBank:
                     sense |= self._pad
                 else:
                     np.subtract(1, data, out=sense)
+            elif sense_fresh:
+                np.copyto(sense, data)
             else:
                 if sense is None:
                     raise LatchStateError(
@@ -244,9 +255,15 @@ class LatchBank:
                     raise LatchStateError(
                         "transfer with uninitialized C-latch"
                     )
-                cache |= sense
+                if cache_zeroed:
+                    np.copyto(cache, sense)
+                    cache_zeroed = False
+                else:
+                    cache |= sense
         if cache is None:
             raise LatchStateError("C-latch holds no data")
+        if cache_zeroed:
+            cache.fill(0)
         if land_lane is not None:
             self.ops += 1
             np.copyto(self._cache_buf, cache[land_lane])

@@ -595,38 +595,49 @@ class SensingEngine:
         self.restacked_tensors += len(groups)
         for profile, members in groups.items():
             total_rows = sum(profile)
-            tensor = np.concatenate(
-                [
-                    block.packed_rows(rows)
-                    for i in members
-                    for block, rows in sources[i]
-                ],
-                axis=0,
-            ).reshape(len(members), total_rows, n_words)
+            # Every operand row is copied exactly once: gathered from
+            # its block straight into its slot of the group tensor.
+            tensor = np.empty(
+                (len(members), total_rows, n_words), dtype=np.uint64
+            )
+            for slot, i in enumerate(members):
+                lo = 0
+                for (block, rows), size in zip(sources[i], profile):
+                    block.gather_packed_rows(
+                        rows, tensor[slot, lo : lo + size]
+                    )
+                    lo += size
+            # Members ascend, so a gap-free group is a slice of ``out``
+            # and reduces in place; a scattered one reduces into a
+            # temporary that is stored by index.
+            first = members[0]
+            in_place = members[-1] - first + 1 == len(members)
+            result = (
+                out[first : first + len(members)]
+                if in_place
+                else np.empty((len(members), n_words), dtype=np.uint64)
+            )
             if len(profile) == 1:
                 # Pure intra-block AND (one string group per sense).
-                result = np.bitwise_and.reduce(tensor, axis=1)
+                np.bitwise_and.reduce(tensor, axis=1, out=result)
             elif total_rows == len(profile):
                 # One wordline per block: plain inter-block OR.
-                result = np.bitwise_or.reduce(tensor, axis=1)
+                np.bitwise_or.reduce(tensor, axis=1, out=result)
             else:
                 # General OR-of-ANDs (Equation 1): AND each group
                 # segment, OR the segment results.
-                result = None
                 lo = 0
                 for size in profile:
-                    segment = (
-                        tensor[:, lo]
-                        if size == 1
-                        else np.bitwise_and.reduce(
-                            tensor[:, lo : lo + size], axis=1
-                        )
-                    )
-                    result = (
-                        segment if result is None else result | segment
-                    )
+                    segment = tensor[:, lo : lo + size]
+                    if lo == 0:
+                        np.bitwise_and.reduce(segment, axis=1, out=result)
+                    elif size == 1:
+                        result |= segment[:, 0]
+                    else:
+                        result |= np.bitwise_and.reduce(segment, axis=1)
                     lo += size
-            out[np.asarray(members)] = result
+            if not in_place:
+                out[np.asarray(members)] = result
         return out
 
     # ------------------------------------------------------------------

@@ -129,6 +129,9 @@ class SmallSsd:
         self.fault_injector = None
         if fault_injector is not None:
             self.attach_fault_injector(fault_injector)
+        #: The background maintenance plane, once :meth:`maintenance`
+        #: has opened it.
+        self._maintenance = None
 
     def attach_fault_injector(self, injector) -> None:
         """Attach a :class:`~repro.flash.faults.FaultInjector` to every
@@ -310,7 +313,7 @@ class SmallSsd:
         wear leveling, probation drain, bad-block scrub."""
         from repro.ssd.maintenance import MaintenanceManager
 
-        manager = getattr(self, "_maintenance", None)
+        manager = self._maintenance
         if manager is None or config is not None:
             manager = MaintenanceManager(self, config)
             self._maintenance = manager

@@ -470,7 +470,7 @@ class MaintenanceManager:
             for placement in ftl.lookup(name).placements:
                 if placement.chip == sick:
                     columns.setdefault(placement.chunk, []).append(name)
-        parity = getattr(ssd, "parity", False)
+        parity = ssd.parity
         moved_any = False
         src_ctrl = ssd.controllers[sick]
         for chunk in sorted(columns):
@@ -550,7 +550,7 @@ class MaintenanceManager:
         # Reclaim the drained chip's now-dead blocks so it returns
         # from probation with free space -- unless the chip is
         # fail-stopped, where copyback/erase would only raise.
-        if getattr(ssd.chips[sick], "offline", False):
+        if ssd.chips[sick].offline:
             jobs: list[StageJob] = []
         else:
             jobs = self.collect(sick, ready_at_s=ready_at_s)
@@ -668,11 +668,7 @@ class MaintenanceManager:
             return []
         if healthy is None:
             healthy = list(range(len(ssd.chips)))
-        healthy = [
-            h
-            for h in healthy
-            if not getattr(ssd.chips[h], "offline", False)
-        ]
+        healthy = [h for h in healthy if not ssd.chips[h].offline]
         if not healthy:
             return []
         busy_before = [c.counters.busy_us for c in ssd.chips]
@@ -727,7 +723,7 @@ class MaintenanceManager:
         if not names:
             return False
         current = ftl.chip_of_chunk(chunk)
-        if not getattr(ssd.chips[current], "offline", False):
+        if not ssd.chips[current].offline:
             # Already drained or re-mapped since it was queued.
             return False
         # Reconstruct the whole column before writing anything: a
@@ -783,9 +779,7 @@ class MaintenanceManager:
         if not names:
             return False
         current = ftl.parity_chip(group)
-        if current is None or not getattr(
-            ssd.chips[current], "offline", False
-        ):
+        if current is None or not ssd.chips[current].offline:
             return False
         payloads: list[tuple[str, str | None, np.ndarray]] = []
         for name in names:

@@ -146,18 +146,24 @@ class _ChunkDirectory:
     """
 
     def __init__(self, controller, chunk: int) -> None:
-        self._controller = controller
-        self._chunk = chunk
+        # The directory's live mapping, not a snapshot: a relocation
+        # or unregistration after the view was built is seen by the
+        # next lookup.
+        self._operands = controller.directory.operands
+        self._suffix = f"@{chunk}"
 
     def lookup(self, name: str) -> StoredOperand:
-        return self._controller.stored(f"{name}@{self._chunk}")
+        # One dict probe per literal (planning looks each one up
+        # several times, binding once per chunk).
+        try:
+            return self._operands[name + self._suffix]
+        except KeyError:
+            raise KeyError(
+                f"operand {name + self._suffix!r} is not stored"
+            ) from None
 
     def __contains__(self, name: str) -> bool:
-        try:
-            self.lookup(name)
-        except KeyError:
-            return False
-        return True
+        return name + self._suffix in self._operands
 
 
 @dataclass(frozen=True)
@@ -505,16 +511,21 @@ class StackCache:
     per-profile tensors and reduces them
     (:meth:`~repro.flash.sensing.SensingEngine.sense_batch_stacks`)
     -- even when the window repeats plans a previous window already
-    sensed.  The :class:`ResultCache` only helps on exact plan
-    repeats *and* changes the outcome envelope (cached hits report
-    zero flash cost); this cache instead memoizes each plan's raw
-    packed **sense rows** and lets
+    sensed.  Like the :class:`ResultCache` this cache is keyed per
+    ``(chip, plan)``; the difference is what a hit is *charged*.  A
+    result-cache hit changes the outcome envelope (zero flash cost);
+    this cache memoizes each plan's raw packed **sense rows** and lets
     :meth:`~repro.core.mws.MwsExecutor.execute_batch_reuse` skip just
     the sensing for reused plans while the latch replay, cost
     charges, and read-disturb accounting still run every window --
     so a window sharing any prefix (or subset) of a previous window's
     plans skips restacking those tensors and stays bit-, float-, and
     counter-identical to a fresh batched drain.
+
+    It serves the drains that have no :class:`ResultCache` engaged
+    (:meth:`QueryEngine.execute_tasks` picks one per-plan cache per
+    call): its stamp below is the result cache's plus the injector,
+    so behind an engaged result cache it could only ever miss.
 
     **Invalidation contract** (``docs/architecture.md``): entries are
     stamped per chip with
@@ -707,11 +718,11 @@ class QueryEngine:
         #: the always-fresh oracle the property suites compare against.
         self.result_cache: ResultCache | None = None
         #: Cross-window stack cache (always attached; ``stack_reuse``
-        #: gates whether the batched drain consults it).  Reuse is
-        #: exact -- it skips only the re-derivation of deterministic
-        #: packed sense rows -- so it defaults on; ``stack_reuse =
-        #: False`` forces fresh stacking (the bench baseline and the
-        #: property-suite oracle).
+        #: gates whether a batched drain with no result cache engaged
+        #: consults it).  Reuse is exact -- it skips only the
+        #: re-derivation of deterministic packed sense rows -- so it
+        #: defaults on; ``stack_reuse = False`` forces fresh stacking
+        #: (the bench baseline and the property-suite oracle).
         self.stack_cache = StackCache(ssd)
         self.stack_reuse = True
         self._stack_reuse_hits = 0
@@ -740,21 +751,22 @@ class QueryEngine:
 
         ``names`` may pass the pre-sorted operand names when the caller
         already extracted them (per-query hot path)."""
-        return self._template_for(expr, names)[0]
-
-    def _template_for(
-        self, expr: Expression, names: list[str] | None = None
-    ) -> tuple[PlanTemplate, bool]:
-        """Like :meth:`template_for`, but additionally reports whether
-        fetching the template *planned* (cache miss).  The flag is
-        threaded explicitly to the caller instead of being inferred
-        from counter deltas, so interleaved query preparation (the
-        service window path) attributes hits correctly."""
         if names is None:
             names = sorted(operand_names(expr))
         if not names:
             raise ValueError("expression references no operands")
-        key = (expr, self._layout_signature(names))
+        return self._template_for(expr, self._layout_signature(names))[0]
+
+    def _template_for(
+        self, expr: Expression, signature: tuple
+    ) -> tuple[PlanTemplate, bool]:
+        """Like :meth:`template_for` given the operands' layout
+        signature, but additionally reports whether fetching the
+        template *planned* (cache miss).  The flag is threaded
+        explicitly to the caller instead of being inferred from
+        counter deltas, so interleaved query preparation (the service
+        window path) attributes hits correctly."""
+        key = (expr, signature)
         with self._lock:
             cached = self._templates.get(key)
             if cached is not None:
@@ -842,7 +854,7 @@ class QueryEngine:
         expr: Expression,
         template: PlanTemplate,
         n_chunks: int,
-        names: list[str] | None = None,
+        signature: tuple,
     ) -> tuple[dict[int, list[tuple[int, Plan]]], bool]:
         """Bind the template for every chunk and queue the plans per
         chip, falling back to a replan when a chunk's layout drifted
@@ -854,9 +866,7 @@ class QueryEngine:
         a repeat query whose placement world has not changed reuses its
         resolved per-chunk plans without touching the directories.
         """
-        if names is None:
-            names = sorted(operand_names(expr))
-        key = (expr, self._layout_signature(names), n_chunks)
+        key = (expr, signature, n_chunks)
         generation = self._layout_generation()
         with self._lock:
             cached = self._bound.get(key)
@@ -899,9 +909,10 @@ class QueryEngine:
             raise ValueError("expression references no operands")
         self.ssd.ftl.validate_co_located(names)
         record = self.ssd.ftl.lookup(names[0])
-        template, template_planned = self._template_for(expr, names)
+        signature = self._layout_signature(names)
+        template, template_planned = self._template_for(expr, signature)
         queues, bind_planned = self._bound_queues(
-            expr, template, record.n_chunks, names=names
+            expr, template, record.n_chunks, signature
         )
         return PreparedQuery(
             expr=expr,
@@ -1271,11 +1282,16 @@ class QueryEngine:
         cache = self.result_cache if use_cache and packed else None
         if cache is not None:
             cache.begin_epoch()
-        # Stack reuse engages only where its oracle applies: packed
-        # plane, batched drain, no fault recovery (the recovery drain
-        # batches without it -- _drain_recovered).
+        # One per-plan cache per drain.  Both caches key on (chip,
+        # plan) and a StackCache stamp is the ResultCache stamp plus
+        # the injector, so with the ResultCache engaged every plan
+        # that reaches the executor has already missed the only
+        # lookup that could hit; the StackCache serves the drains
+        # that have no ResultCache (packed plane, batched, no fault
+        # recovery -- _drain_recovered batches without it).
         stacks = (
-            self.stack_cache if packed and batch and self.stack_reuse
+            self.stack_cache
+            if cache is None and packed and batch and self.stack_reuse
             else None
         )
         injector = self.ssd.fault_injector

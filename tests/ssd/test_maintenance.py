@@ -397,6 +397,28 @@ class TestDrain:
         assert mgr.stats.chips_drained == 0
         assert ssd.ftl.live_pages(0) > 0
 
+    def test_stand_in_missing_a_declared_attribute_fails_loudly(self):
+        """``SmallSsd.parity`` and ``NandFlashChip.offline`` are
+        declared in ``__init__`` and read plainly: an SSD or chip
+        stand-in that lacks one raises, it is not silently taken for
+        parity-off / online."""
+        ssd, _ = _build(n_chips=3, n_vectors=3)
+        mgr = ssd.maintenance()
+        assert ssd.maintenance() is mgr  # the declared slot, reused
+        del ssd.parity
+        with pytest.raises(AttributeError, match="parity"):
+            mgr.drain_chip(1)
+        assert mgr.stats.pages_migrated == 0  # raised before any move
+
+        ssd, _ = _build(n_chips=3, n_vectors=3)
+        mgr = ssd.maintenance()
+        del ssd.chips[2].offline
+        mgr.pending_rebuild.append(("column", 0))
+        with pytest.raises(AttributeError, match="offline"):
+            mgr.rebuild_cycle()
+        with pytest.raises(AttributeError, match="offline"):
+            mgr.drain_chip(2)
+
     def test_stuck_column_stays_parked_not_half_migrated(self):
         ssd, env = _build(n_chips=2, n_vectors=3, n_chunks=2)
         # Poison the block holding v0's chunk-0 operand on chip 0.

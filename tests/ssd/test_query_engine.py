@@ -6,7 +6,8 @@ import pytest
 from repro.core.expressions import And, Operand, Or, evaluate
 from repro.core.planner import Planner
 from repro.ssd.controller import SmallSsd
-from repro.ssd.query_engine import QueryEngine
+from repro.flash.geometry import WordlineAddress
+from repro.ssd.query_engine import QueryEngine, _ChunkDirectory
 
 
 def vectors(names, n_bits, seed=0):
@@ -152,6 +153,65 @@ class TestBindFallback:
         result = ssd.query(expr)
         np.testing.assert_array_equal(result.bits, evaluate(expr, env))
         assert ssd.engine.stats.bind_fallbacks == 1
+
+
+class TestChunkDirectoryView:
+    """The per-chunk view reads the chip directory's live mapping with
+    one probe per lookup; what it raises, contains and resolves must
+    be what ``OperandDirectory`` would."""
+
+    def _ssd(self, seed, n_chunks=4):
+        ssd = SmallSsd(n_chips=2, seed=seed)
+        env = vectors("ab", ssd.page_bits * n_chunks, seed=seed + 1)
+        for name in "ab":
+            ssd.write_vector(name, env[name], group="g")
+        return ssd, env
+
+    def test_unregistered_chunk_raises_the_directory_error(self):
+        ssd, _ = self._ssd(30)
+        controller = ssd.controllers[ssd.ftl.chip_of_chunk(3)]
+        view = _ChunkDirectory(controller, 3)  # built before the change
+        assert "b" in view
+        controller.directory.unregister("b@3")
+        with pytest.raises(KeyError) as from_directory:
+            controller.directory.lookup("b@3")
+        assert from_directory.value.args == ("operand 'b@3' is not stored",)
+        with pytest.raises(KeyError) as from_view:
+            view.lookup("b")
+        assert from_view.value.args == from_directory.value.args
+        assert from_view.value.__suppress_context__
+        assert "b" not in view
+        assert "a" in view
+        # ... and it is the error a query over the vector surfaces.
+        with pytest.raises(KeyError) as from_query:
+            ssd.query(And(Operand("a"), Operand("b")))
+        assert from_query.value.args == from_directory.value.args
+
+    def test_relocated_operand_binds_at_its_new_address(self):
+        """``directory.relocate`` repoints a name; a view built before
+        the move must resolve the new address (it reads through to the
+        live mapping, it does not snapshot it)."""
+        ssd, _ = self._ssd(32)
+        expr = And(Operand("a"), Operand("b"))
+        template = ssd.engine.template_for(expr)
+        controller = ssd.controllers[ssd.ftl.chip_of_chunk(1)]
+        view = _ChunkDirectory(controller, 1)
+        old = view.lookup("b").address
+        before = template.bind(view)
+        # Another free wordline of the same string group, so the
+        # template's layout still holds.
+        new = WordlineAddress(
+            old.plane, old.block, old.subblock, old.wordline + 5
+        )
+        moved = controller.directory.relocate("b@1", new)
+        assert view.lookup("b") is moved
+        assert view.lookup("b").address == new
+        after = template.bind(view)
+        assert after != before
+        (step,) = after.sense_steps
+        ((_, wordlines),) = step.command.targets
+        assert new.wordline in wordlines
+        assert old.wordline not in wordlines
 
 
 class TestBatchExecution:
