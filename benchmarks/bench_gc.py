@@ -18,9 +18,10 @@ reclaim by erasing).  Two twins run the same trace:
 Correctness is checked bit-exactly every round (queries against the
 NumPy oracle), and the foreground p99 impact of background GC is
 measured against a churn-free baseline serving the identical query
-trace -- gated by ``GC_P99_GATE`` (default 3.0x, env-relaxable;
-background copy/erase time really does sit in front of some windows
-under the FCFS event sweep, the gate just bounds it).
+trace -- gated by ``GC_P99_GATE`` (default 1.25x, env-relaxable).
+Background copy/erase jobs are a lower class in the event sweep: they
+fill their die's idle gaps and yield to arriving senses, so the
+measured ratio is 1.00 and the gate is that plus margin.
 
 ``measure_gc`` returns a plain dict so ``tools/bench_record.py``
 snapshots the numbers into the ``gc`` section of
@@ -38,7 +39,7 @@ from repro.core.expressions import And, Operand, and_all, evaluate
 from repro.flash.geometry import ChipGeometry
 from repro.ssd.controller import SmallSsd
 
-P99_GATE = float(os.environ.get("GC_P99_GATE", "3.0"))
+P99_GATE = float(os.environ.get("GC_P99_GATE", "1.25"))
 
 GEOMETRY = ChipGeometry(
     planes_per_die=1,
@@ -207,6 +208,6 @@ def test_gc_sustains_churn_the_nogc_twin_cannot():
     )
     assert m["p99_ratio"] <= P99_GATE, (
         f"foreground p99 under background GC is {m['p99_ratio']:.2f}x "
-        f"the churn-free baseline, above the {P99_GATE:.1f}x gate "
+        f"the churn-free baseline, above the {P99_GATE:.2f}x gate "
         "(relax with GC_P99_GATE)"
     )

@@ -141,6 +141,10 @@ class ServiceStats:
     blocks_retired: int = 0
     chips_drained: int = 0
     maintenance_overhead_us: float = 0.0
+    #: What yielding to foreground cost the background class: the
+    #: longest any background job of the run took from ready to
+    #: complete (its own work included).  0.0 without maintenance.
+    maintenance_lag_us: float = 0.0
     #: P/E-cycle wear spread across every materialized block at the
     #: end of the run (wear leveling keeps max - min small).
     wear_min: int = 0
@@ -272,7 +276,8 @@ class ServiceStats:
                 f"reclaimed, {self.pages_migrated} pages migrated, "
                 f"{self.blocks_retired} retired, "
                 f"{self.chips_drained} chips drained "
-                f"({self.maintenance_overhead_us:.1f} us background)"
+                f"({self.maintenance_overhead_us:.1f} us background, "
+                f"lag {self.maintenance_lag_us:.1f} us)"
             )
         if self.wear_max:
             text += (

@@ -203,16 +203,20 @@ class QueryService:
 
     ``preemption`` (+ ``suspend_cost_us`` / ``resume_cost_us`` /
     ``max_suspends``)
-        Replay every window's chunk jobs through the *arbitrated*
-        event simulation instead of the FCFS sweep: deadline queries
-        become urgent non-preemptible job streams that may suspend
-        in-flight preemptible bulk senses at a contended die or
-        channel (EDF order, starvation-capped at ``max_suspends``
-        suspensions per sense, each costing the configured
-        suspend/resume penalties).  The report then carries
-        preemption counts, overhead, and per-resource utilization.
-        Off by default: without it the simulation is the exact FCFS
-        baseline every existing result was measured on.
+        The three suspend parameters always govern the event replay's
+        *background* class (see ``maintenance``): a background job in
+        flight when a chunk job arrives is suspended, at most
+        ``max_suspends`` times, each costing the configured
+        suspend/resume penalties (0 by default).  ``preemption`` adds
+        deadline-over-bulk ordering *among foreground*: chunk jobs
+        replay through the arbitrated event simulation instead of the
+        FCFS sweep, where deadline queries become urgent
+        non-preemptible job streams that may suspend in-flight
+        preemptible bulk senses at a contended die or channel (EDF
+        order, under the same cap and penalties).  The report carries
+        suspension counts, overhead, and per-resource utilization
+        either way.  Off by default: without it foreground is served
+        exactly first-come-first-served.
 
     ``recovery`` / ``health``
         Fault tolerance (:mod:`repro.flash.faults`,
@@ -237,10 +241,13 @@ class QueryService:
         :class:`~repro.ssd.maintenance.MaintenanceManager`.  Per
         window the manager paces garbage collection against free-block
         pressure (low/high watermarks) and its copy/erase work joins
-        the event simulation as preemptible,
-        :data:`~repro.ssd.events.MAINTENANCE_PRIORITY` background jobs
-        -- under ``preemption`` an urgent sense suspends an in-flight
-        GC copy.  Stuck bad blocks are scrubbed out of the allocation
+        the event simulation as
+        :func:`~repro.ssd.events.background_job` jobs, which always
+        yield: they run in the idle gaps of their die and an arriving
+        sense suspends an in-flight GC erase instead of queueing
+        behind it (``max_suspends`` is the starvation guard;
+        ``ServiceStats.maintenance_lag_us`` reports what the deferral
+        cost).  Stuck bad blocks are scrubbed out of the allocation
         pool up front, and when the health tracker quarantines a chip
         its live vectors drain to healthy chips during probation.
         ``ServiceStats`` then reports blocks reclaimed, pages
@@ -294,17 +301,16 @@ class QueryService:
         self.policy = policy
         self.share_senses = share_senses
         self.workers = max(1, int(workers))
-        #: Arbitration config the event replay runs under; ``None``
-        #: keeps the exact FCFS sweep (the measured baseline).
-        self.arbitration: ArbitrationConfig | None = (
-            ArbitrationConfig(
-                suspend_cost_s=suspend_cost_us * 1e-6,
-                resume_cost_s=resume_cost_us * 1e-6,
-                max_suspends=max_suspends,
-            )
-            if preemption
-            else None
+        #: Suspend/resume parameters of the event replay: background
+        #: jobs always yield to foreground under them; with
+        #: ``preemption`` the replay is the arbitrated simulation and
+        #: they also govern deadline-over-bulk suspension.
+        self.suspension = ArbitrationConfig(
+            suspend_cost_s=suspend_cost_us * 1e-6,
+            resume_cost_s=resume_cost_us * 1e-6,
+            max_suspends=max_suspends,
         )
+        self.preemption = preemption
         self.use_result_cache = result_cache
         if result_cache:
             self.engine.enable_result_cache(result_cache_size)
@@ -749,10 +755,22 @@ class QueryService:
         # vectors) leaves the pending submissions intact for a retry.
         self.admission = self.admission.empty_clone()
 
-        report = simulate_stages(jobs, arbitration=self.arbitration)
-        for completion_s, owner in zip(report.completion_times, job_owner):
+        report = simulate_stages(
+            jobs,
+            suspension=self.suspension,
+            arbitration=self.suspension if self.preemption else None,
+        )
+        maintenance_lag_s = 0.0
+        for completion_s, owner, job in zip(
+            report.completion_times, job_owner, jobs
+        ):
             if owner is None:
-                continue  # background maintenance job, no query
+                # Background maintenance job, no query: what deferring
+                # it to the die's idle gaps cost it.
+                maintenance_lag_s = max(
+                    maintenance_lag_s, completion_s - job.ready_at
+                )
+                continue
             state = states[owner]
             state.completed_us = max(state.completed_us, completion_s * 1e6)
 
@@ -786,6 +804,7 @@ class QueryService:
             reconstruction_senses=reconstruction_senses,
             reconstruction_overhead_us=reconstruction_overhead_us,
             chips_lost=chips_lost,
+            maintenance_lag_us=maintenance_lag_s * 1e6,
             **self._maintenance_kwargs(
                 manager, maint_before if manager is not None else None
             ),
@@ -884,6 +903,7 @@ class QueryService:
         blocks_retired: int = 0,
         chips_drained: int = 0,
         maintenance_overhead_us: float = 0.0,
+        maintenance_lag_us: float = 0.0,
         wear_min: int = 0,
         wear_max: int = 0,
         wear_mean: float = 0.0,
@@ -941,6 +961,7 @@ class QueryService:
             blocks_retired=blocks_retired,
             chips_drained=chips_drained,
             maintenance_overhead_us=maintenance_overhead_us,
+            maintenance_lag_us=maintenance_lag_us,
             wear_min=wear_min,
             wear_max=wear_max,
             wear_mean=wear_mean,

@@ -21,8 +21,24 @@ window's stragglers on shared chips, channels, and the external
 link).  Within one ready time, FCFS ties break by submission order --
 which is precisely the knob the multi-query scheduler turns.
 
-**Arbitrated mode.**  Passing an :class:`ArbitrationConfig` to
-:func:`simulate_stages` switches to a *preemptible* resource model:
+**Background class.**  What sits on a die ahead of a 25-us sense
+decides its latency, and a GC erase is 3.5 ms.  Jobs built by
+:func:`background_job` (GC copyback + erase, drain, rebuild) are
+therefore a lower service class inside the same sweep, the way real
+NAND orders erase/program *suspend* ahead of reads ahead of
+program/erase: they run only in the idle gaps of their die, are
+suspended by a foreground arrival (``suspend_cost_s`` on the die,
+``resume_cost_s`` on the remainder), and after ``max_suspends``
+suspensions run to completion with the foreground waiting -- the
+starvation guard.  At equal times the foreground wins.  The class is
+a gap-filler per die, consulted only when a foreground event finds
+the die idle before its own ready time and once at the end, so
+foreground jobs stay FCFS among themselves and a stream without
+background jobs is float-identical to a plain FCFS sweep.
+
+**Arbitrated mode.**  Passing ``arbitration=`` to
+:func:`simulate_stages` switches to the general *preemptible*
+resource model, which additionally orders foreground by urgency:
 jobs may carry a ``deadline`` / ``priority`` and be ``preemptible``,
 and an urgent arrival (earlier deadline, then higher priority) can
 *suspend* an in-flight preemptible stage -- modeling a real NAND
@@ -33,8 +49,11 @@ times, after which it runs to completion regardless of urgency, and
 equal-urgency work is never preempted (ties keep strict FIFO).  With
 no urgency differences -- or with ``arbitration=None`` (the default)
 -- the schedule, start times, and busy accounting are *identical* to
-the FCFS sweep, which the tests pin; every benchmark and oracle
-replayed through the non-arbitrated path is therefore untouched.
+the FCFS sweep, which the tests pin.  It is also the sweep's oracle:
+with every foreground job deadline-free, priority 0 and
+non-preemptible (and listed ahead of the background jobs, which is
+the tie rule) it is the background class above, event by event
+(``tests/ssd/test_events_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -72,7 +91,9 @@ class SerialResource:
 
 @dataclass(frozen=True)
 class ArbitrationConfig:
-    """Preemption parameters of the arbitrated resource model.
+    """Suspend/resume parameters: of the sweep's background class
+    (``simulate_stages(jobs, suspension=...)``) and of the arbitrated
+    resource model (``arbitration=...``).
 
     ``suspend_cost_s`` is charged on the resource the moment a victim
     is parked (the preemptor starts only after it); ``resume_cost_s``
@@ -113,7 +134,7 @@ class StageJob:
     earliest-deadline-first ahead of deadline-free work; ``priority``
     breaks urgency ties (higher first); ``preemptible`` marks whether
     this job's in-flight stages may be suspended by a more urgent
-    arrival.  The FCFS sweep ignores all three.
+    arrival.  The sweep ignores all three.
 
     ``fault_delay_s`` is recovery time the fault plane charged to this
     job (retry backoff, injected stalls, failed-attempt re-senses that
@@ -123,6 +144,12 @@ class StageJob:
     timeline, and :attr:`StageReport.fault_overhead` totals it.  Both
     simulators skip the addition entirely at 0.0, keeping fault-free
     schedules float-identical.
+
+    ``background`` marks the lower service class of the sweep (set by
+    :func:`background_job`, never inferred from ``priority``): a
+    single-stage job that runs only in its die's idle gaps and yields
+    to foreground arrivals.  The arbitrated simulation ignores the
+    mark and orders by urgency alone.
 
     Construction validates everything the simulators rely on
     (alignment, at least one stage, no negative duration or delay), so
@@ -141,12 +168,15 @@ class StageJob:
     deadline: float | None = None
     preemptible: bool = True
     fault_delay_s: float = 0.0
+    background: bool = False
 
     def __post_init__(self) -> None:
         if len(self.durations) != len(self.resources):
             raise ValueError("durations and resources must align")
         if not self.durations:
             raise ValueError("job needs at least one stage")
+        if self.background and len(self.durations) != 1:
+            raise ValueError("a background job has exactly one stage")
         if min(self.durations) < 0:
             raise ValueError("duration must be >= 0")
         if self.fault_delay_s < 0:
@@ -163,6 +193,9 @@ class StageJob:
             return (0, self.deadline, -self.priority)
         return (1, 0.0, -self.priority)
 
+
+#: Suspension parameters of a sweep that was not given any.
+_ZERO_COST_SUSPENSION = ArbitrationConfig()
 
 #: Priority carried by background maintenance work (GC copybacks,
 #: victim erases, migration programs).  Deadline-free with negative
@@ -185,9 +218,11 @@ def background_job(
 
     Background copy/erase work never crosses the channel or the
     external link (copyback moves pages inside the die), so it
-    occupies only the chip resource.  Under the FCFS sweep it queues
-    in ready order like any other job; under arbitration its
-    :data:`MAINTENANCE_PRIORITY` keeps it behind all foreground work.
+    occupies only the chip resource.  Under the sweep it is the
+    *background class*: it fills the die's idle gaps and is suspended
+    by foreground arrivals (see :func:`simulate_stages`); under
+    arbitration its :data:`MAINTENANCE_PRIORITY` keeps it behind all
+    foreground work.
     """
     return StageJob(
         ready_at=ready_at,
@@ -196,6 +231,7 @@ def background_job(
         priority=priority,
         deadline=None,
         preemptible=True,
+        background=True,
     )
 
 
@@ -208,8 +244,9 @@ class StageReport:
     Figure 7 pipelines, or the arbitrated ``chip*``/``chan*``/``way*``
     sets of the service plane; every accessor below treats the name
     set as open (unknown names report zero rather than raising).
-    Under arbitration, ``resource_preemptions`` counts suspensions per
-    resource and ``preemption_overhead`` totals the suspend/resume
+    ``resource_preemptions`` counts suspensions per resource (of
+    background jobs in the sweep, of any preemptible stage under
+    arbitration) and ``preemption_overhead`` totals the suspend/resume
     seconds charged on top of the useful work.  ``fault_overhead``
     totals the jobs' ``fault_delay_s`` recovery seconds that extended
     their first stages -- the exact simulated cost of fault recovery.
@@ -276,17 +313,28 @@ class StageReport:
 def simulate_stages(
     jobs: list[StageJob],
     *,
+    suspension: ArbitrationConfig | None = None,
     arbitration: ArbitrationConfig | None = None,
 ) -> StageReport:
     """Run jobs through their stage chains with FCFS resources.
 
-    Jobs are admitted to each resource in ready-time order (ties broken
-    by submission order), matching how a real controller arbitrates a
-    shared bus.  Implemented as a single sweep over all stage events
-    in global ``(ready, seq)`` order to stay exact when streams
-    interleave; the order comes from merging the sorted stage-0
-    arrivals with a heap of downstream events (see the comment in the
-    body for why the merge is exact and how ties break).
+    Foreground jobs are admitted to each resource in ready-time order
+    (ties broken by submission order), matching how a real controller
+    arbitrates a shared bus.  Implemented as a single sweep over all
+    stage events in global ``(ready, seq)`` order to stay exact when
+    streams interleave; the order comes from merging the sorted
+    stage-0 arrivals with a heap of downstream events (see the comment
+    in the body for why the merge is exact and how ties break).
+
+    Background jobs (:attr:`StageJob.background`) are a lower class
+    inside the same sweep: each waits on its die's gap queue and runs
+    only while the die would otherwise idle (see :func:`_fill_gap`),
+    suspended by foreground arrivals under ``suspension``'s
+    ``suspend_cost_s`` / ``resume_cost_s`` / ``max_suspends`` /
+    ``min_remaining_s`` (default: a zero-cost
+    :class:`ArbitrationConfig`).  A job list without background jobs
+    never reaches that code and is served exactly first-come-first-
+    served.
 
     With ``arbitration`` set, the simulation switches to the
     preemptible resource model (see the module docstring): waiting
@@ -303,6 +351,8 @@ def simulate_stages(
         # An empty stream (e.g. an admission window that admitted no
         # queries) simulates to an idle, zero-makespan report.
         return StageReport(makespan=0.0, completion_times=[])
+    if suspension is None:
+        suspension = _ZERO_COST_SUSPENSION
 
     # Executing stage events in global (ready, seq) order is exact for
     # feed-forward FCFS pipelines: per resource, jobs are served in
@@ -320,6 +370,13 @@ def simulate_stages(
     # when its time is *strictly* earlier than the next arrival's: at
     # equal times the arrival's smaller seq wins.  Nothing here
     # assumes which resource names appear at which stage.
+    #
+    # A background arrival is not served: it joins its die's gap
+    # queue, which the arrival order keeps sorted by ``(ready, seq)``.
+    # The queue is looked at only when a foreground event finds the
+    # die idle before its own ready time (and once at the end), so
+    # foreground events see the same additions in the same order
+    # whether or not anything is queued elsewhere.
     n_jobs = len(jobs)
     ready = [job.ready_at for job in jobs]
     arrivals = sorted(range(n_jobs), key=ready.__getitem__)
@@ -330,10 +387,11 @@ def simulate_stages(
     pop = heapq.heappop
     seq = n_jobs
 
-    #: name -> [available at, busy seconds, jobs served]; semantics
-    #: identical to :class:`SerialResource`, which remains the
-    #: single-resource API (inlined: the service layer replays one job
-    #: per chunk per window through here).
+    #: name -> [available at, busy seconds, jobs served, gap queue or
+    #: None, suspensions]; the first three with the semantics of
+    #: :class:`SerialResource`, which remains the single-resource API
+    #: (inlined: the service layer replays one job per chunk per
+    #: window through here).
     resources: dict[str, list] = {}
     completion = [0.0] * n_jobs
     fault_overhead = 0.0
@@ -357,15 +415,30 @@ def simulate_stages(
                 # float-identical.
                 duration += job.fault_delay_s
                 fault_overhead += job.fault_delay_s
+            if job.background:
+                name = job.resources[0]
+                state = resources.get(name)
+                if state is None:
+                    state = resources[name] = [0.0, 0.0, 0, None, 0]
+                if state[3] is None:
+                    state[3] = _GapQueue()
+                state[3].waiting.append((ready_at, duration, idx))
+                continue
         else:
             break
         name = job.resources[stage]
         state = resources.get(name)
         if state is None:
-            state = resources[name] = [0.0, 0.0, 0]
+            state = resources[name] = [0.0, 0.0, 0, None, 0]
         start = state[0]
         if ready_at > start:
-            start = ready_at
+            if state[3] is None:
+                start = ready_at
+            else:
+                _fill_gap(state, ready_at, suspension, completion)
+                start = state[0]
+                if ready_at > start:
+                    start = ready_at
         end = start + duration
         state[0] = end
         state[1] += duration
@@ -377,13 +450,98 @@ def simulate_stages(
         else:
             completion[idx] = end
 
+    suspensions = {}
+    for name, state in resources.items():
+        if state[3] is not None:
+            # Whatever is still queued runs once the foreground is done.
+            _fill_gap(state, float("inf"), suspension, completion)
+        if state[4]:
+            suspensions[name] = state[4]
     return StageReport(
         makespan=max(completion),
         completion_times=completion,
         resource_busy={name: s[1] for name, s in resources.items()},
         resource_jobs={name: s[2] for name, s in resources.items()},
+        resource_preemptions=suspensions,
+        preemption_overhead=sum(suspensions.values())
+        * (suspension.suspend_cost_s + suspension.resume_cost_s),
         fault_overhead=fault_overhead,
     )
+
+
+class _GapQueue:
+    """Background work waiting on one die of the sweep, served in
+    arrival order one job at a time."""
+
+    __slots__ = ("waiting", "head", "remainder", "suspends")
+
+    def __init__(self) -> None:
+        #: ``(ready, duration, job index)`` in ``(ready, seq)`` order.
+        self.waiting: list[tuple[float, float, int]] = []
+        self.head = 0
+        #: Seconds the head job still needs after a suspension (its
+        #: resume cost included); ``None`` while it has not started.
+        self.remainder: float | None = None
+        self.suspends = 0
+
+
+def _fill_gap(
+    state: list,
+    limit: float,
+    cfg: ArbitrationConfig,
+    completion: list[float],
+) -> None:
+    """Serve one die's queued background work in the idle gap between
+    ``state[0]`` (the die's last foreground completion) and ``limit``
+    (the ready time of the foreground event that found the gap, or
+    infinity for the final flush), leaving ``state[0]`` where the
+    foreground may start.
+
+    A background job starts only *strictly* before ``limit`` -- at
+    equal times the foreground wins -- and never before its own ready
+    time.  One still in flight at ``limit`` is suspended: the die pays
+    ``suspend_cost_s`` before the foreground starts and the remainder
+    carries ``resume_cost_s``.  After ``max_suspends`` suspensions (or
+    with at most ``min_remaining_s`` left) it runs to completion and
+    the foreground waits: the starvation guard.  The arithmetic is
+    that of :func:`_simulate_arbitrated` on the same jobs with every
+    foreground job deadline-free, priority 0 and non-preemptible.
+    """
+    queue: _GapQueue = state[3]
+    waiting = queue.waiting
+    at = state[0]
+    while queue.head < len(waiting):
+        ready_at, duration, idx = waiting[queue.head]
+        if queue.remainder is None:
+            start = ready_at if ready_at > at else at
+        else:
+            start = at
+            duration = queue.remainder
+        if start >= limit:
+            break
+        end = start + duration
+        if (
+            end > limit
+            and queue.suspends < cfg.max_suspends
+            and end - limit > cfg.min_remaining_s
+        ):
+            state[1] += limit - start
+            state[1] += cfg.suspend_cost_s
+            state[4] += 1
+            queue.remainder = (end - limit) + cfg.resume_cost_s
+            queue.suspends += 1
+            at = limit + cfg.suspend_cost_s
+            break
+        state[1] += duration
+        state[2] += 1
+        completion[idx] = end
+        queue.head += 1
+        queue.remainder = None
+        queue.suspends = 0
+        at = end
+    else:
+        state[3] = None
+    state[0] = at
 
 
 class _Unit:

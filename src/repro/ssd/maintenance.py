@@ -39,17 +39,18 @@ that finally exercises it.  Three responsibilities:
   sustained writes stop tripping over them.
 
 Timing: every cycle's chip-time delta (copyback programs, erases,
-drain reads/writes) is emitted as preemptible, deadline-free
-:func:`~repro.ssd.events.background_job` stage jobs at
-:data:`~repro.ssd.events.MAINTENANCE_PRIORITY`, so background work
-competes with foreground queries inside the service's one event
-simulation -- under arbitration an urgent sense suspends an in-flight
-GC copy, and the foreground p99 impact is measured, not assumed.
+drain reads/writes) is emitted as
+:func:`~repro.ssd.events.background_job` stage jobs, the lower service
+class of the service's one event simulation: they run in the idle gaps
+of their die and an arriving sense suspends an in-flight GC erase
+(bounded by ``max_suspends``), so the foreground p99 impact -- and
+what the deferral costs the background work -- is measured, not
+assumed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -78,7 +79,7 @@ class MaintenanceConfig:
     foreground-impact throttle.  A victim must carry at least
     ``min_invalid_pages`` dead pages (erasing a block to reclaim
     nothing just burns wear).  ``priority`` is the urgency background
-    jobs carry in the event simulation.
+    jobs carry in the arbitrated event simulation.
     """
 
     gc_low_watermark: int = 2
@@ -124,6 +125,11 @@ class BlockOccupancy:
         if self.programmed == 0:
             return 0.0
         return self.invalid / self.programmed
+
+
+def _victim_order(occ: BlockOccupancy) -> tuple:
+    """GC preference, best first (see ``select_victims``)."""
+    return (-occ.invalid_ratio, occ.pe_cycles, occ.address)
 
 
 @dataclass(frozen=True)
@@ -233,9 +239,7 @@ class MaintenanceManager:
                 and injector.has_bad_block(chip_index, occ.address)
             )
         ]
-        candidates.sort(
-            key=lambda occ: (-occ.invalid_ratio, occ.pe_cycles, occ.address)
-        )
+        candidates.sort(key=_victim_order)
         return candidates
 
     def _relocate_block(
@@ -298,13 +302,16 @@ class MaintenanceManager:
         )
         jobs: list[StageJob] = []
         collected = 0
+        # One occupancy scan per call, kept current across the loop: a
+        # collected victim leaves the list, and nothing joins it (a
+        # relocation target holds live pages only).
+        victims = self.select_victims(chip_index, plane)
         while collected < budget:
             if (
                 target_free is not None
                 and controller.free_subblocks(plane) >= target_free
             ):
                 break
-            victims = self.select_victims(chip_index, plane)
             if not victims:
                 break
             victim = victims[0]
@@ -319,10 +326,13 @@ class MaintenanceManager:
                 chip.erase_block(victim.address)
             except FlashFault:
                 # Erase failed under injection: the block keeps its
-                # (now dead) pages and stays a candidate next cycle.
+                # (now all dead) pages and stays a candidate.
+                victims[0] = replace(victim, live=0)
+                victims.sort(key=_victim_order)
                 self.stats.busy_us += chip.counters.busy_us - busy_before
                 collected += 1
                 continue
+            del victims[0]
             controller.release_subblock(victim.address)
             # A fully-dead victim was never repointed by relocation:
             # drop any group cursor still aimed at it, or the group's

@@ -140,3 +140,174 @@ def test_explicit_manager_and_config_forms():
         np.testing.assert_array_equal(
             query.result.bits, evaluate(query.expr, env)
         )
+
+
+# ----------------------------------------------------------------------
+# Background work yields inside the event replay
+# ----------------------------------------------------------------------
+
+
+def _capture_replay(monkeypatch, sweep=None):
+    """Record every ``(jobs, report)`` the service replays, optionally
+    through a substitute sweep."""
+    import repro.service.service as service_module
+
+    real = service_module.simulate_stages
+    replays = []
+
+    def recording(jobs, **kwargs):
+        report = real(jobs, **kwargs) if sweep is None else sweep(jobs)
+        replays.append((list(jobs), report))
+        return report
+
+    monkeypatch.setattr(service_module, "simulate_stages", recording)
+    return replays
+
+
+def test_background_jobs_finish_inside_the_run_and_report_their_lag(
+    monkeypatch,
+):
+    replays = _capture_replay(monkeypatch)
+    ssd, _ = _build()
+    _, report = _run(ssd)
+    ((jobs, replay),) = replays
+    background = [
+        (job, done)
+        for job, done in zip(jobs, replay.completion_times)
+        if job.background
+    ]
+    assert background
+    for job, done in background:
+        assert job.ready_at + job.durations[0] <= done * (1 + 1e-12)
+        assert done <= replay.makespan
+    assert report.stats.maintenance_lag_us == pytest.approx(
+        max(done - job.ready_at for job, done in background) * 1e6
+    )
+    assert report.stats.maintenance_lag_us > 0.0
+    assert "lag" in report.stats.describe()
+
+
+def test_no_maintenance_no_lag():
+    ssd, _ = _build()
+    service = ssd.service(window_us=120.0)
+    service.submit_traffic(_traffic(4))
+    assert service.run().stats.maintenance_lag_us == 0.0
+
+
+CHURN_GEOMETRY = ChipGeometry(
+    planes_per_die=1,
+    blocks_per_plane=8,
+    subblocks_per_block=2,
+    wordlines_per_string=8,
+    page_size_bits=256,
+)
+CHURN_BITS = 2 * CHURN_GEOMETRY.page_size_bits
+
+
+def _churn_run(monkeypatch, sweep=None, rounds=20):
+    """``write_churn`` in small: every round writes six fresh vectors,
+    deletes the previous six and serves a window stream, half of it
+    under deadline, on a near-full SSD with GC pacing on."""
+    from repro.core.expressions import and_all
+    from repro.ssd.controller import SmallSsd
+
+    replays = _capture_replay(monkeypatch, sweep)
+    ssd = SmallSsd(n_chips=2, geometry=CHURN_GEOMETRY, seed=9)
+    rng = np.random.default_rng(404)
+    env = {}
+    for i in range(4):
+        env[f"s{i}"] = rng.integers(0, 2, CHURN_BITS, dtype=np.uint8)
+        ssd.write_vector(f"s{i}", env[f"s{i}"], group="stable")
+    stable = [Operand(f"s{i}") for i in range(4)]
+    service = ssd.service(
+        window_us=200.0, policy="edf", result_cache=True, maintenance=True
+    )
+    served = []
+    for r in range(rounds):
+        for i in range(6):
+            env[f"c{r}_{i}"] = rng.integers(0, 2, CHURN_BITS, dtype=np.uint8)
+            ssd.write_vector(f"c{r}_{i}", env[f"c{r}_{i}"], group=f"r{r}")
+        if r:
+            for i in range(6):
+                ssd.delete_vector(f"c{r - 1}_{i}")
+                del env[f"c{r - 1}_{i}"]
+        fresh = [Operand(f"c{r}_{i}") for i in range(6)]
+        for i in range(16):
+            at_us = r * 4000.0 + 110.0 * i
+            expr = (
+                and_all(stable[i % 3 :])
+                if i % 2
+                else and_all(fresh[i % 4 : i % 4 + 2])
+            )
+            service.submit(
+                expr,
+                at_us=at_us,
+                deadline_us=at_us + 1500.0 if i % 4 < 2 else None,
+            )
+        report = service.run()
+        for query in report.queries:
+            np.testing.assert_array_equal(
+                query.result.bits, evaluate(query.expr, env)
+            )
+        served.append(report)
+    return ssd, service, served, replays
+
+
+def test_yielding_background_changes_timings_only(monkeypatch):
+    """The twin whose replay is the frozen first-come-first-served
+    sweep ends in the same functional state -- placement, free lists,
+    wear, GC counters, every result's bits and flash work -- and only
+    the timeline differs: background suspended, foreground sooner."""
+    import reference_control_path as reference
+
+    ssd, service, served, replays = _churn_run(monkeypatch)
+    with monkeypatch.context() as patch:
+        twin_ssd, twin_service, twin_served, _ = _churn_run(
+            patch, sweep=reference.simulate_stages_fcfs
+        )
+
+    assert service.maintenance.stats.blocks_reclaimed > 0
+    mine, theirs = service.maintenance.stats, twin_service.maintenance.stats
+    assert (
+        mine.blocks_reclaimed, mine.pages_migrated, mine.gc_cycles,
+        mine.busy_us,
+    ) == (
+        theirs.blocks_reclaimed, theirs.pages_migrated, theirs.gc_cycles,
+        theirs.busy_us,
+    )
+    assert ssd.wear_summary() == twin_ssd.wear_summary()
+    assert ssd.ftl.generation == twin_ssd.ftl.generation
+    for a, b in zip(ssd.controllers, twin_ssd.controllers):
+        assert a.free_subblocks(0) == b.free_subblocks(0)
+        assert a.directory.generation == b.directory.generation
+        assert {
+            name: a.directory.lookup(name).address
+            for name in a.directory.names()
+        } == {
+            name: b.directory.lookup(name).address
+            for name in b.directory.names()
+        }
+        assert a.chip.counters == b.chip.counters
+    suspensions = 0
+    sooner = 0
+    for report, twin in zip(served, twin_served):
+        suspensions += report.stats.preemptions
+        for query, other in zip(report.queries, twin.queries):
+            np.testing.assert_array_equal(
+                query.result.bits, other.result.bits
+            )
+            assert query.result.n_senses == other.result.n_senses
+            assert query.result.energy_nj == other.result.energy_nj
+            assert query.result.latency_us == other.result.latency_us
+            assert query.cached_chunks == other.cached_chunks
+            assert query.completed_us <= other.completed_us * (1 + 1e-12)
+            sooner += query.completed_us < other.completed_us
+        assert report.stats.n_senses == twin.stats.n_senses
+        assert report.stats.maintenance_overhead_us == (
+            twin.stats.maintenance_overhead_us
+        )
+    assert any(
+        job.background for jobs, _ in replays for job in jobs
+    )
+    assert suspensions > 0
+    assert sooner > 0

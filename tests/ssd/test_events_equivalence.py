@@ -1,15 +1,52 @@
-"""The arrival-merge FCFS sweep of ``simulate_stages`` reproduces the
-one-global-heap reference (``tests/reference_control_path.py``) float
-for float: every comparison below is ``==``, never ``approx``.
+"""Two equivalences of the ``simulate_stages`` sweep.
+
+**Foreground.**  Without background jobs the arrival-merge sweep
+reproduces the one-global-heap FCFS reference
+(``tests/reference_control_path.py``) float for float: every
+comparison is ``==``, never ``approx``.
+
+**Background.**  With background jobs the sweep's gap-filler agrees
+with ``_simulate_arbitrated`` on the *flattened* jobs: every foreground
+job deadline-free, priority 0 and non-preemptible, and -- the tie rule,
+foreground wins equal times -- listed ahead of the background jobs, so
+the oracle's index tie-break says what the sweep says whichever way the
+caller listed them.  ``completion_times``, ``makespan``,
+``resource_jobs`` and ``resource_preemptions`` are compared with
+``==``: both sides compute every start and end with the same additions
+in the same order.  The three totals are compared at 1e-12 relative,
+because the same terms are summed in a different order:
+``resource_busy`` (the sweep charges a foreground stage when it is
+admitted, the oracle when it finishes), ``fault_overhead`` (arrival
+order against listing order) and ``preemption_overhead`` (the sweep
+multiplies the suspension count by the per-suspension cost where the
+oracle adds it once per suspension).
+
+The oracle is unambiguous where background-hosting dies are entered at
+stage 0 only (the service's shape: chip -> channel -> external link,
+background on chips).  Two strategies keep to that: ``die_streams`` is
+tie-heavy and single-stage, ``pipeline_streams`` is multi-stage over
+continuous times and discards the examples in which two foreground jobs
+leave a stage at the same instant (the two simulators order tied
+*downstream* events differently even without background -- the sweep by
+when the upstream stage was admitted, the oracle by when it started --
+so ties are left to the first strategy).
 """
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from dataclasses import replace
+
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference_control_path as reference
-from repro.ssd.events import StageJob, background_job, simulate_stages
+from repro.ssd.events import (
+    ArbitrationConfig,
+    StageJob,
+    background_job,
+    simulate_stages,
+)
 
 #: Few distinct values, several of them inexact in binary, so tied
 #: ready times and tied stage-end times are the common case and every
@@ -28,14 +65,9 @@ def job_streams(draw):
         chip = draw(st.integers(0, n_chips - 1))
         kind = draw(st.integers(0, 9))
         if kind == 0:
-            # Background copy/erase: die only.
-            jobs.append(
-                background_job(
-                    f"chip{chip}", draw(DURATION), ready_at=draw(READY)
-                )
-            )
-            continue
-        if kind == 1:
+            # Die only, like a copy/erase -- but foreground.
+            resources = (f"chip{chip}",)
+        elif kind == 1:
             # One resource name at two stage indices: nothing in the
             # sweep may assume a layering of names.
             resources = (f"chip{chip}", "ext", f"chip{chip}")
@@ -63,6 +95,8 @@ def assert_same_report(jobs):
     assert report.resource_busy == expected.resource_busy
     assert report.resource_jobs == expected.resource_jobs
     assert report.fault_overhead == expected.fault_overhead
+    assert report.preemptions == 0
+    assert report.preemption_overhead == 0.0
     # First-served order of the resources too: reports iterate it.
     assert list(report.resource_busy) == list(expected.resource_busy)
     assert list(report.resource_jobs) == list(expected.resource_jobs)
@@ -106,3 +140,314 @@ def test_window_stream_of_shared_zero_latency_jobs():
     other = StageJob(0.4, (0.3, 0.1, 0.2), ("chip1", "chan0", "ext"))
     jobs = [shared, shared, other, shared, shared]
     assert_same_report(jobs)
+
+
+# ----------------------------------------------------------------------
+# Background class: the gap-filler against ``_simulate_arbitrated``
+# ----------------------------------------------------------------------
+
+COST = st.sampled_from([0.0, 0.0, 0.05, 0.1])
+CONFIGS = st.builds(
+    ArbitrationConfig,
+    suspend_cost_s=COST,
+    resume_cost_s=COST,
+    max_suspends=st.integers(0, 3),
+    min_remaining_s=st.sampled_from([0.0, 0.0, 0.15]),
+)
+#: Background also becomes ready after the last foreground has.
+LATE_READY = st.sampled_from([0.0, 0.1, 0.3, 1.0, 2.5, 4.0, 9.0])
+LONG = st.sampled_from([0.0, 0.1, 0.7, 1.0, 1 / 3, 3.5])
+
+
+def _urgency(draw):
+    """Foreground urgency the sweep must not look at."""
+    return dict(
+        priority=draw(st.sampled_from([0.0, 0.0, 2.0, -3.0])),
+        deadline=draw(st.sampled_from([None, None, 0.5, 7.0])),
+        preemptible=draw(st.booleans()),
+    )
+
+
+@st.composite
+def die_streams(draw):
+    """Single-stage jobs on a few dies, tie-heavy; background may sit
+    on a die no foreground touches (``chip<n_chips>``), and is listed
+    before, between and after same-ready foreground."""
+    n_chips = draw(st.integers(1, 3))
+    jobs = []
+    for _ in range(draw(st.integers(1, 30))):
+        if draw(st.integers(0, 2)) == 0:
+            chip = draw(st.integers(0, n_chips))
+            jobs.append(
+                background_job(
+                    f"chip{chip}", draw(LONG), ready_at=draw(LATE_READY)
+                )
+            )
+        else:
+            chip = draw(st.integers(0, n_chips - 1))
+            jobs.append(
+                StageJob(
+                    draw(READY),
+                    (draw(DURATION),),
+                    (f"chip{chip}",),
+                    fault_delay_s=draw(DELAY),
+                    **_urgency(draw),
+                )
+            )
+    return jobs
+
+
+@st.composite
+def pipeline_streams(draw):
+    """The service's shape over continuous times: chip -> channel ->
+    external link foreground, background on the chips."""
+    n_chips = draw(st.integers(1, 4))
+    time = st.floats(0.01, 10.0)
+    jobs = []
+    for _ in range(draw(st.integers(1, 24))):
+        chip = draw(st.integers(0, n_chips - 1))
+        if draw(st.integers(0, 2)) == 0:
+            jobs.append(
+                background_job(
+                    f"chip{chip}",
+                    draw(st.floats(0.0, 8.0)),
+                    ready_at=draw(st.floats(0.0, 30.0)),
+                )
+            )
+        else:
+            jobs.append(
+                StageJob(
+                    draw(st.floats(0.0, 20.0)),
+                    (draw(time), draw(time), draw(time)),
+                    (f"chip{chip}", f"chan{chip % 2}", "ext"),
+                    **_urgency(draw),
+                )
+            )
+    return jobs
+
+
+def oracle(jobs, cfg):
+    """``_simulate_arbitrated`` on the flattened jobs (module
+    docstring), completion times mapped back to ``jobs``' order."""
+    order = sorted(range(len(jobs)), key=lambda i: jobs[i].background)
+    flat = [
+        jobs[i]
+        if jobs[i].background
+        else replace(
+            jobs[i], deadline=None, priority=0.0, preemptible=False
+        )
+        for i in order
+    ]
+    report = simulate_stages(flat, arbitration=cfg)
+    completion = [0.0] * len(jobs)
+    for position, i in enumerate(order):
+        completion[i] = report.completion_times[position]
+    return completion, report
+
+
+def assert_agrees_with_oracle(jobs, cfg):
+    report = simulate_stages(jobs, suspension=cfg)
+    completion, expected = oracle(jobs, cfg)
+    assert report.completion_times == completion
+    assert report.makespan == expected.makespan
+    assert report.resource_jobs == expected.resource_jobs
+    assert report.resource_preemptions == expected.resource_preemptions
+    assert report.resource_busy == pytest.approx(
+        expected.resource_busy, rel=1e-12, abs=0.0
+    )
+    assert report.fault_overhead == pytest.approx(
+        expected.fault_overhead, rel=1e-12, abs=0.0
+    )
+    assert report.preemption_overhead == pytest.approx(
+        expected.preemption_overhead, rel=1e-12, abs=0.0
+    )
+    return report
+
+
+def assert_background_properties(jobs, cfg, report):
+    background = [job for job in jobs if job.background]
+    for name, count in report.resource_preemptions.items():
+        hosted = sum(job.resources[0] == name for job in background)
+        # No background job is suspended more than the budget allows.
+        assert count <= cfg.max_suspends * hosted
+    work = sum(sum(job.durations) + job.fault_delay_s for job in jobs)
+    assert sum(report.resource_busy.values()) == pytest.approx(
+        work + report.preemption_overhead, rel=1e-9
+    )
+    for job, done in zip(jobs, report.completion_times):
+        # Nothing starts before it is ready.
+        assert done >= (job.ready_at + sum(job.durations)) * (1 - 1e-12)
+
+
+@settings(max_examples=400, deadline=None)
+@given(jobs=die_streams(), cfg=CONFIGS)
+def test_gap_filler_equals_arbitrated_oracle_on_tied_dies(jobs, cfg):
+    report = assert_agrees_with_oracle(jobs, cfg)
+    assert_background_properties(jobs, cfg, report)
+
+
+def downstream_tie(jobs, cfg):
+    """Whether two foreground jobs leave a stage at the same instant.
+    A feed-forward pipeline cut after stage k runs its first k stages
+    exactly as the whole does, so the cut's completion times are the
+    stage ends."""
+    for depth in (1, 2):
+        cut = [
+            job
+            if job.background
+            else replace(
+                job,
+                durations=job.durations[:depth],
+                resources=job.resources[:depth],
+            )
+            for job in jobs
+        ]
+        ends = [
+            end
+            for job, end in zip(
+                jobs, simulate_stages(cut, suspension=cfg).completion_times
+            )
+            if not job.background
+        ]
+        if len(set(ends)) != len(ends):
+            return True
+    return False
+
+
+@settings(max_examples=200, deadline=None)
+@given(jobs=pipeline_streams(), cfg=CONFIGS)
+def test_gap_filler_equals_arbitrated_oracle_on_pipelines(jobs, cfg):
+    assume(not downstream_tie(jobs, cfg))
+    report = assert_agrees_with_oracle(jobs, cfg)
+    assert_background_properties(jobs, cfg, report)
+
+
+@settings(max_examples=300, deadline=None)
+@given(jobs=die_streams(), max_suspends=st.integers(0, 3))
+def test_free_suspension_never_delays_foreground(jobs, max_suspends):
+    """At zero cost a die under the gap-filler is as work-conserving
+    as under the parent sweep, with background moved behind: no
+    foreground job completes later than it did first-come-first-
+    served.  (Per die; a pipeline's downstream FCFS stages are not
+    monotone in their arrival times.)"""
+    report = simulate_stages(
+        jobs, suspension=ArbitrationConfig(max_suspends=max_suspends)
+    )
+    parent = reference.simulate_stages_fcfs(jobs)
+    for job, now, before in zip(
+        jobs, report.completion_times, parent.completion_times
+    ):
+        if not job.background:
+            assert now <= before * (1 + 1e-12)
+    # The die did the same work either way.
+    assert report.resource_busy == pytest.approx(
+        parent.resource_busy, rel=1e-12, abs=0.0
+    )
+    assert report.resource_jobs == parent.resource_jobs
+
+
+def test_background_listed_first_still_yields_a_tied_arrival():
+    """``drain_chip``'s jobs are listed ahead of their window's own
+    senses with the same ready time: the sense goes first, nothing is
+    suspended."""
+    jobs = [
+        background_job("chip0", 3.5, ready_at=1.0),
+        StageJob(1.0, (0.25,), ("chip0",)),
+    ]
+    report = assert_agrees_with_oracle(jobs, ArbitrationConfig())
+    assert report.completion_times == [4.75, 1.25]
+    assert report.preemptions == 0
+
+
+def test_zero_length_gap_is_not_filled():
+    """The die frees at t=1.0 exactly when the next sense arrives:
+    waiting background does not slip in between."""
+    jobs = [
+        StageJob(0.0, (1.0,), ("chip0",)),
+        background_job("chip0", 2.0, ready_at=0.5),
+        StageJob(1.0, (1.0,), ("chip0",)),
+    ]
+    report = assert_agrees_with_oracle(jobs, ArbitrationConfig())
+    assert report.completion_times == [1.0, 4.0, 2.0]
+    assert report.preemptions == 0
+
+
+def test_suspend_and_resume_costs_land_on_the_die():
+    """Erase [0, 10) is suspended at t=2 (0.5 to park, so the sense
+    runs [2.5, 3.5)) and resumes with 8 + 0.25 left."""
+    jobs = [
+        background_job("chip0", 10.0),
+        StageJob(2.0, (1.0,), ("chip0",)),
+    ]
+    cfg = ArbitrationConfig(suspend_cost_s=0.5, resume_cost_s=0.25)
+    report = assert_agrees_with_oracle(jobs, cfg)
+    assert report.completion_times == [11.75, 3.5]
+    assert report.resource_preemptions == {"chip0": 1}
+    assert report.preemption_overhead == 0.75
+    assert report.resource_busy == {"chip0": 11.75}
+
+
+def test_starvation_guard_makes_the_foreground_wait():
+    """Budget 2: the third sense to find the erase in flight waits for
+    it to finish."""
+    jobs = [background_job("chip0", 10.0)] + [
+        StageJob(1.0 + 2.0 * i, (1.0,), ("chip0",)) for i in range(4)
+    ]
+    report = assert_agrees_with_oracle(jobs, ArbitrationConfig())
+    # Erase runs [0,1) [2,3) then [4,12) through the arrival at t=5.
+    assert report.completion_times == [12.0, 2.0, 4.0, 13.0, 14.0]
+    assert report.preemptions == 2
+
+
+def test_suspend_budget_is_per_job():
+    """Budget 1: the first erase spends it at t=1, and the second
+    erase, in flight at t=4, has its own."""
+    jobs = [
+        background_job("chip0", 2.0),
+        background_job("chip0", 2.0),
+        StageJob(1.0, (1.0,), ("chip0",)),
+        StageJob(4.0, (1.0,), ("chip0",)),
+    ]
+    report = assert_agrees_with_oracle(
+        jobs, ArbitrationConfig(max_suspends=1)
+    )
+    assert report.completion_times == [3.0, 6.0, 2.0, 5.0]
+    assert report.preemptions == 2
+
+
+def test_nearly_done_background_is_not_suspended():
+    """``min_remaining_s``: with a quarter second left of the erase
+    the sense waits for it; with more than the threshold left it
+    suspends."""
+    jobs = [
+        background_job("chip0", 1.0),
+        StageJob(0.75, (1.0,), ("chip0",)),
+    ]
+    waits = assert_agrees_with_oracle(
+        jobs, ArbitrationConfig(min_remaining_s=0.25)
+    )
+    assert waits.completion_times == [1.0, 2.0]
+    assert waits.preemptions == 0
+    suspends = assert_agrees_with_oracle(
+        jobs, ArbitrationConfig(min_remaining_s=0.125)
+    )
+    assert suspends.completion_times == [2.0, 1.75]
+    assert suspends.preemptions == 1
+
+
+def test_background_after_the_last_foreground_and_on_an_untouched_die():
+    jobs = [
+        StageJob(0.0, (1.0,), ("chip0",)),
+        background_job("chip0", 1.0, ready_at=5.0),
+        background_job("chip1", 2.0, ready_at=0.5),
+        background_job("chip1", 1.0, ready_at=0.5),
+    ]
+    report = assert_agrees_with_oracle(jobs, ArbitrationConfig())
+    assert report.completion_times == [1.0, 6.0, 2.5, 3.5]
+    assert report.makespan == 6.0
+    assert report.resource_jobs == {"chip0": 2, "chip1": 2}
+
+
+def test_background_job_is_single_stage():
+    with pytest.raises(ValueError):
+        StageJob(0.0, (1.0, 1.0), ("chip0", "ext"), background=True)

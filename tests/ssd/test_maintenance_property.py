@@ -259,3 +259,45 @@ def test_result_cache_never_serves_stale_words_across_gc(seed):
     np.testing.assert_array_equal(
         ssd.query(expr).bits, evaluate(expr, env)
     )
+
+
+@pytest.mark.parametrize("erase_fault_rate", [0.0, 0.4])
+@pytest.mark.parametrize("seed", range(0, N_TRIALS, 2))
+def test_collect_picks_what_a_fresh_scan_would(seed, erase_fault_rate):
+    """``collect_plane`` scans occupancy once per call and keeps its
+    candidate list current; every victim it relocates must be the head
+    of a fresh ``select_victims`` scan taken at that moment -- also
+    after a failed erase left an all-dead block behind."""
+    from repro.flash.faults import FaultConfig, FaultInjector
+
+    trace = _make_trace(seed)
+    ssd, _ = _apply(
+        dict(trace, ops=[op for op in trace["ops"] if op[0] != "gc"]),
+        check_queries=False,
+    )
+    if erase_fault_rate:
+        ssd.attach_fault_injector(
+            FaultInjector(
+                FaultConfig(seed=seed, erase_fault_rate=erase_fault_rate)
+            )
+        )
+    mgr = ssd.maintenance()
+    relocate = mgr._relocate_block
+    victims = []
+
+    def checked(chip_index, victim):
+        fresh = mgr.select_victims(chip_index, victim.plane)
+        assert fresh[0].address == victim
+        victims.append((chip_index, victim))
+        return relocate(chip_index, victim)
+
+    mgr._relocate_block = checked
+    # Write backpressure in the replay may already have collected.
+    before = mgr.stats.blocks_reclaimed
+    mgr.collect()
+    reclaimed = mgr.stats.blocks_reclaimed - before
+    assert len(victims) >= reclaimed
+    if not erase_fault_rate:
+        assert len(victims) == reclaimed
+        for chip in range(trace["n_chips"]):
+            assert mgr.select_victims(chip) == []

@@ -1,5 +1,6 @@
-"""``tools/check_e2e_exact.py --moved``: a declared count may move, but
-the declaration is checked too."""
+"""``tools/check_e2e_exact.py --moved``: a declared count -- or, with
+its direction spelled out, a declared sim metric -- may move, but the
+declaration is checked too."""
 
 from __future__ import annotations
 
@@ -103,6 +104,65 @@ def test_declaration_covers_only_its_own_count(tmp_path, capsys):
 def test_sim_metrics_and_unknown_names_cannot_be_declared(
     tmp_path, capsys, spec
 ):
+    """A sim metric without its direction is as undeclarable as an
+    unknown name."""
     with pytest.raises(SystemExit) as exit_info:
         _check(tmp_path, capsys, _record(), spec)
     assert exit_info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "chip_loss:wall_qps:better",  # host metrics are never exact
+        "chip_loss:sim_p99_us:sideways",
+        f"chip_loss:{DISPATCHES}:down",
+    ],
+)
+def test_host_metrics_and_made_up_directions_are_refused(
+    tmp_path, capsys, spec
+):
+    with pytest.raises(SystemExit) as exit_info:
+        _check(tmp_path, capsys, _record(), spec)
+    assert exit_info.value.code == 2
+
+
+def test_sim_metric_declared_with_its_direction_may_move(tmp_path, capsys):
+    # sim_p99_us: better is lower.
+    better = "chip_loss:sim_p99_us:better"
+    status, out = _check(tmp_path, capsys, _record(p99=2.0), better)
+    assert status == 0
+    assert "MOVED (declared) chip_loss: sim.sim_p99_us = 2.0" in out
+    assert "1 of 3 sim/count values differ" in out
+    # Declared, but it did not move; declared, but it moved the other
+    # way: both refuse the build.
+    status, out = _check(tmp_path, capsys, _record(), better)
+    assert status == 1
+    assert "STALE --moved chip_loss:sim_p99_us" in out
+    status, out = _check(tmp_path, capsys, _record(p99=9.0), better)
+    assert status == 1
+    assert "MOVED (declared the other way) chip_loss: sim.sim_p99_us" in out
+
+
+def test_sim_metric_declared_worse_passes_loudly(tmp_path, capsys):
+    worse = "chip_loss:sim_p99_us:worse"
+    status, out = _check(tmp_path, capsys, _record(p99=9.0), worse)
+    assert status == 0
+    assert "MOVED (declared WORSE) chip_loss: sim.sim_p99_us" in out
+    assert "::warning::" in out
+    assert _check(tmp_path, capsys, _record(p99=2.0), worse)[0] == 1
+    # A count declared worse stays the quiet, standing kind.
+    status, out = _check(
+        tmp_path, capsys, _record(restacked=7), f"chip_loss:{RESTACKED}:worse"
+    )
+    assert status == 0 and "::warning::" not in out
+
+
+def test_count_may_spell_out_better(tmp_path, capsys):
+    status, _ = _check(
+        tmp_path,
+        capsys,
+        _record(dispatches=10),
+        f"chip_loss:{DISPATCHES}:better",
+    )
+    assert status == 0

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Standing guard that host-side work never moves the modelled SSD.
+"""Standing guard that nothing moves the modelled SSD undeclared.
 
 Compares a fresh ``python -m benchmarks.e2e --seed N --out NEW`` record
 against the committed baseline of the same seed::
@@ -23,9 +23,17 @@ A declared count is reported ``MOVED (declared)`` and does not fail the
 check, but the declaration is itself checked: exit 1 if the count did
 *not* differ (a stale list), or moved the other way than declared --
 by default towards its ``better`` direction in ``BENCHMARK.json``; a
-count expected to get worse must say ``:worse``, in the open.  ``sim``
-metrics can never be declared.  The list empties at the next
-re-record.
+count expected to get worse must say ``:worse``, in the open.
+
+A PR that changes the *modelled* SSD declares the ``sim`` metrics it
+moves the same way, except that the direction is never implied::
+
+    --moved write_churn:sim_p99_us:better
+
+``:worse`` is accepted for a sim metric too, and printed as a warning.
+A sim metric named without a direction is refused, an undeclared sim
+difference still exits 1, and so does a declared one that did not move
+or moved the other way.  The list empties at the next re-record.
 
 The modelled numbers are exact for a *NumPy major version* (the traffic
 generators draw from ``numpy.random``), so when the fresh record's
@@ -46,32 +54,54 @@ HOST_METRICS = ("setup_s", "wall_qps", "cpu_us_per_query", "peak_rss_mb")
 MANIFEST = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
-def parse_moved(specs: list[str], manifest: dict) -> dict[tuple, bool]:
-    """``--moved`` arguments as ``(workload, name) -> lower_expected``:
-    whether the declaration says the count goes *down*.  Raises
+def parse_moved(specs: list[str], manifest: dict) -> dict[tuple, tuple]:
+    """``--moved`` arguments as ``(workload, name) -> (lower_expected,
+    loud)``: whether the declaration says the number goes *down*, and
+    whether it is a sim metric declared to get worse.  Raises
     ``ValueError`` for anything that cannot be declared."""
-    better = {m["name"]: m["better"] for m in manifest["per_layer"]}
+    counts = {m["name"]: m["better"] for m in manifest["per_layer"]}
+    sims = {
+        m["name"]: m["better"]
+        for m in manifest["end_to_end"]
+        if m["name"] not in HOST_METRICS
+    }
     moved = {}
     for spec in specs:
         workload, _, rest = spec.partition(":")
         name, _, direction = rest.partition(":")
-        if name not in better:
+        if direction not in ("", "better", "worse"):
             raise ValueError(
-                f"{spec}: only a count from BENCHMARK.json's per_layer "
-                f"list can be declared -- never a sim metric"
+                f"{spec}: direction is ':better', ':worse' or nothing"
             )
-        if direction not in ("", "worse"):
-            raise ValueError(f"{spec}: direction is ':worse' or nothing")
-        moved[workload, name] = (better[name] == "lower") == (not direction)
+        if name in counts:
+            better = counts[name]
+        elif name in sims:
+            if not direction:
+                raise ValueError(
+                    f"{spec}: a sim metric is declared with its "
+                    f"direction, ':better' or ':worse'"
+                )
+            better = sims[name]
+        else:
+            raise ValueError(
+                f"{spec}: only a sim metric from BENCHMARK.json's "
+                f"end_to_end list or a count from its per_layer list "
+                f"can be declared"
+            )
+        worse = direction == "worse"
+        moved[workload, name] = (
+            (better == "lower") != worse,
+            worse and name in sims,
+        )
     return moved
 
 
 def verdicts(
-    base: dict, new: dict, moved: dict[tuple, bool]
+    base: dict, new: dict, moved: dict[tuple, tuple]
 ) -> list[tuple[bool, str]]:
     """``(passes, line)`` per exact number that is missing or differs
     from the baseline, and per declaration nothing matched.  Only a
-    declared count that moved the declared way passes."""
+    declared number that moved the declared way passes."""
     out = []
     unmatched = dict(moved)
     for workload, entry in base["workloads"].items():
@@ -91,22 +121,28 @@ def verdicts(
                 if abs(got - want) <= EXACT_REL * abs(want):
                     continue
                 values = f"= {got!r}, baseline {want!r}"
-                lower_expected = (
-                    unmatched.pop((workload, name), None)
-                    if section == "counts"
-                    else None
-                )
-                if lower_expected is None:
+                declared = unmatched.pop((workload, name), None)
+                if declared is None:
                     out.append((False, f"MOVED {what} {values}"))
-                elif (got < want) == lower_expected:
-                    out.append((True, f"MOVED (declared) {what} {values}"))
-                else:
+                    continue
+                lower_expected, loud = declared
+                if (got < want) != lower_expected:
                     out.append(
                         (
                             False,
                             f"MOVED (declared the other way) {what} {values}",
                         )
                     )
+                elif loud:
+                    out.append(
+                        (
+                            True,
+                            f"MOVED (declared WORSE) {what} {values}\n"
+                            f"::warning::{what} is declared to get worse",
+                        )
+                    )
+                else:
+                    out.append((True, f"MOVED (declared) {what} {values}"))
     out.extend(
         (False, f"STALE --moved {workload}:{name}: equals the baseline")
         for workload, name in unmatched
@@ -134,8 +170,11 @@ def main(argv: list[str] | None = None) -> int:
         "--moved",
         action="append",
         default=[],
-        metavar="WORKLOAD:NAME[:worse]",
-        help="a count this change is declared to move (repeatable)",
+        metavar="WORKLOAD:NAME[:better|:worse]",
+        help=(
+            "a count, or with its direction a sim metric, this change "
+            "is declared to move (repeatable)"
+        ),
     )
     args = parser.parse_args(argv)
     base = json.loads(args.baseline.read_text())
