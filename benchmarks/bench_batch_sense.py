@@ -5,7 +5,7 @@ still *executed* the surviving unique plans one Python dispatch at a
 time: ``execute_tasks`` looped task-by-task, each sense walking the
 chip's block/latch protocol per call.  The batched data plane stacks
 every sense of a chip's queue into one ``uint64`` tensor
-(``SensingEngine.sense_batch``), replays the latch protocol
+(``SensingEngine.sense_batch_stacks``), replays the latch protocol
 lane-parallel (``LatchBank.capture_batch``), and drops executor
 dispatch to one per chip (``MwsExecutor.execute_batch``) -- the move
 in-DRAM bulk bitwise engines make when they issue whole batches of

@@ -6,7 +6,7 @@ still evaluated the V_TH comparison one sense at a time: slice the
 float32 V_TH matrix, draw Gaussian noise, perturb, compare, per
 target, per sense, per plan.  The batched error plane
 (``SensingEngine.sense_batch_vth`` under
-``MwsExecutor._execute_batch_vth``) runs the whole window's
+``MwsExecutor.execute_batch`` on an unpacked chip) runs the whole window's
 perturbation and compare grouped per stress condition, drawing one
 Gaussian block for the window split in the scalar loop's exact
 (sense, target) order -- so the corrupted bits are the *same* bits,

@@ -1,30 +1,34 @@
 """Plan executor: runs MWS command plans on the functional chip.
 
-Two execution strategies share one cost model:
+One cost model, two ways to drive the chip, one decision between them:
 
-* :meth:`MwsExecutor.execute` drives the chip scalar-fashion, one
-  sense at a time -- the reference semantics and the per-sense V_TH
-  oracle every batched path is property-tested against.
-* :meth:`MwsExecutor.execute_batch` drains a whole queue of plans
-  *batch-first* on the packed error-free plane: every sense of every
-  plan is evaluated in one vectorized
-  :meth:`~repro.flash.chip.NandFlashChip.execute_sense_batch` pass,
-  the latch protocol replays per ISCM-signature group through
-  :meth:`~repro.flash.latches.LatchBank.capture_batch`, and the
-  timing/energy counters are charged plan-by-plan in the exact scalar
-  order -- so results, latch end-state, and every counter are
-  bit-for-bit identical to ``execute_many`` while Python dispatch
-  drops from O(senses) to O(signature groups).
+* the **step walk** (:meth:`MwsExecutor.execute`, and
+  :meth:`MwsExecutor.execute_degraded` for margin reads) drives the
+  chip one sense at a time -- the reference semantics, and the oracle
+  every batched route is property-tested against;
+* the **batch** (:meth:`MwsExecutor.execute_batch`, and
+  :meth:`MwsExecutor.execute_degraded_batch` for margin reads) drains
+  a whole queue of plans through one skeleton: flatten the queue's
+  sense commands plan-major, sense them in one vectorized chip call,
+  replay the latch protocol per ISCM-signature group through
+  :meth:`~repro.flash.latches.LatchBank.capture_batch`, and charge
+  the timing/energy counters plan by plan in the exact scalar order
+  -- so results, latch end-state and every counter are bit-for-bit
+  what the walk leaves, while Python dispatch drops from O(senses) to
+  O(signature groups).  Only the sensing call differs by route: the
+  packed plane reduces words
+  (:meth:`~repro.flash.chip.NandFlashChip.execute_sense_batch`), an
+  unpacked or error-injecting chip batches through the V_TH plane
+  with the walk's exact stochastic draw schedule
+  (:meth:`~repro.flash.chip.NandFlashChip.execute_sense_batch_vth`),
+  and margin reads force the V_TH comparison on a packed chip;
+* :meth:`MwsExecutor.batchable` is the one probe that says whether a
+  queue has a batched equivalent at all.  It executes, draws and
+  counts nothing, so a caller asks it once per queue, before anything
+  else happens, and walks the plans one by one on a no.
 
-Error-injecting chips ride the same batch shape through the V_TH
-error plane (:meth:`MwsExecutor._execute_batch_vth` over
-:meth:`~repro.flash.chip.NandFlashChip.execute_sense_batch_vth`): the
-window's stochastic perturbation draws happen in one vectorized pass
-whose draw schedule is identical to the scalar per-sense loop's, so
-the corrupted bits -- and everything downstream of them (ECC retries,
-recovery decisions) -- are the same bits either way.  Degraded-mode
-recovery batches likewise via
-:meth:`MwsExecutor.execute_degraded_batch`.
+:meth:`MwsExecutor.execute_batch_reuse` is the batch with cross-window
+sense-row reuse, for :class:`repro.ssd.query_engine.StackCache`.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from repro.flash.packing import pack_bits, pack_rows, unpack_words
 from repro.flash.timing import TimingModel
 
 
-@dataclass(frozen=True)
+@dataclass
 class ExecutionResult:
     """Result of one in-flash computation.
 
@@ -48,6 +52,11 @@ class ExecutionResult:
     packed data plane and as 0/1 bytes otherwise; either view converts
     lazily on first access, so controller-side pipelines can stay
     packed while direct library users keep reading ``bits``.
+
+    Treat it as a value: nothing assigns to one after it is built
+    except its own lazy views.  It is deliberately not ``frozen`` --
+    the batched drain builds one per plan, and a frozen dataclass
+    pays an ``object.__setattr__`` per field to be constructed.
     """
 
     n_senses: int
@@ -61,16 +70,14 @@ class ExecutionResult:
     def bits(self) -> np.ndarray:
         """Unpacked 0/1 result page (uint8)."""
         if self._bits is None:
-            object.__setattr__(
-                self, "_bits", unpack_words(self._words, self.n_bits)
-            )
+            self._bits = unpack_words(self._words, self.n_bits)
         return self._bits
 
     @property
     def words(self) -> np.ndarray:
         """Packed uint64 result page."""
         if self._words is None:
-            object.__setattr__(self, "_words", pack_bits(self._bits))
+            self._words = pack_bits(self._bits)
         return self._words
 
 
@@ -143,9 +150,8 @@ class MwsExecutor:
         self.chip = chip
         self.timing = TimingModel()
         #: Python-level dispatches this executor performed: +1 per
-        #: scalar ``execute`` call, +1 per batched queue.  The query
-        #: engine reads deltas of this, so the count stays truthful
-        #: even when ``execute_batch`` falls back to the scalar loop.
+        #: step walk, +1 per batched queue.  The query engine reads
+        #: deltas of this.
         self.dispatches = 0
         #: Chip-confinement token for concurrent dispatch: whoever
         #: drains this executor from a worker thread must hold this
@@ -154,14 +160,6 @@ class MwsExecutor:
         #: dispatch counter -- only ever sees one thread at a time
         #: even when several services execute over one SSD.
         self.lock = threading.Lock()
-        #: Window-identity layout memo, one window deep like the
-        #: replay memo below: (pinned infos, (commands, sense_base,
-        #: lane_groups)) of the *last* window.  Its one client is the
-        #: steady-state repeated window, which must get the same
-        #: command-list object back (the chip keys its V_TH schedule
-        #: cache on it); service windows that never repeat would only
-        #: fill a deeper memo with entries that never hit.
-        self._layout_memo: tuple | None = None
         #: Steady-state window replay memo (see execute_batch_reuse):
         #: (plans, per-plan rows, per-plan C-latch rows, latch op
         #: marks).  One window deep -- repeats of the *last* window
@@ -173,39 +171,8 @@ class MwsExecutor:
         self._t_mws_table: tuple[TimingModel, dict] = (self.timing, {})
 
     def execute(self, plan: Plan) -> ExecutionResult:
-        self.dispatches += 1
-        busy_before = self.chip.counters.busy_us
-        energy_before = self.chip.counters.energy_nj
-        senses_before = self.chip.counters.senses
-        for step in plan.steps:
-            if isinstance(step, SenseStep):
-                self.chip.execute_sense(
-                    list(step.command.targets), step.command.iscm
-                )
-            elif isinstance(step, XorStep):
-                self.chip.xor_command(step.plane)
-            else:  # pragma: no cover - plans only hold the two kinds
-                raise TypeError(f"unknown plan step {step!r}")
-        n_bits = self.chip.geometry.page_size_bits
-        common = dict(
-            n_senses=self.chip.counters.senses - senses_before,
-            latency_us=self.chip.counters.busy_us - busy_before,
-            energy_nj=self.chip.counters.energy_nj - energy_before,
-            n_bits=n_bits,
-        )
-        if self.chip.packed:
-            return ExecutionResult(
-                _words=self.chip.output_cache_words(plan.plane), **common
-            )
-        return ExecutionResult(
-            _bits=self.chip.output_cache(plan.plane), **common
-        )
-
-    def execute_many(self, plans: list[Plan]) -> list[ExecutionResult]:
-        """Drain a queue of plans on this chip in order, one sense at
-        a time (the scalar reference loop the batched path is measured
-        against)."""
-        return [self.execute(plan) for plan in plans]
+        """Execute one plan, one sense at a time (the step walk)."""
+        return self._walk(plan, force_vth=False, extra_senses=0)
 
     def execute_degraded(
         self, plan: Plan, *, extra_senses: int = 0
@@ -221,17 +188,26 @@ class MwsExecutor:
         (each charged at the step's own MWS shape), so degraded
         latency/energy honestly exceed the healthy path.
         """
+        return self._walk(plan, force_vth=True, extra_senses=extra_senses)
+
+    def _walk(
+        self, plan: Plan, *, force_vth: bool, extra_senses: int
+    ) -> ExecutionResult:
+        """The step walk behind :meth:`execute` and
+        :meth:`execute_degraded`: drive the chip through the plan's
+        steps in order and report the counter deltas."""
         self.dispatches += 1
         chip = self.chip
-        busy_before = chip.counters.busy_us
-        energy_before = chip.counters.energy_nj
-        senses_before = chip.counters.senses
+        counters = chip.counters
+        busy_before = counters.busy_us
+        energy_before = counters.energy_nj
+        senses_before = counters.senses
         for step in plan.steps:
             if isinstance(step, SenseStep):
                 chip.execute_sense(
                     list(step.command.targets),
                     step.command.iscm,
-                    force_vth=True,
+                    force_vth=force_vth,
                 )
                 for _ in range(extra_senses):
                     chip.charge_sense(step.n_wordlines, step.n_blocks)
@@ -239,12 +215,11 @@ class MwsExecutor:
                 chip.xor_command(step.plane)
             else:  # pragma: no cover - plans only hold the two kinds
                 raise TypeError(f"unknown plan step {step!r}")
-        n_bits = chip.geometry.page_size_bits
         common = dict(
-            n_senses=chip.counters.senses - senses_before,
-            latency_us=chip.counters.busy_us - busy_before,
-            energy_nj=chip.counters.energy_nj - energy_before,
-            n_bits=n_bits,
+            n_senses=counters.senses - senses_before,
+            latency_us=counters.busy_us - busy_before,
+            energy_nj=counters.energy_nj - energy_before,
+            n_bits=chip.geometry.page_size_bits,
         )
         if chip.packed:
             return ExecutionResult(
@@ -254,63 +229,143 @@ class MwsExecutor:
             _bits=chip.output_cache(plan.plane), **common
         )
 
+    def batchable(
+        self,
+        plans: list[Plan],
+        *,
+        retried: bool = False,
+        margin: bool = False,
+    ) -> bool:
+        """Whether the whole queue has a batched equivalent on the
+        route it is about to take: plain, ``retried`` (charged from
+        attempt multiplicities) or ``margin`` (degraded V_TH reads).
+
+        The one scalar-vs-batched decision.  It probes only --
+        nothing executes, draws or counts -- so a drain asks once per
+        queue before anything else happens and, on a no, walks the
+        plans one by one.  No means:
+
+        * a plan with a cross-plane XOR: only the scalar latch
+          protocol can judge it;
+        * a plan targeting an injected bad block: the walk ends that
+          plan alone, at its first sense, with a typed fault -- an
+          outcome no batch and no attempt count expresses;
+        * off the packed plane, a ``retried`` or ``margin`` route:
+          every attempt there draws fresh V_TH noise, and the margin
+          batch is only proven against the packed plane's ladder;
+        * on the V_TH plane (an unpacked chip, or margin reads), a
+          window the chip declines to schedule
+          (:meth:`~repro.flash.chip.NandFlashChip.vth_batch_schedule`):
+          an MLC-programmed target, whose multi-reference draw stays
+          per sense.
+        """
+        chip = self.chip
+        if not chip.packed and (retried or margin):
+            return False
+        infos = self._batch_infos(plans)
+        if infos is None or self._targets_bad_block(infos):
+            return False
+        if chip.packed and not margin:
+            return True
+        # The V_TH plane knows which windows it declines; its prepared
+        # schedule is draw-free, and stays cached for the batch that
+        # follows a yes.
+        commands = self._batch_layout(infos)[0]
+        return chip.vth_batch_schedule(commands, force_vth=margin) is not None
+
+    def _targets_bad_block(self, infos: list[tuple]) -> bool:
+        """Whether any sense of the queue targets an injected bad
+        block, by the injector's side-effect-free probe (asking is
+        not a fault; the walk that then runs counts the hit)."""
+        chip = self.chip
+        injector = chip.fault_injector
+        if injector is None or not injector.config.bad_blocks:
+            return False
+        probe = injector.has_bad_block
+        chip_id = chip.fault_chip_id
+        return any(
+            probe(chip_id, address)
+            for info in infos
+            for command in info[3]
+            for address, _ in command.targets
+        )
+
     def execute_batch(
         self, plans: list[Plan], attempts: list[int] | None = None
     ) -> list[ExecutionResult]:
-        """Drain a queue of plans batch-first (see module docstring).
-
-        Off the packed error-free plane (error injection,
-        ``packed=False``) the queue batches through the V_TH error
-        plane instead (:meth:`_execute_batch_vth`, draw-schedule
-        identical to the scalar loop), falling back to the scalar loop
-        only for queues with no batched equivalent (cross-plane XOR,
-        MLC targets) -- so callers can always route through this entry
-        point.  On the packed batch path:
-
-        1. every plan's sense commands are flattened plan-major and
-           evaluated in one :meth:`NandFlashChip.execute_sense_batch`
-           call;
-        2. plans sharing a ``(plane, ISCM step signature)`` replay the
-           latch protocol together as one ``capture_batch`` lane
-           group, and the queue's last plan per plane lands its final
-           latch state in the bank exactly as scalar execution would;
-        3. counters are charged plan-by-plan in scalar step order, so
-           per-plan latency/energy deltas -- and the chip counters
-           themselves -- are float-identical to ``execute_many``.
+        """Drain a :meth:`batchable` queue of plans as one batch (see
+        module docstring): the packed plane senses word-wide, an
+        unpacked or error-injecting chip through the V_TH plane with
+        the walk's exact draw schedule.
 
         ``attempts`` is the fault-recovery drain's per-plan attempt
-        multiplicity (packed plane only, after :meth:`retry_batchable`
-        said yes): plan ``i`` is charged as ``attempts[i]`` back-to-back
-        scalar executions -- its whole charge sequence, its read
-        disturb and one result transfer per attempt, with the per-plan
-        deltas spanning all of them.  A retried plan re-senses the
-        same error-free bits, so sensing and latch replay still run
-        once.
+        multiplicity (``retried`` route): plan ``i`` is charged as
+        ``attempts[i]`` back-to-back scalar executions -- its whole
+        charge sequence, its read disturb and one result transfer per
+        attempt, with the per-plan deltas spanning all of them.  A
+        retried plan re-senses the same error-free bits, so sensing
+        and latch replay still run once.  ``None`` is one clean
+        attempt per plan: the fault-free queue.
         """
+        return self._run_batch(plans, attempts=attempts)
+
+    def execute_degraded_batch(
+        self, plans: list[Plan], *, extra_senses: int = 0
+    ) -> list[ExecutionResult]:
+        """Drain a :meth:`batchable` (``margin``) queue on the
+        read-retry V_TH path: the batched counterpart of
+        :meth:`execute_degraded`.  Every sense evaluates through the
+        per-cell V_TH comparison in one pass -- bit-identical to the
+        per-plan degraded walk on an error-free chip -- and the
+        margin-read ladder (``extra_senses``) charges per step exactly
+        as the walk does.
+        """
+        return self._run_batch(plans, margin=True, extra_senses=extra_senses)
+
+    def _run_batch(
+        self,
+        plans: list[Plan],
+        *,
+        attempts: list[int] | None = None,
+        margin: bool = False,
+        extra_senses: int = 0,
+    ) -> list[ExecutionResult]:
+        """The batch skeleton behind :meth:`execute_batch` and
+        :meth:`execute_degraded_batch`: layout, sense (the one
+        route-dependent step), latch replay, charging."""
         chip = self.chip
         if not plans:
             return []
-        # ------------------------------------------------------------
-        # 1. Flatten senses plan-major; group lanes by step signature
-        #    (memoized per plan -- bound plans recur across windows).
-        # ------------------------------------------------------------
-        infos = self._batch_infos(plans) if chip.packed else None
-        if infos is None:
-            if attempts is not None:
-                raise RuntimeError(
-                    "attempt multiplicities need a retry_batchable queue"
-                )
-            if not chip.packed:
-                results = self._execute_batch_vth(plans)
-                if results is not None:
-                    return results
-            # A rogue cross-plane XOR (or, off the packed plane, an
-            # MLC target) has no batched equivalent; let the scalar
-            # protocol judge the whole queue.
-            return self.execute_many(plans)
+        infos = self._batch_infos(plans)
+        # The V_TH routes re-ask the probe (their schedule is cached by
+        # now).  The packed plane checks only for a cross-plane XOR:
+        # a bad block raises its own typed fault out of the sense.
+        vth = margin or not chip.packed
+        if infos is None or (
+            vth
+            and not self.batchable(
+                plans, retried=attempts is not None, margin=margin
+            )
+        ):
+            raise RuntimeError(
+                "the queue has no batched equivalent on this route; "
+                "ask batchable() first and walk the plans instead"
+            )
         self.dispatches += 1
+        # Every plan's sense commands flatten plan-major; plans
+        # sharing a (plane, ISCM step signature) replay together.
         commands, sense_base, lane_groups = self._batch_layout(infos)
-        words = chip.execute_sense_batch(commands)
+        if not vth:
+            payload = chip.execute_sense_batch(commands)
+        else:
+            # The probe ruled out the windows the V_TH plane declines
+            # (and left their schedule cached).  Margin reads come
+            # back as bits and re-enter the packed bank as words.
+            payload = chip.execute_sense_batch_vth(
+                commands, force_vth=margin
+            )
+            if margin:
+                payload = pack_rows(payload)
         if attempts is not None:
             # The batch accounted one attempt's read disturb; failed
             # attempts sensed the same wordlines again (``note_read``
@@ -323,50 +378,17 @@ class MwsExecutor:
                             block_of(address).note_read(
                                 (n - 1) * len(wordlines)
                             )
-        # ------------------------------------------------------------
-        # 2. Latch replay per (plane, signature) lane group.
-        # ------------------------------------------------------------
-        plan_words = self._replay_latches(
-            plans, infos, words, sense_base, lane_groups
+        # The queue's last plan per plane lands its final latch state
+        # in the bank exactly as scalar execution would.
+        plan_payloads = self._replay_latches(
+            plans, infos, payload, sense_base, lane_groups
         )
-        # ------------------------------------------------------------
-        # 3. Cost accounting, plan-by-plan in scalar step order.
-        # ------------------------------------------------------------
         return self._charge_results(
-            infos, plan_words, packed=True, attempts=attempts
-        )
-
-    def retry_batchable(self, plans: list[Plan]) -> bool:
-        """Whether a fault-recovery queue may drain through
-        :meth:`execute_batch` with attempt multiplicities.  Probes
-        only -- nothing executes, draws or counts.  ``False`` (the
-        queue stays on the scalar retry loop) off the packed plane,
-        for a cross-plane XOR, and for any plan targeting an injected
-        bad block: the scalar loop ends such a plan at its first
-        attempt with a typed fault, which no multiplicity expresses.
-        MLC targets need no check here -- they only matter on the
-        V_TH plane, which a retried packed sense never touches.
-        """
-        if not self.chip.packed:
-            return False
-        infos = self._batch_infos(plans)
-        return infos is not None and not self._targets_bad_block(infos)
-
-    def _targets_bad_block(self, infos: list[tuple]) -> bool:
-        """Whether any sense of the queue targets an injected bad
-        block, by the injector's side-effect-free probe (asking is
-        not a fault; the scalar loop that then runs counts the hit)."""
-        chip = self.chip
-        injector = chip.fault_injector
-        if injector is None or not injector.config.bad_blocks:
-            return False
-        probe = injector.has_bad_block
-        chip_id = chip.fault_chip_id
-        return any(
-            probe(chip_id, address)
-            for info in infos
-            for command in info[3]
-            for address, _ in command.targets
+            infos,
+            plan_payloads,
+            packed=chip.packed,
+            extra_senses=extra_senses,
+            attempts=attempts,
         )
 
     def execute_batch_reuse(
@@ -497,75 +519,6 @@ class MwsExecutor:
             len(hit_reads),
         )
 
-    def _execute_batch_vth(
-        self, plans: list[Plan]
-    ) -> list[ExecutionResult] | None:
-        """Batch a queue through the V_TH error plane.
-
-        The error-injecting counterpart of the packed batch: sensing
-        for the whole queue runs in one
-        :meth:`NandFlashChip.execute_sense_batch_vth` pass -- with the
-        stochastic draw schedule of the scalar per-sense loop
-        preserved exactly -- and the latch protocol and cost counters
-        replay per plan as the packed path does, over 0/1 bit matrices
-        instead of packed words.  Returns ``None`` (nothing executed,
-        no RNG consumed) when the queue has no batched equivalent: a
-        cross-plane XOR plan or an MLC-programmed target, both of
-        which keep the per-sense V_TH loop.
-        """
-        chip = self.chip
-        infos = self._batch_infos(plans)
-        if infos is None:
-            return None
-        commands, sense_base, lane_groups = self._batch_layout(infos)
-        bits = chip.execute_sense_batch_vth(commands)
-        if bits is None:
-            return None
-        # Committed: the window's draws happened, batch-schedule equal
-        # to the scalar loop's.
-        self.dispatches += 1
-        plan_bits = self._replay_latches(
-            plans, infos, bits, sense_base, lane_groups
-        )
-        return self._charge_results(infos, plan_bits, packed=False)
-
-    def execute_degraded_batch(
-        self, plans: list[Plan], *, extra_senses: int = 0
-    ) -> list[ExecutionResult] | None:
-        """Batch a degraded-mode queue (read-retry V_TH path).
-
-        The batched counterpart of :meth:`execute_degraded` for the
-        packed plane: every sense evaluates through the per-cell V_TH
-        comparison (``force_vth``) in one batched pass -- bit-identical
-        to the per-plan degraded loop on an error-free chip -- and the
-        margin-read ladder (``extra_senses``) charges per step exactly
-        as the scalar loop does.  Returns ``None`` when the queue must
-        stay scalar: an unpacked chip, a cross-plane XOR, an MLC
-        target, or any plan targeting an injected bad block (the
-        scalar loop's per-plan ``FlashFault`` semantics are preserved
-        by never batching such a queue).
-        """
-        chip = self.chip
-        if not chip.packed or not plans:
-            return None
-        infos = self._batch_infos(plans)
-        if infos is None:
-            return None
-        if self._targets_bad_block(infos):
-            return None
-        commands, sense_base, lane_groups = self._batch_layout(infos)
-        bits = chip.execute_sense_batch_vth(commands, force_vth=True)
-        if bits is None:
-            return None
-        self.dispatches += 1
-        words = pack_rows(bits)
-        plan_words = self._replay_latches(
-            plans, infos, words, sense_base, lane_groups
-        )
-        return self._charge_results(
-            infos, plan_words, packed=True, extra_senses=extra_senses
-        )
-
     # ------------------------------------------------------------------
     # Shared batch machinery
     # ------------------------------------------------------------------
@@ -584,26 +537,12 @@ class MwsExecutor:
             infos.append(info)
         return infos
 
+    @staticmethod
     def _batch_layout(
-        self,
         infos: list[tuple],
     ) -> tuple[list, list[int], dict[tuple, list[int]]]:
         """Flatten sense commands plan-major and group plan lanes by
-        their ``(plane, ISCM signature)`` key.
-
-        Memoized on the last window's info identity: infos are pinned
-        on their plans, so a repeated window presents the same objects
-        and gets the same layout back -- including the *same command
-        list object*, which is what lets the chip key its V_TH
-        schedule cache on window identity.
-        """
-        memo = self._layout_memo
-        if (
-            memo is not None
-            and len(memo[0]) == len(infos)
-            and all(a is b for a, b in zip(memo[0], infos))
-        ):
-            return memo[1]
+        their ``(plane, ISCM signature)`` key."""
         commands: list = []
         sense_base: list[int] = []
         lane_groups: dict[tuple, list[int]] = {}
@@ -611,9 +550,7 @@ class MwsExecutor:
             sense_base.append(len(commands))
             commands.extend(plan_commands)
             lane_groups.setdefault(gkey, []).append(index)
-        layout = (commands, sense_base, lane_groups)
-        self._layout_memo = (tuple(infos), layout)
-        return layout
+        return commands, sense_base, lane_groups
 
     def _replay_latches(
         self,

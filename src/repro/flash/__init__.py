@@ -26,7 +26,7 @@ Cell state lives in **two representations** (see
   (read-retry VREF offsets, V_TH introspection).
 
 On top of the per-sense fast path sits a *batched* execution plane
-(:meth:`~repro.flash.sensing.SensingEngine.sense_batch`,
+(:meth:`~repro.flash.sensing.SensingEngine.sense_batch_stacks`,
 :meth:`~repro.flash.latches.LatchBank.capture_batch`,
 :meth:`~repro.flash.chip.NandFlashChip.execute_sense_batch`): a whole
 queue of MWS commands stacks its packed operand rows into 3-D

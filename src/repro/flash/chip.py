@@ -50,7 +50,7 @@ from repro.flash.latches import LatchBank
 from repro.flash.packing import unpack_words
 from repro.flash.power import PowerModel
 from repro.flash.randomizer import LfsrRandomizer
-from repro.flash.sensing import SensingEngine
+from repro.flash.sensing import SensingEngine, VthBatchSchedule
 from repro.flash.timing import TimingModel
 
 
@@ -174,17 +174,16 @@ class NandFlashChip:
         #: A memo counts only while it carries this chip's current
         #: token: attaching a fault injector mints a new one.
         self._resolve_token = object()
-        #: id(commands) -> (pinned command list, vref_offset,
-        #: force_vth, prepared V_TH schedule, (block, layout_version)
-        #: revalidation pairs) for the batched error plane.  The
-        #: executor's layout memo hands back the same command-list
-        #: object for a repeated window, so identity is the window
-        #: key; pinning the list keeps the id unique among live
-        #: objects.  Entries revalidate per-block ``layout_version``
-        #: and are dropped wholesale when the ambient condition or
-        #: fault injector changes (both invalidate resolved
-        #: conditions/bad-block checks).
-        self._vth_schedules: dict[int, tuple] = {}
+        #: (command tuple, vref_offset, force_vth) -> (prepared V_TH
+        #: schedule, (block, layout_version) revalidation pairs) for
+        #: the batched error plane.  The window's commands are the
+        #: key by value: a command memoizes its hash, and bound plans
+        #: hand a repeated window the same command objects, so tuple
+        #: equality short-circuits on identity.  Entries revalidate
+        #: per-block ``layout_version`` and are dropped wholesale
+        #: when the ambient condition or fault injector changes (both
+        #: invalidate resolved conditions/bad-block checks).
+        self._vth_schedules: dict[tuple, tuple] = {}
 
     # ------------------------------------------------------------------
     # Environment control (test-mode features)
@@ -665,37 +664,52 @@ class NandFlashChip:
         packed plane): targets are validated and conditions resolved
         exactly as :meth:`execute_sense`, then the whole window's
         perturb + compare runs through
-        :meth:`~repro.flash.sensing.SensingEngine.sense_batch_vth`,
+        :meth:`~repro.flash.sensing.SensingEngine.run_batch_vth`,
         which keeps the stochastic draw schedule identical to the
         scalar per-sense loop.  Returns an ``(n_commands, page_bits)``
         bit matrix, or ``None`` when any target is MLC-programmed
-        (callers fall back to per-sense execution before any draw or
-        read-disturb side effect).  Latch protocol and cost counters
-        are replayed by the executor, as with the packed batch.
+        (before any draw or read-disturb side effect;
+        :meth:`vth_batch_schedule` answers that ahead of time).  Latch
+        protocol and cost counters are replayed by the executor, as
+        with the packed batch."""
+        self._check_online()
+        schedule = self.vth_batch_schedule(
+            commands, vref_offset=vref_offset, force_vth=force_vth
+        )
+        if schedule is None:
+            return None
+        return self.sensing.run_batch_vth(schedule)
 
-        The prepared schedule -- resolution, stress scalars, stacked
-        perturbed-base tensors -- is cached per command-window object
-        (the executor's layout memo reuses one list per repeated
-        window) and revalidated against each target block's
+    def vth_batch_schedule(
+        self,
+        commands: list["MwsCommand"],
+        *,
+        vref_offset: float = 0.0,
+        force_vth: bool = False,
+    ) -> VthBatchSchedule | None:
+        """The prepared, draw-independent half of one V_TH window --
+        or ``None`` when the V_TH plane declines it: any target is
+        MLC-programmed, whose multi-reference draw stays per sense.
+        Nothing is drawn, sensed or counted here, so this doubles as
+        the probe for whether a window can batch at all.
+
+        The schedule -- resolution, stress scalars, stacked
+        perturbed-base tensors -- is cached per window of commands
+        (by value, with the ``vref_offset`` / ``force_vth`` it was
+        prepared for) and revalidated against each target block's
         ``layout_version``, so steady-state reliability windows only
         pay the draw + compare.  Condition changes and fault-injector
         (re)attachment drop the cache wholesale; a bad-block set is
         immutable per injector and resolution fails before caching,
         so a cached window can never cover a bad block."""
-        self._check_online()
-        key = id(commands)
+        key = (tuple(commands), vref_offset, force_vth)
         entry = self._vth_schedules.get(key)
-        if (
-            entry is not None
-            and entry[0] is commands
-            and entry[1] == vref_offset
-            and entry[2] == force_vth
-        ):
-            for block, version in entry[4]:
+        if entry is not None:
+            for block, version in entry[1]:
                 if block.layout_version != version:
                     break
             else:
-                return self.sensing.run_batch_vth(entry[3])
+                return entry[0]
         senses = []
         conditions = []
         for command in commands:
@@ -714,16 +728,13 @@ class NandFlashChip:
             if len(self._vth_schedules) >= 4096:
                 self._vth_schedules.clear()
             self._vth_schedules[key] = (
-                commands,
-                vref_offset,
-                force_vth,
                 schedule,
                 tuple(
                     (block, block.layout_version)
                     for block, _ in schedule.read_counts
                 ),
             )
-        return self.sensing.run_batch_vth(schedule)
+        return schedule
 
     def charge_sense(self, n_wordlines: int, n_blocks: int) -> None:
         """Account one MWS sense: operation counters plus the modeled

@@ -157,7 +157,8 @@ class LatchBank:
         attributes, so :class:`repro.flash.chip.IscmFlags` fits without
         an import cycle) or ``None`` for the latch XOR command.
         ``sensed`` holds one packed ``(n_lanes, n_words)`` matrix per
-        sense step -- the rows :meth:`SensingEngine.sense_batch`
+        sense step -- the rows the chip's batched sense
+        (:meth:`~repro.flash.chip.NandFlashChip.execute_sense_batch`)
         produced for every lane's sense at that step.  Lanes are
         independent: lane ``k`` evolves exactly as if its commands had
         driven the scalar protocol (init cache, init sense, capture,

@@ -30,17 +30,21 @@ Two evaluation paths implement the same semantics:
   offsets, and the ``packed=False`` compatibility mode all take this
   path, so every reliability figure reproduces unchanged.
 
-On top of the per-sense fast path, :meth:`SensingEngine.sense_batch`
-evaluates a whole *queue* of MWS operations at once: the packed
-operand rows of every sense are gathered into one 3-D ``uint64``
-tensor per group-size profile and the string-group ANDs / inter-block
-ORs of the entire batch collapse into a handful of
-``np.bitwise_and.reduce`` / ``bitwise_or`` calls -- O(profiles)
-NumPy dispatches for O(senses) sensing operations.  Row ``i`` of the
-result is bit-identical to ``inter_block_mws(senses[i], ...).words``.
-The V_TH path stays strictly per sense (error injection is the
-per-cell oracle), which is why the batch entry point refuses to run
-off the packed error-free plane.
+On top of the per-sense fast path sits the batched plane, which
+evaluates a whole *queue* of MWS operations at once.
+:meth:`SensingEngine.resolve_sense` validates one operation and finds
+where its packed operand rows live;
+:meth:`SensingEngine.sense_batch_stacks` gathers the rows of every
+resolved sense into one 3-D ``uint64`` tensor per group-size profile,
+and the string-group ANDs / inter-block ORs of the entire batch
+collapse into a handful of ``np.bitwise_and.reduce`` / ``bitwise_or``
+calls -- O(profiles) NumPy dispatches for O(senses) sensing
+operations.  Row ``i`` of the result is bit-identical to
+``inter_block_mws(senses[i], ...).words``.  Off the packed error-free
+plane a queue batches through the V_TH plane instead
+(:meth:`SensingEngine.prepare_batch_vth` /
+:meth:`SensingEngine.run_batch_vth`), with the per-sense loop's exact
+stochastic draw schedule.
 """
 
 from __future__ import annotations
@@ -54,7 +58,6 @@ import numpy as np
 
 from repro.flash.array import BlockArray
 from repro.flash.errors import ErrorModel, OperatingCondition
-from repro.flash.geometry import StringGroup
 from repro.flash.ispp import ProgramMode
 from repro.flash.packing import (
     pack_bits,
@@ -486,53 +489,9 @@ class SensingEngine:
             blocks=len(targets),
         )
 
-    def sense_string_groups(
-        self,
-        groups: list[tuple[BlockArray, StringGroup]],
-        condition: OperatingCondition,
-    ) -> SenseOutcome:
-        """Sense arbitrary string groups in one operation (the general
-        MWS form used by the command executor)."""
-        targets = [(block, group.wordlines) for block, group in groups]
-        return self.inter_block_mws(targets, condition)
-
     # ------------------------------------------------------------------
     # Batched sensing (window-at-a-time data plane)
     # ------------------------------------------------------------------
-
-    def sense_batch(
-        self,
-        senses: list[list[tuple[BlockArray, tuple[int, ...]]]],
-    ) -> np.ndarray:
-        """Evaluate many MWS operations in one vectorized pass.
-
-        ``senses[i]`` is the target list of one inter-block MWS (the
-        same shape :meth:`inter_block_mws` takes); the returned
-        ``(n_senses, n_words)`` ``uint64`` array holds one packed,
-        ones-padded result row per sense, bit-identical to
-        ``inter_block_mws(senses[i], ...).words``.
-
-        Only the packed error-free plane can batch: error injection
-        and VREF offsets evaluate per cell through V_TH and stay on
-        the scalar path, so this raises off that plane rather than
-        silently approximating.  Senses are grouped by their
-        *group-size profile* (the tuple of per-block wordline counts);
-        each profile group stacks its operand rows into one 3-D
-        tensor and computes every string-group AND and inter-block OR
-        of the group with one reduce per segment -- O(profiles) NumPy
-        dispatches for the whole batch.  Metadata validation and
-        per-block read-disturb accounting match the scalar path
-        exactly.
-        """
-        sources: list[tuple] = []
-        profiles: list[tuple[int, ...]] = []
-        for targets in senses:
-            source, profile = self.resolve_sense(targets)
-            for block, rows in source:
-                block.note_read(len(rows))
-            sources.append(source)
-            profiles.append(profile)
-        return self.sense_batch_stacks(sources, profiles)
 
     def resolve_sense(
         self,
@@ -550,9 +509,8 @@ class SensingEngine:
         per command rather than a copy of its pages.  Deliberately
         does *not* account the read disturb either: callers do (via
         ``note_read``), so cache hits re-account without re-resolving.
-        Shared by :meth:`sense_batch` and
-        :meth:`~repro.flash.chip.NandFlashChip.execute_sense_batch`
-        so validation cannot drift between them."""
+        Runs the scalar path's own metadata scan (``_scan_metadata``),
+        so the two planes reject exactly the same senses."""
         if not targets:
             raise ValueError("inter-block MWS requires at least one target")
         source = []
@@ -567,22 +525,35 @@ class SensingEngine:
         sources: list[tuple],
         profiles: list[tuple[int, ...]],
     ) -> np.ndarray:
-        """:meth:`sense_batch` minus validation: ``sources[i]`` is one
-        sense's resolved ``(block, row indices)`` pairs and
-        ``profiles[i]`` its per-block wordline counts
-        (:meth:`resolve_sense`).  The chip's batched entry point
-        memoizes resolution per command (revalidated via block
-        ``layout_version``) and calls this directly, so steady-state
-        windows pay only the row gathers and the per-profile tensor
-        reduces."""
+        """Evaluate many resolved MWS operations in one vectorized
+        pass: ``sources[i]`` is one sense's ``(block, row indices)``
+        pairs and ``profiles[i]`` its per-block wordline counts
+        (:meth:`resolve_sense`).  Returns one packed, ones-padded
+        ``uint64`` result row per sense, bit-identical to
+        ``inter_block_mws(senses[i], ...).words``.
+
+        Senses are grouped by their *group-size profile*; each group
+        stacks its operand rows into one 3-D tensor and computes every
+        string-group AND and inter-block OR of the group with one
+        reduce per segment.  Validation and read-disturb accounting
+        are the caller's: the chip's batched entry point memoizes
+        resolution per command (revalidated via block
+        ``layout_version``), so steady-state windows pay only the row
+        gathers and the per-profile tensor reduces.  Only the packed
+        error-free plane can batch this way -- error injection and
+        VREF offsets evaluate per cell through V_TH -- so this raises
+        off that plane rather than silently approximating."""
         if not (self.packed and not self.inject_errors):
             raise RuntimeError(
-                "sense_batch requires the packed error-free plane; "
-                "error injection and packed=False evaluate per sense"
+                "sense_batch_stacks requires the packed error-free "
+                "plane; error injection and packed=False evaluate "
+                "through V_TH"
             )
         n = len(sources)
         if n == 0:
-            raise ValueError("sense_batch requires at least one sense")
+            raise ValueError(
+                "sense_batch_stacks requires at least one sense"
+            )
         groups: dict[tuple[int, ...], list[int]] = {}
         for i, profile in enumerate(profiles):
             group = groups.get(profile)
@@ -712,7 +683,7 @@ class SensingEngine:
         ):
             raise RuntimeError(
                 "sense_batch_vth is the V_TH error plane; the packed "
-                "error-free plane batches through sense_batch"
+                "error-free plane batches through sense_batch_stacks"
             )
         # ------------------------------------------------------------
         # 1. Validate, flatten into (sense, block-target) units in

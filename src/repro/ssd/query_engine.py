@@ -53,14 +53,16 @@ it:
    first, then runs each chip's surviving unique queue through
    :meth:`~repro.core.mws.MwsExecutor.execute_batch`: the whole
    queue's packed operand rows collapse into a few tensor reduces
-   (:meth:`~repro.flash.sensing.SensingEngine.sense_batch`) and the
-   latch protocol replays lane-parallel
+   (:meth:`~repro.flash.chip.NandFlashChip.execute_sense_batch`) and
+   the latch protocol replays lane-parallel
    (:meth:`~repro.flash.latches.LatchBank.capture_batch`), so Python
    dispatch per window is O(chips), not O(senses) -- wall-clock
    window throughput finally tracks chip count the way simulated
-   throughput does.  Error injection and ``packed=False`` fall back
-   to the per-sense scalar loop (the V_TH oracle), and
-   ``batch=False`` forces it for benchmarking.
+   throughput does.  Error injection and ``packed=False`` batch the
+   same way through the V_TH plane; a queue with no batched
+   equivalent (:meth:`~repro.core.mws.MwsExecutor.batchable` says so
+   before anything runs) walks its plans one by one, and
+   ``batch=False`` forces the walk for benchmarking.
 
 7. **Concurrent multi-chip dispatch** -- chips are independent dies
    behind independent channels, and the batched path reduced each
@@ -106,7 +108,8 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
+from itertools import repeat
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
@@ -630,6 +633,49 @@ class StackCache:
             )
 
 
+#: The attempt schedule of a plan nothing can fault: one clean attempt,
+#: no recovery time -- what :meth:`FaultInjector.attempt_draws
+#: <repro.flash.faults.FaultInjector.attempt_draws>` yields when every
+#: rate is zero, without consulting an injector.
+_ONE_CLEAN_ATTEMPT = ((False, 0.0),)
+
+
+class _SenseRecord(NamedTuple):
+    """What the sense stage of the drain produced for one unique plan,
+    whatever route produced it: the plan's result page (``None`` when
+    it failed), its chip cost as counter deltas across every attempt,
+    and the recovery-plane fields of :class:`ChunkOutcome`."""
+
+    data: np.ndarray | None
+    n_senses: int
+    latency_us: float
+    energy_nj: float
+    retries: int
+    recovery_us: float
+    degraded: bool
+    error: Exception | None
+
+
+class _Window(NamedTuple):
+    """One :meth:`QueryEngine.execute_tasks` call as the stages of its
+    chip drains see it: the task list, the outcome slots they fill,
+    and the call's parameters resolved once."""
+
+    order: list[ChunkTask]
+    outcomes: list[ChunkOutcome | None]
+    #: The per-plan cache engaged for this call (at most one of two).
+    cache: ResultCache | None
+    stacks: StackCache | None
+    share: bool
+    batch: bool
+    #: The caller's recovery policy (the default one if none), and
+    #: whether its retry half is in force (an active injector).
+    policy: RecoveryPolicy
+    retry: bool
+    degraded: frozenset[int]
+    offline: frozenset[int]
+
+
 @dataclass(frozen=True)
 class PreparedQuery:
     """A query planned and bound, ready for (shared) execution.
@@ -744,15 +790,9 @@ class QueryEngine:
             signature.append((name, record.group, record.inverted))
         return tuple(signature)
 
-    def template_for(
-        self, expr: Expression, names: list[str] | None = None
-    ) -> PlanTemplate:
-        """Fetch or build the relocatable template for ``expr``.
-
-        ``names`` may pass the pre-sorted operand names when the caller
-        already extracted them (per-query hot path)."""
-        if names is None:
-            names = sorted(operand_names(expr))
+    def template_for(self, expr: Expression) -> PlanTemplate:
+        """Fetch or build the relocatable template for ``expr``."""
+        names = sorted(operand_names(expr))
         if not names:
             raise ValueError("expression references no operands")
         return self._template_for(expr, self._layout_signature(names))[0]
@@ -992,48 +1032,406 @@ class QueryEngine:
                 self._pool_size = size
             return self._pool
 
-    def _execute_recovered(
+    def execute_tasks(
         self,
+        tasks: Iterable[ChunkTask],
+        *,
+        share: bool = True,
+        batch: bool = True,
+        use_cache: bool = False,
+        workers: int | None = None,
+        recovery: RecoveryPolicy | None = None,
+        degraded: Iterable[int] = (),
+        offline: Iterable[int] = (),
+        reconstruct: bool = False,
+    ) -> list[ChunkOutcome]:
+        """Drain a multi-query chunk-task list; one outcome per task,
+        in task order.
+
+        Tasks are grouped per chip preserving the given order (the
+        scheduler's per-chip schedule) and every chip's group runs
+        through the same stages (:meth:`_drain_chip`).  The
+        parameters choose *where a result comes from and what it is
+        charged*, never its bits: result data, and the modelled cost
+        of every sense that does run, are identical across all
+        combinations.
+
+        ``use_cache``
+            consult (and fill) the attached :class:`ResultCache`
+            before anything else; a hit is a ``cached`` outcome at
+            zero flash cost.  Packed plane only.
+        ``share``
+            a task whose ``(chip, plan)`` matches an earlier task of
+            this call senses nothing and comes back ``shared`` with
+            the earlier task's data, ``degraded`` flag and ``error``.
+            ``False`` is the unshared oracle.
+        ``batch``
+            one vectorized executor dispatch per chip queue instead of
+            one per plan; ``False`` forces the per-plan walk (the
+            reference the property suites and batch benchmarks
+            compare against).  Outcomes, chip counters, latch
+            end-state and fault draws are equal either way.
+        ``workers``
+            with more than one (per call, or the engine's default)
+            and more than one chip, the per-chip drains run
+            concurrently on a shared thread pool.  Each holds its
+            chip's :attr:`~repro.core.mws.MwsExecutor.lock` end to
+            end and performs the identical operations in the
+            identical per-chip order, so everything observable is
+            bit-/float-identical at any worker count.
+        ``recovery``
+            the fault-recovery policy (:mod:`repro.flash.faults`).
+            Its retry/backoff half applies only while an *active*
+            injector is attached to the SSD -- without one a plan is
+            one clean attempt and nothing is drawn; its margin-read
+            half applies to every chip in ``degraded`` regardless
+            (the default policy when none is passed).  A
+            :class:`~repro.flash.errors.FlashFault` a plan runs into
+            under either half comes back as that task's ``error``;
+            with neither in force it propagates to the caller.
+        ``degraded``
+            chips served on the V_TH margin-read path: nothing is
+            drawn for them and their outcomes are ``degraded``.
+        ``offline``
+            quarantined chips: their tasks fail fast with
+            :class:`~repro.flash.errors.ChipUnavailableError` without
+            touching the die, as do the tasks of a fail-stopped chip.
+        ``reconstruct``
+            on a parity-striped SSD, after every drain has joined,
+            tasks that failed with ``ChipUnavailableError`` or
+            ``RetryExhaustedError`` are rebuilt from surviving peers
+            and parity (:meth:`_reconstruct_failures`), sequentially
+            in task order at any worker count.  Without failures (or
+            parity) it is a no-op.
+        """
+        packed = self.ssd.packed
+        cache = self.result_cache if use_cache and packed else None
+        if cache is not None:
+            cache.begin_epoch()
+        injector = self.ssd.fault_injector
+        order: list[ChunkTask] = (
+            tasks if isinstance(tasks, list) else list(tasks)
+        )
+        window = _Window(
+            order=order,
+            outcomes=[None] * len(order),
+            cache=cache,
+            # One per-plan cache per drain.  Both caches key on (chip,
+            # plan) and a StackCache stamp is the ResultCache stamp
+            # plus the injector, so with the ResultCache engaged every
+            # plan that reaches the executor has already missed the
+            # only lookup that could hit; the StackCache serves the
+            # drains that have no ResultCache (packed plane, batched).
+            stacks=(
+                self.stack_cache
+                if cache is None and packed and batch and self.stack_reuse
+                else None
+            ),
+            share=share,
+            batch=batch,
+            policy=recovery if recovery is not None else RecoveryPolicy(),
+            # Without an active injector no sense can fault: the retry
+            # half of the policy is off and the fault-free window is
+            # float for float the drain it always was.  The margin
+            # half above stays the caller's.
+            retry=(
+                recovery is not None
+                and injector is not None
+                and injector.active
+            ),
+            degraded=frozenset(degraded),
+            offline=frozenset(offline),
+        )
+        per_chip: dict[int, list[int]] = {}
+        for position, task in enumerate(order):
+            queue = per_chip.get(task.chip)
+            if queue is None:
+                per_chip[task.chip] = [position]
+            else:
+                queue.append(position)
+        n_workers = self.workers if workers is None else max(1, workers)
+        if n_workers > 1 and len(per_chip) > 1:
+            pool = self._drain_pool(n_workers)
+            futures = [
+                pool.submit(self._drain_chip, window, chip, positions)
+                for chip, positions in per_chip.items()
+            ]
+            # Every drain joins before the first error (in chip order)
+            # surfaces: no worker still holds a chip when the caller
+            # sees the exception.
+            wait(futures)
+            for future in futures:
+                future.result()
+        else:
+            for chip, positions in per_chip.items():
+                self._drain_chip(window, chip, positions)
+        if reconstruct and self.ssd.parity:
+            self._reconstruct_failures(order, window.outcomes, cache)
+        return window.outcomes
+
+    # ------------------------------------------------------------------
+    # The chip drain, stage by stage
+    # ------------------------------------------------------------------
+
+    def _drain_chip(
+        self, window: _Window, chip: int, positions: list[int]
+    ) -> None:
+        """Drain one chip's tasks of the window: fail-fast -> result
+        cache -> dedup -> sense -> publish.
+
+        One worker owns the chip for the whole drain, under its
+        executor's lock; distinct drains write disjoint ``outcomes``
+        slots, so the list needs no lock.  Engine counters are taken
+        as deltas around the sense stage and merged once, under the
+        engine lock.  A stage that raises leaves the chip's slots
+        unpublished and its counters unmerged, and the error is the
+        caller's.
+        """
+        if self._fail_fast(window, chip, positions):
+            return
+        executor = self.ssd.controllers[chip].executor
+        sensing = self.ssd.chips[chip].sensing
+        with executor.lock:
+            pending = self._lookup_cached(window, chip, positions)
+            if not pending:
+                return
+            unique, followers = self._dedup(window, pending)
+            # The executor and the sensing engine report their own
+            # counts, whichever route the sense stage takes.
+            dispatched_before = executor.dispatches
+            restacked_before = sensing.restacked_tensors
+            records, reuse_hits = self._sense(
+                window,
+                executor,
+                chip,
+                [window.order[position].plan for position in unique],
+            )
+            dispatches = executor.dispatches - dispatched_before
+            restacked = sensing.restacked_tensors - restacked_before
+            shared_senses = self._publish(
+                window, chip, unique, records, followers
+            )
+        with self._lock:
+            self._executor_dispatches += dispatches
+            self._shared_plans += len(followers)
+            self._shared_senses += shared_senses
+            self._stack_reuse_hits += reuse_hits
+            self._restacked_tensors += restacked
+
+    def _fail_fast(
+        self, window: _Window, chip: int, positions: list[int]
+    ) -> bool:
+        """Fail the tasks of a chip that cannot serve without touching
+        the die; ``False`` when the chip can.  The scheduler already
+        parked quarantined chips at the window tail; a die that was
+        fail-stopped since is caught here, before its queue raises
+        out of the drain."""
+        if self.ssd.chips[chip].offline:
+            state = "offline"
+        elif chip in window.offline:
+            state = "quarantined"
+        else:
+            return False
+        error = ChipUnavailableError(f"chip {chip} is {state}", chip=chip)
+        for position in positions:
+            window.outcomes[position] = ChunkOutcome(
+                window.order[position], None, 0, 0.0, 0.0, False, error=error
+            )
+        return True
+
+    def _lookup_cached(
+        self, window: _Window, chip: int, positions: list[int]
+    ) -> list[int]:
+        """Serve what the cross-window cache holds; the positions that
+        missed.  First of all the stages that touch the chip: a hit
+        never reaches dedup or the executor, so a fully repeated
+        window costs no flash work and no executor dispatch."""
+        cache = window.cache
+        if cache is None:
+            return positions
+        order = window.order
+        outcomes = window.outcomes
+        outcome = ChunkOutcome  # local bindings: window hot loop
+        lookup = cache.get
+        pending: list[int] = []
+        miss = pending.append
+        for position in positions:
+            task = order[position]
+            words = lookup(chip, task.plan)
+            if words is not None:
+                outcomes[position] = outcome(
+                    task, words, 0, 0.0, 0.0, False, True
+                )
+            else:
+                miss(position)
+        return pending
+
+    def _dedup(
+        self, window: _Window, pending: list[int]
+    ) -> tuple[list[int], list[tuple[int, int]]]:
+        """Split the pending positions into the unique plans, in
+        first-appearance order (exactly the sequence the flash would
+        have sensed), and the ``(position, leader position)`` pairs
+        of the tasks that repeat one."""
+        followers: list[tuple[int, int]] = []
+        if not window.share:
+            return pending, followers
+        order = window.order
+        unique: list[int] = []
+        first_at: dict[Plan, int] = {}
+        for position in pending:
+            first = first_at.setdefault(order[position].plan, position)
+            if first == position:
+                unique.append(position)
+            else:
+                followers.append((position, first))
+        return unique, followers
+
+    def _sense(
+        self, window: _Window, executor, chip: int, plans: list[Plan]
+    ) -> tuple[list[_SenseRecord], int]:
+        """Sense a chip's unique plans; one record per plan, in one
+        shape whatever the route, plus the stack-cache hit count.
+
+        The route is read off what the drain already sees.  A chip in
+        ``degraded`` takes margin reads and draws nothing.  Otherwise,
+        with the retry half of the policy on, the queue's **attempt
+        schedule** is drawn first -- fault draws never depend on
+        sensed data, so running ``attempt_draws`` for every plan up
+        front consumes the chip's stream exactly as the scalar walk
+        would between executions -- and with it off no schedule is
+        drawn: every plan is one clean attempt.  Either way the queue
+        then drains as batched dispatches charged once per attempt,
+        split only at a plan whose every attempt faulted: that plan's
+        failed executions and its degraded fallback (or
+        ``RetryExhaustedError``) run in scalar order from its drawn
+        schedule between the batches, so chip counters accumulate in
+        the scalar order.
+
+        Whether the queue has a batched equivalent at all is the
+        executor's call, asked once, before anything is drawn,
+        executed or counted; on a no -- and with ``batch`` off --
+        every plan takes the scalar walk.
+        """
+        margin = chip in window.degraded
+        retry = window.retry and not margin
+        policy = window.policy
+        if not (
+            window.batch
+            and executor.batchable(plans, retried=retry, margin=margin)
+        ):
+            return [
+                self._sense_scalar(window, executor, chip, plan, margin)
+                for plan in plans
+            ], 0
+        schedule = None
+        exhausted = ()
+        if retry:
+            draw = self.ssd.fault_injector.attempt_draws
+            schedule = [list(draw(chip, policy)) for _ in plans]
+            exhausted = [
+                index
+                for index, draws in enumerate(schedule)
+                if draws[-1][0]  # the last attempt faulted too
+            ]
+        packed = self.ssd.packed
+        record = _SenseRecord._make  # one tuple per plan: queue hot loop
+        records: list[_SenseRecord] = []
+        reuse_hits = 0
+        start = 0
+        for stop in (*exhausted, len(plans)):
+            span = plans[start:stop]
+            drawn = schedule and schedule[start:stop]
+            # One batched dispatch of plans that all end in a clean
+            # attempt, entered through the layer the route belongs to.
+            if not span:
+                results = []
+            elif margin:
+                results = executor.execute_degraded_batch(
+                    span, extra_senses=policy.degraded_extra_senses
+                )
+            elif schedule is None and window.stacks is not None:
+                # Plans already sensed under the current stamp replay
+                # their packed rows and only the miss plans reach the
+                # flash; latch replay and charging still run for all.
+                results, hits = window.stacks.execute(executor, chip, span)
+                reuse_hits += hits
+            else:
+                # Charged from the drawn attempt counts -- ``None``
+                # for the schedule nobody drew.
+                results = executor.execute_batch(
+                    span, drawn and [len(draws) for draws in drawn]
+                )
+            records += [
+                record(
+                    (
+                        result.words if packed else result.bits,
+                        result.n_senses,
+                        result.latency_us,
+                        result.energy_nj,
+                        len(draws) - 1,
+                        draws[-1][1],
+                        margin,
+                        None,
+                    )
+                )
+                for result, draws in zip(
+                    results, drawn or repeat(_ONE_CLEAN_ATTEMPT)
+                )
+            ]
+            if stop < len(plans):
+                records.append(
+                    self._sense_scalar(
+                        window, executor, chip, plans[stop], margin,
+                        schedule[stop],
+                    )
+                )
+            start = stop + 1
+        return records, reuse_hits
+
+    def _sense_scalar(
+        self,
+        window: _Window,
         executor,
         chip: int,
         plan: Plan,
-        injector,
-        policy: RecoveryPolicy,
-        force_degraded: bool,
+        margin: bool,
         draws: Iterable[tuple[bool, float]] | None = None,
-    ) -> tuple:
-        """Execute one plan under the fault-recovery policy, one
-        scalar execution per attempt -- the reference semantics of
-        the recovery plane, the fallback for queues the batched drain
-        declines, and the route of a plan that exhausts its retries.
+    ) -> _SenseRecord:
+        """Sense one plan with one scalar execution per attempt -- the
+        reference semantics of the drain, the route of queues with no
+        batched equivalent, and of a plan that exhausts its retries.
 
-        Returns ``(data, n_senses, latency_us, energy_nj, retries,
-        recovery_us, degraded, error)``.  Chip cost fields are counter
-        deltas across *every* attempt -- a failed sense still occupied
-        the die -- while ``recovery_us`` holds the controller-side
-        backoff and injected stalls (charged to the event simulation,
-        not the chip).  Fault draws come from
-        :meth:`~repro.flash.faults.FaultInjector.attempt_draws`, one
-        attempt ahead of each execution -- or from ``draws``, the
-        plan's already-drawn attempts, when the batched drain hands
-        over a plan whose schedule ended in exhaustion.  Either way
-        they come off the chip's own deterministic stream inside this
-        chip's drain, so the sequence is identical at any worker
-        count.
+        Chip cost fields are counter deltas across *every* attempt --
+        a failed sense still occupied the die -- while ``recovery_us``
+        holds the controller-side backoff and injected stalls
+        (charged to the event simulation, not the chip).  Fault draws
+        come off the chip's own stream one attempt ahead of each
+        execution -- or from ``draws``, the plan's already-drawn
+        attempts, when the batched route hands over a plan whose
+        schedule ended in exhaustion; with the retry half off the
+        plan is one clean attempt and nothing is drawn.  All of it
+        happens inside this chip's drain, so the sequence is
+        identical at any worker count.
         """
+        policy = window.policy
         counters = executor.chip.counters
         busy_before = counters.busy_us
         energy_before = counters.energy_nj
         senses_before = counters.senses
         recovery_us = 0.0
         retries = 0
-        degraded = force_degraded
+        degraded = margin
         error: Exception | None = None
         result = None
         try:
-            if not force_degraded:
+            if not margin:
                 if draws is None:
-                    draws = injector.attempt_draws(chip, policy)
+                    draws = (
+                        self.ssd.fault_injector.attempt_draws(chip, policy)
+                        if window.retry
+                        else _ONE_CLEAN_ATTEMPT
+                    )
                 for faulted, recovery_us in draws:
                     # A persistent fault (bad block) raises out of the
                     # first attempt: retrying cannot help, and nothing
@@ -1063,11 +1461,14 @@ class QueryEngine:
                     plan, extra_senses=policy.degraded_extra_senses
                 )
         except FlashFault as fault:
+            if not (window.retry or margin):
+                # No recovery plane in force to absorb it.
+                raise
             error = fault
         data = None
         if result is not None:
             data = result.words if self.ssd.packed else result.bits
-        return (
+        return _SenseRecord(
             data,
             counters.senses - senses_before,
             counters.busy_us - busy_before,
@@ -1078,443 +1479,51 @@ class QueryEngine:
             error,
         )
 
-    def _drain_recovered(
+    def _publish(
         self,
-        executor,
+        window: _Window,
         chip: int,
-        plans: list[Plan],
-        injector,
-        policy: RecoveryPolicy,
-        force_degraded: bool,
-        batch: bool,
-    ) -> list[tuple]:
-        """Drain one chip's unique-plan queue under the fault-recovery
-        policy; one :meth:`_execute_recovered`-shaped record per plan.
-
-        Recovery is a parameter of the batched drain, not a scalar
-        side path.  A health-degraded chip draws nothing and batches
-        through the V_TH margin-read plane.  A healthy chip under an
-        active injector **pre-draws the queue's attempt schedule** --
-        fault draws never depend on sensed data, so running
-        ``attempt_draws`` for every plan up front consumes the chip's
-        stream exactly as the scalar loop would between executions --
-        and then drains the queue as one
-        :meth:`~repro.core.mws.MwsExecutor.execute_batch` whose
-        charging repeats each plan once per drawn attempt.  The queue
-        splits only at a plan whose every attempt faulted: the batch
-        before it runs, then that plan's failed attempts and degraded
-        fallback (or ``RetryExhaustedError``) in scalar order from its
-        already-drawn schedule, then the rest -- so chip counters
-        accumulate in the scalar order.  Queues with no batched
-        equivalent (either executor probe says so *before* anything
-        is drawn or executed) and ``batch=False`` keep the per-plan
-        loop.
-        """
-        packed = self.ssd.packed
-        if force_degraded:
-            batched = (
-                executor.execute_degraded_batch(
-                    plans, extra_senses=policy.degraded_extra_senses
-                )
-                if batch
-                else None
-            )
-            if batched is not None:
-                return [
-                    (
-                        result.words if packed else result.bits,
-                        result.n_senses,
-                        result.latency_us,
-                        result.energy_nj,
-                        0,
-                        0.0,
-                        True,
-                        None,
-                    )
-                    for result in batched
-                ]
-        elif batch and executor.retry_batchable(plans):
-            schedule = [
-                list(injector.attempt_draws(chip, policy)) for _ in plans
-            ]
-            records: list[tuple] = []
-
-            def run_batch(lo: int, hi: int) -> None:
-                span = schedule[lo:hi]
-                results = executor.execute_batch(
-                    plans[lo:hi], [len(draws) for draws in span]
-                )
-                for result, draws in zip(results, span):
-                    records.append(
-                        (
-                            result.words,
-                            result.n_senses,
-                            result.latency_us,
-                            result.energy_nj,
-                            len(draws) - 1,
-                            draws[-1][1],
-                            False,
-                            None,
-                        )
-                    )
-
-            start = 0
-            for index, draws in enumerate(schedule):
-                if draws[-1][0]:  # the last attempt faulted too
-                    run_batch(start, index)
-                    records.append(
-                        self._execute_recovered(
-                            executor,
-                            chip,
-                            plans[index],
-                            injector,
-                            policy,
-                            False,
-                            draws,
-                        )
-                    )
-                    start = index + 1
-            run_batch(start, len(plans))
-            return records
-        return [
-            self._execute_recovered(
-                executor, chip, plan, injector, policy, force_degraded
-            )
-            for plan in plans
-        ]
-
-    def execute_tasks(
-        self,
-        tasks: Iterable[ChunkTask],
-        *,
-        share: bool = True,
-        batch: bool = True,
-        use_cache: bool = False,
-        workers: int | None = None,
-        recovery: RecoveryPolicy | None = None,
-        degraded: Iterable[int] = (),
-        offline: Iterable[int] = (),
-        reconstruct: bool = False,
-    ) -> list[ChunkOutcome]:
-        """Drain a multi-query chunk-task list with cross-query sense
-        sharing and window-at-a-time batched execution.
-
-        Tasks are grouped per chip preserving the given order (the
-        scheduler's per-chip schedule).  With ``use_cache`` on and a
-        :class:`ResultCache` attached (:meth:`enable_result_cache`),
-        each task first consults the cross-window cache -- *before*
-        dedup, so a window repeating an earlier window's plans never
-        reaches the sensing engine at all; hits come back as
-        ``cached`` outcomes at zero flash cost.  The cache engages
-        only on the packed plane (see :class:`ResultCache`).
-
-        The drain is then dedup-first: with ``share`` on, a task whose
-        ``(chip, plan)`` identity matches an earlier task of the same
-        call executes nothing -- only the surviving *unique* plans
-        form the chip's queue, in first-appearance order (exactly the
-        sequence the flash would have sensed), and each executed
-        sense's packed result words fan out to every subscribing task
-        at zero flash cost.  Executed results are inserted into the
-        cache for later windows.
-
-        With ``batch`` on (the default) each chip's queue runs through
-        :meth:`~repro.core.mws.MwsExecutor.execute_batch` -- one
-        vectorized dispatch per chip instead of one per sense.  Off
-        the packed error-free plane the queue batches through the
-        V_TH error plane with the scalar loop's exact stochastic draw
-        schedule, falling back to per-sense execution only for queues
-        with no batched equivalent (MLC targets, cross-plane XOR).
-        ``batch=False`` forces the per-sense loop
-        (the wall-clock baseline the batch benchmarks compare
-        against); ``share=False`` is the unshared oracle.  Results and
-        modeled cost counters are identical across all combinations;
-        caching and sharing only change *where* a result comes from,
-        never its bits.
-
-        With ``workers > 1`` (per call, or the engine's default) and
-        more than one chip in the task list, the per-chip drains run
-        *concurrently* on a shared thread pool -- chips are
-        independent dies, and the batched path's NumPy reduces release
-        the GIL.  Each drain holds its chip's
-        :attr:`~repro.core.mws.MwsExecutor.lock` end to end, so a chip
-        never sees two threads; engine counters merge under the engine
-        lock after each drain; and because every chip still executes
-        the identical plan sequence in the identical order, outcomes,
-        latch end-state, and all per-chip counters are bit-/float-
-        identical to the sequential drain at any worker count.
-
-        The last three parameters form the fault-recovery plane (see
-        :mod:`repro.flash.faults`).  With ``recovery`` set *and* an
-        active injector attached to the SSD, each unique plan executes
-        under the retry/backoff/degraded policy -- still as one
-        batched dispatch per chip when ``batch`` is on: fault draws
-        never depend on sensed data, so the chip's drain pre-draws
-        the queue's attempt schedule and charges each plan once per
-        drawn attempt (:meth:`_drain_recovered`; queues with no
-        batched equivalent, and ``batch=False``, keep the per-plan
-        loop, identical to the last counter); chips listed in
-        ``degraded`` serve directly on the V_TH margin-read path
-        (batched through
-        :meth:`~repro.core.mws.MwsExecutor.execute_degraded_batch`
-        when ``batch`` is on and the queue has a batched equivalent --
-        the margin path draws nothing, so batching it is exact), and
-        chips listed in ``offline`` (quarantined) fail fast -- their
-        tasks come back as error outcomes carrying
-        :class:`~repro.flash.errors.ChipUnavailableError` without
-        touching the die.  An inactive (or absent) injector ignores
-        ``recovery`` entirely, so the fault-free window is the same
-        batched drain as ever, float for float.
-
-        With ``reconstruct`` on and parity striping enabled on the
-        SSD, a second pass runs after every drain has joined: tasks
-        that failed with :class:`ChipUnavailableError` or
-        :class:`RetryExhaustedError` get their operand chunks rebuilt
-        by XOR of surviving peers and parity, the expression is
-        re-evaluated host-side, and the outcome comes back
-        ``reconstructed`` with the survivor chips' real sense time in
-        ``recovery_work``.  The pass is strictly sequential in task
-        order regardless of ``workers``, so reconstruction keeps the
-        engine's any-worker-count determinism.  Without failures (or
-        with parity off) it is a no-op -- the fault-free window stays
-        float-identical.
-        """
-        packed = self.ssd.packed
-        cache = self.result_cache if use_cache and packed else None
-        if cache is not None:
-            cache.begin_epoch()
-        # One per-plan cache per drain.  Both caches key on (chip,
-        # plan) and a StackCache stamp is the ResultCache stamp plus
-        # the injector, so with the ResultCache engaged every plan
-        # that reaches the executor has already missed the only
-        # lookup that could hit; the StackCache serves the drains
-        # that have no ResultCache (packed plane, batched, no fault
-        # recovery -- _drain_recovered batches without it).
-        stacks = (
-            self.stack_cache
-            if cache is None and packed and batch and self.stack_reuse
-            else None
-        )
-        injector = self.ssd.fault_injector
-        if recovery is not None and (
-            injector is None or not injector.active
-        ):
-            recovery = None
-        degraded_chips = frozenset(degraded)
-        offline_chips = frozenset(offline)
-        order: list[ChunkTask] = (
-            tasks if isinstance(tasks, list) else list(tasks)
-        )
-        per_chip: dict[int, list[int]] = {}
-        for position, task in enumerate(order):
-            queue = per_chip.get(task.chip)
-            if queue is None:
-                per_chip[task.chip] = [position]
-            else:
-                queue.append(position)
-        outcomes: list[ChunkOutcome | None] = [None] * len(order)
+        unique: list[int],
+        records: list[_SenseRecord],
+        followers: list[tuple[int, int]],
+    ) -> int:
+        """Turn the sense records into outcomes, remember the good
+        ones for later windows, and fan each leader's data out to its
+        followers at zero flash cost (they inherit its ``degraded``
+        and ``error``).  Returns the senses the followers would have
+        cost."""
+        order = window.order
+        outcomes = window.outcomes
+        cache = window.cache
         outcome = ChunkOutcome  # local binding: window hot loop
-
-        def drain(chip: int, positions: list[int]) -> None:
-            # One worker owns this chip for the whole drain; distinct
-            # drains write disjoint `outcomes` slots, so the list
-            # needs no lock.  Engine stat counters accumulate locally
-            # and merge once at the end under the engine lock.
-            if chip in offline_chips or self.ssd.chips[chip].offline:
-                # Quarantined or fail-stopped: fail fast without
-                # touching the die (the scheduler already parked
-                # quarantined chips at the window tail; a chip that
-                # died *mid-window* is caught here before its queue
-                # raises out of the drain).
-                for position in positions:
-                    task = order[position]
-                    outcomes[position] = outcome(
-                        task,
-                        None,
-                        0,
-                        0.0,
-                        0.0,
-                        False,
-                        False,
-                        0,
-                        0.0,
-                        False,
-                        ChipUnavailableError(
-                            f"chip {chip} is quarantined", chip=chip
-                        ),
-                    )
-                return
-            executor = self.ssd.controllers[chip].executor
-            sensing = self.ssd.chips[chip].sensing
-            chip_degraded = chip in degraded_chips
-            recover = recovery is not None or chip_degraded
-            shared_plans = 0
-            shared_senses = 0
-            reuse_hits = 0
-            with executor.lock:
-                pending = positions
-                # Cross-window cache first: a hit never reaches dedup
-                # or the executor, so a fully repeated window costs no
-                # flash work and no executor dispatch.
-                if cache is not None:
-                    pending = []
-                    lookup = cache.get
-                    miss = pending.append
-                    for position in positions:
-                        task = order[position]
-                        words = lookup(chip, task.plan)
-                        if words is not None:
-                            outcomes[position] = outcome(
-                                task, words, 0, 0.0, 0.0, False, True
-                            )
-                        else:
-                            miss(position)
-                    if not pending:
-                        return
-                # Dedup next: unique plans in first-appearance order,
-                # subscribers remembered by their executing position.
-                unique: list[int] = []
-                followers: list[tuple[int, int]] = []
-                first_at: dict[Plan, int] = {}
-                if share:
-                    for position in pending:
-                        plan = order[position].plan
-                        first = first_at.get(plan)
-                        if first is not None:
-                            followers.append((position, first))
-                        else:
-                            first_at[plan] = position
-                            unique.append(position)
-                else:
-                    unique = pending
-                dispatched_before = executor.dispatches
-                restacked_before = sensing.restacked_tensors
-                if recover:
-                    # Recovery rides the batched drain too: degraded
-                    # chips through the V_TH margin-read plane, healthy
-                    # ones from a pre-drawn attempt schedule; queues
-                    # with no batched equivalent fall back to the
-                    # per-plan loop (see _drain_recovered).
-                    records = self._drain_recovered(
-                        executor,
-                        chip,
-                        [order[position].plan for position in unique],
-                        injector,
-                        recovery
-                        if recovery is not None
-                        else RecoveryPolicy(),
-                        chip_degraded,
-                        batch,
-                    )
-                    for position, record in zip(unique, records):
-                        task = order[position]
-                        data, n_senses, latency_us, energy_nj = record[:4]
-                        outcomes[position] = outcome(
-                            task,
-                            data,
-                            n_senses,
-                            latency_us,
-                            energy_nj,
-                            False,
-                            False,
-                            *record[4:],
-                        )
-                        if (
-                            cache is not None
-                            and data is not None
-                            and record[-1] is None
-                        ):
-                            cache.put(chip, task.plan, data, n_senses)
-                else:
-                    queue = [
-                        order[position].plan for position in unique
-                    ]
-                    results = None
-                    if batch and stacks is not None and queue:
-                        # Cross-window stack reuse: plans already
-                        # sensed under the current stamp replay their
-                        # packed rows; only the miss plans reach the
-                        # flash.  Latch replay and charging still run
-                        # for the whole queue, so outcomes and
-                        # counters stay identical to a fresh batch.
-                        reused = stacks.execute(executor, chip, queue)
-                        if reused is not None:
-                            results, reuse_hits = reused
-                    if results is None:
-                        if batch:
-                            results = executor.execute_batch(queue)
-                        else:
-                            results = [
-                                executor.execute(plan)
-                                for plan in queue
-                            ]
-                    for position, result in zip(unique, results):
-                        data = result.words if packed else result.bits
-                        outcomes[position] = outcome(
-                            order[position],
-                            data,
-                            result.n_senses,
-                            result.latency_us,
-                            result.energy_nj,
-                            False,
-                        )
-                        if cache is not None:
-                            cache.put(
-                                chip,
-                                order[position].plan,
-                                data,
-                                result.n_senses,
-                            )
-                # The executor reports its own dispatch count, so the
-                # stat stays truthful when execute_batch falls back to
-                # the per-sense loop (unpacked plane, error injection).
-                dispatches = executor.dispatches - dispatched_before
-                restacked = (
-                    sensing.restacked_tensors - restacked_before
-                )
-                shared_plans = len(followers)
-                for position, first in followers:
-                    prior = outcomes[first]
-                    shared_senses += prior.n_senses
-                    outcomes[position] = outcome(
-                        order[position],
-                        prior.data,
-                        0,
-                        0.0,
-                        0.0,
-                        True,
-                        False,
-                        0,
-                        0.0,
-                        prior.degraded,
-                        prior.error,
-                    )
-            with self._lock:
-                self._executor_dispatches += dispatches
-                self._shared_plans += shared_plans
-                self._shared_senses += shared_senses
-                self._stack_reuse_hits += reuse_hits
-                self._restacked_tensors += restacked
-
-        n_workers = self.workers if workers is None else max(1, workers)
-        if n_workers > 1 and len(per_chip) > 1:
-            pool = self._drain_pool(n_workers)
-            futures = [
-                pool.submit(drain, chip, positions)
-                for chip, positions in per_chip.items()
-            ]
-            errors = []
-            for future in futures:
-                error = future.exception()
-                if error is not None:
-                    errors.append(error)
-            if errors:
-                raise errors[0]
-        else:
-            for chip, positions in per_chip.items():
-                drain(chip, positions)
-        if reconstruct and self.ssd.parity:
-            self._reconstruct_failures(order, outcomes, cache)
-        return outcomes
+        for position, record in zip(unique, records):
+            task = order[position]
+            # The record's fields are the outcome's, around the two
+            # flags an executed plan never carries (shared, cached).
+            outcomes[position] = outcome(
+                task, *record[:4], False, False, *record[4:]
+            )
+            if (
+                cache is not None
+                and record.data is not None
+                and record.error is None
+            ):
+                cache.put(chip, task.plan, record.data, record.n_senses)
+        shared_senses = 0
+        for position, first in followers:
+            prior = outcomes[first]
+            shared_senses += prior.n_senses
+            outcomes[position] = outcome(
+                order[position],
+                prior.data,
+                0,
+                0.0,
+                0.0,
+                True,
+                degraded=prior.degraded,
+                error=prior.error,
+            )
+        return shared_senses
 
     def _reconstruct_task(
         self, task: ChunkTask

@@ -226,6 +226,76 @@ def test_health_config_validation():
 
 
 # ----------------------------------------------------------------------
+# The drain under the service
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("extra", (0, 5))
+def test_degraded_chip_keeps_the_services_margin_ladder_without_faults(
+    extra,
+):
+    """Regression: health state outlives the injector that caused it.
+    A chip still degraded once the injector is detached must be
+    served on the ladder the service was given, not the default one
+    (the engine used to drop the whole policy with the injector)."""
+    injector = FaultInjector(
+        FaultConfig(seed=5, chip_sense_fault_rates={1: 0.9})
+    )
+    ssd, env = _build(injector=injector)
+    service = ssd.service(
+        window_us=1e6,
+        recovery=RecoveryPolicy(degraded_extra_senses=extra),
+        health=HealthConfig(quarantine_threshold=1.0),
+    )
+    service.submit_traffic(_traffic())
+    service.run()
+    assert service.health.degraded == frozenset({1})
+    ssd.attach_fault_injector(None)
+    before = [chip.counters.senses for chip in ssd.chips]
+    service.submit_traffic(_traffic())
+    report = service.run()
+    assert report.stats.degraded_senses > 0
+    healthy, degraded = (
+        chip.counters.senses - senses
+        for chip, senses in zip(ssd.chips, before)
+    )
+    # Both chips hold the same chunks of the same vectors.
+    assert degraded == (1 + extra) * healthy
+    for query in report.queries:
+        np.testing.assert_array_equal(
+            query.result.bits, evaluate(query.expr, env)
+        )
+
+
+@pytest.mark.parametrize("workers", (1, 4))
+def test_sense_stage_error_leaves_the_service_retryable(workers, monkeypatch):
+    """A drain that raises mid-window surfaces the typed error from
+    ``run()`` with the admission queue intact; once the cause is gone
+    a second ``run()`` serves every query, oracle-identical."""
+    ssd, env = _build()
+    service = ssd.service(window_us=120.0, workers=workers)
+    ids = service.submit_traffic(_traffic())
+
+    def dropped_out(commands):
+        raise ChipUnavailableError("chip 1 is offline", chip=1)
+
+    # The die answers the fail-fast stage and is gone by the sense.
+    monkeypatch.setattr(ssd.chips[1], "execute_sense_batch", dropped_out)
+    with pytest.raises(ChipUnavailableError) as raised:
+        service.run()
+    assert raised.value.chip == 1
+    assert len(service.admission) == len(ids)
+    monkeypatch.undo()
+    report = service.run()
+    assert [query.query_id for query in report.queries] == ids
+    assert report.stats.queries_failed == 0
+    for query in report.queries:
+        np.testing.assert_array_equal(
+            query.result.bits, evaluate(query.expr, env)
+        )
+
+
+# ----------------------------------------------------------------------
 # Scheduler routing
 # ----------------------------------------------------------------------
 

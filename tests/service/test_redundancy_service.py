@@ -123,6 +123,8 @@ def test_no_parity_twin_fails_on_chip_loss():
     assert {type(q.error).__name__ for q in failed} == {
         "ChipUnavailableError"
     }
+    # The die is dead, not merely parked by the breaker.
+    assert {str(q.error) for q in failed} == {f"chip {VICTIM} is offline"}
 
 
 def test_reconstruction_attributed_apart_from_retries():

@@ -21,7 +21,7 @@ random chip counts, chunk counts, share on/off, and both data planes:
 The 80-bit page geometry keeps padding words in play (pages that are
 not a multiple of 64 bits are the packed representation's trickiest
 configuration); ``packed=False`` runs exercise the batched V_TH plane
-(``MwsExecutor._execute_batch_vth``), which must stay bit- and
+(``MwsExecutor.execute_batch`` on an unpacked chip), which must stay bit- and
 float-identical to the per-sense loop too.
 """
 
@@ -260,10 +260,11 @@ def test_sense_batch_refuses_vth_plane():
 
 @pytest.mark.parametrize("seed", range(4))
 def test_sense_batch_rows_match_per_sense_outcomes(seed):
-    """`SensingEngine.sense_batch` (the direct library-level batch
-    entry point) must produce, row for row, the words the per-sense
-    `inter_block_mws` path produces -- with identical read-disturb
-    accounting."""
+    """`SensingEngine.resolve_sense` + `sense_batch_stacks` (the
+    library-level batch primitives, with the caller's read-disturb
+    accounting as the chip does it) must produce, row for row, the
+    words the per-sense `inter_block_mws` path produces -- with
+    identical read-disturb accounting."""
     rng = np.random.default_rng(40_000 + seed)
     data_seed = int(rng.integers(1 << 16))
     batch_ssd, _ = _build_one(
@@ -292,7 +293,12 @@ def test_sense_batch_rows_match_per_sense_outcomes(seed):
         ]
 
     condition = scalar_ssd.chips[0].condition
-    rows = batch_ssd.chips[0].sensing.sense_batch(targets_for(batch_ssd))
+    sensing = batch_ssd.chips[0].sensing
+    resolved = [sensing.resolve_sense(t) for t in targets_for(batch_ssd)]
+    for source, profile in resolved:
+        for (block, _), n_wordlines in zip(source, profile):
+            block.note_read(n_wordlines)
+    rows = sensing.sense_batch_stacks(*map(list, zip(*resolved)))
     for row, sense in zip(rows, targets_for(scalar_ssd)):
         outcome = scalar_ssd.chips[0].sensing.inter_block_mws(
             [(b, tuple(w)) for b, w in sense], condition

@@ -2,7 +2,7 @@
 
 ``execute_tasks(batch=True, recovery=...)`` pre-draws each chip's
 attempt schedule and drains the queue as one vectorised dispatch;
-``batch=False`` runs :meth:`QueryEngine._execute_recovered` plan by
+``batch=False`` runs :meth:`QueryEngine._sense_scalar` plan by
 plan.  On two identically seeded SSDs the two must agree on everything
 a later window, a later write or the health plane could observe --
 every comparison below is ``==``, never ``approx``:

@@ -441,10 +441,11 @@ def test_vth_schedule_memo_clears_on_full():
     for i in range(4096 - len(chip._vth_schedules)):
         chip._vth_schedules[-(i + 1)] = (None,) * 5
     assert len(chip._vth_schedules) == 4096
-    ssd.write_vector(
-        "bump", np.ones(GEOMETRY.page_size_bits, dtype=np.uint8)
-    )
-    ssd.engine.execute_tasks(_tasks(ssd, window), batch=True)
+    # Schedules are keyed on the window's commands by value, so only
+    # a window of different commands is a new entry (a rebind of the
+    # same window after an unrelated write is a valid hit).
+    fresh = [_expression_pool()[1]]
+    ssd.engine.execute_tasks(_tasks(ssd, fresh), batch=True)
     assert len(chip._vth_schedules) == 1
 
 

@@ -240,32 +240,6 @@ def window_memo_probe(plan, tally: Tally):
 
 
 @contextlib.contextmanager
-def layout_memo_off(plan):
-    from repro.core.mws import MwsExecutor
-
-    with _patched(MwsExecutor, "_layout_memo", _Forgets()):
-        yield
-
-
-@contextlib.contextmanager
-def layout_memo_probe(plan, tally: Tally):
-    """A hit is a ``_batch_layout`` that left the memo as it was."""
-    from repro.core.mws import MwsExecutor
-
-    layout = MwsExecutor._batch_layout
-
-    def counting(self, infos):
-        before = self._layout_memo
-        result = layout(self, infos)
-        tally.lookups += 1
-        tally.hits += self._layout_memo is before
-        return result
-
-    with _patched(MwsExecutor, "_batch_layout", counting):
-        yield
-
-
-@contextlib.contextmanager
 def rows_cache_off(plan):
     for chip in _chips(plan):
         chip.sensing._rows_cache = _NeverRemembers()
@@ -382,7 +356,6 @@ def bound_plans_probe(plan, tally: Tally):
 CACHES = {
     "StackCache": (stack_cache_off, stack_cache_probe),
     "_window_memo": (window_memo_off, window_memo_probe),
-    "_layout_memo": (layout_memo_off, layout_memo_probe),
     "_rows_cache": (rows_cache_off, rows_cache_probe),
     "MwsCommand._resolved": (resolved_off, resolved_probe),
     "_est_latency_us": (est_latency_off, est_latency_probe),
