@@ -151,18 +151,10 @@ class AdmissionQueue:
     def __len__(self) -> int:
         return len(self._submissions)
 
-    def empty_clone(self) -> "AdmissionQueue":
-        """A fresh queue with this queue's configuration -- how the
-        service drains served submissions without losing its admission
-        tuning."""
-        return AdmissionQueue(
-            window_us=self.window_us,
-            max_queries=self.max_queries,
-            adaptive=self.adaptive,
-            min_window_us=self.min_window_us,
-            max_window_us=self.max_window_us,
-            target_queries=self.target_queries,
-        )
+    def clear(self) -> None:
+        """Drop the collected submissions -- how the service drains
+        the ones it served; the admission tuning stays."""
+        self._submissions.clear()
 
     def windows(self) -> list[AdmissionWindow]:
         """Cut the collected submissions into closed windows.

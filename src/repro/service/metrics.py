@@ -151,6 +151,55 @@ class ServiceStats:
     wear_max: int = 0
     wear_mean: float = 0.0
 
+    @classmethod
+    def from_queries(cls, queries: Sequence, **totals) -> "ServiceStats":
+        """The stats of one run as a fold of its served queries.
+
+        Everything ``queries`` (:class:`~repro.service.service.ServedQuery`
+        records) determine is derived here and nowhere else: the
+        latency distribution, span and throughput, the deadline
+        grading, and the integer totals that are sums of per-query
+        counters by construction (``n_senses``, ``shared_plans``,
+        ``cached_plans``, ``fault_retries``, ``reconstructed_plans``,
+        ``queries_failed``, ``template_hits``).  ``totals`` carries
+        the rest by field name -- what only the windows, the event
+        replay, the injector and the maintenance plane know; naming a
+        derived field there is a ``TypeError``.
+        """
+        latency = LatencySummary.from_latencies(
+            [q.latency_us for q in queries]
+        )
+        if queries:
+            span_us = max(q.completed_us for q in queries) - min(
+                q.submitted_us for q in queries
+            )
+        else:
+            span_us = 0.0
+        with_deadline = [q for q in queries if q.deadline_us is not None]
+        return cls(
+            n_queries=len(queries),
+            n_senses=sum(q.result.n_senses for q in queries),
+            shared_plans=sum(q.shared_chunks for q in queries),
+            cached_plans=sum(q.cached_chunks for q in queries),
+            template_hits=sum(q.result.template_hit for q in queries),
+            n_deadlines=len(with_deadline),
+            deadlines_met=sum(bool(q.deadline_met) for q in with_deadline),
+            latency=latency,
+            throughput_qps=(
+                len(queries) / (span_us * 1e-6) if span_us > 0 else 0.0
+            ),
+            span_us=span_us,
+            fault_retries=sum(q.retries for q in queries),
+            queries_failed=sum(1 for q in queries if q.error is not None),
+            fault_attributed_misses=sum(
+                1
+                for q in with_deadline
+                if q.deadline_met is False and q.fault_affected
+            ),
+            reconstructed_plans=sum(q.reconstructed_chunks for q in queries),
+            **totals,
+        )
+
     @property
     def wear_spread(self) -> int:
         """Max - min P/E cycles across materialized blocks."""

@@ -14,13 +14,17 @@ bottleneck resource are simulation-accurate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from repro.core.expressions import Expression
 from repro.flash.faults import RecoveryPolicy
-from repro.service.admission import AdmissionQueue, Submission
+from repro.service.admission import (
+    AdmissionQueue,
+    AdmissionWindow,
+    Submission,
+)
 from repro.service.health import (
     QUARANTINED,
     ChipHealthTracker,
@@ -35,7 +39,11 @@ from repro.service.scheduler import (
 )
 from repro.ssd.controller import QueryResult, SmallSsd
 from repro.ssd.events import ArbitrationConfig, StageJob, simulate_stages
-from repro.ssd.maintenance import MaintenanceConfig, MaintenanceManager
+from repro.ssd.maintenance import (
+    MaintenanceConfig,
+    MaintenanceManager,
+    MaintenanceStats,
+)
 from repro.ssd.query_engine import ChunkTask
 
 
@@ -165,6 +173,70 @@ class _QueryState:
         self.reconstruction_us = 0.0
 
 
+@dataclass
+class _RunTotals:
+    """The run totals the served queries do not determine, each under
+    its :class:`ServiceStats` field name: the window steps accumulate
+    them and the report hands them over as they stand.  (The totals
+    that *are* sums over the queries -- ``n_senses``, ``shared_plans``,
+    ``fault_retries``, ... -- are counted per query only and derived
+    by :meth:`ServiceStats.from_queries`.)"""
+
+    n_chunk_tasks: int = 0
+    shared_senses: int = 0
+    cached_senses: int = 0
+    degraded_senses: int = 0
+    reconstruction_senses: int = 0
+    fault_overhead_us: float = 0.0
+    reconstruction_overhead_us: float = 0.0
+    chips_lost: int = 0
+
+
+@dataclass
+class _Run(_RunTotals):
+    """Everything the steps of one :meth:`QueryService.run` share."""
+
+    #: The run's recovery policy, decided once at the top.
+    recovery: RecoveryPolicy | None = None
+    #: Lifetime counters as the run found them; the report subtracts.
+    faults_before: int = 0
+    quarantines_before: int = 0
+    maintenance_before: MaintenanceStats = field(
+        default_factory=MaintenanceStats
+    )
+    #: ``QueryService._relocations`` as the current window's health
+    #: step found it.
+    relocations_before: int = 0
+    states: dict[int, _QueryState] = field(default_factory=dict)
+    jobs: list[StageJob] = field(default_factory=list)
+    #: Query id per job; ``None`` marks background maintenance jobs,
+    #: which complete in the simulation but belong to no query.
+    job_owner: list[int | None] = field(default_factory=list)
+    #: Background chip microseconds pending inside the event
+    #: simulation, per chip -- the scheduler prices this into its
+    #: cross-chip interleave so foreground tails avoid dies busy with
+    #: GC.
+    gc_busy: dict[int, float] = field(default_factory=dict)
+    #: Whether any chip error (or chip loss) has been observed this
+    #: run -- only then do health weights feed the FTL's stripe
+    #: allocation, keeping fault-free runs byte-identical to an SSD
+    #: that never heard of health.
+    errors_seen: bool = False
+
+    def add_background(self, background: list[StageJob]) -> None:
+        """List maintenance jobs for the event replay and book their
+        chip time as pending."""
+        self.jobs.extend(background)
+        self.job_owner.extend([None] * len(background))
+        for job in background:
+            resource = job.resources[0]
+            if resource.startswith("chip"):
+                chip = int(resource[4:])
+                self.gc_busy[chip] = (
+                    self.gc_busy.get(chip, 0.0) + job.durations[0] * 1e6
+                )
+
+
 class QueryService:
     """Accepts timed query submissions, serves them in scheduled,
     sense-shared admission windows (see the package docstring).
@@ -291,9 +363,10 @@ class QueryService:
         #: Retry/backoff/degradation policy for fault recovery.  An
         #: explicit policy is always honoured; ``None`` adopts the
         #: default :class:`~repro.flash.faults.RecoveryPolicy`
-        #: whenever the SSD carries an active fault injector (the
-        #: engine itself disables recovery when injection is off, so
-        #: the fault-free path is untouched either way).
+        #: whenever the SSD carries an active fault injector, decided
+        #: once per :meth:`run` (under an inactive injector the engine
+        #: disables only the retry half of a policy -- nothing is
+        #: drawn -- so the fault-free path is untouched either way).
         self.recovery = recovery
         #: Per-chip EWMA health tracking + quarantine breaker; always
         #: on (a fault-free run simply never observes an error).
@@ -403,366 +476,353 @@ class QueryService:
         )
 
     def run(self) -> ServiceReport:
-        """Serve every pending submission and drain the queue.
+        """Serve every pending submission, then drain the queue.
 
-        Windows execute in close order; every window's chunk jobs
-        enter one shared event simulation with ``ready_at`` equal to
-        the window close time, so cross-window contention (a window
-        queuing behind the previous one's stragglers) is exact.
+        Windows execute in close order, each through the same steps;
+        every window's chunk jobs enter one shared event simulation
+        with ``ready_at`` equal to the window close time, so
+        cross-window contention (a window queuing behind the previous
+        one's stragglers) is exact.  An exception out of any step --
+        the report included -- leaves the queue as it was: fix the
+        cause and call ``run()`` again.
         """
         windows = self.admission.windows()
-        states: dict[int, _QueryState] = {}
-        jobs: list[StageJob] = []
-        #: Query id per job; ``None`` marks background maintenance
-        #: jobs, which complete in the simulation but belong to no
-        #: query.
-        job_owner: list[int | None] = []
-        n_chunk_tasks = 0
-        shared_plans = 0
-        shared_senses = 0
-        cached_plans = 0
-        cached_senses = 0
-        total_senses = 0
-        fault_retries = 0
-        degraded_senses = 0
-        fault_overhead_us = 0.0
-        reconstructed_plans = 0
-        reconstruction_senses = 0
-        reconstruction_overhead_us = 0.0
-        chips_lost = 0
-        #: Whether any chip error (or chip loss) has been observed this
-        #: run -- only then do health weights feed the FTL's stripe
-        #: allocation, keeping fault-free runs byte-identical to an SSD
-        #: that never heard of health.
-        errors_seen = False
-        #: With parity striping on the SSD, the engine's phase-two
-        #: reconstruction replaces chip-loss failures with parity-
-        #: rebuilt results, and the scheduler prices offline chips'
-        #: tasks as degraded work instead of parking them.
-        reconstruct = self.ssd.parity
         injector = self.ssd.fault_injector
-        recovery = self.recovery
-        if (
-            recovery is None
-            and injector is not None
-            and injector.active
-        ):
-            recovery = RecoveryPolicy()
-        faults_before = injector.faults_injected if injector else 0
-        quarantines_before = self.health.quarantines
-        stage_job = self.engine.stage_job
         manager = self.maintenance
+        recovery = self.recovery
+        if recovery is None and injector is not None and injector.active:
+            recovery = RecoveryPolicy()
+        run = _Run(
+            recovery=recovery,
+            faults_before=injector.faults_injected if injector else 0,
+            quarantines_before=self.health.quarantines,
+        )
         if manager is not None:
-            maint_before = (
-                manager.stats.blocks_reclaimed,
-                manager.stats.pages_migrated,
-                manager.stats.blocks_retired,
-                manager.stats.chips_drained,
-                manager.stats.columns_rebuilt,
-                manager.stats.busy_us,
-            )
+            run.maintenance_before = replace(manager.stats)
             # Stuck bad blocks never re-enter the allocation pool.
             manager.scrub_bad_blocks()
-
-        #: Background chip microseconds pending inside the event
-        #: simulation, per chip -- the scheduler prices this into its
-        #: cross-chip interleave so foreground tails avoid dies busy
-        #: with GC.
-        pending_gc_busy: dict[int, float] = {}
-
-        def enqueue_background(background: list[StageJob]) -> None:
-            jobs.extend(background)
-            job_owner.extend([None] * len(background))
-            for job in background:
-                resource = job.resources[0]
-                if resource.startswith("chip"):
-                    chip = int(resource[4:])
-                    pending_gc_busy[chip] = (
-                        pending_gc_busy.get(chip, 0.0)
-                        + job.durations[0] * 1e6
-                    )
-
         for window in windows:
             ready_s = window.close_us * 1e-6
-            # Fail-stop detection: a chip that went offline since the
-            # last window (``SmallSsd.kill_chip``) is quarantined
-            # permanently *before* scheduling -- waiting for error
-            # statistics would burn windows of failed traffic.  The
-            # placement-event generation bump and the probation drain
-            # happen here, mirroring the EWMA quarantine path below.
-            for chip_id, chip in enumerate(self.ssd.chips):
-                if not chip.offline:
-                    continue
-                if self.health.is_permanent(chip_id):
-                    continue
-                chips_lost += 1
-                errors_seen = True
-                if self.health.force_quarantine(chip_id, permanent=True):
-                    self.ssd.controllers[chip_id].directory.generation += 1
-                if manager is not None:
-                    enqueue_background(
-                        manager.drain_chip(
-                            chip_id,
-                            healthy=self.health.survivors(exclude=chip_id),
-                            ready_at_s=ready_s,
-                        )
-                    )
-            tasks: list[ChunkTask] = []
-            info: dict[int, QueryInfo] = {}
-            for submission in window.submissions:
-                prepared = self.engine.prepare(submission.expr)
-                state = _QueryState(submission, prepared)
-                state.admitted_us = window.close_us
-                states[submission.query_id] = state
-                info[submission.query_id] = self._query_info(submission)
-                tasks.extend(prepared.tasks(query=submission.query_id))
-            degraded_chips = self.health.degraded
-            offline_chips = self.health.offline
-            ordered = schedule_window(
-                tasks,
-                self._estimate,
-                policy=self.policy,
-                share=self.share_senses,
-                info=info,
-                degraded=degraded_chips,
-                offline=offline_chips,
-                gc_busy=pending_gc_busy,
-                reconstruct=reconstruct,
-            )
-            outcomes = self.engine.execute_tasks(
-                ordered,
-                share=self.share_senses,
-                use_cache=self.use_result_cache,
-                workers=self.workers,
-                recovery=recovery,
-                degraded=degraded_chips,
-                offline=offline_chips,
-                reconstruct=reconstruct,
-            )
-            n_chunk_tasks += len(ordered)
-            # The scheduler's intent, threaded into the event replay:
-            # deadline queries arbitrate EDF-style and may suspend
-            # preemptible bulk (harmless no-ops under the FCFS sweep).
-            directives = {
-                query_id: job_directives(meta)
-                for query_id, meta in info.items()
-            }
-            chip_obs: dict[int, list[int]] = {}
-            #: (query, chip) -> the one zero-latency job all of that
-            #: query's cache-served chunks on that chip share.
-            idle_jobs: dict[tuple[int, int], StageJob] = {}
-            for outcome in outcomes:
-                task = outcome.task
-                state = states[task.query]
-                if outcome.cached:
-                    # A cache hit spent no flash time, retried nothing
-                    # and cannot carry an error: of the accounting
-                    # below only these updates are not additions of
-                    # zero.  Its pipeline job is identical for every
-                    # chunk the query has on the chip, so one instance
-                    # is listed for all of them.
-                    query, chip = task.query, task.chip
-                    state.pieces[task.chunk] = outcome.data
-                    state.chip_busy.setdefault(chip, 0.0)
-                    state.cached_chunks += 1
-                    cached_plans += 1
-                    cached_senses += task.plan.n_senses
-                    job = idle_jobs.get((query, chip))
-                    if job is None:
-                        priority, deadline_s, preemptible = directives[query]
-                        job = idle_jobs[(query, chip)] = stage_job(
-                            chip,
-                            0.0,
-                            ready_at_s=ready_s,
-                            priority=priority,
-                            deadline_s=deadline_s,
-                            preemptible=preemptible,
-                        )
-                    jobs.append(job)
-                    job_owner.append(query)
-                    continue
-                state.pieces[task.chunk] = outcome.data
-                state.n_senses += outcome.n_senses
-                state.energy_nj += outcome.energy_nj
-                state.chip_busy[task.chip] = (
-                    state.chip_busy.get(task.chip, 0.0)
-                    + outcome.latency_us
+            self._detect_chip_loss(run, ready_s)
+            tasks, info = self._admit(run, window)
+            degraded, offline = self.health.degraded, self.health.offline
+            ordered = self._schedule(run, tasks, info, degraded, offline)
+            outcomes = self._execute(run, ordered, degraded, offline)
+            chip_obs = self._account(run, outcomes, offline)
+            self._list_jobs(run, outcomes, info, ready_s)
+            self._observe_health(run, chip_obs, ready_s)
+            self._maintain(run, ready_s)
+        report = self._report(run, len(windows))
+        # The report exists: only now drain the admission queue, so an
+        # exception anywhere above (e.g. a query over non-co-located
+        # vectors, or a failing replay) leaves the pending submissions
+        # intact for a retry.
+        self.admission.clear()
+        return report
+
+    def _quarantine_changed(
+        self, run: _Run, chip: int, ready_s: float, rebind: bool, drain: bool
+    ) -> None:
+        """React to a chip entering or leaving quarantine -- the one
+        reaction both detectors (fail-stop and EWMA) share: ``rebind``
+        when the breaker changed state, ``drain`` when the chip is now
+        parked."""
+        if rebind:
+            # Placement event: entering quarantine parks the chip,
+            # leaving re-admits it -- either way every bound plan and
+            # cached result stamped against the old world must rebind
+            # (same contract as register/unregister).
+            self.ssd.controllers[chip].directory.generation += 1
+        if drain and self.maintenance is not None:
+            # Probation drain: migrate the parked chip's live vectors
+            # to chips still in service, so the next windows answer
+            # from healthy silicon instead of failing the chip's tasks.
+            run.add_background(
+                self.maintenance.drain_chip(
+                    chip,
+                    healthy=self.health.survivors(exclude=chip),
+                    ready_at_s=ready_s,
                 )
-                total_senses += outcome.n_senses
-                if outcome.error is not None and state.error is None:
-                    state.error = outcome.error
-                state.retries += outcome.retries
-                state.fault_us += outcome.recovery_us
-                fault_retries += outcome.retries
-                fault_overhead_us += outcome.recovery_us
-                if outcome.reconstructed:
-                    # Recovered via parity: counted apart from the
-                    # retry plane so the report separates "recovered
-                    # via retry" from "recovered via parity".  The
-                    # survivor reads ride ``recovery_work`` (leader
-                    # only; shared followers paid nothing) and are
-                    # charged to the right dies below.
-                    state.reconstructed_chunks += 1
-                    reconstructed_plans += 1
-                    if not outcome.shared:
-                        reconstruction_senses += outcome.n_senses
-                    for rchip, busy_us in outcome.recovery_work:
-                        state.chip_busy[rchip] = (
-                            state.chip_busy.get(rchip, 0.0) + busy_us
-                        )
-                        state.reconstruction_us += busy_us
-                        reconstruction_overhead_us += busy_us
-                if outcome.degraded:
-                    state.degraded_chunks += 1
-                if outcome.shared:
-                    state.shared_chunks += 1
-                    shared_plans += 1
-                    shared_senses += task.plan.n_senses
-                else:
-                    if outcome.degraded:
-                        degraded_senses += 1
-                    if task.chip not in offline_chips:
-                        # One real recovered execution: every attempt
-                        # is an operation; faulted attempts (and a
-                        # surfaced failure) are errors.  Parked tasks
-                        # never touched the chip, so they do not feed
-                        # its health signal.
-                        obs = chip_obs.setdefault(task.chip, [0, 0])
-                        obs[0] += outcome.retries + 1
-                        # A reconstructed chunk means the chip failed
-                        # its attempt even though the query recovered
-                        # -- the health signal must still see the
-                        # failure.
-                        obs[1] += outcome.retries + (
-                            1
-                            if outcome.error is not None
-                            or outcome.reconstructed
-                            else 0
-                        )
-                priority, deadline_s, preemptible = directives[task.query]
-                jobs.append(
-                    stage_job(
-                        task.chip,
-                        outcome.latency_us,
-                        ready_at_s=ready_s,
-                        priority=priority,
-                        deadline_s=deadline_s,
-                        preemptible=preemptible,
-                        fault_delay_us=outcome.recovery_us,
-                    )
-                )
-                job_owner.append(task.query)
+            )
+
+    def _detect_chip_loss(self, run: _Run, ready_s: float) -> None:
+        """Fail-stop detection: a chip that went offline since the
+        last window (``SmallSsd.kill_chip``) is quarantined
+        permanently *before* scheduling -- waiting for error
+        statistics would burn windows of failed traffic."""
+        for chip_id, chip in enumerate(self.ssd.chips):
+            if not chip.offline or self.health.is_permanent(chip_id):
+                continue
+            run.chips_lost += 1
+            run.errors_seen = True
+            self._quarantine_changed(
+                run,
+                chip_id,
+                ready_s,
+                rebind=self.health.force_quarantine(chip_id, permanent=True),
+                drain=True,
+            )
+
+    def _admit(
+        self, run: _Run, window: AdmissionWindow
+    ) -> tuple[list[ChunkTask], dict[int, QueryInfo]]:
+        """Plan/bind the window's queries; returns their chunk tasks
+        and the scheduling facts of each query."""
+        tasks: list[ChunkTask] = []
+        info: dict[int, QueryInfo] = {}
+        for submission in window.submissions:
+            prepared = self.engine.prepare(submission.expr)
+            state = _QueryState(submission, prepared)
+            state.admitted_us = window.close_us
+            run.states[submission.query_id] = state
+            info[submission.query_id] = self._query_info(submission)
+            tasks.extend(prepared.tasks(query=submission.query_id))
+        return tasks, info
+
+    def _schedule(self, run: _Run, tasks, info, degraded, offline):
+        """Order the window's tasks into the global emission order."""
+        return schedule_window(
+            tasks,
+            self._estimate,
+            policy=self.policy,
+            share=self.share_senses,
+            info=info,
+            degraded=degraded,
+            offline=offline,
+            gc_busy=run.gc_busy,
+            # With parity striping the engine's phase-two
+            # reconstruction replaces chip-loss failures with parity-
+            # rebuilt results, so the scheduler prices offline chips'
+            # tasks as degraded work instead of parking them.
+            reconstruct=self.ssd.parity,
+        )
+
+    def _execute(self, run: _Run, ordered, degraded, offline):
+        """Run the ordered tasks; one outcome per task, in order."""
+        return self.engine.execute_tasks(
+            ordered,
+            share=self.share_senses,
+            use_cache=self.use_result_cache,
+            workers=self.workers,
+            recovery=run.recovery,
+            degraded=degraded,
+            offline=offline,
+            reconstruct=self.ssd.parity,
+        )
+
+    def _account(self, run: _Run, outcomes, offline) -> dict[int, list[int]]:
+        """Fold the window's outcomes into the per-query states and
+        the run totals; returns ``chip -> [operations, errors]``, the
+        window's health observations.  Every float accumulates in
+        outcome order, on the run's own accumulators."""
+        run.n_chunk_tasks += len(outcomes)
+        states = run.states
+        chip_obs: dict[int, list[int]] = {}
+        for outcome in outcomes:
+            task = outcome.task
+            state = states[task.query]
+            state.pieces[task.chunk] = outcome.data
+            if outcome.cached:
+                # A cache hit spent no flash time, retried nothing and
+                # cannot carry an error: of the accounting below only
+                # these updates are not additions of zero.
+                state.chip_busy.setdefault(task.chip, 0.0)
+                state.cached_chunks += 1
+                run.cached_senses += task.plan.n_senses
+                continue
+            state.n_senses += outcome.n_senses
+            state.energy_nj += outcome.energy_nj
+            state.chip_busy[task.chip] = (
+                state.chip_busy.get(task.chip, 0.0) + outcome.latency_us
+            )
+            if outcome.error is not None and state.error is None:
+                state.error = outcome.error
+            state.retries += outcome.retries
+            state.fault_us += outcome.recovery_us
+            run.fault_overhead_us += outcome.recovery_us
+            if outcome.reconstructed:
+                # Recovered via parity: counted apart from the retry
+                # plane so the report separates "recovered via retry"
+                # from "recovered via parity".  The survivor reads
+                # ride ``recovery_work`` (leader only; shared
+                # followers paid nothing); ``_list_jobs`` charges them
+                # to the right dies.
+                state.reconstructed_chunks += 1
+                if not outcome.shared:
+                    run.reconstruction_senses += outcome.n_senses
                 for rchip, busy_us in outcome.recovery_work:
-                    # Survivor reads of a parity reconstruction occupy
-                    # real dies: they join the event simulation as
-                    # query-owned jobs, so the query's completion time
-                    # and the survivors' utilization both see them.
-                    jobs.append(
-                        stage_job(
-                            rchip,
-                            busy_us,
-                            ready_at_s=ready_s,
-                            priority=priority,
-                            deadline_s=deadline_s,
-                            preemptible=preemptible,
-                        )
+                    state.chip_busy[rchip] = (
+                        state.chip_busy.get(rchip, 0.0) + busy_us
                     )
-                    job_owner.append(task.query)
-            transitions = self.health.observe_window(
+                    state.reconstruction_us += busy_us
+                    run.reconstruction_overhead_us += busy_us
+            if outcome.degraded:
+                state.degraded_chunks += 1
+            if outcome.shared:
+                state.shared_chunks += 1
+                run.shared_senses += task.plan.n_senses
+                continue
+            if outcome.degraded:
+                run.degraded_senses += 1
+            if task.chip not in offline:
+                # One real recovered execution: every attempt is an
+                # operation; faulted attempts (and a surfaced failure)
+                # are errors.  Parked tasks never touched the chip, so
+                # they do not feed its health signal.
+                obs = chip_obs.setdefault(task.chip, [0, 0])
+                obs[0] += outcome.retries + 1
+                # A reconstructed chunk means the chip failed its
+                # attempt even though the query recovered -- the
+                # health signal must still see the failure.
+                obs[1] += outcome.retries + (
+                    1
+                    if outcome.error is not None or outcome.reconstructed
+                    else 0
+                )
+        return chip_obs
+
+    def _list_jobs(self, run: _Run, outcomes, info, ready_s: float) -> None:
+        """List the window's pipeline jobs for the event replay, in
+        outcome order (the replay breaks equal-time ties by it)."""
+        stage_job = self.engine.stage_job
+        jobs, job_owner = run.jobs, run.job_owner
+        # The scheduler's intent, threaded into the event replay:
+        # deadline queries arbitrate EDF-style and may suspend
+        # preemptible bulk (harmless no-ops under the FCFS sweep).
+        directives = {}
+        for query, meta in info.items():
+            priority, deadline_s, preemptible = job_directives(meta)
+            directives[query] = {
+                "ready_at_s": ready_s,
+                "priority": priority,
+                "deadline_s": deadline_s,
+                "preemptible": preemptible,
+            }
+        #: (query, chip) -> the one zero-latency job all of that
+        #: query's cache-served chunks on that chip share: it is
+        #: identical for every one of them, so one instance is listed
+        #: for all.
+        idle_jobs: dict[tuple[int, int], StageJob] = {}
+        for outcome in outcomes:
+            task = outcome.task
+            query = task.query
+            if outcome.cached:
+                job = idle_jobs.get((query, task.chip))
+                if job is None:
+                    job = idle_jobs[(query, task.chip)] = stage_job(
+                        task.chip, 0.0, **directives[query]
+                    )
+                jobs.append(job)
+                job_owner.append(query)
+                continue
+            jobs.append(
+                stage_job(
+                    task.chip,
+                    outcome.latency_us,
+                    fault_delay_us=outcome.recovery_us,
+                    **directives[query],
+                )
+            )
+            job_owner.append(query)
+            for rchip, busy_us in outcome.recovery_work:
+                # Survivor reads of a parity reconstruction occupy
+                # real dies: they join the event simulation as
+                # query-owned jobs, so the query's completion time
+                # and the survivors' utilization both see them.
+                jobs.append(stage_job(rchip, busy_us, **directives[query]))
+                job_owner.append(query)
+
+    def _relocations(self) -> int:
+        """Lifetime count of maintenance work that relocated live
+        data (0 without a maintenance plane)."""
+        if self.maintenance is None:
+            return 0
+        stats = self.maintenance.stats
+        return (
+            stats.pages_migrated
+            + stats.blocks_reclaimed
+            + stats.columns_rebuilt
+        )
+
+    def _observe_health(
+        self, run: _Run, chip_obs: dict[int, list[int]], ready_s: float
+    ) -> None:
+        """Fold the window's observations into the per-chip EWMA
+        breaker and react to what it decided."""
+        transitions = self.health.observe_window(
+            {chip: (ops, errors) for chip, (ops, errors) in chip_obs.items()}
+        )
+        if any(obs[1] for obs in chip_obs.values()):
+            run.errors_seen = True
+        if run.errors_seen:
+            # Wear/error-history-driven placement: feed the breaker's
+            # EWMA into the FTL's stripe allocation so *new* chunk
+            # columns skew away from sick chips (dead chips get weight
+            # 0 and receive nothing).  Until the first error this
+            # never runs, and the FTL clears uniform weights to
+            # ``None`` -- the fault-free stripe stays the pure
+            # ``c % n`` layout, byte-identical.
+            self.ssd.ftl.set_chip_health(
                 {
-                    chip: (ops, errors)
-                    for chip, (ops, errors) in chip_obs.items()
+                    chip: (
+                        0.0
+                        if self.health.state(chip) == QUARANTINED
+                        else max(0.05, 1.0 - self.health.error_rate(chip))
+                    )
+                    for chip in range(self.health.n_chips)
                 }
             )
-            if any(obs[1] for obs in chip_obs.values()):
-                errors_seen = True
-            if errors_seen:
-                # Wear/error-history-driven placement: feed the
-                # breaker's EWMA into the FTL's stripe allocation so
-                # *new* chunk columns skew away from sick chips (dead
-                # chips get weight 0 and receive nothing).  Until the
-                # first error this never runs, and the FTL clears
-                # uniform weights to ``None`` -- the fault-free stripe
-                # stays the pure ``c % n`` layout, byte-identical.
-                self.ssd.ftl.set_chip_health(
-                    {
-                        chip: (
-                            0.0
-                            if self.health.state(chip) == QUARANTINED
-                            else max(
-                                0.05,
-                                1.0 - self.health.error_rate(chip),
-                            )
-                        )
-                        for chip in range(self.health.n_chips)
-                    }
+        # Sampled here -- after the chip-loss drain at the top of the
+        # window, before this window's quarantine drains -- so the
+        # latter count as data that moved and the former does not.
+        run.relocations_before = self._relocations()
+        for chip, old, new in transitions:
+            if QUARANTINED in (old, new):
+                self._quarantine_changed(
+                    run, chip, ready_s, rebind=True, drain=new == QUARANTINED
                 )
-            moved_before = (
-                0
-                if manager is None
-                else manager.stats.pages_migrated
-                + manager.stats.blocks_reclaimed
-                + manager.stats.columns_rebuilt
+
+    def _maintain(self, run: _Run, ready_s: float) -> None:
+        """One background cycle at the window's close."""
+        manager = self.maintenance
+        if manager is None:
+            return
+        # Pace GC against free-block pressure: background copy/erase
+        # jobs become ready at this window's close and compete with
+        # later windows' foreground work.
+        run.add_background(manager.run_cycle(ready_at_s=ready_s))
+        if manager.pending_rebuild:
+            # Rebuild-on-repair: re-materialize columns and parity
+            # pages lost with a dead chip from the surviving group
+            # members, paced per window by the maintenance budget.
+            run.add_background(
+                manager.rebuild_cycle(
+                    healthy=self.health.survivors(), ready_at_s=ready_s
+                )
             )
-            for chip, old, new in transitions:
-                if QUARANTINED in (old, new):
-                    # Placement event: entering quarantine parks the
-                    # chip, leaving re-admits it -- either way every
-                    # bound plan and cached result stamped against
-                    # the old world must rebind (same contract as
-                    # register/unregister).
-                    self.ssd.controllers[chip].directory.generation += 1
-                if new == QUARANTINED and manager is not None:
-                    # Probation drain: migrate the parked chip's live
-                    # vectors to chips still in service, so the next
-                    # windows answer from healthy silicon instead of
-                    # failing the chip's tasks.
-                    survivors = self.health.survivors(exclude=chip)
-                    enqueue_background(
-                        manager.drain_chip(
-                            chip, healthy=survivors, ready_at_s=ready_s
-                        )
-                    )
-            if manager is not None:
-                # Pace GC against free-block pressure: background
-                # copy/erase jobs become ready at this window's close
-                # and compete with later windows' foreground work.
-                enqueue_background(manager.run_cycle(ready_at_s=ready_s))
-                if manager.pending_rebuild:
-                    # Rebuild-on-repair: re-materialize columns and
-                    # parity pages lost with a dead chip from the
-                    # surviving group members, paced per window by the
-                    # maintenance budget.
-                    enqueue_background(
-                        manager.rebuild_cycle(
-                            healthy=self.health.survivors(),
-                            ready_at_s=ready_s,
-                        )
-                    )
-                moved = (
-                    manager.stats.pages_migrated
-                    + manager.stats.blocks_reclaimed
-                    + manager.stats.columns_rebuilt
-                ) != moved_before
-                if moved and self.engine.result_cache is not None:
-                    # Relocation went stale on whole swaths of cached
-                    # entries at once; drop them in bulk so the LRU
-                    # capacity keeps working for live results.
-                    self.engine.result_cache.prune_stale()
+        if (
+            self._relocations() != run.relocations_before
+            and self.engine.result_cache is not None
+        ):
+            # Relocation went stale on whole swaths of cached entries
+            # at once; drop them in bulk so the LRU capacity keeps
+            # working for live results.
+            self.engine.result_cache.prune_stale()
 
-        # Every window executed: only now drain the admission queue,
-        # so an exception above (e.g. a query over non-co-located
-        # vectors) leaves the pending submissions intact for a retry.
-        self.admission = self.admission.empty_clone()
-
-        report = simulate_stages(
-            jobs,
+    def _report(self, run: _Run, n_windows: int) -> ServiceReport:
+        """Replay every listed job through the one event simulation,
+        fold the completion times into the queries, and build the
+        report (the stats are a fold of the served queries plus the
+        run's totals and deltas)."""
+        sim = simulate_stages(
+            run.jobs,
             suspension=self.suspension,
             arbitration=self.suspension if self.preemption else None,
         )
+        states = run.states
         maintenance_lag_s = 0.0
         for completion_s, owner, job in zip(
-            report.completion_times, job_owner, jobs
+            sim.completion_times, run.job_owner, run.jobs
         ):
             if owner is None:
                 # Background maintenance job, no query: what deferring
@@ -773,67 +833,40 @@ class QueryService:
                 continue
             state = states[owner]
             state.completed_us = max(state.completed_us, completion_s * 1e6)
-
         served = tuple(
-            self._served(state) for state in sorted(
-                states.values(), key=lambda s: s.submission.query_id
-            )
+            self._served(states[query_id]) for query_id in sorted(states)
         )
-        stats = self._stats(
+        injector = self.ssd.fault_injector
+        wear = self.ssd.wear_summary()
+        before = run.maintenance_before
+        after = before if self.maintenance is None else self.maintenance.stats
+        stats = ServiceStats.from_queries(
             served,
-            n_windows=len(windows),
-            n_chunk_tasks=n_chunk_tasks,
-            n_senses=total_senses,
-            shared_plans=shared_plans,
-            shared_senses=shared_senses,
-            cached_plans=cached_plans,
-            cached_senses=cached_senses,
-            makespan_us=report.makespan * 1e6,
-            bottleneck=report.bottleneck,
-            preemptions=report.preemptions,
-            preemption_overhead_us=report.preemption_overhead * 1e6,
-            resource_utilization=report.utilizations(),
+            n_windows=n_windows,
+            makespan_us=sim.makespan * 1e6,
+            bottleneck=sim.bottleneck,
+            preemptions=sim.preemptions,
+            preemption_overhead_us=sim.preemption_overhead * 1e6,
+            resource_utilization=sim.utilizations(),
             faults_injected=(
-                injector.faults_injected - faults_before if injector else 0
+                injector.faults_injected - run.faults_before if injector else 0
             ),
-            fault_retries=fault_retries,
-            degraded_senses=degraded_senses,
-            quarantines=self.health.quarantines - quarantines_before,
-            fault_overhead_us=fault_overhead_us,
-            reconstructed_plans=reconstructed_plans,
-            reconstruction_senses=reconstruction_senses,
-            reconstruction_overhead_us=reconstruction_overhead_us,
-            chips_lost=chips_lost,
+            quarantines=self.health.quarantines - run.quarantines_before,
+            columns_rebuilt=after.columns_rebuilt - before.columns_rebuilt,
+            blocks_reclaimed=after.blocks_reclaimed - before.blocks_reclaimed,
+            pages_migrated=after.pages_migrated - before.pages_migrated,
+            blocks_retired=after.blocks_retired - before.blocks_retired,
+            chips_drained=after.chips_drained - before.chips_drained,
+            maintenance_overhead_us=after.busy_us - before.busy_us,
             maintenance_lag_us=maintenance_lag_s * 1e6,
-            **self._maintenance_kwargs(
-                manager, maint_before if manager is not None else None
-            ),
+            wear_min=wear.pe_min,
+            wear_max=wear.pe_max,
+            wear_mean=wear.pe_mean,
+            # The accumulated totals, under the names they were
+            # counted under.
+            **{f.name: getattr(run, f.name) for f in fields(_RunTotals)},
         )
         return ServiceReport(queries=served, stats=stats)
-
-    def _maintenance_kwargs(
-        self, manager: MaintenanceManager | None, before
-    ) -> dict:
-        """This run's maintenance deltas plus the SSD's wear spread."""
-        wear = self.ssd.wear_summary()
-        out = {
-            "wear_min": wear.pe_min,
-            "wear_max": wear.pe_max,
-            "wear_mean": wear.pe_mean,
-        }
-        if manager is None:
-            return out
-        reclaimed, migrated, retired, drained, rebuilt, busy_us = before
-        stats = manager.stats
-        out.update(
-            blocks_reclaimed=stats.blocks_reclaimed - reclaimed,
-            pages_migrated=stats.pages_migrated - migrated,
-            blocks_retired=stats.blocks_retired - retired,
-            chips_drained=stats.chips_drained - drained,
-            columns_rebuilt=stats.columns_rebuilt - rebuilt,
-            maintenance_overhead_us=stats.busy_us - busy_us,
-        )
-        return out
 
     def _served(self, state: _QueryState) -> ServedQuery:
         submission = state.submission
@@ -870,99 +903,4 @@ class QueryService:
             fault_overhead_us=state.fault_us,
             reconstructed_chunks=state.reconstructed_chunks,
             reconstruction_us=state.reconstruction_us,
-        )
-
-    @staticmethod
-    def _stats(
-        served: tuple[ServedQuery, ...],
-        *,
-        n_windows: int,
-        n_chunk_tasks: int,
-        n_senses: int,
-        shared_plans: int,
-        shared_senses: int,
-        cached_plans: int,
-        cached_senses: int,
-        makespan_us: float,
-        bottleneck: str,
-        preemptions: int = 0,
-        preemption_overhead_us: float = 0.0,
-        resource_utilization: dict[str, float] | None = None,
-        faults_injected: int = 0,
-        fault_retries: int = 0,
-        degraded_senses: int = 0,
-        quarantines: int = 0,
-        fault_overhead_us: float = 0.0,
-        reconstructed_plans: int = 0,
-        reconstruction_senses: int = 0,
-        reconstruction_overhead_us: float = 0.0,
-        chips_lost: int = 0,
-        columns_rebuilt: int = 0,
-        blocks_reclaimed: int = 0,
-        pages_migrated: int = 0,
-        blocks_retired: int = 0,
-        chips_drained: int = 0,
-        maintenance_overhead_us: float = 0.0,
-        maintenance_lag_us: float = 0.0,
-        wear_min: int = 0,
-        wear_max: int = 0,
-        wear_mean: float = 0.0,
-    ) -> ServiceStats:
-        latency = LatencySummary.from_latencies(
-            [q.latency_us for q in served]
-        )
-        if served:
-            span_us = max(q.completed_us for q in served) - min(
-                q.submitted_us for q in served
-            )
-        else:
-            span_us = 0.0
-        throughput = len(served) / (span_us * 1e-6) if span_us > 0 else 0.0
-        with_deadline = [q for q in served if q.deadline_us is not None]
-        fault_attributed_misses = sum(
-            1
-            for q in with_deadline
-            if q.deadline_met is False and q.fault_affected
-        )
-        return ServiceStats(
-            n_queries=len(served),
-            n_windows=n_windows,
-            n_chunk_tasks=n_chunk_tasks,
-            n_senses=n_senses,
-            shared_plans=shared_plans,
-            shared_senses=shared_senses,
-            cached_plans=cached_plans,
-            cached_senses=cached_senses,
-            template_hits=sum(q.result.template_hit for q in served),
-            n_deadlines=len(with_deadline),
-            deadlines_met=sum(bool(q.deadline_met) for q in with_deadline),
-            latency=latency,
-            throughput_qps=throughput,
-            span_us=span_us,
-            makespan_us=makespan_us,
-            bottleneck=bottleneck,
-            preemptions=preemptions,
-            preemption_overhead_us=preemption_overhead_us,
-            resource_utilization=resource_utilization or {},
-            faults_injected=faults_injected,
-            fault_retries=fault_retries,
-            degraded_senses=degraded_senses,
-            quarantines=quarantines,
-            queries_failed=sum(1 for q in served if q.error is not None),
-            fault_overhead_us=fault_overhead_us,
-            fault_attributed_misses=fault_attributed_misses,
-            reconstructed_plans=reconstructed_plans,
-            reconstruction_senses=reconstruction_senses,
-            reconstruction_overhead_us=reconstruction_overhead_us,
-            chips_lost=chips_lost,
-            columns_rebuilt=columns_rebuilt,
-            blocks_reclaimed=blocks_reclaimed,
-            pages_migrated=pages_migrated,
-            blocks_retired=blocks_retired,
-            chips_drained=chips_drained,
-            maintenance_overhead_us=maintenance_overhead_us,
-            maintenance_lag_us=maintenance_lag_us,
-            wear_min=wear_min,
-            wear_max=wear_max,
-            wear_mean=wear_mean,
         )

@@ -20,11 +20,9 @@ BUDGET = 80
 
 #: ``path under src/repro::qualified name`` -> code lines when listed.
 OVER_BUDGET = {
-    "service/service.py::QueryService.run": 312,
     "flash/sensing.py::SensingEngine.prepare_batch_vth": 179,
     "ssd/maintenance.py::MaintenanceManager.drain_chip": 119,
     "ssd/events.py::_simulate_arbitrated": 107,
-    "service/service.py::QueryService._stats": 93,
     "ssd/events.py::simulate_stages": 91,
     "flash/latches.py::LatchBank.capture_batch": 89,
     # Frozen with the rest of the StackCache cluster until the
