@@ -15,10 +15,13 @@ Two measurements, one per layer of the concurrent execution plane:
 
 * **Preemption benefit** -- the deterministic collision from the
   exact event simulation: a window of bulk scans owns the only chip,
-  an urgent deadline point query arrives one window later, and
-  EDF-with-preemption meets a deadline EDF-without-preemption
-  provably misses.  Everything in this half is virtual-clock exact --
-  no wall clocks, no tolerance.
+  an urgent deadline point query arrives one window later while the
+  first bulk sense is in flight, and EDF-with-preemption meets a
+  deadline EDF-without-preemption provably misses.  Without
+  preemption the die's queue already lets the urgent sense past the
+  bulk senses still *waiting*; what is left for suspension to buy is
+  the rest of the one in flight.  Everything in this half is
+  virtual-clock exact -- no wall clocks, no tolerance.
 
 ``measure_multicore``/``measure_preemption`` return plain dicts so
 ``tools/bench_record.py`` snapshots them as the ``multicore`` and
@@ -58,7 +61,8 @@ ROUNDS = 5
 
 #: Preemption-benefit scenario (mirrors tests/service/test_preemption):
 #: deadline chosen between the urgent query's two exact completion
-#: times (~66 us preempting vs ~190 us queueing).
+#: times (~66 us suspending the bulk sense in flight vs ~77.6 us
+#: waiting it out).
 PREEMPT_GEOMETRY = ChipGeometry(
     planes_per_die=1,
     blocks_per_plane=32,
@@ -66,7 +70,7 @@ PREEMPT_GEOMETRY = ChipGeometry(
     wordlines_per_string=48,
     page_size_bits=128,
 )
-PREEMPT_DEADLINE_US = 80.0
+PREEMPT_DEADLINE_US = 72.0
 
 
 def _window_tasks(ssd, stream):

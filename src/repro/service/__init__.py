@@ -41,8 +41,10 @@ toward *service-level objectives*: queries may carry priorities and
 deadlines, deadline traffic drains earliest-deadline-first, and the
 deadline-free bulk drains weighted-fair across tenants so scan
 traffic no longer starves point queries.  The event simulator breaks
-FCFS ties by submission order, so the emitted order *is* the
-schedule.
+equal-time ties by submission order, so the emitted order *is* the
+schedule -- and under ``edf`` its dies carry the schedule across
+windows: a deadline sense passes the best-effort senses of an earlier
+window still waiting for the die.
 
 **Cross-query sense sharing**
 (:meth:`~repro.ssd.query_engine.QueryEngine.execute_tasks`).  Bound

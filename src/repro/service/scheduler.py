@@ -5,8 +5,8 @@ chip ``c mod n_chips``), so the scheduler cannot move work between
 chips -- what it controls is the *order* in which each chip's queue
 drains and how the chips' emissions interleave on the shared
 downstream resources (channel buses, external link).  Within one
-ready time the event simulation serves FCFS ties in submission order,
-so the emitted task order *is* the schedule.
+ready time the event simulation breaks ties in submission order, so
+the emitted task order *is* the schedule.
 
 The ``balanced`` policy reorders across queries to minimize window
 makespan rather than any single query's latency:
@@ -102,24 +102,23 @@ class QueryInfo:
 def job_directives(
     info: QueryInfo,
 ) -> tuple[float, float | None, bool]:
-    """Arbitration directives ``(priority, deadline_s, preemptible)``
-    for one query's pipeline jobs.
+    """Replay directives ``(priority, deadline_s, preemptible)`` for
+    one query's pipeline jobs.
 
-    This is where the scheduler's intent reaches the event
-    simulator's channel/die arbiter
-    (:func:`repro.ssd.events.simulate_stages` with an
-    :class:`~repro.ssd.events.ArbitrationConfig`): a query that
-    stated a deadline becomes an *urgent, non-preemptible* job stream
-    -- its deadline (converted to the simulator's seconds) ranks it
-    against other deadline traffic EDF-style at every contended
-    resource, and once its sense occupies a die nothing may suspend
-    it (suspending the latency-critical work to admit bulk would be
-    backwards).  Deadline-free traffic stays *preemptible bulk*: an
-    arriving urgent job may suspend its in-flight sense, bounded by
-    the arbiter's ``max_suspends`` starvation cap.  Priority carries
-    over as the tie-breaker in both classes.  Under the legacy FCFS
-    sweep (no arbitration config) all three directives are ignored,
-    so emitting them is always safe.
+    This is where the scheduler's intent reaches the event simulator
+    (:func:`repro.ssd.events.simulate_stages`): a query that stated a
+    deadline becomes an *urgent* job stream -- its deadline (converted
+    to the simulator's seconds) ranks it ahead of best-effort work,
+    EDF-style against other deadline traffic, among the jobs waiting
+    for a die -- and a *non-preemptible* one: once its sense occupies
+    a die nothing may suspend it (suspending the latency-critical work
+    to admit bulk would be backwards).  Deadline-free traffic stays
+    *preemptible bulk*: under the arbitrated simulation (an
+    :class:`~repro.ssd.events.ArbitrationConfig`) an arriving urgent
+    job may suspend its in-flight sense, bounded by the arbiter's
+    ``max_suspends`` starvation cap.  Priority carries over as the
+    tie-breaker in both classes.  The service emits these under the
+    ``edf`` policy only -- the policy that schedules by them.
     """
     if info.deadline_us is not None:
         return (float(info.priority), info.deadline_us * 1e-6, False)

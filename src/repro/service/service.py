@@ -133,11 +133,18 @@ class ServiceReport:
     queries: tuple[ServedQuery, ...]
     stats: ServiceStats
 
-    def latencies_us(self, client: str | None = None) -> list[float]:
+    def latencies_us(
+        self, client: str | None = None, deadline: bool | None = None
+    ) -> list[float]:
+        """Service latencies, optionally of one ``client`` and of one
+        class: ``deadline=True`` keeps the queries that stated a
+        deadline, ``False`` the best-effort ones (the die queue moves
+        tail from the first class to the second; read both)."""
         return [
             q.latency_us
             for q in self.queries
-            if client is None or q.client == client
+            if (client is None or q.client == client)
+            and (deadline is None or (q.deadline_us is not None) == deadline)
         ]
 
     def client_latency(self, client: str) -> LatencySummary:
@@ -237,6 +244,28 @@ class _Run(_RunTotals):
                 )
 
 
+def _most_urgent(group: dict | None, own: dict) -> dict:
+    """Job directives of a share group that ``own``'s query joins: the
+    scheduler's bucket rule (:func:`~repro.service.scheduler.
+    _edf_queues`) -- earliest deadline, highest priority -- so a
+    window's jobs rank at a die as its buckets ranked in the
+    schedule."""
+    if group is None or group is own:
+        return own
+    deadline_s, other = group["deadline_s"], own["deadline_s"]
+    if deadline_s is None or (other is not None and other < deadline_s):
+        deadline_s = other
+    priority = max(group["priority"], own["priority"])
+    if deadline_s == group["deadline_s"] and priority == group["priority"]:
+        return group  # nothing to add: no new record per follower
+    return {
+        "ready_at_s": own["ready_at_s"],
+        "priority": priority,
+        "deadline_s": deadline_s,
+        "preemptible": group["preemptible"] and own["preemptible"],
+    }
+
+
 class QueryService:
     """Accepts timed query submissions, serves them in scheduled,
     sense-shared admission windows (see the package docstring).
@@ -279,16 +308,16 @@ class QueryService:
         *background* class (see ``maintenance``): a background job in
         flight when a chunk job arrives is suspended, at most
         ``max_suspends`` times, each costing the configured
-        suspend/resume penalties (0 by default).  ``preemption`` adds
-        deadline-over-bulk ordering *among foreground*: chunk jobs
+        suspend/resume penalties (0 by default).  Under ``edf`` the
+        replay's dies already serve their *waiting* chunk jobs
+        deadline-first (other policies: first-come-first-served);
+        ``preemption`` adds what only suspension buys: chunk jobs
         replay through the arbitrated event simulation instead of the
-        FCFS sweep, where deadline queries become urgent
-        non-preemptible job streams that may suspend in-flight
-        preemptible bulk senses at a contended die or channel (EDF
-        order, under the same cap and penalties).  The report carries
-        suspension counts, overhead, and per-resource utilization
-        either way.  Off by default: without it foreground is served
-        exactly first-come-first-served.
+        sweep, where a deadline query's jobs may also suspend an
+        *in-flight* preemptible bulk sense, and channels and the link
+        order by urgency too (EDF order, under the same cap and
+        penalties).  The report carries suspension counts, overhead,
+        and per-resource utilization either way.  Off by default.
 
     ``recovery`` / ``health``
         Fault tolerance (:mod:`repro.flash.faults`,
@@ -683,27 +712,53 @@ class QueryService:
 
     def _list_jobs(self, run: _Run, outcomes, info, ready_s: float) -> None:
         """List the window's pipeline jobs for the event replay, in
-        outcome order (the replay breaks equal-time ties by it)."""
+        outcome order (the replay breaks equal-time ties by it).
+
+        Under ``edf`` -- and only there: the other policies record a
+        deadline but ignore it -- the jobs carry the scheduler's
+        intent into the replay, whose dies serve their waiters by it.
+        A job waits for the data it shares, so urgency is inherited
+        the way the scheduler's share-group buckets inherit it: every
+        job of a share group, leader and followers, carries the
+        group's earliest deadline and highest priority (a deadline
+        follower must not overtake the best-effort sense it waits
+        for -- it lends the sense its deadline instead), and every
+        survivor read of the window, and every marker waiting for
+        one, those of the window's reconstructed queries.
+        """
         stage_job = self.engine.stage_job
         jobs, job_owner = run.jobs, run.job_owner
-        # The scheduler's intent, threaded into the event replay:
-        # deadline queries arbitrate EDF-style and may suspend
-        # preemptible bulk (harmless no-ops under the FCFS sweep).
+        edf = self.policy == "edf"
         directives = {}
         for query, meta in info.items():
-            priority, deadline_s, preemptible = job_directives(meta)
-            directives[query] = {
-                "ready_at_s": ready_s,
-                "priority": priority,
-                "deadline_s": deadline_s,
-                "preemptible": preemptible,
-            }
+            directives[query] = own = {"ready_at_s": ready_s}
+            if edf:
+                own["priority"], own["deadline_s"], own["preemptible"] = (
+                    job_directives(meta)
+                )
+        #: leader's position -> directives of its share group;
+        #: directives of the window's survivor reads.
+        groups: dict[int, dict] = {}
+        survivor = None
+        if edf:
+            for outcome in outcomes:
+                if outcome.cached:
+                    continue
+                own = directives[outcome.task.query]
+                leader = outcome.leader
+                if leader is not None:
+                    group = groups.get(leader)
+                    if group is None:
+                        group = directives[outcomes[leader].task.query]
+                    groups[leader] = _most_urgent(group, own)
+                if outcome.reconstructed:
+                    survivor = _most_urgent(survivor, own)
         #: (query, chip) -> the one zero-latency job all of that
         #: query's cache-served chunks on that chip share: it is
         #: identical for every one of them, so one instance is listed
         #: for all.
         idle_jobs: dict[tuple[int, int], StageJob] = {}
-        for outcome in outcomes:
+        for position, outcome in enumerate(outcomes):
             task = outcome.task
             query = task.query
             if outcome.cached:
@@ -715,12 +770,16 @@ class QueryService:
                 jobs.append(job)
                 job_owner.append(query)
                 continue
+            own = directives[query]
+            if groups:
+                leader = outcome.leader
+                own = groups.get(position if leader is None else leader, own)
             jobs.append(
                 stage_job(
                     task.chip,
                     outcome.latency_us,
                     fault_delay_us=outcome.recovery_us,
-                    **directives[query],
+                    **own,
                 )
             )
             job_owner.append(query)
@@ -728,8 +787,11 @@ class QueryService:
                 # Survivor reads of a parity reconstruction occupy
                 # real dies: they join the event simulation as
                 # query-owned jobs, so the query's completion time
-                # and the survivors' utilization both see them.
-                jobs.append(stage_job(rchip, busy_us, **directives[query]))
+                # and the survivors' utilization both see them.  A
+                # zero-length entry is a marker: this chunk reuses a
+                # page another job of the window read on that die, and
+                # queues behind the read.
+                jobs.append(stage_job(rchip, busy_us, **(survivor or own)))
                 job_owner.append(query)
 
     def _relocations(self) -> int:

@@ -18,41 +18,62 @@ Jobs need not all be ready at t=0: the query service layer
 virtual clock, and one simulation over the whole trace yields exact
 cross-window contention (a window's jobs queue behind the previous
 window's stragglers on shared chips, channels, and the external
-link).  Within one ready time, FCFS ties break by submission order --
+link).  Within one ready time, ties break by submission order --
 which is precisely the knob the multi-query scheduler turns.
 
-**Background class.**  What sits on a die ahead of a 25-us sense
-decides its latency, and a GC erase is 3.5 ms.  Jobs built by
-:func:`background_job` (GC copyback + erase, drain, rebuild) are
-therefore a lower service class inside the same sweep, the way real
-NAND orders erase/program *suspend* ahead of reads ahead of
-program/erase: they run only in the idle gaps of their die, are
+**Three classes at the die.**  Sensing, not the channel or the link,
+bounds an in-flash query, so what sits on a die ahead of an urgent
+sense decides its latency.  The resource a job enters first -- stage
+0, the die in every job the service lists -- therefore serves its
+*waiting* jobs by :attr:`StageJob.urgency`: deadline-carrying
+foreground (earliest deadline, then higher priority) before
+best-effort foreground (higher priority first) before the background
+class, arrival order within equal urgency.  The queue is
+non-preemptive and work-conserving: it moves who waits, never how long
+the die works.  Its tie rules are the arbitrated model's: an arrival
+that finds the die idle starts at once (simultaneous arrivals in
+listing order -- the first takes the die, the rest wait), and an
+arrival at the very instant the die frees joins the waiters *before*
+the most urgent of them is picked.  One shortcut is the sweep's own:
+a job that needs *no* die time (a cache-served chunk) and finds the
+die free at its ready time with nobody waiting goes at once, even at
+the instant the die frees -- it holds the die for no time, so no other
+job moves, and a cached workload's jobs never queue.  Downstream
+stages stay first-come-first-served in die-completion order (they are
+a percent utilised; reordering there buys nothing and costs every
+event a heap).  A job list without urgency differences -- detected
+once per call -- never queues and is float-identical to a plain FCFS
+sweep.
+
+**Background class.**  A GC erase is 3.5 ms against a 25-us sense.
+Jobs built by :func:`background_job` (GC copyback + erase, drain,
+rebuild) are the lowest class, the way real NAND orders erase/program
+*suspend* ahead of reads ahead of program/erase: they run only in the
+idle gaps of their die -- never while a foreground job waits -- are
 suspended by a foreground arrival (``suspend_cost_s`` on the die,
 ``resume_cost_s`` on the remainder), and after ``max_suspends``
 suspensions run to completion with the foreground waiting -- the
 starvation guard.  At equal times the foreground wins.  The class is
 a gap-filler per die, consulted only when a foreground event finds
-the die idle before its own ready time and once at the end, so
-foreground jobs stay FCFS among themselves and a stream without
-background jobs is float-identical to a plain FCFS sweep.
+the die idle before its own ready time and once at the end, so a
+stream without background jobs never reaches it.
 
 **Arbitrated mode.**  Passing ``arbitration=`` to
 :func:`simulate_stages` switches to the general *preemptible*
-resource model, which additionally orders foreground by urgency:
-jobs may carry a ``deadline`` / ``priority`` and be ``preemptible``,
-and an urgent arrival (earlier deadline, then higher priority) can
-*suspend* an in-flight preemptible stage -- modeling a real NAND
-suspend/resume command -- paying ``suspend_cost_s`` immediately and
+resource model, which orders by urgency at *every* resource and adds
+suspension among foreground: jobs may be ``preemptible``, and an
+urgent arrival (earlier deadline, then higher priority) can *suspend*
+an in-flight preemptible stage -- modeling a real NAND suspend/resume
+command -- paying ``suspend_cost_s`` immediately and
 ``resume_cost_s`` when the victim's remainder restarts.  Arbitration
 is starvation-safe: a stage is suspended at most ``max_suspends``
 times, after which it runs to completion regardless of urgency, and
 equal-urgency work is never preempted (ties keep strict FIFO).  With
-no urgency differences -- or with ``arbitration=None`` (the default)
--- the schedule, start times, and busy accounting are *identical* to
-the FCFS sweep, which the tests pin.  It is also the sweep's oracle:
-with every foreground job deadline-free, priority 0 and
-non-preemptible (and listed ahead of the background jobs, which is
-the tie rule) it is the background class above, event by event
+no urgency differences the schedule, start times, and busy accounting
+are *identical* to the FCFS sweep, which the tests pin.  It is also
+the sweep's oracle: with every foreground job non-preemptible (and
+listed ahead of the background jobs, which is the tie rule) it is the
+die queue and the background class above, event by event
 (``tests/ssd/test_events_equivalence.py``).
 """
 
@@ -128,13 +149,15 @@ class StageJob:
     (e.g. jobs of different dies use different die resources but share
     one channel resource).
 
-    The trailing fields only matter to the *arbitrated* simulation
-    (:class:`ArbitrationConfig`): ``deadline`` is an absolute time in
-    simulation seconds -- deadline-carrying jobs are served
-    earliest-deadline-first ahead of deadline-free work; ``priority``
-    breaks urgency ties (higher first); ``preemptible`` marks whether
-    this job's in-flight stages may be suspended by a more urgent
-    arrival.  The sweep ignores all three.
+    ``deadline`` and ``priority`` are the job's :attr:`urgency`:
+    ``deadline`` is an absolute time in simulation seconds --
+    deadline-carrying jobs are served earliest-deadline-first ahead of
+    deadline-free work -- and ``priority`` breaks urgency ties (higher
+    first).  The sweep orders the jobs *waiting* for a stage-0
+    resource by it; the arbitrated simulation
+    (:class:`ArbitrationConfig`) orders every resource by it, and only
+    there does ``preemptible`` matter: whether this job's in-flight
+    stages may be suspended by a more urgent arrival.
 
     ``fault_delay_s`` is recovery time the fault plane charged to this
     job (retry backoff, injected stalls, failed-attempt re-senses that
@@ -316,31 +339,38 @@ def simulate_stages(
     suspension: ArbitrationConfig | None = None,
     arbitration: ArbitrationConfig | None = None,
 ) -> StageReport:
-    """Run jobs through their stage chains with FCFS resources.
+    """Run jobs through their stage chains.
 
-    Foreground jobs are admitted to each resource in ready-time order
-    (ties broken by submission order), matching how a real controller
-    arbitrates a shared bus.  Implemented as a single sweep over all
-    stage events in global ``(ready, seq)`` order to stay exact when
-    streams interleave; the order comes from merging the sorted
-    stage-0 arrivals with a heap of downstream events (see the comment
-    in the body for why the merge is exact and how ties break).
+    One sweep over all stage events in global ``(ready, seq)`` order,
+    which stays exact when streams interleave; the order comes from
+    merging the sorted stage-0 arrivals with a heap of downstream
+    events (see the comment in the body for why the merge is exact and
+    how ties break).
 
-    Background jobs (:attr:`StageJob.background`) are a lower class
+    The resource a job enters first serves its *waiting* jobs by
+    :attr:`StageJob.urgency`, arrival order within equal urgency,
+    non-preemptively (module docstring, "Three classes at the die");
+    every later stage admits in ready-time order, ties by creation
+    order, matching how a real controller arbitrates a shared bus.  An
+    arrival that finds its die idle is served by plain arithmetic and
+    touches no queue, and when no two foreground jobs differ in
+    urgency nothing ever queues: the list is served exactly
+    first-come-first-served, float for float.
+
+    Background jobs (:attr:`StageJob.background`) are the lowest class
     inside the same sweep: each waits on its die's gap queue and runs
     only while the die would otherwise idle (see :func:`_fill_gap`),
     suspended by foreground arrivals under ``suspension``'s
     ``suspend_cost_s`` / ``resume_cost_s`` / ``max_suspends`` /
     ``min_remaining_s`` (default: a zero-cost
     :class:`ArbitrationConfig`).  A job list without background jobs
-    never reaches that code and is served exactly first-come-first-
-    served.
+    never reaches that code.
 
     With ``arbitration`` set, the simulation switches to the
     preemptible resource model (see the module docstring): waiting
-    work is ordered by :attr:`StageJob.urgency` instead of pure FIFO,
-    and strictly-more-urgent arrivals may suspend an in-flight
-    preemptible stage at the configured suspend/resume costs, at most
+    work is ordered by urgency at every resource, and
+    strictly-more-urgent arrivals may suspend an in-flight preemptible
+    stage at the configured suspend/resume costs, at most
     ``max_suspends`` times per stage.  When no job states a deadline
     or priority the arbitrated schedule is *identical* to the FCFS
     sweep -- same start times, same floats.
@@ -355,21 +385,23 @@ def simulate_stages(
         suspension = _ZERO_COST_SUSPENSION
 
     # Executing stage events in global (ready, seq) order is exact for
-    # feed-forward FCFS pipelines: per resource, jobs are served in
-    # ready order (FCFS), and a downstream event always carries ready
-    # >= the ready of the event that produced it, so the sweep never
-    # goes back in time.  ``seq`` numbers events in creation order:
-    # the N stage-0 arrivals first (seq == job index), every
-    # downstream event after them (seq >= N).
+    # feed-forward pipelines: per resource, events are seen in ready
+    # order, and a downstream event always carries ready >= the ready
+    # of the event that produced it, so the sweep never goes back in
+    # time.  ``seq`` numbers events in creation order: the N stage-0
+    # arrivals first (seq == job index), every later event after them
+    # (seq >= N).
     #
     # That order is produced by a merge instead of one heap of N
     # entries.  The arrivals are simply the job indices sorted by
     # ``ready_at`` (the sort is stable, which is the seq tie-break
-    # among them); only downstream events live in a heap, whose size
-    # is the number of jobs in flight.  The heap's head runs next only
-    # when its time is *strictly* earlier than the next arrival's: at
-    # equal times the arrival's smaller seq wins.  Nothing here
-    # assumes which resource names appear at which stage.
+    # among them); only later events live in a heap, whose size is the
+    # number of jobs in flight.  The heap's head runs next only when
+    # its time is *strictly* earlier than the next arrival's: at equal
+    # times the arrival's smaller seq wins -- which is also why an
+    # arrival at the instant its die frees is among the waiters when
+    # the "die frees" entry (:func:`_serve_waiters`) picks one.
+    # Nothing here assumes which resource names appear at which stage.
     #
     # A background arrival is not served: it joins its die's gap
     # queue, which the arrival order keeps sorted by ``(ready, seq)``.
@@ -382,24 +414,30 @@ def simulate_stages(
     arrivals = sorted(range(n_jobs), key=ready.__getitem__)
     arrived = 0
     next_ready = ready[arrivals[0]]
-    heap: list[tuple[float, int, int, int]] = []
+    heap: list[tuple] = []
     push = heapq.heappush
     pop = heapq.heappop
     seq = n_jobs
+    queued = _urgency_differs(jobs)
 
-    #: name -> [available at, busy seconds, jobs served, gap queue or
-    #: None, suspensions]; the first three with the semantics of
-    #: :class:`SerialResource`, which remains the single-resource API
-    #: (inlined: the service layer replays one job per chunk per
-    #: window through here).
+    #: name -> state (see :data:`_IDLE`), inlined rather than a
+    #: :class:`SerialResource`: the service layer replays one job per
+    #: chunk per window through here.
     resources: dict[str, list] = {}
     completion = [0.0] * n_jobs
     fault_overhead = 0.0
     while True:
         if heap and (arrived == n_jobs or heap[0][0] < next_ready):
             ready_at, _, idx, stage = pop(heap)
+            if idx < 0:
+                # A die frees; ``stage`` is its state.
+                seq = _serve_waiters(
+                    stage, ready_at, jobs, heap, seq, completion
+                )
+                continue
             job = jobs[idx]
-            duration = job.durations[stage]
+            durations = job.durations
+            duration = durations[stage]
         elif arrived < n_jobs:
             idx = arrivals[arrived]
             arrived += 1
@@ -408,7 +446,8 @@ def simulate_stages(
                 next_ready = ready[arrivals[arrived]]
             stage = 0
             job = jobs[idx]
-            duration = job.durations[0]
+            durations = job.durations
+            duration = durations[0]
             if job.fault_delay_s:
                 # Recovery time occupies the die ahead of the useful
                 # work; guarded so fault-free schedules stay
@@ -416,44 +455,72 @@ def simulate_stages(
                 duration += job.fault_delay_s
                 fault_overhead += job.fault_delay_s
             if job.background:
-                name = job.resources[0]
-                state = resources.get(name)
-                if state is None:
-                    state = resources[name] = [0.0, 0.0, 0, None, 0]
-                if state[3] is None:
-                    state[3] = _GapQueue()
-                state[3].waiting.append((ready_at, duration, idx))
+                _queue_background(resources, job, (ready_at, duration, idx))
                 continue
         else:
             break
         name = job.resources[stage]
         state = resources.get(name)
         if state is None:
-            state = resources[name] = [0.0, 0.0, 0, None, 0]
+            state = resources[name] = list(_IDLE)
         start = state[0]
         if ready_at > start:
+            # The resource idles before this event is ready ...
             if state[3] is None:
                 start = ready_at
+            elif _fill_gap(state, ready_at, suspension, completion):
+                # ... or its background work ended, or yielded, in time
+                start = ready_at if ready_at > state[0] else state[0]
+            elif queued and not stage:
+                # ... or runs on, unable to yield: wait for the die.
+                seq = _join_waiters(
+                    state, heap, seq, job, arrived, idx, duration
+                )
+                continue
             else:
-                _fill_gap(state, ready_at, suspension, completion)
                 start = state[0]
-                if ready_at > start:
-                    start = ready_at
+        elif (
+            not stage
+            and (duration or start > ready_at or state[5])
+            and queued
+            and state[2]
+        ):
+            # The die is busy, or frees this very instant: wait --
+            # unless the job needs no die time and nobody waits ahead
+            # of it: then it delays no one by going now.
+            seq = _join_waiters(state, heap, seq, job, arrived, idx, duration)
+            continue
         end = start + duration
         state[0] = end
         state[1] += duration
         state[2] += 1
         stage += 1
-        if stage < len(job.durations):
+        if stage < len(durations):
             push(heap, (end, seq, idx, stage))
             seq += 1
         else:
             completion[idx] = end
+    return _report(resources, completion, suspension, fault_overhead)
 
+
+#: A resource of the sweep before its first job: ``[available at, busy
+#: seconds, jobs served, gap queue or None, suspensions, wait heap or
+#: None]``; the first three with the semantics of
+#: :class:`SerialResource`, which remains the single-resource API.
+_IDLE = (0.0, 0.0, 0, None, 0, None)
+
+
+def _report(
+    resources: dict[str, list],
+    completion: list[float],
+    suspension: ArbitrationConfig,
+    fault_overhead: float,
+) -> StageReport:
+    """Flush the background work still queued behind the last
+    foreground job of each die and total the sweep's report."""
     suspensions = {}
     for name, state in resources.items():
         if state[3] is not None:
-            # Whatever is still queued runs once the foreground is done.
             _fill_gap(state, float("inf"), suspension, completion)
         if state[4]:
             suspensions[name] = state[4]
@@ -467,6 +534,100 @@ def simulate_stages(
         * (suspension.suspend_cost_s + suspension.resume_cost_s),
         fault_overhead=fault_overhead,
     )
+
+
+def _urgency_differs(jobs: list[StageJob]) -> bool:
+    """Whether any two foreground jobs differ in urgency -- only then
+    can the order a die serves its waiters in differ from arrival
+    order, and only then does the sweep queue at all."""
+    first = None
+    for job in jobs:
+        if job.background:
+            continue
+        key = (job.deadline, job.priority)
+        if first is None:
+            first = key
+        elif key != first:
+            return True
+    return False
+
+
+def _queue_background(
+    resources: dict[str, list], job: StageJob, waiter: tuple
+) -> None:
+    """A background arrival is not served: ``(ready, seconds, job
+    index)`` joins its die's gap queue."""
+    state = resources.get(job.resources[0])
+    if state is None:
+        state = resources[job.resources[0]] = list(_IDLE)
+    if state[3] is None:
+        state[3] = _GapQueue()
+    state[3].waiting.append(waiter)
+
+
+def _join_waiters(
+    state: list,
+    heap: list,
+    seq: int,
+    job: StageJob,
+    rank: int,
+    idx: int,
+    duration: float,
+) -> int:
+    """Queue job ``idx`` -- ``(*urgency, arrival rank, job index,
+    stage-0 seconds)`` -- on a die that is busy at its ready time;
+    returns the next ``seq``.  The first waiter arms the die's "die
+    frees" entry in the event heap -- ``(time, seq, -1, state)`` -- at
+    the time the die's current work ends; :func:`_serve_waiters`
+    re-arms it while waiters remain, so a die has one entry in flight
+    exactly while somebody waits for it."""
+    waiting = state[5]
+    if waiting is None:
+        waiting = state[5] = []
+    if not waiting:
+        heapq.heappush(heap, (state[0], seq, -1, state))
+        seq += 1
+    heapq.heappush(waiting, (*job.urgency, rank, idx, duration))
+    return seq
+
+
+def _serve_waiters(
+    state: list,
+    at: float,
+    jobs: list[StageJob],
+    heap: list,
+    seq: int,
+    completion: list[float],
+) -> int:
+    """A die frees at ``at``: start its most urgent waiter (earliest
+    arrival among equals), non-preemptively; returns the next ``seq``.
+
+    Every arrival with a ready time up to and including ``at`` has
+    already joined (the event merge runs arrivals first at equal
+    times).  A zero-length waiter frees the die again in the same
+    instant, so the next is picked at once.  Should the die have
+    taken work by another route since the entry was armed (a resource
+    that is also some job's later stage), the pick moves to the end
+    of that work.
+    """
+    waiting = state[5]
+    end = state[0]
+    while end <= at:
+        idx, duration = heapq.heappop(waiting)[-2:]
+        end = at + duration
+        state[0] = end
+        state[1] += duration
+        state[2] += 1
+        job = jobs[idx]
+        if len(job.durations) > 1:
+            heapq.heappush(heap, (end, seq, idx, 1))
+            seq += 1
+        else:
+            completion[idx] = end
+        if not waiting:
+            return seq
+    heapq.heappush(heap, (end, seq, -1, state))
+    return seq + 1
 
 
 class _GapQueue:
@@ -490,12 +651,13 @@ def _fill_gap(
     limit: float,
     cfg: ArbitrationConfig,
     completion: list[float],
-) -> None:
+) -> bool:
     """Serve one die's queued background work in the idle gap between
     ``state[0]`` (the die's last foreground completion) and ``limit``
     (the ready time of the foreground event that found the gap, or
     infinity for the final flush), leaving ``state[0]`` where the
-    foreground may start.
+    foreground may start.  Returns whether the die is that event's to
+    take: it idles before ``limit``, or the job in flight yielded.
 
     A background job starts only *strictly* before ``limit`` -- at
     equal times the foreground wins -- and never before its own ready
@@ -503,13 +665,15 @@ def _fill_gap(
     ``suspend_cost_s`` before the foreground starts and the remainder
     carries ``resume_cost_s``.  After ``max_suspends`` suspensions (or
     with at most ``min_remaining_s`` left) it runs to completion and
-    the foreground waits: the starvation guard.  The arithmetic is
-    that of :func:`_simulate_arbitrated` on the same jobs with every
-    foreground job deadline-free, priority 0 and non-preemptible.
+    the foreground waits: the starvation guard -- ``False``, and if
+    others arrive meanwhile the die picks among them by urgency when
+    it frees.  The arithmetic is that of :func:`_simulate_arbitrated`
+    on the same jobs with every foreground job non-preemptible.
     """
     queue: _GapQueue = state[3]
     waiting = queue.waiting
     at = state[0]
+    yielded = False
     while queue.head < len(waiting):
         ready_at, duration, idx = waiting[queue.head]
         if queue.remainder is None:
@@ -531,6 +695,7 @@ def _fill_gap(
             queue.remainder = (end - limit) + cfg.resume_cost_s
             queue.suspends += 1
             at = limit + cfg.suspend_cost_s
+            yielded = True
             break
         state[1] += duration
         state[2] += 1
@@ -542,6 +707,7 @@ def _fill_gap(
     else:
         state[3] = None
     state[0] = at
+    return yielded or at < limit
 
 
 class _Unit:

@@ -290,9 +290,16 @@ class ChunkOutcome(NamedTuple):
     #: chips as ``(chip, busy_us)`` pairs (``latency_us`` stays zero
     #: -- the task's own chip did no work), which the service replays
     #: into the event simulation so degraded reads slow the timeline
-    #: exactly where the reads happened.
+    #: exactly where the reads happened.  A pair at 0.0 us is a
+    #: marker: the result reuses what an earlier task of the call
+    #: read on that chip (a shared follower, or a lost operand page
+    #: two plans have in common) and must not leave before that read.
     reconstructed: bool = False
     recovery_work: tuple[tuple[int, float], ...] = ()
+    #: Of a ``shared`` outcome: the position, in the call's task
+    #: order, of the task whose sense (or reconstruction) produced the
+    #: data -- the job this one may not complete before.
+    leader: int | None = None
 
 
 @dataclass(frozen=True)
@@ -996,12 +1003,12 @@ class QueryEngine:
         virtual clock instead of all at t=0.
 
         ``priority``/``deadline_s``/``preemptible`` thread scheduling
-        directives into the arbitrated simulator
-        (:func:`~repro.ssd.events.simulate_stages` with an
-        :class:`~repro.ssd.events.ArbitrationConfig`): a deadline job
-        outranks every non-deadline job at a contended die or channel
-        and may suspend an in-flight preemptible sense; the legacy
-        FCFS sweep ignores all three.
+        directives into :func:`~repro.ssd.events.simulate_stages`: a
+        deadline job outranks every non-deadline job among those
+        waiting for its die, and under the arbitrated simulator (an
+        :class:`~repro.ssd.events.ArbitrationConfig`) also at a
+        contended channel, where it may further suspend an in-flight
+        ``preemptible`` sense.
 
         ``fault_delay_us`` is the chunk's recovery time (retry backoff
         plus injected stalls, :attr:`ChunkOutcome.recovery_us`): the
@@ -1522,11 +1529,14 @@ class QueryEngine:
                 True,
                 degraded=prior.degraded,
                 error=prior.error,
+                leader=first,
             )
         return shared_senses
 
     def _reconstruct_task(
-        self, task: ChunkTask
+        self,
+        task: ChunkTask,
+        pages: dict[tuple[str, int], tuple[np.ndarray, tuple[int, ...]]],
     ) -> tuple[np.ndarray, int, float, tuple[tuple[int, float], ...]]:
         """Rebuild one failed chunk task's result from parity.
 
@@ -1536,10 +1546,18 @@ class QueryEngine:
         is evaluated host-side over the rebuilt operand bits -- the
         same envelope the degraded V_TH fallback uses, so the result
         is bit-identical to what the lost chip would have computed.
-        Returns ``(data, n_senses, energy_nj, recovery_work)`` where
-        the cost fields are counter deltas measured across *all*
-        chips: reconstruction's survivor reads are real senses and are
-        charged to the chips that performed them.
+
+        ``pages`` is the call's page memo, ``(vector, chunk) -> (bits,
+        the chips that were read for them)``: a lost page is rebuilt
+        once, by the first task that names it, and later tasks reuse
+        the bits.  Returns ``(data, n_senses, energy_nj,
+        recovery_work)`` where the cost fields are counter deltas
+        measured across *all* chips -- reconstruction's survivor reads
+        are real senses, charged to the chips that performed them, so
+        a reused page costs nothing -- and ``recovery_work`` also
+        names, at 0.0 us, each die a reused page was read on and this
+        task did not read itself: the marker that keeps the task's
+        completion behind the reads its data comes from.
         """
         ssd = self.ssd
         before = [
@@ -1550,10 +1568,24 @@ class QueryEngine:
             )
             for chip in ssd.chips
         ]
-        env = {
-            name: ssd.reconstruct_chunk_bits(name, task.chunk)
-            for name in sorted(operand_names(task.expr))
-        }
+        env = {}
+        reused: set[int] = set()
+        for name in sorted(operand_names(task.expr)):
+            page = pages.get((name, task.chunk))
+            if page is None:
+                senses = [chip.counters.senses for chip in ssd.chips]
+                bits = ssd.reconstruct_chunk_bits(name, task.chunk)
+                page = pages[(name, task.chunk)] = (
+                    bits,
+                    tuple(
+                        chip_id
+                        for chip_id, chip in enumerate(ssd.chips)
+                        if chip.counters.senses != senses[chip_id]
+                    ),
+                )
+            else:
+                reused.update(page[1])
+            env[name] = page[0]
         bits = evaluate(task.expr, env)
         data = pack_bits(bits) if ssd.packed else bits
         n_senses = 0
@@ -1566,6 +1598,8 @@ class QueryEngine:
             busy = counters.busy_us - b0
             if busy > 0.0:
                 work.append((chip_id, busy))
+            elif chip_id in reused:
+                work.append((chip_id, 0.0))
         return data, n_senses, energy_nj, tuple(work)
 
     def _reconstruct_failures(
@@ -1576,14 +1610,24 @@ class QueryEngine:
     ) -> None:
         """Phase two of ``execute_tasks(..., reconstruct=True)``: walk
         the outcomes in task order and replace chip-loss/retry-
-        exhaustion failures with parity-reconstructed results.  First
-        occurrence per ``share_key`` pays the survivor reads; repeats
-        fan out as shared outcomes, mirroring the sense-sharing
-        contract of phase one.  A task whose reconstruction itself
+        exhaustion failures with parity-reconstructed results.
+        Sharing is the contract of phase one -- first occurrence pays,
+        repeats share -- at two grains.  Per ``share_key``: the first
+        task pays its survivor reads and repeats fan out as shared
+        outcomes.  Per lost operand page: different plans over the
+        same vectors rebuild each ``(vector, chunk)`` once between
+        them (:meth:`_reconstruct_task`); the memo is local to this
+        call, during which nothing programs or erases, so it needs no
+        stamp.  Whoever reuses names the dies the reads ran on in its
+        ``recovery_work`` at 0.0 us, so no result leaves before the
+        reads it was made from.  A task whose reconstruction itself
         fails (parity off for the vector, double fault on a survivor)
         keeps its original typed error outcome.
         """
-        memo: dict[tuple[int, Plan], ChunkOutcome | None] = {}
+        #: share key -> position of the reconstructed leader (``None``:
+        #: its reconstruction failed).
+        memo: dict[tuple[int, Plan], int | None] = {}
+        pages: dict[tuple[str, int], tuple[np.ndarray, tuple[int, ...]]] = {}
         reconstructed = 0
         senses = 0
         for position, prior in enumerate(outcomes):
@@ -1596,9 +1640,9 @@ class QueryEngine:
                 continue
             key = task.share_key
             if key in memo:
-                first = memo[key]
-                if first is None:
+                if memo[key] is None:
                     continue
+                first = outcomes[memo[key]]
                 outcomes[position] = ChunkOutcome(
                     task=task,
                     data=first.data,
@@ -1609,12 +1653,16 @@ class QueryEngine:
                     retries=prior.retries,
                     recovery_us=prior.recovery_us,
                     reconstructed=True,
+                    recovery_work=tuple(
+                        (chip, 0.0) for chip, _ in first.recovery_work
+                    ),
+                    leader=memo[key],
                 )
                 reconstructed += 1
                 continue
             try:
                 data, n_senses, energy_nj, work = self._reconstruct_task(
-                    task
+                    task, pages
                 )
             except (ReconstructionError, KeyError):
                 memo[key] = None
@@ -1635,7 +1683,7 @@ class QueryEngine:
                 recovery_work=work,
             )
             outcomes[position] = fresh
-            memo[key] = fresh
+            memo[key] = position
             reconstructed += 1
             senses += n_senses
             if cache is not None:

@@ -2,9 +2,10 @@
 
 The acceptance scenario of the concurrent execution plane: a window of
 bulk scans occupies the single chip, an urgent point query with a
-deadline arrives one window later, and the *exact* event simulation
-shows EDF-with-preemption meeting a deadline that EDF-without-
-preemption provably misses -- same queries, same chips, same measured
+deadline arrives one window later while the first bulk sense is in
+flight, and the *exact* event simulation shows EDF-with-preemption
+meeting a deadline that EDF-without-preemption -- which orders the
+die's waiters but suspends nothing -- provably misses -- same queries, same chips, same measured
 sense durations, only the arbitration differs.  Everything here is
 deterministic: timing comes from the physically derived tMWS model
 and the discrete-event replay, not wall clocks.
@@ -29,9 +30,10 @@ GEOMETRY = ChipGeometry(
 
 #: Splits the urgent query's two completion times: ~66 us with
 #: preemption (arrival 20 us + 1 us suspend + its own sense) vs
-#: ~190 us without (it queues behind every bulk sense of the
-#: previous window).
-DEADLINE_US = 80.0
+#: ~77.6 us without: the die's queue already lets it past the two
+#: bulk senses still waiting, so all that is left for suspension to
+#: buy is the rest of the one bulk sense in flight.
+DEADLINE_US = 72.0
 
 
 def make_ssd(seed=0):
@@ -96,7 +98,7 @@ class TestPreemptionBenefit:
         pre_report, pre, _, _, _ = _run(preemption=True)
 
         # Without preemption the urgent query provably misses: it
-        # queues behind every bulk sense of the previous window.
+        # waits out the bulk sense in flight when it arrives.
         assert base[urgent_id].completed_us > DEADLINE_US
         assert base[urgent_id].deadline_met is False
         assert base_report.stats.preemptions == 0

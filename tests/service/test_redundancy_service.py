@@ -142,7 +142,11 @@ def test_reconstruction_attributed_apart_from_retries():
     for query in touched:
         assert query.fault_affected
         assert query.fault_overhead_us == 0.0
-        assert query.reconstruction_us > 0.0
+        # A lost page is read once per window: a query whose chunks
+        # reuse pages another query's reconstruction read paid nothing
+        # itself (it still waits for those reads).
+        assert query.reconstruction_us >= 0.0
+    assert sum(query.reconstruction_us for query in touched) > 0.0
 
 
 def test_fault_free_parity_run_float_exact_vs_no_parity_twin():

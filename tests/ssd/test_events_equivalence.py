@@ -1,35 +1,50 @@
-"""Two equivalences of the ``simulate_stages`` sweep.
+"""Equivalences of the ``simulate_stages`` sweep.
 
-**Foreground.**  Without background jobs the arrival-merge sweep
-reproduces the one-global-heap FCFS reference
-(``tests/reference_control_path.py``) float for float: every
-comparison is ``==``, never ``approx``.
+**Uniform urgency.**  A job list in which no two foreground jobs differ
+in urgency never queues: the arrival-merge sweep reproduces the
+one-global-heap FCFS reference (``tests/reference_control_path.py``)
+float for float: every comparison is ``==``, never ``approx``.
 
-**Background.**  With background jobs the sweep's gap-filler agrees
-with ``_simulate_arbitrated`` on the *flattened* jobs: every foreground
-job deadline-free, priority 0 and non-preemptible, and -- the tie rule,
-foreground wins equal times -- listed ahead of the background jobs, so
-the oracle's index tie-break says what the sweep says whichever way the
-caller listed them.  ``completion_times``, ``makespan``,
-``resource_jobs`` and ``resource_preemptions`` are compared with
-``==``: both sides compute every start and end with the same additions
-in the same order.  The three totals are compared at 1e-12 relative,
-because the same terms are summed in a different order:
-``resource_busy`` (the sweep charges a foreground stage when it is
-admitted, the oracle when it finishes), ``fault_overhead`` (arrival
-order against listing order) and ``preemption_overhead`` (the sweep
-multiplies the suspension count by the per-suspension cost where the
-oracle adds it once per suspension).
+**The die queue and the background class.**  With urgency differences
+the stage-0 resource serves its waiters by urgency, and with background
+jobs its idle gaps are filled; both agree with ``_simulate_arbitrated``
+on the same jobs, the *real* urgencies kept, every foreground job
+non-preemptible and -- the tie rule, foreground wins equal times --
+listed ahead of the background jobs, so the oracle's index tie-break
+says what the sweep says whichever way the caller listed them.
+``completion_times``, ``makespan``, ``resource_jobs`` and
+``resource_preemptions`` are compared with ``==``: both sides compute
+every start and end with the same additions in the same order.  One
+shortcut is the sweep's own: a foreground job that needs *no* die time
+(a cache-served chunk) and finds the die free at its ready time with
+nobody waiting goes at once, also at the very instant the die frees,
+where the oracle has it stand in the pick behind a more urgent job of
+the same instant.  It holds the die for no time, so no other job moves:
+such a job's completion is the oracle's or its own ready time, every
+other is compared with ``==``.  The three totals are compared at 1e-12
+relative, because the same terms are summed in a different order: ``resource_busy`` (the sweep charges a
+stage when it is admitted, the oracle when it finishes),
+``fault_overhead`` (arrival order against listing order) and
+``preemption_overhead`` (the sweep multiplies the suspension count by
+the per-suspension cost where the oracle adds it once per suspension).
 
-The oracle is unambiguous where background-hosting dies are entered at
-stage 0 only (the service's shape: chip -> channel -> external link,
-background on chips).  Two strategies keep to that: ``die_streams`` is
-tie-heavy and single-stage, ``pipeline_streams`` is multi-stage over
-continuous times and discards the examples in which two foreground jobs
-leave a stage at the same instant (the two simulators order tied
-*downstream* events differently even without background -- the sweep by
-when the upstream stage was admitted, the oracle by when it started --
-so ties are left to the first strategy).
+The oracle orders *every* resource by urgency, the sweep only the one a
+job enters first, so three strategies keep to where they must agree.
+``die_streams`` is tie-heavy and single-stage: the die queue, whole.
+``pipeline_streams(mixed=False)`` is multi-stage over continuous times
+with one urgency for all foreground (the oracle is then FIFO
+everywhere, however contended) and ``pipeline_streams(mixed=True)``
+mixes urgencies over transfers too short to contend: that test
+discards the examples in which any job waits downstream
+(``downstream_wait``).  Both pipeline tests discard the examples in
+which two foreground jobs leave a stage at the same instant
+(``downstream_tie``: the two simulators order tied *downstream* events
+differently -- the sweep by when the upstream stage was admitted, the
+oracle by when it started -- so ties are left to the first strategy).
+What mixed urgency does to a *contended* downstream stage is the
+sweep's own rule, not the oracle's, and has its own property:
+first-come-first-served in die-completion order
+(``test_downstream_stays_fcfs_in_die_completion_order``).
 """
 
 from __future__ import annotations
@@ -158,25 +173,27 @@ CONFIGS = st.builds(
 LATE_READY = st.sampled_from([0.0, 0.1, 0.3, 1.0, 2.5, 4.0, 9.0])
 LONG = st.sampled_from([0.0, 0.1, 0.7, 1.0, 1 / 3, 3.5])
 
-
-def _urgency(draw):
-    """Foreground urgency the sweep must not look at."""
-    return dict(
-        priority=draw(st.sampled_from([0.0, 0.0, 2.0, -3.0])),
-        deadline=draw(st.sampled_from([None, None, 0.5, 7.0])),
-        preemptible=draw(st.booleans()),
-    )
+#: Both classes, ties inside each; every priority above the background
+#: class's (``MAINTENANCE_PRIORITY``), which the sweep keeps below all
+#: foreground whatever the numbers say.
+URGENCY = st.fixed_dictionaries(
+    {
+        "priority": st.sampled_from([0.0, 0.0, 1.0, 2.0]),
+        "deadline": st.sampled_from([None, None, 0.5, 0.5, 7.0]),
+    }
+)
 
 
 @st.composite
-def die_streams(draw):
-    """Single-stage jobs on a few dies, tie-heavy; background may sit
-    on a die no foreground touches (``chip<n_chips>``), and is listed
-    before, between and after same-ready foreground."""
+def die_streams(draw, background=True):
+    """Single-stage jobs on a few dies, tie-heavy, mixed urgency;
+    background may sit on a die no foreground touches
+    (``chip<n_chips>``), and is listed before, between and after
+    same-ready foreground."""
     n_chips = draw(st.integers(1, 3))
     jobs = []
     for _ in range(draw(st.integers(1, 30))):
-        if draw(st.integers(0, 2)) == 0:
+        if background and draw(st.integers(0, 2)) == 0:
             chip = draw(st.integers(0, n_chips))
             jobs.append(
                 background_job(
@@ -191,18 +208,23 @@ def die_streams(draw):
                     (draw(DURATION),),
                     (f"chip{chip}",),
                     fault_delay_s=draw(DELAY),
-                    **_urgency(draw),
+                    **draw(URGENCY),
                 )
             )
     return jobs
 
 
 @st.composite
-def pipeline_streams(draw):
+def pipeline_streams(draw, mixed):
     """The service's shape over continuous times: chip -> channel ->
-    external link foreground, background on the chips."""
+    external link foreground, background on the chips.  ``mixed``
+    draws an urgency per job and keeps the transfers short (the
+    service's are a percent of a sense); otherwise one urgency serves
+    all and the transfers are as long as the senses."""
     n_chips = draw(st.integers(1, 4))
     time = st.floats(0.01, 10.0)
+    transfer = st.floats(0.001, 0.02) if mixed else time
+    shared = draw(URGENCY)
     jobs = []
     for _ in range(draw(st.integers(1, 24))):
         chip = draw(st.integers(0, n_chips - 1))
@@ -218,9 +240,9 @@ def pipeline_streams(draw):
             jobs.append(
                 StageJob(
                     draw(st.floats(0.0, 20.0)),
-                    (draw(time), draw(time), draw(time)),
+                    (draw(time), draw(transfer), draw(transfer)),
                     (f"chip{chip}", f"chan{chip % 2}", "ext"),
-                    **_urgency(draw),
+                    **(draw(URGENCY) if mixed else shared),
                 )
             )
     return jobs
@@ -231,11 +253,7 @@ def oracle(jobs, cfg):
     docstring), completion times mapped back to ``jobs``' order."""
     order = sorted(range(len(jobs)), key=lambda i: jobs[i].background)
     flat = [
-        jobs[i]
-        if jobs[i].background
-        else replace(
-            jobs[i], deadline=None, priority=0.0, preemptible=False
-        )
+        jobs[i] if jobs[i].background else replace(jobs[i], preemptible=False)
         for i in order
     ]
     report = simulate_stages(flat, arbitration=cfg)
@@ -248,7 +266,18 @@ def oracle(jobs, cfg):
 def assert_agrees_with_oracle(jobs, cfg):
     report = simulate_stages(jobs, suspension=cfg)
     completion, expected = oracle(jobs, cfg)
-    assert report.completion_times == completion
+    for job, done, oracle_done in zip(
+        jobs, report.completion_times, completion
+    ):
+        if job.background or job.durations[0] or job.fault_delay_s:
+            assert done == oracle_done
+        else:
+            # The one shortcut (module docstring): a foreground job
+            # that needs no die time may go the instant it is ready
+            # where the oracle has it stand in the pick.  (Whether
+            # nobody waited when it did is
+            # ``test_no_job_overtakes_a_waiter_that_ranks_ahead``.)
+            assert done == oracle_done or done == job.ready_at
     assert report.makespan == expected.makespan
     assert report.resource_jobs == expected.resource_jobs
     assert report.resource_preemptions == expected.resource_preemptions
@@ -279,33 +308,39 @@ def assert_background_properties(jobs, cfg, report):
         assert done >= (job.ready_at + sum(job.durations)) * (1 - 1e-12)
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=600, deadline=None)
 @given(jobs=die_streams(), cfg=CONFIGS)
 def test_gap_filler_equals_arbitrated_oracle_on_tied_dies(jobs, cfg):
     report = assert_agrees_with_oracle(jobs, cfg)
     assert_background_properties(jobs, cfg, report)
 
 
+def _cut(jobs, depth):
+    """The jobs' first ``depth`` stages.  A feed-forward pipeline cut
+    after stage k runs its first k stages exactly as the whole does,
+    so the cut's completion times are the stage ends."""
+    return [
+        job
+        if job.background
+        else replace(
+            job,
+            durations=job.durations[:depth],
+            resources=job.resources[:depth],
+        )
+        for job in jobs
+    ]
+
+
 def downstream_tie(jobs, cfg):
-    """Whether two foreground jobs leave a stage at the same instant.
-    A feed-forward pipeline cut after stage k runs its first k stages
-    exactly as the whole does, so the cut's completion times are the
-    stage ends."""
+    """Whether two foreground jobs leave a stage at the same instant."""
     for depth in (1, 2):
-        cut = [
-            job
-            if job.background
-            else replace(
-                job,
-                durations=job.durations[:depth],
-                resources=job.resources[:depth],
-            )
-            for job in jobs
-        ]
         ends = [
             end
             for job, end in zip(
-                jobs, simulate_stages(cut, suspension=cfg).completion_times
+                jobs,
+                simulate_stages(
+                    _cut(jobs, depth), suspension=cfg
+                ).completion_times,
             )
             if not job.background
         ]
@@ -314,36 +349,281 @@ def downstream_tie(jobs, cfg):
     return False
 
 
+def downstream_tails(jobs, cfg):
+    """The foreground jobs' later stages as jobs of their own, ready
+    when the sweep's die stage lets them go, urgency dropped."""
+    die_ends = simulate_stages(_cut(jobs, 1), suspension=cfg).completion_times
+    return [
+        StageJob(end, job.durations[1:], job.resources[1:])
+        for job, end in zip(jobs, die_ends)
+        if not job.background
+    ]
+
+
+def downstream_wait(jobs, cfg):
+    """Whether any job waits for a channel or the link."""
+    tails = downstream_tails(jobs, cfg)
+    done = reference.simulate_stages_fcfs(tails).completion_times
+    return any(
+        end != (tail.ready_at + tail.durations[0]) + tail.durations[1]
+        for tail, end in zip(tails, done)
+    )
+
+
 @settings(max_examples=200, deadline=None)
-@given(jobs=pipeline_streams(), cfg=CONFIGS)
+@given(jobs=pipeline_streams(mixed=False), cfg=CONFIGS)
 def test_gap_filler_equals_arbitrated_oracle_on_pipelines(jobs, cfg):
     assume(not downstream_tie(jobs, cfg))
     report = assert_agrees_with_oracle(jobs, cfg)
     assert_background_properties(jobs, cfg, report)
 
 
+@settings(max_examples=200, deadline=None)
+@given(jobs=pipeline_streams(mixed=True), cfg=CONFIGS)
+def test_die_queue_equals_arbitrated_oracle_on_uncontended_pipelines(
+    jobs, cfg
+):
+    assume(not downstream_tie(jobs, cfg))
+    assume(not downstream_wait(jobs, cfg))
+    report = assert_agrees_with_oracle(jobs, cfg)
+    assert_background_properties(jobs, cfg, report)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    jobs=st.one_of(
+        pipeline_streams(mixed=True), pipeline_streams(mixed=False)
+    ),
+    cfg=CONFIGS,
+)
+def test_downstream_stays_fcfs_in_die_completion_order(jobs, cfg):
+    """Urgency orders the die and nothing behind it: channels and the
+    link serve first-come-first-served in die-completion order, so the
+    whole pipeline is the frozen FCFS sweep fed the die stage's
+    completions, whatever the urgencies."""
+    assume(not downstream_tie(jobs, cfg))
+    expected = reference.simulate_stages_fcfs(
+        downstream_tails(jobs, cfg)
+    ).completion_times
+    done = simulate_stages(jobs, suspension=cfg).completion_times
+    assert [
+        end for job, end in zip(jobs, done) if not job.background
+    ] == expected
+
+
 @settings(max_examples=300, deadline=None)
 @given(jobs=die_streams(), max_suspends=st.integers(0, 3))
 def test_free_suspension_never_delays_foreground(jobs, max_suspends):
-    """At zero cost a die under the gap-filler is as work-conserving
-    as under the parent sweep, with background moved behind: no
-    foreground job completes later than it did first-come-first-
-    served.  (Per die; a pipeline's downstream FCFS stages are not
-    monotone in their arrival times.)"""
+    """At zero cost a die under the queue and the gap-filler is as
+    work-conserving as under the frozen FCFS sweep: it does the same
+    work, and -- ordering moves who waits, never how long the die
+    works -- its last foreground job completes no later.  (Per die; a
+    pipeline's downstream FCFS stages are not monotone in their
+    arrival times.)"""
     report = simulate_stages(
         jobs, suspension=ArbitrationConfig(max_suspends=max_suspends)
     )
     parent = reference.simulate_stages_fcfs(jobs)
+    last, last_fcfs = {}, {}
     for job, now, before in zip(
         jobs, report.completion_times, parent.completion_times
     ):
         if not job.background:
-            assert now <= before * (1 + 1e-12)
+            die = job.resources[0]
+            last[die] = max(last.get(die, 0.0), now)
+            last_fcfs[die] = max(last_fcfs.get(die, 0.0), before)
+    for die, end in last.items():
+        assert end <= last_fcfs[die] * (1 + 1e-12)
     # The die did the same work either way.
     assert report.resource_busy == pytest.approx(
         parent.resource_busy, rel=1e-12, abs=0.0
     )
     assert report.resource_jobs == parent.resource_jobs
+
+
+@settings(max_examples=300, deadline=None)
+@given(jobs=die_streams(background=False))
+def test_ordering_conserves_each_dies_work(jobs):
+    """Background-free: per die, the busy seconds and the last
+    completion are the frozen FCFS sweep's (to rounding: the same
+    durations added in another order)."""
+    report = simulate_stages(jobs)
+    parent = reference.simulate_stages_fcfs(jobs)
+    assert report.resource_jobs == parent.resource_jobs
+    assert report.resource_busy == pytest.approx(
+        parent.resource_busy, rel=1e-12, abs=0.0
+    )
+    for die in parent.resource_busy:
+        ends, ends_fcfs = (
+            [
+                end
+                for job, end in zip(jobs, times)
+                if job.resources[0] == die
+            ]
+            for times in (report.completion_times, parent.completion_times)
+        )
+        assert max(ends) == pytest.approx(max(ends_fcfs), rel=1e-12)
+
+
+#: Dyadic, so ``completion - duration`` is the exact start time.
+EXACT_READY = st.sampled_from([0.0, 0.0, 0.25, 0.5, 0.5, 1.0, 2.5])
+EXACT_DURATION = st.sampled_from([0.0, 0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    specs=st.lists(
+        st.tuples(EXACT_READY, EXACT_DURATION, URGENCY), max_size=24
+    )
+)
+def test_no_job_overtakes_a_waiter_that_ranks_ahead(specs):
+    """On one die, zero-length jobs included: no job starts while a
+    job that ranks ahead of it -- more urgent, or as urgent and
+    arrived first -- has arrived and is still waiting.  "Arrived"
+    takes in the very instant the die frees: a job that had to wait
+    does not start ahead of one arriving just then."""
+    jobs = [
+        StageJob(ready, (duration,), ("chip0",), **urgency)
+        for ready, duration, urgency in specs
+    ]
+    done = simulate_stages(jobs).completion_times
+    starts = [end - job.durations[0] for job, end in zip(jobs, done)]
+    ranks = [
+        (job.urgency, job.ready_at, index) for index, job in enumerate(jobs)
+    ]
+    for job, start, rank in zip(jobs, starts, ranks):
+        waited = start > job.ready_at
+        for other, other_start, other_rank in zip(jobs, starts, ranks):
+            if other_rank < rank and other_start > start:
+                assert not other.ready_at < start
+                assert not (waited and other.ready_at == start)
+
+
+@settings(max_examples=200, deadline=None)
+@given(jobs=job_streams(), urgency=URGENCY)
+def test_uniform_urgency_equals_reference(jobs, urgency):
+    """Whatever the one urgency is, a list without urgency
+    *differences* is served exactly first-come-first-served."""
+    assert_same_report([replace(job, **urgency) for job in jobs])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    jobs=job_streams(),
+    urgencies=st.lists(URGENCY, min_size=40, max_size=40),
+)
+def test_any_stage_layout_conserves_work_under_mixed_urgency(jobs, urgencies):
+    """No layering of resource names is assumed, also not by the
+    queue: a resource that is one job's first stage and another's
+    later stage serves every job once, for its own duration, never two
+    at a time -- whatever route brought them."""
+    jobs = [replace(job, **urgency) for job, urgency in zip(jobs, urgencies)]
+    report = simulate_stages(jobs)
+    parent = reference.simulate_stages_fcfs(jobs)
+    assert report.resource_jobs == parent.resource_jobs
+    assert report.resource_busy == pytest.approx(
+        parent.resource_busy, rel=1e-12, abs=0.0
+    )
+    assert report.fault_overhead == parent.fault_overhead
+    for job, done in zip(jobs, report.completion_times):
+        least = job.ready_at + job.fault_delay_s + sum(job.durations)
+        assert done >= least * (1 - 1e-12)
+    # One at a time: a resource is not busy for longer than the time
+    # between its first job's arrival and the end of the run.
+    first_ready = {}
+    for job in jobs:
+        for name in job.resources:
+            first_ready[name] = min(
+                first_ready.get(name, job.ready_at), job.ready_at
+            )
+    for name, busy in report.resource_busy.items():
+        assert busy <= (report.makespan - first_ready[name]) * (1 + 1e-12)
+
+
+def test_arrival_at_the_free_instant_joins_before_the_pick():
+    """The die frees at t=1.0 with a best-effort job waiting since
+    t=0.5; a deadline job arriving at exactly 1.0 is picked first."""
+    jobs = [
+        StageJob(0.0, (1.0,), ("chip0",)),
+        StageJob(0.5, (1.0,), ("chip0",)),
+        StageJob(1.0, (1.0,), ("chip0",), deadline=9.0),
+    ]
+    report = assert_agrees_with_oracle(jobs, ArbitrationConfig())
+    assert report.completion_times == [1.0, 3.0, 2.0]
+
+
+def test_simultaneous_arrivals_at_an_idle_die_keep_listing_order():
+    """Listing order is the scheduler's order: the first of three
+    simultaneous arrivals takes the idle die whatever its urgency; the
+    other two are waiters, and those go by urgency."""
+    jobs = [
+        StageJob(1.0, (1.0,), ("chip0",)),
+        StageJob(1.0, (1.0,), ("chip0",)),
+        StageJob(1.0, (1.0,), ("chip0",), deadline=9.0),
+    ]
+    report = assert_agrees_with_oracle(jobs, ArbitrationConfig())
+    assert report.completion_times == [2.0, 4.0, 3.0]
+
+
+def test_zero_length_job_takes_a_free_die_at_once():
+    """The die frees at t=1.0 with nobody waiting.  A cache-served
+    chunk arriving then needs no die time and goes at once; the
+    best-effort sense listed after it stands in the pick and lets the
+    deadline sense of the same instant past.  (The oracle has the
+    chunk stand too, and complete at 2.0.)"""
+    jobs = [
+        StageJob(0.0, (1.0,), ("chip0",)),
+        StageJob(1.0, (0.0,), ("chip0",)),
+        StageJob(1.0, (1.0,), ("chip0",)),
+        StageJob(1.0, (1.0,), ("chip0",), deadline=9.0),
+    ]
+    report = assert_agrees_with_oracle(jobs, ArbitrationConfig())
+    assert report.completion_times == [1.0, 1.0, 3.0, 2.0]
+    # Once somebody waits, a zero-length arrival queues like any
+    # other: behind the earlier best-effort sense, as the oracle says.
+    jobs.insert(1, StageJob(0.5, (1.0,), ("chip0",)))
+    report = assert_agrees_with_oracle(jobs, ArbitrationConfig())
+    assert report.completion_times == [1.0, 3.0, 3.0, 4.0, 2.0]
+
+
+def test_equal_urgency_is_strict_fifo():
+    jobs = [
+        StageJob(0.0, (1.0,), ("chip0",), deadline=5.0),
+        StageJob(0.2, (1.0,), ("chip0",), deadline=9.0, priority=1.0),
+        StageJob(0.1, (1.0,), ("chip0",), deadline=9.0, priority=1.0),
+        StageJob(0.3, (1.0,), ("chip0",), deadline=9.0, priority=2.0),
+    ]
+    report = assert_agrees_with_oracle(jobs, ArbitrationConfig())
+    assert report.completion_times == [1.0, 4.0, 3.0, 2.0]
+
+
+def test_waiters_behind_an_unsuspendable_erase_go_by_urgency():
+    """Budget 0: the erase [0, 3) runs through both arrivals, and the
+    die then picks the deadline job although it arrived second."""
+    jobs = [
+        background_job("chip0", 3.0),
+        StageJob(1.0, (1.0,), ("chip0",)),
+        StageJob(2.0, (1.0,), ("chip0",), deadline=9.0),
+    ]
+    report = assert_agrees_with_oracle(
+        jobs, ArbitrationConfig(max_suspends=0)
+    )
+    assert report.completion_times == [3.0, 5.0, 4.0]
+    assert report.preemptions == 0
+
+
+def test_background_never_starts_while_foreground_waits():
+    """The erase is ready at t=0.5, the die frees at t=1.0 with a
+    sense waiting: the sense goes, then the erase fills the gap."""
+    jobs = [
+        StageJob(0.0, (1.0,), ("chip0",), deadline=9.0),
+        background_job("chip0", 2.0, ready_at=0.5),
+        StageJob(0.75, (1.0,), ("chip0",)),
+        StageJob(6.0, (1.0,), ("chip0",)),
+    ]
+    report = assert_agrees_with_oracle(jobs, ArbitrationConfig())
+    assert report.completion_times == [1.0, 4.0, 2.0, 7.0]
+    assert report.preemptions == 0
 
 
 def test_background_listed_first_still_yields_a_tied_arrival():
