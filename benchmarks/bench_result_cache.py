@@ -8,10 +8,11 @@ batches (PR 4), but an identical window arriving later re-senses
 everything.  With the engine's :class:`ResultCache` enabled, the
 second submission of an identical traffic window is served entirely
 from memoized packed words: zero senses execute, and wall-clock drops
-to dict lookups plus the event simulation.  Gated: >= 5x wall-clock
-on the second submission (``RESULT_CACHE_SPEEDUP_GATE`` relaxes it on
-noisy shared runners; the *zero new senses* and bit-exactness
-assertions are unconditional and exact).
+to dict lookups plus the event simulation.  Gated on the counts that
+say so -- zero executed senses, zero executor dispatches, hit rate 1.0,
+bit-exact results; the wall-clock ratio of the two submissions is
+recorded (``repeat_speedup``, ~5x) and not gated: it is a ratio of two
+~10 ms timings and reads anything under a loaded machine.
 
 **Deadlines** -- FIFO order lets heavy scan queries that arrived
 first occupy the chips while later point queries wait; the ``edf``
@@ -28,7 +29,6 @@ and mixed-priority p99 into the ``BENCH_kernels.json`` trajectory.
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
@@ -37,11 +37,6 @@ from benchmarks.bench_service import N_DAYS, _loaded_ssd, _mixed_stream
 from repro.core.expressions import Operand, Or, and_all
 from repro.flash.geometry import ChipGeometry
 from repro.ssd.controller import SmallSsd
-
-#: Required wall-clock speedup of the repeat (cache-served) window.
-#: Local/dev runs use the full 5x gate; noisy shared CI runners may
-#: relax it via the environment (exactness is asserted regardless).
-SPEEDUP_GATE = float(os.environ.get("RESULT_CACHE_SPEEDUP_GATE", "5.0"))
 
 ROUNDS = 5
 
@@ -119,7 +114,7 @@ def measure_result_cache() -> dict:
     stream = _distinct_stream()
     best_cold = float("inf")
     best_warm = float("inf")
-    cold_senses = warm_senses = 0
+    cold_senses = warm_senses = warm_dispatches = 0
     hit_rate = 0.0
     for _ in range(ROUNDS):
         ssd = _cache_ssd()
@@ -135,9 +130,13 @@ def measure_result_cache() -> dict:
         cold_s = time.perf_counter() - t0
 
         _submit_stream(service, stream)
+        dispatches_before = ssd.engine.stats.executor_dispatches
         t0 = time.perf_counter()
         warm = service.run()
         warm_s = time.perf_counter() - t0
+        warm_dispatches = (
+            ssd.engine.stats.executor_dispatches - dispatches_before
+        )
 
         # Exactness: the warm window executed nothing new and every
         # result matches a fresh (cache-free) sense.
@@ -161,6 +160,7 @@ def measure_result_cache() -> dict:
         "repeat_speedup": best_cold / best_warm,
         "cold_senses": cold_senses,
         "warm_senses": warm_senses,
+        "warm_dispatches": warm_dispatches,
         "hit_rate": hit_rate,
     }
 
@@ -242,16 +242,14 @@ def test_repeat_window_served_from_cache():
         f"\n{m['n_queries']} queries x {m['n_chunks']} chunks, "
         f"identical window twice: cold {m['cold_s'] * 1e3:.2f} ms "
         f"({m['cold_senses']} senses), warm {m['warm_s'] * 1e3:.2f} ms "
-        f"({m['warm_senses']} senses, hit-rate {m['hit_rate']:.0%}): "
-        f"{m['repeat_speedup']:.2f}x"
+        f"({m['warm_senses']} senses, {m['warm_dispatches']} executor "
+        f"dispatches, hit-rate {m['hit_rate']:.0%}): "
+        f"{m['repeat_speedup']:.2f}x wall-clock (recorded, not gated)"
     )
+    assert m["cold_senses"] > 0
     assert m["warm_senses"] == 0
+    assert m["warm_dispatches"] == 0
     assert m["hit_rate"] == 1.0
-    assert m["repeat_speedup"] >= SPEEDUP_GATE, (
-        f"expected >= {SPEEDUP_GATE}x repeat-window speedup, got "
-        f"{m['repeat_speedup']:.2f}x (cold {m['cold_s'] * 1e3:.2f} ms, "
-        f"warm {m['warm_s'] * 1e3:.2f} ms)"
-    )
 
 
 def test_edf_meets_deadlines_fifo_misses():

@@ -115,10 +115,11 @@ def job_directives(
     to admit bulk would be backwards).  Deadline-free traffic stays
     *preemptible bulk*: under the arbitrated simulation (an
     :class:`~repro.ssd.events.ArbitrationConfig`) an arriving urgent
-    job may suspend its in-flight sense, bounded by the arbiter's
-    ``max_suspends`` starvation cap.  Priority carries over as the
-    tie-breaker in both classes.  The service emits these under the
-    ``edf`` policy only -- the policy that schedules by them.
+    job may suspend its in-flight sense, which once resumed runs as
+    long as it was parked before it yields again.  Priority carries
+    over as the tie-breaker in both classes.  The service emits these
+    under the ``edf`` policy only -- the policy that schedules by
+    them.
     """
     if info.deadline_us is not None:
         return (float(info.priority), info.deadline_us * 1e-6, False)

@@ -302,20 +302,20 @@ class QueryService:
         drain, the default).  Outcomes and counters are bit-/float-
         identical at any worker count; only wall-clock changes.
 
-    ``preemption`` (+ ``suspend_cost_us`` / ``resume_cost_us`` /
-    ``max_suspends``)
-        The three suspend parameters always govern the event replay's
+    ``preemption`` (+ ``suspend_cost_us`` / ``resume_cost_us``)
+        The two suspend costs always govern the event replay's
         *background* class (see ``maintenance``): a background job in
-        flight when a chunk job arrives is suspended, at most
-        ``max_suspends`` times, each costing the configured
-        suspend/resume penalties (0 by default).  Under ``edf`` the
+        flight when a chunk job arrives is suspended at those
+        penalties (0 by default); resumed, it first runs as long as it
+        was kept off the die, an arrival meanwhile waiting it out
+        (``StageReport.resource_guard_waits``).  Under ``edf`` the
         replay's dies already serve their *waiting* chunk jobs
         deadline-first (other policies: first-come-first-served);
         ``preemption`` adds what only suspension buys: chunk jobs
         replay through the arbitrated event simulation instead of the
         sweep, where a deadline query's jobs may also suspend an
         *in-flight* preemptible bulk sense, and channels and the link
-        order by urgency too (EDF order, under the same cap and
+        order by urgency too (EDF order, under the same rule and
         penalties).  The report carries suspension counts, overhead,
         and per-resource utilization either way.  Off by default.
 
@@ -346,9 +346,9 @@ class QueryService:
         :func:`~repro.ssd.events.background_job` jobs, which always
         yield: they run in the idle gaps of their die and an arriving
         sense suspends an in-flight GC erase instead of queueing
-        behind it (``max_suspends`` is the starvation guard;
-        ``ServiceStats.maintenance_lag_us`` reports what the deferral
-        cost).  Stuck bad blocks are scrubbed out of the allocation
+        behind it (resumed, the erase is protected for as long as it
+        was parked, so it finishes; ``ServiceStats.maintenance_lag_us``
+        reports what the deferral cost).  Stuck bad blocks are scrubbed out of the allocation
         pool up front, and when the health tracker quarantines a chip
         its live vectors drain to healthy chips during probation.
         ``ServiceStats`` then reports blocks reclaimed, pages
@@ -376,7 +376,6 @@ class QueryService:
         preemption: bool = False,
         suspend_cost_us: float = 0.0,
         resume_cost_us: float = 0.0,
-        max_suspends: int = 2,
         recovery: RecoveryPolicy | None = None,
         health: HealthConfig | None = None,
         maintenance: (
@@ -410,7 +409,6 @@ class QueryService:
         self.suspension = ArbitrationConfig(
             suspend_cost_s=suspend_cost_us * 1e-6,
             resume_cost_s=resume_cost_us * 1e-6,
-            max_suspends=max_suspends,
         )
         self.preemption = preemption
         self.use_result_cache = result_cache

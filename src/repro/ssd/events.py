@@ -49,14 +49,17 @@ sweep.
 Jobs built by :func:`background_job` (GC copyback + erase, drain,
 rebuild) are the lowest class, the way real NAND orders erase/program
 *suspend* ahead of reads ahead of program/erase: they run only in the
-idle gaps of their die -- never while a foreground job waits -- are
-suspended by a foreground arrival (``suspend_cost_s`` on the die,
-``resume_cost_s`` on the remainder), and after ``max_suspends``
-suspensions run to completion with the foreground waiting -- the
-starvation guard.  At equal times the foreground wins.  The class is
-a gap-filler per die, consulted only when a foreground event finds
-the die idle before its own ready time and once at the end, so a
-stream without background jobs never reaches it.
+idle gaps of their die -- never while a foreground job waits -- and
+are suspended by a foreground arrival (``suspend_cost_s`` on the die,
+``resume_cost_s`` on the remainder).  Suspension goes by forward
+progress, not by a budget (:func:`_protected_until`): a resumed job
+first runs as long as it was kept off the die, an arrival meanwhile
+waiting as behind any busy die -- for the burst that last displaced
+the job at most, never for an erase, while a started erase keeps half
+of the contended die time.  At equal times the foreground wins.  The
+class is a gap-filler per die, consulted only when a foreground event
+finds the die idle before its own ready time and once at the end, so
+a stream without background jobs never reaches it.
 
 **Arbitrated mode.**  Passing ``arbitration=`` to
 :func:`simulate_stages` switches to the general *preemptible*
@@ -66,9 +69,9 @@ urgent arrival (earlier deadline, then higher priority) can *suspend*
 an in-flight preemptible stage -- modeling a real NAND suspend/resume
 command -- paying ``suspend_cost_s`` immediately and
 ``resume_cost_s`` when the victim's remainder restarts.  Arbitration
-is starvation-safe: a stage is suspended at most ``max_suspends``
-times, after which it runs to completion regardless of urgency, and
-equal-urgency work is never preempted (ties keep strict FIFO).  With
+is starvation-safe by the same forward-progress rule -- a resumed
+stage is protected for as long as it was parked -- and equal-urgency
+work is never preempted (ties keep strict FIFO).  With
 no urgency differences the schedule, start times, and busy accounting
 are *identical* to the FCFS sweep, which the tests pin.  It is also
 the sweep's oracle: with every foreground job non-preemptible (and
@@ -80,6 +83,7 @@ die queue and the background class above, event by event
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 
 
@@ -119,23 +123,20 @@ class ArbitrationConfig:
     ``suspend_cost_s`` is charged on the resource the moment a victim
     is parked (the preemptor starts only after it); ``resume_cost_s``
     is folded into the victim's remaining work, paid when the
-    remainder restarts.  ``max_suspends`` bounds how often one stage
-    may be suspended -- the starvation guard that guarantees bulk work
-    finishes under sustained urgent traffic.  ``min_remaining_s``
-    refuses preemptions whose victim is nearly done anyway (suspending
-    a sense about to finish costs more than it saves).
+    remainder restarts; both lengthen the interval a resumed unit is
+    protected for (:func:`_protected_until`), so bulk work finishes
+    under sustained urgent traffic.  ``min_remaining_s`` refuses
+    preemptions whose victim is nearly done anyway (suspending a sense
+    about to finish costs more than it saves).
     """
 
     suspend_cost_s: float = 0.0
     resume_cost_s: float = 0.0
-    max_suspends: int = 2
     min_remaining_s: float = 0.0
 
     def __post_init__(self) -> None:
         if self.suspend_cost_s < 0 or self.resume_cost_s < 0:
             raise ValueError("suspend/resume costs must be >= 0")
-        if self.max_suspends < 0:
-            raise ValueError("max_suspends must be >= 0")
         if self.min_remaining_s < 0:
             raise ValueError("min_remaining_s must be >= 0")
 
@@ -269,10 +270,12 @@ class StageReport:
     set as open (unknown names report zero rather than raising).
     ``resource_preemptions`` counts suspensions per resource (of
     background jobs in the sweep, of any preemptible stage under
-    arbitration) and ``preemption_overhead`` totals the suspend/resume
-    seconds charged on top of the useful work.  ``fault_overhead``
-    totals the jobs' ``fault_delay_s`` recovery seconds that extended
-    their first stages -- the exact simulated cost of fault recovery.
+    arbitration), ``resource_guard_waits`` the arrivals that waited
+    out a resumed unit's protection (:func:`_protected_until`) instead,
+    and ``preemption_overhead`` totals the suspend/resume seconds
+    charged on top of the useful work.  ``fault_overhead`` totals the
+    jobs' ``fault_delay_s`` recovery seconds that extended their first
+    stages -- the exact simulated cost of fault recovery.
     """
 
     makespan: float
@@ -280,6 +283,7 @@ class StageReport:
     resource_busy: dict[str, float] = field(default_factory=dict)
     resource_jobs: dict[str, int] = field(default_factory=dict)
     resource_preemptions: dict[str, int] = field(default_factory=dict)
+    resource_guard_waits: dict[str, int] = field(default_factory=dict)
     preemption_overhead: float = 0.0
     fault_overhead: float = 0.0
 
@@ -361,19 +365,19 @@ def simulate_stages(
     inside the same sweep: each waits on its die's gap queue and runs
     only while the die would otherwise idle (see :func:`_fill_gap`),
     suspended by foreground arrivals under ``suspension``'s
-    ``suspend_cost_s`` / ``resume_cost_s`` / ``max_suspends`` /
-    ``min_remaining_s`` (default: a zero-cost
-    :class:`ArbitrationConfig`).  A job list without background jobs
-    never reaches that code.
+    ``suspend_cost_s`` / ``resume_cost_s`` / ``min_remaining_s``
+    (default: a zero-cost :class:`ArbitrationConfig`) and the
+    forward-progress rule.  A job list without background jobs never
+    reaches that code.
 
     With ``arbitration`` set, the simulation switches to the
     preemptible resource model (see the module docstring): waiting
     work is ordered by urgency at every resource, and
     strictly-more-urgent arrivals may suspend an in-flight preemptible
-    stage at the configured suspend/resume costs, at most
-    ``max_suspends`` times per stage.  When no job states a deadline
-    or priority the arbitrated schedule is *identical* to the FCFS
-    sweep -- same start times, same floats.
+    stage at the configured suspend/resume costs, a resumed one only
+    once it has run as long as it was parked.  When no job states a
+    deadline or priority the arbitrated schedule is *identical* to the
+    FCFS sweep -- same start times, same floats.
     """
     if arbitration is not None:
         return _simulate_arbitrated(jobs, arbitration)
@@ -505,9 +509,23 @@ def simulate_stages(
 
 #: A resource of the sweep before its first job: ``[available at, busy
 #: seconds, jobs served, gap queue or None, suspensions, wait heap or
-#: None]``; the first three with the semantics of
+#: None, guard waits]``; the first three with the semantics of
 #: :class:`SerialResource`, which remains the single-resource API.
-_IDLE = (0.0, 0.0, 0, None, 0, None)
+_IDLE = (0.0, 0.0, 0, None, 0, None, 0)
+
+
+def _protected_until(
+    parked: float | None, resumed: float, cfg: ArbitrationConfig
+) -> float:
+    """The forward-progress rule of both simulators: a unit may not be
+    suspended again before it has run for as long as it was kept off
+    its resource plus what the suspension cost; never parked, it
+    yields at once."""
+    if parked is None:
+        return resumed
+    return (
+        resumed + (resumed - parked) + cfg.suspend_cost_s + cfg.resume_cost_s
+    )
 
 
 def _report(
@@ -518,18 +536,21 @@ def _report(
 ) -> StageReport:
     """Flush the background work still queued behind the last
     foreground job of each die and total the sweep's report."""
-    suspensions = {}
+    suspensions, guard_waits = {}, {}
     for name, state in resources.items():
         if state[3] is not None:
             _fill_gap(state, float("inf"), suspension, completion)
         if state[4]:
             suspensions[name] = state[4]
+        if state[6]:
+            guard_waits[name] = state[6]
     return StageReport(
         makespan=max(completion),
         completion_times=completion,
         resource_busy={name: s[1] for name, s in resources.items()},
         resource_jobs={name: s[2] for name, s in resources.items()},
         resource_preemptions=suspensions,
+        resource_guard_waits=guard_waits,
         preemption_overhead=sum(suspensions.values())
         * (suspension.suspend_cost_s + suspension.resume_cost_s),
         fault_overhead=fault_overhead,
@@ -634,16 +655,17 @@ class _GapQueue:
     """Background work waiting on one die of the sweep, served in
     arrival order one job at a time."""
 
-    __slots__ = ("waiting", "head", "remainder", "suspends")
+    __slots__ = ("waiting", "head", "remainder", "parked")
 
     def __init__(self) -> None:
         #: ``(ready, duration, job index)`` in ``(ready, seq)`` order.
         self.waiting: list[tuple[float, float, int]] = []
         self.head = 0
         #: Seconds the head job still needs after a suspension (its
-        #: resume cost included); ``None`` while it has not started.
+        #: resume cost included) and when it was parked; ``None``
+        #: while it has not started.
         self.remainder: float | None = None
-        self.suspends = 0
+        self.parked: float | None = None
 
 
 def _fill_gap(
@@ -663,9 +685,10 @@ def _fill_gap(
     equal times the foreground wins -- and never before its own ready
     time.  One still in flight at ``limit`` is suspended: the die pays
     ``suspend_cost_s`` before the foreground starts and the remainder
-    carries ``resume_cost_s``.  After ``max_suspends`` suspensions (or
-    with at most ``min_remaining_s`` left) it runs to completion and
-    the foreground waits: the starvation guard -- ``False``, and if
+    carries ``resume_cost_s``.  A resumed job yields no earlier than
+    :func:`_protected_until` (the guard), one with at most
+    ``min_remaining_s`` left not at all: the foreground waits --
+    ``False``, ``state[0]`` where the job yields or ends -- and if
     others arrive meanwhile the die picks among them by urgency when
     it frees.  The arithmetic is that of :func:`_simulate_arbitrated`
     on the same jobs with every foreground job non-preemptible.
@@ -684,25 +707,28 @@ def _fill_gap(
         if start >= limit:
             break
         end = start + duration
-        if (
-            end > limit
-            and queue.suspends < cfg.max_suspends
-            and end - limit > cfg.min_remaining_s
-        ):
-            state[1] += limit - start
-            state[1] += cfg.suspend_cost_s
-            state[4] += 1
-            queue.remainder = (end - limit) + cfg.resume_cost_s
-            queue.suspends += 1
-            at = limit + cfg.suspend_cost_s
-            yielded = True
-            break
+        if end - limit > cfg.min_remaining_s:
+            # In flight at ``limit`` with enough left to park: it
+            # yields there, or where its protection ends.
+            yields_at = _protected_until(queue.parked, start, cfg)
+            if yields_at > limit:
+                state[6] += 1
+            else:
+                yields_at = limit
+            if end - yields_at > cfg.min_remaining_s:
+                state[1] += yields_at - start
+                state[1] += cfg.suspend_cost_s
+                state[4] += 1
+                queue.remainder = (end - yields_at) + cfg.resume_cost_s
+                queue.parked = yields_at
+                at = yields_at + cfg.suspend_cost_s
+                yielded = yields_at == limit
+                break
         state[1] += duration
         state[2] += 1
         completion[idx] = end
         queue.head += 1
-        queue.remainder = None
-        queue.suspends = 0
+        queue.remainder = queue.parked = None
         at = end
     else:
         state[3] = None
@@ -713,22 +739,43 @@ def _fill_gap(
 class _Unit:
     """One job-stage execution in the arbitrated simulation.  Mutable:
     a suspension rewrites ``remaining`` (rest of the work plus the
-    resume cost) and bumps ``suspends``."""
+    resume cost) and stamps ``parked``."""
 
-    __slots__ = ("idx", "stage", "remaining", "suspends", "order")
+    __slots__ = ("idx", "stage", "remaining", "parked", "order")
 
     def __init__(self, idx: int, stage: int, remaining: float) -> None:
         self.idx = idx
         self.stage = stage
         self.remaining = remaining
-        self.suspends = 0
+        #: When it was last suspended; ``None`` until it has been.
+        self.parked: float | None = None
         #: Arrival order at the resource (set on first arrival, kept
         #: across suspensions so a parked victim resumes ahead of
         #: equally urgent later arrivals).
         self.order = 0
 
 
-_ARRIVE, _FINISH = 0, 1
+_ARRIVE, _FINISH, _GUARD = 0, 1, 2
+
+
+def _start_unit(
+    events: list,
+    seq: int,
+    name: str,
+    state: list,
+    unit: _Unit,
+    t: float,
+    arb: ArbitrationConfig,
+) -> int:
+    """Put ``unit`` on resource ``name`` at ``t`` and schedule its
+    finish; returns the next ``seq``."""
+    state[0] = unit
+    state[1] += 1
+    state[3] = t
+    state[4] = t + unit.remaining
+    state[5] = _protected_until(unit.parked, t, arb)
+    heapq.heappush(events, (state[4], seq, _FINISH, (name, state[1])))
+    return seq + 1
 
 
 def _simulate_arbitrated(
@@ -741,19 +788,23 @@ def _simulate_arbitrated(
     completions in time order with deterministic sequence tie-breaks.
     Preemption fires only when the arrival's urgency is *strictly*
     ahead of the running unit's, the victim is preemptible, its
-    suspend budget is not exhausted, its remaining work exceeds
-    ``min_remaining_s``, and no suspend is already in progress on the
-    resource -- so uncontended and equal-urgency traffic reproduces
-    the FCFS sweep float for float.
+    remaining work exceeds ``min_remaining_s``, and no suspend is
+    already in progress on the resource -- so uncontended and
+    equal-urgency traffic reproduces the FCFS sweep float for float.
+    A resumed victim is protected until :func:`_protected_until`: an
+    arrival that would suspend it earlier waits, and a ``_GUARD``
+    event then re-runs the decision; a unit parked there leaves the
+    resource to its most urgent waiter once the suspend cost is paid.
     """
     if not jobs:
         return StageReport(makespan=0.0, completion_times=[])
 
     push = heapq.heappush
     pop = heapq.heappop
-    #: (time, seq, kind, payload): ARRIVE carries a _Unit, FINISH a
-    #: (resource name, token) pair -- the token invalidates completions
-    #: of units that were suspended after their finish was scheduled.
+    #: (time, seq, kind, payload): ARRIVE carries a _Unit, FINISH and
+    #: GUARD a (resource name, token) pair -- the token invalidates
+    #: events of units that were suspended, or finished, after the
+    #: event was scheduled.
     events: list[tuple[float, int, int, object]] = []
     seq = 0
     fault_overhead = 0.0
@@ -766,60 +817,71 @@ def _simulate_arbitrated(
         push(events, (job.ready_at, seq, _ARRIVE, _Unit(idx, 0, first)))
         seq += 1
 
-    #: name -> [running unit | None, token, wait heap, seg_start, end]
+    #: name -> [running unit | None, token, wait heap, seg_start, end,
+    #: protected until (inf once a waiter has a GUARD event out)]
     resources: dict[str, list] = {}
     busy: dict[str, float] = {}
     served: dict[str, int] = {}
     preempted: dict[str, int] = {}
-    overhead = 0.0
+    guard_waits: dict[str, int] = {}
     completion = [0.0] * len(jobs)
     arrival_order = 0
 
-    def start(name: str, state: list, unit: _Unit, t: float) -> None:
-        nonlocal seq
-        state[0] = unit
-        state[1] += 1
-        state[3] = t
-        state[4] = t + unit.remaining
-        push(events, (state[4], seq, _FINISH, (name, state[1])))
-        seq += 1
+    def park(name: str, state: list, t: float) -> None:
+        # Charge the work the running unit already performed plus the
+        # suspend overhead, park the remainder (plus its future resume
+        # cost) back on the wait heap.
+        running = state[0]
+        busy[name] = busy.get(name, 0.0) + (t - state[3])
+        busy[name] += arb.suspend_cost_s
+        running.remaining = (state[4] - t) + arb.resume_cost_s
+        running.parked = t
+        preempted[name] = preempted.get(name, 0) + 1
+        push(state[2], (jobs[running.idx].urgency, running.order, running))
 
     while events:
         t, _, kind, payload = pop(events)
-        if kind == _FINISH:
+        if kind != _ARRIVE:
             name, token = payload
             state = resources[name]
-            if token != state[1] or state[0] is None:
-                continue  # stale: the unit was suspended meanwhile
             unit = state[0]
-            # Charge the segment's planned length, not (t - seg_start):
-            # the latter is the same quantity but not the same float
-            # ((s + d) - s may round), and the uncontended schedule
-            # must stay float-identical to the FCFS sweep.
-            busy[name] = busy.get(name, 0.0) + unit.remaining
-            served[name] = served.get(name, 0) + 1
-            state[0] = None
-            job = jobs[unit.idx]
-            if unit.stage + 1 < len(job.durations):
-                push(
-                    events,
-                    (
-                        t,
-                        seq,
-                        _ARRIVE,
-                        _Unit(
-                            unit.idx,
-                            unit.stage + 1,
-                            job.durations[unit.stage + 1],
-                        ),
-                    ),
-                )
+            if token != state[1]:
+                pass  # stale: the unit was suspended, or finished
+            elif kind == _FINISH:
+                # Charge the segment's planned length, not (t -
+                # seg_start): the latter is the same quantity but not
+                # the same float ((s + d) - s may round), and the
+                # uncontended schedule must stay float-identical to
+                # the FCFS sweep.
+                busy[name] = busy.get(name, 0.0) + unit.remaining
+                served[name] = served.get(name, 0) + 1
+                state[0] = None
+                job = jobs[unit.idx]
+                stage = unit.stage + 1
+                if stage < len(job.durations):
+                    nxt = _Unit(unit.idx, stage, job.durations[stage])
+                    push(events, (t, seq, _ARRIVE, nxt))
+                    seq += 1
+                else:
+                    completion[unit.idx] = t
+                if state[2]:
+                    nxt = pop(state[2])[2]
+                    seq = _start_unit(events, seq, name, state, nxt, t, arb)
+            elif unit is None:
+                # The suspend cost is paid: the resource picks.
+                nxt = pop(state[2])[2]
+                seq = _start_unit(events, seq, name, state, nxt, t, arb)
+            elif state[4] - t > arb.min_remaining_s:
+                # The guard expired: the waiter that had to wait for it
+                # still outranks the unit, so unless that is nearly
+                # done it is parked -- and the resource picks when the
+                # suspend cost is paid.
+                park(name, state, t)
+                state[0] = None
+                state[1] += 1
+                at = t + arb.suspend_cost_s
+                push(events, (at, seq, _GUARD, (name, state[1])))
                 seq += 1
-            else:
-                completion[unit.idx] = t
-            if state[2]:
-                _, _, nxt = heapq.heappop(state[2])
-                start(name, state, nxt, t)
             continue
 
         unit = payload
@@ -827,37 +889,33 @@ def _simulate_arbitrated(
         name = job.resources[unit.stage]
         state = resources.get(name)
         if state is None:
-            state = resources[name] = [None, 0, [], 0.0, 0.0]
+            state = resources[name] = [None, 0, [], 0.0, 0.0, 0.0]
         unit.order = arrival_order
         arrival_order += 1
         running = state[0]
-        if running is None:
-            start(name, state, unit, t)
-            continue
-        victim_job = jobs[running.idx]
-        if (
-            victim_job.preemptible
-            and running.suspends < arb.max_suspends
-            and job.urgency < victim_job.urgency
+        victim = None if running is None else jobs[running.idx]
+        suspends = (
+            victim is not None
+            and victim.preemptible
+            and job.urgency < victim.urgency
             and t >= state[3]  # no suspend already in progress
             and state[4] - t > arb.min_remaining_s
-        ):
-            # Suspend the in-flight unit: charge the work it already
-            # performed plus the suspend overhead, park the remainder
-            # (plus its future resume cost) back on the wait heap.
-            busy[name] = busy.get(name, 0.0) + (t - state[3])
-            busy[name] += arb.suspend_cost_s
-            running.remaining = (state[4] - t) + arb.resume_cost_s
-            running.suspends += 1
-            overhead += arb.suspend_cost_s + arb.resume_cost_s
-            preempted[name] = preempted.get(name, 0) + 1
-            push(
-                state[2],
-                (victim_job.urgency, running.order, running),
-            )
-            start(name, state, unit, t + arb.suspend_cost_s)
+        )
+        if running is None and not state[2]:
+            seq = _start_unit(events, seq, name, state, unit, t, arb)
+        elif suspends and t >= state[5]:
+            park(name, state, t)
+            at = t + arb.suspend_cost_s
+            seq = _start_unit(events, seq, name, state, unit, at, arb)
         else:
             push(state[2], (job.urgency, unit.order, unit))
+            if suspends and state[5] != math.inf:
+                # The unit is protected: the first arrival it makes
+                # wait has the decision re-run when the guard expires.
+                push(events, (state[5], seq, _GUARD, (name, state[1])))
+                seq += 1
+                state[5] = math.inf
+                guard_waits[name] = guard_waits.get(name, 0) + 1
 
     return StageReport(
         makespan=max(completion),
@@ -865,6 +923,8 @@ def _simulate_arbitrated(
         resource_busy=busy,
         resource_jobs=served,
         resource_preemptions=preempted,
-        preemption_overhead=overhead,
+        resource_guard_waits=guard_waits,
+        preemption_overhead=sum(preempted.values())
+        * (arb.suspend_cost_s + arb.resume_cost_s),
         fault_overhead=fault_overhead,
     )

@@ -43,7 +43,8 @@ drain reads/writes) is emitted as
 :func:`~repro.ssd.events.background_job` stage jobs, the lower service
 class of the service's one event simulation: they run in the idle gaps
 of their die and an arriving sense suspends an in-flight GC erase
-(bounded by ``max_suspends``), so the foreground p99 impact -- and
+(which, resumed, runs as long as it was parked before it yields
+again), so the foreground p99 impact -- and
 what the deferral costs the background work -- is measured, not
 assumed.
 """

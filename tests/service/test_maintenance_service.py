@@ -204,7 +204,7 @@ CHURN_GEOMETRY = ChipGeometry(
 CHURN_BITS = 2 * CHURN_GEOMETRY.page_size_bits
 
 
-def _churn_run(monkeypatch, sweep=None, rounds=20):
+def _churn_run(monkeypatch, sweep=None, rounds=20, spacing_us=110.0):
     """``write_churn`` in small: every round writes six fresh vectors,
     deletes the previous six and serves a window stream, half of it
     under deadline, on a near-full SSD with GC pacing on."""
@@ -233,7 +233,7 @@ def _churn_run(monkeypatch, sweep=None, rounds=20):
                 del env[f"c{r - 1}_{i}"]
         fresh = [Operand(f"c{r}_{i}") for i in range(6)]
         for i in range(16):
-            at_us = r * 4000.0 + 110.0 * i
+            at_us = r * 4000.0 + spacing_us * i
             expr = (
                 and_all(stable[i % 3 :])
                 if i % 2
@@ -311,3 +311,30 @@ def test_yielding_background_changes_timings_only(monkeypatch):
     )
     assert suspensions > 0
     assert sooner > 0
+
+
+def test_no_sense_waits_for_an_erase_and_gc_does_the_same_work(monkeypatch):
+    """``write_churn`` in small, its windows dense enough that the
+    next one closes while a resumed erase is still protected: every
+    deadline is met and no query takes a millisecond, let alone the
+    3.5 of an erase -- an arrival waits out the previous burst at
+    most -- while GC does the work it does under the frozen
+    first-come-first-served sweep."""
+    import reference_control_path as reference
+
+    _, service, served, replays = _churn_run(monkeypatch, spacing_us=30.0)
+    with monkeypatch.context() as patch:
+        _, twin_service, _, _ = _churn_run(
+            patch, sweep=reference.simulate_stages_fcfs, spacing_us=30.0
+        )
+    queries = [query for report in served for query in report.queries]
+    assert all(
+        query.deadline_met
+        for query in queries
+        if query.deadline_us is not None
+    )
+    assert max(query.latency_us for query in queries) < 1000.0
+    assert sum(report.stats.preemptions for report in served) > 0
+    assert any(replay.resource_guard_waits for _, replay in replays)
+    assert service.maintenance.stats == twin_service.maintenance.stats
+    assert service.maintenance.stats.blocks_reclaimed > 0

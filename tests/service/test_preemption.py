@@ -11,6 +11,8 @@ deterministic: timing comes from the physically derived tMWS model
 and the discrete-event replay, not wall clocks.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,16 @@ class TestPreemptionBenefit:
         twin = {q.query_id: q for q in svc.run().queries}
         for qid, served in by_id.items():
             assert served.completed_us == twin[qid].completed_us
+
+
+def test_the_service_has_no_suspension_budget_to_set():
+    """``preemption`` and the two costs are all there is: 18 keywords,
+    one fewer than while a budget was one of them."""
+    parameters = inspect.signature(QueryService.__init__).parameters
+    assert sum(p.kind is p.KEYWORD_ONLY for p in parameters.values()) == 18
+    assert {"preemption", "suspend_cost_us", "resume_cost_us"} <= set(
+        parameters
+    )
 
 
 class TestJobDirectives:

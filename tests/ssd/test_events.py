@@ -1,5 +1,7 @@
 """Tests for the timeline simulator (repro.ssd.events)."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -187,13 +189,20 @@ class TestStageReportRobustness:
 
 
 class TestArbitrationConfig:
+    def test_no_suspension_budget_to_set(self):
+        """Two costs and the nearly-done threshold; how often a unit
+        yields follows from the forward-progress rule."""
+        assert [f.name for f in dataclasses.fields(ArbitrationConfig)] == [
+            "suspend_cost_s",
+            "resume_cost_s",
+            "min_remaining_s",
+        ]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ArbitrationConfig(suspend_cost_s=-1.0)
         with pytest.raises(ValueError):
             ArbitrationConfig(resume_cost_s=-1.0)
-        with pytest.raises(ValueError):
-            ArbitrationConfig(max_suspends=-1)
         with pytest.raises(ValueError):
             ArbitrationConfig(min_remaining_s=-1.0)
 
@@ -323,17 +332,44 @@ class TestPreemption:
         assert report.preemptions == 0
 
     def test_starvation_bound(self):
-        """max_suspends=2 caps how often the bulk job can be parked:
-        the third urgent arrival has to wait."""
+        """The forward-progress rule in place of a suspension budget.
+        Bulk is parked [10, 15) by the first urgent job, so once back
+        on the die it is protected until 15 + 5 = 20: the urgent
+        arrival at 17 waits those 3 s -- never for the bulk's 100 --
+        and suspends it at 20.  Parked [20, 25), it is protected
+        until 30; the arrival at 40 finds it unprotected and suspends
+        it at once, however often that happened before."""
         jobs = [StageJob(0.0, (100.0,), ("die",))] + [
-            StageJob(10.0 + 20.0 * i, (5.0,), ("die",), deadline=200.0 + i)
-            for i in range(4)
+            StageJob(at, (5.0,), ("die",), deadline=200.0 + at)
+            for at in (10.0, 17.0, 40.0)
         ]
         report = simulate_stages(jobs, arbitration=ArbitrationConfig())
+        # Bulk runs [0,10) [15,20) [25,40) and the other 70 s from 45.
+        assert report.completion_times == [115.0, 15.0, 25.0, 45.0]
+        assert report.preemptions == 3
+        assert report.resource_guard_waits == {"die": 1}
+        assert report.resource_busy["die"] == pytest.approx(115.0)
+
+    def test_suspension_costs_lengthen_the_protection(self):
+        """Parked at 10 and back at 16 (1 s to park, 5 s of urgent
+        work), bulk is protected for those 6 s plus the 1 + 2 s its
+        suspension cost: until 25.  The arrival at 24 waits for that,
+        the bulk is parked at 25 and the urgent job runs [26, 31)."""
+        jobs = [StageJob(0.0, (100.0,), ("die",))] + [
+            StageJob(at, (5.0,), ("die",), deadline=200.0 + at)
+            for at in (10.0, 24.0)
+        ]
+        report = simulate_stages(
+            jobs,
+            arbitration=ArbitrationConfig(
+                suspend_cost_s=1.0, resume_cost_s=2.0
+            ),
+        )
+        # Bulk: [0,10), 92 left; [16,25), 83 + 2 left from 31.
+        assert report.completion_times == [116.0, 16.0, 31.0]
         assert report.preemptions == 2
-        # All work still completes.
-        assert all(c > 0 for c in report.completion_times)
-        assert report.resource_busy["die"] == pytest.approx(120.0)
+        assert report.resource_guard_waits == {"die": 1}
+        assert report.preemption_overhead == 6.0
 
     def test_min_remaining_refuses_near_done_victim(self):
         jobs = [

@@ -12,9 +12,10 @@ on the same jobs, the *real* urgencies kept, every foreground job
 non-preemptible and -- the tie rule, foreground wins equal times --
 listed ahead of the background jobs, so the oracle's index tie-break
 says what the sweep says whichever way the caller listed them.
-``completion_times``, ``makespan``, ``resource_jobs`` and
-``resource_preemptions`` are compared with ``==``: both sides compute
-every start and end with the same additions in the same order.  One
+``completion_times``, ``makespan``, ``resource_jobs``,
+``resource_preemptions`` and ``resource_guard_waits`` are compared with
+``==``: both sides compute every start and end -- and the end of every
+protected interval -- with the same additions in the same order.  One
 shortcut is the sweep's own: a foreground job that needs *no* die time
 (a cache-served chunk) and finds the die free at its ready time with
 nobody waiting goes at once, also at the very instant the die frees,
@@ -45,6 +46,15 @@ What mixed urgency does to a *contended* downstream stage is the
 sweep's own rule, not the oracle's, and has its own property:
 first-come-first-served in die-completion order
 (``test_downstream_stays_fcfs_in_die_completion_order``).
+
+**The forward-progress rule.**  Agreeing with the oracle says nothing
+about what the two agree *on*, so the rule -- a resumed background job
+runs as long as it was kept off the die, plus what its suspension
+cost, before it yields again -- is also stated from the outside: on
+``exact=True`` streams (dyadic times, so every sum below is exact)
+``background_pieces`` rebuilds what each die's background jobs did
+from nothing but the jobs and their completion times, and the
+properties are read off the pieces.
 """
 
 from __future__ import annotations
@@ -166,7 +176,6 @@ CONFIGS = st.builds(
     ArbitrationConfig,
     suspend_cost_s=COST,
     resume_cost_s=COST,
-    max_suspends=st.integers(0, 3),
     min_remaining_s=st.sampled_from([0.0, 0.0, 0.15]),
 )
 #: Background also becomes ready after the last foreground has.
@@ -184,12 +193,34 @@ URGENCY = st.fixed_dictionaries(
 )
 
 
+#: The same shapes over dyadic values: every sum and difference of
+#: these is exact, so a timeline can be rebuilt from completion times.
+EXACT_COST = st.sampled_from([0.0, 0.0, 0.0625, 0.125])
+EXACT_CONFIGS = st.builds(
+    ArbitrationConfig,
+    suspend_cost_s=EXACT_COST,
+    resume_cost_s=EXACT_COST,
+    min_remaining_s=st.sampled_from([0.0, 0.0, 0.1875]),
+)
+EXACT_READY = st.sampled_from([0.0, 0.0, 0.25, 0.5, 0.5, 1.0, 2.5])
+EXACT_DURATION = st.sampled_from([0.0, 0.0, 0.25, 0.5, 0.75, 1.0])
+EXACT_DELAY = st.sampled_from([0.0, 0.0, 0.0, 0.125, 0.5])
+EXACT_LATE_READY = st.sampled_from([0.0, 0.0, 0.25, 1.0, 2.5, 4.0, 9.0])
+EXACT_LONG = st.sampled_from([0.0, 0.25, 0.75, 1.0, 3.5, 3.5])
+EXACT_POOLS = (
+    EXACT_READY, EXACT_DURATION, EXACT_DELAY, EXACT_LATE_READY, EXACT_LONG
+)
+
+
 @st.composite
-def die_streams(draw, background=True):
+def die_streams(draw, background=True, exact=False):
     """Single-stage jobs on a few dies, tie-heavy, mixed urgency;
     background may sit on a die no foreground touches
     (``chip<n_chips>``), and is listed before, between and after
     same-ready foreground."""
+    ready, duration, delay, late_ready, long = (
+        EXACT_POOLS if exact else (READY, DURATION, DELAY, LATE_READY, LONG)
+    )
     n_chips = draw(st.integers(1, 3))
     jobs = []
     for _ in range(draw(st.integers(1, 30))):
@@ -197,32 +228,41 @@ def die_streams(draw, background=True):
             chip = draw(st.integers(0, n_chips))
             jobs.append(
                 background_job(
-                    f"chip{chip}", draw(LONG), ready_at=draw(LATE_READY)
+                    f"chip{chip}", draw(long), ready_at=draw(late_ready)
                 )
             )
         else:
             chip = draw(st.integers(0, n_chips - 1))
             jobs.append(
                 StageJob(
-                    draw(READY),
-                    (draw(DURATION),),
+                    draw(ready),
+                    (draw(duration),),
                     (f"chip{chip}",),
-                    fault_delay_s=draw(DELAY),
+                    fault_delay_s=draw(delay),
                     **draw(URGENCY),
                 )
             )
     return jobs
 
 
+def _times(low, high, exact):
+    """Times in ``[low, high]``: any float, or multiples of 1/64."""
+    if not exact:
+        return st.floats(low, high)
+    return st.integers(round(low * 64), round(high * 64)).map(
+        lambda ticks: ticks / 64
+    )
+
+
 @st.composite
-def pipeline_streams(draw, mixed):
+def pipeline_streams(draw, mixed, exact=False):
     """The service's shape over continuous times: chip -> channel ->
     external link foreground, background on the chips.  ``mixed``
     draws an urgency per job and keeps the transfers short (the
     service's are a percent of a sense); otherwise one urgency serves
     all and the transfers are as long as the senses."""
     n_chips = draw(st.integers(1, 4))
-    time = st.floats(0.01, 10.0)
+    time = _times(0.01, 10.0, exact)
     transfer = st.floats(0.001, 0.02) if mixed else time
     shared = draw(URGENCY)
     jobs = []
@@ -232,14 +272,14 @@ def pipeline_streams(draw, mixed):
             jobs.append(
                 background_job(
                     f"chip{chip}",
-                    draw(st.floats(0.0, 8.0)),
-                    ready_at=draw(st.floats(0.0, 30.0)),
+                    draw(_times(0.0, 8.0, exact)),
+                    ready_at=draw(_times(0.0, 30.0, exact)),
                 )
             )
         else:
             jobs.append(
                 StageJob(
-                    draw(st.floats(0.0, 20.0)),
+                    draw(_times(0.0, 20.0, exact)),
                     (draw(time), draw(transfer), draw(transfer)),
                     (f"chip{chip}", f"chan{chip % 2}", "ext"),
                     **(draw(URGENCY) if mixed else shared),
@@ -281,6 +321,7 @@ def assert_agrees_with_oracle(jobs, cfg):
     assert report.makespan == expected.makespan
     assert report.resource_jobs == expected.resource_jobs
     assert report.resource_preemptions == expected.resource_preemptions
+    assert report.resource_guard_waits == expected.resource_guard_waits
     assert report.resource_busy == pytest.approx(
         expected.resource_busy, rel=1e-12, abs=0.0
     )
@@ -293,12 +334,7 @@ def assert_agrees_with_oracle(jobs, cfg):
     return report
 
 
-def assert_background_properties(jobs, cfg, report):
-    background = [job for job in jobs if job.background]
-    for name, count in report.resource_preemptions.items():
-        hosted = sum(job.resources[0] == name for job in background)
-        # No background job is suspended more than the budget allows.
-        assert count <= cfg.max_suspends * hosted
+def assert_background_properties(jobs, report):
     work = sum(sum(job.durations) + job.fault_delay_s for job in jobs)
     assert sum(report.resource_busy.values()) == pytest.approx(
         work + report.preemption_overhead, rel=1e-9
@@ -312,7 +348,7 @@ def assert_background_properties(jobs, cfg, report):
 @given(jobs=die_streams(), cfg=CONFIGS)
 def test_gap_filler_equals_arbitrated_oracle_on_tied_dies(jobs, cfg):
     report = assert_agrees_with_oracle(jobs, cfg)
-    assert_background_properties(jobs, cfg, report)
+    assert_background_properties(jobs, report)
 
 
 def _cut(jobs, depth):
@@ -375,7 +411,7 @@ def downstream_wait(jobs, cfg):
 def test_gap_filler_equals_arbitrated_oracle_on_pipelines(jobs, cfg):
     assume(not downstream_tie(jobs, cfg))
     report = assert_agrees_with_oracle(jobs, cfg)
-    assert_background_properties(jobs, cfg, report)
+    assert_background_properties(jobs, report)
 
 
 @settings(max_examples=200, deadline=None)
@@ -386,7 +422,7 @@ def test_die_queue_equals_arbitrated_oracle_on_uncontended_pipelines(
     assume(not downstream_tie(jobs, cfg))
     assume(not downstream_wait(jobs, cfg))
     report = assert_agrees_with_oracle(jobs, cfg)
-    assert_background_properties(jobs, cfg, report)
+    assert_background_properties(jobs, report)
 
 
 @settings(max_examples=200, deadline=None)
@@ -412,33 +448,143 @@ def test_downstream_stays_fcfs_in_die_completion_order(jobs, cfg):
 
 
 @settings(max_examples=300, deadline=None)
-@given(jobs=die_streams(), max_suspends=st.integers(0, 3))
-def test_free_suspension_never_delays_foreground(jobs, max_suspends):
-    """At zero cost a die under the queue and the gap-filler is as
-    work-conserving as under the frozen FCFS sweep: it does the same
-    work, and -- ordering moves who waits, never how long the die
-    works -- its last foreground job completes no later.  (Per die; a
-    pipeline's downstream FCFS stages are not monotone in their
-    arrival times.)"""
-    report = simulate_stages(
-        jobs, suspension=ArbitrationConfig(max_suspends=max_suspends)
-    )
+@given(jobs=die_streams())
+def test_free_suspension_never_delays_foreground(jobs):
+    """At zero cost a die under the queue, the gap-filler and the
+    forward-progress guard is as work-conserving as under the frozen
+    FCFS sweep: it does the same work and is through with it at the
+    same time -- parked, protected or neither, background work never
+    leaves the die idle -- and, ordering moving who waits, never how
+    long the die works, its last foreground job completes no later.
+    (Per die; a pipeline's downstream FCFS stages are not monotone in
+    their arrival times.)"""
+    report = simulate_stages(jobs)
     parent = reference.simulate_stages_fcfs(jobs)
     last, last_fcfs = {}, {}
     for job, now, before in zip(
         jobs, report.completion_times, parent.completion_times
     ):
-        if not job.background:
-            die = job.resources[0]
-            last[die] = max(last.get(die, 0.0), now)
-            last_fcfs[die] = max(last_fcfs.get(die, 0.0), before)
-    for die, end in last.items():
-        assert end <= last_fcfs[die] * (1 + 1e-12)
+        for key in {job.resources[0], (job.resources[0], job.background)}:
+            last[key] = max(last.get(key, 0.0), now)
+            last_fcfs[key] = max(last_fcfs.get(key, 0.0), before)
+    for key, end in last.items():
+        if isinstance(key, str):
+            assert end == pytest.approx(last_fcfs[key], rel=1e-12)
+        elif not key[1]:
+            assert end <= last_fcfs[key] * (1 + 1e-12)
     # The die did the same work either way.
     assert report.resource_busy == pytest.approx(
         parent.resource_busy, rel=1e-12, abs=0.0
     )
     assert report.resource_jobs == parent.resource_jobs
+
+
+# ----------------------------------------------------------------------
+# The forward-progress rule, from the outside
+# ----------------------------------------------------------------------
+
+
+def background_pieces(jobs, done, cfg):
+    """What each die's background jobs did, rebuilt from single-stage
+    ``jobs`` over dyadic times and their completion times ``done``:
+    ``die -> [(job index, start, end, parked)]`` in time order,
+    ``parked`` saying the piece ended in a suspension.
+
+    The foreground intervals are ``[done - duration, done)``; between
+    two of them the die's background queue is served in ``(ready,
+    listing)`` order, a job that has not started no earlier than its
+    ready time, one that has from the moment the die frees.  A job
+    whose completion falls inside the gap ends its piece there; one
+    that runs into the next foreground start was parked
+    ``suspend_cost_s`` before it.
+    """
+    pieces = {}
+    for die in {job.resources[0] for job in jobs if job.background}:
+        edges = [0.0]
+        for start, end in sorted(
+            (end - (job.durations[0] + job.fault_delay_s), end)
+            for job, end in zip(jobs, done)
+            if not job.background and job.resources[0] == die
+        ):
+            edges += [start, end]
+        edges.append(float("inf"))
+        queue = sorted(
+            (job.ready_at, index)
+            for index, job in enumerate(jobs)
+            if job.background and job.resources[0] == die
+        )
+        out = pieces[die] = []
+        head, resumed = 0, False
+        for cursor, gap_end in zip(edges[::2], edges[1::2]):
+            while head < len(queue):
+                ready_at, index = queue[head]
+                start = cursor if resumed else max(cursor, ready_at)
+                if done[index] <= gap_end:
+                    out.append((index, start, done[index], False))
+                    cursor = done[index]
+                    head, resumed = head + 1, False
+                    continue
+                if start < gap_end - cfg.suspend_cost_s:
+                    out.append(
+                        (index, start, gap_end - cfg.suspend_cost_s, True)
+                    )
+                    resumed = True
+                break
+    return pieces
+
+
+EXACT_STREAMS = st.one_of(
+    die_streams(exact=True),
+    pipeline_streams(mixed=True, exact=True).map(lambda jobs: _cut(jobs, 1)),
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(jobs=EXACT_STREAMS, cfg=EXACT_CONFIGS)
+def test_resumed_background_runs_as_long_as_it_was_parked(jobs, cfg):
+    """The rule and its two consequences, on the rebuilt timeline: a
+    resumed piece that ends in another suspension lasted at least as
+    long as the job had been kept off the die plus what the suspension
+    cost; so no foreground arrival waits behind background work for
+    longer than that (and behind never-parked work not at all) -- give
+    or take ``min_remaining_s``, under which a job is left to finish;
+    and no piece starts while a foreground job waits."""
+    report = assert_agrees_with_oracle(jobs, cfg)
+    done = report.completion_times
+    costs = cfg.suspend_cost_s + cfg.resume_cost_s
+    for die, pieces in background_pieces(jobs, done, cfg).items():
+        # The pieces are the die's story: they account for every
+        # suspension and every second of background work.
+        assert report.resource_preemptions.get(die, 0) == sum(
+            parked for *_, parked in pieces
+        )
+        ran, parks = {}, {}
+        for index, start, end, parked in pieces:
+            ran[index] = ran.get(index, 0.0) + (end - start)
+            parks[index] = parks.get(index, 0) + parked
+        for index, seconds in ran.items():
+            assert seconds == (
+                jobs[index].durations[0] + parks[index] * cfg.resume_cost_s
+            )
+        foreground = [
+            (job.ready_at, end - (job.durations[0] + job.fault_delay_s))
+            for job, end in zip(jobs, done)
+            if not job.background and job.resources[0] == die
+        ]
+        parked_at = {}
+        for index, start, end, parked in pieces:
+            protected = start
+            if index in parked_at:
+                protected += (start - parked_at[index]) + costs
+            if parked:
+                assert end >= protected
+                parked_at[index] = end
+            for ready_at, began in foreground:
+                assert not ready_at <= start < began
+                if start < ready_at < end:
+                    assert end <= (
+                        max(ready_at, protected) + cfg.min_remaining_s
+                    )
 
 
 @settings(max_examples=300, deadline=None)
@@ -465,11 +611,7 @@ def test_ordering_conserves_each_dies_work(jobs):
         assert max(ends) == pytest.approx(max(ends_fcfs), rel=1e-12)
 
 
-#: Dyadic, so ``completion - duration`` is the exact start time.
-EXACT_READY = st.sampled_from([0.0, 0.0, 0.25, 0.5, 0.5, 1.0, 2.5])
-EXACT_DURATION = st.sampled_from([0.0, 0.0, 0.25, 0.5, 0.75, 1.0])
-
-
+#: (Dyadic values, so ``completion - duration`` is the exact start.)
 @settings(max_examples=400, deadline=None)
 @given(
     specs=st.lists(
@@ -598,18 +740,20 @@ def test_equal_urgency_is_strict_fifo():
 
 
 def test_waiters_behind_an_unsuspendable_erase_go_by_urgency():
-    """Budget 0: the erase [0, 3) runs through both arrivals, and the
-    die then picks the deadline job although it arrived second."""
+    """The erase is parked [1, 3), so back on the die it is protected
+    until 3 + 2 = 5: both arrivals wait, and at 5, the erase parked,
+    the die picks the deadline job although it arrived second."""
     jobs = [
-        background_job("chip0", 3.0),
-        StageJob(1.0, (1.0,), ("chip0",)),
-        StageJob(2.0, (1.0,), ("chip0",), deadline=9.0),
+        background_job("chip0", 10.0),
+        StageJob(1.0, (2.0,), ("chip0",)),
+        StageJob(3.5, (1.0,), ("chip0",)),
+        StageJob(4.0, (1.0,), ("chip0",), deadline=9.0),
     ]
-    report = assert_agrees_with_oracle(
-        jobs, ArbitrationConfig(max_suspends=0)
-    )
-    assert report.completion_times == [3.0, 5.0, 4.0]
-    assert report.preemptions == 0
+    report = assert_agrees_with_oracle(jobs, ArbitrationConfig())
+    # Erase runs [0,1) [3,5) and its other 7 s from 7.
+    assert report.completion_times == [14.0, 3.0, 7.0, 6.0]
+    assert report.preemptions == 2
+    assert report.resource_guard_waits == {"chip0": 1}
 
 
 def test_background_never_starts_while_foreground_waits():
@@ -667,32 +811,130 @@ def test_suspend_and_resume_costs_land_on_the_die():
     assert report.resource_busy == {"chip0": 11.75}
 
 
+def test_a_never_parked_erase_yields_at_once_whatever_it_costs():
+    """Only a *resumed* job is protected: the sense that arrives a
+    quarter second into a fresh erase suspends it there and then."""
+    jobs = [
+        background_job("chip0", 10.0),
+        StageJob(0.25, (1.0,), ("chip0",)),
+    ]
+    cfg = ArbitrationConfig(suspend_cost_s=0.5, resume_cost_s=0.25)
+    report = assert_agrees_with_oracle(jobs, cfg)
+    assert report.completion_times == [11.75, 1.75]
+    assert report.resource_guard_waits == {}
+
+
 def test_starvation_guard_makes_the_foreground_wait():
-    """Budget 2: the third sense to find the erase in flight waits for
-    it to finish."""
+    """A resumed erase runs as long as it was kept off the die before
+    it yields again, so a sense waits behind it for at most the burst
+    that displaced it -- here 1 s, then 2 s -- and never for the
+    erase.  Parked [1, 2), the erase is protected until 3: the sense
+    of t=2.5 waits for that.  Parked [3, 5) -- the sense of t=4 finds
+    the die just freed and goes first -- it is protected until 7: the
+    sense of t=5.5 waits for that."""
     jobs = [background_job("chip0", 10.0)] + [
-        StageJob(1.0 + 2.0 * i, (1.0,), ("chip0",)) for i in range(4)
+        StageJob(1.0 + 1.5 * i, (1.0,), ("chip0",)) for i in range(4)
     ]
     report = assert_agrees_with_oracle(jobs, ArbitrationConfig())
-    # Erase runs [0,1) [2,3) then [4,12) through the arrival at t=5.
-    assert report.completion_times == [12.0, 2.0, 4.0, 13.0, 14.0]
-    assert report.preemptions == 2
+    # Erase runs [0,1) [2,3) [5,7) and its other 6 s from 8.
+    assert report.completion_times == [14.0, 2.0, 4.0, 5.0, 8.0]
+    assert report.preemptions == 3
+    assert report.resource_guard_waits == {"chip0": 2}
 
 
-def test_suspend_budget_is_per_job():
-    """Budget 1: the first erase spends it at t=1, and the second
-    erase, in flight at t=4, has its own."""
+def test_an_unprotected_erase_yields_at_once_however_often():
+    """No budget: senses that arrive no sooner than the erase has made
+    up for its last park suspend it every time, and it keeps half the
+    die."""
+    jobs = [background_job("chip0", 10.0)] + [
+        StageJob(1.0 + 2.0 * i, (1.0,), ("chip0",)) for i in range(8)
+    ]
+    report = assert_agrees_with_oracle(jobs, ArbitrationConfig())
+    assert report.completion_times == [18.0] + [
+        2.0 + 2.0 * i for i in range(8)
+    ]
+    assert report.preemptions == 8
+    assert report.resource_guard_waits == {}
+
+
+def test_protection_is_per_job():
+    """The first erase, parked [1, 2), is protected until 3 -- where
+    it ends, with the sense of t=2.5 waiting.  The second starts at 4
+    never parked and yields to the sense of t=4.25 at once."""
     jobs = [
         background_job("chip0", 2.0),
         background_job("chip0", 2.0),
         StageJob(1.0, (1.0,), ("chip0",)),
+        StageJob(2.5, (1.0,), ("chip0",)),
+        StageJob(4.25, (1.0,), ("chip0",)),
+    ]
+    report = assert_agrees_with_oracle(jobs, ArbitrationConfig())
+    assert report.completion_times == [3.0, 7.0, 2.0, 4.0, 5.25]
+    assert report.preemptions == 2
+    assert report.resource_guard_waits == {"chip0": 1}
+
+
+def test_suspension_costs_lengthen_the_protection():
+    """Parked at 2 and back at 3.5 (0.5 to park, 1 s of sense), the
+    erase is protected for those 1.5 s plus the 0.5 + 0.25 its
+    suspension cost: until 5.75.  The sense of t=4 waits for that,
+    and starts once the 0.5 s to park are paid."""
+    jobs = [
+        background_job("chip0", 10.0),
+        StageJob(2.0, (1.0,), ("chip0",)),
         StageJob(4.0, (1.0,), ("chip0",)),
     ]
-    report = assert_agrees_with_oracle(
-        jobs, ArbitrationConfig(max_suspends=1)
-    )
-    assert report.completion_times == [3.0, 6.0, 2.0, 5.0]
-    assert report.preemptions == 2
+    cfg = ArbitrationConfig(suspend_cost_s=0.5, resume_cost_s=0.25)
+    report = assert_agrees_with_oracle(jobs, cfg)
+    # Erase: [0,2), 8.25 left; [3.5,5.75), 6.25 left from 7.25.
+    assert report.completion_times == [13.5, 3.5, 7.25]
+    assert report.resource_preemptions == {"chip0": 2}
+    assert report.resource_guard_waits == {"chip0": 1}
+    assert report.preemption_overhead == 1.5
+
+
+def test_the_die_picks_once_the_park_at_a_guards_end_is_paid():
+    """Parked at 1 and back at 3, the erase is protected until
+    3 + 2 + 0.5 = 5.5 with a best-effort sense waiting since 4.
+    Parking it then takes until 6, and the deadline sense of t=5.75
+    is among the waiters the die picks from: it goes first."""
+    jobs = [
+        background_job("chip0", 10.0),
+        StageJob(1.0, (1.5,), ("chip0",)),
+        StageJob(4.0, (1.0,), ("chip0",)),
+        StageJob(5.75, (1.0,), ("chip0",), deadline=9.0),
+    ]
+    cfg = ArbitrationConfig(suspend_cost_s=0.5)
+    report = assert_agrees_with_oracle(jobs, cfg)
+    # Erase: [0,1) [3,5.5) and its other 6.5 s from 8.
+    assert report.completion_times == [14.5, 3.0, 8.0, 7.0]
+    assert report.resource_guard_waits == {"chip0": 1}
+
+
+def test_a_thrashing_stream_cannot_livelock_the_erase():
+    """10^3 senses, each arriving 1 us after the one before it has
+    handed the die back, every suspension costing 20 + 20 us: an erase
+    that yielded every time would gain 1 us and owe 20 per round, and
+    finish only once the stream is over.  Under the rule each park
+    buys it as long a run, so it is through in about twice its own
+    3.5 ms after a handful of suspensions, and -- the other half of
+    the bargain -- no sense waits anything like an erase time."""
+    cfg = ArbitrationConfig(suspend_cost_s=0.02, resume_cost_s=0.02)
+    sense = 0.025
+    step = sense + cfg.suspend_cost_s + 0.001
+    jobs = [background_job("chip0", 3.5)] + [
+        StageJob(0.1 + step * i, (sense,), ("chip0",)) for i in range(1000)
+    ]
+    report = assert_agrees_with_oracle(jobs, cfg)
+    erased, *sensed = report.completion_times
+    assert erased < 2 * 3.5 + 0.1
+    # Every round nets the erase at least a sense and a suspend cost.
+    assert 0 < report.preemptions <= 3.5 / (sense + cfg.suspend_cost_s)
+    # Every suspension but the first came at a guard's end.
+    assert report.resource_guard_waits["chip0"] >= report.preemptions - 1
+    waits = [end - job.ready_at for job, end in zip(jobs[1:], sensed)]
+    assert max(waits) < 3.5 / 2
+    assert report.resource_jobs == {"chip0": 1001}
 
 
 def test_nearly_done_background_is_not_suspended():
@@ -713,6 +955,25 @@ def test_nearly_done_background_is_not_suspended():
     )
     assert suspends.completion_times == [2.0, 1.75]
     assert suspends.preemptions == 1
+    # The same at a guard's end: parked [1, 2), the erase is protected
+    # until 3 and would end at 3.25.
+    jobs = [
+        background_job("chip0", 2.25),
+        StageJob(1.0, (1.0,), ("chip0",)),
+        StageJob(2.5, (1.0,), ("chip0",)),
+    ]
+    waits = assert_agrees_with_oracle(
+        jobs, ArbitrationConfig(min_remaining_s=0.25)
+    )
+    assert waits.completion_times == [3.25, 2.0, 4.25]
+    assert waits.preemptions == 1
+    suspends = assert_agrees_with_oracle(
+        jobs, ArbitrationConfig(min_remaining_s=0.125)
+    )
+    assert suspends.completion_times == [4.25, 2.0, 4.0]
+    assert suspends.preemptions == 2
+    assert waits.resource_guard_waits == suspends.resource_guard_waits
+    assert waits.resource_guard_waits == {"chip0": 1}
 
 
 def test_background_after_the_last_foreground_and_on_an_untouched_die():

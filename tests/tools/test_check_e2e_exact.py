@@ -127,6 +127,33 @@ def test_host_metrics_and_made_up_directions_are_refused(
     assert exit_info.value.code == 2
 
 
+def test_a_repeated_declaration_is_refused(tmp_path, capsys):
+    """Declared twice -- with the same direction or another -- the
+    second would silently replace the first."""
+    manifest = json.loads(tool.MANIFEST.read_text())
+    with pytest.raises(ValueError, match="declared twice"):
+        tool.parse_moved(
+            [f"chip_loss:{RESTACKED}:worse", f"chip_loss:{RESTACKED}"],
+            manifest,
+        )
+    with pytest.raises(SystemExit) as exit_info:
+        _check(
+            tmp_path,
+            capsys,
+            _record(p99=2.0),
+            "chip_loss:sim_p99_us:better",
+            "chip_loss:sim_p99_us:better",
+        )
+    assert exit_info.value.code == 2
+    # The same name under two workloads is two declarations.
+    assert len(
+        tool.parse_moved(
+            [f"chip_loss:{DISPATCHES}", f"write_churn:{DISPATCHES}"],
+            manifest,
+        )
+    ) == 2
+
+
 def test_sim_metric_declared_with_its_direction_may_move(tmp_path, capsys):
     # sim_p99_us: better is lower.
     better = "chip_loss:sim_p99_us:better"

@@ -152,7 +152,7 @@ def _run_result_cache_bench() -> dict[str, float]:
 
     ``hit_rate`` and the sense counts are deterministic (the warm
     window must serve entirely from cache); ``repeat_speedup`` is
-    wall-clock.
+    wall-clock: recorded for the trajectory, never gated.
     """
     sys.path.insert(0, str(REPO_ROOT / "src"))
     sys.path.insert(0, str(REPO_ROOT))
@@ -331,6 +331,17 @@ def _run_faults_bench() -> dict[str, float]:
     }
 
 
+#: What suspension by forward progress delivers with erases owning
+#: the dies (``bench_gc._run_saturated``): exact for the code.
+GC_CHURN_EXACT = (
+    "churn_deadlines_met",
+    "churn_p99_us",
+    "churn_suspensions",
+    "churn_guard_waits",
+    "churn_maintenance_lag_us",
+)
+
+
 def _run_gc_bench() -> dict[str, float]:
     """Run the GC-under-churn kernel in-process.
 
@@ -338,7 +349,9 @@ def _run_gc_bench() -> dict[str, float]:
     keep exhausting the plane where it exhausted before, and the GC
     twin must keep completing the whole trace.  Only ``p99_ratio`` is
     floored/ceilinged with tolerance (it compares two event-simulated
-    p99s, so retuning the workload may legitimately shift it).
+    p99s, so retuning the workload may legitimately shift it).  The
+    ``churn_*`` values of the saturated-die run (:data:`GC_CHURN_EXACT`)
+    come off the deterministic virtual clock and are gated as exact.
     """
     sys.path.insert(0, str(REPO_ROOT / "src"))
     sys.path.insert(0, str(REPO_ROOT))
@@ -358,6 +371,7 @@ def _run_gc_bench() -> dict[str, float]:
         "clean_p99_us": m["clean_p99_us"],
         "gc_p99_us": m["gc_p99_us"],
         "p99_ratio": m["p99_ratio"],
+        **{key: m[key] for key in GC_CHURN_EXACT},
     }
 
 
@@ -559,15 +573,13 @@ def check(baseline_path: Path, tolerance: float) -> int:
 
     base_rc = baseline.get("result_cache", {})
     fresh_rc = fresh["result_cache"]
-    for key in ("repeat_speedup", "hit_rate"):
-        if key not in base_rc:
-            continue
-        floor = base_rc[key] / tolerance
-        if fresh_rc[key] < floor:
-            failures.append(
-                f"result_cache {key}: {fresh_rc[key]:.2f} < "
-                f"baseline {base_rc[key]:.2f} / {tolerance:.1f}"
-            )
+    if "hit_rate" in base_rc and fresh_rc["hit_rate"] < base_rc["hit_rate"]:
+        # A count ratio, not a timing (``repeat_speedup`` is the
+        # timing: a ratio of two ~10 ms wall-clocks, recorded only).
+        failures.append(
+            f"result_cache hit_rate: {fresh_rc['hit_rate']:.2f} < "
+            f"baseline {base_rc['hit_rate']:.2f}"
+        )
     if "warm_senses" in base_rc:
         # A sense count, not a timing: the warm window must stay at
         # exactly zero executed senses.
@@ -682,6 +694,13 @@ def check(baseline_path: Path, tolerance: float) -> int:
             failures.append(
                 f"gc p99_ratio: {fresh_gc['p99_ratio']:.2f} > "
                 f"baseline {base_gc['p99_ratio']:.2f} x {tolerance:.1f}"
+            )
+    for key in GC_CHURN_EXACT:
+        if key in base_gc and abs(fresh_gc[key] - base_gc[key]) > (
+            1e-9 * abs(base_gc[key])
+        ):
+            failures.append(
+                f"gc {key}: {fresh_gc[key]!r} != baseline {base_gc[key]!r}"
             )
 
     base_red = baseline.get("redundancy", {})

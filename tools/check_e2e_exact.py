@@ -88,6 +88,8 @@ def parse_moved(specs: list[str], manifest: dict) -> dict[tuple, tuple]:
                 f"end_to_end list or a count from its per_layer list "
                 f"can be declared"
             )
+        if (workload, name) in moved:
+            raise ValueError(f"{spec}: {workload}:{name} is declared twice")
         worse = direction == "worse"
         moved[workload, name] = (
             (better == "lower") != worse,
