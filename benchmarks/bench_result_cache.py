@@ -1,6 +1,6 @@
 """Cross-window result cache + SLO scheduling vs the PR 3/4 service.
 
-Two claims, two measurements:
+Three claims, three measurements:
 
 **Repeat windows** -- the service layer dedups senses *within* an
 admission window (PR 3) and executes the survivors as per-chip
@@ -14,6 +14,11 @@ bit-exact results; the wall-clock ratio of the two submissions is
 recorded (``repeat_speedup``, ~5x) and not gated: it is a ratio of two
 ~10 ms timings and reads anything under a loaded machine.
 
+**Shared results** -- a run assembles a repeated result once: 16
+shapes submitted 8 times in one cache-enabled run hold 16 frozen
+result arrays in the report, not 128.  Gated exactly on the counts
+and the bytes.
+
 **Deadlines** -- FIFO order lets heavy scan queries that arrived
 first occupy the chips while later point queries wait; the ``edf``
 policy drains deadline-carrying share groups earliest-deadline-first
@@ -22,9 +27,10 @@ statistical: both policies run through the same event simulation, the
 point queries' deadline is placed between the two completion times,
 and EDF must meet every deadline that FIFO provably misses.
 
-``measure_result_cache`` / ``measure_slo`` return plain dicts so
-``tools/bench_record.py`` snapshots hit-rate, repeat-window speedup,
-and mixed-priority p99 into the ``BENCH_kernels.json`` trajectory.
+``measure_result_cache`` / ``measure_shared_results`` /
+``measure_slo`` return plain dicts so ``tools/bench_record.py``
+snapshots hit-rate, repeat-window speedup, shared-result bytes, and
+mixed-priority p99 into the ``BENCH_kernels.json`` trajectory.
 """
 
 from __future__ import annotations
@@ -39,6 +45,8 @@ from repro.flash.geometry import ChipGeometry
 from repro.ssd.controller import SmallSsd
 
 ROUNDS = 5
+#: Submissions of each distinct shape in the shared-results run.
+REPEATS = 8
 
 #: The repeat-window measurement uses a harder placement than
 #: bench_service: wide pages (2048 vs 256 bits) and the 12 day
@@ -165,6 +173,40 @@ def measure_result_cache() -> dict:
     }
 
 
+def measure_shared_results() -> dict:
+    """Submit the 16 distinct shapes :data:`REPEATS` times, one
+    window per repeat, through one cache-enabled run; check every
+    result against a fresh oracle sense and count the distinct result
+    arrays the report holds and their bytes.  Every repeat is served
+    from the same cache entries, so the report holds one frozen array
+    per shape."""
+    stream = _distinct_stream()
+    ssd = _cache_ssd()
+    service = ssd.service(
+        window_us=1000.0,
+        max_window_queries=len(stream),
+        policy="balanced",
+        result_cache=True,
+    )
+    for repeat in range(REPEATS):
+        for expr in stream:
+            service.submit(expr, at_us=1000.0 * repeat, client="mix")
+    report = service.run()
+    assert report.stats.n_windows == REPEATS
+    oracle = {id(expr): ssd.query(expr).bits for expr in stream}
+    distinct = {}
+    for served in report.queries:
+        bits = served.result.bits
+        assert not bits.flags.writeable
+        np.testing.assert_array_equal(bits, oracle[id(served.expr)])
+        distinct[id(bits)] = bits
+    return {
+        "shared_queries": len(report.queries),
+        "distinct_results": len(distinct),
+        "result_bytes": sum(bits.nbytes for bits in distinct.values()),
+    }
+
+
 def _slo_traffic(service, *, deadline_us=None):
     """Heavy scan windows first, then point queries (optionally with
     a deadline): ids of the point queries are returned."""
@@ -250,6 +292,20 @@ def test_repeat_window_served_from_cache():
     assert m["warm_senses"] == 0
     assert m["warm_dispatches"] == 0
     assert m["hit_rate"] == 1.0
+
+
+def test_repeats_share_one_result():
+    m = measure_shared_results()
+    n_bits = N_CHUNKS * GEOMETRY.page_size_bits
+    print(
+        f"\n{len(_distinct_stream())} shapes x {REPEATS} windows: "
+        f"{m['shared_queries']} queries hold {m['distinct_results']} "
+        f"result arrays, {m['result_bytes'] / 1e6:.2f} MB "
+        f"({m['shared_queries'] * n_bits / 1e6:.2f} MB one per query)"
+    )
+    assert m["shared_queries"] == REPEATS * len(_distinct_stream())
+    assert m["distinct_results"] == len(_distinct_stream())
+    assert m["result_bytes"] == m["distinct_results"] * n_bits
 
 
 def test_edf_meets_deadlines_fifo_misses():

@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import enum
 import math
-import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -201,14 +200,6 @@ class SensingEngine:
         # pristine condition whose only live input is the ESP effort;
         # cache it per effort to keep the per-sense hot path lean.
         self._pristine_read_ref: dict[float, float] = {}
-        #: wordline tuple -> sorted row-index array (reused across
-        #: senses instead of re-sorting/re-allocating per call).
-        #: Lookups are lock-free (atomic dict.get, immutable entries);
-        #: the bounded evict+insert serializes on ``_rows_lock`` so
-        #: concurrent per-chip dispatch cannot interleave a clear with
-        #: a partial insert.
-        self._rows_cache: dict[tuple[int, ...], np.ndarray] = {}
-        self._rows_lock = threading.Lock()
         #: (condition, esp_extra, block P/E, block sigma multiplier) ->
         #: resolved per-unit stress scalars for the batched error
         #: plane.  The effective condition is derived purely from that
@@ -225,15 +216,12 @@ class SensingEngine:
     # Cell-level conductance
     # ------------------------------------------------------------------
 
-    def _rows(self, wordlines: tuple[int, ...]) -> np.ndarray:
-        rows = self._rows_cache.get(wordlines)
-        if rows is None:
-            rows = np.array(sorted(wordlines))
-            rows.setflags(write=False)
-            with self._rows_lock:
-                if len(self._rows_cache) >= 4096:
-                    self._rows_cache.clear()
-                self._rows_cache[wordlines] = rows
+    @staticmethod
+    def _rows(wordlines: tuple[int, ...]) -> np.ndarray:
+        """Sorted row indices of ``wordlines``, frozen: a resolved
+        sense memoizes them with its command."""
+        rows = np.array(sorted(wordlines))
+        rows.setflags(write=False)
         return rows
 
     @staticmethod

@@ -893,8 +893,14 @@ class QueryService:
                 continue
             state = states[owner]
             state.completed_us = max(state.completed_us, completion_s * 1e6)
+        # (n_bits, piece ids) -> (pieces, assembled bits), this report
+        # only: pieces are the same objects exactly when they came from
+        # one cache entry or one shared sense, so a repeated result is
+        # assembled once and its repeats share the frozen array.
+        assembled: dict[tuple, tuple] = {}
         served = tuple(
-            self._served(states[query_id]) for query_id in sorted(states)
+            self._served(states[query_id], assembled)
+            for query_id in sorted(states)
         )
         injector = self.ssd.fault_injector
         wear = self.ssd.wear_summary()
@@ -928,7 +934,7 @@ class QueryService:
         )
         return ServiceReport(queries=served, stats=stats)
 
-    def _served(self, state: _QueryState) -> ServedQuery:
+    def _served(self, state: _QueryState, assembled: dict) -> ServedQuery:
         submission = state.submission
         if state.error is not None:
             # A failed query has no assembled result (some chunks
@@ -936,7 +942,13 @@ class QueryService:
             # and sim time its attempts cost.
             bits = np.zeros(0, dtype=np.uint8)
         else:
-            bits = self.engine.assemble_bits(state.prepared, state.pieces)
+            key = (state.prepared.n_bits, tuple(map(id, state.pieces)))
+            if key not in assembled:
+                assembled[key] = (
+                    tuple(state.pieces),
+                    self.engine.assemble_bits(state.prepared, state.pieces),
+                )
+            bits = assembled[key][1]
         result = QueryResult(
             bits=bits,
             n_senses=state.n_senses,

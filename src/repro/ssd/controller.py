@@ -45,6 +45,8 @@ class QueryResult:
     link); ``latency_us`` remains the raw per-chip-maximum sense time
     the seed model reported.  ``template_hit`` tells whether the query
     was served from the plan-template cache without planning.
+    ``bits`` is read-only and may be shared by every query of a
+    service run with the same result.
     """
 
     bits: np.ndarray

@@ -1702,7 +1702,10 @@ class QueryEngine:
     ) -> np.ndarray:
         """Concatenate per-chunk result pages (packed words or bytes)
         into the query's result bit vector, truncated to its true
-        length -- the single unpack at the result boundary."""
+        length.  Frozen (``writeable=False``) like a
+        :class:`ResultCache` entry: the service hands one assembled
+        array to every query of a run whose pieces are the same
+        objects."""
         present = [p for p in pieces if p is not None]
         if not present:
             return np.empty(0, np.uint8)
@@ -1712,7 +1715,9 @@ class QueryEngine:
             ).ravel()
         else:
             bits = np.concatenate(present)
-        return bits[: prepared.n_bits]
+        bits = bits[: prepared.n_bits]
+        bits.setflags(write=False)
+        return bits
 
     def _execute(
         self, expr: Expression, job_sink: list[StageJob]

@@ -69,7 +69,9 @@ def _traffic():
 #: step -> (owner of the patched callable, its name, the call that
 #: raises).  The per-window steps fail on the second of the three
 #: windows (``prepare`` runs once per query: the first window holds
-#: four); the report step runs once per ``run()`` and fails there.
+#: four); the report step runs once per ``run()`` and fails there --
+#: assembly on the first result, and on the second distinct one (one
+#: assembled array already held for sharing).
 SITES = {
     "admit": (lambda service: service.engine, "prepare", 5),
     "schedule": (lambda service: service_module, "schedule_window", 2),
@@ -78,6 +80,9 @@ SITES = {
     "maintain": (lambda service: service.maintenance, "run_cycle", 2),
     "report-replay": (lambda service: service_module, "simulate_stages", 1),
     "report-assemble": (lambda service: service.engine, "assemble_bits", 1),
+    "report-assemble-second": (
+        lambda service: service.engine, "assemble_bits", 2
+    ),
 }
 
 

@@ -186,11 +186,11 @@ def test_main_prints_one_row_per_cache_and_workload(
     code = tool.main(
         [
             "--scale", "0.04", "--pairs", "1",
-            "--workload", "write_churn", "--cache", "_rows_cache",
+            "--workload", "write_churn", "--cache", "_est_latency_us",
         ]
     )
     assert code == 0
     lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0].startswith("| cache | workload |")
     assert len(lines) == 3
-    assert lines[2].startswith("| _rows_cache | write_churn | ")
+    assert lines[2].startswith("| _est_latency_us | write_churn | ")

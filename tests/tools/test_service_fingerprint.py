@@ -6,9 +6,13 @@ from __future__ import annotations
 
 import importlib.util
 import math
+import shutil
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+
+import pytest
 
 from repro.service import QueryService
 
@@ -66,3 +70,39 @@ def test_main_prints_one_line_per_workload(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines] == list(tool.BUILDERS)
     assert all("stats=" in line and "served=" in line for line in lines)
+
+
+def test_compare_names_every_workload_that_differs():
+    parent = ["a seed=1 stats=1 served=2", "b seed=1 stats=3 served=4"]
+    assert tool.compare(parent, parent) == (["a equal", "b equal"], True)
+    tree = [parent[0], "b seed=1 stats=3 served=5"]
+    verdicts, equal = tool.compare(parent, tree)
+    assert not equal
+    assert verdicts[0] == "a equal"
+    assert verdicts[1].startswith("b DIFFERS\n  parent: ")
+    assert verdicts[1].endswith("served=5")
+    verdicts, equal = tool.compare(parent[:1], tree)
+    assert not equal and verdicts[1].startswith("b DIFFERS")
+
+
+def _git(*args) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        ["git", "-C", str(REPO), *args], capture_output=True, text=True
+    )
+
+
+def test_parent_differential_runs_both_trees(capsys):
+    """``--parent HEAD``: one verdict per workload and an exit status
+    that agrees with them; with no change to the program since HEAD,
+    every verdict is ``equal``."""
+    if shutil.which("git") is None or _git("rev-parse", "HEAD").returncode:
+        pytest.skip("not a git checkout")
+    code = tool.main(["--scale", "0.05", "--parent", "HEAD"])
+    out = capsys.readouterr().out
+    verdicts = [line for line in out.splitlines() if not line[:1].isspace()]
+    assert [line.split()[0] for line in verdicts] == list(tool.BUILDERS)
+    assert {line.split()[1] for line in verdicts} <= {"equal", "DIFFERS"}
+    assert code == (1 if "DIFFERS" in out else 0)
+    program = ("src", "benchmarks", "tools/service_fingerprint.py")
+    if not _git("diff", "--quiet", "HEAD", "--", *program).returncode:
+        assert code == 0

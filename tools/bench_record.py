@@ -147,16 +147,32 @@ def _run_batch_bench() -> dict[str, float]:
     }
 
 
+#: Counts of the result-cache section that ``check`` holds exactly: the
+#: warm window's executor dispatches (0) and what the shared-results
+#: run's report holds (128 queries, 16 arrays, 16 x n_bits bytes).
+RESULT_CACHE_EXACT = (
+    "warm_dispatches",
+    "shared_queries",
+    "distinct_results",
+    "result_bytes",
+)
+
+
 def _run_result_cache_bench() -> dict[str, float]:
     """Run the cross-window result-cache kernel in-process.
 
-    ``hit_rate`` and the sense counts are deterministic (the warm
-    window must serve entirely from cache); ``repeat_speedup`` is
-    wall-clock: recorded for the trajectory, never gated.
+    ``hit_rate``, the sense and dispatch counts and the shared-results
+    counts are deterministic (the warm window must serve entirely from
+    cache; a repeated result is assembled once per run);
+    ``repeat_speedup`` is wall-clock: recorded for the trajectory,
+    never gated.
     """
     sys.path.insert(0, str(REPO_ROOT / "src"))
     sys.path.insert(0, str(REPO_ROOT))
-    from benchmarks.bench_result_cache import measure_result_cache
+    from benchmarks.bench_result_cache import (
+        measure_result_cache,
+        measure_shared_results,
+    )
 
     m = measure_result_cache()
     return {
@@ -165,7 +181,9 @@ def _run_result_cache_bench() -> dict[str, float]:
         "repeat_speedup": m["repeat_speedup"],
         "cold_senses": m["cold_senses"],
         "warm_senses": m["warm_senses"],
+        "warm_dispatches": m["warm_dispatches"],
         "hit_rate": m["hit_rate"],
+        **measure_shared_results(),
     }
 
 
@@ -587,6 +605,13 @@ def check(baseline_path: Path, tolerance: float) -> int:
             failures.append(
                 f"result_cache warm_senses: {fresh_rc['warm_senses']} > "
                 f"baseline {base_rc['warm_senses']}"
+            )
+    for key in RESULT_CACHE_EXACT:
+        # Counts, not timings: exact, no tolerance.
+        if key in base_rc and fresh_rc[key] != base_rc[key]:
+            failures.append(
+                f"result_cache {key}: {fresh_rc[key]!r} != "
+                f"baseline {base_rc[key]!r}"
             )
 
     base_slo = baseline.get("slo", {})

@@ -173,11 +173,6 @@ def _patched(owner, name: str, value) -> Iterator[None]:
             setattr(owner, name, before)
 
 
-def _chips(plan):
-    for episode in plan.episodes:
-        yield from episode.ssd.chips
-
-
 def _engines(plan):
     for episode in plan.episodes:
         yield episode.ssd.engine
@@ -237,27 +232,6 @@ def window_memo_probe(plan, tally: Tally):
     with _patched(MwsExecutor, "_replay_latches", counting_replay):
         with _patched(MwsExecutor, "execute_batch_reuse", counting_reuse):
             yield
-
-
-@contextlib.contextmanager
-def rows_cache_off(plan):
-    for chip in _chips(plan):
-        chip.sensing._rows_cache = _NeverRemembers()
-    yield
-
-
-@contextlib.contextmanager
-def rows_cache_probe(plan, tally: Tally):
-    class Counting(dict):
-        def get(self, key, default=None):
-            found = dict.get(self, key, default)
-            tally.lookups += 1
-            tally.hits += found is not None
-            return found
-
-    for chip in _chips(plan):
-        chip.sensing._rows_cache = Counting(chip.sensing._rows_cache)
-    yield
 
 
 @contextlib.contextmanager
@@ -356,7 +330,6 @@ def bound_plans_probe(plan, tally: Tally):
 CACHES = {
     "StackCache": (stack_cache_off, stack_cache_probe),
     "_window_memo": (window_memo_off, window_memo_probe),
-    "_rows_cache": (rows_cache_off, rows_cache_probe),
     "MwsCommand._resolved": (resolved_off, resolved_probe),
     "_est_latency_us": (est_latency_off, est_latency_probe),
     "bound-plan LRU": (bound_plans_off, bound_plans_probe),

@@ -10,18 +10,27 @@ as bytes, an error as its type and message::
 
     python tools/service_fingerprint.py --seed 1
     python tools/service_fingerprint.py --seed 2 --scale 0.1   # smoke
+    python tools/service_fingerprint.py --seed 1 --parent HEAD~1
 
 ``tools/check_e2e_exact.py`` compares 38 aggregates per workload; this
-sees every field of every run and every query.  The differential is
-two runs of this file, one in a scratch ``git clone`` of the parent
-(copy the file in) and one in the tree: equal lines, equal reports.
+sees every field of every run and every query.  ``--parent REV`` is
+the differential: it extracts ``REV`` with ``git archive`` into a
+temporary directory, copies this file in, runs it there and here, and
+prints ``<workload> equal`` or ``<workload> DIFFERS`` per workload
+(exit status 1 on any difference).
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import io
+import os
+import shutil
+import subprocess
 import sys
+import tarfile
+import tempfile
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -77,6 +86,61 @@ def fingerprint(workload: str, seed: int, scale: float = 1.0) -> Fingerprint:
     return folded
 
 
+def lines(workloads, seed: int, scale: float):
+    """One printed line per workload."""
+    for workload in workloads:
+        folded = fingerprint(workload, seed, scale)
+        yield (
+            f"{workload} seed={seed} scale={scale} "
+            f"runs={folded.runs} queries={folded.submitted} "
+            f"stats={folded.stats.hexdigest()} "
+            f"served={folded.served.hexdigest()}"
+        )
+
+
+def parent_lines(rev: str, argv: list[str]) -> list[str]:
+    """This file's lines for ``argv``, run in a ``git archive`` of
+    ``rev`` with this copy of the file put in."""
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+        capture_output=True,
+        check=True,
+    ).stdout
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp, filter="data")
+        copy = Path(tmp) / "tools" / Path(__file__).name
+        copy.parent.mkdir(exist_ok=True)
+        shutil.copyfile(__file__, copy)
+        done = subprocess.run(
+            [sys.executable, str(copy), *argv],
+            cwd=tmp,
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+    return done.stdout.splitlines()
+
+
+def compare(parent: list[str], tree: list[str]) -> tuple[list[str], bool]:
+    """``<workload> equal`` / ``<workload> DIFFERS`` per workload of the
+    tree's lines, and whether every one is equal."""
+    by_workload = {line.split()[0]: line for line in parent}
+    verdicts = []
+    for line in tree:
+        workload = line.split()[0]
+        other = by_workload.get(workload)
+        if other == line:
+            verdicts.append(f"{workload} equal")
+        else:
+            verdicts.append(
+                f"{workload} DIFFERS\n  parent: {other}\n  tree:   {line}"
+            )
+    return verdicts, all(v.endswith(" equal") for v in verdicts)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1)
@@ -84,16 +148,24 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--workload", choices=sorted(BUILDERS), action="append"
     )
+    parser.add_argument(
+        "--parent",
+        metavar="REV",
+        help="compare against this git revision instead of printing",
+    )
     args = parser.parse_args(argv)
-    for workload in args.workload or BUILDERS:
-        folded = fingerprint(workload, args.seed, args.scale)
-        print(
-            f"{workload} seed={args.seed} scale={args.scale} "
-            f"runs={folded.runs} queries={folded.submitted} "
-            f"stats={folded.stats.hexdigest()} "
-            f"served={folded.served.hexdigest()}"
-        )
-    return 0
+    workloads = args.workload or list(BUILDERS)
+    if args.parent is None:
+        for line in lines(workloads, args.seed, args.scale):
+            print(line, flush=True)
+        return 0
+    passed = ["--seed", str(args.seed), "--scale", str(args.scale)]
+    for workload in workloads:
+        passed += ["--workload", workload]
+    tree = list(lines(workloads, args.seed, args.scale))
+    verdicts, equal = compare(parent_lines(args.parent, passed), tree)
+    print("\n".join(verdicts))
+    return 0 if equal else 1
 
 
 if __name__ == "__main__":
