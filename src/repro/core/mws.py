@@ -33,7 +33,6 @@ sense-row reuse, for :class:`repro.ssd.query_engine.StackCache`.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,12 +93,6 @@ def _batch_info(plan: Plan) -> tuple | None:
     equivalent (a rogue cross-plane XOR, left to the scalar protocol).
     Plans are immutable value objects the engine's bound-plan cache
     reuses across windows, so the derivation runs once per plan.
-
-    Thread safety: the memo is a pure derivation of the frozen plan,
-    stored with a single atomic ``object.__setattr__`` -- two worker
-    threads racing here compute the identical tuple and one write
-    wins, so no lock is needed (same contract as
-    :meth:`MwsExecutor.estimate_latency_us`'s memo).
     """
     cached = plan.__dict__.get("_batch_info", False)
     if cached is not False:
@@ -153,13 +146,6 @@ class MwsExecutor:
         #: step walk, +1 per batched queue.  The query engine reads
         #: deltas of this.
         self.dispatches = 0
-        #: Chip-confinement token for concurrent dispatch: whoever
-        #: drains this executor from a worker thread must hold this
-        #: lock for the whole drain (``QueryEngine.execute_tasks``
-        #: does), so chip state -- latches, counters, plane array,
-        #: dispatch counter -- only ever sees one thread at a time
-        #: even when several services execute over one SSD.
-        self.lock = threading.Lock()
         #: Steady-state window replay memo (see execute_batch_reuse):
         #: (plans, per-plan rows, per-plan C-latch rows, latch op
         #: marks).  One window deep -- repeats of the *last* window
@@ -669,10 +655,7 @@ class MwsExecutor:
         swapping in a differently parameterized ``TimingModel`` (or
         estimating one plan through two executors) recomputes instead
         of serving a stale value; bound plans belong to one chip, so
-        in the steady state the key never changes.  Like
-        ``_batch_info``, the memo is a pure derivation stored with one
-        atomic ``__setattr__`` -- racing threads write the identical
-        value, so it needs no lock.
+        in the steady state the key never changes.
         """
         timing = self.timing
         cached = plan.__dict__.get("_est_latency_us")

@@ -28,7 +28,6 @@ stay step-for-step identical.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -131,17 +130,7 @@ class NandFlashChip:
         self._condition_variants: dict[bool, OperatingCondition] = {}
         #: (n_wordlines, n_blocks) -> (duration_us, energy_nj) for MWS
         #: senses; the models are pure in these counts -- hot path.
-        #: Reads stay lock-free (dict.get is atomic under the GIL and
-        #: entries are immutable pure derivations); the size-bounded
-        #: evict+insert runs under ``_memo_lock`` so concurrent
-        #: per-chip dispatch (``QueryEngine.execute_tasks`` workers)
-        #: can never interleave a clear with a partial insert.
         self._mws_cost_cache: dict[tuple[int, int], tuple[float, float]] = {}
-        #: Guards the evict+insert sections of the memo caches below.
-        #: Chip *state* (latches, counters, plane array) is not locked
-        #: here: the executor layer confines each chip to one worker
-        #: thread at a time (``MwsExecutor.lock``).
-        self._memo_lock = threading.Lock()
         #: Optional fault-injection plane (:mod:`repro.flash.faults`):
         #: ``fault_injector`` draws program/erase failures and owns the
         #: persistent bad-block set checked in ``_resolve_targets``;
@@ -194,8 +183,7 @@ class NandFlashChip:
         P/E floor, block quality) applied to subsequent senses."""
         self.condition = condition
         self._condition_variants.clear()
-        with self._memo_lock:
-            self._vth_schedules.clear()
+        self._vth_schedules.clear()
 
     def attach_fault_injector(self, injector, chip_id: int = 0) -> None:
         """Attach a :class:`~repro.flash.faults.FaultInjector` (or
@@ -206,8 +194,7 @@ class NandFlashChip:
         self.fault_injector = injector
         self.fault_chip_id = chip_id
         self._resolve_token = object()
-        with self._memo_lock:
-            self._vth_schedules.clear()
+        self._vth_schedules.clear()
 
     def cycle_block(self, address: BlockAddress, pe_cycles: int) -> None:
         """Wear a block to ``pe_cycles`` program/erase cycles (the
@@ -639,8 +626,8 @@ class NandFlashChip:
                     profile,
                     tuple(block.layout_version for block, _ in source),
                 )
-                # One atomic store of an immutable tuple into the
-                # frozen command's memo slot.
+                # One store of an immutable tuple into the frozen
+                # command's memo slot.
                 object.__setattr__(command, "_resolved", cached)
             _, source, profile, _ = cached
             for (block, _), n_wordlines in zip(source, profile):
@@ -724,16 +711,15 @@ class NandFlashChip:
         )
         if schedule is None:
             return None
-        with self._memo_lock:
-            if len(self._vth_schedules) >= 4096:
-                self._vth_schedules.clear()
-            self._vth_schedules[key] = (
-                schedule,
-                tuple(
-                    (block, block.layout_version)
-                    for block, _ in schedule.read_counts
-                ),
-            )
+        if len(self._vth_schedules) >= 4096:
+            self._vth_schedules.clear()
+        self._vth_schedules[key] = (
+            schedule,
+            tuple(
+                (block, block.layout_version)
+                for block, _ in schedule.read_counts
+            ),
+        )
         return schedule
 
     def charge_sense(self, n_wordlines: int, n_blocks: int) -> None:
@@ -749,14 +735,11 @@ class NandFlashChip:
             energy = self.power.mws_energy_nj(
                 n_wordlines, n_blocks, duration
             )
-            with self._memo_lock:
-                # Bounded like the sensing row cache: varied-shape
-                # service traffic must not grow the memo without
-                # limit.  The models are pure, so a racing recompute
-                # stores the identical value.
-                if len(self._mws_cost_cache) >= 4096:
-                    self._mws_cost_cache.clear()
-                self._mws_cost_cache[key] = (duration, energy)
+            # Bounded like the sensing row cache: varied-shape
+            # service traffic must not grow the memo without limit.
+            if len(self._mws_cost_cache) >= 4096:
+                self._mws_cost_cache.clear()
+            self._mws_cost_cache[key] = (duration, energy)
         else:
             duration, energy = cost
         self.counters.senses += 1

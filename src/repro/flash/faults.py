@@ -17,8 +17,8 @@ erase succeeds; reliability work needs the opposite.  A
 
 Determinism is the load-bearing property: every random draw comes from
 a per-chip ``np.random.default_rng((seed, chip))`` stream, and the
-query engine only draws inside the owning chip's drain (under the
-executor lock).  Sense-attempt draws never depend on sensed data, so
+query engine only draws inside the owning chip's drain.  Sense-attempt
+draws never depend on sensed data, so
 their order is fixed by one function,
 :meth:`FaultInjector.attempt_draws` -- per plan, per attempt: stall,
 then sense fault, stopping at the first clean attempt or when the
@@ -26,9 +26,9 @@ retry budget is spent.  The batched drain runs it for a chip's whole
 queue up front (the *attempt schedule*) and the scalar loop runs it
 plan by plan; both consume the stream identically, so the draw
 sequence per chip is a pure function of that chip's schedule --
-identical at any worker count and under either drain, which is what
-lets the chaos property suites compare runs at ``workers=1`` and
-``workers=4``, batched and scalar, bit for bit.
+identical in whatever order the chips drain and under either drain,
+which is what lets the chaos property suites compare batched and
+scalar runs bit for bit.
 
 An injector whose every rate is zero and whose bad-block set is empty
 is *inactive* (:attr:`FaultInjector.active` is ``False``): the chip and
@@ -87,10 +87,9 @@ class FaultConfig:
 class FaultInjector:
     """Draws fault decisions from per-chip deterministic streams.
 
-    Thread-safety contract: a chip's draws happen only inside that
-    chip's drain (one worker per chip per window), so per-chip RNG
-    state and per-chip counters need no locks.  Cross-chip totals are
-    computed by summation at read time.
+    A chip's draws happen only inside that chip's drain, so per-chip
+    RNG state and counters depend on that chip's schedule alone.
+    Cross-chip totals are computed by summation at read time.
     """
 
     _COUNTER_KEYS = (

@@ -87,10 +87,11 @@ class ServiceStats:
     makespan_us: float
     #: Busiest pipeline resource across the whole run.
     bottleneck: str
-    #: Sense suspensions the channel/die arbiter performed (0 without
-    #: ``preemption``), and the virtual time their suspend/resume
-    #: penalties cost.
+    #: Suspensions of background jobs (GC copy/erase, drain, rebuild)
+    #: by arriving foreground senses in the event replay.
     preemptions: int = 0
+    #: Always 0.0: the replay suspends at zero cost.  Kept so the
+    #: field set the service fingerprint hashes does not change.
     preemption_overhead_us: float = 0.0
     #: Busy fraction of every pipeline resource over the run's
     #: makespan -- ``chip0``/``chan1``/``ext`` style names from the
@@ -288,10 +289,7 @@ class ServiceStats:
                 f", deadlines {self.deadlines_met}/{self.n_deadlines} met"
             )
         if self.preemptions:
-            text += (
-                f", {self.preemptions} preemptions "
-                f"({self.preemption_overhead_us:.1f} us overhead)"
-            )
+            text += f", {self.preemptions} preemptions"
         if (
             self.faults_injected
             or self.queries_failed

@@ -99,31 +99,22 @@ class QueryInfo:
             raise ValueError("weight must be positive")
 
 
-def job_directives(
-    info: QueryInfo,
-) -> tuple[float, float | None, bool]:
-    """Replay directives ``(priority, deadline_s, preemptible)`` for
-    one query's pipeline jobs.
+def job_directives(info: QueryInfo) -> tuple[float, float | None]:
+    """Replay directives ``(priority, deadline_s)`` for one query's
+    pipeline jobs.
 
     This is where the scheduler's intent reaches the event simulator
     (:func:`repro.ssd.events.simulate_stages`): a query that stated a
     deadline becomes an *urgent* job stream -- its deadline (converted
     to the simulator's seconds) ranks it ahead of best-effort work,
     EDF-style against other deadline traffic, among the jobs waiting
-    for a die -- and a *non-preemptible* one: once its sense occupies
-    a die nothing may suspend it (suspending the latency-critical work
-    to admit bulk would be backwards).  Deadline-free traffic stays
-    *preemptible bulk*: under the arbitrated simulation (an
-    :class:`~repro.ssd.events.ArbitrationConfig`) an arriving urgent
-    job may suspend its in-flight sense, which once resumed runs as
-    long as it was parked before it yields again.  Priority carries
-    over as the tie-breaker in both classes.  The service emits these
-    under the ``edf`` policy only -- the policy that schedules by
-    them.
+    for a die.  Priority carries over as the tie-breaker in both
+    classes.  The service emits these under the ``edf`` policy only --
+    the policy that schedules by them.
     """
     if info.deadline_us is not None:
-        return (float(info.priority), info.deadline_us * 1e-6, False)
-    return (float(info.priority), None, True)
+        return (float(info.priority), info.deadline_us * 1e-6)
+    return (float(info.priority), None)
 
 
 def schedule_window(

@@ -38,7 +38,7 @@ from repro.service.scheduler import (
     schedule_window,
 )
 from repro.ssd.controller import QueryResult, SmallSsd
-from repro.ssd.events import ArbitrationConfig, StageJob, simulate_stages
+from repro.ssd.events import StageJob, simulate_stages
 from repro.ssd.maintenance import (
     MaintenanceConfig,
     MaintenanceManager,
@@ -262,7 +262,6 @@ def _most_urgent(group: dict | None, own: dict) -> dict:
         "ready_at_s": own["ready_at_s"],
         "priority": priority,
         "deadline_s": deadline_s,
-        "preemptible": group["preemptible"] and own["preemptible"],
     }
 
 
@@ -296,29 +295,6 @@ class QueryService:
         observed arrival rate (see
         :class:`~repro.service.admission.AdmissionQueue`).
 
-    ``workers``
-        Drain each window's per-chip queues concurrently on the
-        engine's shared thread pool (``1`` = the exact sequential
-        drain, the default).  Outcomes and counters are bit-/float-
-        identical at any worker count; only wall-clock changes.
-
-    ``preemption`` (+ ``suspend_cost_us`` / ``resume_cost_us``)
-        The two suspend costs always govern the event replay's
-        *background* class (see ``maintenance``): a background job in
-        flight when a chunk job arrives is suspended at those
-        penalties (0 by default); resumed, it first runs as long as it
-        was kept off the die, an arrival meanwhile waiting it out
-        (``StageReport.resource_guard_waits``).  Under ``edf`` the
-        replay's dies already serve their *waiting* chunk jobs
-        deadline-first (other policies: first-come-first-served);
-        ``preemption`` adds what only suspension buys: chunk jobs
-        replay through the arbitrated event simulation instead of the
-        sweep, where a deadline query's jobs may also suspend an
-        *in-flight* preemptible bulk sense, and channels and the link
-        order by urgency too (EDF order, under the same rule and
-        penalties).  The report carries suspension counts, overhead,
-        and per-resource utilization either way.  Off by default.
-
     ``recovery`` / ``health``
         Fault tolerance (:mod:`repro.flash.faults`,
         :mod:`repro.service.health`).  When the SSD carries an active
@@ -345,12 +321,14 @@ class QueryService:
         the event simulation as
         :func:`~repro.ssd.events.background_job` jobs, which always
         yield: they run in the idle gaps of their die and an arriving
-        sense suspends an in-flight GC erase instead of queueing
-        behind it (resumed, the erase is protected for as long as it
-        was parked, so it finishes; ``ServiceStats.maintenance_lag_us``
-        reports what the deferral cost).  Stuck bad blocks are scrubbed out of the allocation
-        pool up front, and when the health tracker quarantines a chip
-        its live vectors drain to healthy chips during probation.
+        sense suspends an in-flight GC erase, at no cost, instead of
+        queueing behind it (resumed, the erase first runs as long as
+        it was parked, so it finishes; ``ServiceStats.preemptions``
+        counts the suspensions and ``maintenance_lag_us`` reports what
+        the deferral cost).  Stuck bad blocks are scrubbed out of the
+        allocation pool up front, and when the health tracker
+        quarantines a chip its live vectors drain to healthy chips
+        during probation.
         ``ServiceStats`` then reports blocks reclaimed, pages
         migrated, wear spread, and the background overhead.  Off by
         default: without it no data ever moves and free blocks are
@@ -372,10 +350,6 @@ class QueryService:
         min_window_us: float | None = None,
         max_window_us: float | None = None,
         target_window_queries: int = 8,
-        workers: int = 1,
-        preemption: bool = False,
-        suspend_cost_us: float = 0.0,
-        resume_cost_us: float = 0.0,
         recovery: RecoveryPolicy | None = None,
         health: HealthConfig | None = None,
         maintenance: (
@@ -401,16 +375,6 @@ class QueryService:
         self.health = ChipHealthTracker(len(ssd.chips), config=health)
         self.policy = policy
         self.share_senses = share_senses
-        self.workers = max(1, int(workers))
-        #: Suspend/resume parameters of the event replay: background
-        #: jobs always yield to foreground under them; with
-        #: ``preemption`` the replay is the arbitrated simulation and
-        #: they also govern deadline-over-bulk suspension.
-        self.suspension = ArbitrationConfig(
-            suspend_cost_s=suspend_cost_us * 1e-6,
-            resume_cost_s=resume_cost_us * 1e-6,
-        )
-        self.preemption = preemption
         self.use_result_cache = result_cache
         if result_cache:
             self.engine.enable_result_cache(result_cache_size)
@@ -630,7 +594,6 @@ class QueryService:
             ordered,
             share=self.share_senses,
             use_cache=self.use_result_cache,
-            workers=self.workers,
             recovery=run.recovery,
             degraded=degraded,
             offline=offline,
@@ -731,9 +694,7 @@ class QueryService:
         for query, meta in info.items():
             directives[query] = own = {"ready_at_s": ready_s}
             if edf:
-                own["priority"], own["deadline_s"], own["preemptible"] = (
-                    job_directives(meta)
-                )
+                own["priority"], own["deadline_s"] = job_directives(meta)
         #: leader's position -> directives of its share group;
         #: directives of the window's survivor reads.
         groups: dict[int, dict] = {}
@@ -874,11 +835,7 @@ class QueryService:
         fold the completion times into the queries, and build the
         report (the stats are a fold of the served queries plus the
         run's totals and deltas)."""
-        sim = simulate_stages(
-            run.jobs,
-            suspension=self.suspension,
-            arbitration=self.suspension if self.preemption else None,
-        )
+        sim = simulate_stages(run.jobs)
         states = run.states
         maintenance_lag_s = 0.0
         for completion_s, owner, job in zip(
@@ -912,7 +869,6 @@ class QueryService:
             makespan_us=sim.makespan * 1e6,
             bottleneck=sim.bottleneck,
             preemptions=sim.preemptions,
-            preemption_overhead_us=sim.preemption_overhead * 1e6,
             resource_utilization=sim.utilizations(),
             faults_injected=(
                 injector.faults_injected - run.faults_before if injector else 0

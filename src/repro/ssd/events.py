@@ -61,29 +61,18 @@ class is a gap-filler per die, consulted only when a foreground event
 finds the die idle before its own ready time and once at the end, so
 a stream without background jobs never reaches it.
 
-**Arbitrated mode.**  Passing ``arbitration=`` to
-:func:`simulate_stages` switches to the general *preemptible*
-resource model, which orders by urgency at *every* resource and adds
-suspension among foreground: jobs may be ``preemptible``, and an
-urgent arrival (earlier deadline, then higher priority) can *suspend*
-an in-flight preemptible stage -- modeling a real NAND suspend/resume
-command -- paying ``suspend_cost_s`` immediately and
-``resume_cost_s`` when the victim's remainder restarts.  Arbitration
-is starvation-safe by the same forward-progress rule -- a resumed
-stage is protected for as long as it was parked -- and equal-urgency
-work is never preempted (ties keep strict FIFO).  With
-no urgency differences the schedule, start times, and busy accounting
-are *identical* to the FCFS sweep, which the tests pin.  It is also
-the sweep's oracle: with every foreground job non-preemptible (and
-listed ahead of the background jobs, which is the tie rule) it is the
-die queue and the background class above, event by event
+**Its oracle.**  The sweep is checked against a general preemptible
+resource model -- urgency order at every resource, suspension by the
+same forward-progress rule -- that lives beside the tests
+(``tests/reference_arbitrated.py``).  With only background jobs
+preemptible and ranked below all foreground, that model is the die
+queue and the background class above, event by event
 (``tests/ssd/test_events_equivalence.py``).
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass, field
 
 
@@ -116,18 +105,17 @@ class SerialResource:
 
 @dataclass(frozen=True)
 class ArbitrationConfig:
-    """Suspend/resume parameters: of the sweep's background class
-    (``simulate_stages(jobs, suspension=...)``) and of the arbitrated
-    resource model (``arbitration=...``).
+    """Suspend/resume parameters of the sweep's background class
+    (``simulate_stages(jobs, suspension=...)``).
 
-    ``suspend_cost_s`` is charged on the resource the moment a victim
-    is parked (the preemptor starts only after it); ``resume_cost_s``
-    is folded into the victim's remaining work, paid when the
-    remainder restarts; both lengthen the interval a resumed unit is
-    protected for (:func:`_protected_until`), so bulk work finishes
-    under sustained urgent traffic.  ``min_remaining_s`` refuses
-    preemptions whose victim is nearly done anyway (suspending a sense
-    about to finish costs more than it saves).
+    ``suspend_cost_s`` is charged on the die the moment a background
+    job is parked (the foreground starts only after it);
+    ``resume_cost_s`` is folded into the job's remaining work, paid
+    when the remainder restarts; both lengthen the interval a resumed
+    job is protected for (:func:`_protected_until`), so background
+    work finishes under sustained foreground traffic.
+    ``min_remaining_s`` refuses suspensions of a job that is nearly
+    done anyway (suspending it costs more than it saves).
     """
 
     suspend_cost_s: float = 0.0
@@ -155,29 +143,26 @@ class StageJob:
     deadline-carrying jobs are served earliest-deadline-first ahead of
     deadline-free work -- and ``priority`` breaks urgency ties (higher
     first).  The sweep orders the jobs *waiting* for a stage-0
-    resource by it; the arbitrated simulation
-    (:class:`ArbitrationConfig`) orders every resource by it, and only
-    there does ``preemptible`` matter: whether this job's in-flight
-    stages may be suspended by a more urgent arrival.
+    resource by it.
 
     ``fault_delay_s`` is recovery time the fault plane charged to this
     job (retry backoff, injected stalls, failed-attempt re-senses that
     the engine did not fold into the stage durations): it extends the
     job's *first* stage -- the die is occupied retrying -- so the
     latency impact of every fault lands exactly in the simulated
-    timeline, and :attr:`StageReport.fault_overhead` totals it.  Both
-    simulators skip the addition entirely at 0.0, keeping fault-free
+    timeline, and :attr:`StageReport.fault_overhead` totals it.  The
+    sweep skips the addition entirely at 0.0, keeping fault-free
     schedules float-identical.
 
     ``background`` marks the lower service class of the sweep (set by
     :func:`background_job`, never inferred from ``priority``): a
     single-stage job that runs only in its die's idle gaps and yields
-    to foreground arrivals.  The arbitrated simulation ignores the
-    mark and orders by urgency alone.
+    to foreground arrivals; its ``priority`` and ``deadline`` are
+    never read.
 
-    Construction validates everything the simulators rely on
-    (alignment, at least one stage, no negative duration or delay), so
-    neither event loop re-checks per event.  A value object by
+    Construction validates everything the sweep relies on (alignment,
+    at least one stage, no negative duration or delay), so the event
+    loop never re-checks per event.  A value object by
     convention: slotted rather than frozen, because the service builds
     one per chunk task and a frozen dataclass pays an
     ``object.__setattr__`` per field -- never mutate one (the service
@@ -190,7 +175,6 @@ class StageJob:
     resources: tuple[str, ...]
     priority: float = 0.0
     deadline: float | None = None
-    preemptible: bool = True
     fault_delay_s: float = 0.0
     background: bool = False
 
@@ -208,11 +192,9 @@ class StageJob:
 
     @property
     def urgency(self) -> tuple[int, float, float]:
-        """Arbitration urgency prefix, smaller = more urgent:
-        deadline-carrying jobs sort before deadline-free ones, then by
-        earlier deadline, then by higher priority.  Preemption requires
-        *strictly* smaller urgency, so equal-urgency FIFO traffic never
-        self-preempts."""
+        """Die-queue urgency, smaller = more urgent: deadline-carrying
+        jobs sort before deadline-free ones, then by earlier deadline,
+        then by higher priority."""
         if self.deadline is not None:
             return (0, self.deadline, -self.priority)
         return (1, 0.0, -self.priority)
@@ -221,40 +203,22 @@ class StageJob:
 #: Suspension parameters of a sweep that was not given any.
 _ZERO_COST_SUSPENSION = ArbitrationConfig()
 
-#: Priority carried by background maintenance work (GC copybacks,
-#: victim erases, migration programs).  Deadline-free with negative
-#: priority, it sorts behind every foreground job in the arbitrated
-#: urgency order -- deadline traffic outranks it outright, and bulk
-#: FIFO work (priority 0.0) wins the priority tie-break -- and it is
-#: always preemptible, so an urgent sense suspends an in-flight GC
-#: copy instead of queueing behind it.
-MAINTENANCE_PRIORITY = -1.0
-
 
 def background_job(
-    resource: str,
-    busy_s: float,
-    *,
-    ready_at: float = 0.0,
-    priority: float = MAINTENANCE_PRIORITY,
+    resource: str, busy_s: float, *, ready_at: float = 0.0
 ) -> StageJob:
-    """Single-stage preemptible background job on one die resource.
+    """Single-stage background job on one die resource.
 
     Background copy/erase work never crosses the channel or the
     external link (copyback moves pages inside the die), so it
-    occupies only the chip resource.  Under the sweep it is the
-    *background class*: it fills the die's idle gaps and is suspended
-    by foreground arrivals (see :func:`simulate_stages`); under
-    arbitration its :data:`MAINTENANCE_PRIORITY` keeps it behind all
-    foreground work.
+    occupies only the chip resource.  It is the sweep's *background
+    class*: it fills the die's idle gaps and is suspended by
+    foreground arrivals (see :func:`simulate_stages`).
     """
     return StageJob(
         ready_at=ready_at,
         durations=(busy_s,),
         resources=(resource,),
-        priority=priority,
-        deadline=None,
-        preemptible=True,
         background=True,
     )
 
@@ -265,13 +229,12 @@ class StageReport:
 
     ``resource_busy``/``resource_jobs`` are keyed by whatever resource
     names the jobs carried -- the fixed die/channel/link trio of the
-    Figure 7 pipelines, or the arbitrated ``chip*``/``chan*``/``way*``
-    sets of the service plane; every accessor below treats the name
-    set as open (unknown names report zero rather than raising).
-    ``resource_preemptions`` counts suspensions per resource (of
-    background jobs in the sweep, of any preemptible stage under
-    arbitration), ``resource_guard_waits`` the arrivals that waited
-    out a resumed unit's protection (:func:`_protected_until`) instead,
+    Figure 7 pipelines, or the ``chip*``/``chan*``/``ext`` sets of the
+    service plane; every accessor below treats the name set as open
+    (unknown names report zero rather than raising).
+    ``resource_preemptions`` counts suspensions of background jobs per
+    resource, ``resource_guard_waits`` the arrivals that waited out a
+    resumed job's protection (:func:`_protected_until`) instead,
     and ``preemption_overhead`` totals the suspend/resume seconds
     charged on top of the useful work.  ``fault_overhead`` totals the
     jobs' ``fault_delay_s`` recovery seconds that extended their first
@@ -341,7 +304,6 @@ def simulate_stages(
     jobs: list[StageJob],
     *,
     suspension: ArbitrationConfig | None = None,
-    arbitration: ArbitrationConfig | None = None,
 ) -> StageReport:
     """Run jobs through their stage chains.
 
@@ -369,18 +331,7 @@ def simulate_stages(
     (default: a zero-cost :class:`ArbitrationConfig`) and the
     forward-progress rule.  A job list without background jobs never
     reaches that code.
-
-    With ``arbitration`` set, the simulation switches to the
-    preemptible resource model (see the module docstring): waiting
-    work is ordered by urgency at every resource, and
-    strictly-more-urgent arrivals may suspend an in-flight preemptible
-    stage at the configured suspend/resume costs, a resumed one only
-    once it has run as long as it was parked.  When no job states a
-    deadline or priority the arbitrated schedule is *identical* to the
-    FCFS sweep -- same start times, same floats.
     """
-    if arbitration is not None:
-        return _simulate_arbitrated(jobs, arbitration)
     if not jobs:
         # An empty stream (e.g. an admission window that admitted no
         # queries) simulates to an idle, zero-makespan report.
@@ -517,10 +468,9 @@ _IDLE = (0.0, 0.0, 0, None, 0, None, 0)
 def _protected_until(
     parked: float | None, resumed: float, cfg: ArbitrationConfig
 ) -> float:
-    """The forward-progress rule of both simulators: a unit may not be
-    suspended again before it has run for as long as it was kept off
-    its resource plus what the suspension cost; never parked, it
-    yields at once."""
+    """The forward-progress rule: a background job may not be suspended
+    again before it has run for as long as it was kept off its die
+    plus what the suspension cost; never parked, it yields at once."""
     if parked is None:
         return resumed
     return (
@@ -690,8 +640,8 @@ def _fill_gap(
     ``min_remaining_s`` left not at all: the foreground waits --
     ``False``, ``state[0]`` where the job yields or ends -- and if
     others arrive meanwhile the die picks among them by urgency when
-    it frees.  The arithmetic is that of :func:`_simulate_arbitrated`
-    on the same jobs with every foreground job non-preemptible.
+    it frees.  The arithmetic is that of the arbitrated oracle
+    (module docstring) on the same jobs.
     """
     queue: _GapQueue = state[3]
     waiting = queue.waiting
@@ -734,197 +684,3 @@ def _fill_gap(
         state[3] = None
     state[0] = at
     return yielded or at < limit
-
-
-class _Unit:
-    """One job-stage execution in the arbitrated simulation.  Mutable:
-    a suspension rewrites ``remaining`` (rest of the work plus the
-    resume cost) and stamps ``parked``."""
-
-    __slots__ = ("idx", "stage", "remaining", "parked", "order")
-
-    def __init__(self, idx: int, stage: int, remaining: float) -> None:
-        self.idx = idx
-        self.stage = stage
-        self.remaining = remaining
-        #: When it was last suspended; ``None`` until it has been.
-        self.parked: float | None = None
-        #: Arrival order at the resource (set on first arrival, kept
-        #: across suspensions so a parked victim resumes ahead of
-        #: equally urgent later arrivals).
-        self.order = 0
-
-
-_ARRIVE, _FINISH, _GUARD = 0, 1, 2
-
-
-def _start_unit(
-    events: list,
-    seq: int,
-    name: str,
-    state: list,
-    unit: _Unit,
-    t: float,
-    arb: ArbitrationConfig,
-) -> int:
-    """Put ``unit`` on resource ``name`` at ``t`` and schedule its
-    finish; returns the next ``seq``."""
-    state[0] = unit
-    state[1] += 1
-    state[3] = t
-    state[4] = t + unit.remaining
-    state[5] = _protected_until(unit.parked, t, arb)
-    heapq.heappush(events, (state[4], seq, _FINISH, (name, state[1])))
-    return seq + 1
-
-
-def _simulate_arbitrated(
-    jobs: list[StageJob], arb: ArbitrationConfig
-) -> StageReport:
-    """Event-driven preemptive simulation (see module docstring).
-
-    Each resource holds at most one running unit plus an urgency-
-    ordered wait heap; the global event heap interleaves arrivals and
-    completions in time order with deterministic sequence tie-breaks.
-    Preemption fires only when the arrival's urgency is *strictly*
-    ahead of the running unit's, the victim is preemptible, its
-    remaining work exceeds ``min_remaining_s``, and no suspend is
-    already in progress on the resource -- so uncontended and
-    equal-urgency traffic reproduces the FCFS sweep float for float.
-    A resumed victim is protected until :func:`_protected_until`: an
-    arrival that would suspend it earlier waits, and a ``_GUARD``
-    event then re-runs the decision; a unit parked there leaves the
-    resource to its most urgent waiter once the suspend cost is paid.
-    """
-    if not jobs:
-        return StageReport(makespan=0.0, completion_times=[])
-
-    push = heapq.heappush
-    pop = heapq.heappop
-    #: (time, seq, kind, payload): ARRIVE carries a _Unit, FINISH and
-    #: GUARD a (resource name, token) pair -- the token invalidates
-    #: events of units that were suspended, or finished, after the
-    #: event was scheduled.
-    events: list[tuple[float, int, int, object]] = []
-    seq = 0
-    fault_overhead = 0.0
-    for idx, job in enumerate(jobs):
-        first = job.durations[0]
-        if job.fault_delay_s:
-            # Mirror the FCFS sweep: recovery extends the first stage.
-            first += job.fault_delay_s
-            fault_overhead += job.fault_delay_s
-        push(events, (job.ready_at, seq, _ARRIVE, _Unit(idx, 0, first)))
-        seq += 1
-
-    #: name -> [running unit | None, token, wait heap, seg_start, end,
-    #: protected until (inf once a waiter has a GUARD event out)]
-    resources: dict[str, list] = {}
-    busy: dict[str, float] = {}
-    served: dict[str, int] = {}
-    preempted: dict[str, int] = {}
-    guard_waits: dict[str, int] = {}
-    completion = [0.0] * len(jobs)
-    arrival_order = 0
-
-    def park(name: str, state: list, t: float) -> None:
-        # Charge the work the running unit already performed plus the
-        # suspend overhead, park the remainder (plus its future resume
-        # cost) back on the wait heap.
-        running = state[0]
-        busy[name] = busy.get(name, 0.0) + (t - state[3])
-        busy[name] += arb.suspend_cost_s
-        running.remaining = (state[4] - t) + arb.resume_cost_s
-        running.parked = t
-        preempted[name] = preempted.get(name, 0) + 1
-        push(state[2], (jobs[running.idx].urgency, running.order, running))
-
-    while events:
-        t, _, kind, payload = pop(events)
-        if kind != _ARRIVE:
-            name, token = payload
-            state = resources[name]
-            unit = state[0]
-            if token != state[1]:
-                pass  # stale: the unit was suspended, or finished
-            elif kind == _FINISH:
-                # Charge the segment's planned length, not (t -
-                # seg_start): the latter is the same quantity but not
-                # the same float ((s + d) - s may round), and the
-                # uncontended schedule must stay float-identical to
-                # the FCFS sweep.
-                busy[name] = busy.get(name, 0.0) + unit.remaining
-                served[name] = served.get(name, 0) + 1
-                state[0] = None
-                job = jobs[unit.idx]
-                stage = unit.stage + 1
-                if stage < len(job.durations):
-                    nxt = _Unit(unit.idx, stage, job.durations[stage])
-                    push(events, (t, seq, _ARRIVE, nxt))
-                    seq += 1
-                else:
-                    completion[unit.idx] = t
-                if state[2]:
-                    nxt = pop(state[2])[2]
-                    seq = _start_unit(events, seq, name, state, nxt, t, arb)
-            elif unit is None:
-                # The suspend cost is paid: the resource picks.
-                nxt = pop(state[2])[2]
-                seq = _start_unit(events, seq, name, state, nxt, t, arb)
-            elif state[4] - t > arb.min_remaining_s:
-                # The guard expired: the waiter that had to wait for it
-                # still outranks the unit, so unless that is nearly
-                # done it is parked -- and the resource picks when the
-                # suspend cost is paid.
-                park(name, state, t)
-                state[0] = None
-                state[1] += 1
-                at = t + arb.suspend_cost_s
-                push(events, (at, seq, _GUARD, (name, state[1])))
-                seq += 1
-            continue
-
-        unit = payload
-        job = jobs[unit.idx]
-        name = job.resources[unit.stage]
-        state = resources.get(name)
-        if state is None:
-            state = resources[name] = [None, 0, [], 0.0, 0.0, 0.0]
-        unit.order = arrival_order
-        arrival_order += 1
-        running = state[0]
-        victim = None if running is None else jobs[running.idx]
-        suspends = (
-            victim is not None
-            and victim.preemptible
-            and job.urgency < victim.urgency
-            and t >= state[3]  # no suspend already in progress
-            and state[4] - t > arb.min_remaining_s
-        )
-        if running is None and not state[2]:
-            seq = _start_unit(events, seq, name, state, unit, t, arb)
-        elif suspends and t >= state[5]:
-            park(name, state, t)
-            at = t + arb.suspend_cost_s
-            seq = _start_unit(events, seq, name, state, unit, at, arb)
-        else:
-            push(state[2], (job.urgency, unit.order, unit))
-            if suspends and state[5] != math.inf:
-                # The unit is protected: the first arrival it makes
-                # wait has the decision re-run when the guard expires.
-                push(events, (state[5], seq, _GUARD, (name, state[1])))
-                seq += 1
-                state[5] = math.inf
-                guard_waits[name] = guard_waits.get(name, 0) + 1
-
-    return StageReport(
-        makespan=max(completion),
-        completion_times=completion,
-        resource_busy=busy,
-        resource_jobs=served,
-        resource_preemptions=preempted,
-        resource_guard_waits=guard_waits,
-        preemption_overhead=sum(preempted.values())
-        * (arb.suspend_cost_s + arb.resume_cost_s),
-        fault_overhead=fault_overhead,
-    )

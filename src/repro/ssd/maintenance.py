@@ -58,7 +58,7 @@ import numpy as np
 from repro.core.api import AllocationError, FlashCosmos
 from repro.flash.errors import FlashFault, ReconstructionError
 from repro.flash.geometry import BlockAddress, WordlineAddress
-from repro.ssd.events import MAINTENANCE_PRIORITY, StageJob, background_job
+from repro.ssd.events import StageJob, background_job
 
 __all__ = [
     "BlockOccupancy",
@@ -79,15 +79,13 @@ class MaintenanceConfig:
     how much background work one service window may enqueue -- the
     foreground-impact throttle.  A victim must carry at least
     ``min_invalid_pages`` dead pages (erasing a block to reclaim
-    nothing just burns wear).  ``priority`` is the urgency background
-    jobs carry in the arbitrated event simulation.
+    nothing just burns wear).
     """
 
     gc_low_watermark: int = 2
     gc_high_watermark: int = 4
     max_victims_per_cycle: int = 4
     min_invalid_pages: int = 1
-    priority: float = MAINTENANCE_PRIORITY
     #: Rebuild pacing: columns (or parity pages) re-materialized from
     #: parity per :meth:`MaintenanceManager.rebuild_cycle` call -- the
     #: foreground-impact throttle of the rebuild-on-repair plane,
@@ -352,10 +350,7 @@ class MaintenanceManager:
             if busy > 0.0:
                 jobs.append(
                     background_job(
-                        f"chip{chip_index}",
-                        busy * 1e-6,
-                        ready_at=ready_at_s,
-                        priority=self.config.priority,
+                        f"chip{chip_index}", busy * 1e-6, ready_at=ready_at_s
                     )
                 )
         return jobs
@@ -583,10 +578,7 @@ class MaintenanceManager:
                 self.stats.busy_us += remaining
                 jobs.append(
                     background_job(
-                        f"chip{index}",
-                        remaining * 1e-6,
-                        ready_at=ready_at_s,
-                        priority=self.config.priority,
+                        f"chip{index}", remaining * 1e-6, ready_at=ready_at_s
                     )
                 )
         return jobs
@@ -710,10 +702,7 @@ class MaintenanceManager:
                 self.stats.busy_us += delta
                 jobs.append(
                     background_job(
-                        f"chip{index}",
-                        delta * 1e-6,
-                        ready_at=ready_at_s,
-                        priority=self.config.priority,
+                        f"chip{index}", delta * 1e-6, ready_at=ready_at_s
                     )
                 )
         return jobs

@@ -64,19 +64,15 @@ it:
    before anything runs) walks its plans one by one, and
    ``batch=False`` forces the walk for benchmarking.
 
-7. **Concurrent multi-chip dispatch** -- chips are independent dies
-   behind independent channels, and the batched path reduced each
-   chip's queue to a handful of wide NumPy reduces that release the
-   GIL.  ``execute_tasks(..., workers=N)`` therefore drains the
-   per-chip queues *concurrently* on a shared thread pool: each
-   worker owns exactly one chip for the duration of the drain
-   (serialized by ``MwsExecutor.lock``, so chip state never sees two
-   threads), shared engine state -- the template/bound LRUs, the
-   stat counters, the :class:`ResultCache` -- is lock-protected, and
-   because each chip performs the identical operations in the
-   identical per-chip order regardless of interleaving, results,
-   latch end-state, and every per-chip counter are bit-/float-
-   identical to the sequential drain at any worker count.
+7. **One drain thread, chips in turn** -- chips are independent dies
+   behind independent channels, but the functional replay drains them
+   one after another on the caller's thread, in the order the task
+   list first names them.  Their concurrency lives in the modelled
+   timeline (the event simulation overlaps their senses), not in the
+   host: the batched path already reduced each chip's queue to a
+   handful of wide NumPy reduces, and a thread pool over them never
+   paid on a 2-core host.  Fault draws come from per-chip streams, so
+   the drain order moves no result.
 
 8. **Cross-window result caching** -- sense sharing only helps
    *within* one ``execute_tasks`` call; an identical query arriving
@@ -106,10 +102,8 @@ surviving senses executed as per-chip vectorized batches.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from itertools import repeat
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
@@ -367,13 +361,6 @@ class ResultCache:
     through the stochastic V_TH plane, where memoizing a draw would
     change the error statistics, and the ``packed=False`` byte plane
     is the equivalence oracle and must keep executing.
-
-    Thread safety: the cache is shared by every drain of every engine
-    over one SSD, so all entry/epoch/counter mutation happens under an
-    internal lock -- concurrent per-chip workers
-    (:meth:`QueryEngine.execute_tasks` with ``workers > 1``) hit and
-    fill it safely.  The entries themselves are immutable (frozen
-    arrays), so a value observed under the lock stays valid after it.
     """
 
     def __init__(self, ssd: "SmallSsd", *, capacity: int = 4096) -> None:
@@ -390,7 +377,6 @@ class ResultCache:
         self._misses = 0
         self._invalidations = 0
         self._senses_avoided = 0
-        self._cache_lock = threading.Lock()
 
     def _stamp(self, chip: int) -> tuple:
         ssd = self.ssd
@@ -404,35 +390,32 @@ class ResultCache:
         """Snapshot every chip's current layout stamp.  Lookups compare
         against the snapshot, so a window's worth of gets costs one
         stamp computation per chip, not per task."""
-        epoch = {
+        self._epoch = {
             chip: self._stamp(chip) for chip in range(len(self.ssd.chips))
         }
-        with self._cache_lock:
-            self._epoch = epoch
 
     def get(self, chip: int, plan: Plan) -> np.ndarray | None:
         """The plan's memoized packed result words, or ``None`` when
         absent or stale (the stale entry is evicted)."""
         key = (chip, plan)
-        with self._cache_lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self._misses += 1
-                return None
-            stamp, words, n_senses = entry
-            epoch = self._epoch.get(chip)
-            if epoch is None:
-                epoch = self._stamp(chip)
-                self._epoch[chip] = epoch
-            if stamp != epoch:
-                del self._entries[key]
-                self._invalidations += 1
-                self._misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self._hits += 1
-            self._senses_avoided += n_senses
-            return words
+        entry = self._entries.get(key)
+        if entry is None:
+            self._misses += 1
+            return None
+        stamp, words, n_senses = entry
+        epoch = self._epoch.get(chip)
+        if epoch is None:
+            epoch = self._stamp(chip)
+            self._epoch[chip] = epoch
+        if stamp != epoch:
+            del self._entries[key]
+            self._invalidations += 1
+            self._misses += 1
+            return None
+        self._entries.move_to_end(key)
+        self._hits += 1
+        self._senses_avoided += n_senses
+        return words
 
     def put(
         self, chip: int, plan: Plan, words: np.ndarray, n_senses: int
@@ -446,15 +429,14 @@ class ResultCache:
         """
         words.setflags(write=False)
         key = (chip, plan)
-        with self._cache_lock:
-            epoch = self._epoch.get(chip)
-            if epoch is None:
-                epoch = self._stamp(chip)
-                self._epoch[chip] = epoch
-            self._entries[key] = (epoch, words, n_senses)
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+        epoch = self._epoch.get(chip)
+        if epoch is None:
+            epoch = self._stamp(chip)
+            self._epoch[chip] = epoch
+        self._entries[key] = (epoch, words, n_senses)
+        self._entries.move_to_end(key)
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
 
     def prune_stale(self) -> int:
         """Bulk-drop every entry whose layout stamp no longer matches
@@ -471,46 +453,41 @@ class ResultCache:
             chip: self._stamp(chip)
             for chip in range(len(self.ssd.chips))
         }
-        with self._cache_lock:
-            dead = [
-                key
-                for key, (stamp, _, _) in self._entries.items()
-                if stamp != stamps[key[0]]
-            ]
-            for key in dead:
-                del self._entries[key]
-            self._invalidations += len(dead)
-            return len(dead)
+        dead = [
+            key
+            for key, (stamp, _, _) in self._entries.items()
+            if stamp != stamps[key[0]]
+        ]
+        for key in dead:
+            del self._entries[key]
+        self._invalidations += len(dead)
+        return len(dead)
 
     def resize(self, capacity: int) -> None:
         """Change the entry bound, evicting LRU entries when
         shrinking."""
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        with self._cache_lock:
-            self.capacity = capacity
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+        self.capacity = capacity
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
 
     def clear(self) -> None:
-        with self._cache_lock:
-            self._entries.clear()
-            self._epoch.clear()
+        self._entries.clear()
+        self._epoch.clear()
 
     def __len__(self) -> int:
-        with self._cache_lock:
-            return len(self._entries)
+        return len(self._entries)
 
     @property
     def stats(self) -> CacheStats:
-        with self._cache_lock:
-            return CacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                invalidations=self._invalidations,
-                senses_avoided=self._senses_avoided,
-                entries=len(self._entries),
-            )
+        return CacheStats(
+            hits=self._hits,
+            misses=self._misses,
+            invalidations=self._invalidations,
+            senses_avoided=self._senses_avoided,
+            entries=len(self._entries),
+        )
 
 
 class StackCache:
@@ -556,10 +533,6 @@ class StackCache:
     (:class:`~repro.flash.sensing.VthBatchSchedule`, same contract).
     Per-chip entry maps are bounded with clear-on-full semantics like
     the sensing row cache (``capacity`` plans, default 4096).
-
-    Thread safety: the per-chip entry map is only touched by the
-    drain that owns the chip (under ``MwsExecutor.lock``); the outer
-    chip map and counters take an internal lock.
     """
 
     def __init__(self, ssd: "SmallSsd", *, capacity: int = 4096) -> None:
@@ -572,7 +545,6 @@ class StackCache:
         self._hits = 0
         self._misses = 0
         self._invalidations = 0
-        self._lock = threading.Lock()
 
     def _stamp(self, chip: int) -> tuple:
         ssd = self.ssd
@@ -592,15 +564,14 @@ class StackCache:
         ``(results, reused_plan_count)`` or ``None`` when the window
         has no batched equivalent."""
         stamp = self._stamp(chip)
-        with self._lock:
-            entry = self._chips.get(chip)
-            if entry is not None and entry[0] == stamp:
-                plan_rows = entry[1]
-            else:
-                if entry is not None:
-                    self._invalidations += 1
-                plan_rows = {}
-                self._chips[chip] = (stamp, plan_rows)
+        entry = self._chips.get(chip)
+        if entry is not None and entry[0] == stamp:
+            plan_rows = entry[1]
+        else:
+            if entry is not None:
+                self._invalidations += 1
+            plan_rows = {}
+            self._chips[chip] = (stamp, plan_rows)
 
         def store(plan, rows, reads):
             if len(plan_rows) >= self.capacity:
@@ -611,33 +582,27 @@ class StackCache:
         if outcome is None:
             return None
         results, reused = outcome
-        with self._lock:
-            self._hits += reused
-            self._misses += len(plans) - reused
+        self._hits += reused
+        self._misses += len(plans) - reused
         return results, reused
 
     def entries(self, chip: int) -> int:
         """Live entry count for one chip (test/introspection hook)."""
-        with self._lock:
-            entry = self._chips.get(chip)
-            return 0 if entry is None else len(entry[1])
+        entry = self._chips.get(chip)
+        return 0 if entry is None else len(entry[1])
 
     def clear(self) -> None:
-        with self._lock:
-            self._chips.clear()
+        self._chips.clear()
 
     @property
     def stats(self) -> CacheStats:
-        with self._lock:
-            return CacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                invalidations=self._invalidations,
-                senses_avoided=0,
-                entries=sum(
-                    len(entry[1]) for entry in self._chips.values()
-                ),
-            )
+        return CacheStats(
+            hits=self._hits,
+            misses=self._misses,
+            invalidations=self._invalidations,
+            senses_avoided=0,
+            entries=sum(len(entry[1]) for entry in self._chips.values()),
+        )
 
 
 #: The attempt schedule of a plan nothing can fault: one clean attempt,
@@ -723,24 +688,11 @@ class QueryEngine:
         *,
         cache_size: int = 64,
         config: SsdConfig | None = None,
-        workers: int | None = None,
     ) -> None:
         if cache_size < 1:
             raise ValueError("cache_size must be >= 1")
         self.ssd = ssd
         self.cache_size = cache_size
-        #: Default worker count for :meth:`execute_tasks`; 1 keeps the
-        #: exact sequential drain (and is the default -- concurrency is
-        #: opt-in per engine or per call).
-        self.workers = 1 if workers is None else max(1, int(workers))
-        #: Guards the engine's shared mutable state -- the template and
-        #: bound-plan LRUs, the stat counters, the stage-constant memo
-        #: -- against concurrent drains.  An RLock: locked sections
-        #: call helpers that lock again (e.g. a bind fallback bumping
-        #: planner counters).
-        self._lock = threading.RLock()
-        self._pool: ThreadPoolExecutor | None = None
-        self._pool_size = 0
         #: Timing/bandwidth parameters for the pipelined makespan; the
         #: functional chips are tiny, so the event simulation scales
         #: their measured sense times with configured bus bandwidths.
@@ -814,26 +766,23 @@ class QueryEngine:
         counter deltas, so interleaved query preparation (the service
         window path) attributes hits correctly."""
         key = (expr, signature)
-        with self._lock:
-            cached = self._templates.get(key)
-            if cached is not None:
-                self._templates.move_to_end(key)
-                self._template_hits += 1
-                return cached, False
-            self._template_misses += 1
-            controller = self.ssd.controllers[
-                self.ssd.ftl.chip_of_chunk(0)
-            ]
-            planner = Planner(
-                _ChunkDirectory(controller, 0),
-                block_limit=controller.planner.block_limit,
-            )
-            template = planner.plan_template(expr)
-            self._planner_invocations += 1
-            self._templates[key] = template
-            while len(self._templates) > self.cache_size:
-                self._templates.popitem(last=False)
-            return template, True
+        cached = self._templates.get(key)
+        if cached is not None:
+            self._templates.move_to_end(key)
+            self._template_hits += 1
+            return cached, False
+        self._template_misses += 1
+        controller = self.ssd.controllers[self.ssd.ftl.chip_of_chunk(0)]
+        planner = Planner(
+            _ChunkDirectory(controller, 0),
+            block_limit=controller.planner.block_limit,
+        )
+        template = planner.plan_template(expr)
+        self._planner_invocations += 1
+        self._templates[key] = template
+        while len(self._templates) > self.cache_size:
+            self._templates.popitem(last=False)
+        return template, True
 
     def enable_result_cache(
         self, capacity: int | None = None
@@ -863,21 +812,20 @@ class QueryEngine:
 
     @property
     def stats(self) -> EngineStats:
-        with self._lock:
-            return EngineStats(
-                planner_invocations=self._planner_invocations,
-                template_hits=self._template_hits,
-                template_misses=self._template_misses,
-                bind_fallbacks=self._bind_fallbacks,
-                cached_templates=len(self._templates),
-                shared_plans=self._shared_plans,
-                shared_senses=self._shared_senses,
-                executor_dispatches=self._executor_dispatches,
-                reconstructed_plans=self._reconstructed_plans,
-                reconstruction_senses=self._reconstruction_senses,
-                stack_reuse_hits=self._stack_reuse_hits,
-                restacked_tensors=self._restacked_tensors,
-            )
+        return EngineStats(
+            planner_invocations=self._planner_invocations,
+            template_hits=self._template_hits,
+            template_misses=self._template_misses,
+            bind_fallbacks=self._bind_fallbacks,
+            cached_templates=len(self._templates),
+            shared_plans=self._shared_plans,
+            shared_senses=self._shared_senses,
+            executor_dispatches=self._executor_dispatches,
+            reconstructed_plans=self._reconstructed_plans,
+            reconstruction_senses=self._reconstruction_senses,
+            stack_reuse_hits=self._stack_reuse_hits,
+            restacked_tensors=self._restacked_tensors,
+        )
 
     # ------------------------------------------------------------------
     # Execution
@@ -915,32 +863,31 @@ class QueryEngine:
         """
         key = (expr, signature, n_chunks)
         generation = self._layout_generation()
-        with self._lock:
-            cached = self._bound.get(key)
-            if cached is not None and cached[0] == generation:
-                self._bound.move_to_end(key)
-                return cached[1], False
-            planned = False
-            queues: dict[int, list[tuple[int, Plan]]] = {}
-            for chunk in range(n_chunks):
-                chip = self.ssd.ftl.chip_of_chunk(chunk)
-                controller = self.ssd.controllers[chip]
-                view = _ChunkDirectory(controller, chunk)
-                try:
-                    plan = template.bind(view)
-                except TemplateBindError:
-                    planner = Planner(
-                        view, block_limit=controller.planner.block_limit
-                    )
-                    plan = planner.plan(expr)
-                    self._planner_invocations += 1
-                    self._bind_fallbacks += 1
-                    planned = True
-                queues.setdefault(chip, []).append((chunk, plan))
-            self._bound[key] = (generation, queues)
-            while len(self._bound) > self.cache_size:
-                self._bound.popitem(last=False)
-            return queues, planned
+        cached = self._bound.get(key)
+        if cached is not None and cached[0] == generation:
+            self._bound.move_to_end(key)
+            return cached[1], False
+        planned = False
+        queues: dict[int, list[tuple[int, Plan]]] = {}
+        for chunk in range(n_chunks):
+            chip = self.ssd.ftl.chip_of_chunk(chunk)
+            controller = self.ssd.controllers[chip]
+            view = _ChunkDirectory(controller, chunk)
+            try:
+                plan = template.bind(view)
+            except TemplateBindError:
+                planner = Planner(
+                    view, block_limit=controller.planner.block_limit
+                )
+                plan = planner.plan(expr)
+                self._planner_invocations += 1
+                self._bind_fallbacks += 1
+                planned = True
+            queues.setdefault(chip, []).append((chunk, plan))
+        self._bound[key] = (generation, queues)
+        while len(self._bound) > self.cache_size:
+            self._bound.popitem(last=False)
+        return queues, planned
 
     def prepare(self, expr: Expression) -> PreparedQuery:
         """Plan (or fetch) and bind ``expr`` without executing it.
@@ -994,7 +941,6 @@ class QueryEngine:
         ready_at_s: float = 0.0,
         priority: float = 0.0,
         deadline_s: float | None = None,
-        preemptible: bool = True,
         fault_delay_us: float = 0.0,
     ) -> StageJob:
         """Pipeline job for one chunk result: die sense -> channel DMA
@@ -1002,13 +948,10 @@ class QueryEngine:
         unit).  ``ready_at_s`` lets window streams arrive on the
         virtual clock instead of all at t=0.
 
-        ``priority``/``deadline_s``/``preemptible`` thread scheduling
-        directives into :func:`~repro.ssd.events.simulate_stages`: a
-        deadline job outranks every non-deadline job among those
-        waiting for its die, and under the arbitrated simulator (an
-        :class:`~repro.ssd.events.ArbitrationConfig`) also at a
-        contended channel, where it may further suspend an in-flight
-        ``preemptible`` sense.
+        ``priority``/``deadline_s`` thread scheduling directives into
+        :func:`~repro.ssd.events.simulate_stages`: a deadline job
+        outranks every non-deadline job among those waiting for its
+        die.
 
         ``fault_delay_us`` is the chunk's recovery time (retry backoff
         plus injected stalls, :attr:`ChunkOutcome.recovery_us`): the
@@ -1021,23 +964,8 @@ class QueryEngine:
             resources,
             priority,
             deadline_s,
-            preemptible,
             fault_delay_us * 1e-6,
         )
-
-    def _drain_pool(self, size: int) -> ThreadPoolExecutor:
-        """The shared per-chip drain pool, (re)built when the worker
-        count changes.  Reused across windows: pool construction costs
-        more than a small window's worth of NumPy reduces."""
-        with self._lock:
-            if self._pool is None or self._pool_size != size:
-                if self._pool is not None:
-                    self._pool.shutdown(wait=True)
-                self._pool = ThreadPoolExecutor(
-                    max_workers=size, thread_name_prefix="repro-chip"
-                )
-                self._pool_size = size
-            return self._pool
 
     def execute_tasks(
         self,
@@ -1046,7 +974,6 @@ class QueryEngine:
         share: bool = True,
         batch: bool = True,
         use_cache: bool = False,
-        workers: int | None = None,
         recovery: RecoveryPolicy | None = None,
         degraded: Iterable[int] = (),
         offline: Iterable[int] = (),
@@ -1057,7 +984,8 @@ class QueryEngine:
 
         Tasks are grouped per chip preserving the given order (the
         scheduler's per-chip schedule) and every chip's group runs
-        through the same stages (:meth:`_drain_chip`).  The
+        through the same stages (:meth:`_drain_chip`), one chip after
+        another in the order the list first names them.  The
         parameters choose *where a result comes from and what it is
         charged*, never its bits: result data, and the modelled cost
         of every sense that does run, are identical across all
@@ -1078,14 +1006,6 @@ class QueryEngine:
             reference the property suites and batch benchmarks
             compare against).  Outcomes, chip counters, latch
             end-state and fault draws are equal either way.
-        ``workers``
-            with more than one (per call, or the engine's default)
-            and more than one chip, the per-chip drains run
-            concurrently on a shared thread pool.  Each holds its
-            chip's :attr:`~repro.core.mws.MwsExecutor.lock` end to
-            end and performs the identical operations in the
-            identical per-chip order, so everything observable is
-            bit-/float-identical at any worker count.
         ``recovery``
             the fault-recovery policy (:mod:`repro.flash.faults`).
             Its retry/backoff half applies only while an *active*
@@ -1104,12 +1024,11 @@ class QueryEngine:
             :class:`~repro.flash.errors.ChipUnavailableError` without
             touching the die, as do the tasks of a fail-stopped chip.
         ``reconstruct``
-            on a parity-striped SSD, after every drain has joined,
+            on a parity-striped SSD, after every chip has drained,
             tasks that failed with ``ChipUnavailableError`` or
             ``RetryExhaustedError`` are rebuilt from surviving peers
-            and parity (:meth:`_reconstruct_failures`), sequentially
-            in task order at any worker count.  Without failures (or
-            parity) it is a no-op.
+            and parity (:meth:`_reconstruct_failures`) in task order.
+            Without failures (or parity) it is a no-op.
         """
         packed = self.ssd.packed
         cache = self.result_cache if use_cache and packed else None
@@ -1156,22 +1075,8 @@ class QueryEngine:
                 per_chip[task.chip] = [position]
             else:
                 queue.append(position)
-        n_workers = self.workers if workers is None else max(1, workers)
-        if n_workers > 1 and len(per_chip) > 1:
-            pool = self._drain_pool(n_workers)
-            futures = [
-                pool.submit(self._drain_chip, window, chip, positions)
-                for chip, positions in per_chip.items()
-            ]
-            # Every drain joins before the first error (in chip order)
-            # surfaces: no worker still holds a chip when the caller
-            # sees the exception.
-            wait(futures)
-            for future in futures:
-                future.result()
-        else:
-            for chip, positions in per_chip.items():
-                self._drain_chip(window, chip, positions)
+        for chip, positions in per_chip.items():
+            self._drain_chip(window, chip, positions)
         if reconstruct and self.ssd.parity:
             self._reconstruct_failures(order, window.outcomes, cache)
         return window.outcomes
@@ -1186,44 +1091,37 @@ class QueryEngine:
         """Drain one chip's tasks of the window: fail-fast -> result
         cache -> dedup -> sense -> publish.
 
-        One worker owns the chip for the whole drain, under its
-        executor's lock; distinct drains write disjoint ``outcomes``
-        slots, so the list needs no lock.  Engine counters are taken
-        as deltas around the sense stage and merged once, under the
-        engine lock.  A stage that raises leaves the chip's slots
-        unpublished and its counters unmerged, and the error is the
-        caller's.
+        Engine counters are taken as deltas around the sense stage and
+        merged once at the end.  A stage that raises leaves the chip's
+        slots unpublished and its counters unmerged, and the error is
+        the caller's.
         """
         if self._fail_fast(window, chip, positions):
             return
         executor = self.ssd.controllers[chip].executor
         sensing = self.ssd.chips[chip].sensing
-        with executor.lock:
-            pending = self._lookup_cached(window, chip, positions)
-            if not pending:
-                return
-            unique, followers = self._dedup(window, pending)
-            # The executor and the sensing engine report their own
-            # counts, whichever route the sense stage takes.
-            dispatched_before = executor.dispatches
-            restacked_before = sensing.restacked_tensors
-            records, reuse_hits = self._sense(
-                window,
-                executor,
-                chip,
-                [window.order[position].plan for position in unique],
-            )
-            dispatches = executor.dispatches - dispatched_before
-            restacked = sensing.restacked_tensors - restacked_before
-            shared_senses = self._publish(
-                window, chip, unique, records, followers
-            )
-        with self._lock:
-            self._executor_dispatches += dispatches
-            self._shared_plans += len(followers)
-            self._shared_senses += shared_senses
-            self._stack_reuse_hits += reuse_hits
-            self._restacked_tensors += restacked
+        pending = self._lookup_cached(window, chip, positions)
+        if not pending:
+            return
+        unique, followers = self._dedup(window, pending)
+        # The executor and the sensing engine report their own counts,
+        # whichever route the sense stage takes.
+        dispatched_before = executor.dispatches
+        restacked_before = sensing.restacked_tensors
+        records, reuse_hits = self._sense(
+            window,
+            executor,
+            chip,
+            [window.order[position].plan for position in unique],
+        )
+        dispatches = executor.dispatches - dispatched_before
+        restacked = sensing.restacked_tensors - restacked_before
+        shared_senses = self._publish(window, chip, unique, records, followers)
+        self._executor_dispatches += dispatches
+        self._shared_plans += len(followers)
+        self._shared_senses += shared_senses
+        self._stack_reuse_hits += reuse_hits
+        self._restacked_tensors += restacked
 
     def _fail_fast(
         self, window: _Window, chip: int, positions: list[int]
@@ -1418,8 +1316,8 @@ class QueryEngine:
         attempts, when the batched route hands over a plan whose
         schedule ended in exhaustion; with the retry half off the
         plan is one clean attempt and nothing is drawn.  All of it
-        happens inside this chip's drain, so the sequence is
-        identical at any worker count.
+        happens inside this chip's drain, so the sequence depends on
+        this chip's schedule alone.
         """
         policy = window.policy
         counters = executor.chip.counters
@@ -1692,10 +1590,8 @@ class QueryEngine:
                 # moved; when the service later quarantines the dead
                 # chip its directory generation bump drops the entry.
                 cache.put(task.chip, task.plan, data, n_senses)
-        if reconstructed:
-            with self._lock:
-                self._reconstructed_plans += reconstructed
-                self._reconstruction_senses += senses
+        self._reconstructed_plans += reconstructed
+        self._reconstruction_senses += senses
 
     def assemble_bits(
         self, prepared: PreparedQuery, pieces: list[np.ndarray | None]

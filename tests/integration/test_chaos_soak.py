@@ -4,13 +4,12 @@ The property under test crosses the fault plane (transient sense
 faults + stalls from an active injector), the maintenance plane
 (overwrite churn driving watermark-paced GC), and the redundancy
 plane (a chip killed permanently mid-soak): every query of every
-round completes with no error and bit-identical to the NumPy oracle,
-at workers 1 and 4 -- while the same soak without parity demonstrably
-fails once the chip dies.
+round completes with no error and bit-identical to the NumPy oracle
+-- while the same soak without parity demonstrably fails once the chip
+dies.
 """
 
 import numpy as np
-import pytest
 
 from repro.core.expressions import And, Operand, Xor, evaluate, or_all
 from repro.flash.faults import FaultConfig, FaultInjector
@@ -64,14 +63,12 @@ def _traffic(start_us, n=8):
     ]
 
 
-def _soak(parity, *, workers=1):
+def _soak(parity):
     """Churn rounds, a mid-soak permanent chip kill, rebuild drain,
     then churn again on the rebuilt layout.  Returns every round's
     report (in order) plus the service and oracle env."""
     ssd, env = _build(parity)
-    service = ssd.service(
-        window_us=100.0, workers=workers, maintenance=CHURNY
-    )
+    service = ssd.service(window_us=100.0, maintenance=CHURNY)
     reports = []
     clock = 0.0
     # Healthy churn: overwrites invalidate whole block swaths, so GC
@@ -105,9 +102,8 @@ def _soak(parity, *, workers=1):
     return ssd, service, env, reports
 
 
-@pytest.mark.parametrize("workers", (1, 4))
-def test_chaos_soak_completes_everything_bit_identical(workers):
-    ssd, service, env, reports = _soak(True, workers=workers)
+def test_chaos_soak_completes_everything_bit_identical():
+    ssd, service, env, reports = _soak(True)
     for report in reports:
         assert report.stats.queries_failed == 0
         for query in report.queries:
@@ -149,20 +145,3 @@ def test_chaos_soak_without_parity_fails_typed():
         type(q.error).__name__ for q in failed
     }
 
-
-def test_chaos_soak_worker_counts_agree():
-    baseline = None
-    for workers in (1, 4):
-        _, _, _, reports = _soak(True, workers=workers)
-        bits = [
-            q.result.bits
-            for r in reports
-            for q in sorted(r.queries, key=lambda q: q.query_id)
-        ]
-        senses = [r.stats.n_senses for r in reports]
-        if baseline is None:
-            baseline = (bits, senses)
-        else:
-            assert senses == baseline[1]
-            for got, want in zip(bits, baseline[0]):
-                np.testing.assert_array_equal(got, want)

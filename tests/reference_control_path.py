@@ -298,9 +298,9 @@ def _edf_schedule(
 
 
 def simulate_stages_fcfs(jobs: list[StageJob]) -> StageReport:
-    """The FCFS sweep of ``simulate_stages`` (``arbitration=None``):
-    every job's stage 0 pushed into one global ``(ready, seq)`` heap,
-    3N pops."""
+    """The FCFS sweep of ``simulate_stages`` before the die queue and
+    the background class: every job's stage 0 pushed into one global
+    ``(ready, seq)`` heap, 3N pops."""
     if not jobs:
         # An empty stream (e.g. an admission window that admitted no
         # queries) simulates to an idle, zero-makespan report.

@@ -192,8 +192,7 @@ def test_other_policies_report_what_the_frozen_fcfs_sweep_reports(
     the replay is the sweep or the parent's frozen FCFS body: no
     urgency reaches a job the policy does not schedule by."""
 
-    def frozen(jobs, *, suspension, arbitration):
-        assert arbitration is None
+    def frozen(jobs):
         return reference.simulate_stages_fcfs(jobs)
 
     report, _, replay = _collide(policy, monkeypatch)
@@ -248,7 +247,6 @@ def test_deadline_follower_lends_its_leader_the_deadline(monkeypatch):
     assert report.queries[leader].deadline_us is None
     # Leader and follower carry the group's urgency: the follower's.
     assert lead_job.deadline == follow_job.deadline == 500.0 * 1e-6
-    assert lead_job.preemptible is follow_job.preemptible is False
     # The sense went ahead of the backlog listed before it ...
     scans_done = [
         done for outcome, (_, done), _ in listed
@@ -266,7 +264,7 @@ def test_deadline_follower_lends_its_leader_the_deadline(monkeypatch):
         job for outcome, (job, _), _ in listed
         if outcome.task.query == leader
     ]
-    assert lead_job.deadline is None and lead_job.preemptible is True
+    assert lead_job.deadline is None
 
 
 # ----------------------------------------------------------------------
@@ -327,8 +325,7 @@ def test_reconstructed_follower_waits_for_its_leaders_reads(monkeypatch):
             assert marked >= read_done
 
 
-@pytest.mark.parametrize("workers", (1, 4))
-def test_a_lost_page_is_reconstructed_once_per_window(workers):
+def test_a_lost_page_is_reconstructed_once_per_window():
     """Three different shapes over the same two vectors: between them
     they rebuild each lost page once (three survivor reads on a 4-chip
     stripe: two siblings and the parity page), not once per shape and
@@ -336,7 +333,7 @@ def test_a_lost_page_is_reconstructed_once_per_window(workers):
     outlive the call."""
     # Nine chunks: three full rotation groups of three data chunks.
     ssd, env = build(parity=True, n_chunks=9)
-    service = ssd.service(window_us=100.0, workers=workers)
+    service = ssd.service(window_us=100.0)
     ssd.kill_chip(VICTIM)
     a, b = Operand("a"), Operand("b")
     shapes = [And(a, b), Or(a, b), Xor(a, b)]

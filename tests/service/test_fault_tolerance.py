@@ -6,7 +6,7 @@ service completes 100% of queries bit-identical to the NumPy oracle
 (retry + degraded re-execution absorb every fault), a chip whose
 error EWMA crosses threshold is quarantined (and its directory
 generation bumped so bound plans rebind), and the fault-free path
-stays float-exact against a no-injector twin at any worker count.
+stays float-exact against a no-injector twin.
 """
 
 import numpy as np
@@ -66,8 +66,8 @@ def _traffic():
     ]
 
 
-def _run_service(ssd, *, workers=1, **kwargs):
-    service = ssd.service(window_us=120.0, workers=workers, **kwargs)
+def _run_service(ssd, **kwargs):
+    service = ssd.service(window_us=120.0, **kwargs)
     service.submit_traffic(_traffic())
     return service, service.run()
 
@@ -77,13 +77,12 @@ def _run_service(ssd, *, workers=1, **kwargs):
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("workers", (1, 4))
-def test_one_percent_fault_rate_completes_all_queries_exactly(workers):
+def test_one_percent_fault_rate_completes_all_queries_exactly():
     injector = FaultInjector(
         FaultConfig(seed=13, sense_fault_rate=0.01, stall_rate=0.01)
     )
     ssd, env = _build(injector=injector)
-    _, report = _run_service(ssd, workers=workers)
+    _, report = _run_service(ssd)
     assert report.stats.n_queries == len(_traffic())
     assert report.stats.queries_failed == 0
     for query in report.queries:
@@ -118,12 +117,11 @@ def test_heavy_fault_rates_still_complete_exactly(rate):
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("workers", (1, 4))
-def test_fault_free_service_float_exact_vs_twin(workers):
+def test_fault_free_service_float_exact_vs_twin():
     bare_ssd, _ = _build()
     twin_ssd, _ = _build(injector=FaultInjector(FaultConfig(seed=99)))
-    _, bare = _run_service(bare_ssd, workers=workers)
-    _, twin = _run_service(twin_ssd, workers=workers)
+    _, bare = _run_service(bare_ssd)
+    _, twin = _run_service(twin_ssd)
     assert len(bare.queries) == len(twin.queries)
     for a, b in zip(bare.queries, twin.queries):
         np.testing.assert_array_equal(a.result.bits, b.result.bits)
@@ -267,13 +265,12 @@ def test_degraded_chip_keeps_the_services_margin_ladder_without_faults(
         )
 
 
-@pytest.mark.parametrize("workers", (1, 4))
-def test_sense_stage_error_leaves_the_service_retryable(workers, monkeypatch):
+def test_sense_stage_error_leaves_the_service_retryable(monkeypatch):
     """A drain that raises mid-window surfaces the typed error from
     ``run()`` with the admission queue intact; once the cause is gone
     a second ``run()`` serves every query, oracle-identical."""
     ssd, env = _build()
-    service = ssd.service(window_us=120.0, workers=workers)
+    service = ssd.service(window_us=120.0)
     ids = service.submit_traffic(_traffic())
 
     def dropped_out(commands):

@@ -66,10 +66,9 @@ def _run(ssd, **kwargs):
     return service, service.run()
 
 
-@pytest.mark.parametrize("workers", (1, 4))
-def test_probation_drain_keeps_queries_exact(workers):
+def test_probation_drain_keeps_queries_exact():
     ssd, env = _build()
-    service, report = _run(ssd, workers=workers)
+    service, report = _run(ssd)
     stats = report.stats
     # The breaker tripped and the maintenance plane drained the chip.
     assert stats.quarantines >= 1

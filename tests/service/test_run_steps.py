@@ -86,17 +86,11 @@ SITES = {
 }
 
 
-@pytest.mark.parametrize("workers", (1, 4))
 @pytest.mark.parametrize("site", SITES)
-def test_a_step_that_raises_leaves_the_service_retryable(
-    site, workers, monkeypatch
-):
+def test_a_step_that_raises_leaves_the_service_retryable(site, monkeypatch):
     ssd, env = _build()
     service = ssd.service(
-        window_us=WINDOW_US,
-        workers=workers,
-        result_cache=True,
-        maintenance=True,
+        window_us=WINDOW_US, result_cache=True, maintenance=True
     )
     ids = service.submit_traffic(_traffic())
     assert [len(w) for w in service.admission.windows()] == [4, 3, 3]

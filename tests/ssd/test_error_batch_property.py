@@ -13,8 +13,7 @@ these properties pin down:
   post-window RNG state is identical, and everything downstream
   (retry counts, recovery decisions) agrees bit for bit;
 * **Float-identical accounting** -- per-outcome latency/energy and the
-  chips' cost counters replay the scalar charge sequence exactly, at
-  any worker count;
+  chips' cost counters replay the scalar charge sequence exactly;
 * **Degraded mode rides the batch plane** -- health-degraded chips
   batch their margin-read queues (``execute_degraded_batch``) with
   identical results, counters, and extra-sense ladder charges;
@@ -161,12 +160,11 @@ def _assert_chips_identical(batch_ssd, loop_ssd):
                 )
 
 
-@pytest.mark.parametrize("workers", [1, 4])
 @pytest.mark.parametrize("seed", range(8))
-def test_error_window_batch_matches_per_sense_loop(seed, workers):
+def test_error_window_batch_matches_per_sense_loop(seed):
     """An error-injecting window drained batch-first is bit- and
     float-identical to the per-sense loop: same corrupted words, same
-    costs, same post-window RNG state -- at any worker count."""
+    costs, same post-window RNG state."""
     s = _scenario(seed)
     build = lambda: _build_one(  # noqa: E731 - twin factory
         s["data_seed"],
@@ -180,13 +178,11 @@ def test_error_window_batch_matches_per_sense_loop(seed, workers):
         _window_tasks(batch_ssd, s["window"]),
         share=s["share"],
         batch=True,
-        workers=workers,
     )
     loop_out = loop_ssd.engine.execute_tasks(
         _window_tasks(loop_ssd, s["window"]),
         share=s["share"],
         batch=False,
-        workers=workers,
     )
     _assert_outcomes_identical(batch_out, loop_out)
     _assert_chips_identical(batch_ssd, loop_ssd)
@@ -210,9 +206,8 @@ def test_error_batch_collapses_dispatches(seed):
     assert ssd.engine.stats.executor_dispatches - before == chips_touched
 
 
-@pytest.mark.parametrize("workers", [1, 4])
 @pytest.mark.parametrize("seed", range(4))
-def test_recovery_window_unaffected_by_batch_flag(seed, workers):
+def test_recovery_window_unaffected_by_batch_flag(seed):
     """With an active fault injector and a recovery policy the queue
     runs per plan (fault draws are per attempt); the ``batch`` flag
     must not change outcomes, retry counts, stall charges, or the
@@ -240,14 +235,12 @@ def test_recovery_window_unaffected_by_batch_flag(seed, workers):
         _window_tasks(batch_ssd, s["window"]),
         share=s["share"],
         batch=True,
-        workers=workers,
         recovery=policy,
     )
     loop_out = loop_ssd.engine.execute_tasks(
         _window_tasks(loop_ssd, s["window"]),
         share=s["share"],
         batch=False,
-        workers=workers,
         recovery=policy,
     )
     _assert_outcomes_identical(batch_out, loop_out)

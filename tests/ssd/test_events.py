@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_arbitrated import simulate_arbitrated
 from repro.ssd.events import (
     ArbitrationConfig,
     SerialResource,
@@ -217,8 +218,8 @@ class TestArbitrationConfig:
 
 def _job_lists():
     """Random multi-stage job streams over a small shared resource set
-    -- deliberately urgency-free, so arbitration must not change a
-    thing."""
+    -- deliberately urgency-free, so ordering by urgency at every
+    resource must not change a thing."""
     stage = st.tuples(
         st.floats(0.0, 10.0), st.sampled_from(["a", "b", "c"])
     )
@@ -242,19 +243,16 @@ def _job_lists():
 
 
 class TestArbitratedEquivalence:
-    """With no urgency differences the arbitrated simulation must be
-    float-identical to the FCFS sweep -- every existing benchmark and
-    oracle replays unchanged."""
+    """With no urgency differences the arbitrated oracle
+    (``tests/reference_arbitrated.py``), which orders every resource by
+    urgency, must be float-identical to the sweep."""
 
     @settings(max_examples=60, deadline=None)
     @given(jobs=_job_lists())
     def test_urgency_free_schedule_identical(self, jobs):
         base = simulate_stages(jobs)
-        arb = simulate_stages(
-            jobs,
-            arbitration=ArbitrationConfig(
-                suspend_cost_s=1.0, resume_cost_s=2.0
-            ),
+        arb = simulate_arbitrated(
+            jobs, ArbitrationConfig(suspend_cost_s=1.0, resume_cost_s=2.0)
         )
         assert arb.completion_times == base.completion_times
         assert arb.resource_busy == base.resource_busy
@@ -266,18 +264,17 @@ class TestArbitratedEquivalence:
     @settings(max_examples=40, deadline=None)
     @given(jobs=_job_lists())
     def test_equal_deadlines_never_preempt(self, jobs):
-        """Equal urgency keeps strict FIFO: same deadline on every job
-        changes nothing vs. the sweep."""
-        from dataclasses import replace
-
-        dl = [replace(j, deadline=100.0) for j in jobs]
+        """Equal urgency keeps strict FIFO: the same deadline on every
+        job changes nothing."""
+        dl = [dataclasses.replace(j, deadline=100.0) for j in jobs]
         base = simulate_stages(jobs)
-        arb = simulate_stages(dl, arbitration=ArbitrationConfig())
+        assert simulate_stages(dl).completion_times == base.completion_times
+        arb = simulate_arbitrated(dl, ArbitrationConfig())
         assert arb.completion_times == base.completion_times
         assert arb.preemptions == 0
 
     def test_empty_stream(self):
-        report = simulate_stages([], arbitration=ArbitrationConfig())
+        report = simulate_stages([], suspension=ArbitrationConfig())
         assert report.makespan == 0.0
         assert report.bottleneck == "idle"
 
@@ -285,12 +282,34 @@ class TestArbitratedEquivalence:
         with pytest.raises(ValueError):
             simulate_stages(
                 [StageJob(0.0, (-1.0,), ("r",))],
-                arbitration=ArbitrationConfig(),
+                suspension=ArbitrationConfig(),
             )
 
 
+def _bulk(ready_at, seconds, **kwargs):
+    """A background job on the die: the one class a foreground arrival
+    suspends."""
+    return StageJob(ready_at, (seconds,), ("die",), background=True, **kwargs)
+
+
+def _suspended(jobs, cfg=ArbitrationConfig()):
+    """The sweep's report under ``cfg``, after checking that the
+    arbitrated oracle schedules the same jobs float for float."""
+    report = simulate_stages(jobs, suspension=cfg)
+    oracle = simulate_arbitrated(jobs, cfg)
+    assert report.completion_times == oracle.completion_times
+    assert report.resource_busy == oracle.resource_busy
+    assert report.resource_preemptions == oracle.resource_preemptions
+    assert report.resource_guard_waits == oracle.resource_guard_waits
+    assert report.preemption_overhead == oracle.preemption_overhead
+    return report
+
+
 class TestPreemption:
-    """Exact deterministic arithmetic of the suspend/resume model."""
+    """Exact deterministic arithmetic of the suspend/resume model: a
+    foreground arrival suspends the background job on its die, never a
+    foreground one.  Each scenario runs through the sweep and the
+    arbitrated oracle, which must agree."""
 
     def test_urgent_suspends_bulk(self):
         """Bulk sense of 100 s starts at t=0; an urgent 5 s deadline
@@ -298,14 +317,11 @@ class TestPreemption:
         parked at t=10 (+1 s suspend), urgent runs [11, 16], bulk's
         remaining 90 s + 2 s resume runs [16, 108]."""
         jobs = [
-            StageJob(0.0, (100.0,), ("die",)),
+            _bulk(0.0, 100.0),
             StageJob(10.0, (5.0,), ("die",), deadline=20.0),
         ]
-        report = simulate_stages(
-            jobs,
-            arbitration=ArbitrationConfig(
-                suspend_cost_s=1.0, resume_cost_s=2.0
-            ),
+        report = _suspended(
+            jobs, ArbitrationConfig(suspend_cost_s=1.0, resume_cost_s=2.0)
         )
         assert report.completion_times == [108.0, 16.0]
         assert report.preemptions == 1
@@ -321,13 +337,16 @@ class TestPreemption:
         ]
         report = simulate_stages(jobs)
         assert report.completion_times == [100.0, 105.0]
+        assert report.preemptions == 0
 
     def test_non_preemptible_victim_runs_through(self):
+        """A foreground victim is never suspended, whatever the
+        arrival's urgency."""
         jobs = [
-            StageJob(0.0, (100.0,), ("die",), preemptible=False),
+            StageJob(0.0, (100.0,), ("die",)),
             StageJob(10.0, (5.0,), ("die",), deadline=20.0),
         ]
-        report = simulate_stages(jobs, arbitration=ArbitrationConfig())
+        report = _suspended(jobs)
         assert report.completion_times == [100.0, 105.0]
         assert report.preemptions == 0
 
@@ -339,11 +358,11 @@ class TestPreemption:
         and suspends it at 20.  Parked [20, 25), it is protected
         until 30; the arrival at 40 finds it unprotected and suspends
         it at once, however often that happened before."""
-        jobs = [StageJob(0.0, (100.0,), ("die",))] + [
+        jobs = [_bulk(0.0, 100.0)] + [
             StageJob(at, (5.0,), ("die",), deadline=200.0 + at)
             for at in (10.0, 17.0, 40.0)
         ]
-        report = simulate_stages(jobs, arbitration=ArbitrationConfig())
+        report = _suspended(jobs)
         # Bulk runs [0,10) [15,20) [25,40) and the other 70 s from 45.
         assert report.completion_times == [115.0, 15.0, 25.0, 45.0]
         assert report.preemptions == 3
@@ -355,15 +374,12 @@ class TestPreemption:
         work), bulk is protected for those 6 s plus the 1 + 2 s its
         suspension cost: until 25.  The arrival at 24 waits for that,
         the bulk is parked at 25 and the urgent job runs [26, 31)."""
-        jobs = [StageJob(0.0, (100.0,), ("die",))] + [
+        jobs = [_bulk(0.0, 100.0)] + [
             StageJob(at, (5.0,), ("die",), deadline=200.0 + at)
             for at in (10.0, 24.0)
         ]
-        report = simulate_stages(
-            jobs,
-            arbitration=ArbitrationConfig(
-                suspend_cost_s=1.0, resume_cost_s=2.0
-            ),
+        report = _suspended(
+            jobs, ArbitrationConfig(suspend_cost_s=1.0, resume_cost_s=2.0)
         )
         # Bulk: [0,10), 92 left; [16,25), 83 + 2 left from 31.
         assert report.completion_times == [116.0, 16.0, 31.0]
@@ -373,49 +389,49 @@ class TestPreemption:
 
     def test_min_remaining_refuses_near_done_victim(self):
         jobs = [
-            StageJob(0.0, (10.0,), ("die",)),
+            _bulk(0.0, 10.0),
             StageJob(9.5, (1.0,), ("die",), deadline=12.0),
         ]
-        report = simulate_stages(
-            jobs,
-            arbitration=ArbitrationConfig(min_remaining_s=1.0),
-        )
+        report = _suspended(jobs, ArbitrationConfig(min_remaining_s=1.0))
         assert report.preemptions == 0
         assert report.completion_times == [10.0, 11.0]
 
     def test_deadline_outranks_priority_bulk(self):
-        """A deadline job preempts even a high-priority bulk job, but
-        bulk priority alone never preempts equal-class work."""
+        """A deadline job suspends background work whatever priority
+        that carries, and a best-effort arrival waits its turn behind
+        the deadline job instead of suspending anything."""
         jobs = [
-            StageJob(0.0, (50.0,), ("die",), priority=100.0),
+            _bulk(0.0, 50.0, priority=100.0),
             StageJob(5.0, (2.0,), ("die",), deadline=10.0),
             StageJob(6.0, (2.0,), ("die",), priority=200.0),
         ]
-        report = simulate_stages(jobs, arbitration=ArbitrationConfig())
+        report = _suspended(jobs)
         assert report.completion_times[1] == pytest.approx(7.0)
+        assert report.completion_times[2] == pytest.approx(9.0)
         assert report.preemptions == 1
 
     def test_suspend_cost_delays_preemptor(self):
         jobs = [
-            StageJob(0.0, (100.0,), ("die",)),
+            _bulk(0.0, 100.0),
             StageJob(10.0, (5.0,), ("die",), deadline=50.0),
         ]
-        report = simulate_stages(
-            jobs,
-            arbitration=ArbitrationConfig(suspend_cost_s=3.0),
-        )
+        report = _suspended(jobs, ArbitrationConfig(suspend_cost_s=3.0))
         # Urgent starts only after the 3 s park completes.
         assert report.completion_times[1] == pytest.approx(18.0)
         assert report.completion_times[0] == pytest.approx(108.0)
 
     def test_edf_meets_deadline_fcfs_misses(self):
-        """The acceptance scenario: a deadline the arbitrated EDF plane
-        provably meets and the plain sweep provably misses."""
+        """The acceptance scenario: a deadline the sweep provably meets
+        by suspending the background job and the frozen
+        first-come-first-served sweep, which suspends nothing, provably
+        misses."""
+        import reference_control_path as reference
+
         jobs = [
-            StageJob(0.0, (100.0,), ("die",)),
+            _bulk(0.0, 100.0),
             StageJob(10.0, (5.0,), ("die",), deadline=30.0),
         ]
-        fcfs = simulate_stages(jobs)
-        edf = simulate_stages(jobs, arbitration=ArbitrationConfig())
+        fcfs = reference.simulate_stages_fcfs(jobs)
+        edf = _suspended(jobs)
         assert fcfs.completion_times[1] > 30.0  # missed
         assert edf.completion_times[1] <= 30.0  # met

@@ -7,11 +7,13 @@ float for float: every comparison is ``==``, never ``approx``.
 
 **The die queue and the background class.**  With urgency differences
 the stage-0 resource serves its waiters by urgency, and with background
-jobs its idle gaps are filled; both agree with ``_simulate_arbitrated``
-on the same jobs, the *real* urgencies kept, every foreground job
-non-preemptible and -- the tie rule, foreground wins equal times --
-listed ahead of the background jobs, so the oracle's index tie-break
-says what the sweep says whichever way the caller listed them.
+jobs its idle gaps are filled; both agree with the arbitrated oracle
+(``tests/reference_arbitrated.py``) on the same jobs: the *real*
+urgencies kept, only background preemptible and ranked below all
+foreground, and -- the tie rule, foreground wins equal times --
+foreground arriving ahead of background at equal times, so the oracle's
+tie-break says what the sweep says whichever way the caller listed
+them.
 ``completion_times``, ``makespan``, ``resource_jobs``,
 ``resource_preemptions`` and ``resource_guard_waits`` are compared with
 ``==``: both sides compute every start and end -- and the end of every
@@ -66,6 +68,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference_control_path as reference
+from reference_arbitrated import simulate_arbitrated as oracle
 from repro.ssd.events import (
     ArbitrationConfig,
     StageJob,
@@ -168,7 +171,7 @@ def test_window_stream_of_shared_zero_latency_jobs():
 
 
 # ----------------------------------------------------------------------
-# Background class: the gap-filler against ``_simulate_arbitrated``
+# Background class: the gap-filler against the arbitrated oracle
 # ----------------------------------------------------------------------
 
 COST = st.sampled_from([0.0, 0.0, 0.05, 0.1])
@@ -182,9 +185,8 @@ CONFIGS = st.builds(
 LATE_READY = st.sampled_from([0.0, 0.1, 0.3, 1.0, 2.5, 4.0, 9.0])
 LONG = st.sampled_from([0.0, 0.1, 0.7, 1.0, 1 / 3, 3.5])
 
-#: Both classes, ties inside each; every priority above the background
-#: class's (``MAINTENANCE_PRIORITY``), which the sweep keeps below all
-#: foreground whatever the numbers say.
+#: Both classes, ties inside each.  Background ranks below all
+#: foreground in both simulators, whatever the numbers say.
 URGENCY = st.fixed_dictionaries(
     {
         "priority": st.sampled_from([0.0, 0.0, 1.0, 2.0]),
@@ -288,26 +290,11 @@ def pipeline_streams(draw, mixed, exact=False):
     return jobs
 
 
-def oracle(jobs, cfg):
-    """``_simulate_arbitrated`` on the flattened jobs (module
-    docstring), completion times mapped back to ``jobs``' order."""
-    order = sorted(range(len(jobs)), key=lambda i: jobs[i].background)
-    flat = [
-        jobs[i] if jobs[i].background else replace(jobs[i], preemptible=False)
-        for i in order
-    ]
-    report = simulate_stages(flat, arbitration=cfg)
-    completion = [0.0] * len(jobs)
-    for position, i in enumerate(order):
-        completion[i] = report.completion_times[position]
-    return completion, report
-
-
 def assert_agrees_with_oracle(jobs, cfg):
     report = simulate_stages(jobs, suspension=cfg)
-    completion, expected = oracle(jobs, cfg)
+    expected = oracle(jobs, cfg)
     for job, done, oracle_done in zip(
-        jobs, report.completion_times, completion
+        jobs, report.completion_times, expected.completion_times
     ):
         if job.background or job.durations[0] or job.fault_delay_s:
             assert done == oracle_done

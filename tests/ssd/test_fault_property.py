@@ -4,7 +4,7 @@ The contract under test (see :mod:`repro.flash.faults`):
 
 * **Injection off is free** -- an SSD carrying an *inactive* injector
   is float-exact (outcomes, counters, chip state) against a
-  no-injector twin at any worker count.
+  no-injector twin.
 * **Completed means correct** -- under any injected fault schedule,
   every chunk outcome that reports no error carries data bit-identical
   to the NumPy oracle, whether it was recovered by retry or re-executed
@@ -14,8 +14,8 @@ The contract under test (see :mod:`repro.flash.faults`):
   :class:`~repro.flash.errors.FlashFault` hierarchy, never bare
   ``RuntimeError``.
 * **Determinism** -- the injector draws from per-chip seeded streams,
-  so identical schedules replay identically regardless of the worker
-  count.
+  so identical schedules replay identically whatever order the chips
+  drain in.
 """
 
 import numpy as np
@@ -97,13 +97,22 @@ def _scenario(seed):
     )
 
 
-def _window_outcomes(ssd, window, *, workers=1, **kwargs):
+def _window_outcomes(ssd, window, *, reverse_chips=False, **kwargs):
+    """One window's outcomes in task order; ``reverse_chips`` lists the
+    chips' queues last chip first (each queue's own order kept), so
+    the chips drain in the reverse order."""
     tasks, prepared = [], []
     for query, expr in enumerate(window):
         p = ssd.engine.prepare(expr)
         prepared.append(p)
         tasks.extend(p.tasks(query=query))
-    outcomes = ssd.engine.execute_tasks(tasks, workers=workers, **kwargs)
+    order = list(range(len(tasks)))
+    if reverse_chips:
+        order.sort(key=lambda i: -tasks[i].chip)
+    drained = ssd.engine.execute_tasks([tasks[i] for i in order], **kwargs)
+    outcomes = [None] * len(tasks)
+    for position, outcome in zip(order, drained):
+        outcomes[position] = outcome
     return outcomes, prepared
 
 
@@ -128,9 +137,8 @@ def _assert_outcomes_identical(lhs, rhs):
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("workers", (1, 4))
 @pytest.mark.parametrize("seed", range(5))
-def test_inactive_injector_float_exact_vs_no_injector(seed, workers):
+def test_inactive_injector_float_exact_vs_no_injector(seed):
     s = _scenario(seed)
     bare_ssd, env = _build_one(
         s["data_seed"],
@@ -148,14 +156,13 @@ def test_inactive_injector_float_exact_vs_no_injector(seed, workers):
         injector=idle,
     )
     bare, _ = _window_outcomes(
-        bare_ssd, s["window"], workers=workers, share=s["share"]
+        bare_ssd, s["window"], share=s["share"]
     )
     # Even an explicit recovery policy must not disturb the fast path
     # while the injector is inactive.
     twin, _ = _window_outcomes(
         twin_ssd,
         s["window"],
-        workers=workers,
         share=s["share"],
         recovery=RecoveryPolicy(),
     )
@@ -171,9 +178,8 @@ def test_inactive_injector_float_exact_vs_no_injector(seed, workers):
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("workers", (1, 4))
 @pytest.mark.parametrize("seed", range(8))
-def test_faulted_window_completed_chunks_match_oracle(seed, workers):
+def test_faulted_window_completed_chunks_match_oracle(seed):
     s = _scenario(seed)
     injector = FaultInjector(
         FaultConfig(
@@ -192,7 +198,6 @@ def test_faulted_window_completed_chunks_match_oracle(seed, workers):
     outcomes, prepared = _window_outcomes(
         ssd,
         s["window"],
-        workers=workers,
         share=s["share"],
         recovery=RecoveryPolicy(),
     )
@@ -236,8 +241,7 @@ def test_retry_exhaustion_surfaces_typed_error(seed):
         assert "sense retry exhausted" in str(outcome.error)
 
 
-@pytest.mark.parametrize("workers", (1, 4))
-def test_offline_chips_fail_fast_with_typed_error(workers):
+def test_offline_chips_fail_fast_with_typed_error():
     s = _scenario(17)
     ssd, env = _build_one(
         s["data_seed"],
@@ -246,7 +250,7 @@ def test_offline_chips_fail_fast_with_typed_error(workers):
         ssd_seed=s["ssd_seed"],
     )
     outcomes, prepared = _window_outcomes(
-        ssd, s["window"], workers=workers, offline=[0]
+        ssd, s["window"], offline=[0]
     )
     for outcome in outcomes:
         if outcome.task.chip == 0:
@@ -259,9 +263,8 @@ def test_offline_chips_fail_fast_with_typed_error(workers):
             assert outcome.data is not None
 
 
-@pytest.mark.parametrize("workers", (1, 4))
 @pytest.mark.parametrize("seed", range(4))
-def test_degraded_chips_serve_bit_identical_results(seed, workers):
+def test_degraded_chips_serve_bit_identical_results(seed):
     s = _scenario(100 + seed)
     injector = FaultInjector(
         FaultConfig(seed=s["fault_seed"], sense_fault_rate=1.0)
@@ -278,7 +281,6 @@ def test_degraded_chips_serve_bit_identical_results(seed, workers):
     outcomes, prepared = _window_outcomes(
         ssd,
         s["window"],
-        workers=workers,
         recovery=RecoveryPolicy(),
         degraded=range(s["n_chips"]),
     )
@@ -300,10 +302,12 @@ def test_degraded_chips_serve_bit_identical_results(seed, workers):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_fault_schedule_replays_identically_across_workers(seed):
+def test_fault_schedule_replays_identically_in_any_chip_order(seed):
+    """Fault draws come from per-chip streams: the chips draining in
+    the reverse order replays every outcome and every count."""
     s = _scenario(200 + seed)
 
-    def run(workers):
+    def run(reverse_chips):
         injector = FaultInjector(
             FaultConfig(
                 seed=s["fault_seed"],
@@ -321,16 +325,16 @@ def test_fault_schedule_replays_identically_across_workers(seed):
         outcomes, _ = _window_outcomes(
             ssd,
             s["window"],
-            workers=workers,
+            reverse_chips=reverse_chips,
             share=s["share"],
             recovery=RecoveryPolicy(),
         )
         return outcomes, injector.counts()
 
-    seq, seq_counts = run(1)
-    par, par_counts = run(4)
-    _assert_outcomes_identical(seq, par)
-    assert seq_counts == par_counts
+    forward, forward_counts = run(False)
+    backward, backward_counts = run(True)
+    _assert_outcomes_identical(forward, backward)
+    assert forward_counts == backward_counts
 
 
 def test_injector_draws_are_seed_deterministic():

@@ -12,7 +12,6 @@ from repro.core.expressions import And, Operand, Or, and_all, evaluate
 from repro.flash.faults import FaultConfig, FaultInjector
 from repro.flash.geometry import BlockAddress, ChipGeometry
 from repro.ssd.controller import SmallSsd
-from repro.ssd.events import MAINTENANCE_PRIORITY
 from repro.ssd.maintenance import MaintenanceConfig, MaintenanceManager
 
 GEOMETRY = ChipGeometry(
@@ -43,7 +42,6 @@ class TestConfig:
     def test_defaults_valid(self):
         cfg = MaintenanceConfig()
         assert cfg.gc_high_watermark >= cfg.gc_low_watermark
-        assert cfg.priority == MAINTENANCE_PRIORITY
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -144,12 +142,10 @@ class TestCollection:
         assert sum(free_after) >= sum(free_before)
         for chip in range(len(ssd.chips)):
             assert sum(occ.invalid for occ in mgr.occupancy(chip)) == 0
-        # Background jobs carry the chip time at maintenance urgency.
+        # Background jobs carry the chip time in the background class.
         assert jobs
         for job in jobs:
-            assert job.preemptible
-            assert job.deadline is None
-            assert job.priority == MAINTENANCE_PRIORITY
+            assert job.background
             assert job.resources[0].startswith("chip")
         expr = and_all([Operand(f"v{i}") for i in (1, 3, 4, 5)])
         np.testing.assert_array_equal(

@@ -1,27 +1,15 @@
-"""Property suite: concurrent per-chip execution is bit-identical.
+"""Per-chip drain: an error inside one chip's drain reaches the caller.
 
-``QueryEngine.execute_tasks(..., workers=N)`` drains the per-chip
-queues on a thread pool; the contract is that *nothing observable*
-changes with the worker count -- packed result words, sharing
-attribution, every float counter (latency/energy charged plan by
-plan), chip-level totals, read-disturb accounting, and the latch
-end-state each chip's last plan lands.  Randomized twin-SSD windows
-pin it across worker counts, with and without sense sharing and the
-cross-window result cache.
+``QueryEngine.execute_tasks`` drains the chips one after another on one
+thread, in the order the task list first names them; a chip whose drain
+raises stops the call with that error instead of returning outcomes for
+a window it did not finish.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.expressions import (
-    And,
-    Not,
-    Operand,
-    Xor,
-    and_all,
-    evaluate,
-    or_all,
-)
+from repro.core.expressions import And, Operand
 from repro.flash.geometry import ChipGeometry
 from repro.ssd.controller import SmallSsd
 
@@ -35,225 +23,24 @@ GEOMETRY = ChipGeometry(
     page_size_bits=80,
 )
 
-WORKER_COUNTS = (2, 4)
 
-
-def _build_one(rng_seed, *, n_chips, n_bits, ssd_seed):
-    rng = np.random.default_rng(rng_seed)
-    ssd = SmallSsd(n_chips=n_chips, geometry=GEOMETRY, seed=ssd_seed)
-    env = {}
-    for i in range(3):
-        env[f"a{i}"] = rng.integers(0, 2, n_bits, dtype=np.uint8)
-        ssd.write_vector(f"a{i}", env[f"a{i}"], group="g")
-    env["inv"] = rng.integers(0, 2, n_bits, dtype=np.uint8)
-    ssd.write_vector("inv", env["inv"], group="h", inverse=True)
-    env["solo"] = rng.integers(0, 2, n_bits, dtype=np.uint8)
-    ssd.write_vector("solo", env["solo"])
-    return ssd, env
-
-
-def _expression_pool():
-    a0, a1, a2 = Operand("a0"), Operand("a1"), Operand("a2")
-    inv, solo = Operand("inv"), Operand("solo")
-    return [
-        and_all([a0, a1, a2]),
-        Not(And(a0, a1)),
-        or_all([And(a0, a1), solo]),
-        or_all([inv, solo]),
-        And(or_all([inv]), a0),
-        Xor(a0, solo),
-        Not(Xor(a1, solo)),
-        And(a0, a1),
-    ]
-
-
-def _scenario(seed):
-    rng = np.random.default_rng(77_000 + seed)
-    # 2-4 chips: concurrency needs more than one queue to matter.
-    n_chips = int(rng.integers(2, 5))
-    n_chunks = n_chips * int(rng.integers(1, 3))
-    n_bits = n_chunks * GEOMETRY.page_size_bits - int(
-        rng.integers(0, GEOMETRY.page_size_bits - 1)
-    )
-    pool = _expression_pool()
-    window = [
-        pool[int(rng.integers(len(pool)))]
-        for _ in range(int(rng.integers(2, 9)))
-    ]
-    return dict(
-        n_chips=n_chips,
-        n_bits=n_bits,
-        ssd_seed=int(rng.integers(1 << 16)),
-        data_seed=int(rng.integers(1 << 16)),
-        window=window,
-        share=bool(rng.integers(2)),
-        use_cache=bool(rng.integers(2)),
-    )
-
-
-def _prepare_window(ssd, window):
-    tasks, prepared = [], []
-    for query, expr in enumerate(window):
-        p = ssd.engine.prepare(expr)
-        prepared.append(p)
-        tasks.extend(p.tasks(query=query))
-    return tasks, prepared
-
-
-def _run(s, workers):
-    ssd, env = _build_one(
-        s["data_seed"],
-        n_chips=s["n_chips"],
-        n_bits=s["n_bits"],
-        ssd_seed=s["ssd_seed"],
-    )
-    if s["use_cache"]:
-        ssd.engine.enable_result_cache()
-    tasks, prepared = _prepare_window(ssd, s["window"])
-    outcomes = ssd.engine.execute_tasks(
-        tasks,
-        share=s["share"],
-        use_cache=s["use_cache"],
-        workers=workers,
-    )
-    # A second drain of the same window exercises the warm path too
-    # (cache hits / re-shared senses under concurrency).
-    repeat = ssd.engine.execute_tasks(
-        tasks,
-        share=s["share"],
-        use_cache=s["use_cache"],
-        workers=workers,
-    )
-    return ssd, env, prepared, outcomes, repeat
-
-
-def _assert_outcomes_identical(lhs, rhs):
-    assert len(lhs) == len(rhs)
-    for a, b in zip(lhs, rhs):
-        assert a.task == b.task
-        assert a.shared == b.shared
-        assert a.cached == b.cached
-        assert a.n_senses == b.n_senses
-        # Float-identical, not approximately equal: each chip charges
-        # the same plan sequence regardless of the worker count.
-        assert a.latency_us == b.latency_us
-        assert a.energy_nj == b.energy_nj
-        np.testing.assert_array_equal(a.data, b.data)
-
-
-def _assert_chips_identical(ssd_a, ssd_b):
-    for chip_a, chip_b in zip(ssd_a.chips, ssd_b.chips):
-        ca, cb = chip_a.counters, chip_b.counters
-        assert ca.senses == cb.senses
-        assert ca.wordlines_sensed == cb.wordlines_sensed
-        assert ca.transfers_out == cb.transfers_out
-        assert ca.busy_us == cb.busy_us
-        assert ca.energy_nj == cb.energy_nj
-        for addr in chip_a.plane_array.materialized():
-            assert (
-                chip_a.plane_array.block(addr).reads_since_erase
-                == chip_b.plane_array.block(addr).reads_since_erase
-            )
-        for plane, bank_a in chip_a.latches.items():
-            bank_b = chip_b.latches[plane]
-            if bank_a._cache is None:
-                assert bank_b._cache is None
-            else:
-                np.testing.assert_array_equal(
-                    bank_a.cache_data, bank_b.cache_data
-                )
-                np.testing.assert_array_equal(
-                    bank_a.sense_data, bank_b.sense_data
-                )
-
-
-@pytest.mark.parametrize("workers", WORKER_COUNTS)
-@pytest.mark.parametrize("seed", range(10))
-def test_concurrent_drain_bit_identical_to_sequential(seed, workers):
-    s = _scenario(seed)
-    seq_ssd, env, prepared, seq_out, seq_repeat = _run(s, workers=1)
-    par_ssd, _, _, par_out, par_repeat = _run(s, workers=workers)
-
-    _assert_outcomes_identical(seq_out, par_out)
-    _assert_outcomes_identical(seq_repeat, par_repeat)
-    _assert_chips_identical(seq_ssd, par_ssd)
-
-    # Engine-level sharing/caching attribution must agree too.
-    assert (
-        seq_ssd.engine.stats.shared_plans
-        == par_ssd.engine.stats.shared_plans
-    )
-    assert (
-        seq_ssd.engine.stats.shared_senses
-        == par_ssd.engine.stats.shared_senses
-    )
-    if s["use_cache"]:
-        assert (
-            seq_ssd.engine.result_cache.stats.hits
-            == par_ssd.engine.result_cache.stats.hits
-        )
-
-    # And the bits are the truth: every query matches the NumPy oracle.
-    for query, expr in enumerate(s["window"]):
-        expected = evaluate(expr, env)
-        pieces = [None] * prepared[query].n_chunks
-        for outcome in par_out:
-            if outcome.task.query == query:
-                pieces[outcome.task.chunk] = outcome.data
-        bits = par_ssd.engine.assemble_bits(prepared[query], pieces)
-        np.testing.assert_array_equal(bits, expected)
-
-
-def test_engine_default_workers_apply():
-    """workers set on the engine (not per call) drive the drain."""
-    s = _scenario(99)
-    ssd, _ = _build_one(
-        s["data_seed"],
-        n_chips=s["n_chips"],
-        n_bits=s["n_bits"],
-        ssd_seed=s["ssd_seed"],
-    )
-    ssd.engine.workers = 4
-    tasks, _ = _prepare_window(ssd, s["window"])
-    outcomes = ssd.engine.execute_tasks(tasks)
-    assert all(o is not None for o in outcomes)
-    assert ssd.engine._pool is not None
-    assert ssd.engine._pool_size == 4
-
-
-def test_pool_reused_and_rebuilt_on_resize():
-    s = _scenario(5)
-    ssd, _ = _build_one(
-        s["data_seed"],
-        n_chips=s["n_chips"],
-        n_bits=s["n_bits"],
-        ssd_seed=s["ssd_seed"],
-    )
-    tasks, _ = _prepare_window(ssd, s["window"])
-    ssd.engine.execute_tasks(tasks, workers=2)
-    pool = ssd.engine._pool
-    ssd.engine.execute_tasks(tasks, workers=2)
-    assert ssd.engine._pool is pool  # same pool across windows
-    ssd.engine.execute_tasks(tasks, workers=3)
-    assert ssd.engine._pool is not pool
-    assert ssd.engine._pool_size == 3
+def _window_tasks(n_chips=3):
+    ssd = SmallSsd(n_chips=n_chips, geometry=GEOMETRY, seed=3)
+    rng = np.random.default_rng(3)
+    n_bits = 2 * n_chips * GEOMETRY.page_size_bits - 7
+    for name in ("a0", "a1"):
+        bits = rng.integers(0, 2, n_bits, dtype=np.uint8)
+        ssd.write_vector(name, bits, group="g")
+    prepared = ssd.engine.prepare(And(Operand("a0"), Operand("a1")))
+    return ssd, prepared.tasks(query=0)
 
 
 def test_worker_exception_propagates():
-    """An error inside one chip's drain surfaces to the caller instead
-    of vanishing in the pool."""
-    s = _scenario(3)
-    ssd, _ = _build_one(
-        s["data_seed"],
-        n_chips=s["n_chips"],
-        n_bits=s["n_bits"],
-        ssd_seed=s["ssd_seed"],
-    )
-    tasks, _ = _prepare_window(ssd, s["window"])
-    bad = tasks[0]._replace(chip=bad_chip(ssd))
+    """An error inside one chip's drain surfaces to the caller, whether
+    that chip drains first or after every healthy one."""
+    ssd, tasks = _window_tasks()
+    bad = tasks[0]._replace(chip=len(ssd.chips) + 5)
     with pytest.raises(IndexError):
-        ssd.engine.execute_tasks([bad] + tasks[1:], workers=4)
-
-
-def bad_chip(ssd):
-    return len(ssd.chips) + 5
+        ssd.engine.execute_tasks([bad] + tasks[1:])
+    with pytest.raises(IndexError):
+        ssd.engine.execute_tasks(tasks[1:] + [bad])

@@ -75,7 +75,6 @@ def scenarios(draw):
             degraded_extra_senses=draw(st.integers(0, 2)),
         ),
         share=draw(st.booleans()),
-        workers=draw(st.sampled_from([1, 4])),
         degraded=draw(st.frozensets(chips, max_size=1)),
         offline=draw(st.frozensets(chips, max_size=1)),
         #: Chunk whose ``a1`` page sits on an injected bad block.
@@ -201,7 +200,6 @@ def run_both(s):
     kwargs = dict(
         recovery=s["policy"],
         share=s["share"],
-        workers=s["workers"],
         degraded=s["degraded"],
         offline=s["offline"],
     )
@@ -240,7 +238,6 @@ def _fixed(**overrides):
         program_fault_rate=0.0,
         policy=RecoveryPolicy(max_retries=1),
         share=True,
-        workers=1,
         degraded=frozenset(),
         offline=frozenset(),
         bad_chunk=None,

@@ -12,8 +12,8 @@ properties pin that contract:
 
 * repeat and partial-overlap windows with reuse on match a reuse-off
   twin exactly (outcomes, chip counters, per-block read disturb,
-  latch end-state), at any worker count, with restacked-tensor and
-  reuse-hit counters moving the right way;
+  latch end-state), with restacked-tensor and reuse-hit counters
+  moving the right way;
 * a reused stack is dropped on every stamp component -- FTL
   generation (vector churn), ``PlaneArray.content_version()``
   (program/erase, including blocks no plan touches), and
@@ -148,9 +148,8 @@ def _assert_outcomes_equal(out_r, out_f):
         np.testing.assert_array_equal(r.data, f.data)
 
 
-@pytest.mark.parametrize("workers", [1, 4])
 @pytest.mark.parametrize("seed", range(8))
-def test_reuse_windows_match_fresh_stack_twin(seed, workers):
+def test_reuse_windows_match_fresh_stack_twin(seed):
     """Repeat and partial-overlap windows with reuse on are bit-,
     float-, and counter-identical to a reuse-off twin; the reuse twin
     records hits and restacks strictly fewer tensors."""
@@ -170,12 +169,8 @@ def test_reuse_windows_match_fresh_stack_twin(seed, workers):
     # overlap: the pool repeats shapes).
     for window in s["windows"]:
         for _ in range(2):
-            out_r = reuse_ssd.engine.execute_tasks(
-                _tasks(reuse_ssd, window), workers=workers
-            )
-            out_f = fresh_ssd.engine.execute_tasks(
-                _tasks(fresh_ssd, window), workers=workers
-            )
+            out_r = reuse_ssd.engine.execute_tasks(_tasks(reuse_ssd, window))
+            out_f = fresh_ssd.engine.execute_tasks(_tasks(fresh_ssd, window))
             _assert_outcomes_equal(out_r, out_f)
     _assert_ssd_state_equal(reuse_ssd, fresh_ssd)
 

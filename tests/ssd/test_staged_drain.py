@@ -23,8 +23,6 @@ tests pin:
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -158,7 +156,6 @@ def clean_scenarios(draw):
         ),
         batch=draw(st.booleans()),
         share=draw(st.booleans()),
-        workers=draw(st.sampled_from([1, 4])),
         degraded=draw(st.frozensets(chips, max_size=1)),
         offline=draw(st.frozensets(chips, max_size=1)),
         windows=draw(
@@ -188,7 +185,6 @@ def test_fault_free_drain_is_the_recovery_drain_with_a_clean_schedule(s):
         recovery=s["policy"],
         batch=s["batch"],
         share=s["share"],
-        workers=s["workers"],
         degraded=s["degraded"],
         offline=s["offline"],
     )
@@ -205,23 +201,6 @@ def test_fault_free_drain_is_the_recovery_drain_with_a_clean_schedule(s):
 # ----------------------------------------------------------------------
 # (ii) A sense stage that raises
 # ----------------------------------------------------------------------
-
-
-class _DiesOnAcquire:
-    """Stands in for ``MwsExecutor.lock``: the die drops out the
-    moment its drain takes the chip -- after the fail-fast stage
-    looked, before the sense stage runs."""
-
-    def __init__(self, chip):
-        self.chip = chip
-        self.lock = threading.Lock()
-
-    def __enter__(self):
-        self.chip.offline = True
-        return self.lock.__enter__()
-
-    def __exit__(self, *exc):
-        return self.lock.__exit__(*exc)
 
 
 def _break_last_chip(ssd, cause):
@@ -247,37 +226,39 @@ def _break_last_chip(ssd, cause):
             )
         )
         return victim, BadBlockFault
-    executor = ssd.controllers[victim].executor
-    executor.lock = _DiesOnAcquire(ssd.chips[victim])
+    # The die drops out the moment its drain is past the fail-fast
+    # stage: before the cache lookup, so before the sense stage runs.
+    lookup = ssd.engine._lookup_cached
+
+    def dies_on_lookup(window, chip, positions):
+        if chip == victim:
+            ssd.chips[victim].offline = True
+        return lookup(window, chip, positions)
+
+    ssd.engine._lookup_cached = dies_on_lookup
     return victim, ChipUnavailableError
 
 
-@pytest.mark.parametrize("workers", [1, 4])
 @pytest.mark.parametrize("batch", [True, False])
 @pytest.mark.parametrize("cause", ["bad_block", "killed_mid_drain"])
 def test_sense_stage_error_propagates_and_spares_the_other_chips(
-    cause, batch, workers
+    cause, batch
 ):
     window = [POOL[0], POOL[3], POOL[0], POOL[4]]
     broken, env = _build(3, 6, seed=5)
     victim, error_type = _break_last_chip(broken, cause)
     # ``tasks`` come chip by chip, so the victim's drain is the last to
-    # start at any worker count: every other chip has published.
+    # start: every other chip has published.
     with pytest.raises(error_type):
         broken.engine.execute_tasks(
-            _tasks(broken, window),
-            use_cache=True,
-            batch=batch,
-            workers=workers,
+            _tasks(broken, window), use_cache=True, batch=batch
         )
     # A twin that was only ever asked for the other chips' tasks.
     twin, _ = _build(3, 6, seed=5)
     if cause == "bad_block":
         _break_last_chip(twin, cause)
     spared = [t for t in _tasks(twin, window) if t.chip != victim]
-    served = twin.engine.execute_tasks(
-        spared, use_cache=True, batch=batch, workers=workers
-    )
+    served = twin.engine.execute_tasks(spared, use_cache=True, batch=batch)
     assert broken.engine.stats == twin.engine.stats
     assert_cache_entries_equal(broken, twin)
     # What the spared chips published is valid: a repeat of their

@@ -22,8 +22,7 @@ BUDGET = 80
 OVER_BUDGET = {
     "flash/sensing.py::SensingEngine.prepare_batch_vth": 179,
     "ssd/maintenance.py::MaintenanceManager.drain_chip": 119,
-    "ssd/events.py::_simulate_arbitrated": 107,
-    "ssd/events.py::simulate_stages": 90,
+    "ssd/events.py::simulate_stages": 88,
     "flash/latches.py::LatchBank.capture_batch": 89,
     # Frozen with the rest of the StackCache cluster until the
     # benchmark stops patching it by name; then it goes as a whole.

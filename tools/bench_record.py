@@ -12,9 +12,8 @@ batched V_TH error-plane kernel
 (``benchmarks/bench_error_batch.py``), the cross-window stack-reuse
 kernel (``benchmarks/bench_stack_reuse.py``), and
 the cross-window result-cache + SLO kernels
-(``benchmarks/bench_result_cache.py``), the concurrent-drain /
-preemptive-arbitration kernels (``benchmarks/bench_multicore.py``),
-the fault-tolerance retention kernel
+(``benchmarks/bench_result_cache.py``), the fault-tolerance
+retention kernel
 (``benchmarks/bench_fault_tolerance.py``), and the
 garbage-collection-under-churn kernel (``benchmarks/bench_gc.py``),
 then writes a condensed
@@ -278,52 +277,6 @@ def _run_stack_reuse_bench() -> dict[str, float]:
     }
 
 
-def _run_multicore_bench() -> dict[str, float]:
-    """Run the concurrent-drain scaling kernel in-process.
-
-    Bit-identity across worker counts is asserted inside the bench;
-    ``scaling`` is wall-clock and machine-dependent (~1.0 on a
-    single-core runner, where threads cannot beat sequential), so
-    ``check`` only floors it when the recorded baseline itself showed
-    real scaling.
-    """
-    sys.path.insert(0, str(REPO_ROOT / "src"))
-    sys.path.insert(0, str(REPO_ROOT))
-    from benchmarks.bench_multicore import measure_multicore
-
-    m = measure_multicore()
-    return {
-        "workers": m["workers"],
-        "cpu_count": m["cpu_count"],
-        "serial_s": m["serial_s"],
-        "concurrent_s": m["concurrent_s"],
-        "scaling": m["scaling"],
-    }
-
-
-def _run_preemption_bench() -> dict[str, float]:
-    """Run the preemption-benefit kernel in-process.
-
-    Everything is event-simulated and deterministic: deadline counts
-    and urgent completion times are exact, so ``check`` compares the
-    met-counts without tolerance.
-    """
-    sys.path.insert(0, str(REPO_ROOT / "src"))
-    sys.path.insert(0, str(REPO_ROOT))
-    from benchmarks.bench_multicore import measure_preemption
-
-    m = measure_preemption()
-    return {
-        "n_deadlines": m["n_deadlines"],
-        "fcfs_deadlines_met": m["fcfs_deadlines_met"],
-        "preempt_deadlines_met": m["preempt_deadlines_met"],
-        "fcfs_urgent_completed_us": m["fcfs_urgent_completed_us"],
-        "preempt_urgent_completed_us": m["preempt_urgent_completed_us"],
-        "urgent_gain": m["urgent_gain"],
-        "preemptions": m["preemptions"],
-    }
-
-
 def _run_faults_bench() -> dict[str, float]:
     """Run the fault-tolerance kernel in-process.
 
@@ -443,8 +396,6 @@ def measure() -> dict:
         "stack_reuse": _run_stack_reuse_bench(),
         "result_cache": _run_result_cache_bench(),
         "slo": _run_slo_bench(),
-        "multicore": _run_multicore_bench(),
-        "preemption": _run_preemption_bench(),
         "faults": _run_faults_bench(),
         "gc": _run_gc_bench(),
         "redundancy": _run_redundancy_bench(),
@@ -635,42 +586,6 @@ def check(baseline_path: Path, tolerance: float) -> int:
                 f"< baseline {base_slo['edf_deadlines_met']}"
             )
 
-    base_mc = baseline.get("multicore", {})
-    fresh_mc = fresh["multicore"]
-    if base_mc.get("scaling", 0.0) > 1.0:
-        # Only gate scaling when the baseline machine actually scaled:
-        # a single-core baseline (~1.0x) would make any floor either
-        # meaningless or a false alarm on the next single-core run.
-        floor = base_mc["scaling"] / tolerance
-        if fresh_mc["scaling"] < floor:
-            failures.append(
-                f"multicore scaling: {fresh_mc['scaling']:.2f} < "
-                f"baseline {base_mc['scaling']:.2f} / {tolerance:.1f}"
-            )
-
-    base_pre = baseline.get("preemption", {})
-    fresh_pre = fresh["preemption"]
-    if "preempt_deadlines_met" in base_pre:
-        # Deadline counts come from the exact event simulation: no
-        # tolerance -- preemption must keep meeting what it met.
-        if (
-            fresh_pre["preempt_deadlines_met"]
-            < base_pre["preempt_deadlines_met"]
-        ):
-            failures.append(
-                f"preemption preempt_deadlines_met: "
-                f"{fresh_pre['preempt_deadlines_met']} < baseline "
-                f"{base_pre['preempt_deadlines_met']}"
-            )
-    if "urgent_gain" in base_pre:
-        floor = base_pre["urgent_gain"] / tolerance
-        if fresh_pre["urgent_gain"] < floor:
-            failures.append(
-                f"preemption urgent_gain: {fresh_pre['urgent_gain']:.2f}"
-                f" < baseline {base_pre['urgent_gain']:.2f} / "
-                f"{tolerance:.1f}"
-            )
-
     base_ft = baseline.get("faults", {})
     fresh_ft = fresh["faults"]
     if "completed_faulted" in base_ft:
@@ -774,7 +689,7 @@ def check(baseline_path: Path, tolerance: float) -> int:
         f"perf trajectory ok: {len(baseline.get('kernels', {}))} kernels, "
         f"packed-backend, service, batch-sense, packed-ECC, "
         f"error-batch, stack-reuse, result-cache, SLO, "
-        f"multicore, preemption, fault-tolerance, GC, and redundancy "
+        f"fault-tolerance, GC, and redundancy "
         f"metrics within {tolerance:.1f}x of baseline"
     )
     return 0
