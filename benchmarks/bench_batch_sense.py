@@ -12,14 +12,16 @@ in-DRAM bulk bitwise engines make when they issue whole batches of
 row-wide operations as a few wide primitives.
 
 This bench pushes one 64-chunk mixed service window (16 queries, the
-``bench_service`` stream shape) through ``execute_tasks`` twice on
-twin SSDs -- ``batch=True`` vs ``batch=False`` -- and measures:
+``bench_service`` stream shape) through ``execute_tasks`` and walks
+the same window's unique plans one by one through the public
+``MwsExecutor.execute`` on a twin SSD, and measures:
 
-* wall-clock speedup of the batched window (gated, >= 3x locally);
+* wall-clock speedup of the batched window over the walk (gated, >= 3x
+  locally);
 * Python executor dispatches per window (chips vs unique plans);
-* bit-exactness against the ``packed=False`` V_TH-plane oracle and
-  float-identical latency/energy accounting (the batch path replays
-  the scalar charge sequence).
+* bit-exactness against the walk and the NumPy ``evaluate`` oracle,
+  and float-identical latency/energy accounting (the batch path
+  replays the walk's charge sequence).
 
 The ``measure_batch`` helper returns a plain dict so
 ``tools/bench_record.py`` snapshots ``batch_speedup`` and
@@ -40,7 +42,9 @@ from benchmarks.bench_service import (
     N_CHUNKS,
     _loaded_ssd,
     _mixed_stream,
+    _workload,
 )
+from repro.core.expressions import evaluate
 
 #: Required wall-clock speedup of the batched window.  Local/dev runs
 #: use the full 3x gate; noisy shared CI runners may relax it via the
@@ -68,79 +72,92 @@ def _time(fn, rounds: int) -> float:
     return best
 
 
+def unique_queues(tasks) -> dict[int, list]:
+    """Each chip's unique plans in first-appearance order: exactly the
+    queues a shared batched window senses."""
+    queues: dict[int, dict] = {}
+    for task in tasks:
+        queues.setdefault(task.chip, {}).setdefault(task.plan)
+    return {chip: list(plans) for chip, plans in queues.items()}
+
+
+def walk(ssd, queues) -> dict:
+    """Walk every queue plan by plan through the public
+    ``MwsExecutor.execute``: ``(chip, plan) -> ExecutionResult``."""
+    return {
+        (chip, plan): ssd.controllers[chip].executor.execute(plan)
+        for chip, plans in queues.items()
+        for plan in plans
+    }
+
+
+def dispatches(ssd) -> int:
+    """Executor dispatches so far, summed over the SSD's chips."""
+    return sum(controller.executor.dispatches for controller in ssd.controllers)
+
+
 def measure_batch() -> dict:
-    """Run the identical 64-chunk window batched and per-sense; verify
-    exact equivalence against the V_TH-plane oracle, then time both."""
+    """Run the identical 64-chunk window batched and walked; verify
+    exact equivalence against the walk and the NumPy oracle, then time
+    both."""
     stream = _mixed_stream()
+    env = _workload()
 
     # --- equivalence on fresh twins (counter bases identical) -------
     batch_ssd = _loaded_ssd()
-    loop_ssd = _loaded_ssd()
-    oracle_ssd = _loaded_ssd(packed=False)
+    walk_ssd = _loaded_ssd()
     batch_tasks, prepared = _window_tasks(batch_ssd, stream)
-    loop_tasks, _ = _window_tasks(loop_ssd, stream)
-    oracle_tasks, oracle_prepared = _window_tasks(oracle_ssd, stream)
+    queues = unique_queues(_window_tasks(walk_ssd, stream)[0])
 
-    d0 = batch_ssd.engine.stats.executor_dispatches
-    batch_out = batch_ssd.engine.execute_tasks(
-        batch_tasks, share=True, batch=True
-    )
-    dispatches_batch = batch_ssd.engine.stats.executor_dispatches - d0
+    d0 = dispatches(batch_ssd)
+    batch_out = batch_ssd.engine.execute_tasks(batch_tasks, share=True)
+    dispatches_batch = dispatches(batch_ssd) - d0
+    d0 = dispatches(walk_ssd)
+    walked = walk(walk_ssd, queues)
+    dispatches_loop = dispatches(walk_ssd) - d0
 
-    d0 = loop_ssd.engine.stats.executor_dispatches
-    loop_out = loop_ssd.engine.execute_tasks(
-        loop_tasks, share=True, batch=False
-    )
-    dispatches_loop = loop_ssd.engine.stats.executor_dispatches - d0
-
-    oracle_out = oracle_ssd.engine.execute_tasks(
-        oracle_tasks, share=True, batch=True  # falls back per-sense
-    )
-
-    for b, l, o in zip(batch_out, loop_out, oracle_out):
+    for outcome in batch_out:
+        if outcome.shared:
+            continue
+        reference = walked[outcome.task.share_key]
         # Simulated cost counters unchanged -- float-identical, the
-        # batch path replays the scalar charge sequence.
-        assert b.n_senses == l.n_senses == o.n_senses
-        assert b.latency_us == l.latency_us == o.latency_us
-        assert b.energy_nj == l.energy_nj == o.energy_nj
-        assert b.shared == l.shared == o.shared
-        np.testing.assert_array_equal(b.data, l.data)
-    for query in range(len(stream)):
-        pieces_b = [None] * prepared[query].n_chunks
-        pieces_o = [None] * oracle_prepared[query].n_chunks
-        for out, pieces in ((batch_out, pieces_b), (oracle_out, pieces_o)):
-            for outcome in out:
-                if outcome.task.query == query:
-                    pieces[outcome.task.chunk] = outcome.data
+        # batch path replays the walk's charge sequence.
+        assert outcome.n_senses == reference.n_senses
+        assert outcome.latency_us == reference.latency_us
+        assert outcome.energy_nj == reference.energy_nj
+        np.testing.assert_array_equal(outcome.data, reference.words)
+    for chip_b, chip_w in zip(batch_ssd.chips, walk_ssd.chips):
+        assert chip_b.counters == chip_w.counters
+    for query, expr in enumerate(stream):
+        pieces = [None] * prepared[query].n_chunks
+        for outcome in batch_out:
+            if outcome.task.query == query:
+                pieces[outcome.task.chunk] = outcome.data
         np.testing.assert_array_equal(
-            batch_ssd.engine.assemble_bits(prepared[query], pieces_b),
-            oracle_ssd.engine.assemble_bits(
-                oracle_prepared[query], pieces_o
-            ),
+            batch_ssd.engine.assemble_bits(prepared[query], pieces),
+            evaluate(expr, env),
         )
 
     # --- wall-clock on a warmed SSD (bound plans + keystreams hot) --
     ssd = _loaded_ssd()
     tasks, _ = _window_tasks(ssd, stream)
+    queues = unique_queues(tasks)
     run_batch = lambda: ssd.engine.execute_tasks(  # noqa: E731
-        tasks, share=True, batch=True
+        tasks, share=True
     )
-    run_loop = lambda: ssd.engine.execute_tasks(  # noqa: E731
-        tasks, share=True, batch=False
-    )
+    run_walk = lambda: walk(ssd, queues)  # noqa: E731
     run_batch()
-    run_loop()
+    run_walk()
     batch_s = _time(run_batch, ROUNDS)
-    loop_s = _time(run_loop, ROUNDS)
+    walk_s = _time(run_walk, ROUNDS)
 
-    n_unique = sum(1 for o in batch_out if not o.shared)
     return {
         "n_queries": len(stream),
         "n_tasks": len(batch_tasks),
-        "n_unique_plans": n_unique,
+        "n_unique_plans": len(walked),
         "batch_s": batch_s,
-        "per_sense_s": loop_s,
-        "batch_speedup": loop_s / batch_s,
+        "per_sense_s": walk_s,
+        "batch_speedup": walk_s / batch_s,
         "dispatches_per_window": dispatches_batch,
         "dispatches_per_window_loop": dispatches_loop,
     }
@@ -151,7 +168,7 @@ def test_batched_window_beats_per_sense_loop():
     print(
         f"\n{m['n_queries']} queries x {N_CHUNKS} chunks "
         f"({m['n_tasks']} tasks, {m['n_unique_plans']} unique plans): "
-        f"per-sense loop {m['per_sense_s'] * 1e3:.2f} ms "
+        f"walk {m['per_sense_s'] * 1e3:.2f} ms "
         f"({m['dispatches_per_window_loop']} dispatches), "
         f"batched {m['batch_s'] * 1e3:.2f} ms "
         f"({m['dispatches_per_window']} dispatches), "

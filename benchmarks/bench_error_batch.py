@@ -6,7 +6,7 @@ still evaluated the V_TH comparison one sense at a time: slice the
 float32 V_TH matrix, draw Gaussian noise, perturb, compare, per
 target, per sense, per plan.  The batched error plane
 (``SensingEngine.sense_batch_vth`` under
-``MwsExecutor.execute_batch`` on an unpacked chip) runs the whole window's
+``MwsExecutor.execute_batch`` on an error-injecting chip) runs the whole window's
 perturbation and compare grouped per stress condition, drawing one
 Gaussian block for the window split in the scalar loop's exact
 (sense, target) order -- so the corrupted bits are the *same* bits,
@@ -14,15 +14,15 @@ float for float, and only the Python dispatch count changes.
 
 This bench pushes one 64-chunk, 16-query reliability window (the
 ``bench_service`` stream on an error-injecting, stress-conditioned
-SSD) through ``execute_tasks`` on twin SSDs -- ``batch=True`` vs
-``batch=False`` -- and measures:
+SSD) through ``execute_tasks``, walks the same window's unique plans
+one by one through the public ``MwsExecutor.execute`` on a twin SSD,
+and measures:
 
-* wall-clock speedup of the batched error window (gated, >= 3x
-  locally);
-* bit-exactness of every outcome against the per-sense loop,
-  float-identical latency/energy, and *identical post-window RNG
-  state* (the draw schedule is part of the contract), asserted before
-  any timing;
+* wall-clock speedup of the batched error window over the walk
+  (gated, >= 3x locally);
+* bit-exactness of every outcome against the walk, float-identical
+  latency/energy, and *identical post-window RNG state* (the draw
+  schedule is part of the contract), asserted before any timing;
 * executor dispatches per window (chips vs unique plans).
 
 The ``measure_error_batch`` helper returns a plain dict so
@@ -36,6 +36,8 @@ import os
 import time
 
 import numpy as np
+
+from benchmarks.bench_batch_sense import dispatches, unique_queues, walk
 
 # The exact bench_service workload geometry and query stream: the
 # reliability window is the same shape, on the error-injecting plane.
@@ -102,62 +104,58 @@ def _time(fn, rounds: int) -> float:
 
 
 def measure_error_batch() -> dict:
-    """Run the identical reliability window batched and per-sense;
-    verify exact equivalence (bits, floats, RNG schedule), then time
-    both."""
+    """Run the identical reliability window batched and walked; verify
+    exact equivalence (bits, floats, RNG schedule), then time both."""
     stream = _mixed_stream()
 
     # --- equivalence on fresh twins (same seeds, same draws) --------
     batch_ssd = _error_ssd()
-    loop_ssd = _error_ssd()
-    d0 = batch_ssd.engine.stats.executor_dispatches
+    walk_ssd = _error_ssd()
+    d0 = dispatches(batch_ssd)
     batch_out = batch_ssd.engine.execute_tasks(
-        _window_tasks(batch_ssd, stream), share=True, batch=True
+        _window_tasks(batch_ssd, stream), share=True
     )
-    dispatches_batch = batch_ssd.engine.stats.executor_dispatches - d0
-    d0 = loop_ssd.engine.stats.executor_dispatches
-    loop_out = loop_ssd.engine.execute_tasks(
-        _window_tasks(loop_ssd, stream), share=True, batch=False
-    )
-    dispatches_loop = loop_ssd.engine.stats.executor_dispatches - d0
+    dispatches_batch = dispatches(batch_ssd) - d0
+    d0 = dispatches(walk_ssd)
+    walked = walk(walk_ssd, unique_queues(_window_tasks(walk_ssd, stream)))
+    dispatches_loop = dispatches(walk_ssd) - d0
 
-    for b, l in zip(batch_out, loop_out):
-        assert b.n_senses == l.n_senses
-        assert b.latency_us == l.latency_us
-        assert b.energy_nj == l.energy_nj
-        assert b.shared == l.shared
+    for outcome in batch_out:
+        if outcome.shared:
+            continue
+        reference = walked[outcome.task.share_key]
+        assert outcome.n_senses == reference.n_senses
+        assert outcome.latency_us == reference.latency_us
+        assert outcome.energy_nj == reference.energy_nj
         # Same draw schedule -> the same corrupted words.
-        np.testing.assert_array_equal(b.data, l.data)
-    for chip_b, chip_l in zip(batch_ssd.chips, loop_ssd.chips):
+        np.testing.assert_array_equal(outcome.data, reference.words)
+    for chip_b, chip_w in zip(batch_ssd.chips, walk_ssd.chips):
         assert (
             chip_b.sensing.rng.bit_generator.state
-            == chip_l.sensing.rng.bit_generator.state
+            == chip_w.sensing.rng.bit_generator.state
         )
-        assert chip_b.counters.busy_us == chip_l.counters.busy_us
-        assert chip_b.counters.energy_nj == chip_l.counters.energy_nj
+        assert chip_b.counters == chip_w.counters
 
     # --- wall-clock on a warmed SSD (bound plans + memos hot) -------
     ssd = _error_ssd()
     tasks = _window_tasks(ssd, stream)
+    queues = unique_queues(tasks)
     run_batch = lambda: ssd.engine.execute_tasks(  # noqa: E731
-        tasks, share=True, batch=True
+        tasks, share=True
     )
-    run_loop = lambda: ssd.engine.execute_tasks(  # noqa: E731
-        tasks, share=True, batch=False
-    )
+    run_walk = lambda: walk(ssd, queues)  # noqa: E731
     run_batch()
-    run_loop()
+    run_walk()
     batch_s = _time(run_batch, ROUNDS)
-    loop_s = _time(run_loop, ROUNDS)
+    walk_s = _time(run_walk, ROUNDS)
 
-    n_unique = sum(1 for o in batch_out if not o.shared)
     return {
         "n_queries": len(stream),
         "n_tasks": len(batch_out),
-        "n_unique_plans": n_unique,
+        "n_unique_plans": len(walked),
         "error_batch_s": batch_s,
-        "error_per_sense_s": loop_s,
-        "error_batch_speedup": loop_s / batch_s,
+        "error_per_sense_s": walk_s,
+        "error_batch_speedup": walk_s / batch_s,
         "dispatches_per_window": dispatches_batch,
         "dispatches_per_window_loop": dispatches_loop,
     }
@@ -169,7 +167,7 @@ def test_batched_error_window_beats_per_sense_loop():
         f"\n{m['n_queries']} queries x {N_CHUNKS} chunks "
         f"({m['n_tasks']} tasks, {m['n_unique_plans']} unique plans, "
         f"V_TH error plane): "
-        f"per-sense loop {m['error_per_sense_s'] * 1e3:.2f} ms "
+        f"walk {m['error_per_sense_s'] * 1e3:.2f} ms "
         f"({m['dispatches_per_window_loop']} dispatches), "
         f"batched {m['error_batch_s'] * 1e3:.2f} ms "
         f"({m['dispatches_per_window']} dispatches), "

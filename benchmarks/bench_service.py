@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.expressions import And, Operand, Or, and_all
+from repro.core.expressions import And, Operand, Or, and_all, evaluate
 from repro.flash.geometry import ChipGeometry
 from repro.ssd.controller import SmallSsd
 
@@ -41,26 +41,32 @@ N_DAYS = 12
 N_QUERIES = 16
 
 
-def _loaded_ssd(seed: int = 1, *, packed: bool = True) -> SmallSsd:
-    """The shared service workload: 12 day bitmaps in one string group
-    plus two sparse clique vectors.  ``bench_batch_sense`` reuses this
-    (and ``_mixed_stream``) so both benchmarks measure the same
-    window; ``packed=False`` builds the V_TH-plane oracle twin."""
-    ssd = SmallSsd(
-        n_chips=N_CHIPS, geometry=GEOMETRY, seed=seed, packed=packed
-    )
+def _workload(seed: int = 1) -> dict[str, np.ndarray]:
+    """The shared service workload's vectors by name -- 12 day bitmaps
+    plus two sparse clique vectors -- which is also the environment of
+    the NumPy ``evaluate`` oracle."""
     rng = np.random.default_rng(seed + 1)
     n_bits = N_CHUNKS * GEOMETRY.page_size_bits
-    for i in range(N_DAYS):
-        ssd.write_vector(
-            f"day{i}",
-            rng.integers(0, 2, n_bits, dtype=np.uint8),
-            group="days",
-        )
+    env = {
+        f"day{i}": rng.integers(0, 2, n_bits, dtype=np.uint8)
+        for i in range(N_DAYS)
+    }
     for j in range(2):
         members = np.zeros(n_bits, dtype=np.uint8)
         members[rng.choice(n_bits, size=8, replace=False)] = 1
-        ssd.write_vector(f"clique{j}", members)  # own block: OR operand
+        env[f"clique{j}"] = members
+    return env
+
+
+def _loaded_ssd(seed: int = 1) -> SmallSsd:
+    """The shared service workload on an SSD: the day bitmaps in one
+    string group, each clique vector in its own block (an OR operand).
+    ``bench_batch_sense`` reuses this (and ``_mixed_stream``) so both
+    benchmarks measure the same window."""
+    ssd = SmallSsd(n_chips=N_CHIPS, geometry=GEOMETRY, seed=seed)
+    for name, bits in _workload(seed).items():
+        group = "days" if name.startswith("day") else None
+        ssd.write_vector(name, bits, group=group)
     return ssd
 
 
@@ -93,6 +99,7 @@ def measure_service() -> dict:
     """Run the identical trace through FIFO batch, unshared service,
     and scheduled+shared service; all timings are event-simulated."""
     stream = _mixed_stream()
+    env = _workload()
 
     # Naive baseline: FIFO query_batch, no sharing, jobs ready at 0.
     batch = _loaded_ssd().engine.query_batch(stream)
@@ -114,9 +121,8 @@ def measure_service() -> dict:
             service.submit(expr, at_us=0.0, client="mix")
         report = service.run()
         for served, expr in zip(report.queries, stream):
-            reference = ssd.query(expr)
             np.testing.assert_array_equal(
-                served.result.bits, reference.bits
+                served.result.bits, evaluate(expr, env)
             )
         return report
 

@@ -15,13 +15,14 @@ One cost model, two ways to drive the chip, one decision between them:
   the timing/energy counters plan by plan in the exact scalar order
   -- so results, latch end-state and every counter are bit-for-bit
   what the walk leaves, while Python dispatch drops from O(senses) to
-  O(signature groups).  Only the sensing call differs by route: the
-  packed plane reduces words
+  O(signature groups).  Only the sensing call differs by route: an
+  error-free chip reduces packed words
   (:meth:`~repro.flash.chip.NandFlashChip.execute_sense_batch`), an
-  unpacked or error-injecting chip batches through the V_TH plane
-  with the walk's exact stochastic draw schedule
+  error-injecting chip senses through the V_TH plane with the walk's
+  exact stochastic draw schedule
   (:meth:`~repro.flash.chip.NandFlashChip.execute_sense_batch_vth`),
-  and margin reads force the V_TH comparison on a packed chip;
+  and margin reads force the V_TH comparison on an error-free chip.
+  Every route hands the latch replay packed words;
 * :meth:`MwsExecutor.batchable` is the one probe that says whether a
   queue has a batched equivalent at all.  It executes, draws and
   counts nothing, so a caller asks it once per queue, before anything
@@ -39,7 +40,7 @@ import numpy as np
 
 from repro.core.planner import Plan, SenseStep, XorStep
 from repro.flash.chip import NandFlashChip
-from repro.flash.packing import pack_bits, pack_rows, unpack_words
+from repro.flash.packing import unpack_words
 from repro.flash.timing import TimingModel
 
 
@@ -47,10 +48,10 @@ from repro.flash.timing import TimingModel
 class ExecutionResult:
     """Result of one in-flash computation.
 
-    The result page is held natively packed (``uint64`` words) on the
-    packed data plane and as 0/1 bytes otherwise; either view converts
-    lazily on first access, so controller-side pipelines can stay
-    packed while direct library users keep reading ``bits``.
+    The result page is held packed (``uint64`` words, ones-padded);
+    ``bits`` unpacks it lazily on first access, so controller-side
+    pipelines stay packed while direct library users keep reading
+    bits.
 
     Treat it as a value: nothing assigns to one after it is built
     except its own lazy views.  It is deliberately not ``frozen`` --
@@ -62,22 +63,16 @@ class ExecutionResult:
     latency_us: float
     energy_nj: float
     n_bits: int
+    #: The packed uint64 result page.
+    words: np.ndarray = field(repr=False)
     _bits: np.ndarray | None = field(default=None, repr=False)
-    _words: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def bits(self) -> np.ndarray:
         """Unpacked 0/1 result page (uint8)."""
         if self._bits is None:
-            self._bits = unpack_words(self._words, self.n_bits)
+            self._bits = unpack_words(self.words, self.n_bits)
         return self._bits
-
-    @property
-    def words(self) -> np.ndarray:
-        """Packed uint64 result page."""
-        if self._words is None:
-            self._words = pack_bits(self._bits)
-        return self._words
 
 
 def _batch_info(plan: Plan) -> tuple | None:
@@ -201,18 +196,12 @@ class MwsExecutor:
                 chip.xor_command(step.plane)
             else:  # pragma: no cover - plans only hold the two kinds
                 raise TypeError(f"unknown plan step {step!r}")
-        common = dict(
-            n_senses=counters.senses - senses_before,
-            latency_us=counters.busy_us - busy_before,
-            energy_nj=counters.energy_nj - energy_before,
-            n_bits=chip.geometry.page_size_bits,
-        )
-        if chip.packed:
-            return ExecutionResult(
-                _words=chip.output_cache_words(plan.plane), **common
-            )
         return ExecutionResult(
-            _bits=chip.output_cache(plan.plane), **common
+            counters.senses - senses_before,
+            counters.busy_us - busy_before,
+            counters.energy_nj - energy_before,
+            chip.geometry.page_size_bits,
+            chip.output_cache_words(plan.plane),
         )
 
     def batchable(
@@ -236,28 +225,29 @@ class MwsExecutor:
         * a plan targeting an injected bad block: the walk ends that
           plan alone, at its first sense, with a typed fault -- an
           outcome no batch and no attempt count expresses;
-        * off the packed plane, a ``retried`` or ``margin`` route:
-          every attempt there draws fresh V_TH noise, and the margin
-          batch is only proven against the packed plane's ladder;
-        * on the V_TH plane (an unpacked chip, or margin reads), a
-          window the chip declines to schedule
+        * on an error-injecting chip, a ``retried`` or ``margin``
+          route: every attempt there draws fresh V_TH noise, and the
+          margin batch is only proven against the error-free ladder;
+        * on the V_TH plane (an error-injecting chip, or margin
+          reads), a window the chip declines to schedule
           (:meth:`~repro.flash.chip.NandFlashChip.vth_batch_schedule`):
           an MLC-programmed target, whose multi-reference draw stays
           per sense.
         """
-        chip = self.chip
-        if not chip.packed and (retried or margin):
+        noisy = self.chip.sensing.inject_errors
+        if noisy and (retried or margin):
             return False
         infos = self._batch_infos(plans)
         if infos is None or self._targets_bad_block(infos):
             return False
-        if chip.packed and not margin:
+        if not (noisy or margin):
             return True
         # The V_TH plane knows which windows it declines; its prepared
         # schedule is draw-free, and stays cached for the batch that
         # follows a yes.
         commands = self._batch_layout(infos)[0]
-        return chip.vth_batch_schedule(commands, force_vth=margin) is not None
+        schedule = self.chip.vth_batch_schedule(commands, force_vth=margin)
+        return schedule is not None
 
     def _targets_bad_block(self, infos: list[tuple]) -> bool:
         """Whether any sense of the queue targets an injected bad
@@ -280,9 +270,9 @@ class MwsExecutor:
         self, plans: list[Plan], attempts: list[int] | None = None
     ) -> list[ExecutionResult]:
         """Drain a :meth:`batchable` queue of plans as one batch (see
-        module docstring): the packed plane senses word-wide, an
-        unpacked or error-injecting chip through the V_TH plane with
-        the walk's exact draw schedule.
+        module docstring): an error-free chip senses word-wide, an
+        error-injecting chip through the V_TH plane with the walk's
+        exact draw schedule.
 
         ``attempts`` is the fault-recovery drain's per-plan attempt
         multiplicity (``retried`` route): plan ``i`` is charged as
@@ -326,7 +316,7 @@ class MwsExecutor:
         # The V_TH routes re-ask the probe (their schedule is cached by
         # now).  The packed plane checks only for a cross-plane XOR:
         # a bad block raises its own typed fault out of the sense.
-        vth = margin or not chip.packed
+        vth = margin or chip.sensing.inject_errors
         if infos is None or (
             vth
             and not self.batchable(
@@ -345,13 +335,10 @@ class MwsExecutor:
             payload = chip.execute_sense_batch(commands)
         else:
             # The probe ruled out the windows the V_TH plane declines
-            # (and left their schedule cached).  Margin reads come
-            # back as bits and re-enter the packed bank as words.
+            # (and left their schedule cached).
             payload = chip.execute_sense_batch_vth(
                 commands, force_vth=margin
             )
-            if margin:
-                payload = pack_rows(payload)
         if attempts is not None:
             # The batch accounted one attempt's read disturb; failed
             # attempts sensed the same wordlines again (``note_read``
@@ -372,7 +359,6 @@ class MwsExecutor:
         return self._charge_results(
             infos,
             plan_payloads,
-            packed=chip.packed,
             extra_senses=extra_senses,
             attempts=attempts,
         )
@@ -416,7 +402,7 @@ class MwsExecutor:
         contract), so counters stay identical too.
         """
         chip = self.chip
-        if not plans or not chip.packed:
+        if not plans or chip.sensing.inject_errors:
             return None
         infos = self._batch_infos(plans)
         if infos is None:
@@ -454,7 +440,7 @@ class MwsExecutor:
                     block.note_read(n_wordlines)
             self.dispatches += 1
             return (
-                self._charge_results(infos, memo[2], packed=True),
+                self._charge_results(infos, memo[2]),
                 len(hit_reads),
             )
         if miss_commands:
@@ -501,7 +487,7 @@ class MwsExecutor:
             ),
         )
         return (
-            self._charge_results(infos, plan_words, packed=True),
+            self._charge_results(infos, plan_words),
             len(hit_reads),
         )
 
@@ -547,9 +533,8 @@ class MwsExecutor:
         lane_groups: dict[tuple, list[int]],
     ) -> list[np.ndarray]:
         """Replay the latch protocol per lane group and return each
-        plan's final C-latch row.  ``payload`` holds one row per
-        flattened sense command -- packed ``uint64`` words or unpacked
-        0/1 bits, matching the chip's latch representation."""
+        plan's final C-latch row.  ``payload`` holds one packed
+        ``uint64`` row per flattened sense command."""
         chip = self.chip
         last_on_plane: dict[int, int] = {}
         for index, plan in enumerate(plans):
@@ -584,7 +569,6 @@ class MwsExecutor:
         infos: list[tuple],
         payloads: list[np.ndarray],
         *,
-        packed: bool,
         extra_senses: int = 0,
         attempts: list[int] | None = None,
     ) -> list[ExecutionResult]:
@@ -637,8 +621,7 @@ class MwsExecutor:
                     counters.busy_us - busy_before,
                     counters.energy_nj - energy_before,
                     n_bits,
-                    None if packed else payloads[index],
-                    payloads[index] if packed else None,
+                    payloads[index],
                 )
             )
         return results

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ecc.bch import BchCode, BchDecodeFailure
+from repro.ecc.bch import BchCode
 
 
 @dataclass(frozen=True)
@@ -34,24 +34,20 @@ class PageCodec:
     ``logical_bits`` of user data become ``physical_bits`` of stored
     page (data plus parity); both derive from the codeword count.
 
-    With ``packed`` (the default) the interleave runs word-wide: the
-    codewords become ``uint64`` lanes and encode/syndrome work is a
-    handful of masked XOR reduces (:meth:`BchCode.encode_batch` /
-    :meth:`BchCode.decode_batch`), with only syndrome-dirty lanes
-    falling back to the scalar decoder.  ``packed=False`` keeps the
-    original per-codeword byte-bit loops -- the oracle the packed path
-    is property-tested against (bit-identical results, identical
-    failure accounting).
+    The interleave runs word-wide: the codewords become ``uint64``
+    lanes and encode/syndrome work is a handful of masked XOR reduces
+    (:meth:`BchCode.encode_batch` / :meth:`BchCode.decode_batch`),
+    with only syndrome-dirty lanes falling back to the scalar decoder.
+    The per-codeword loop over :meth:`BchCode.encode` /
+    :meth:`BchCode.decode` is its test oracle (bit-identical results,
+    identical failure accounting).
     """
 
-    def __init__(
-        self, code: BchCode, n_codewords: int, *, packed: bool = True
-    ) -> None:
+    def __init__(self, code: BchCode, n_codewords: int) -> None:
         if n_codewords < 1:
             raise ValueError("n_codewords must be >= 1")
         self.code = code
         self.n_codewords = n_codewords
-        self.packed = packed
 
     @property
     def logical_bits(self) -> int:
@@ -75,12 +71,7 @@ class PageCodec:
         # Interleave: codeword j takes data lanes j, j+N, j+2N, ... so
         # a burst of physical errors spreads across codewords.
         chunks = data.reshape(self.code.k, self.n_codewords)
-        if self.packed:
-            return self.code.encode_batch(chunks).reshape(-1)
-        encoded = np.empty((self.code.n, self.n_codewords), dtype=np.uint8)
-        for j in range(self.n_codewords):
-            encoded[:, j] = self.code.encode(chunks[:, j])
-        return encoded.reshape(-1)
+        return self.code.encode_batch(chunks).reshape(-1)
 
     def decode_page(self, stored_bits: np.ndarray) -> PageDecodeResult:
         stored = np.asarray(stored_bits, dtype=np.uint8)
@@ -90,30 +81,11 @@ class PageCodec:
                 f"got {stored.shape}"
             )
         words = stored.reshape(self.code.n, self.n_codewords)
-        if self.packed:
-            data, corrected_per_lane, failed_lanes = self.code.decode_batch(
-                words
-            )
-            return PageDecodeResult(
-                data_bits=data.reshape(-1),
-                corrected_bits=int(corrected_per_lane.sum()),
-                failed_codewords=int(failed_lanes.sum()),
-            )
-        data = np.empty((self.code.k, self.n_codewords), dtype=np.uint8)
-        corrected = 0
-        failed = 0
-        for j in range(self.n_codewords):
-            try:
-                decoded, n = self.code.decode(words[:, j])
-            except BchDecodeFailure:
-                failed += 1
-                # Best effort: pass the systematic bits through.
-                data[:, j] = words[: self.code.k, j]
-                continue
-            corrected += n
-            data[:, j] = decoded
+        # A lane the decoder gives up on passes its systematic bits
+        # through (best effort) and counts as failed.
+        data, corrected_per_lane, failed_lanes = self.code.decode_batch(words)
         return PageDecodeResult(
             data_bits=data.reshape(-1),
-            corrected_bits=corrected,
-            failed_codewords=failed,
+            corrected_bits=int(corrected_per_lane.sum()),
+            failed_codewords=int(failed_lanes.sum()),
         )

@@ -10,13 +10,12 @@ defines (MWS with ISCM flags, ESP programming, latch XOR) plus the
 regular read/program/erase commands, so the Flash-Cosmos core and the
 ParaBit baseline drive it exactly like firmware drives a real chip.
 
-With the default ``packed=True`` the error-free functional data path
-stays bit-packed end to end: senses reduce ``uint64`` word rows, the
-latches accumulate words, and ``output_cache_words`` hands packed
-buffers to the controller; unpacking happens only at external result
-boundaries.  ``packed=False`` keeps the one-byte-per-bit evaluation
-for equivalence testing.  Error injection always evaluates through
-the V_TH plane, unchanged.
+The functional data path is bit-packed end to end: error-free senses
+reduce ``uint64`` word rows, the latches accumulate words, and
+``output_cache_words`` hands packed buffers to the controller;
+unpacking happens only at external result boundaries.  Error injection
+(and read-retry / margin reads) *senses* through the V_TH plane, and
+its outcome is packed once before it reaches the latches.
 
 ``execute_sense_batch`` is the chip half of the batched data plane:
 it resolves and validates many MWS commands at once (memoized per
@@ -46,7 +45,12 @@ from repro.flash.errors import (
 from repro.flash.geometry import BlockAddress, ChipGeometry, WordlineAddress
 from repro.flash.ispp import ProgramMode
 from repro.flash.latches import LatchBank
-from repro.flash.packing import unpack_words
+from repro.flash.packing import (
+    FULL_WORD,
+    invert_words,
+    pack_rows,
+    unpack_words,
+)
 from repro.flash.power import PowerModel
 from repro.flash.randomizer import LfsrRandomizer
 from repro.flash.sensing import SensingEngine, VthBatchSchedule
@@ -92,16 +96,10 @@ class NandFlashChip:
         condition: OperatingCondition | None = None,
         seed: int = 0,
         inject_errors: bool = True,
-        packed: bool = True,
     ) -> None:
         self.geometry = geometry
         self.calibration = calibration or DEFAULT_CALIBRATION
         self.condition = condition or OperatingCondition()
-        #: The packed plane only pays off when senses are error-free
-        #: (word-wide conduction).  Error injection evaluates per cell
-        #: through V_TH and produces unpacked bits, so packing the
-        #: latch pipeline there would just add per-sense conversions.
-        self.packed = packed and not inject_errors
         self.error_model = ErrorModel(self.calibration)
         self.timing = TimingModel()
         self.power = PowerModel()
@@ -117,10 +115,9 @@ class NandFlashChip:
             self.error_model,
             rng=np.random.default_rng(seed + 0x5EED),
             inject_errors=inject_errors,
-            packed=self.packed,
         )
         self.latches = {
-            plane: LatchBank(geometry.page_size_bits, packed=self.packed)
+            plane: LatchBank(geometry.page_size_bits)
             for plane in range(geometry.planes_per_die)
         }
         #: Runtime-tunable parameters (the SET FEATURE command).
@@ -337,18 +334,12 @@ class NandFlashChip:
             else self.page_index(address)
         )
         page_bits = self.geometry.page_size_bits
-        if self.packed:
-            # Word-wise de-randomization on the packed C-latch output:
-            # the single unpack stays at this external boundary.
-            words = self.randomizer.derandomize(
-                self.output_cache_words(address.plane),
-                index,
-                n_bits=page_bits,
-            )
-            return unpack_words(words, page_bits)
-        return self.randomizer.derandomize(
-            self.output_cache(address.plane), index
+        # Word-wise de-randomization on the packed C-latch output: the
+        # single unpack stays at this external boundary.
+        words = self.randomizer.derandomize(
+            self.output_cache_words(address.plane), index, n_bits=page_bits
         )
+        return unpack_words(words, page_bits)
 
     def program_page_mlc(
         self,
@@ -440,7 +431,11 @@ class NandFlashChip:
         address.validate(self.geometry)
         all_wordlines = tuple(range(self.geometry.wordlines_per_string))
         self.execute_sense([(address, all_wordlines)], IscmFlags())
-        return bool(self.output_cache(address.plane).all())
+        # An on-chip status check: the C-latch is read in place, never
+        # transferred off the die.
+        return bool(
+            (self.latches[address.plane].cache_words == FULL_WORD).all()
+        )
 
     def copyback(
         self, source: WordlineAddress, destination: WordlineAddress
@@ -463,15 +458,19 @@ class NandFlashChip:
         if src_meta.mode not in (ProgramMode.SLC, ProgramMode.ESP):
             raise NotImplementedError("copyback modeled for SLC-family pages")
         # Inverse read into the latch; the program path re-inverts.
+        # The page stays on the die: the C-latch is read in place.
         self.execute_sense(
             [(source.block_address, (source.wordline,))],
             IscmFlags(inverse=True),
         )
-        raw = 1 - self.output_cache(source.plane)
+        raw = invert_words(
+            self.latches[source.plane].cache_words,
+            self.geometry.page_size_bits,
+        )
         dst_block = self.plane_array.block(destination.block_address)
         dst_block.program(
             destination.wordline,
-            raw.astype(np.uint8),
+            raw,
             mode=src_meta.mode,
             esp_extra=src_meta.esp_extra,
             randomized=src_meta.randomized,
@@ -555,9 +554,10 @@ class NandFlashChip:
         single operation and drive the latch protocol per the ISCM
         flags.  A regular read is the one-block/one-wordline case.
         ``vref_offset`` shifts VREF (read-retry support); ``force_vth``
-        evaluates through the V_TH comparison even on the packed plane
-        (degraded-mode recovery -- bit-identical on an error-free chip,
-        just slower)."""
+        evaluates through the V_TH comparison even on an error-free
+        chip (degraded-mode recovery -- bit-identical there, just
+        slower).  Either way the bank latches the outcome's packed
+        words."""
         self._check_online()
         plane, blocks = self._resolve_targets(targets)
         bank = self.latches[plane]
@@ -570,12 +570,7 @@ class NandFlashChip:
             bank.init_cache()
         if iscm.init_sense:
             bank.init_sense()
-        # Hand the latch bank the outcome's native representation:
-        # packed words on the fast path, bits on the V_TH path.
-        bank.capture(
-            outcome.words if self.packed else outcome.bits,
-            inverse=iscm.inverse,
-        )
+        bank.capture(outcome.words, inverse=iscm.inverse)
         if iscm.transfer:
             bank.transfer_to_cache()
 
@@ -595,15 +590,15 @@ class NandFlashChip:
         :meth:`~repro.flash.latches.LatchBank.capture_batch`, counters
         via :meth:`charge_sense`/:meth:`charge_xor` in scalar order --
         so a batched queue stays step-for-step identical to scalar
-        execution.  Requires the packed error-free plane
-        (``self.packed``); error injection keeps the per-sense V_TH
-        path.
+        execution.  Requires an error-free chip; error injection
+        batches through :meth:`execute_sense_batch_vth`.
         """
         self._check_online()
-        if not self.packed:
+        if self.sensing.inject_errors:
             raise RuntimeError(
                 "execute_sense_batch requires the packed error-free "
-                "plane; use execute_sense per command instead"
+                "plane; error injection batches through "
+                "execute_sense_batch_vth"
             )
         token = self._resolve_token
         sources: list[tuple] = []
@@ -647,14 +642,15 @@ class NandFlashChip:
         one batched pass.
 
         The counterpart of :meth:`execute_sense_batch` for chips that
-        inject errors (or for ``force_vth`` degraded recovery on the
-        packed plane): targets are validated and conditions resolved
+        inject errors (or for ``force_vth`` degraded recovery on an
+        error-free chip): targets are validated and conditions resolved
         exactly as :meth:`execute_sense`, then the whole window's
         perturb + compare runs through
         :meth:`~repro.flash.sensing.SensingEngine.run_batch_vth`,
         which keeps the stochastic draw schedule identical to the
-        scalar per-sense loop.  Returns an ``(n_commands, page_bits)``
-        bit matrix, or ``None`` when any target is MLC-programmed
+        scalar per-sense loop.  Returns one packed, ones-padded
+        ``uint64`` result row per command, or ``None`` when any target
+        is MLC-programmed
         (before any draw or read-disturb side effect;
         :meth:`vth_batch_schedule` answers that ahead of time).  Latch
         protocol and cost counters are replayed by the executor, as
@@ -665,7 +661,7 @@ class NandFlashChip:
         )
         if schedule is None:
             return None
-        return self.sensing.run_batch_vth(schedule)
+        return pack_rows(self.sensing.run_batch_vth(schedule))
 
     def vth_batch_schedule(
         self,
@@ -760,7 +756,7 @@ class NandFlashChip:
     def load_cache(self, plane: int, data_bits: np.ndarray) -> None:
         """Load external data into the C-latch (controller-side write
         used before an XOR against stored data).  Accepts packed words
-        or an unpacked 0/1 page."""
+        or a 0/1 page."""
         self.latches[plane].load_cache(np.asarray(data_bits))
 
     def output_cache(self, plane: int) -> np.ndarray:

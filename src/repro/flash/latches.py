@@ -15,12 +15,11 @@ Models the latch behaviour of Figures 3, 4 and 6 at the logical level:
   on-chip randomization and test, which Flash-Cosmos reuses for
   bitwise XOR/XNOR.
 
-In the default *packed* mode both latches hold pages as ``uint64``
-words (64 bits per element), so ParaBit AND/OR accumulation, the
-transfer OR-merge, and the XOR command are single word-wide in-place
-operations on persistent buffers -- no per-byte arrays and no
-allocation on the steady-state sense path.  ``packed=False`` keeps the
-original one-byte-per-bit storage for equivalence testing.
+Both latches hold pages as ``uint64`` words (64 bits per element), so
+ParaBit AND/OR accumulation, the transfer OR-merge, and the XOR
+command are single word-wide in-place operations on persistent
+buffers -- no per-byte arrays and no allocation on the steady-state
+sense path.  A 0/1 page handed in from outside is packed on entry.
 
 :meth:`LatchBank.capture_batch` additionally replays the *whole latch
 protocol of many independent command sequences at once*: plans that
@@ -52,11 +51,10 @@ class LatchStateError(RuntimeError):
 class LatchBank:
     """Logical state of one plane's latch circuitry."""
 
-    def __init__(self, page_bits: int, *, packed: bool = True) -> None:
+    def __init__(self, page_bits: int) -> None:
         if page_bits < 1:
             raise ValueError("page_bits must be >= 1")
         self.page_bits = page_bits
-        self.packed = packed
         #: Monotonic mutation counter: every operation that changes the
         #: bank's persistent S/C state bumps it.  The batched executor's
         #: window-replay memo compares recorded marks against it to
@@ -66,16 +64,12 @@ class LatchBank:
         self.ops = 0
         self._sense: np.ndarray | None = None
         self._cache: np.ndarray | None = None
-        if packed:
-            self._n_words = words_per_page(page_bits)
-            self._pad = pad_mask(page_bits)
-            # Persistent latch buffers: initialization refills them in
-            # place instead of allocating fresh arrays per sense.
-            self._sense_buf = np.empty(self._n_words, dtype=np.uint64)
-            self._cache_buf = np.empty(self._n_words, dtype=np.uint64)
-        else:
-            self._sense_buf = np.empty(page_bits, dtype=np.uint8)
-            self._cache_buf = np.empty(page_bits, dtype=np.uint8)
+        self._n_words = words_per_page(page_bits)
+        self._pad = pad_mask(page_bits)
+        # Persistent latch buffers: initialization refills them in
+        # place instead of allocating fresh arrays per sense.
+        self._sense_buf = np.empty(self._n_words, dtype=np.uint64)
+        self._cache_buf = np.empty(self._n_words, dtype=np.uint64)
 
     # ------------------------------------------------------------------
     # Initialization (ISCM flags)
@@ -85,7 +79,7 @@ class LatchBank:
         """Initialize the S-latch (activating M1: all ones, so that a
         subsequent AND-accumulating sense is an identity)."""
         self.ops += 1
-        self._sense_buf.fill(FULL_WORD if self.packed else 1)
+        self._sense_buf.fill(FULL_WORD)
         self._sense = self._sense_buf
 
     def init_cache(self) -> None:
@@ -102,8 +96,8 @@ class LatchBank:
     def capture(self, sensed: np.ndarray, *, inverse: bool = False) -> None:
         """Latch an evaluation result into the S-latch.
 
-        ``sensed`` may be a packed ``uint64`` word array or an
-        unpacked 0/1 page.  With the S-latch initialized this stores
+        ``sensed`` may be a packed ``uint64`` word array or a 0/1
+        page (packed on entry).  With the S-latch initialized this stores
         the result (or its complement for an inverse sense).  Without
         initialization the circuit AND-accumulates; inverse sensing in
         that state is not electrically meaningful and raises.
@@ -115,11 +109,8 @@ class LatchBank:
                 raise LatchStateError(
                     "inverse sensing requires a freshly initialized S-latch"
                 )
-            if self.packed:
-                np.bitwise_not(data, out=self._sense)
-                self._sense |= self._pad
-            else:
-                np.subtract(1, data, out=self._sense)
+            np.bitwise_not(data, out=self._sense)
+            self._sense |= self._pad
             return
         if self._sense is None:
             raise LatchStateError("S-latch used before initialization")
@@ -171,10 +162,6 @@ class LatchBank:
         through the scalar path most recently (the batched executor
         lands the queue's last plan per plane).
 
-        On an unpacked bank the same replay runs over ``(n_lanes,
-        page_bits)`` 0/1 byte matrices (the batched V_TH error plane's
-        representation); semantics are step-for-step identical.
-
         Protocol violations raise :class:`LatchStateError` with the
         scalar path's messages.  One deliberate tightening: inverse
         capture demands a *freshly initialized* S-latch in every lane;
@@ -182,15 +169,8 @@ class LatchBank:
         to be all ones, a coincidence no planner-generated sequence
         relies on.
         """
-        packed = self.packed
         matrices = list(sensed)
-        n_lanes = matrices[0].shape[0] if matrices else 0
-        if packed:
-            shape = (n_lanes, self._n_words)
-            dtype = np.uint64
-        else:
-            shape = (n_lanes, self.page_bits)
-            dtype = np.uint8
+        shape = (matrices[0].shape[0] if matrices else 0, self._n_words)
         # Initialization is tracked, not written: ``ones AND data`` is
         # ``data`` and ``zeros OR sense`` is ``sense``, so the capture
         # after an S-latch init and the transfer after a C-latch init
@@ -225,11 +205,11 @@ class LatchBank:
                 )
             if step.init_cache:
                 if cache is None:
-                    cache = np.empty(shape, dtype=dtype)
+                    cache = np.empty(shape, dtype=np.uint64)
                 cache_zeroed = True
             if step.init_sense:
                 if sense is None:
-                    sense = np.empty(shape, dtype=dtype)
+                    sense = np.empty(shape, dtype=np.uint64)
                 sense_fresh = True
             if step.inverse:
                 if sense is None or not sense_fresh:
@@ -237,11 +217,8 @@ class LatchBank:
                         "inverse sensing requires a freshly initialized "
                         "S-latch"
                     )
-                if packed:
-                    np.bitwise_not(data, out=sense)
-                    sense |= self._pad
-                else:
-                    np.subtract(1, data, out=sense)
+                np.bitwise_not(data, out=sense)
+                sense |= self._pad
             elif sense_fresh:
                 np.copyto(sense, data)
             else:
@@ -272,14 +249,12 @@ class LatchBank:
             if sense is not None:
                 np.copyto(self._sense_buf, sense[land_lane])
                 self._sense = self._sense_buf
-        return cache | self._pad if packed else cache
+        return cache | self._pad
 
     def _sense_is_fresh(self) -> bool:
         """Whether the S-latch still holds the all-ones init pattern
-        (padding bits excluded in packed mode)."""
-        if self.packed:
-            return bool(((self._sense | self._pad) == FULL_WORD).all())
-        return bool(self._sense.all())
+        (padding bits excluded)."""
+        return bool(((self._sense | self._pad) == FULL_WORD).all())
 
     # ------------------------------------------------------------------
     # Reading out
@@ -290,61 +265,49 @@ class LatchBank:
         """Unpacked S-latch contents (uint8 0/1 page)."""
         if self._sense is None:
             raise LatchStateError("S-latch holds no data")
-        if self.packed:
-            return unpack_words(self._sense, self.page_bits)
-        return self._sense.copy()
+        return unpack_words(self._sense, self.page_bits)
 
     @property
     def cache_data(self) -> np.ndarray:
         """Unpacked C-latch contents (uint8 0/1 page)."""
         if self._cache is None:
             raise LatchStateError("C-latch holds no data")
-        if self.packed:
-            return unpack_words(self._cache, self.page_bits)
-        return self._cache.copy()
+        return unpack_words(self._cache, self.page_bits)
 
     @property
     def sense_words(self) -> np.ndarray:
         """Packed S-latch contents (uint64 words, ones-padded copy)."""
         if self._sense is None:
             raise LatchStateError("S-latch holds no data")
-        if self.packed:
-            return self._sense | self._pad
-        return pack_bits(self._sense)
+        return self._sense | self._pad
 
     @property
     def cache_words(self) -> np.ndarray:
         """Packed C-latch contents (uint64 words, ones-padded copy)."""
         if self._cache is None:
             raise LatchStateError("C-latch holds no data")
-        if self.packed:
-            return self._cache | self._pad
-        return pack_bits(self._cache)
+        return self._cache | self._pad
 
     def load_cache(self, data: np.ndarray) -> None:
         """Directly load the C-latch (used when the controller writes
         data into the chip for a subsequent XOR).  Accepts packed
-        words or an unpacked 0/1 page."""
+        words or a 0/1 page."""
         self.ops += 1
         np.copyto(self._cache_buf, self._coerce(data))
         self._cache = self._cache_buf
 
     def _coerce(self, data: np.ndarray) -> np.ndarray:
-        """Bring caller data into this bank's native representation."""
+        """Caller data as this bank's packed words: word rows are
+        shape-checked, a 0/1 page is validated and packed."""
         arr = np.asarray(data)
         if arr.dtype == np.uint64:
-            if arr.shape != (words_per_page(self.page_bits),):
+            if arr.shape != (self._n_words,):
                 raise ValueError(
-                    f"packed latch page must have "
-                    f"{words_per_page(self.page_bits)} words, got {arr.shape}"
+                    f"packed latch page must have {self._n_words} words, "
+                    f"got {arr.shape}"
                 )
-            if self.packed:
-                return arr
-            return unpack_words(arr, self.page_bits)
-        checked = self._check_page(arr)
-        if self.packed:
-            return pack_bits(checked)
-        return checked
+            return arr
+        return pack_bits(self._check_page(arr))
 
     def _check_page(self, data: np.ndarray) -> np.ndarray:
         arr = np.asarray(data, dtype=np.uint8)

@@ -19,16 +19,18 @@ results carry realistic errors unless the data was ESP-programmed.
 
 Two evaluation paths implement the same semantics:
 
-* the **packed fast path** (``packed=True``, error injection off, no
-  VREF offset): error-free conduction of a cell equals its stored bit,
-  so the string-group AND is a single ``np.bitwise_and.reduce`` over
-  the block's packed ``uint64`` word rows -- 64 cells per machine
-  word, no V_TH materialization at all;
+* the **packed fast path** (error injection off, no VREF offset):
+  error-free conduction of a cell equals its stored bit, so the
+  string-group AND is a single ``np.bitwise_and.reduce`` over the
+  block's packed ``uint64`` word rows -- 64 cells per machine word, no
+  V_TH materialization at all;
 * the **V_TH path**: slices the block's float32 V_TH matrix, applies
   the stress perturbation (when injecting errors) and compares against
   the read reference cell by cell.  Error injection, read-retry VREF
-  offsets, and the ``packed=False`` compatibility mode all take this
-  path, so every reliability figure reproduces unchanged.
+  offsets and ``force_vth`` margin reads take this path, so every
+  reliability figure reproduces unchanged.  It is how a sense is
+  *evaluated*, not a second representation: the chip packs its
+  outcome once, before the latches see it.
 
 On top of the per-sense fast path sits the batched plane, which
 evaluates a whole *queue* of MWS operations at once.
@@ -40,8 +42,8 @@ and the string-group ANDs / inter-block ORs of the entire batch
 collapse into a handful of ``np.bitwise_and.reduce`` / ``bitwise_or``
 calls -- O(profiles) NumPy dispatches for O(senses) sensing
 operations.  Row ``i`` of the result is bit-identical to
-``inter_block_mws(senses[i], ...).words``.  Off the packed error-free
-plane a queue batches through the V_TH plane instead
+``inter_block_mws(senses[i], ...).words``.  With error injection, VREF
+offsets or ``force_vth`` a queue batches through the V_TH plane instead
 (:meth:`SensingEngine.prepare_batch_vth` /
 :meth:`SensingEngine.run_batch_vth`), with the per-sense loop's exact
 stochastic draw schedule.
@@ -186,16 +188,10 @@ class SensingEngine:
         *,
         rng: np.random.Generator | None = None,
         inject_errors: bool = True,
-        packed: bool = True,
     ) -> None:
         self.error_model = error_model
         self.rng = rng or np.random.default_rng(0)
         self.inject_errors = inject_errors
-        #: Use the packed word fast path for error-free senses.  With
-        #: ``packed=False`` even error-free senses evaluate through the
-        #: V_TH matrix -- the pre-packing behaviour, kept as an oracle
-        #: for equivalence tests and benchmarks.
-        self.packed = packed
         # Error-free sensing resolves the read reference from a
         # pristine condition whose only live input is the ESP effort;
         # cache it per effort to keep the per-sense hot path lean.
@@ -287,12 +283,7 @@ class SensingEngine:
         """
         has_mlc, mode, esp_extra = self._scan_metadata(block, wordlines)
         rows = self._rows(wordlines)
-        if (
-            self.packed
-            and not self.inject_errors
-            and vref_offset == 0.0
-            and not force_vth
-        ):
+        if not (self.inject_errors or vref_offset or force_vth):
             # Error-free conduction of a cell equals its stored bit
             # (the calibrated states are fully separated at zero
             # offset), so the string-group AND is a word-wide reduce
@@ -529,13 +520,13 @@ class SensingEngine:
         ``layout_version``), so steady-state windows pay only the row
         gathers and the per-profile tensor reduces.  Only the packed
         error-free plane can batch this way -- error injection and
-        VREF offsets evaluate per cell through V_TH -- so this raises
-        off that plane rather than silently approximating."""
-        if not (self.packed and not self.inject_errors):
+        VREF offsets evaluate per cell through V_TH -- so an
+        error-injecting engine raises rather than silently
+        approximating."""
+        if self.inject_errors:
             raise RuntimeError(
                 "sense_batch_stacks requires the packed error-free "
-                "plane; error injection and packed=False evaluate "
-                "through V_TH"
+                "plane; error injection evaluates through V_TH"
             )
         n = len(sources)
         if n == 0:
@@ -663,12 +654,7 @@ class SensingEngine:
         repeated reliability windows skip straight to
         :meth:`run_batch_vth`.
         """
-        if (
-            self.packed
-            and not self.inject_errors
-            and vref_offset == 0.0
-            and not force_vth
-        ):
+        if not (self.inject_errors or vref_offset or force_vth):
             raise RuntimeError(
                 "sense_batch_vth is the V_TH error plane; the packed "
                 "error-free plane batches through sense_batch_stacks"

@@ -26,27 +26,27 @@ clients are batched into admission windows, scheduled across chips,
 and executed with cross-query sense sharing through
 ``QueryEngine.prepare``/``execute_tasks``.
 
-The functional data path is **bit-packed end to end** (the default
-``SmallSsd(packed=True)``): ``write_vector`` packs each vector into
-``uint64`` words once at ingest, chips sense and latch packed words
+The functional data path is **bit-packed end to end**:
+``write_vector`` packs each vector into ``uint64`` words once at
+ingest, chips sense and latch packed words
 (:mod:`repro.flash.packing`), chunk results move packed through the
 query engine's replay, and the single unpack happens at the external
-result boundary (``QueryResult.bits`` / ``read_vector``).  The V_TH
-error plane is only materialized for error-injecting configurations,
-which evaluate exactly as before; ``packed=False`` keeps the
-one-byte-per-bit plane alive as the equivalence/benchmark oracle.
+result boundary (``QueryResult.bits`` / ``read_vector``).  There is
+one data plane: error-injecting chips (``inject_errors=True``) *sense*
+through the V_TH matrix and pack each outcome before the latches see
+it, so everything from the latches to the host is words either way.
 
 Execution is additionally **batched window-at-a-time**:
 ``QueryEngine.execute_tasks`` dedups an admission window's tasks
 first, then drains each chip's surviving unique plan queue through
 ``MwsExecutor.execute_batch`` -- every sense of the queue evaluated
-as one stacked ``uint64`` tensor pass, the latch protocol replayed
-lane-parallel -- so Python dispatch per window is O(chips) rather
-than O(senses) and wall-clock window throughput tracks chip count.
-The batch plane engages exactly where the packed plane does: error
-injection (and ``packed=False``) falls back to the per-sense scalar
-loop, which doubles as the equivalence oracle; results are
-bit-identical and cost counters float-identical either way
+as one stacked ``uint64`` tensor pass (or one V_TH pass with the
+per-sense draw schedule on an error-injecting chip), the latch
+protocol replayed lane-parallel -- so Python dispatch per window is
+O(chips) rather than O(senses).  Queues with no batched equivalent
+walk their plans one by one (``MwsExecutor.execute``), which doubles
+as the equivalence oracle; results are bit-identical and cost
+counters float-identical either way
 (``tests/ssd/test_batch_property.py``).
 """
 

@@ -69,7 +69,6 @@ class SmallSsd:
         inject_errors: bool = False,
         esp_extra: float = 0.9,
         seed: int = 0,
-        packed: bool = True,
         fault_injector=None,
         parity: bool = False,
     ) -> None:
@@ -81,19 +80,16 @@ class SmallSsd:
             page_size_bits=1024,
         )
         self.esp_extra = esp_extra
-        #: With ``packed`` (the default) vectors are bit-packed once at
-        #: ingest and the whole functional query path moves uint64
-        #: words; ``packed=False`` keeps the one-byte-per-bit
-        #: evaluation for equivalence testing and benchmarking.
-        #: Error-injecting SSDs sense per cell through V_TH and
-        #: produce unpacked bits, so they keep the byte path outright.
-        self.packed = packed and not inject_errors
+        #: Vectors are bit-packed once at ingest and the whole
+        #: functional query path moves uint64 words.  Error-injecting
+        #: chips sense per cell through V_TH, so their results are
+        #: draws: nothing may memoize them.
+        self.inject_errors = inject_errors
         self.chips = [
             NandFlashChip(
                 self.geometry,
                 inject_errors=inject_errors,
                 seed=seed + i,
-                packed=packed,
             )
             for i in range(n_chips)
         ]
@@ -109,10 +105,11 @@ class SmallSsd:
         #: ingest) on a chip hosting none of the group's data.  Losing
         #: any single chip then costs each group at most one page, and
         #: lost chunks are reconstructed by XOR of the survivors.
-        if parity and not self.packed:
+        if parity and inject_errors:
             raise ValueError(
-                "parity striping requires the packed word plane "
-                "(parity is a bulk XOR over packed pages)"
+                "parity striping requires error-free chips: a parity "
+                "page is the XOR of the group's stored pages, and "
+                "reconstruction would XOR in every survivor's bit errors"
             )
         if parity and n_chips < 2:
             raise ValueError("parity striping requires >= 2 chips")
@@ -181,32 +178,15 @@ class SmallSsd:
             esp_extra=self.esp_extra,
         )
         page = self.page_bits
-        chunk_words: np.ndarray | None = None
-        if self.packed and record.n_chunks:
-            # Pack the whole vector once at ingest (zero-padding the
-            # final chunk); every chunk write below hands packed words
-            # straight down to the chip.
-            padded = np.zeros(record.n_chunks * page, dtype=np.uint8)
-            padded[: data.size] = data
-            chunk_words = pack_rows(padded.reshape(record.n_chunks, page))
+        # Pack the whole vector once at ingest (zero-padding the final
+        # chunk); every chunk write below hands packed words straight
+        # down to the chip.
+        padded = np.zeros(record.n_chunks * page, dtype=np.uint8)
+        padded[: data.size] = data
+        chunk_words = pack_rows(padded.reshape(record.n_chunks, page))
         written: list[tuple[int, str]] = []
         try:
             for placement in record.placements:
-                if chunk_words is not None:
-                    chunk_bits: np.ndarray = chunk_words[placement.chunk]
-                else:
-                    chunk_bits = data[
-                        placement.chunk * page : (placement.chunk + 1) * page
-                    ]
-                    if chunk_bits.size < page:
-                        chunk_bits = np.concatenate(
-                            [
-                                chunk_bits,
-                                np.zeros(
-                                    page - chunk_bits.size, dtype=np.uint8
-                                ),
-                            ]
-                        )
                 controller = self.controllers[placement.chip]
                 # Only the *same* chunk offset of different vectors must
                 # share a string group (they are combined bit-by-bit);
@@ -218,12 +198,12 @@ class SmallSsd:
                 chunk_name = self._chunk_operand_name(name, placement.chunk)
                 controller.fc_write(
                     chunk_name,
-                    chunk_bits,
+                    chunk_words[placement.chunk],
                     group=chunk_group,
                     inverse=inverse,
                 )
                 written.append((placement.chip, chunk_name))
-            if self.parity and chunk_words is not None:
+            if self.parity:
                 self._write_parity(name, record, chunk_words, group, written)
         except Exception:
             for chip, chunk_name in written:
@@ -450,10 +430,9 @@ class SmallSsd:
     def read_vector(self, name: str) -> np.ndarray:
         """Read a stored vector back through regular page reads.
 
-        On the packed plane each chunk stays packed through the sense
-        and latch pipeline inside ``read_page``; the single unpack per
-        chunk happens at its off-chip transfer, i.e. this result
-        boundary.
+        Each chunk stays packed through the sense and latch pipeline
+        inside ``read_page``; the single unpack per chunk happens at
+        its off-chip transfer, i.e. this result boundary.
         """
         record = self.ftl.lookup(name)
         pieces = []

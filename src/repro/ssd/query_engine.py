@@ -58,11 +58,12 @@ it:
    (:meth:`~repro.flash.latches.LatchBank.capture_batch`), so Python
    dispatch per window is O(chips), not O(senses) -- wall-clock
    window throughput finally tracks chip count the way simulated
-   throughput does.  Error injection and ``packed=False`` batch the
-   same way through the V_TH plane; a queue with no batched
-   equivalent (:meth:`~repro.core.mws.MwsExecutor.batchable` says so
-   before anything runs) walks its plans one by one, and
-   ``batch=False`` forces the walk for benchmarking.
+   throughput does.  Error-injecting chips batch the same way through
+   the V_TH plane; a queue with no batched equivalent
+   (:meth:`~repro.core.mws.MwsExecutor.batchable` says so before
+   anything runs) walks its plans one by one.  There is no switch to
+   force the walk: the walk is the reference the property suites and
+   batch benchmarks drive directly (``MwsExecutor.execute``).
 
 7. **One drain thread, chips in turn** -- chips are independent dies
    behind independent channels, but the functional replay drains them
@@ -240,12 +241,12 @@ class ChunkTask(NamedTuple):
 class ChunkOutcome(NamedTuple):
     """What executing (or sharing) one :class:`ChunkTask` produced.
 
-    ``data`` is the chunk's result page -- packed ``uint64`` words on
-    the packed plane, 0/1 bytes otherwise.  A ``shared`` outcome spent
-    no flash time: its sense already ran for an identical earlier task
-    of the same chip, and ``n_senses``/``latency_us``/``energy_nj``
-    are zero accordingly (the window-level counters thus sum to the
-    *actual* hardware cost).  A ``cached`` outcome likewise spent no
+    ``data`` is the chunk's result page as packed ``uint64`` words.
+    A ``shared`` outcome spent no flash time: its sense already ran
+    for an identical earlier task of the same chip, and
+    ``n_senses``/``latency_us``/``energy_nj`` are zero accordingly
+    (the window-level counters thus sum to the *actual* hardware
+    cost).  A ``cached`` outcome likewise spent no
     flash time, but its words came from a *previous* window via the
     cross-window :class:`ResultCache` rather than from a sibling task
     of this call.
@@ -357,10 +358,9 @@ class ResultCache:
     nothing programs mid-window, and the snapshot keeps the per-task
     lookup at dict speed.
 
-    The cache is **packed-plane only**: error-injecting chips sense
+    The cache is **error-free only**: error-injecting chips sense
     through the stochastic V_TH plane, where memoizing a draw would
-    change the error statistics, and the ``packed=False`` byte plane
-    is the equivalence oracle and must keep executing.
+    change the error statistics.
     """
 
     def __init__(self, ssd: "SmallSsd", *, capacity: int = 4096) -> None:
@@ -639,7 +639,6 @@ class _Window(NamedTuple):
     cache: ResultCache | None
     stacks: StackCache | None
     share: bool
-    batch: bool
     #: The caller's recovery policy (the default one if none), and
     #: whether its retry half is in force (an active injector).
     policy: RecoveryPolicy
@@ -972,7 +971,6 @@ class QueryEngine:
         tasks: Iterable[ChunkTask],
         *,
         share: bool = True,
-        batch: bool = True,
         use_cache: bool = False,
         recovery: RecoveryPolicy | None = None,
         degraded: Iterable[int] = (),
@@ -994,18 +992,12 @@ class QueryEngine:
         ``use_cache``
             consult (and fill) the attached :class:`ResultCache`
             before anything else; a hit is a ``cached`` outcome at
-            zero flash cost.  Packed plane only.
+            zero flash cost.  Error-free SSDs only.
         ``share``
             a task whose ``(chip, plan)`` matches an earlier task of
             this call senses nothing and comes back ``shared`` with
             the earlier task's data, ``degraded`` flag and ``error``.
             ``False`` is the unshared oracle.
-        ``batch``
-            one vectorized executor dispatch per chip queue instead of
-            one per plan; ``False`` forces the per-plan walk (the
-            reference the property suites and batch benchmarks
-            compare against).  Outcomes, chip counters, latch
-            end-state and fault draws are equal either way.
         ``recovery``
             the fault-recovery policy (:mod:`repro.flash.faults`).
             Its retry/backoff half applies only while an *active*
@@ -1030,8 +1022,9 @@ class QueryEngine:
             and parity (:meth:`_reconstruct_failures`) in task order.
             Without failures (or parity) it is a no-op.
         """
-        packed = self.ssd.packed
-        cache = self.result_cache if use_cache and packed else None
+        # Memoizing a sense is only sound where it is not a draw.
+        error_free = not self.ssd.inject_errors
+        cache = self.result_cache if use_cache and error_free else None
         if cache is not None:
             cache.begin_epoch()
         injector = self.ssd.fault_injector
@@ -1047,14 +1040,13 @@ class QueryEngine:
             # plus the injector, so with the ResultCache engaged every
             # plan that reaches the executor has already missed the
             # only lookup that could hit; the StackCache serves the
-            # drains that have no ResultCache (packed plane, batched).
+            # drains that have no ResultCache (error-free, batched).
             stacks=(
                 self.stack_cache
-                if cache is None and packed and batch and self.stack_reuse
+                if cache is None and error_free and self.stack_reuse
                 else None
             ),
             share=share,
-            batch=batch,
             policy=recovery if recovery is not None else RecoveryPolicy(),
             # Without an active injector no sense can fault: the retry
             # half of the policy is off and the fault-free window is
@@ -1215,16 +1207,12 @@ class QueryEngine:
 
         Whether the queue has a batched equivalent at all is the
         executor's call, asked once, before anything is drawn,
-        executed or counted; on a no -- and with ``batch`` off --
-        every plan takes the scalar walk.
+        executed or counted; on a no every plan takes the scalar walk.
         """
         margin = chip in window.degraded
         retry = window.retry and not margin
         policy = window.policy
-        if not (
-            window.batch
-            and executor.batchable(plans, retried=retry, margin=margin)
-        ):
+        if not executor.batchable(plans, retried=retry, margin=margin):
             return [
                 self._sense_scalar(window, executor, chip, plan, margin)
                 for plan in plans
@@ -1239,7 +1227,6 @@ class QueryEngine:
                 for index, draws in enumerate(schedule)
                 if draws[-1][0]  # the last attempt faulted too
             ]
-        packed = self.ssd.packed
         record = _SenseRecord._make  # one tuple per plan: queue hot loop
         records: list[_SenseRecord] = []
         reuse_hits = 0
@@ -1270,7 +1257,7 @@ class QueryEngine:
             records += [
                 record(
                     (
-                        result.words if packed else result.bits,
+                        result.words,
                         result.n_senses,
                         result.latency_us,
                         result.energy_nj,
@@ -1370,11 +1357,8 @@ class QueryEngine:
                 # No recovery plane in force to absorb it.
                 raise
             error = fault
-        data = None
-        if result is not None:
-            data = result.words if self.ssd.packed else result.bits
         return _SenseRecord(
-            data,
+            None if result is None else result.words,
             counters.senses - senses_before,
             counters.busy_us - busy_before,
             counters.energy_nj - energy_before,
@@ -1484,8 +1468,7 @@ class QueryEngine:
             else:
                 reused.update(page[1])
             env[name] = page[0]
-        bits = evaluate(task.expr, env)
-        data = pack_bits(bits) if ssd.packed else bits
+        data = pack_bits(evaluate(task.expr, env))
         n_senses = 0
         energy_nj = 0.0
         work: list[tuple[int, float]] = []
@@ -1596,7 +1579,7 @@ class QueryEngine:
     def assemble_bits(
         self, prepared: PreparedQuery, pieces: list[np.ndarray | None]
     ) -> np.ndarray:
-        """Concatenate per-chunk result pages (packed words or bytes)
+        """Unpack and concatenate per-chunk result pages (packed words)
         into the query's result bit vector, truncated to its true
         length.  Frozen (``writeable=False``) like a
         :class:`ResultCache` entry: the service hands one assembled
@@ -1605,12 +1588,7 @@ class QueryEngine:
         present = [p for p in pieces if p is not None]
         if not present:
             return np.empty(0, np.uint8)
-        if self.ssd.packed:
-            bits = unpack_rows(
-                np.vstack(present), self.ssd.page_bits
-            ).ravel()
-        else:
-            bits = np.concatenate(present)
+        bits = unpack_rows(np.vstack(present), self.ssd.page_bits).ravel()
         bits = bits[: prepared.n_bits]
         bits.setflags(write=False)
         return bits

@@ -49,6 +49,14 @@ class TestEraseVerify:
             GEOMETRY.wordlines_per_string
         )
 
+    def test_verify_is_an_on_chip_status_check(self, chip):
+        """Regression: the verdict was read through ``output_cache``,
+        which counts an off-chip transfer."""
+        chip.program_page(WordlineAddress(0, 3, 0, 0), page(seed=9))
+        for block, verdict in ((2, True), (3, False)):
+            assert chip.erase_verify(BlockAddress(0, block, 0)) is verdict
+        assert chip.counters.transfers_out == 0
+
 
 class TestCopyback:
     def test_plain_page_roundtrip(self, chip):
@@ -72,6 +80,20 @@ class TestCopyback:
         dst_block = chip.plane_array.block(dst.block_address)
         meta = dst_block.metadata[dst.wordline]
         assert meta.randomizer_page_index == chip.page_index(src)
+
+    def test_copyback_transfers_nothing_off_chip(self, chip):
+        """Regression: copyback read its latch through
+        ``output_cache``, counting an off-chip transfer for a page
+        that never leaves the die.  The destination holds the source's
+        raw cells (the randomized ones here)."""
+        src = WordlineAddress(0, 3, 0, 0)
+        dst = WordlineAddress(0, 4, 0, 5)
+        chip.program_page(src, page(seed=10), randomize=True)
+        chip.copyback(src, dst)
+        assert chip.counters.transfers_out == 0
+        np.testing.assert_array_equal(
+            chip.stored_bits(dst), chip.stored_bits(src)
+        )
 
     def test_cross_plane_rejected(self):
         geometry = GEOMETRY.scaled(planes_per_die=2)

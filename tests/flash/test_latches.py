@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
 from repro.flash.latches import LatchBank, LatchStateError
+from repro.flash.packing import pack_bits
 
 
 def bits(*values):
@@ -157,11 +158,9 @@ class TestXor:
 
 class TestPackedWords:
     """The packed uint64 word path: word-array capture, packed
-    readout, and parity with the unpacked (legacy) bank."""
+    readout, and the ParaBit protocol against a NumPy oracle."""
 
     def test_capture_words_roundtrip(self):
-        from repro.flash.packing import pack_bits
-
         bank = LatchBank(4)
         bank.init_cache()
         bank.init_sense()
@@ -188,33 +187,33 @@ class TestPackedWords:
 
     @given(pages=st.lists(page_strategy(), min_size=1, max_size=6))
     def test_packed_and_unpacked_banks_agree(self, pages):
-        """Drive a packed and a legacy bank through the same ParaBit
-        AND/OR + XOR protocol and require identical latch contents."""
-        packed = LatchBank(4, packed=True)
-        legacy = LatchBank(4, packed=False)
-        for bank in (packed, legacy):
-            bank.init_cache()
-            for i, page in enumerate(pages):
-                bank.init_sense()
-                bank.capture(page)
-                bank.transfer_to_cache()
-        np.testing.assert_array_equal(packed.cache_data, legacy.cache_data)
-        for bank in (packed, legacy):
-            bank.xor_into_cache()
-        np.testing.assert_array_equal(packed.cache_data, legacy.cache_data)
-        np.testing.assert_array_equal(packed.cache_words, legacy.cache_words)
+        """Drive the bank through the ParaBit AND/OR + XOR protocol
+        with 0/1 pages and require what the same protocol computes on
+        unpacked NumPy bits -- the oracle of the retired byte bank."""
+        bank = LatchBank(4)
+        bank.init_cache()
+        expected = np.zeros(4, dtype=np.uint8)
+        for page in pages:
+            bank.init_sense()
+            bank.capture(page)
+            bank.transfer_to_cache()
+            expected |= page
+        np.testing.assert_array_equal(bank.cache_data, expected)
+        bank.xor_into_cache()
+        expected ^= pages[-1]
+        np.testing.assert_array_equal(bank.cache_data, expected)
+        np.testing.assert_array_equal(bank.cache_words, pack_bits(expected))
 
     def test_load_cache_accepts_words(self):
-        from repro.flash.packing import pack_bits
-
         bank = LatchBank(4)
         bank.load_cache(pack_bits(bits(0, 1, 1, 0)))
         np.testing.assert_array_equal(bank.cache_data, bits(0, 1, 1, 0))
 
     def test_legacy_bank_accepts_words(self):
-        from repro.flash.packing import pack_bits
-
-        bank = LatchBank(4, packed=False)
+        """Words and 0/1 pages mix freely in one protocol: an inverse
+        capture of words, then an AND-accumulating capture of bits."""
+        bank = LatchBank(4)
         bank.init_sense()
-        bank.capture(pack_bits(bits(1, 1, 0, 0)))
-        np.testing.assert_array_equal(bank.sense_data, bits(1, 1, 0, 0))
+        bank.capture(pack_bits(bits(1, 1, 0, 0)), inverse=True)
+        bank.capture(bits(1, 0, 1, 0))
+        np.testing.assert_array_equal(bank.sense_data, bits(0, 0, 1, 0))

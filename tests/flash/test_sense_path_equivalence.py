@@ -32,6 +32,9 @@ GEOMETRY = ChipGeometry(
     page_size_bits=80,
 )
 PAGE_BITS = GEOMETRY.page_size_bits
+#: Latch replays run ``padded`` (80 bits ride a padded last word) and
+#: not (128 bits fill two words exactly: an all-zero padding mask).
+REPLAY_BITS = {True: PAGE_BITS, False: 128}
 
 
 def _programmed_blocks() -> list[BlockArray]:
@@ -172,26 +175,27 @@ STEP = st.one_of(
 
 @st.composite
 def replays(draw):
-    packed = draw(st.booleans())
+    padded = draw(st.booleans())
     n_lanes = draw(st.integers(1, 4))
     steps = draw(st.lists(STEP, min_size=0, max_size=7))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     matrices = []
     for step in steps:
         if step is not None:
-            bits = rng.integers(0, 2, (n_lanes, PAGE_BITS), dtype=np.uint8)
-            matrices.append(pack_rows(bits) if packed else bits)
+            shape = (n_lanes, REPLAY_BITS[padded])
+            bits = rng.integers(0, 2, shape, dtype=np.uint8)
+            matrices.append(pack_rows(bits))
     land_lane = draw(st.one_of(st.none(), st.integers(0, n_lanes - 1)))
-    return packed, steps, matrices, land_lane
+    return padded, steps, matrices, land_lane
 
 
-def _dirty_bank(packed: bool) -> LatchBank:
+def _dirty_bank(padded: bool) -> LatchBank:
     """A bank whose persistent latches already hold a pattern, so a
     landing copy that fails to happen (or happens twice) shows."""
-    bank = LatchBank(PAGE_BITS, packed=packed)
+    bank = LatchBank(REPLAY_BITS[padded])
     bank.init_sense()
     bank.init_cache()
-    bank.capture(np.arange(PAGE_BITS, dtype=np.uint8) % 2)
+    bank.capture(np.arange(REPLAY_BITS[padded], dtype=np.uint8) % 2)
     bank.transfer_to_cache()
     return bank
 
@@ -204,8 +208,8 @@ def _outcome(capture, steps, matrices, land_lane):
         return type(exc), str(exc)
 
 
-def assert_same_replay(packed, steps, matrices, land_lane):
-    bank, oracle = _dirty_bank(packed), _dirty_bank(packed)
+def assert_same_replay(padded, steps, matrices, land_lane):
+    bank, oracle = _dirty_bank(padded), _dirty_bank(padded)
     got = _outcome(bank.capture_batch, steps, matrices, land_lane)
     expected = _outcome(
         lambda *args, **kwargs: reference.capture_batch(
@@ -234,11 +238,11 @@ def assert_same_replay(packed, steps, matrices, land_lane):
 def test_latch_replay_equals_reference(case):
     """Every prefix of the sequence too: equal outcomes on each pin
     the step an exception fires at, not only that it fires."""
-    packed, steps, matrices, land_lane = case
+    padded, steps, matrices, land_lane = case
     for end in range(len(steps) + 1):
         n_senses = sum(step is not None for step in steps[:end])
         assert_same_replay(
-            packed, steps[:end], matrices[:n_senses], land_lane
+            padded, steps[:end], matrices[:n_senses], land_lane
         )
 
 
@@ -261,113 +265,112 @@ FRESH = flags(init_sense=True, init_cache=True, transfer=True)
 INIT_ONLY = flags(init_sense=True, init_cache=True)
 
 
-def _matrices(packed, n_senses, n_lanes=3, seed=5):
+def _matrices(padded, n_senses, n_lanes=3, seed=5):
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(n_senses):
-        bits = rng.integers(0, 2, (n_lanes, PAGE_BITS), dtype=np.uint8)
+        shape = (n_lanes, REPLAY_BITS[padded])
+        bits = rng.integers(0, 2, shape, dtype=np.uint8)
         # No all-zero lane: a fill that was skipped must show.
         bits[:, 0] = 1
-        out.append(pack_rows(bits) if packed else bits)
+        out.append(pack_rows(bits))
     return out
 
 
-@pytest.mark.parametrize("packed", [True, False])
+@pytest.mark.parametrize("padded", [True, False])
 class TestDirectedReplays:
-    def test_one_shot_sense_is_the_sensed_rows(self, packed):
-        (data,) = matrices = _matrices(packed, 1)
-        rows = assert_same_replay(packed, [FRESH], matrices, 1)
+    def test_one_shot_sense_is_the_sensed_rows(self, padded):
+        (data,) = matrices = _matrices(padded, 1)
+        rows = assert_same_replay(padded, [FRESH], matrices, 1)
         assert (rows == data).all()
 
-    def test_inverse_after_init(self, packed):
+    def test_inverse_after_init(self, padded):
         steps = [
             flags(
                 inverse=True, init_sense=True, init_cache=True, transfer=True
             )
         ]
-        (data,) = matrices = _matrices(packed, 1)
-        rows = assert_same_replay(packed, steps, matrices, 0)
-        pad = LatchBank(PAGE_BITS)._pad if packed else 0
-        assert (rows == (~data | pad if packed else 1 - data)).all()
+        (data,) = matrices = _matrices(padded, 1)
+        rows = assert_same_replay(padded, steps, matrices, 0)
+        assert (rows == (~data | LatchBank(REPLAY_BITS[padded])._pad)).all()
 
-    def test_inverse_without_init_raises_at_its_step(self, packed):
+    def test_inverse_without_init_raises_at_its_step(self, padded):
         steps = [FRESH, flags(inverse=True, transfer=True)]
-        matrices = _matrices(packed, 2)
+        matrices = _matrices(padded, 2)
         assert not isinstance(
-            assert_same_replay(packed, steps[:1], matrices[:1], 0), tuple
+            assert_same_replay(padded, steps[:1], matrices[:1], 0), tuple
         )
-        assert assert_same_replay(packed, steps, matrices, 0) == (
+        assert assert_same_replay(padded, steps, matrices, 0) == (
             LatchStateError,
             "inverse sensing requires a freshly initialized S-latch",
         )
 
-    def test_and_accumulate_without_any_init_raises(self, packed):
+    def test_and_accumulate_without_any_init_raises(self, padded):
         got = assert_same_replay(
-            packed, [flags(init_cache=True)], _matrices(packed, 1), None
+            padded, [flags(init_cache=True)], _matrices(padded, 1), None
         )
         assert got == (LatchStateError, "S-latch used before initialization")
 
-    def test_transfer_with_no_init_cache_raises(self, packed):
+    def test_transfer_with_no_init_cache_raises(self, padded):
         got = assert_same_replay(
-            packed,
+            padded,
             [flags(init_sense=True, transfer=True)],
-            _matrices(packed, 1),
+            _matrices(padded, 1),
             None,
         )
         assert got == (LatchStateError, "transfer with uninitialized C-latch")
 
-    def test_xor_before_any_sense_raises(self, packed):
-        got = assert_same_replay(packed, [None], [], None)
+    def test_xor_before_any_sense_raises(self, padded):
+        got = assert_same_replay(padded, [None], [], None)
         assert got == (
             LatchStateError,
             "XOR requires both latches to hold data",
         )
 
-    def test_xor_straight_after_an_init_only_step(self, packed):
+    def test_xor_straight_after_an_init_only_step(self, padded):
         """Step 0 writes the C-latch, step 1 re-initialises it and
         transfers nothing, then the XOR: it must see the zeros of the
         init, not step 0's data.  Fails if the deferred zero fill is
         dropped before the XOR."""
-        matrices = _matrices(packed, 2)
+        matrices = _matrices(padded, 2)
         rows = assert_same_replay(
-            packed, [FRESH, INIT_ONLY, None], matrices, 2
+            padded, [FRESH, INIT_ONLY, None], matrices, 2
         )
         assert (rows == matrices[1]).all()  # 0 XOR sensed
 
-    def test_landing_after_an_init_only_step(self, packed):
+    def test_landing_after_an_init_only_step(self, padded):
         """The same sequence without the XOR: the rows returned and
         the C-latch landed in the bank are the init's zeros.  Fails if
         the deferred zero fill is dropped before the landing copy."""
         rows = assert_same_replay(
-            packed, [FRESH, INIT_ONLY], _matrices(packed, 2), 0
+            padded, [FRESH, INIT_ONLY], _matrices(padded, 2), 0
         )
-        pad = LatchBank(PAGE_BITS)._pad if packed else 0
-        assert (rows == pad).all()
+        assert (rows == LatchBank(REPLAY_BITS[padded])._pad).all()
 
-    def test_or_accumulate_after_a_copy(self, packed):
+    def test_or_accumulate_after_a_copy(self, padded):
         """The transfer after an init copies; the next one ORs."""
         steps = [FRESH, flags(init_sense=True, transfer=True)]
-        matrices = _matrices(packed, 2)
-        rows = assert_same_replay(packed, steps, matrices, None)
+        matrices = _matrices(padded, 2)
+        rows = assert_same_replay(padded, steps, matrices, None)
         assert (rows == (matrices[0] | matrices[1])).all()
 
-    def test_and_accumulate_after_a_copy(self, packed):
+    def test_and_accumulate_after_a_copy(self, padded):
         """The capture after an init copies; the next one ANDs."""
         steps = [INIT_ONLY, flags(transfer=True)]
-        matrices = _matrices(packed, 2)
-        rows = assert_same_replay(packed, steps, matrices, None)
+        matrices = _matrices(padded, 2)
+        rows = assert_same_replay(padded, steps, matrices, None)
         assert (rows == (matrices[0] & matrices[1])).all()
 
-    def test_no_landing_leaves_the_bank_alone(self, packed):
-        bank = _dirty_bank(packed)
+    def test_no_landing_leaves_the_bank_alone(self, padded):
+        bank = _dirty_bank(padded)
         before = (bank.ops, bank.sense_words, bank.cache_words)
-        bank.capture_batch([FRESH], _matrices(packed, 1))
+        bank.capture_batch([FRESH], _matrices(padded, 1))
         assert bank.ops == before[0]
         assert (bank.sense_words == before[1]).all()
         assert (bank.cache_words == before[2]).all()
 
-    def test_wrong_matrix_shape_raises(self, packed):
-        matrices = _matrices(packed, 2)
+    def test_wrong_matrix_shape_raises(self, padded):
+        matrices = _matrices(padded, 2)
         matrices[1] = matrices[1][:2]
-        got = assert_same_replay(packed, [FRESH, FRESH], matrices, None)
+        got = assert_same_replay(padded, [FRESH, FRESH], matrices, None)
         assert got[0] is ValueError

@@ -4,8 +4,9 @@ The bodies below are ``SensingEngine.sense_batch_stacks``
 (``repro.flash.sensing``) and ``LatchBank.capture_batch``
 (``repro.flash.latches``) exactly as they stood before the
 single-gather kernel and the copy-not-fill latch replay replaced them
--- kept verbatim, test-only, as functions of the engine / bank they
-used to be methods of (``self`` is that object).  The equivalence
+-- kept verbatim but for the one-byte-per-bit branches the bank no
+longer has, test-only, as functions of the engine / bank they used to
+be methods of (``self`` is that object).  The equivalence
 suite (``tests/flash/test_sense_path_equivalence.py``) compares the
 production code against them with ``==`` on every output word, every
 landed latch word, every counter and every exception.  They are
@@ -34,10 +35,10 @@ def sense_batch_stacks(
     ``layout_version``) and calls this directly, so steady-state
     windows pay only the row gathers and the per-profile tensor
     reduces."""
-    if not (self.packed and not self.inject_errors):
+    if self.inject_errors:
         raise RuntimeError(
             "sense_batch requires the packed error-free plane; "
-            "error injection and packed=False evaluate per sense"
+            "error injection evaluates per sense"
         )
     n = len(sources)
     if n == 0:
@@ -117,10 +118,6 @@ def capture_batch(
     through the scalar path most recently (the batched executor
     lands the queue's last plan per plane).
 
-    On an unpacked bank the same replay runs over ``(n_lanes,
-    page_bits)`` 0/1 byte matrices (the batched V_TH error plane's
-    representation); semantics are step-for-step identical.
-
     Protocol violations raise :class:`LatchStateError` with the
     scalar path's messages.  One deliberate tightening: inverse
     capture demands a *freshly initialized* S-latch in every lane;
@@ -128,17 +125,8 @@ def capture_batch(
     to be all ones, a coincidence no planner-generated sequence
     relies on.
     """
-    packed = self.packed
     matrices = list(sensed)
-    n_lanes = matrices[0].shape[0] if matrices else 0
-    if packed:
-        shape = (n_lanes, self._n_words)
-        dtype = np.uint64
-        fill = FULL_WORD
-    else:
-        shape = (n_lanes, self.page_bits)
-        dtype = np.uint8
-        fill = 1
+    shape = (matrices[0].shape[0] if matrices else 0, self._n_words)
     sense: np.ndarray | None = None
     cache: np.ndarray | None = None
     sense_fresh = False
@@ -160,13 +148,13 @@ def capture_batch(
             )
         if step.init_cache:
             if cache is None:
-                cache = np.zeros(shape, dtype=dtype)
+                cache = np.zeros(shape, dtype=np.uint64)
             else:
                 cache.fill(0)
         if step.init_sense:
             if sense is None:
-                sense = np.empty(shape, dtype=dtype)
-            sense.fill(fill)
+                sense = np.empty(shape, dtype=np.uint64)
+            sense.fill(FULL_WORD)
             sense_fresh = True
         if step.inverse:
             if sense is None or not sense_fresh:
@@ -174,11 +162,8 @@ def capture_batch(
                     "inverse sensing requires a freshly initialized "
                     "S-latch"
                 )
-            if packed:
-                np.bitwise_not(data, out=sense)
-                sense |= self._pad
-            else:
-                np.subtract(1, data, out=sense)
+            np.bitwise_not(data, out=sense)
+            sense |= self._pad
         else:
             if sense is None:
                 raise LatchStateError(
@@ -201,4 +186,4 @@ def capture_batch(
         if sense is not None:
             np.copyto(self._sense_buf, sense[land_lane])
             self._sense = self._sense_buf
-    return cache | self._pad if packed else cache
+    return cache | self._pad

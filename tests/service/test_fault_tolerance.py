@@ -12,6 +12,7 @@ stays float-exact against a no-injector twin.
 import numpy as np
 import pytest
 
+from reference_data_plane import GEOMETRY, route, window_tasks
 from repro.core.expressions import And, Not, Operand, Xor, evaluate, or_all
 from repro.flash.errors import BadBlockFault, ChipUnavailableError
 from repro.flash.faults import FaultConfig, FaultInjector, RecoveryPolicy
@@ -26,14 +27,6 @@ from repro.service import (
     schedule_window,
 )
 from repro.ssd.controller import SmallSsd
-
-GEOMETRY = ChipGeometry(
-    planes_per_die=1,
-    blocks_per_plane=16,
-    subblocks_per_block=2,
-    wordlines_per_string=8,
-    page_size_bits=80,
-)
 
 
 def _build(n_chips=2, n_bits=300, seed=1, injector=None):
@@ -297,17 +290,10 @@ def test_sense_stage_error_leaves_the_service_retryable(monkeypatch):
 # ----------------------------------------------------------------------
 
 
-def _window_tasks(ssd, exprs):
-    tasks = []
-    for query, expr in enumerate(exprs):
-        tasks.extend(ssd.engine.prepare(expr).tasks(query=query))
-    return tasks
-
-
 @pytest.mark.parametrize("policy", ("fifo", "balanced", "edf"))
 def test_scheduler_parks_offline_chip_tasks_at_tail(policy):
     ssd, _ = _build()
-    tasks = _window_tasks(
+    tasks = window_tasks(
         ssd, [And(Operand("a"), Operand("b")), Operand("c")]
     )
     estimate = (
@@ -324,7 +310,7 @@ def test_scheduler_parks_offline_chip_tasks_at_tail(policy):
 
 def test_scheduler_prices_degraded_chips():
     ssd, _ = _build(n_chips=2)
-    tasks = _window_tasks(ssd, [And(Operand("a"), Operand("b"))])
+    tasks = window_tasks(ssd, [And(Operand("a"), Operand("b"))])
     estimate = (
         lambda t: ssd.controllers[t.chip].executor.estimate_latency_us(t.plan)
     )
@@ -429,9 +415,9 @@ def _chip_loss_trace(monkeypatch, *, batch):
     """A ``chip_loss``-shaped mini trace (parity SSD, 1 % sense faults
     and stalls, a chip killed a third of the way in, paced rebuild),
     served through the engine's default batched drain or -- the
-    service takes no such option, so from outside -- with the engine
-    pinned to ``batch=False``.  Returns the reports, the event
-    simulator's reports, and the engine's stats."""
+    service takes no such option, so from outside -- with every drain
+    forced onto the walk (``reference_data_plane.forced_walk``).  Returns the reports, the event simulator's reports, and the
+    engine's stats."""
     import repro.service.service as service_module
 
     geometry = ChipGeometry(
@@ -475,15 +461,8 @@ def _chip_loss_trace(monkeypatch, *, batch):
         return stage_reports[-1]
 
     reports = []
-    with monkeypatch.context() as patch:
+    with monkeypatch.context() as patch, route(batch):
         patch.setattr(service_module, "simulate_stages", recording_simulate)
-        if not batch:
-            drain = ssd.engine.execute_tasks
-            patch.setattr(
-                ssd.engine,
-                "execute_tasks",
-                lambda tasks, **kwargs: drain(tasks, batch=False, **kwargs),
-            )
         service = ssd.service(window_us=400.0, policy="edf", maintenance=True)
         for round_idx in range(9):
             if round_idx == 3:

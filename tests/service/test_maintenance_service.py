@@ -11,19 +11,12 @@ run holding no live data, so probation re-admission starts empty.
 import numpy as np
 import pytest
 
+from reference_data_plane import GEOMETRY
 from repro.core.expressions import And, Operand, Xor, evaluate, or_all
 from repro.flash.faults import FaultConfig, FaultInjector
 from repro.flash.geometry import ChipGeometry
 from repro.service import QUARANTINED, HealthConfig
 from repro.ssd.maintenance import MaintenanceConfig
-
-GEOMETRY = ChipGeometry(
-    planes_per_die=1,
-    blocks_per_plane=16,
-    subblocks_per_block=2,
-    wordlines_per_string=8,
-    page_size_bits=80,
-)
 
 
 def _build(n_chips=3, n_bits=400, seed=5):

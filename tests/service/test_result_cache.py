@@ -28,9 +28,9 @@ GEOMETRY = ChipGeometry(
 )
 
 
-def make_ssd(n_chips=2, n_chunks=4, names="abcd", seed=0, packed=True):
+def make_ssd(n_chips=2, n_chunks=4, names="abcd", seed=0, **ssd_kwargs):
     ssd = SmallSsd(
-        n_chips=n_chips, geometry=GEOMETRY, seed=seed, packed=packed
+        n_chips=n_chips, geometry=GEOMETRY, seed=seed, **ssd_kwargs
     )
     rng = np.random.default_rng(seed + 100)
     env = {}
@@ -252,9 +252,11 @@ class TestResultCacheUnit:
             ResultCache(ssd, capacity=0)
 
     def test_unpacked_plane_never_caches(self):
-        """``packed=False`` is the equivalence oracle; it must keep
-        executing even with the cache nominally enabled."""
-        ssd, env = make_ssd(packed=False)
+        """An error-injecting SSD -- the V_TH plane the one-byte-per-bit
+        latches used to serve -- senses draws, and a memoized draw
+        would change the error statistics: it must keep executing even
+        with the cache nominally enabled."""
+        ssd, env = make_ssd(inject_errors=True)
         service = ssd.service(window_us=50.0, result_cache=True)
         expr = And(Operand("a"), Operand("b"))
         run_window(service, [expr])

@@ -28,10 +28,8 @@ GEOMETRY = ChipGeometry(
 )
 
 
-def make_ssd(n_chips=2, n_chunks=4, names="abcd", seed=0, packed=True):
-    ssd = SmallSsd(
-        n_chips=n_chips, geometry=GEOMETRY, seed=seed, packed=packed
-    )
+def make_ssd(n_chips=2, n_chunks=4, names="abcd", seed=0):
+    ssd = SmallSsd(n_chips=n_chips, geometry=GEOMETRY, seed=seed)
     rng = np.random.default_rng(seed + 100)
     env = {}
     for name in names:

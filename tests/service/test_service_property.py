@@ -3,13 +3,15 @@
 For arbitrary arrival orders, window sizes, scheduling policies, and
 shared-sense dedup on/off, every query served by the windowed,
 scheduled, deduplicated service must exactly match what the
-synchronous ``SmallSsd.query`` oracle returns for the same expression
--- on both the packed (uint64) and unpacked (byte) data planes.
+synchronous oracle returns for the same expression -- both the packed
+``SmallSsd.query`` and ``reference_data_plane.vth_query``, which
+evaluates every sense through the V_TH comparison (``force_vth``).
 """
 
 import numpy as np
 import pytest
 
+from reference_data_plane import vth_query
 from repro.core.expressions import And, Not, Operand, evaluate, or_all
 from repro.flash.geometry import ChipGeometry
 from repro.ssd.controller import SmallSsd
@@ -23,7 +25,7 @@ GEOMETRY = ChipGeometry(
 )
 
 
-def build_scenario(rng, *, packed):
+def build_scenario(rng):
     """Random SSD + mixed expression pool with repeated shapes."""
     n_chips = int(rng.integers(1, 4))
     n_chunks = int(rng.integers(1, 6))
@@ -34,7 +36,6 @@ def build_scenario(rng, *, packed):
         n_chips=n_chips,
         geometry=GEOMETRY,
         seed=int(rng.integers(1 << 16)),
-        packed=packed,
     )
     names = [f"v{i}" for i in range(4)]
     env = {}
@@ -57,8 +58,11 @@ def build_scenario(rng, *, packed):
 @pytest.mark.parametrize("packed", [True, False])
 @pytest.mark.parametrize("seed", range(12))
 def test_service_matches_synchronous_oracle(seed, packed):
+    """``packed`` picks the oracle: the packed query, or the V_TH
+    one."""
     rng = np.random.default_rng(2000 + seed)
-    ssd, env, pool = build_scenario(rng, packed=packed)
+    ssd, env, pool = build_scenario(rng)
+    query = ssd.query if packed else lambda expr: vth_query(ssd, expr)
 
     policy = ("fifo", "balanced")[int(rng.integers(2))]
     share = bool(rng.integers(2))
@@ -85,7 +89,7 @@ def test_service_matches_synchronous_oracle(seed, packed):
     assert report.stats.n_queries == n_queries
     for served, expr in zip(report.queries, exprs):
         assert served.expr is expr
-        oracle = ssd.query(expr)
+        oracle = query(expr)
         np.testing.assert_array_equal(served.result.bits, oracle.bits)
         np.testing.assert_array_equal(
             served.result.bits, evaluate(expr, env)
@@ -100,7 +104,7 @@ def test_service_matches_synchronous_oracle(seed, packed):
     # query stream: executed + shared-away senses equals the unshared
     # sense count of the same stream.
     total = report.stats.n_senses + report.stats.shared_senses
-    unshared = sum(ssd.query(e).n_senses for e in exprs)
+    unshared = sum(query(e).n_senses for e in exprs)
     assert total == unshared
 
 
@@ -111,7 +115,7 @@ def test_shared_and_unshared_runs_agree(seed):
     results = {}
     for share in (True, False):
         rng = np.random.default_rng(3000 + seed)
-        ssd, env, pool = build_scenario(rng, packed=True)
+        ssd, env, pool = build_scenario(rng)
         service = ssd.service(
             window_us=200.0, policy="balanced", share_senses=share
         )

@@ -25,19 +25,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_data_plane import GEOMETRY
 from repro.core.expressions import And, Not, Operand, Xor, evaluate, or_all
 from repro.flash.faults import FaultConfig, FaultInjector
-from repro.flash.geometry import ChipGeometry
 from repro.service import QueryService
 from repro.ssd.controller import SmallSsd
 
-GEOMETRY = ChipGeometry(
-    planes_per_die=1,
-    blocks_per_plane=16,
-    subblocks_per_block=2,
-    wordlines_per_string=8,
-    page_size_bits=80,
-)
 VICTIM = 1
 
 

@@ -1,5 +1,5 @@
 """Randomized equivalence: batched window execution vs the scalar
-per-sense loop vs the ``SmallSsd.query`` oracle.
+per-sense walk vs the ``SmallSsd.query`` oracle.
 
 ``QueryEngine.execute_tasks`` now executes each chip's deduplicated
 queue through ``MwsExecutor.execute_batch`` -- whole-window tensor
@@ -7,10 +7,11 @@ senses plus lane-parallel latch replay.  These properties pin the
 batch plane to the reference semantics over arbitrary plan mixes
 (AND groups, inverse-stored ORs, inter-block ORs, OR-of-AND,
 AND-of-inverse-OR, XOR commands, ``Not``-wrapped inverse senses),
-random chip counts, chunk counts, share on/off, and both data planes:
+random chip counts, chunk counts, share on/off, and both ways of
+sensing:
 
-* outcome data, shared flags, and sense counts must match the scalar
-  loop exactly;
+* outcome data, shared flags, and sense counts must match the walk
+  (``reference_data_plane.walk_tasks``) exactly;
 * per-outcome latency/energy and the chips' cost counters must be
   *float-identical* (the batch path replays the scalar charge
   sequence, not an approximation of it);
@@ -20,71 +21,29 @@ random chip counts, chunk counts, share on/off, and both data planes:
 
 The 80-bit page geometry keeps padding words in play (pages that are
 not a multiple of 64 bits are the packed representation's trickiest
-configuration); ``packed=False`` runs exercise the batched V_TH plane
-(``MwsExecutor.execute_batch`` on an unpacked chip), which must stay bit- and
-float-identical to the per-sense loop too.
+configuration); ``vth`` runs serve every chip on the V_TH margin-read
+route (``force_vth``, no extra ladder senses) -- the batched V_TH
+plane on an error-free chip, which must stay bit- and float-identical
+to the per-plan degraded walk and to the packed oracle too.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.expressions import (
-    And,
-    Not,
-    Operand,
-    Xor,
-    and_all,
-    evaluate,
-    or_all,
+from reference_data_plane import (
+    GEOMETRY,
+    twin_expressions,
+    twin_ssd,
+    assembled,
+    assert_chips_equal,
+    assert_outcomes_equal,
+    walk_tasks,
+    window_tasks,
 )
-from repro.flash.geometry import ChipGeometry
+from repro.core.expressions import And, Operand, evaluate
+from repro.flash.faults import RecoveryPolicy
 from repro.flash.latches import LatchStateError
-from repro.ssd.controller import SmallSsd
-
-#: 80-bit pages: every packed page carries padding bits.
-GEOMETRY = ChipGeometry(
-    planes_per_die=1,
-    blocks_per_plane=16,
-    subblocks_per_block=2,
-    wordlines_per_string=8,
-    page_size_bits=80,
-)
-
-
-def _build_one(rng_seed, *, n_chips, n_bits, ssd_seed, packed):
-    """One SSD + operand environment, reproducible from the seeds so
-    twin SSDs hold identical data."""
-    rng = np.random.default_rng(rng_seed)
-    ssd = SmallSsd(
-        n_chips=n_chips, geometry=GEOMETRY, seed=ssd_seed, packed=packed
-    )
-    env = {}
-    for i in range(3):
-        env[f"a{i}"] = rng.integers(0, 2, n_bits, dtype=np.uint8)
-        ssd.write_vector(f"a{i}", env[f"a{i}"], group="g")
-    env["inv"] = rng.integers(0, 2, n_bits, dtype=np.uint8)
-    ssd.write_vector("inv", env["inv"], group="h", inverse=True)
-    env["solo"] = rng.integers(0, 2, n_bits, dtype=np.uint8)
-    ssd.write_vector("solo", env["solo"])
-    return ssd, env
-
-
-def _expression_pool():
-    """Every planner shape the batch plane must reproduce: direct AND
-    accumulation, inverse senses (Not), inter-block OR, OR-of-AND,
-    inverse-unit-first conjunctions, and the latch XOR command."""
-    a0, a1, a2 = Operand("a0"), Operand("a1"), Operand("a2")
-    inv, solo = Operand("inv"), Operand("solo")
-    return [
-        and_all([a0, a1, a2]),              # intra-block MWS
-        Not(And(a0, a1)),                   # inverse sense
-        or_all([And(a0, a1), solo]),        # OR-of-AND (Equation 1)
-        or_all([inv, solo]),                # inverse unit + direct unit
-        And(or_all([inv]), a0),             # inverse-first conjunction
-        Xor(a0, solo),                      # latch XOR command
-        Not(Xor(a1, solo)),                 # XNOR (inverse second half)
-        And(a0, a1),                        # repeated light shape
-    ]
+from repro.flash.packing import pack_rows
 
 
 def _scenario(seed):
@@ -96,7 +55,7 @@ def _scenario(seed):
     )
     ssd_seed = int(rng.integers(1 << 16))
     data_seed = int(rng.integers(1 << 16))
-    pool = _expression_pool()
+    pool = twin_expressions()
     window = [
         pool[int(rng.integers(len(pool)))]
         for _ in range(int(rng.integers(2, 9)))
@@ -112,109 +71,60 @@ def _scenario(seed):
     )
 
 
-def _prepare_window(ssd, window):
-    tasks, prepared = [], []
-    for query, expr in enumerate(window):
-        p = ssd.engine.prepare(expr)
-        prepared.append(p)
-        tasks.extend(p.tasks(query=query))
-    return tasks, prepared
-
-
-def _assemble(ssd, prepared, outcomes, query):
-    pieces = [None] * prepared[query].n_chunks
-    for outcome in outcomes:
-        if outcome.task.query == query:
-            pieces[outcome.task.chunk] = outcome.data
-    return ssd.engine.assemble_bits(prepared[query], pieces)
-
-
-@pytest.mark.parametrize("packed", [True, False])
+@pytest.mark.parametrize("vth", [True, False])
 @pytest.mark.parametrize("seed", range(14))
-def test_batch_window_matches_scalar_loop_and_oracle(seed, packed):
+def test_batch_window_matches_scalar_loop_and_oracle(seed, vth):
     s = _scenario(seed)
-    build = lambda: _build_one(  # noqa: E731 - twin factory
+    build = lambda: twin_ssd(  # noqa: E731 - twin factory
         s["data_seed"],
         n_chips=s["n_chips"],
         n_bits=s["n_bits"],
         ssd_seed=s["ssd_seed"],
-        packed=packed,
     )
     batch_ssd, env = build()
     loop_ssd, _ = build()
     oracle_ssd, _ = build()
 
-    batch_tasks, prepared = _prepare_window(batch_ssd, s["window"])
-    loop_tasks, _ = _prepare_window(loop_ssd, s["window"])
-
-    batch_out = batch_ssd.engine.execute_tasks(
-        batch_tasks, share=s["share"], batch=True
-    )
-    loop_out = loop_ssd.engine.execute_tasks(
-        loop_tasks, share=s["share"], batch=False
-    )
-
-    assert len(batch_out) == len(loop_out) == len(batch_tasks)
-    for b, l in zip(batch_out, loop_out):
-        assert b.task.query == l.task.query
-        assert b.shared == l.shared
-        assert b.n_senses == l.n_senses
-        # Float-identical, not approximately equal: the batch path
-        # replays the scalar charge sequence.
-        assert b.latency_us == l.latency_us
-        assert b.energy_nj == l.energy_nj
-        np.testing.assert_array_equal(b.data, l.data)
-
-    for query, expr in enumerate(s["window"]):
-        expected = evaluate(expr, env)
-        bits = _assemble(batch_ssd, prepared, batch_out, query)
-        np.testing.assert_array_equal(bits, expected)
-        np.testing.assert_array_equal(
-            oracle_ssd.query(expr).bits, expected
+    batch_tasks = window_tasks(batch_ssd, s["window"])
+    route = dict(share=s["share"])
+    if vth:
+        route.update(
+            degraded=range(s["n_chips"]),
+            recovery=RecoveryPolicy(degraded_extra_senses=0),
         )
+    batch_out = batch_ssd.engine.execute_tasks(batch_tasks, **route)
+    loop_out = walk_tasks(
+        loop_ssd.engine, window_tasks(loop_ssd, s["window"]), **route
+    )
+    # One dispatch per chip queue.
+    chips = len({task.chip for task in batch_tasks})
+    assert batch_ssd.engine.stats.executor_dispatches == chips
+    assert all(outcome.degraded == vth for outcome in batch_out)
+    # Float-identical, not approximately equal: the batch path replays
+    # the walk's charge sequence; the last plan's latch state lands.
+    assert_outcomes_equal(batch_out, loop_out)
+    assert_chips_equal(batch_ssd, loop_ssd)
 
-    for chip_b, chip_l in zip(batch_ssd.chips, loop_ssd.chips):
-        cb, cl = chip_b.counters, chip_l.counters
-        assert cb.senses == cl.senses
-        assert cb.wordlines_sensed == cl.wordlines_sensed
-        assert cb.transfers_out == cl.transfers_out
-        assert cb.busy_us == cl.busy_us
-        assert cb.energy_nj == cl.energy_nj
-        # Read-disturb accounting is per block and must agree too.
-        for addr in chip_b.plane_array.materialized():
-            assert (
-                chip_b.plane_array.block(addr).reads_since_erase
-                == chip_l.plane_array.block(addr).reads_since_erase
-            )
-        # The batched queue lands the last plan's latch state, so the
-        # banks read back identically afterwards.
-        for plane, bank_b in chip_b.latches.items():
-            bank_l = chip_l.latches[plane]
-            if bank_l._cache is None:
-                assert bank_b._cache is None
-            else:
-                np.testing.assert_array_equal(
-                    bank_b.cache_data, bank_l.cache_data
-                )
-                np.testing.assert_array_equal(
-                    bank_b.sense_data, bank_l.sense_data
-                )
+    bits = assembled(batch_ssd, s["window"], batch_out)
+    for expr, got in zip(s["window"], bits):
+        expected = evaluate(expr, env)
+        np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(oracle_ssd.query(expr).bits, expected)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_batch_dispatches_collapse_to_chip_count(seed):
     s = _scenario(seed)
-    ssd, _ = _build_one(
+    ssd, _ = twin_ssd(
         s["data_seed"],
         n_chips=s["n_chips"],
         n_bits=s["n_bits"],
         ssd_seed=s["ssd_seed"],
-        packed=True,
     )
-    tasks, _ = _prepare_window(ssd, s["window"])
+    tasks = window_tasks(ssd, s["window"])
     chips_touched = len({t.chip for t in tasks})
     before = ssd.engine.stats.executor_dispatches
-    ssd.engine.execute_tasks(tasks, share=True, batch=True)
+    ssd.engine.execute_tasks(tasks, share=True)
     assert (
         ssd.engine.stats.executor_dispatches - before == chips_touched
     )
@@ -222,16 +132,15 @@ def test_batch_dispatches_collapse_to_chip_count(seed):
 
 def test_shared_subscribers_reference_executed_data():
     s = _scenario(3)
-    ssd, _ = _build_one(
+    ssd, _ = twin_ssd(
         s["data_seed"],
         n_chips=2,
         n_bits=2 * GEOMETRY.page_size_bits,
         ssd_seed=1,
-        packed=True,
     )
     expr = And(Operand("a0"), Operand("a1"))
-    tasks, _ = _prepare_window(ssd, [expr, expr, expr])
-    outcomes = ssd.engine.execute_tasks(tasks, share=True, batch=True)
+    tasks = window_tasks(ssd, [expr, expr, expr])
+    outcomes = ssd.engine.execute_tasks(tasks, share=True)
     executed = [o for o in outcomes if not o.shared]
     shared = [o for o in outcomes if o.shared]
     assert executed and shared
@@ -250,7 +159,9 @@ def test_shared_subscribers_reference_executed_data():
 
 
 def test_sense_batch_refuses_vth_plane():
-    ssd, _ = _build_one(1, n_chips=1, n_bits=80, ssd_seed=1, packed=False)
+    ssd, _ = twin_ssd(
+        1, n_chips=1, n_bits=80, ssd_seed=1, inject_errors=True
+    )
     chip = ssd.chips[0]
     with pytest.raises(RuntimeError, match="packed error-free"):
         chip.execute_sense_batch([])
@@ -267,12 +178,8 @@ def test_sense_batch_rows_match_per_sense_outcomes(seed):
     identical read-disturb accounting."""
     rng = np.random.default_rng(40_000 + seed)
     data_seed = int(rng.integers(1 << 16))
-    batch_ssd, _ = _build_one(
-        data_seed, n_chips=1, n_bits=80, ssd_seed=3, packed=True
-    )
-    scalar_ssd, _ = _build_one(
-        data_seed, n_chips=1, n_bits=80, ssd_seed=3, packed=True
-    )
+    batch_ssd, _ = twin_ssd(data_seed, n_chips=1, n_bits=80, ssd_seed=3)
+    scalar_ssd, _ = twin_ssd(data_seed, n_chips=1, n_bits=80, ssd_seed=3)
 
     def targets_for(ssd):
         controller = ssd.controllers[0]
@@ -317,9 +224,10 @@ def test_sense_batch_rows_match_per_sense_outcomes(seed):
 
 
 def test_capture_batch_unpacked_matches_scalar_protocol():
-    """The unpacked bank replays the batched latch protocol over 0/1
-    byte matrices with the scalar bank's exact semantics (the batched
-    V_TH error plane's representation)."""
+    """The batched replay over packed rows of 0/1 matrices (what the
+    V_TH plane hands it, packed once) has the exact semantics of the
+    scalar protocol fed the same pages unpacked, one lane at a
+    time."""
     from repro.flash.chip import IscmFlags
     from repro.flash.latches import LatchBank
 
@@ -333,10 +241,12 @@ def test_capture_batch_unpacked_matches_scalar_protocol():
     matrices = [
         rng.integers(0, 2, (3, 80), dtype=np.uint8) for _ in range(3)
     ]
-    batch_bank = LatchBank(80, packed=False)
-    out = batch_bank.capture_batch(steps, matrices, land_lane=2)
+    batch_bank = LatchBank(80)
+    out = batch_bank.capture_batch(
+        steps, [pack_rows(m) for m in matrices], land_lane=2
+    )
     for lane in range(3):
-        bank = LatchBank(80, packed=False)
+        bank = LatchBank(80)
         sensed = iter(m[lane] for m in matrices)
         for step in steps:
             if step is None:
@@ -349,7 +259,7 @@ def test_capture_batch_unpacked_matches_scalar_protocol():
             bank.capture(next(sensed), inverse=step.inverse)
             if step.transfer:
                 bank.transfer_to_cache()
-        np.testing.assert_array_equal(out[lane], bank.cache_data)
+        np.testing.assert_array_equal(out[lane], bank.cache_words)
         if lane == 2:
             np.testing.assert_array_equal(
                 batch_bank.cache_data, bank.cache_data
@@ -363,7 +273,7 @@ def test_capture_batch_protocol_errors_match_scalar():
     from repro.flash.chip import IscmFlags
     from repro.flash.latches import LatchBank
 
-    bank = LatchBank(80, packed=True)
+    bank = LatchBank(80)
     rows = np.zeros((2, 2), dtype=np.uint64)
     # Inverse capture without S-latch init: rejected like the scalar
     # protocol.

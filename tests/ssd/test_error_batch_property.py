@@ -26,46 +26,38 @@ these properties pin down:
 import numpy as np
 import pytest
 
+from reference_data_plane import (
+    GEOMETRY,
+    assert_chips_equal,
+    assert_outcomes_equal,
+    twin_ssd,
+    walk_tasks,
+    window_tasks,
+)
 from repro.core.expressions import And, Not, Operand, Xor, and_all, or_all
 from repro.flash.array import BlockArray
 from repro.flash.errors import ErrorModel, OperatingCondition
 from repro.flash.faults import FaultConfig, FaultInjector, RecoveryPolicy
-from repro.flash.geometry import BlockAddress, ChipGeometry
+from repro.flash.geometry import BlockAddress
 from repro.flash.ispp import ProgramMode
 from repro.flash.sensing import SensingEngine
 from repro.ssd.controller import SmallSsd
 
-#: 80-bit pages: padding stays in play on the packed (degraded) plane.
-GEOMETRY = ChipGeometry(
-    planes_per_die=1,
-    blocks_per_plane=16,
-    subblocks_per_block=2,
-    wordlines_per_string=8,
-    page_size_bits=80,
-)
 
 #: A worn, retentive stress point so error injection actually corrupts
 #: bits (pristine conditions decode error-free by construction).
 STRESS = OperatingCondition(pe_cycles=3000, retention_months=6.0, reads=2000)
 
 
-def _build_one(data_seed, *, n_chips, n_bits, ssd_seed, injector=None):
-    rng = np.random.default_rng(data_seed)
-    ssd = SmallSsd(
-        n_chips=n_chips,
-        geometry=GEOMETRY,
-        seed=ssd_seed,
+def _noisy_ssd(data_seed, **kwargs):
+    """A twin SSD (no inverted operand) on the stressed V_TH plane."""
+    return twin_ssd(
+        data_seed,
+        inverted=False,
         inject_errors=True,
         condition=STRESS,
-        fault_injector=injector,
+        **kwargs,
     )
-    env = {}
-    for i in range(3):
-        env[f"a{i}"] = rng.integers(0, 2, n_bits, dtype=np.uint8)
-        ssd.write_vector(f"a{i}", env[f"a{i}"], group="g")
-    env["solo"] = rng.integers(0, 2, n_bits, dtype=np.uint8)
-    ssd.write_vector("solo", env["solo"])
-    return ssd, env
 
 
 def _expression_pool():
@@ -102,71 +94,13 @@ def _scenario(seed):
     )
 
 
-def _window_tasks(ssd, window):
-    tasks = []
-    for query, expr in enumerate(window):
-        tasks.extend(ssd.engine.prepare(expr).tasks(query=query))
-    return tasks
-
-
-def _assert_outcomes_identical(batch_out, loop_out):
-    assert len(batch_out) == len(loop_out)
-    for b, l in zip(batch_out, loop_out):
-        assert b.task.query == l.task.query
-        assert b.shared == l.shared
-        assert b.n_senses == l.n_senses
-        assert b.retries == l.retries
-        assert b.recovery_us == l.recovery_us
-        assert b.degraded == l.degraded
-        # Float-identical, not approximately equal: the batch path
-        # replays the scalar charge sequence.
-        assert b.latency_us == l.latency_us
-        assert b.energy_nj == l.energy_nj
-        assert type(b.error) is type(l.error)
-        if b.data is None:
-            assert l.data is None
-        else:
-            # Same draws -> the *same corrupted words*.
-            np.testing.assert_array_equal(b.data, l.data)
-
-
-def _assert_chips_identical(batch_ssd, loop_ssd):
-    for chip_b, chip_l in zip(batch_ssd.chips, loop_ssd.chips):
-        cb, cl = chip_b.counters, chip_l.counters
-        assert cb.senses == cl.senses
-        assert cb.wordlines_sensed == cl.wordlines_sensed
-        assert cb.transfers_out == cl.transfers_out
-        assert cb.busy_us == cl.busy_us
-        assert cb.energy_nj == cl.energy_nj
-        # The stochastic draw schedule is part of the contract: after
-        # the window both chips' RNG streams must be in the identical
-        # state, or a later window would diverge.
-        assert (
-            chip_b.sensing.rng.bit_generator.state
-            == chip_l.sensing.rng.bit_generator.state
-        )
-        for addr in chip_b.plane_array.materialized():
-            assert (
-                chip_b.plane_array.block(addr).reads_since_erase
-                == chip_l.plane_array.block(addr).reads_since_erase
-            )
-        for plane, bank_b in chip_b.latches.items():
-            bank_l = chip_l.latches[plane]
-            if bank_l._cache is None:
-                assert bank_b._cache is None
-            else:
-                np.testing.assert_array_equal(
-                    bank_b.cache_data, bank_l.cache_data
-                )
-
-
 @pytest.mark.parametrize("seed", range(8))
 def test_error_window_batch_matches_per_sense_loop(seed):
     """An error-injecting window drained batch-first is bit- and
     float-identical to the per-sense loop: same corrupted words, same
     costs, same post-window RNG state."""
     s = _scenario(seed)
-    build = lambda: _build_one(  # noqa: E731 - twin factory
+    build = lambda: _noisy_ssd(  # noqa: E731 - twin factory
         s["data_seed"],
         n_chips=s["n_chips"],
         n_bits=s["n_bits"],
@@ -175,17 +109,15 @@ def test_error_window_batch_matches_per_sense_loop(seed):
     batch_ssd, _ = build()
     loop_ssd, _ = build()
     batch_out = batch_ssd.engine.execute_tasks(
-        _window_tasks(batch_ssd, s["window"]),
-        share=s["share"],
-        batch=True,
+        window_tasks(batch_ssd, s["window"]), share=s["share"]
     )
-    loop_out = loop_ssd.engine.execute_tasks(
-        _window_tasks(loop_ssd, s["window"]),
+    loop_out = walk_tasks(
+        loop_ssd.engine,
+        window_tasks(loop_ssd, s["window"]),
         share=s["share"],
-        batch=False,
     )
-    _assert_outcomes_identical(batch_out, loop_out)
-    _assert_chips_identical(batch_ssd, loop_ssd)
+    assert_outcomes_equal(batch_out, loop_out)
+    assert_chips_equal(batch_ssd, loop_ssd)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -193,58 +125,57 @@ def test_error_batch_collapses_dispatches(seed):
     """The batched V_TH plane really batches: one executor dispatch
     per chip touched, versus one per unique plan on the scalar loop."""
     s = _scenario(seed)
-    ssd, _ = _build_one(
+    ssd, _ = _noisy_ssd(
         s["data_seed"],
         n_chips=s["n_chips"],
         n_bits=s["n_bits"],
         ssd_seed=s["ssd_seed"],
     )
-    tasks = _window_tasks(ssd, s["window"])
+    tasks = window_tasks(ssd, s["window"])
     chips_touched = len({t.chip for t in tasks})
     before = ssd.engine.stats.executor_dispatches
-    ssd.engine.execute_tasks(tasks, share=True, batch=True)
+    ssd.engine.execute_tasks(tasks, share=True)
     assert ssd.engine.stats.executor_dispatches - before == chips_touched
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_recovery_window_unaffected_by_batch_flag(seed):
     """With an active fault injector and a recovery policy the queue
-    runs per plan (fault draws are per attempt); the ``batch`` flag
+    runs per plan (fault draws are per attempt); forcing the walk
     must not change outcomes, retry counts, stall charges, or the
     fault-draw schedule."""
     s = _scenario(seed)
     make_injector = lambda: FaultInjector(  # noqa: E731
         FaultConfig(sense_fault_rate=0.25, stall_rate=0.3, seed=seed)
     )
-    batch_ssd, _ = _build_one(
+    batch_ssd, _ = _noisy_ssd(
         s["data_seed"],
         n_chips=s["n_chips"],
         n_bits=s["n_bits"],
         ssd_seed=s["ssd_seed"],
-        injector=make_injector(),
+        fault_injector=make_injector(),
     )
-    loop_ssd, _ = _build_one(
+    loop_ssd, _ = _noisy_ssd(
         s["data_seed"],
         n_chips=s["n_chips"],
         n_bits=s["n_bits"],
         ssd_seed=s["ssd_seed"],
-        injector=make_injector(),
+        fault_injector=make_injector(),
     )
     policy = RecoveryPolicy()
     batch_out = batch_ssd.engine.execute_tasks(
-        _window_tasks(batch_ssd, s["window"]),
+        window_tasks(batch_ssd, s["window"]),
         share=s["share"],
-        batch=True,
         recovery=policy,
     )
-    loop_out = loop_ssd.engine.execute_tasks(
-        _window_tasks(loop_ssd, s["window"]),
+    loop_out = walk_tasks(
+        loop_ssd.engine,
+        window_tasks(loop_ssd, s["window"]),
         share=s["share"],
-        batch=False,
         recovery=policy,
     )
-    _assert_outcomes_identical(batch_out, loop_out)
-    _assert_chips_identical(batch_ssd, loop_ssd)
+    assert_outcomes_equal(batch_out, loop_out)
+    assert_chips_equal(batch_ssd, loop_ssd)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -253,7 +184,7 @@ def test_degraded_chips_ride_the_batch_plane(seed):
     counters (including the extra-sense ladder), and dispatch collapse
     all match the per-plan degraded loop."""
     s = _scenario(seed)
-    build = lambda: SmallSsd(  # noqa: E731 - packed twins
+    build = lambda: SmallSsd(  # noqa: E731 - error-free twins
         n_chips=2, geometry=GEOMETRY, seed=s["ssd_seed"]
     )
     batch_ssd, loop_ssd = build(), build()
@@ -272,21 +203,20 @@ def test_degraded_chips_ride_the_batch_plane(seed):
     del rng
     policy = RecoveryPolicy(degraded_extra_senses=2)
     batch_out = batch_ssd.engine.execute_tasks(
-        _window_tasks(batch_ssd, s["window"]),
+        window_tasks(batch_ssd, s["window"]),
         share=s["share"],
-        batch=True,
         degraded=[0, 1],
         recovery=policy,
     )
-    loop_out = loop_ssd.engine.execute_tasks(
-        _window_tasks(loop_ssd, s["window"]),
+    loop_out = walk_tasks(
+        loop_ssd.engine,
+        window_tasks(loop_ssd, s["window"]),
         share=s["share"],
-        batch=False,
         degraded=[0, 1],
         recovery=policy,
     )
-    _assert_outcomes_identical(batch_out, loop_out)
-    _assert_chips_identical(batch_ssd, loop_ssd)
+    assert_outcomes_equal(batch_out, loop_out)
+    assert_chips_equal(batch_ssd, loop_ssd)
     assert all(o.degraded for o in batch_out if o.error is None)
     chips_touched = len({o.task.chip for o in batch_out})
     assert (
@@ -332,13 +262,13 @@ def test_degraded_bad_block_falls_back_to_per_plan_faults():
         share=True, degraded=[0, 1], recovery=RecoveryPolicy()
     )
     batch_out = batch_ssd.engine.execute_tasks(
-        _window_tasks(batch_ssd, s["window"]), batch=True, **kwargs
+        window_tasks(batch_ssd, s["window"]), **kwargs
     )
-    loop_out = loop_ssd.engine.execute_tasks(
-        _window_tasks(loop_ssd, s["window"]), batch=False, **kwargs
+    loop_out = walk_tasks(
+        loop_ssd.engine, window_tasks(loop_ssd, s["window"]), **kwargs
     )
-    _assert_outcomes_identical(batch_out, loop_out)
-    _assert_chips_identical(batch_ssd, loop_ssd)
+    assert_outcomes_equal(batch_out, loop_out)
+    assert_chips_equal(batch_ssd, loop_ssd)
     assert any(o.error is not None for o in batch_out)
 
 
@@ -407,9 +337,7 @@ def test_sense_batch_vth_mixed_conditions_match_scalar(seed):
         )
 
     scalar_blocks = _make_blocks(6, seed)
-    scalar_engine = SensingEngine(
-        ErrorModel(), rng=np.random.default_rng(17), packed=False
-    )
+    scalar_engine = SensingEngine(ErrorModel(), rng=np.random.default_rng(17))
     scalar_rows = [
         scalar_engine.inter_block_mws(
             [(scalar_blocks[b], wls) for b, wls in targets], condition
@@ -418,9 +346,7 @@ def test_sense_batch_vth_mixed_conditions_match_scalar(seed):
     ]
 
     batch_blocks = _make_blocks(6, seed)
-    batch_engine = SensingEngine(
-        ErrorModel(), rng=np.random.default_rng(17), packed=False
-    )
+    batch_engine = SensingEngine(ErrorModel(), rng=np.random.default_rng(17))
     out = batch_engine.sense_batch_vth(
         [
             [(batch_blocks[b], wls) for b, wls in targets]
@@ -452,9 +378,7 @@ def test_sense_batch_vth_mlc_falls_back_without_side_effects():
         rng.integers(0, 2, GEOMETRY.page_size_bits, dtype=np.uint8),
         rng.integers(0, 2, GEOMETRY.page_size_bits, dtype=np.uint8),
     )
-    engine = SensingEngine(
-        ErrorModel(), rng=np.random.default_rng(17), packed=False
-    )
+    engine = SensingEngine(ErrorModel(), rng=np.random.default_rng(17))
     state = engine.rng.bit_generator.state
     reads = [b.reads_since_erase for b in (*blocks, mlc)]
     out = engine.sense_batch_vth(
@@ -467,6 +391,6 @@ def test_sense_batch_vth_mlc_falls_back_without_side_effects():
 
 
 def test_sense_batch_vth_refuses_packed_error_free_plane():
-    engine = SensingEngine(ErrorModel(), inject_errors=False, packed=True)
+    engine = SensingEngine(ErrorModel(), inject_errors=False)
     with pytest.raises(RuntimeError, match="V_TH error plane"):
         engine.sense_batch_vth([], [])

@@ -21,6 +21,7 @@ The contract under test (see :mod:`repro.flash.faults`):
 import numpy as np
 import pytest
 
+from reference_data_plane import GEOMETRY, assembled, twin_ssd, window_tasks
 from repro.core.expressions import And, Not, Operand, Xor, evaluate, or_all
 from repro.flash.errors import (
     BadBlockFault,
@@ -30,34 +31,13 @@ from repro.flash.errors import (
     RetryExhaustedError,
 )
 from repro.flash.faults import FaultConfig, FaultInjector, RecoveryPolicy
-from repro.flash.geometry import ChipGeometry, WordlineAddress
+from repro.flash.geometry import WordlineAddress
 from repro.ssd.controller import SmallSsd
 from repro.ssd.events import StageJob, simulate_stages
 
-GEOMETRY = ChipGeometry(
-    planes_per_die=1,
-    blocks_per_plane=16,
-    subblocks_per_block=2,
-    wordlines_per_string=8,
-    page_size_bits=80,
-)
 
-
-def _build_one(data_seed, *, n_chips, n_bits, ssd_seed, injector=None):
-    rng = np.random.default_rng(data_seed)
-    ssd = SmallSsd(
-        n_chips=n_chips,
-        geometry=GEOMETRY,
-        seed=ssd_seed,
-        fault_injector=injector,
-    )
-    env = {}
-    for i in range(3):
-        env[f"a{i}"] = rng.integers(0, 2, n_bits, dtype=np.uint8)
-        ssd.write_vector(f"a{i}", env[f"a{i}"], group="g")
-    env["solo"] = rng.integers(0, 2, n_bits, dtype=np.uint8)
-    ssd.write_vector("solo", env["solo"])
-    return ssd, env
+def _build_one(data_seed, **kwargs):
+    return twin_ssd(data_seed, inverted=False, **kwargs)
 
 
 def _expression_pool():
@@ -101,11 +81,7 @@ def _window_outcomes(ssd, window, *, reverse_chips=False, **kwargs):
     """One window's outcomes in task order; ``reverse_chips`` lists the
     chips' queues last chip first (each queue's own order kept), so
     the chips drain in the reverse order."""
-    tasks, prepared = [], []
-    for query, expr in enumerate(window):
-        p = ssd.engine.prepare(expr)
-        prepared.append(p)
-        tasks.extend(p.tasks(query=query))
+    tasks = window_tasks(ssd, window)
     order = list(range(len(tasks)))
     if reverse_chips:
         order.sort(key=lambda i: -tasks[i].chip)
@@ -113,7 +89,7 @@ def _window_outcomes(ssd, window, *, reverse_chips=False, **kwargs):
     outcomes = [None] * len(tasks)
     for position, outcome in zip(order, drained):
         outcomes[position] = outcome
-    return outcomes, prepared
+    return outcomes
 
 
 def _assert_outcomes_identical(lhs, rhs):
@@ -153,14 +129,14 @@ def test_inactive_injector_float_exact_vs_no_injector(seed):
         n_chips=s["n_chips"],
         n_bits=s["n_bits"],
         ssd_seed=s["ssd_seed"],
-        injector=idle,
+        fault_injector=idle,
     )
-    bare, _ = _window_outcomes(
+    bare = _window_outcomes(
         bare_ssd, s["window"], share=s["share"]
     )
     # Even an explicit recovery policy must not disturb the fast path
     # while the injector is inactive.
-    twin, _ = _window_outcomes(
+    twin = _window_outcomes(
         twin_ssd,
         s["window"],
         share=s["share"],
@@ -193,24 +169,18 @@ def test_faulted_window_completed_chunks_match_oracle(seed):
         n_chips=s["n_chips"],
         n_bits=s["n_bits"],
         ssd_seed=s["ssd_seed"],
-        injector=injector,
+        fault_injector=injector,
     )
-    outcomes, prepared = _window_outcomes(
+    outcomes = _window_outcomes(
         ssd,
         s["window"],
         share=s["share"],
         recovery=RecoveryPolicy(),
     )
     # Degraded-mode fallback means every chunk must complete here.
-    for query, expr in enumerate(s["window"]):
-        expected = evaluate(expr, env)
-        pieces = [None] * prepared[query].n_chunks
-        for outcome in outcomes:
-            if outcome.task.query == query:
-                assert outcome.error is None
-                pieces[outcome.task.chunk] = outcome.data
-        bits = ssd.engine.assemble_bits(prepared[query], pieces)
-        np.testing.assert_array_equal(bits, expected)
+    assert all(outcome.error is None for outcome in outcomes)
+    for expr, bits in zip(s["window"], assembled(ssd, s["window"], outcomes)):
+        np.testing.assert_array_equal(bits, evaluate(expr, env))
     # Any retry charged real chip time plus controller backoff.
     for outcome in outcomes:
         if outcome.retries and not outcome.shared:
@@ -228,9 +198,9 @@ def test_retry_exhaustion_surfaces_typed_error(seed):
         n_chips=s["n_chips"],
         n_bits=s["n_bits"],
         ssd_seed=s["ssd_seed"],
-        injector=injector,
+        fault_injector=injector,
     )
-    outcomes, _ = _window_outcomes(
+    outcomes = _window_outcomes(
         ssd,
         s["window"],
         recovery=RecoveryPolicy(max_retries=2, degraded_mode=False),
@@ -249,9 +219,7 @@ def test_offline_chips_fail_fast_with_typed_error():
         n_bits=s["n_bits"],
         ssd_seed=s["ssd_seed"],
     )
-    outcomes, prepared = _window_outcomes(
-        ssd, s["window"], offline=[0]
-    )
+    outcomes = _window_outcomes(ssd, s["window"], offline=[0])
     for outcome in outcomes:
         if outcome.task.chip == 0:
             assert isinstance(outcome.error, ChipUnavailableError)
@@ -274,26 +242,19 @@ def test_degraded_chips_serve_bit_identical_results(seed):
         n_chips=s["n_chips"],
         n_bits=s["n_bits"],
         ssd_seed=s["ssd_seed"],
-        injector=injector,
+        fault_injector=injector,
     )
     # Every chip degraded: the whole window runs on the V_TH path,
     # which is immune to the (certain) transient faults above.
-    outcomes, prepared = _window_outcomes(
+    outcomes = _window_outcomes(
         ssd,
         s["window"],
         recovery=RecoveryPolicy(),
         degraded=range(s["n_chips"]),
     )
-    for query, expr in enumerate(s["window"]):
-        expected = evaluate(expr, env)
-        pieces = [None] * prepared[query].n_chunks
-        for outcome in outcomes:
-            if outcome.task.query == query:
-                assert outcome.error is None
-                assert outcome.degraded
-                pieces[outcome.task.chunk] = outcome.data
-        bits = ssd.engine.assemble_bits(prepared[query], pieces)
-        np.testing.assert_array_equal(bits, expected)
+    assert all(o.error is None and o.degraded for o in outcomes)
+    for expr, bits in zip(s["window"], assembled(ssd, s["window"], outcomes)):
+        np.testing.assert_array_equal(bits, evaluate(expr, env))
 
 
 # ----------------------------------------------------------------------
@@ -320,9 +281,9 @@ def test_fault_schedule_replays_identically_in_any_chip_order(seed):
             n_chips=s["n_chips"],
             n_bits=s["n_bits"],
             ssd_seed=s["ssd_seed"],
-            injector=injector,
+            fault_injector=injector,
         )
-        outcomes, _ = _window_outcomes(
+        outcomes = _window_outcomes(
             ssd,
             s["window"],
             reverse_chips=reverse_chips,

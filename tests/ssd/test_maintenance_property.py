@@ -13,18 +13,11 @@ through the service, every result checked against the oracle.
 import numpy as np
 import pytest
 
+from reference_data_plane import GEOMETRY
 from repro.core.api import AllocationError
 from repro.core.expressions import And, Operand, and_all, evaluate, or_all
-from repro.flash.geometry import ChipGeometry
 from repro.ssd.controller import SmallSsd
 
-GEOMETRY = ChipGeometry(
-    planes_per_die=1,
-    blocks_per_plane=16,
-    subblocks_per_block=2,
-    wordlines_per_string=8,
-    page_size_bits=80,
-)
 
 N_TRIALS = 12
 N_STEPS = 30

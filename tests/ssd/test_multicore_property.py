@@ -9,19 +9,9 @@ a window it did not finish.
 import numpy as np
 import pytest
 
+from reference_data_plane import GEOMETRY
 from repro.core.expressions import And, Operand
-from repro.flash.geometry import ChipGeometry
 from repro.ssd.controller import SmallSsd
-
-#: 80-bit pages keep packed-padding words in play, as in the batch
-#: property suite.
-GEOMETRY = ChipGeometry(
-    planes_per_die=1,
-    blocks_per_plane=16,
-    subblocks_per_block=2,
-    wordlines_per_string=8,
-    page_size_bits=80,
-)
 
 
 def _window_tasks(n_chips=3):

@@ -1,20 +1,24 @@
-"""Randomized equivalence: packed uint64 backend vs the uint8/float
-path vs the NumPy oracle.
+"""Randomized equivalence: the packed uint64 word reduce vs the
+per-cell V_TH comparison vs the NumPy oracle.
 
-Every scenario is executed twice -- on a default (packed) SSD and on a
-``packed=False`` SSD whose senses evaluate through the V_TH matrix and
-whose latches hold one byte per bit, exactly the pre-packing data
-plane.  Results must be bit-identical to each other and to the NumPy
+Every scenario is executed twice on one SSD -- through ``query`` (error-
+free senses reduce packed word rows) and through
+``reference_data_plane.vth_query`` (every sense evaluated through the
+V_TH matrix, ``force_vth``, the way the retired one-byte-per-bit plane
+sensed).  Results must be bit-identical to each other and to the NumPy
 oracle, across expression shapes (AND groups, inverse-stored ORs,
 inter-block ORs, mixed OR-of-AND, XOR commands), inverse senses
 (``Not`` plans), and unaligned vector lengths that exercise the
 zero-padded final chunk.  Cost accounting (sense counts, latency) must
-also agree: packing changes the representation, never the commands.
+also agree: how a sense is evaluated never changes the commands.
 """
+
+import inspect
 
 import numpy as np
 import pytest
 
+from reference_data_plane import GEOMETRY, assembled, vth_query, window_tasks
 from repro.core.expressions import (
     And,
     Not,
@@ -24,25 +28,15 @@ from repro.core.expressions import (
     evaluate,
     or_all,
 )
-from repro.flash.geometry import ChipGeometry
 from repro.ssd.controller import SmallSsd
 
-#: Page of 80 bits: not a multiple of 64, so every packed page carries
-#: padding bits -- the representation's trickiest configuration.
-GEOMETRY = ChipGeometry(
-    planes_per_die=1,
-    blocks_per_plane=16,
-    subblocks_per_block=2,
-    wordlines_per_string=8,
-    page_size_bits=80,
-)
 
 PATTERNS = ("and_group", "or_inverse_group", "or_blocks", "mixed", "xor")
 
 
 def build_pair(rng):
-    """One random scenario materialized on a packed and an unpacked
-    SSD with identical data, plus the oracle environment."""
+    """One random scenario materialized on twin SSDs with identical
+    data (one per way of sensing), plus the oracle environment."""
     n_chips = int(rng.integers(1, 4))
     n_chunks = int(rng.integers(1, 6))
     n_bits = n_chunks * GEOMETRY.page_size_bits - int(
@@ -50,10 +44,8 @@ def build_pair(rng):
     )
     seed = int(rng.integers(1 << 16))
     ssds = [
-        SmallSsd(
-            n_chips=n_chips, geometry=GEOMETRY, seed=seed, packed=packed
-        )
-        for packed in (True, False)
+        SmallSsd(n_chips=n_chips, geometry=GEOMETRY, seed=seed)
+        for _ in range(2)
     ]
     pattern = PATTERNS[int(rng.integers(len(PATTERNS)))]
     n_ops = int(rng.integers(2, 5))
@@ -104,19 +96,17 @@ def test_packed_backend_matches_uint8_path(seed):
     expected = evaluate(expr, env)
 
     packed_result = packed_ssd.query(expr)
-    plain_result = plain_ssd.query(expr)
+    plain_result = vth_query(plain_ssd, expr)
 
     np.testing.assert_array_equal(packed_result.bits, expected)
     np.testing.assert_array_equal(plain_result.bits, expected)
     np.testing.assert_array_equal(packed_result.bits, plain_result.bits)
 
-    # Packing changes the representation, not the command stream: both
-    # planes issue identical senses at identical modeled cost.
+    # The evaluation method is not the command stream: both issue
+    # identical senses at identical modeled cost.
     assert packed_result.n_senses == plain_result.n_senses
-    assert packed_result.latency_us == pytest.approx(
-        plain_result.latency_us
-    )
-    assert packed_result.energy_nj == pytest.approx(plain_result.energy_nj)
+    assert packed_result.latency_us == plain_result.latency_us
+    assert packed_result.energy_nj == plain_result.energy_nj
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -125,7 +115,10 @@ def test_packed_read_vector_matches_uint8_path(seed):
     (packed_ssd, plain_ssd), env, _ = build_pair(rng)
     for name, bits in env.items():
         np.testing.assert_array_equal(packed_ssd.read_vector(name), bits)
-        np.testing.assert_array_equal(plain_ssd.read_vector(name), bits)
+        # A bare operand is a read: through the V_TH comparison here.
+        np.testing.assert_array_equal(
+            vth_query(plain_ssd, Operand(name)).bits, bits
+        )
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -133,7 +126,34 @@ def test_packed_batch_matches_uint8_path(seed):
     rng = np.random.default_rng(9000 + seed)
     (packed_ssd, plain_ssd), env, expr = build_pair(rng)
     expected = evaluate(expr, env)
-    for ssd in (packed_ssd, plain_ssd):
-        batch = ssd.engine.query_batch([expr, expr])
-        for result in batch.results:
-            np.testing.assert_array_equal(result.bits, expected)
+    for result in packed_ssd.engine.query_batch([expr, expr]).results:
+        np.testing.assert_array_equal(result.bits, expected)
+    # The same stream on the V_TH plane: every chip on margin reads.
+    window = [expr, expr]
+    outcomes = plain_ssd.engine.execute_tasks(
+        window_tasks(plain_ssd, window), degraded=range(len(plain_ssd.chips))
+    )
+    assert all(outcome.degraded for outcome in outcomes)
+    for bits in assembled(plain_ssd, window, outcomes):
+        np.testing.assert_array_equal(bits, expected)
+
+
+def test_no_second_data_plane_option():
+    """One data plane, no switch back: no constructor takes ``packed``
+    and the drain takes no ``batch``."""
+    from repro.ecc.page_codec import PageCodec
+    from repro.flash.chip import NandFlashChip
+    from repro.flash.latches import LatchBank
+    from repro.flash.sensing import SensingEngine
+    from repro.ssd.query_engine import QueryEngine
+
+    for api in (
+        SmallSsd,
+        NandFlashChip,
+        SensingEngine,
+        LatchBank,
+        PageCodec,
+        QueryEngine.execute_tasks,
+    ):
+        parameters = inspect.signature(api).parameters
+        assert not {"packed", "batch"} & parameters.keys(), api

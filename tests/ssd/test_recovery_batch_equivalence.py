@@ -1,10 +1,11 @@
 """The batched fault-recovery drain equals the scalar retry loop.
 
-``execute_tasks(batch=True, recovery=...)`` pre-draws each chip's
-attempt schedule and drains the queue as one vectorised dispatch;
-``batch=False`` runs :meth:`QueryEngine._sense_scalar` plan by
-plan.  On two identically seeded SSDs the two must agree on everything
-a later window, a later write or the health plane could observe --
+``execute_tasks(recovery=...)`` pre-draws each chip's attempt
+schedule and drains the queue as one vectorised dispatch; on the
+forced walk (``reference_data_plane.walk_tasks``) it runs
+:meth:`QueryEngine._sense_scalar` plan by plan.  On two identically
+seeded SSDs the two must agree on everything a later window, a later
+write or the health plane could observe --
 every comparison below is ``==``, never ``approx``:
 
 * every :class:`ChunkOutcome` field (data bits, senses, latency,
@@ -22,20 +23,19 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_data_plane import (
+    GEOMETRY,
+    assert_chips_equal,
+    assert_outcomes_equal,
+    route,
+    walk_tasks,
+    window_tasks,
+)
 from repro.core.expressions import And, Not, Operand, Xor, or_all
 from repro.flash.errors import FlashFault, RetryExhaustedError
 from repro.flash.faults import FaultConfig, FaultInjector, RecoveryPolicy
-from repro.flash.geometry import ChipGeometry
-from repro.flash.latches import LatchStateError
 from repro.ssd.controller import SmallSsd
 
-GEOMETRY = ChipGeometry(
-    planes_per_die=1,
-    blocks_per_plane=16,
-    subblocks_per_block=2,
-    wordlines_per_string=8,
-    page_size_bits=80,
-)
 
 _A = [Operand(f"a{i}") for i in range(3)]
 _SOLO = Operand("solo")
@@ -120,13 +120,6 @@ def _build(s):
     return ssd
 
 
-def _tasks(ssd, window):
-    tasks = []
-    for query, expr in enumerate(window):
-        tasks.extend(ssd.engine.prepare(expr).tasks(query=query))
-    return tasks
-
-
 def _write_between_windows(ssd, index):
     """A write that may draw a program fault off the same per-chip
     streams the sense draws use; returns what it raised."""
@@ -138,56 +131,17 @@ def _write_between_windows(ssd, index):
     return None
 
 
-def assert_outcomes_equal(batched, scalar):
-    assert len(batched) == len(scalar)
-    for b, s in zip(batched, scalar):
-        assert b.task == s.task
-        assert (b.data is None) == (s.data is None)
-        if b.data is not None:
-            np.testing.assert_array_equal(b.data, s.data)
-        assert b[2:10] == s[2:10]  # n_senses .. degraded
-        assert type(b.error) is type(s.error)
-        assert b.reconstructed == s.reconstructed
-
-
-def _latch_words(bank):
-    """(C-latch, S-latch) words; ``None`` for a latch never loaded."""
-    out = []
-    for name in ("cache_words", "sense_words"):
-        try:
-            out.append(getattr(bank, name))
-        except LatchStateError:
-            out.append(None)
-    return out
-
-
 def assert_ssds_equal(batched, scalar):
     inj_b, inj_s = batched.fault_injector, scalar.fault_injector
     assert inj_b.counts() == inj_s.counts()
     assert inj_b._rngs.keys() == inj_s._rngs.keys()
-    for chip_id, (chip_b, chip_s) in enumerate(
-        zip(batched.chips, scalar.chips)
-    ):
-        assert chip_b.counters == chip_s.counters
+    for chip_id, rng in inj_b._rngs.items():
         assert inj_b.counts(chip_id) == inj_s.counts(chip_id)
-        if chip_id in inj_b._rngs:
-            assert (
-                inj_b._rngs[chip_id].bit_generator.state
-                == inj_s._rngs[chip_id].bit_generator.state
-            )
-        blocks_b = chip_b.plane_array._blocks
-        blocks_s = chip_s.plane_array._blocks
-        assert blocks_b.keys() == blocks_s.keys()
-        for address, block in blocks_b.items():
-            assert (
-                block.reads_since_erase
-                == blocks_s[address].reads_since_erase
-            )
-        for plane, bank in chip_b.latches.items():
-            for mine, theirs in zip(
-                _latch_words(bank), _latch_words(chip_s.latches[plane])
-            ):
-                np.testing.assert_array_equal(mine, theirs)
+        assert (
+            rng.bit_generator.state
+            == inj_s._rngs[chip_id].bit_generator.state
+        )
+    assert_chips_equal(batched, scalar)
 
 
 def run_both(s):
@@ -206,10 +160,10 @@ def run_both(s):
     all_batched = []
     for index, window in enumerate(s["windows"]):
         out_b = batched.engine.execute_tasks(
-            _tasks(batched, window), batch=True, **kwargs
+            window_tasks(batched, window), **kwargs
         )
-        out_s = scalar.engine.execute_tasks(
-            _tasks(scalar, window), batch=False, **kwargs
+        out_s = walk_tasks(
+            scalar.engine, window_tasks(scalar, window), **kwargs
         )
         assert_outcomes_equal(out_b, out_s)
         assert_ssds_equal(batched, scalar)
@@ -296,15 +250,16 @@ def test_bad_block_probe_on_a_degraded_chip_counts_no_fault():
     """Regression: the degraded batch's pre-check used the counting
     ``is_bad_block`` hook and then fell back to the scalar loop, which
     hit the block again -- ``bad_block_hits`` (hence
-    ``flash.faults_injected``) depended on the batch flag."""
+    ``flash.faults_injected``) depended on the route."""
     counts = {}
     for batch in (True, False):
         ssd = _build(
             _fixed(n_chips=1, n_chunks=1, sense_fault_rate=0.01, bad_chunk=0)
         )
-        outcomes = ssd.engine.execute_tasks(
-            _tasks(ssd, [_A[1]]), batch=batch, degraded=(0,)
-        )
+        with route(batch):
+            outcomes = ssd.engine.execute_tasks(
+                window_tasks(ssd, [_A[1]]), degraded=(0,)
+            )
         assert outcomes[0].error is not None
         counts[batch] = ssd.fault_injector.counts()
     assert counts[True] == counts[False]

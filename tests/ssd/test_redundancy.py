@@ -79,8 +79,10 @@ def test_parity_page_is_wordwise_xor_of_group():
 
 
 def test_parity_requires_packed_plane_and_two_chips():
-    with pytest.raises(ValueError):
-        SmallSsd(n_chips=4, geometry=GEOMETRY, packed=False, parity=True)
+    with pytest.raises(ValueError, match="error-free chips"):
+        SmallSsd(
+            n_chips=4, geometry=GEOMETRY, inject_errors=True, parity=True
+        )
     with pytest.raises(ValueError):
         SmallSsd(n_chips=1, geometry=GEOMETRY, parity=True)
 

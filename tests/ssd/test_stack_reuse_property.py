@@ -32,52 +32,19 @@ properties pin that contract:
 import numpy as np
 import pytest
 
-from repro.core.expressions import And, Not, Operand, Xor, and_all, or_all
-from repro.flash.faults import FaultConfig, FaultInjector
-from repro.flash.geometry import BlockAddress, ChipGeometry
-from repro.flash.randomizer import LfsrRandomizer
-from repro.ssd.controller import SmallSsd
-from repro.ssd.query_engine import StackCache
-
-#: 80-bit pages keep packed padding words in play.
-GEOMETRY = ChipGeometry(
-    planes_per_die=1,
-    blocks_per_plane=16,
-    subblocks_per_block=2,
-    wordlines_per_string=8,
-    page_size_bits=80,
+from reference_data_plane import (
+    GEOMETRY,
+    twin_expressions,
+    twin_ssd,
+    assert_chips_equal,
+    assert_outcomes_equal,
+    walk_tasks,
+    window_tasks,
 )
-
-
-def _build_one(rng_seed, *, n_chips, n_bits, ssd_seed, packed=True):
-    rng = np.random.default_rng(rng_seed)
-    ssd = SmallSsd(
-        n_chips=n_chips, geometry=GEOMETRY, seed=ssd_seed, packed=packed
-    )
-    env = {}
-    for i in range(3):
-        env[f"a{i}"] = rng.integers(0, 2, n_bits, dtype=np.uint8)
-        ssd.write_vector(f"a{i}", env[f"a{i}"], group="g")
-    env["inv"] = rng.integers(0, 2, n_bits, dtype=np.uint8)
-    ssd.write_vector("inv", env["inv"], group="h", inverse=True)
-    env["solo"] = rng.integers(0, 2, n_bits, dtype=np.uint8)
-    ssd.write_vector("solo", env["solo"])
-    return ssd, env
-
-
-def _expression_pool():
-    a0, a1, a2 = Operand("a0"), Operand("a1"), Operand("a2")
-    inv, solo = Operand("inv"), Operand("solo")
-    return [
-        and_all([a0, a1, a2]),
-        Not(And(a0, a1)),
-        or_all([And(a0, a1), solo]),
-        or_all([inv, solo]),
-        And(or_all([inv]), a0),
-        Xor(a0, solo),
-        Not(Xor(a1, solo)),
-        And(a0, a1),
-    ]
+from repro.flash.faults import FaultConfig, FaultInjector
+from repro.flash.geometry import BlockAddress
+from repro.flash.randomizer import LfsrRandomizer
+from repro.ssd.query_engine import StackCache
 
 
 def _scenario(seed):
@@ -87,7 +54,7 @@ def _scenario(seed):
     n_bits = n_chunks * GEOMETRY.page_size_bits - int(
         rng.integers(0, GEOMETRY.page_size_bits - 1)
     )
-    pool = _expression_pool()
+    pool = twin_expressions()
     windows = []
     for _ in range(int(rng.integers(2, 5))):
         windows.append(
@@ -105,47 +72,8 @@ def _scenario(seed):
     )
 
 
-def _tasks(ssd, window):
-    tasks = []
-    for query, expr in enumerate(window):
-        tasks.extend(ssd.engine.prepare(expr).tasks(query=query))
-    return tasks
-
-
-def _assert_ssd_state_equal(reuse_ssd, fresh_ssd):
-    for chip_r, chip_f in zip(reuse_ssd.chips, fresh_ssd.chips):
-        cr, cf = chip_r.counters, chip_f.counters
-        assert cr.senses == cf.senses
-        assert cr.wordlines_sensed == cf.wordlines_sensed
-        assert cr.busy_us == cf.busy_us
-        assert cr.energy_nj == cf.energy_nj
-        for addr in chip_f.plane_array.materialized():
-            assert (
-                chip_r.plane_array.block(addr).reads_since_erase
-                == chip_f.plane_array.block(addr).reads_since_erase
-            )
-        for plane, bank_f in chip_f.latches.items():
-            bank_r = chip_r.latches[plane]
-            if bank_f._cache is None:
-                assert bank_r._cache is None
-            else:
-                np.testing.assert_array_equal(
-                    bank_r.cache_data, bank_f.cache_data
-                )
-                np.testing.assert_array_equal(
-                    bank_r.sense_data, bank_f.sense_data
-                )
-
-
-def _assert_outcomes_equal(out_r, out_f):
-    assert len(out_r) == len(out_f)
-    for r, f in zip(out_r, out_f):
-        assert r.task == f.task
-        assert r.shared == f.shared
-        assert r.n_senses == f.n_senses
-        assert r.latency_us == f.latency_us
-        assert r.energy_nj == f.energy_nj
-        np.testing.assert_array_equal(r.data, f.data)
+def _drain(ssd, window):
+    return ssd.engine.execute_tasks(window_tasks(ssd, window))
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -154,7 +82,7 @@ def test_reuse_windows_match_fresh_stack_twin(seed):
     float-, and counter-identical to a reuse-off twin; the reuse twin
     records hits and restacks strictly fewer tensors."""
     s = _scenario(seed)
-    build = lambda: _build_one(  # noqa: E731 - twin factory
+    build = lambda: twin_ssd(  # noqa: E731 - twin factory
         s["data_seed"],
         n_chips=s["n_chips"],
         n_bits=s["n_bits"],
@@ -169,10 +97,10 @@ def test_reuse_windows_match_fresh_stack_twin(seed):
     # overlap: the pool repeats shapes).
     for window in s["windows"]:
         for _ in range(2):
-            out_r = reuse_ssd.engine.execute_tasks(_tasks(reuse_ssd, window))
-            out_f = fresh_ssd.engine.execute_tasks(_tasks(fresh_ssd, window))
-            _assert_outcomes_equal(out_r, out_f)
-    _assert_ssd_state_equal(reuse_ssd, fresh_ssd)
+            out_r = _drain(reuse_ssd, window)
+            out_f = _drain(fresh_ssd, window)
+            assert_outcomes_equal(out_r, out_f)
+    assert_chips_equal(reuse_ssd, fresh_ssd)
 
     stats_r = reuse_ssd.engine.stats
     stats_f = fresh_ssd.engine.stats
@@ -184,10 +112,10 @@ def test_reuse_windows_match_fresh_stack_twin(seed):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_reuse_invisible_to_scalar_loop_oracle(seed):
-    """A reuse-on batched drain still matches the per-sense scalar
-    loop (the original oracle) across repeated windows."""
+    """A reuse-on batched drain still matches the per-sense walk (the
+    original oracle) across repeated windows."""
     s = _scenario(seed)
-    build = lambda: _build_one(  # noqa: E731
+    build = lambda: twin_ssd(  # noqa: E731
         s["data_seed"],
         n_chips=s["n_chips"],
         n_bits=s["n_bits"],
@@ -197,22 +125,18 @@ def test_reuse_invisible_to_scalar_loop_oracle(seed):
     loop_ssd, _ = build()
     window = s["windows"][0]
     for _ in range(3):
-        out_r = reuse_ssd.engine.execute_tasks(
-            _tasks(reuse_ssd, window), batch=True
-        )
-        out_l = loop_ssd.engine.execute_tasks(
-            _tasks(loop_ssd, window), batch=False
-        )
-        _assert_outcomes_equal(out_r, out_l)
-    _assert_ssd_state_equal(reuse_ssd, loop_ssd)
+        out_r = _drain(reuse_ssd, window)
+        out_l = walk_tasks(loop_ssd.engine, window_tasks(loop_ssd, window))
+        assert_outcomes_equal(out_r, out_l)
+    assert_chips_equal(reuse_ssd, loop_ssd)
     assert reuse_ssd.engine.stats.stack_reuse_hits > 0
 
 
 def _run_twin_windows(reuse_ssd, fresh_ssd, window, repeats=1):
     for _ in range(repeats):
-        out_r = reuse_ssd.engine.execute_tasks(_tasks(reuse_ssd, window))
-        out_f = fresh_ssd.engine.execute_tasks(_tasks(fresh_ssd, window))
-        _assert_outcomes_equal(out_r, out_f)
+        out_r = _drain(reuse_ssd, window)
+        out_f = _drain(fresh_ssd, window)
+        assert_outcomes_equal(out_r, out_f)
 
 
 def test_ftl_generation_churn_drops_reused_stacks():
@@ -220,7 +144,7 @@ def test_ftl_generation_churn_drops_reused_stacks():
     stacks must drop, and post-churn windows must stay identical to
     the fresh twin (whose operand placement changed identically)."""
     s = _scenario(1)
-    build = lambda: _build_one(  # noqa: E731
+    build = lambda: twin_ssd(  # noqa: E731
         s["data_seed"], n_chips=2, n_bits=s["n_bits"], ssd_seed=3
     )
     reuse_ssd, _ = build()
@@ -237,7 +161,7 @@ def test_ftl_generation_churn_drops_reused_stacks():
     before = reuse_ssd.engine.stack_cache.stats.invalidations
     _run_twin_windows(reuse_ssd, fresh_ssd, window, repeats=2)
     assert reuse_ssd.engine.stack_cache.stats.invalidations > before
-    _assert_ssd_state_equal(reuse_ssd, fresh_ssd)
+    assert_chips_equal(reuse_ssd, fresh_ssd)
 
 
 def test_content_version_bump_drops_reused_stacks():
@@ -246,7 +170,7 @@ def test_content_version_bump_drops_reused_stacks():
     stacks (GC relocation, wear leveling, and migration all reduce to
     program/erase, so this is the maintenance-plane contract)."""
     s = _scenario(2)
-    build = lambda: _build_one(  # noqa: E731
+    build = lambda: twin_ssd(  # noqa: E731
         s["data_seed"], n_chips=1, n_bits=s["n_bits"], ssd_seed=5
     )
     reuse_ssd, _ = build()
@@ -268,7 +192,7 @@ def test_content_version_bump_drops_reused_stacks():
     before = reuse_ssd.engine.stack_cache.stats.invalidations
     _run_twin_windows(reuse_ssd, fresh_ssd, window, repeats=2)
     assert reuse_ssd.engine.stack_cache.stats.invalidations > before
-    _assert_ssd_state_equal(reuse_ssd, fresh_ssd)
+    assert_chips_equal(reuse_ssd, fresh_ssd)
 
 
 def test_injector_attach_drops_reused_stacks():
@@ -276,7 +200,7 @@ def test_injector_attach_drops_reused_stacks():
     validity; the stamp carries the injector identity so cached
     stacks drop on both twins' next window."""
     s = _scenario(3)
-    build = lambda: _build_one(  # noqa: E731
+    build = lambda: twin_ssd(  # noqa: E731
         s["data_seed"], n_chips=2, n_bits=s["n_bits"], ssd_seed=7
     )
     reuse_ssd, _ = build()
@@ -293,7 +217,7 @@ def test_injector_attach_drops_reused_stacks():
     before = reuse_ssd.engine.stack_cache.stats.invalidations
     _run_twin_windows(reuse_ssd, fresh_ssd, window, repeats=2)
     assert reuse_ssd.engine.stack_cache.stats.invalidations > before
-    _assert_ssd_state_equal(reuse_ssd, fresh_ssd)
+    assert_chips_equal(reuse_ssd, fresh_ssd)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -302,7 +226,7 @@ def test_churn_property_interleaved_writes_stay_bit_identical(seed):
     window must be bit-identical to the fresh-stack twin, never a
     stale replay."""
     s = _scenario(seed)
-    build = lambda: _build_one(  # noqa: E731
+    build = lambda: twin_ssd(  # noqa: E731
         s["data_seed"],
         n_chips=s["n_chips"],
         n_bits=s["n_bits"],
@@ -322,7 +246,7 @@ def test_churn_property_interleaved_writes_stay_bit_identical(seed):
                 ssd.delete_vector(name)
                 ssd.write_vector(name, bits, group="g")
         _run_twin_windows(reuse_ssd, fresh_ssd, window)
-    _assert_ssd_state_equal(reuse_ssd, fresh_ssd)
+    assert_chips_equal(reuse_ssd, fresh_ssd)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -334,7 +258,7 @@ def test_alternating_windows_keep_latch_landing_exact(seed):
     outcomes and latch end-state stay identical to the fresh twin
     after every window."""
     s = _scenario(seed)
-    build = lambda: _build_one(  # noqa: E731
+    build = lambda: twin_ssd(  # noqa: E731
         s["data_seed"],
         n_chips=s["n_chips"],
         n_bits=s["n_bits"],
@@ -347,7 +271,7 @@ def test_alternating_windows_keep_latch_landing_exact(seed):
     w2 = s["windows"][1]
     for window in (w1, w1, w2, w1, w2, w2, w1):
         _run_twin_windows(reuse_ssd, fresh_ssd, window)
-        _assert_ssd_state_equal(reuse_ssd, fresh_ssd)
+        assert_chips_equal(reuse_ssd, fresh_ssd)
     assert reuse_ssd.engine.stats.stack_reuse_hits > 0
 
 
@@ -357,36 +281,28 @@ def test_vth_schedule_cache_survives_layout_churn(seed):
     layout churn between error-plane windows must re-derive it, so
     the batched drain stays draw-identical to the scalar loop."""
     s = _scenario(seed)
-    build = lambda: _build_one(  # noqa: E731
+    build = lambda: twin_ssd(  # noqa: E731
         s["data_seed"],
         n_chips=s["n_chips"],
         n_bits=s["n_bits"],
         ssd_seed=s["ssd_seed"],
-        packed=False,
+        inject_errors=True,
     )
     batch_ssd, _ = build()
     loop_ssd, _ = build()
     rng = np.random.default_rng(66_000 + seed)
     window = s["windows"][0]
     for _ in range(3):
-        out_b = batch_ssd.engine.execute_tasks(
-            _tasks(batch_ssd, window), batch=True
-        )
-        out_l = loop_ssd.engine.execute_tasks(
-            _tasks(loop_ssd, window), batch=False
-        )
-        _assert_outcomes_equal(out_b, out_l)
+        out_b = _drain(batch_ssd, window)
+        out_l = walk_tasks(loop_ssd.engine, window_tasks(loop_ssd, window))
+        assert_outcomes_equal(out_b, out_l)
         name = f"a{int(rng.integers(3))}"
         bits = rng.integers(0, 2, s["n_bits"], dtype=np.uint8)
         for ssd in (batch_ssd, loop_ssd):
             ssd.delete_vector(name)
             ssd.write_vector(name, bits, group="g")
-    for chip_b, chip_l in zip(batch_ssd.chips, loop_ssd.chips):
-        # Same draw schedule consumed, corrupted bits and all.
-        assert (
-            chip_b.sensing.rng.bit_generator.state
-            == chip_l.sensing.rng.bit_generator.state
-        )
+    # Same draw schedule consumed, corrupted bits and all.
+    assert_chips_equal(batch_ssd, loop_ssd)
 
 
 # ----------------------------------------------------------------------
@@ -396,21 +312,21 @@ def test_vth_schedule_cache_survives_layout_churn(seed):
 
 def test_stack_cache_clears_on_full():
     s = _scenario(4)
-    ssd, _ = _build_one(
+    ssd, _ = twin_ssd(
         s["data_seed"], n_chips=1, n_bits=s["n_bits"], ssd_seed=9
     )
     small = StackCache(ssd, capacity=2)
     ssd.engine.stack_cache = small
-    pool = _expression_pool()
+    pool = twin_expressions()
     # Distinct single-plan windows fill the 2-entry per-chip map; the
     # third insert clears it and starts over.
     for expr in (pool[0], pool[5], pool[1]):
-        ssd.engine.execute_tasks(_tasks(ssd, [expr]))
+        _drain(ssd, [expr])
     assert small.entries(0) == 1
     assert small.stats.entries == 1
     # Repeating the surviving window still hits.
     before = small.stats.hits
-    ssd.engine.execute_tasks(_tasks(ssd, [pool[1]]))
+    _drain(ssd, [pool[1]])
     assert small.stats.hits > before
     small.clear()
     assert small.stats.entries == 0
@@ -420,16 +336,16 @@ def test_stack_cache_clears_on_full():
 
 def test_vth_schedule_memo_clears_on_full():
     s = _scenario(5)
-    ssd, _ = _build_one(
+    ssd, _ = twin_ssd(
         s["data_seed"],
         n_chips=1,
         n_bits=GEOMETRY.page_size_bits,
         ssd_seed=13,
-        packed=False,
+        inject_errors=True,
     )
     chip = ssd.chips[0]
-    window = [_expression_pool()[0]]
-    ssd.engine.execute_tasks(_tasks(ssd, window), batch=True)
+    window = [twin_expressions()[0]]
+    _drain(ssd, window)
     assert len(chip._vth_schedules) == 1
     # Saturate the memo with synthetic keys; the next batched window
     # must clear it rather than grow past the bound.
@@ -439,8 +355,8 @@ def test_vth_schedule_memo_clears_on_full():
     # Schedules are keyed on the window's commands by value, so only
     # a window of different commands is a new entry (a rebind of the
     # same window after an unrelated write is a valid hit).
-    fresh = [_expression_pool()[1]]
-    ssd.engine.execute_tasks(_tasks(ssd, fresh), batch=True)
+    fresh = [twin_expressions()[1]]
+    _drain(ssd, fresh)
     assert len(chip._vth_schedules) == 1
 
 

@@ -16,20 +16,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_data_plane import GEOMETRY, assert_chips_equal
 from repro.core.api import AllocationError
 from repro.core.expressions import And, Not, Operand, Xor, and_all, or_all
 from repro.flash.faults import FaultConfig, FaultInjector
-from repro.flash.geometry import ChipGeometry
 from repro.ssd.controller import SmallSsd
 
-#: 80-bit pages keep packed padding words in play.
-GEOMETRY = ChipGeometry(
-    planes_per_die=1,
-    blocks_per_plane=16,
-    subblocks_per_block=2,
-    wordlines_per_string=8,
-    page_size_bits=80,
-)
 N_BITS = 3 * GEOMETRY.page_size_bits - 7
 
 A0, A1, A2, SOLO = (Operand(n) for n in ("a0", "a1", "a2", "solo"))
@@ -212,23 +204,6 @@ def test_result_cached_service_never_consults_the_stack_cache():
     assert ssd.engine.result_cache.stats.hits > 0
 
 
-def _assert_same_flash_state(ssd, twin):
-    for chip, other in zip(ssd.chips, twin.chips):
-        assert chip.counters == other.counters
-        assert chip.plane_array.materialized() == (
-            other.plane_array.materialized()
-        )
-        for address in chip.plane_array.materialized():
-            assert (
-                chip.plane_array.block(address).reads_since_erase
-                == other.plane_array.block(address).reads_since_erase
-            )
-        for plane, bank in chip.latches.items():
-            other_bank = other.latches[plane]
-            assert (bank.sense_words == other_bank.sense_words).all()
-            assert (bank.cache_words == other_bank.cache_words).all()
-
-
 def test_uncached_service_still_reuses_stacks_invisibly():
     """No ResultCache engaged, no faults: the drain goes through the
     StackCache and reuses, and nothing but the reuse counters can
@@ -246,7 +221,7 @@ def test_uncached_service_still_reuses_stacks_invisibly():
     for a, b in zip(out, out_twin):
         assert a[2:] == b[2:]  # every cost and flag field
         assert (a.data == b.data).all()
-    _assert_same_flash_state(ssd, twin)
+    assert_chips_equal(ssd, twin)
     # ... then a service run whose windows repeat.
     report, report_twin = _serve(ssd), _serve(twin)
     assert ssd.engine.stats.stack_reuse_hits > 0
@@ -261,4 +236,4 @@ def test_uncached_service_still_reuses_stacks_invisibly():
         assert q.result.energy_nj == q_twin.result.energy_nj
     assert report.stats.n_senses == report_twin.stats.n_senses
     assert report.stats.makespan_us == report_twin.stats.makespan_us
-    _assert_same_flash_state(ssd, twin)
+    assert_chips_equal(ssd, twin)

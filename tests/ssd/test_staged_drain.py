@@ -28,21 +28,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_data_plane import (
+    GEOMETRY,
+    assert_chips_equal,
+    assert_outcomes_equal,
+    route,
+    window_tasks,
+)
 from repro.core.expressions import And, Not, Operand, Xor, evaluate, or_all
 from repro.flash.errors import BadBlockFault, ChipUnavailableError
 from repro.flash.faults import FaultConfig, FaultInjector, RecoveryPolicy
-from repro.flash.geometry import ChipGeometry
-from repro.flash.latches import LatchStateError
 from repro.flash.packing import unpack_words
 from repro.ssd.controller import SmallSsd
 
-GEOMETRY = ChipGeometry(
-    planes_per_die=1,
-    blocks_per_plane=16,
-    subblocks_per_block=2,
-    wordlines_per_string=8,
-    page_size_bits=80,
-)
 
 _A = [Operand(f"a{i}") for i in range(3)]
 _SOLO = Operand("solo")
@@ -75,35 +73,6 @@ def _build(n_chips, n_chunks, seed, injector=None):
     return ssd, env
 
 
-def _tasks(ssd, window):
-    tasks = []
-    for query, expr in enumerate(window):
-        tasks.extend(ssd.engine.prepare(expr).tasks(query=query))
-    return tasks
-
-
-def _latch_words(bank):
-    out = []
-    for name in ("cache_words", "sense_words"):
-        try:
-            out.append(getattr(bank, name))
-        except LatchStateError:
-            out.append(None)
-    return out
-
-
-def assert_outcomes_equal(mine, theirs):
-    assert len(mine) == len(theirs)
-    for a, b in zip(mine, theirs):
-        assert a.task == b.task
-        assert (a.data is None) == (b.data is None)
-        if a.data is not None:
-            np.testing.assert_array_equal(a.data, b.data)
-        assert a[2:10] == b[2:10]  # n_senses .. degraded
-        assert type(a.error) is type(b.error)
-        assert a[11:] == b[11:]  # reconstructed, recovery_work
-
-
 def assert_cache_entries_equal(mine, theirs):
     """Same entries, stamped alike (concurrent drains fill the LRU in
     whatever order their chips finish, so order is not compared)."""
@@ -119,21 +88,7 @@ def assert_ssds_equal(mine, theirs):
     assert mine.engine.stats == theirs.engine.stats
     assert mine.engine.result_cache.stats == theirs.engine.result_cache.stats
     assert_cache_entries_equal(mine, theirs)
-    for chip_a, chip_b in zip(mine.chips, theirs.chips):
-        assert chip_a.counters == chip_b.counters
-        blocks_a = chip_a.plane_array._blocks
-        blocks_b = chip_b.plane_array._blocks
-        assert blocks_a.keys() == blocks_b.keys()
-        for address, block in blocks_a.items():
-            assert (
-                block.reads_since_erase
-                == blocks_b[address].reads_since_erase
-            )
-        for plane, bank in chip_a.latches.items():
-            for a, b in zip(
-                _latch_words(bank), _latch_words(chip_b.latches[plane])
-            ):
-                np.testing.assert_array_equal(a, b)
+    assert_chips_equal(mine, theirs)
 
 
 # ----------------------------------------------------------------------
@@ -183,16 +138,19 @@ def test_fault_free_drain_is_the_recovery_drain_with_a_clean_schedule(s):
     kwargs = dict(
         use_cache=True,
         recovery=s["policy"],
-        batch=s["batch"],
         share=s["share"],
         degraded=s["degraded"],
         offline=s["offline"],
     )
     for window in s["windows"]:
-        assert_outcomes_equal(
-            armed.engine.execute_tasks(_tasks(armed, window), **kwargs),
-            plain.engine.execute_tasks(_tasks(plain, window), **kwargs),
-        )
+        with route(s["batch"]):
+            mine = armed.engine.execute_tasks(
+                window_tasks(armed, window), **kwargs
+            )
+            theirs = plain.engine.execute_tasks(
+                window_tasks(plain, window), **kwargs
+            )
+        assert_outcomes_equal(mine, theirs)
         assert_ssds_equal(armed, plain)
         # Nothing was drawn: no chip's stream was even opened.
         assert injector._rngs == {} and injector.faults_injected == 0
@@ -249,22 +207,23 @@ def test_sense_stage_error_propagates_and_spares_the_other_chips(
     victim, error_type = _break_last_chip(broken, cause)
     # ``tasks`` come chip by chip, so the victim's drain is the last to
     # start: every other chip has published.
-    with pytest.raises(error_type):
+    with pytest.raises(error_type), route(batch):
         broken.engine.execute_tasks(
-            _tasks(broken, window), use_cache=True, batch=batch
+            window_tasks(broken, window), use_cache=True
         )
     # A twin that was only ever asked for the other chips' tasks.
     twin, _ = _build(3, 6, seed=5)
     if cause == "bad_block":
         _break_last_chip(twin, cause)
-    spared = [t for t in _tasks(twin, window) if t.chip != victim]
-    served = twin.engine.execute_tasks(spared, use_cache=True, batch=batch)
+    spared = [t for t in window_tasks(twin, window) if t.chip != victim]
+    with route(batch):
+        served = twin.engine.execute_tasks(spared, use_cache=True)
     assert broken.engine.stats == twin.engine.stats
     assert_cache_entries_equal(broken, twin)
     # What the spared chips published is valid: a repeat of their
     # tasks is served from the cache, with the oracle's bits.
     again = broken.engine.execute_tasks(
-        [t for t in _tasks(broken, window) if t.chip != victim],
+        [t for t in window_tasks(broken, window) if t.chip != victim],
         use_cache=True,
     )
     assert all(outcome.cached for outcome in again)
@@ -299,12 +258,12 @@ def test_degraded_chip_walks_the_callers_margin_ladder(
         "active": FaultInjector(FaultConfig(program_fault_rate=0.5)),
     }[injector]
     ssd, _ = _build(2, 2, seed=3, injector=attached)
-    outcomes = ssd.engine.execute_tasks(
-        _tasks(ssd, [POOL[0]]),
-        batch=batch,
-        recovery=RecoveryPolicy(degraded_extra_senses=extra),
-        degraded=(1,),
-    )
+    with route(batch):
+        outcomes = ssd.engine.execute_tasks(
+            window_tasks(ssd, [POOL[0]]),
+            recovery=RecoveryPolicy(degraded_extra_senses=extra),
+            degraded=(1,),
+        )
     healthy, degraded = outcomes
     assert (healthy.task.chip, degraded.task.chip) == (0, 1)
     assert not healthy.degraded and degraded.degraded
@@ -317,7 +276,7 @@ def test_degraded_chip_walks_the_callers_margin_ladder(
 def test_degraded_chip_without_a_policy_walks_the_default_ladder():
     ssd, _ = _build(2, 2, seed=3)
     healthy, degraded = ssd.engine.execute_tasks(
-        _tasks(ssd, [POOL[0]]), degraded=(1,)
+        window_tasks(ssd, [POOL[0]]), degraded=(1,)
     )
     default = RecoveryPolicy().degraded_extra_senses
     assert degraded.n_senses == (1 + default) * healthy.n_senses
@@ -332,7 +291,7 @@ def test_fail_fast_names_a_dead_die_offline_and_a_parked_one_quarantined():
     ssd, _ = _build(3, 3, seed=2)
     ssd.kill_chip(1)
     outcomes = ssd.engine.execute_tasks(
-        _tasks(ssd, [POOL[0]]), offline=(1, 2)
+        window_tasks(ssd, [POOL[0]]), offline=(1, 2)
     )
     by_chip = {outcome.task.chip: outcome for outcome in outcomes}
     assert by_chip[0].error is None

@@ -23,7 +23,6 @@ OVER_BUDGET = {
     "flash/sensing.py::SensingEngine.prepare_batch_vth": 179,
     "ssd/maintenance.py::MaintenanceManager.drain_chip": 119,
     "ssd/events.py::simulate_stages": 88,
-    "flash/latches.py::LatchBank.capture_batch": 89,
     # Frozen with the rest of the StackCache cluster until the
     # benchmark stops patching it by name; then it goes as a whole.
     "core/mws.py::MwsExecutor.execute_batch_reuse": 85,

@@ -3,9 +3,7 @@
 
 ``record`` runs the library's own kernel benchmarks
 (``benchmarks/bench_simulator_kernels.py`` via pytest-benchmark), the
-packed-backend measurements
-(``benchmarks/bench_packed_backend.py``), the query-service
-throughput kernel (``benchmarks/bench_service.py``), the batched
+query-service throughput kernel (``benchmarks/bench_service.py``), the batched
 window-execution kernel (``benchmarks/bench_batch_sense.py``), the
 packed page-ECC kernel (``benchmarks/bench_ecc_packed.py``), the
 batched V_TH error-plane kernel
@@ -22,8 +20,8 @@ perf trajectory.
 
 ``check`` re-measures and compares against the committed baseline
 with a multiplicative tolerance: kernel means may not exceed
-``baseline * tolerance``, and the packed-backend speedups, the
-service's scheduling/sharing gains, and the batched-window speedup
+``baseline * tolerance``, and the service's scheduling/sharing
+gains, and the batched-window speedup
 may not fall below ``baseline / tolerance`` (``dispatches_per_window``
 is exact -- a count, not a timing).  Exit status 1 reports a
 regression (CI runs this as a *soft* guard -- shared runners are
@@ -77,30 +75,6 @@ def _run_kernel_bench() -> dict[str, dict[str, float]]:
             "rounds": stats["rounds"],
         }
     return kernels
-
-
-def _run_packed_backend() -> dict[str, float]:
-    """Run the packed-backend measurements in-process."""
-    sys.path.insert(0, str(REPO_ROOT / "src"))
-    sys.path.insert(0, str(REPO_ROOT))
-    from benchmarks.bench_packed_backend import (
-        measure_memory,
-        measure_query,
-        measure_sense,
-    )
-
-    sense = measure_sense()
-    query = measure_query()
-    memory = measure_memory()
-    return {
-        "sense_packed_s": sense["packed_s"],
-        "sense_unpacked_s": sense["unpacked_s"],
-        "sense_speedup": sense["speedup"],
-        "query_packed_s": query["packed_s"],
-        "query_unpacked_s": query["unpacked_s"],
-        "query_speedup": query["speedup"],
-        "memory_ratio": memory["ratio"],
-    }
 
 
 def _run_service_bench() -> dict[str, float]:
@@ -388,7 +362,6 @@ def measure() -> dict:
             "machine": platform.machine(),
         },
         "kernels": _run_kernel_bench(),
-        "packed_backend": _run_packed_backend(),
         "service": _run_service_bench(),
         "batch_sense": _run_batch_bench(),
         "ecc_packed": _run_ecc_bench(),
@@ -426,18 +399,6 @@ def check(baseline_path: Path, tolerance: float) -> int:
             failures.append(
                 f"kernel {name}: {now['mean_s']:.6f}s > "
                 f"{tolerance:.1f}x baseline {base['mean_s']:.6f}s"
-            )
-
-    base_pb = baseline.get("packed_backend", {})
-    fresh_pb = fresh["packed_backend"]
-    for key in ("sense_speedup", "query_speedup", "memory_ratio"):
-        if key not in base_pb:
-            continue
-        floor = base_pb[key] / tolerance
-        if fresh_pb[key] < floor:
-            failures.append(
-                f"packed_backend {key}: {fresh_pb[key]:.2f} < "
-                f"baseline {base_pb[key]:.2f} / {tolerance:.1f}"
             )
 
     base_svc = baseline.get("service", {})
@@ -687,7 +648,7 @@ def check(baseline_path: Path, tolerance: float) -> int:
         return 1
     print(
         f"perf trajectory ok: {len(baseline.get('kernels', {}))} kernels, "
-        f"packed-backend, service, batch-sense, packed-ECC, "
+        f"service, batch-sense, packed-ECC, "
         f"error-batch, stack-reuse, result-cache, SLO, "
         f"fault-tolerance, GC, and redundancy "
         f"metrics within {tolerance:.1f}x of baseline"
