@@ -45,6 +45,7 @@ from benchmarks.bench_service import (
     _workload,
 )
 from repro.core.expressions import evaluate
+from repro.flash.packing import unpack_rows
 
 #: Required wall-clock speedup of the batched window.  Local/dev runs
 #: use the full 3x gate; noisy shared CI runners may relax it via the
@@ -133,9 +134,10 @@ def measure_batch() -> dict:
         for outcome in batch_out:
             if outcome.task.query == query:
                 pieces[outcome.task.chunk] = outcome.data
+        words = batch_ssd.engine.assemble_bits(pieces)
+        bits = unpack_rows(words, batch_ssd.page_bits)
         np.testing.assert_array_equal(
-            batch_ssd.engine.assemble_bits(prepared[query], pieces),
-            evaluate(expr, env),
+            bits.ravel()[: prepared[query].n_bits], evaluate(expr, env)
         )
 
     # --- wall-clock on a warmed SSD (bound plans + keystreams hot) --

@@ -16,8 +16,8 @@ recorded (``repeat_speedup``, ~5x) and not gated: it is a ratio of two
 
 **Shared results** -- a run assembles a repeated result once: 16
 shapes submitted 8 times in one cache-enabled run hold 16 frozen
-result arrays in the report, not 128.  Gated exactly on the counts
-and the bytes.
+packed result blocks in the report, not 128, at one bit per result
+bit.  Gated exactly on the counts and the bytes.
 
 **Deadlines** -- FIFO order lets heavy scan queries that arrived
 first occupy the chips while later point queries wait; the ``edf``
@@ -176,10 +176,10 @@ def measure_result_cache() -> dict:
 def measure_shared_results() -> dict:
     """Submit the 16 distinct shapes :data:`REPEATS` times, one
     window per repeat, through one cache-enabled run; check every
-    result against a fresh oracle sense and count the distinct result
-    arrays the report holds and their bytes.  Every repeat is served
-    from the same cache entries, so the report holds one frozen array
-    per shape."""
+    result against a fresh oracle sense and count the distinct packed
+    result blocks (``result.words``) the report holds and their bytes.
+    Every repeat is served from the same cache entries, so the report
+    holds one frozen block per shape."""
     stream = _distinct_stream()
     ssd = _cache_ssd()
     service = ssd.service(
@@ -196,14 +196,16 @@ def measure_shared_results() -> dict:
     oracle = {id(expr): ssd.query(expr).bits for expr in stream}
     distinct = {}
     for served in report.queries:
-        bits = served.result.bits
-        assert not bits.flags.writeable
-        np.testing.assert_array_equal(bits, oracle[id(served.expr)])
-        distinct[id(bits)] = bits
+        words = served.result.words
+        assert not words.flags.writeable
+        np.testing.assert_array_equal(
+            served.result.bits, oracle[id(served.expr)]
+        )
+        distinct[id(words)] = words
     return {
         "shared_queries": len(report.queries),
         "distinct_results": len(distinct),
-        "result_bytes": sum(bits.nbytes for bits in distinct.values()),
+        "result_bytes": sum(words.nbytes for words in distinct.values()),
     }
 
 
@@ -300,12 +302,13 @@ def test_repeats_share_one_result():
     print(
         f"\n{len(_distinct_stream())} shapes x {REPEATS} windows: "
         f"{m['shared_queries']} queries hold {m['distinct_results']} "
-        f"result arrays, {m['result_bytes'] / 1e6:.2f} MB "
-        f"({m['shared_queries'] * n_bits / 1e6:.2f} MB one per query)"
+        f"packed results, {m['result_bytes'] / 1e6:.2f} MB "
+        f"({m['shared_queries'] * n_bits / 1e6:.2f} MB unpacked, one "
+        f"per query)"
     )
     assert m["shared_queries"] == REPEATS * len(_distinct_stream())
     assert m["distinct_results"] == len(_distinct_stream())
-    assert m["result_bytes"] == m["distinct_results"] * n_bits
+    assert m["result_bytes"] == m["distinct_results"] * n_bits // 8
 
 
 def test_edf_meets_deadlines_fifo_misses():

@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.core.expressions import Expression
 from repro.flash.faults import RecoveryPolicy
+from repro.flash.packing import words_per_page
 from repro.service.admission import (
     AdmissionQueue,
     AdmissionWindow,
@@ -850,10 +851,10 @@ class QueryService:
                 continue
             state = states[owner]
             state.completed_us = max(state.completed_us, completion_s * 1e6)
-        # (n_bits, piece ids) -> (pieces, assembled bits), this report
+        # piece ids -> (pieces, assembled word block), this report
         # only: pieces are the same objects exactly when they came from
         # one cache entry or one shared sense, so a repeated result is
-        # assembled once and its repeats share the frozen array.
+        # assembled once and its repeats share the frozen block.
         assembled: dict[tuple, tuple] = {}
         served = tuple(
             self._served(states[query_id], assembled)
@@ -892,21 +893,27 @@ class QueryService:
 
     def _served(self, state: _QueryState, assembled: dict) -> ServedQuery:
         submission = state.submission
+        page_bits = self.ssd.page_bits
         if state.error is not None:
             # A failed query has no assembled result (some chunks
-            # never produced data); it still reports the flash work
-            # and sim time its attempts cost.
-            bits = np.zeros(0, dtype=np.uint8)
+            # never produced data): an empty frozen block.  It still
+            # reports the flash work and sim time its attempts cost.
+            words = np.empty((0, words_per_page(page_bits)), np.uint64)
+            words.setflags(write=False)
+            n_bits = 0
         else:
-            key = (state.prepared.n_bits, tuple(map(id, state.pieces)))
+            key = tuple(map(id, state.pieces))
             if key not in assembled:
                 assembled[key] = (
                     tuple(state.pieces),
-                    self.engine.assemble_bits(state.prepared, state.pieces),
+                    self.engine.assemble_bits(state.pieces),
                 )
-            bits = assembled[key][1]
+            words = assembled[key][1]
+            n_bits = state.prepared.n_bits
         result = QueryResult(
-            bits=bits,
+            words=words,
+            page_bits=page_bits,
+            n_bits=n_bits,
             n_senses=state.n_senses,
             latency_us=max(state.chip_busy.values(), default=0.0),
             energy_nj=state.energy_nj,

@@ -30,8 +30,9 @@ The functional data path is **bit-packed end to end**:
 ``write_vector`` packs each vector into ``uint64`` words once at
 ingest, chips sense and latch packed words
 (:mod:`repro.flash.packing`), chunk results move packed through the
-query engine's replay, and the single unpack happens at the external
-result boundary (``QueryResult.bits`` / ``read_vector``).  There is
+query engine's replay, and a ``QueryResult`` hands them to the host
+still packed (``QueryResult.words``): only reading
+``QueryResult.bits`` -- or ``read_vector`` -- unpacks.  There is
 one data plane: error-injecting chips (``inject_errors=True``) *sense*
 through the V_TH matrix and pack each outcome before the latches see
 it, so everything from the latches to the host is words either way.

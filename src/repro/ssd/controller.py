@@ -32,7 +32,7 @@ from repro.flash.errors import (
     ReconstructionError,
 )
 from repro.flash.geometry import ChipGeometry
-from repro.flash.packing import pack_rows, parity_words
+from repro.flash.packing import pack_rows, parity_words, unpack_rows
 from repro.ssd.ftl import FlashTranslationLayer
 
 
@@ -45,16 +45,29 @@ class QueryResult:
     link); ``latency_us`` remains the raw per-chip-maximum sense time
     the seed model reported.  ``template_hit`` tells whether the query
     was served from the plan-template cache without planning.
-    ``bits`` is read-only and may be shared by every query of a
-    service run with the same result.
+
+    The result stays packed: ``words`` is the read-only
+    ``(n_chunks, words_per_page(page_bits))`` ``uint64`` block of its
+    chunk pages, and may be shared by every query of a service run
+    with the same result.  :attr:`bits` unpacks it on every read.
     """
 
-    bits: np.ndarray
+    words: np.ndarray
+    page_bits: int
+    n_bits: int
     n_senses: int
     latency_us: float
     energy_nj: float
     makespan_us: float = 0.0
     template_hit: bool = False
+
+    @property
+    def bits(self) -> np.ndarray:
+        """The result vector, one read-only ``uint8`` per bit.  Not
+        cached: a caller that reads it twice keeps the array."""
+        bits = unpack_rows(self.words, self.page_bits).ravel()[: self.n_bits]
+        bits.setflags(write=False)
+        return bits
 
 
 class SmallSsd:

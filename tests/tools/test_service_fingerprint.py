@@ -12,9 +12,12 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from repro.flash.packing import pack_rows
 from repro.service import QueryService
+from repro.ssd.controller import QueryResult
 
 REPO = Path(__file__).resolve().parents[2]
 _SPEC = importlib.util.spec_from_file_location(
@@ -63,6 +66,39 @@ def test_two_invocations_agree_and_a_perturbed_field_shows(monkeypatch):
     stats_digest, served_digest = _digests(tool.fingerprint(*SMOKE))
     assert stats_digest == first.stats.hexdigest()
     assert served_digest != first.served.hexdigest()
+
+
+def test_a_result_hashes_what_it_serves_not_how_it_is_stored():
+    """A ``QueryResult`` is hashed by public name -- ``bits`` unpacked,
+    then the cost fields, the order they had when ``bits`` was a field
+    -- so a tree whose result keeps packed words hashes a served result
+    exactly as a tree whose result kept the bits."""
+    rng = np.random.default_rng(0)
+    rows = rng.integers(0, 2, (2, 80), dtype=np.uint8)
+    result = QueryResult(
+        words=pack_rows(rows),
+        page_bits=80,
+        n_bits=150,
+        n_senses=3,
+        latency_us=1.5,
+        energy_nj=2.5,
+        makespan_us=4.0,
+        template_hit=True,
+    )
+    assert tool.canonical(result) == [
+        ("bits", rows.ravel()[:150].tobytes()),
+        ("n_senses", 3),
+        ("latency_us", 1.5),
+        ("energy_nj", 2.5),
+        ("makespan_us", 4.0),
+        ("template_hit", True),
+    ]
+    # The same served bits from differently packed storage (an extra
+    # chunk past n_bits) hash the same; one served bit more does not.
+    padded = replace(result, words=pack_rows(np.vstack([rows, rows[:1]])))
+    assert tool.canonical(padded) == tool.canonical(result)
+    longer = replace(result, n_bits=151)
+    assert tool.canonical(longer) != tool.canonical(result)
 
 
 def test_main_prints_one_line_per_workload(capsys):

@@ -122,7 +122,8 @@ def _run_batch_bench() -> dict[str, float]:
 
 #: Counts of the result-cache section that ``check`` holds exactly: the
 #: warm window's executor dispatches (0) and what the shared-results
-#: run's report holds (128 queries, 16 arrays, 16 x n_bits bytes).
+#: run's report holds (128 queries, 16 packed result blocks,
+#: 16 x n_bits / 8 bytes).
 RESULT_CACHE_EXACT = (
     "warm_dispatches",
     "shared_queries",

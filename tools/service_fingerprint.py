@@ -48,6 +48,20 @@ from repro.service import ServedQuery, ServiceStats  # noqa: E402
 from repro.ssd.controller import QueryResult  # noqa: E402
 
 
+#: What a ``QueryResult`` serves, by public name.  Not its dataclass
+#: fields: how a result is stored (``bits`` as a field, or packed
+#: ``words`` unpacked by a ``bits`` property) is not what it serves,
+#: and a tree and its parent must hash the same result the same way.
+RESULT_NAMES = (
+    "bits",
+    "n_senses",
+    "latency_us",
+    "energy_nj",
+    "makespan_us",
+    "template_hit",
+)
+
+
 def canonical(value):
     """``value`` with everything whose ``repr`` is not its content
     replaced: arrays by their bytes, errors by type and message,
@@ -56,7 +70,11 @@ def canonical(value):
         return value.tobytes()
     if isinstance(value, BaseException):
         return (type(value).__name__, str(value))
-    if isinstance(value, (ServiceStats, ServedQuery, QueryResult)):
+    if isinstance(value, QueryResult):
+        return [
+            (name, canonical(getattr(value, name))) for name in RESULT_NAMES
+        ]
+    if isinstance(value, (ServiceStats, ServedQuery)):
         return [
             (f.name, canonical(getattr(value, f.name))) for f in fields(value)
         ]
