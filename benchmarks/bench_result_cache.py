@@ -1,6 +1,6 @@
 """Cross-window result cache + SLO scheduling vs the PR 3/4 service.
 
-Three claims, three measurements:
+Four claims, four measurements:
 
 **Repeat windows** -- the service layer dedups senses *within* an
 admission window (PR 3) and executes the survivors as per-chip
@@ -19,6 +19,12 @@ shapes submitted 8 times in one cache-enabled run hold 16 frozen
 packed result blocks in the report, not 128, at one bit per result
 bit.  Gated exactly on the counts and the bytes.
 
+**Rewrites** -- a rewrite moves every chip's layout stamp, and the
+cache drops a chip's entries at the first window after its stamp
+moves: after one vector is rewritten and one more window has run, the
+cache holds only that window's entries (``entries_after_rewrite``),
+none of the 1,024 sensed before.  Gated exactly.
+
 **Deadlines** -- FIFO order lets heavy scan queries that arrived
 first occupy the chips while later point queries wait; the ``edf``
 policy drains deadline-carrying share groups earliest-deadline-first
@@ -28,9 +34,10 @@ point queries' deadline is placed between the two completion times,
 and EDF must meet every deadline that FIFO provably misses.
 
 ``measure_result_cache`` / ``measure_shared_results`` /
-``measure_slo`` return plain dicts so ``tools/bench_record.py``
-snapshots hit-rate, repeat-window speedup, shared-result bytes, and
-mixed-priority p99 into the ``BENCH_kernels.json`` trajectory.
+``measure_rewrite`` / ``measure_slo`` return plain dicts so
+``tools/bench_record.py`` snapshots hit-rate, repeat-window speedup,
+shared-result bytes, entries left after a rewrite, and mixed-priority
+p99 into the ``BENCH_kernels.json`` trajectory.
 """
 
 from __future__ import annotations
@@ -209,6 +216,42 @@ def measure_shared_results() -> dict:
     }
 
 
+def measure_rewrite() -> dict:
+    """Fill the cache with one window of the 16 shapes, rewrite
+    ``day0`` (delete + write: NAND cannot overwrite), then run one
+    window of a single shape that reads it.  The rewrite moves every
+    chip's layout stamp, so that window drops every entry sensed
+    before it: what is left is its own ``N_CHUNKS`` puts."""
+    stream = _distinct_stream()
+    ssd = _cache_ssd()
+    service = ssd.service(
+        window_us=1000.0,
+        max_window_queries=len(stream),
+        policy="balanced",
+        result_cache=True,
+    )
+    _submit_stream(service, stream)
+    service.run()
+    filled = len(ssd.engine.result_cache)
+    rng = np.random.default_rng(7)
+    ssd.delete_vector("day0")
+    ssd.write_vector(
+        "day0",
+        rng.integers(0, 2, N_CHUNKS * GEOMETRY.page_size_bits, dtype=np.uint8),
+        group="days0",
+    )
+    service.submit(stream[0], at_us=0.0, client="mix")
+    (served,) = service.run().queries
+    left = len(ssd.engine.result_cache)
+    np.testing.assert_array_equal(
+        served.result.bits, ssd.query(stream[0]).bits
+    )
+    return {
+        "entries_before_rewrite": filled,
+        "entries_after_rewrite": left,
+    }
+
+
 def _slo_traffic(service, *, deadline_us=None):
     """Heavy scan windows first, then point queries (optionally with
     a deadline): ids of the point queries are returned."""
@@ -309,6 +352,17 @@ def test_repeats_share_one_result():
     assert m["shared_queries"] == REPEATS * len(_distinct_stream())
     assert m["distinct_results"] == len(_distinct_stream())
     assert m["result_bytes"] == m["distinct_results"] * n_bits // 8
+
+
+def test_rewrite_leaves_one_window_of_entries():
+    m = measure_rewrite()
+    print(
+        f"\none vector rewritten: {m['entries_before_rewrite']} entries "
+        f"before, {m['entries_after_rewrite']} after the next window "
+        f"({N_CHUNKS} puts)"
+    )
+    assert m["entries_before_rewrite"] == N_CHUNKS * len(_distinct_stream())
+    assert m["entries_after_rewrite"] == N_CHUNKS
 
 
 def test_edf_meets_deadlines_fifo_misses():

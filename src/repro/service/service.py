@@ -212,9 +212,6 @@ class _Run(_RunTotals):
     maintenance_before: MaintenanceStats = field(
         default_factory=MaintenanceStats
     )
-    #: ``QueryService._relocations`` as the current window's health
-    #: step found it.
-    relocations_before: int = 0
     states: dict[int, _QueryState] = field(default_factory=dict)
     jobs: list[StageJob] = field(default_factory=list)
     #: Query id per job; ``None`` marks background maintenance jobs,
@@ -754,18 +751,6 @@ class QueryService:
                 jobs.append(stage_job(rchip, busy_us, **(survivor or own)))
                 job_owner.append(query)
 
-    def _relocations(self) -> int:
-        """Lifetime count of maintenance work that relocated live
-        data (0 without a maintenance plane)."""
-        if self.maintenance is None:
-            return 0
-        stats = self.maintenance.stats
-        return (
-            stats.pages_migrated
-            + stats.blocks_reclaimed
-            + stats.columns_rebuilt
-        )
-
     def _observe_health(
         self, run: _Run, chip_obs: dict[int, list[int]], ready_s: float
     ) -> None:
@@ -794,10 +779,6 @@ class QueryService:
                     for chip in range(self.health.n_chips)
                 }
             )
-        # Sampled here -- after the chip-loss drain at the top of the
-        # window, before this window's quarantine drains -- so the
-        # latter count as data that moved and the former does not.
-        run.relocations_before = self._relocations()
         for chip, old, new in transitions:
             if QUARANTINED in (old, new):
                 self._quarantine_changed(
@@ -822,14 +803,6 @@ class QueryService:
                     healthy=self.health.survivors(), ready_at_s=ready_s
                 )
             )
-        if (
-            self._relocations() != run.relocations_before
-            and self.engine.result_cache is not None
-        ):
-            # Relocation went stale on whole swaths of cached entries
-            # at once; drop them in bulk so the LRU capacity keeps
-            # working for live results.
-            self.engine.result_cache.prune_stale()
 
     def _report(self, run: _Run, n_windows: int) -> ServiceReport:
         """Replay every listed job through the one event simulation,

@@ -86,8 +86,9 @@ it:
    chip (FTL vector generation + per-chip directory generation +
    :meth:`~repro.flash.array.PlaneArray.content_version`, the
    plane-level sum of per-block ``layout_version`` counters).  Any
-   register/unregister *or* program/erase anywhere moves the stamp
-   and the entry falls back to a fresh sense -- the cache can serve a
+   register/unregister *or* program/erase anywhere moves the stamp,
+   and a chip's entries drop at the first window after its stamp
+   moves, falling back to a fresh sense -- the cache can serve a
    stale word only if data mutates without bumping a generation
    counter, which is exactly the contract (``docs/architecture.md``)
    every writer including a future GC/migrator must keep.  With the cache
@@ -298,15 +299,29 @@ class ChunkOutcome(NamedTuple):
     leader: int | None = None
 
 
+def _chip_stamp(ssd: "SmallSsd", chip: int) -> tuple:
+    """One chip's layout stamp: FTL generation, directory generation
+    and plane content version.  A cached sense of the chip is valid
+    while this stays put (``docs/architecture.md`` §3); the
+    :class:`StackCache` stamp extends it, so stack-valid implies
+    result-valid by construction."""
+    return (
+        ssd.ftl.generation,
+        ssd.controllers[chip].directory.generation,
+        ssd.chips[chip].plane_array.content_version(),
+    )
+
+
 @dataclass(frozen=True)
 class CacheStats:
     """Lifetime counters of one :class:`ResultCache`."""
 
     #: Lookups served from a valid entry (no flash work ran).
     hits: int
-    #: Lookups that found nothing valid (includes invalidations).
+    #: Lookups that found no entry.
     misses: int
-    #: Entries dropped because their layout stamp went stale.
+    #: Entries dropped because their chip's layout stamp moved; a
+    #: chip's entries drop at the first window after its stamp moves.
     invalidations: int
     #: Sensing operations the hits would have cost on the chips.
     senses_avoided: int
@@ -332,8 +347,9 @@ class ResultCache:
     sensing operation over the *same* physical cells.
 
     **Invalidation contract.**  A cached word is only as fresh as the
-    cells it was sensed from.  Every entry therefore carries the
-    layout stamp of its chip at execution time:
+    cells it was sensed from.  The cache therefore keeps one layout
+    stamp per chip (:func:`_chip_stamp`), the one every entry of that
+    chip was sensed under:
 
     ``(FlashTranslationLayer.generation,``
     ``  OperandDirectory.generation,``
@@ -342,22 +358,22 @@ class ResultCache:
     -- bumped respectively on any vector register/unregister at the
     controller level, any per-chip operand register/unregister, and
     any program/erase of any block on the chip
-    (:attr:`~repro.flash.array.BlockArray.layout_version`).  A lookup
-    whose stamp no longer matches evicts the entry and re-senses; the
-    invalidation is deliberately conservative -- the FTL component is
-    SSD-global (any vector register/unregister anywhere invalidates
-    every chip's entries), while the directory and content components
-    are per chip (chip-local churn drops only that chip's entries) --
-    because serving one stale packed word
-    is strictly worse than re-sensing a window.  Any future garbage
+    (:attr:`~repro.flash.array.BlockArray.layout_version`).  A chip's
+    entries drop at the first window after its stamp moves:
+    :meth:`prune_stale`, which the engine calls at the top of every
+    ``execute_tasks``, re-reads each chip's stamp and drops every
+    entry of a chip whose stamp moved, so a stale page is freed before
+    any lookup could see it and a lookup is a dict hit with no stamp
+    compare.  Nothing programs mid-window, so one check per call
+    suffices.  The invalidation is deliberately conservative -- the
+    FTL component is SSD-global (any vector register/unregister
+    anywhere drops every chip's entries), while the directory and
+    content components are per chip (chip-local churn drops only that
+    chip's entries) -- because serving one stale packed word is
+    strictly worse than re-sensing a window.  Any future garbage
     collector or data migrator that moves cells MUST bump one of
     these counters (programming/erasing through the chip does so
     automatically); see ``docs/architecture.md``.
-
-    Stamps are snapshotted once per :meth:`begin_epoch` (the engine
-    calls it at the top of every ``execute_tasks``), not per lookup --
-    nothing programs mid-window, and the snapshot keeps the per-task
-    lookup at dict speed.
 
     The cache is **error-free only**: error-injecting chips sense
     through the stochastic V_TH plane, where memoizing a draw would
@@ -369,54 +385,28 @@ class ResultCache:
             raise ValueError("capacity must be >= 1")
         self.ssd = ssd
         self.capacity = capacity
-        #: (chip, plan) -> (layout stamp, packed words, n_senses).
+        #: (chip, plan) -> (packed words, n_senses).
         self._entries: OrderedDict[
-            tuple[int, Plan], tuple[tuple, np.ndarray, int]
+            tuple[int, Plan], tuple[np.ndarray, int]
         ] = OrderedDict()
-        self._epoch: dict[int, tuple] = {}
+        #: chip -> the layout stamp its entries were sensed under.
+        self._stamps: dict[int, tuple] = {}
         self._hits = 0
         self._misses = 0
         self._invalidations = 0
         self._senses_avoided = 0
 
-    def _stamp(self, chip: int) -> tuple:
-        ssd = self.ssd
-        return (
-            ssd.ftl.generation,
-            ssd.controllers[chip].directory.generation,
-            ssd.chips[chip].plane_array.content_version(),
-        )
-
-    def begin_epoch(self) -> None:
-        """Snapshot every chip's current layout stamp.  Lookups compare
-        against the snapshot, so a window's worth of gets costs one
-        stamp computation per chip, not per task."""
-        self._epoch = {
-            chip: self._stamp(chip) for chip in range(len(self.ssd.chips))
-        }
-
     def get(self, chip: int, plan: Plan) -> np.ndarray | None:
-        """The plan's memoized packed result words, or ``None`` when
-        absent or stale (the stale entry is evicted)."""
+        """The plan's memoized packed result words, or ``None``."""
         key = (chip, plan)
         entry = self._entries.get(key)
         if entry is None:
             self._misses += 1
             return None
-        stamp, words, n_senses = entry
-        epoch = self._epoch.get(chip)
-        if epoch is None:
-            epoch = self._stamp(chip)
-            self._epoch[chip] = epoch
-        if stamp != epoch:
-            del self._entries[key]
-            self._invalidations += 1
-            self._misses += 1
-            return None
         self._entries.move_to_end(key)
         self._hits += 1
-        self._senses_avoided += n_senses
-        return words
+        self._senses_avoided += entry[1]
+        return entry[0]
 
     def put(
         self, chip: int, plan: Plan, words: np.ndarray, n_senses: int
@@ -429,36 +419,30 @@ class ResultCache:
         stamp could catch -- better to fail the mutator loudly.
         """
         words.setflags(write=False)
+        if chip not in self._stamps:
+            # First entry of a chip no prune has stamped yet.
+            self._stamps[chip] = _chip_stamp(self.ssd, chip)
         key = (chip, plan)
-        epoch = self._epoch.get(chip)
-        if epoch is None:
-            epoch = self._stamp(chip)
-            self._epoch[chip] = epoch
-        self._entries[key] = (epoch, words, n_senses)
+        self._entries[key] = (words, n_senses)
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
 
     def prune_stale(self) -> int:
-        """Bulk-drop every entry whose layout stamp no longer matches
-        its chip's *current* stamp; returns how many were dropped.
-
-        :meth:`get` already evicts stale entries lazily, but under
-        sustained relocation churn (the maintenance plane's GC
-        copybacks, probation drains) whole swaths of entries go stale
-        at once and would otherwise pin LRU capacity until each key
-        happens to be looked up again.  The service calls this after
-        any window in which maintenance moved data, so the cache's
-        capacity keeps working for live entries."""
-        stamps = {
-            chip: self._stamp(chip)
-            for chip in range(len(self.ssd.chips))
-        }
-        dead = [
-            key
-            for key, (stamp, _, _) in self._entries.items()
-            if stamp != stamps[key[0]]
-        ]
+        """Re-read every chip's layout stamp and drop all entries of
+        each chip whose stamp moved since the last prune; returns how
+        many were dropped.  Each dropped entry is an invalidation."""
+        ssd = self.ssd
+        stamps = self._stamps
+        moved = set()
+        for chip in range(len(ssd.chips)):
+            stamp = _chip_stamp(ssd, chip)
+            if stamps.setdefault(chip, stamp) != stamp:
+                moved.add(chip)
+                stamps[chip] = stamp
+        if not moved:
+            return 0
+        dead = [key for key in self._entries if key[0] in moved]
         for key in dead:
             del self._entries[key]
         self._invalidations += len(dead)
@@ -475,7 +459,7 @@ class ResultCache:
 
     def clear(self) -> None:
         self._entries.clear()
-        self._epoch.clear()
+        self._stamps.clear()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -548,12 +532,9 @@ class StackCache:
         self._invalidations = 0
 
     def _stamp(self, chip: int) -> tuple:
-        ssd = self.ssd
         return (
-            ssd.ftl.generation,
-            ssd.controllers[chip].directory.generation,
-            ssd.chips[chip].plane_array.content_version(),
-            ssd.chips[chip].fault_injector,
+            *_chip_stamp(self.ssd, chip),
+            self.ssd.chips[chip].fault_injector,
         )
 
     def execute(
@@ -1027,7 +1008,7 @@ class QueryEngine:
         error_free = not self.ssd.inject_errors
         cache = self.result_cache if use_cache and error_free else None
         if cache is not None:
-            cache.begin_epoch()
+            cache.prune_stale()
         injector = self.ssd.fault_injector
         order: list[ChunkTask] = (
             tasks if isinstance(tasks, list) else list(tasks)

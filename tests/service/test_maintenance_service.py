@@ -17,6 +17,7 @@ from repro.flash.faults import FaultConfig, FaultInjector
 from repro.flash.geometry import ChipGeometry
 from repro.service import QUARANTINED, HealthConfig
 from repro.ssd.maintenance import MaintenanceConfig
+from repro.ssd.query_engine import _chip_stamp
 
 
 def _build(n_chips=3, n_bits=400, seed=5):
@@ -97,22 +98,38 @@ def test_drain_emits_background_jobs_and_overhead():
     assert "chips drained" in report.stats.describe()
 
 
-def test_result_cache_pruned_across_drain():
-    """Cached results stamped against the pre-drain placement are
-    bulk-pruned when maintenance moves data, and post-drain traffic
-    re-fills the cache against the new world -- never serving a stale
-    word."""
+def test_result_cache_pruned_across_drain(monkeypatch):
+    """Cached results sensed before maintenance moved data go stale
+    with their chip's stamp, and the next window drops every one of
+    them before its first lookup; post-drain traffic re-fills the
+    cache against the new world -- never serving a stale word."""
     ssd, env = _build()
-    service, report = _run(ssd, result_cache=True)
+    cache = ssd.engine.enable_result_cache()
+    put, prune = cache.put, cache.prune_stale
+    sensed_under = {}
+    dropped = []
+
+    def recording_put(chip, plan, words, n_senses):
+        sensed_under[chip, plan] = _chip_stamp(ssd, chip)
+        put(chip, plan, words, n_senses)
+
+    def checked_prune():
+        dropped.append(prune())
+        # No stale entry survives into the window.
+        for chip, plan in cache._entries:
+            assert sensed_under[chip, plan] == _chip_stamp(ssd, chip)
+        return dropped[-1]
+
+    monkeypatch.setattr(cache, "put", recording_put)
+    monkeypatch.setattr(cache, "prune_stale", checked_prune)
+    _, report = _run(ssd, result_cache=True)
     assert report.stats.chips_drained == 1
+    assert len(dropped) == report.stats.n_windows
+    assert sum(dropped) == cache.stats.invalidations > 0
     for query in report.queries:
         np.testing.assert_array_equal(
             query.result.bits, evaluate(query.expr, env)
         )
-    cache = service.engine.result_cache
-    assert cache is not None
-    # Every surviving entry is fresh against the current layout.
-    assert cache.prune_stale() == 0
 
 
 def test_explicit_manager_and_config_forms():

@@ -8,13 +8,29 @@ miss.  The randomized suite interleaves queries with churn and checks
 every served bit against the NumPy oracle; the targeted tests pin each
 invalidation source, including the one the generations exist for:
 a block erased *underneath* a cached plan must re-sense, never serve
-the pre-erase words.
+the pre-erase words.  The rewrite-round suite pins when a stale page
+is freed -- at the first window after its chip's stamp moves -- and
+that dropping it then serves exactly what lazy eviction
+(``tests/reference_result_cache.py``) served.
 """
+
+import gc
+import weakref
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from repro.core.expressions import And, Not, Operand, evaluate, or_all
+from reference_result_cache import LazyResultCache
+from repro.core.expressions import (
+    And,
+    Not,
+    Operand,
+    Or,
+    and_all,
+    evaluate,
+    or_all,
+)
 from repro.flash.geometry import ChipGeometry
 from repro.ssd.controller import SmallSsd
 from repro.ssd.query_engine import ResultCache
@@ -393,3 +409,148 @@ def test_randomized_churn_never_serves_stale_bits(seed):
             np.testing.assert_array_equal(
                 by_id[probe].result.bits, evaluate(pool[0], env)
             )
+
+
+# ----------------------------------------------------------------------
+# Rewrite rounds: a stale page is freed at the next window
+# ----------------------------------------------------------------------
+
+SCAN_DAYS = 6
+SCAN_ROUNDS = 4
+SCAN_PER_ROUND = 24
+
+
+def _scan_trace(seed):
+    """A cold_scan-shaped trace on small pages: before every round but
+    the first, two days are rewritten (delete + write: NAND cannot
+    overwrite); each round queries AND shapes of 2-4 days, one in four
+    OR'ed with a clique.  A round draws its queries from four shapes,
+    so its later windows hit what its earlier ones sensed."""
+    rng = np.random.default_rng(seed)
+    n_bits = 4 * GEOMETRY.page_size_bits
+    days = [f"day{i}" for i in range(SCAN_DAYS)]
+    initial = {
+        name: rng.integers(0, 2, n_bits, dtype=np.uint8)
+        for name in days + ["clique"]
+    }
+    rounds = []
+    for r in range(SCAN_ROUNDS):
+        rewritten = rng.choice(SCAN_DAYS, 2, replace=False) if r else ()
+        rewrites = {
+            days[index]: rng.integers(0, 2, n_bits, dtype=np.uint8)
+            for index in rewritten
+        }
+        shapes = []
+        for i in range(4):
+            k = int(rng.integers(2, 5))
+            subset = sorted(rng.choice(SCAN_DAYS, k, replace=False))
+            expr = and_all([Operand(days[d]) for d in subset])
+            shapes.append(Or(expr, Operand("clique")) if i == 0 else expr)
+        traffic = [
+            (r * 10_000.0 + 20.0 * i, shapes[int(rng.integers(4))])
+            for i in range(SCAN_PER_ROUND)
+        ]
+        rounds.append((rewrites, traffic))
+    return initial, rounds
+
+
+@dataclass
+class _WindowLog:
+    cached: list[bool]
+    puts: int
+    entries: int
+    #: First window of a round that follows a rewrite.
+    after_rewrite: bool
+    #: Word arrays stored before that rewrite still alive after it.
+    alive_from_before: int
+
+
+def _replay_scan(seed, cache_type, capacity=4096):
+    """Replay :func:`_scan_trace` through a service whose engine holds
+    ``cache_type``; every served bit is checked against the oracle.
+    Returns one :class:`_WindowLog` per ``execute_tasks`` call and the
+    cache's final stats."""
+    initial, rounds = _scan_trace(seed)
+    ssd = SmallSsd(n_chips=3, geometry=GEOMETRY, seed=seed)
+    for name, bits in initial.items():
+        # The clique in its own block: an OR operand.
+        group = None if name == "clique" else "days"
+        ssd.write_vector(name, bits, group=group)
+    cache = ssd.engine.result_cache = cache_type(ssd, capacity=capacity)
+    service = ssd.service(
+        window_us=100.0, policy="balanced", result_cache=True
+    )
+    windows: list[_WindowLog] = []
+    stored: list[weakref.ref] = []
+    before: list[weakref.ref] = []
+    put, execute = cache.put, ssd.engine.execute_tasks
+
+    def recording_put(chip, plan, words, n_senses):
+        stored.append(weakref.ref(words))
+        put(chip, plan, words, n_senses)
+
+    def recording_execute(tasks, **kwargs):
+        n_stored = len(stored)
+        outcomes = execute(tasks, **kwargs)
+        # ``before`` holds the pre-rewrite arrays until the first
+        # window after the rewrite has been checked.
+        after_rewrite = bool(before)
+        gc.collect()
+        windows.append(_WindowLog(
+            cached=[outcome.cached for outcome in outcomes],
+            puts=len(stored) - n_stored,
+            entries=len(cache),
+            after_rewrite=after_rewrite,
+            alive_from_before=sum(ref() is not None for ref in before),
+        ))
+        if after_rewrite:
+            before.clear()
+        return outcomes
+
+    cache.put = recording_put
+    ssd.engine.execute_tasks = recording_execute
+    env = dict(initial)
+    for rewrites, traffic in rounds:
+        if rewrites:
+            before[:] = stored
+            stored.clear()
+        for name, bits in rewrites.items():
+            ssd.delete_vector(name)
+            ssd.write_vector(name, bits, group="days")
+            env[name] = bits
+        for at_us, expr in traffic:
+            service.submit(expr, at_us=at_us)
+        for served in service.run().queries:
+            np.testing.assert_array_equal(
+                served.result.bits, evaluate(served.expr, env)
+            )
+    return windows, cache.stats
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_rewrite_frees_stale_pages_at_next_window(seed):
+    """After a rewrite, the first window drops every entry sensed
+    before it: the cache holds no more than that window put, and every
+    word array cached before the rewrite is dead."""
+    windows, stats = _replay_scan(seed, ResultCache)
+    firsts = [window for window in windows if window.after_rewrite]
+    assert len(firsts) == SCAN_ROUNDS - 1
+    for window in firsts:
+        assert window.entries <= window.puts
+        assert window.alive_from_before == 0
+    assert stats.invalidations > 0
+
+
+@pytest.mark.parametrize("capacity", [4096, 12])
+@pytest.mark.parametrize("seed", range(3))
+def test_eager_drop_serves_what_lazy_eviction_served(seed, capacity):
+    """Dropping a chip's entries at the next window serves the same
+    hits, outcome for outcome, as evicting each stale entry when a
+    lookup finds it -- with the LRU bound slack and binding."""
+    mine, stats = _replay_scan(seed, ResultCache, capacity)
+    lazy, lazy_stats = _replay_scan(seed, LazyResultCache, capacity)
+    assert [w.cached for w in mine] == [w.cached for w in lazy]
+    assert stats.hits == lazy_stats.hits > 0
+    assert stats.misses == lazy_stats.misses
+    # Every stale entry now counts, not only those a lookup found.
+    assert stats.invalidations >= lazy_stats.invalidations

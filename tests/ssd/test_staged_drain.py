@@ -77,10 +77,11 @@ def assert_cache_entries_equal(mine, theirs):
     """Same entries, stamped alike (concurrent drains fill the LRU in
     whatever order their chips finish, so order is not compared)."""
     cache_a, cache_b = mine.engine.result_cache, theirs.engine.result_cache
+    assert cache_a._stamps == cache_b._stamps
     assert cache_a._entries.keys() == cache_b._entries.keys()
-    for key, (stamp, words, n_senses) in cache_a._entries.items():
-        stamp_b, words_b, n_senses_b = cache_b._entries[key]
-        assert (stamp, n_senses) == (stamp_b, n_senses_b)
+    for key, (words, n_senses) in cache_a._entries.items():
+        words_b, n_senses_b = cache_b._entries[key]
+        assert n_senses == n_senses_b
         np.testing.assert_array_equal(words, words_b)
 
 

@@ -121,30 +121,34 @@ def _run_batch_bench() -> dict[str, float]:
 
 
 #: Counts of the result-cache section that ``check`` holds exactly: the
-#: warm window's executor dispatches (0) and what the shared-results
+#: warm window's executor dispatches (0), what the shared-results
 #: run's report holds (128 queries, 16 packed result blocks,
-#: 16 x n_bits / 8 bytes).
+#: 16 x n_bits / 8 bytes) and the entries left after a rewrite and one
+#: more window (that window's 64 puts).
 RESULT_CACHE_EXACT = (
     "warm_dispatches",
     "shared_queries",
     "distinct_results",
     "result_bytes",
+    "entries_after_rewrite",
 )
 
 
 def _run_result_cache_bench() -> dict[str, float]:
     """Run the cross-window result-cache kernel in-process.
 
-    ``hit_rate``, the sense and dispatch counts and the shared-results
-    counts are deterministic (the warm window must serve entirely from
-    cache; a repeated result is assembled once per run);
-    ``repeat_speedup`` is wall-clock: recorded for the trajectory,
-    never gated.
+    ``hit_rate``, the sense and dispatch counts, the shared-results
+    counts and the entry counts around a rewrite are deterministic
+    (the warm window must serve entirely from cache; a repeated result
+    is assembled once per run; a rewrite drops every entry at the next
+    window); ``repeat_speedup`` is wall-clock: recorded for the
+    trajectory, never gated.
     """
     sys.path.insert(0, str(REPO_ROOT / "src"))
     sys.path.insert(0, str(REPO_ROOT))
     from benchmarks.bench_result_cache import (
         measure_result_cache,
+        measure_rewrite,
         measure_shared_results,
     )
 
@@ -158,6 +162,7 @@ def _run_result_cache_bench() -> dict[str, float]:
         "warm_dispatches": m["warm_dispatches"],
         "hit_rate": m["hit_rate"],
         **measure_shared_results(),
+        **measure_rewrite(),
     }
 
 
