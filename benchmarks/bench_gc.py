@@ -51,6 +51,7 @@ from repro.core.api import AllocationError
 from repro.core.expressions import And, Operand, and_all, evaluate
 from repro.flash.geometry import ChipGeometry
 from repro.ssd.controller import SmallSsd
+from repro.ssd.events import StageSweep
 
 P99_GATE = float(os.environ.get("GC_P99_GATE", "1.25"))
 
@@ -194,16 +195,27 @@ def _run_saturated() -> dict:
     rng = np.random.default_rng(55)
     service = ssd.service(window_us=200.0, policy="edf", maintenance=True)
     replays = []
-    sweep = service_module.simulate_stages
 
-    def recording(jobs, **kwargs):
-        replay = sweep(jobs, **kwargs)
-        replays.append((list(jobs), replay))
-        return replay
+    class RecordingSweep(StageSweep):
+        """A run's sweep that also keeps the run's jobs and, at the
+        close, its report."""
+
+        def __init__(self) -> None:
+            super().__init__()
+            self.jobs = []
+
+        def feed(self, jobs, tags=None):
+            self.jobs += jobs
+            return super().feed(jobs, tags)
+
+        def close(self):
+            done, replay = super().close()
+            replays.append((self.jobs, replay))
+            return done, replay
 
     queries = []
     lag_us = 0.0
-    with mock.patch.object(service_module, "simulate_stages", recording):
+    with mock.patch.object(service_module, "StageSweep", RecordingSweep):
         for r in range(ROUNDS):
             env = {**stable_env, **_churn_round(ssd, rng, r, SATURATED_CHURN)}
             for i in range(SATURATED_QUERIES):

@@ -3,9 +3,12 @@
 Unlike the figure benches (which regenerate the paper's numbers),
 these measure the *library's* hot paths with pytest-benchmark proper
 (many rounds): functional MWS sensing, ParaBit serial sensing, BCH
-decoding, randomization, and the SSD timeline simulator.  Useful for
-tracking performance regressions of the simulator itself.
+decoding, randomization, the SSD timeline simulator, and the event
+sweep fed as a service feeds it.  Useful for tracking performance
+regressions of the simulator itself.
 """
+
+import time
 
 import numpy as np
 
@@ -17,6 +20,7 @@ from repro.flash.chip import NandFlashChip
 from repro.flash.geometry import ChipGeometry
 from repro.flash.randomizer import LfsrRandomizer
 from repro.ssd.config import fig7_config
+from repro.ssd.events import StageJob, StageSweep, simulate_stages
 from repro.ssd.pipeline import DataflowSpec, PipelineModel, Platform
 
 GEOMETRY = ChipGeometry(
@@ -87,3 +91,55 @@ def test_kernel_timeline_simulator(benchmark):
     )
     timing = benchmark(model.evaluate, Platform.OSP, spec)
     assert timing.makespan_us > 400
+
+
+def _edf_windows(n_windows=200, per_window=100, seed=4):
+    """A service-shaped ``edf`` stream of 20k jobs: 200 admission
+    windows 400 us apart, each job die -> channel -> external link on
+    8 dies and 2 channels, ready at its window's close, a third of
+    them under a deadline and priorities mixed."""
+    rng = np.random.default_rng(seed)
+    windows = []
+    for w in range(n_windows):
+        ready = (w + 1) * 400e-6
+        window = []
+        for _ in range(per_window):
+            chip = int(rng.integers(8))
+            window.append(
+                StageJob(
+                    ready,
+                    (float(rng.uniform(0.0, 60e-6)), 4e-6, 2e-6),
+                    (f"chip{chip}", f"chan{chip % 2}", "ext"),
+                    priority=float(rng.integers(3)),
+                    deadline=ready + 1.5e-3 if rng.random() < 1 / 3 else None,
+                )
+            )
+        windows.append(window)
+    return windows
+
+
+def test_kernel_stage_sweep_streamed(benchmark):
+    """The 20k-job ``edf`` stream fed to one sweep window by window, as
+    the service feeds a run, against the one-shot sweep over the whole
+    list (timed once, in ``extra_info``): the same completions."""
+    windows = _edf_windows()
+    jobs = [job for window in windows for job in window]
+
+    def streamed():
+        sweep = StageSweep()
+        done = []
+        for window in windows:
+            done += sweep.feed(window)
+        rest, report = sweep.close()
+        return done + rest, report
+
+    done, report = benchmark(streamed)
+    start = time.perf_counter()
+    whole = simulate_stages(jobs)
+    benchmark.extra_info["one_shot_s"] = time.perf_counter() - start
+    completion = [None] * len(jobs)
+    for index, end in done:
+        completion[index] = end
+    assert completion == whole.completion_times
+    assert report.resource_busy == whole.resource_busy
+    assert report.makespan == whole.makespan

@@ -8,13 +8,14 @@ policy (``fifo`` / ``balanced`` / deadline-aware ``edf``), executed
 with cross-query sense sharing and -- when ``result_cache`` is on --
 the engine's cross-window :class:`~repro.ssd.query_engine.ResultCache`
 consulted first, and every chunk job is replayed through one exact
-event simulation so latencies, deadline conformance, and the
-bottleneck resource are simulation-accurate.
+event simulation, fed as each window closes, so latencies, deadline
+conformance, and the bottleneck resource are simulation-accurate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from repro.service.scheduler import (
     schedule_window,
 )
 from repro.ssd.controller import QueryResult, SmallSsd
-from repro.ssd.events import StageJob, simulate_stages
+from repro.ssd.events import StageJob, StageSweep, simulate_stages
 from repro.ssd.maintenance import (
     MaintenanceConfig,
     MaintenanceManager,
@@ -159,7 +160,7 @@ class _QueryState:
         "submission", "prepared", "pieces", "n_senses", "energy_nj",
         "chip_busy", "shared_chunks", "cached_chunks", "admitted_us",
         "completed_us", "error", "retries", "degraded_chunks",
-        "fault_us", "reconstructed_chunks", "reconstruction_us",
+        "fault_us", "reconstructed_chunks", "reconstruction_us", "pending",
     )
 
     def __init__(self, submission, prepared) -> None:
@@ -179,6 +180,8 @@ class _QueryState:
         self.fault_us = 0.0
         self.reconstructed_chunks = 0
         self.reconstruction_us = 0.0
+        #: Listed jobs the event sweep has not completed yet.
+        self.pending = 0
 
 
 @dataclass
@@ -212,15 +215,26 @@ class _Run(_RunTotals):
     maintenance_before: MaintenanceStats = field(
         default_factory=MaintenanceStats
     )
+    #: The run's event sweep, fed once per window.
+    sweep: StageSweep | None = None
+    #: Queries admitted and not yet served (some job still in flight).
     states: dict[int, _QueryState] = field(default_factory=dict)
-    jobs: list[StageJob] = field(default_factory=list)
-    #: Query id per job; ``None`` marks background maintenance jobs,
-    #: which complete in the simulation but belong to no query.
-    job_owner: list[int | None] = field(default_factory=list)
-    #: Background chip microseconds pending inside the event
-    #: simulation, per chip -- the scheduler prices this into its
-    #: cross-chip interleave so foreground tails avoid dies busy with
-    #: GC.
+    #: The window's listing and, per job, its owner: its query's state,
+    #: or a background job's ready time (it belongs to no query).
+    window_jobs: list[StageJob] = field(default_factory=list)
+    window_owners: list[_QueryState | float] = field(default_factory=list)
+    #: Queries whose last job has completed, in completion order.
+    served: list[ServedQuery] = field(default_factory=list)
+    #: piece ids -> (pieces, assembled word block), this run only:
+    #: pieces are the same objects exactly when they came from one
+    #: cache entry or one shared sense, so a repeated result is
+    #: assembled once and its repeats share the frozen block.
+    assembled: dict[tuple, tuple] = field(default_factory=dict)
+    #: Most any background job waited for idle gaps so far.
+    maintenance_lag_s: float = 0.0
+    #: Background chip microseconds booked into the sweep this run, per
+    #: chip, never released -- the scheduler prices this into its
+    #: cross-chip interleave so foreground tails avoid dies busy with GC.
     gc_busy: dict[int, float] = field(default_factory=dict)
     #: Whether any chip error (or chip loss) has been observed this
     #: run -- only then do health weights feed the FTL's stripe
@@ -230,9 +244,9 @@ class _Run(_RunTotals):
 
     def add_background(self, background: list[StageJob]) -> None:
         """List maintenance jobs for the event replay and book their
-        chip time as pending."""
-        self.jobs.extend(background)
-        self.job_owner.extend([None] * len(background))
+        chip time."""
+        self.window_jobs.extend(background)
+        self.window_owners.extend(job.ready_at for job in background)
         for job in background:
             resource = job.resources[0]
             if resource.startswith("chip"):
@@ -468,12 +482,12 @@ class QueryService:
         """Serve every pending submission, then drain the queue.
 
         Windows execute in close order, each through the same steps;
-        every window's chunk jobs enter one shared event simulation
-        with ``ready_at`` equal to the window close time, so
-        cross-window contention (a window queuing behind the previous
-        one's stragglers) is exact.  An exception out of any step --
-        the report included -- leaves the queue as it was: fix the
-        cause and call ``run()`` again.
+        every window's jobs, ready at its close, are fed as it ends to
+        the run's one event sweep, so cross-window contention (a window
+        queuing behind the previous one's stragglers) is exact, and a
+        query is served as soon as its last job completes.  An
+        exception out of any step -- the report included -- leaves the
+        queue as it was: fix the cause and call ``run()`` again.
         """
         windows = self.admission.windows()
         injector = self.ssd.fault_injector
@@ -485,6 +499,7 @@ class QueryService:
             recovery=recovery,
             faults_before=injector.faults_injected if injector else 0,
             quarantines_before=self.health.quarantines,
+            sweep=StageSweep(),
         )
         if manager is not None:
             run.maintenance_before = replace(manager.stats)
@@ -501,10 +516,11 @@ class QueryService:
             self._list_jobs(run, outcomes, info, ready_s)
             self._observe_health(run, chip_obs, ready_s)
             self._maintain(run, ready_s)
+            self._feed(run)
         report = self._report(run, len(windows))
         # The report exists: only now drain the admission queue, so an
         # exception anywhere above (e.g. a query over non-co-located
-        # vectors, or a failing replay) leaves the pending submissions
+        # vectors, or a failing feed) leaves the pending submissions
         # intact for a retry.
         self.admission.clear()
         return report
@@ -686,7 +702,7 @@ class QueryService:
         one, those of the window's reconstructed queries.
         """
         stage_job = self.engine.stage_job
-        jobs, job_owner = run.jobs, run.job_owner
+        jobs, owners, states = run.window_jobs, run.window_owners, run.states
         edf = self.policy == "edf"
         directives = {}
         for query, meta in info.items():
@@ -718,6 +734,7 @@ class QueryService:
         for position, outcome in enumerate(outcomes):
             task = outcome.task
             query = task.query
+            state = states[query]
             if outcome.cached:
                 job = idle_jobs.get((query, task.chip))
                 if job is None:
@@ -725,7 +742,8 @@ class QueryService:
                         task.chip, 0.0, **directives[query]
                     )
                 jobs.append(job)
-                job_owner.append(query)
+                owners.append(state)
+                state.pending += 1
                 continue
             own = directives[query]
             if groups:
@@ -739,7 +757,8 @@ class QueryService:
                     **own,
                 )
             )
-            job_owner.append(query)
+            owners.append(state)
+            state.pending += 1 + len(outcome.recovery_work)
             for rchip, busy_us in outcome.recovery_work:
                 # Survivor reads of a parity reconstruction occupy
                 # real dies: they join the event simulation as
@@ -749,7 +768,7 @@ class QueryService:
                 # page another job of the window read on that die, and
                 # queues behind the read.
                 jobs.append(stage_job(rchip, busy_us, **(survivor or own)))
-                job_owner.append(query)
+                owners.append(state)
 
     def _observe_health(
         self, run: _Run, chip_obs: dict[int, list[int]], ready_s: float
@@ -804,35 +823,42 @@ class QueryService:
                 )
             )
 
-    def _report(self, run: _Run, n_windows: int) -> ServiceReport:
-        """Replay every listed job through the one event simulation,
-        fold the completion times into the queries, and build the
-        report (the stats are a fold of the served queries plus the
-        run's totals and deltas)."""
-        sim = simulate_stages(run.jobs)
-        states = run.states
-        maintenance_lag_s = 0.0
-        for completion_s, owner, job in zip(
-            sim.completion_times, run.job_owner, run.jobs
-        ):
-            if owner is None:
-                # Background maintenance job, no query: what deferring
-                # it to the die's idle gaps cost it.
-                maintenance_lag_s = max(
-                    maintenance_lag_s, completion_s - job.ready_at
-                )
+    def _feed(self, run: _Run) -> None:
+        """Feed the window's listing to the run's sweep, in one call."""
+        jobs, owners = run.window_jobs, run.window_owners
+        run.window_jobs, run.window_owners = [], []
+        done = simulate_stages(jobs, sweep=run.sweep, tags=owners)
+        self._complete(run, done)
+
+    def _complete(self, run: _Run, done: list[tuple]) -> None:
+        """Fold completions ``(owner, end_s)`` into the maintenance lag
+        and their queries, serving (and dropping) those now done."""
+        lag_s = run.maintenance_lag_s
+        for owner, end_s in done:
+            if owner.__class__ is not _QueryState:
+                # A background job, owned by its ready time: what
+                # deferring it to the die's idle gaps cost it.
+                end_s -= owner
+                if end_s > lag_s:
+                    lag_s = end_s
                 continue
-            state = states[owner]
-            state.completed_us = max(state.completed_us, completion_s * 1e6)
-        # piece ids -> (pieces, assembled word block), this report
-        # only: pieces are the same objects exactly when they came from
-        # one cache entry or one shared sense, so a repeated result is
-        # assembled once and its repeats share the frozen block.
-        assembled: dict[tuple, tuple] = {}
-        served = tuple(
-            self._served(states[query_id], assembled)
-            for query_id in sorted(states)
-        )
+            end_us = end_s * 1e6
+            if end_us > owner.completed_us:
+                owner.completed_us = end_us
+            owner.pending -= 1
+            if not owner.pending:
+                run.served.append(self._served(owner, run.assembled))
+                del run.states[owner.submission.query_id]
+        run.maintenance_lag_s = lag_s
+
+    def _report(self, run: _Run, n_windows: int) -> ServiceReport:
+        """Close the run's event sweep, fold its last completions --
+        every query lists at least one job, so all are served then --
+        and build the report (the stats are a fold of the served
+        queries plus the run's totals and deltas)."""
+        done, sim = run.sweep.close()
+        self._complete(run, done)
+        served = tuple(sorted(run.served, key=attrgetter("query_id")))
         injector = self.ssd.fault_injector
         wear = self.ssd.wear_summary()
         before = run.maintenance_before
@@ -854,7 +880,7 @@ class QueryService:
             blocks_retired=after.blocks_retired - before.blocks_retired,
             chips_drained=after.chips_drained - before.chips_drained,
             maintenance_overhead_us=after.busy_us - before.busy_us,
-            maintenance_lag_us=maintenance_lag_s * 1e6,
+            maintenance_lag_us=run.maintenance_lag_s * 1e6,
             wear_min=wear.pe_min,
             wear_max=wear.pe_max,
             wear_mean=wear.pe_mean,

@@ -13,13 +13,14 @@ to reproduce the 471/431/335-us timelines of Figure 7 exactly, which
 the tests pin.
 
 Jobs need not all be ready at t=0: the query service layer
-(:mod:`repro.service`) emits *window-level job streams* whose
-``ready_at`` times are the admission-window close times on its
-virtual clock, and one simulation over the whole trace yields exact
-cross-window contention (a window's jobs queue behind the previous
-window's stragglers on shared chips, channels, and the external
-link).  Within one ready time, ties break by submission order --
-which is precisely the knob the multi-query scheduler turns.
+(:mod:`repro.service`) feeds each admission window's jobs, ready at
+its close, into one resumable :class:`StageSweep` per run, which runs
+every event before that close and hands back the completions now
+final: cross-window contention (a window's jobs queue behind the
+previous window's stragglers on shared chips, channels, and the
+external link) stays exact.  Within one ready time, ties break by
+submission order -- which is precisely the knob the multi-query
+scheduler turns.
 
 **Three classes at the die.**  Sensing, not the channel or the link,
 bounds an in-flash query, so what sits on a die ahead of an urgent
@@ -41,9 +42,8 @@ the instant the die frees -- it holds the die for no time, so no other
 job moves, and a cached workload's jobs never queue.  Downstream
 stages stay first-come-first-served in die-completion order (they are
 a percent utilised; reordering there buys nothing and costs every
-event a heap).  A job list without urgency differences -- detected
-once per call -- never queues and is float-identical to a plain FCFS
-sweep.
+event a heap).  A job list without urgency differences never queues
+and is float-identical to a plain FCFS sweep.
 
 **Background class.**  A GC erase is 3.5 ms against a 25-us sense.
 Jobs built by :func:`background_job` (GC copyback + erase, drain,
@@ -73,7 +73,10 @@ queue and the background class above, event by event
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from math import inf
+from typing import Sequence
 
 
 class SerialResource:
@@ -227,6 +230,8 @@ def background_job(
 class StageReport:
     """Outcome of a pipeline simulation.
 
+    ``completion_times`` is in listing order (empty when a
+    :class:`StageSweep` handed its completions back as they came).
     ``resource_busy``/``resource_jobs`` are keyed by whatever resource
     names the jobs carried -- the fixed die/channel/link trio of the
     Figure 7 pipelines, or the ``chip*``/``chan*``/``ext`` sets of the
@@ -304,14 +309,19 @@ def simulate_stages(
     jobs: list[StageJob],
     *,
     suspension: ArbitrationConfig | None = None,
-) -> StageReport:
+    sweep: StageSweep | None = None,
+    tags: Sequence | None = None,
+) -> StageReport | list[tuple]:
     """Run jobs through their stage chains.
 
-    One sweep over all stage events in global ``(ready, seq)`` order,
-    which stays exact when streams interleave; the order comes from
-    merging the sorted stage-0 arrivals with a heap of downstream
-    events (see the comment in the body for why the merge is exact and
-    how ties break).
+    One sweep over all stage events in global time order, which stays
+    exact when streams interleave; the order comes from merging the
+    sorted stage-0 arrivals with a heap of downstream events (see
+    :meth:`StageSweep._advance` for why the merge is exact and how ties
+    break): one feed of a fresh :class:`StageSweep`, then its close.
+    Given a ``sweep`` instead -- the service's call, once per window --
+    it returns ``sweep.feed(jobs, tags)`` (the sweep has its own
+    ``suspension``).
 
     The resource a job enters first serves its *waiting* jobs by
     :attr:`StageJob.urgency`, arrival order within equal urgency,
@@ -332,130 +342,233 @@ def simulate_stages(
     forward-progress rule.  A job list without background jobs never
     reaches that code.
     """
-    if not jobs:
-        # An empty stream (e.g. an admission window that admitted no
-        # queries) simulates to an idle, zero-makespan report.
-        return StageReport(makespan=0.0, completion_times=[])
-    if suspension is None:
-        suspension = _ZERO_COST_SUSPENSION
+    if sweep is not None:
+        return sweep.feed(jobs, tags)
+    whole = StageSweep(suspension=suspension)
+    whole.feed(jobs)
+    done, report = whole.close()
+    completion = [0.0] * len(jobs)
+    for index, end in done:
+        completion[index] = end
+    report.completion_times = completion
+    return report
 
-    # Executing stage events in global (ready, seq) order is exact for
-    # feed-forward pipelines: per resource, events are seen in ready
-    # order, and a downstream event always carries ready >= the ready
-    # of the event that produced it, so the sweep never goes back in
-    # time.  ``seq`` numbers events in creation order: the N stage-0
-    # arrivals first (seq == job index), every later event after them
-    # (seq >= N).
-    #
-    # That order is produced by a merge instead of one heap of N
-    # entries.  The arrivals are simply the job indices sorted by
-    # ``ready_at`` (the sort is stable, which is the seq tie-break
-    # among them); only later events live in a heap, whose size is the
-    # number of jobs in flight.  The heap's head runs next only when
-    # its time is *strictly* earlier than the next arrival's: at equal
-    # times the arrival's smaller seq wins -- which is also why an
-    # arrival at the instant its die frees is among the waiters when
-    # the "die frees" entry (:func:`_serve_waiters`) picks one.
-    # Nothing here assumes which resource names appear at which stage.
-    #
-    # A background arrival is not served: it joins its die's gap
-    # queue, which the arrival order keeps sorted by ``(ready, seq)``.
-    # The queue is looked at only when a foreground event finds the
-    # die idle before its own ready time (and once at the end), so
-    # foreground events see the same additions in the same order
-    # whether or not anything is queued elsewhere.
-    n_jobs = len(jobs)
-    ready = [job.ready_at for job in jobs]
-    arrivals = sorted(range(n_jobs), key=ready.__getitem__)
-    arrived = 0
-    next_ready = ready[arrivals[0]]
-    heap: list[tuple] = []
-    push = heapq.heappush
-    pop = heapq.heappop
-    seq = n_jobs
-    queued = _urgency_differs(jobs)
 
-    #: name -> state (see :data:`_IDLE`), inlined rather than a
-    #: :class:`SerialResource`: the service layer replays one job per
-    #: chunk per window through here.
-    resources: dict[str, list] = {}
-    completion = [0.0] * n_jobs
-    fault_overhead = 0.0
-    while True:
-        if heap and (arrived == n_jobs or heap[0][0] < next_ready):
-            ready_at, _, idx, stage = pop(heap)
-            if idx < 0:
-                # A die frees; ``stage`` is its state.
-                seq = _serve_waiters(
-                    stage, ready_at, jobs, heap, seq, completion
-                )
-                continue
-            job = jobs[idx]
-            durations = job.durations
-            duration = durations[stage]
-        elif arrived < n_jobs:
-            idx = arrivals[arrived]
-            arrived += 1
-            ready_at = next_ready
-            if arrived < n_jobs:
-                next_ready = ready[arrivals[arrived]]
-            stage = 0
-            job = jobs[idx]
-            durations = job.durations
-            duration = durations[0]
-            if job.fault_delay_s:
-                # Recovery time occupies the die ahead of the useful
-                # work; guarded so fault-free schedules stay
-                # float-identical.
-                duration += job.fault_delay_s
-                fault_overhead += job.fault_delay_s
-            if job.background:
-                _queue_background(resources, job, (ready_at, duration, idx))
-                continue
-        else:
-            break
-        name = job.resources[stage]
-        state = resources.get(name)
-        if state is None:
-            state = resources[name] = list(_IDLE)
-        start = state[0]
-        if ready_at > start:
-            # The resource idles before this event is ready ...
-            if state[3] is None:
-                start = ready_at
-            elif _fill_gap(state, ready_at, suspension, completion):
-                # ... or its background work ended, or yielded, in time
-                start = ready_at if ready_at > state[0] else state[0]
-            elif queued and not stage:
-                # ... or runs on, unable to yield: wait for the die.
-                seq = _join_waiters(
-                    state, heap, seq, job, arrived, idx, duration
-                )
-                continue
+class StageSweep:
+    """The sweep of :func:`simulate_stages`, resumable.
+
+    :meth:`feed` runs every event strictly earlier than its jobs' ready
+    time, queues them and returns the completions it finalised as
+    ``(tag, end)`` -- a tag per *listing*, by default its index over
+    every feed.  No job may be ready before the latest ready time fed
+    so far.  :meth:`close` runs the rest, flushes the background gap
+    queues and returns ``(completions, report)``.  Split into feeds
+    however, a list is served exactly as one feed serves it: whether
+    two foreground jobs differ in urgency (whether a die queues at
+    all) is settled by holding the arrivals unrun until the first
+    difference is fed -- or, if none is, until the close.
+    """
+
+    def __init__(self, *, suspension: ArbitrationConfig | None = None) -> None:
+        self._suspension = suspension or _ZERO_COST_SUSPENSION
+        #: Arrivals in ``(ready, listing)`` order, as parallel lists;
+        #: those before ``_head`` have run.
+        self._ready: list[float] = []
+        self._jobs: list[StageJob] = []
+        self._tags: list = []
+        self._head = self._fed = self._seq = 0
+        self._clock, self._fault_overhead = -inf, 0.0
+        #: ``(time, seq, job, stage, tag)``; a "die frees" entry has
+        #: ``None`` for job and tag and the die's state as stage.
+        self._heap: list[tuple] = []
+        #: name -> state (see :data:`_IDLE`).
+        self._resources: dict[str, list] = {}
+        #: Whether dies queue, ``None`` until decided; the one
+        #: foreground urgency seen so far.
+        self._queued: bool | None = None
+        self._urgency: tuple | None = None
+
+    def feed(
+        self, jobs: Sequence[StageJob], tags: Sequence | None = None
+    ) -> list[tuple]:
+        """Queue ``jobs`` after running every event before them;
+        returns the completions that finalised."""
+        if not jobs:
+            return []
+        if tags is None:
+            tags = range(self._fed, self._fed + len(jobs))
+        elif len(tags) != len(jobs):
+            raise ValueError("one tag per job")
+        ready = [job.ready_at for job in jobs]
+        if sorted(ready) != ready:
+            # Stable: listing order breaks ties.
+            order = sorted(range(len(ready)), key=ready.__getitem__)
+            ready = [ready[i] for i in order]
+            jobs = [jobs[i] for i in order]
+            tags = [tags[i] for i in order]
+        if ready[0] < self._clock:
+            raise ValueError(f"job ready before the clock, {self._clock}")
+        self._fed += len(jobs)
+        self._clock = ready[-1]
+        if self._queued is None:
+            self._decide(jobs)
+        done = [] if self._queued is None else self._advance(ready[0])
+        if self._head:
+            head, self._head = self._head, 0
+            del self._ready[:head], self._jobs[:head], self._tags[:head]
+        self._ready += ready
+        self._jobs += jobs
+        self._tags += tags
+        return done
+
+    def close(self) -> tuple[list[tuple], StageReport]:
+        """Run every event left, flush the background still queued
+        behind the last foreground job of each die, and total the
+        sweep's report."""
+        if self._queued is None:
+            self._queued = False
+        done = self._advance(inf)
+        suspension, resources = self._suspension, self._resources
+        suspensions, guard_waits = {}, {}
+        for name, state in resources.items():
+            if state[3] is not None:
+                _fill_gap(state, inf, suspension, done)
+            if state[4]:
+                suspensions[name] = state[4]
+            if state[6]:
+                guard_waits[name] = state[6]
+        return done, StageReport(
+            # Available times only grow, and each is a stage's end.
+            makespan=max((s[0] for s in resources.values()), default=0.0),
+            completion_times=[],
+            resource_busy={name: s[1] for name, s in resources.items()},
+            resource_jobs={name: s[2] for name, s in resources.items()},
+            resource_preemptions=suspensions,
+            resource_guard_waits=guard_waits,
+            preemption_overhead=sum(suspensions.values())
+            * (suspension.suspend_cost_s + suspension.resume_cost_s),
+            fault_overhead=self._fault_overhead,
+        )
+
+    def _decide(self, jobs: Sequence[StageJob]) -> None:
+        """Queue for good once two foreground jobs differ in urgency --
+        only then can a die's order differ from FCFS."""
+        seen = {(j.deadline, j.priority) for j in jobs if not j.background}
+        if self._urgency is not None:
+            seen.add(self._urgency)
+        if len(seen) > 1:
+            self._queued = True
+        elif seen:
+            self._urgency = seen.pop()
+
+    def _advance(self, limit: float) -> list[tuple]:
+        """Run every event strictly earlier than ``limit``; returns the
+        completions that finalised."""
+        # Executing stage events in global time order is exact for
+        # feed-forward pipelines: per resource, events are seen in ready
+        # order, and a downstream event's ready is >= that of the event
+        # that produced it -- nor can a later feed, ready at ``limit``
+        # or after, reach back before it.
+        #
+        # That order is produced by a merge instead of one heap of all
+        # events.  The arrivals are sorted by ``ready_at`` (stable, so
+        # listing order breaks ties); only later events live in a heap,
+        # as many as jobs in flight, ``seq`` numbering them in creation
+        # order.  The heap's head runs next only when its time is
+        # *strictly* earlier than the next arrival's: at equal times the
+        # arrival wins -- which is also why an arrival at the instant
+        # its die frees is among the waiters when the "die frees" entry
+        # (:func:`_serve_waiters`) picks one.  Nothing here assumes
+        # which resource names appear at which stage.
+        #
+        # A background arrival is not served: it joins its die's gap
+        # queue, which the arrival order keeps sorted.  The queue is
+        # looked at only when a foreground event finds the die idle
+        # before its own ready time (and once at the close), so
+        # foreground events see the same additions in the same order
+        # whether or not anything is queued elsewhere.
+        ready, jobs, tags = self._ready, self._jobs, self._tags
+        heap, resources = self._heap, self._resources
+        suspension, queued = self._suspension, self._queued
+        push, pop = heapq.heappush, heapq.heappop
+        arrived = self._head
+        stop = bisect_left(ready, limit, arrived)
+        next_ready = ready[arrived] if arrived < stop else limit
+        seq, fault_overhead = self._seq, self._fault_overhead
+        done: list[tuple] = []
+        finish = done.append
+        while True:
+            if heap and heap[0][0] < next_ready:
+                ready_at, _, job, stage, tag = pop(heap)
+                if job is None:
+                    # A die frees; ``stage`` is its state.
+                    seq = _serve_waiters(stage, ready_at, heap, seq, done)
+                    continue
+                durations = job.durations
+                duration = durations[stage]
+            elif arrived < stop:
+                job, tag = jobs[arrived], tags[arrived]
+                arrived += 1
+                ready_at = next_ready
+                next_ready = ready[arrived] if arrived < stop else limit
+                stage = 0
+                durations = job.durations
+                duration = durations[0]
+                if job.fault_delay_s:
+                    # Recovery time occupies the die ahead of the useful
+                    # work; guarded so fault-free schedules stay
+                    # float-identical.
+                    duration += job.fault_delay_s
+                    fault_overhead += job.fault_delay_s
+                if job.background:
+                    _queue_background(
+                        resources, job.resources[0], (ready_at, duration, tag)
+                    )
+                    continue
             else:
-                start = state[0]
-        elif (
-            not stage
-            and (duration or start > ready_at or state[5])
-            and queued
-            and state[2]
-        ):
-            # The die is busy, or frees this very instant: wait --
-            # unless the job needs no die time and nobody waits ahead
-            # of it: then it delays no one by going now.
-            seq = _join_waiters(state, heap, seq, job, arrived, idx, duration)
-            continue
-        end = start + duration
-        state[0] = end
-        state[1] += duration
-        state[2] += 1
-        stage += 1
-        if stage < len(durations):
-            push(heap, (end, seq, idx, stage))
-            seq += 1
-        else:
-            completion[idx] = end
-    return _report(resources, completion, suspension, fault_overhead)
+                break
+            name = job.resources[stage]
+            state = resources.get(name)
+            if state is None:
+                state = resources[name] = list(_IDLE)
+            start = state[0]
+            if ready_at > start:
+                # The resource idles before this event is ready ...
+                if state[3] is None:
+                    start = ready_at
+                elif _fill_gap(state, ready_at, suspension, done):
+                    # ... or its background work ended, or yielded, in time
+                    start = ready_at if ready_at > state[0] else state[0]
+                elif queued and not stage:
+                    # ... or runs on, unable to yield: wait for the die.
+                    seq = _join_waiters(state, heap, seq, job, tag, duration)
+                    continue
+                else:
+                    start = state[0]
+            elif (
+                not stage
+                and (duration or start > ready_at or state[5])
+                and queued
+                and state[2]
+            ):
+                # The die is busy, or frees this very instant: wait --
+                # unless the job needs no die time and nobody waits ahead
+                # of it: then it delays no one by going now.
+                seq = _join_waiters(state, heap, seq, job, tag, duration)
+                continue
+            end = start + duration
+            state[0] = end
+            state[1] += duration
+            state[2] += 1
+            stage += 1
+            if stage < len(durations):
+                push(heap, (end, seq, job, stage, tag))
+                seq += 1
+            else:
+                finish((tag, end))
+        self._head, self._seq = arrived, seq
+        self._fault_overhead = fault_overhead
+        return done
 
 
 #: A resource of the sweep before its first job: ``[available at, busy
@@ -478,105 +591,50 @@ def _protected_until(
     )
 
 
-def _report(
-    resources: dict[str, list],
-    completion: list[float],
-    suspension: ArbitrationConfig,
-    fault_overhead: float,
-) -> StageReport:
-    """Flush the background work still queued behind the last
-    foreground job of each die and total the sweep's report."""
-    suspensions, guard_waits = {}, {}
-    for name, state in resources.items():
-        if state[3] is not None:
-            _fill_gap(state, float("inf"), suspension, completion)
-        if state[4]:
-            suspensions[name] = state[4]
-        if state[6]:
-            guard_waits[name] = state[6]
-    return StageReport(
-        makespan=max(completion),
-        completion_times=completion,
-        resource_busy={name: s[1] for name, s in resources.items()},
-        resource_jobs={name: s[2] for name, s in resources.items()},
-        resource_preemptions=suspensions,
-        resource_guard_waits=guard_waits,
-        preemption_overhead=sum(suspensions.values())
-        * (suspension.suspend_cost_s + suspension.resume_cost_s),
-        fault_overhead=fault_overhead,
-    )
-
-
-def _urgency_differs(jobs: list[StageJob]) -> bool:
-    """Whether any two foreground jobs differ in urgency -- only then
-    can the order a die serves its waiters in differ from arrival
-    order, and only then does the sweep queue at all."""
-    first = None
-    for job in jobs:
-        if job.background:
-            continue
-        key = (job.deadline, job.priority)
-        if first is None:
-            first = key
-        elif key != first:
-            return True
-    return False
-
-
 def _queue_background(
-    resources: dict[str, list], job: StageJob, waiter: tuple
+    resources: dict[str, list], name: str, waiter: tuple
 ) -> None:
-    """A background arrival is not served: ``(ready, seconds, job
-    index)`` joins its die's gap queue."""
-    state = resources.get(job.resources[0])
+    """A background arrival is not served: ``(ready, seconds, tag)``
+    joins the gap queue of its die, ``name``."""
+    state = resources.get(name)
     if state is None:
-        state = resources[job.resources[0]] = list(_IDLE)
+        state = resources[name] = list(_IDLE)
     if state[3] is None:
         state[3] = _GapQueue()
     state[3].waiting.append(waiter)
 
 
 def _join_waiters(
-    state: list,
-    heap: list,
-    seq: int,
-    job: StageJob,
-    rank: int,
-    idx: int,
-    duration: float,
+    state: list, heap: list, seq: int, job: StageJob, tag, duration: float
 ) -> int:
-    """Queue job ``idx`` -- ``(*urgency, arrival rank, job index,
-    stage-0 seconds)`` -- on a die that is busy at its ready time;
+    """Queue ``job`` -- ``(*urgency, seq, job, tag, stage-0 seconds)``,
+    ``seq`` ranking it by arrival -- on a die busy at its ready time;
     returns the next ``seq``.  The first waiter arms the die's "die
-    frees" entry in the event heap -- ``(time, seq, -1, state)`` -- at
-    the time the die's current work ends; :func:`_serve_waiters`
-    re-arms it while waiters remain, so a die has one entry in flight
-    exactly while somebody waits for it."""
+    frees" entry in the event heap -- ``(time, seq, None, state,
+    None)`` -- at the time the die's current work ends;
+    :func:`_serve_waiters` re-arms it while waiters remain, so a die
+    has one entry in flight exactly while somebody waits for it."""
     waiting = state[5]
     if waiting is None:
         waiting = state[5] = []
     if not waiting:
-        heapq.heappush(heap, (state[0], seq, -1, state))
+        heapq.heappush(heap, (state[0], seq, None, state, None))
         seq += 1
-    heapq.heappush(waiting, (*job.urgency, rank, idx, duration))
-    return seq
+    heapq.heappush(waiting, (*job.urgency, seq, job, tag, duration))
+    return seq + 1
 
 
 def _serve_waiters(
-    state: list,
-    at: float,
-    jobs: list[StageJob],
-    heap: list,
-    seq: int,
-    completion: list[float],
+    state: list, at: float, heap: list, seq: int, done: list[tuple]
 ) -> int:
     """A die frees at ``at``: start its most urgent waiter (earliest
     arrival among equals), non-preemptively; returns the next ``seq``.
 
     Every arrival with a ready time up to and including ``at`` has
     already joined (the event merge runs arrivals first at equal
-    times).  A zero-length waiter frees the die again in the same
-    instant, so the next is picked at once.  Should the die have
+    times, and no later feed is ready by ``at``).  A zero-length waiter
+    frees the die again in the same instant, so the next is picked at
+    once.  Should the die have
     taken work by another route since the entry was armed (a resource
     that is also some job's later stage), the pick moves to the end
     of that work.
@@ -584,20 +642,19 @@ def _serve_waiters(
     waiting = state[5]
     end = state[0]
     while end <= at:
-        idx, duration = heapq.heappop(waiting)[-2:]
+        job, tag, duration = heapq.heappop(waiting)[-3:]
         end = at + duration
         state[0] = end
         state[1] += duration
         state[2] += 1
-        job = jobs[idx]
         if len(job.durations) > 1:
-            heapq.heappush(heap, (end, seq, idx, 1))
+            heapq.heappush(heap, (end, seq, job, 1, tag))
             seq += 1
         else:
-            completion[idx] = end
+            done.append((tag, end))
         if not waiting:
             return seq
-    heapq.heappush(heap, (end, seq, -1, state))
+    heapq.heappush(heap, (end, seq, None, state, None))
     return seq + 1
 
 
@@ -608,8 +665,8 @@ class _GapQueue:
     __slots__ = ("waiting", "head", "remainder", "parked")
 
     def __init__(self) -> None:
-        #: ``(ready, duration, job index)`` in ``(ready, seq)`` order.
-        self.waiting: list[tuple[float, float, int]] = []
+        #: ``(ready, duration, tag)`` in arrival order.
+        self.waiting: list[tuple] = []
         self.head = 0
         #: Seconds the head job still needs after a suspension (its
         #: resume cost included) and when it was parked; ``None``
@@ -619,10 +676,7 @@ class _GapQueue:
 
 
 def _fill_gap(
-    state: list,
-    limit: float,
-    cfg: ArbitrationConfig,
-    completion: list[float],
+    state: list, limit: float, cfg: ArbitrationConfig, done: list[tuple]
 ) -> bool:
     """Serve one die's queued background work in the idle gap between
     ``state[0]`` (the die's last foreground completion) and ``limit``
@@ -648,7 +702,7 @@ def _fill_gap(
     at = state[0]
     yielded = False
     while queue.head < len(waiting):
-        ready_at, duration, idx = waiting[queue.head]
+        ready_at, duration, tag = waiting[queue.head]
         if queue.remainder is None:
             start = ready_at if ready_at > at else at
         else:
@@ -676,7 +730,7 @@ def _fill_gap(
                 break
         state[1] += duration
         state[2] += 1
-        completion[idx] = end
+        done.append((tag, end))
         queue.head += 1
         queue.remainder = queue.parked = None
         at = end

@@ -6,16 +6,33 @@ faults + stalls from an active injector), the maintenance plane
 plane (a chip killed permanently mid-soak): every query of every
 round completes with no error and bit-identical to the NumPy oracle
 -- while the same soak without parity demonstrably fails once the chip
-dies.
+dies.  And the run's event sweep, which streams -- each window fed as
+it closes, a query served when its last job completes -- serves every
+query of the soak exactly as a run held whole and replayed at its end.
 """
 
-import numpy as np
+import importlib.util
+import sys
+from pathlib import Path
 
+import numpy as np
+import pytest
+
+import reference_control_path as reference
 from repro.core.expressions import And, Operand, Xor, evaluate, or_all
 from repro.flash.faults import FaultConfig, FaultInjector
 from repro.flash.geometry import ChipGeometry
+from repro.service import service as service_module
 from repro.ssd.controller import SmallSsd
 from repro.ssd.maintenance import MaintenanceConfig
+
+REPO = Path(__file__).resolve().parents[2]
+_SPEC = importlib.util.spec_from_file_location(
+    "service_fingerprint", REPO / "tools" / "service_fingerprint.py"
+)
+fingerprint = importlib.util.module_from_spec(_SPEC)
+sys.modules[_SPEC.name] = fingerprint  # dataclasses resolve their module
+_SPEC.loader.exec_module(fingerprint)
 
 GEOMETRY = ChipGeometry(
     planes_per_die=1,
@@ -54,21 +71,33 @@ def _build(parity, seed=17):
     return ssd, env
 
 
-def _traffic(start_us, n=8):
+def _traffic(start_us, n=8, edf=False):
+    """``n`` queries 40 us apart; under ``edf`` every other one carries
+    a deadline and a priority."""
     a, b, c, d = (Operand(x) for x in "abcd")
     pool = [And(a, b), or_all([And(a, b), c]), Xor(b, d), And(And(a, c), d)]
     return [
-        (start_us + 40.0 * i, "tenant", pool[i % len(pool)])
+        (
+            start_us + 40.0 * i,
+            "tenant",
+            pool[i % len(pool)],
+            i % 2 if edf else 0,
+            start_us + 40.0 * i + 400.0 if edf and i % 2 else None,
+        )
         for i in range(n)
     ]
 
 
-def _soak(parity):
+def _soak(parity, edf=False):
     """Churn rounds, a mid-soak permanent chip kill, rebuild drain,
     then churn again on the rebuilt layout.  Returns every round's
     report (in order) plus the service and oracle env."""
     ssd, env = _build(parity)
-    service = ssd.service(window_us=100.0, maintenance=CHURNY)
+    service = ssd.service(
+        window_us=100.0,
+        maintenance=CHURNY,
+        policy="edf" if edf else "balanced",
+    )
     reports = []
     clock = 0.0
     # Healthy churn: overwrites invalidate whole block swaths, so GC
@@ -76,7 +105,7 @@ def _soak(parity):
     for _ in range(2):
         ssd.delete_vector("a")
         ssd.write_vector("a", env["a"], group="g")
-        service.submit_traffic(_traffic(clock))
+        service.submit_traffic(_traffic(clock, edf=edf))
         reports.append(service.run())
         clock += 1000.0
     ssd.kill_chip(VICTIM)
@@ -84,7 +113,7 @@ def _soak(parity):
     # queue drains (bounded -- the queue holds at most every column +
     # parity group once).
     for _ in range(12):
-        service.submit_traffic(_traffic(clock))
+        service.submit_traffic(_traffic(clock, edf=edf))
         reports.append(service.run())
         clock += 1000.0
         if service.maintenance is not None and not (
@@ -97,9 +126,44 @@ def _soak(parity):
     if parity:
         ssd.delete_vector("b")
         ssd.write_vector("b", env["b"], group="g")
-    service.submit_traffic(_traffic(clock))
+    service.submit_traffic(_traffic(clock, edf=edf))
     reports.append(service.run())
     return ssd, service, env, reports
+
+
+@pytest.mark.parametrize("edf", (False, True))
+def test_chaos_soak_streams_what_the_buffered_one_shot_serves(
+    edf, monkeypatch
+):
+    """Every field of every served query and of every run's stats is
+    the same whether the run's sweep streams or -- the run's sweep a
+    ``BufferedSweep`` -- holds every window and replays the run at
+    once at its end.  Under ``edf`` urgencies differ from the first
+    window on, so the streamed sweep finalises jobs window by window;
+    otherwise it holds them all until the run's end."""
+    feed = service_module.simulate_stages
+    finalised = []
+
+    def recording(jobs, **kwargs):
+        done = feed(jobs, **kwargs)
+        finalised.append(len(done))
+        return done
+
+    with monkeypatch.context() as patch:
+        patch.setattr(service_module, "simulate_stages", recording)
+        *_, streamed = _soak(True, edf=edf)
+    assert finalised and (sum(finalised) > 0) == edf
+    with monkeypatch.context() as patch:
+        patch.setattr(service_module, "StageSweep", reference.BufferedSweep)
+        *_, buffered = _soak(True, edf=edf)
+    assert len(streamed) == len(buffered)
+    for report, twin in zip(streamed, buffered):
+        assert [repr(fingerprint.canonical(q)) for q in report.queries] == [
+            repr(fingerprint.canonical(q)) for q in twin.queries
+        ]
+        assert repr(fingerprint.canonical(report.stats)) == repr(
+            fingerprint.canonical(twin.stats)
+        )
 
 
 def test_chaos_soak_completes_everything_bit_identical():

@@ -10,6 +10,10 @@ them -- kept verbatim, test-only, as what the equivalence suites
 against with ``==`` on every float.  They are deliberately slow and
 obvious: repeated ``min``/``max`` scans over all chips and tenants, one
 global event heap holding every job.  Do not optimise them.
+
+:class:`BufferedSweep` is the service's event sweep as it stood before
+it streamed: every window's jobs held until the run ends, then one
+one-shot replay of them all.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from repro.service.scheduler import (
     LatencyEstimator,
     QueryInfo,
 )
-from repro.ssd.events import StageJob, StageReport
+from repro.ssd.events import StageJob, StageReport, simulate_stages
 from repro.ssd.query_engine import ChunkTask
 
 _NO_DEADLINE = float("inf")
@@ -364,3 +368,37 @@ def simulate_stages_fcfs(jobs: list[StageJob]) -> StageReport:
         resource_jobs=served,
         fault_overhead=fault_overhead,
     )
+
+
+class BufferedSweep:
+    """A stand-in for ``repro.ssd.events.StageSweep`` that streams
+    nothing: ``feed`` buffers the jobs and their tags and finalises no
+    completion; ``close`` replays every buffered job at once through
+    the one-shot ``simulate`` (the production ``simulate_stages`` by
+    default, or :func:`simulate_stages_fcfs`) and returns every
+    completion with that replay's report.
+
+    The service builds its sweep from the ``StageSweep`` global of
+    ``repro.service.service``; put a factory of this class there
+    (``monkeypatch.setattr(service_module, "StageSweep", BufferedSweep)``)
+    and a run is replayed the way it was before the sweep streamed.
+    ``jobs`` and ``report`` stay readable after the close.
+    """
+
+    def __init__(self, simulate=simulate_stages) -> None:
+        self.simulate = simulate
+        self.jobs: list[StageJob] = []
+        self.tags: list = []
+        self.report: StageReport | None = None
+
+    def feed(self, jobs, tags=None) -> list[tuple]:
+        if tags is None:
+            tags = range(len(self.jobs), len(self.jobs) + len(jobs))
+        self.jobs.extend(jobs)
+        self.tags.extend(tags)
+        return []
+
+    def close(self) -> tuple[list[tuple], StageReport]:
+        self.report = self.simulate(self.jobs)
+        done = list(zip(self.tags, self.report.completion_times))
+        return done, self.report

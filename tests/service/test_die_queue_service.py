@@ -11,10 +11,12 @@ urgent subscriber, a reconstructed follower and a plan that reuses a
 lost page another plan rebuilt queue markers behind the survivor reads,
 and no query completes before the last of its jobs.
 
-Every test reads the replay itself: ``simulate_stages`` is a global of
-``repro.service.service`` (the benchmark's tracer patches it the same
-way), so a recorder in its place sees the listed jobs and the
-``StageReport``, and the window's outcomes say which job is whose.
+Every test reads the replay itself: the service builds its event sweep
+from ``StageSweep``, a global of ``repro.service.service``, so a
+``BufferedSweep`` (``tests/reference_control_path.py``) in its place
+holds the run's listed jobs and replays them at the run's end through a
+one-shot sweep, whose ``StageReport`` it keeps; the window's outcomes
+say which job is whose.
 """
 
 from __future__ import annotations
@@ -51,7 +53,8 @@ fingerprint = importlib.util.module_from_spec(_SPEC)
 sys.modules[_SPEC.name] = fingerprint  # dataclasses resolve their module
 _SPEC.loader.exec_module(fingerprint)
 
-#: The production replay, whatever recorder currently stands in for it.
+#: The production one-shot sweep, whatever recorder currently stands in
+#: for the per-window call.
 SIMULATE = service_module.simulate_stages
 
 GEOMETRY = ChipGeometry(
@@ -83,7 +86,8 @@ def build(n_chips=4, n_chunks=6, parity=False, seed=5, injector=None):
 
 
 class Replay:
-    """Record what a service's ``run()`` calls hand the event replay.
+    """Record what a service's ``run()`` calls hand the event replay,
+    each run replayed at its end through the one-shot ``simulate``.
 
     ``listed`` holds, per ``run()``, one entry per chunk outcome in
     listing order: ``(outcome, (job, done_s), [(job, done_s), ...])``
@@ -94,36 +98,38 @@ class Replay:
         self.listed: list[list] = []
         self._outcomes: list = []
         execute = service.engine.execute_tasks
+        replay = self
 
         def recording_execute(tasks, **kwargs):
             outcomes = execute(tasks, **kwargs)
             self._outcomes.extend(outcomes)
             return outcomes
 
-        def recording_simulate(jobs, **kwargs):
-            report = simulate(jobs, **kwargs)
-            foreground = (
-                (job, done)
-                for job, done in zip(jobs, report.completion_times)
-                if not job.background
-            )
-            self.listed.append(
-                [
-                    (
-                        outcome,
-                        next(foreground),
-                        [next(foreground) for _ in outcome.recovery_work],
-                    )
-                    for outcome in self._outcomes
-                ]
-            )
-            assert next(foreground, None) is None
-            self._outcomes = []
-            return report
+        class RecordingSweep(reference.BufferedSweep):
+            def close(self):
+                done, report = super().close()
+                foreground = (
+                    (job, done)
+                    for job, done in zip(self.jobs, report.completion_times)
+                    if not job.background
+                )
+                replay.listed.append(
+                    [
+                        (
+                            outcome,
+                            next(foreground),
+                            [next(foreground) for _ in outcome.recovery_work],
+                        )
+                        for outcome in replay._outcomes
+                    ]
+                )
+                assert next(foreground, None) is None
+                replay._outcomes = []
+                return done, report
 
         monkeypatch.setattr(service.engine, "execute_tasks", recording_execute)
         monkeypatch.setattr(
-            service_module, "simulate_stages", recording_simulate
+            service_module, "StageSweep", lambda: RecordingSweep(simulate)
         )
 
 

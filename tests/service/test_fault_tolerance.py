@@ -12,6 +12,7 @@ stays float-exact against a no-injector twin.
 import numpy as np
 import pytest
 
+import reference_control_path as reference
 from reference_data_plane import GEOMETRY, route, window_tasks
 from repro.core.expressions import And, Not, Operand, Xor, evaluate, or_all
 from repro.flash.errors import BadBlockFault, ChipUnavailableError
@@ -416,8 +417,9 @@ def _chip_loss_trace(monkeypatch, *, batch):
     and stalls, a chip killed a third of the way in, paced rebuild),
     served through the engine's default batched drain or -- the
     service takes no such option, so from outside -- with every drain
-    forced onto the walk (``reference_data_plane.forced_walk``).  Returns the reports, the event simulator's reports, and the
-    engine's stats."""
+    forced onto the walk (``reference_data_plane.forced_walk``).  Returns the reports, the event simulator's reports (each run
+    replayed at its end by a ``BufferedSweep``), and the engine's
+    stats."""
     import repro.service.service as service_module
 
     geometry = ChipGeometry(
@@ -454,15 +456,16 @@ def _chip_loss_trace(monkeypatch, *, batch):
         Not(And(v[1], v[5])),
     ]
     stage_reports = []
-    simulate = service_module.simulate_stages
 
-    def recording_simulate(jobs, **kwargs):
-        stage_reports.append(simulate(jobs, **kwargs))
-        return stage_reports[-1]
+    class RecordingSweep(reference.BufferedSweep):
+        def close(self):
+            done, report = super().close()
+            stage_reports.append(report)
+            return done, report
 
     reports = []
     with monkeypatch.context() as patch, route(batch):
-        patch.setattr(service_module, "simulate_stages", recording_simulate)
+        patch.setattr(service_module, "StageSweep", RecordingSweep)
         service = ssd.service(window_us=400.0, policy="edf", maintenance=True)
         for round_idx in range(9):
             if round_idx == 3:

@@ -157,19 +157,25 @@ def test_explicit_manager_and_config_forms():
 
 
 def _capture_replay(monkeypatch, sweep=None):
-    """Record every ``(jobs, report)`` the service replays, optionally
-    through a substitute sweep."""
+    """Record every run's ``(jobs, report)``, the run replayed at its
+    end through the production one-shot sweep or a substitute."""
+    import reference_control_path as reference
     import repro.service.service as service_module
 
-    real = service_module.simulate_stages
     replays = []
 
-    def recording(jobs, **kwargs):
-        report = real(jobs, **kwargs) if sweep is None else sweep(jobs)
-        replays.append((list(jobs), report))
-        return report
+    class RecordingSweep(reference.BufferedSweep):
+        def close(self):
+            done, report = super().close()
+            replays.append((list(self.jobs), report))
+            return done, report
 
-    monkeypatch.setattr(service_module, "simulate_stages", recording)
+    def build():
+        if sweep is None:
+            return RecordingSweep()
+        return RecordingSweep(sweep)
+
+    monkeypatch.setattr(service_module, "StageSweep", build)
     return replays
 
 

@@ -95,8 +95,10 @@ def _run(monkeypatch, *, suspension=True, maintenance=True):
         if not suspension:
             patch.setattr(
                 service_module,
-                "simulate_stages",
-                reference.simulate_stages_fcfs,
+                "StageSweep",
+                lambda: reference.BufferedSweep(
+                    reference.simulate_stages_fcfs
+                ),
             )
         ssd, env = make_ssd()
         svc = ssd.service(

@@ -1,9 +1,10 @@
 """Every step boundary of ``QueryService.run`` is a safe place to fail.
 
 ``run()`` is a loop of per-window steps (admit, schedule, execute,
-account, list jobs, observe health, maintain) followed by one report
-step; the admission queue is cleared by the last statement, after the
-report exists.  So whichever step raises, on whichever window, the
+account, list jobs, observe health, maintain, feed the event sweep --
+which serves the queries whose last job completed) followed by one
+report step; the admission queue is cleared by the last statement,
+after the report exists.  So whichever step raises, on whichever window, the
 exception reaches the caller as raised, every submission is still
 queued, and a second ``run()`` -- the SSD having lived through the
 first attempt's windows, cache fills, fault draws and maintenance --
@@ -60,18 +61,19 @@ def _traffic():
 
 
 #: step -> (owner of the patched callable, its name, the call that
-#: raises).  The per-window steps fail on the second of the three
-#: windows (``prepare`` runs once per query: the first window holds
-#: four); the report step runs once per ``run()`` and fails there --
-#: assembly on the first result, and on the second distinct one (one
-#: assembled array already held for sharing).
+#: raises).  The per-window steps -- the event sweep's feed, once
+#: named for the report step it was, among them -- fail on the second
+#: of the three windows (``prepare`` runs once per query: the first
+#: window holds four); a result is assembled where its query is
+#: served, and that fails on the first result, and on the second
+#: distinct one (one assembled array already held for sharing).
 SITES = {
     "admit": (lambda service: service.engine, "prepare", 5),
     "schedule": (lambda service: service_module, "schedule_window", 2),
     "execute": (lambda service: service.engine, "execute_tasks", 2),
     "observe-health": (lambda service: service.health, "observe_window", 2),
     "maintain": (lambda service: service.maintenance, "run_cycle", 2),
-    "report-replay": (lambda service: service_module, "simulate_stages", 1),
+    "report-replay": (lambda service: service_module, "simulate_stages", 2),
     "report-assemble": (lambda service: service.engine, "assemble_bits", 1),
     "report-assemble-second": (
         lambda service: service.engine, "assemble_bits", 2

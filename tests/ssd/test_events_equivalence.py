@@ -57,6 +57,12 @@ cost, before it yields again -- is also stated from the outside: on
 ``background_pieces`` rebuilds what each die's background jobs did
 from nothing but the jobs and their completion times, and the
 properties are read off the pieces.
+
+**Streaming.**  A :class:`StageSweep` fed a list in pieces -- ready
+times non-decreasing from feed to feed, the first urgency difference as
+late as the last feed -- serves it exactly as the one-shot sweep serves
+the whole: every completion, every resource total and every overhead
+``==``, and a completion handed back by a feed is never revised.
 """
 
 from __future__ import annotations
@@ -72,6 +78,7 @@ from reference_arbitrated import simulate_arbitrated as oracle
 from repro.ssd.events import (
     ArbitrationConfig,
     StageJob,
+    StageSweep,
     background_job,
     simulate_stages,
 )
@@ -979,3 +986,125 @@ def test_background_after_the_last_foreground_and_on_an_untouched_die():
 def test_background_job_is_single_stage():
     with pytest.raises(ValueError):
         StageJob(0.0, (1.0, 1.0), ("chip0", "ext"), background=True)
+
+
+# ----------------------------------------------------------------------
+# Streaming: feed + close is the one-shot sweep, for any split
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def fed_streams(draw):
+    """A job list cut into feeds the way a service feeds a run: ready
+    times non-decreasing from feed to feed (ties across a cut are
+    common), any order inside a feed, some job instances listed more
+    than once.  Foreground of every shape -- zero-length, fault-delayed,
+    multi-stage, mixed urgency -- and background.  Half the time every
+    foreground job before the last feed carries one urgency, so the
+    first difference, if any, arrives in the last feed."""
+    jobs = draw(
+        st.one_of(
+            die_streams(),
+            pipeline_streams(mixed=True),
+            pipeline_streams(mixed=False),
+            job_streams(),
+        )
+    )
+    jobs += draw(st.lists(st.sampled_from(jobs), max_size=3))
+    jobs.sort(key=lambda job: job.ready_at)
+    cuts = sorted(draw(st.sets(st.integers(1, len(jobs)), max_size=6)))
+    feeds = [
+        jobs[start:end]
+        for start, end in zip([0, *cuts], [*cuts, len(jobs)])
+        if end > start
+    ]
+    if draw(st.booleans()):
+        shared = draw(URGENCY)
+        feeds[:-1] = [
+            [job if job.background else replace(job, **shared) for job in feed]
+            for feed in feeds[:-1]
+        ]
+    return [draw(st.permutations(feed)) for feed in feeds]
+
+
+def feed_and_close(feeds, cfg):
+    """Stream ``feeds`` through one sweep; returns the completion times
+    in listing order and the closing report."""
+    jobs = [job for feed in feeds for job in feed]
+    sweep = StageSweep(suspension=cfg)
+    done = []
+    for feed in feeds:
+        done += sweep.feed(feed)
+    rest, report = sweep.close()
+    completion = [None] * len(jobs)
+    for tag, end in done + rest:
+        assert completion[tag] is None
+        completion[tag] = end
+    return completion, report
+
+
+@settings(max_examples=600, deadline=None)
+@given(feeds=fed_streams(), cfg=CONFIGS)
+def test_feeding_a_stream_equals_the_one_shot_sweep(feeds, cfg):
+    expected = simulate_stages(
+        [job for feed in feeds for job in feed], suspension=cfg
+    )
+    completion, report = feed_and_close(feeds, cfg)
+    assert completion == expected.completion_times
+    assert report.makespan == expected.makespan
+    for totals in (
+        "resource_busy",
+        "resource_jobs",
+        "resource_preemptions",
+        "resource_guard_waits",
+    ):
+        # Equal, and first served in the same order.
+        assert getattr(report, totals) == getattr(expected, totals)
+        assert list(getattr(report, totals)) == list(getattr(expected, totals))
+    assert report.fault_overhead == expected.fault_overhead
+    assert report.preemption_overhead == expected.preemption_overhead
+
+
+def test_a_late_urgency_difference_queues_the_held_arrivals():
+    """Three best-effort senses are fed first and held unrun: nothing
+    yet says whether the die queues.  The deadline sense fed next is
+    the first difference; the die then queues -- the held senses
+    included -- and serves it ahead of the two best-effort senses
+    waiting since t=0.5, as the one-shot sweep over all four does."""
+    early = [
+        StageJob(0.0, (1.0,), ("chip0",)),
+        StageJob(0.5, (1.0,), ("chip0",)),
+        StageJob(0.5, (1.0,), ("chip0",)),
+    ]
+    late = [StageJob(1.0, (1.0,), ("chip0",), deadline=9.0)]
+    sweep = StageSweep()
+    assert sweep.feed(early) == []
+    # Everything before t=1.0 runs: the first sense is final.
+    assert sweep.feed(late) == [(0, 1.0)]
+    rest, report = sweep.close()
+    assert sorted(rest) == [
+        (1, 3.0), (2, 4.0), (3, 2.0)
+    ]
+    assert report.completion_times == []
+    assert report.makespan == 4.0
+    assert simulate_stages(early + late).completion_times == [
+        1.0, 3.0, 4.0, 2.0
+    ]
+
+
+def test_a_feed_may_not_go_back_before_the_clock():
+    """The sweep's clock is the latest ready time fed so far; a job
+    ready before it is refused and the sweep carries on as if the
+    refused feed had not happened."""
+    sweep = StageSweep()
+    sweep.feed([StageJob(1.0, (1.0,), ("chip0",))])
+    with pytest.raises(ValueError, match="clock"):
+        sweep.feed(
+            [StageJob(2.0, (1.0,), ("chip0",)), StageJob(0.5, (1.0,), ("chip0",))]
+        )
+    with pytest.raises(ValueError, match="tag"):
+        sweep.feed([StageJob(1.0, (1.0,), ("chip0",))], tags=[])
+    assert sweep.feed([StageJob(1.0, (1.0,), ("chip0",))], tags=["b"]) == []
+    rest, report = sweep.close()
+    assert rest == [(0, 2.0), ("b", 3.0)]
+    assert report.resource_jobs == {"chip0": 2}

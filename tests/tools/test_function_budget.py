@@ -22,7 +22,6 @@ BUDGET = 80
 OVER_BUDGET = {
     "flash/sensing.py::SensingEngine.prepare_batch_vth": 179,
     "ssd/maintenance.py::MaintenanceManager.drain_chip": 119,
-    "ssd/events.py::simulate_stages": 88,
     # Frozen with the rest of the StackCache cluster until the
     # benchmark stops patching it by name; then it goes as a whole.
     "core/mws.py::MwsExecutor.execute_batch_reuse": 85,
