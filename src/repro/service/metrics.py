@@ -90,9 +90,6 @@ class ServiceStats:
     #: Suspensions of background jobs (GC copy/erase, drain, rebuild)
     #: by arriving foreground senses in the event replay.
     preemptions: int = 0
-    #: Always 0.0: the replay suspends at zero cost.  Kept so the
-    #: field set the service fingerprint hashes does not change.
-    preemption_overhead_us: float = 0.0
     #: Busy fraction of every pipeline resource over the run's
     #: makespan -- ``chip0``/``chan1``/``ext`` style names from the
     #: event simulation, whatever resources the jobs actually named.

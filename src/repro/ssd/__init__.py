@@ -53,7 +53,7 @@ counters float-identical either way
 
 from repro.ssd.config import SsdConfig, fig7_config, table1_config
 from repro.ssd.controller import QueryResult, SmallSsd
-from repro.ssd.events import SerialResource, StageJob, simulate_stages
+from repro.ssd.events import StageJob, simulate_stages
 from repro.ssd.ftl import FlashTranslationLayer, PagePlacement
 from repro.ssd.pipeline import PipelineModel, PlatformTiming
 from repro.ssd.query_engine import (
@@ -77,7 +77,6 @@ __all__ = [
     "PlatformTiming",
     "QueryEngine",
     "QueryResult",
-    "SerialResource",
     "SmallSsd",
     "SsdConfig",
     "StageJob",

@@ -2,10 +2,10 @@
 
 The paper's Figure 7 reasons about three serial resources: per-die
 sensing, the per-channel bus, and the shared external link.  This
-module models exactly that: a :class:`SerialResource` serves jobs
-first-come-first-served, and :func:`simulate_stages` pushes batches of
-work through a chain of stages, yielding per-stage busy intervals and
-the end-to-end makespan.
+module models exactly that: :func:`simulate_stages` pushes batches of
+work through a chain of stages, each stage's resource serving one job
+at a time, yielding per-stage busy intervals and the end-to-end
+makespan.
 
 The simulation is event-accurate for feed-forward pipelines (each
 job's stage N+1 becomes ready when its stage N finishes) -- sufficient
@@ -42,24 +42,27 @@ the instant the die frees -- it holds the die for no time, so no other
 job moves, and a cached workload's jobs never queue.  Downstream
 stages stay first-come-first-served in die-completion order (they are
 a percent utilised; reordering there buys nothing and costs every
-event a heap).  A job list without urgency differences never queues
-and is float-identical to a plain FCFS sweep.
+event a heap).  A job list without urgency differences queues the same
+way, in arrival order, so every die serves it first-come-first-served;
+next to a plain FCFS sweep only the order of two jobs that reach a
+downstream stage at the same instant can differ (a waiter's
+downstream turn is drawn when its die starts it, not when it arrived).
 
 **Background class.**  A GC erase is 3.5 ms against a 25-us sense.
 Jobs built by :func:`background_job` (GC copyback + erase, drain,
 rebuild) are the lowest class, the way real NAND orders erase/program
 *suspend* ahead of reads ahead of program/erase: they run only in the
 idle gaps of their die -- never while a foreground job waits -- and
-are suspended by a foreground arrival (``suspend_cost_s`` on the die,
-``resume_cost_s`` on the remainder).  Suspension goes by forward
-progress, not by a budget (:func:`_protected_until`): a resumed job
-first runs as long as it was kept off the die, an arrival meanwhile
-waiting as behind any busy die -- for the burst that last displaced
-the job at most, never for an erase, while a started erase keeps half
-of the contended die time.  At equal times the foreground wins.  The
-class is a gap-filler per die, consulted only when a foreground event
-finds the die idle before its own ready time and once at the end, so
-a stream without background jobs never reaches it.
+are suspended by a foreground arrival, at no cost (the paper models no
+suspend latency).  Suspension goes by forward progress, not by a
+budget (:func:`_protected_until`): a resumed job first runs as long
+as it was kept off the die, an arrival meanwhile waiting as behind any
+busy die -- for the burst that last displaced the job at most, never
+for an erase, while a started erase keeps half of the contended die
+time.  At equal times the foreground wins.  The class is a gap-filler
+per die, consulted only when a foreground event finds the die idle
+before its own ready time and once at the end, so a stream without
+background jobs never reaches it.
 
 **Its oracle.**  The sweep is checked against a general preemptible
 resource model -- urgency order at every resource, suspension by the
@@ -77,59 +80,6 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from math import inf
 from typing import Sequence
-
-
-class SerialResource:
-    """A resource that serves one job at a time, FCFS."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.available_at = 0.0
-        self.busy_time = 0.0
-        self.jobs_served = 0
-
-    def execute(self, ready_at: float, duration: float) -> tuple[float, float]:
-        """Serve a job that becomes ready at ``ready_at``; returns
-        (start, end)."""
-        if duration < 0:
-            raise ValueError("duration must be >= 0")
-        start = max(ready_at, self.available_at)
-        end = start + duration
-        self.available_at = end
-        self.busy_time += duration
-        self.jobs_served += 1
-        return start, end
-
-    def reset(self) -> None:
-        self.available_at = 0.0
-        self.busy_time = 0.0
-        self.jobs_served = 0
-
-
-@dataclass(frozen=True)
-class ArbitrationConfig:
-    """Suspend/resume parameters of the sweep's background class
-    (``simulate_stages(jobs, suspension=...)``).
-
-    ``suspend_cost_s`` is charged on the die the moment a background
-    job is parked (the foreground starts only after it);
-    ``resume_cost_s`` is folded into the job's remaining work, paid
-    when the remainder restarts; both lengthen the interval a resumed
-    job is protected for (:func:`_protected_until`), so background
-    work finishes under sustained foreground traffic.
-    ``min_remaining_s`` refuses suspensions of a job that is nearly
-    done anyway (suspending it costs more than it saves).
-    """
-
-    suspend_cost_s: float = 0.0
-    resume_cost_s: float = 0.0
-    min_remaining_s: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.suspend_cost_s < 0 or self.resume_cost_s < 0:
-            raise ValueError("suspend/resume costs must be >= 0")
-        if self.min_remaining_s < 0:
-            raise ValueError("min_remaining_s must be >= 0")
 
 
 @dataclass(slots=True)
@@ -203,10 +153,6 @@ class StageJob:
         return (1, 0.0, -self.priority)
 
 
-#: Suspension parameters of a sweep that was not given any.
-_ZERO_COST_SUSPENSION = ArbitrationConfig()
-
-
 def background_job(
     resource: str, busy_s: float, *, ready_at: float = 0.0
 ) -> StageJob:
@@ -238,12 +184,11 @@ class StageReport:
     service plane; every accessor below treats the name set as open
     (unknown names report zero rather than raising).
     ``resource_preemptions`` counts suspensions of background jobs per
-    resource, ``resource_guard_waits`` the arrivals that waited out a
-    resumed job's protection (:func:`_protected_until`) instead,
-    and ``preemption_overhead`` totals the suspend/resume seconds
-    charged on top of the useful work.  ``fault_overhead`` totals the
-    jobs' ``fault_delay_s`` recovery seconds that extended their first
-    stages -- the exact simulated cost of fault recovery.
+    resource and ``resource_guard_waits`` the arrivals that waited out
+    a resumed job's protection (:func:`_protected_until`) instead.
+    ``fault_overhead`` totals the jobs' ``fault_delay_s`` recovery
+    seconds that extended their first stages -- the exact simulated
+    cost of fault recovery.
     """
 
     makespan: float
@@ -252,7 +197,6 @@ class StageReport:
     resource_jobs: dict[str, int] = field(default_factory=dict)
     resource_preemptions: dict[str, int] = field(default_factory=dict)
     resource_guard_waits: dict[str, int] = field(default_factory=dict)
-    preemption_overhead: float = 0.0
     fault_overhead: float = 0.0
 
     @property
@@ -308,7 +252,6 @@ class StageReport:
 def simulate_stages(
     jobs: list[StageJob],
     *,
-    suspension: ArbitrationConfig | None = None,
     sweep: StageSweep | None = None,
     tags: Sequence | None = None,
 ) -> StageReport | list[tuple]:
@@ -320,8 +263,7 @@ def simulate_stages(
     :meth:`StageSweep._advance` for why the merge is exact and how ties
     break): one feed of a fresh :class:`StageSweep`, then its close.
     Given a ``sweep`` instead -- the service's call, once per window --
-    it returns ``sweep.feed(jobs, tags)`` (the sweep has its own
-    ``suspension``).
+    it returns ``sweep.feed(jobs, tags)``.
 
     The resource a job enters first serves its *waiting* jobs by
     :attr:`StageJob.urgency`, arrival order within equal urgency,
@@ -329,22 +271,20 @@ def simulate_stages(
     every later stage admits in ready-time order, ties by creation
     order, matching how a real controller arbitrates a shared bus.  An
     arrival that finds its die idle is served by plain arithmetic and
-    touches no queue, and when no two foreground jobs differ in
-    urgency nothing ever queues: the list is served exactly
-    first-come-first-served, float for float.
+    touches no queue; one that finds it busy waits, whatever the other
+    jobs' urgencies, so a list without urgency differences is served
+    first-come-first-served at every die.
 
     Background jobs (:attr:`StageJob.background`) are the lowest class
     inside the same sweep: each waits on its die's gap queue and runs
     only while the die would otherwise idle (see :func:`_fill_gap`),
-    suspended by foreground arrivals under ``suspension``'s
-    ``suspend_cost_s`` / ``resume_cost_s`` / ``min_remaining_s``
-    (default: a zero-cost :class:`ArbitrationConfig`) and the
+    suspended at no cost by foreground arrivals under the
     forward-progress rule.  A job list without background jobs never
     reaches that code.
     """
     if sweep is not None:
         return sweep.feed(jobs, tags)
-    whole = StageSweep(suspension=suspension)
+    whole = StageSweep()
     whole.feed(jobs)
     done, report = whole.close()
     completion = [0.0] * len(jobs)
@@ -363,14 +303,12 @@ class StageSweep:
     every feed.  No job may be ready before the latest ready time fed
     so far.  :meth:`close` runs the rest, flushes the background gap
     queues and returns ``(completions, report)``.  Split into feeds
-    however, a list is served exactly as one feed serves it: whether
-    two foreground jobs differ in urgency (whether a die queues at
-    all) is settled by holding the arrivals unrun until the first
-    difference is fed -- or, if none is, until the close.
+    however, a list is served exactly as one feed serves it: a feed
+    runs only events that no later arrival can precede, and a die
+    ranks its waiters the same whichever feed brought them.
     """
 
-    def __init__(self, *, suspension: ArbitrationConfig | None = None) -> None:
-        self._suspension = suspension or _ZERO_COST_SUSPENSION
+    def __init__(self) -> None:
         #: Arrivals in ``(ready, listing)`` order, as parallel lists;
         #: those before ``_head`` have run.
         self._ready: list[float] = []
@@ -383,10 +321,6 @@ class StageSweep:
         self._heap: list[tuple] = []
         #: name -> state (see :data:`_IDLE`).
         self._resources: dict[str, list] = {}
-        #: Whether dies queue, ``None`` until decided; the one
-        #: foreground urgency seen so far.
-        self._queued: bool | None = None
-        self._urgency: tuple | None = None
 
     def feed(
         self, jobs: Sequence[StageJob], tags: Sequence | None = None
@@ -410,9 +344,7 @@ class StageSweep:
             raise ValueError(f"job ready before the clock, {self._clock}")
         self._fed += len(jobs)
         self._clock = ready[-1]
-        if self._queued is None:
-            self._decide(jobs)
-        done = [] if self._queued is None else self._advance(ready[0])
+        done = self._advance(ready[0])
         if self._head:
             head, self._head = self._head, 0
             del self._ready[:head], self._jobs[:head], self._tags[:head]
@@ -425,41 +357,25 @@ class StageSweep:
         """Run every event left, flush the background still queued
         behind the last foreground job of each die, and total the
         sweep's report."""
-        if self._queued is None:
-            self._queued = False
         done = self._advance(inf)
-        suspension, resources = self._suspension, self._resources
-        suspensions, guard_waits = {}, {}
-        for name, state in resources.items():
+        resources = self._resources
+        for state in resources.values():
             if state[3] is not None:
-                _fill_gap(state, inf, suspension, done)
-            if state[4]:
-                suspensions[name] = state[4]
-            if state[6]:
-                guard_waits[name] = state[6]
+                _fill_gap(state, inf, done)
         return done, StageReport(
             # Available times only grow, and each is a stage's end.
             makespan=max((s[0] for s in resources.values()), default=0.0),
             completion_times=[],
             resource_busy={name: s[1] for name, s in resources.items()},
             resource_jobs={name: s[2] for name, s in resources.items()},
-            resource_preemptions=suspensions,
-            resource_guard_waits=guard_waits,
-            preemption_overhead=sum(suspensions.values())
-            * (suspension.suspend_cost_s + suspension.resume_cost_s),
+            resource_preemptions={
+                name: s[4] for name, s in resources.items() if s[4]
+            },
+            resource_guard_waits={
+                name: s[6] for name, s in resources.items() if s[6]
+            },
             fault_overhead=self._fault_overhead,
         )
-
-    def _decide(self, jobs: Sequence[StageJob]) -> None:
-        """Queue for good once two foreground jobs differ in urgency --
-        only then can a die's order differ from FCFS."""
-        seen = {(j.deadline, j.priority) for j in jobs if not j.background}
-        if self._urgency is not None:
-            seen.add(self._urgency)
-        if len(seen) > 1:
-            self._queued = True
-        elif seen:
-            self._urgency = seen.pop()
 
     def _advance(self, limit: float) -> list[tuple]:
         """Run every event strictly earlier than ``limit``; returns the
@@ -489,7 +405,6 @@ class StageSweep:
         # whether or not anything is queued elsewhere.
         ready, jobs, tags = self._ready, self._jobs, self._tags
         heap, resources = self._heap, self._resources
-        suspension, queued = self._suspension, self._queued
         push, pop = heapq.heappush, heapq.heappop
         arrived = self._head
         stop = bisect_left(ready, limit, arrived)
@@ -521,9 +436,14 @@ class StageSweep:
                     duration += job.fault_delay_s
                     fault_overhead += job.fault_delay_s
                 if job.background:
-                    _queue_background(
-                        resources, job.resources[0], (ready_at, duration, tag)
-                    )
+                    # Not served: it joins its die's gap queue.
+                    name = job.resources[0]
+                    state = resources.get(name)
+                    if state is None:
+                        state = resources[name] = list(_IDLE)
+                    if state[3] is None:
+                        state[3] = _GapQueue()
+                    state[3].waiting.append((ready_at, duration, tag))
                     continue
             else:
                 break
@@ -536,10 +456,10 @@ class StageSweep:
                 # The resource idles before this event is ready ...
                 if state[3] is None:
                     start = ready_at
-                elif _fill_gap(state, ready_at, suspension, done):
+                elif _fill_gap(state, ready_at, done):
                     # ... or its background work ended, or yielded, in time
                     start = ready_at if ready_at > state[0] else state[0]
-                elif queued and not stage:
+                elif not stage:
                     # ... or runs on, unable to yield: wait for the die.
                     seq = _join_waiters(state, heap, seq, job, tag, duration)
                     continue
@@ -548,7 +468,6 @@ class StageSweep:
             elif (
                 not stage
                 and (duration or start > ready_at or state[5])
-                and queued
                 and state[2]
             ):
                 # The die is busy, or frees this very instant: wait --
@@ -573,41 +492,24 @@ class StageSweep:
 
 #: A resource of the sweep before its first job: ``[available at, busy
 #: seconds, jobs served, gap queue or None, suspensions, wait heap or
-#: None, guard waits]``; the first three with the semantics of
-#: :class:`SerialResource`, which remains the single-resource API.
+#: None, guard waits]``; the last four are what only a die uses (the
+#: background class and the die queue).
 _IDLE = (0.0, 0.0, 0, None, 0, None, 0)
 
 
-def _protected_until(
-    parked: float | None, resumed: float, cfg: ArbitrationConfig
-) -> float:
+def _protected_until(parked: float | None, resumed: float) -> float:
     """The forward-progress rule: a background job may not be suspended
-    again before it has run for as long as it was kept off its die
-    plus what the suspension cost; never parked, it yields at once."""
+    again before it has run for as long as it was kept off its die;
+    never parked, it yields at once."""
     if parked is None:
         return resumed
-    return (
-        resumed + (resumed - parked) + cfg.suspend_cost_s + cfg.resume_cost_s
-    )
-
-
-def _queue_background(
-    resources: dict[str, list], name: str, waiter: tuple
-) -> None:
-    """A background arrival is not served: ``(ready, seconds, tag)``
-    joins the gap queue of its die, ``name``."""
-    state = resources.get(name)
-    if state is None:
-        state = resources[name] = list(_IDLE)
-    if state[3] is None:
-        state[3] = _GapQueue()
-    state[3].waiting.append(waiter)
+    return resumed + (resumed - parked)
 
 
 def _join_waiters(
     state: list, heap: list, seq: int, job: StageJob, tag, duration: float
 ) -> int:
-    """Queue ``job`` -- ``(*urgency, seq, job, tag, stage-0 seconds)``,
+    """Queue ``job`` -- ``(urgency, seq, job, tag, stage-0 seconds)``,
     ``seq`` ranking it by arrival -- on a die busy at its ready time;
     returns the next ``seq``.  The first waiter arms the die's "die
     frees" entry in the event heap -- ``(time, seq, None, state,
@@ -620,7 +522,7 @@ def _join_waiters(
     if not waiting:
         heapq.heappush(heap, (state[0], seq, None, state, None))
         seq += 1
-    heapq.heappush(waiting, (*job.urgency, seq, job, tag, duration))
+    heapq.heappush(waiting, (job.urgency, seq, job, tag, duration))
     return seq + 1
 
 
@@ -634,15 +536,14 @@ def _serve_waiters(
     already joined (the event merge runs arrivals first at equal
     times, and no later feed is ready by ``at``).  A zero-length waiter
     frees the die again in the same instant, so the next is picked at
-    once.  Should the die have
-    taken work by another route since the entry was armed (a resource
-    that is also some job's later stage), the pick moves to the end
-    of that work.
+    once.  Should the die have taken work by another route since the
+    entry was armed (a resource that is also some job's later stage),
+    the pick moves to the end of that work.
     """
     waiting = state[5]
     end = state[0]
     while end <= at:
-        job, tag, duration = heapq.heappop(waiting)[-3:]
+        _, _, job, tag, duration = heapq.heappop(waiting)
         end = at + duration
         state[0] = end
         state[1] += duration
@@ -668,16 +569,13 @@ class _GapQueue:
         #: ``(ready, duration, tag)`` in arrival order.
         self.waiting: list[tuple] = []
         self.head = 0
-        #: Seconds the head job still needs after a suspension (its
-        #: resume cost included) and when it was parked; ``None``
-        #: while it has not started.
+        #: Seconds the head job still needs after a suspension and
+        #: when it was parked; ``None`` while it has not started.
         self.remainder: float | None = None
         self.parked: float | None = None
 
 
-def _fill_gap(
-    state: list, limit: float, cfg: ArbitrationConfig, done: list[tuple]
-) -> bool:
+def _fill_gap(state: list, limit: float, done: list[tuple]) -> bool:
     """Serve one die's queued background work in the idle gap between
     ``state[0]`` (the die's last foreground completion) and ``limit``
     (the ready time of the foreground event that found the gap, or
@@ -687,11 +585,9 @@ def _fill_gap(
 
     A background job starts only *strictly* before ``limit`` -- at
     equal times the foreground wins -- and never before its own ready
-    time.  One still in flight at ``limit`` is suspended: the die pays
-    ``suspend_cost_s`` before the foreground starts and the remainder
-    carries ``resume_cost_s``.  A resumed job yields no earlier than
-    :func:`_protected_until` (the guard), one with at most
-    ``min_remaining_s`` left not at all: the foreground waits --
+    time.  One still in flight at ``limit`` is suspended there, and
+    the foreground starts at once.  A resumed job yields no earlier
+    than :func:`_protected_until` (the guard): the foreground waits --
     ``False``, ``state[0]`` where the job yields or ends -- and if
     others arrive meanwhile the die picks among them by urgency when
     it frees.  The arithmetic is that of the arbitrated oracle
@@ -711,21 +607,19 @@ def _fill_gap(
         if start >= limit:
             break
         end = start + duration
-        if end - limit > cfg.min_remaining_s:
-            # In flight at ``limit`` with enough left to park: it
-            # yields there, or where its protection ends.
-            yields_at = _protected_until(queue.parked, start, cfg)
+        if end > limit:
+            # In flight at ``limit``: it yields there, or where its
+            # protection ends.
+            yields_at = _protected_until(queue.parked, start)
             if yields_at > limit:
                 state[6] += 1
             else:
                 yields_at = limit
-            if end - yields_at > cfg.min_remaining_s:
+            if end > yields_at:
                 state[1] += yields_at - start
-                state[1] += cfg.suspend_cost_s
                 state[4] += 1
-                queue.remainder = (end - yields_at) + cfg.resume_cost_s
-                queue.parked = yields_at
-                at = yields_at + cfg.suspend_cost_s
+                queue.remainder = end - yields_at
+                queue.parked = at = yields_at
                 yielded = yields_at == limit
                 break
         state[1] += duration

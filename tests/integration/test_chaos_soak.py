@@ -138,9 +138,9 @@ def test_chaos_soak_streams_what_the_buffered_one_shot_serves(
     """Every field of every served query and of every run's stats is
     the same whether the run's sweep streams or -- the run's sweep a
     ``BufferedSweep`` -- holds every window and replays the run at
-    once at its end.  Under ``edf`` urgencies differ from the first
-    window on, so the streamed sweep finalises jobs window by window;
-    otherwise it holds them all until the run's end."""
+    once at its end.  Whatever the policy, the streamed sweep
+    finalises jobs window by window: under ``edf`` urgencies differ,
+    under ``balanced`` they do not, and the die queue is the same."""
     feed = service_module.simulate_stages
     finalised = []
 
@@ -152,7 +152,7 @@ def test_chaos_soak_streams_what_the_buffered_one_shot_serves(
     with monkeypatch.context() as patch:
         patch.setattr(service_module, "simulate_stages", recording)
         *_, streamed = _soak(True, edf=edf)
-    assert finalised and (sum(finalised) > 0) == edf
+    assert finalised and sum(finalised) > 0
     with monkeypatch.context() as patch:
         patch.setattr(service_module, "StageSweep", reference.BufferedSweep)
         *_, buffered = _soak(True, edf=edf)

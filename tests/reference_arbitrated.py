@@ -4,12 +4,11 @@ preemptible resource model.
 Each resource holds at most one running unit plus an urgency-ordered
 wait heap, and *every* resource -- not only the die a job enters first
 -- serves its waiters by urgency.  A waiter whose urgency is strictly
-ahead of the running unit's suspends it (a real NAND suspend command):
-``suspend_cost_s`` is charged on the resource at once and
-``resume_cost_s`` on the remainder when it restarts.  A resumed unit is
-protected by the forward-progress rule: it may not be suspended again
-before it has run as long as it was parked plus what the suspension
-cost.  Equal urgency never suspends (ties keep strict FIFO).
+ahead of the running unit's suspends it (a real NAND suspend command),
+at no cost: the waiter starts at once and the remainder goes back on
+the wait heap.  A resumed unit is protected by the forward-progress
+rule: it may not be suspended again before it has run as long as it
+was parked.  Equal urgency never suspends (ties keep strict FIFO).
 
 Here only background jobs are preemptible, and they rank below all
 foreground by construction, whatever their priority says; at equal
@@ -26,7 +25,7 @@ from __future__ import annotations
 import heapq
 import math
 
-from repro.ssd.events import ArbitrationConfig, StageJob, StageReport
+from repro.ssd.events import StageJob, StageReport
 
 #: Urgency of every background job: behind any foreground job, whose
 #: urgency starts with 0 (deadline) or 1 (best effort).
@@ -39,23 +38,18 @@ def _urgency(job: StageJob) -> tuple:
     return _BACKGROUND if job.background else job.urgency
 
 
-def _protected_until(
-    parked: float | None, resumed: float, cfg: ArbitrationConfig
-) -> float:
+def _protected_until(parked: float | None, resumed: float) -> float:
     """The forward-progress rule: never parked, a unit yields at once;
     resumed, not before it has run for as long as it was kept off its
-    resource plus what the suspension cost."""
+    resource."""
     if parked is None:
         return resumed
-    return (
-        resumed + (resumed - parked) + cfg.suspend_cost_s + cfg.resume_cost_s
-    )
+    return resumed + (resumed - parked)
 
 
 class _Unit:
     """One job-stage execution.  Mutable: a suspension rewrites
-    ``remaining`` (rest of the work plus the resume cost) and stamps
-    ``parked``."""
+    ``remaining`` (the rest of the work) and stamps ``parked``."""
 
     __slots__ = ("idx", "stage", "remaining", "parked", "order")
 
@@ -78,7 +72,6 @@ def _start_unit(
     state: list,
     unit: _Unit,
     t: float,
-    cfg: ArbitrationConfig,
 ) -> int:
     """Put ``unit`` on resource ``name`` at ``t`` and schedule its
     finish; returns the next ``seq``."""
@@ -86,14 +79,12 @@ def _start_unit(
     state[1] += 1
     state[3] = t
     state[4] = t + unit.remaining
-    state[5] = _protected_until(unit.parked, t, cfg)
+    state[5] = _protected_until(unit.parked, t)
     heapq.heappush(events, (state[4], seq, _FINISH, (name, state[1])))
     return seq + 1
 
 
-def simulate_arbitrated(
-    jobs: list[StageJob], cfg: ArbitrationConfig
-) -> StageReport:
+def simulate_arbitrated(jobs: list[StageJob]) -> StageReport:
     """Event-driven preemptive simulation of ``jobs``; completion times
     in ``jobs``' order.
 
@@ -101,13 +92,11 @@ def simulate_arbitrated(
     order with deterministic sequence tie-breaks, foreground arrivals
     numbered before background ones.  Suspension fires only when the
     arrival's urgency is *strictly* ahead of the running unit's, the
-    victim is background, its remaining work exceeds
-    ``min_remaining_s``, and no suspend is already in progress on the
-    resource.  A resumed victim is protected until
-    :func:`_protected_until`: an arrival that would suspend it earlier
-    waits, and a ``_GUARD`` event then re-runs the decision; a unit
-    parked there leaves the resource to its most urgent waiter once
-    the suspend cost is paid.
+    victim is background and has work left.  A resumed victim is
+    protected until :func:`_protected_until`: an arrival that would
+    suspend it earlier waits, and a ``_GUARD`` event then re-runs the
+    decision; a unit parked there leaves the resource to its most
+    urgent waiter.
     """
     if not jobs:
         return StageReport(makespan=0.0, completion_times=[])
@@ -142,13 +131,11 @@ def simulate_arbitrated(
     arrival_order = 0
 
     def park(name: str, state: list, t: float) -> None:
-        # Charge the work the running unit already performed plus the
-        # suspend overhead, park the remainder (plus its future resume
-        # cost) back on the wait heap.
+        # Charge the work the running unit already performed, park the
+        # remainder back on the wait heap.
         running = state[0]
         busy[name] = busy.get(name, 0.0) + (t - state[3])
-        busy[name] += cfg.suspend_cost_s
-        running.remaining = (state[4] - t) + cfg.resume_cost_s
+        running.remaining = state[4] - t
         running.parked = t
         preempted[name] = preempted.get(name, 0) + 1
         push(state[2], (_urgency(jobs[running.idx]), running.order, running))
@@ -178,21 +165,19 @@ def simulate_arbitrated(
                     completion[unit.idx] = t
                 if state[2]:
                     nxt = pop(state[2])[2]
-                    seq = _start_unit(events, seq, name, state, nxt, t, cfg)
+                    seq = _start_unit(events, seq, name, state, nxt, t)
             elif unit is None:
-                # The suspend cost is paid: the resource picks.
+                # The park is done: the resource picks.
                 nxt = pop(state[2])[2]
-                seq = _start_unit(events, seq, name, state, nxt, t, cfg)
-            elif state[4] - t > cfg.min_remaining_s:
+                seq = _start_unit(events, seq, name, state, nxt, t)
+            elif state[4] > t:
                 # The guard expired: the waiter that had to wait for it
-                # still outranks the unit, so unless that is nearly
-                # done it is parked -- and the resource picks when the
-                # suspend cost is paid.
+                # still outranks the unit, so it is parked -- and the
+                # resource picks among the waiters of this instant.
                 park(name, state, t)
                 state[0] = None
                 state[1] += 1
-                at = t + cfg.suspend_cost_s
-                push(events, (at, seq, _GUARD, (name, state[1])))
+                push(events, (t, seq, _GUARD, (name, state[1])))
                 seq += 1
             continue
 
@@ -210,15 +195,13 @@ def simulate_arbitrated(
             victim is not None
             and victim.background
             and _urgency(job) < _urgency(victim)
-            and t >= state[3]  # no suspend already in progress
-            and state[4] - t > cfg.min_remaining_s
+            and state[4] > t
         )
         if running is None and not state[2]:
-            seq = _start_unit(events, seq, name, state, unit, t, cfg)
+            seq = _start_unit(events, seq, name, state, unit, t)
         elif suspends and t >= state[5]:
             park(name, state, t)
-            at = t + cfg.suspend_cost_s
-            seq = _start_unit(events, seq, name, state, unit, at, cfg)
+            seq = _start_unit(events, seq, name, state, unit, t)
         else:
             push(state[2], (_urgency(job), unit.order, unit))
             if suspends and state[5] != math.inf:
@@ -236,7 +219,5 @@ def simulate_arbitrated(
         resource_jobs=served,
         resource_preemptions=preempted,
         resource_guard_waits=guard_waits,
-        preemption_overhead=sum(preempted.values())
-        * (cfg.suspend_cost_s + cfg.resume_cost_s),
         fault_overhead=fault_overhead,
     )

@@ -316,13 +316,8 @@ def simulate_stages_fcfs(jobs: list[StageJob]) -> StageReport:
     # and a downstream push always carries ready >= the ready of the
     # event that produced it, so the sweep never goes back in time.
     #
-    # Resource state is kept in plain dicts rather than
-    # :class:`SerialResource` objects: the service layer replays one
-    # job per chunk per window through here (thousands per run), and
-    # inlining the available/busy/served bookkeeping removes a method
-    # call and four attribute accesses per stage execution --
-    # semantics identical to ``SerialResource.execute``, which remains
-    # the single-resource API.
+    # Resource state is three plain dicts: when each resource is next
+    # available, its busy seconds and the stage executions it served.
     heap: list[tuple[float, int, int, int]] = []
     push = heapq.heappush
     pop = heapq.heappop

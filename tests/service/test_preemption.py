@@ -7,14 +7,14 @@ the deadline that the frozen first-come-first-served sweep
 (``tests/reference_control_path.py``) -- which suspends nothing and so
 waits out the 3.5 ms erase -- provably misses: same queries, same
 chips, same measured sense durations, only the replay differs.
-Foreground queries are never suspended; the sweep's suspensions are
-free of cost (``ArbitrationConfig()``), which is what the service
-replays with.  Everything here is deterministic: timing comes from the
+Foreground queries are never suspended, and the sweep's suspensions
+cost no time.  Everything here is deterministic: timing comes from the
 physically derived tMWS model and the discrete-event replay, not wall
 clocks.
 """
 
 import inspect
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -22,6 +22,7 @@ import pytest
 import reference_control_path as reference
 from repro.core.expressions import And, Operand, and_all, evaluate
 from repro.flash.geometry import ChipGeometry
+from repro.service import ServiceStats
 from repro.service import service as service_module
 from repro.service.scheduler import QueryInfo, job_directives
 from repro.service.service import QueryService
@@ -132,7 +133,6 @@ class TestPreemptionBenefit:
         assert pre[urgent_id].deadline_met is True
         assert pre_report.stats.preemptions >= 1
         assert pre_report.stats.deadlines_met == 1
-        assert pre_report.stats.preemption_overhead_us == 0.0
         assert (
             pre[urgent_id].completed_us < base[urgent_id].completed_us
         )
@@ -174,7 +174,6 @@ class TestPreemptionBenefit:
         float for float -- completion times and utilizations."""
         report, by_id, *_ = _run(monkeypatch, maintenance=False)
         assert report.stats.preemptions == 0
-        assert report.stats.preemption_overhead_us == 0.0
         twin_report, twin, *_ = _run(
             monkeypatch, suspension=False, maintenance=False
         )
@@ -188,13 +187,16 @@ class TestPreemptionBenefit:
 
 def test_the_service_has_no_suspension_budget_to_set():
     """How often background work yields follows from the
-    forward-progress rule, and the service sets no suspension cost
-    either: 14 keywords, none of them a budget or a cost."""
+    forward-progress rule, and suspending costs nothing: 14 keywords,
+    none of them a budget or a cost, and no overhead to report."""
     parameters = inspect.signature(QueryService.__init__).parameters
     assert sum(p.kind is p.KEYWORD_ONLY for p in parameters.values()) == 14
     assert not {
         "max_suspends", "suspend_cost_us", "resume_cost_us"
     } & set(parameters)
+    assert "preemption_overhead_us" not in {
+        f.name for f in fields(ServiceStats)
+    }
 
 
 class TestJobDirectives:

@@ -33,14 +33,14 @@ def _live(kind) -> int:
     return sum(type(obj) is kind for obj in gc.get_objects())
 
 
-def test_live_jobs_and_query_states_are_the_work_in_flight(monkeypatch):
-    """An ``edf`` trace of 40 windows, three queries each, deadlines
-    and priorities mixed from the first window on, every window's
-    senses done well before the next closes.  At each window's feed
-    the ``StageJob``s alive are at most those the feed hands over plus
-    those of the window before (this feed runs them), and likewise the
-    query states: what is in flight, where a run that replays its jobs
-    once at its end holds every job and every state of the run."""
+def _run_recording_feeds(monkeypatch, policy, urgent):
+    """A trace of 40 windows, three queries each, every window's senses
+    done well before the next closes -- with ``urgent``, deadlines and
+    priorities mixed from the first window on.  Returns the run's
+    report, the oracle's operands and, per window feed, the distinct
+    jobs and query states handed over, then the ``StageJob``s (beyond
+    those alive before the run) and query states alive when they
+    are."""
     ssd = SmallSsd(n_chips=4, geometry=GEOMETRY, seed=5)
     rng = np.random.default_rng(6)
     env = {
@@ -51,20 +51,19 @@ def test_live_jobs_and_query_states_are_the_work_in_flight(monkeypatch):
         ssd.write_vector(name, bits, group="g")
     a, b, c, d = (Operand(x) for x in "abcd")
     pool = [And(a, b), Or(b, c), Xor(c, d), and_all([a, c, d])]
-    service = ssd.service(window_us=WINDOW_US, policy="edf", result_cache=True)
+    service = ssd.service(
+        window_us=WINDOW_US, policy=policy, result_cache=True
+    )
     for i in range(3 * WINDOWS):
         at_us = WINDOW_US * (i // 3) + 10.0 * (i % 3)
         service.submit(
             pool[i % len(pool)],
             at_us=at_us,
-            priority=i % 2,
-            deadline_us=at_us + 2000.0 if i % 3 == 0 else None,
+            priority=i % 2 if urgent else 0,
+            deadline_us=at_us + 2000.0 if urgent and i % 3 == 0 else None,
         )
 
     feed = service_module.simulate_stages
-    #: Per window: distinct jobs and queries handed over, then the
-    #: StageJobs (beyond those alive before the run) and query states
-    #: alive when they are.
     feeds = []
 
     def recording(jobs, **kwargs):
@@ -87,8 +86,15 @@ def test_live_jobs_and_query_states_are_the_work_in_flight(monkeypatch):
     gc.collect()
     before = _live(StageJob)
     monkeypatch.setattr(service_module, "simulate_stages", recording)
-    report = service.run()
+    return service.run(), env, feeds
 
+
+def _assert_only_work_in_flight_lives(report, env, feeds):
+    """At each window's feed the ``StageJob``s alive are at most those
+    the feed hands over plus those of the window before (this feed
+    runs them), and likewise the query states: what is in flight,
+    where a run that replays its jobs once at its end holds every job
+    and every state of the run."""
     assert len(feeds) >= 30
     total = sum(jobs for jobs, *_ in feeds)
     for (jobs, queries, live_jobs, live_states), previous in zip(
@@ -99,8 +105,24 @@ def test_live_jobs_and_query_states_are_the_work_in_flight(monkeypatch):
     run_fields = {f.name for f in fields(service_module._Run)}
     assert not {"jobs", "job_owner"} & run_fields
     assert len(report.queries) == 3 * WINDOWS
-    assert report.stats.deadlines_met == WINDOWS
     for query in report.queries:
         np.testing.assert_array_equal(
             query.result.bits, evaluate(query.expr, env)
         )
+
+
+def test_live_jobs_and_query_states_are_the_work_in_flight(monkeypatch):
+    """An ``edf`` trace whose urgencies differ from the first window
+    on."""
+    report, env, feeds = _run_recording_feeds(monkeypatch, "edf", True)
+    _assert_only_work_in_flight_lives(report, env, feeds)
+    assert report.stats.deadlines_met == WINDOWS
+
+
+def test_a_balanced_run_holds_only_the_work_in_flight_too(monkeypatch):
+    """A ``balanced`` trace with one urgency throughout, the shape of
+    a scan workload: its dies queue all the same, so its jobs and
+    query states are freed window by window as well."""
+    report, env, feeds = _run_recording_feeds(monkeypatch, "balanced", False)
+    _assert_only_work_in_flight_lives(report, env, feeds)
+    assert report.stats.n_deadlines == 0

@@ -1,6 +1,7 @@
 """Tests for the timeline simulator (repro.ssd.events)."""
 
 import dataclasses
+import inspect
 
 import pytest
 from hypothesis import given, settings
@@ -8,33 +9,11 @@ from hypothesis import strategies as st
 
 from reference_arbitrated import simulate_arbitrated
 from repro.ssd.events import (
-    ArbitrationConfig,
-    SerialResource,
     StageJob,
     StageReport,
+    StageSweep,
     simulate_stages,
 )
-
-
-class TestSerialResource:
-    def test_fcfs_serialization(self):
-        r = SerialResource("r")
-        assert r.execute(0.0, 10.0) == (0.0, 10.0)
-        assert r.execute(0.0, 5.0) == (10.0, 15.0)
-        assert r.execute(20.0, 5.0) == (20.0, 25.0)
-        assert r.busy_time == 20.0
-        assert r.jobs_served == 3
-
-    def test_negative_duration_rejected(self):
-        with pytest.raises(ValueError):
-            SerialResource("r").execute(0.0, -1.0)
-
-    def test_reset(self):
-        r = SerialResource("r")
-        r.execute(0.0, 5.0)
-        r.reset()
-        assert r.available_at == 0.0
-        assert r.busy_time == 0.0
 
 
 class TestStageJob:
@@ -190,22 +169,18 @@ class TestStageReportRobustness:
 
 
 class TestArbitrationConfig:
-    def test_no_suspension_budget_to_set(self):
-        """Two costs and the nearly-done threshold; how often a unit
-        yields follows from the forward-progress rule."""
-        assert [f.name for f in dataclasses.fields(ArbitrationConfig)] == [
-            "suspend_cost_s",
-            "resume_cost_s",
-            "min_remaining_s",
-        ]
+    """What configures the die's arbitration: each job's urgency, and
+    nothing else."""
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ArbitrationConfig(suspend_cost_s=-1.0)
-        with pytest.raises(ValueError):
-            ArbitrationConfig(resume_cost_s=-1.0)
-        with pytest.raises(ValueError):
-            ArbitrationConfig(min_remaining_s=-1.0)
+    def test_no_suspension_budget_to_set(self):
+        """No budget and no cost: how often a unit yields follows from
+        the forward-progress rule, and suspending costs nothing."""
+        assert not inspect.signature(StageSweep).parameters
+        assert list(inspect.signature(simulate_stages).parameters) == [
+            "jobs",
+            "sweep",
+            "tags",
+        ]
 
     def test_urgency_ordering(self):
         urgent = StageJob(0.0, (1.0,), ("r",), deadline=10.0)
@@ -219,7 +194,7 @@ class TestArbitrationConfig:
 def _job_lists():
     """Random multi-stage job streams over a small shared resource set
     -- deliberately urgency-free, so ordering by urgency at every
-    resource must not change a thing."""
+    resource has nothing to order by."""
     stage = st.tuples(
         st.floats(0.0, 10.0), st.sampled_from(["a", "b", "c"])
     )
@@ -242,48 +217,87 @@ def _job_lists():
     ).map(build)
 
 
+def _service_lists():
+    """Urgency-free job lists of the service's shape: chip -> channel ->
+    external link, a chip only ever at stage 0, one transfer time per
+    channel and link.  Few distinct times, so ties are common."""
+    times = st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.5])
+
+    def build(dma, ext, items):
+        return [
+            StageJob(
+                ready,
+                (sense, dma, ext),
+                (f"chip{chip}", f"chan{chip % 2}", "ext"),
+            )
+            for ready, sense, chip in items
+        ]
+
+    return st.builds(
+        build,
+        times,
+        times,
+        st.lists(
+            st.tuples(times, times, st.integers(0, 3)),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+
+
 class TestArbitratedEquivalence:
-    """With no urgency differences the arbitrated oracle
+    """The sweep and the arbitrated oracle
     (``tests/reference_arbitrated.py``), which orders every resource by
-    urgency, must be float-identical to the sweep."""
+    urgency, on lists without urgency differences.  That the sweep then
+    serves every die first-come-first-served is
+    ``test_events_equivalence.py::test_uniform_urgency_equals_reference``."""
 
     @settings(max_examples=60, deadline=None)
-    @given(jobs=_job_lists())
+    @given(jobs=_service_lists())
     def test_urgency_free_schedule_identical(self, jobs):
+        """On the service's shape the oracle serves an urgency-free list
+        as the sweep does: every die end, every resource total and the
+        makespan ``==``, the completion times as a multiset.  Only which
+        of two jobs tied at a channel goes first may differ."""
         base = simulate_stages(jobs)
-        arb = simulate_arbitrated(
-            jobs, ArbitrationConfig(suspend_cost_s=1.0, resume_cost_s=2.0)
+        arb = simulate_arbitrated(jobs)
+        dies = [
+            dataclasses.replace(
+                j, durations=j.durations[:1], resources=j.resources[:1]
+            )
+            for j in jobs
+        ]
+        assert (
+            simulate_arbitrated(dies).completion_times
+            == simulate_stages(dies).completion_times
         )
-        assert arb.completion_times == base.completion_times
+        assert sorted(arb.completion_times) == sorted(base.completion_times)
         assert arb.resource_busy == base.resource_busy
         assert arb.resource_jobs == base.resource_jobs
         assert arb.makespan == base.makespan
         assert arb.preemptions == 0
-        assert arb.preemption_overhead == 0.0
 
     @settings(max_examples=40, deadline=None)
     @given(jobs=_job_lists())
     def test_equal_deadlines_never_preempt(self, jobs):
         """Equal urgency keeps strict FIFO: the same deadline on every
-        job changes nothing."""
+        job changes nothing, in either simulator."""
         dl = [dataclasses.replace(j, deadline=100.0) for j in jobs]
         base = simulate_stages(jobs)
         assert simulate_stages(dl).completion_times == base.completion_times
-        arb = simulate_arbitrated(dl, ArbitrationConfig())
-        assert arb.completion_times == base.completion_times
+        arb, arb_base = simulate_arbitrated(dl), simulate_arbitrated(jobs)
+        assert arb.completion_times == arb_base.completion_times
         assert arb.preemptions == 0
 
     def test_empty_stream(self):
-        report = simulate_stages([], suspension=ArbitrationConfig())
+        report = simulate_stages([])
         assert report.makespan == 0.0
         assert report.bottleneck == "idle"
+        assert simulate_arbitrated([]).makespan == 0.0
 
     def test_negative_duration_rejected(self):
         with pytest.raises(ValueError):
-            simulate_stages(
-                [StageJob(0.0, (-1.0,), ("r",))],
-                suspension=ArbitrationConfig(),
-            )
+            simulate_stages([StageJob(0.0, (-1.0,), ("r",))])
 
 
 def _bulk(ready_at, seconds, **kwargs):
@@ -292,43 +306,38 @@ def _bulk(ready_at, seconds, **kwargs):
     return StageJob(ready_at, (seconds,), ("die",), background=True, **kwargs)
 
 
-def _suspended(jobs, cfg=ArbitrationConfig()):
-    """The sweep's report under ``cfg``, after checking that the
-    arbitrated oracle schedules the same jobs float for float."""
-    report = simulate_stages(jobs, suspension=cfg)
-    oracle = simulate_arbitrated(jobs, cfg)
+def _suspended(jobs):
+    """The sweep's report, after checking that the arbitrated oracle
+    schedules the same jobs float for float."""
+    report = simulate_stages(jobs)
+    oracle = simulate_arbitrated(jobs)
     assert report.completion_times == oracle.completion_times
     assert report.resource_busy == oracle.resource_busy
     assert report.resource_preemptions == oracle.resource_preemptions
     assert report.resource_guard_waits == oracle.resource_guard_waits
-    assert report.preemption_overhead == oracle.preemption_overhead
     return report
 
 
 class TestPreemption:
     """Exact deterministic arithmetic of the suspend/resume model: a
-    foreground arrival suspends the background job on its die, never a
-    foreground one.  Each scenario runs through the sweep and the
-    arbitrated oracle, which must agree."""
+    foreground arrival suspends the background job on its die, at no
+    cost, never a foreground one.  Each scenario runs through the sweep
+    and the arbitrated oracle, which must agree."""
 
     def test_urgent_suspends_bulk(self):
         """Bulk sense of 100 s starts at t=0; an urgent 5 s deadline
-        job arrives at t=10.  With suspend=1 / resume=2: bulk is
-        parked at t=10 (+1 s suspend), urgent runs [11, 16], bulk's
-        remaining 90 s + 2 s resume runs [16, 108]."""
+        job arrives at t=10: bulk is parked at t=10, urgent runs
+        [10, 15], bulk's remaining 90 s runs [15, 105]."""
         jobs = [
             _bulk(0.0, 100.0),
             StageJob(10.0, (5.0,), ("die",), deadline=20.0),
         ]
-        report = _suspended(
-            jobs, ArbitrationConfig(suspend_cost_s=1.0, resume_cost_s=2.0)
-        )
-        assert report.completion_times == [108.0, 16.0]
+        report = _suspended(jobs)
+        assert report.completion_times == [105.0, 15.0]
         assert report.preemptions == 1
         assert report.resource_preemptions == {"die": 1}
-        assert report.preemption_overhead == 3.0
-        # 10 (first segment) + 1 (suspend) + 5 (urgent) + 92 (rest).
-        assert report.resource_busy["die"] == pytest.approx(108.0)
+        # 10 (first segment) + 5 (urgent) + 90 (rest).
+        assert report.resource_busy["die"] == pytest.approx(105.0)
 
     def test_without_arbitration_urgent_waits(self):
         jobs = [
@@ -369,33 +378,6 @@ class TestPreemption:
         assert report.resource_guard_waits == {"die": 1}
         assert report.resource_busy["die"] == pytest.approx(115.0)
 
-    def test_suspension_costs_lengthen_the_protection(self):
-        """Parked at 10 and back at 16 (1 s to park, 5 s of urgent
-        work), bulk is protected for those 6 s plus the 1 + 2 s its
-        suspension cost: until 25.  The arrival at 24 waits for that,
-        the bulk is parked at 25 and the urgent job runs [26, 31)."""
-        jobs = [_bulk(0.0, 100.0)] + [
-            StageJob(at, (5.0,), ("die",), deadline=200.0 + at)
-            for at in (10.0, 24.0)
-        ]
-        report = _suspended(
-            jobs, ArbitrationConfig(suspend_cost_s=1.0, resume_cost_s=2.0)
-        )
-        # Bulk: [0,10), 92 left; [16,25), 83 + 2 left from 31.
-        assert report.completion_times == [116.0, 16.0, 31.0]
-        assert report.preemptions == 2
-        assert report.resource_guard_waits == {"die": 1}
-        assert report.preemption_overhead == 6.0
-
-    def test_min_remaining_refuses_near_done_victim(self):
-        jobs = [
-            _bulk(0.0, 10.0),
-            StageJob(9.5, (1.0,), ("die",), deadline=12.0),
-        ]
-        report = _suspended(jobs, ArbitrationConfig(min_remaining_s=1.0))
-        assert report.preemptions == 0
-        assert report.completion_times == [10.0, 11.0]
-
     def test_deadline_outranks_priority_bulk(self):
         """A deadline job suspends background work whatever priority
         that carries, and a best-effort arrival waits its turn behind
@@ -409,16 +391,6 @@ class TestPreemption:
         assert report.completion_times[1] == pytest.approx(7.0)
         assert report.completion_times[2] == pytest.approx(9.0)
         assert report.preemptions == 1
-
-    def test_suspend_cost_delays_preemptor(self):
-        jobs = [
-            _bulk(0.0, 100.0),
-            StageJob(10.0, (5.0,), ("die",), deadline=50.0),
-        ]
-        report = _suspended(jobs, ArbitrationConfig(suspend_cost_s=3.0))
-        # Urgent starts only after the 3 s park completes.
-        assert report.completion_times[1] == pytest.approx(18.0)
-        assert report.completion_times[0] == pytest.approx(108.0)
 
     def test_edf_meets_deadline_fcfs_misses(self):
         """The acceptance scenario: a deadline the sweep provably meets

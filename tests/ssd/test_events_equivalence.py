@@ -1,9 +1,13 @@
 """Equivalences of the ``simulate_stages`` sweep.
 
 **Uniform urgency.**  A job list in which no two foreground jobs differ
-in urgency never queues: the arrival-merge sweep reproduces the
+in urgency queues in arrival order: every die serves it exactly as the
 one-global-heap FCFS reference (``tests/reference_control_path.py``)
-float for float: every comparison is ``==``, never ``approx``.
+does, float for float -- every comparison is ``==``, never ``approx``.
+Only which of two jobs tied at a channel goes first may differ (a
+waiter's downstream turn is drawn when its die starts it), so on the
+service's shape -- dies at stage 0 only, one transfer time per
+downstream stage -- everything but that assignment is compared.
 
 **The die queue and the background class.**  With urgency differences
 the stage-0 resource serves its waiters by urgency, and with background
@@ -24,12 +28,11 @@ nobody waiting goes at once, also at the very instant the die frees,
 where the oracle has it stand in the pick behind a more urgent job of
 the same instant.  It holds the die for no time, so no other job moves:
 such a job's completion is the oracle's or its own ready time, every
-other is compared with ``==``.  The three totals are compared at 1e-12
-relative, because the same terms are summed in a different order: ``resource_busy`` (the sweep charges a
-stage when it is admitted, the oracle when it finishes),
-``fault_overhead`` (arrival order against listing order) and
-``preemption_overhead`` (the sweep multiplies the suspension count by
-the per-suspension cost where the oracle adds it once per suspension).
+other is compared with ``==``.  The two totals are compared at 1e-12
+relative, because the same terms are summed in a different order:
+``resource_busy`` (the sweep charges a stage when it is admitted, the
+oracle when it finishes) and ``fault_overhead`` (arrival order against
+listing order).
 
 The oracle orders *every* resource by urgency, the sweep only the one a
 job enters first, so three strategies keep to where they must agree.
@@ -51,18 +54,18 @@ first-come-first-served in die-completion order
 
 **The forward-progress rule.**  Agreeing with the oracle says nothing
 about what the two agree *on*, so the rule -- a resumed background job
-runs as long as it was kept off the die, plus what its suspension
-cost, before it yields again -- is also stated from the outside: on
-``exact=True`` streams (dyadic times, so every sum below is exact)
-``background_pieces`` rebuilds what each die's background jobs did
-from nothing but the jobs and their completion times, and the
-properties are read off the pieces.
+runs as long as it was kept off the die before it yields again -- is
+also stated from the outside: on ``exact=True`` streams (dyadic times,
+so every sum below is exact) ``background_pieces`` rebuilds what each
+die's background jobs did from nothing but the jobs and their
+completion times, and the properties are read off the pieces.
 
 **Streaming.**  A :class:`StageSweep` fed a list in pieces -- ready
 times non-decreasing from feed to feed, the first urgency difference as
 late as the last feed -- serves it exactly as the one-shot sweep serves
-the whole: every completion, every resource total and every overhead
-``==``, and a completion handed back by a feed is never revised.
+the whole: every completion, every resource total and the fault
+overhead ``==``, and a completion handed back by a feed is never
+revised.
 """
 
 from __future__ import annotations
@@ -76,7 +79,6 @@ from hypothesis import strategies as st
 import reference_control_path as reference
 from reference_arbitrated import simulate_arbitrated as oracle
 from repro.ssd.events import (
-    ArbitrationConfig,
     StageJob,
     StageSweep,
     background_job,
@@ -131,16 +133,9 @@ def assert_same_report(jobs):
     assert report.resource_jobs == expected.resource_jobs
     assert report.fault_overhead == expected.fault_overhead
     assert report.preemptions == 0
-    assert report.preemption_overhead == 0.0
     # First-served order of the resources too: reports iterate it.
     assert list(report.resource_busy) == list(expected.resource_busy)
     assert list(report.resource_jobs) == list(expected.resource_jobs)
-
-
-@settings(max_examples=300, deadline=None)
-@given(jobs=job_streams())
-def test_fcfs_sweep_equals_reference(jobs):
-    assert_same_report(jobs)
 
 
 def test_arrival_wins_a_tie_with_a_downstream_event():
@@ -181,13 +176,6 @@ def test_window_stream_of_shared_zero_latency_jobs():
 # Background class: the gap-filler against the arbitrated oracle
 # ----------------------------------------------------------------------
 
-COST = st.sampled_from([0.0, 0.0, 0.05, 0.1])
-CONFIGS = st.builds(
-    ArbitrationConfig,
-    suspend_cost_s=COST,
-    resume_cost_s=COST,
-    min_remaining_s=st.sampled_from([0.0, 0.0, 0.15]),
-)
 #: Background also becomes ready after the last foreground has.
 LATE_READY = st.sampled_from([0.0, 0.1, 0.3, 1.0, 2.5, 4.0, 9.0])
 LONG = st.sampled_from([0.0, 0.1, 0.7, 1.0, 1 / 3, 3.5])
@@ -204,13 +192,6 @@ URGENCY = st.fixed_dictionaries(
 
 #: The same shapes over dyadic values: every sum and difference of
 #: these is exact, so a timeline can be rebuilt from completion times.
-EXACT_COST = st.sampled_from([0.0, 0.0, 0.0625, 0.125])
-EXACT_CONFIGS = st.builds(
-    ArbitrationConfig,
-    suspend_cost_s=EXACT_COST,
-    resume_cost_s=EXACT_COST,
-    min_remaining_s=st.sampled_from([0.0, 0.0, 0.1875]),
-)
 EXACT_READY = st.sampled_from([0.0, 0.0, 0.25, 0.5, 0.5, 1.0, 2.5])
 EXACT_DURATION = st.sampled_from([0.0, 0.0, 0.25, 0.5, 0.75, 1.0])
 EXACT_DELAY = st.sampled_from([0.0, 0.0, 0.0, 0.125, 0.5])
@@ -297,9 +278,9 @@ def pipeline_streams(draw, mixed, exact=False):
     return jobs
 
 
-def assert_agrees_with_oracle(jobs, cfg):
-    report = simulate_stages(jobs, suspension=cfg)
-    expected = oracle(jobs, cfg)
+def assert_agrees_with_oracle(jobs):
+    report = simulate_stages(jobs)
+    expected = oracle(jobs)
     for job, done, oracle_done in zip(
         jobs, report.completion_times, expected.completion_times
     ):
@@ -322,26 +303,21 @@ def assert_agrees_with_oracle(jobs, cfg):
     assert report.fault_overhead == pytest.approx(
         expected.fault_overhead, rel=1e-12, abs=0.0
     )
-    assert report.preemption_overhead == pytest.approx(
-        expected.preemption_overhead, rel=1e-12, abs=0.0
-    )
     return report
 
 
 def assert_background_properties(jobs, report):
     work = sum(sum(job.durations) + job.fault_delay_s for job in jobs)
-    assert sum(report.resource_busy.values()) == pytest.approx(
-        work + report.preemption_overhead, rel=1e-9
-    )
+    assert sum(report.resource_busy.values()) == pytest.approx(work, rel=1e-9)
     for job, done in zip(jobs, report.completion_times):
         # Nothing starts before it is ready.
         assert done >= (job.ready_at + sum(job.durations)) * (1 - 1e-12)
 
 
 @settings(max_examples=600, deadline=None)
-@given(jobs=die_streams(), cfg=CONFIGS)
-def test_gap_filler_equals_arbitrated_oracle_on_tied_dies(jobs, cfg):
-    report = assert_agrees_with_oracle(jobs, cfg)
+@given(jobs=die_streams())
+def test_gap_filler_equals_arbitrated_oracle_on_tied_dies(jobs):
+    report = assert_agrees_with_oracle(jobs)
     assert_background_properties(jobs, report)
 
 
@@ -361,16 +337,13 @@ def _cut(jobs, depth):
     ]
 
 
-def downstream_tie(jobs, cfg):
+def downstream_tie(jobs):
     """Whether two foreground jobs leave a stage at the same instant."""
     for depth in (1, 2):
         ends = [
             end
             for job, end in zip(
-                jobs,
-                simulate_stages(
-                    _cut(jobs, depth), suspension=cfg
-                ).completion_times,
+                jobs, simulate_stages(_cut(jobs, depth)).completion_times
             )
             if not job.background
         ]
@@ -379,10 +352,10 @@ def downstream_tie(jobs, cfg):
     return False
 
 
-def downstream_tails(jobs, cfg):
+def downstream_tails(jobs):
     """The foreground jobs' later stages as jobs of their own, ready
     when the sweep's die stage lets them go, urgency dropped."""
-    die_ends = simulate_stages(_cut(jobs, 1), suspension=cfg).completion_times
+    die_ends = simulate_stages(_cut(jobs, 1)).completion_times
     return [
         StageJob(end, job.durations[1:], job.resources[1:])
         for job, end in zip(jobs, die_ends)
@@ -390,9 +363,9 @@ def downstream_tails(jobs, cfg):
     ]
 
 
-def downstream_wait(jobs, cfg):
+def downstream_wait(jobs):
     """Whether any job waits for a channel or the link."""
-    tails = downstream_tails(jobs, cfg)
+    tails = downstream_tails(jobs)
     done = reference.simulate_stages_fcfs(tails).completion_times
     return any(
         end != (tail.ready_at + tail.durations[0]) + tail.durations[1]
@@ -401,21 +374,19 @@ def downstream_wait(jobs, cfg):
 
 
 @settings(max_examples=200, deadline=None)
-@given(jobs=pipeline_streams(mixed=False), cfg=CONFIGS)
-def test_gap_filler_equals_arbitrated_oracle_on_pipelines(jobs, cfg):
-    assume(not downstream_tie(jobs, cfg))
-    report = assert_agrees_with_oracle(jobs, cfg)
+@given(jobs=pipeline_streams(mixed=False))
+def test_gap_filler_equals_arbitrated_oracle_on_pipelines(jobs):
+    assume(not downstream_tie(jobs))
+    report = assert_agrees_with_oracle(jobs)
     assert_background_properties(jobs, report)
 
 
 @settings(max_examples=200, deadline=None)
-@given(jobs=pipeline_streams(mixed=True), cfg=CONFIGS)
-def test_die_queue_equals_arbitrated_oracle_on_uncontended_pipelines(
-    jobs, cfg
-):
-    assume(not downstream_tie(jobs, cfg))
-    assume(not downstream_wait(jobs, cfg))
-    report = assert_agrees_with_oracle(jobs, cfg)
+@given(jobs=pipeline_streams(mixed=True))
+def test_die_queue_equals_arbitrated_oracle_on_uncontended_pipelines(jobs):
+    assume(not downstream_tie(jobs))
+    assume(not downstream_wait(jobs))
+    report = assert_agrees_with_oracle(jobs)
     assert_background_properties(jobs, report)
 
 
@@ -424,18 +395,17 @@ def test_die_queue_equals_arbitrated_oracle_on_uncontended_pipelines(
     jobs=st.one_of(
         pipeline_streams(mixed=True), pipeline_streams(mixed=False)
     ),
-    cfg=CONFIGS,
 )
-def test_downstream_stays_fcfs_in_die_completion_order(jobs, cfg):
+def test_downstream_stays_fcfs_in_die_completion_order(jobs):
     """Urgency orders the die and nothing behind it: channels and the
     link serve first-come-first-served in die-completion order, so the
     whole pipeline is the frozen FCFS sweep fed the die stage's
     completions, whatever the urgencies."""
-    assume(not downstream_tie(jobs, cfg))
+    assume(not downstream_tie(jobs))
     expected = reference.simulate_stages_fcfs(
-        downstream_tails(jobs, cfg)
+        downstream_tails(jobs)
     ).completion_times
-    done = simulate_stages(jobs, suspension=cfg).completion_times
+    done = simulate_stages(jobs).completion_times
     assert [
         end for job, end in zip(jobs, done) if not job.background
     ] == expected
@@ -478,7 +448,7 @@ def test_free_suspension_never_delays_foreground(jobs):
 # ----------------------------------------------------------------------
 
 
-def background_pieces(jobs, done, cfg):
+def background_pieces(jobs, done):
     """What each die's background jobs did, rebuilt from single-stage
     ``jobs`` over dyadic times and their completion times ``done``:
     ``die -> [(job index, start, end, parked)]`` in time order,
@@ -489,8 +459,7 @@ def background_pieces(jobs, done, cfg):
     listing)`` order, a job that has not started no earlier than its
     ready time, one that has from the moment the die frees.  A job
     whose completion falls inside the gap ends its piece there; one
-    that runs into the next foreground start was parked
-    ``suspend_cost_s`` before it.
+    that runs into the next foreground start was parked there.
     """
     pieces = {}
     for die in {job.resources[0] for job in jobs if job.background}:
@@ -518,10 +487,8 @@ def background_pieces(jobs, done, cfg):
                     cursor = done[index]
                     head, resumed = head + 1, False
                     continue
-                if start < gap_end - cfg.suspend_cost_s:
-                    out.append(
-                        (index, start, gap_end - cfg.suspend_cost_s, True)
-                    )
+                if start < gap_end:
+                    out.append((index, start, gap_end, True))
                     resumed = True
                 break
     return pieces
@@ -534,19 +501,17 @@ EXACT_STREAMS = st.one_of(
 
 
 @settings(max_examples=600, deadline=None)
-@given(jobs=EXACT_STREAMS, cfg=EXACT_CONFIGS)
-def test_resumed_background_runs_as_long_as_it_was_parked(jobs, cfg):
+@given(jobs=EXACT_STREAMS)
+def test_resumed_background_runs_as_long_as_it_was_parked(jobs):
     """The rule and its two consequences, on the rebuilt timeline: a
     resumed piece that ends in another suspension lasted at least as
-    long as the job had been kept off the die plus what the suspension
-    cost; so no foreground arrival waits behind background work for
-    longer than that (and behind never-parked work not at all) -- give
-    or take ``min_remaining_s``, under which a job is left to finish;
-    and no piece starts while a foreground job waits."""
-    report = assert_agrees_with_oracle(jobs, cfg)
+    long as the job had been kept off the die; so no foreground arrival
+    waits behind background work for longer than that (and behind
+    never-parked work not at all); and no piece starts while a
+    foreground job waits."""
+    report = assert_agrees_with_oracle(jobs)
     done = report.completion_times
-    costs = cfg.suspend_cost_s + cfg.resume_cost_s
-    for die, pieces in background_pieces(jobs, done, cfg).items():
+    for die, pieces in background_pieces(jobs, done).items():
         # The pieces are the die's story: they account for every
         # suspension and every second of background work.
         assert report.resource_preemptions.get(die, 0) == sum(
@@ -557,9 +522,7 @@ def test_resumed_background_runs_as_long_as_it_was_parked(jobs, cfg):
             ran[index] = ran.get(index, 0.0) + (end - start)
             parks[index] = parks.get(index, 0) + parked
         for index, seconds in ran.items():
-            assert seconds == (
-                jobs[index].durations[0] + parks[index] * cfg.resume_cost_s
-            )
+            assert seconds == jobs[index].durations[0]
         foreground = [
             (job.ready_at, end - (job.durations[0] + job.fault_delay_s))
             for job, end in zip(jobs, done)
@@ -569,16 +532,14 @@ def test_resumed_background_runs_as_long_as_it_was_parked(jobs, cfg):
         for index, start, end, parked in pieces:
             protected = start
             if index in parked_at:
-                protected += (start - parked_at[index]) + costs
+                protected += start - parked_at[index]
             if parked:
                 assert end >= protected
                 parked_at[index] = end
             for ready_at, began in foreground:
                 assert not ready_at <= start < began
                 if start < ready_at < end:
-                    assert end <= (
-                        max(ready_at, protected) + cfg.min_remaining_s
-                    )
+                    assert end <= max(ready_at, protected)
 
 
 @settings(max_examples=300, deadline=None)
@@ -635,12 +596,65 @@ def test_no_job_overtakes_a_waiter_that_ranks_ahead(specs):
                 assert not (waited and other.ready_at == start)
 
 
-@settings(max_examples=200, deadline=None)
-@given(jobs=job_streams(), urgency=URGENCY)
-def test_uniform_urgency_equals_reference(jobs, urgency):
+@st.composite
+def service_streams(draw):
+    """The service's job lists: chip -> channel -> external link, the
+    chip only ever at stage 0, one transfer time per channel and link
+    (a page is a page), mixed sense times and fault delays, and one
+    urgency for every job."""
+    n_chips = draw(st.integers(1, 4))
+    n_channels = draw(st.integers(1, 2))
+    dma, ext = draw(DURATION), draw(DURATION)
+    urgency = draw(URGENCY)
+    jobs = []
+    for _ in range(draw(st.integers(1, 30))):
+        chip = draw(st.integers(0, n_chips - 1))
+        jobs.append(
+            StageJob(
+                draw(READY),
+                (draw(DURATION), dma, ext),
+                (f"chip{chip}", f"chan{chip % n_channels}", "ext"),
+                fault_delay_s=draw(DELAY),
+                **urgency,
+            )
+        )
+    return jobs
+
+
+@settings(max_examples=400, deadline=None)
+@given(jobs=service_streams())
+def test_uniform_urgency_equals_reference(jobs):
     """Whatever the one urgency is, a list without urgency
-    *differences* is served exactly first-come-first-served."""
-    assert_same_report([replace(job, **urgency) for job in jobs])
+    *differences* is served first-come-first-served: every die end,
+    every resource total, the makespan and the completion times as a
+    multiset are the FCFS reference's, ``==``.  Only which of two jobs
+    that reach a channel at the same instant goes first may differ --
+    the reference draws a job's downstream turn when it arrives, the
+    die queue when its die starts it -- and with one transfer time per
+    stage that swaps two completions and moves nothing else."""
+    report = simulate_stages(jobs)
+    expected = reference.simulate_stages_fcfs(jobs)
+    die_only = _cut(jobs, 1)
+    assert (
+        simulate_stages(die_only).completion_times
+        == reference.simulate_stages_fcfs(die_only).completion_times
+    )
+    assert report.resource_busy == expected.resource_busy
+    assert report.resource_jobs == expected.resource_jobs
+    assert report.makespan == expected.makespan
+    assert sorted(report.completion_times) == sorted(
+        expected.completion_times
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(jobs=service_streams())
+def test_fcfs_sweep_equals_reference(jobs):
+    """Where no two jobs leave a stage at the same instant there is no
+    tie to assign: the whole report is the FCFS reference's, job for
+    job, ``==``."""
+    assume(not downstream_tie(jobs))
+    assert_same_report(jobs)
 
 
 @settings(max_examples=300, deadline=None)
@@ -684,7 +698,7 @@ def test_arrival_at_the_free_instant_joins_before_the_pick():
         StageJob(0.5, (1.0,), ("chip0",)),
         StageJob(1.0, (1.0,), ("chip0",), deadline=9.0),
     ]
-    report = assert_agrees_with_oracle(jobs, ArbitrationConfig())
+    report = assert_agrees_with_oracle(jobs)
     assert report.completion_times == [1.0, 3.0, 2.0]
 
 
@@ -697,7 +711,7 @@ def test_simultaneous_arrivals_at_an_idle_die_keep_listing_order():
         StageJob(1.0, (1.0,), ("chip0",)),
         StageJob(1.0, (1.0,), ("chip0",), deadline=9.0),
     ]
-    report = assert_agrees_with_oracle(jobs, ArbitrationConfig())
+    report = assert_agrees_with_oracle(jobs)
     assert report.completion_times == [2.0, 4.0, 3.0]
 
 
@@ -713,12 +727,12 @@ def test_zero_length_job_takes_a_free_die_at_once():
         StageJob(1.0, (1.0,), ("chip0",)),
         StageJob(1.0, (1.0,), ("chip0",), deadline=9.0),
     ]
-    report = assert_agrees_with_oracle(jobs, ArbitrationConfig())
+    report = assert_agrees_with_oracle(jobs)
     assert report.completion_times == [1.0, 1.0, 3.0, 2.0]
     # Once somebody waits, a zero-length arrival queues like any
     # other: behind the earlier best-effort sense, as the oracle says.
     jobs.insert(1, StageJob(0.5, (1.0,), ("chip0",)))
-    report = assert_agrees_with_oracle(jobs, ArbitrationConfig())
+    report = assert_agrees_with_oracle(jobs)
     assert report.completion_times == [1.0, 3.0, 3.0, 4.0, 2.0]
 
 
@@ -729,7 +743,7 @@ def test_equal_urgency_is_strict_fifo():
         StageJob(0.1, (1.0,), ("chip0",), deadline=9.0, priority=1.0),
         StageJob(0.3, (1.0,), ("chip0",), deadline=9.0, priority=2.0),
     ]
-    report = assert_agrees_with_oracle(jobs, ArbitrationConfig())
+    report = assert_agrees_with_oracle(jobs)
     assert report.completion_times == [1.0, 4.0, 3.0, 2.0]
 
 
@@ -743,7 +757,7 @@ def test_waiters_behind_an_unsuspendable_erase_go_by_urgency():
         StageJob(3.5, (1.0,), ("chip0",)),
         StageJob(4.0, (1.0,), ("chip0",), deadline=9.0),
     ]
-    report = assert_agrees_with_oracle(jobs, ArbitrationConfig())
+    report = assert_agrees_with_oracle(jobs)
     # Erase runs [0,1) [3,5) and its other 7 s from 7.
     assert report.completion_times == [14.0, 3.0, 7.0, 6.0]
     assert report.preemptions == 2
@@ -759,7 +773,7 @@ def test_background_never_starts_while_foreground_waits():
         StageJob(0.75, (1.0,), ("chip0",)),
         StageJob(6.0, (1.0,), ("chip0",)),
     ]
-    report = assert_agrees_with_oracle(jobs, ArbitrationConfig())
+    report = assert_agrees_with_oracle(jobs)
     assert report.completion_times == [1.0, 4.0, 2.0, 7.0]
     assert report.preemptions == 0
 
@@ -772,7 +786,7 @@ def test_background_listed_first_still_yields_a_tied_arrival():
         background_job("chip0", 3.5, ready_at=1.0),
         StageJob(1.0, (0.25,), ("chip0",)),
     ]
-    report = assert_agrees_with_oracle(jobs, ArbitrationConfig())
+    report = assert_agrees_with_oracle(jobs)
     assert report.completion_times == [4.75, 1.25]
     assert report.preemptions == 0
 
@@ -785,37 +799,9 @@ def test_zero_length_gap_is_not_filled():
         background_job("chip0", 2.0, ready_at=0.5),
         StageJob(1.0, (1.0,), ("chip0",)),
     ]
-    report = assert_agrees_with_oracle(jobs, ArbitrationConfig())
+    report = assert_agrees_with_oracle(jobs)
     assert report.completion_times == [1.0, 4.0, 2.0]
     assert report.preemptions == 0
-
-
-def test_suspend_and_resume_costs_land_on_the_die():
-    """Erase [0, 10) is suspended at t=2 (0.5 to park, so the sense
-    runs [2.5, 3.5)) and resumes with 8 + 0.25 left."""
-    jobs = [
-        background_job("chip0", 10.0),
-        StageJob(2.0, (1.0,), ("chip0",)),
-    ]
-    cfg = ArbitrationConfig(suspend_cost_s=0.5, resume_cost_s=0.25)
-    report = assert_agrees_with_oracle(jobs, cfg)
-    assert report.completion_times == [11.75, 3.5]
-    assert report.resource_preemptions == {"chip0": 1}
-    assert report.preemption_overhead == 0.75
-    assert report.resource_busy == {"chip0": 11.75}
-
-
-def test_a_never_parked_erase_yields_at_once_whatever_it_costs():
-    """Only a *resumed* job is protected: the sense that arrives a
-    quarter second into a fresh erase suspends it there and then."""
-    jobs = [
-        background_job("chip0", 10.0),
-        StageJob(0.25, (1.0,), ("chip0",)),
-    ]
-    cfg = ArbitrationConfig(suspend_cost_s=0.5, resume_cost_s=0.25)
-    report = assert_agrees_with_oracle(jobs, cfg)
-    assert report.completion_times == [11.75, 1.75]
-    assert report.resource_guard_waits == {}
 
 
 def test_starvation_guard_makes_the_foreground_wait():
@@ -829,7 +815,7 @@ def test_starvation_guard_makes_the_foreground_wait():
     jobs = [background_job("chip0", 10.0)] + [
         StageJob(1.0 + 1.5 * i, (1.0,), ("chip0",)) for i in range(4)
     ]
-    report = assert_agrees_with_oracle(jobs, ArbitrationConfig())
+    report = assert_agrees_with_oracle(jobs)
     # Erase runs [0,1) [2,3) [5,7) and its other 6 s from 8.
     assert report.completion_times == [14.0, 2.0, 4.0, 5.0, 8.0]
     assert report.preemptions == 3
@@ -843,7 +829,7 @@ def test_an_unprotected_erase_yields_at_once_however_often():
     jobs = [background_job("chip0", 10.0)] + [
         StageJob(1.0 + 2.0 * i, (1.0,), ("chip0",)) for i in range(8)
     ]
-    report = assert_agrees_with_oracle(jobs, ArbitrationConfig())
+    report = assert_agrees_with_oracle(jobs)
     assert report.completion_times == [18.0] + [
         2.0 + 2.0 * i for i in range(8)
     ]
@@ -862,112 +848,35 @@ def test_protection_is_per_job():
         StageJob(2.5, (1.0,), ("chip0",)),
         StageJob(4.25, (1.0,), ("chip0",)),
     ]
-    report = assert_agrees_with_oracle(jobs, ArbitrationConfig())
+    report = assert_agrees_with_oracle(jobs)
     assert report.completion_times == [3.0, 7.0, 2.0, 4.0, 5.25]
     assert report.preemptions == 2
     assert report.resource_guard_waits == {"chip0": 1}
 
 
-def test_suspension_costs_lengthen_the_protection():
-    """Parked at 2 and back at 3.5 (0.5 to park, 1 s of sense), the
-    erase is protected for those 1.5 s plus the 0.5 + 0.25 its
-    suspension cost: until 5.75.  The sense of t=4 waits for that,
-    and starts once the 0.5 s to park are paid."""
-    jobs = [
-        background_job("chip0", 10.0),
-        StageJob(2.0, (1.0,), ("chip0",)),
-        StageJob(4.0, (1.0,), ("chip0",)),
-    ]
-    cfg = ArbitrationConfig(suspend_cost_s=0.5, resume_cost_s=0.25)
-    report = assert_agrees_with_oracle(jobs, cfg)
-    # Erase: [0,2), 8.25 left; [3.5,5.75), 6.25 left from 7.25.
-    assert report.completion_times == [13.5, 3.5, 7.25]
-    assert report.resource_preemptions == {"chip0": 2}
-    assert report.resource_guard_waits == {"chip0": 1}
-    assert report.preemption_overhead == 1.5
-
-
-def test_the_die_picks_once_the_park_at_a_guards_end_is_paid():
-    """Parked at 1 and back at 3, the erase is protected until
-    3 + 2 + 0.5 = 5.5 with a best-effort sense waiting since 4.
-    Parking it then takes until 6, and the deadline sense of t=5.75
-    is among the waiters the die picks from: it goes first."""
-    jobs = [
-        background_job("chip0", 10.0),
-        StageJob(1.0, (1.5,), ("chip0",)),
-        StageJob(4.0, (1.0,), ("chip0",)),
-        StageJob(5.75, (1.0,), ("chip0",), deadline=9.0),
-    ]
-    cfg = ArbitrationConfig(suspend_cost_s=0.5)
-    report = assert_agrees_with_oracle(jobs, cfg)
-    # Erase: [0,1) [3,5.5) and its other 6.5 s from 8.
-    assert report.completion_times == [14.5, 3.0, 8.0, 7.0]
-    assert report.resource_guard_waits == {"chip0": 1}
-
-
 def test_a_thrashing_stream_cannot_livelock_the_erase():
     """10^3 senses, each arriving 1 us after the one before it has
-    handed the die back, every suspension costing 20 + 20 us: an erase
-    that yielded every time would gain 1 us and owe 20 per round, and
+    handed the die back: an erase that yielded every time would gain
+    1 us per round, need 3,400 rounds for the 3.4 ms it has left, and
     finish only once the stream is over.  Under the rule each park
-    buys it as long a run, so it is through in about twice its own
-    3.5 ms after a handful of suspensions, and -- the other half of
-    the bargain -- no sense waits anything like an erase time."""
-    cfg = ArbitrationConfig(suspend_cost_s=0.02, resume_cost_s=0.02)
+    buys it as long a run, so it is through while the stream still
+    runs after a handful of suspensions, and -- the other half of the
+    bargain -- no sense waits as long as an erase."""
     sense = 0.025
-    step = sense + cfg.suspend_cost_s + 0.001
+    step = sense + 0.001
     jobs = [background_job("chip0", 3.5)] + [
         StageJob(0.1 + step * i, (sense,), ("chip0",)) for i in range(1000)
     ]
-    report = assert_agrees_with_oracle(jobs, cfg)
+    report = assert_agrees_with_oracle(jobs)
     erased, *sensed = report.completion_times
-    assert erased < 2 * 3.5 + 0.1
-    # Every round nets the erase at least a sense and a suspend cost.
-    assert 0 < report.preemptions <= 3.5 / (sense + cfg.suspend_cost_s)
+    assert erased < jobs[-1].ready_at
+    # A handful, where yielding every time takes one per sense.
+    assert 0 < report.preemptions <= 5
     # Every suspension but the first came at a guard's end.
     assert report.resource_guard_waits["chip0"] >= report.preemptions - 1
     waits = [end - job.ready_at for job, end in zip(jobs[1:], sensed)]
-    assert max(waits) < 3.5 / 2
+    assert max(waits) < 3.5
     assert report.resource_jobs == {"chip0": 1001}
-
-
-def test_nearly_done_background_is_not_suspended():
-    """``min_remaining_s``: with a quarter second left of the erase
-    the sense waits for it; with more than the threshold left it
-    suspends."""
-    jobs = [
-        background_job("chip0", 1.0),
-        StageJob(0.75, (1.0,), ("chip0",)),
-    ]
-    waits = assert_agrees_with_oracle(
-        jobs, ArbitrationConfig(min_remaining_s=0.25)
-    )
-    assert waits.completion_times == [1.0, 2.0]
-    assert waits.preemptions == 0
-    suspends = assert_agrees_with_oracle(
-        jobs, ArbitrationConfig(min_remaining_s=0.125)
-    )
-    assert suspends.completion_times == [2.0, 1.75]
-    assert suspends.preemptions == 1
-    # The same at a guard's end: parked [1, 2), the erase is protected
-    # until 3 and would end at 3.25.
-    jobs = [
-        background_job("chip0", 2.25),
-        StageJob(1.0, (1.0,), ("chip0",)),
-        StageJob(2.5, (1.0,), ("chip0",)),
-    ]
-    waits = assert_agrees_with_oracle(
-        jobs, ArbitrationConfig(min_remaining_s=0.25)
-    )
-    assert waits.completion_times == [3.25, 2.0, 4.25]
-    assert waits.preemptions == 1
-    suspends = assert_agrees_with_oracle(
-        jobs, ArbitrationConfig(min_remaining_s=0.125)
-    )
-    assert suspends.completion_times == [4.25, 2.0, 4.0]
-    assert suspends.preemptions == 2
-    assert waits.resource_guard_waits == suspends.resource_guard_waits
-    assert waits.resource_guard_waits == {"chip0": 1}
 
 
 def test_background_after_the_last_foreground_and_on_an_untouched_die():
@@ -977,7 +886,7 @@ def test_background_after_the_last_foreground_and_on_an_untouched_die():
         background_job("chip1", 2.0, ready_at=0.5),
         background_job("chip1", 1.0, ready_at=0.5),
     ]
-    report = assert_agrees_with_oracle(jobs, ArbitrationConfig())
+    report = assert_agrees_with_oracle(jobs)
     assert report.completion_times == [1.0, 6.0, 2.5, 3.5]
     assert report.makespan == 6.0
     assert report.resource_jobs == {"chip0": 2, "chip1": 2}
@@ -1027,11 +936,11 @@ def fed_streams(draw):
     return [draw(st.permutations(feed)) for feed in feeds]
 
 
-def feed_and_close(feeds, cfg):
+def feed_and_close(feeds):
     """Stream ``feeds`` through one sweep; returns the completion times
     in listing order and the closing report."""
     jobs = [job for feed in feeds for job in feed]
-    sweep = StageSweep(suspension=cfg)
+    sweep = StageSweep()
     done = []
     for feed in feeds:
         done += sweep.feed(feed)
@@ -1044,12 +953,10 @@ def feed_and_close(feeds, cfg):
 
 
 @settings(max_examples=600, deadline=None)
-@given(feeds=fed_streams(), cfg=CONFIGS)
-def test_feeding_a_stream_equals_the_one_shot_sweep(feeds, cfg):
-    expected = simulate_stages(
-        [job for feed in feeds for job in feed], suspension=cfg
-    )
-    completion, report = feed_and_close(feeds, cfg)
+@given(feeds=fed_streams())
+def test_feeding_a_stream_equals_the_one_shot_sweep(feeds):
+    expected = simulate_stages([job for feed in feeds for job in feed])
+    completion, report = feed_and_close(feeds)
     assert completion == expected.completion_times
     assert report.makespan == expected.makespan
     for totals in (
@@ -1062,34 +969,6 @@ def test_feeding_a_stream_equals_the_one_shot_sweep(feeds, cfg):
         assert getattr(report, totals) == getattr(expected, totals)
         assert list(getattr(report, totals)) == list(getattr(expected, totals))
     assert report.fault_overhead == expected.fault_overhead
-    assert report.preemption_overhead == expected.preemption_overhead
-
-
-def test_a_late_urgency_difference_queues_the_held_arrivals():
-    """Three best-effort senses are fed first and held unrun: nothing
-    yet says whether the die queues.  The deadline sense fed next is
-    the first difference; the die then queues -- the held senses
-    included -- and serves it ahead of the two best-effort senses
-    waiting since t=0.5, as the one-shot sweep over all four does."""
-    early = [
-        StageJob(0.0, (1.0,), ("chip0",)),
-        StageJob(0.5, (1.0,), ("chip0",)),
-        StageJob(0.5, (1.0,), ("chip0",)),
-    ]
-    late = [StageJob(1.0, (1.0,), ("chip0",), deadline=9.0)]
-    sweep = StageSweep()
-    assert sweep.feed(early) == []
-    # Everything before t=1.0 runs: the first sense is final.
-    assert sweep.feed(late) == [(0, 1.0)]
-    rest, report = sweep.close()
-    assert sorted(rest) == [
-        (1, 3.0), (2, 4.0), (3, 2.0)
-    ]
-    assert report.completion_times == []
-    assert report.makespan == 4.0
-    assert simulate_stages(early + late).completion_times == [
-        1.0, 3.0, 4.0, 2.0
-    ]
 
 
 def test_a_feed_may_not_go_back_before_the_clock():

@@ -9,14 +9,15 @@ import math
 import shutil
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.flash.packing import pack_rows
-from repro.service import QueryService
+from repro.service import QueryService, ServiceStats
+from repro.service.metrics import LatencySummary
 from repro.ssd.controller import QueryResult
 
 REPO = Path(__file__).resolve().parents[2]
@@ -99,6 +100,38 @@ def test_a_result_hashes_what_it_serves_not_how_it_is_stored():
     assert tool.canonical(padded) == tool.canonical(result)
     longer = replace(result, n_bits=151)
     assert tool.canonical(longer) != tool.canonical(result)
+
+
+def test_only_a_declared_stats_field_drop_hashes_equal(monkeypatch):
+    """A parent whose ``ServiceStats`` still carries a :data:`DROPPED`
+    field hashes as the tree without it; a tree that lost any other
+    field does not."""
+    stats = ServiceStats(
+        *range(11),  # the counts, n_queries .. deadlines_met
+        latency=LatencySummary.from_latencies([1.0, 2.0]),
+        throughput_qps=1.5,
+        span_us=2.5,
+        makespan_us=3.5,
+        bottleneck="chip0",
+        preemptions=4,
+    )
+
+    @dataclass(frozen=True)
+    class ParentStats(ServiceStats):
+        preemption_overhead_us: float = 0.0
+
+    assert tool.DROPPED == ("preemption_overhead_us",)
+    values = {f.name: getattr(stats, f.name) for f in fields(stats)}
+    parent = repr(tool.canonical(ParentStats(**values)))
+    assert repr(tool.canonical(stats)) == parent
+    # The tree without ``preemptions``, which is not declared dropped.
+    every = tool.fields
+    monkeypatch.setattr(
+        tool,
+        "fields",
+        lambda record: [f for f in every(record) if f.name != "preemptions"],
+    )
+    assert repr(tool.canonical(stats)) != parent
 
 
 def test_main_prints_one_line_per_workload(capsys):

@@ -61,11 +61,18 @@ RESULT_NAMES = (
     "template_hit",
 )
 
+#: ``ServiceStats`` fields deleted on purpose, skipped on both sides:
+#: ``--parent`` runs this copy of the file in the parent tree, so a
+#: parent that still has one hashes exactly what the tree does.
+#: ``preemption_overhead_us`` was always 0.0 (suspension costs nothing).
+DROPPED = ("preemption_overhead_us",)
+
 
 def canonical(value):
     """``value`` with everything whose ``repr`` is not its content
     replaced: arrays by their bytes, errors by type and message,
-    records by their ``(field, value)`` pairs."""
+    records by their ``(field, value)`` pairs, the :data:`DROPPED`
+    stats fields left out."""
     if isinstance(value, np.ndarray):
         return value.tobytes()
     if isinstance(value, BaseException):
@@ -76,7 +83,9 @@ def canonical(value):
         ]
     if isinstance(value, (ServiceStats, ServedQuery)):
         return [
-            (f.name, canonical(getattr(value, f.name))) for f in fields(value)
+            (f.name, canonical(getattr(value, f.name)))
+            for f in fields(value)
+            if f.name not in DROPPED
         ]
     return value
 
