@@ -255,6 +255,3 @@ class FlashCosmos:
 
     def stored(self, name: str) -> StoredOperand:
         return self.directory.lookup(name)
-
-    def operand_address(self, name: str) -> WordlineAddress:
-        return self.directory.lookup(name).address

@@ -107,10 +107,9 @@ class BlockArray:
         #: wordline, padding bits held at one (the erased state).
         self._packed = np.empty((n_wl, self._n_words), dtype=np.uint64)
         self._vth: np.ndarray | None = None
-        #: MLC state indices / MSB pages, allocated on first MLC
-        #: program (the functional hot path never touches them).
+        #: MLC state indices, allocated on first MLC program (the
+        #: functional hot path never touches them).
         self._mlc_states: np.ndarray | None = None
-        self._mlc_msb: np.ndarray | None = None
         self.metadata = [WordlineMetadata() for _ in range(n_wl)]
         self._ispp = IsppEngine(self.calibration)
         self._fill_erased()
@@ -141,7 +140,6 @@ class BlockArray:
             self._vth = None
         if self._mlc_states is not None:
             self._mlc_states[:] = 0
-            self._mlc_msb[:] = 1
         for meta in self.metadata:
             meta.programmed = False
             meta.mode = ProgramMode.SLC
@@ -260,7 +258,6 @@ class BlockArray:
                 self.geometry.page_size_bits,
             )
             self._mlc_states = np.zeros(shape, dtype=np.uint8)
-            self._mlc_msb = np.ones(shape, dtype=np.uint8)
         # (msb, lsb) -> state: 11->E(0), 01->P1(1), 00->P2(2), 10->P3(3).
         states = np.select(
             [
@@ -281,7 +278,6 @@ class BlockArray:
                 int(mask.sum())
             ).astype(np.float32)
         self._mlc_states[wordline] = states
-        self._mlc_msb[wordline] = msb
         self._packed[wordline] = pack_bits(lsb)
         meta.programmed = True
         meta.mode = ProgramMode.MLC
@@ -383,12 +379,6 @@ class BlockArray:
             self._packed[wordline], self.geometry.page_size_bits
         )
 
-    def stored_msb_bits(self, wordline: int) -> np.ndarray:
-        """Ground-truth MSB page of an MLC wordline (copy)."""
-        if self.metadata[wordline].mode is not ProgramMode.MLC:
-            raise ValueError("wordline is not MLC-programmed")
-        return self._mlc_msb[wordline].copy()
-
     def mlc_states(self, rows: np.ndarray) -> np.ndarray:
         """Per-cell MLC state indices for the given wordline rows."""
         if self._mlc_states is None:
@@ -400,16 +390,6 @@ class BlockArray:
     def programmed_mask(self) -> np.ndarray:
         """Boolean mask of cells in the programmed state."""
         return self.written == 0
-
-    def resident_bytes(self) -> int:
-        """Bytes currently held by this block's cell-state arrays
-        (functional plane + whichever error-plane arrays are
-        materialized)."""
-        total = self._packed.nbytes
-        for arr in (self._vth, self._mlc_states, self._mlc_msb):
-            if arr is not None:
-                total += arr.nbytes
-        return total
 
     def wordline_esp_extra(self, wordline: int) -> float:
         return self.metadata[wordline].esp_extra

@@ -80,15 +80,6 @@ class ChipGeometry:
         return self.wordlines_per_block
 
     @property
-    def pages_per_plane(self) -> int:
-        return self.blocks_per_plane * self.pages_per_block
-
-    @property
-    def bitlines_per_plane(self) -> int:
-        """One sensed bit per bitline per sub-block read."""
-        return self.page_size_bits
-
-    @property
     def block_capacity_bits(self) -> int:
         return self.pages_per_block * self.page_size_bits
 

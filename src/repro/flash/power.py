@@ -46,9 +46,6 @@ class PowerModel:
 
     params: PowerParameters = field(default_factory=PowerParameters)
 
-    def read_power_factor(self) -> float:
-        return 1.0
-
     def inter_block_mws_power_factor(self, n_blocks: int) -> float:
         if n_blocks < 1:
             raise ValueError("n_blocks must be >= 1")

@@ -17,7 +17,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 
 class VthState(enum.IntEnum):
@@ -199,10 +198,3 @@ def gray_code_flip_weights(n_levels: int) -> tuple[float, ...]:
     if 1 << bits != n_levels:
         raise ValueError(f"level count {n_levels} is not a power of two")
     return tuple(1.0 / bits for _ in range(n_levels - 1))
-
-
-def sequence_mean(values: Sequence[float]) -> float:
-    """Arithmetic mean helper used by characterization summaries."""
-    if not values:
-        raise ValueError("mean of empty sequence")
-    return sum(values) / len(values)

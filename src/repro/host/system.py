@@ -101,16 +101,6 @@ class SystemEvaluator:
         baseline = reports[Platform.OSP].energy_j
         return {p: baseline / r.energy_j for p, r in reports.items()}
 
-    def sweep_speedups(
-        self, points: list[WorkloadPoint]
-    ) -> list[tuple[WorkloadPoint, dict[Platform, float]]]:
-        return [(p, self.speedups_over_osp(p)) for p in points]
-
-    def sweep_energy(
-        self, points: list[WorkloadPoint]
-    ) -> list[tuple[WorkloadPoint, dict[Platform, float]]]:
-        return [(p, self.energy_efficiency_over_osp(p)) for p in points]
-
 
 def geometric_mean(values: list[float]) -> float:
     if not values:

@@ -23,10 +23,7 @@ query bit-for-bit against the synchronous oracle.
 
 **Admission windows** (:mod:`~repro.service.admission`).  Submissions
 are grouped on a fixed ``window_us`` grid (with an optional
-``max_queries`` early close), or -- with ``adaptive_window`` -- on
-windows whose length the admission controller retunes to the observed
-arrival rate (short under bursts for p99, long under sparse traffic
-for sharing).  A window is the service's unit of optimization:
+``max_queries`` early close).  A window is the service's unit of optimization:
 queries inside one window may be reordered and share work; the window
 close time is when its pipeline jobs become ready.
 
@@ -62,12 +59,6 @@ result cache memoizes executed plans' packed words *across* windows
 so repeat traffic skips the sensing engine entirely until any
 register/unregister/program/erase moves the generation.
 
-**Closed-loop clients** (:mod:`~repro.service.clients`).  Beyond the
-open-loop arrival processes, :class:`ClosedLoopController` +
-:func:`run_closed_loop` model client backpressure: an AIMD loop backs
-the offered rate off multiplicatively while observed p99 exceeds the
-target and probes additively below it.
-
 **Fault tolerance** (:mod:`~repro.service.health`,
 :mod:`~repro.flash.faults`).  With a deterministic
 :class:`~repro.flash.faults.FaultInjector` attached to the SSD,
@@ -101,14 +92,12 @@ from repro.service.admission import (
 from repro.service.clients import (
     BitmapIndexClient,
     ClientTraffic,
-    ClosedLoopController,
     KCliqueClient,
     SegmentationClient,
     TrafficClient,
     TrafficItem,
     generate_traffic,
     populate_all,
-    run_closed_loop,
 )
 from repro.service.clock import (
     ArrivalProcess,
@@ -129,7 +118,6 @@ from repro.service.metrics import LatencySummary, ServiceStats
 from repro.service.scheduler import (
     POLICIES,
     QueryInfo,
-    estimated_chip_work_us,
     schedule_window,
 )
 from repro.service.service import (
@@ -151,7 +139,6 @@ __all__ = [
     "BurstArrivals",
     "ChipHealthTracker",
     "ClientTraffic",
-    "ClosedLoopController",
     "HealthConfig",
     "KCliqueClient",
     "LatencySummary",
@@ -167,9 +154,7 @@ __all__ = [
     "TrafficItem",
     "UniformArrivals",
     "VirtualClock",
-    "estimated_chip_work_us",
     "generate_traffic",
     "populate_all",
-    "run_closed_loop",
     "schedule_window",
 ]

@@ -9,30 +9,17 @@ streams with arrival times from per-client arrival processes -- plus
 the tenant's ``priority`` and relative ``deadline_us`` converted to
 absolute deadlines -- and merges them into one submission trace for
 :meth:`~repro.service.service.QueryService.submit_traffic`.
-
-**Closed-loop traffic.**  The arrival processes above are *open-loop*:
-they keep emitting at their configured rate no matter how the service
-is doing, which is the right model for benchmark gates but not for
-real clients behind a rate limiter.  :class:`ClosedLoopController` +
-:func:`run_closed_loop` model backpressure: traffic is generated in
-rounds, each round's rate set by an AIMD controller reacting to the
-*observed* p99 of the previous round (multiplicative backoff above the
-latency target, additive probing below it -- TCP's stability recipe).
-The loop is deterministic for a fixed rng, so tests can pin the
-trajectory; and because the engine's result cache outlives a service
-run, later rounds of a shape-repeating client get faster as the cache
-warms -- the controller observes that and raises the sustainable rate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.core.expressions import Expression
-from repro.service.clock import ArrivalProcess, PoissonArrivals
+from repro.service.clock import ArrivalProcess
 from repro.ssd.controller import SmallSsd
 from repro.workloads.bitmap_index import bmi_point_queries
 from repro.workloads.image_segmentation import (
@@ -248,110 +235,3 @@ def generate_traffic(
         )
     merged.sort(key=lambda entry: entry.at_us)
     return merged
-
-
-# ----------------------------------------------------------------------
-# Closed-loop traffic
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class ClosedLoopController:
-    """AIMD rate controller: the client-side half of backpressure.
-
-    Observes the service's p99 each round and sets the next round's
-    offered rate: **multiplicative** backoff while the tail exceeds
-    ``target_p99_us`` (overload must drain fast -- every queued query
-    makes the tail worse), **additive** probing while it is under (the
-    sustainable rate is unknown and creeps up slowly).  This is TCP's
-    AIMD shape, which converges to a stable oscillation around the
-    knee of the latency/throughput curve instead of locking onto an
-    arbitrary fixed rate.
-    """
-
-    target_p99_us: float
-    rate_qps: float
-    min_rate_qps: float = 50.0
-    max_rate_qps: float = 1e7
-    #: Additive increase per under-target round.
-    probe_qps: float = 500.0
-    #: Multiplicative decrease factor per over-target round.
-    backoff: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.target_p99_us <= 0:
-            raise ValueError("target_p99_us must be positive")
-        if not 0.0 < self.backoff < 1.0:
-            raise ValueError("backoff must be in (0, 1)")
-        if not self.min_rate_qps <= self.rate_qps <= self.max_rate_qps:
-            raise ValueError("rate_qps must lie within its bounds")
-
-    def observe(self, p99_us: float) -> float:
-        """Fold one round's observed p99 into the offered rate and
-        return the new rate."""
-        if p99_us > self.target_p99_us:
-            self.rate_qps = max(
-                self.min_rate_qps, self.rate_qps * self.backoff
-            )
-        else:
-            self.rate_qps = min(
-                self.max_rate_qps, self.rate_qps + self.probe_qps
-            )
-        return self.rate_qps
-
-
-def run_closed_loop(
-    ssd: SmallSsd,
-    client: TrafficClient,
-    controller: ClosedLoopController,
-    rng: np.random.Generator,
-    *,
-    rounds: int = 5,
-    queries_per_round: int = 16,
-    make_service: Callable[[SmallSsd], "object"] | None = None,
-    **service_kwargs,
-) -> list[dict]:
-    """Drive ``rounds`` of closed-loop traffic from one client.
-
-    Each round opens a fresh service over ``ssd`` (``service_kwargs``
-    forward to :meth:`SmallSsd.service`, or pass ``make_service``),
-    offers ``queries_per_round`` Poisson arrivals at the controller's
-    current rate, runs the window pipeline, and feeds the observed p99
-    back into the controller.  Returns one dict per round
-    (``offered_qps``, ``p99_us``, ``throughput_qps``,
-    ``cache_hit_rate``, ``next_qps``) -- the trajectory a backpressure
-    plot wants.  The SSD (and hence the engine's result cache, when
-    enabled) persists across rounds, so a shape-repeating client
-    observes the cache warming as rising sustainable rate.
-    """
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
-    if make_service is not None and service_kwargs:
-        raise ValueError(
-            "pass either make_service or service kwargs, not both: "
-            f"{sorted(service_kwargs)} would be silently ignored"
-        )
-    trajectory: list[dict] = []
-    for _ in range(rounds):
-        offered = controller.rate_qps
-        service = (
-            make_service(ssd)
-            if make_service is not None
-            else ssd.service(**service_kwargs)
-        )
-        traffic = ClientTraffic(
-            client, PoissonArrivals(rate_qps=offered), queries_per_round
-        )
-        service.submit_traffic(generate_traffic([traffic], rng))
-        report = service.run()
-        p99 = report.stats.latency.p99_us
-        trajectory.append(
-            {
-                "offered_qps": offered,
-                "p99_us": p99,
-                "throughput_qps": report.stats.throughput_qps,
-                "cache_hit_rate": report.stats.cache_hit_rate,
-                "next_qps": controller.observe(p99),
-            }
-        )
-    return trajectory

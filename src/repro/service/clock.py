@@ -14,12 +14,8 @@ model), uniform pacing with optional jitter, and on/off bursts (many
 queries back to back, then a gap) -- the pattern that makes admission
 windows and cross-query sense sharing earn their keep.
 
-All three are *open-loop*: the process never looks at how the service
-is coping.  Closed-loop behaviour -- clients throttling because they
-observed latency -- is modelled one level up, by
-:class:`repro.service.clients.ClosedLoopController` adjusting the rate
-of a fresh ``PoissonArrivals`` between rounds; the processes here stay
-memoryless so a single run's trace remains a pure function of (rng,
+All three are *open-loop*: the process never looks at how the
+service is coping, so a run's trace is a pure function of (rng,
 parameters).
 """
 

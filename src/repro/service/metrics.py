@@ -239,14 +239,6 @@ class ServiceStats:
         return self.cached_plans / self.n_chunk_tasks
 
     @property
-    def sense_savings(self) -> float:
-        """Fraction of sensing work sharing and caching eliminated."""
-        total = self.n_senses + self.shared_senses + self.cached_senses
-        if total == 0:
-            return 0.0
-        return (self.shared_senses + self.cached_senses) / total
-
-    @property
     def deadline_miss_rate(self) -> float:
         """Fraction of deadline-carrying queries that missed."""
         if self.n_deadlines == 0:

@@ -418,23 +418,3 @@ def _interleave(
             chip_work[chip] -= bucket.cost
             heapq.heapreplace(heap, entry(chip, head, upcoming))
     return ordered
-
-
-def estimated_chip_work_us(
-    tasks: Iterable[ChunkTask],
-    estimate: LatencyEstimator,
-    *,
-    share: bool = True,
-) -> dict[int, float]:
-    """Estimated sense microseconds per chip for one window -- the
-    scheduler's own view of the load balance, exposed for metrics and
-    tests."""
-    seen: set[tuple[int, Plan]] = set()
-    work: dict[int, float] = {}
-    for task in tasks:
-        if share:
-            if task.share_key in seen:
-                continue
-            seen.add(task.share_key)
-        work[task.chip] = work.get(task.chip, 0.0) + estimate(task)
-    return work

@@ -2,7 +2,7 @@
 
 :class:`QueryService` composes the whole serving story: timed
 submissions (optionally carrying a priority and a deadline) collect in
-an :class:`~repro.service.admission.AdmissionQueue` (grid or adaptive
+an :class:`~repro.service.admission.AdmissionQueue` (fixed-grid
 windows), each window's bound chunk plans are ordered by a scheduling
 policy (``fifo`` / ``balanced`` / deadline-aware ``edf``), executed
 with cross-query sense sharing and -- when ``result_cache`` is on --
@@ -283,7 +283,7 @@ class QueryService:
 
     Service-level options beyond the admission/scheduling basics:
 
-    ``result_cache`` / ``result_cache_size``
+    ``result_cache``
         Enable the engine's cross-window
         :class:`~repro.ssd.query_engine.ResultCache`: windows consult
         it before dedup, so traffic repeating earlier windows' shapes
@@ -292,20 +292,14 @@ class QueryService:
         services sharing one SSD); it is invalidated by any layout
         generation movement (register/unregister/program/erase).
         Off by default -- the synchronous ``SmallSsd.query`` oracle
-        and existing baselines stay cache-free.
-        ``result_cache_size=None`` (the default) adopts the shared
-        cache as-is; an explicit size resizes it for every sharer.
+        and existing baselines stay cache-free.  The service adopts
+        the engine's cache as it is: size it up front with
+        :meth:`~repro.ssd.query_engine.QueryEngine.enable_result_cache`.
 
     ``tenant_weights``
         ``client name -> weight`` shares for the ``edf`` policy's
         weighted-fair drain of deadline-free traffic (default weight
         1.0).
-
-    ``adaptive_window`` (+ ``min_window_us`` / ``max_window_us`` /
-    ``target_window_queries``)
-        Let the admission controller retune ``window_us`` to the
-        observed arrival rate (see
-        :class:`~repro.service.admission.AdmissionQueue`).
 
     ``recovery`` / ``health``
         Fault tolerance (:mod:`repro.flash.faults`,
@@ -356,12 +350,7 @@ class QueryService:
         policy: str = "balanced",
         share_senses: bool = True,
         result_cache: bool = False,
-        result_cache_size: int | None = None,
         tenant_weights: dict[str, float] | None = None,
-        adaptive_window: bool = False,
-        min_window_us: float | None = None,
-        max_window_us: float | None = None,
-        target_window_queries: int = 8,
         recovery: RecoveryPolicy | None = None,
         health: HealthConfig | None = None,
         maintenance: (
@@ -389,7 +378,7 @@ class QueryService:
         self.share_senses = share_senses
         self.use_result_cache = result_cache
         if result_cache:
-            self.engine.enable_result_cache(result_cache_size)
+            self.engine.enable_result_cache()
         #: Background maintenance plane (GC/wear/migration); ``None``
         #: disables it and leaves every existing path untouched.
         if maintenance is None or maintenance is False:
@@ -404,10 +393,6 @@ class QueryService:
         self.admission = AdmissionQueue(
             window_us=window_us,
             max_queries=max_window_queries,
-            adaptive=adaptive_window,
-            min_window_us=min_window_us,
-            max_window_us=max_window_us,
-            target_queries=target_window_queries,
         )
         self._next_id = 0
 

@@ -414,14 +414,14 @@ class SmallSsd:
 
         The service (:mod:`repro.service`) accepts timed submissions
         from many clients (optionally with priorities and deadlines),
-        batches them into admission windows (fixed grid or adaptive),
+        batches them into fixed-grid admission windows,
         and executes each window with multi-query scheduling,
         cross-query sense sharing, and -- when enabled -- the
         cross-window result cache -- ``kwargs`` forward to
         :class:`~repro.service.service.QueryService` (``window_us``,
         ``max_window_queries``, ``policy``, ``share_senses``,
-        ``result_cache``, ``tenant_weights``, ``adaptive_window``,
-        ...).
+        ``result_cache``, ``tenant_weights``, ``recovery``,
+        ``health``, ``maintenance``).
         """
         from repro.service.service import QueryService
 

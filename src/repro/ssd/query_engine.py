@@ -448,15 +448,6 @@ class ResultCache:
         self._invalidations += len(dead)
         return len(dead)
 
-    def resize(self, capacity: int) -> None:
-        """Change the entry bound, evicting LRU entries when
-        shrinking."""
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-
     def clear(self) -> None:
         self._entries.clear()
         self._stamps.clear()
@@ -774,12 +765,11 @@ class QueryEngine:
         and a repeat submission of an identical traffic window skips
         the sensing engine entirely.
 
-        ``capacity=None`` means "whatever is there" (the 4096-entry
-        default when creating); an *explicit* capacity resizes the
-        shared cache in place (shrinking evicts LRU entries).  Only
-        explicit requests resize, so a second service enabling the
-        cache with defaults cannot silently evict a sibling's warm
-        entries."""
+        ``capacity`` bounds the entries of a cache this call creates
+        (4096 when ``None``).  A live cache is returned as it is:
+        ``None`` or its own capacity adopts it, and any other capacity
+        raises ``ValueError`` -- a sibling's warm entries are never
+        resized away."""
         cache = self.result_cache
         if cache is None:
             cache = ResultCache(
@@ -788,7 +778,10 @@ class QueryEngine:
             )
             self.result_cache = cache
         elif capacity is not None and cache.capacity != capacity:
-            cache.resize(capacity)
+            raise ValueError(
+                f"the result cache is live with capacity {cache.capacity}; "
+                f"it cannot take capacity {capacity}"
+            )
         return cache
 
     @property

@@ -187,10 +187,10 @@ class TestPreemptionBenefit:
 
 def test_the_service_has_no_suspension_budget_to_set():
     """How often background work yields follows from the
-    forward-progress rule, and suspending costs nothing: 14 keywords,
+    forward-progress rule, and suspending costs nothing: 9 keywords,
     none of them a budget or a cost, and no overhead to report."""
     parameters = inspect.signature(QueryService.__init__).parameters
-    assert sum(p.kind is p.KEYWORD_ONLY for p in parameters.values()) == 14
+    assert sum(p.kind is p.KEYWORD_ONLY for p in parameters.values()) == 9
     assert not {
         "max_suspends", "suspend_cost_us", "resume_cost_us"
     } & set(parameters)

@@ -200,10 +200,8 @@ class TestResultCacheUnit:
 
     def test_lru_eviction_bounds_entries(self):
         ssd, _ = make_ssd()
-        service = ssd.service(
-            window_us=50.0, result_cache=True, result_cache_size=4
-        )
-        cache = ssd.engine.result_cache
+        cache = ssd.engine.enable_result_cache(4)
+        service = ssd.service(window_us=50.0, result_cache=True)
         exprs = [
             And(Operand(a), Operand(b))
             for a, b in ("ab", "ac", "ad", "bc", "bd", "cd")
@@ -216,10 +214,10 @@ class TestResultCacheUnit:
         cache = ssd.engine.enable_result_cache()
         assert ssd.engine.enable_result_cache() is cache
 
-    def test_enable_with_new_capacity_resizes_shared_cache(self):
-        """A later service's explicit result_cache_size must not be
-        silently ignored: the shared cache resizes in place (shrinking
-        evicts LRU entries)."""
+    def test_live_cache_refuses_a_new_capacity(self):
+        """A live cache is shared by every service over the SSD: a
+        different explicit capacity is refused, not applied behind a
+        sibling's back, and the cache keeps its size and entries."""
         ssd, _ = make_ssd()
         service = ssd.service(window_us=50.0, result_cache=True)
         exprs = [
@@ -228,24 +226,21 @@ class TestResultCacheUnit:
         ]
         run_window(service, exprs)
         cache = ssd.engine.result_cache
-        assert len(cache) > 2
-        small = ssd.service(
-            window_us=50.0, result_cache=True, result_cache_size=2
-        )
+        entries = len(cache)
+        assert entries > 2
+        with pytest.raises(ValueError, match="capacity"):
+            ssd.engine.enable_result_cache(2)
+        assert ssd.engine.enable_result_cache(4096) is cache
         assert ssd.engine.result_cache is cache
-        assert cache.capacity == 2
-        assert len(cache) <= 2
-        with pytest.raises(ValueError):
-            cache.resize(0)
+        assert cache.capacity == 4096
+        assert len(cache) == entries
 
     def test_default_size_never_resizes_shared_cache(self):
-        """A sibling service enabling the cache with the *default*
-        size must adopt the shared cache as-is -- not shrink a larger
-        warm cache out from under its owner."""
+        """A sibling service enabling the cache must adopt the shared
+        cache as-is -- not shrink a larger warm cache out from under
+        its owner."""
         ssd, _ = make_ssd()
-        ssd.service(
-            window_us=50.0, result_cache=True, result_cache_size=9999
-        )
+        ssd.engine.enable_result_cache(9999)
         ssd.service(window_us=50.0, result_cache=True)
         assert ssd.engine.result_cache.capacity == 9999
 

@@ -1,5 +1,7 @@
 """Unit tests for the query service layer (repro.service)."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,6 @@ from repro.service import (
     Submission,
     UniformArrivals,
     VirtualClock,
-    estimated_chip_work_us,
     schedule_window,
 )
 from repro.ssd.controller import SmallSsd
@@ -132,8 +133,18 @@ class TestAdmission:
     def test_validation(self):
         with pytest.raises(ValueError):
             AdmissionQueue(window_us=0.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="window_us"):
+                AdmissionQueue(window_us=bad)
         with pytest.raises(ValueError):
             AdmissionQueue(window_us=10.0, max_queries=0)
+
+    def test_the_grid_is_the_only_mode(self):
+        parameters = inspect.signature(AdmissionQueue.__init__).parameters
+        assert [name for name in parameters if name != "self"] == [
+            "window_us",
+            "max_queries",
+        ]
 
 
 class TestScheduler:
@@ -190,15 +201,6 @@ class TestScheduler:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="policy"):
             schedule_window([], lambda t: 1.0, policy="lifo")
-
-    def test_estimated_chip_work_dedups(self):
-        ssd, _ = make_ssd()
-        expr = And(Operand("a"), Operand("b"))
-        tasks = self._tasks(ssd, [expr, expr])
-        est = lambda t: 2.0
-        shared = estimated_chip_work_us(tasks, est, share=True)
-        unshared = estimated_chip_work_us(tasks, est, share=False)
-        assert sum(shared.values()) * 2 == sum(unshared.values())
 
 
 class TestEngineSharing:

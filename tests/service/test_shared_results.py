@@ -153,10 +153,11 @@ def test_results_match_the_oracle_and_sharers_are_the_same_pieces(
     SSD stripes parity, draws 2% sense faults and 1% stalls, and loses
     a chip between the runs."""
     ssd, env = _build(seed, parity=chaos, faults=chaos)
+    if cache_size is not None:
+        ssd.engine.enable_result_cache(cache_size)
     service = ssd.service(
         window_us=100.0,
         result_cache=cache_size is not None,
-        result_cache_size=cache_size,
         share_senses=share,
         maintenance=chaos,
     )

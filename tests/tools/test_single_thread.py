@@ -44,7 +44,7 @@ def test_one_drain_thread_and_no_preemption_knobs():
     assert not threaded
 
     service = inspect.signature(QueryService.__init__).parameters
-    assert sum(p.kind is p.KEYWORD_ONLY for p in service.values()) == 14
+    assert sum(p.kind is p.KEYWORD_ONLY for p in service.values()) == 9
     assert not {
         "workers", "preemption", "suspend_cost_us", "resume_cost_us"
     } & set(service)
