@@ -46,6 +46,7 @@ from benchmarks.bench_service import (
 )
 from repro.core.expressions import evaluate
 from repro.flash.packing import unpack_rows
+from repro.ssd.query_engine import TaskColumns
 
 #: Required wall-clock speedup of the batched window.  Local/dev runs
 #: use the full 3x gate; noisy shared CI runners may relax it via the
@@ -56,11 +57,11 @@ ROUNDS = 5
 
 
 def _window_tasks(ssd, stream):
-    tasks, prepared = [], []
+    tasks, prepared = TaskColumns(), []
     for query, expr in enumerate(stream):
         p = ssd.engine.prepare(expr)
         prepared.append(p)
-        tasks.extend(p.tasks(query=query))
+        tasks.add(query, p)
     return tasks, prepared
 
 
@@ -77,8 +78,8 @@ def unique_queues(tasks) -> dict[int, list]:
     """Each chip's unique plans in first-appearance order: exactly the
     queues a shared batched window senses."""
     queues: dict[int, dict] = {}
-    for task in tasks:
-        queues.setdefault(task.chip, {}).setdefault(task.plan)
+    for chip, plan in zip(tasks.chip, tasks.plan):
+        queues.setdefault(chip, {}).setdefault(plan)
     return {chip: list(plans) for chip, plans in queues.items()}
 
 
@@ -111,7 +112,10 @@ def measure_batch() -> dict:
     queues = unique_queues(_window_tasks(walk_ssd, stream)[0])
 
     d0 = dispatches(batch_ssd)
-    batch_out = batch_ssd.engine.execute_tasks(batch_tasks, share=True)
+    # Nothing is cached: every task comes back an outcome.
+    batch_out = batch_ssd.engine.execute_tasks(
+        batch_tasks, share=True
+    ).outcomes
     dispatches_batch = dispatches(batch_ssd) - d0
     d0 = dispatches(walk_ssd)
     walked = walk(walk_ssd, queues)
@@ -120,7 +124,7 @@ def measure_batch() -> dict:
     for outcome in batch_out:
         if outcome.shared:
             continue
-        reference = walked[outcome.task.share_key]
+        reference = walked[(outcome.task.chip, outcome.task.plan)]
         # Simulated cost counters unchanged -- float-identical, the
         # batch path replays the walk's charge sequence.
         assert outcome.n_senses == reference.n_senses

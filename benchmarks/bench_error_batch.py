@@ -50,6 +50,7 @@ from benchmarks.bench_service import (
 )
 from repro.flash.errors import OperatingCondition
 from repro.ssd.controller import SmallSsd
+from repro.ssd.query_engine import TaskColumns
 
 #: Required wall-clock speedup of the batched error window.  Local/dev
 #: runs use the full 3x gate; noisy shared CI runners may relax it via
@@ -88,9 +89,9 @@ def _error_ssd(seed: int = 1) -> SmallSsd:
 
 
 def _window_tasks(ssd, stream):
-    tasks = []
+    tasks = TaskColumns()
     for query, expr in enumerate(stream):
-        tasks.extend(ssd.engine.prepare(expr).tasks(query=query))
+        tasks.add(query, ssd.engine.prepare(expr))
     return tasks
 
 
@@ -112,9 +113,10 @@ def measure_error_batch() -> dict:
     batch_ssd = _error_ssd()
     walk_ssd = _error_ssd()
     d0 = dispatches(batch_ssd)
+    # Nothing is cached: every task comes back an outcome.
     batch_out = batch_ssd.engine.execute_tasks(
         _window_tasks(batch_ssd, stream), share=True
-    )
+    ).outcomes
     dispatches_batch = dispatches(batch_ssd) - d0
     d0 = dispatches(walk_ssd)
     walked = walk(walk_ssd, unique_queues(_window_tasks(walk_ssd, stream)))
@@ -123,7 +125,7 @@ def measure_error_batch() -> dict:
     for outcome in batch_out:
         if outcome.shared:
             continue
-        reference = walked[outcome.task.share_key]
+        reference = walked[(outcome.task.chip, outcome.task.plan)]
         assert outcome.n_senses == reference.n_senses
         assert outcome.latency_us == reference.latency_us
         assert outcome.energy_nj == reference.energy_nj

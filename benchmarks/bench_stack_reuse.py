@@ -47,6 +47,7 @@ import numpy as np
 from repro.core.expressions import And, Operand, Or, and_all
 from repro.flash.geometry import ChipGeometry
 from repro.ssd.controller import SmallSsd
+from repro.ssd.query_engine import TaskColumns
 
 #: Required wall-clock speedup of the reused repeat window.  Local/dev
 #: runs use the full 2x gate; noisy shared CI runners may relax it via
@@ -124,9 +125,9 @@ def _overlap_stream() -> list:
 
 
 def _window_tasks(ssd, stream):
-    tasks = []
+    tasks = TaskColumns()
     for query, expr in enumerate(stream):
-        tasks.extend(ssd.engine.prepare(expr).tasks(query=query))
+        tasks.add(query, ssd.engine.prepare(expr))
     return tasks
 
 
@@ -139,7 +140,9 @@ def _time(fn, rounds: int) -> float:
     return best
 
 
-def _assert_equal_windows(out_r, out_f):
+def _assert_equal_windows(result_r, result_f):
+    # Nothing is cached: every task comes back an outcome.
+    out_r, out_f = result_r.outcomes, result_f.outcomes
     assert len(out_r) == len(out_f)
     for r, f in zip(out_r, out_f):
         assert r.n_senses == f.n_senses

@@ -183,11 +183,11 @@ class Plan:
     steps: tuple[SenseStep | XorStep, ...]
 
     def __hash__(self) -> int:
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = hash((self.plane, self.steps))
-            object.__setattr__(self, "_hash", cached)
-        return cached
+        try:  # an attribute read: every window hashes each plan
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash((self.plane, self.steps)))
+            return self._hash
 
     @property
     def sense_steps(self) -> tuple[SenseStep, ...]:

@@ -21,6 +21,7 @@ plane (2,048 blocks) costs memory only for the blocks a test touches.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -448,7 +449,7 @@ class PlaneArray:
         """
         return (
             len(self._blocks),
-            sum(block.layout_version for block in self._blocks.values()),
+            sum(map(attrgetter("layout_version"), self._blocks.values())),
         )
 
     def __contains__(self, address: BlockAddress) -> bool:

@@ -98,8 +98,13 @@ class AdmissionQueue:
             raise ValueError(
                 f"window_us must be finite and positive, not {window_us}"
             )
-        if max_queries is not None and max_queries < 1:
-            raise ValueError("max_queries must be >= 1 (or None)")
+        # Not a float (never equal to a cell's length) nor a bool.
+        if max_queries is not None and (
+            type(max_queries) is not int or max_queries < 1
+        ):
+            raise ValueError(
+                f"max_queries must be an int >= 1 or None, not {max_queries!r}"
+            )
         self.window_us = window_us
         self.max_queries = max_queries
         self._submissions: list[Submission] = []

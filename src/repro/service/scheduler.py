@@ -6,7 +6,9 @@ chips -- what it controls is the *order* in which each chip's queue
 drains and how the chips' emissions interleave on the shared
 downstream resources (channel buses, external link).  Within one
 ready time the event simulation breaks ties in submission order, so
-the emitted task order *is* the schedule.
+the emitted task order *is* the schedule.  A window arrives as
+:class:`~repro.ssd.query_engine.TaskColumns` and the schedule is a
+list of its task positions.
 
 The ``balanced`` policy reorders across queries to minimize window
 makespan rather than any single query's latency:
@@ -45,7 +47,8 @@ benchmarks compare against.
 
 **Cost.**  This runs once per admission window on the host, for every
 query of every workload, so it is O(tasks) to bucket (one ``Plan``
-hash per task) plus O(share groups x log chips) to order.  Both the
+hash per task position, no record per task) plus O(share groups x log
+chips) to order.  Both the
 per-chip fair drain and the cross-chip interleave are "repeatedly pick
 the minimum key, then change only the picked one's key" loops, so they
 run off :mod:`heapq` heads that hold *the same key tuples* a scan over
@@ -62,16 +65,17 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from repro.core.planner import Plan
-from repro.ssd.query_engine import ChunkTask
+from repro.ssd.query_engine import TaskColumns
 
-#: Latency estimator: (task) -> estimated sense microseconds.  The
-#: service wires this to ``MwsExecutor.estimate_latency_us`` so the
-#: schedule is chosen from the physically derived tMWS model without
-#: executing anything.
-LatencyEstimator = Callable[[ChunkTask], float]
+#: Latency estimator: (chip, plan) -> estimated sense microseconds.
+#: The service wires this to ``MwsExecutor.estimate_latency_us`` so
+#: the schedule is chosen from the physically derived tMWS model
+#: without executing anything.
+LatencyEstimator = Callable[[int, Plan], float]
 
 POLICIES = ("fifo", "balanced", "edf")
 
@@ -95,8 +99,13 @@ class QueryInfo:
     weight: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.weight <= 0:
-            raise ValueError("weight must be positive")
+        if not 0 < self.weight < _NO_DEADLINE:
+            # NaN fails the comparison too: a NaN weight would make
+            # every weighted-fair heap key NaN, the drain order
+            # arbitrary.
+            raise ValueError(
+                f"weight must be finite and positive, not {self.weight!r}"
+            )
 
 
 def job_directives(info: QueryInfo) -> tuple[float, float | None]:
@@ -118,7 +127,7 @@ def job_directives(info: QueryInfo) -> tuple[float, float | None]:
 
 
 def schedule_window(
-    tasks: Sequence[ChunkTask],
+    tasks: TaskColumns,
     estimate: LatencyEstimator,
     *,
     policy: str = "balanced",
@@ -129,8 +138,9 @@ def schedule_window(
     degraded_slowdown: float = 3.0,
     gc_busy: Mapping[int, float] | None = None,
     reconstruct: bool = False,
-) -> list[ChunkTask]:
-    """Order one window's chunk tasks into the global emission order.
+) -> list[int]:
+    """Order one window's chunk tasks into the global emission order:
+    the list of their positions, each once.
 
     ``share`` mirrors the engine's sense-sharing switch: with it on,
     duplicate tasks of a share group cost nothing, which changes the
@@ -178,22 +188,25 @@ def schedule_window(
     if degraded_chips:
         base = estimate
 
-        def estimate(task: ChunkTask, _base: LatencyEstimator = base) -> float:
-            cost = _base(task)
-            if task.chip in degraded_chips:
+        def estimate(
+            chip: int, plan: Plan, _base: LatencyEstimator = base
+        ) -> float:
+            cost = _base(chip, plan)
+            if chip in degraded_chips:
                 cost *= degraded_slowdown
             return cost
 
-    parked: list[ChunkTask] = []
+    chips = tasks.chip
+    live: Sequence[int] = range(len(chips))
+    parked: list[int] = []
     if offline_chips:
-        live = [t for t in tasks if t.chip not in offline_chips]
-        parked = [t for t in tasks if t.chip in offline_chips]
-        tasks = live
+        parked = [p for p in live if chips[p] in offline_chips]
+        live = [p for p in live if chips[p] not in offline_chips]
     if policy == "fifo":
-        return list(tasks) + parked
-    groups = _share_groups(tasks, estimate, share)
+        return [*live, *parked]
+    groups = _share_groups(tasks, live, estimate, share)
     if policy == "edf":
-        chip_queues = _edf_queues(groups, info or {})
+        chip_queues = _edf_queues(groups, tasks.query, info or {})
     else:
         chip_queues = _lpt_queues(groups)
     return _interleave(chip_queues, gc_busy) + parked
@@ -217,39 +230,49 @@ class _Bucket(NamedTuple):
     neg_priority: int
     arrival: int
     cost: float
-    group: list[ChunkTask]
+    #: The bucket's task positions, in window order.
+    group: list[int]
     client: str = ""
     weight: float = 1.0
 
 
+#: A :class:`_Bucket` from one tuple, without a Python-level call.
+_bucket = partial(tuple.__new__, _Bucket)
+
+
 def _share_groups(
-    tasks: Sequence[ChunkTask],
+    tasks: TaskColumns,
+    live: Sequence[int],
     estimate: LatencyEstimator,
     share: bool,
-) -> list[tuple[int, float, list[ChunkTask]]]:
-    """Share-group buckets ``(chip, cost, group)`` in first-seen order
-    -- the step every non-FIFO policy starts from.  A bucket's cost is
-    one sense when sharing (subscribers are free) and one per task
-    otherwise.  One pass, one ``Plan`` hash per task."""
-    buckets: dict[tuple[int, Plan], list[ChunkTask]] = {}
-    for task in tasks:
-        buckets.setdefault((task.chip, task.plan), []).append(task)
+) -> list[tuple[int, float, list[int]]]:
+    """Share-group buckets ``(chip, cost, positions)`` of the ``live``
+    positions, in first-seen order -- the step every non-FIFO policy
+    starts from.  A bucket's cost is one sense when sharing
+    (subscribers are free) and one per task otherwise.  One pass, one
+    ``Plan`` hash per position, one estimate per bucket."""
+    chips, plans = tasks.chip, tasks.plan
+    buckets: dict[tuple[int, Plan], list[int]] = {}
+    for position in live:
+        buckets.setdefault((chips[position], plans[position]), []).append(
+            position
+        )
     groups = []
-    for (chip, _), group in buckets.items():
-        unit = estimate(group[0])
+    for (chip, plan), group in buckets.items():
+        unit = estimate(chip, plan)
         groups.append((chip, unit if share else unit * len(group), group))
     return groups
 
 
 def _lpt_queues(
-    groups: list[tuple[int, float, list[ChunkTask]]],
+    groups: list[tuple[int, float, list[int]]],
 ) -> dict[int, list[_Bucket]]:
     """``balanced``: each chip's buckets longest sense first (stable,
     so equal costs keep first-seen order)."""
     queues: dict[int, list[_Bucket]] = {}
     for arrival, (chip, cost, group) in enumerate(groups):
         queues.setdefault(chip, []).append(
-            _Bucket(_NO_DEADLINE, 0, arrival, cost, group)
+            _bucket((_NO_DEADLINE, 0, arrival, cost, group, "", 1.0))
         )
     for queue in queues.values():
         queue.sort(key=lambda bucket: -bucket.cost)
@@ -257,11 +280,12 @@ def _lpt_queues(
 
 
 def _edf_queues(
-    groups: list[tuple[int, float, list[ChunkTask]]],
+    groups: list[tuple[int, float, list[int]]],
+    queries: Sequence[int],
     info: Mapping[int, QueryInfo],
 ) -> dict[int, list[_Bucket]]:
     """``edf``: earliest-deadline-first within weighted-fair tenant
-    shares, per chip.
+    shares, per chip; ``queries`` is the window's query column.
 
     Each bucket inherits the most urgent deadline and highest priority
     among its subscribers and the tenant of its heaviest-weight
@@ -282,36 +306,41 @@ def _edf_queues(
     #: query -> (deadline or inf, priority, weight, client), resolved
     #: once per window however many chunk tasks the query has.
     resolved: dict[int, tuple[float, int, float, str]] = {}
+    for query in dict.fromkeys(queries):
+        meta = info.get(query, default)
+        resolved[query] = (
+            _NO_DEADLINE if meta.deadline_us is None else meta.deadline_us,
+            meta.priority,
+            meta.weight,
+            meta.client,
+        )
     per_chip: dict[int, tuple[list[_Bucket], list[_Bucket]]] = {}
     for arrival, (chip, cost, group) in enumerate(groups):
-        # Below every real priority / weight (weights are positive),
-        # so the group's first subscriber always replaces them.
-        deadline, priority = _NO_DEADLINE, -_NO_DEADLINE
-        weight, client = 0.0, ""
-        for task in group:
-            meta = resolved.get(task.query)
-            if meta is None:
-                query = info.get(task.query, default)
-                meta = resolved[task.query] = (
-                    _NO_DEADLINE
-                    if query.deadline_us is None
-                    else query.deadline_us,
-                    query.priority,
-                    query.weight,
-                    query.client,
-                )
-            if meta[0] < deadline:
-                deadline = meta[0]
-            if meta[1] > priority:
-                priority = meta[1]
-            if meta[2] > weight:
-                weight, client = meta[2], meta[3]
+        if len(group) == 1:
+            # One subscriber: the bucket is its query's (weights are
+            # positive, so the fold below would pick the same).
+            deadline, priority, weight, client = resolved[queries[group[0]]]
+        else:
+            # Below every real priority / weight (weights are
+            # positive), so the group's first subscriber always
+            # replaces them.
+            deadline, priority = _NO_DEADLINE, -_NO_DEADLINE
+            weight, client = 0.0, ""
+            for position in group:
+                meta = resolved[queries[position]]
+                if meta[0] < deadline:
+                    deadline = meta[0]
+                if meta[1] > priority:
+                    priority = meta[1]
+                if meta[2] > weight:
+                    weight, client = meta[2], meta[3]
         lists = per_chip.get(chip)
         if lists is None:
             lists = per_chip[chip] = ([], [])
         urgent, relaxed = lists
+        bucket = (deadline, -priority, arrival, cost, group, client, weight)
         (relaxed if deadline == _NO_DEADLINE else urgent).append(
-            _Bucket(deadline, -priority, arrival, cost, group, client, weight)
+            _bucket(bucket)
         )
     queues: dict[int, list[_Bucket]] = {}
     for chip, (urgent, relaxed) in per_chip.items():
@@ -367,7 +396,7 @@ def _fair_drain(relaxed: list[_Bucket]) -> list[_Bucket]:
 def _interleave(
     chip_queues: dict[int, list[_Bucket]],
     gc_busy: Mapping[int, float] | None,
-) -> list[ChunkTask]:
+) -> list[int]:
     """Emit the chips' queues in one global order: the chip whose head
     bucket is most urgent goes next, ties broken by longest remaining
     estimated work (``gc_busy`` counted in), then lowest chip id -- so
@@ -391,23 +420,18 @@ def _interleave(
         for chip, extra in gc_busy.items():
             if chip in chip_work:
                 chip_work[chip] += extra
-
-    def entry(chip: int, head: _Bucket, upcoming) -> tuple:
-        return (
-            head.deadline,
-            head.neg_priority,
-            -chip_work[chip],
-            chip,
-            head,
-            upcoming,
-        )
-
     heap = []
     for chip, queue in chip_queues.items():
         upcoming = iter(queue)
-        heap.append(entry(chip, next(upcoming), upcoming))
+        head = next(upcoming)
+        heap.append(
+            (
+                head.deadline, head.neg_priority, -chip_work[chip], chip,
+                head, upcoming,
+            )
+        )
     heapq.heapify(heap)
-    ordered: list[ChunkTask] = []
+    ordered: list[int] = []
     while heap:
         _, _, _, chip, bucket, upcoming = heap[0]
         ordered += bucket.group
@@ -415,6 +439,12 @@ def _interleave(
         if head is None:
             heapq.heappop(heap)
         else:
-            chip_work[chip] -= bucket.cost
-            heapq.heapreplace(heap, entry(chip, head, upcoming))
+            work = chip_work[chip] = chip_work[chip] - bucket.cost
+            heapq.heapreplace(
+                heap,
+                (
+                    head.deadline, head.neg_priority, -work, chip,
+                    head, upcoming,
+                ),
+            )
     return ordered

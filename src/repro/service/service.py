@@ -14,6 +14,7 @@ conformance, and the bottleneck resource are simulation-accurate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
 
@@ -46,7 +47,7 @@ from repro.ssd.maintenance import (
     MaintenanceManager,
     MaintenanceStats,
 )
-from repro.ssd.query_engine import ChunkTask
+from repro.ssd.query_engine import TaskColumns
 
 
 @dataclass(frozen=True)
@@ -390,6 +391,11 @@ class QueryService:
         else:
             self.maintenance = ssd.maintenance()
         self.tenant_weights = dict(tenant_weights or {})
+        for client, weight in self.tenant_weights.items():
+            if not 0 < weight < math.inf:  # NaN too
+                raise ValueError(
+                    f"tenant weight of {client!r} must be finite and > 0"
+                )
         self.admission = AdmissionQueue(
             window_us=window_us,
             max_queries=max_window_queries,
@@ -451,9 +457,8 @@ class QueryService:
     # Execution side
     # ------------------------------------------------------------------
 
-    def _estimate(self, task: ChunkTask) -> float:
-        executor = self.ssd.controllers[task.chip].executor
-        return executor.estimate_latency_us(task.plan)
+    def _estimate(self, chip: int, plan) -> float:
+        return self.ssd.controllers[chip].executor.estimate_latency_us(plan)
 
     def _query_info(self, submission: Submission) -> QueryInfo:
         return QueryInfo(
@@ -496,9 +501,9 @@ class QueryService:
             tasks, info = self._admit(run, window)
             degraded, offline = self.health.degraded, self.health.offline
             ordered = self._schedule(run, tasks, info, degraded, offline)
-            outcomes = self._execute(run, ordered, degraded, offline)
-            chip_obs = self._account(run, outcomes, offline)
-            self._list_jobs(run, outcomes, info, ready_s)
+            result = self._execute(run, ordered, degraded, offline)
+            chip_obs = self._account(run, result, offline)
+            self._list_jobs(run, ordered, result, info, ready_s)
             self._observe_health(run, chip_obs, ready_s)
             self._maintain(run, ready_s)
             self._feed(run)
@@ -555,23 +560,24 @@ class QueryService:
 
     def _admit(
         self, run: _Run, window: AdmissionWindow
-    ) -> tuple[list[ChunkTask], dict[int, QueryInfo]]:
+    ) -> tuple[TaskColumns, dict[int, QueryInfo]]:
         """Plan/bind the window's queries; returns their chunk tasks
         and the scheduling facts of each query."""
-        tasks: list[ChunkTask] = []
+        tasks = TaskColumns()
         info: dict[int, QueryInfo] = {}
+        prepare = self.engine.prepare
         for submission in window.submissions:
-            prepared = self.engine.prepare(submission.expr)
+            prepared = prepare(submission.expr)
             state = _QueryState(submission, prepared)
             state.admitted_us = window.close_us
             run.states[submission.query_id] = state
             info[submission.query_id] = self._query_info(submission)
-            tasks.extend(prepared.tasks(query=submission.query_id))
+            tasks.add(submission.query_id, prepared)
         return tasks, info
 
     def _schedule(self, run: _Run, tasks, info, degraded, offline):
         """Order the window's tasks into the global emission order."""
-        return schedule_window(
+        order = schedule_window(
             tasks,
             self._estimate,
             policy=self.policy,
@@ -586,9 +592,10 @@ class QueryService:
             # tasks as degraded work instead of parking them.
             reconstruct=self.ssd.parity,
         )
+        return tasks.take(order)
 
     def _execute(self, run: _Run, ordered, degraded, offline):
-        """Run the ordered tasks; one outcome per task, in order."""
+        """Run the ordered tasks: per task, cached words or an outcome."""
         return self.engine.execute_tasks(
             ordered,
             share=self.share_senses,
@@ -599,26 +606,21 @@ class QueryService:
             reconstruct=self.ssd.parity,
         )
 
-    def _account(self, run: _Run, outcomes, offline) -> dict[int, list[int]]:
-        """Fold the window's outcomes into the per-query states and
-        the run totals; returns ``chip -> [operations, errors]``, the
-        window's health observations.  Every float accumulates in
-        outcome order, on the run's own accumulators."""
-        run.n_chunk_tasks += len(outcomes)
+    def _account(self, run: _Run, result, offline) -> dict[int, list[int]]:
+        """Fold the window's outcomes (``_list_jobs`` folds the cache
+        hits) into the per-query states and the run totals; returns
+        ``chip -> [operations, errors]``, the window's health
+        observations.  Every float accumulates in outcome order, on the
+        run's own accumulators."""
+        run.n_chunk_tasks += len(result.outcomes)
         states = run.states
         chip_obs: dict[int, list[int]] = {}
-        for outcome in outcomes:
+        for outcome in result.outcomes:
+            if outcome is None:
+                continue
             task = outcome.task
             state = states[task.query]
             state.pieces[task.chunk] = outcome.data
-            if outcome.cached:
-                # A cache hit spent no flash time, retried nothing and
-                # cannot carry an error: of the accounting below only
-                # these updates are not additions of zero.
-                state.chip_busy.setdefault(task.chip, 0.0)
-                state.cached_chunks += 1
-                run.cached_senses += task.plan.n_senses
-                continue
             state.n_senses += outcome.n_senses
             state.energy_nj += outcome.energy_nj
             state.chip_busy[task.chip] = (
@@ -670,21 +672,17 @@ class QueryService:
                 )
         return chip_obs
 
-    def _list_jobs(self, run: _Run, outcomes, info, ready_s: float) -> None:
+    def _list_jobs(
+        self, run: _Run, tasks, result, info, ready_s: float
+    ) -> None:
         """List the window's pipeline jobs for the event replay, in
-        outcome order (the replay breaks equal-time ties by it).
-
-        Under ``edf`` -- and only there: the other policies record a
-        deadline but ignore it -- the jobs carry the scheduler's
-        intent into the replay, whose dies serve their waiters by it.
-        A job waits for the data it shares, so urgency is inherited
-        the way the scheduler's share-group buckets inherit it: every
-        job of a share group, leader and followers, carries the
-        group's earliest deadline and highest priority (a deadline
-        follower must not overtake the best-effort sense it waits
-        for -- it lends the sense its deadline instead), and every
-        survivor read of the window, and every marker waiting for
-        one, those of the window's reconstructed queries.
+        task order (the replay breaks equal-time ties by it), in one
+        pass over the task columns.  A cache hit spent nothing and
+        cannot fail: it is folded into its query here -- its words are
+        the chunk's piece -- and lists the one zero-latency job of its
+        query and chip.  Under ``edf`` -- and only there: the
+        other policies ignore deadlines -- the jobs carry the
+        scheduler's intent into the replay (:meth:`_miss_directives`).
         """
         stage_job = self.engine.stage_job
         jobs, owners, states = run.window_jobs, run.window_owners, run.states
@@ -694,55 +692,44 @@ class QueryService:
             directives[query] = own = {"ready_at_s": ready_s}
             if edf:
                 own["priority"], own["deadline_s"] = job_directives(meta)
-        #: leader's position -> directives of its share group;
-        #: directives of the window's survivor reads.
-        groups: dict[int, dict] = {}
-        survivor = None
-        if edf:
-            for outcome in outcomes:
-                if outcome.cached:
-                    continue
-                own = directives[outcome.task.query]
-                leader = outcome.leader
-                if leader is not None:
-                    group = groups.get(leader)
-                    if group is None:
-                        group = directives[outcomes[leader].task.query]
-                    groups[leader] = _most_urgent(group, own)
-                if outcome.reconstructed:
-                    survivor = _most_urgent(survivor, own)
-        #: (query, chip) -> the one zero-latency job all of that
-        #: query's cache-served chunks on that chip share: it is
-        #: identical for every one of them, so one instance is listed
-        #: for all.
+        outcomes = result.outcomes
+        groups, survivor = (
+            self._miss_directives(outcomes, directives) if edf else ({}, None)
+        )
+        #: (query, chip) -> its zero-latency job.
         idle_jobs: dict[tuple[int, int], StageJob] = {}
-        for position, outcome in enumerate(outcomes):
-            task = outcome.task
-            query = task.query
+        list_job, list_owner = jobs.append, owners.append  # hot loop
+        cached_senses = 0
+        for position, (query, chunk, chip, words) in enumerate(
+            zip(tasks.query, tasks.chunk, tasks.chip, result.cached)
+        ):
             state = states[query]
-            if outcome.cached:
-                job = idle_jobs.get((query, task.chip))
-                if job is None:
-                    job = idle_jobs[(query, task.chip)] = stage_job(
-                        task.chip, 0.0, **directives[query]
-                    )
-                jobs.append(job)
-                owners.append(state)
+            if words is not None:
+                state.pieces[chunk] = words
+                state.cached_chunks += 1
+                cached_senses += state.prepared.chunk_senses[chunk]
                 state.pending += 1
+                job = idle_jobs.get((query, chip))
+                if job is None:
+                    job = idle_jobs[(query, chip)] = stage_job(
+                        chip, 0.0, **directives[query]
+                    )
+                list_job(job)
+                list_owner(state)
                 continue
-            own = directives[query]
+            outcome, own = outcomes[position], directives[query]
             if groups:
                 leader = outcome.leader
                 own = groups.get(position if leader is None else leader, own)
-            jobs.append(
+            list_job(
                 stage_job(
-                    task.chip,
+                    chip,
                     outcome.latency_us,
                     fault_delay_us=outcome.recovery_us,
                     **own,
                 )
             )
-            owners.append(state)
+            list_owner(state)
             state.pending += 1 + len(outcome.recovery_work)
             for rchip, busy_us in outcome.recovery_work:
                 # Survivor reads of a parity reconstruction occupy
@@ -752,8 +739,42 @@ class QueryService:
                 # zero-length entry is a marker: this chunk reuses a
                 # page another job of the window read on that die, and
                 # queues behind the read.
-                jobs.append(stage_job(rchip, busy_us, **(survivor or own)))
-                owners.append(state)
+                list_job(stage_job(rchip, busy_us, **(survivor or own)))
+                list_owner(state)
+        run.cached_senses += cached_senses
+
+    @staticmethod
+    def _miss_directives(
+        outcomes: list, directives: dict
+    ) -> tuple[dict[int, dict], dict | None]:
+        """The ``edf`` directives of the window's executed jobs: per
+        leader position, those of its share group, and those of the
+        window's survivor reads.
+
+        A job waits for the data it shares, so urgency is inherited
+        the way the scheduler's share-group buckets inherit it: every
+        job of a share group, leader and followers, carries the
+        group's earliest deadline and highest priority (a deadline
+        follower must not overtake the best-effort sense it waits
+        for -- it lends the sense its deadline instead), and every
+        survivor read of the window, and every marker waiting for
+        one, those of the window's reconstructed queries.
+        """
+        groups: dict[int, dict] = {}
+        survivor = None
+        for outcome in outcomes:
+            if outcome is None:
+                continue
+            own = directives[outcome.task.query]
+            leader = outcome.leader
+            if leader is not None:
+                group = groups.get(leader)
+                if group is None:
+                    group = directives[outcomes[leader].task.query]
+                groups[leader] = _most_urgent(group, own)
+            if outcome.reconstructed:
+                survivor = _most_urgent(survivor, own)
+        return groups, survivor
 
     def _observe_health(
         self, run: _Run, chip_obs: dict[int, list[int]], ready_s: float

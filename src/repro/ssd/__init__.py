@@ -63,6 +63,8 @@ from repro.ssd.query_engine import (
     EngineStats,
     PreparedQuery,
     QueryEngine,
+    TaskColumns,
+    WindowResult,
 )
 
 __all__ = [
@@ -78,6 +80,8 @@ __all__ = [
     "QueryEngine",
     "QueryResult",
     "SmallSsd",
+    "TaskColumns",
+    "WindowResult",
     "SsdConfig",
     "StageJob",
     "fig7_config",

@@ -4,110 +4,65 @@
 ``c`` of each operand sits at the *same relative layout* on its chip
 as chunk 0 does on chip 0: same string-group co-location, same
 inversion flags, only the physical wordline addresses differ.  The
-seed implementation ignored this and re-ran the full planner for every
-chunk, making query cost ``O(chunks x plan)``.  This engine exploits
-it:
+engine plans once per query shape and binds per chunk:
 
 1. **Template cache** -- for each (expression, layout signature) pair
    the engine plans once, against a chunk-0 view of the directory, and
    lifts the result into a relocatable
-   :class:`~repro.core.planner.PlanTemplate`.  Templates live in an
-   LRU cache (``cache_size`` entries), so a stream of repeated query
-   shapes never replans.  The layout signature is the per-vector
-   (group, inversion) tuple from the FTL -- two queries share a
-   template only when their operands are placed congruently.
+   :class:`~repro.core.planner.PlanTemplate` (an LRU of
+   ``cache_size`` entries).  The signature is the per-vector (group,
+   inversion) tuple from the FTL: two queries share a template only
+   when their operands are placed congruently.
 2. **Bind step** -- each chunk binds the template against a
-   :class:`_ChunkDirectory` view of its chip's operand directory,
-   resolving operand names to that chunk's wordline addresses in
-   O(operands).  A bind failure (layout drift, e.g. hand-placed
-   operands) falls back to a per-chunk replan instead of failing the
-   query.
-3. **Per-chip queues** -- bound plans are grouped by chip and drained
-   through each chip's :class:`~repro.core.mws.MwsExecutor` queue;
-   chips are independent in a real SSD, so functional latency
-   aggregates as the per-chip maximum.  Bound queues are themselves
-   LRU-cached against the FTL *layout generation* (operand addresses
-   are immutable once registered), so a repeat query re-binds nothing;
-   any vector registration/unregistration bumps the generation and
-   forces a re-bind.  Chunk results stay bit-packed (``uint64`` words,
-   :mod:`repro.flash.packing`) through the replay and into the
-   :class:`~repro.ssd.controller.QueryResult`; only reading its
-   ``bits`` unpacks.
+   :class:`_ChunkDirectory` view of its chip's operand directory in
+   O(operands); a bind failure (layout drift, e.g. hand-placed
+   operands) falls back to a per-chunk replan.
+3. **Bound-plan cache** -- the bound plans, laid out as per-task
+   columns chip by chip, are LRU-cached per expression against the
+   *layout generation* (FTL plus every directory generation: operand
+   addresses are immutable once registered), so a repeat query is one
+   probe and re-binds nothing until a registration moves it.  Chunk
+   results stay bit-packed (``uint64`` words) into the
+   :class:`~repro.ssd.controller.QueryResult`; only ``bits`` unpacks.
 4. **Event-simulated makespan** -- every executed chunk also becomes a
    :class:`~repro.ssd.events.StageJob` (die sense -> channel DMA ->
    external link) fed through the exact timeline simulator, so the
-   *functional* result carries the *pipelined* makespan the
-   performance model would predict -- one code path for both.
-5. **Shared-sense execution** -- :meth:`QueryEngine.prepare` exposes a
-   query's bound per-chunk plans as :class:`ChunkTask`\\ s, and
-   :meth:`QueryEngine.execute_tasks` drains an arbitrary multi-query
-   task list with *cross-query sense sharing*: bound plans are
-   identical-by-value (frozen dataclasses down to the MWS command
-   bytes), so per chip a dict keyed on the plan detects that two
-   queries ask for the same sensing operation; the sense runs once
-   and its packed result words fan out to every subscribing task
-   (MWS already serves many operands in one sense -- this extends the
-   reuse across *queries* of one admission window).  The service
-   layer (:mod:`repro.service`) builds windows and schedules on top
-   of this path.
-6. **Window-at-a-time batched execution** -- ``execute_tasks`` dedups
-   first, then runs each chip's surviving unique queue through
-   :meth:`~repro.core.mws.MwsExecutor.execute_batch`: the whole
-   queue's packed operand rows collapse into a few tensor reduces
-   (:meth:`~repro.flash.chip.NandFlashChip.execute_sense_batch`) and
-   the latch protocol replays lane-parallel
-   (:meth:`~repro.flash.latches.LatchBank.capture_batch`), so Python
-   dispatch per window is O(chips), not O(senses) -- wall-clock
-   window throughput finally tracks chip count the way simulated
-   throughput does.  Error-injecting chips batch the same way through
-   the V_TH plane; a queue with no batched equivalent
-   (:meth:`~repro.core.mws.MwsExecutor.batchable` says so before
-   anything runs) walks its plans one by one.  There is no switch to
-   force the walk: the walk is the reference the property suites and
-   batch benchmarks drive directly (``MwsExecutor.execute``).
+   functional result carries the pipelined makespan.
+5. **Shared-sense execution** -- :meth:`QueryEngine.execute_tasks`
+   drains a multi-query :class:`TaskColumns` window with cross-query
+   sense sharing: bound plans are identical-by-value (frozen down to
+   the MWS command bytes), so per chip a dict keyed on the plan finds
+   two queries asking for the same sense, which runs once and fans
+   its words out.  The service (:mod:`repro.service`) builds windows
+   and schedules on top of this path.
+6. **Window-at-a-time batched execution** -- each chip's surviving
+   unique queue runs as one
+   :meth:`~repro.core.mws.MwsExecutor.execute_batch` (a few tensor
+   reduces plus a lane-parallel latch replay), so Python dispatch per
+   window is O(chips), not O(senses); a queue with no batched
+   equivalent (:meth:`~repro.core.mws.MwsExecutor.batchable`) walks
+   its plans one by one.  Chips drain one after another on the
+   caller's thread: their concurrency lives in the modelled timeline,
+   and fault draws come from per-chip streams.
+7. **Cross-window result caching** -- an opt-in :class:`ResultCache`
+   memoizes executed plans' words under the same value identity,
+   stamped per chip with its layout generation
+   (``docs/architecture.md`` §3), and is consulted before dedup: a
+   repeat window skips the sensing engine entirely, and a hit builds
+   no record at all.
 
-7. **One drain thread, chips in turn** -- chips are independent dies
-   behind independent channels, but the functional replay drains them
-   one after another on the caller's thread, in the order the task
-   list first names them.  Their concurrency lives in the modelled
-   timeline (the event simulation overlaps their senses), not in the
-   host: the batched path already reduced each chip's queue to a
-   handful of wide NumPy reduces, and a thread pool over them never
-   paid on a 2-core host.  Fault draws come from per-chip streams, so
-   the drain order moves no result.
-
-8. **Cross-window result caching** -- sense sharing only helps
-   *within* one ``execute_tasks`` call; an identical query arriving
-   in a later admission window re-senses from scratch.  A
-   :class:`ResultCache` (opt-in,
-   :meth:`QueryEngine.enable_result_cache`) memoizes each executed
-   plan's packed result words keyed on the same bound-plan value
-   identity the dedup uses, stamped with the layout generation of its
-   chip (FTL vector generation + per-chip directory generation +
-   :meth:`~repro.flash.array.PlaneArray.content_version`, the
-   plane-level sum of per-block ``layout_version`` counters).  Any
-   register/unregister *or* program/erase anywhere moves the stamp,
-   and a chip's entries drop at the first window after its stamp
-   moves, falling back to a fresh sense -- the cache can serve a
-   stale word only if data mutates without bumping a generation
-   counter, which is exactly the contract (``docs/architecture.md``)
-   every writer including a future GC/migrator must keep.  With the cache
-   consulted *before* dedup, a repeat window skips the sensing engine
-   entirely: second-submission wall-clock is dict lookups plus the
-   event simulation.
-
-Query cost becomes ``O(plan + chunks x (bind + sense))``, with the
-plan term amortized to zero across a stream by the template cache,
-the sense term deduplicated across identical queries of a window,
-repeat windows served from the cross-window result cache, and the
-surviving senses executed as per-chip vectorized batches.
+Query cost is ``O(plan + chunks x (bind + sense))``, the plan term
+amortized to zero by the template cache, the bind term by the
+bound-plan cache, and the sense term by sharing and result caching.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import repeat
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 import numpy as np
@@ -218,9 +173,8 @@ class ChunkTask(NamedTuple):
     value object down to the MWS command targets, so two tasks whose
     plans compare equal ask the chip for the *same* sensing operation.
 
-    A ``NamedTuple`` for the same reason as :class:`ChunkOutcome`: the
-    service builds one per chunk per query per window, and tuple
-    construction is the cheapest immutable record Python offers.
+    Windows travel as :class:`TaskColumns`; a task becomes a record
+    only as the ``task`` of a :class:`ChunkOutcome`.
     """
 
     query: int
@@ -231,13 +185,48 @@ class ChunkTask(NamedTuple):
     #: path: when the chip is gone the bound plan is useless (its
     #: addresses point at dead cells), but the expression can be
     #: re-evaluated host-side over parity-reconstructed operand
-    #: chunks.  Deliberately *not* part of ``share_key`` -- sharing is
-    #: a property of the sensing operation, not of who asked.
+    #: chunks.  Deliberately not part of the sharing identity --
+    #: sharing is a property of the sensing operation, not of who
+    #: asked.
     expr: Expression | None = None
 
-    @property
-    def share_key(self) -> tuple[int, Plan]:
-        return (self.chip, self.plan)
+
+class TaskColumns:
+    """Chunk tasks as parallel columns, one per :class:`ChunkTask`
+    field: how a window travels from admission to its job listing, so
+    a cache-served chunk is never a record of its own.  Adopts five
+    equal-length lists; no argument starts an empty window."""
+
+    __slots__ = ("query", "chunk", "chip", "plan", "expr")
+
+    def __init__(self, *columns: list) -> None:
+        self.query, self.chunk, self.chip, self.plan, self.expr = (
+            columns or ([], [], [], [], [])
+        )
+
+    def __len__(self) -> int:
+        return len(self.query)
+
+    def add(self, query: int, prepared: "PreparedQuery") -> None:
+        """Append one prepared query's tasks, attributed to ``query``."""
+        n_tasks = len(prepared.plans)
+        self.query += repeat(query, n_tasks)
+        self.chunk += prepared.chunks
+        self.chip += prepared.chips
+        self.plan += prepared.plans
+        self.expr += repeat(prepared.expr, n_tasks)
+
+    def take(self, order: list[int]) -> "TaskColumns":
+        """The tasks at ``order``'s positions, in that order."""
+        columns = self.query, self.chunk, self.chip, self.plan, self.expr
+        return TaskColumns(*([c[i] for i in order] for c in columns))
+
+    def task(self, position: int) -> ChunkTask:
+        """The task at ``position`` as a record."""
+        return ChunkTask(
+            self.query[position], self.chunk[position], self.chip[position],
+            self.plan[position], self.expr[position],
+        )
 
 
 class ChunkOutcome(NamedTuple):
@@ -248,14 +237,9 @@ class ChunkOutcome(NamedTuple):
     for an identical earlier task of the same chip, and
     ``n_senses``/``latency_us``/``energy_nj`` are zero accordingly
     (the window-level counters thus sum to the *actual* hardware
-    cost).  A ``cached`` outcome likewise spent no
-    flash time, but its words came from a *previous* window via the
-    cross-window :class:`ResultCache` rather than from a sibling task
-    of this call.
-
-    A ``NamedTuple`` rather than a dataclass: one outcome is built per
-    chunk task per window (thousands per service run), and tuple
-    construction is the cheapest immutable record Python offers.
+    cost).  A task the cross-window :class:`ResultCache` served has no
+    outcome at all: its words are an entry of
+    :attr:`WindowResult.cached`.
 
     The trailing fields belong to the fault-recovery plane and stay at
     their defaults everywhere injection is off: ``retries`` counts
@@ -274,7 +258,6 @@ class ChunkOutcome(NamedTuple):
     latency_us: float
     energy_nj: float
     shared: bool
-    cached: bool = False
     retries: int = 0
     recovery_us: float = 0.0
     degraded: bool = False
@@ -297,6 +280,14 @@ class ChunkOutcome(NamedTuple):
     #: order, of the task whose sense (or reconstruction) produced the
     #: data -- the job this one may not complete before.
     leader: int | None = None
+
+
+class WindowResult(NamedTuple):
+    """Per task position of one :meth:`QueryEngine.execute_tasks` call,
+    either the words the result cache served or the outcome."""
+
+    cached: list[np.ndarray | None]
+    outcomes: list[ChunkOutcome | None]
 
 
 def _chip_stamp(ssd: "SmallSsd", chip: int) -> tuple:
@@ -335,45 +326,21 @@ class CacheStats:
 
 
 class ResultCache:
-    """Cross-window memo of packed per-chunk sense results.
+    """Cross-window memo of packed per-chunk sense results, keyed on
+    the ``(chip, plan)`` value identity the dedup uses: sense sharing
+    reuses a sense within one ``execute_tasks`` call, this cache across
+    calls (admission windows, and service runs sharing one SSD).
 
-    Sense sharing (:meth:`QueryEngine.execute_tasks`) deduplicates
-    identical bound plans *within* one call; this cache extends the
-    reuse across calls -- i.e. across admission windows of the query
-    service, and across entire service runs sharing one SSD.  Entries
-    are keyed on the same ``(chip, plan)`` value identity the dedup
-    uses: :class:`~repro.core.planner.Plan` is frozen down to the MWS
-    command bytes, so two equal keys ask the chip for the *same*
-    sensing operation over the *same* physical cells.
-
-    **Invalidation contract.**  A cached word is only as fresh as the
-    cells it was sensed from.  The cache therefore keeps one layout
-    stamp per chip (:func:`_chip_stamp`), the one every entry of that
-    chip was sensed under:
-
-    ``(FlashTranslationLayer.generation,``
-    ``  OperandDirectory.generation,``
-    ``  PlaneArray.content_version())``
-
-    -- bumped respectively on any vector register/unregister at the
-    controller level, any per-chip operand register/unregister, and
-    any program/erase of any block on the chip
-    (:attr:`~repro.flash.array.BlockArray.layout_version`).  A chip's
-    entries drop at the first window after its stamp moves:
-    :meth:`prune_stale`, which the engine calls at the top of every
-    ``execute_tasks``, re-reads each chip's stamp and drops every
-    entry of a chip whose stamp moved, so a stale page is freed before
-    any lookup could see it and a lookup is a dict hit with no stamp
-    compare.  Nothing programs mid-window, so one check per call
-    suffices.  The invalidation is deliberately conservative -- the
-    FTL component is SSD-global (any vector register/unregister
-    anywhere drops every chip's entries), while the directory and
-    content components are per chip (chip-local churn drops only that
-    chip's entries) -- because serving one stale packed word is
-    strictly worse than re-sensing a window.  Any future garbage
-    collector or data migrator that moves cells MUST bump one of
-    these counters (programming/erasing through the chip does so
-    automatically); see ``docs/architecture.md``.
+    **Invalidation contract** (``docs/architecture.md`` §3).  The cache
+    keeps one layout stamp per chip (:func:`_chip_stamp`: FTL
+    generation, directory generation, plane content version), the one
+    every entry of that chip was sensed under.  :meth:`prune_stale`,
+    at the top of every ``execute_tasks``, drops every entry of a chip
+    whose stamp moved, so a stale page is freed before any lookup
+    could see it and a lookup compares no stamp (nothing programs
+    mid-window).  Conservative by design: serving one stale word is
+    strictly worse than re-sensing a window, and any writer that
+    moves cells must bump one of the counters.
 
     The cache is **error-free only**: error-injecting chips sense
     through the stochastic V_TH plane, where memoizing a draw would
@@ -467,48 +434,20 @@ class ResultCache:
 
 
 class StackCache:
-    """Cross-window reuse of per-plan packed sense rows (the "stack
-    cache" of the word-wide speed story).
+    """Cross-window reuse of per-plan packed sense rows.
 
-    The batched packed path stacks every window's operand rows into
-    per-profile tensors and reduces them
-    (:meth:`~repro.flash.sensing.SensingEngine.sense_batch_stacks`)
-    -- even when the window repeats plans a previous window already
-    sensed.  Like the :class:`ResultCache` this cache is keyed per
-    ``(chip, plan)``; the difference is what a hit is *charged*.  A
-    result-cache hit changes the outcome envelope (zero flash cost);
-    this cache memoizes each plan's raw packed **sense rows** and lets
-    :meth:`~repro.core.mws.MwsExecutor.execute_batch_reuse` skip just
-    the sensing for reused plans while the latch replay, cost
-    charges, and read-disturb accounting still run every window --
-    so a window sharing any prefix (or subset) of a previous window's
-    plans skips restacking those tensors and stays bit-, float-, and
-    counter-identical to a fresh batched drain.
-
-    It serves the drains that have no :class:`ResultCache` engaged
-    (:meth:`QueryEngine.execute_tasks` picks one per-plan cache per
-    call): its stamp below is the result cache's plus the injector,
-    so behind an engaged result cache it could only ever miss.
-
-    **Invalidation contract** (``docs/architecture.md``): entries are
-    stamped per chip with
-
-    ``(FlashTranslationLayer.generation,``
-    ``  OperandDirectory.generation,``
-    ``  PlaneArray.content_version(), fault injector identity)``
-
-    and the whole chip's memo drops the moment the stamp moves -- any
-    vector register/unregister, per-chip operand churn, program/erase
-    (GC relocation, wear leveling, migration included), or
-    fault-injector (re)attachment.  Conservative by design: reusing
-    one stale sense row is strictly worse than restacking a window.
-
-    The cache engages only on the packed error-free plane through the
-    batched drain; the V_TH error plane draws fresh noise per sense
-    and memoizes only its draw-independent schedule
-    (:class:`~repro.flash.sensing.VthBatchSchedule`, same contract).
-    Per-chip entry maps are bounded with clear-on-full semantics like
-    the sensing row cache (``capacity`` plans, default 4096).
+    Keyed per ``(chip, plan)`` like the :class:`ResultCache`, but a hit
+    is charged in full: it lets
+    :meth:`~repro.core.mws.MwsExecutor.execute_batch_reuse` skip only
+    the restacking of the plan's sense rows, while the latch replay,
+    cost charges and read-disturb accounting still run -- bit-, float-
+    and counter-identical to a fresh batched drain.  It serves the
+    error-free batched drains with no :class:`ResultCache` engaged: its
+    per-chip stamp is the result cache's plus the fault-injector
+    identity (``docs/architecture.md`` §3), so behind an engaged
+    result cache it could only ever miss.  A chip's memo drops the
+    moment its stamp moves, and is cleared when full (``capacity``
+    plans).
     """
 
     def __init__(self, ssd: "SmallSsd", *, capacity: int = 4096) -> None:
@@ -603,10 +542,11 @@ class _SenseRecord(NamedTuple):
 
 class _Window(NamedTuple):
     """One :meth:`QueryEngine.execute_tasks` call as the stages of its
-    chip drains see it: the task list, the outcome slots they fill,
+    chip drains see it: the tasks, the two result columns they fill,
     and the call's parameters resolved once."""
 
-    order: list[ChunkTask]
+    tasks: TaskColumns
+    cached: list[np.ndarray | None]
     outcomes: list[ChunkOutcome | None]
     #: The per-plan cache engaged for this call (at most one of two).
     cache: ResultCache | None
@@ -628,26 +568,30 @@ class PreparedQuery:
     it is *not* inferred from global planner counters, so preparing
     many queries back to back (exactly what a service admission window
     does) attributes cache hits to the right query.
+
+    The bound plans are per-task columns, chip by chip, each chip's
+    in chunk order.
     """
 
     expr: Expression
     n_bits: int
     n_chunks: int
-    queues: dict[int, list[tuple[int, Plan]]]
     planned: bool
+    chunks: tuple[int, ...]
+    chips: tuple[int, ...]
+    plans: tuple[Plan, ...]
 
     @property
     def template_hit(self) -> bool:
         return not self.planned
 
-    def tasks(self, query: int) -> list[ChunkTask]:
-        """Flatten the per-chip queues into attributed chunk tasks."""
-        expr = self.expr
-        return [
-            ChunkTask(query, chunk, chip, plan, expr)
-            for chip, queue in sorted(self.queues.items())
-            for chunk, plan in queue
-        ]
+    @cached_property
+    def chunk_senses(self) -> tuple[int, ...]:
+        """Senses of each chunk's bound plan, in chunk order."""
+        senses = [0] * self.n_chunks
+        for chunk, plan in zip(self.chunks, self.plans):
+            senses[chunk] = plan.n_senses
+        return tuple(senses)
 
 
 class QueryEngine:
@@ -670,14 +614,16 @@ class QueryEngine:
         #: their measured sense times with configured bus bandwidths.
         self.config = config or table1_config()
         self._templates: OrderedDict[object, PlanTemplate] = OrderedDict()
-        #: (template key, n_chunks) -> (layout generation, bound
-        #: queues).  Operand addresses are immutable once registered,
-        #: so bound plans stay valid until the layout generation moves
-        #: -- any FTL vector *or* per-chip directory operand being
-        #: registered/unregistered (the latter catches controller-level
-        #: hand-placement drift); then they re-bind.
+        #: expression -> (layout generation, template key, the
+        #: prepared query a repeat gets).  Operand addresses are
+        #: immutable once registered, so bound plans stay valid until
+        #: the layout generation moves -- any FTL vector *or* per-chip
+        #: directory operand being registered/unregistered (the latter
+        #: catches controller-level hand-placement drift); then they
+        #: re-bind.  The operands' layout signature and chunk count are
+        #: functions of the generation, so the expression keys alone.
         self._bound: OrderedDict[
-            object, tuple[tuple, dict[int, list[tuple[int, Plan]]]]
+            Expression, tuple[tuple, tuple, PreparedQuery]
         ] = OrderedDict()
         self._planner_invocations = 0
         self._template_hits = 0
@@ -726,18 +672,15 @@ class QueryEngine:
         names = sorted(operand_names(expr))
         if not names:
             raise ValueError("expression references no operands")
-        return self._template_for(expr, self._layout_signature(names))[0]
+        return self._template_for((expr, self._layout_signature(names)))[0]
 
-    def _template_for(
-        self, expr: Expression, signature: tuple
-    ) -> tuple[PlanTemplate, bool]:
-        """Like :meth:`template_for` given the operands' layout
-        signature, but additionally reports whether fetching the
+    def _template_for(self, key: tuple) -> tuple[PlanTemplate, bool]:
+        """Like :meth:`template_for` given ``(expr, operands' layout
+        signature)``, but additionally reports whether fetching the
         template *planned* (cache miss).  The flag is threaded
         explicitly to the caller instead of being inferred from
         counter deltas, so interleaved query preparation (the service
         window path) attributes hits correctly."""
-        key = (expr, signature)
         cached = self._templates.get(key)
         if cached is not None:
             self._templates.move_to_end(key)
@@ -749,7 +692,7 @@ class QueryEngine:
             _ChunkDirectory(controller, 0),
             block_limit=controller.planner.block_limit,
         )
-        template = planner.plan_template(expr)
+        template = planner.plan_template(key[0])
         self._planner_invocations += 1
         self._templates[key] = template
         while len(self._templates) > self.cache_size:
@@ -813,37 +756,22 @@ class QueryEngine:
         return (
             self.ssd.ftl.generation,
             tuple(
-                controller.directory.generation
-                for controller in self.ssd.controllers
+                [
+                    controller.directory.generation
+                    for controller in self.ssd.controllers
+                ]
             ),
         )
 
-    def _bound_queues(
-        self,
-        expr: Expression,
-        template: PlanTemplate,
-        n_chunks: int,
-        signature: tuple,
-    ) -> tuple[dict[int, list[tuple[int, Plan]]], bool]:
-        """Bind the template for every chunk and queue the plans per
-        chip, falling back to a replan when a chunk's layout drifted
-        from the template's.  Returns ``(queues, planned)`` where
-        ``planned`` reports whether any bind-failure replan ran --
-        threaded explicitly so callers never infer it from counters.
-
-        Bound queues are LRU-cached against the FTL layout generation:
-        a repeat query whose placement world has not changed reuses its
-        resolved per-chunk plans without touching the directories.
-        """
-        key = (expr, signature, n_chunks)
-        generation = self._layout_generation()
-        cached = self._bound.get(key)
-        if cached is not None and cached[0] == generation:
-            self._bound.move_to_end(key)
-            return cached[1], False
+    def _bind(
+        self, expr: Expression, template: PlanTemplate, record
+    ) -> tuple[PreparedQuery, bool]:
+        """Bind the template chunk by chunk, replanning a chunk whose
+        layout drifted from the template's; returns the prepared query
+        a repeat gets (``planned`` off) and whether any replan ran."""
         planned = False
-        queues: dict[int, list[tuple[int, Plan]]] = {}
-        for chunk in range(n_chunks):
+        tasks = []
+        for chunk in range(record.n_chunks):
             chip = self.ssd.ftl.chip_of_chunk(chunk)
             controller = self.ssd.controllers[chip]
             view = _ChunkDirectory(controller, chunk)
@@ -857,11 +785,18 @@ class QueryEngine:
                 self._planner_invocations += 1
                 self._bind_fallbacks += 1
                 planned = True
-            queues.setdefault(chip, []).append((chunk, plan))
-        self._bound[key] = (generation, queues)
-        while len(self._bound) > self.cache_size:
-            self._bound.popitem(last=False)
-        return queues, planned
+            tasks.append((chip, chunk, plan))
+        tasks.sort(key=itemgetter(0))  # chip by chip, chunk order kept
+        chips, chunks, plans = zip(*tasks)
+        return PreparedQuery(
+            expr=expr,
+            n_bits=record.n_bits,
+            n_chunks=record.n_chunks,
+            planned=False,
+            chunks=chunks,
+            chips=chips,
+            plans=plans,
+        ), planned
 
     def prepare(self, expr: Expression) -> PreparedQuery:
         """Plan (or fetch) and bind ``expr`` without executing it.
@@ -870,25 +805,40 @@ class QueryEngine:
         plans and an explicit ``planned`` flag (template build or any
         bind-failure replan), so callers preparing many queries before
         executing any -- the service admission-window path -- still
-        attribute cache hits to the right query.
+        attribute cache hits to the right query.  A repeat under an
+        unmoved layout generation is one probe of the bound-plan LRU
+        (and a template-LRU hit, as when the operands are looked up).
         """
+        generation = self._layout_generation()
+        bound = self._bound.get(expr)
+        fresh = bound is not None and bound[0] == generation
+        if fresh:
+            try:  # the LRUs' own key objects: no expression compare
+                self._templates.move_to_end(bound[1])
+            except KeyError:  # the template was evicted
+                pass
+            else:
+                self._template_hits += 1
+                self._bound.move_to_end(bound[2].expr)
+                return bound[2]
         names = sorted(operand_names(expr))
         if not names:
             raise ValueError("expression references no operands")
         self.ssd.ftl.validate_co_located(names)
         record = self.ssd.ftl.lookup(names[0])
-        signature = self._layout_signature(names)
-        template, template_planned = self._template_for(expr, signature)
-        queues, bind_planned = self._bound_queues(
-            expr, template, record.n_chunks, signature
-        )
-        return PreparedQuery(
-            expr=expr,
-            n_bits=record.n_bits,
-            n_chunks=record.n_chunks,
-            queues=queues,
-            planned=template_planned or bind_planned,
-        )
+        key = (expr, self._layout_signature(names))
+        template, planned = self._template_for(key)
+        if fresh:
+            self._bound.move_to_end(expr)
+            prepared = bound[2]
+        else:
+            prepared, bind_planned = self._bind(expr, template, record)
+            planned = planned or bind_planned
+            # A stale entry is replaced where it stands in the LRU.
+            self._bound[expr] = (generation, key, prepared)
+            while len(self._bound) > self.cache_size:
+                self._bound.popitem(last=False)
+        return replace(prepared, planned=True) if planned else prepared
 
     def _stage_constants(self, chip: int) -> tuple[float, float, tuple]:
         """Per-chip static parts of a chunk's pipeline job (transfer
@@ -943,7 +893,7 @@ class QueryEngine:
 
     def execute_tasks(
         self,
-        tasks: Iterable[ChunkTask],
+        tasks: TaskColumns,
         *,
         share: bool = True,
         use_cache: bool = False,
@@ -951,23 +901,23 @@ class QueryEngine:
         degraded: Iterable[int] = (),
         offline: Iterable[int] = (),
         reconstruct: bool = False,
-    ) -> list[ChunkOutcome]:
-        """Drain a multi-query chunk-task list; one outcome per task,
-        in task order.
+    ) -> WindowResult:
+        """Drain a multi-query window of chunk tasks; per task position
+        either the words the result cache served or an outcome.
 
-        Tasks are grouped per chip preserving the given order (the
-        scheduler's per-chip schedule) and every chip's group runs
-        through the same stages (:meth:`_drain_chip`), one chip after
-        another in the order the list first names them.  The
-        parameters choose *where a result comes from and what it is
-        charged*, never its bits: result data, and the modelled cost
-        of every sense that does run, are identical across all
-        combinations.
+        Positions are grouped per chip preserving the given order (the
+        scheduler's per-chip schedule) and every chip runs through the
+        same stages (:meth:`_drain_chip`), one chip after another in
+        the order the columns first name them.  The parameters choose
+        *where a result comes from and what it is charged*, never its
+        bits or the modelled cost of a sense that does run.
 
         ``use_cache``
             consult (and fill) the attached :class:`ResultCache`
-            before anything else; a hit is a ``cached`` outcome at
-            zero flash cost.  Error-free SSDs only.
+            before anything else, in one pass over each chip's
+            positions; a hit is an entry of the ``cached`` column, at
+            zero flash cost, and nothing else is built for it.
+            Error-free SSDs only.
         ``share``
             a task whose ``(chip, plan)`` matches an earlier task of
             this call senses nothing and comes back ``shared`` with
@@ -1003,12 +953,11 @@ class QueryEngine:
         if cache is not None:
             cache.prune_stale()
         injector = self.ssd.fault_injector
-        order: list[ChunkTask] = (
-            tasks if isinstance(tasks, list) else list(tasks)
-        )
+        n_tasks = len(tasks)
         window = _Window(
-            order=order,
-            outcomes=[None] * len(order),
+            tasks=tasks,
+            cached=[None] * n_tasks,
+            outcomes=[None] * n_tasks,
             cache=cache,
             # One per-plan cache per drain.  Both caches key on (chip,
             # plan) and a StackCache stamp is the ResultCache stamp
@@ -1036,17 +985,13 @@ class QueryEngine:
             offline=frozenset(offline),
         )
         per_chip: dict[int, list[int]] = {}
-        for position, task in enumerate(order):
-            queue = per_chip.get(task.chip)
-            if queue is None:
-                per_chip[task.chip] = [position]
-            else:
-                queue.append(position)
+        for position, chip in enumerate(tasks.chip):
+            per_chip.setdefault(chip, []).append(position)
         for chip, positions in per_chip.items():
             self._drain_chip(window, chip, positions)
         if reconstruct and self.ssd.parity:
-            self._reconstruct_failures(order, window.outcomes, cache)
-        return window.outcomes
+            self._reconstruct_failures(window.outcomes, cache)
+        return WindowResult(window.cached, window.outcomes)
 
     # ------------------------------------------------------------------
     # The chip drain, stage by stage
@@ -1079,7 +1024,7 @@ class QueryEngine:
             window,
             executor,
             chip,
-            [window.order[position].plan for position in unique],
+            [window.tasks.plan[position] for position in unique],
         )
         dispatches = executor.dispatches - dispatched_before
         restacked = sensing.restacked_tensors - restacked_before
@@ -1105,37 +1050,34 @@ class QueryEngine:
         else:
             return False
         error = ChipUnavailableError(f"chip {chip} is {state}", chip=chip)
+        task = window.tasks.task
         for position in positions:
             window.outcomes[position] = ChunkOutcome(
-                window.order[position], None, 0, 0.0, 0.0, False, error=error
+                task(position), None, 0, 0.0, 0.0, False, error=error
             )
         return True
 
     def _lookup_cached(
         self, window: _Window, chip: int, positions: list[int]
     ) -> list[int]:
-        """Serve what the cross-window cache holds; the positions that
-        missed.  First of all the stages that touch the chip: a hit
-        never reaches dedup or the executor, so a fully repeated
-        window costs no flash work and no executor dispatch."""
+        """Serve what the cross-window cache holds, in one pass over the
+        chip's positions: a hit's words go into the ``cached`` column,
+        and it never reaches dedup or the executor.  Returns the
+        positions that missed."""
         cache = window.cache
         if cache is None:
             return positions
-        order = window.order
-        outcomes = window.outcomes
-        outcome = ChunkOutcome  # local bindings: window hot loop
-        lookup = cache.get
+        plans = window.tasks.plan
+        cached = window.cached
+        lookup = cache.get  # local bindings: window hot loop
         pending: list[int] = []
         miss = pending.append
         for position in positions:
-            task = order[position]
-            words = lookup(chip, task.plan)
-            if words is not None:
-                outcomes[position] = outcome(
-                    task, words, 0, 0.0, 0.0, False, True
-                )
-            else:
+            words = lookup(chip, plans[position])
+            if words is None:
                 miss(position)
+            else:
+                cached[position] = words
         return pending
 
     def _dedup(
@@ -1148,11 +1090,11 @@ class QueryEngine:
         followers: list[tuple[int, int]] = []
         if not window.share:
             return pending, followers
-        order = window.order
+        plans = window.tasks.plan
         unique: list[int] = []
         first_at: dict[Plan, int] = {}
         for position in pending:
-            first = first_at.setdefault(order[position].plan, position)
+            first = first_at.setdefault(plans[position], position)
             if first == position:
                 unique.append(position)
             else:
@@ -1356,16 +1298,16 @@ class QueryEngine:
         followers at zero flash cost (they inherit its ``degraded``
         and ``error``).  Returns the senses the followers would have
         cost."""
-        order = window.order
+        task_at = window.tasks.task
         outcomes = window.outcomes
         cache = window.cache
         outcome = ChunkOutcome  # local binding: window hot loop
         for position, record in zip(unique, records):
-            task = order[position]
-            # The record's fields are the outcome's, around the two
-            # flags an executed plan never carries (shared, cached).
+            task = task_at(position)
+            # The record's fields are the outcome's, around the flag an
+            # executed plan never carries (shared).
             outcomes[position] = outcome(
-                task, *record[:4], False, False, *record[4:]
+                task, *record[:4], False, *record[4:]
             )
             if (
                 cache is not None
@@ -1378,7 +1320,7 @@ class QueryEngine:
             prior = outcomes[first]
             shared_senses += prior.n_senses
             outcomes[position] = outcome(
-                order[position],
+                task_at(position),
                 prior.data,
                 0,
                 0.0,
@@ -1460,7 +1402,6 @@ class QueryEngine:
 
     def _reconstruct_failures(
         self,
-        order: list[ChunkTask],
         outcomes: list[ChunkOutcome | None],
         cache: ResultCache | None,
     ) -> None:
@@ -1468,7 +1409,7 @@ class QueryEngine:
         the outcomes in task order and replace chip-loss/retry-
         exhaustion failures with parity-reconstructed results.
         Sharing is the contract of phase one -- first occurrence pays,
-        repeats share -- at two grains.  Per ``share_key``: the first
+        repeats share -- at two grains.  Per ``(chip, plan)``: the first
         task pays its survivor reads and repeats fan out as shared
         outcomes.  Per lost operand page: different plans over the
         same vectors rebuild each ``(vector, chunk)`` once between
@@ -1494,7 +1435,7 @@ class QueryEngine:
                 prior.error, (ChipUnavailableError, RetryExhaustedError)
             ):
                 continue
-            key = task.share_key
+            key = (task.chip, task.plan)
             if key in memo:
                 if memo[key] is None:
                     continue
@@ -1575,9 +1516,10 @@ class QueryEngine:
         chip_busy: dict[int, float] = {}
         n_senses = 0
         energy_nj = 0.0
-        for outcome in self.execute_tasks(
-            prepared.tasks(query=0), share=False
-        ):
+        tasks = TaskColumns()
+        tasks.add(0, prepared)
+        # No cache is consulted: every task comes back an outcome.
+        for outcome in self.execute_tasks(tasks, share=False).outcomes:
             if outcome.error is not None:
                 # The synchronous path has no degraded fallback left to
                 # try: surface the typed fault to the caller.
@@ -1615,8 +1557,6 @@ class QueryEngine:
     def query(self, expr: Expression) -> "QueryResult":
         """Evaluate one expression; the result carries the pipelined
         makespan of its own chunk job stream."""
-        from dataclasses import replace
-
         jobs: list[StageJob] = []
         result = self._execute(expr, jobs)
         report = simulate_stages(jobs)
@@ -1627,8 +1567,6 @@ class QueryEngine:
         jobs through the shared resources at once -- the makespan is
         what a controller interleaving the stream would achieve, not
         the sum of isolated queries."""
-        from dataclasses import replace
-
         jobs: list[StageJob] = []
         results: list["QueryResult"] = []
         spans: list[tuple[int, int]] = []

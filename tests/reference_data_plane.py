@@ -18,11 +18,19 @@ compare against the two references that used to be switches:
 The twin-SSD suites also share their geometry (:data:`GEOMETRY`) and
 how they tell two drains apart (:func:`assert_outcomes_equal`,
 :func:`assert_chips_equal`, every comparison ``==``).
+
+Production hands a window to ``QueryEngine.execute_tasks`` as task
+columns and gets per position either cache-served words or an
+outcome.  The suites speak in task lists: :func:`tasks_of` and
+:func:`window_tasks` build the records, and :func:`drain` runs a list
+and hands back one entry per task -- its ``ChunkOutcome``, or a
+:class:`Hit` for a task the result cache served.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager, nullcontext
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -32,6 +40,7 @@ from repro.core.mws import MwsExecutor
 from repro.flash.geometry import ChipGeometry
 from repro.flash.latches import LatchStateError
 from repro.ssd.controller import QueryResult, SmallSsd
+from repro.ssd.query_engine import ChunkTask, TaskColumns
 
 #: 80-bit pages: not a multiple of 64, so every packed page carries 48
 #: padding bits -- the representation's trickiest configuration.
@@ -58,10 +67,43 @@ def route(batched: bool):
     return nullcontext() if batched else forced_walk()
 
 
+class Hit(NamedTuple):
+    """A task the result cache served: no outcome, just its words."""
+
+    task: ChunkTask
+    data: np.ndarray
+
+
+def tasks_of(prepared, query: int) -> list[ChunkTask]:
+    """A prepared query's chunk tasks as records, attributed to
+    ``query``, in the order its columns hold them."""
+    return [
+        ChunkTask(query, chunk, chip, plan, prepared.expr)
+        for chunk, chip, plan in zip(
+            prepared.chunks, prepared.chips, prepared.plans
+        )
+    ]
+
+
+def columns(tasks) -> TaskColumns:
+    """A list of chunk tasks as the columns the engine drains."""
+    return TaskColumns(*map(list, zip(*tasks)))
+
+
+def drain(engine, tasks, **kwargs) -> list:
+    """``engine.execute_tasks`` over a list of chunk tasks; one entry
+    per task, in task order: its ``ChunkOutcome``, or a :class:`Hit`."""
+    result = engine.execute_tasks(columns(tasks), **kwargs)
+    return [
+        Hit(task, words) if outcome is None else outcome
+        for task, words, outcome in zip(tasks, result.cached, result.outcomes)
+    ]
+
+
 def walk_tasks(engine, tasks, **kwargs):
-    """``engine.execute_tasks(tasks, **kwargs)`` on the forced walk."""
+    """:func:`drain` on the forced walk."""
     with forced_walk():
-        return engine.execute_tasks(tasks, **kwargs)
+        return drain(engine, tasks, **kwargs)
 
 
 def vth_query(ssd, expr) -> QueryResult:
@@ -73,7 +115,7 @@ def vth_query(ssd, expr) -> QueryResult:
     pieces = [None] * prepared.n_chunks
     busy: dict[int, float] = {}
     n_senses = energy_nj = 0
-    for task in prepared.tasks(query=0):
+    for task in tasks_of(prepared, 0):
         executor = ssd.controllers[task.chip].executor
         result = executor.execute_degraded(task.plan)
         pieces[task.chunk] = result.words
@@ -152,7 +194,7 @@ def window_tasks(ssd, window) -> list:
     return [
         task
         for query, expr in enumerate(window)
-        for task in ssd.engine.prepare(expr).tasks(query=query)
+        for task in tasks_of(ssd.engine.prepare(expr), query)
     ]
 
 
@@ -170,17 +212,20 @@ def assembled(ssd, window, outcomes) -> list:
 
 
 def assert_outcomes_equal(mine, theirs) -> None:
-    """Every ``ChunkOutcome`` field equal: the data by value, the
-    error by type."""
+    """Every ``ChunkOutcome`` field equal (a :class:`Hit` only to a
+    hit): the data by value, the error by type."""
     assert len(mine) == len(theirs)
     for a, b in zip(mine, theirs):
+        assert type(a) is type(b)
         assert a.task == b.task
         assert (a.data is None) == (b.data is None)
         if a.data is not None:
             np.testing.assert_array_equal(a.data, b.data)
-        assert a[2:10] == b[2:10]  # n_senses .. degraded
+        if isinstance(a, Hit):
+            continue
+        assert a[2:9] == b[2:9]  # n_senses .. degraded
         assert type(a.error) is type(b.error)
-        assert a[11:] == b[11:]  # reconstructed, recovery_work, leader
+        assert a[10:] == b[10:]  # reconstructed, recovery_work, leader
 
 
 def latch_words(bank) -> list:

@@ -29,6 +29,7 @@ import numpy as np
 import pytest
 
 import reference_control_path as reference
+from reference_data_plane import Hit
 from repro.core.expressions import (
     And,
     Operand,
@@ -89,9 +90,10 @@ class Replay:
     """Record what a service's ``run()`` calls hand the event replay,
     each run replayed at its end through the one-shot ``simulate``.
 
-    ``listed`` holds, per ``run()``, one entry per chunk outcome in
+    ``listed`` holds, per ``run()``, one entry per chunk task in
     listing order: ``(outcome, (job, done_s), [(job, done_s), ...])``
-    -- the outcome's own pipeline job and the job of each of its
+    -- the task's ``ChunkOutcome`` (a :class:`Hit` if the result cache
+    served it), its own pipeline job and the job of each of its
     ``recovery_work`` entries, each with its completion time."""
 
     def __init__(self, monkeypatch, service, simulate=SIMULATE):
@@ -101,9 +103,14 @@ class Replay:
         replay = self
 
         def recording_execute(tasks, **kwargs):
-            outcomes = execute(tasks, **kwargs)
-            self._outcomes.extend(outcomes)
-            return outcomes
+            result = execute(tasks, **kwargs)
+            self._outcomes.extend(
+                outcome or Hit(tasks.task(position), words)
+                for position, (words, outcome) in enumerate(
+                    zip(result.cached, result.outcomes)
+                )
+            )
+            return result
 
         class RecordingSweep(reference.BufferedSweep):
             def close(self):
@@ -118,7 +125,10 @@ class Replay:
                         (
                             outcome,
                             next(foreground),
-                            [next(foreground) for _ in outcome.recovery_work],
+                            [
+                                next(foreground)
+                                for _ in getattr(outcome, "recovery_work", ())
+                            ],
                         )
                         for outcome in replay._outcomes
                     ]
@@ -437,9 +447,9 @@ def test_nothing_completes_before_the_work_its_data_comes_from(monkeypatch):
                 last_job_us[task.query] = max(
                     last_job_us.get(task.query, 0.0), finished * 1e6
                 )
-            if outcome.cached:
+            if isinstance(outcome, Hit):
                 continue
-            key = (job.ready_at, task.share_key)
+            key = (job.ready_at, task.chip, task.plan)
             if outcome.shared:
                 followers += 1
                 assert done >= leaders[key]

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import reference_control_path as reference
-from reference_data_plane import GEOMETRY, route, window_tasks
+from reference_data_plane import GEOMETRY, columns, route, window_tasks
 from repro.core.expressions import And, Not, Operand, Xor, evaluate, or_all
 from repro.flash.errors import BadBlockFault, ChipUnavailableError
 from repro.flash.faults import FaultConfig, FaultInjector, RecoveryPolicy
@@ -291,18 +291,28 @@ def test_sense_stage_error_leaves_the_service_retryable(monkeypatch):
 # ----------------------------------------------------------------------
 
 
+def _order(ssd, tasks, **kwargs):
+    """A window's schedule on the tMWS estimates, positions mapped back
+    to its tasks."""
+    return [
+        tasks[position]
+        for position in schedule_window(
+            columns(tasks),
+            lambda chip, plan: (
+                ssd.controllers[chip].executor.estimate_latency_us(plan)
+            ),
+            **kwargs,
+        )
+    ]
+
+
 @pytest.mark.parametrize("policy", ("fifo", "balanced", "edf"))
 def test_scheduler_parks_offline_chip_tasks_at_tail(policy):
     ssd, _ = _build()
     tasks = window_tasks(
         ssd, [And(Operand("a"), Operand("b")), Operand("c")]
     )
-    estimate = (
-        lambda t: ssd.controllers[t.chip].executor.estimate_latency_us(t.plan)
-    )
-    ordered = schedule_window(
-        tasks, estimate, policy=policy, offline=[0]
-    )
+    ordered = _order(ssd, tasks, policy=policy, offline=[0])
     assert sorted(map(id, ordered)) == sorted(map(id, tasks))
     chips = [t.chip for t in ordered]
     first_parked = chips.index(0)
@@ -312,13 +322,10 @@ def test_scheduler_parks_offline_chip_tasks_at_tail(policy):
 def test_scheduler_prices_degraded_chips():
     ssd, _ = _build(n_chips=2)
     tasks = window_tasks(ssd, [And(Operand("a"), Operand("b"))])
-    estimate = (
-        lambda t: ssd.controllers[t.chip].executor.estimate_latency_us(t.plan)
-    )
-    plain = schedule_window(tasks, estimate, policy="balanced")
-    priced = schedule_window(
+    plain = _order(ssd, tasks, policy="balanced")
+    priced = _order(
+        ssd,
         tasks,
-        estimate,
         policy="balanced",
         degraded=[1],
         degraded_slowdown=100.0,

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from reference_data_plane import Hit, drain, tasks_of
 from reference_result_cache import LazyResultCache
 from repro.core.expressions import (
     And,
@@ -251,9 +252,9 @@ class TestResultCacheUnit:
         service = ssd.service(window_us=50.0, result_cache=True)
         expr = And(Operand("a"), Operand("b"))
         run_window(service, [expr])
-        tasks = ssd.engine.prepare(expr).tasks(query=0)
-        outcomes = ssd.engine.execute_tasks(tasks, use_cache=True)
-        assert all(o.cached for o in outcomes)
+        tasks = tasks_of(ssd.engine.prepare(expr), 0)
+        outcomes = drain(ssd.engine, tasks, use_cache=True)
+        assert all(isinstance(o, Hit) for o in outcomes)
         with pytest.raises(ValueError):
             outcomes[0].data[0] = 0
 
@@ -486,13 +487,13 @@ def _replay_scan(seed, cache_type, capacity=4096):
 
     def recording_execute(tasks, **kwargs):
         n_stored = len(stored)
-        outcomes = execute(tasks, **kwargs)
+        result = execute(tasks, **kwargs)
         # ``before`` holds the pre-rewrite arrays until the first
         # window after the rewrite has been checked.
         after_rewrite = bool(before)
         gc.collect()
         windows.append(_WindowLog(
-            cached=[outcome.cached for outcome in outcomes],
+            cached=[words is not None for words in result.cached],
             puts=len(stored) - n_stored,
             entries=len(cache),
             after_rewrite=after_rewrite,
@@ -500,7 +501,7 @@ def _replay_scan(seed, cache_type, capacity=4096):
         ))
         if after_rewrite:
             before.clear()
-        return outcomes
+        return result
 
     cache.put = recording_put
     ssd.engine.execute_tasks = recording_execute

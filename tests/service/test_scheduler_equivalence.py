@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_control_path as reference
+from reference_data_plane import columns
 from repro.core.planner import Plan, XorStep
 from repro.service.scheduler import POLICIES, QueryInfo, schedule_window
 from repro.ssd.query_engine import ChunkTask
@@ -81,6 +82,19 @@ def windows(draw):
     }
 
 
+def _scheduled(tasks, estimate, **kwargs) -> list[ChunkTask]:
+    """The production schedule of a task list: the positions it emits,
+    each once, mapped back to the tasks (the reference orders the
+    task objects themselves)."""
+    order = schedule_window(
+        columns(tasks),
+        lambda chip, plan: estimate(ChunkTask(-1, -1, chip, plan)),
+        **kwargs,
+    )
+    assert sorted(order) == list(range(len(tasks)))
+    return [tasks[position] for position in order]
+
+
 @pytest.mark.parametrize("policy", POLICIES)
 @settings(max_examples=150, deadline=None)
 @given(window=windows())
@@ -91,14 +105,13 @@ def test_emission_order_equals_reference(policy, window):
     def estimate(task: ChunkTask) -> float:
         return costs[(task.chip, task.plan.steps[0].plane)]
 
-    ordered = schedule_window(tasks, estimate, policy=policy, **window)
+    ordered = _scheduled(tasks, estimate, policy=policy, **window)
     expected = reference.schedule_window(
         tasks, estimate, policy=policy, **window
     )
     assert len(ordered) == len(expected) == len(tasks)
-    # The same task *objects* in the same order (tasks are unique by
-    # chunk, so ``==`` alone would say as much; ``is`` says the
-    # scheduler neither copies nor rebuilds them).
+    # The same task objects in the same order (tasks are unique by
+    # chunk, so ``==`` alone would say as much).
     assert all(got is want for got, want in zip(ordered, expected))
 
 
@@ -116,9 +129,11 @@ def test_fair_drain_accumulates_like_the_scan():
         for chunk in range(60)
     ]
 
-    def estimate(task: ChunkTask) -> float:
-        return 0.1 if task.query < 2 else 1 / 30
+    costs = {(t.chip, t.plan): 0.1 if t.query < 2 else 1 / 30 for t in tasks}
 
-    assert schedule_window(
+    def estimate(task: ChunkTask) -> float:
+        return costs[(task.chip, task.plan)]
+
+    assert _scheduled(
         tasks, estimate, policy="edf", info=info
     ) == reference.schedule_window(tasks, estimate, policy="edf", info=info)

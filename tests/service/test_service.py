@@ -17,8 +17,9 @@ from repro.service import (
     VirtualClock,
     schedule_window,
 )
+from reference_data_plane import columns, drain, tasks_of
 from repro.ssd.controller import SmallSsd
-from repro.ssd.query_engine import ChunkTask
+from repro.ssd.query_engine import TaskColumns
 
 GEOMETRY = ChipGeometry(
     planes_per_die=1,
@@ -138,6 +139,13 @@ class TestAdmission:
                 AdmissionQueue(window_us=bad)
         with pytest.raises(ValueError):
             AdmissionQueue(window_us=10.0, max_queries=0)
+        # A fractional cap never equals a cell's length (it used to
+        # close no window early), and ``True`` used to act as 1.
+        for bad in (2.5, True, False, "2"):
+            with pytest.raises(ValueError, match="max_queries"):
+                AdmissionQueue(window_us=10.0, max_queries=bad)
+        AdmissionQueue(window_us=10.0, max_queries=2)
+        AdmissionQueue(window_us=10.0, max_queries=None)
 
     def test_the_grid_is_the_only_mode(self):
         parameters = inspect.signature(AdmissionQueue.__init__).parameters
@@ -151,8 +159,15 @@ class TestScheduler:
     def _tasks(self, ssd, exprs):
         tasks = []
         for i, expr in enumerate(exprs):
-            tasks.extend(ssd.engine.prepare(expr).tasks(query=i))
+            tasks.extend(tasks_of(ssd.engine.prepare(expr), i))
         return tasks
+
+    def _order(self, tasks, estimate, **kwargs):
+        """The schedule of a task list, its positions mapped back."""
+        return [
+            tasks[position]
+            for position in schedule_window(columns(tasks), estimate, **kwargs)
+        ]
 
     def test_fifo_preserves_order(self):
         ssd, _ = make_ssd()
@@ -160,16 +175,18 @@ class TestScheduler:
             ssd,
             [And(Operand("a"), Operand("b")), And(Operand("c"), Operand("d"))],
         )
-        est = lambda t: 1.0
-        assert schedule_window(tasks, est, policy="fifo") == tasks
+        est = lambda chip, plan: 1.0
+        assert schedule_window(columns(tasks), est, policy="fifo") == list(
+            range(len(tasks))
+        )
 
     def test_balanced_keeps_share_groups_adjacent(self):
         ssd, _ = make_ssd()
         expr = And(Operand("a"), Operand("b"))
         other = And(Operand("c"), Operand("d"))
         tasks = self._tasks(ssd, [expr, other, expr])
-        est = lambda t: 1.0
-        ordered = schedule_window(tasks, est, policy="balanced")
+        est = lambda chip, plan: 1.0
+        ordered = self._order(tasks, est, policy="balanced")
         assert sorted(
             (t.query, t.chunk) for t in ordered
         ) == sorted((t.query, t.chunk) for t in tasks)
@@ -178,21 +195,22 @@ class TestScheduler:
         seen_done = set()
         previous = None
         for task in ordered:
-            key = task.share_key
+            key = (task.chip, task.plan)
             if key != previous:
                 assert key not in seen_done, "share group was split"
                 if previous is not None:
                     seen_done.add(previous)
                 previous = key
-        assert len({t.share_key for t in tasks}) < len(tasks)
+        assert len({(t.chip, t.plan) for t in tasks}) < len(tasks)
 
     def test_balanced_orders_long_senses_first(self):
         ssd, _ = make_ssd()
         light = And(Operand("a"), Operand("b"))
         heavy = And(Operand("c"), Operand("d"))
         tasks = self._tasks(ssd, [light, heavy])
-        est = lambda t: 9.0 if t.query == 1 else 1.0
-        ordered = schedule_window(tasks, est, policy="balanced")
+        heavy_keys = {(t.chip, t.plan) for t in tasks if t.query == 1}
+        est = lambda chip, plan: 9.0 if (chip, plan) in heavy_keys else 1.0
+        ordered = self._order(tasks, est, policy="balanced")
         per_chip_first = {}
         for task in ordered:
             per_chip_first.setdefault(task.chip, task.query)
@@ -200,17 +218,20 @@ class TestScheduler:
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="policy"):
-            schedule_window([], lambda t: 1.0, policy="lifo")
+            schedule_window(
+                TaskColumns(), lambda chip, plan: 1.0, policy="lifo"
+            )
 
 
 class TestEngineSharing:
+    def _tasks(self, ssd, expr):
+        prepared = ssd.engine.prepare(expr)
+        return tasks_of(prepared, 0) + tasks_of(prepared, 1)
+
     def test_identical_queries_share_senses(self):
         ssd, env = make_ssd()
-        expr = And(Operand("a"), Operand("b"))
-        tasks = ssd.engine.prepare(expr).tasks(query=0) + ssd.engine.prepare(
-            expr
-        ).tasks(query=1)
-        outcomes = ssd.engine.execute_tasks(tasks, share=True)
+        tasks = self._tasks(ssd, And(Operand("a"), Operand("b")))
+        outcomes = drain(ssd.engine, tasks, share=True)
         shared = [o for o in outcomes if o.shared]
         executed = [o for o in outcomes if not o.shared]
         assert len(shared) == len(executed) == len(tasks) // 2
@@ -222,33 +243,26 @@ class TestEngineSharing:
 
     def test_share_false_executes_everything(self):
         ssd, env = make_ssd()
-        expr = And(Operand("a"), Operand("b"))
-        tasks = ssd.engine.prepare(expr).tasks(query=0) + ssd.engine.prepare(
-            expr
-        ).tasks(query=1)
-        outcomes = ssd.engine.execute_tasks(tasks, share=False)
+        tasks = self._tasks(ssd, And(Operand("a"), Operand("b")))
+        outcomes = drain(ssd.engine, tasks, share=False)
         assert all(not o.shared for o in outcomes)
         assert all(o.n_senses > 0 for o in outcomes)
 
     def test_same_task_object_twice_keeps_both_outcomes(self):
         """Positional outcome mapping: repeating the very same task
-        object yields one executed and one shared outcome, keeping the
+        yields one executed and one shared outcome, keeping the
         executed sense in the totals."""
         ssd, _ = make_ssd()
-        expr = And(Operand("a"), Operand("b"))
-        task = ssd.engine.prepare(expr).tasks(query=0)[0]
-        outcomes = ssd.engine.execute_tasks([task, task], share=True)
+        task = self._tasks(ssd, And(Operand("a"), Operand("b")))[0]
+        outcomes = drain(ssd.engine, [task, task], share=True)
         assert [o.shared for o in outcomes] == [False, True]
         assert outcomes[0].n_senses > 0
         assert outcomes[1].n_senses == 0
 
     def test_shared_results_are_identical_data(self):
         ssd, env = make_ssd()
-        expr = And(Operand("a"), Operand("b"))
-        tasks = ssd.engine.prepare(expr).tasks(query=0) + ssd.engine.prepare(
-            expr
-        ).tasks(query=1)
-        outcomes = ssd.engine.execute_tasks(tasks, share=True)
+        tasks = self._tasks(ssd, And(Operand("a"), Operand("b")))
+        outcomes = drain(ssd.engine, tasks, share=True)
         by_query = {}
         for o in outcomes:
             by_query.setdefault(o.task.query, {})[o.task.chunk] = o.data

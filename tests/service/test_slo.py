@@ -11,6 +11,7 @@ from repro.service import (
     Submission,
     schedule_window,
 )
+from reference_data_plane import columns, tasks_of
 from repro.ssd.controller import SmallSsd
 
 GEOMETRY = ChipGeometry(
@@ -65,15 +66,38 @@ class TestSubmissionValidation:
             self._submit(submitted_us=10.0, deadline_us=float("nan"))
 
     def test_query_info_weight_positive(self):
-        with pytest.raises(ValueError, match="weight"):
-            QueryInfo(weight=0.0)
+        for bad in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="weight"):
+                QueryInfo(weight=bad)
+
+    def test_tenant_weights_checked_at_construction(self):
+        """A tenant weight that is not finite and positive is refused
+        when the service is built, naming the client -- not by the
+        first window that admits the client, and NaN / inf not only
+        then: they used to be served, NaN in an arbitrary drain
+        order."""
+        ssd, _ = make_ssd()
+        for bad in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="'t'"):
+                ssd.service(policy="edf", tenant_weights={"t": bad})
+        ssd.service(policy="edf", tenant_weights={"t": 0.5})
+
+
+def _order(tasks, **kwargs):
+    """The schedule of a task list at unit cost, positions mapped back."""
+    return [
+        tasks[position]
+        for position in schedule_window(
+            columns(tasks), lambda chip, plan: 1.0, **kwargs
+        )
+    ]
 
 
 class TestEdfSchedule:
     def _tasks(self, ssd, exprs):
         tasks = []
         for i, expr in enumerate(exprs):
-            tasks.extend(ssd.engine.prepare(expr).tasks(query=i))
+            tasks.extend(tasks_of(ssd.engine.prepare(expr), i))
         return tasks
 
     def test_deadline_tasks_jump_the_queue(self):
@@ -85,8 +109,8 @@ class TestEdfSchedule:
             0: QueryInfo(client="scan"),
             1: QueryInfo(client="pt", deadline_us=100.0),
         }
-        ordered = schedule_window(
-            tasks, lambda t: 1.0, policy="edf", info=info
+        ordered = _order(
+            tasks, policy="edf", info=info
         )
         first_per_chip = {}
         for task in ordered:
@@ -108,8 +132,8 @@ class TestEdfSchedule:
         # Distinct plans needed for distinct buckets; queries 0 and 1
         # share a plan here, so their bucket inherits the *earliest*
         # deadline -- both still precede the scan.
-        ordered = schedule_window(
-            tasks, lambda t: 1.0, policy="edf", info=info
+        ordered = _order(
+            tasks, policy="edf", info=info
         )
         last_deadline_pos = max(
             i for i, t in enumerate(ordered) if t.query in (0, 1)
@@ -127,8 +151,8 @@ class TestEdfSchedule:
             0: QueryInfo(deadline_us=500.0, priority=0),
             1: QueryInfo(deadline_us=500.0, priority=5),
         }
-        ordered = schedule_window(
-            tasks, lambda t: 1.0, policy="edf", info=info
+        ordered = _order(
+            tasks, policy="edf", info=info
         )
         first_per_chip = {}
         for task in ordered:
@@ -151,8 +175,8 @@ class TestEdfSchedule:
         for i in range(3):
             info[i] = QueryInfo(client="scan", weight=1.0)
             info[3 + i] = QueryInfo(client="pt", weight=1.0)
-        ordered = schedule_window(
-            tasks, lambda t: 1.0, policy="edf", info=info
+        ordered = _order(
+            tasks, policy="edf", info=info
         )
         # Within each chip's emission, the two tenants alternate --
         # the second tenant's first bucket appears before the first
@@ -170,13 +194,13 @@ class TestEdfSchedule:
     def test_share_groups_stay_adjacent(self):
         ssd, _ = make_ssd()
         tasks = self._tasks(ssd, [point_expr(), scan_expr(), point_expr()])
-        ordered = schedule_window(
-            tasks, lambda t: 1.0, policy="edf", info={}
+        ordered = _order(
+            tasks, policy="edf", info={}
         )
         previous = None
         seen = set()
         for task in ordered:
-            key = task.share_key
+            key = (task.chip, task.plan)
             if key != previous:
                 assert key not in seen, "share group split"
                 if previous is not None:
@@ -186,7 +210,7 @@ class TestEdfSchedule:
     def test_edf_without_info_is_valid_permutation(self):
         ssd, _ = make_ssd()
         tasks = self._tasks(ssd, [point_expr(), scan_expr()])
-        ordered = schedule_window(tasks, lambda t: 1.0, policy="edf")
+        ordered = _order(tasks, policy="edf")
         assert sorted(
             (t.query, t.chunk) for t in ordered
         ) == sorted((t.query, t.chunk) for t in tasks)

@@ -39,6 +39,7 @@ from reference_data_plane import (
     assert_outcomes_equal,
     walk_tasks,
     window_tasks,
+    drain,
 )
 from repro.core.expressions import And, Operand, evaluate
 from repro.flash.faults import RecoveryPolicy
@@ -92,7 +93,7 @@ def test_batch_window_matches_scalar_loop_and_oracle(seed, vth):
             degraded=range(s["n_chips"]),
             recovery=RecoveryPolicy(degraded_extra_senses=0),
         )
-    batch_out = batch_ssd.engine.execute_tasks(batch_tasks, **route)
+    batch_out = drain(batch_ssd.engine, batch_tasks, **route)
     loop_out = walk_tasks(
         loop_ssd.engine, window_tasks(loop_ssd, s["window"]), **route
     )
@@ -124,7 +125,7 @@ def test_batch_dispatches_collapse_to_chip_count(seed):
     tasks = window_tasks(ssd, s["window"])
     chips_touched = len({t.chip for t in tasks})
     before = ssd.engine.stats.executor_dispatches
-    ssd.engine.execute_tasks(tasks, share=True)
+    drain(ssd.engine, tasks, share=True)
     assert (
         ssd.engine.stats.executor_dispatches - before == chips_touched
     )
@@ -140,7 +141,7 @@ def test_shared_subscribers_reference_executed_data():
     )
     expr = And(Operand("a0"), Operand("a1"))
     tasks = window_tasks(ssd, [expr, expr, expr])
-    outcomes = ssd.engine.execute_tasks(tasks, share=True)
+    outcomes = drain(ssd.engine, tasks, share=True)
     executed = [o for o in outcomes if not o.shared]
     shared = [o for o in outcomes if o.shared]
     assert executed and shared
@@ -148,7 +149,9 @@ def test_shared_subscribers_reference_executed_data():
     for o in shared:
         assert o.n_senses == 0 and o.latency_us == 0.0
         twin = next(
-            e for e in executed if e.task.share_key == o.task.share_key
+            e
+            for e in executed
+            if (e.task.chip, e.task.plan) == (o.task.chip, o.task.plan)
         )
         assert o.data is twin.data
 

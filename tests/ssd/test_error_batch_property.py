@@ -33,6 +33,7 @@ from reference_data_plane import (
     twin_ssd,
     walk_tasks,
     window_tasks,
+    drain,
 )
 from repro.core.expressions import And, Not, Operand, Xor, and_all, or_all
 from repro.flash.array import BlockArray
@@ -108,7 +109,8 @@ def test_error_window_batch_matches_per_sense_loop(seed):
     )
     batch_ssd, _ = build()
     loop_ssd, _ = build()
-    batch_out = batch_ssd.engine.execute_tasks(
+    batch_out = drain(
+        batch_ssd.engine,
         window_tasks(batch_ssd, s["window"]), share=s["share"]
     )
     loop_out = walk_tasks(
@@ -134,7 +136,7 @@ def test_error_batch_collapses_dispatches(seed):
     tasks = window_tasks(ssd, s["window"])
     chips_touched = len({t.chip for t in tasks})
     before = ssd.engine.stats.executor_dispatches
-    ssd.engine.execute_tasks(tasks, share=True)
+    drain(ssd.engine, tasks, share=True)
     assert ssd.engine.stats.executor_dispatches - before == chips_touched
 
 
@@ -163,7 +165,8 @@ def test_recovery_window_unaffected_by_batch_flag(seed):
         fault_injector=make_injector(),
     )
     policy = RecoveryPolicy()
-    batch_out = batch_ssd.engine.execute_tasks(
+    batch_out = drain(
+        batch_ssd.engine,
         window_tasks(batch_ssd, s["window"]),
         share=s["share"],
         recovery=policy,
@@ -202,7 +205,8 @@ def test_degraded_chips_ride_the_batch_plane(seed):
         )
     del rng
     policy = RecoveryPolicy(degraded_extra_senses=2)
-    batch_out = batch_ssd.engine.execute_tasks(
+    batch_out = drain(
+        batch_ssd.engine,
         window_tasks(batch_ssd, s["window"]),
         share=s["share"],
         degraded=[0, 1],
@@ -261,7 +265,8 @@ def test_degraded_bad_block_falls_back_to_per_plan_faults():
     kwargs = dict(
         share=True, degraded=[0, 1], recovery=RecoveryPolicy()
     )
-    batch_out = batch_ssd.engine.execute_tasks(
+    batch_out = drain(
+        batch_ssd.engine,
         window_tasks(batch_ssd, s["window"]), **kwargs
     )
     loop_out = walk_tasks(

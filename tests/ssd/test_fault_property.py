@@ -21,7 +21,13 @@ The contract under test (see :mod:`repro.flash.faults`):
 import numpy as np
 import pytest
 
-from reference_data_plane import GEOMETRY, assembled, twin_ssd, window_tasks
+from reference_data_plane import (
+    GEOMETRY,
+    assembled,
+    twin_ssd,
+    window_tasks,
+    drain,
+)
 from repro.core.expressions import And, Not, Operand, Xor, evaluate, or_all
 from repro.flash.errors import (
     BadBlockFault,
@@ -85,7 +91,7 @@ def _window_outcomes(ssd, window, *, reverse_chips=False, **kwargs):
     order = list(range(len(tasks)))
     if reverse_chips:
         order.sort(key=lambda i: -tasks[i].chip)
-    drained = ssd.engine.execute_tasks([tasks[i] for i in order], **kwargs)
+    drained = drain(ssd.engine, [tasks[i] for i in order], **kwargs)
     outcomes = [None] * len(tasks)
     for position, outcome in zip(order, drained):
         outcomes[position] = outcome
@@ -97,7 +103,6 @@ def _assert_outcomes_identical(lhs, rhs):
     for a, b in zip(lhs, rhs):
         assert a.task == b.task
         assert a.shared == b.shared
-        assert a.cached == b.cached
         assert a.n_senses == b.n_senses
         assert a.latency_us == b.latency_us
         assert a.energy_nj == b.energy_nj

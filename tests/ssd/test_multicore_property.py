@@ -9,7 +9,7 @@ a window it did not finish.
 import numpy as np
 import pytest
 
-from reference_data_plane import GEOMETRY
+from reference_data_plane import GEOMETRY, drain, tasks_of
 from repro.core.expressions import And, Operand
 from repro.ssd.controller import SmallSsd
 
@@ -22,7 +22,7 @@ def _window_tasks(n_chips=3):
         bits = rng.integers(0, 2, n_bits, dtype=np.uint8)
         ssd.write_vector(name, bits, group="g")
     prepared = ssd.engine.prepare(And(Operand("a0"), Operand("a1")))
-    return ssd, prepared.tasks(query=0)
+    return ssd, tasks_of(prepared, 0)
 
 
 def test_worker_exception_propagates():
@@ -31,6 +31,6 @@ def test_worker_exception_propagates():
     ssd, tasks = _window_tasks()
     bad = tasks[0]._replace(chip=len(ssd.chips) + 5)
     with pytest.raises(IndexError):
-        ssd.engine.execute_tasks([bad] + tasks[1:])
+        drain(ssd.engine, [bad] + tasks[1:])
     with pytest.raises(IndexError):
-        ssd.engine.execute_tasks(tasks[1:] + [bad])
+        drain(ssd.engine, tasks[1:] + [bad])

@@ -18,7 +18,13 @@ import inspect
 import numpy as np
 import pytest
 
-from reference_data_plane import GEOMETRY, assembled, vth_query, window_tasks
+from reference_data_plane import (
+    GEOMETRY,
+    assembled,
+    vth_query,
+    window_tasks,
+    drain,
+)
 from repro.core.expressions import (
     And,
     Not,
@@ -130,7 +136,8 @@ def test_packed_batch_matches_uint8_path(seed):
         np.testing.assert_array_equal(result.bits, expected)
     # The same stream on the V_TH plane: every chip on margin reads.
     window = [expr, expr]
-    outcomes = plain_ssd.engine.execute_tasks(
+    outcomes = drain(
+        plain_ssd.engine,
         window_tasks(plain_ssd, window), degraded=range(len(plain_ssd.chips))
     )
     assert all(outcome.degraded for outcome in outcomes)

@@ -272,10 +272,14 @@ class TestPrepare:
         assert not repeat.planned
         assert repeat.template_hit
         assert repeat.n_chunks == 2
-        # The prepared tasks cover every chunk exactly once.
-        tasks = repeat.tasks(query=7)
-        assert sorted(t.chunk for t in tasks) == [0, 1]
-        assert all(t.query == 7 for t in tasks)
+        # The prepared columns cover every chunk exactly once, chip
+        # by chip, and a repeat is handed the memo's entry itself.
+        assert sorted(repeat.chunks) == [0, 1]
+        assert list(repeat.chips) == sorted(repeat.chips)
+        assert [ssd.ftl.chip_of_chunk(c) for c in repeat.chunks] == list(
+            repeat.chips
+        )
+        assert ssd.engine.prepare(e1) is repeat
 
 
 class TestEngineValidation:

@@ -30,6 +30,7 @@ from reference_data_plane import (
     route,
     walk_tasks,
     window_tasks,
+    drain,
 )
 from repro.core.expressions import And, Not, Operand, Xor, or_all
 from repro.flash.errors import FlashFault, RetryExhaustedError
@@ -159,7 +160,8 @@ def run_both(s):
     )
     all_batched = []
     for index, window in enumerate(s["windows"]):
-        out_b = batched.engine.execute_tasks(
+        out_b = drain(
+            batched.engine,
             window_tasks(batched, window), **kwargs
         )
         out_s = walk_tasks(
@@ -257,7 +259,8 @@ def test_bad_block_probe_on_a_degraded_chip_counts_no_fault():
             _fixed(n_chips=1, n_chunks=1, sense_fault_rate=0.01, bad_chunk=0)
         )
         with route(batch):
-            outcomes = ssd.engine.execute_tasks(
+            outcomes = drain(
+                ssd.engine,
                 window_tasks(ssd, [_A[1]]), degraded=(0,)
             )
         assert outcomes[0].error is not None

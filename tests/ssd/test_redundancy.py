@@ -13,7 +13,7 @@ NumPy oracle, while a parity-off SSD keeps its typed failure.
 import numpy as np
 import pytest
 
-from reference_data_plane import query_result
+from reference_data_plane import drain, query_result, tasks_of
 from repro.core.expressions import And, Operand, evaluate
 from repro.flash.errors import ChipUnavailableError, ReconstructionError
 from repro.flash.geometry import ChipGeometry
@@ -168,8 +168,9 @@ def test_execute_tasks_reconstructs_lost_chip_results():
     victim = ssd.ftl.chip_of_chunk(0)
     ssd.kill_chip(victim)
     prepared = ssd.engine.prepare(expr)
-    outcomes = ssd.engine.execute_tasks(
-        prepared.tasks(query=0), reconstruct=True
+    outcomes = drain(
+        ssd.engine,
+        tasks_of(prepared, 0), reconstruct=True
     )
     pieces = [None] * prepared.n_chunks
     rebuilt = 0
@@ -197,8 +198,9 @@ def test_execute_tasks_without_parity_keeps_typed_failure():
     expr = And(Operand("a"), Operand("b"))
     ssd.kill_chip(ssd.ftl.chip_of_chunk(0))
     prepared = ssd.engine.prepare(expr)
-    outcomes = ssd.engine.execute_tasks(
-        prepared.tasks(query=0), reconstruct=True
+    outcomes = drain(
+        ssd.engine,
+        tasks_of(prepared, 0), reconstruct=True
     )
     errors = [o.error for o in outcomes if o.error is not None]
     assert errors

@@ -40,6 +40,7 @@ from reference_data_plane import (
     assert_outcomes_equal,
     walk_tasks,
     window_tasks,
+    drain,
 )
 from repro.flash.faults import FaultConfig, FaultInjector
 from repro.flash.geometry import BlockAddress
@@ -73,7 +74,7 @@ def _scenario(seed):
 
 
 def _drain(ssd, window):
-    return ssd.engine.execute_tasks(window_tasks(ssd, window))
+    return drain(ssd.engine, window_tasks(ssd, window))
 
 
 @pytest.mark.parametrize("seed", range(8))

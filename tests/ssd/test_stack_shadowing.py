@@ -16,7 +16,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_data_plane import GEOMETRY, assert_chips_equal
+from reference_data_plane import (
+    GEOMETRY,
+    assert_chips_equal,
+    Hit,
+    drain,
+    tasks_of,
+)
 from repro.core.api import AllocationError
 from repro.core.expressions import And, Not, Operand, Xor, and_all, or_all
 from repro.flash.faults import FaultConfig, FaultInjector
@@ -49,7 +55,7 @@ def _build(seed: int) -> SmallSsd:
 def _tasks(ssd, window):
     tasks = []
     for query, index in enumerate(window):
-        tasks.extend(ssd.engine.prepare(POOL[index]).tasks(query=query))
+        tasks.extend(tasks_of(ssd.engine.prepare(POOL[index]), query))
     return tasks
 
 
@@ -138,8 +144,9 @@ def test_every_stack_hit_is_a_result_cache_hit_first(seed, ops):
             continue
         del hits[:]
         tasks_s = _tasks(stacked, op[1])
-        out_s = stacked.engine.execute_tasks(tasks_s, use_cache=False)
-        out_c = cached.engine.execute_tasks(
+        out_s = drain(stacked.engine, tasks_s, use_cache=False)
+        out_c = drain(
+            cached.engine,
             _tasks(cached, op[1]), use_cache=True
         )
         reused = set(hits)
@@ -150,7 +157,7 @@ def test_every_stack_hit_is_a_result_cache_hit_first(seed, ops):
             )
             np.testing.assert_array_equal(s.data, c.data)
             if (s.task.chip, s.task.plan) in reused:
-                assert c.cached, (serial, s.task.chip, s.task.plan)
+                assert isinstance(c, Hit), (serial, s.task.chip, s.task.plan)
     assert cached.engine.stack_cache.stats.hits == 0
     assert cached.engine.stack_cache.stats.misses == 0
 
@@ -164,12 +171,13 @@ def test_repeated_window_does_hit_both_ways():
     window = [0, 1, 4]
     for _ in range(2):
         del hits[:]
-        stacked.engine.execute_tasks(_tasks(stacked, window))
-        out = cached.engine.execute_tasks(
+        drain(stacked.engine, _tasks(stacked, window))
+        out = drain(
+            cached.engine,
             _tasks(cached, window), use_cache=True
         )
     assert hits
-    assert all(outcome.cached for outcome in out)
+    assert all(isinstance(outcome, Hit) for outcome in out)
     assert stacked.engine.stats.stack_reuse_hits == len(hits)
 
 
@@ -214,8 +222,8 @@ def test_uncached_service_still_reuses_stacks_invisibly():
     # One all-miss window first (``execute_batch_reuse`` hands the
     # sensed matrix to the latch replay as it stands) ...
     window = [0, 2, 3, 5]
-    out = ssd.engine.execute_tasks(_tasks(ssd, window))
-    out_twin = twin.engine.execute_tasks(_tasks(twin, window))
+    out = drain(ssd.engine, _tasks(ssd, window))
+    out_twin = drain(twin.engine, _tasks(twin, window))
     assert ssd.engine.stack_cache.stats.hits == 0
     assert ssd.engine.stack_cache.stats.misses > 0
     for a, b in zip(out, out_twin):

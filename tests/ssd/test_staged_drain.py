@@ -34,6 +34,8 @@ from reference_data_plane import (
     assert_outcomes_equal,
     route,
     window_tasks,
+    Hit,
+    drain,
 )
 from repro.core.expressions import And, Not, Operand, Xor, evaluate, or_all
 from repro.flash.errors import BadBlockFault, ChipUnavailableError
@@ -145,10 +147,12 @@ def test_fault_free_drain_is_the_recovery_drain_with_a_clean_schedule(s):
     )
     for window in s["windows"]:
         with route(s["batch"]):
-            mine = armed.engine.execute_tasks(
+            mine = drain(
+                armed.engine,
                 window_tasks(armed, window), **kwargs
             )
-            theirs = plain.engine.execute_tasks(
+            theirs = drain(
+                plain.engine,
                 window_tasks(plain, window), **kwargs
             )
         assert_outcomes_equal(mine, theirs)
@@ -209,7 +213,8 @@ def test_sense_stage_error_propagates_and_spares_the_other_chips(
     # ``tasks`` come chip by chip, so the victim's drain is the last to
     # start: every other chip has published.
     with pytest.raises(error_type), route(batch):
-        broken.engine.execute_tasks(
+        drain(
+            broken.engine,
             window_tasks(broken, window), use_cache=True
         )
     # A twin that was only ever asked for the other chips' tasks.
@@ -218,16 +223,17 @@ def test_sense_stage_error_propagates_and_spares_the_other_chips(
         _break_last_chip(twin, cause)
     spared = [t for t in window_tasks(twin, window) if t.chip != victim]
     with route(batch):
-        served = twin.engine.execute_tasks(spared, use_cache=True)
+        served = drain(twin.engine, spared, use_cache=True)
     assert broken.engine.stats == twin.engine.stats
     assert_cache_entries_equal(broken, twin)
     # What the spared chips published is valid: a repeat of their
     # tasks is served from the cache, with the oracle's bits.
-    again = broken.engine.execute_tasks(
+    again = drain(
+        broken.engine,
         [t for t in window_tasks(broken, window) if t.chip != victim],
         use_cache=True,
     )
-    assert all(outcome.cached for outcome in again)
+    assert all(isinstance(outcome, Hit) for outcome in again)
     page = GEOMETRY.page_size_bits
     for outcome, reference in zip(again, served):
         np.testing.assert_array_equal(outcome.data, reference.data)
@@ -260,7 +266,8 @@ def test_degraded_chip_walks_the_callers_margin_ladder(
     }[injector]
     ssd, _ = _build(2, 2, seed=3, injector=attached)
     with route(batch):
-        outcomes = ssd.engine.execute_tasks(
+        outcomes = drain(
+            ssd.engine,
             window_tasks(ssd, [POOL[0]]),
             recovery=RecoveryPolicy(degraded_extra_senses=extra),
             degraded=(1,),
@@ -276,7 +283,8 @@ def test_degraded_chip_walks_the_callers_margin_ladder(
 
 def test_degraded_chip_without_a_policy_walks_the_default_ladder():
     ssd, _ = _build(2, 2, seed=3)
-    healthy, degraded = ssd.engine.execute_tasks(
+    healthy, degraded = drain(
+        ssd.engine,
         window_tasks(ssd, [POOL[0]]), degraded=(1,)
     )
     default = RecoveryPolicy().degraded_extra_senses
@@ -291,7 +299,8 @@ def test_degraded_chip_without_a_policy_walks_the_default_ladder():
 def test_fail_fast_names_a_dead_die_offline_and_a_parked_one_quarantined():
     ssd, _ = _build(3, 3, seed=2)
     ssd.kill_chip(1)
-    outcomes = ssd.engine.execute_tasks(
+    outcomes = drain(
+        ssd.engine,
         window_tasks(ssd, [POOL[0]]), offline=(1, 2)
     )
     by_chip = {outcome.task.chip: outcome for outcome in outcomes}
