@@ -15,11 +15,13 @@ import numpy as np
 from repro.core.api import FlashCosmos
 from repro.core.expressions import Operand, and_all
 from repro.core.parabit import ParaBit
+from repro.core.planner import PlanTemplate
 from repro.ecc.bch import BchCode
 from repro.flash.chip import NandFlashChip
 from repro.flash.geometry import ChipGeometry
 from repro.flash.randomizer import LfsrRandomizer
 from repro.ssd.config import fig7_config
+from repro.ssd.controller import SmallSsd
 from repro.ssd.events import StageJob, StageSweep, simulate_stages
 from repro.ssd.pipeline import DataflowSpec, PipelineModel, Platform
 
@@ -143,3 +145,39 @@ def test_kernel_stage_sweep_streamed(benchmark):
     assert completion == whole.completion_times
     assert report.resource_busy == whole.resource_busy
     assert report.makespan == whole.makespan
+
+
+def test_kernel_prepare_striped(benchmark, monkeypatch):
+    """``QueryEngine.prepare`` of a fresh 8-chunk, 4-operand AND on 8
+    chips (the bound-plan memo emptied before every round, the
+    template cached): the FTL stripes the vectors at one place on
+    every chip, so the 8 chunks bind once and share one plan."""
+    ssd = SmallSsd(n_chips=8, geometry=GEOMETRY, seed=5)
+    rng = np.random.default_rng(5)
+    names = ["a", "b", "c", "d"]
+    for name in names:
+        bits = rng.integers(0, 2, 8 * GEOMETRY.page_size_bits, dtype=np.uint8)
+        ssd.write_vector(name, bits, group="g")
+    expr = and_all([Operand(name) for name in names])
+    engine = ssd.engine
+    engine.prepare(expr)  # plans the template
+    binds = []
+    bind = PlanTemplate.bind
+
+    def counting(template, directory):
+        binds.append(directory)
+        return bind(template, directory)
+
+    monkeypatch.setattr(PlanTemplate, "bind", counting)
+
+    def fresh():
+        engine._bound.clear()
+        binds.clear()
+        return (expr,), {}
+
+    prepared = benchmark.pedantic(
+        engine.prepare, setup=fresh, rounds=300, warmup_rounds=10
+    )
+    assert len(prepared.plans) == 8 and len(binds) == 1
+    assert len({id(plan) for plan in prepared.plans}) == 1
+    assert not prepared.planned

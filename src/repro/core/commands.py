@@ -70,13 +70,13 @@ class MwsCommand:
     targets: tuple[tuple[BlockAddress, tuple[int, ...]], ...]
     #: Memo slots, not part of the command's value.  ``_hash``: the
     #: recursive hash (plans are dict keys, and their hash covers
-    #: every command).  ``_resolved``: where the executing chip found
+    #: every command).  ``_resolved``: chip -> where that chip found
     #: this command's operand rows, see
     #: :meth:`~repro.flash.chip.NandFlashChip.execute_sense_batch`.
     _hash: int | None = field(
         default=None, init=False, repr=False, compare=False
     )
-    _resolved: tuple | None = field(
+    _resolved: dict | None = field(
         default=None, init=False, repr=False, compare=False
     )
 

@@ -139,16 +139,22 @@ def evaluate(
 
 
 def operand_names(expr: Expression) -> frozenset[str]:
-    """All operand names referenced by an expression."""
-    if isinstance(expr, Operand):
-        return frozenset({expr.name})
-    if isinstance(expr, Not):
-        return operand_names(expr.expr)
-    if isinstance(expr, (And, Or)):
-        return frozenset().union(*(operand_names(t) for t in expr.terms))
-    if isinstance(expr, Xor):
-        return operand_names(expr.left) | operand_names(expr.right)
-    raise TypeError(f"unknown expression node {type(expr).__name__}")
+    """All operand names referenced by an expression (one walk)."""
+    names: set[str] = set()
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Operand):
+            names.add(node.name)
+        elif isinstance(node, (And, Or)):
+            stack += node.terms
+        elif isinstance(node, Not):
+            stack.append(node.expr)
+        elif isinstance(node, Xor):
+            stack += (node.left, node.right)
+        else:
+            raise TypeError(f"unknown expression node {type(node).__name__}")
+    return frozenset(names)
 
 
 # ----------------------------------------------------------------------

@@ -455,7 +455,7 @@ class MwsExecutor:
                 reads = tuple(
                     (block, len(block_rows))
                     for command in infos[index][3]
-                    for block, block_rows in command._resolved[1]
+                    for block, block_rows in command._resolved[chip][1]
                 )
                 plan_rows[index] = rows
                 store(plans[index], rows, reads)
@@ -630,20 +630,16 @@ class MwsExecutor:
         """Latency of a plan from the physically derived tMWS model,
         without executing it.
 
-        Memoized on the plan object: plans are frozen value objects
-        the engine's bound-plan cache reuses across windows, and the
-        service scheduler estimates every window's buckets from this
-        -- the model walk runs once per plan, not once per window.
-        The memo is keyed on this executor's ``timing`` instance, so
-        swapping in a differently parameterized ``TimingModel`` (or
-        estimating one plan through two executors) recomputes instead
-        of serving a stale value; bound plans belong to one chip, so
-        in the steady state the key never changes.
-        """
+        Memoized on the plan object as ``(timing parameters, us)``
+        pairs: the scheduler estimates every window's buckets from
+        this, and a plan shared by chips placed alike walks the model
+        once for all chips whose (frozen) parameters are equal."""
         timing = self.timing
-        cached = plan.__dict__.get("_est_latency_us")
-        if cached is not None and cached[0] is timing:
-            return cached[1]
+        params = timing.params
+        memo = plan.__dict__.get("_est_latency_us", ())
+        for key, cached in memo:
+            if key is params or key == params:
+                return cached
         # A fresh plan: one walk of its steps serves this estimate and
         # the batched drain that follows (``_batch_info``), and each
         # sense shape's tMWS is modelled once per timing instance.
@@ -661,5 +657,5 @@ class MwsExecutor:
             if us is None:
                 us = t_mws_us[shape] = timing.t_mws_us(*shape)
             total += us
-        object.__setattr__(plan, "_est_latency_us", (timing, total))
+        plan.__dict__["_est_latency_us"] = (*memo, (params, total))
         return total

@@ -40,6 +40,7 @@ the same move: translate once, execute across the bulk dimension).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
 
@@ -74,6 +75,13 @@ class StoredOperand:
     address: WordlineAddress
     inverted: bool = False
     esp_extra: float = 0.9
+
+    @cached_property
+    def placement(self) -> tuple[int, int, int, int, bool]:
+        """All that :meth:`PlanTemplate.bind` reads of this operand,
+        as a cheap dict key."""
+        a = self.address
+        return (a.plane, a.block, a.subblock, a.wordline, self.inverted)
 
 
 class OperandDirectory:
@@ -321,7 +329,7 @@ class PlanTemplate:
         """
         lookup = getattr(directory, "lookup", directory)
         # Resolve every operand exactly once (binding runs once per
-        # chunk of an SSD query -- hot path).
+        # chunk layout of an SSD query -- hot path).
         addresses: dict[str, WordlineAddress] = {}
         for name, inverted in self.inversions:
             operand = lookup(name)

@@ -144,21 +144,19 @@ class NandFlashChip:
         #: offline chip never serves again.
         self.offline = False
         #: Validity token of the batched path's per-command resolution
-        #: memo.  :meth:`execute_sense_batch` pins ``(token, per-block
-        #: (block, row indices) sources, group-size profile, per-block
-        #: layout versions)`` on each command it resolves -- commands
-        #: are immutable value objects the engine's bound-plan cache
-        #: reuses across windows and block objects are stable once
-        #: materialized, so resolution (address validation, bad-block
+        #: memo.  :meth:`execute_sense_batch` pins ``chip -> (token,
+        #: per-block (block, row indices) sources, group-size profile,
+        #: per-block layout versions)`` on each command it resolves
+        #: (one plan serves every chip holding its operands at the
+        #: same place), so resolution (address validation, bad-block
         #: and plane checks, block lookup) and the metadata scan run
-        #: once per command object, revalidated only when a target
-        #: block's ``layout_version`` moves (program/erase, the only
-        #: writers of the packed plane).  The memo lives and dies with
-        #: its command, so a plan rebound after a placement change
-        #: leaves nothing behind on the chip; only *where* the rows
-        #: live is kept, and the rows are gathered window by window.
-        #: A memo counts only while it carries this chip's current
-        #: token: attaching a fault injector mints a new one.
+        #: once per command and chip, revalidated only when a target
+        #: block's ``layout_version`` moves (program/erase).  The memo
+        #: dies with its command: a plan rebound after a placement
+        #: change leaves nothing behind on the chip, and rows are
+        #: gathered window by window.  An entry counts only while it
+        #: carries this chip's current token: attaching a fault
+        #: injector mints a new one.
         self._resolve_token = object()
         #: (command tuple, vref_offset, force_vth) -> (prepared V_TH
         #: schedule, (block, layout_version) revalidation pairs) for
@@ -604,7 +602,8 @@ class NandFlashChip:
         sources: list[tuple] = []
         profiles: list[tuple[int, ...]] = []
         for command in commands:
-            cached = command._resolved
+            memo = command._resolved
+            cached = None if memo is None else memo.get(self)
             if cached is not None and cached[0] is token:
                 for (block, _), version in zip(cached[1], cached[3]):
                     if block.layout_version != version:
@@ -621,9 +620,10 @@ class NandFlashChip:
                     profile,
                     tuple(block.layout_version for block, _ in source),
                 )
-                # One store of an immutable tuple into the frozen
-                # command's memo slot.
-                object.__setattr__(command, "_resolved", cached)
+                if memo is None:  # one entry per chip: no thrash
+                    object.__setattr__(command, "_resolved", {self: cached})
+                else:
+                    memo[self] = cached
             _, source, profile, _ = cached
             for (block, _), n_wordlines in zip(source, profile):
                 block.note_read(n_wordlines)

@@ -26,7 +26,7 @@ follow from the model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -56,9 +56,11 @@ class TimingParameters:
 
 @dataclass
 class TimingModel:
-    """Latency calculator for every chip operation."""
+    """Latency calculator for every chip operation.  Models built with
+    the default parameters share one instance of them (plans memoize
+    their latency estimates per parameters, identity first)."""
 
-    params: TimingParameters = field(default_factory=TimingParameters)
+    params: TimingParameters = TimingParameters()
 
     @property
     def t_read_us(self) -> float:

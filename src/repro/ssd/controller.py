@@ -11,7 +11,7 @@ estimates at full scale.
 
 Queries are served by a :class:`~repro.ssd.query_engine.QueryEngine`:
 the expression is planned *once* into a relocatable template, bound
-per chunk against each chip's directory, dispatched through per-chip
+once per distinct chunk layout, dispatched through per-chip
 queues, and the chunk job stream is replayed through the event
 simulator -- so every functional query also reports the pipelined
 makespan (see :mod:`repro.ssd.query_engine`).

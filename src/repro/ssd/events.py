@@ -78,7 +78,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from math import inf
+from math import inf, isfinite
 from typing import Sequence
 
 
@@ -114,12 +114,12 @@ class StageJob:
     never read.
 
     Construction validates everything the sweep relies on (alignment,
-    at least one stage, no negative duration or delay), so the event
-    loop never re-checks per event.  A value object by
-    convention: slotted rather than frozen, because the service builds
-    one per chunk task and a frozen dataclass pays an
-    ``object.__setattr__`` per field -- never mutate one (the service
-    lists one shared instance many times); derive with
+    at least one stage, no negative duration or delay, every time and
+    urgency finite), so the event loop never re-checks per event.  A
+    value object by convention: slotted rather than frozen, because
+    the service builds one per chunk task and a frozen dataclass pays
+    an ``object.__setattr__`` per field -- never mutate one (the
+    service lists one shared instance many times); derive with
     :func:`dataclasses.replace`.
     """
 
@@ -142,6 +142,18 @@ class StageJob:
             raise ValueError("duration must be >= 0")
         if self.fault_delay_s < 0:
             raise ValueError("fault_delay_s must be >= 0")
+        # The sweep loses or mis-orders a job with a NaN or infinity.
+        # One sum checks every field; the loop only names the culprit.
+        if not isfinite(
+            self.ready_at + sum(self.durations) + self.fault_delay_s
+            + self.priority + (self.deadline or 0.0)
+        ):
+            for name in ("ready_at", "durations", "fault_delay_s",
+                         "priority", "deadline"):
+                value = getattr(self, name)
+                total = sum(value) if name == "durations" else value or 0.0
+                if not isfinite(total):
+                    raise ValueError(f"{name} must be finite, not {value!r}")
 
     @property
     def urgency(self) -> tuple[int, float, float]:

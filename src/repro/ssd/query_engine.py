@@ -1,59 +1,45 @@
-"""Plan-template query engine: plan once, bind per chunk, pipeline.
+"""Plan-template query engine: plan once, bind per layout, pipeline.
 
 ``SmallSsd.query`` stripes every operand vector identically, so chunk
 ``c`` of each operand sits at the *same relative layout* on its chip
-as chunk 0 does on chip 0: same string-group co-location, same
-inversion flags, only the physical wordline addresses differ.  The
-engine plans once per query shape and binds per chunk:
+as chunk 0 does on chip 0 -- and, on an undisturbed SSD, at the same
+physical place.  The engine plans once per query shape and binds once
+per distinct chunk layout (``docs/architecture.md`` §2):
 
-1. **Template cache** -- for each (expression, layout signature) pair
-   the engine plans once, against a chunk-0 view of the directory, and
-   lifts the result into a relocatable
-   :class:`~repro.core.planner.PlanTemplate` (an LRU of
+1. **Template cache** -- per (expression, layout signature) the engine
+   plans once, against a chunk-0 view of the directory, into a
+   relocatable :class:`~repro.core.planner.PlanTemplate` (an LRU of
    ``cache_size`` entries).  The signature is the per-vector (group,
-   inversion) tuple from the FTL: two queries share a template only
-   when their operands are placed congruently.
-2. **Bind step** -- each chunk binds the template against a
-   :class:`_ChunkDirectory` view of its chip's operand directory in
-   O(operands); a bind failure (layout drift, e.g. hand-placed
-   operands) falls back to a per-chunk replan.
-3. **Bound-plan cache** -- the bound plans, laid out as per-task
-   columns chip by chip, are LRU-cached per expression against the
-   *layout generation* (FTL plus every directory generation: operand
-   addresses are immutable once registered), so a repeat query is one
-   probe and re-binds nothing until a registration moves it.  Chunk
-   results stay bit-packed (``uint64`` words) into the
-   :class:`~repro.ssd.controller.QueryResult`; only ``bits`` unpacks.
-4. **Event-simulated makespan** -- every executed chunk also becomes a
+   inversion) tuple from the FTL.
+2. **Bind step** -- each chunk is keyed on its operands' placements
+   (:class:`_ChunkDirectory` views of its chip's directory); the first
+   chunk of a key binds the template and the rest share that
+   :class:`~repro.core.planner.Plan` object.  A bind failure (layout
+   drift, e.g. hand-placed operands) replans that chunk alone.
+3. **Bound-plan cache** -- the prepared query (plans as per-task
+   columns, chip by chip) is LRU-cached per expression against the
+   *layout generation* (FTL plus every directory generation), so a
+   repeat is one probe until a registration moves it.
+4. **Event-simulated makespan** -- every executed chunk becomes a
    :class:`~repro.ssd.events.StageJob` (die sense -> channel DMA ->
-   external link) fed through the exact timeline simulator, so the
-   functional result carries the pipelined makespan.
+   external link) of the exact timeline simulator.
 5. **Shared-sense execution** -- :meth:`QueryEngine.execute_tasks`
-   drains a multi-query :class:`TaskColumns` window with cross-query
-   sense sharing: bound plans are identical-by-value (frozen down to
-   the MWS command bytes), so per chip a dict keyed on the plan finds
-   two queries asking for the same sense, which runs once and fans
-   its words out.  The service (:mod:`repro.service`) builds windows
-   and schedules on top of this path.
-6. **Window-at-a-time batched execution** -- each chip's surviving
-   unique queue runs as one
-   :meth:`~repro.core.mws.MwsExecutor.execute_batch` (a few tensor
-   reduces plus a lane-parallel latch replay), so Python dispatch per
-   window is O(chips), not O(senses); a queue with no batched
-   equivalent (:meth:`~repro.core.mws.MwsExecutor.batchable`) walks
-   its plans one by one.  Chips drain one after another on the
-   caller's thread: their concurrency lives in the modelled timeline,
-   and fault draws come from per-chip streams.
+   drains a multi-query :class:`TaskColumns` window; plans are values
+   down to the MWS command bytes, so per chip a dict keyed on the plan
+   runs a sense two queries ask for once and fans its words out.
+6. **Window-at-a-time batched execution** -- each chip's unique queue
+   runs as one :meth:`~repro.core.mws.MwsExecutor.execute_batch` (a
+   queue with no batched equivalent walks its plans one by one);
+   chips drain in turn on the caller's thread, their concurrency
+   lives in the modelled timeline.
 7. **Cross-window result caching** -- an opt-in :class:`ResultCache`
-   memoizes executed plans' words under the same value identity,
-   stamped per chip with its layout generation
-   (``docs/architecture.md`` §3), and is consulted before dedup: a
-   repeat window skips the sensing engine entirely, and a hit builds
-   no record at all.
+   memoizes executed plans' packed words per chip, stamped with its
+   layout generation (``docs/architecture.md`` §3): a hit skips the
+   sensing engine and builds no record at all.
 
-Query cost is ``O(plan + chunks x (bind + sense))``, the plan term
-amortized to zero by the template cache, the bind term by the
-bound-plan cache, and the sense term by sharing and result caching.
+Query cost is ``O(plan + layouts x bind + chunks x sense)``, the plan
+term amortized by the template cache, the bind term by the bound-plan
+cache, and the sense term by sharing and result caching.
 """
 
 from __future__ import annotations
@@ -90,6 +76,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.ssd.controller import QueryResult, SmallSsd
 
 
+def _positive_int(name: str, value: int) -> int:
+    """``value``, checked: a NaN bound never evicts, 2.5 keeps 3."""
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{name} must be an int >= 1, not {value!r}")
+    return value
+
+
 class _ChunkDirectory:
     """Directory view exposing one chunk's placements under the base
     vector names.
@@ -109,7 +102,7 @@ class _ChunkDirectory:
 
     def lookup(self, name: str) -> StoredOperand:
         # One dict probe per literal (planning looks each one up
-        # several times, binding once per chunk).
+        # several times, binding once per chunk layout).
         try:
             return self._operands[name + self._suffix]
         except KeyError:
@@ -348,10 +341,8 @@ class ResultCache:
     """
 
     def __init__(self, ssd: "SmallSsd", *, capacity: int = 4096) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
         self.ssd = ssd
-        self.capacity = capacity
+        self.capacity = _positive_int("capacity", capacity)
         #: (chip, plan) -> (packed words, n_senses).
         self._entries: OrderedDict[
             tuple[int, Plan], tuple[np.ndarray, int]
@@ -562,16 +553,12 @@ class _Window(NamedTuple):
 
 @dataclass(frozen=True)
 class PreparedQuery:
-    """A query planned and bound, ready for (shared) execution.
-
-    ``planned`` is threaded explicitly from the template/bind steps --
-    it is *not* inferred from global planner counters, so preparing
-    many queries back to back (exactly what a service admission window
-    does) attributes cache hits to the right query.
-
-    The bound plans are per-task columns, chip by chip, each chip's
-    in chunk order.
-    """
+    """A query planned and bound, ready for (shared) execution: the
+    bound plans as per-task columns, chip by chip, each chip's in chunk
+    order (chunks placed alike share one plan object).  ``planned`` is
+    threaded from the template/bind steps, not inferred from planner
+    counters, so a window preparing many queries back to back
+    attributes cache hits to the right query."""
 
     expr: Expression
     n_bits: int
@@ -605,10 +592,8 @@ class QueryEngine:
         cache_size: int = 64,
         config: SsdConfig | None = None,
     ) -> None:
-        if cache_size < 1:
-            raise ValueError("cache_size must be >= 1")
         self.ssd = ssd
-        self.cache_size = cache_size
+        self.cache_size = _positive_int("cache_size", cache_size)
         #: Timing/bandwidth parameters for the pipelined makespan; the
         #: functional chips are tiny, so the event simulation scales
         #: their measured sense times with configured bus bandwidths.
@@ -660,12 +645,8 @@ class QueryEngine:
     def _layout_signature(self, names: list[str]) -> tuple:
         """(name, group, inverted) per operand: two queries may share a
         template only when their operands are placed congruently."""
-        lookup = self.ssd.ftl.lookup
-        signature = []
-        for name in names:
-            record = lookup(name)
-            signature.append((name, record.group, record.inverted))
-        return tuple(signature)
+        records = map(self.ssd.ftl.lookup, names)
+        return tuple([(r.name, r.group, r.inverted) for r in records])
 
     def template_for(self, expr: Expression) -> PlanTemplate:
         """Fetch or build the relocatable template for ``expr``."""
@@ -713,6 +694,8 @@ class QueryEngine:
         ``None`` or its own capacity adopts it, and any other capacity
         raises ``ValueError`` -- a sibling's warm entries are never
         resized away."""
+        if capacity is not None:
+            _positive_int("capacity", capacity)
         cache = self.result_cache
         if cache is None:
             cache = ResultCache(
@@ -766,36 +749,43 @@ class QueryEngine:
     def _bind(
         self, expr: Expression, template: PlanTemplate, record
     ) -> tuple[PreparedQuery, bool]:
-        """Bind the template chunk by chunk, replanning a chunk whose
+        """Bind the template once per distinct chunk layout (chunks
+        placed alike share one plan object), replanning a chunk whose
         layout drifted from the template's; returns the prepared query
         a repeat gets (``planned`` off) and whether any replan ran."""
         planned = False
         tasks = []
+        names = template.operand_names
+        layouts: dict[tuple | None, Plan] = {}
         for chunk in range(record.n_chunks):
             chip = self.ssd.ftl.chip_of_chunk(chunk)
             controller = self.ssd.controllers[chip]
-            view = _ChunkDirectory(controller, chunk)
+            # The chunk's view is built only for a bind: the key reads
+            # the directory directly, with no call per chunk.
+            operands = controller.directory.operands
+            suffix = f"@{chunk}"
             try:
-                plan = template.bind(view)
-            except TemplateBindError:
-                planner = Planner(
-                    view, block_limit=controller.planner.block_limit
-                )
-                plan = planner.plan(expr)
-                self._planner_invocations += 1
-                self._bind_fallbacks += 1
-                planned = True
+                layout = tuple([operands[n + suffix].placement for n in names])
+            except KeyError:  # not stored: the bind words the error
+                layout = None
+            plan = layouts.get(layout)
+            if plan is None:
+                view = _ChunkDirectory(controller, chunk)
+                try:
+                    plan = layouts[layout] = template.bind(view)
+                except TemplateBindError:  # replanned, never shared
+                    planner = Planner(
+                        view, block_limit=controller.planner.block_limit
+                    )
+                    plan = planner.plan(expr)
+                    self._planner_invocations += 1
+                    self._bind_fallbacks += 1
+                    planned = True
             tasks.append((chip, chunk, plan))
         tasks.sort(key=itemgetter(0))  # chip by chip, chunk order kept
         chips, chunks, plans = zip(*tasks)
         return PreparedQuery(
-            expr=expr,
-            n_bits=record.n_bits,
-            n_chunks=record.n_chunks,
-            planned=False,
-            chunks=chunks,
-            chips=chips,
-            plans=plans,
+            expr, record.n_bits, record.n_chunks, False, chunks, chips, plans
         ), planned
 
     def prepare(self, expr: Expression) -> PreparedQuery:
@@ -838,7 +828,12 @@ class QueryEngine:
             self._bound[expr] = (generation, key, prepared)
             while len(self._bound) > self.cache_size:
                 self._bound.popitem(last=False)
-        return replace(prepared, planned=True) if planned else prepared
+        if not planned:
+            return prepared
+        p = prepared  # the memo keeps the unplanned copy a repeat gets
+        return PreparedQuery(
+            expr, p.n_bits, p.n_chunks, True, p.chunks, p.chips, p.plans
+        )
 
     def _stage_constants(self, chip: int) -> tuple[float, float, tuple]:
         """Per-chip static parts of a chunk's pipeline job (transfer

@@ -259,9 +259,22 @@ class TestResultCacheUnit:
             outcomes[0].data[0] = 0
 
     def test_capacity_validated(self):
+        """Only an int >= 1 bounds the cache: under NaN it never
+        evicts, 2.5 acts as 3 and ``True`` as 1.  A live cache refuses
+        them too, before comparing capacities."""
         ssd, _ = make_ssd()
-        with pytest.raises(ValueError):
-            ResultCache(ssd, capacity=0)
+        bad = [0, -1, float("nan"), float("inf"), 2.5, 2.0, True, "2"]
+        for capacity in bad:
+            with pytest.raises(ValueError, match="capacity must be an int"):
+                ResultCache(ssd, capacity=capacity)
+            with pytest.raises(ValueError, match="capacity must be an int"):
+                ssd.engine.enable_result_cache(capacity)
+        assert ssd.engine.result_cache is None
+        cache = ssd.engine.enable_result_cache(2)
+        for capacity in bad:
+            with pytest.raises(ValueError, match="capacity must be an int"):
+                ssd.engine.enable_result_cache(capacity)
+        assert ssd.engine.result_cache is cache and cache.capacity == 2
 
     def test_unpacked_plane_never_caches(self):
         """An error-injecting SSD -- the V_TH plane the one-byte-per-bit

@@ -25,6 +25,29 @@ class TestStageJob:
         with pytest.raises(ValueError, match="duration must be >= 0"):
             StageJob(0.0, (1.0, -1.0), ("a", "b"))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "field",
+        ["ready_at", "durations", "fault_delay_s", "priority", "deadline"],
+    )
+    def test_non_finite_fields_rejected_by_name(self, field, bad):
+        """A NaN ready time never completes in the sweep (and passes
+        its clock check), an infinite stage starves the jobs behind
+        it, and a NaN urgency makes the die order arbitrary: each is
+        refused at construction, naming the field."""
+        kwargs = {"ready_at": 0.0, "durations": (1e-6, 1e-6)}
+        kwargs[field] = (1e-6, bad) if field == "durations" else bad
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            StageJob(resources=("chip0", "ext"), **kwargs)
+
+    def test_finite_extremes_still_accepted(self):
+        """The check is one sum; fields that are each finite but
+        overflow it together are still a valid job."""
+        job = StageJob(
+            0.0, (1e-6,), ("chip0",), priority=1e308, deadline=1e308
+        )
+        assert simulate_stages([job]).makespan == pytest.approx(1e-6)
+
 
 class TestSimulateStages:
     def test_empty_stream_is_idle(self):

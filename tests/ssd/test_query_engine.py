@@ -289,6 +289,10 @@ class TestEngineValidation:
             ssd.query(Operand("missing"))
 
     def test_cache_size_validated(self):
+        """Only an int >= 1 bounds the template and bound-plan LRUs:
+        NaN would leave both unbounded, 2.5 acts as 3, ``True`` as 1."""
         ssd = SmallSsd(n_chips=2, seed=18)
-        with pytest.raises(ValueError, match="cache_size"):
-            QueryEngine(ssd, cache_size=0)
+        for size in [0, -1, float("nan"), float("inf"), 2.5, 1.0, True, "2"]:
+            with pytest.raises(ValueError, match="cache_size must be an int"):
+                QueryEngine(ssd, cache_size=size)
+        assert QueryEngine(ssd, cache_size=1).cache_size == 1

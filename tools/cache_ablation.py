@@ -236,9 +236,10 @@ def window_memo_probe(plan, tally: Tally):
 
 @contextlib.contextmanager
 def resolved_off(plan):
-    """``MwsCommand._resolved`` is valid for one chip token: minting a
-    fresh token before every batch makes every command resolve again
-    (the slot is still written -- the executor reads it back)."""
+    """``MwsCommand._resolved`` holds one entry per chip, valid for
+    that chip's token: minting a fresh token before every batch makes
+    every command resolve again (the entry is still written -- the
+    executor reads it back)."""
     from repro.flash.chip import NandFlashChip
 
     sense = NandFlashChip.execute_sense_batch
@@ -253,18 +254,19 @@ def resolved_off(plan):
 
 @contextlib.contextmanager
 def resolved_probe(plan, tally: Tally):
-    """A hit is a command whose memo survived the batch untouched."""
+    """A hit is a command whose entry for the sensing chip survived
+    the batch untouched."""
     from repro.flash.chip import NandFlashChip
 
     sense = NandFlashChip.execute_sense_batch
 
     def counting(self, commands):
-        before = [command._resolved for command in commands]
+        before = [(command._resolved or {}).get(self) for command in commands]
         result = sense(self, commands)
         tally.lookups += len(commands)
         tally.hits += sum(
-            memo is not None and command._resolved is memo
-            for command, memo in zip(commands, before)
+            entry is not None and command._resolved[self] is entry
+            for command, entry in zip(commands, before)
         )
         return result
 
@@ -293,9 +295,9 @@ def est_latency_probe(plan, tally: Tally):
     estimate = MwsExecutor.estimate_latency_us
 
     def counting(self, plan_):
-        memo = plan_.__dict__.get("_est_latency_us")
+        memo = plan_.__dict__.get("_est_latency_us", ())
         tally.lookups += 1
-        tally.hits += memo is not None and memo[0] is self.timing
+        tally.hits += any(key == self.timing.params for key, _ in memo)
         return estimate(self, plan_)
 
     with _patched(MwsExecutor, "estimate_latency_us", counting):

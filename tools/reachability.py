@@ -43,7 +43,7 @@ _Nary.__repr__ rename_operands core/mws.py: MwsExecutor.execute_degraded_batch
 core/parabit.py: ParaBit.__init__ ParaBit._run ParaBit.bitwise_and
 ParaBit.bitwise_or ParaBit.bitwise_xor core/planner.py:
 OperandDirectory.__len__ OperandDirectory.relocate Plan.sense_profile
-Plan.total_wordlines PlanTemplate.n_senses PlanTemplate.operand_names
+Plan.total_wordlines PlanTemplate.n_senses
 PlanTemplate.sense_profile PlanTemplate.sense_steps Planner._split_wide_and
 TemplateSenseStep.n_blocks TemplateSenseStep.n_wordlines
 ecc/bch.py: BchCode.__repr__ BchCode._berlekamp_massey BchCode._chien_search
