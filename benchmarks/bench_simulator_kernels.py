@@ -3,17 +3,22 @@
 Unlike the figure benches (which regenerate the paper's numbers),
 these measure the *library's* hot paths with pytest-benchmark proper
 (many rounds): functional MWS sensing, ParaBit serial sensing, BCH
-decoding, randomization, the SSD timeline simulator, and the event
-sweep fed as a service feeds it.  Useful for tracking performance
+decoding, randomization, the SSD timeline simulator, the event
+sweep fed as a service feeds it, binding a striped query, and draining
+it as one stripe of chips.  Useful for tracking performance
 regressions of the simulator itself.
 """
 
+import sys
 import time
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
 from repro.core.api import FlashCosmos
 from repro.core.expressions import Operand, and_all
+from repro.core.mws import MwsExecutor
 from repro.core.parabit import ParaBit
 from repro.core.planner import PlanTemplate
 from repro.ecc.bch import BchCode
@@ -24,6 +29,16 @@ from repro.ssd.config import fig7_config
 from repro.ssd.controller import SmallSsd
 from repro.ssd.events import StageJob, StageSweep, simulate_stages
 from repro.ssd.pipeline import DataflowSpec, PipelineModel, Platform
+
+# The test suites' reference drains live beside the tests.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from reference_data_plane import (  # noqa: E402
+    assert_chips_equal,
+    assert_outcomes_equal,
+    chip_by_chip,
+    drain,
+    tasks_of,
+)
 
 GEOMETRY = ChipGeometry(
     planes_per_die=1,
@@ -181,3 +196,52 @@ def test_kernel_prepare_striped(benchmark, monkeypatch):
     assert len(prepared.plans) == 8 and len(binds) == 1
     assert len({id(plan) for plan in prepared.plans}) == 1
     assert not prepared.planned
+
+
+def test_kernel_drain_striped(benchmark):
+    """``QueryEngine.execute_tasks`` of a fresh 8-chunk, 4-operand AND
+    on 8 chips (the result cache emptied before every round): every
+    chip's queue is the same plan, so the drain prepares one batch
+    layout and runs the 8 chips' batches as one stripe -- equal, chip
+    for chip, to the drain that prepares it per chip."""
+    ssds = []
+    for _ in range(2):
+        ssd = SmallSsd(n_chips=8, geometry=GEOMETRY, seed=5)
+        rng = np.random.default_rng(5)
+        for name in "abcd":
+            bits = rng.integers(
+                0, 2, 8 * GEOMETRY.page_size_bits, dtype=np.uint8
+            )
+            ssd.write_vector(name, bits, group="g")
+        ssd.engine.enable_result_cache()
+        ssds.append(ssd)
+    expr = and_all([Operand(name) for name in "abcd"])
+    tasks = [tasks_of(ssd.engine.prepare(expr), 0) for ssd in ssds]
+    layouts = []
+    layout = MwsExecutor.layout.__func__
+
+    def counting(cls, plans):
+        layouts.append(plans)
+        return layout(cls, plans)
+
+    rounds = []
+
+    def fresh():
+        ssds[0].engine.result_cache.clear()
+        layouts.clear()
+        rounds.append(None)
+        return (ssds[0].engine, tasks[0]), {"use_cache": True}
+
+    with mock.patch.object(MwsExecutor, "layout", classmethod(counting)):
+        outcomes = benchmark.pedantic(
+            drain, setup=fresh, rounds=300, warmup_rounds=10
+        )
+    assert len(layouts) == 1  # one stripe of eight chips
+    # The reference drains as often, so chip state is comparable.
+    with chip_by_chip():
+        for _ in rounds:
+            ssds[1].engine.result_cache.clear()
+            reference = drain(ssds[1].engine, tasks[1], use_cache=True)
+    assert_outcomes_equal(outcomes, reference)
+    assert_chips_equal(ssds[0], ssds[1])
+    assert ssds[0].engine.stats == ssds[1].engine.stats

@@ -70,10 +70,14 @@ class MwsCommand:
     targets: tuple[tuple[BlockAddress, tuple[int, ...]], ...]
     #: Memo slots, not part of the command's value.  ``_hash``: the
     #: recursive hash (plans are dict keys, and their hash covers
-    #: every command).  ``_resolved``: chip -> where that chip found
-    #: this command's operand rows, see
-    #: :meth:`~repro.flash.chip.NandFlashChip.execute_sense_batch`.
+    #: every command).  Resolving the command
+    #: (:meth:`~repro.flash.chip.NandFlashChip.resolve`) is split:
+    #: ``_rows`` is the half every chip shares, ``(geometry, per-target
+    #: row indices, profile)``; ``_resolved`` maps chip -> its half.
     _hash: int | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _rows: tuple | None = field(
         default=None, init=False, repr=False, compare=False
     )
     _resolved: dict | None = field(
@@ -83,9 +87,14 @@ class MwsCommand:
     def __post_init__(self) -> None:
         if not self.targets:
             raise ValueError("MWS command needs at least one target")
-        for _, wordlines in self.targets:
+        for block, wordlines in self.targets:
             if not wordlines:
                 raise ValueError("MWS target with empty wordline set")
+            # One MWS applies the read voltage to each wordline once.
+            if len(set(wordlines)) != len(wordlines):
+                raise ValueError(
+                    f"MWS target {block} repeats a wordline: {wordlines}"
+                )
 
     def __hash__(self) -> int:
         cached = self._hash

@@ -35,6 +35,7 @@ sense-row reuse, for :class:`repro.ssd.query_engine.StackCache`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,6 +74,21 @@ class ExecutionResult:
         if self._bits is None:
             self._bits = unpack_words(self.words, self.n_bits)
         return self._bits
+
+
+class BatchLayout(NamedTuple):
+    """What a batch derives from its plans alone
+    (:meth:`MwsExecutor.layout`): a stripe of chips running the same
+    queue prepares it once."""
+
+    plans: list[Plan]
+    infos: list[tuple]  # per plan, its _batch_info
+    commands: list  # every plan's sense commands, plan-major
+    #: Per ``(plane, ISCM signature)`` lane group: ``(plane, capture
+    #: steps, per sense step its lanes' payload rows (a slice or an
+    #: index array), the lanes' plan indices, the landing lane or
+    #: None)``.
+    groups: list[tuple]
 
 
 def _batch_info(plan: Plan) -> tuple | None:
@@ -245,7 +261,7 @@ class MwsExecutor:
         # The V_TH plane knows which windows it declines; its prepared
         # schedule is draw-free, and stays cached for the batch that
         # follows a yes.
-        commands = self._batch_layout(infos)[0]
+        commands = [command for info in infos for command in info[3]]
         schedule = self.chip.vth_batch_schedule(commands, force_vth=margin)
         return schedule is not None
 
@@ -267,12 +283,15 @@ class MwsExecutor:
         )
 
     def execute_batch(
-        self, plans: list[Plan], attempts: list[int] | None = None
+        self,
+        plans: list[Plan] | BatchLayout,
+        attempts: list[int] | None = None,
     ) -> list[ExecutionResult]:
         """Drain a :meth:`batchable` queue of plans as one batch (see
         module docstring): an error-free chip senses word-wide, an
         error-injecting chip through the V_TH plane with the walk's
-        exact draw schedule.
+        exact draw schedule.  ``plans`` may be the queue's prepared
+        :meth:`layout`.
 
         ``attempts`` is the fault-recovery drain's per-plan attempt
         multiplicity (``retried`` route): plan ``i`` is charged as
@@ -283,6 +302,8 @@ class MwsExecutor:
         and latch replay still run once.  ``None`` is one clean
         attempt per plan: the fault-free queue.
         """
+        if not isinstance(plans, BatchLayout):
+            plans = self.layout(plans)
         return self._run_batch(plans, attempts=attempts)
 
     def execute_degraded_batch(
@@ -296,31 +317,32 @@ class MwsExecutor:
         margin-read ladder (``extra_senses``) charges per step exactly
         as the walk does.
         """
-        return self._run_batch(plans, margin=True, extra_senses=extra_senses)
+        return self._run_batch(
+            self.layout(plans), margin=True, extra_senses=extra_senses
+        )
 
     def _run_batch(
         self,
-        plans: list[Plan],
+        layout: BatchLayout | None,
         *,
         attempts: list[int] | None = None,
         margin: bool = False,
         extra_senses: int = 0,
     ) -> list[ExecutionResult]:
         """The batch skeleton behind :meth:`execute_batch` and
-        :meth:`execute_degraded_batch`: layout, sense (the one
-        route-dependent step), latch replay, charging."""
+        :meth:`execute_degraded_batch` over a :meth:`layout`: sense
+        (the one route-dependent step), latch replay, charging."""
         chip = self.chip
-        if not plans:
+        if layout is not None and not layout.plans:
             return []
-        infos = self._batch_infos(plans)
         # The V_TH routes re-ask the probe (their schedule is cached by
         # now).  The packed plane checks only for a cross-plane XOR:
         # a bad block raises its own typed fault out of the sense.
         vth = margin or chip.sensing.inject_errors
-        if infos is None or (
+        if layout is None or (
             vth
             and not self.batchable(
-                plans, retried=attempts is not None, margin=margin
+                layout.plans, retried=attempts is not None, margin=margin
             )
         ):
             raise RuntimeError(
@@ -328,23 +350,20 @@ class MwsExecutor:
                 "ask batchable() first and walk the plans instead"
             )
         self.dispatches += 1
-        # Every plan's sense commands flatten plan-major; plans
-        # sharing a (plane, ISCM step signature) replay together.
-        commands, sense_base, lane_groups = self._batch_layout(infos)
         if not vth:
-            payload = chip.execute_sense_batch(commands)
+            payload = chip.execute_sense_batch(layout.commands)
         else:
             # The probe ruled out the windows the V_TH plane declines
             # (and left their schedule cached).
             payload = chip.execute_sense_batch_vth(
-                commands, force_vth=margin
+                layout.commands, force_vth=margin
             )
         if attempts is not None:
             # The batch accounted one attempt's read disturb; failed
             # attempts sensed the same wordlines again (``note_read``
             # is a pure counter).
             block_of = chip.plane_array.block
-            for info, n in zip(infos, attempts):
+            for info, n in zip(layout.infos, attempts):
                 if n > 1:
                     for command in info[3]:
                         for address, wordlines in command.targets:
@@ -353,12 +372,9 @@ class MwsExecutor:
                             )
         # The queue's last plan per plane lands its final latch state
         # in the bank exactly as scalar execution would.
-        plan_payloads = self._replay_latches(
-            plans, infos, payload, sense_base, lane_groups
-        )
         return self._charge_results(
-            infos,
-            plan_payloads,
+            layout.infos,
+            self._replay_latches(layout, payload),
             extra_senses=extra_senses,
             attempts=attempts,
         )
@@ -404,10 +420,10 @@ class MwsExecutor:
         chip = self.chip
         if not plans or chip.sensing.inject_errors:
             return None
-        infos = self._batch_infos(plans)
-        if infos is None:
+        layout = self.layout(plans)
+        if layout is None:
             return None
-        commands, sense_base, lane_groups = self._batch_layout(infos)
+        infos = layout.infos
         plan_rows: list = [None] * len(plans)
         hit_reads: list = []
         miss_slices: list[tuple[int, int, int]] = []
@@ -471,9 +487,7 @@ class MwsExecutor:
             words = plan_rows[0]
         else:
             words = np.concatenate(plan_rows, axis=0)
-        plan_words = self._replay_latches(
-            plans, infos, words, sense_base, lane_groups
-        )
+        plan_words = self._replay_latches(layout, words)
         # Memoize this window's replay for the steady-state repeat:
         # valid only while the same plan and row objects recur and the
         # landed planes' latch op marks are untouched.
@@ -509,12 +523,16 @@ class MwsExecutor:
             infos.append(info)
         return infos
 
-    @staticmethod
-    def _batch_layout(
-        infos: list[tuple],
-    ) -> tuple[list, list[int], dict[tuple, list[int]]]:
-        """Flatten sense commands plan-major and group plan lanes by
-        their ``(plane, ISCM signature)`` key."""
+    @classmethod
+    def layout(cls, plans: list[Plan]) -> BatchLayout | None:
+        """Prepare a queue's :class:`BatchLayout`, or ``None`` when a
+        plan has no batched equivalent: sense commands flattened
+        plan-major, plan lanes grouped by their ``(plane, ISCM
+        signature)`` key with each sense step's payload rows, and the
+        lane that lands per plane (the queue's last plan there)."""
+        infos = cls._batch_infos(plans)
+        if infos is None:
+            return None
         commands: list = []
         sense_base: list[int] = []
         lane_groups: dict[tuple, list[int]] = {}
@@ -522,43 +540,36 @@ class MwsExecutor:
             sense_base.append(len(commands))
             commands.extend(plan_commands)
             lane_groups.setdefault(gkey, []).append(index)
-        return commands, sense_base, lane_groups
+        last_on_plane = {plan.plane: index for index, plan in enumerate(plans)}
+        groups = []
+        for (plane, _), members in lane_groups.items():
+            steps = infos[members[0]][1]
+            bases = [sense_base[i] for i in members]
+            gap = bases[1] - bases[0] if len(bases) > 1 else 1
+            # Evenly spaced lanes select a sense step's rows as a view.
+            even = gap > 0 and bases == [*range(bases[0], bases[-1] + 1, gap)]
+            rows = [
+                slice(bases[0] + k, bases[-1] + k + 1, gap)
+                if even
+                else np.asarray([base + k for base in bases])
+                for k in range(sum(step is not None for step in steps))
+            ]
+            landing = last_on_plane[plane]
+            land_lane = members.index(landing) if landing in members else None
+            groups.append((plane, steps, rows, members, land_lane))
+        return BatchLayout(list(plans), infos, commands, groups)
 
     def _replay_latches(
-        self,
-        plans: list[Plan],
-        infos: list[tuple],
-        payload: np.ndarray,
-        sense_base: list[int],
-        lane_groups: dict[tuple, list[int]],
+        self, layout: BatchLayout, payload: np.ndarray
     ) -> list[np.ndarray]:
         """Replay the latch protocol per lane group and return each
         plan's final C-latch row.  ``payload`` holds one packed
         ``uint64`` row per flattened sense command."""
-        chip = self.chip
-        last_on_plane: dict[int, int] = {}
-        for index, plan in enumerate(plans):
-            last_on_plane[plan.plane] = index
-        out: list[np.ndarray] = [None] * len(plans)  # type: ignore[list-item]
-        for (plane, _), members in lane_groups.items():
-            capture_steps = infos[members[0]][1]
-            matrices = []
-            ordinal = 0
-            for step in capture_steps:
-                if step is None:
-                    continue
-                rows = np.asarray(
-                    [sense_base[i] + ordinal for i in members]
-                )
-                matrices.append(payload[rows])
-                ordinal += 1
-            landing = last_on_plane[plane]
-            cache_rows = chip.latches[plane].capture_batch(
-                capture_steps,
-                matrices,
-                land_lane=(
-                    members.index(landing) if landing in members else None
-                ),
+        latches = self.chip.latches
+        out: list = [None] * len(layout.plans)
+        for plane, steps, rows, members, land_lane in layout.groups:
+            cache_rows = latches[plane].capture_batch(
+                steps, [payload[r] for r in rows], land_lane=land_lane
             )
             for lane, i in enumerate(members):
                 out[i] = cache_rows[lane]

@@ -358,11 +358,12 @@ class BlockArray:
         """:meth:`packed_rows` copied straight into ``out`` (the
         batched sensing kernel's slot of a group tensor).  ``rows``
         must already be valid wordline indices -- resolving a sense
-        (:meth:`SensingEngine.resolve_sense`) rejects any other --
+        (:meth:`~repro.flash.chip.NandFlashChip.resolve`) rejects any
+        other --
         because the gather indexes in ``wrap`` mode: NumPy's default
         ``raise`` mode fills a temporary first and copies it over,
         which is the second copy this method exists to avoid."""
-        np.take(self._packed, rows, axis=0, out=out, mode="wrap")
+        self._packed.take(rows, axis=0, out=out, mode="wrap")
 
     def stored_rows(self, rows: np.ndarray) -> np.ndarray:
         """Unpacked 0/1 pages of the selected wordlines."""
@@ -410,8 +411,11 @@ class PlaneArray:
     _blocks: dict[BlockAddress, BlockArray] = field(default_factory=dict)
 
     def block(self, address: BlockAddress) -> BlockArray:
-        address.validate(self.geometry)
-        if address not in self._blocks:
+        block = self._blocks.get(address)
+        if block is None:
+            # Only a valid address is ever materialized, so a hit needs
+            # no check.
+            address.validate(self.geometry)
             # Derive a per-block RNG stream so block contents are
             # reproducible regardless of materialization order.
             key = (
@@ -421,14 +425,14 @@ class PlaneArray:
                 address.subblock,
             )
             rng = np.random.default_rng(abs(hash(key)) % (2**63))
-            self._blocks[address] = BlockArray(
+            block = self._blocks[address] = BlockArray(
                 self.geometry,
                 address,
                 calibration=self.calibration,
                 rng=rng,
                 noise_enabled=self.noise_enabled,
             )
-        return self._blocks[address]
+        return block
 
     def materialized(self) -> tuple[BlockAddress, ...]:
         return tuple(sorted(self._blocks))

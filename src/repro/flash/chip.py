@@ -18,8 +18,9 @@ unpacking happens only at external result boundaries.  Error injection
 its outcome is packed once before it reaches the latches.
 
 ``execute_sense_batch`` is the chip half of the batched data plane:
-it resolves and validates many MWS commands at once (memoized per
-command, revalidated via block ``layout_version``) and evaluates all
+it resolves and validates many MWS commands at once (``resolve``,
+memoized per command and chip, revalidated via block
+``layout_version``) and evaluates all
 their senses in one vectorized pass, leaving the latch protocol and
 cost accounting to the batched executor so scalar and batched queues
 stay step-for-step identical.
@@ -55,6 +56,22 @@ from repro.flash.power import PowerModel
 from repro.flash.randomizer import LfsrRandomizer
 from repro.flash.sensing import SensingEngine, VthBatchSchedule
 from repro.flash.timing import TimingModel
+
+
+def validate_targets(targets, geometry: ChipGeometry) -> int:
+    """Check one MWS target list against ``geometry`` (non-empty, one
+    plane, valid addresses, non-empty wordline sets); returns the
+    plane.  Every sense path runs it, so all reject the same ones."""
+    if not targets:
+        raise ValueError("sense requires at least one target")
+    planes = {block.plane for block, _ in targets}
+    if len(planes) != 1:
+        raise ValueError("one sense operation targets a single plane")
+    for address, wordlines in targets:
+        address.validate(geometry)
+        if not wordlines:
+            raise ValueError("empty wordline set for a target block")
+    return planes.pop()
 
 
 @dataclass(frozen=True)
@@ -144,19 +161,18 @@ class NandFlashChip:
         #: offline chip never serves again.
         self.offline = False
         #: Validity token of the batched path's per-command resolution
-        #: memo.  :meth:`execute_sense_batch` pins ``chip -> (token,
-        #: per-block (block, row indices) sources, group-size profile,
-        #: per-block layout versions)`` on each command it resolves
-        #: (one plan serves every chip holding its operands at the
-        #: same place), so resolution (address validation, bad-block
-        #: and plane checks, block lookup) and the metadata scan run
-        #: once per command and chip, revalidated only when a target
-        #: block's ``layout_version`` moves (program/erase).  The memo
-        #: dies with its command: a plan rebound after a placement
-        #: change leaves nothing behind on the chip, and rows are
-        #: gathered window by window.  An entry counts only while it
-        #: carries this chip's current token: attaching a fault
-        #: injector mints a new one.
+        #: memo.  :meth:`resolve` pins ``chip -> (token, per-block
+        #: (block, row indices) source, per-block layout versions)`` on
+        #: each command it resolves (one plan serves every chip holding
+        #: its operands at the same place), so the chip half -- the
+        #: bad-block probe, block lookup and metadata scan -- runs once
+        #: per command and chip, revalidated only when a target block's
+        #: ``layout_version`` moves (program/erase).  The memo dies
+        #: with its command: a plan rebound after a placement change
+        #: leaves nothing behind on the chip, and rows are gathered
+        #: window by window.  An entry counts only while it carries
+        #: this chip's current token: attaching a fault injector mints
+        #: a new one.
         self._resolve_token = object()
         #: (command tuple, vref_offset, force_vth) -> (prepared V_TH
         #: schedule, (block, layout_version) revalidation pairs) for
@@ -598,38 +614,59 @@ class NandFlashChip:
                 "plane; error injection batches through "
                 "execute_sense_batch_vth"
             )
-        token = self._resolve_token
+        resolve = self.resolve
         sources: list[tuple] = []
         profiles: list[tuple[int, ...]] = []
         for command in commands:
-            memo = command._resolved
-            cached = None if memo is None else memo.get(self)
-            if cached is not None and cached[0] is token:
-                for (block, _), version in zip(cached[1], cached[3]):
-                    if block.layout_version != version:
-                        cached = None
-                        break
-            else:
-                cached = None
-            if cached is None:
-                _, blocks = self._resolve_targets(command.targets)
-                source, profile = self.sensing.resolve_sense(blocks)
-                cached = (
-                    token,
-                    source,
-                    profile,
-                    tuple(block.layout_version for block, _ in source),
-                )
-                if memo is None:  # one entry per chip: no thrash
-                    object.__setattr__(command, "_resolved", {self: cached})
-                else:
-                    memo[self] = cached
-            _, source, profile, _ = cached
+            source, profile = resolve(command)
             for (block, _), n_wordlines in zip(source, profile):
                 block.note_read(n_wordlines)
             sources.append(source)
             profiles.append(profile)
         return self.sensing.sense_batch_stacks(sources, profiles)
+
+    def resolve(
+        self, command: "MwsCommand"
+    ) -> tuple[tuple[tuple[BlockArray, np.ndarray], ...], tuple[int, ...]]:
+        """Where this chip finds one MWS command's operand rows:
+        ``(source, profile)``, per target ``(block, row indices)``.
+        The half that depends on the command and the geometry alone
+        (:func:`validate_targets`, sorted row indices, profile) is built
+        once for every chip; this chip's half (bad-block probe, block
+        lookup, the scalar path's metadata scan) is memoized per chip
+        (see ``_resolve_token``).  Nothing is read: a queue may resolve
+        before any chip state moves."""
+        memo = command._resolved
+        cached = None if memo is None else memo.get(self)
+        token = self._resolve_token
+        if cached is not None and cached[0] is token:
+            for (block, _), version in zip(cached[1], cached[2]):
+                if block.layout_version != version:
+                    break
+            else:
+                return cached[1], command._rows[2]
+        targets, geometry = command.targets, self.geometry
+        shared = command._rows
+        if shared is None or (
+            shared[0] is not geometry and shared[0] != geometry
+        ):
+            validate_targets(targets, geometry)
+            rows = tuple(SensingEngine._rows(w) for _, w in targets)
+            shared = (geometry, rows, tuple(map(len, rows)))
+            object.__setattr__(command, "_rows", shared)
+        _, rows, profile = shared
+        blocks = [self._target_block(address) for address, _ in targets]
+        scan = self.sensing._scan_metadata
+        for block, (_, wordlines) in zip(blocks, targets):
+            scan(block, tuple(wordlines))
+        source = tuple(zip(blocks, rows))
+        versions = tuple([block.layout_version for block in blocks])
+        cached = (token, source, versions)
+        if memo is None:  # one entry per chip: no thrash
+            object.__setattr__(command, "_resolved", {self: cached})
+        else:
+            memo[self] = cached
+        return source, profile
 
     def execute_sense_batch_vth(
         self,
@@ -782,33 +819,23 @@ class NandFlashChip:
     def _resolve_targets(
         self, targets
     ) -> tuple[int, list[tuple[BlockArray, tuple[int, ...]]]]:
-        """Validate one MWS command's target list (non-empty, single
-        plane, valid addresses, non-empty wordline sets) and resolve
-        block addresses to live arrays.  Shared by the scalar and
-        batched sense paths so both reject exactly the same commands.
-        """
-        if not targets:
-            raise ValueError("sense requires at least one target")
-        planes = {block.plane for block, _ in targets}
-        if len(planes) != 1:
-            raise ValueError("one sense operation targets a single plane")
+        """The scalar paths' resolution: :func:`validate_targets`, then
+        each target's live block array."""
+        plane = validate_targets(targets, self.geometry)
+        return plane, [
+            (self._target_block(address), tuple(wordlines))
+            for address, wordlines in targets
+        ]
+
+    def _target_block(self, address: BlockAddress) -> BlockArray:
+        """The live array of one validated target block, after the
+        injector's bad-block probe."""
         inj = self.fault_injector
-        blocks = []
-        for block_addr, wordlines in targets:
-            block_addr.validate(self.geometry)
-            if not wordlines:
-                raise ValueError("empty wordline set for a target block")
-            if inj is not None and inj.is_bad_block(
-                self.fault_chip_id, block_addr
-            ):
-                raise BadBlockFault(
-                    f"sense targeted bad block {block_addr}",
-                    address=block_addr,
-                )
-            blocks.append(
-                (self.plane_array.block(block_addr), tuple(wordlines))
+        if inj is not None and inj.is_bad_block(self.fault_chip_id, address):
+            raise BadBlockFault(
+                f"sense targeted bad block {address}", address=address
             )
-        return planes.pop(), blocks
+        return self.plane_array.block(address)
 
     def _effective_condition(self, blocks) -> OperatingCondition:
         """Ambient condition refined with per-wordline metadata: data

@@ -34,8 +34,8 @@ Two evaluation paths implement the same semantics:
 
 On top of the per-sense fast path sits the batched plane, which
 evaluates a whole *queue* of MWS operations at once.
-:meth:`SensingEngine.resolve_sense` validates one operation and finds
-where its packed operand rows live;
+The chip resolves each operation to where its packed operand rows
+live (:meth:`~repro.flash.chip.NandFlashChip.resolve`);
 :meth:`SensingEngine.sense_batch_stacks` gathers the rows of every
 resolved sense into one 3-D ``uint64`` tensor per group-size profile,
 and the string-group ANDs / inter-block ORs of the entire batch
@@ -214,8 +214,7 @@ class SensingEngine:
 
     @staticmethod
     def _rows(wordlines: tuple[int, ...]) -> np.ndarray:
-        """Sorted row indices of ``wordlines``, frozen: a resolved
-        sense memoizes them with its command."""
+        """Sorted row indices of ``wordlines``, frozen."""
         rows = np.array(sorted(wordlines))
         rows.setflags(write=False)
         return rows
@@ -472,33 +471,6 @@ class SensingEngine:
     # Batched sensing (window-at-a-time data plane)
     # ------------------------------------------------------------------
 
-    def resolve_sense(
-        self,
-        targets: list[tuple[BlockArray, tuple[int, ...]]],
-    ) -> tuple[
-        tuple[tuple[BlockArray, np.ndarray], ...], tuple[int, ...]
-    ]:
-        """Validate one MWS operation's targets and resolve where its
-        packed operand rows live: returns ``(source, profile)`` -- the
-        per-block ``(block, sorted row indices)`` pairs and the
-        per-block wordline counts.  Nothing is read yet:
-        :meth:`sense_batch_stacks` gathers the rows, window by window,
-        straight into its per-profile tensors, so a memoizing caller
-        -- the chip's batched command cache -- holds a few indices
-        per command rather than a copy of its pages.  Deliberately
-        does *not* account the read disturb either: callers do (via
-        ``note_read``), so cache hits re-account without re-resolving.
-        Runs the scalar path's own metadata scan (``_scan_metadata``),
-        so the two planes reject exactly the same senses."""
-        if not targets:
-            raise ValueError("inter-block MWS requires at least one target")
-        source = []
-        for block, wordlines in targets:
-            wordlines = tuple(wordlines)
-            self._scan_metadata(block, wordlines)
-            source.append((block, self._rows(wordlines)))
-        return tuple(source), tuple(len(rows) for _, rows in source)
-
     def sense_batch_stacks(
         self,
         sources: list[tuple],
@@ -507,8 +479,8 @@ class SensingEngine:
         """Evaluate many resolved MWS operations in one vectorized
         pass: ``sources[i]`` is one sense's ``(block, row indices)``
         pairs and ``profiles[i]`` its per-block wordline counts
-        (:meth:`resolve_sense`).  Returns one packed, ones-padded
-        ``uint64`` result row per sense, bit-identical to
+        (:meth:`~repro.flash.chip.NandFlashChip.resolve`).  Returns one
+        packed, ones-padded ``uint64`` result row per sense, bit-identical to
         ``inter_block_mws(senses[i], ...).words``.
 
         Senses are grouped by their *group-size profile*; each group

@@ -31,7 +31,8 @@ per distinct chunk layout (``docs/architecture.md`` §2):
    runs as one :meth:`~repro.core.mws.MwsExecutor.execute_batch` (a
    queue with no batched equivalent walks its plans one by one);
    chips drain in turn on the caller's thread, their concurrency
-   lives in the modelled timeline.
+   lives in the modelled timeline.  Chips running the same queue form
+   a *stripe* that prepares its batch layout once.
 7. **Cross-window result caching** -- an opt-in :class:`ResultCache`
    memoizes executed plans' packed words per chip, stamped with its
    layout generation (``docs/architecture.md`` §3): a hit skips the
@@ -54,6 +55,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple
 import numpy as np
 
 from repro.core.expressions import Expression, evaluate, operand_names
+from repro.core.mws import MwsExecutor
 from repro.core.planner import (
     Plan,
     Planner,
@@ -406,6 +408,10 @@ class ResultCache:
         self._invalidations += len(dead)
         return len(dead)
 
+    def __contains__(self, key: tuple[int, Plan]) -> bool:
+        """A peek at ``(chip, plan)``: no counter or recency moves."""
+        return key in self._entries
+
     def clear(self) -> None:
         self._entries.clear()
         self._stamps.clear()
@@ -513,6 +519,8 @@ class StackCache:
 #: <repro.flash.faults.FaultInjector.attempt_draws>` yields when every
 #: rate is zero, without consulting an injector.
 _ONE_CLEAN_ATTEMPT = ((False, 0.0),)
+#: The recovery fields of a record of one clean attempt.
+_CLEAN = (0, 0.0, False, None)
 
 
 class _SenseRecord(NamedTuple):
@@ -525,10 +533,19 @@ class _SenseRecord(NamedTuple):
     n_senses: int
     latency_us: float
     energy_nj: float
-    retries: int
-    recovery_us: float
-    degraded: bool
-    error: Exception | None
+    retries: int = 0
+    recovery_us: float = 0.0
+    degraded: bool = False
+    error: Exception | None = None
+
+
+def _records(results) -> list[_SenseRecord]:
+    """The records of plans that each ran one clean attempt."""
+    record = _SenseRecord._make  # one tuple per plan: queue hot loop
+    return [
+        record((r.words, r.n_senses, r.latency_us, r.energy_nj) + _CLEAN)
+        for r in results
+    ]
 
 
 class _Window(NamedTuple):
@@ -549,6 +566,23 @@ class _Window(NamedTuple):
     retry: bool
     degraded: frozenset[int]
     offline: frozenset[int]
+    #: The chips in drain order; whether stripes may read chips ahead
+    #: (error-free, no injector, and no put of the window can evict,
+    #: so a peek is what a chip's own lookups find); what they read.
+    chips: list[tuple[int, list[int]]]
+    stripes: bool
+    ahead: dict[int, "_Ahead | None"]
+
+
+class _Ahead(NamedTuple):
+    """A chip's cache misses and their dedup (a stripe leader may read
+    them ahead); once a stripe sensed it, ``(records, executor
+    dispatches and restacked tensors before)``."""
+
+    pending: list[int]
+    unique: list[int]
+    followers: list[tuple[int, int]]
+    sensed: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -949,6 +983,9 @@ class QueryEngine:
             cache.prune_stale()
         injector = self.ssd.fault_injector
         n_tasks = len(tasks)
+        per_chip: dict[int, list[int]] = {}
+        for position, chip in enumerate(tasks.chip):
+            per_chip.setdefault(chip, []).append(position)
         window = _Window(
             tasks=tasks,
             cached=[None] * n_tasks,
@@ -978,12 +1015,14 @@ class QueryEngine:
             ),
             degraded=frozenset(degraded),
             offline=frozenset(offline),
+            chips=list(per_chip.items()),
+            stripes=error_free
+            and injector is None
+            and (cache is None or len(cache) + n_tasks <= cache.capacity),
+            ahead={},
         )
-        per_chip: dict[int, list[int]] = {}
-        for position, chip in enumerate(tasks.chip):
-            per_chip.setdefault(chip, []).append(position)
-        for chip, positions in per_chip.items():
-            self._drain_chip(window, chip, positions)
+        for index in range(len(window.chips)):
+            self._drain_chip(window, index)
         if reconstruct and self.ssd.parity:
             self._reconstruct_failures(window.outcomes, cache)
         return WindowResult(window.cached, window.outcomes)
@@ -992,37 +1031,45 @@ class QueryEngine:
     # The chip drain, stage by stage
     # ------------------------------------------------------------------
 
-    def _drain_chip(
-        self, window: _Window, chip: int, positions: list[int]
-    ) -> None:
-        """Drain one chip's tasks of the window: fail-fast -> result
-        cache -> dedup -> sense -> publish.
+    def _drain_chip(self, window: _Window, index: int) -> None:
+        """Drain the window's ``index``-th chip: fail-fast -> result
+        cache -> dedup -> sense -> publish (a chip a stripe sensed
+        ahead only publishes).
 
         Engine counters are taken as deltas around the sense stage and
         merged once at the end.  A stage that raises leaves the chip's
         slots unpublished and its counters unmerged, and the error is
         the caller's.
         """
+        chip, positions = window.chips[index]
         if self._fail_fast(window, chip, positions):
             return
-        executor = self.ssd.controllers[chip].executor
-        sensing = self.ssd.chips[chip].sensing
         pending = self._lookup_cached(window, chip, positions)
         if not pending:
             return
-        unique, followers = self._dedup(window, pending)
+        ahead = window.ahead.get(chip) or self._dedup(window, pending)
+        assert ahead.pending == pending, "a stripe misread the cache"
+        unique, followers = ahead.unique, ahead.followers
         # The executor and the sensing engine report their own counts,
         # whichever route the sense stage takes.
-        dispatched_before = executor.dispatches
-        restacked_before = sensing.restacked_tensors
-        records, reuse_hits = self._sense(
-            window,
-            executor,
-            chip,
-            [window.tasks.plan[position] for position in unique],
-        )
-        dispatches = executor.dispatches - dispatched_before
-        restacked = sensing.restacked_tensors - restacked_before
+        executor = self.ssd.controllers[chip].executor
+        sensing = self.ssd.chips[chip].sensing
+        before = (executor.dispatches, sensing.restacked_tensors)
+        if ahead.sensed is None:
+            records, reuse_hits = self._sense(
+                window,
+                executor,
+                index,
+                [window.tasks.plan[position] for position in unique],
+            )
+        else:
+            # A stripe sensed this die at its leader's turn (its counts
+            # from then): one that dropped out since cannot hand the
+            # results over.
+            self.ssd.chips[chip]._check_online()
+            (records, *before), reuse_hits = ahead.sensed, 0
+        dispatches = executor.dispatches - before[0]
+        restacked = sensing.restacked_tensors - before[1]
         shared_senses = self._publish(window, chip, unique, records, followers)
         self._executor_dispatches += dispatches
         self._shared_plans += len(followers)
@@ -1075,16 +1122,14 @@ class QueryEngine:
                 cached[position] = words
         return pending
 
-    def _dedup(
-        self, window: _Window, pending: list[int]
-    ) -> tuple[list[int], list[tuple[int, int]]]:
+    def _dedup(self, window: _Window, pending: list[int]) -> _Ahead:
         """Split the pending positions into the unique plans, in
         first-appearance order (exactly the sequence the flash would
         have sensed), and the ``(position, leader position)`` pairs
         of the tasks that repeat one."""
         followers: list[tuple[int, int]] = []
         if not window.share:
-            return pending, followers
+            return _Ahead(pending, pending, followers)
         plans = window.tasks.plan
         unique: list[int] = []
         first_at: dict[Plan, int] = {}
@@ -1094,33 +1139,34 @@ class QueryEngine:
                 unique.append(position)
             else:
                 followers.append((position, first))
-        return unique, followers
+        return _Ahead(pending, unique, followers)
 
     def _sense(
-        self, window: _Window, executor, chip: int, plans: list[Plan]
+        self, window: _Window, executor, index: int, plans: list[Plan]
     ) -> tuple[list[_SenseRecord], int]:
         """Sense a chip's unique plans; one record per plan, in one
         shape whatever the route, plus the stack-cache hit count.
 
-        The route is read off what the drain already sees.  A chip in
-        ``degraded`` takes margin reads and draws nothing.  Otherwise,
-        with the retry half of the policy on, the queue's **attempt
-        schedule** is drawn first -- fault draws never depend on
-        sensed data, so running ``attempt_draws`` for every plan up
-        front consumes the chip's stream exactly as the scalar walk
-        would between executions -- and with it off no schedule is
-        drawn: every plan is one clean attempt.  Either way the queue
-        then drains as batched dispatches charged once per attempt,
-        split only at a plan whose every attempt faulted: that plan's
-        failed executions and its degraded fallback (or
+        The route is read off what the drain already sees.  Whether
+        the queue has a batched equivalent at all is the executor's
+        call, asked once, before anything is drawn, executed or
+        counted; on a no every plan takes the scalar walk.  A chip in
+        ``degraded`` takes margin reads and draws nothing.  With the
+        retry half of the policy off every plan is one clean attempt:
+        the queue replays through the stack cache when one is engaged,
+        and senses as a stripe (:meth:`_sense_stripe`) otherwise.
+        With it on, the queue's **attempt schedule** is drawn first --
+        fault draws never depend on sensed data, so running
+        ``attempt_draws`` for every plan up front consumes the chip's
+        stream exactly as the scalar walk would between executions --
+        and the queue drains as batched dispatches charged once per
+        attempt, split only at a plan whose every attempt faulted: that
+        plan's failed executions and its degraded fallback (or
         ``RetryExhaustedError``) run in scalar order from its drawn
         schedule between the batches, so chip counters accumulate in
         the scalar order.
-
-        Whether the queue has a batched equivalent at all is the
-        executor's call, asked once, before anything is drawn,
-        executed or counted; on a no every plan takes the scalar walk.
         """
+        chip = window.chips[index][0]
         margin = chip in window.degraded
         retry = window.retry and not margin
         policy = window.policy
@@ -1129,60 +1175,45 @@ class QueryEngine:
                 self._sense_scalar(window, executor, chip, plan, margin)
                 for plan in plans
             ], 0
-        schedule = None
-        exhausted = ()
-        if retry:
-            draw = self.ssd.fault_injector.attempt_draws
-            schedule = [list(draw(chip, policy)) for _ in plans]
-            exhausted = [
-                index
-                for index, draws in enumerate(schedule)
-                if draws[-1][0]  # the last attempt faulted too
-            ]
-        record = _SenseRecord._make  # one tuple per plan: queue hot loop
+        if margin:
+            results = executor.execute_degraded_batch(
+                plans, extra_senses=policy.degraded_extra_senses
+            )
+            return [
+                record._replace(degraded=True) for record in _records(results)
+            ], 0
+        if not retry and window.stacks is not None:
+            # Plans already sensed under the current stamp replay their
+            # packed rows and only the miss plans reach the flash;
+            # latch replay and charging still run for all.
+            results, hits = window.stacks.execute(executor, chip, plans)
+            return _records(results), hits
+        if not retry:
+            return self._sense_stripe(window, index, plans), 0
+        draw = self.ssd.fault_injector.attempt_draws
+        schedule = [list(draw(chip, policy)) for _ in plans]
+        # Plans whose last attempt faulted too split the batch.
+        exhausted = [i for i, draws in enumerate(schedule) if draws[-1][0]]
         records: list[_SenseRecord] = []
-        reuse_hits = 0
         start = 0
         for stop in (*exhausted, len(plans)):
-            span = plans[start:stop]
-            drawn = schedule and schedule[start:stop]
-            # One batched dispatch of plans that all end in a clean
-            # attempt, entered through the layer the route belongs to.
-            if not span:
-                results = []
-            elif margin:
-                results = executor.execute_degraded_batch(
-                    span, extra_senses=policy.degraded_extra_senses
-                )
-            elif schedule is None and window.stacks is not None:
-                # Plans already sensed under the current stamp replay
-                # their packed rows and only the miss plans reach the
-                # flash; latch replay and charging still run for all.
-                results, hits = window.stacks.execute(executor, chip, span)
-                reuse_hits += hits
-            else:
-                # Charged from the drawn attempt counts -- ``None``
-                # for the schedule nobody drew.
+            drawn = schedule[start:stop]
+            if drawn:
+                # Charged from the drawn attempt counts.
                 results = executor.execute_batch(
-                    span, drawn and [len(draws) for draws in drawn]
+                    plans[start:stop], [len(draws) for draws in drawn]
                 )
-            records += [
-                record(
-                    (
+                records += [
+                    _SenseRecord(
                         result.words,
                         result.n_senses,
                         result.latency_us,
                         result.energy_nj,
                         len(draws) - 1,
                         draws[-1][1],
-                        margin,
-                        None,
                     )
-                )
-                for result, draws in zip(
-                    results, drawn or repeat(_ONE_CLEAN_ATTEMPT)
-                )
-            ]
+                    for result, draws in zip(results, drawn)
+                ]
             if stop < len(plans):
                 records.append(
                     self._sense_scalar(
@@ -1191,7 +1222,56 @@ class QueryEngine:
                     )
                 )
             start = stop + 1
-        return records, reuse_hits
+        return records, 0
+
+    def _sense_stripe(
+        self, window: _Window, index: int, plans: list[Plan]
+    ) -> list[_SenseRecord]:
+        """Sense the ``index``-th chip's plain batched queue with every
+        later chip's that holds the same plan objects in order: one
+        :meth:`~repro.core.mws.MwsExecutor.layout`, then each member's
+        own batch, this chip's first.  Members publish at their turn.
+        All are resolved before any chip state moves; one that fails
+        leaves with every chip after it and raises at its turn."""
+        layout = MwsExecutor.layout(plans)
+        cache, plan_at = window.cache, window.tasks.plan
+        members = []
+        later = window.chips[index + 1 :] if window.stripes else []
+        for chip, positions in later:
+            ahead = window.ahead.get(chip, False)
+            if ahead is False:  # read once, moving no cache counter
+                pending = [
+                    p
+                    for p in positions
+                    if cache is None or (chip, plan_at[p]) not in cache
+                ]
+                ahead = window.ahead[chip] = (
+                    self._dedup(window, pending)
+                    if pending
+                    and chip not in window.degraded
+                    and chip not in window.offline
+                    and not self.ssd.chips[chip].offline
+                    else None
+                )
+            if not ahead or ahead.sensed or len(ahead.unique) != len(plans):
+                continue
+            if any(plan_at[p] is not q for p, q in zip(ahead.unique, plans)):
+                continue
+            try:
+                for command in layout.commands:
+                    self.ssd.chips[chip].resolve(command)
+            except Exception:
+                break  # it raises again at its own turn
+            members.append((chip, ahead))
+        executor = self.ssd.controllers[window.chips[index][0]].executor
+        own = _records(executor.execute_batch(layout))
+        for chip, ahead in members:
+            executor = self.ssd.controllers[chip].executor
+            sensing = self.ssd.chips[chip].sensing
+            counts = executor.dispatches, sensing.restacked_tensors
+            records = _records(executor.execute_batch(layout))
+            window.ahead[chip] = ahead._replace(sensed=(records, *counts))
+        return own
 
     def _sense_scalar(
         self,

@@ -59,6 +59,18 @@ class TestMwsCommand:
                 iscm=IscmFlags(), targets=((BlockAddress(0, 0, 0), ()),)
             )
 
+    def test_a_repeated_wordline_is_refused_naming_its_block(self):
+        """One MWS applies the read voltage to each wordline once:
+        ``(0, 1, 1)`` would sense the bits of ``(0, 1)`` but be charged
+        and read-disturbed as three wordlines."""
+        block = BlockAddress(0, 5, 1)
+        with pytest.raises(ValueError, match="repeats a wordline") as raised:
+            MwsCommand(
+                iscm=IscmFlags(),
+                targets=((BlockAddress(0, 0, 0), (2,)), (block, (0, 1, 1))),
+            )
+        assert str(block) in str(raised.value)
+
     def test_stats(self):
         cmd = MwsCommand(
             iscm=IscmFlags(),

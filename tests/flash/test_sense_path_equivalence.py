@@ -103,9 +103,12 @@ def sense_windows(draw):
 
 def assert_same_senses(window):
     engine, oracle = _engine(), _engine()
-    resolved = [engine.resolve_sense(targets) for targets in window]
-    sources = [source for source, _ in resolved]
-    profiles = [profile for _, profile in resolved]
+    # What resolution hands the kernel: per block its sorted rows.
+    sources = [
+        tuple((block, SensingEngine._rows(wls)) for block, wls in targets)
+        for targets in window
+    ]
+    profiles = [tuple(len(wls) for _, wls in targets) for targets in window]
     out = engine.sense_batch_stacks(sources, profiles)
     expected = reference.sense_batch_stacks(oracle, sources, profiles)
     assert out.dtype == expected.dtype

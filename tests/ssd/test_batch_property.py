@@ -174,41 +174,47 @@ def test_sense_batch_refuses_vth_plane():
 
 @pytest.mark.parametrize("seed", range(4))
 def test_sense_batch_rows_match_per_sense_outcomes(seed):
-    """`SensingEngine.resolve_sense` + `sense_batch_stacks` (the
-    library-level batch primitives, with the caller's read-disturb
-    accounting as the chip does it) must produce, row for row, the
+    """`NandFlashChip.resolve` + `SensingEngine.sense_batch_stacks` (the
+    batch primitives, with the caller's read-disturb accounting as
+    `execute_sense_batch` does it) must produce, row for row, the
     words the per-sense `inter_block_mws` path produces -- with
     identical read-disturb accounting."""
+    from repro.core.commands import MwsCommand
+    from repro.flash.chip import IscmFlags
+
     rng = np.random.default_rng(40_000 + seed)
     data_seed = int(rng.integers(1 << 16))
     batch_ssd, _ = twin_ssd(data_seed, n_chips=1, n_bits=80, ssd_seed=3)
     scalar_ssd, _ = twin_ssd(data_seed, n_chips=1, n_bits=80, ssd_seed=3)
+    controller = batch_ssd.controllers[0]
+    addr = lambda name: controller.stored(f"{name}@0").address  # noqa: E731
+    block = lambda name: addr(name).block_address  # noqa: E731
+    line = lambda name: addr(name).wordline  # noqa: E731
+    senses = [
+        # intra-block AND over the co-located group
+        [(block("a0"), (line("a0"), line("a1")))],
+        # single-wordline read
+        [(block("solo"), (line("solo"),))],
+        # inter-block OR-of-ANDs across distinct blocks
+        [
+            (block("a0"), (line("a0"), line("a2"))),
+            (block("solo"), (line("solo"),)),
+        ],
+    ]
 
     def targets_for(ssd):
-        controller = ssd.controllers[0]
-        addr = lambda name: controller.stored(f"{name}@0").address  # noqa: E731
-        block = lambda name: ssd.chips[0].plane_array.block(  # noqa: E731
-            addr(name).block_address
-        )
-        return [
-            # intra-block AND over the co-located group
-            [(block("a0"), (addr("a0").wordline, addr("a1").wordline))],
-            # single-wordline read
-            [(block("solo"), (addr("solo").wordline,))],
-            # inter-block OR-of-ANDs across distinct blocks
-            [
-                (block("a0"), (addr("a0").wordline, addr("a2").wordline)),
-                (block("solo"), (addr("solo").wordline,)),
-            ],
-        ]
+        block = ssd.chips[0].plane_array.block
+        return [[(block(a), w) for a, w in sense] for sense in senses]
 
     condition = scalar_ssd.chips[0].condition
-    sensing = batch_ssd.chips[0].sensing
-    resolved = [sensing.resolve_sense(t) for t in targets_for(batch_ssd)]
+    chip = batch_ssd.chips[0]
+    resolved = [
+        chip.resolve(MwsCommand(IscmFlags(), tuple(sense))) for sense in senses
+    ]
     for source, profile in resolved:
         for (block, _), n_wordlines in zip(source, profile):
             block.note_read(n_wordlines)
-    rows = sensing.sense_batch_stacks(*map(list, zip(*resolved)))
+    rows = chip.sensing.sense_batch_stacks(*map(list, zip(*resolved)))
     for row, sense in zip(rows, targets_for(scalar_ssd)):
         outcome = scalar_ssd.chips[0].sensing.inter_block_mws(
             [(b, tuple(w)) for b, w in sense], condition

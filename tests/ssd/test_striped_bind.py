@@ -12,6 +12,7 @@ one chip's entry evict another's.
 import numpy as np
 import pytest
 
+import repro.flash.chip as chip_module
 import repro.core.mws as mws_module
 from reference_data_plane import GEOMETRY
 from repro.core.expressions import And, Operand, and_all, evaluate
@@ -114,17 +115,18 @@ def _shared_plan(ssd):
 def test_a_shared_plan_resolves_once_per_chip(monkeypatch):
     """Executed alternately on two chips, a shared plan's commands
     resolve once on each: neither chip's memo entry evicts the
-    other's."""
+    other's.  The chip half of a resolution looks up each target
+    block once (``_target_block``)."""
     ssd, env = _build(names="ab")
     prepared, plan = _shared_plan(ssd)
     resolves = {"n": 0}
-    resolve = NandFlashChip._resolve_targets
+    resolve = NandFlashChip._target_block
 
-    def counting(self, targets):
+    def counting(self, address):
         resolves["n"] += 1
-        return resolve(self, targets)
+        return resolve(self, address)
 
-    monkeypatch.setattr(NandFlashChip, "_resolve_targets", counting)
+    monkeypatch.setattr(NandFlashChip, "_target_block", counting)
     expected = evaluate(And(Operand("a"), Operand("b")), env)
     page = GEOMETRY.page_size_bits
     for _ in range(3):
@@ -134,9 +136,42 @@ def test_a_shared_plan_resolves_once_per_chip(monkeypatch):
             np.testing.assert_array_equal(
                 result.bits, expected[chunk * page : (chunk + 1) * page]
             )
-    assert resolves["n"] == 2 * plan.n_senses
+    commands = [step.command for step in plan.sense_steps]
+    assert resolves["n"] == 2 * sum(len(c.targets) for c in commands)
     for command in (step.command for step in plan.sense_steps):
         assert set(command._resolved) == {ssd.chips[2], ssd.chips[6]}
+
+
+def test_eight_chips_share_one_resolution_half(monkeypatch):
+    """A command resolved on eight chips validates its targets and
+    builds its row arrays once: every chip's ``_resolved`` entry holds
+    only its own half (token, blocks, layout versions) over the same
+    row-array objects."""
+    ssd, _ = _build(names="ab")
+    _, plan = _shared_plan(ssd)
+    builds = {"n": 0}
+    validate = chip_module.validate_targets
+
+    def counting(targets, geometry):
+        builds["n"] += 1
+        return validate(targets, geometry)
+
+    monkeypatch.setattr(chip_module, "validate_targets", counting)
+    for controller in ssd.controllers:
+        controller.executor.execute_batch([plan])
+    commands = [step.command for step in plan.sense_steps]
+    assert builds["n"] == len(commands)
+    for command in commands:
+        _, rows, profile = command._rows
+        entries = [command._resolved[chip] for chip in ssd.chips]
+        for chip, (token, source, versions) in zip(ssd.chips, entries):
+            assert token is chip._resolve_token
+            assert len(source) == len(rows) == len(profile)
+            assert all(r is shared for (_, r), shared in zip(source, rows))
+            assert versions == tuple(b.layout_version for b, _ in source)
+        # Each chip's half names its own blocks.
+        assert len({id(source[0][0]) for _, source, _ in entries}) == N_CHIPS
+    assert builds["n"] == len(commands)
 
 
 def test_estimate_walks_once_per_timing_parameters(monkeypatch):

@@ -236,10 +236,11 @@ def window_memo_probe(plan, tally: Tally):
 
 @contextlib.contextmanager
 def resolved_off(plan):
-    """``MwsCommand._resolved`` holds one entry per chip, valid for
-    that chip's token: minting a fresh token before every batch makes
-    every command resolve again (the entry is still written -- the
-    executor reads it back)."""
+    """``MwsCommand._resolved`` holds one chip half per chip, valid
+    for that chip's token: minting a fresh token before every batch
+    makes every command resolve its chip half again (the entry is
+    still written -- the executor reads it back).  The shared half
+    (``MwsCommand._rows``) stays on."""
     from repro.flash.chip import NandFlashChip
 
     sense = NandFlashChip.execute_sense_batch
@@ -254,23 +255,22 @@ def resolved_off(plan):
 
 @contextlib.contextmanager
 def resolved_probe(plan, tally: Tally):
-    """A hit is a command whose entry for the sensing chip survived
-    the batch untouched."""
+    """A lookup is one ``NandFlashChip.resolve``; a hit is a command
+    whose chip half for that chip survived it untouched.  A striped
+    chip resolves its queue before the stripe senses and looks it up
+    again in its batch, so that second lookup always hits."""
     from repro.flash.chip import NandFlashChip
 
-    sense = NandFlashChip.execute_sense_batch
+    resolve = NandFlashChip.resolve
 
-    def counting(self, commands):
-        before = [(command._resolved or {}).get(self) for command in commands]
-        result = sense(self, commands)
-        tally.lookups += len(commands)
-        tally.hits += sum(
-            entry is not None and command._resolved[self] is entry
-            for command, entry in zip(commands, before)
-        )
+    def counting(self, command):
+        before = (command._resolved or {}).get(self)
+        result = resolve(self, command)
+        tally.lookups += 1
+        tally.hits += before is not None and command._resolved[self] is before
         return result
 
-    with _patched(NandFlashChip, "execute_sense_batch", counting):
+    with _patched(NandFlashChip, "resolve", counting):
         yield
 
 

@@ -101,7 +101,7 @@ FlashTranslationLayer.__contains__ FlashTranslationLayer.chunk_overrides
 FlashTranslationLayer.chunks_on_chip VectorRecord.pad_bits
 VectorRecord.padded_bits ssd/maintenance.py: MaintenanceManager.free_subblocks
 MaintenanceManager.wear_summary ssd/query_engine.py: CacheStats.hit_rate
-QueryEngine.template_for ResultCache.__len__ ResultCache.clear StackCache.clear
+QueryEngine.template_for ResultCache.clear StackCache.clear
 StackCache.entries
 workloads/image_segmentation.py: segment_reference
 """)
