@@ -4,8 +4,8 @@ Unlike the figure benches (which regenerate the paper's numbers),
 these measure the *library's* hot paths with pytest-benchmark proper
 (many rounds): functional MWS sensing, ParaBit serial sensing, BCH
 decoding, randomization, the SSD timeline simulator, the event
-sweep fed as a service feeds it, binding a striped query, and draining
-it as one stripe of chips.  Useful for tracking performance
+sweep fed as a service feeds it, binding a striped query, preparing
+fresh queries of one shape, and draining it as one stripe of chips.  Useful for tracking performance
 regressions of the simulator itself.
 """
 
@@ -20,7 +20,7 @@ from repro.core.api import FlashCosmos
 from repro.core.expressions import Operand, and_all
 from repro.core.mws import MwsExecutor
 from repro.core.parabit import ParaBit
-from repro.core.planner import PlanTemplate
+from repro.core.planner import Planner, PlanTemplate
 from repro.ecc.bch import BchCode
 from repro.flash.chip import NandFlashChip
 from repro.flash.geometry import ChipGeometry
@@ -196,6 +196,47 @@ def test_kernel_prepare_striped(benchmark, monkeypatch):
     assert len(prepared.plans) == 8 and len(binds) == 1
     assert len({id(plan) for plan in prepared.plans}) == 1
     assert not prepared.planned
+
+
+def test_kernel_prepare_fresh_shape(benchmark, monkeypatch):
+    """``QueryEngine.prepare`` of 64 fresh 8-chunk, 4-operand ANDs on 8
+    chips, each over its own operands of one group (the bound-plan
+    memo emptied before every round): they share one shape, placed
+    alike, so the template is planned once in all rounds and every
+    other query binds it through a renaming."""
+    ssd = SmallSsd(n_chips=8, geometry=GEOMETRY, seed=5)
+    rng = np.random.default_rng(5)
+    names = [f"v{i}" for i in range(16)]
+    for name in names:
+        bits = rng.integers(0, 2, 8 * GEOMETRY.page_size_bits, dtype=np.uint8)
+        ssd.write_vector(name, bits, group="g")
+    exprs = {
+        and_all([Operand(names[i]) for i in rng.permutation(16)[:4]])
+        for _ in range(64)
+    }
+    engine = ssd.engine
+    planned = []
+    plan_template = Planner.plan_template
+
+    def counting(planner, expr):
+        planned.append(expr)
+        return plan_template(planner, expr)
+
+    monkeypatch.setattr(Planner, "plan_template", counting)
+
+    def fresh():
+        engine._bound.clear()
+        return (), {}
+
+    def prepare_all():
+        return [engine.prepare(expr) for expr in exprs]
+
+    prepared = benchmark.pedantic(
+        prepare_all, setup=fresh, rounds=50, warmup_rounds=2
+    )
+    assert len(exprs) == 64 and len(planned) == 1
+    assert sum(p.planned for p in prepared) == 0
+    assert all(len({id(plan) for plan in p.plans}) == 1 for p in prepared)
 
 
 def test_kernel_drain_striped(benchmark):

@@ -73,12 +73,19 @@ class _Nary(Expression):
             else:
                 flattened.append(term)
         self.terms = tuple(flattened)
+        self._hash: int | None = None  # else every probe rehashes the tree
 
     def __eq__(self, other: object) -> bool:
         return type(self) is type(other) and self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash((type(self).__name__, self.terms))
+        if self._hash is None:
+            self._hash = hash((type(self).__name__, self.terms))
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        # Pickled as a constructor call: str hashes are per process.
+        return type(self), self.terms
 
     def __repr__(self) -> str:
         inner = f" {self.symbol} ".join(repr(t) for t in self.terms)
@@ -138,23 +145,30 @@ def evaluate(
     raise TypeError(f"unknown expression node {type(expr).__name__}")
 
 
-def operand_names(expr: Expression) -> frozenset[str]:
-    """All operand names referenced by an expression (one walk)."""
-    names: set[str] = set()
-    stack = [expr]
-    while stack:
-        node = stack.pop()
+def operand_shape(expr: Expression) -> tuple[object, list[str]]:
+    """The expression with each operand replaced by its first-appearance
+    slot (nested tuples, hashable), and the names in slot order -- one
+    walk.  Expressions that differ only in operand names share a shape."""
+    slots: dict[str, int] = {}
+
+    def walk(node: Expression) -> object:
         if isinstance(node, Operand):
-            names.add(node.name)
-        elif isinstance(node, (And, Or)):
-            stack += node.terms
-        elif isinstance(node, Not):
-            stack.append(node.expr)
-        elif isinstance(node, Xor):
-            stack += (node.left, node.right)
-        else:
-            raise TypeError(f"unknown expression node {type(node).__name__}")
-    return frozenset(names)
+            return slots.setdefault(node.name, len(slots))
+        if isinstance(node, _Nary):
+            return (node.symbol, *map(walk, node.terms))
+        if isinstance(node, Not):
+            return ("~", walk(node.expr))
+        if isinstance(node, Xor):
+            return ("^", walk(node.left), walk(node.right))
+        raise TypeError(f"unknown expression node {type(node).__name__}")
+
+    shape = walk(expr)
+    return shape, list(slots)
+
+
+def operand_names(expr: Expression) -> frozenset[str]:
+    """All operand names referenced by an expression."""
+    return frozenset(operand_shape(expr)[1])
 
 
 # ----------------------------------------------------------------------

@@ -52,6 +52,7 @@ from repro.core.expressions import (
     Operand,
     Or,
     Xor,
+    operand_names,
     to_nnf,
 )
 from repro.flash.chip import IscmFlags
@@ -297,10 +298,6 @@ class PlanTemplate:
     inversions: tuple[tuple[str, bool], ...]
 
     @property
-    def operand_names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.inversions)
-
-    @property
     def sense_steps(self) -> tuple[TemplateSenseStep, ...]:
         return tuple(
             s for s in self.steps if isinstance(s, TemplateSenseStep)
@@ -439,8 +436,11 @@ class Planner:
         *,
         block_limit: int = 4,
     ) -> None:
-        if block_limit < 1:
-            raise ValueError("block_limit must be >= 1")
+        # NaN would lift the power limit, 2.5 break a slice.
+        if type(block_limit) is not int or block_limit < 1:
+            raise ValueError(
+                f"block_limit must be an int >= 1, not {block_limit!r}"
+            )
         self.directory = directory
         self.block_limit = block_limit
         #: How many times this planner ran full expression planning
@@ -471,7 +471,7 @@ class Planner:
         -- e.g. the same vectors' other chunks on other chips.
         """
         plan = self._plan_concrete(expr)
-        names = sorted(_names(expr))
+        names = sorted(operand_names(expr))
         address_to_name: dict[WordlineAddress, str] = {}
         inversions: list[tuple[str, bool]] = []
         for name in names:
@@ -546,7 +546,7 @@ class Planner:
 
     def _common_plane(self, expr: Expression) -> int:
         planes = set()
-        for name in sorted(_names(expr)):
+        for name in sorted(operand_names(expr)):
             planes.add(self.directory.lookup(name).address.plane)
         if len(planes) != 1:
             raise PlanningError(
@@ -842,8 +842,3 @@ class Planner:
         )
         return Plan(plane=plane, steps=(first, second, XorStep(plane)))
 
-
-def _names(expr: Expression) -> frozenset[str]:
-    from repro.core.expressions import operand_names
-
-    return operand_names(expr)

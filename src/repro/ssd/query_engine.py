@@ -6,16 +6,18 @@ as chunk 0 does on chip 0 -- and, on an undisturbed SSD, at the same
 physical place.  The engine plans once per query shape and binds once
 per distinct chunk layout (``docs/architecture.md`` §2):
 
-1. **Template cache** -- per (expression, layout signature) the engine
-   plans once, against a chunk-0 view of the directory, into a
-   relocatable :class:`~repro.core.planner.PlanTemplate` (an LRU of
-   ``cache_size`` entries).  The signature is the per-vector (group,
-   inversion) tuple from the FTL.
+1. **Template cache** -- per expression *shape* (operands replaced by
+   first-appearance slots) and the slots' classes on chunk 0 (each
+   one's sub-block rank and inversion flag) the engine plans once,
+   against a chunk-0 view of the directory, into a relocatable
+   :class:`~repro.core.planner.PlanTemplate` (an LRU of ``cache_size``
+   entries): expressions that differ only in operand names share it.
 2. **Bind step** -- each chunk is keyed on its operands' placements
    (:class:`_ChunkDirectory` views of its chip's directory); the first
-   chunk of a key binds the template and the rest share that
-   :class:`~repro.core.planner.Plan` object.  A bind failure (layout
-   drift, e.g. hand-placed operands) replans that chunk alone.
+   chunk of a key binds the template through a slot-wise renaming and
+   the rest share that :class:`~repro.core.planner.Plan` object.  A
+   chunk whose classes differ from chunk 0's, or whose bind fails
+   (layout drift, e.g. hand-placed operands), replans alone.
 3. **Bound-plan cache** -- the prepared query (plans as per-task
    columns, chip by chip) is LRU-cached per expression against the
    *layout generation* (FTL plus every directory generation), so a
@@ -54,7 +56,12 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 import numpy as np
 
-from repro.core.expressions import Expression, evaluate, operand_names
+from repro.core.expressions import (
+    Expression,
+    evaluate,
+    operand_names,
+    operand_shape,
+)
 from repro.core.mws import MwsExecutor
 from repro.core.planner import (
     Plan,
@@ -76,6 +83,30 @@ from repro.ssd.events import StageJob, simulate_stages
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.ssd.controller import QueryResult, SmallSsd
+
+
+def _placements(controller, chunk: int, names: list[str]) -> tuple | None:
+    """The chunk's placements of ``names`` (``None``: one not stored)."""
+    operands = controller.directory.operands
+    suffix = f"@{chunk}"
+    try:
+        return tuple([operands[n + suffix].placement for n in names])
+    except KeyError:
+        return None
+
+
+def _slot_classes(layout: tuple | None) -> tuple | None:
+    """Per slot, its sub-block's rank among the distinct ones and its
+    inversion flag: with the shape, all planning reads of a layout
+    (targets and split units go in block order).  ``None`` where
+    planning fails: an operand not stored, or two planes."""
+    if layout is None:
+        return None
+    blocks = sorted({p[:3] for p in layout})
+    if blocks[0][0] != blocks[-1][0]:
+        return None
+    rank = {block: i for i, block in enumerate(blocks)}
+    return tuple([(rank[p[:3]], p[4]) for p in layout])
 
 
 def _positive_int(name: str, value: int) -> int:
@@ -639,7 +670,7 @@ class QueryEngine:
         #: the layout generation moves -- any FTL vector *or* per-chip
         #: directory operand being registered/unregistered (the latter
         #: catches controller-level hand-placement drift); then they
-        #: re-bind.  The operands' layout signature and chunk count are
+        #: re-bind.  The operands' placements and chunk count are
         #: functions of the generation, so the expression keys alone.
         self._bound: OrderedDict[
             Expression, tuple[tuple, tuple, PreparedQuery]
@@ -676,43 +707,31 @@ class QueryEngine:
     # Template cache
     # ------------------------------------------------------------------
 
-    def _layout_signature(self, names: list[str]) -> tuple:
-        """(name, group, inverted) per operand: two queries may share a
-        template only when their operands are placed congruently."""
-        records = map(self.ssd.ftl.lookup, names)
-        return tuple([(r.name, r.group, r.inverted) for r in records])
-
-    def template_for(self, expr: Expression) -> PlanTemplate:
-        """Fetch or build the relocatable template for ``expr``."""
-        names = sorted(operand_names(expr))
-        if not names:
-            raise ValueError("expression references no operands")
-        return self._template_for((expr, self._layout_signature(names)))[0]
-
-    def _template_for(self, key: tuple) -> tuple[PlanTemplate, bool]:
-        """Like :meth:`template_for` given ``(expr, operands' layout
-        signature)``, but additionally reports whether fetching the
-        template *planned* (cache miss).  The flag is threaded
-        explicitly to the caller instead of being inferred from
-        counter deltas, so interleaved query preparation (the service
-        window path) attributes hits correctly."""
+    def _template_for(
+        self, expr: Expression, key: tuple, names: list[str]
+    ) -> tuple[PlanTemplate, list[str], bool]:
+        """The template filed under ``key`` (shape, slot classes), the
+        names it was planned with in slot order, and whether fetching
+        it *planned* (a miss plans ``expr`` and files it with ``names``).
+        The flag is threaded explicitly, not inferred from counter
+        deltas, so interleaved preparation attributes hits correctly."""
         cached = self._templates.get(key)
         if cached is not None:
             self._templates.move_to_end(key)
             self._template_hits += 1
-            return cached, False
+            return *cached, False
         self._template_misses += 1
         controller = self.ssd.controllers[self.ssd.ftl.chip_of_chunk(0)]
         planner = Planner(
             _ChunkDirectory(controller, 0),
             block_limit=controller.planner.block_limit,
         )
-        template = planner.plan_template(key[0])
+        template = planner.plan_template(expr)
         self._planner_invocations += 1
-        self._templates[key] = template
+        self._templates[key] = (template, names)
         while len(self._templates) > self.cache_size:
             self._templates.popitem(last=False)
-        return template, True
+        return template, names, True
 
     def enable_result_cache(
         self, capacity: int | None = None
@@ -781,33 +800,31 @@ class QueryEngine:
         )
 
     def _bind(
-        self, expr: Expression, template: PlanTemplate, record
+        self, expr, names, classes, template, rename, record
     ) -> tuple[PreparedQuery, bool]:
-        """Bind the template once per distinct chunk layout (chunks
-        placed alike share one plan object), replanning a chunk whose
-        layout drifted from the template's; returns the prepared query
-        a repeat gets (``planned`` off) and whether any replan ran."""
+        """Bind the template (its names read through ``rename``) once
+        per distinct chunk layout (chunks placed alike share one plan
+        object), replanning a chunk whose slot classes differ from
+        chunk 0's or whose bind fails; returns the prepared query a
+        repeat gets (``planned`` off) and whether any replan ran."""
         planned = False
         tasks = []
-        names = template.operand_names
         layouts: dict[tuple | None, Plan] = {}
         for chunk in range(record.n_chunks):
             chip = self.ssd.ftl.chip_of_chunk(chunk)
             controller = self.ssd.controllers[chip]
-            # The chunk's view is built only for a bind: the key reads
-            # the directory directly, with no call per chunk.
-            operands = controller.directory.operands
-            suffix = f"@{chunk}"
-            try:
-                layout = tuple([operands[n + suffix].placement for n in names])
-            except KeyError:  # not stored: the bind words the error
-                layout = None
+            layout = _placements(controller, chunk, names)
             plan = layouts.get(layout)
             if plan is None:
                 view = _ChunkDirectory(controller, chunk)
-                try:
-                    plan = layouts[layout] = template.bind(view)
-                except TemplateBindError:  # replanned, never shared
+                if _slot_classes(layout) == classes:
+                    try:
+                        plan = layouts[layout] = template.bind(
+                            lambda name: view.lookup(rename[name])
+                        )
+                    except TemplateBindError:
+                        pass
+                if plan is None:  # replanned alone, never shared
                     planner = Planner(
                         view, block_limit=controller.planner.block_limit
                     )
@@ -832,6 +849,8 @@ class QueryEngine:
         attribute cache hits to the right query.  A repeat under an
         unmoved layout generation is one probe of the bound-plan LRU
         (and a template-LRU hit, as when the operands are looked up).
+        A fresh expression placed like a planned one of its shape
+        plans nothing.
         """
         generation = self._layout_generation()
         bound = self._bound.get(expr)
@@ -845,18 +864,23 @@ class QueryEngine:
                 self._template_hits += 1
                 self._bound.move_to_end(bound[2].expr)
                 return bound[2]
-        names = sorted(operand_names(expr))
-        if not names:
-            raise ValueError("expression references no operands")
-        self.ssd.ftl.validate_co_located(names)
+        shape, names = operand_shape(expr)
+        self.ssd.ftl.validate_co_located(sorted(names))
         record = self.ssd.ftl.lookup(names[0])
-        key = (expr, self._layout_signature(names))
-        template, planned = self._template_for(key)
+        controller = self.ssd.controllers[self.ssd.ftl.chip_of_chunk(0)]
+        # Classes ``None`` (planning fails) are never filed.
+        key = (shape, _slot_classes(_placements(controller, 0, names)))
+        template, planned_names, planned = self._template_for(
+            expr, key, names
+        )
         if fresh:
             self._bound.move_to_end(expr)
             prepared = bound[2]
         else:
-            prepared, bind_planned = self._bind(expr, template, record)
+            rename = dict(zip(planned_names, names))
+            prepared, bind_planned = self._bind(
+                expr, names, key[1], template, rename, record
+            )
             planned = planned or bind_planned
             # A stale entry is replaced where it stands in the LRU.
             self._bound[expr] = (generation, key, prepared)

@@ -45,6 +45,13 @@ def pages(names, seed=0):
     }
 
 
+def test_block_limit_is_checked_at_construction():
+    chip = NandFlashChip(GEOMETRY, seed=0)
+    for limit in [float("nan"), float("inf"), 2.5, True]:
+        with pytest.raises(ValueError, match="block_limit"):
+            FlashCosmos(chip, block_limit=limit)
+
+
 class TestFcWrite:
     def test_returns_handle(self):
         fc = make_fc()

@@ -1,5 +1,11 @@
 """Tests for repro.core.expressions."""
 
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +21,9 @@ from repro.core.expressions import (
     and_all,
     evaluate,
     operand_names,
+    operand_shape,
     or_all,
+    rename_operands,
     to_nnf,
 )
 
@@ -170,3 +178,47 @@ class TestHelpers:
         assert or_all([A, B]) == Or(A, B)
         with pytest.raises(ValueError):
             or_all([])
+
+
+class TestShapeAndHash:
+    def test_shape_replaces_operands_by_first_appearance_slots(self):
+        expr = Or(And(C, A), Not(C), Xor(B, A))
+        shape, names = operand_shape(expr)
+        assert names == ["C", "A", "B"]
+        assert shape == ("|", ("&", 0, 1), ("~", 0), ("^", 2, 1))
+        renamed = rename_operands(expr, {"C": "D", "A": "C", "B": "A"})
+        assert operand_shape(renamed) == (shape, ["D", "C", "A"])
+        assert operand_shape(And(A, B))[0] != operand_shape(Or(A, B))[0]
+        assert operand_shape(And(A, A))[0] != operand_shape(And(A, B))[0]
+
+    def test_memoized_hash_stays_out_of_pickles(self):
+        """Hash seeds differ per process: an ``And`` / ``Or`` pickled
+        after hashing must hash afresh where it is unpickled."""
+        build = (
+            "import pickle, sys\n"
+            "from repro.core.expressions import And, Operand, Or\n"
+            "e = And(Operand('a'), Or(Operand('b'), Operand('c')))\n"
+        )
+        dump = build + "hash(e); sys.stdout.buffer.write(pickle.dumps(e))"
+        load = build + (
+            "loaded = pickle.loads(sys.stdin.buffer.read())\n"
+            "assert {e: 1}[loaded] == 1 and {loaded: 1}[e] == 1\n"
+            "assert {e.terms[1]: 1}[loaded.terms[1]] == 1\n"
+            "print(hash('a'))\n"
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+
+        def run(code, seed, data=b""):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+            return subprocess.run(
+                [sys.executable, "-c", code],
+                input=data,
+                env=env,
+                capture_output=True,
+                check=True,
+            ).stdout
+
+        pickled = run(dump, "1")
+        # The two loads run under different seeds, both find it.
+        assert run(load, "2", pickled) != run(load, "1", pickled)
+        assert vars(pickle.loads(pickled))["_hash"] is None

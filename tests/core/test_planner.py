@@ -258,6 +258,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="block_limit"):
             Planner(directory, block_limit=0)
 
+    @pytest.mark.parametrize(
+        "limit", [float("nan"), float("inf"), 2.5, 4.0, True, "2", -1]
+    )
+    def test_block_limit_must_be_an_int_at_least_one(self, directory, limit):
+        """NaN lifted the power limit of Figure 14 (a 6-block OR was one
+        sense), 2.5 failed mid-plan on a slice, ``True`` acted as 1."""
+        with pytest.raises(ValueError, match="block_limit must be an int"):
+            Planner(directory, block_limit=limit)
+
     def test_plan_describe_mentions_flags(self, planner):
         text = planner.plan(Not(op("A0"))).describe()
         assert "MWS" in text
@@ -344,7 +353,7 @@ class TestPlanTemplates:
 
     def test_operand_names_and_inversions(self, planner):
         template = planner.plan_template(And(op("A0"), Not(op("N0"))))
-        assert template.operand_names == ("A0", "N0")
+        assert [name for name, _ in template.inversions] == ["A0", "N0"]
         assert dict(template.inversions) == {"A0": False, "N0": True}
 
     def test_planner_counts_invocations(self, directory):

@@ -5,7 +5,7 @@ import inspect
 import numpy as np
 import pytest
 
-from repro.core.expressions import And, Operand, evaluate
+from repro.core.expressions import And, Operand, Or, evaluate
 from repro.flash.geometry import ChipGeometry
 from repro.service import (
     AdmissionQueue,
@@ -340,10 +340,10 @@ class TestQueryService:
         ssd, _ = make_ssd()
         service = ssd.service(window_us=100.0)
         shape_a = And(Operand("a"), Operand("b"))
-        shape_b = And(Operand("c"), Operand("d"))
+        shape_b = Or(Operand("c"), Operand("d"))
         ids = [
             service.submit(shape_a, at_us=0.0),  # miss (first a.b)
-            service.submit(shape_b, at_us=1.0),  # miss (first c.d)
+            service.submit(shape_b, at_us=1.0),  # miss (first c+d)
             service.submit(shape_a, at_us=2.0),  # hit
             service.submit(shape_b, at_us=3.0),  # hit
         ]

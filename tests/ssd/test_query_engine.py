@@ -71,7 +71,7 @@ class TestPlanAmortization:
         for name in "abc":
             ssd.write_vector(name, env[name], group="g")
         e1 = And(Operand("a"), Operand("b"))
-        e2 = And(Operand("b"), Operand("c"))
+        e2 = And(Operand("b"), Operand("c"), Operand("a"))  # other shape
         ssd.query(e1)
         ssd.query(e2)  # evicts e1's template
         ssd.query(e1)  # must replan
@@ -79,24 +79,60 @@ class TestPlanAmortization:
         assert stats.cached_templates == 1
         assert stats.template_misses == 3
 
-    def test_layout_signature_separates_templates(self):
-        """The same expression over differently laid-out operands must
-        not share a template."""
+    def test_renamed_expression_of_a_known_shape_plans_nothing(
+        self, monkeypatch
+    ):
+        """The template is keyed on the operand-renamed shape: a fresh
+        expression placed like a planned one binds its template."""
+        ssd = SmallSsd(n_chips=2, seed=6)
+        env = vectors("abcd", ssd.page_bits * 2, seed=7)
+        for name in "abcd":
+            ssd.write_vector(name, env[name], group="g")
+        calls = count_plans(monkeypatch)
+        e1 = Or(And(Operand("a"), Operand("b")), ~Operand("a"))
+        e2 = Or(And(Operand("d"), Operand("c")), ~Operand("d"))
+        first, second = ssd.query(e1), ssd.query(e2)
+        assert calls["n"] == 1
+        assert not first.template_hit and second.template_hit
+        np.testing.assert_array_equal(second.bits, evaluate(e2, env))
+        prepared = ssd.engine.prepare(e2)
+        for chunk, chip, plan in zip(
+            prepared.chunks, prepared.chips, prepared.plans
+        ):
+            view = _ChunkDirectory(ssd.controllers[chip], chunk)
+            assert plan == Planner(view).plan(e2)
+
+    def test_slot_classes_separate_templates(self):
+        """One shape over operands placed unlike (another inversion
+        flag, or sub-blocks in the opposite order) must not share a
+        template: the flags are baked into the steps, and a wide AND's
+        senses are ordered by block."""
         ssd = SmallSsd(n_chips=2, seed=8)
-        env = vectors(["a", "b", "p", "q"], ssd.page_bits * 2, seed=9)
+        names = ["a", "b", "p", "q", "x", "y"]
+        env = vectors(names, ssd.page_bits * 2, seed=9)
         ssd.write_vector("a", env["a"], group="g")
         ssd.write_vector("b", env["b"], group="g")
         ssd.write_vector("p", env["p"], group="h", inverse=True)
         ssd.write_vector("q", env["q"], group="h", inverse=True)
-        r1 = ssd.query(Or(Operand("a"), Operand("b")))
-        r2 = ssd.query(Or(Operand("p"), Operand("q")))
-        np.testing.assert_array_equal(
-            r1.bits, evaluate(Or(Operand("a"), Operand("b")), env)
-        )
-        np.testing.assert_array_equal(
-            r2.bits, evaluate(Or(Operand("p"), Operand("q")), env)
-        )
-        assert ssd.engine.stats.template_misses == 2
+        ssd.write_vector("x", env["x"], group="k")
+        ssd.write_vector("y", env["y"], group="l")
+        exprs = [
+            Or(Operand("a"), Operand("b")),
+            Or(Operand("p"), Operand("q")),
+            And(Operand("x"), Operand("y")),  # k's block before l's
+            And(Operand("y"), Operand("x")),  # the same, reversed
+        ]
+        for expr in exprs:
+            np.testing.assert_array_equal(
+                ssd.query(expr).bits, evaluate(expr, env)
+            )
+        assert ssd.engine.stats.template_misses == 4
+        view = _ChunkDirectory(ssd.controllers[ssd.ftl.chip_of_chunk(0)], 0)
+        for expr in exprs[2:]:
+            prepared = ssd.engine.prepare(expr)
+            assert prepared.plans[prepared.chunks.index(0)] == Planner(
+                view
+            ).plan(expr)
 
 
 class TestBindFallback:
@@ -193,7 +229,9 @@ class TestChunkDirectoryView:
         live mapping, it does not snapshot it)."""
         ssd, _ = self._ssd(32)
         expr = And(Operand("a"), Operand("b"))
-        template = ssd.engine.template_for(expr)
+        template = Planner(
+            _ChunkDirectory(ssd.controllers[ssd.ftl.chip_of_chunk(0)], 0)
+        ).plan_template(expr)
         controller = ssd.controllers[ssd.ftl.chip_of_chunk(1)]
         view = _ChunkDirectory(controller, 1)
         old = view.lookup("b").address
@@ -264,7 +302,7 @@ class TestPrepare:
         for name in "abcd":
             ssd.write_vector(name, env[name], group="g")
         e1 = And(Operand("a"), Operand("b"))
-        e2 = And(Operand("c"), Operand("d"))
+        e2 = Or(Operand("c"), Operand("d"))  # another shape
         first = ssd.engine.prepare(e1)
         interloper = ssd.engine.prepare(e2)  # plans between e1's uses
         repeat = ssd.engine.prepare(e1)

@@ -39,7 +39,7 @@ EspCommand.__post_init__ MwsCommand.max_wordlines_per_block bitmap_to_wordlines
 wordlines_to_bitmap core/esp.py: EspPolicy.paper_default_extra
 core/expressions.py: Expression.__and__ Expression.__invert__ Expression.__or__
 Expression.__xor__ Not.__repr__ Operand.__repr__ Xnor Xor.__repr__
-_Nary.__repr__ rename_operands core/mws.py: MwsExecutor.execute_degraded_batch
+_Nary.__reduce__ _Nary.__repr__ rename_operands core/mws.py: MwsExecutor.execute_degraded_batch
 core/parabit.py: ParaBit.__init__ ParaBit._run ParaBit.bitwise_and
 ParaBit.bitwise_or ParaBit.bitwise_xor core/planner.py:
 OperandDirectory.__len__ OperandDirectory.relocate Plan.sense_profile
@@ -101,8 +101,7 @@ FlashTranslationLayer.__contains__ FlashTranslationLayer.chunk_overrides
 FlashTranslationLayer.chunks_on_chip VectorRecord.pad_bits
 VectorRecord.padded_bits ssd/maintenance.py: MaintenanceManager.free_subblocks
 MaintenanceManager.wear_summary ssd/query_engine.py: CacheStats.hit_rate
-QueryEngine.template_for ResultCache.clear StackCache.clear
-StackCache.entries
+ResultCache.clear StackCache.clear StackCache.entries
 workloads/image_segmentation.py: segment_reference
 """)
 UNREACHED = tuple(
