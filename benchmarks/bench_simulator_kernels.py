@@ -2,8 +2,8 @@
 
 Unlike the figure benches (which regenerate the paper's numbers),
 these measure the *library's* hot paths with pytest-benchmark proper
-(many rounds): functional MWS sensing, ParaBit serial sensing, BCH
-decoding, randomization, the SSD timeline simulator, the event
+(many rounds): functional MWS sensing, ParaBit serial sensing,
+randomization, the SSD timeline simulator, the event
 sweep fed as a service feeds it, binding a striped query, preparing
 fresh queries of one shape, and draining it as one stripe of chips.  Useful for tracking performance
 regressions of the simulator itself.
@@ -21,7 +21,6 @@ from repro.core.expressions import Operand, and_all
 from repro.core.mws import MwsExecutor
 from repro.core.parabit import ParaBit
 from repro.core.planner import Planner, PlanTemplate
-from repro.ecc.bch import BchCode
 from repro.flash.chip import NandFlashChip
 from repro.flash.geometry import ChipGeometry
 from repro.flash.randomizer import LfsrRandomizer
@@ -76,17 +75,6 @@ def test_kernel_parabit_and(benchmark):
     result = benchmark(pb.bitwise_and, addresses)
     assert result.n_senses == 32
 
-
-def test_kernel_bch_decode(benchmark):
-    """BCH(63,45,3) decode with two injected errors."""
-    code = BchCode(m=6, t=3)
-    rng = np.random.default_rng(3)
-    data = rng.integers(0, 2, code.k, dtype=np.uint8)
-    word = code.encode(data)
-    word[[5, 40]] ^= 1
-    decoded, n = benchmark(code.decode, word)
-    assert n == 2
-    assert (decoded == data).all()
 
 def test_kernel_randomizer(benchmark):
     """16-KiB page randomization (keystream cached)."""

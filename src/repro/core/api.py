@@ -31,7 +31,12 @@ from repro.core.planner import (
 from repro.flash.chip import NandFlashChip
 from repro.flash.geometry import BlockAddress, WordlineAddress
 from repro.flash.ispp import ProgramMode
-from repro.flash.packing import ensure_padding, invert_words, words_per_page
+from repro.flash.packing import (
+    as_bits,
+    ensure_padding,
+    invert_words,
+    words_per_page,
+)
 
 
 @dataclass(frozen=True)
@@ -200,7 +205,7 @@ class FlashCosmos:
                 else ensure_padding(data, page_bits)
             )
         else:
-            data = np.asarray(data_bits, dtype=np.uint8)
+            data = as_bits(data_bits, f"operand {name!r}")
             stored = (1 - data).astype(np.uint8) if inverse else data
         # Snapshot the allocation cursors so a failed program does not
         # leak the wordline: the cursor would otherwise sit one past a

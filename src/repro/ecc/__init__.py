@@ -6,21 +6,12 @@ bitwise combination of two codewords is generally not a codeword of
 the combined data, so ParaBit-style IFP cannot rely on the controller
 ECC -- the motivation for ESP's zero-error programming.
 
-This package provides a binary BCH codec (the workhorse of SLC/MLC
-controllers before LDPC) built on GF(2^m) arithmetic, plus CRC32 for
-end-to-end integrity checks.
+This package provides the binary BCH encoder (the workhorse of SLC/MLC
+controllers before LDPC) that demonstrates it, built on GF(2^m)
+arithmetic.
 """
 
-from repro.ecc.bch import BchCode, BchDecodeFailure
-from repro.ecc.crc import crc32_bits
+from repro.ecc.bch import BchCode
 from repro.ecc.gf import GaloisField
-from repro.ecc.page_codec import PageCodec, PageDecodeResult
 
-__all__ = [
-    "BchCode",
-    "BchDecodeFailure",
-    "GaloisField",
-    "PageCodec",
-    "PageDecodeResult",
-    "crc32_bits",
-]
+__all__ = ["BchCode", "GaloisField"]

@@ -1,28 +1,16 @@
-"""Binary BCH encoder/decoder.
+"""Binary BCH encoder.
 
 A binary BCH(n, k, t) code over GF(2^m) with n = 2^m - 1 corrects up
 to t bit errors per codeword.  SSD controllers protect each page with
 many interleaved BCH codewords (LDPC in newer drives; Section 2.2).
 
-Encoding is systematic polynomial division by the generator; decoding
-is the classic pipeline: syndromes -> Berlekamp-Massey -> Chien
-search.  ``tests/ecc`` exercises roundtrips, correction up to t,
-detection beyond t, and the paper's non-commutativity claim (AND/OR of
-codewords is not the codeword of AND/OR of data).
-
-The scalar methods above stay the reference implementation; the
-``*_batch`` methods run the same algebra word-wide.  Interleaved
-codewords become *lanes*: bit ``l`` of a ``uint64`` lane word is
-codeword ``l % 64`` of word ``l // 64``, so the whole interleave of a
-page encodes/checks in a handful of XOR reduces.  Parity is a GF(2)
-matrix product against a precomputed contribution table (the
-remainder of ``x^(n-1-i) mod g`` per data row); syndromes are
-bit-sliced -- one packed plane per (syndrome, GF bit) pair, each the
-XOR of the codeword rows whose precomputed coefficient
-``alpha^(i*(n-1-r))`` has that bit set.  Lanes whose syndromes are all
-zero finish right there; dirty lanes fall back to the scalar
-:meth:`BchCode.decode`, so correction behaviour and
-:class:`BchDecodeFailure` typing are identical by construction.
+Encoding is systematic polynomial division by the generator.  That is
+all the reproduction needs: Section 3.2's argument is that the AND/OR
+of two stored codewords is not the codeword of the AND/OR of their
+data, so the controller's ECC cannot repair an in-flash result and ESP
+must keep the operands error-free.  ``tests/ecc`` and
+``examples/reliability_study.py`` show it with :meth:`BchCode.encode`
+alone.
 """
 
 from __future__ import annotations
@@ -32,48 +20,7 @@ from functools import reduce
 import numpy as np
 
 from repro.ecc.gf import GaloisField
-
-#: Lanes per packed word (mirrors ``repro.flash.packing.WORD_BITS``).
-LANE_WORD_BITS = 64
-
-_FULL_LANE_WORD = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
-
-
-def pack_lanes(matrix: np.ndarray) -> np.ndarray:
-    """Pack a ``(rows, lanes)`` 0/1 matrix into ``(rows, words)``
-    ``uint64`` lane words (lane ``l`` -> bit ``l % 64`` of word
-    ``l // 64``).
-
-    Padding lanes are **zero**, unlike the ones-padding of
-    ``repro.flash.packing.pack_rows``: a padding lane must behave as an
-    absent codeword, and only all-zero lanes contribute nothing to the
-    parity XOR and produce all-zero syndromes.
-    """
-    matrix = np.ascontiguousarray(matrix, dtype=np.uint8)
-    if matrix.ndim != 2:
-        raise ValueError("pack_lanes expects a 2-D (rows, lanes) array")
-    n_rows, n_lanes = matrix.shape
-    n_bytes = -(-n_lanes // LANE_WORD_BITS) * (LANE_WORD_BITS // 8)
-    packed = np.packbits(matrix, axis=1, bitorder="little")
-    if packed.shape[1] != n_bytes:
-        padded = np.zeros((n_rows, n_bytes), dtype=np.uint8)
-        padded[:, : packed.shape[1]] = packed
-        packed = padded
-    return np.ascontiguousarray(packed).view(np.uint64)
-
-
-def unpack_lanes(words: np.ndarray, n_lanes: int) -> np.ndarray:
-    """Inverse of :func:`pack_lanes`, truncating padding lanes."""
-    words = np.ascontiguousarray(words, dtype=np.uint64)
-    if words.ndim != 2:
-        raise ValueError("unpack_lanes expects a 2-D (rows, words) array")
-    flat = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
-    return flat[:, :n_lanes]
-
-
-class BchDecodeFailure(Exception):
-    """Raised when a received word has more errors than the code can
-    correct (detected, uncorrectable)."""
+from repro.flash.packing import as_bits
 
 
 class BchCode:
@@ -88,8 +35,9 @@ class BchCode:
     """
 
     def __init__(self, m: int, t: int) -> None:
-        if t < 1:
-            raise ValueError("t must be >= 1")
+        # True would build a t=1 code, 2.5 fail deep inside NumPy.
+        if type(t) is not int or t < 1:
+            raise ValueError(f"t must be an int >= 1, not {t!r}")
         self.field = GaloisField(m)
         self.n = self.field.order
         self.t = t
@@ -100,10 +48,6 @@ class BchCode:
             raise ValueError(
                 f"BCH(m={m}, t={t}) leaves no data bits (parity={self.n_parity})"
             )
-        # Lazy word-wide tables (see module docstring): built on the
-        # first *_batch call, immutable afterwards.
-        self._parity_masks: np.ndarray | None = None
-        self._syndrome_masks: np.ndarray | None = None
 
     def _build_generator(self) -> list[int]:
         """g(x) = lcm of minimal polynomials of alpha^1..alpha^2t."""
@@ -119,10 +63,6 @@ class BchCode:
         if any(c not in (0, 1) for c in product):
             raise AssertionError("generator polynomial is not binary")
         return product
-
-    # ------------------------------------------------------------------
-    # Encoding
-    # ------------------------------------------------------------------
 
     def encode(self, data_bits: np.ndarray) -> np.ndarray:
         """Encode k data bits into an n-bit systematic codeword
@@ -144,254 +84,9 @@ class BchCode:
         # the codeword keeps the index -> x^(n-1-index) convention.
         return np.concatenate([data, remainder[::-1]]).astype(np.uint8)
 
-    def _parity_mask_table(self) -> np.ndarray:
-        """``(k, n_parity, 1)`` ``uint64`` broadcast masks: lane word
-        of data row ``i`` feeds parity row ``j`` (codeword index
-        ``k + j``, coefficient ``x^(n_parity-1-j)``) iff bit
-        ``n_parity-1-j`` of ``x^(n-1-i) mod g`` is set."""
-        if self._parity_masks is None:
-            n_parity = self.n_parity
-            g_low = 0  # g(x) minus its monic top term, LSB = x^0
-            for degree in range(n_parity):
-                if self.generator[degree]:
-                    g_low |= 1 << degree
-            contrib = np.zeros((self.k, n_parity), dtype=bool)
-            # Data index k-1 sits at degree n_parity; each lower index
-            # is one more multiplication by x (mod g).
-            current = g_low
-            for i in range(self.k - 1, -1, -1):
-                for r in range(n_parity):
-                    if (current >> r) & 1:
-                        contrib[i, n_parity - 1 - r] = True
-                if i:
-                    current <<= 1
-                    if (current >> n_parity) & 1:
-                        current ^= (1 << n_parity) | g_low
-            masks = np.where(
-                contrib[:, :, None], _FULL_LANE_WORD, np.uint64(0)
-            )
-            masks.setflags(write=False)
-            self._parity_masks = masks
-        return self._parity_masks
-
-    def encode_batch(self, data: np.ndarray) -> np.ndarray:
-        """Encode every column of a ``(k, lanes)`` 0/1 matrix at once.
-
-        Column ``j`` of the returned ``(n, lanes)`` matrix is
-        bit-identical to ``encode(data[:, j])``.  The parity block is
-        one masked XOR reduce over the packed lane words instead of a
-        per-bit division loop per codeword.
-        """
-        data = np.ascontiguousarray(data, dtype=np.uint8)
-        if data.ndim != 2 or data.shape[0] != self.k:
-            raise ValueError(
-                f"data must have shape ({self.k}, lanes), got {data.shape}"
-            )
-        if not np.isin(data, (0, 1)).all():
-            raise ValueError("data must be 0/1 bits")
-        lanes = pack_lanes(data)  # (k, W)
-        masks = self._parity_mask_table()  # (k, n_parity, 1)
-        parity = np.bitwise_xor.reduce(lanes[:, None, :] & masks, axis=0)
-        out = np.empty((self.n, data.shape[1]), dtype=np.uint8)
-        out[: self.k] = data
-        out[self.k :] = unpack_lanes(parity, data.shape[1])
-        return out
-
-    # ------------------------------------------------------------------
-    # Decoding
-    # ------------------------------------------------------------------
-
-    def syndromes(self, codeword: np.ndarray) -> list[int]:
-        """S_i = r(alpha^i) for i = 1..2t; all zero iff r is a
-        codeword (up to undetectable error patterns)."""
-        word = self._check_bits(codeword, self.n, "codeword")
-        field = self.field
-        out = []
-        positions = np.nonzero(word)[0]
-        for i in range(1, 2 * self.t + 1):
-            s = 0
-            for pos in positions:
-                # Bit layout: index 0 is the x^(n-1) coefficient of the
-                # systematic polynomial? We store data||parity with
-                # index j representing coefficient x^(n-1-j) after the
-                # encode convention below; using exponent (n-1-j).
-                s ^= field.exp(i * (self.n - 1 - int(pos)))
-            out.append(s)
-        return out
-
-    def decode(self, received: np.ndarray) -> tuple[np.ndarray, int]:
-        """Decode an n-bit received word.
-
-        Returns (data_bits, n_corrected).  Raises
-        :class:`BchDecodeFailure` when more than t errors are detected.
-        """
-        word = self._check_bits(received, self.n, "received").copy()
-        synd = self.syndromes(word)
-        if not any(synd):
-            return word[: self.k].copy(), 0
-        locator = self._berlekamp_massey(synd)
-        n_errors = len(locator) - 1
-        if n_errors > self.t:
-            raise BchDecodeFailure(
-                f"error locator degree {n_errors} exceeds t={self.t}"
-            )
-        positions = self._chien_search(locator)
-        if len(positions) != n_errors:
-            raise BchDecodeFailure(
-                "error locator does not split over the field "
-                f"(found {len(positions)} of {n_errors} roots)"
-            )
-        for pos in positions:
-            word[pos] ^= 1
-        if any(self.syndromes(word)):
-            raise BchDecodeFailure("residual syndrome after correction")
-        return word[: self.k].copy(), n_errors
-
-    def _syndrome_mask_table(self) -> np.ndarray:
-        """``(2t, m, n, 1)`` ``uint64`` broadcast masks: codeword row
-        ``r`` feeds the bit plane ``(i, b)`` iff bit ``b`` of
-        ``alpha^((i+1) * (n-1-r))`` is set."""
-        if self._syndrome_masks is None:
-            powers = np.outer(
-                np.arange(1, 2 * self.t + 1, dtype=np.int64),
-                np.int64(self.n - 1) - np.arange(self.n, dtype=np.int64),
-            )
-            coefficients = self.field.exp_many(powers)  # (2t, n)
-            bits = (
-                coefficients[:, None, :]
-                >> np.arange(self.field.m, dtype=np.uint32)[None, :, None]
-            ) & 1
-            masks = np.where(
-                bits[:, :, :, None].astype(bool),
-                _FULL_LANE_WORD,
-                np.uint64(0),
-            )
-            masks.setflags(write=False)
-            self._syndrome_masks = masks
-        return self._syndrome_masks
-
-    def syndromes_batch(self, received: np.ndarray) -> np.ndarray:
-        """Syndromes of every column of a ``(n, lanes)`` 0/1 matrix.
-
-        Returns a ``(2t, lanes)`` integer matrix whose column ``j``
-        equals ``syndromes(received[:, j])``.  Computed bit-sliced:
-        every (syndrome, GF-bit) plane is one masked XOR reduce over
-        the packed lane words.
-        """
-        words = np.ascontiguousarray(received, dtype=np.uint8)
-        if words.ndim != 2 or words.shape[0] != self.n:
-            raise ValueError(
-                f"received must have shape ({self.n}, lanes), "
-                f"got {words.shape}"
-            )
-        if not np.isin(words, (0, 1)).all():
-            raise ValueError("received must be 0/1 bits")
-        lanes = pack_lanes(words)  # (n, W)
-        masks = self._syndrome_mask_table()  # (2t, m, n, 1)
-        planes = np.bitwise_xor.reduce(
-            lanes[None, None, :, :] & masks, axis=2
-        )  # (2t, m, W)
-        bits = np.unpackbits(
-            planes.view(np.uint8).reshape(planes.shape[0], planes.shape[1], -1),
-            axis=2,
-            bitorder="little",
-        )[:, :, : words.shape[1]]
-        weights = (
-            np.int64(1) << np.arange(self.field.m, dtype=np.int64)
-        )[None, :, None]
-        return (bits.astype(np.int64) * weights).sum(axis=1)
-
-    def decode_batch(
-        self, received: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Decode every column of a ``(n, lanes)`` 0/1 matrix.
-
-        Returns ``(data, corrected, failed)`` where ``data`` is the
-        ``(k, lanes)`` decoded payload, ``corrected`` the per-lane
-        corrected-bit count and ``failed`` a per-lane bool mask of
-        detected-uncorrectable words (their systematic bits pass
-        through, matching the page codec's best-effort convention).
-
-        Lanes whose batch syndromes are all zero never touch the
-        scalar machinery; dirty lanes run the exact scalar
-        :meth:`decode`, so per-lane corrections and
-        :class:`BchDecodeFailure` classification are identical to the
-        byte-bit path by construction.
-        """
-        words = np.ascontiguousarray(received, dtype=np.uint8)
-        syndromes = self.syndromes_batch(words)  # validates shape/bits
-        data = words[: self.k].copy()
-        n_lanes = words.shape[1]
-        corrected = np.zeros(n_lanes, dtype=np.int64)
-        failed = np.zeros(n_lanes, dtype=bool)
-        for lane in np.nonzero(syndromes.any(axis=0))[0]:
-            try:
-                decoded, n_errors = self.decode(words[:, lane])
-            except BchDecodeFailure:
-                failed[lane] = True
-                continue
-            data[:, lane] = decoded
-            corrected[lane] = n_errors
-        return data, corrected, failed
-
-    def _berlekamp_massey(self, syndromes: list[int]) -> list[int]:
-        """Error-locator polynomial sigma(x) from the syndromes."""
-        field = self.field
-        sigma = [1]
-        prev_sigma = [1]
-        prev_discrepancy = 1
-        shift = 1
-        for step, s in enumerate(syndromes):
-            discrepancy = s
-            for j in range(1, len(sigma)):
-                if j <= step:
-                    discrepancy ^= field.mul(sigma[j], syndromes[step - j])
-            if discrepancy == 0:
-                shift += 1
-                continue
-            scale = field.div(discrepancy, prev_discrepancy)
-            candidate = sigma.copy()
-            shifted = [0] * shift + [field.mul(scale, c) for c in prev_sigma]
-            if len(shifted) > len(candidate):
-                candidate += [0] * (len(shifted) - len(candidate))
-            for j, c in enumerate(shifted):
-                candidate[j] ^= c
-            if 2 * (len(sigma) - 1) <= step:
-                prev_sigma = sigma
-                prev_discrepancy = discrepancy
-                sigma = candidate
-                shift = 1
-            else:
-                sigma = candidate
-                shift += 1
-        while len(sigma) > 1 and sigma[-1] == 0:
-            sigma.pop()
-        return sigma
-
-    def _chien_search(self, locator: list[int]) -> list[int]:
-        """Find error bit positions from the locator polynomial."""
-        field = self.field
-        positions = []
-        for j in range(self.n):
-            # Candidate error at bit index j corresponds to the
-            # coefficient x^(n-1-j); its locator root is alpha^-(n-1-j).
-            x = field.exp(-(self.n - 1 - j))
-            if field.poly_eval(locator, x) == 0:
-                positions.append(j)
-        return positions
-
-    # ------------------------------------------------------------------
-    # Helpers
-    # ------------------------------------------------------------------
-
     @staticmethod
     def _check_bits(bits: np.ndarray, expected: int, label: str) -> np.ndarray:
-        arr = np.asarray(bits, dtype=np.uint8)
+        arr = as_bits(bits, label)
         if arr.shape != (expected,):
             raise ValueError(f"{label} must have {expected} bits, got {arr.shape}")
-        if not np.isin(arr, (0, 1)).all():
-            raise ValueError(f"{label} must be 0/1 bits")
         return arr
-
-    def __repr__(self) -> str:
-        return f"BchCode(n={self.n}, k={self.k}, t={self.t})"

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 #: Default primitive polynomials (as integers, LSB = x^0) for GF(2^m).
 PRIMITIVE_POLYNOMIALS = {
     2: 0b111,           # x^2 + x + 1
@@ -23,7 +21,7 @@ PRIMITIVE_POLYNOMIALS = {
 
 
 class GaloisField:
-    """GF(2^m) with exp/log tables for fast multiply/divide."""
+    """GF(2^m) with exp/log tables for fast multiplication."""
 
     def __init__(self, m: int, primitive_poly: int | None = None) -> None:
         if m < 2 or m > 16:
@@ -53,10 +51,6 @@ class GaloisField:
         # Duplicate the exp table so exp(a+b) needs no modulo.
         for i in range(self.order, 2 * self.order):
             self._exp[i] = self._exp[i - self.order]
-        #: NumPy views of the tables for the vectorized helpers; built
-        #: lazily because most fields only ever do scalar arithmetic.
-        self._exp_np: np.ndarray | None = None
-        self._log_np: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # Field operations (addition is XOR and needs no method)
@@ -66,88 +60,14 @@ class GaloisField:
         """alpha ** power (power may be any integer)."""
         return self._exp[power % self.order]
 
-    def log(self, x: int) -> int:
-        if x == 0:
-            raise ValueError("log(0) is undefined")
-        return self._log[x]
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
         return self._exp[self._log[a] + self._log[b]]
 
-    def div(self, a: int, b: int) -> int:
-        if b == 0:
-            raise ZeroDivisionError("division by zero in GF(2^m)")
-        if a == 0:
-            return 0
-        return self._exp[(self._log[a] - self._log[b]) % self.order]
-
-    def inverse(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("zero has no inverse")
-        return self._exp[self.order - self._log[a]]
-
-    def pow(self, a: int, n: int) -> int:
-        if a == 0:
-            if n == 0:
-                return 1
-            if n < 0:
-                raise ZeroDivisionError("negative power of zero")
-            return 0
-        return self._exp[(self._log[a] * n) % self.order]
-
-    # ------------------------------------------------------------------
-    # Vectorized table access (the packed-ECC fast path)
-    # ------------------------------------------------------------------
-
-    @property
-    def exp_table(self) -> np.ndarray:
-        """Antilog table as a read-only ``uint32`` array of length
-        ``2 * order`` (doubled, so ``exp_table[la + lb]`` multiplies
-        without a modulo)."""
-        if self._exp_np is None:
-            table = np.asarray(self._exp, dtype=np.uint32)
-            table.setflags(write=False)
-            self._exp_np = table
-        return self._exp_np
-
-    @property
-    def log_table(self) -> np.ndarray:
-        """Log table as a read-only ``int64`` array of length ``size``
-        (``log_table[0]`` is 0 and must be guarded by the caller, as
-        in :meth:`mul_many`)."""
-        if self._log_np is None:
-            table = np.asarray(self._log, dtype=np.int64)
-            table.setflags(write=False)
-            self._log_np = table
-        return self._log_np
-
-    def exp_many(self, powers: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`exp`: ``alpha ** p`` element-wise for an
-        integer array of (possibly negative) powers."""
-        idx = np.mod(np.asarray(powers, dtype=np.int64), self.order)
-        return self.exp_table[idx].astype(np.uint32)
-
-    def mul_many(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`mul` over integer arrays (broadcasting),
-        with the zero-operand convention handled element-wise."""
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        log = self.log_table
-        out = self.exp_table[log[a] + log[b]].astype(np.uint32)
-        return np.where((a == 0) | (b == 0), 0, out)
-
     # ------------------------------------------------------------------
     # Polynomials over the field (lists of coefficients, index = degree)
     # ------------------------------------------------------------------
-
-    def poly_eval(self, poly: list[int], x: int) -> int:
-        """Evaluate a polynomial (Horner's rule)."""
-        result = 0
-        for coeff in reversed(poly):
-            result = self.mul(result, x) ^ coeff
-        return result
 
     def poly_mul(self, a: list[int], b: list[int]) -> list[int]:
         out = [0] * (len(a) + len(b) - 1)

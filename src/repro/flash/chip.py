@@ -48,6 +48,7 @@ from repro.flash.ispp import ProgramMode
 from repro.flash.latches import LatchBank
 from repro.flash.packing import (
     FULL_WORD,
+    as_bits,
     invert_words,
     pack_rows,
     unpack_words,
@@ -301,7 +302,7 @@ class NandFlashChip:
                     n_bits=self.geometry.page_size_bits,
                 )
         else:
-            data = np.asarray(data, dtype=np.uint8)
+            data = as_bits(data, "data_bits")
             if randomize:
                 data = self.randomizer.randomize(
                     data, self.page_index(address)

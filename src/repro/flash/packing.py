@@ -34,6 +34,21 @@ FULL_WORD = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 _PAD_MASKS: dict[int, np.ndarray] = {}
 
 
+def as_bits(values: np.ndarray, label: str) -> np.ndarray:
+    """``values`` as a 0/1 ``uint8`` array, checked *before* the cast
+    (a cast would wrap 256 to 0 and truncate 0.5 to 0, and packing
+    turns any nonzero byte into 1).  Raises ``ValueError`` naming
+    ``label``.  A ``uint8`` input costs one ``max()``."""
+    arr = np.asarray(values)
+    if arr.dtype == np.uint8:
+        ok = arr.size == 0 or arr.max() <= 1
+    else:
+        ok = arr.dtype == np.bool_ or bool(((arr == 0) | (arr == 1)).all())
+    if not ok:
+        raise ValueError(f"{label} must be 0/1 bits")
+    return arr.astype(np.uint8, copy=False)
+
+
 def words_per_page(n_bits: int) -> int:
     """Packed words needed for a page of ``n_bits`` bits."""
     if n_bits < 1:

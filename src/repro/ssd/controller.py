@@ -32,7 +32,7 @@ from repro.flash.errors import (
     ReconstructionError,
 )
 from repro.flash.geometry import ChipGeometry
-from repro.flash.packing import pack_rows, parity_words, unpack_rows
+from repro.flash.packing import as_bits, pack_rows, parity_words, unpack_rows
 from repro.ssd.ftl import FlashTranslationLayer
 
 
@@ -182,7 +182,7 @@ class SmallSsd:
         half-registered (the programmed pages themselves are leaked
         until garbage collection, like any interrupted write).
         """
-        data = np.asarray(bits, dtype=np.uint8)
+        data = as_bits(bits, f"vector {name!r}")
         record = self.ftl.register_vector(
             name,
             data.size,

@@ -172,6 +172,19 @@ class TestAllocationRollback:
         handle = fc.fc_write("b", env["b"], group="g")
         assert handle.address.wordline == 1  # directly after "a"
 
+    def test_non_bit_data_leaks_no_wordline(self):
+        """256 would cast to 0 and program; it is refused before the
+        wordline is allocated."""
+        fc = make_fc()
+        env = pages("ab", seed=34)
+        fc.fc_write("a", env["a"], group="g")
+        bad = env["b"].astype(np.int64)
+        bad[0] = 256
+        with pytest.raises(ValueError, match="operand 'bad' must be 0/1"):
+            fc.fc_write("bad", bad, group="g")
+        handle = fc.fc_write("b", env["b"], group="g")
+        assert handle.address.wordline == 1  # directly after "a"
+
     def test_ungrouped_write_failure_releases_subblock(self, monkeypatch):
         fc = make_fc()
         env = pages("ab", seed=32)

@@ -1,12 +1,13 @@
 """Tests for repro.ecc.bch -- including the ECC/IFP non-commutativity
 claim the paper builds on (Section 3.2)."""
 
+from functools import reduce
+from operator import xor
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.ecc.bch import BchCode, BchDecodeFailure
+from repro.ecc.bch import BchCode
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +27,17 @@ def random_data(code, seed):
     return rng.integers(0, 2, code.k, dtype=np.uint8)
 
 
+def is_codeword(code, word):
+    """Every syndrome S_i = r(alpha^i), i = 1..2t, is zero: the word's
+    polynomial (index j holds the x^(n-1-j) coefficient) is divisible
+    by every minimal polynomial in g(x), so by g(x) itself."""
+    exponents = code.n - 1 - np.nonzero(word)[0]
+    return not any(
+        reduce(xor, (code.field.exp(i * int(e)) for e in exponents), 0)
+        for i in range(1, 2 * code.t + 1)
+    )
+
+
 class TestConstruction:
     def test_bch_15_7_2(self, code):
         """The classic BCH(15,7) double-error-correcting code."""
@@ -37,6 +49,13 @@ class TestConstruction:
     def test_rejects_zero_t(self):
         with pytest.raises(ValueError):
             BchCode(m=4, t=0)
+
+    @pytest.mark.parametrize("t", [True, 2.5, 2.0, "2"])
+    def test_rejects_non_int_t(self, t):
+        """True is an int to Python and would build a t=1 code; 2.5
+        used to fail deep inside NumPy without naming t."""
+        with pytest.raises(ValueError, match="t must be an int"):
+            BchCode(m=6, t=t)
 
     def test_rejects_overfull_code(self):
         """GF(4): t=2 forces the generator to absorb every bit."""
@@ -54,7 +73,9 @@ class TestEncoding:
     def test_codeword_has_zero_syndromes(self, code):
         for seed in range(10):
             cw = code.encode(random_data(code, seed))
-            assert not any(code.syndromes(cw))
+            assert is_codeword(code, cw)
+            cw[seed] ^= 1
+            assert not is_codeword(code, cw)
 
     def test_linear(self, code):
         a = random_data(code, 1)
@@ -68,59 +89,14 @@ class TestEncoding:
         with pytest.raises(ValueError, match="0/1"):
             code.encode(np.full(code.k, 2, dtype=np.uint8))
 
-
-class TestDecoding:
-    def test_clean_roundtrip(self, code):
-        data = random_data(code, 3)
-        decoded, n = code.decode(code.encode(data))
-        np.testing.assert_array_equal(decoded, data)
-        assert n == 0
-
-    @pytest.mark.parametrize("n_errors", [1, 2])
-    def test_corrects_up_to_t(self, code, n_errors):
-        rng = np.random.default_rng(17)
-        for _ in range(30):
-            data = rng.integers(0, 2, code.k, dtype=np.uint8)
-            cw = code.encode(data)
-            positions = rng.choice(code.n, size=n_errors, replace=False)
-            cw[positions] ^= 1
-            decoded, n = code.decode(cw)
-            np.testing.assert_array_equal(decoded, data)
-            assert n == n_errors
-
-    def test_detects_beyond_t(self, code):
-        """Three errors in a t=2 code must not silently decode to the
-        original data; miscorrection to a *different* codeword is
-        allowed (it is for any bounded-distance decoder)."""
-        rng = np.random.default_rng(23)
-        outcomes = {"failure": 0, "miscorrection": 0}
-        for _ in range(40):
-            data = rng.integers(0, 2, code.k, dtype=np.uint8)
-            cw = code.encode(data)
-            positions = rng.choice(code.n, size=3, replace=False)
-            cw[positions] ^= 1
-            try:
-                decoded, _ = code.decode(cw)
-            except BchDecodeFailure:
-                outcomes["failure"] += 1
-            else:
-                assert not np.array_equal(decoded, data)
-                outcomes["miscorrection"] += 1
-        assert outcomes["failure"] > 0
-
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 10_000), data=st.data())
-    def test_roundtrip_property(self, strong_code, seed, data):
-        rng = np.random.default_rng(seed)
-        payload = rng.integers(0, 2, strong_code.k, dtype=np.uint8)
-        cw = strong_code.encode(payload)
-        n_errors = data.draw(st.integers(0, strong_code.t))
-        if n_errors:
-            positions = rng.choice(strong_code.n, size=n_errors, replace=False)
-            cw[positions] ^= 1
-        decoded, n = strong_code.decode(cw)
-        np.testing.assert_array_equal(decoded, payload)
-        assert n == n_errors
+    @pytest.mark.parametrize("bad", [256, 257, 0.9, -1])
+    def test_rejects_values_a_cast_would_make_bits(self, code, bad):
+        """256 and 0.9 cast to uint8 as 0 and 257 as 1: the check runs
+        on the values as given."""
+        data = random_data(code, 4).astype(np.float64)
+        data[3] = bad
+        with pytest.raises(ValueError, match="data must be 0/1"):
+            code.encode(data)
 
 
 class TestNonCommutativityWithIfp:
@@ -164,10 +140,10 @@ class TestNonCommutativityWithIfp:
                 code.encode(a) ^ code.encode(b), code.encode(a ^ b)
             )
 
-    def test_decoding_an_anded_pair_corrupts_result(self, code):
-        """End-to-end: treat the in-flash AND as a received word; the
-        decode either fails or returns something other than a & b for
-        most operand pairs."""
+    def test_anded_pair_is_not_a_codeword(self, code):
+        """The in-flash AND carries a & b in its data bits, but for most
+        operand pairs its parity is no BCH parity at all: to the
+        controller it looks like a corrupted page."""
         rng = np.random.default_rng(8)
         wrong = 0
         total = 50
@@ -175,11 +151,7 @@ class TestNonCommutativityWithIfp:
             a = rng.integers(0, 2, code.k, dtype=np.uint8)
             b = rng.integers(0, 2, code.k, dtype=np.uint8)
             in_flash = code.encode(a) & code.encode(b)
-            try:
-                decoded, _ = code.decode(in_flash)
-            except BchDecodeFailure:
-                wrong += 1
-                continue
-            if not np.array_equal(decoded, a & b):
+            np.testing.assert_array_equal(in_flash[: code.k], a & b)
+            if not is_codeword(code, in_flash):
                 wrong += 1
         assert wrong > total // 2

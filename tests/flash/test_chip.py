@@ -30,6 +30,17 @@ class TestBasicCommands:
         clean_chip.program_page(addr, data, randomize=False)
         np.testing.assert_array_equal(clean_chip.read_page(addr), data)
 
+    @pytest.mark.parametrize("bad", [2, 256, 0.5])
+    def test_program_rejects_non_bit_values(self, clean_chip, bad):
+        """The unpacked path checks before casting: 256 and 0.5 would
+        otherwise program as 0, and 2 as 1."""
+        addr = WordlineAddress(0, 1, 1, 0)
+        data = page(clean_chip, 4).astype(np.float64)
+        data[5] = bad
+        with pytest.raises(ValueError, match="data_bits must be 0/1"):
+            clean_chip.program_page(addr, data, randomize=False)
+        assert clean_chip.counters.programs == 0
+
     def test_randomized_cells_differ_from_user_data(self, clean_chip):
         addr = WordlineAddress(0, 0, 1, 0)
         data = np.zeros(clean_chip.geometry.page_size_bits, dtype=np.uint8)

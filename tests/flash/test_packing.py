@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.flash.packing import (
     FULL_WORD,
     WORD_BITS,
+    as_bits,
     ensure_padding,
     invert_words,
     pack_bits,
@@ -37,6 +38,37 @@ class TestShapes:
     def test_unpack_word_count_checked(self):
         with pytest.raises(ValueError, match="words"):
             unpack_words(np.zeros(2, dtype=np.uint64), 64)
+
+
+class TestAsBits:
+    @pytest.mark.parametrize("bad", [2, 256, 257, 0.5, 0.9, -1])
+    def test_rejects_values_a_cast_would_make_bits(self, bad):
+        """uint8 casts 256 -> 0, 257 -> 1, 0.5 -> 0: check the values
+        as given, and name what was passed."""
+        values = np.array([0, 1, bad, 1])
+        with pytest.raises(ValueError, match="page 'x' must be 0/1"):
+            as_bits(values, "page 'x'")
+
+    def test_rejects_out_of_range_uint8(self):
+        with pytest.raises(ValueError, match="0/1"):
+            as_bits(np.array([0, 1, 2], dtype=np.uint8), "bits")
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.array([0, 1, 1, 0], dtype=np.uint8),
+            np.array([False, True, True, False]),
+            [0, 1, 1, 0],
+            np.array([0.0, 1.0, 1.0, 0.0]),
+        ],
+    )
+    def test_accepts_bits_of_any_dtype(self, values):
+        out = as_bits(values, "bits")
+        assert out.dtype == np.uint8
+        np.testing.assert_array_equal(out, [0, 1, 1, 0])
+
+    def test_accepts_empty(self):
+        assert as_bits(np.zeros(0, dtype=np.uint8), "bits").size == 0
 
 
 class TestRoundTrip:

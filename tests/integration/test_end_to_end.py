@@ -12,10 +12,10 @@ import pytest
 from repro.core.api import FlashCosmos
 from repro.core.expressions import And, Operand, Or, and_all, evaluate
 from repro.core.parabit import ParaBit
-from repro.ecc.bch import BchCode, BchDecodeFailure
-from repro.flash.chip import NandFlashChip
+from repro.ecc.bch import BchCode
+from repro.flash.chip import IscmFlags, NandFlashChip
 from repro.flash.errors import OperatingCondition
-from repro.flash.geometry import ChipGeometry
+from repro.flash.geometry import BlockAddress, ChipGeometry, WordlineAddress
 from repro.ssd.controller import SmallSsd
 from repro.workloads.bitmap_index import (
     generate_login_bitmaps,
@@ -100,8 +100,10 @@ class TestKcsEndToEnd:
 
 class TestReliabilityArguments:
     def test_ecc_cannot_repair_inflash_and(self):
-        """Store BCH codewords, AND them in-flash, decode: the result
-        is wrong or undecodable (Section 3.2)."""
+        """Store BCH codewords, AND them in-flash: the sensed page holds
+        a & b in its data bits, but its parity is usually not that of
+        a & b -- nor any BCH parity, so the controller's ECC has no
+        codeword to repair it to (Section 3.2)."""
         code = BchCode(m=6, t=3)
         geometry = ChipGeometry(
             planes_per_die=1,
@@ -111,35 +113,25 @@ class TestReliabilityArguments:
             page_size_bits=code.n,
         )
         chip = NandFlashChip(geometry, inject_errors=False, seed=11)
+        block = BlockAddress(0, 0, 0)
         rng = np.random.default_rng(12)
         wrong = 0
         trials = 20
-        for t in range(trials):
-            chip.erase_block(
-                __import__("repro.flash.geometry", fromlist=["BlockAddress"]
-                           ).BlockAddress(0, 0, 0)
-            )
+        for _ in range(trials):
+            chip.erase_block(block)
             a = rng.integers(0, 2, code.k, dtype=np.uint8)
             b = rng.integers(0, 2, code.k, dtype=np.uint8)
-            from repro.flash.geometry import WordlineAddress
-
-            chip.program_page(
-                WordlineAddress(0, 0, 0, 0), code.encode(a), randomize=False
-            )
-            chip.program_page(
-                WordlineAddress(0, 0, 0, 1), code.encode(b), randomize=False
-            )
-            from repro.flash.chip import IscmFlags
-            from repro.flash.geometry import BlockAddress
-
-            chip.execute_sense([(BlockAddress(0, 0, 0), (0, 1))], IscmFlags())
+            for wordline, data in enumerate((a, b)):
+                chip.program_page(
+                    WordlineAddress(0, 0, 0, wordline),
+                    code.encode(data),
+                    randomize=False,
+                )
+            chip.execute_sense([(block, (0, 1))], IscmFlags())
             sensed = chip.output_cache(0)
-            try:
-                decoded, _ = code.decode(sensed)
-            except BchDecodeFailure:
-                wrong += 1
-                continue
-            if not np.array_equal(decoded, a & b):
+            np.testing.assert_array_equal(sensed[: code.k], a & b)
+            if not np.array_equal(sensed, code.encode(a & b)):
+                assert not np.array_equal(code.encode(sensed[: code.k]), sensed)
                 wrong += 1
         assert wrong > trials // 2
 

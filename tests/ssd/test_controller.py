@@ -78,6 +78,18 @@ class TestWriteRead:
         ssd.write_vector("v", env["v"])
         np.testing.assert_array_equal(ssd.read_vector("v"), env["v"])
 
+    def test_non_bit_values_rejected_before_registration(self, ssd):
+        """2, 256, 0.5 and -1 used to cast and pack to 1, 0, 0, 1 and
+        be served as bits."""
+        data = np.zeros(ssd.page_bits * 2, dtype=np.float64)
+        data[:4] = [2, 256, 0.5, -1]
+        with pytest.raises(ValueError, match="vector 'v' must be 0/1"):
+            ssd.write_vector("v", data)
+        assert "v" not in ssd.ftl
+        env = vectors(["v"], ssd.page_bits * 2, seed=23)
+        ssd.write_vector("v", env["v"])
+        np.testing.assert_array_equal(ssd.read_vector("v"), env["v"])
+
 
 class TestQueries:
     def test_and_query_striped(self, ssd):

@@ -148,7 +148,6 @@ def test_packed_batch_matches_uint8_path(seed):
 def test_no_second_data_plane_option():
     """One data plane, no switch back: no constructor takes ``packed``
     and the drain takes no ``batch``."""
-    from repro.ecc.page_codec import PageCodec
     from repro.flash.chip import NandFlashChip
     from repro.flash.latches import LatchBank
     from repro.flash.sensing import SensingEngine
@@ -159,7 +158,6 @@ def test_no_second_data_plane_option():
         NandFlashChip,
         SensingEngine,
         LatchBank,
-        PageCodec,
         QueryEngine.execute_tasks,
     ):
         parameters = inspect.signature(api).parameters

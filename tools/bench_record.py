@@ -5,7 +5,6 @@
 (``benchmarks/bench_simulator_kernels.py`` via pytest-benchmark), the
 query-service throughput kernel (``benchmarks/bench_service.py``), the batched
 window-execution kernel (``benchmarks/bench_batch_sense.py``), the
-packed page-ECC kernel (``benchmarks/bench_ecc_packed.py``), the
 batched V_TH error-plane kernel
 (``benchmarks/bench_error_batch.py``), the cross-window stack-reuse
 kernel (``benchmarks/bench_stack_reuse.py``), and
@@ -187,28 +186,6 @@ def _run_slo_bench() -> dict[str, float]:
     }
 
 
-def _run_ecc_bench() -> dict[str, float]:
-    """Run the packed page-ECC kernel in-process.
-
-    Bit-identity against the byte-bit oracle is asserted inside the
-    bench before any timing; ``ecc_packed_speedup`` is wall-clock.
-    """
-    sys.path.insert(0, str(REPO_ROOT / "src"))
-    sys.path.insert(0, str(REPO_ROOT))
-    from benchmarks.bench_ecc_packed import measure_ecc_packed
-
-    m = measure_ecc_packed()
-    return {
-        "n_codewords": m["n_codewords"],
-        "page_bits": m["page_bits"],
-        "n_errors": m["n_errors"],
-        "corrected_bits": m["corrected_bits"],
-        "packed_s": m["packed_s"],
-        "byte_bit_s": m["byte_bit_s"],
-        "ecc_packed_speedup": m["ecc_packed_speedup"],
-    }
-
-
 def _run_error_batch_bench() -> dict[str, float]:
     """Run the batched V_TH error-plane kernel in-process.
 
@@ -370,7 +347,6 @@ def measure() -> dict:
         "kernels": _run_kernel_bench(),
         "service": _run_service_bench(),
         "batch_sense": _run_batch_bench(),
-        "ecc_packed": _run_ecc_bench(),
         "error_batch": _run_error_batch_bench(),
         "stack_reuse": _run_stack_reuse_bench(),
         "result_cache": _run_result_cache_bench(),
@@ -440,26 +416,6 @@ def check(baseline_path: Path, tolerance: float) -> int:
                 f"batch_sense dispatches_per_window: "
                 f"{fresh_batch['dispatches_per_window']} > "
                 f"baseline {base_batch['dispatches_per_window']}"
-            )
-
-    base_ecc = baseline.get("ecc_packed", {})
-    if "ecc_packed_speedup" in base_ecc:
-        fresh_ecc = fresh["ecc_packed"]
-        floor = base_ecc["ecc_packed_speedup"] / tolerance
-        if fresh_ecc["ecc_packed_speedup"] < floor:
-            failures.append(
-                f"ecc_packed ecc_packed_speedup: "
-                f"{fresh_ecc['ecc_packed_speedup']:.2f} < "
-                f"baseline {base_ecc['ecc_packed_speedup']:.2f} / "
-                f"{tolerance:.1f}"
-            )
-        # A correction count, not a timing: the packed decoder must
-        # keep fixing every injected error the baseline fixed.
-        if fresh_ecc["corrected_bits"] < base_ecc["corrected_bits"]:
-            failures.append(
-                f"ecc_packed corrected_bits: "
-                f"{fresh_ecc['corrected_bits']} < baseline "
-                f"{base_ecc['corrected_bits']}"
             )
 
     base_eb = baseline.get("error_batch", {})
@@ -654,7 +610,7 @@ def check(baseline_path: Path, tolerance: float) -> int:
         return 1
     print(
         f"perf trajectory ok: {len(baseline.get('kernels', {}))} kernels, "
-        f"service, batch-sense, packed-ECC, "
+        f"service, batch-sense, "
         f"error-batch, stack-reuse, result-cache, SLO, "
         f"fault-tolerance, GC, and redundancy "
         f"metrics within {tolerance:.1f}x of baseline"

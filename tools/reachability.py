@@ -46,15 +46,6 @@ OperandDirectory.__len__ OperandDirectory.relocate Plan.sense_profile
 Plan.total_wordlines PlanTemplate.n_senses
 PlanTemplate.sense_profile PlanTemplate.sense_steps Planner._split_wide_and
 TemplateSenseStep.n_blocks TemplateSenseStep.n_wordlines
-ecc/bch.py: BchCode.__repr__ BchCode._berlekamp_massey BchCode._chien_search
-BchCode._parity_mask_table BchCode._syndrome_mask_table BchCode.decode
-BchCode.decode_batch BchCode.encode_batch BchCode.syndromes
-BchCode.syndromes_batch pack_lanes unpack_lanes ecc/crc.py: crc32_bits
-ecc/gf.py: GaloisField.div GaloisField.exp_many GaloisField.exp_table
-GaloisField.inverse GaloisField.log GaloisField.log_table GaloisField.mul_many
-GaloisField.poly_eval GaloisField.pow ecc/page_codec.py: PageCodec.__init__
-PageCodec.correctable_bits_per_page PageCodec.decode_page PageCodec.encode_page
-PageCodec.logical_bits PageCodec.physical_bits PageDecodeResult.ok
 flash/array.py: BlockArray.mlc_states BlockArray.program_mlc
 BlockArray.programmed_mask BlockArray.stored_bits BlockArray.wordline_esp_extra
 BlockArray.written PlaneArray.__contains__ flash/chip.py:
