@@ -5,8 +5,9 @@ these measure the *library's* hot paths with pytest-benchmark proper
 (many rounds): functional MWS sensing, ParaBit serial sensing,
 randomization, the SSD timeline simulator, the event
 sweep fed as a service feeds it, binding a striped query, preparing
-fresh queries of one shape, and draining it as one stripe of chips.  Useful for tracking performance
-regressions of the simulator itself.
+fresh queries of one shape, draining it as one stripe of chips, and
+one chip's batch of fresh plain plans.  Useful for tracking
+performance regressions of the simulator itself.
 """
 
 import sys
@@ -17,7 +18,7 @@ from unittest import mock
 import numpy as np
 
 from repro.core.api import FlashCosmos
-from repro.core.expressions import Operand, and_all
+from repro.core.expressions import Operand, and_all, evaluate
 from repro.core.mws import MwsExecutor
 from repro.core.parabit import ParaBit
 from repro.core.planner import Planner, PlanTemplate
@@ -274,3 +275,46 @@ def test_kernel_drain_striped(benchmark):
     assert_outcomes_equal(outcomes, reference)
     assert_chips_equal(ssds[0], ssds[1])
     assert ssds[0].engine.stats == ssds[1].engine.stats
+
+
+def test_kernel_execute_batch_plain(benchmark):
+    """``MwsExecutor.execute_batch`` of one chip's queue of 128 fresh
+    plain plans: 16 four-operand ANDs over 8 chunks, bound anew before
+    every round (the template cached), so every command resolves cold.
+    Each plan is one sense whose sensed row is its result: no latch
+    tensor is built and no row is copied."""
+    ssd = SmallSsd(n_chips=1, geometry=GEOMETRY, seed=6)
+    rng = np.random.default_rng(6)
+    names = [f"v{i}" for i in range(16)]
+    env = {}
+    for name in names:
+        env[name] = rng.integers(
+            0, 2, 8 * GEOMETRY.page_size_bits, dtype=np.uint8
+        )
+        ssd.write_vector(name, env[name], group="g")
+    exprs = [
+        and_all([Operand(names[i]) for i in rng.permutation(16)[:4]])
+        for _ in range(16)
+    ]
+    engine = ssd.engine
+    executor = ssd.controllers[0].executor
+
+    def fresh():
+        engine._bound.clear()
+        plans = [plan for e in exprs for plan in engine.prepare(e).plans]
+        return (plans,), {}
+
+    results = benchmark.pedantic(
+        executor.execute_batch, setup=fresh, rounds=200, warmup_rounds=5
+    )
+    plans = [plan for e in exprs for plan in engine.prepare(e).plans]
+    assert len(plans) == 128
+    assert all(group[1] is None for group in MwsExecutor.layout(plans).groups)
+    page = GEOMETRY.page_size_bits
+    for index, result in enumerate(results):
+        expr, chunk = exprs[index // 8], index % 8
+        assert result.n_senses == 1
+        np.testing.assert_array_equal(
+            result.bits,
+            evaluate(expr, env)[chunk * page : (chunk + 1) * page],
+        )

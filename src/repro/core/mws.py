@@ -11,7 +11,8 @@ One cost model, two ways to drive the chip, one decision between them:
   a whole queue of plans through one skeleton: flatten the queue's
   sense commands plan-major, sense them in one vectorized chip call,
   replay the latch protocol per ISCM-signature group through
-  :meth:`~repro.flash.latches.LatchBank.capture_batch`, and charge
+  :meth:`~repro.flash.latches.LatchBank.capture_batch` (a plan that
+  is one plain sense takes its sensed row as its result), and charge
   the timing/energy counters plan by plan in the exact scalar order
   -- so results, latch end-state and every counter are bit-for-bit
   what the walk leaves, while Python dispatch drops from O(senses) to
@@ -87,8 +88,14 @@ class BatchLayout(NamedTuple):
     #: Per ``(plane, ISCM signature)`` lane group: ``(plane, capture
     #: steps, per sense step its lanes' payload rows (a slice or an
     #: index array), the lanes' plan indices, the landing lane or
-    #: None)``.
+    #: None)``.  A group of one plain sense has steps ``None`` and per
+    #: lane its payload row index: that sensed row is its result.
     groups: list[tuple]
+
+
+#: ISCM code of a plain sense (both latches initialised, transfer on,
+#: not inverse): it leaves the sensed page itself in the C-latch.
+_PLAIN_SENSE = 0b0111
 
 
 def _batch_info(plan: Plan) -> tuple | None:
@@ -286,6 +293,8 @@ class MwsExecutor:
         self,
         plans: list[Plan] | BatchLayout,
         attempts: list[int] | None = None,
+        *,
+        resolved: list[tuple] | None = None,
     ) -> list[ExecutionResult]:
         """Drain a :meth:`batchable` queue of plans as one batch (see
         module docstring): an error-free chip senses word-wide, an
@@ -300,11 +309,13 @@ class MwsExecutor:
         attempt, with the per-plan deltas spanning all of them.  A
         retried plan re-senses the same error-free bits, so sensing
         and latch replay still run once.  ``None`` is one clean
-        attempt per plan: the fault-free queue.
+        attempt per plan: the fault-free queue.  ``resolved`` is the
+        chip's resolution of the queue's commands, if the caller holds
+        it: the sense then resolves nothing.
         """
         if not isinstance(plans, BatchLayout):
             plans = self.layout(plans)
-        return self._run_batch(plans, attempts=attempts)
+        return self._run_batch(plans, attempts=attempts, resolved=resolved)
 
     def execute_degraded_batch(
         self, plans: list[Plan], *, extra_senses: int = 0
@@ -328,6 +339,7 @@ class MwsExecutor:
         attempts: list[int] | None = None,
         margin: bool = False,
         extra_senses: int = 0,
+        resolved: list[tuple] | None = None,
     ) -> list[ExecutionResult]:
         """The batch skeleton behind :meth:`execute_batch` and
         :meth:`execute_degraded_batch` over a :meth:`layout`: sense
@@ -351,7 +363,7 @@ class MwsExecutor:
             )
         self.dispatches += 1
         if not vth:
-            payload = chip.execute_sense_batch(layout.commands)
+            payload = chip.execute_sense_batch(layout.commands, resolved)
         else:
             # The probe ruled out the windows the V_TH plane declines
             # (and left their schedule cached).
@@ -542,9 +554,14 @@ class MwsExecutor:
             lane_groups.setdefault(gkey, []).append(index)
         last_on_plane = {plan.plane: index for index, plan in enumerate(plans)}
         groups = []
-        for (plane, _), members in lane_groups.items():
+        for (plane, codes), members in lane_groups.items():
             steps = infos[members[0]][1]
             bases = [sense_base[i] for i in members]
+            landing = last_on_plane[plane]
+            land_lane = members.index(landing) if landing in members else None
+            if codes == (_PLAIN_SENSE,):
+                groups.append((plane, None, bases, members, land_lane))
+                continue
             gap = bases[1] - bases[0] if len(bases) > 1 else 1
             # Evenly spaced lanes select a sense step's rows as a view.
             even = gap > 0 and bases == [*range(bases[0], bases[-1] + 1, gap)]
@@ -554,8 +571,6 @@ class MwsExecutor:
                 else np.asarray([base + k for base in bases])
                 for k in range(sum(step is not None for step in steps))
             ]
-            landing = last_on_plane[plane]
-            land_lane = members.index(landing) if landing in members else None
             groups.append((plane, steps, rows, members, land_lane))
         return BatchLayout(list(plans), infos, commands, groups)
 
@@ -563,11 +578,18 @@ class MwsExecutor:
         self, layout: BatchLayout, payload: np.ndarray
     ) -> list[np.ndarray]:
         """Replay the latch protocol per lane group and return each
-        plan's final C-latch row.  ``payload`` holds one packed
-        ``uint64`` row per flattened sense command."""
+        plan's final C-latch row.  ``payload`` holds one packed,
+        ones-padded ``uint64`` row per flattened sense command."""
         latches = self.chip.latches
         out: list = [None] * len(layout.plans)
         for plane, steps, rows, members, land_lane in layout.groups:
+            if steps is None:
+                for i, row in zip(members, rows):
+                    out[i] = payload[row]
+                if land_lane is not None:
+                    row = payload[rows[land_lane]]
+                    latches[plane].land(row, row)
+                continue
             cache_rows = latches[plane].capture_batch(
                 steps, [payload[r] for r in rows], land_lane=land_lane
             )

@@ -21,7 +21,6 @@ plane (2,048 blocks) costs memory only for the blocks a test touches.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 import numpy as np
 
@@ -79,8 +78,10 @@ class BlockArray:
         calibration: FlashCalibration | None = None,
         rng: np.random.Generator | None = None,
         noise_enabled: bool = True,
+        owner: "PlaneArray | None" = None,
     ) -> None:
         address.validate(geometry)
+        self._owner = owner  # its plane counts our layout changes
         self.geometry = geometry
         self.address = address
         self.calibration = calibration or DEFAULT_CALIBRATION
@@ -148,11 +149,16 @@ class BlockArray:
             meta.randomized = True
             meta.randomizer_page_index = None
 
+    def _moved(self) -> None:
+        self.layout_version += 1
+        if self._owner is not None:
+            self._owner._layout_sum += 1
+
     def erase(self) -> None:
         """Erase the whole sub-block, incrementing its P/E count."""
         self.pe_cycles += 1
         self.reads_since_erase = 0
-        self.layout_version += 1
+        self._moved()
         self._fill_erased()
 
     def program(
@@ -223,7 +229,7 @@ class BlockArray:
         meta.esp_extra = extra
         meta.randomized = randomized
         self.programs += 1
-        self.layout_version += 1
+        self._moved()
         return result
 
     def program_mlc(
@@ -285,7 +291,7 @@ class BlockArray:
         meta.esp_extra = 0.0
         meta.randomized = randomized
         self.programs += 1
-        self.layout_version += 1
+        self._moved()
         # Write the V_TH row last: for noise-free blocks the property
         # access materializes the idealized plane first.
         self.vth[wordline] = vth
@@ -409,6 +415,8 @@ class PlaneArray:
     seed: int = 0
     noise_enabled: bool = True
     _blocks: dict[BlockAddress, BlockArray] = field(default_factory=dict)
+    #: Sum of every block's ``layout_version``, kept by the blocks.
+    _layout_sum: int = 0
 
     def block(self, address: BlockAddress) -> BlockArray:
         block = self._blocks.get(address)
@@ -431,6 +439,7 @@ class PlaneArray:
                 calibration=self.calibration,
                 rng=rng,
                 noise_enabled=self.noise_enabled,
+                owner=self,
             )
         return block
 
@@ -440,21 +449,13 @@ class PlaneArray:
     def content_version(self) -> tuple[int, int]:
         """Aggregate content stamp of every materialized block.
 
-        Returns ``(n_blocks, sum of block layout_versions)``.  Both
-        components are monotonic -- blocks are only ever added, and
-        each block's ``layout_version`` only ever grows (bumped on
-        every program/erase) -- so any mutation anywhere in the plane
-        strictly changes the stamp.  Caches of *sensed data* (the
-        query engine's cross-window :class:`ResultCache`) compare this
-        stamp to detect that cell contents may have moved underneath
-        them; it is the plane-level face of the per-block
-        ``layout_version`` contract that the chip's batch gather cache
-        already revalidates against.
+        Returns ``(n_blocks, sum of block layout_versions)``, the sum
+        kept up to date by every bump, so reading it is O(1).  Both
+        components only grow, so any program or erase anywhere in the
+        plane strictly changes the stamp: the query engine's
+        :class:`ResultCache` compares it to see cell contents move.
         """
-        return (
-            len(self._blocks),
-            sum(map(attrgetter("layout_version"), self._blocks.values())),
-        )
+        return len(self._blocks), self._layout_sum
 
     def __contains__(self, address: BlockAddress) -> bool:
         return address in self._blocks

@@ -592,7 +592,7 @@ class NandFlashChip:
         self.charge_sense(outcome.wordlines_sensed, outcome.blocks_sensed)
 
     def execute_sense_batch(
-        self, commands: list["MwsCommand"]
+        self, commands: list["MwsCommand"], resolved: list | None = None
     ) -> np.ndarray:
         """Evaluate many MWS commands' sensing in one vectorized pass.
 
@@ -606,7 +606,8 @@ class NandFlashChip:
         via :meth:`charge_sense`/:meth:`charge_xor` in scalar order --
         so a batched queue stays step-for-step identical to scalar
         execution.  Requires an error-free chip; error injection
-        batches through :meth:`execute_sense_batch_vth`.
+        batches through :meth:`execute_sense_batch_vth`.  ``resolved``
+        is every command's :meth:`resolve`, if the caller holds it.
         """
         self._check_online()
         if self.sensing.inject_errors:
@@ -615,11 +616,9 @@ class NandFlashChip:
                 "plane; error injection batches through "
                 "execute_sense_batch_vth"
             )
-        resolve = self.resolve
         sources: list[tuple] = []
         profiles: list[tuple[int, ...]] = []
-        for command in commands:
-            source, profile = resolve(command)
+        for source, profile in resolved or map(self.resolve, commands):
             for (block, _), n_wordlines in zip(source, profile):
                 block.note_read(n_wordlines)
             sources.append(source)

@@ -39,6 +39,7 @@ a build with no injector at all.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -46,6 +47,21 @@ import numpy as np
 from repro.flash.geometry import BlockAddress
 
 __all__ = ["FaultConfig", "FaultInjector", "RecoveryPolicy"]
+
+
+def _check_fields(config, counts: tuple, amounts: dict) -> None:
+    """Refuse what would fail a ``run()`` mid-window: ``counts`` must
+    be ints >= 0 (no bool), ``amounts`` finite and >= their bound."""
+    for name in counts:
+        value = getattr(config, name)
+        if type(value) is not int or value < 0:
+            raise ValueError(f"{name} must be an int >= 0, not {value!r}")
+    for name, low in amounts.items():
+        value = getattr(config, name)
+        if isinstance(value, bool) or not low <= value < inf:
+            raise ValueError(
+                f"{name} must be finite and >= {low:g}, not {value!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -78,10 +94,9 @@ class FaultConfig:
             *self.chip_sense_fault_rates.values(),
         ]
         for rate in rates:
-            if not 0.0 <= rate <= 1.0:
+            if isinstance(rate, bool) or not 0.0 <= rate <= 1.0:
                 raise ValueError(f"fault rate {rate} outside [0, 1]")
-        if self.stall_us < 0.0:
-            raise ValueError("stall_us must be >= 0")
+        _check_fields(self, ("seed",), {"stall_us": 0.0})
 
 
 class FaultInjector:
@@ -276,14 +291,17 @@ class RecoveryPolicy:
     degraded_extra_senses: int = 2
 
     def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.backoff_base_us < 0.0:
-            raise ValueError("backoff_base_us must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
-        if self.degraded_extra_senses < 0:
-            raise ValueError("degraded_extra_senses must be >= 0")
+        _check_fields(
+            self,
+            ("max_retries", "degraded_extra_senses"),
+            {"backoff_base_us": 0.0, "backoff_factor": 1.0},
+        )
+        try:  # the last retry's backoff is the largest
+            last = self.backoff_us(self.max_retries)
+        except OverflowError:
+            last = inf
+        if last == inf:
+            raise ValueError("backoff_us(max_retries) must be finite")
 
     def backoff_us(self, attempt: int) -> float:
         """Backoff charged before retry ``attempt`` (1-based)."""

@@ -243,13 +243,17 @@ class LatchBank:
         if cache_zeroed:
             cache.fill(0)
         if land_lane is not None:
-            self.ops += 1
-            np.copyto(self._cache_buf, cache[land_lane])
-            self._cache = self._cache_buf
-            if sense is not None:
-                np.copyto(self._sense_buf, sense[land_lane])
-                self._sense = self._sense_buf
+            self.land(sense[land_lane], cache[land_lane])
         return cache | self._pad
+
+    def land(self, sense: np.ndarray, cache: np.ndarray) -> None:
+        """Copy a batched lane's final S/C words in: the bank is left as
+        if that lane's plan had run through the scalar path last."""
+        self.ops += 1
+        np.copyto(self._sense_buf, sense)
+        self._sense = self._sense_buf
+        np.copyto(self._cache_buf, cache)
+        self._cache = self._cache_buf
 
     def _sense_is_fresh(self) -> bool:
         """Whether the S-latch still holds the all-ones init pattern

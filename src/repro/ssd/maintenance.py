@@ -93,16 +93,19 @@ class MaintenanceConfig:
     rebuild_columns_per_cycle: int = 2
 
     def __post_init__(self) -> None:
-        if self.gc_low_watermark < 0:
-            raise ValueError("gc_low_watermark must be >= 0")
-        if self.gc_high_watermark < self.gc_low_watermark:
-            raise ValueError("gc_high_watermark must be >= gc_low_watermark")
-        if self.max_victims_per_cycle < 1:
-            raise ValueError("max_victims_per_cycle must be >= 1")
-        if self.min_invalid_pages < 1:
-            raise ValueError("min_invalid_pages must be >= 1")
-        if self.rebuild_columns_per_cycle < 1:
-            raise ValueError("rebuild_columns_per_cycle must be >= 1")
+        # A NaN bound compares false: GC would stall or run every window.
+        for name, low in (
+            ("gc_low_watermark", 0),
+            ("gc_high_watermark", self.gc_low_watermark),
+            ("max_victims_per_cycle", 1),
+            ("min_invalid_pages", 1),
+            ("rebuild_columns_per_cycle", 1),
+        ):
+            value = getattr(self, name)
+            if type(value) is not int or value < low:
+                raise ValueError(
+                    f"{name} must be an int >= {low}, not {value!r}"
+                )
 
 
 @dataclass(frozen=True)

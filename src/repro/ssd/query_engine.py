@@ -1255,8 +1255,9 @@ class QueryEngine:
         later chip's that holds the same plan objects in order: one
         :meth:`~repro.core.mws.MwsExecutor.layout`, then each member's
         own batch, this chip's first.  Members publish at their turn.
-        All are resolved before any chip state moves; one that fails
-        leaves with every chip after it and raises at its turn."""
+        All are resolved before any chip state moves, and each member's
+        batch senses from that resolution; one that fails leaves with
+        every chip after it and raises at its turn."""
         layout = MwsExecutor.layout(plans)
         cache, plan_at = window.cache, window.tasks.plan
         members = []
@@ -1282,18 +1283,20 @@ class QueryEngine:
             if any(plan_at[p] is not q for p, q in zip(ahead.unique, plans)):
                 continue
             try:
-                for command in layout.commands:
-                    self.ssd.chips[chip].resolve(command)
+                resolve = self.ssd.chips[chip].resolve
+                resolved = [resolve(command) for command in layout.commands]
             except Exception:
                 break  # it raises again at its own turn
-            members.append((chip, ahead))
+            members.append((chip, ahead, resolved))
         executor = self.ssd.controllers[window.chips[index][0]].executor
         own = _records(executor.execute_batch(layout))
-        for chip, ahead in members:
+        for chip, ahead, resolved in members:
             executor = self.ssd.controllers[chip].executor
             sensing = self.ssd.chips[chip].sensing
             counts = executor.dispatches, sensing.restacked_tensors
-            records = _records(executor.execute_batch(layout))
+            records = _records(
+                executor.execute_batch(layout, resolved=resolved)
+            )
             window.ahead[chip] = ahead._replace(sensed=(records, *counts))
         return own
 
@@ -1599,7 +1602,7 @@ class QueryEngine:
         buffers -- and frozen (``writeable=False``) like a
         :class:`ResultCache` entry: the service hands one block to every
         query of a run whose pieces are the same objects."""
-        words = np.vstack(pieces)
+        words = np.concatenate(pieces).reshape(len(pieces), -1)
         words.setflags(write=False)
         return words
 

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.flash.array import BlockArray, PlaneArray
-from repro.flash.geometry import BlockAddress
+from repro.flash.chip import NandFlashChip
+from repro.flash.geometry import BlockAddress, ChipGeometry, WordlineAddress
 from repro.flash.ispp import ProgramMode
 
 
@@ -117,3 +120,55 @@ class TestPlaneArray:
         plane = PlaneArray(tiny_geometry)
         with pytest.raises(IndexError):
             plane.block(BlockAddress(0, 999, 0))
+
+
+#: Two planes of two blocks of two sub-blocks, four wordlines each.
+_SMALL = ChipGeometry(
+    planes_per_die=2,
+    blocks_per_plane=2,
+    subblocks_per_block=2,
+    wordlines_per_string=4,
+    page_size_bits=80,
+)
+_WORDLINES = st.tuples(
+    st.integers(0, 1), st.integers(0, 1), st.integers(0, 1),
+    st.integers(0, 3),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(("program", "erase", "copyback")),
+            _WORDLINES,
+            _WORDLINES,
+        ),
+        max_size=30,
+    ),
+    seed=st.integers(0, 2**16),
+)
+def test_content_version_is_the_count_and_sum_of_layout_versions(ops, seed):
+    """After any program / erase / copyback sequence the O(1) stamp is
+    ``(n blocks, sum of their layout_version)``, the sum recomputed
+    here from the blocks themselves."""
+    chip = NandFlashChip(_SMALL, inject_errors=False, seed=seed)
+    rng = np.random.default_rng(seed)
+    plane = chip.plane_array
+    for op, (p, b, s, w), (p2, b2, s2, w2) in ops:
+        source = WordlineAddress(p, b, s, w)
+        if op == "erase":
+            chip.erase_block(source.block_address)
+        elif not plane.block(source.block_address).metadata[w].programmed:
+            bits = rng.integers(0, 2, _SMALL.page_size_bits, dtype=np.uint8)
+            chip.program_page(source, bits)
+        elif op == "copyback":
+            target = WordlineAddress(p, b2, s2, w2)
+            meta = plane.block(target.block_address).metadata[w2]
+            if not meta.programmed:
+                chip.copyback(source, target)
+        blocks = [plane.block(a) for a in plane.materialized()]
+        assert plane.content_version() == (
+            len(blocks),
+            sum(block.layout_version for block in blocks),
+        )

@@ -464,3 +464,53 @@ def test_fault_config_validates_rates():
         FaultConfig(stall_rate=-0.1)
     with pytest.raises(TypeError):
         FaultInjector(FaultConfig(), sense_fault_rate=0.5)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("max_retries", 2.5),
+        ("max_retries", True),
+        ("max_retries", float("nan")),
+        ("degraded_extra_senses", 1.5),
+        ("degraded_extra_senses", False),
+        ("backoff_base_us", float("nan")),
+        ("backoff_base_us", float("inf")),
+        ("backoff_base_us", True),
+        ("backoff_factor", float("inf")),
+        ("backoff_factor", float("nan")),
+    ],
+)
+def test_recovery_policy_refuses_what_fails_a_run(field, value):
+    """A count must be an int (not a bool), a time or factor finite:
+    each of these used to construct and then fail or misbehave inside
+    a window (NaN backoff, ``range(2.5)``, an inf-us retry)."""
+    with pytest.raises(ValueError, match=field):
+        RecoveryPolicy(**{field: value})
+
+
+def test_recovery_policy_refuses_a_backoff_that_overflows():
+    with pytest.raises(ValueError, match="backoff_us"):
+        RecoveryPolicy(max_retries=3, backoff_factor=1e200)
+    assert RecoveryPolicy(max_retries=0, backoff_factor=1e200)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, True])
+def test_fault_config_refuses_a_non_finite_stall(value):
+    with pytest.raises(ValueError, match="stall_us"):
+        FaultConfig(stall_us=value)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"seed": 2.5},  # used to fail at the first draw
+        {"seed": -1},
+        {"seed": True},
+        {"sense_fault_rate": True},  # used to act as 1.0
+        {"chip_sense_fault_rates": {0: True}},
+    ],
+)
+def test_fault_config_refuses_a_bad_seed_or_bool_rate(kwargs):
+    with pytest.raises(ValueError):
+        FaultConfig(**kwargs)

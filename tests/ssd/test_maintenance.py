@@ -56,6 +56,24 @@ class TestConfig:
         with pytest.raises(ValueError):
             MaintenanceConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field",
+        (
+            "gc_low_watermark",
+            "gc_high_watermark",
+            "max_victims_per_cycle",
+            "min_invalid_pages",
+            "rebuild_columns_per_cycle",
+        ),
+    )
+    @pytest.mark.parametrize("value", (float("nan"), True, 2.5, 4.0))
+    def test_rejects_knobs_that_are_not_ints(self, field, value):
+        """A NaN knob compares false both ways (GC off, or collecting
+        every window; a rebuild queue that never empties), a bool or a
+        fraction is not a count."""
+        with pytest.raises(ValueError, match=field):
+            MaintenanceConfig(**{field: value})
+
 
 class TestOccupancy:
     def test_counts_programmed_live_and_invalid(self):

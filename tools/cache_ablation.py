@@ -237,7 +237,8 @@ def window_memo_probe(plan, tally: Tally):
 @contextlib.contextmanager
 def resolved_off(plan):
     """``MwsCommand._resolved`` holds one chip half per chip, valid
-    for that chip's token: minting a fresh token before every batch
+    for that chip's token: minting a fresh token before every batch,
+    and dropping the resolution a stripe member's batch is handed,
     makes every command resolve its chip half again (the entry is
     still written -- the executor reads it back).  The shared half
     (``MwsCommand._rows``) stays on."""
@@ -245,7 +246,7 @@ def resolved_off(plan):
 
     sense = NandFlashChip.execute_sense_batch
 
-    def resolving(self, commands):
+    def resolving(self, commands, resolved=None):
         self._resolve_token = object()
         return sense(self, commands)
 
@@ -257,8 +258,8 @@ def resolved_off(plan):
 def resolved_probe(plan, tally: Tally):
     """A lookup is one ``NandFlashChip.resolve``; a hit is a command
     whose chip half for that chip survived it untouched.  A striped
-    chip resolves its queue before the stripe senses and looks it up
-    again in its batch, so that second lookup always hits."""
+    chip resolves its queue once, before the stripe senses, and its
+    batch senses from that resolution without a second lookup."""
     from repro.flash.chip import NandFlashChip
 
     resolve = NandFlashChip.resolve
