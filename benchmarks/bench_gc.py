@@ -40,6 +40,7 @@ snapshots the numbers into the ``gc`` section of
 
 from __future__ import annotations
 
+import inspect
 import os
 from unittest import mock
 
@@ -51,7 +52,7 @@ from repro.core.api import AllocationError
 from repro.core.expressions import And, Operand, and_all, evaluate
 from repro.flash.geometry import ChipGeometry
 from repro.ssd.controller import SmallSsd
-from repro.ssd.events import StageSweep
+from repro.ssd.events import StageSweep, sweep_row
 
 P99_GATE = float(os.environ.get("GC_P99_GATE", "1.25"))
 
@@ -197,20 +198,21 @@ def _run_saturated() -> dict:
     replays = []
 
     class RecordingSweep(StageSweep):
-        """A run's sweep that also keeps the run's jobs and, at the
-        close, its report."""
+        """A run's sweep that also keeps what the run fed -- sweep rows,
+        their fields ordered by ``sweep_row`` -- and, at the close, its
+        report."""
 
         def __init__(self) -> None:
             super().__init__()
-            self.jobs = []
+            self.rows = []
 
-        def feed(self, jobs, tags=None):
-            self.jobs += jobs
-            return super().feed(jobs, tags)
+        def feed(self, rows, tags=None):
+            self.rows += rows
+            return super().feed(rows, tags)
 
         def close(self):
             done, replay = super().close()
-            replays.append((self.jobs, replay))
+            replays.append((self.rows, replay))
             return done, replay
 
     queries = []
@@ -242,12 +244,14 @@ def _run_saturated() -> dict:
             lag_us = max(lag_us, report.stats.maintenance_lag_us)
     erasing: dict[str, float] = {}
     span = 0.0
-    for jobs, replay in replays:
+    names = list(inspect.signature(sweep_row).parameters)
+    for rows, replay in replays:
+        jobs = [dict(zip(names, row)) for row in rows]
         for job in jobs:
-            if job.background:
-                die = job.resources[0]
-                erasing[die] = erasing.get(die, 0.0) + job.durations[0]
-        span += replay.makespan - min(job.ready_at for job in jobs)
+            if job["background"]:
+                die = job["resources"][0]
+                erasing[die] = erasing.get(die, 0.0) + job["durations"][0]
+        span += replay.makespan - min(job["ready_at"] for job in jobs)
     deadlines = [q for q in queries if q.deadline_us is not None]
     return {
         "erase_share": max(erasing.values()) / span,

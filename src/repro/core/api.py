@@ -125,22 +125,19 @@ class FlashCosmos:
 
     def free_subblocks(self, plane: int = 0) -> int:
         """Allocatable sub-blocks left on a plane: the GC free list
-        plus whatever the linear cursor has not yet handed out."""
-        g = self.chip.geometry
-        total = g.blocks_per_plane * g.subblocks_per_block
+        plus whatever the linear cursor has not yet handed out -- the
+        sub-blocks at or past it, less the retired ones among them."""
+        per_block = self.chip.geometry.subblocks_per_block
+        total = self.chip.geometry.blocks_per_plane * per_block
         index = self._next_subblock.get(plane, 0)
-        unretired_ahead = sum(
-            1
-            for i in range(index, total)
-            if BlockAddress(
-                plane=plane,
-                block=i // g.subblocks_per_block,
-                subblock=i % g.subblocks_per_block,
-            )
-            not in self._retired_subblocks
+        retired_ahead = sum(
+            a.plane == plane
+            and 0 <= a.subblock < per_block
+            and index <= a.block * per_block + a.subblock < total
+            for a in self._retired_subblocks
         )
         freed = sum(1 for a in self._free_subblocks if a.plane == plane)
-        return unretired_ahead + freed
+        return max(total - index, 0) - retired_ahead + freed
 
     def _allocate_wordline(
         self, plane: int, group: str | None

@@ -18,14 +18,13 @@ erase succeeds; reliability work needs the opposite.  A
 Determinism is the load-bearing property: every random draw comes from
 a per-chip ``np.random.default_rng((seed, chip))`` stream, and the
 query engine only draws inside the owning chip's drain.  Sense-attempt
-draws never depend on sensed data, so
-their order is fixed by one function,
-:meth:`FaultInjector.attempt_draws` -- per plan, per attempt: stall,
-then sense fault, stopping at the first clean attempt or when the
+draws never depend on sensed data, so their order is fixed by one
+function, :meth:`FaultInjector.attempt_draws` -- per plan, per attempt:
+stall, then sense fault, stopping at the first clean attempt or when the
 retry budget is spent.  The batched drain runs it for a chip's whole
-queue up front (the *attempt schedule*) and the scalar loop runs it
-plan by plan; both consume the stream identically, so the draw
-sequence per chip is a pure function of that chip's schedule --
+queue up front, its uniforms drawn in blocks (the *attempt schedule*)
+and the scalar loop plan by plan; both consume the stream identically,
+so the draw sequence per chip is a pure function of that chip's schedule --
 identical in whatever order the chips drain and under either drain,
 which is what lets the chaos property suites compare batched and
 scalar runs bit for bit.
@@ -168,31 +167,36 @@ class FaultInjector:
     # Draws (one per hook call, per-chip stream)
     # ------------------------------------------------------------------
 
-    def draw_stall(self, chip: int) -> float:
-        """Simulated stall (us) to charge before the next attempt."""
+    def draw_stall(self, chip: int, uniform=None) -> float:
+        """Simulated stall (us) to charge before the next attempt, drawn
+        by ``uniform()`` (default: one scalar off the chip's stream)."""
         if self.config.stall_rate <= 0.0:
             return 0.0
-        if self._rng(chip).random() < self.config.stall_rate:
+        u = self._rng(chip).random() if uniform is None else uniform()
+        if u < self.config.stall_rate:
             self._note(chip, "stalls")
             return self.config.stall_us
         return 0.0
 
-    def draw_sense_fault(self, chip: int) -> bool:
-        """Whether this sense attempt reports failure."""
+    def draw_sense_fault(self, chip: int, uniform=None) -> bool:
+        """Whether this sense attempt reports failure (``uniform``: as
+        :meth:`draw_stall`)."""
         rate = self.sense_rate(chip)
         if rate <= 0.0:
             return False
-        if self._rng(chip).random() < rate:
+        u = self._rng(chip).random() if uniform is None else uniform()
+        if u < rate:
             self._note(chip, "sense_faults")
             return True
         return False
 
     def attempt_draws(
-        self, chip: int, policy: "RecoveryPolicy"
+        self, chip: int, policy: "RecoveryPolicy", uniform=None
     ) -> Iterator[tuple[bool, float]]:
         """The fault draws of one plan's sense attempts, in the order
-        every drain makes them: per attempt ``draw_stall`` then
-        ``draw_sense_fault``, yielding ``(faulted, recovery_us)`` --
+        every drain makes them -- the one owner of that order: per
+        attempt :meth:`draw_stall` then :meth:`draw_sense_fault`
+        (``uniform`` passed on), yielding ``(faulted, recovery_us)`` --
         whether that attempt reports failure and the stall + backoff
         time accumulated so far.  Ends after the first clean attempt,
         or after ``policy.max_retries + 1`` faulted ones (the last
@@ -203,12 +207,34 @@ class FaultInjector:
         """
         recovery_us = 0.0
         for attempt in range(1, policy.max_retries + 2):
-            recovery_us += self.draw_stall(chip)
-            faulted = self.draw_sense_fault(chip)
+            recovery_us += self.draw_stall(chip, uniform)
+            faulted = self.draw_sense_fault(chip, uniform)
             yield faulted, recovery_us
             if not faulted:
                 return
             recovery_us += policy.backoff_us(attempt)
+
+    def queue_attempt_draws(
+        self, chip: int, policy: "RecoveryPolicy", n_plans: int
+    ) -> list[list[tuple[bool, float]]]:
+        """:meth:`attempt_draws` of ``n_plans`` plans in turn, as lists,
+        the uniforms drawn in ``rng.random(k)`` blocks: a block, drawn
+        at an attempt's start, holds only the draws certain to be
+        needed (this attempt's, one first attempt's per later plan), so
+        the stream ends where the plan-by-plan walk leaves it."""
+        draws = (self.config.stall_rate > 0) + (self.sense_rate(chip) > 0)
+        block: list[float] = []
+
+        def uniform() -> float:
+            if not block:
+                k = draws * (n_plans - plan)
+                block.extend(self._rng(chip).random(k).tolist()[::-1])
+            return block.pop()
+
+        schedules = []
+        for plan in range(n_plans):  # ``uniform`` reads ``plan``
+            schedules.append(list(self.attempt_draws(chip, policy, uniform)))
+        return schedules
 
     def draw_program_fault(self, chip: int) -> bool:
         if self.config.program_fault_rate <= 0.0:

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import isfinite
+from numbers import Real
 
 from repro.core.expressions import Expression
 
@@ -46,8 +48,11 @@ class Submission:
                 "submitted_us must be finite and >= 0, "
                 f"not {self.submitted_us}"
             )
-        if self.deadline_us is not None and math.isnan(self.deadline_us):
-            raise ValueError("deadline_us must be a number, not nan")
+        p, deadline = self.priority, self.deadline_us
+        if isinstance(p, bool) or not isinstance(p, Real) or not isfinite(p):
+            raise ValueError(f"priority must be finite and real, not {p!r}")
+        if deadline is not None and not isfinite(deadline):
+            raise ValueError(f"deadline_us must be finite, not {deadline!r}")
         if self.deadline_us is not None and self.deadline_us <= self.submitted_us:
             raise ValueError(
                 "deadline_us must be after the submission time "

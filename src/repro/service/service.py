@@ -41,7 +41,9 @@ from repro.service.scheduler import (
     schedule_window,
 )
 from repro.ssd.controller import QueryResult, SmallSsd
-from repro.ssd.events import StageJob, StageSweep, simulate_stages
+from repro.ssd.events import (
+    StageJob, StageSweep, simulate_stages, sweep_row, urgency_key
+)
 from repro.ssd.maintenance import (
     MaintenanceConfig,
     MaintenanceManager,
@@ -220,9 +222,9 @@ class _Run(_RunTotals):
     sweep: StageSweep | None = None
     #: Queries admitted and not yet served (some job still in flight).
     states: dict[int, _QueryState] = field(default_factory=dict)
-    #: The window's listing and, per job, its owner: its query's state,
-    #: or a background job's ready time (it belongs to no query).
-    window_jobs: list[StageJob] = field(default_factory=list)
+    #: The window's sweep rows and, per row, its owner: its query's
+    #: state, or a background job's ready time (it belongs to no query).
+    window_jobs: list[tuple] = field(default_factory=list)
     window_owners: list[_QueryState | float] = field(default_factory=list)
     #: Queries whose last job has completed, in completion order.
     served: list[ServedQuery] = field(default_factory=list)
@@ -244,9 +246,9 @@ class _Run(_RunTotals):
     errors_seen: bool = False
 
     def add_background(self, background: list[StageJob]) -> None:
-        """List maintenance jobs for the event replay and book their
-        chip time."""
-        self.window_jobs.extend(background)
+        """List maintenance jobs for the event replay, as rows, and
+        book their chip time."""
+        self.window_jobs.extend(job.row for job in background)
         self.window_owners.extend(job.ready_at for job in background)
         for job in background:
             resource = job.resources[0]
@@ -257,25 +259,25 @@ class _Run(_RunTotals):
                 )
 
 
-def _most_urgent(group: dict | None, own: dict) -> dict:
-    """Job directives of a share group that ``own``'s query joins: the
-    scheduler's bucket rule (:func:`~repro.service.scheduler.
-    _edf_queues`) -- earliest deadline, highest priority -- so a
-    window's jobs rank at a die as its buckets ranked in the
-    schedule."""
+def _die_seconds(chip: int, what: str, us: float) -> float:
+    """``us`` in seconds, checked as it enters a row: finite, >= 0."""
+    if 0.0 <= us < math.inf:
+        return us * 1e-6
+    raise ValueError(f"chip {chip}: {what} time {us!r} us: not finite, >= 0")
+
+
+def _most_urgent(group: tuple | None, own: tuple) -> tuple:
+    """Urgency (:func:`~repro.ssd.events.urgency_key`) of a share group
+    that ``own``'s query joins: the scheduler's bucket rule
+    (:func:`~repro.service.scheduler._edf_queues`) -- earliest
+    deadline, highest priority -- so a window's jobs rank at a die as
+    its buckets ranked in the schedule."""
     if group is None or group is own:
         return own
-    deadline_s, other = group["deadline_s"], own["deadline_s"]
-    if deadline_s is None or (other is not None and other < deadline_s):
-        deadline_s = other
-    priority = max(group["priority"], own["priority"])
-    if deadline_s == group["deadline_s"] and priority == group["priority"]:
-        return group  # nothing to add: no new record per follower
-    return {
-        "ready_at_s": own["ready_at_s"],
-        "priority": priority,
-        "deadline_s": deadline_s,
-    }
+    klass = min(group[0], own[0])
+    deadline = min(u[1] for u in (group, own) if u[0] == klass)
+    merged = (klass, deadline, min(group[2], own[2]))
+    return group if merged == group else merged
 
 
 class QueryService:
@@ -675,29 +677,28 @@ class QueryService:
     def _list_jobs(
         self, run: _Run, tasks, result, info, ready_s: float
     ) -> None:
-        """List the window's pipeline jobs for the event replay, in
+        """List the window's sweep rows (:mod:`repro.ssd.events`) in
         task order (the replay breaks equal-time ties by it), in one
         pass over the task columns.  A cache hit spent nothing and
         cannot fail: it is folded into its query here -- its words are
-        the chunk's piece -- and lists the one zero-latency job of its
-        query and chip.  Under ``edf`` -- and only there: the
-        other policies ignore deadlines -- the jobs carry the
-        scheduler's intent into the replay (:meth:`_miss_directives`).
+        the chunk's piece -- and lists the one zero-latency row of its
+        query and chip.  An executed chunk lists its own row, its die
+        and fault seconds checked here.  Under ``edf`` -- and only
+        there: the other policies ignore deadlines -- the rows carry
+        the scheduler's intent into the replay (:meth:`_miss_directives`).
         """
-        stage_job = self.engine.stage_job
+        stage = self.engine.stage_constants
+        constants = [stage(chip) for chip in range(len(self.ssd.chips))]
         jobs, owners, states = run.window_jobs, run.window_owners, run.states
-        edf = self.policy == "edf"
-        directives = {}
-        for query, meta in info.items():
-            directives[query] = own = {"ready_at_s": ready_s}
-            if edf:
-                own["priority"], own["deadline_s"] = job_directives(meta)
         outcomes = result.outcomes
-        groups, survivor = (
-            self._miss_directives(outcomes, directives) if edf else ({}, None)
-        )
-        #: (query, chip) -> its zero-latency job.
-        idle_jobs: dict[tuple[int, int], StageJob] = {}
+        if self.policy == "edf":
+            urgency = {q: urgency_key(*job_directives(info[q])) for q in info}
+            groups, survivor = self._miss_directives(outcomes, urgency)
+        else:
+            urgency = dict.fromkeys(info, urgency_key(0.0, None))
+            groups, survivor = {}, None
+        #: (query, chip) -> its zero-latency row.
+        idle_rows: dict[tuple[int, int], tuple] = {}
         list_job, list_owner = jobs.append, owners.append  # hot loop
         cached_senses = 0
         for position, (query, chunk, chip, words) in enumerate(
@@ -709,26 +710,24 @@ class QueryService:
                 state.cached_chunks += 1
                 cached_senses += state.prepared.chunk_senses[chunk]
                 state.pending += 1
-                job = idle_jobs.get((query, chip))
-                if job is None:
-                    job = idle_jobs[(query, chip)] = stage_job(
-                        chip, 0.0, **directives[query]
-                    )
-                list_job(job)
+                row = idle_rows.get((query, chip))
+                if row is None:
+                    dma_s, ext_s, resources = constants[chip]
+                    row = idle_rows[(query, chip)] = sweep_row(
+                        ready_s, (0.0, dma_s, ext_s), resources, 0.0, False,
+                        urgency[query])
+                list_job(row)
                 list_owner(state)
                 continue
-            outcome, own = outcomes[position], directives[query]
+            outcome, own = outcomes[position], urgency[query]
             if groups:
                 leader = outcome.leader
                 own = groups.get(position if leader is None else leader, own)
-            list_job(
-                stage_job(
-                    chip,
-                    outcome.latency_us,
-                    fault_delay_us=outcome.recovery_us,
-                    **own,
-                )
-            )
+            dma_s, ext_s, resources = constants[chip]
+            die_s = _die_seconds(chip, "die", outcome.latency_us)
+            fault_s = _die_seconds(chip, "fault", outcome.recovery_us)
+            list_job(sweep_row(ready_s, (die_s, dma_s, ext_s), resources,
+                               fault_s, False, own))
             list_owner(state)
             state.pending += 1 + len(outcome.recovery_work)
             for rchip, busy_us in outcome.recovery_work:
@@ -739,16 +738,19 @@ class QueryService:
                 # zero-length entry is a marker: this chunk reuses a
                 # page another job of the window read on that die, and
                 # queues behind the read.
-                list_job(stage_job(rchip, busy_us, **(survivor or own)))
+                die_s = _die_seconds(rchip, "die", busy_us)
+                dma_s, ext_s, resources = constants[rchip]
+                list_job(sweep_row(ready_s, (die_s, dma_s, ext_s), resources,
+                                   0.0, False, survivor or own))
                 list_owner(state)
         run.cached_senses += cached_senses
 
     @staticmethod
     def _miss_directives(
-        outcomes: list, directives: dict
-    ) -> tuple[dict[int, dict], dict | None]:
-        """The ``edf`` directives of the window's executed jobs: per
-        leader position, those of its share group, and those of the
+        outcomes: list, urgency: dict
+    ) -> tuple[dict[int, tuple], tuple | None]:
+        """The ``edf`` urgencies of the window's executed jobs: per
+        leader position, that of its share group, and that of the
         window's survivor reads.
 
         A job waits for the data it shares, so urgency is inherited
@@ -760,17 +762,17 @@ class QueryService:
         survivor read of the window, and every marker waiting for
         one, those of the window's reconstructed queries.
         """
-        groups: dict[int, dict] = {}
+        groups: dict[int, tuple] = {}
         survivor = None
         for outcome in outcomes:
             if outcome is None:
                 continue
-            own = directives[outcome.task.query]
+            own = urgency[outcome.task.query]
             leader = outcome.leader
             if leader is not None:
                 group = groups.get(leader)
                 if group is None:
-                    group = directives[outcomes[leader].task.query]
+                    group = urgency[outcomes[leader].task.query]
                 groups[leader] = _most_urgent(group, own)
             if outcome.reconstructed:
                 survivor = _most_urgent(survivor, own)

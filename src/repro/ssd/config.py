@@ -5,6 +5,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 
+def positive_int(name: str, value: int) -> int:
+    """``value``, checked: a NaN bound never evicts, 2.5 keeps 3."""
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{name} must be an int >= 1, not {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class SsdConfig:
     """Simulated SSD organization and timing.
@@ -45,12 +52,11 @@ class SsdConfig:
             "planes_per_die",
             "page_bytes",
         ):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.external_bw_bytes_per_s <= 0:
-            raise ValueError("external bandwidth must be positive")
-        if self.channel_bw_bytes_per_s <= 0:
-            raise ValueError("channel bandwidth must be positive")
+            positive_int(name, getattr(self, name))
+        for name in ("external_bw_bytes_per_s", "channel_bw_bytes_per_s"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not value > 0:  # NaN too
+                raise ValueError(f"{name} must be positive, not {value!r}")
 
     # ------------------------------------------------------------------
     # Derived quantities

@@ -64,6 +64,14 @@ per die, consulted only when a foreground event finds the die idle
 before its own ready time and once at the end, so a stream without
 background jobs never reaches it.
 
+**Rows.**  The sweep carries a job as a plain tuple, its *row*
+``(ready_at, durations, resources, fault_delay_s, background,
+urgency)`` (:func:`sweep_row`).  :meth:`StageSweep.feed` takes rows or
+:class:`StageJob` objects (the checked single-job form), turning each
+into its row once.
+The service lists rows directly and checks each value where it enters
+(``docs/architecture.md`` §5); the sweep trusts a row.
+
 **Its oracle.**  The sweep is checked against a general preemptible
 resource model -- urgency order at every resource, suspension by the
 same forward-progress rule -- that lives beside the tests
@@ -115,11 +123,9 @@ class StageJob:
 
     Construction validates everything the sweep relies on (alignment,
     at least one stage, no negative duration or delay, every time and
-    urgency finite), so the event loop never re-checks per event.  A
-    value object by convention: slotted rather than frozen, because
-    the service builds one per chunk task and a frozen dataclass pays
-    an ``object.__setattr__`` per field -- never mutate one (the
-    service lists one shared instance many times); derive with
+    urgency finite), so the event loop, which runs on the job's
+    :attr:`row`, never re-checks per event.  A value object by
+    convention, slotted rather than frozen: derive with
     :func:`dataclasses.replace`.
     """
 
@@ -157,12 +163,29 @@ class StageJob:
 
     @property
     def urgency(self) -> tuple[int, float, float]:
-        """Die-queue urgency, smaller = more urgent: deadline-carrying
-        jobs sort before deadline-free ones, then by earlier deadline,
-        then by higher priority."""
-        if self.deadline is not None:
-            return (0, self.deadline, -self.priority)
-        return (1, 0.0, -self.priority)
+        """Die-queue urgency: :func:`urgency_key`."""
+        return urgency_key(self.priority, self.deadline)
+
+    @property
+    def row(self) -> tuple:
+        """The job as the sweep carries it: :func:`sweep_row`."""
+        return sweep_row(self.ready_at, self.durations, self.resources,
+                         self.fault_delay_s, self.background, self.urgency)
+
+
+def sweep_row(ready_at, durations, resources, fault_delay_s, background,
+              urgency) -> tuple:
+    """A job's row: the one order of its fields, which the sweep reads."""
+    return (ready_at, durations, resources, fault_delay_s, background, urgency)
+
+
+def urgency_key(priority: float, deadline: float | None) -> tuple:
+    """Die-queue urgency, smaller = more urgent: deadline-carrying jobs
+    sort before deadline-free ones, then by earlier deadline, then by
+    higher priority."""
+    if deadline is not None:
+        return (0, deadline, -priority)
+    return (1, 0.0, -priority)
 
 
 def background_job(
@@ -262,7 +285,7 @@ class StageReport:
 
 
 def simulate_stages(
-    jobs: list[StageJob],
+    jobs: Sequence[StageJob | tuple],
     *,
     sweep: StageSweep | None = None,
     tags: Sequence | None = None,
@@ -321,31 +344,33 @@ class StageSweep:
     """
 
     def __init__(self) -> None:
-        #: Arrivals in ``(ready, listing)`` order, as parallel lists;
-        #: those before ``_head`` have run.
+        #: Arrivals in ``(ready, listing)`` order, as parallel lists of
+        #: ready times, rows and tags; those before ``_head`` have run.
         self._ready: list[float] = []
-        self._jobs: list[StageJob] = []
+        self._jobs: list[tuple] = []
         self._tags: list = []
         self._head = self._fed = self._seq = 0
         self._clock, self._fault_overhead = -inf, 0.0
-        #: ``(time, seq, job, stage, tag)``; a "die frees" entry has
-        #: ``None`` for job and tag and the die's state as stage.
+        #: ``(time, seq, row, stage, tag)``; a "die frees" entry has
+        #: ``None`` for row and tag and the die's state as stage.
         self._heap: list[tuple] = []
         #: name -> state (see :data:`_IDLE`).
         self._resources: dict[str, list] = {}
 
     def feed(
-        self, jobs: Sequence[StageJob], tags: Sequence | None = None
+        self, jobs: Sequence[StageJob | tuple], tags: Sequence | None = None
     ) -> list[tuple]:
-        """Queue ``jobs`` after running every event before them;
-        returns the completions that finalised."""
+        """Queue ``jobs`` (rows or :class:`StageJob` objects) after
+        running every event before them; returns the completions that
+        finalised."""
         if not jobs:
             return []
         if tags is None:
             tags = range(self._fed, self._fed + len(jobs))
         elif len(tags) != len(jobs):
             raise ValueError("one tag per job")
-        ready = [job.ready_at for job in jobs]
+        jobs = [job if job.__class__ is tuple else job.row for job in jobs]
+        ready = [job[0] for job in jobs]
         if sorted(ready) != ready:
             # Stable: listing order breaks ties.
             order = sorted(range(len(ready)), key=ready.__getitem__)
@@ -431,7 +456,7 @@ class StageSweep:
                     # A die frees; ``stage`` is its state.
                     seq = _serve_waiters(stage, ready_at, heap, seq, done)
                     continue
-                durations = job.durations
+                durations = job[1]
                 duration = durations[stage]
             elif arrived < stop:
                 job, tag = jobs[arrived], tags[arrived]
@@ -439,17 +464,16 @@ class StageSweep:
                 ready_at = next_ready
                 next_ready = ready[arrived] if arrived < stop else limit
                 stage = 0
-                durations = job.durations
+                durations = job[1]
                 duration = durations[0]
-                if job.fault_delay_s:
+                if job[3]:
                     # Recovery time occupies the die ahead of the useful
                     # work; guarded so fault-free schedules stay
                     # float-identical.
-                    duration += job.fault_delay_s
-                    fault_overhead += job.fault_delay_s
-                if job.background:
-                    # Not served: it joins its die's gap queue.
-                    name = job.resources[0]
+                    duration += job[3]
+                    fault_overhead += job[3]
+                if job[4]:  # background: it joins its die's gap queue
+                    name = job[2][0]
                     state = resources.get(name)
                     if state is None:
                         state = resources[name] = list(_IDLE)
@@ -459,7 +483,7 @@ class StageSweep:
                     continue
             else:
                 break
-            name = job.resources[stage]
+            name = job[2][stage]
             state = resources.get(name)
             if state is None:
                 state = resources[name] = list(_IDLE)
@@ -519,9 +543,9 @@ def _protected_until(parked: float | None, resumed: float) -> float:
 
 
 def _join_waiters(
-    state: list, heap: list, seq: int, job: StageJob, tag, duration: float
+    state: list, heap: list, seq: int, job: tuple, tag, duration: float
 ) -> int:
-    """Queue ``job`` -- ``(urgency, seq, job, tag, stage-0 seconds)``,
+    """Queue row ``job`` -- ``(urgency, seq, job, tag, stage-0 seconds)``,
     ``seq`` ranking it by arrival -- on a die busy at its ready time;
     returns the next ``seq``.  The first waiter arms the die's "die
     frees" entry in the event heap -- ``(time, seq, None, state,
@@ -534,7 +558,7 @@ def _join_waiters(
     if not waiting:
         heapq.heappush(heap, (state[0], seq, None, state, None))
         seq += 1
-    heapq.heappush(waiting, (job.urgency, seq, job, tag, duration))
+    heapq.heappush(waiting, (job[5], seq, job, tag, duration))
     return seq + 1
 
 
@@ -560,7 +584,7 @@ def _serve_waiters(
         state[0] = end
         state[1] += duration
         state[2] += 1
-        if len(job.durations) > 1:
+        if len(job[1]) > 1:
             heapq.heappush(heap, (end, seq, job, 1, tag))
             seq += 1
         else:

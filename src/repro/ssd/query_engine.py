@@ -23,8 +23,9 @@ per distinct chunk layout (``docs/architecture.md`` §2):
    *layout generation* (FTL plus every directory generation), so a
    repeat is one probe until a registration moves it.
 4. **Event-simulated makespan** -- every executed chunk becomes a
-   :class:`~repro.ssd.events.StageJob` (die sense -> channel DMA ->
-   external link) of the exact timeline simulator.
+   pipeline job (die sense -> channel DMA -> external link) of the
+   exact timeline simulator: a :class:`~repro.ssd.events.StageJob`
+   here, a sweep row in the service.
 5. **Shared-sense execution** -- :meth:`QueryEngine.execute_tasks`
    drains a multi-query :class:`TaskColumns` window; plans are values
    down to the MWS command bytes, so per chip a dict keyed on the plan
@@ -78,7 +79,7 @@ from repro.flash.errors import (
 )
 from repro.flash.faults import RecoveryPolicy
 from repro.flash.packing import pack_bits
-from repro.ssd.config import SsdConfig, table1_config
+from repro.ssd.config import SsdConfig, positive_int, table1_config
 from repro.ssd.events import StageJob, simulate_stages
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -107,13 +108,6 @@ def _slot_classes(layout: tuple | None) -> tuple | None:
         return None
     rank = {block: i for i, block in enumerate(blocks)}
     return tuple([(rank[p[:3]], p[4]) for p in layout])
-
-
-def _positive_int(name: str, value: int) -> int:
-    """``value``, checked: a NaN bound never evicts, 2.5 keeps 3."""
-    if type(value) is not int or value < 1:
-        raise ValueError(f"{name} must be an int >= 1, not {value!r}")
-    return value
 
 
 class _ChunkDirectory:
@@ -375,7 +369,7 @@ class ResultCache:
 
     def __init__(self, ssd: "SmallSsd", *, capacity: int = 4096) -> None:
         self.ssd = ssd
-        self.capacity = _positive_int("capacity", capacity)
+        self.capacity = positive_int("capacity", capacity)
         #: (chip, plan) -> (packed words, n_senses).
         self._entries: OrderedDict[
             tuple[int, Plan], tuple[np.ndarray, int]
@@ -658,7 +652,7 @@ class QueryEngine:
         config: SsdConfig | None = None,
     ) -> None:
         self.ssd = ssd
-        self.cache_size = _positive_int("cache_size", cache_size)
+        self.cache_size = positive_int("cache_size", cache_size)
         #: Timing/bandwidth parameters for the pipelined makespan; the
         #: functional chips are tiny, so the event simulation scales
         #: their measured sense times with configured bus bandwidths.
@@ -700,7 +694,7 @@ class QueryEngine:
         self.stack_reuse = True
         self._stack_reuse_hits = 0
         self._restacked_tensors = 0
-        #: chip -> (DMA s, link s, resource names): see _stage_constants.
+        #: chip -> (DMA s, link s, resource names): see stage_constants.
         self._stage_cache: dict[int, tuple[float, float, tuple]] = {}
 
     # ------------------------------------------------------------------
@@ -748,7 +742,7 @@ class QueryEngine:
         raises ``ValueError`` -- a sibling's warm entries are never
         resized away."""
         if capacity is not None:
-            _positive_int("capacity", capacity)
+            positive_int("capacity", capacity)
         cache = self.result_cache
         if cache is None:
             cache = ResultCache(
@@ -893,20 +887,19 @@ class QueryEngine:
             expr, p.n_bits, p.n_chunks, True, p.chunks, p.chips, p.plans
         )
 
-    def _stage_constants(self, chip: int) -> tuple[float, float, tuple]:
+    def stage_constants(self, chip: int) -> tuple[float, float, tuple]:
         """Per-chip static parts of a chunk's pipeline job (transfer
-        durations and resource names).  Memoized: the service emits
-        one job per chunk task per window, and only the sense duration
-        varies between them."""
+        seconds and resource names; ``SsdConfig`` checked the
+        bandwidths).  Memoized: the service lists one row per chunk
+        task per window, and only the die seconds vary between them."""
         cached = self._stage_cache.get(chip)
         if cached is None:
             c = self.config
             chunk_bytes = self.ssd.page_bits / 8
-            cached = (
-                chunk_bytes / c.channel_bw_bytes_per_s,
-                chunk_bytes / c.external_bw_bytes_per_s,
-                (f"chip{chip}", f"chan{chip % c.n_channels}", "ext"),
-            )
+            dma_s = chunk_bytes / c.channel_bw_bytes_per_s
+            ext_s = chunk_bytes / c.external_bw_bytes_per_s
+            names = (f"chip{chip}", f"chan{chip % c.n_channels}", "ext")
+            cached = (dma_s, ext_s, names)
             self._stage_cache[chip] = cached
         return cached
 
@@ -920,29 +913,15 @@ class QueryEngine:
         deadline_s: float | None = None,
         fault_delay_us: float = 0.0,
     ) -> StageJob:
-        """Pipeline job for one chunk result: die sense -> channel DMA
-        -> external link (durations in seconds, the event simulator's
-        unit).  ``ready_at_s`` lets window streams arrive on the
-        virtual clock instead of all at t=0.
-
-        ``priority``/``deadline_s`` thread scheduling directives into
-        :func:`~repro.ssd.events.simulate_stages`: a deadline job
-        outranks every non-deadline job among those waiting for its
-        die.
-
-        ``fault_delay_us`` is the chunk's recovery time (retry backoff
-        plus injected stalls, :attr:`ChunkOutcome.recovery_us`): the
-        simulator extends the die stage by it, so fault recovery lands
-        exactly in the simulated timeline."""
-        dma_s, ext_s, resources = self._stage_constants(chip)
-        return StageJob(
-            ready_at_s,
-            (latency_us * 1e-6, dma_s, ext_s),
-            resources,
-            priority,
-            deadline_s,
-            fault_delay_us * 1e-6,
-        )
+        """Pipeline job for one chunk result, checked as a
+        :class:`~repro.ssd.events.StageJob`: die sense -> channel DMA ->
+        external link, in seconds, the die stage extended by
+        ``fault_delay_us`` (:attr:`ChunkOutcome.recovery_us`).  The
+        synchronous path's form; the service lists rows instead."""
+        dma_s, ext_s, resources = self.stage_constants(chip)
+        durations = (latency_us * 1e-6, dma_s, ext_s)
+        return StageJob(ready_at_s, durations, resources, priority,
+                        deadline_s, fault_delay_us * 1e-6)
 
     def execute_tasks(
         self,
@@ -1179,16 +1158,16 @@ class QueryEngine:
         retry half of the policy off every plan is one clean attempt:
         the queue replays through the stack cache when one is engaged,
         and senses as a stripe (:meth:`_sense_stripe`) otherwise.
-        With it on, the queue's **attempt schedule** is drawn first --
-        fault draws never depend on sensed data, so running
-        ``attempt_draws`` for every plan up front consumes the chip's
-        stream exactly as the scalar walk would between executions --
-        and the queue drains as batched dispatches charged once per
-        attempt, split only at a plan whose every attempt faulted: that
-        plan's failed executions and its degraded fallback (or
-        ``RetryExhaustedError``) run in scalar order from its drawn
-        schedule between the batches, so chip counters accumulate in
-        the scalar order.
+        With it on, the queue's **attempt schedule** is drawn first, in
+        blocks (``queue_attempt_draws``) -- fault draws never depend on
+        sensed data, so drawing every plan's attempts up front consumes
+        the chip's stream exactly as the scalar walk would between
+        executions -- and the queue drains as batched dispatches
+        charged once per attempt, split only at a plan whose every
+        attempt faulted: that plan's failed executions and its degraded
+        fallback (or ``RetryExhaustedError``) run in scalar order from
+        its drawn schedule between the batches, so chip counters
+        accumulate in the scalar order.
         """
         chip = window.chips[index][0]
         margin = chip in window.degraded
@@ -1214,8 +1193,9 @@ class QueryEngine:
             return _records(results), hits
         if not retry:
             return self._sense_stripe(window, index, plans), 0
-        draw = self.ssd.fault_injector.attempt_draws
-        schedule = [list(draw(chip, policy)) for _ in plans]
+        schedule = self.ssd.fault_injector.queue_attempt_draws(
+            chip, policy, len(plans)
+        )
         # Plans whose last attempt faulted too split the batch.
         exhausted = [i for i, draws in enumerate(schedule) if draws[-1][0]]
         records: list[_SenseRecord] = []

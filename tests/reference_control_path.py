@@ -19,6 +19,7 @@ one-shot replay of them all.
 from __future__ import annotations
 
 import heapq
+import inspect
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from repro.core.planner import Plan
@@ -27,7 +28,12 @@ from repro.service.scheduler import (
     LatencyEstimator,
     QueryInfo,
 )
-from repro.ssd.events import StageJob, StageReport, simulate_stages
+from repro.ssd.events import (
+    StageJob,
+    StageReport,
+    simulate_stages,
+    sweep_row,
+)
 from repro.ssd.query_engine import ChunkTask
 
 _NO_DEADLINE = float("inf")
@@ -365,10 +371,25 @@ def simulate_stages_fcfs(jobs: list[StageJob]) -> StageReport:
     )
 
 
+def job_of_row(row: tuple) -> StageJob:
+    """The ``StageJob`` a sweep row stands for -- the inverse of
+    ``StageJob.row`` -- rebuilt, so checked again.  The row's fields
+    are read by the names of ``sweep_row``'s parameters, the one place
+    that orders them."""
+    fields = dict(zip(inspect.signature(sweep_row).parameters, row))
+    klass, deadline, negated_priority = fields.pop("urgency")
+    return StageJob(
+        **fields,
+        priority=-negated_priority,
+        deadline=deadline if klass == 0 else None,
+    )
+
+
 class BufferedSweep:
     """A stand-in for ``repro.ssd.events.StageSweep`` that streams
-    nothing: ``feed`` buffers the jobs and their tags and finalises no
-    completion; ``close`` replays every buffered job at once through
+    nothing: ``feed`` buffers the jobs (a fed sweep row as the
+    ``StageJob`` it stands for, :func:`job_of_row`) and their tags and
+    finalises no completion; ``close`` replays every buffered job at once through
     the one-shot ``simulate`` (the production ``simulate_stages`` by
     default, or :func:`simulate_stages_fcfs`) and returns every
     completion with that replay's report.
@@ -389,7 +410,10 @@ class BufferedSweep:
     def feed(self, jobs, tags=None) -> list[tuple]:
         if tags is None:
             tags = range(len(self.jobs), len(self.jobs) + len(jobs))
-        self.jobs.extend(jobs)
+        self.jobs.extend(
+            job if isinstance(job, StageJob) else job_of_row(job)
+            for job in jobs
+        )
         self.tags.extend(tags)
         return []
 

@@ -10,6 +10,7 @@ must make that probe miss: any move of the layout generation.
 import numpy as np
 import pytest
 
+import repro.service.service as service_module
 import repro.ssd.query_engine as engine_module
 from reference_data_plane import GEOMETRY
 from repro.core.expressions import (
@@ -70,9 +71,10 @@ class _Counted:
 @pytest.mark.parametrize("policy", ["edf", "balanced", "fifo"])
 def test_all_hit_window_builds_no_task_or_outcome(monkeypatch, policy):
     """Q queries x C chunks on K chips, every chunk served by the
-    result cache: no ``ChunkTask``, no ``ChunkOutcome``, and one
-    ``StageJob`` per (query, chip) at most -- while the served bits,
-    the cache's counters and the listing stay what they are."""
+    result cache: no ``ChunkTask``, no ``ChunkOutcome``, no
+    ``StageJob``, and one sweep row per (query, chip) at most, listed
+    once per chunk -- while the served bits, the cache's counters and
+    the listing stay what they are."""
     ssd, env = _build()
     service = ssd.service(
         window_us=100.0, policy=policy, result_cache=True
@@ -96,6 +98,14 @@ def test_all_hit_window_builds_no_task_or_outcome(monkeypatch, policy):
     }
     for name, counter in counted.items():
         monkeypatch.setattr(engine_module, name, counter)
+    rows = []
+    feed = service_module.simulate_stages
+
+    def recording(jobs, **kwargs):
+        rows.extend(jobs)
+        return feed(jobs, **kwargs)
+
+    monkeypatch.setattr(service_module, "simulate_stages", recording)
     cache = ssd.engine.result_cache
     hits_before = cache.stats.hits
     report = service.run()
@@ -107,7 +117,10 @@ def test_all_hit_window_builds_no_task_or_outcome(monkeypatch, policy):
     assert cache.stats.hits - hits_before == queries * N_CHUNKS
     assert counted["ChunkTask"].built == 0
     assert counted["ChunkOutcome"].built == 0
-    assert 0 < counted["StageJob"].built <= queries * N_CHIPS
+    assert counted["StageJob"].built == 0
+    assert len(rows) == queries * N_CHUNKS
+    assert all(type(row) is tuple for row in rows)
+    assert 0 < len({id(row) for row in rows}) <= queries * N_CHIPS
 
 
 def test_repeat_prepare_is_one_probe_of_the_memo():

@@ -65,6 +65,42 @@ class TestSubmissionValidation:
         with pytest.raises(ValueError, match="deadline_us"):
             self._submit(submitted_us=10.0, deadline_us=float("nan"))
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf")])
+    def test_infinite_deadline_rejected(self, bad):
+        """An infinite deadline used to be accepted: under ``edf`` it
+        failed ``run()`` mid-window, under ``balanced`` it was graded
+        as met."""
+        with pytest.raises(ValueError, match="deadline_us must be finite"):
+            self._submit(submitted_us=10.0, deadline_us=bad)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [True, False, "2", None, 1j, float("nan"), float("inf"), -float("inf")],
+    )
+    def test_priority_must_be_a_finite_real(self, bad):
+        """Under ``edf`` a NaN or infinite priority failed ``run()``
+        mid-window and ``"2"`` raised ``TypeError`` in the scheduler;
+        every other policy accepted them all."""
+        with pytest.raises(ValueError, match="priority"):
+            self._submit(submitted_us=0.0, priority=bad)
+
+    def test_real_priorities_accepted(self):
+        for good in (0, -3, 2.5, np.int64(2), np.float64(1.5)):
+            assert self._submit(submitted_us=0.0, priority=good).priority == good
+
+    def test_service_doors_refuse_bad_directives(self):
+        """``QueryService.submit`` and ``submit_traffic`` build a
+        ``Submission``, so they refuse at the door, before ``run()``."""
+        ssd, _ = make_ssd()
+        service = ssd.service(policy="edf")
+        with pytest.raises(ValueError, match="priority"):
+            service.submit(point_expr(), at_us=0.0, priority=float("nan"))
+        with pytest.raises(ValueError, match="deadline_us"):
+            service.submit_traffic(
+                [(0.0, "c", point_expr(), 0, float("inf"))]
+            )
+        assert service.run().stats.n_queries == 0
+
     def test_query_info_weight_positive(self):
         for bad in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="weight"):

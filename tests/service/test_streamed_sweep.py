@@ -16,7 +16,6 @@ from repro.core.expressions import And, Operand, Or, Xor, and_all, evaluate
 from repro.flash.geometry import ChipGeometry
 from repro.service import service as service_module
 from repro.ssd.controller import SmallSsd
-from repro.ssd.events import StageJob
 
 GEOMETRY = ChipGeometry(
     planes_per_die=1,
@@ -33,14 +32,25 @@ def _live(kind) -> int:
     return sum(type(obj) is kind for obj in gc.get_objects())
 
 
+def _held(sweep) -> int:
+    """The listings a sweep still holds: its arrival list (run ones not
+    yet trimmed included), the rows in flight in its event heap, and
+    those waiting for a die."""
+    in_flight = sum(entry[2] is not None for entry in sweep._heap)
+    waiting = sum(
+        len(state[5] or ()) for state in sweep._resources.values()
+    )
+    return len(sweep._jobs) + in_flight + waiting
+
+
 def _run_recording_feeds(monkeypatch, policy, urgent):
     """A trace of 40 windows, three queries each, every window's senses
     done well before the next closes -- with ``urgent``, deadlines and
     priorities mixed from the first window on.  Returns the run's
-    report, the oracle's operands and, per window feed, the distinct
-    jobs and query states handed over, then the ``StageJob``s (beyond
-    those alive before the run) and query states alive when they
-    are."""
+    report, the oracle's operands and, per window feed, the listings
+    and distinct query states handed over, then the listings -- those
+    handed over plus those the run's sweep still holds -- and query
+    states alive when they are."""
     ssd = SmallSsd(n_chips=4, geometry=GEOMETRY, seed=5)
     rng = np.random.default_rng(6)
     env = {
@@ -69,7 +79,7 @@ def _run_recording_feeds(monkeypatch, policy, urgent):
     def recording(jobs, **kwargs):
         feeds.append(
             (
-                len({id(job) for job in jobs}),
+                len(jobs),
                 len(
                     {
                         id(owner)
@@ -77,24 +87,22 @@ def _run_recording_feeds(monkeypatch, policy, urgent):
                         if isinstance(owner, service_module._QueryState)
                     }
                 ),
-                _live(StageJob) - before,
+                len(jobs) + _held(kwargs["sweep"]),
                 _live(service_module._QueryState),
             )
         )
         return feed(jobs, **kwargs)
 
-    gc.collect()
-    before = _live(StageJob)
     monkeypatch.setattr(service_module, "simulate_stages", recording)
     return service.run(), env, feeds
 
 
 def _assert_only_work_in_flight_lives(report, env, feeds):
-    """At each window's feed the ``StageJob``s alive are at most those
-    the feed hands over plus those of the window before (this feed
-    runs them), and likewise the query states: what is in flight,
-    where a run that replays its jobs once at its end holds every job
-    and every state of the run."""
+    """At each window's feed the listings alive are at most those the
+    feed hands over plus those of the window before (this feed runs
+    them), and likewise the query states: what is in flight, where a
+    run that replays its jobs once at its end holds every listing and
+    every state of the run."""
     assert len(feeds) >= 30
     total = sum(jobs for jobs, *_ in feeds)
     for (jobs, queries, live_jobs, live_states), previous in zip(

@@ -82,3 +82,22 @@ class TestDerived:
             SsdConfig(n_channels=0)
         with pytest.raises(ValueError):
             SsdConfig(external_bw_bytes_per_s=0)
+
+    @pytest.mark.parametrize(
+        "name", ["external_bw_bytes_per_s", "channel_bw_bytes_per_s"]
+    )
+    def test_nan_bandwidth_rejected(self, name):
+        """A NaN bandwidth used to construct, and a service run then
+        failed at the first listed job."""
+        with pytest.raises(ValueError, match=name):
+            SsdConfig(**{name: float("nan")})
+
+    @pytest.mark.parametrize(
+        "name", ["n_channels", "dies_per_channel", "planes_per_die", "page_bytes"]
+    )
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True, "2"])
+    def test_counts_must_be_ints(self, name, bad):
+        """``n_channels=2.5`` used to model channels ``chan0.5`` and
+        ``chan1.0``."""
+        with pytest.raises(ValueError, match=name):
+            SsdConfig(**{name: bad})

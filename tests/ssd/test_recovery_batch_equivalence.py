@@ -306,3 +306,39 @@ def test_attempt_draws_is_the_historical_retry_loop(
         shared._rngs[3].bit_generator.state
         == by_hand._rngs[3].bit_generator.state
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    rate=st.sampled_from([0.0, 0.01, 0.3, 1.0]),
+    stall_rate=st.sampled_from([0.0, 0.01, 0.3, 1.0]),
+    chip_rate=st.sampled_from([None, 0.0, 0.01, 0.6, 1.0]),
+    max_retries=st.integers(0, 3),
+    lengths=st.lists(st.integers(0, 64), min_size=1, max_size=4),
+)
+def test_queue_draws_are_the_per_plan_draws(
+    seed, rate, stall_rate, chip_rate, max_retries, lengths
+):
+    """The batched route draws a retried queue's schedule in
+    ``rng.random(k)`` blocks; it must be the plan-by-plan
+    ``attempt_draws`` lists of a twin injector draw for draw, leave the
+    same counts, and leave the stream where the twin's is -- so one
+    uniform drawn past what the walk draws fails it."""
+    config = FaultConfig(
+        seed=seed,
+        sense_fault_rate=rate,
+        stall_rate=stall_rate,
+        chip_sense_fault_rates={} if chip_rate is None else {1: chip_rate},
+    )
+    policy = RecoveryPolicy(max_retries=max_retries)
+    queued, walked = FaultInjector(config), FaultInjector(config)
+    for i, n_plans in enumerate(lengths):
+        chip = i % 2
+        assert queued.queue_attempt_draws(chip, policy, n_plans) == [
+            list(walked.attempt_draws(chip, policy)) for _ in range(n_plans)
+        ]
+        assert queued.counts(chip) == walked.counts(chip)
+    assert queued.counts() == walked.counts()
+    for chip in (0, 1):
+        assert queued._rng(chip).random() == walked._rng(chip).random()

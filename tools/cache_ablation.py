@@ -237,18 +237,19 @@ def window_memo_probe(plan, tally: Tally):
 @contextlib.contextmanager
 def resolved_off(plan):
     """``MwsCommand._resolved`` holds one chip half per chip, valid
-    for that chip's token: minting a fresh token before every batch,
-    and dropping the resolution a stripe member's batch is handed,
-    makes every command resolve its chip half again (the entry is
-    still written -- the executor reads it back).  The shared half
-    (``MwsCommand._rows``) stays on."""
+    for that chip's token: minting a fresh token before every batch
+    makes every command the batch resolves itself resolve its chip
+    half again (the entry is still written -- the executor reads it
+    back).  Only the memo goes: a stripe member's batch keeps the
+    resolution it is handed (``resolved=``), which is no memo, and the
+    shared half (``MwsCommand._rows``) stays on."""
     from repro.flash.chip import NandFlashChip
 
     sense = NandFlashChip.execute_sense_batch
 
     def resolving(self, commands, resolved=None):
         self._resolve_token = object()
-        return sense(self, commands)
+        return sense(self, commands, resolved)
 
     with _patched(NandFlashChip, "execute_sense_batch", resolving):
         yield
