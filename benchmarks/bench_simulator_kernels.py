@@ -103,23 +103,38 @@ def _edf_windows(n_windows=200, per_window=100, seed=4):
     """A service-shaped ``edf`` stream of 20k jobs: 200 admission
     windows 400 us apart, each job die -> channel -> external link on
     8 dies and 2 channels, ready at its window's close, a third of
-    them under a deadline and priorities mixed."""
+    them under a deadline and priorities mixed.  Half are cache hits,
+    zero die seconds, one job object per (urgency, chip) of a window
+    as the service lists one row per (query, chip): the sweep carries
+    their channel stages straight on."""
     rng = np.random.default_rng(seed)
     windows = []
     for w in range(n_windows):
         ready = (w + 1) * 400e-6
         window = []
+        hits = {}
         for _ in range(per_window):
             chip = int(rng.integers(8))
-            window.append(
-                StageJob(
-                    ready,
-                    (float(rng.uniform(0.0, 60e-6)), 4e-6, 2e-6),
-                    (f"chip{chip}", f"chan{chip % 2}", "ext"),
-                    priority=float(rng.integers(3)),
-                    deadline=ready + 1.5e-3 if rng.random() < 1 / 3 else None,
-                )
+            urgency = {
+                "priority": float(rng.integers(3)),
+                "deadline": (
+                    ready + 1.5e-3 if rng.random() < 1 / 3 else None
+                ),
+            }
+            hit = rng.random() < 0.5
+            key = (chip, *urgency.values())
+            if hit and key in hits:
+                window.append(hits[key])
+                continue
+            job = StageJob(
+                ready,
+                (0.0 if hit else float(rng.uniform(0.0, 60e-6)), 4e-6, 2e-6),
+                (f"chip{chip}", f"chan{chip % 2}", "ext"),
+                **urgency,
             )
+            if hit:
+                hits[key] = job
+            window.append(job)
         windows.append(window)
     return windows
 
@@ -127,7 +142,8 @@ def _edf_windows(n_windows=200, per_window=100, seed=4):
 def test_kernel_stage_sweep_streamed(benchmark):
     """The 20k-job ``edf`` stream fed to one sweep window by window, as
     the service feeds a run, against the one-shot sweep over the whole
-    list (timed once, in ``extra_info``): the same completions."""
+    list (timed once, in ``extra_info``): the same completions, the
+    cache hits' channel stages carried."""
     windows = _edf_windows()
     jobs = [job for window in windows for job in window]
 
@@ -137,9 +153,10 @@ def test_kernel_stage_sweep_streamed(benchmark):
         for window in windows:
             done += sweep.feed(window)
         rest, report = sweep.close()
-        return done + rest, report
+        return done + rest, report, sweep
 
-    done, report = benchmark(streamed)
+    done, report, sweep = benchmark(streamed)
+    assert sweep._stage_of is not None  # the layout kept the carry on
     start = time.perf_counter()
     whole = simulate_stages(jobs)
     benchmark.extra_info["one_shot_s"] = time.perf_counter() - start

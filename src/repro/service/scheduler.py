@@ -66,16 +66,19 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import partial
+from math import isfinite
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from repro.core.planner import Plan
 from repro.ssd.query_engine import TaskColumns
 
 #: Latency estimator: (chip, plan) -> estimated sense microseconds.
-#: The service wires this to ``MwsExecutor.estimate_latency_us`` so
-#: the schedule is chosen from the physically derived tMWS model
-#: without executing anything.
+#: The schedule is chosen from the physically derived tMWS model
+#: (``MwsExecutor.estimate_latency_us``) without executing anything.
 LatencyEstimator = Callable[[int, Plan], float]
+
+#: Per chip, ``plan -> estimated sense microseconds``: the service's.
+ChipEstimators = Sequence[Callable[[Plan], float]]
 
 POLICIES = ("fifo", "balanced", "edf")
 
@@ -106,6 +109,19 @@ class QueryInfo:
             raise ValueError(
                 f"weight must be finite and positive, not {self.weight!r}"
             )
+        # So would a NaN deadline or priority the edf keys (and an
+        # infinite deadline reads as none): one sum checks both.
+        priority, deadline = self.priority, self.deadline_us
+        total = priority + (deadline or 0.0)
+        if priority.__class__ is bool or not isfinite(total):
+            if priority.__class__ is bool or not isfinite(priority):
+                raise ValueError(
+                    f"priority must be a finite number, not {priority!r}"
+                )
+            if not isfinite(deadline):
+                raise ValueError(
+                    f"deadline_us must be finite, not {deadline!r}"
+                )
 
 
 def job_directives(info: QueryInfo) -> tuple[float, float | None]:
@@ -128,7 +144,7 @@ def job_directives(info: QueryInfo) -> tuple[float, float | None]:
 
 def schedule_window(
     tasks: TaskColumns,
-    estimate: LatencyEstimator,
+    estimate: LatencyEstimator | ChipEstimators,
     *,
     policy: str = "balanced",
     share: bool = True,
@@ -142,11 +158,12 @@ def schedule_window(
     """Order one window's chunk tasks into the global emission order:
     the list of their positions, each once.
 
-    ``share`` mirrors the engine's sense-sharing switch: with it on,
-    duplicate tasks of a share group cost nothing, which changes the
-    LPT weights and the cross-chip balance.  ``info`` carries the
-    per-query deadlines/priorities/weights the ``edf`` policy orders
-    by; the other policies ignore it.
+    ``estimate`` (:data:`LatencyEstimator` or :data:`ChipEstimators`)
+    prices a sense.  ``share`` mirrors the engine's sense-sharing
+    switch: with it on, duplicate tasks of a share group cost nothing,
+    which changes the LPT weights and the cross-chip balance.
+    ``info`` carries the per-query deadlines/priorities/weights the
+    ``edf`` policy orders by; the other policies ignore it.
 
     ``degraded`` and ``offline`` are the health tracker's routing
     directives (see :mod:`repro.service.health`).  Striping fixes
@@ -185,17 +202,6 @@ def schedule_window(
         # them in the live schedule instead of parking.
         degraded_chips |= offline_chips
         offline_chips = frozenset()
-    if degraded_chips:
-        base = estimate
-
-        def estimate(
-            chip: int, plan: Plan, _base: LatencyEstimator = base
-        ) -> float:
-            cost = _base(chip, plan)
-            if chip in degraded_chips:
-                cost *= degraded_slowdown
-            return cost
-
     chips = tasks.chip
     live: Sequence[int] = range(len(chips))
     parked: list[int] = []
@@ -204,12 +210,38 @@ def schedule_window(
         live = [p for p in live if chips[p] not in offline_chips]
     if policy == "fifo":
         return [*live, *parked]
-    groups = _share_groups(tasks, live, estimate, share)
+    if callable(estimate):
+        n_chips = max(chips, default=-1) + 1
+        estimate = [partial(estimate, chip) for chip in range(n_chips)]
+    if degraded_chips:
+        estimate = [
+            (lambda plan, unit=unit: unit(plan) * degraded_slowdown)
+            if chip in degraded_chips else unit
+            for chip, unit in enumerate(estimate)
+        ]
     if policy == "edf":
-        chip_queues = _edf_queues(groups, tasks.query, info or {})
+        info = info or {}
+        default = QueryInfo()
+        metas = {
+            query: _meta(info.get(query, default))
+            for query in dict.fromkeys(tasks.query)
+        }
     else:
-        chip_queues = _lpt_queues(groups)
+        metas = dict.fromkeys(tasks.query, (_NO_DEADLINE, 0, 1.0, ""))
+    chip_queues = _share_groups(tasks, live, estimate, share, metas)
+    if policy == "edf":
+        _edf_queues(chip_queues)
+    else:
+        # ``balanced``: longest sense first (stable: ties keep order).
+        for queue in chip_queues.values():
+            queue.sort(key=lambda bucket: -bucket.cost)
     return _interleave(chip_queues, gc_busy) + parked
+
+
+def _meta(info: QueryInfo) -> tuple[float, int, float, str]:
+    """What a share group folds from one subscribing query."""
+    deadline = _NO_DEADLINE if info.deadline_us is None else info.deadline_us
+    return (deadline, info.priority, info.weight, info.client)
 
 
 class _Bucket(NamedTuple):
@@ -243,54 +275,55 @@ _bucket = partial(tuple.__new__, _Bucket)
 def _share_groups(
     tasks: TaskColumns,
     live: Sequence[int],
-    estimate: LatencyEstimator,
+    estimate: ChipEstimators,
     share: bool,
-) -> list[tuple[int, float, list[int]]]:
-    """Share-group buckets ``(chip, cost, positions)`` of the ``live``
-    positions, in first-seen order -- the step every non-FIFO policy
-    starts from.  A bucket's cost is one sense when sharing
-    (subscribers are free) and one per task otherwise.  One pass, one
-    ``Plan`` hash per position, one estimate per bucket."""
-    chips, plans = tasks.chip, tasks.plan
-    buckets: dict[tuple[int, Plan], list[int]] = {}
-    for position in live:
-        buckets.setdefault((chips[position], plans[position]), []).append(
-            position
-        )
-    groups = []
-    for (chip, plan), group in buckets.items():
-        unit = estimate(chip, plan)
-        groups.append((chip, unit if share else unit * len(group), group))
-    return groups
-
-
-def _lpt_queues(
-    groups: list[tuple[int, float, list[int]]],
+    metas: Mapping[int, tuple[float, int, float, str]],
 ) -> dict[int, list[_Bucket]]:
-    """``balanced``: each chip's buckets longest sense first (stable,
-    so equal costs keep first-seen order)."""
+    """Share-group buckets of the ``live`` positions, per chip in
+    first-seen order, in one pass: each subscriber's ``metas[query]``
+    folds in as it joins -- earliest deadline, highest priority, the
+    (first) heaviest weight's tenant.  One estimate a bucket: a sense
+    when sharing, one per task otherwise."""
+    chips, plans, queries = tasks.chip, tasks.plan, tasks.query
+    folds: dict[tuple[int, Plan], list] = {}
+    join = folds.setdefault  # one Plan hash a position
+    for position in live:
+        # A bucket is ``[(deadline, priority, weight, client), *group]``.
+        meta = metas[queries[position]]
+        new = [meta, position]
+        fold = join((chips[position], plans[position]), new)
+        if fold is new:
+            continue
+        fold.append(position)
+        old = fold[0]
+        if meta is not old and (
+            meta[0] < old[0] or meta[1] > old[1] or meta[2] > old[2]
+        ):
+            heavier = meta if meta[2] > old[2] else old
+            fold[0] = (
+                meta[0] if meta[0] < old[0] else old[0],
+                meta[1] if meta[1] > old[1] else old[1],
+                heavier[2],
+                heavier[3],
+            )
     queues: dict[int, list[_Bucket]] = {}
-    for arrival, (chip, cost, group) in enumerate(groups):
-        queues.setdefault(chip, []).append(
-            _bucket((_NO_DEADLINE, 0, arrival, cost, group, "", 1.0))
-        )
-    for queue in queues.values():
-        queue.sort(key=lambda bucket: -bucket.cost)
+    for arrival, ((chip, plan), group) in enumerate(folds.items()):
+        deadline, priority, weight, client = group.pop(0)
+        unit = estimate[chip](plan)
+        cost = unit if share else unit * len(group)
+        queue = queues.get(chip)
+        if queue is None:
+            queue = queues[chip] = []
+        bucket = (deadline, -priority, arrival, cost, group, client, weight)
+        queue.append(_bucket(bucket))
     return queues
 
 
-def _edf_queues(
-    groups: list[tuple[int, float, list[int]]],
-    queries: Sequence[int],
-    info: Mapping[int, QueryInfo],
-) -> dict[int, list[_Bucket]]:
-    """``edf``: earliest-deadline-first within weighted-fair tenant
-    shares, per chip; ``queries`` is the window's query column.
-
-    Each bucket inherits the most urgent deadline and highest priority
-    among its subscribers and the tenant of its heaviest-weight
-    subscriber (the first such, in group order).  Per chip, emission
-    interleaves two concerns:
+def _edf_queues(queues: dict[int, list[_Bucket]]) -> None:
+    """``edf``, in place: earliest-deadline-first within weighted-fair
+    tenant shares, per chip, over the buckets of :func:`_share_groups`
+    (their subscribers' most urgent deadline and priority, heaviest
+    tenant).  Per chip, emission interleaves two concerns:
 
     * buckets holding a real deadline are served in (deadline,
       -priority, arrival) order -- EDF, which on a serial resource
@@ -302,52 +335,12 @@ def _edf_queues(
     a stated SLO to polish fairness of best-effort traffic would be
     backwards).
     """
-    default = QueryInfo()
-    #: query -> (deadline or inf, priority, weight, client), resolved
-    #: once per window however many chunk tasks the query has.
-    resolved: dict[int, tuple[float, int, float, str]] = {}
-    for query in dict.fromkeys(queries):
-        meta = info.get(query, default)
-        resolved[query] = (
-            _NO_DEADLINE if meta.deadline_us is None else meta.deadline_us,
-            meta.priority,
-            meta.weight,
-            meta.client,
-        )
-    per_chip: dict[int, tuple[list[_Bucket], list[_Bucket]]] = {}
-    for arrival, (chip, cost, group) in enumerate(groups):
-        if len(group) == 1:
-            # One subscriber: the bucket is its query's (weights are
-            # positive, so the fold below would pick the same).
-            deadline, priority, weight, client = resolved[queries[group[0]]]
-        else:
-            # Below every real priority / weight (weights are
-            # positive), so the group's first subscriber always
-            # replaces them.
-            deadline, priority = _NO_DEADLINE, -_NO_DEADLINE
-            weight, client = 0.0, ""
-            for position in group:
-                meta = resolved[queries[position]]
-                if meta[0] < deadline:
-                    deadline = meta[0]
-                if meta[1] > priority:
-                    priority = meta[1]
-                if meta[2] > weight:
-                    weight, client = meta[2], meta[3]
-        lists = per_chip.get(chip)
-        if lists is None:
-            lists = per_chip[chip] = ([], [])
-        urgent, relaxed = lists
-        bucket = (deadline, -priority, arrival, cost, group, client, weight)
-        (relaxed if deadline == _NO_DEADLINE else urgent).append(
-            _bucket(bucket)
-        )
-    queues: dict[int, list[_Bucket]] = {}
-    for chip, (urgent, relaxed) in per_chip.items():
+    for chip, queue in queues.items():
+        urgent = [b for b in queue if b.deadline != _NO_DEADLINE]
+        relaxed = [b for b in queue if b.deadline == _NO_DEADLINE]
         urgent.sort()
         relaxed.sort()
         queues[chip] = urgent + _fair_drain(relaxed)
-    return queues
 
 
 def _fair_drain(relaxed: list[_Bucket]) -> list[_Bucket]:

@@ -220,6 +220,8 @@ class _Run(_RunTotals):
     )
     #: The run's event sweep, fed once per window.
     sweep: StageSweep | None = None
+    #: Per chip, its executor's ``estimate_latency_us``, bound once.
+    estimators: list = field(default_factory=list)
     #: Queries admitted and not yet served (some job still in flight).
     states: dict[int, _QueryState] = field(default_factory=dict)
     #: The window's sweep rows and, per row, its owner: its query's
@@ -269,7 +271,7 @@ def _die_seconds(chip: int, what: str, us: float) -> float:
 def _most_urgent(group: tuple | None, own: tuple) -> tuple:
     """Urgency (:func:`~repro.ssd.events.urgency_key`) of a share group
     that ``own``'s query joins: the scheduler's bucket rule
-    (:func:`~repro.service.scheduler._edf_queues`) -- earliest
+    (:func:`~repro.service.scheduler._share_groups`) -- earliest
     deadline, highest priority -- so a window's jobs rank at a die as
     its buckets ranked in the schedule."""
     if group is None or group is own:
@@ -421,46 +423,35 @@ class QueryService:
         returns its query id.  ``deadline_us`` is absolute virtual
         time; the ``edf`` policy schedules toward it and the report
         grades it (other policies record but ignore it)."""
-        query_id = self._next_id
-        self._next_id += 1
-        self.admission.submit(
-            Submission(
-                query_id=query_id,
-                client=client,
-                expr=expr,
-                submitted_us=at_us,
-                priority=priority,
-                deadline_us=deadline_us,
-            )
-        )
-        return query_id
+        item = (at_us, client, expr, priority, deadline_us)
+        return self.submit_traffic([item])[0]
 
     def submit_traffic(self, submissions) -> list[int]:
         """Enqueue a traffic trace -- ``(at_us, client, expr)`` triples
         or the 5-field ``(at_us, client, expr, priority, deadline_us)``
-        items :func:`repro.service.clients.generate_traffic` emits."""
-        ids = []
-        for item in submissions:
-            at_us, client, expr = item[0], item[1], item[2]
-            priority = item[3] if len(item) > 3 else 0
-            deadline_us = item[4] if len(item) > 4 else None
-            ids.append(
-                self.submit(
-                    expr,
-                    at_us=at_us,
-                    client=client,
-                    priority=priority,
-                    deadline_us=deadline_us,
-                )
+        items :func:`repro.service.clients.generate_traffic` emits --
+        and return their query ids.  All or nothing: every item is
+        checked before any is queued, so a refused trace queues none
+        and uses up no id."""
+        batch = [
+            Submission(
+                query_id=query_id,
+                client=item[1],
+                expr=item[2],
+                submitted_us=item[0],
+                priority=item[3] if len(item) > 3 else 0,
+                deadline_us=item[4] if len(item) > 4 else None,
             )
-        return ids
+            for query_id, item in enumerate(submissions, self._next_id)
+        ]
+        self._next_id += len(batch)
+        for submission in batch:
+            self.admission.submit(submission)
+        return [submission.query_id for submission in batch]
 
     # ------------------------------------------------------------------
     # Execution side
     # ------------------------------------------------------------------
-
-    def _estimate(self, chip: int, plan) -> float:
-        return self.ssd.controllers[chip].executor.estimate_latency_us(plan)
 
     def _query_info(self, submission: Submission) -> QueryInfo:
         return QueryInfo(
@@ -482,7 +473,7 @@ class QueryService:
         queue as it was: fix the cause and call ``run()`` again.
         """
         windows = self.admission.windows()
-        injector = self.ssd.fault_injector
+        injector, controllers = self.ssd.fault_injector, self.ssd.controllers
         manager = self.maintenance
         recovery = self.recovery
         if recovery is None and injector is not None and injector.active:
@@ -492,6 +483,7 @@ class QueryService:
             faults_before=injector.faults_injected if injector else 0,
             quarantines_before=self.health.quarantines,
             sweep=StageSweep(),
+            estimators=[c.executor.estimate_latency_us for c in controllers],
         )
         if manager is not None:
             run.maintenance_before = replace(manager.stats)
@@ -581,7 +573,7 @@ class QueryService:
         """Order the window's tasks into the global emission order."""
         order = schedule_window(
             tasks,
-            self._estimate,
+            run.estimators,
             policy=self.policy,
             share=self.share_senses,
             info=info,

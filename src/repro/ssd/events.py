@@ -356,6 +356,9 @@ class StageSweep:
         self._heap: list[tuple] = []
         #: name -> state (see :data:`_IDLE`).
         self._resources: dict[str, list] = {}
+        #: The carry's layout (:meth:`_layered`; ``None``: broken).
+        self._stage_of: dict[str, int] | None = {}
+        self._shapes: set[tuple] = set()
 
     def feed(
         self, jobs: Sequence[StageJob | tuple], tags: Sequence | None = None
@@ -381,6 +384,8 @@ class StageSweep:
             raise ValueError(f"job ready before the clock, {self._clock}")
         self._fed += len(jobs)
         self._clock = ready[-1]
+        if self._stage_of is not None and not self._layered(jobs):
+            self._stage_of = None
         done = self._advance(ready[0])
         if self._head:
             head, self._head = self._head, 0
@@ -389,6 +394,24 @@ class StageSweep:
         self._jobs += jobs
         self._tags += tags
         return done
+
+    def _layered(self, jobs: list[tuple]) -> bool:
+        """Whether ``jobs`` keep the carry (:meth:`_advance`) exact:
+        every foreground row three stages long, every name at one stage
+        index; once per foreground shape (``docs/architecture.md`` §4)."""
+        stage_of, shapes = self._stage_of, self._shapes
+        for job in jobs:
+            resources = job[2]
+            if resources in shapes:
+                continue
+            if len(resources) != 3 and not job[4] or any(
+                stage_of.setdefault(name, stage) != stage
+                for stage, name in enumerate(resources)
+            ):
+                return False
+            if not job[4]:
+                shapes.add(resources)
+        return True
 
     def close(self) -> tuple[list[tuple], StageReport]:
         """Run every event left, flush the background still queued
@@ -440,6 +463,9 @@ class StageSweep:
         # before its own ready time (and once at the close), so
         # foreground events see the same additions in the same order
         # whether or not anything is queued elsewhere.
+        #
+        # The carry -- a cache hit's stage 1 served in its arrival's
+        # step, not through the heap -- is docs/architecture.md §4's.
         ready, jobs, tags = self._ready, self._jobs, self._tags
         heap, resources = self._heap, self._resources
         push, pop = heapq.heappush, heapq.heappop
@@ -449,8 +475,12 @@ class StageSweep:
         seq, fault_overhead = self._seq, self._fault_overhead
         done: list[tuple] = []
         finish = done.append
+        carry, carried = self._stage_of is not None, False
         while True:
-            if heap and heap[0][0] < next_ready:
+            if carried:
+                # The job's next stage, due now: served in this step.
+                carried, duration = False, durations[stage]
+            elif heap and heap[0][0] < next_ready:
                 ready_at, _, job, stage, tag = pop(heap)
                 if job is None:
                     # A die frees; ``stage`` is its state.
@@ -472,14 +502,9 @@ class StageSweep:
                     # float-identical.
                     duration += job[3]
                     fault_overhead += job[3]
-                if job[4]:  # background: it joins its die's gap queue
-                    name = job[2][0]
-                    state = resources.get(name)
-                    if state is None:
-                        state = resources[name] = list(_IDLE)
-                    if state[3] is None:
-                        state[3] = _GapQueue()
-                    state[3].waiting.append((ready_at, duration, tag))
+                if job[4]:
+                    _queue_background(resources, job[2][0],
+                                      (ready_at, duration, tag))
                     continue
             else:
                 break
@@ -516,11 +541,15 @@ class StageSweep:
             state[1] += duration
             state[2] += 1
             stage += 1
-            if stage < len(durations):
+            if stage == len(durations):
+                finish((tag, end))
+            elif carry and stage == 1 and end == ready_at and (
+                job[2][1] in resources and not (heap and heap[0][0] <= end)
+            ):
+                carried = True
+            else:
                 push(heap, (end, seq, job, stage, tag))
                 seq += 1
-            else:
-                finish((tag, end))
         self._head, self._seq = arrived, seq
         self._fault_overhead = fault_overhead
         return done
@@ -531,6 +560,16 @@ class StageSweep:
 #: None, guard waits]``; the last four are what only a die uses (the
 #: background class and the die queue).
 _IDLE = (0.0, 0.0, 0, None, 0, None, 0)
+
+
+def _queue_background(resources: dict, name: str, entry: tuple) -> None:
+    """Background ``(ready, duration, tag)`` joins its die's queue."""
+    state = resources.get(name)
+    if state is None:
+        state = resources[name] = list(_IDLE)
+    if state[3] is None:
+        state[3] = _GapQueue()
+    state[3].waiting.append(entry)
 
 
 def _protected_until(parked: float | None, resumed: float) -> float:

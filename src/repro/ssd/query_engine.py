@@ -383,15 +383,31 @@ class ResultCache:
 
     def get(self, chip: int, plan: Plan) -> np.ndarray | None:
         """The plan's memoized packed result words, or ``None``."""
-        key = (chip, plan)
-        entry = self._entries.get(key)
-        if entry is None:
-            self._misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self._hits += 1
-        self._senses_avoided += entry[1]
-        return entry[0]
+        words = [None]
+        self.serve(chip, (plan,), (0,), words)
+        return words[0]
+
+    def serve(self, chip: int, plans, positions, cached: list) -> list[int]:
+        """:meth:`get` of ``plans[p]`` for each position ``p`` in turn:
+        a hit's words go into ``cached[p]``; returns the positions that
+        missed.  The counters are added once."""
+        entries = self._entries
+        lookup, touch = entries.get, entries.move_to_end
+        pending: list[int] = []
+        avoided = 0
+        for position in positions:
+            key = (chip, plans[position])
+            entry = lookup(key)
+            if entry is None:
+                pending.append(position)
+            else:
+                touch(key)
+                cached[position] = entry[0]
+                avoided += entry[1]
+        self._misses += len(pending)
+        self._hits += len(positions) - len(pending)
+        self._senses_avoided += avoided
+        return pending
 
     def put(
         self, chip: int, plan: Plan, words: np.ndarray, n_senses: int
@@ -1105,25 +1121,14 @@ class QueryEngine:
     def _lookup_cached(
         self, window: _Window, chip: int, positions: list[int]
     ) -> list[int]:
-        """Serve what the cross-window cache holds, in one pass over the
-        chip's positions: a hit's words go into the ``cached`` column,
-        and it never reaches dedup or the executor.  Returns the
-        positions that missed."""
+        """Serve what the cross-window cache holds, in one
+        :meth:`ResultCache.serve` call over the chip's positions: a
+        hit's words go into the ``cached`` column, and it never reaches
+        dedup or the executor.  Returns the positions that missed."""
         cache = window.cache
         if cache is None:
             return positions
-        plans = window.tasks.plan
-        cached = window.cached
-        lookup = cache.get  # local bindings: window hot loop
-        pending: list[int] = []
-        miss = pending.append
-        for position in positions:
-            words = lookup(chip, plans[position])
-            if words is None:
-                miss(position)
-            else:
-                cached[position] = words
-        return pending
+        return cache.serve(chip, window.tasks.plan, positions, window.cached)
 
     def _dedup(self, window: _Window, pending: list[int]) -> _Ahead:
         """Split the pending positions into the unique plans, in

@@ -80,6 +80,18 @@ class LazyResultCache:
         self.senses_avoided += n_senses
         return words
 
+    def serve(self, chip: int, plans, positions, cached: list) -> list[int]:
+        """:meth:`get` of each position's plan in turn: a hit's words go
+        into ``cached``; returns the positions that missed."""
+        pending = []
+        for position in positions:
+            words = self.get(chip, plans[position])
+            if words is None:
+                pending.append(position)
+            else:
+                cached[position] = words
+        return pending
+
     def __contains__(self, key) -> bool:
         """Whether :meth:`get` would hit, moving nothing."""
         entry = self._entries.get(key)

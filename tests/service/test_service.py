@@ -380,6 +380,27 @@ class TestQueryService:
             report.queries[0].result.bits, evaluate(good, env)
         )
 
+    def test_refused_trace_queues_nothing_and_uses_no_id(self):
+        """A trace whose third arrival is NaN used to leave the first
+        two queued under ids the caller never saw, and spend an id on
+        the refused one."""
+        ssd, env = make_ssd()
+        service = ssd.service()
+        expr = And(Operand("a"), Operand("b"))
+        trace = [(10.0 * i, "c", expr) for i in range(4)]
+        trace[2] = (float("nan"), "c", expr)
+        with pytest.raises(ValueError, match="submitted_us"):
+            service.submit_traffic(trace)
+        assert len(service.admission) == 0
+        assert service.submit(expr, at_us=0.0) == 0
+        assert service.submit_traffic(trace[:2] + trace[3:]) == [1, 2, 3]
+        report = service.run()
+        assert [query.query_id for query in report.queries] == [0, 1, 2, 3]
+        for query in report.queries:
+            np.testing.assert_array_equal(
+                query.result.bits, evaluate(expr, env)
+            )
+
     def test_policy_validated(self):
         ssd, _ = make_ssd()
         with pytest.raises(ValueError, match="policy"):

@@ -106,6 +106,30 @@ class TestSubmissionValidation:
             with pytest.raises(ValueError, match="weight"):
                 QueryInfo(weight=bad)
 
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("deadline_us", float("nan")),
+            ("deadline_us", float("inf")),
+            ("deadline_us", -float("inf")),
+            ("priority", True),
+            ("priority", float("nan")),
+            ("priority", float("inf")),
+        ],
+    )
+    def test_query_info_refuses_what_submission_refuses(self, field, bad):
+        """A NaN deadline sorted the ``edf`` window arbitrarily (with
+        deadlines 5.0, NaN and 1.0 the 1.0 query went last), an
+        infinite one read as best-effort, and a bool or NaN priority
+        was taken as a number."""
+        with pytest.raises(ValueError, match=field):
+            QueryInfo(**{field: bad})
+
+    def test_query_info_keeps_finite_directives(self):
+        info = QueryInfo(priority=-3, deadline_us=0.0, weight=1e308)
+        assert (info.priority, info.deadline_us) == (-3, 0.0)
+        assert QueryInfo(priority=2.5, deadline_us=None).priority == 2.5
+
     def test_tenant_weights_checked_at_construction(self):
         """A tenant weight that is not finite and positive is refused
         when the service is built, naming the client -- not by the

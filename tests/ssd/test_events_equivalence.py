@@ -60,6 +60,17 @@ so every sum below is exact) ``background_pieces`` rebuilds what each
 die's background jobs did from nothing but the jobs and their
 completion times, and the properties are read off the pieces.
 
+**The carry.**  A cache-served row's die stage ends the instant it is
+ready, and the sweep serves its channel stage in the same step instead
+of through its event heap (``StageSweep._advance``).  ``window_feeds``
+lists the service's windows -- one shared zero-die row per (query,
+chip) among sensing rows of the same instant, closes on a dyadic grid
+so that a window often opens exactly when an earlier straggler is due
+or a die frees with waiters -- and the sweep is held to the same sweep
+with the carry switched off: every feed's completions in the same
+order, the same report in the same first-served order; and, with one
+urgency and no background, to the FCFS reference as above.
+
 **Streaming.**  A :class:`StageSweep` fed a list in pieces -- ready
 times non-decreasing from feed to feed, the first urgency difference as
 late as the last feed -- serves it exactly as the one-shot sweep serves
@@ -987,3 +998,219 @@ def test_a_feed_may_not_go_back_before_the_clock():
     rest, report = sweep.close()
     assert rest == [(0, 2.0), ("b", 3.0)]
     assert report.resource_jobs == {"chip0": 2}
+
+
+# ----------------------------------------------------------------------
+# The carry: a zero-die row's channel stage served in its arrival step
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def window_feeds(draw, background=True, uniform=False):
+    """The service's feeds, as rows: one window per feed, ready at its
+    close.  A cache-served chunk lists the one zero-die row of its
+    (query, chip), shared, among the window's sensing rows; background
+    rides the dies.  Closes and durations are dyadic, so a window
+    often opens exactly when an earlier window's job is due downstream
+    or a die frees with waiters; transfers may be zero, so a carried
+    channel stage can leave its link stage due at the same instant."""
+    n_chips = draw(st.integers(1, 4))
+    n_channels = draw(st.integers(1, 2))
+    dma, ext = draw(EXACT_DURATION), draw(EXACT_DURATION)
+    shared = draw(URGENCY)
+    close = 0.0
+    feeds = []
+    for _ in range(draw(st.integers(1, 6))):
+        close += draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+        hits: dict[tuple[int, int], tuple] = {}
+        feed = []
+        for _ in range(draw(st.integers(1, 20))):
+            chip = draw(st.integers(0, n_chips - 1))
+            resources = (f"chip{chip}", f"chan{chip % n_channels}", "ext")
+            urgency = shared if uniform else draw(URGENCY)
+            kind = draw(st.integers(0, 5))
+            if kind == 0 and background:
+                job = background_job(
+                    f"chip{chip}", draw(EXACT_LONG), ready_at=close
+                )
+                feed.append(job.row)
+            elif kind <= 3:
+                key = (draw(st.integers(0, 3)), chip)
+                if key not in hits:
+                    hits[key] = StageJob(
+                        close, (0.0, dma, ext), resources, **urgency
+                    ).row
+                feed.append(hits[key])
+            else:
+                sense = (draw(EXACT_DURATION), dma, ext)
+                delay = draw(EXACT_DELAY)
+                feed.append(
+                    StageJob(
+                        close, sense, resources, fault_delay_s=delay,
+                        **urgency,
+                    ).row
+                )
+        feeds.append(feed)
+    return feeds
+
+
+def sweep_feeds(feeds, carry=True):
+    """Each feed's completions as ``feed()`` returned them, the close's
+    and the report, through one sweep; ``carry=False`` sends every
+    event through the heap."""
+    sweep = StageSweep()
+    if not carry:
+        sweep._stage_of = None
+    returned = [sweep.feed(feed) for feed in feeds]
+    rest, report = sweep.close()
+    return returned, rest, report
+
+
+def assert_same_sweep(feeds):
+    """The carrying sweep is the heap-only one: every completion in
+    the order it was handed back, every total in first-served order.
+    Returns the carrying sweep's completions in listing order."""
+    returned, rest, report = sweep_feeds(feeds)
+    expected_returned, expected_rest, expected = sweep_feeds(feeds, False)
+    assert returned == expected_returned
+    assert rest == expected_rest
+    assert report.makespan == expected.makespan
+    assert report.fault_overhead == expected.fault_overhead
+    for totals in (
+        "resource_busy",
+        "resource_jobs",
+        "resource_preemptions",
+        "resource_guard_waits",
+    ):
+        assert getattr(report, totals) == getattr(expected, totals)
+        assert list(getattr(report, totals)) == list(getattr(expected, totals))
+    completion = [None] * sum(map(len, feeds))
+    for tag, end in [*(pair for done in returned for pair in done), *rest]:
+        completion[tag] = end
+    return completion, report
+
+
+@settings(max_examples=600, deadline=None)
+@given(feeds=window_feeds())
+def test_carried_window_streams_equal_the_heap_only_sweep(feeds):
+    completion, _ = assert_same_sweep(feeds)
+    # ... and the one-shot sweep of the whole listing.
+    rows = [row for feed in feeds for row in feed]
+    assert completion == simulate_stages(rows).completion_times
+
+
+@settings(max_examples=300, deadline=None)
+@given(feeds=window_feeds(background=False, uniform=True))
+def test_carried_uniform_windows_equal_the_fcfs_reference(feeds):
+    """One urgency, no background: the FCFS reference's die ends,
+    totals, makespan and completion multiset, as
+    ``test_uniform_urgency_equals_reference`` states them."""
+    completion, report = assert_same_sweep(feeds)
+    jobs = [reference.job_of_row(row) for feed in feeds for row in feed]
+    expected = reference.simulate_stages_fcfs(jobs)
+    assert report.resource_busy == expected.resource_busy
+    assert report.resource_jobs == expected.resource_jobs
+    assert report.makespan == expected.makespan
+    assert sorted(completion) == sorted(expected.completion_times)
+
+
+def _pushes(feeds, carry=True):
+    """Events the sweep pushed on its heap over ``feeds`` and a close."""
+    sweep = StageSweep()
+    if not carry:
+        sweep._stage_of = None
+    for feed in feeds:
+        sweep.feed(feed)
+    sweep.close()
+    return sweep._seq
+
+
+def _hit(ready, chip=1):
+    return StageJob(
+        ready, (0.0, 0.25, 0.25), (f"chip{chip}", "chan0", "ext")
+    ).row
+
+
+def test_a_hit_at_a_quiet_instant_skips_the_heap():
+    """Nothing is due when the second window opens and ``chan0`` has
+    served: both of its hits go straight on to the channel, and the
+    heap sees only their link stages."""
+    feeds = [[_hit(0.0)], [_hit(2.0), _hit(2.0, chip=0)]]
+    completion, _ = assert_same_sweep(feeds)
+    assert completion == [0.5, 2.5, 2.75]
+    assert (_pushes(feeds), _pushes(feeds, carry=False)) == (4, 6)
+
+
+def test_a_hit_waits_for_its_channel_to_have_served():
+    """Nothing is due at 0.0, but ``chan0`` has served nobody: the hit's
+    channel stage goes through the heap, so the channel is first served
+    after ``chip1``, whose sense arrived behind the hit, as without the
+    carry -- the report's first-served order stays put."""
+    sense = StageJob(0.0, (1.0, 0.25, 0.25), ("chip1", "chan0", "ext"))
+    feeds = [[_hit(0.0, chip=0), sense.row]]
+    _, report = assert_same_sweep(feeds)
+    assert list(report.resource_busy) == ["chip0", "chip1", "chan0", "ext"]
+    assert _pushes(feeds) == _pushes(feeds, carry=False)
+
+
+#: Leaves chip0 at 1.0 and is due on ``chan0`` then.
+_SENSE = StageJob(0.0, (1.0, 0.25, 0.25), ("chip0", "chan0", "ext")).row
+
+
+def test_no_carry_past_a_straggler_due_at_the_instant():
+    """Window one's sense is due on ``chan0`` at 1.0, the instant window
+    two opens: window two's hits go through the heap behind it, as
+    without the carry.  Opening at 2.0 instead, they skip it."""
+    feeds = [[_hit(0.0), _SENSE], [_hit(1.0), _hit(1.0)]]
+    completion, _ = assert_same_sweep(feeds)
+    assert completion == [0.5, 1.5, 1.75, 2.0]
+    assert _pushes(feeds) == _pushes(feeds, carry=False)
+    feeds[1] = [_hit(2.0), _hit(2.0)]
+    assert_same_sweep(feeds)
+    assert _pushes(feeds) == _pushes(feeds, carry=False) - 2
+
+
+def test_no_carry_while_a_die_frees_with_waiters_at_the_instant():
+    """chip0 frees at 1.0 with a sense waiting: its "die frees" entry
+    is due then, so the hit on chip1 at 1.0 goes through the heap, and
+    the hit on chip0 joins the waiters behind the sense."""
+    feeds = [[_hit(0.0), _SENSE, _SENSE], [_hit(1.0), _hit(1.0, chip=0)]]
+    completion, _ = assert_same_sweep(feeds)
+    assert completion == [0.5, 1.5, 2.5, 1.75, 2.75]
+    assert _pushes(feeds) == _pushes(feeds, carry=False)
+
+
+def test_a_name_at_two_stage_indices_switches_the_carry_off():
+    """``job_streams`` routes ``ext`` and the chips at stage 0 and
+    later: the sweep stops carrying for the rest of its life, and a
+    layered shape fed later does not switch it back on."""
+    sweep = StageSweep()
+    sweep.feed([_hit(0.0)])
+    assert sweep._stage_of is not None
+    sweep.feed([StageJob(0.0, (0.0, 0.0), ("ext", "chan0")).row])
+    assert sweep._stage_of is None
+    sweep.feed([_hit(1.0)])
+    assert sweep._stage_of is None
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        ("chip0", "ext", "chip0"),  # a die at a later stage
+        ("chip1", "ext", "chan0"),  # the link at stage 1, the channel 2
+        ("chip1", "chan0"),  # fewer stages than the others
+        ("chip1",),  # a foreground job on the die alone
+    ],
+)
+def test_every_other_layout_switches_the_carry_off(shape):
+    sweep = StageSweep()
+    sweep.feed([_hit(0.0)])
+    sweep.feed([StageJob(0.0, (0.25,) * len(shape), shape).row])
+    assert sweep._stage_of is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(feeds=fed_streams())
+def test_any_layout_streams_equal_the_heap_only_sweep(feeds):
+    """``job_streams`` and the other generators, carry on or off."""
+    assert_same_sweep([[job.row for job in feed] for feed in feeds])

@@ -33,11 +33,14 @@ from repro.flash.geometry import ChipGeometry
 from repro.ssd.controller import SmallSsd
 from repro.ssd.query_engine import _ChunkDirectory
 
+# A string group must hold every operand ``scenarios`` can put in it:
+# each of the six names and its other-length twin in one group, plus
+# two hand-moved chunks joining that group's chunk-0 string (14).
 GEOMETRY = ChipGeometry(
     planes_per_die=2,
     blocks_per_plane=64,
     subblocks_per_block=2,
-    wordlines_per_string=8,
+    wordlines_per_string=16,
     page_size_bits=64,
 )
 NAMES = "abcdef"

@@ -178,6 +178,18 @@ def test_probes_count_what_the_program_reports(benchmarks_importable):
         lambda plan: tool.bound_plans_probe(plan, tally),
     )
     assert 0 < tally.hits < tally.lookups
+    # The scheduler prices its buckets through ``estimate_latency_us``
+    # as the probe finds it on the class while the pass runs: a service
+    # that bound the estimators before the patch would read "never
+    # consulted" here.
+    tally = tool.Tally()
+    tool.run_pass(
+        "write_churn",
+        1,
+        0.04,
+        lambda plan: tool.est_latency_probe(plan, tally),
+    )
+    assert tally.lookups > 0
 
 
 def test_main_prints_one_row_per_cache_and_workload(

@@ -92,7 +92,8 @@ FlashTranslationLayer.__contains__ FlashTranslationLayer.chunk_overrides
 FlashTranslationLayer.chunks_on_chip VectorRecord.pad_bits
 VectorRecord.padded_bits ssd/maintenance.py: MaintenanceManager.free_subblocks
 MaintenanceManager.wear_summary ssd/query_engine.py: CacheStats.hit_rate
-ResultCache.clear StackCache.clear StackCache.entries
+ResultCache.clear ResultCache.get StackCache.clear
+StackCache.entries
 workloads/image_segmentation.py: segment_reference
 """)
 UNREACHED = tuple(
