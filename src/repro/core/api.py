@@ -110,18 +110,29 @@ class FlashCosmos:
         raise AllocationError(f"plane {plane} has no free sub-blocks")
 
     def release_subblock(self, address: BlockAddress) -> None:
-        """Return an erased sub-block to the allocation pool (GC)."""
+        """Return an erased sub-block to the allocation pool (GC).  No
+        group cursor may point into the pool: one still aimed at the
+        sub-block (a fully-dead GC victim is never repointed) is
+        dropped, or the group's next write would land in a sub-block
+        the allocator is free to hand to someone else."""
+        for key, (block, _wl) in list(self._group_cursor.items()):
+            if block == address:
+                del self._group_cursor[key]
         if address in self._retired_subblocks:
             return
         if address not in self._free_subblocks:
             self._free_subblocks.append(address)
 
-    def retire_subblock(self, address: BlockAddress) -> None:
+    def retire_subblock(self, address: BlockAddress) -> bool:
         """Exclude a sub-block from allocation permanently (bad block
-        scrub/remap): never handed out again, even after erase."""
+        scrub/remap): never handed out again, even after erase.
+        Returns whether the address was newly retired."""
+        if address in self._retired_subblocks:
+            return False
         self._retired_subblocks.add(address)
         if address in self._free_subblocks:
             self._free_subblocks.remove(address)
+        return True
 
     def free_subblocks(self, plane: int = 0) -> int:
         """Allocatable sub-blocks left on a plane: the GC free list

@@ -201,18 +201,11 @@ class SmallSsd:
         try:
             for placement in record.placements:
                 controller = self.controllers[placement.chip]
-                # Only the *same* chunk offset of different vectors must
-                # share a string group (they are combined bit-by-bit);
-                # distinct offsets get distinct groups so a group never
-                # exhausts its 48 wordlines on one vector's own chunks.
-                chunk_group = (
-                    f"{group}#{placement.chunk}" if group else None
-                )
                 chunk_name = self._chunk_operand_name(name, placement.chunk)
                 controller.fc_write(
                     chunk_name,
                     chunk_words[placement.chunk],
-                    group=chunk_group,
+                    group=self._chunk_group_name(group, placement.chunk),
                     inverse=inverse,
                 )
                 written.append((placement.chip, chunk_name))
@@ -324,6 +317,13 @@ class SmallSsd:
         # ``!`` cannot appear in a chunk operand name, so parity never
         # collides with data in a chip directory.
         return f"{name}!p{group}"
+
+    def _chunk_group_name(self, group: str | None, chunk: int) -> str | None:
+        # Only the *same* chunk offset of different vectors must share
+        # a string group (they are combined bit-by-bit); distinct
+        # offsets get distinct groups so a group never exhausts its 48
+        # wordlines on one vector's own chunks.
+        return f"{group}#{chunk}" if group else None
 
     def _parity_group_name(self, group: str | None, g: int) -> str | None:
         # Parity pages of one string group co-locate like data chunks

@@ -210,13 +210,6 @@ class MaintenanceManager:
             )
         return out
 
-    def free_subblocks(self, chip_index: int, plane: int = 0) -> int:
-        return self.ssd.controllers[chip_index].free_subblocks(plane)
-
-    def wear_summary(self) -> WearSummary:
-        """Wear spread across all chips (see ``SmallSsd.wear_summary``)."""
-        return self.ssd.wear_summary()
-
     # ------------------------------------------------------------------
     # Victim selection + collection
     # ------------------------------------------------------------------
@@ -336,15 +329,6 @@ class MaintenanceManager:
                 continue
             del victims[0]
             controller.release_subblock(victim.address)
-            # A fully-dead victim was never repointed by relocation:
-            # drop any group cursor still aimed at it, or the group's
-            # next write would land in a sub-block the allocator is
-            # free to hand to someone else.
-            for key, (block, _wl) in list(
-                controller._group_cursor.items()
-            ):
-                if block == victim.address:
-                    del controller._group_cursor[key]
             busy = chip.counters.busy_us - busy_before
             self.stats.blocks_reclaimed += 1
             self.stats.pages_migrated += moved
@@ -432,10 +416,7 @@ class MaintenanceManager:
             address = BlockAddress(
                 plane=plane, block=block, subblock=subblock
             )
-            if address in controller._retired_subblocks:
-                continue
-            controller.retire_subblock(address)
-            retired += 1
+            retired += controller.retire_subblock(address)
         self.stats.blocks_retired += retired
         return retired
 
@@ -461,14 +442,17 @@ class MaintenanceManager:
         (:meth:`rebuild_cycle` re-materializes it from survivors);
         without parity it stays parked as stuck, never silently
         dropped.  Parity pages recorded on the sick chip drain the
-        same way, onto a chip hosting none of their group's data.
-        GC reclamation of the drained chip is skipped when the chip is
-        fail-stopped (there is no die left to erase).
+        same way; every page moves through :meth:`_move`.  GC
+        reclamation of the drained chip is skipped when the chip is
+        fail-stopped (there is no die left to erase).  A ``sick`` or
+        ``healthy`` entry that is no chip index is refused up front.
         """
         ssd = self.ssd
         ftl = ssd.ftl
+        self._check_chips("sick", (sick,))
         if healthy is None:
             healthy = [i for i in range(len(ssd.chips)) if i != sick]
+        self._check_chips("healthy", healthy)
         healthy = [h for h in healthy if h != sick]
         if not healthy:
             return []
@@ -480,36 +464,29 @@ class MaintenanceManager:
                 if placement.chip == sick:
                     columns.setdefault(placement.chunk, []).append(name)
         parity = ssd.parity
-        moved_any = False
         src_ctrl = ssd.controllers[sick]
         for chunk in sorted(columns):
-            names = columns[chunk]
             stuck = 0
-            payloads: list[tuple[str, str, str | None, bool, object]] = []
+            pages: list[tuple[str, np.ndarray, str | None, bool]] = []
             try:
-                for name in names:
-                    record = ftl.lookup(name)
+                for name in columns[chunk]:
                     chunk_name = ssd._chunk_operand_name(name, chunk)
                     stored = src_ctrl.stored(chunk_name)
-                    address = stored.address
                     if injector is not None and injector.has_bad_block(
-                        sick, address
+                        sick, stored.address
                     ):
                         stuck += 1
                         continue
-                    logical = src_ctrl.chip.read_page(
-                        address, inverse=stored.inverted
-                    )
-                    chunk_group = (
-                        f"{record.group}#{chunk}" if record.group else None
-                    )
-                    payloads.append(
+                    pages.append(
                         (
-                            name,
                             chunk_name,
-                            chunk_group,
+                            src_ctrl.chip.read_page(
+                                stored.address, inverse=stored.inverted
+                            ),
+                            ssd._chunk_group_name(
+                                ftl.lookup(name).group, chunk
+                            ),
                             stored.inverted,
-                            logical,
                         )
                     )
             except FlashFault:
@@ -522,39 +499,11 @@ class MaintenanceManager:
                 else:
                     self.stats.pages_stuck += stuck
                 continue
-            # Least-loaded healthy destination, index order on ties;
-            # with parity, prefer chips free of the column's rotation
-            # group (one chip loss must cost the group one page).
-            candidates = healthy
-            if parity:
-                group = ftl.group_of_chunk(chunk)
-                taken = {
-                    ftl.chip_of_chunk(sibling)
-                    for sibling in ftl.group_data_chunks(group)
-                    if sibling != chunk
-                }
-                pchip = ftl.parity_chip(group)
-                if pchip is not None:
-                    taken.add(pchip)
-                open_chips = [h for h in healthy if h not in taken]
-                if open_chips:
-                    candidates = open_chips
-            dest = min(candidates, key=lambda h: (ftl.live_pages(h), h))
-            dst_ctrl = ssd.controllers[dest]
-            for name, chunk_name, chunk_group, inverted, logical in payloads:
-                dst_ctrl.fc_write(
-                    chunk_name,
-                    logical,
-                    group=chunk_group,
-                    inverse=inverted,
-                )
-                src_ctrl.directory.unregister(chunk_name)
-                self.stats.pages_migrated += 1
-                moved_any = True
-            ftl.remap_chunk(chunk, dest)
-        if parity:
-            moved_any |= self._drain_parity_pages(sick, healthy)
-        if moved_any or columns:
+            group = ftl.group_of_chunk(chunk) if parity else None
+            ftl.remap_chunk(chunk, self._move(sick, pages, healthy, group))
+            self.stats.pages_migrated += len(pages)
+        drained_parity = parity and self._drain_parity_pages(sick, healthy)
+        if columns or drained_parity:
             self.stats.chips_drained += 1
         # Reclaim the drained chip's now-dead blocks so it returns
         # from probation with free space -- unless the chip is
@@ -563,20 +512,37 @@ class MaintenanceManager:
             jobs: list[StageJob] = []
         else:
             jobs = self.collect(sick, ready_at_s=ready_at_s)
-        deltas = [
-            chip.counters.busy_us - before
-            for chip, before in zip(ssd.chips, busy_before)
-        ]
-        # collect() already emitted jobs (and charged stats.busy_us)
-        # for the sick chip's erases; emit migration jobs for the
-        # remaining read/write time on every involved chip.
+        return self._background_jobs(busy_before, ready_at_s, jobs, sick)
+
+    def _check_chips(self, argument: str, chips) -> None:
+        """Refuse anything but chip indices (a ``bool`` is not one)."""
+        n_chips = len(self.ssd.chips)
+        for chip in chips:
+            if type(chip) is not int or not 0 <= chip < n_chips:
+                raise ValueError(
+                    f"{argument} must hold chip indices in "
+                    f"0..{n_chips - 1}, not {chip!r}"
+                )
+
+    def _background_jobs(
+        self,
+        busy_before: list[float],
+        ready_at_s: float,
+        jobs: list[StageJob],
+        sick: int | None = None,
+    ) -> list[StageJob]:
+        """Append one background job per chip for the busy time it
+        accrued since ``busy_before``, charged to ``stats.busy_us``.
+        ``jobs`` may carry :meth:`collect`'s erase jobs on ``sick``
+        (charged already): only the rest of that chip's time is added."""
         already = sum(
             job.durations[0] * 1e6
             for job in jobs
             if job.resources[0] == f"chip{sick}"
         )
-        for index, delta in enumerate(deltas):
-            remaining = delta - (already if index == sick else 0.0)
+        for index, chip in enumerate(self.ssd.chips):
+            own = already if index == sick else 0.0
+            remaining = chip.counters.busy_us - busy_before[index] - own
             if remaining > 1e-12:
                 self.stats.busy_us += remaining
                 jobs.append(
@@ -585,6 +551,51 @@ class MaintenanceManager:
                     )
                 )
         return jobs
+
+    def _destination(self, healthy: list[int], group: int | None) -> int:
+        """The one placement rule of every move: the least-loaded
+        healthy chip, index order on ties.  Given a rotation ``group``,
+        chips holding none of its pages (its data chunks' chips and
+        its parity chip) come first, so one chip loss costs the group
+        one page.  The page being moved sits on a chip outside
+        ``healthy``, so one set serves a column and a parity page."""
+        ftl = self.ssd.ftl
+        candidates = healthy
+        if group is not None:
+            taken = {ftl.parity_chip(group)}
+            taken.update(map(ftl.chip_of_chunk, ftl.group_data_chunks(group)))
+            candidates = [h for h in healthy if h not in taken] or healthy
+        return min(candidates, key=lambda h: (ftl.live_pages(h), h))
+
+    def _move(
+        self,
+        source: int,
+        pages: list[tuple[str, np.ndarray, str | None, bool]],
+        healthy: list[int],
+        group: int | None,
+    ) -> int:
+        """Program every ``(operand, logical bits, string group,
+        inverse)`` page on the :meth:`_destination` chip and unregister
+        it on ``source``; returns the destination.  The caller commits
+        the move in the FTL (``remap_chunk`` for a column,
+        ``set_parity_chip`` for a parity group)."""
+        dest = self._destination(healthy, group)
+        dst_ctrl = self.ssd.controllers[dest]
+        src_dir = self.ssd.controllers[source].directory
+        for operand, bits, string_group, inverse in pages:
+            dst_ctrl.fc_write(
+                operand, bits, group=string_group, inverse=inverse
+            )
+            src_dir.unregister(operand)
+        return dest
+
+    def _read(self, chip: int, operand: str) -> np.ndarray:
+        """One stored operand's logical bits (polarity restored)."""
+        controller = self.ssd.controllers[chip]
+        stored = controller.stored(operand)
+        return controller.chip.read_page(
+            stored.address, inverse=stored.inverted
+        )
 
     # ------------------------------------------------------------------
     # Parity rebuild (rebuild-on-repair)
@@ -599,59 +610,39 @@ class MaintenanceManager:
 
     def _drain_parity_pages(self, sick: int, healthy: list[int]) -> bool:
         """Move (or queue for rebuild) every parity page recorded on
-        the sick chip.  Destination: a healthy chip hosting none of
-        the group's data chunks, least-loaded first -- the same
-        distinctness invariant ingest placement keeps."""
+        the sick chip, each group's pages whole."""
         ssd = self.ssd
         ftl = ssd.ftl
-        src_ctrl = ssd.controllers[sick]
         moved_any = False
-        size = ftl.parity_group_size
         for group, pchip in sorted(ftl.parity_placements().items()):
             if pchip != sick:
                 continue
+            first = group * ftl.parity_group_size
             names = [
-                name
-                for name in ftl.vectors()
-                if ftl.lookup(name).n_chunks > group * size
+                n for n in ftl.vectors() if first < ftl.lookup(n).n_chunks
             ]
             if not names:
                 continue
-            payloads: list[tuple[str, str, object]] = []
+            pages: list[tuple[str, np.ndarray, str | None, bool]] = []
             try:
                 for name in names:
                     pname = ssd._parity_operand_name(name, group)
-                    stored = src_ctrl.stored(pname)
-                    payloads.append(
+                    pages.append(
                         (
-                            name,
                             pname,
-                            src_ctrl.chip.read_page(
-                                stored.address, inverse=stored.inverted
+                            self._read(sick, pname),
+                            ssd._parity_group_name(
+                                ftl.lookup(name).group, group
                             ),
+                            False,
                         )
                     )
             except (FlashFault, KeyError):
                 self._queue_rebuild("parity", group)
                 continue
-            members = {
-                ftl.chip_of_chunk(c) for c in ftl.group_data_chunks(group)
-            }
-            candidates = [h for h in healthy if h not in members] or healthy
-            dest = min(candidates, key=lambda h: (ftl.live_pages(h), h))
-            dst_ctrl = ssd.controllers[dest]
-            for name, pname, logical in payloads:
-                record = ftl.lookup(name)
-                dst_ctrl.fc_write(
-                    pname,
-                    logical,
-                    group=ssd._parity_group_name(record.group, group),
-                    inverse=False,
-                )
-                src_ctrl.directory.unregister(pname)
-                self.stats.pages_migrated += 1
-                moved_any = True
-            ftl.set_parity_chip(group, dest)
+            ftl.set_parity_chip(group, self._move(sick, pages, healthy, group))
+            self.stats.pages_migrated += len(pages)
+            moved_any = True
         return moved_any
 
     def rebuild_cycle(
@@ -668,12 +659,14 @@ class MaintenanceManager:
         performed them, so rebuild traffic competes with foreground
         queries in the event simulation exactly like GC copyback.  An
         entry whose reconstruction fails (double fault) is dropped and
-        counted stuck rather than looping forever."""
+        counted stuck rather than looping forever.  A ``healthy`` entry
+        that is no chip index is refused up front."""
         ssd = self.ssd
-        if not self.pending_rebuild:
-            return []
         if healthy is None:
             healthy = list(range(len(ssd.chips)))
+        self._check_chips("healthy", healthy)
+        if not self.pending_rebuild:
+            return []
         healthy = [h for h in healthy if not ssd.chips[h].offline]
         if not healthy:
             return []
@@ -684,10 +677,7 @@ class MaintenanceManager:
             self._rebuild_queued.discard((kind, key))
             done += 1
             try:
-                if kind == "column":
-                    rebuilt = self._rebuild_column(key, healthy)
-                else:
-                    rebuilt = self._rebuild_parity(key, healthy)
+                rebuilt = self._rebuild(kind, key, healthy)
             except (
                 ReconstructionError,
                 FlashFault,
@@ -698,130 +688,63 @@ class MaintenanceManager:
                 continue
             if rebuilt:
                 self.stats.columns_rebuilt += 1
-        jobs: list[StageJob] = []
-        for index, before in enumerate(busy_before):
-            delta = ssd.chips[index].counters.busy_us - before
-            if delta > 1e-12:
-                self.stats.busy_us += delta
-                jobs.append(
-                    background_job(
-                        f"chip{index}", delta * 1e-6, ready_at=ready_at_s
-                    )
-                )
-        return jobs
+        return self._background_jobs(busy_before, ready_at_s, [])
 
-    def _rebuild_column(self, chunk: int, healthy: list[int]) -> bool:
-        """Re-materialize one lost data column from parity: every
-        vector's ``name@chunk`` is reconstructed by XOR of surviving
-        peers + parity and written whole onto one healthy chip, then
-        the striping overlay redirects the column (generation bump --
-        the same invalidation contract as a probation drain)."""
+    def _rebuild(self, kind: str, key: int, healthy: list[int]) -> bool:
+        """Re-materialize one lost data column (``kind == "column"``,
+        ``key`` its chunk: each page is the XOR of surviving peers +
+        parity) or one rotation group's parity pages (``key`` the
+        group: each the XOR of its data chunks) on one healthy chip,
+        then commit the move in the FTL (generation bump -- the same
+        invalidation contract as a probation drain)."""
         ssd = self.ssd
         ftl = ssd.ftl
-        names = [
-            name
-            for name in ftl.vectors()
-            if chunk < ftl.lookup(name).n_chunks
-        ]
+        column = kind == "column"
+        group = ftl.group_of_chunk(key) if column else key
+        first = key if column else group * ftl.parity_group_size
+        names = [n for n in ftl.vectors() if first < ftl.lookup(n).n_chunks]
         if not names:
             return False
-        current = ftl.chip_of_chunk(chunk)
-        if not ssd.chips[current].offline:
+        current = ftl.chip_of_chunk(key) if column else ftl.parity_chip(key)
+        if current is None or not ssd.chips[current].offline:
             # Already drained or re-mapped since it was queued.
             return False
-        # Reconstruct the whole column before writing anything: a
-        # double fault surfaces here and leaves no half-column behind.
-        payloads = [
-            (name, ssd.reconstruct_chunk_bits(name, chunk))
-            for name in names
-        ]
-        group = ftl.group_of_chunk(chunk)
-        taken = {
-            ftl.chip_of_chunk(sibling)
-            for sibling in ftl.group_data_chunks(group)
-            if sibling != chunk
-        }
-        pchip = ftl.parity_chip(group)
-        if pchip is not None:
-            taken.add(pchip)
-        candidates = [h for h in healthy if h not in taken] or list(healthy)
-        dest = min(candidates, key=lambda h: (ftl.live_pages(h), h))
-        src_ctrl = ssd.controllers[current]
-        dst_ctrl = ssd.controllers[dest]
-        for name, bits in payloads:
-            record = ftl.lookup(name)
-            chunk_name = ssd._chunk_operand_name(name, chunk)
-            chunk_group = (
-                f"{record.group}#{chunk}" if record.group else None
-            )
-            # Logical bits re-inverted physically on the destination,
-            # preserving the template congruence of inverted operands.
-            dst_ctrl.fc_write(
-                chunk_name,
-                bits,
-                group=chunk_group,
-                inverse=record.inverted,
-            )
-            src_ctrl.directory.unregister(chunk_name)
-        ftl.remap_chunk(chunk, dest)
-        return True
-
-    def _rebuild_parity(self, group: int, healthy: list[int]) -> bool:
-        """Re-materialize one lost parity page per vector of a
-        rotation group: recompute the XOR of the group's (surviving)
-        data chunks and write it to a healthy chip hosting none of
-        them."""
-        ssd = self.ssd
-        ftl = ssd.ftl
-        size = ftl.parity_group_size
-        names = [
-            name
-            for name in ftl.vectors()
-            if ftl.lookup(name).n_chunks > group * size
-        ]
-        if not names:
-            return False
-        current = ftl.parity_chip(group)
-        if current is None or not ssd.chips[current].offline:
-            return False
-        payloads: list[tuple[str, str | None, np.ndarray]] = []
+        # Rebuild every page before writing anything: a double fault
+        # surfaces here and leaves no half-column behind.
+        pages: list[tuple[str, np.ndarray, str | None, bool]] = []
         for name in names:
             record = ftl.lookup(name)
-            member_bits = []
-            for c in ftl.group_data_chunks(group):
-                if c >= record.n_chunks:
-                    continue
-                ctrl = ssd.controllers[ftl.chip_of_chunk(c)]
-                stored = ctrl.stored(ssd._chunk_operand_name(name, c))
-                member_bits.append(
-                    ctrl.chip.read_page(
-                        stored.address, inverse=stored.inverted
+            if column:
+                # Logical bits re-inverted physically on the
+                # destination, preserving the template congruence of
+                # inverted operands.
+                pages.append(
+                    (
+                        ssd._chunk_operand_name(name, key),
+                        ssd.reconstruct_chunk_bits(name, key),
+                        ssd._chunk_group_name(record.group, key),
+                        record.inverted,
                     )
                 )
-            payloads.append(
+                continue
+            members = [
+                self._read(
+                    ftl.chip_of_chunk(c), ssd._chunk_operand_name(name, c)
+                )
+                for c in ftl.group_data_chunks(group)
+                if c < record.n_chunks
+            ]
+            pages.append(
                 (
-                    name,
-                    record.group,
-                    np.bitwise_xor.reduce(np.vstack(member_bits), axis=0),
+                    ssd._parity_operand_name(name, group),
+                    np.bitwise_xor.reduce(np.vstack(members), axis=0),
+                    ssd._parity_group_name(record.group, group),
+                    False,
                 )
             )
-        members = {
-            ftl.chip_of_chunk(c) for c in ftl.group_data_chunks(group)
-        }
-        candidates = [h for h in healthy if h not in members] or list(
-            healthy
-        )
-        dest = min(candidates, key=lambda h: (ftl.live_pages(h), h))
-        src_ctrl = ssd.controllers[current]
-        dst_ctrl = ssd.controllers[dest]
-        for name, vgroup, bits in payloads:
-            pname = ssd._parity_operand_name(name, group)
-            dst_ctrl.fc_write(
-                pname,
-                bits,
-                group=ssd._parity_group_name(vgroup, group),
-                inverse=False,
-            )
-            src_ctrl.directory.unregister(pname)
-        ftl.set_parity_chip(group, dest)
+        dest = self._move(current, pages, healthy, group)
+        if column:
+            ftl.remap_chunk(key, dest)
+        else:
+            ftl.set_parity_chip(key, dest)
         return True

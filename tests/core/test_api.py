@@ -212,6 +212,30 @@ class TestAllocationRollback:
         assert retry_index == first_index + 1
 
 
+class TestSubblockPool:
+    def test_released_subblock_takes_no_group_cursor_with_it(self):
+        """A group whose whole sub-block is freed starts over in a
+        fresh allocation: its cursor must not keep pointing into a
+        sub-block the pool can hand to another write."""
+        fc = make_fc()
+        env = pages("abc", seed=7)
+        victim = fc.fc_write("a", env["a"], group="g").address.block_address
+        fc.directory.unregister("a")
+        fc.chip.erase_block(victim)
+        fc.release_subblock(victim)
+        grouped = fc.fc_write("b", env["b"], group="g").address
+        loose = fc.fc_write("c", env["c"]).address
+        assert grouped.block_address != loose.block_address
+        np.testing.assert_array_equal(fc.fc_read(Operand("b")).bits, env["b"])
+        np.testing.assert_array_equal(fc.fc_read(Operand("c")).bits, env["c"])
+
+    def test_retire_reports_whether_the_address_is_new(self):
+        fc = make_fc()
+        address = fc.fc_write("a", pages("a")["a"]).address.block_address
+        assert fc.retire_subblock(address) is True
+        assert fc.retire_subblock(address) is False
+
+
 class TestFcRead:
     def test_and_of_grouped_operands(self):
         fc = make_fc()

@@ -23,10 +23,12 @@ GEOMETRY = ChipGeometry(
 )
 
 
-def _build(n_chips=2, n_vectors=6, n_chunks=2, seed=0, injector=None):
+def _build(
+    n_chips=2, n_vectors=6, n_chunks=2, seed=0, injector=None, parity=False
+):
     ssd = SmallSsd(
         n_chips=n_chips, geometry=GEOMETRY, seed=seed,
-        fault_injector=injector,
+        fault_injector=injector, parity=parity,
     )
     rng = np.random.default_rng(seed + 100)
     n_bits = n_chunks * GEOMETRY.page_size_bits
@@ -432,6 +434,79 @@ class TestDrain:
             mgr.rebuild_cycle()
         with pytest.raises(AttributeError, match="offline"):
             mgr.drain_chip(2)
+
+    def test_live_parity_drain_places_columns_and_parity_pages(self):
+        """A live chip hosting a data column (chunk 3) and a parity
+        page (group 0) drains both: every chip holds a page of both
+        3-chunk rotation groups, so each lands on the least-loaded
+        survivor, and parity stays consistent afterwards."""
+        ssd, env = _build(n_chips=4, n_vectors=6, n_chunks=6, parity=True)
+        ftl = ssd.ftl
+        assert [ftl.chip_of_chunk(c) for c in range(6)] == [0, 1, 2, 3, 0, 1]
+        assert ftl.parity_placements() == {0: 3, 1: 2}
+        mgr = ssd.maintenance()
+        jobs = mgr.drain_chip(3)
+        assert [ftl.chip_of_chunk(c) for c in range(6)] == [0, 1, 2, 2, 0, 1]
+        assert ftl.parity_placements() == {0: 0, 1: 2}
+        assert mgr.stats.pages_migrated == 12
+        assert ftl.live_pages(3) == 0
+        page = GEOMETRY.page_size_bits
+        for name, bits in env.items():
+            np.testing.assert_array_equal(ssd.read_vector(name), bits)
+            for chunk in range(6):
+                np.testing.assert_array_equal(
+                    ssd.reconstruct_chunk_bits(name, chunk),
+                    bits[chunk * page:(chunk + 1) * page],
+                )
+        assert [(job.resources[0], job.durations[0]) for job in jobs] == [
+            ("chip3", 0.0034999999999999996),
+            ("chip3", 0.0034999999999999996),
+            ("chip0", 0.00228),
+            ("chip2", 0.00228),
+            ("chip3", 0.00027000000000000087),
+        ]
+
+    def test_drain_refuses_bad_healthy_index_before_moving(self):
+        ssd, env = _build(n_chips=3, n_vectors=3)
+        mgr = ssd.maintenance()
+        with pytest.raises(ValueError) as refused:
+            mgr.drain_chip(0, healthy=[-1])
+        # Refused at the door: no page was written or unregistered.
+        for name, bits in env.items():
+            np.testing.assert_array_equal(ssd.read_vector(name), bits)
+        assert ssd.ftl.chunk_overrides() == {}
+        assert "healthy" in str(refused.value)
+
+    def test_drain_refuses_bool_healthy_entry(self):
+        ssd, _ = _build(n_chips=3, n_vectors=3)
+        mgr = ssd.maintenance()
+        with pytest.raises(ValueError, match="healthy"):
+            mgr.drain_chip(0, healthy=[True])
+        assert ssd.ftl.chunk_overrides() == {}
+        assert mgr.stats.pages_migrated == 0
+
+    def test_drain_refuses_sick_index_out_of_range(self):
+        ssd, _ = _build(n_chips=3, n_vectors=3)
+        mgr = ssd.maintenance()
+        with pytest.raises(ValueError, match="sick"):
+            mgr.drain_chip(5)
+        assert mgr.stats.chips_drained == 0
+
+    def test_rebuild_refuses_bad_healthy_index_before_moving(self):
+        ssd, env = _build(n_chips=4, n_vectors=3, n_chunks=6, parity=True)
+        ssd.kill_chip(1)
+        mgr = ssd.maintenance()
+        mgr.drain_chip(1)
+        queued = list(mgr.pending_rebuild)
+        assert ("column", 1) in queued
+        with pytest.raises(ValueError) as refused:
+            mgr.rebuild_cycle(healthy=[-1])
+        assert mgr.pending_rebuild == queued
+        assert ssd.ftl.chunk_overrides() == {}
+        assert "healthy" in str(refused.value)
+        assert mgr.rebuild_cycle() != []
+        for name, bits in env.items():
+            np.testing.assert_array_equal(ssd.read_vector(name), bits)
 
     def test_stuck_column_stays_parked_not_half_migrated(self):
         ssd, env = _build(n_chips=2, n_vectors=3, n_chunks=2)

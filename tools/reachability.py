@@ -90,8 +90,7 @@ SsdConfig.t_ext_us_per_die_read ssd/controller.py: SmallSsd.read_vector
 ssd/events.py: StageReport.class_utilization ssd/ftl.py:
 FlashTranslationLayer.__contains__ FlashTranslationLayer.chunk_overrides
 FlashTranslationLayer.chunks_on_chip VectorRecord.pad_bits
-VectorRecord.padded_bits ssd/maintenance.py: MaintenanceManager.free_subblocks
-MaintenanceManager.wear_summary ssd/query_engine.py: CacheStats.hit_rate
+VectorRecord.padded_bits ssd/query_engine.py: CacheStats.hit_rate
 ResultCache.clear ResultCache.get StackCache.clear
 StackCache.entries
 workloads/image_segmentation.py: segment_reference
