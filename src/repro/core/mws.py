@@ -4,26 +4,22 @@ One cost model, two ways to drive the chip, one decision between them:
 
 * the **step walk** (:meth:`MwsExecutor.execute`, and
   :meth:`MwsExecutor.execute_degraded` for margin reads) drives the
-  chip one sense at a time -- the reference semantics, and the oracle
-  every batched route is property-tested against;
-* the **batch** (:meth:`MwsExecutor.execute_batch`, and
-  :meth:`MwsExecutor.execute_degraded_batch` for margin reads) drains
-  a whole queue of plans through one skeleton: flatten the queue's
-  sense commands plan-major, sense them in one vectorized chip call,
+  chip one sense at a time -- the reference semantics, the oracle the
+  batch is property-tested against, and the only route of an
+  error-injecting chip or a margin read, whose senses draw or compare
+  through V_TH;
+* the **batch** (:meth:`MwsExecutor.execute_batch`) drains a whole
+  queue of plans on an error-free chip through one skeleton: flatten
+  the queue's sense commands plan-major, reduce them word-wide in one
+  vectorized chip call
+  (:meth:`~repro.flash.chip.NandFlashChip.execute_sense_batch`),
   replay the latch protocol per ISCM-signature group through
   :meth:`~repro.flash.latches.LatchBank.capture_batch` (a plan that
   is one plain sense takes its sensed row as its result), and charge
   the timing/energy counters plan by plan in the exact scalar order
   -- so results, latch end-state and every counter are bit-for-bit
   what the walk leaves, while Python dispatch drops from O(senses) to
-  O(signature groups).  Only the sensing call differs by route: an
-  error-free chip reduces packed words
-  (:meth:`~repro.flash.chip.NandFlashChip.execute_sense_batch`), an
-  error-injecting chip senses through the V_TH plane with the walk's
-  exact stochastic draw schedule
-  (:meth:`~repro.flash.chip.NandFlashChip.execute_sense_batch_vth`),
-  and margin reads force the V_TH comparison on an error-free chip.
-  Every route hands the latch replay packed words;
+  O(signature groups);
 * :meth:`MwsExecutor.batchable` is the one probe that says whether a
   queue has a batched equivalent at all.  It executes, draws and
   counts nothing, so a caller asks it once per queue, before anything
@@ -227,50 +223,26 @@ class MwsExecutor:
             chip.output_cache_words(plan.plane),
         )
 
-    def batchable(
-        self,
-        plans: list[Plan],
-        *,
-        retried: bool = False,
-        margin: bool = False,
-    ) -> bool:
-        """Whether the whole queue has a batched equivalent on the
-        route it is about to take: plain, ``retried`` (charged from
-        attempt multiplicities) or ``margin`` (degraded V_TH reads).
+    def batchable(self, plans: list[Plan]) -> bool:
+        """Whether the whole queue has a batched equivalent.
 
         The one scalar-vs-batched decision.  It probes only --
         nothing executes, draws or counts -- so a drain asks once per
         queue before anything else happens and, on a no, walks the
         plans one by one.  No means:
 
+        * an error-injecting chip: every sense there draws fresh V_TH
+          noise, and the walk is the one evaluation that draws it;
         * a plan with a cross-plane XOR: only the scalar latch
           protocol can judge it;
         * a plan targeting an injected bad block: the walk ends that
           plan alone, at its first sense, with a typed fault -- an
-          outcome no batch and no attempt count expresses;
-        * on an error-injecting chip, a ``retried`` or ``margin``
-          route: every attempt there draws fresh V_TH noise, and the
-          margin batch is only proven against the error-free ladder;
-        * on the V_TH plane (an error-injecting chip, or margin
-          reads), a window the chip declines to schedule
-          (:meth:`~repro.flash.chip.NandFlashChip.vth_batch_schedule`):
-          an MLC-programmed target, whose multi-reference draw stays
-          per sense.
+          outcome no batch and no attempt count expresses.
         """
-        noisy = self.chip.sensing.inject_errors
-        if noisy and (retried or margin):
+        if self.chip.sensing.inject_errors:
             return False
         infos = self._batch_infos(plans)
-        if infos is None or self._targets_bad_block(infos):
-            return False
-        if not (noisy or margin):
-            return True
-        # The V_TH plane knows which windows it declines; its prepared
-        # schedule is draw-free, and stays cached for the batch that
-        # follows a yes.
-        commands = [command for info in infos for command in info[3]]
-        schedule = self.chip.vth_batch_schedule(commands, force_vth=margin)
-        return schedule is not None
+        return infos is not None and not self._targets_bad_block(infos)
 
     def _targets_bad_block(self, infos: list[tuple]) -> bool:
         """Whether any sense of the queue targets an injected bad
@@ -297,79 +269,37 @@ class MwsExecutor:
         resolved: list[tuple] | None = None,
     ) -> list[ExecutionResult]:
         """Drain a :meth:`batchable` queue of plans as one batch (see
-        module docstring): an error-free chip senses word-wide, an
-        error-injecting chip through the V_TH plane with the walk's
-        exact draw schedule.  ``plans`` may be the queue's prepared
-        :meth:`layout`.
+        module docstring): sense every command word-wide in one chip
+        call, replay the latches, charge plan by plan.  ``plans`` may
+        be the queue's prepared :meth:`layout`.
 
         ``attempts`` is the fault-recovery drain's per-plan attempt
-        multiplicity (``retried`` route): plan ``i`` is charged as
-        ``attempts[i]`` back-to-back scalar executions -- its whole
-        charge sequence, its read disturb and one result transfer per
-        attempt, with the per-plan deltas spanning all of them.  A
-        retried plan re-senses the same error-free bits, so sensing
-        and latch replay still run once.  ``None`` is one clean
-        attempt per plan: the fault-free queue.  ``resolved`` is the
-        chip's resolution of the queue's commands, if the caller holds
-        it: the sense then resolves nothing.
-        """
-        if not isinstance(plans, BatchLayout):
-            plans = self.layout(plans)
-        return self._run_batch(plans, attempts=attempts, resolved=resolved)
+        multiplicity: plan ``i`` is charged as ``attempts[i]``
+        back-to-back scalar executions -- its whole charge sequence,
+        its read disturb and one result transfer per attempt, with the
+        per-plan deltas spanning all of them.  A retried plan
+        re-senses the same error-free bits, so sensing and latch
+        replay still run once.  ``None`` is one clean attempt per
+        plan: the fault-free queue.  ``resolved`` is the chip's
+        resolution of the queue's commands, if the caller holds it:
+        the sense then resolves nothing.
 
-    def execute_degraded_batch(
-        self, plans: list[Plan], *, extra_senses: int = 0
-    ) -> list[ExecutionResult]:
-        """Drain a :meth:`batchable` (``margin``) queue on the
-        read-retry V_TH path: the batched counterpart of
-        :meth:`execute_degraded`.  Every sense evaluates through the
-        per-cell V_TH comparison in one pass -- bit-identical to the
-        per-plan degraded walk on an error-free chip -- and the
-        margin-read ladder (``extra_senses``) charges per step exactly
-        as the walk does.
+        An error-injecting chip is refused before anything moves.  A
+        bad block raises its own typed fault out of the sense.
         """
-        return self._run_batch(
-            self.layout(plans), margin=True, extra_senses=extra_senses
-        )
-
-    def _run_batch(
-        self,
-        layout: BatchLayout | None,
-        *,
-        attempts: list[int] | None = None,
-        margin: bool = False,
-        extra_senses: int = 0,
-        resolved: list[tuple] | None = None,
-    ) -> list[ExecutionResult]:
-        """The batch skeleton behind :meth:`execute_batch` and
-        :meth:`execute_degraded_batch` over a :meth:`layout`: sense
-        (the one route-dependent step), latch replay, charging."""
-        chip = self.chip
+        layout = plans
+        if not isinstance(layout, BatchLayout):
+            layout = self.layout(plans)
         if layout is not None and not layout.plans:
             return []
-        # The V_TH routes re-ask the probe (their schedule is cached by
-        # now).  The packed plane checks only for a cross-plane XOR:
-        # a bad block raises its own typed fault out of the sense.
-        vth = margin or chip.sensing.inject_errors
-        if layout is None or (
-            vth
-            and not self.batchable(
-                layout.plans, retried=attempts is not None, margin=margin
-            )
-        ):
+        chip = self.chip
+        if layout is None or chip.sensing.inject_errors:
             raise RuntimeError(
-                "the queue has no batched equivalent on this route; "
+                "the queue has no batched equivalent on this chip; "
                 "ask batchable() first and walk the plans instead"
             )
         self.dispatches += 1
-        if not vth:
-            payload = chip.execute_sense_batch(layout.commands, resolved)
-        else:
-            # The probe ruled out the windows the V_TH plane declines
-            # (and left their schedule cached).
-            payload = chip.execute_sense_batch_vth(
-                layout.commands, force_vth=margin
-            )
+        payload = chip.execute_sense_batch(layout.commands, resolved)
         if attempts is not None:
             # The batch accounted one attempt's read disturb; failed
             # attempts sensed the same wordlines again (``note_read``
@@ -387,8 +317,16 @@ class MwsExecutor:
         return self._charge_results(
             layout.infos,
             self._replay_latches(layout, payload),
-            extra_senses=extra_senses,
             attempts=attempts,
+        )
+
+    def execute_degraded_batch(self, plans, **kwargs):
+        """Retired: margin reads walk, one :meth:`execute_degraded` per
+        plan.  The name stays only until ROADMAP item 1a drops its
+        ``benchmarks/e2e/spec.py`` ``LAYERS`` line."""
+        raise NotImplementedError(
+            "the batched margin read is gone: walk the plans with "
+            "MwsExecutor.execute_degraded"
         )
 
     def execute_batch_reuse(
@@ -602,18 +540,15 @@ class MwsExecutor:
         infos: list[tuple],
         payloads: list[np.ndarray],
         *,
-        extra_senses: int = 0,
         attempts: list[int] | None = None,
     ) -> list[ExecutionResult]:
         """Charge counters plan-by-plan in scalar step order and build
         the per-plan results.
 
         Performs the same sequence of counter additions the scalar
-        loop performs -- including one extra ``charge_sense``-shaped
-        addition per sense per margin read (``extra_senses``, the
-        degraded ladder), and the whole per-plan sequence once per
-        attempt (``attempts``, the retry loop: a failed attempt
-        occupied the die and shipped its discarded page) -- so
+        loop performs -- the whole per-plan sequence once per attempt
+        (``attempts``, the retry loop: a failed attempt occupied the
+        die and shipped its discarded page) -- so
         per-plan latency/energy deltas and the chip counters
         themselves stay float-identical (charge_sense/charge_xor
         inlined with the memoized cost cache -- queue hot loop).
@@ -636,15 +571,14 @@ class MwsExecutor:
                         counters.busy_us += 1.0
                         counters.energy_nj += xor_cost
                         continue
-                    for _ in range(1 + extra_senses):
-                        cost = cost_cache.get(charge)
-                        if cost is None:
-                            charge_sense(charge[0], charge[1])
-                            continue
-                        counters.senses += 1
-                        counters.wordlines_sensed += charge[0]
-                        counters.busy_us += cost[0]
-                        counters.energy_nj += cost[1]
+                    cost = cost_cache.get(charge)
+                    if cost is None:
+                        charge_sense(charge[0], charge[1])
+                        continue
+                    counters.senses += 1
+                    counters.wordlines_sensed += charge[0]
+                    counters.busy_us += cost[0]
+                    counters.energy_nj += cost[1]
                 # The result leaves the chip once per execution, as
                 # in the scalar path's output_cache call.
                 counters.transfers_out += 1

@@ -50,12 +50,11 @@ from repro.flash.packing import (
     FULL_WORD,
     as_bits,
     invert_words,
-    pack_rows,
     unpack_words,
 )
 from repro.flash.power import PowerModel
 from repro.flash.randomizer import LfsrRandomizer
-from repro.flash.sensing import SensingEngine, VthBatchSchedule
+from repro.flash.sensing import SensingEngine
 from repro.flash.timing import TimingModel
 
 
@@ -175,16 +174,6 @@ class NandFlashChip:
         #: this chip's current token: attaching a fault injector mints
         #: a new one.
         self._resolve_token = object()
-        #: (command tuple, vref_offset, force_vth) -> (prepared V_TH
-        #: schedule, (block, layout_version) revalidation pairs) for
-        #: the batched error plane.  The window's commands are the
-        #: key by value: a command memoizes its hash, and bound plans
-        #: hand a repeated window the same command objects, so tuple
-        #: equality short-circuits on identity.  Entries revalidate
-        #: per-block ``layout_version`` and are dropped wholesale
-        #: when the ambient condition or fault injector changes (both
-        #: invalidate resolved conditions/bad-block checks).
-        self._vth_schedules: dict[tuple, tuple] = {}
 
     # ------------------------------------------------------------------
     # Environment control (test-mode features)
@@ -195,7 +184,6 @@ class NandFlashChip:
         P/E floor, block quality) applied to subsequent senses."""
         self.condition = condition
         self._condition_variants.clear()
-        self._vth_schedules.clear()
 
     def attach_fault_injector(self, injector, chip_id: int = 0) -> None:
         """Attach a :class:`~repro.flash.faults.FaultInjector` (or
@@ -206,7 +194,6 @@ class NandFlashChip:
         self.fault_injector = injector
         self.fault_chip_id = chip_id
         self._resolve_token = object()
-        self._vth_schedules.clear()
 
     def cycle_block(self, address: BlockAddress, pe_cycles: int) -> None:
         """Wear a block to ``pe_cycles`` program/erase cycles (the
@@ -605,16 +592,17 @@ class NandFlashChip:
         :meth:`~repro.flash.latches.LatchBank.capture_batch`, counters
         via :meth:`charge_sense`/:meth:`charge_xor` in scalar order --
         so a batched queue stays step-for-step identical to scalar
-        execution.  Requires an error-free chip; error injection
-        batches through :meth:`execute_sense_batch_vth`.  ``resolved``
-        is every command's :meth:`resolve`, if the caller holds it.
+        execution.  Requires an error-free chip: an error-injecting
+        chip senses one command at a time through :meth:`execute_sense`.
+        ``resolved`` is every command's :meth:`resolve`, if the caller
+        holds it.
         """
         self._check_online()
         if self.sensing.inject_errors:
             raise RuntimeError(
                 "execute_sense_batch requires the packed error-free "
-                "plane; error injection batches through "
-                "execute_sense_batch_vth"
+                "plane; an error-injecting chip senses one command at "
+                "a time through execute_sense"
             )
         sources: list[tuple] = []
         profiles: list[tuple[int, ...]] = []
@@ -668,92 +656,15 @@ class NandFlashChip:
             memo[self] = cached
         return source, profile
 
-    def execute_sense_batch_vth(
-        self,
-        commands: list["MwsCommand"],
-        *,
-        vref_offset: float = 0.0,
-        force_vth: bool = False,
-    ) -> np.ndarray | None:
-        """Evaluate many MWS commands through the V_TH error plane in
-        one batched pass.
-
-        The counterpart of :meth:`execute_sense_batch` for chips that
-        inject errors (or for ``force_vth`` degraded recovery on an
-        error-free chip): targets are validated and conditions resolved
-        exactly as :meth:`execute_sense`, then the whole window's
-        perturb + compare runs through
-        :meth:`~repro.flash.sensing.SensingEngine.run_batch_vth`,
-        which keeps the stochastic draw schedule identical to the
-        scalar per-sense loop.  Returns one packed, ones-padded
-        ``uint64`` result row per command, or ``None`` when any target
-        is MLC-programmed
-        (before any draw or read-disturb side effect;
-        :meth:`vth_batch_schedule` answers that ahead of time).  Latch
-        protocol and cost counters are replayed by the executor, as
-        with the packed batch."""
-        self._check_online()
-        schedule = self.vth_batch_schedule(
-            commands, vref_offset=vref_offset, force_vth=force_vth
+    def execute_sense_batch_vth(self, commands, **kwargs):
+        """Retired: an error-injecting or margin sense walks, one
+        :meth:`execute_sense` at a time.  The name stays only until
+        ROADMAP item 1a drops its ``benchmarks/e2e/spec.py`` ``LAYERS``
+        line."""
+        raise NotImplementedError(
+            "the batched V_TH plane is gone: walk the plans with "
+            "MwsExecutor.execute / execute_degraded"
         )
-        if schedule is None:
-            return None
-        return pack_rows(self.sensing.run_batch_vth(schedule))
-
-    def vth_batch_schedule(
-        self,
-        commands: list["MwsCommand"],
-        *,
-        vref_offset: float = 0.0,
-        force_vth: bool = False,
-    ) -> VthBatchSchedule | None:
-        """The prepared, draw-independent half of one V_TH window --
-        or ``None`` when the V_TH plane declines it: any target is
-        MLC-programmed, whose multi-reference draw stays per sense.
-        Nothing is drawn, sensed or counted here, so this doubles as
-        the probe for whether a window can batch at all.
-
-        The schedule -- resolution, stress scalars, stacked
-        perturbed-base tensors -- is cached per window of commands
-        (by value, with the ``vref_offset`` / ``force_vth`` it was
-        prepared for) and revalidated against each target block's
-        ``layout_version``, so steady-state reliability windows only
-        pay the draw + compare.  Condition changes and fault-injector
-        (re)attachment drop the cache wholesale; a bad-block set is
-        immutable per injector and resolution fails before caching,
-        so a cached window can never cover a bad block."""
-        key = (tuple(commands), vref_offset, force_vth)
-        entry = self._vth_schedules.get(key)
-        if entry is not None:
-            for block, version in entry[1]:
-                if block.layout_version != version:
-                    break
-            else:
-                return entry[0]
-        senses = []
-        conditions = []
-        for command in commands:
-            _, blocks = self._resolve_targets(command.targets)
-            senses.append(blocks)
-            conditions.append(self._effective_condition(blocks))
-        schedule = self.sensing.prepare_batch_vth(
-            senses,
-            conditions,
-            vref_offset=vref_offset,
-            force_vth=force_vth,
-        )
-        if schedule is None:
-            return None
-        if len(self._vth_schedules) >= 4096:
-            self._vth_schedules.clear()
-        self._vth_schedules[key] = (
-            schedule,
-            tuple(
-                (block, block.layout_version)
-                for block, _ in schedule.read_counts
-            ),
-        )
-        return schedule
 
     def charge_sense(self, n_wordlines: int, n_blocks: int) -> None:
         """Account one MWS sense: operation counters plus the modeled

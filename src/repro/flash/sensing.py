@@ -33,7 +33,7 @@ Two evaluation paths implement the same semantics:
   outcome once, before the latches see it.
 
 On top of the per-sense fast path sits the batched plane, which
-evaluates a whole *queue* of MWS operations at once.
+evaluates a whole *queue* of error-free MWS operations at once.
 The chip resolves each operation to where its packed operand rows
 live (:meth:`~repro.flash.chip.NandFlashChip.resolve`);
 :meth:`SensingEngine.sense_batch_stacks` gathers the rows of every
@@ -42,17 +42,16 @@ and the string-group ANDs / inter-block ORs of the entire batch
 collapse into a handful of ``np.bitwise_and.reduce`` / ``bitwise_or``
 calls -- O(profiles) NumPy dispatches for O(senses) sensing
 operations.  Row ``i`` of the result is bit-identical to
-``inter_block_mws(senses[i], ...).words``.  With error injection, VREF
-offsets or ``force_vth`` a queue batches through the V_TH plane instead
-(:meth:`SensingEngine.prepare_batch_vth` /
-:meth:`SensingEngine.run_batch_vth`), with the per-sense loop's exact
-stochastic draw schedule.
+``inter_block_mws(senses[i], ...).words``.  A sense with error
+injection, a VREF offset or ``force_vth`` has no batched twin: it is
+evaluated one at a time through :meth:`SensingEngine.inter_block_mws`,
+which draws the stress noise in (sense, target) order.  A regular page
+read is the one-target, one-wordline case of that call.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -62,7 +61,6 @@ from repro.flash.errors import ErrorModel, OperatingCondition
 from repro.flash.ispp import ProgramMode
 from repro.flash.packing import (
     pack_bits,
-    unpack_rows,
     unpack_words,
     words_per_page,
 )
@@ -131,54 +129,6 @@ class SenseOutcome:
         return self._words
 
 
-class VthBatchSchedule:
-    """Prepared (deterministic) half of one batched V_TH window.
-
-    :meth:`SensingEngine.prepare_batch_vth` resolves everything about
-    a window that does not depend on the stochastic draw -- the unit
-    flatten, stress-scalar columns, stacked/perturbed V_TH tensors,
-    read references, noise layout, and read-disturb totals -- so
-    :meth:`SensingEngine.run_batch_vth` only has to draw the window's
-    Gaussian block and finish the noisy groups.  A schedule stays
-    valid exactly while every target block's ``layout_version`` is
-    unchanged (program/erase are the only writers of cell content and
-    wordline metadata); the chip's schedule cache revalidates against
-    ``read_counts`` before reusing one.
-    """
-
-    __slots__ = (
-        "page_bits",
-        "noise_rows",
-        "sense_starts",
-        "read_counts",
-        "det_conducting",
-        "noisy_groups",
-    )
-
-    def __init__(
-        self,
-        page_bits: int,
-        noise_rows: int,
-        sense_starts: list[int],
-        read_counts: list,
-        det_conducting: np.ndarray,
-        noisy_groups: list,
-    ) -> None:
-        self.page_bits = page_bits
-        self.noise_rows = noise_rows
-        self.sense_starts = sense_starts
-        #: (block, summed wordline count) per distinct target block --
-        #: both the read-disturb accounting and the revalidation set.
-        self.read_counts = read_counts
-        #: (n_units, page_bits) conductance rows, final for every
-        #: noise-free unit; noisy units are overwritten per run.
-        self.det_conducting = det_conducting
-        #: Per noisy group: (member ordinals, noise gather indices,
-        #: perturbed base tensor, base-sigma tensor, widen column,
-        #: read-reference column).
-        self.noisy_groups = noisy_groups
-
-
 class SensingEngine:
     """Evaluates string conductance for reads and MWS operations."""
 
@@ -196,12 +146,6 @@ class SensingEngine:
         # pristine condition whose only live input is the ESP effort;
         # cache it per effort to keep the per-sense hot path lean.
         self._pristine_read_ref: dict[float, float] = {}
-        #: (condition, esp_extra, block P/E, block sigma multiplier) ->
-        #: resolved per-unit stress scalars for the batched error
-        #: plane.  The effective condition is derived purely from that
-        #: key, so repeat units skip the dataclass rebuild and shift
-        #: resolution entirely.  Bounded like the other memo caches.
-        self._stress_params: dict[tuple, tuple] = {}
         #: Per-profile operand tensors :meth:`sense_batch_stacks`
         #: concatenated fresh -- the quantity cross-window stack reuse
         #: (:class:`repro.ssd.query_engine.StackCache`) avoids
@@ -324,8 +268,7 @@ class SensingEngine:
     ) -> float:
         """Error-free read reference: only the ESP effort moves it
         (retention/PEC/read-disturb terms vanish at zero stress).
-        Cached per effort -- shared by the scalar and batched V_TH
-        paths so both resolve the identical reference."""
+        Cached per effort."""
         read_ref = self._pristine_read_ref.get(esp_extra)
         if read_ref is None:
             pristine = OperatingCondition(
@@ -355,31 +298,6 @@ class SensingEngine:
     # Public sensing operations
     # ------------------------------------------------------------------
 
-    def read_wordline(
-        self,
-        block: BlockArray,
-        wordline: int,
-        condition: OperatingCondition,
-        *,
-        vref_offset: float = 0.0,
-        force_vth: bool = False,
-    ) -> SenseOutcome:
-        """Regular page read: VREF on exactly one wordline.  For MLC
-        wordlines this is the LSB-page read (single reference)."""
-        payload = self._conduction(
-            block,
-            (wordline,),
-            condition,
-            vref_offset=vref_offset,
-            force_vth=force_vth,
-        )
-        return self._outcome(
-            payload,
-            n_bits=block.geometry.page_size_bits,
-            wordlines=1,
-            blocks=1,
-        )
-
     def read_msb_wordline(
         self,
         block: BlockArray,
@@ -407,30 +325,6 @@ class SensingEngine:
         return SenseOutcome.from_bits(
             (below_ref1 | above_ref3).astype(np.uint8),
             wordlines=1,
-            blocks=1,
-        )
-
-    def intra_block_mws(
-        self,
-        block: BlockArray,
-        wordlines: tuple[int, ...],
-        condition: OperatingCondition,
-        *,
-        vref_offset: float = 0.0,
-        force_vth: bool = False,
-    ) -> SenseOutcome:
-        """Intra-block MWS: bitwise AND of the targeted wordlines."""
-        payload = self._conduction(
-            block,
-            tuple(wordlines),
-            condition,
-            vref_offset=vref_offset,
-            force_vth=force_vth,
-        )
-        return self._outcome(
-            payload,
-            n_bits=block.geometry.page_size_bits,
-            wordlines=len(wordlines),
             blocks=1,
         )
 
@@ -561,316 +455,3 @@ class SensingEngine:
             if not in_place:
                 out[np.asarray(members)] = result
         return out
-
-    # ------------------------------------------------------------------
-    # Batched V_TH error plane
-    # ------------------------------------------------------------------
-
-    def sense_batch_vth(
-        self,
-        senses: list[list[tuple[BlockArray, tuple[int, ...]]]],
-        conditions: list[OperatingCondition],
-        *,
-        vref_offset: float = 0.0,
-        force_vth: bool = False,
-    ) -> np.ndarray | None:
-        """Evaluate many MWS operations through the V_TH error plane
-        in one vectorized pass.
-
-        ``senses[i]`` is the target list of one inter-block MWS and
-        ``conditions[i]`` its effective operating condition (the chip
-        resolves per-command randomization surcharges before calling
-        in).  Returns an ``(n_senses, page_bits)`` ``uint8`` matrix
-        whose row ``i`` is bit-identical to
-        ``inter_block_mws(senses[i], conditions[i], ...).bits`` run in
-        sequence -- *including the stochastic error draws*: the batch
-        draws one Gaussian block for the whole window and splits it in
-        the exact (sense, block-target) order the scalar loop draws
-        in, so the chip's RNG stream stays schedule-identical and the
-        corrupted bits are the same bits.  Float identity holds
-        because every perturbation/compare runs grouped by the exact
-        per-unit stress scalars -- elementwise the same float32
-        operations in the same order as :meth:`ErrorModel.perturb`.
-
-        Returns ``None`` when any target is MLC-programmed (the
-        multi-reference MLC draw stays per sense; callers fall back to
-        the scalar loop *before* any RNG or read-disturb side effect).
-        Pure SLC/ESP windows -- every reliability sweep shape -- stay
-        on the batch plane.
-        """
-        schedule = self.prepare_batch_vth(
-            senses,
-            conditions,
-            vref_offset=vref_offset,
-            force_vth=force_vth,
-        )
-        if schedule is None:
-            return None
-        return self.run_batch_vth(schedule)
-
-    def prepare_batch_vth(
-        self,
-        senses: list[list[tuple[BlockArray, tuple[int, ...]]]],
-        conditions: list[OperatingCondition],
-        *,
-        vref_offset: float = 0.0,
-        force_vth: bool = False,
-    ) -> VthBatchSchedule | None:
-        """Resolve the deterministic half of a batched V_TH window
-        into a reusable :class:`VthBatchSchedule` (or ``None`` on MLC
-        fallback, before any side effect).  Everything that does not
-        depend on the stochastic draw -- flattening, stress scalars,
-        the perturbed-base tensors, read references, noise layout --
-        happens here; the chip caches the schedule per command window
-        and revalidates it against block ``layout_version``s, so
-        repeated reliability windows skip straight to
-        :meth:`run_batch_vth`.
-        """
-        if not (self.inject_errors or vref_offset or force_vth):
-            raise RuntimeError(
-                "sense_batch_vth is the V_TH error plane; the packed "
-                "error-free plane batches through sense_batch_stacks"
-            )
-        # ------------------------------------------------------------
-        # 1. Validate, flatten into (sense, block-target) units in
-        #    scalar execution order, and resolve per-unit stress
-        #    scalars in the same pass (the order is what lets the one
-        #    Gaussian draw split on the scalar schedule).  MLC
-        #    fallback happens before any draw or read-disturb side
-        #    effect -- everything mutated here is call-local except
-        #    the stress-scalar memo, which is value-pure.
-        #
-        #    Units group by tensor *shape* only -- (row count,
-        #    noise-widened?).  The stress scalars themselves ride
-        #    along as per-unit float32 parameter columns broadcast
-        #    over the (U, R, C) group tensor: the scalar path feeds
-        #    Python floats into float32 NumPy ops, which converts
-        #    them to float32 first, so a float32 parameter column
-        #    produces the elementwise-identical result (the
-        #    read-reference compare keeps float64 columns -- NumPy
-        #    compares float32 data against a Python float exactly,
-        #    without narrowing it).  Per-block process variation
-        #    (``sigma_multiplier``) therefore costs no group
-        #    fragmentation.
-        #
-        #    The memo keys on ``id(condition)``: chips intern their
-        #    effective-condition variants, and the entry pins the
-        #    condition object, so a live key match can only be the
-        #    same object (the ``is`` check makes that explicit).
-        # ------------------------------------------------------------
-        units: list[tuple[int, BlockArray, tuple[int, ...], float]] = []
-        sense_starts: list[int] = []
-        read_counts: dict[int, list] = {}
-        inject = self.inject_errors
-        model = self.error_model
-        slc = model.calibration.slc
-        stress_memo = self._stress_params
-        groups: dict[tuple[int, bool], list[int]] = {}
-        unit_rows: list[np.ndarray] = []
-        params: list[tuple] = []
-        noise_at: list[int] = []
-        noise_rows = 0
-        for index, targets in enumerate(senses):
-            if not targets:
-                raise ValueError(
-                    "inter-block MWS requires at least one target"
-                )
-            sense_starts.append(len(units))
-            condition = conditions[index]
-            for block, wordlines in targets:
-                wordlines = tuple(wordlines)
-                has_mlc, _, esp_extra = self._scan_metadata(
-                    block, wordlines
-                )
-                if has_mlc:
-                    return None
-                ordinal = len(units)
-                units.append((index, block, wordlines, esp_extra))
-                n_rows = len(wordlines)
-                entry = read_counts.get(id(block))
-                if entry is None:
-                    read_counts[id(block)] = [block, n_rows]
-                else:
-                    entry[1] += n_rows
-                unit_rows.append(self._rows(wordlines))
-                if inject:
-                    mkey = (
-                        id(condition),
-                        esp_extra,
-                        block.pe_cycles,
-                        block.sigma_multiplier,
-                    )
-                    cached = stress_memo.get(mkey)
-                    if cached is not None and cached[0] is condition:
-                        unit_params = cached[1]
-                    else:
-                        cond = replace(
-                            condition,
-                            esp_extra=esp_extra,
-                            pe_cycles=max(
-                                condition.pe_cycles, block.pe_cycles
-                            ),
-                            sigma_multiplier=condition.sigma_multiplier
-                            * block.sigma_multiplier,
-                        )
-                        shifts = model.slc_shifts(cond)
-                        widen = math.sqrt(
-                            max(shifts.sigma_factor**2 - 1.0, 0.0)
-                        )
-                        unit_params = (
-                            shifts.retention_down,
-                            shifts.erased_up,
-                            widen,
-                            slc.programmed_sigma
-                            * (
-                                1.0
-                                - slc.esp_sigma_shrink * cond.esp_extra
-                            ),
-                            slc.erased_sigma,
-                            shifts.read_ref,
-                        )
-                        if len(stress_memo) < 4096:
-                            stress_memo[mkey] = (condition, unit_params)
-                    params.append(unit_params)
-                    widened = unit_params[2] > 0.0
-                    key = (n_rows, widened)
-                    noise_at.append(noise_rows if widened else -1)
-                    if widened:
-                        noise_rows += n_rows
-                else:
-                    params.append(
-                        (self._error_free_read_ref(condition, esp_extra),)
-                    )
-                    key = (n_rows, False)
-                    noise_at.append(-1)
-                groups.setdefault(key, []).append(ordinal)
-        # ------------------------------------------------------------
-        # 2. Precompute per shape group as one 3-D tensor op.  The
-        #    shift-perturbed base, base sigma, and read reference are
-        #    draw-independent, so noise-free groups produce their
-        #    final conductance rows here and noisy groups reduce to
-        #    one fused noise-add + compare per run.
-        # ------------------------------------------------------------
-        page_bits = units[0][1].vth.shape[1]
-        det_conducting = np.empty(
-            (len(units), page_bits), dtype=bool
-        )
-        noisy_groups: list[tuple] = []
-        for (n_rows, widened), members in groups.items():
-            vth = np.stack(
-                [units[i][1].vth[unit_rows[i]] for i in members]
-            )
-            if inject:
-                column = lambda j, dt: np.array(  # noqa: E731
-                    [params[i][j] for i in members], dtype=dt
-                )[:, None, None]
-                # One unpack for the whole group: gather the packed
-                # ground-truth rows, unpack as a single 2-D matrix,
-                # and mask programmed (stored-0) cells -- elementwise
-                # the same as per-unit ``programmed_rows``.
-                packed = np.stack(
-                    [
-                        units[i][1].packed_rows(unit_rows[i])
-                        for i in members
-                    ]
-                )
-                programmed = (
-                    unpack_rows(
-                        packed.reshape(-1, packed.shape[2]), page_bits
-                    ).reshape(len(members), n_rows, page_bits)
-                    == 0
-                )
-                out = vth.astype(np.float32, copy=True)
-                # out[p] -= ret; out[~p] += eu, fused: x - (-y) == x + y
-                out -= np.where(
-                    programmed,
-                    column(0, np.float32),
-                    -column(1, np.float32),
-                )
-                read_ref_col = (
-                    column(5, np.float64) + vref_offset
-                )
-                if widened:
-                    gather = np.concatenate(
-                        [
-                            np.arange(noise_at[i], noise_at[i] + n_rows)
-                            for i in members
-                        ]
-                    )
-                    base_sigma = np.where(
-                        programmed,
-                        column(3, np.float32),
-                        column(4, np.float32),
-                    )
-                    noisy_groups.append(
-                        (
-                            np.asarray(members),
-                            gather,
-                            out,
-                            base_sigma,
-                            column(2, np.float32),
-                            read_ref_col,
-                        )
-                    )
-                    continue
-            else:
-                out = vth
-                read_ref_col = (
-                    np.array(
-                        [params[i][0] for i in members], dtype=np.float64
-                    )[:, None, None]
-                    + vref_offset
-                )
-            conducting = out <= read_ref_col
-            det_conducting[np.asarray(members)] = conducting.all(axis=1)
-        return VthBatchSchedule(
-            page_bits,
-            noise_rows,
-            sense_starts,
-            [tuple(entry) for entry in read_counts.values()],
-            det_conducting,
-            noisy_groups,
-        )
-
-    def run_batch_vth(self, schedule: VthBatchSchedule) -> np.ndarray:
-        """Execute one prepared V_TH window.
-
-        Draws the window's Gaussian block -- exactly the scalar
-        loop's draw schedule, one ``standard_normal`` split per noisy
-        unit in (sense, target) order -- finishes the noisy groups
-        against their precomputed tensors (``base + noise * sigma *
-        widen`` is the identical float32 expression the scalar
-        ``perturb`` evaluates), ORs units per sense with a segmented
-        reduction that matches the scalar accumulation order, and
-        charges read disturb (``note_read`` is a pure counter, so one
-        aggregated bump per block equals the per-target bumps).
-        Every run re-perturbs with fresh noise, so repeated windows
-        flip fresh bits just as the scalar loop would.
-        """
-        page_bits = schedule.page_bits
-        if schedule.noise_rows:
-            noise_all = self.rng.standard_normal(
-                (schedule.noise_rows, page_bits)
-            ).astype(np.float32)
-            unit_conducting = schedule.det_conducting.copy()
-            for (
-                members,
-                gather,
-                base,
-                base_sigma,
-                widen_col,
-                ref_col,
-            ) in schedule.noisy_groups:
-                noise = noise_all[gather].reshape(
-                    len(members), base.shape[1], page_bits
-                )
-                out = base + noise * base_sigma * widen_col
-                unit_conducting[members] = (out <= ref_col).all(axis=1)
-        else:
-            unit_conducting = schedule.det_conducting
-        out_bits = np.bitwise_or.reduceat(
-            unit_conducting, schedule.sense_starts, axis=0
-        ).astype(np.uint8)
-        for block, count in schedule.read_counts:
-            block.note_read(count)
-        return out_bits

@@ -575,17 +575,29 @@ class MaintenanceManager:
         group: int | None,
     ) -> int:
         """Program every ``(operand, logical bits, string group,
-        inverse)`` page on the :meth:`_destination` chip and unregister
-        it on ``source``; returns the destination.  The caller commits
-        the move in the FTL (``remap_chunk`` for a column,
-        ``set_parity_chip`` for a parity group)."""
+        inverse)`` page on the :meth:`_destination` chip, then
+        unregister them all on ``source``; returns the destination.
+        The move is all or nothing: a write that raises unregisters
+        the pages already written on the destination (the rollback of
+        a failed multi-chunk write) and re-raises, leaving the source
+        as it was.  The caller commits the move in the FTL
+        (``remap_chunk`` for a column, ``set_parity_chip`` for a
+        parity group)."""
         dest = self._destination(healthy, group)
         dst_ctrl = self.ssd.controllers[dest]
+        written: list[str] = []
+        try:
+            for operand, bits, string_group, inverse in pages:
+                dst_ctrl.fc_write(
+                    operand, bits, group=string_group, inverse=inverse
+                )
+                written.append(operand)
+        except Exception:
+            for operand in written:
+                dst_ctrl.directory.unregister(operand)
+            raise
         src_dir = self.ssd.controllers[source].directory
-        for operand, bits, string_group, inverse in pages:
-            dst_ctrl.fc_write(
-                operand, bits, group=string_group, inverse=inverse
-            )
+        for operand, *_ in pages:
             src_dir.unregister(operand)
         return dest
 

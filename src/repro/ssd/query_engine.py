@@ -1155,11 +1155,12 @@ class QueryEngine:
         """Sense a chip's unique plans; one record per plan, in one
         shape whatever the route, plus the stack-cache hit count.
 
-        The route is read off what the drain already sees.  Whether
-        the queue has a batched equivalent at all is the executor's
-        call, asked once, before anything is drawn, executed or
-        counted; on a no every plan takes the scalar walk.  A chip in
-        ``degraded`` takes margin reads and draws nothing.  With the
+        The route is read off what the drain already sees.  A chip in
+        ``degraded`` walks its margin reads plan by plan and draws
+        nothing.  Otherwise whether the queue has a batched equivalent
+        at all is the executor's call, asked once, before anything is
+        drawn, executed or counted; on a no (an error-injecting chip
+        among them) every plan takes the scalar walk.  With the
         retry half of the policy off every plan is one clean attempt:
         the queue replays through the stack cache when one is engaged,
         and senses as a stripe (:meth:`_sense_stripe`) otherwise.
@@ -1176,20 +1177,12 @@ class QueryEngine:
         """
         chip = window.chips[index][0]
         margin = chip in window.degraded
-        retry = window.retry and not margin
-        policy = window.policy
-        if not executor.batchable(plans, retried=retry, margin=margin):
+        if margin or not executor.batchable(plans):
             return [
                 self._sense_scalar(window, executor, chip, plan, margin)
                 for plan in plans
             ], 0
-        if margin:
-            results = executor.execute_degraded_batch(
-                plans, extra_senses=policy.degraded_extra_senses
-            )
-            return [
-                record._replace(degraded=True) for record in _records(results)
-            ], 0
+        retry, policy = window.retry, window.policy
         if not retry and window.stacks is not None:
             # Plans already sensed under the current stamp replay their
             # packed rows and only the miss plans reach the flash;

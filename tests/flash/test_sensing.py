@@ -36,6 +36,12 @@ def clean_engine():
     return SensingEngine(ErrorModel(), inject_errors=False)
 
 
+def sense(engine, block, wordlines, condition=PRISTINE):
+    """One string group's MWS: ``inter_block_mws`` with one target.  A
+    regular page read is the one-wordline case."""
+    return engine.inter_block_mws([(block, tuple(wordlines))], condition)
+
+
 def program_pages(block, pages, *, esp_extra=0.0, randomized=False):
     mode = ProgramMode.ESP if esp_extra else ProgramMode.SLC
     for wl, page in enumerate(pages):
@@ -58,7 +64,7 @@ class TestSingleRead:
         pages = random_pages(3)
         program_pages(block, pages)
         for wl, page in enumerate(pages):
-            outcome = engine.read_wordline(block, wl, PRISTINE)
+            outcome = sense(engine, block, (wl,))
             np.testing.assert_array_equal(outcome.bits, page)
             assert outcome.wordlines_sensed == 1
             assert outcome.blocks_sensed == 1
@@ -66,14 +72,14 @@ class TestSingleRead:
     def test_erased_page_reads_all_ones(self):
         engine = clean_engine()
         block = make_block()
-        outcome = engine.read_wordline(block, 5, PRISTINE)
+        outcome = sense(engine, block, (5,))
         assert (outcome.bits == 1).all()
 
     def test_read_counts_disturb(self):
         engine = clean_engine()
         block = make_block()
-        engine.read_wordline(block, 0, PRISTINE)
-        engine.intra_block_mws(block, (0, 1, 2), PRISTINE)
+        sense(engine, block, (0,))
+        sense(engine, block, (0, 1, 2))
         assert block.reads_since_erase == 4
 
 
@@ -87,9 +93,7 @@ class TestIntraBlockMws:
         block = make_block(seed=n_operands)
         pages = random_pages(n_operands, seed=n_operands)
         program_pages(block, pages)
-        outcome = engine.intra_block_mws(
-            block, tuple(range(n_operands)), PRISTINE
-        )
+        outcome = sense(engine, block, range(n_operands))
         expected = np.bitwise_and.reduce(np.stack(pages), axis=0)
         np.testing.assert_array_equal(outcome.bits, expected)
         assert outcome.wordlines_sensed == n_operands
@@ -99,7 +103,7 @@ class TestIntraBlockMws:
         block = make_block(seed=9)
         pages = random_pages(6, seed=9)
         program_pages(block, pages)
-        outcome = engine.intra_block_mws(block, (1, 4), PRISTINE)
+        outcome = sense(engine, block, (1, 4))
         np.testing.assert_array_equal(outcome.bits, pages[1] & pages[4])
 
     def test_unprogrammed_wordlines_are_identity(self):
@@ -109,14 +113,14 @@ class TestIntraBlockMws:
         block = make_block(seed=3)
         pages = random_pages(2, seed=3)
         program_pages(block, pages)
-        with_erased = engine.intra_block_mws(block, (0, 1, 7), PRISTINE)
-        without = engine.intra_block_mws(block, (0, 1), PRISTINE)
+        with_erased = sense(engine, block, (0, 1, 7))
+        without = sense(engine, block, (0, 1))
         np.testing.assert_array_equal(with_erased.bits, without.bits)
 
     def test_requires_wordlines(self):
         engine = clean_engine()
         with pytest.raises(ValueError, match="at least one wordline"):
-            engine.intra_block_mws(make_block(), (), PRISTINE)
+            sense(engine, make_block(), ())
 
     def test_esp_effort_mismatch_rejected(self):
         """MWS senses at one read reference; wordlines programmed with
@@ -129,7 +133,7 @@ class TestIntraBlockMws:
         block.program(0, pages[0], mode=ProgramMode.SLC)
         block.program(1, pages[1], mode=ProgramMode.ESP, esp_extra=0.9)
         with pytest.raises(ValueError, match="ESP programming effort"):
-            engine.intra_block_mws(block, (0, 1), PRISTINE)
+            sense(engine, block, (0, 1))
 
     def test_esp_effort_mismatch_between_esp_pages_rejected(self):
         """Two ESP pages with different extra efforts are just as
@@ -140,7 +144,7 @@ class TestIntraBlockMws:
         block.program(0, pages[0], mode=ProgramMode.ESP, esp_extra=0.5)
         block.program(1, pages[1], mode=ProgramMode.ESP, esp_extra=0.9)
         with pytest.raises(ValueError) as excinfo:
-            engine.intra_block_mws(block, (0, 1), PRISTINE)
+            sense(engine, block, (0, 1))
         assert "ESP programming effort" in str(excinfo.value)
         assert "0.5" in str(excinfo.value) and "0.9" in str(excinfo.value)
 
@@ -153,7 +157,7 @@ class TestIntraBlockMws:
         block.program(0, pages[0], mode=ProgramMode.SLC)
         block.program_mlc(1, pages[1], pages[2])
         with pytest.raises(ValueError, match="cannot mix MLC"):
-            engine.intra_block_mws(block, (0, 1), PRISTINE)
+            sense(engine, block, (0, 1))
 
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
@@ -169,7 +173,7 @@ class TestIntraBlockMws:
         block = make_block(seed=seed)
         pages = random_pages(n_wl, seed=seed)
         program_pages(block, pages)
-        outcome = engine.intra_block_mws(block, tuple(selection), PRISTINE)
+        outcome = sense(engine, block, tuple(selection))
         expected = np.bitwise_and.reduce(
             np.stack([pages[i] for i in selection]), axis=0
         )
@@ -247,7 +251,7 @@ class TestErrorInjection:
         worst = OperatingCondition(
             pe_cycles=10_000, retention_months=12.0, randomized=False
         )
-        outcome = engine.intra_block_mws(block, tuple(range(8)), worst)
+        outcome = sense(engine, block, tuple(range(8)), worst)
         expected = np.bitwise_and.reduce(np.stack(pages), axis=0)
         np.testing.assert_array_equal(outcome.bits, expected)
 
@@ -273,6 +277,6 @@ class TestErrorInjection:
         )
         total_errors = 0
         for wl in range(8):
-            sensed = engine.read_wordline(block, wl, worst).bits
+            sensed = sense(engine, block, (wl,), worst).bits
             total_errors += int((sensed != pages[wl]).sum())
         assert total_errors > 0

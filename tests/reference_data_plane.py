@@ -65,7 +65,7 @@ GEOMETRY = ChipGeometry(
 def forced_walk():
     """Within the block no queue batches: every drain walks."""
     with mock.patch.object(
-        MwsExecutor, "batchable", lambda self, plans, **kwargs: False
+        MwsExecutor, "batchable", lambda self, plans: False
     ):
         yield
 

@@ -22,10 +22,11 @@ sensing:
 The 80-bit page geometry keeps padding words in play (pages that are
 not a multiple of 64 bits are the packed representation's trickiest
 configuration); ``vth`` runs serve every chip on the V_TH margin-read
-route (``force_vth``, no extra ladder senses) -- the batched V_TH
-plane on an error-free chip, which must stay bit- and float-identical
-to the per-plan degraded walk and to the packed oracle too.
+route (``force_vth``, no extra ladder senses), which walks plan by plan
+on both sides and must agree with the packed oracle bit for bit.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -97,9 +98,12 @@ def test_batch_window_matches_scalar_loop_and_oracle(seed, vth):
     loop_out = walk_tasks(
         loop_ssd.engine, window_tasks(loop_ssd, s["window"]), **route
     )
-    # One dispatch per chip queue.
+    # One dispatch per chip queue; margin reads walk, one per plan.
     chips = len({task.chip for task in batch_tasks})
-    assert batch_ssd.engine.stats.executor_dispatches == chips
+    walked = loop_ssd.engine.stats.executor_dispatches
+    assert batch_ssd.engine.stats.executor_dispatches == (
+        walked if vth else chips
+    )
     assert all(outcome.degraded == vth for outcome in batch_out)
     # Float-identical, not approximately equal: the batch path replays
     # the walk's charge sequence; the last plan's latch state lands.
@@ -172,6 +176,33 @@ def test_sense_batch_refuses_vth_plane():
         chip.sensing.sense_batch_stacks([], [])
 
 
+def test_an_error_injecting_chip_has_no_batch():
+    """Every sense of an error-injecting chip draws V_TH noise, and
+    only the walk draws it: the probe says no, and the batch refuses
+    before anything is drawn, sensed, counted or dispatched."""
+    ssd, _ = twin_ssd(
+        1, n_chips=1, n_bits=80, ssd_seed=1, inject_errors=True
+    )
+    chip, executor = ssd.chips[0], ssd.controllers[0].executor
+    plans = [task.plan for task in window_tasks(ssd, twin_expressions())]
+    array = chip.plane_array
+    blocks = [array.block(address) for address in array.materialized()]
+
+    def state():
+        return (
+            chip.sensing.rng.bit_generator.state,
+            replace(chip.counters),
+            executor.dispatches,
+            [block.reads_since_erase for block in blocks],
+        )
+
+    before = state()
+    assert not executor.batchable(plans)
+    with pytest.raises(RuntimeError, match="no batched equivalent"):
+        executor.execute_batch(plans)
+    assert state() == before
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_sense_batch_rows_match_per_sense_outcomes(seed):
     """`NandFlashChip.resolve` + `SensingEngine.sense_batch_stacks` (the
@@ -233,10 +264,9 @@ def test_sense_batch_rows_match_per_sense_outcomes(seed):
 
 
 def test_capture_batch_unpacked_matches_scalar_protocol():
-    """The batched replay over packed rows of 0/1 matrices (what the
-    V_TH plane hands it, packed once) has the exact semantics of the
-    scalar protocol fed the same pages unpacked, one lane at a
-    time."""
+    """The batched replay over packed rows of 0/1 matrices has the
+    exact semantics of the scalar protocol fed the same pages
+    unpacked, one lane at a time."""
     from repro.flash.chip import IscmFlags
     from repro.flash.latches import LatchBank
 

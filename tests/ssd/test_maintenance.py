@@ -526,6 +526,30 @@ class TestDrain:
         remaining = ssd.controllers[0].directory.names()
         assert "v0@0" in remaining and "v1@0" in remaining
 
+    def test_a_column_that_does_not_fit_moves_nothing(self):
+        """Chip 1 has one free sub-block, and chip 0's column spans
+        three string groups: the drain writes part of it, runs out of
+        room, and must leave every page where it was."""
+        tiny = GEOMETRY.scaled(blocks_per_plane=2)
+        ssd = SmallSsd(n_chips=2, geometry=tiny)
+        rng = np.random.default_rng(0)
+        env = {}
+        for name, group in (
+            ("v0", "g"), ("v1", "g"), ("v2", "h"), ("v3", "h"), ("k0", "k")
+        ):
+            env[name] = rng.integers(0, 2, 256, dtype=np.uint8)
+            ssd.write_vector(name, env[name], group=group)
+        overrides = ssd.ftl.chunk_overrides()
+        directories = [dict(c.directory.operands) for c in ssd.controllers]
+        with pytest.raises(AllocationError):
+            ssd.maintenance().drain_chip(0)
+        for name, bits in env.items():
+            np.testing.assert_array_equal(ssd.read_vector(name), bits)
+        assert ssd.ftl.chunk_overrides() == overrides
+        assert [dict(c.directory.operands) for c in ssd.controllers] == (
+            directories
+        )
+
 
 class TestServiceIntegration:
     def test_service_reports_wear_without_maintenance(self):

@@ -21,12 +21,8 @@ properties pin that contract:
   still match the fresh twin;
 * a churn property interleaves vector rewrites with windows and
   asserts bit-identity to the fresh-stack twin throughout;
-* the V_TH plane's cached :class:`VthBatchSchedule` obeys the same
-  contract: layout churn between error-plane windows never replays a
-  stale schedule (batched stays draw-identical to the scalar loop);
-* the stack cache, the chip's V_TH schedule memo, and the
-  randomizer's keystream caches are bounded with clear-on-full
-  semantics.
+* the stack cache and the randomizer's keystream caches are bounded
+  with clear-on-full semantics.
 """
 
 import numpy as np
@@ -276,36 +272,6 @@ def test_alternating_windows_keep_latch_landing_exact(seed):
     assert reuse_ssd.engine.stats.stack_reuse_hits > 0
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_vth_schedule_cache_survives_layout_churn(seed):
-    """The V_TH plane memoizes only its draw-independent schedule;
-    layout churn between error-plane windows must re-derive it, so
-    the batched drain stays draw-identical to the scalar loop."""
-    s = _scenario(seed)
-    build = lambda: twin_ssd(  # noqa: E731
-        s["data_seed"],
-        n_chips=s["n_chips"],
-        n_bits=s["n_bits"],
-        ssd_seed=s["ssd_seed"],
-        inject_errors=True,
-    )
-    batch_ssd, _ = build()
-    loop_ssd, _ = build()
-    rng = np.random.default_rng(66_000 + seed)
-    window = s["windows"][0]
-    for _ in range(3):
-        out_b = _drain(batch_ssd, window)
-        out_l = walk_tasks(loop_ssd.engine, window_tasks(loop_ssd, window))
-        assert_outcomes_equal(out_b, out_l)
-        name = f"a{int(rng.integers(3))}"
-        bits = rng.integers(0, 2, s["n_bits"], dtype=np.uint8)
-        for ssd in (batch_ssd, loop_ssd):
-            ssd.delete_vector(name)
-            ssd.write_vector(name, bits, group="g")
-    # Same draw schedule consumed, corrupted bits and all.
-    assert_chips_equal(batch_ssd, loop_ssd)
-
-
 # ----------------------------------------------------------------------
 # Bounded-cache semantics (clear-on-full like the sensing row cache)
 # ----------------------------------------------------------------------
@@ -333,32 +299,6 @@ def test_stack_cache_clears_on_full():
     assert small.stats.entries == 0
     with pytest.raises(ValueError):
         StackCache(ssd, capacity=0)
-
-
-def test_vth_schedule_memo_clears_on_full():
-    s = _scenario(5)
-    ssd, _ = twin_ssd(
-        s["data_seed"],
-        n_chips=1,
-        n_bits=GEOMETRY.page_size_bits,
-        ssd_seed=13,
-        inject_errors=True,
-    )
-    chip = ssd.chips[0]
-    window = [twin_expressions()[0]]
-    _drain(ssd, window)
-    assert len(chip._vth_schedules) == 1
-    # Saturate the memo with synthetic keys; the next batched window
-    # must clear it rather than grow past the bound.
-    for i in range(4096 - len(chip._vth_schedules)):
-        chip._vth_schedules[-(i + 1)] = (None,) * 5
-    assert len(chip._vth_schedules) == 4096
-    # Schedules are keyed on the window's commands by value, so only
-    # a window of different commands is a new entry (a rebind of the
-    # same window after an unrelated write is a valid hit).
-    fresh = [twin_expressions()[1]]
-    _drain(ssd, fresh)
-    assert len(chip._vth_schedules) == 1
 
 
 def test_randomizer_keystream_caches_clear_on_full():

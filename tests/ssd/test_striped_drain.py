@@ -171,21 +171,23 @@ def test_a_member_that_fails_resolution_raises_at_its_own_turn():
 def test_a_degraded_chip_takes_margin_reads_outside_the_stripe():
     degraded = {3}
     policy = RecoveryPolicy(degraded_extra_senses=1)
-    calls = {"n": 0}
-    margin = MwsExecutor.execute_degraded_batch
+    chips = []
+    walk = MwsExecutor.execute_degraded
 
-    def counting(self, plans, **kwargs):
-        calls["n"] += 1
-        return margin(self, plans, **kwargs)
+    def counting(self, plan, **kwargs):
+        chips.append(self.chip)
+        return walk(self, plan, **kwargs)
 
-    with mock.patch.object(MwsExecutor, "execute_degraded_batch", counting):
-        mine, _, prepared = _twin_drains(
+    with mock.patch.object(MwsExecutor, "execute_degraded", counting):
+        mine, theirs, prepared = _twin_drains(
             WINDOW, use_cache=True, recovery=policy, degraded=degraded
         )
-    # One stripe of seven, and the degraded chip's own margin batch:
-    # chip 3 alone, in each of the two windows, on both sides.
-    assert prepared == 2
-    assert calls["n"] == 4
+    # One stripe of seven; chip 3 walks, one margin read per unique
+    # plan: three in the first window, and in the second the one new
+    # shape (the result cache serves its repeats), on both sides.
+    assert prepared == 1
+    ours, reference = mine.chips[3], theirs.chips[3]
+    assert chips == [ours] * 3 + [reference] * 3 + [ours, reference]
 
 
 def test_a_window_with_an_active_injector_does_not_stripe():

@@ -20,7 +20,6 @@ BUDGET = 80
 
 #: ``path under src/repro::qualified name`` -> code lines when listed.
 OVER_BUDGET = {
-    "flash/sensing.py::SensingEngine.prepare_batch_vth": 179,
     # Frozen with the rest of the StackCache cluster until the
     # benchmark stops patching it by name; then it goes as a whole.
     "core/mws.py::MwsExecutor.execute_batch_reuse": 85,

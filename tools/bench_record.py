@@ -5,8 +5,7 @@
 (``benchmarks/bench_simulator_kernels.py`` via pytest-benchmark), the
 query-service throughput kernel (``benchmarks/bench_service.py``), the batched
 window-execution kernel (``benchmarks/bench_batch_sense.py``), the
-batched V_TH error-plane kernel
-(``benchmarks/bench_error_batch.py``), the cross-window stack-reuse
+cross-window stack-reuse
 kernel (``benchmarks/bench_stack_reuse.py``), and
 the cross-window result-cache + SLO kernels
 (``benchmarks/bench_result_cache.py``), the fault-tolerance
@@ -186,30 +185,6 @@ def _run_slo_bench() -> dict[str, float]:
     }
 
 
-def _run_error_batch_bench() -> dict[str, float]:
-    """Run the batched V_TH error-plane kernel in-process.
-
-    Bit-identity and draw-schedule equality (RNG state) against the
-    per-sense loop are asserted inside the bench;
-    ``dispatches_per_window`` is an exact count,
-    ``error_batch_speedup`` is wall-clock.
-    """
-    sys.path.insert(0, str(REPO_ROOT / "src"))
-    sys.path.insert(0, str(REPO_ROOT))
-    from benchmarks.bench_error_batch import measure_error_batch
-
-    m = measure_error_batch()
-    return {
-        "n_queries": m["n_queries"],
-        "n_unique_plans": m["n_unique_plans"],
-        "error_batch_s": m["error_batch_s"],
-        "error_per_sense_s": m["error_per_sense_s"],
-        "error_batch_speedup": m["error_batch_speedup"],
-        "dispatches_per_window": m["dispatches_per_window"],
-        "dispatches_per_window_loop": m["dispatches_per_window_loop"],
-    }
-
-
 def _run_stack_reuse_bench() -> dict[str, float]:
     """Run the cross-window stack-reuse kernel in-process.
 
@@ -347,7 +322,6 @@ def measure() -> dict:
         "kernels": _run_kernel_bench(),
         "service": _run_service_bench(),
         "batch_sense": _run_batch_bench(),
-        "error_batch": _run_error_batch_bench(),
         "stack_reuse": _run_stack_reuse_bench(),
         "result_cache": _run_result_cache_bench(),
         "slo": _run_slo_bench(),
@@ -416,28 +390,6 @@ def check(baseline_path: Path, tolerance: float) -> int:
                 f"batch_sense dispatches_per_window: "
                 f"{fresh_batch['dispatches_per_window']} > "
                 f"baseline {base_batch['dispatches_per_window']}"
-            )
-
-    base_eb = baseline.get("error_batch", {})
-    if "error_batch_speedup" in base_eb:
-        fresh_eb = fresh["error_batch"]
-        floor = base_eb["error_batch_speedup"] / tolerance
-        if fresh_eb["error_batch_speedup"] < floor:
-            failures.append(
-                f"error_batch error_batch_speedup: "
-                f"{fresh_eb['error_batch_speedup']:.2f} < "
-                f"baseline {base_eb['error_batch_speedup']:.2f} / "
-                f"{tolerance:.1f}"
-            )
-        # A dispatch count, not a timing: exact, no tolerance.
-        if (
-            fresh_eb["dispatches_per_window"]
-            > base_eb["dispatches_per_window"]
-        ):
-            failures.append(
-                f"error_batch dispatches_per_window: "
-                f"{fresh_eb['dispatches_per_window']} > "
-                f"baseline {base_eb['dispatches_per_window']}"
             )
 
     base_sr = baseline.get("stack_reuse", {})
@@ -610,8 +562,7 @@ def check(baseline_path: Path, tolerance: float) -> int:
         return 1
     print(
         f"perf trajectory ok: {len(baseline.get('kernels', {}))} kernels, "
-        f"service, batch-sense, "
-        f"error-batch, stack-reuse, result-cache, SLO, "
+        f"service, batch-sense, stack-reuse, result-cache, SLO, "
         f"fault-tolerance, GC, and redundancy "
         f"metrics within {tolerance:.1f}x of baseline"
     )

@@ -55,7 +55,7 @@ NandFlashChip.load_cache NandFlashChip.logical_bits NandFlashChip.output_sense
 NandFlashChip.page_index NandFlashChip.program_page_mlc
 NandFlashChip.read_msb_page NandFlashChip.read_page_with_retry
 NandFlashChip.set_feature NandFlashChip.stored_bits
-NandFlashChip.vth_batch_schedule flash/errors.py: BadBlockFault.__init__
+flash/errors.py: BadBlockFault.__init__
 ChipStall.__init__ ErrorModel.is_effectively_error_free
 ErrorModel.mlc_lsb_read_ref ErrorModel.mlc_window ErrorModel.perturb_mlc
 ErrorModel.slc_window ErrorModel.tlc_rber ReconstructionError.__init__
@@ -70,10 +70,7 @@ LatchBank.load_cache LatchBank.sense_data LatchBank.sense_words
 flash/randomizer.py: LfsrRandomizer._stream LfsrRandomizer._stream_words
 LfsrRandomizer.derandomize LfsrRandomizer.page_seed LfsrRandomizer.randomize
 _keystream_words keystream_bits flash/sensing.py: SenseOutcome.bits
-SensingEngine.intra_block_mws SensingEngine.prepare_batch_vth
-SensingEngine.read_msb_wordline SensingEngine.read_wordline
-SensingEngine.run_batch_vth SensingEngine.sense_batch_vth
-VthBatchSchedule.__init__ flash/timing.py: TimingModel.t_mws_fixed_us
+SensingEngine.read_msb_wordline flash/timing.py: TimingModel.t_mws_fixed_us
 flash/vth.py: VthWindow.bits_per_cell VthWindow.level VthWindow.margin
 gaussian_tail_inverse gray_code_flip_weights misread_probability slc_window
 host/system.py: ExecutionReport.bits_per_joule
