@@ -232,7 +232,7 @@ def measure_rewrite() -> dict:
     )
     _submit_stream(service, stream)
     service.run()
-    filled = len(ssd.engine.result_cache)
+    filled = ssd.engine.result_cache.stats.entries
     rng = np.random.default_rng(7)
     ssd.delete_vector("day0")
     ssd.write_vector(
@@ -242,7 +242,7 @@ def measure_rewrite() -> dict:
     )
     service.submit(stream[0], at_us=0.0, client="mix")
     (served,) = service.run().queries
-    left = len(ssd.engine.result_cache)
+    left = ssd.engine.result_cache.stats.entries
     np.testing.assert_array_equal(
         served.result.bits, ssd.query(stream[0]).bits
     )

@@ -16,6 +16,7 @@ provides that library for one chip:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,6 +150,27 @@ class FlashCosmos:
         )
         freed = sum(1 for a in self._free_subblocks if a.plane == plane)
         return max(total - index, 0) - retired_ahead + freed
+
+    def check_room(self, groups: list[str | None], plane: int = 0) -> None:
+        """Raise :class:`AllocationError` unless one page per entry of
+        ``groups`` (its string group, ``None`` for a page of its own)
+        fits on ``plane`` before any is written: a free sub-block per
+        ungrouped page and per group not open yet, and each group's
+        pages within the wordlines its string has left."""
+        per_string = self.chip.geometry.wordlines_per_string
+        need = Counter(groups)
+        subblocks = need.pop(None, 0)
+        for group, n in need.items():
+            cursor = self._group_cursor.get((plane, group))
+            subblocks += cursor is None
+            if n > per_string - (0 if cursor is None else cursor[1]):
+                raise AllocationError(
+                    f"group {group!r} has no room for {n} pages"
+                )
+        if subblocks > self.free_subblocks(plane):
+            raise AllocationError(
+                f"plane {plane} has fewer than {subblocks} free sub-blocks"
+            )
 
     def _allocate_wordline(
         self, plane: int, group: str | None

@@ -75,8 +75,8 @@ class ExecutionResult:
 
 class BatchLayout(NamedTuple):
     """What a batch derives from its plans alone
-    (:meth:`MwsExecutor.layout`): a stripe of chips running the same
-    queue prepares it once."""
+    (:meth:`MwsExecutor.layout`): the chips of a window running the
+    same queue share one."""
 
     plans: list[Plan]
     infos: list[tuple]  # per plan, its _batch_info
@@ -265,8 +265,6 @@ class MwsExecutor:
         self,
         plans: list[Plan] | BatchLayout,
         attempts: list[int] | None = None,
-        *,
-        resolved: list[tuple] | None = None,
     ) -> list[ExecutionResult]:
         """Drain a :meth:`batchable` queue of plans as one batch (see
         module docstring): sense every command word-wide in one chip
@@ -280,9 +278,7 @@ class MwsExecutor:
         per-plan deltas spanning all of them.  A retried plan
         re-senses the same error-free bits, so sensing and latch
         replay still run once.  ``None`` is one clean attempt per
-        plan: the fault-free queue.  ``resolved`` is the chip's
-        resolution of the queue's commands, if the caller holds it:
-        the sense then resolves nothing.
+        plan: the fault-free queue.
 
         An error-injecting chip is refused before anything moves.  A
         bad block raises its own typed fault out of the sense.
@@ -299,7 +295,7 @@ class MwsExecutor:
                 "ask batchable() first and walk the plans instead"
             )
         self.dispatches += 1
-        payload = chip.execute_sense_batch(layout.commands, resolved)
+        payload = chip.execute_sense_batch(layout.commands)
         if attempts is not None:
             # The batch accounted one attempt's read disturb; failed
             # attempts sensed the same wordlines again (``note_read``

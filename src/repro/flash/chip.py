@@ -578,9 +578,7 @@ class NandFlashChip:
 
         self.charge_sense(outcome.wordlines_sensed, outcome.blocks_sensed)
 
-    def execute_sense_batch(
-        self, commands: list["MwsCommand"], resolved: list | None = None
-    ) -> np.ndarray:
+    def execute_sense_batch(self, commands: list["MwsCommand"]) -> np.ndarray:
         """Evaluate many MWS commands' sensing in one vectorized pass.
 
         Validates each command exactly as :meth:`execute_sense` (block
@@ -594,8 +592,6 @@ class NandFlashChip:
         so a batched queue stays step-for-step identical to scalar
         execution.  Requires an error-free chip: an error-injecting
         chip senses one command at a time through :meth:`execute_sense`.
-        ``resolved`` is every command's :meth:`resolve`, if the caller
-        holds it.
         """
         self._check_online()
         if self.sensing.inject_errors:
@@ -606,7 +602,7 @@ class NandFlashChip:
             )
         sources: list[tuple] = []
         profiles: list[tuple[int, ...]] = []
-        for source, profile in resolved or map(self.resolve, commands):
+        for source, profile in map(self.resolve, commands):
             for (block, _), n_wordlines in zip(source, profile):
                 block.note_read(n_wordlines)
             sources.append(source)

@@ -577,14 +577,16 @@ class MaintenanceManager:
         """Program every ``(operand, logical bits, string group,
         inverse)`` page on the :meth:`_destination` chip, then
         unregister them all on ``source``; returns the destination.
-        The move is all or nothing: a write that raises unregisters
-        the pages already written on the destination (the rollback of
-        a failed multi-chunk write) and re-raises, leaving the source
-        as it was.  The caller commits the move in the FTL
-        (``remap_chunk`` for a column, ``set_parity_chip`` for a
-        parity group)."""
+        The move is all or nothing: a destination without room for
+        every page raises ``AllocationError`` before the first write,
+        and a write that raises unregisters the pages already written
+        on the destination (the rollback of a failed multi-chunk
+        write) and re-raises, leaving the source as it was.  The
+        caller commits the move in the FTL (``remap_chunk`` for a
+        column, ``set_parity_chip`` for a parity group)."""
         dest = self._destination(healthy, group)
         dst_ctrl = self.ssd.controllers[dest]
+        dst_ctrl.check_room([string_group for _, _, string_group, _ in pages])
         written: list[str] = []
         try:
             for operand, bits, string_group, inverse in pages:

@@ -34,8 +34,9 @@ per distinct chunk layout (``docs/architecture.md`` §2):
    runs as one :meth:`~repro.core.mws.MwsExecutor.execute_batch` (a
    queue with no batched equivalent walks its plans one by one);
    chips drain in turn on the caller's thread, their concurrency
-   lives in the modelled timeline.  Chips running the same queue form
-   a *stripe* that prepares its batch layout once.
+   lives in the modelled timeline.  The FTL stripes every vector
+   alike, so chips whose queue is the same plan objects share one
+   batch layout per window; each chip resolves and senses its own.
 7. **Cross-window result caching** -- an opt-in :class:`ResultCache`
    memoizes executed plans' packed words per chip, stamped with its
    layout generation (``docs/architecture.md`` §3): a hit skips the
@@ -63,7 +64,7 @@ from repro.core.expressions import (
     operand_names,
     operand_shape,
 )
-from repro.core.mws import MwsExecutor
+from repro.core.mws import BatchLayout, MwsExecutor
 from repro.core.planner import (
     Plan,
     Planner,
@@ -449,16 +450,9 @@ class ResultCache:
         self._invalidations += len(dead)
         return len(dead)
 
-    def __contains__(self, key: tuple[int, Plan]) -> bool:
-        """A peek at ``(chip, plan)``: no counter or recency moves."""
-        return key in self._entries
-
     def clear(self) -> None:
         self._entries.clear()
         self._stamps.clear()
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     @property
     def stats(self) -> CacheStats:
@@ -607,23 +601,10 @@ class _Window(NamedTuple):
     retry: bool
     degraded: frozenset[int]
     offline: frozenset[int]
-    #: The chips in drain order; whether stripes may read chips ahead
-    #: (error-free, no injector, and no put of the window can evict,
-    #: so a peek is what a chip's own lookups find); what they read.
-    chips: list[tuple[int, list[int]]]
-    stripes: bool
-    ahead: dict[int, "_Ahead | None"]
-
-
-class _Ahead(NamedTuple):
-    """A chip's cache misses and their dedup (a stripe leader may read
-    them ahead); once a stripe sensed it, ``(records, executor
-    dispatches and restacked tensors before)``."""
-
-    pending: list[int]
-    unique: list[int]
-    followers: list[tuple[int, int]]
-    sensed: tuple | None = None
+    #: Each batched queue's layout, keyed on its plans' identities
+    #: (the task columns keep every plan alive): chips whose queue is
+    #: the same plan objects share one (:meth:`QueryEngine._layout`).
+    layouts: dict[tuple[int, ...], BatchLayout]
 
 
 @dataclass(frozen=True)
@@ -1034,14 +1015,10 @@ class QueryEngine:
             ),
             degraded=frozenset(degraded),
             offline=frozenset(offline),
-            chips=list(per_chip.items()),
-            stripes=error_free
-            and injector is None
-            and (cache is None or len(cache) + n_tasks <= cache.capacity),
-            ahead={},
+            layouts={},
         )
-        for index in range(len(window.chips)):
-            self._drain_chip(window, index)
+        for chip, positions in per_chip.items():
+            self._drain_chip(window, chip, positions)
         if reconstruct and self.ssd.parity:
             self._reconstruct_failures(window.outcomes, cache)
         return WindowResult(window.cached, window.outcomes)
@@ -1050,51 +1027,36 @@ class QueryEngine:
     # The chip drain, stage by stage
     # ------------------------------------------------------------------
 
-    def _drain_chip(self, window: _Window, index: int) -> None:
-        """Drain the window's ``index``-th chip: fail-fast -> result
-        cache -> dedup -> sense -> publish (a chip a stripe sensed
-        ahead only publishes).
+    def _drain_chip(
+        self, window: _Window, chip: int, positions: list[int]
+    ) -> None:
+        """Drain one chip's task positions: fail-fast -> result cache
+        -> dedup -> sense -> publish.
 
-        Engine counters are taken as deltas around the sense stage and
-        merged once at the end.  A stage that raises leaves the chip's
-        slots unpublished and its counters unmerged, and the error is
-        the caller's.
+        Engine counters are taken as deltas around the sense stage.  A
+        sense that raises leaves the chip's slots unpublished and its
+        counters unmerged, and the error is the caller's: the chips
+        before it published, the ones after it never drain.
         """
-        chip, positions = window.chips[index]
         if self._fail_fast(window, chip, positions):
             return
         pending = self._lookup_cached(window, chip, positions)
         if not pending:
             return
-        ahead = window.ahead.get(chip) or self._dedup(window, pending)
-        assert ahead.pending == pending, "a stripe misread the cache"
-        unique, followers = ahead.unique, ahead.followers
+        unique, followers = self._dedup(window, pending)
         # The executor and the sensing engine report their own counts,
         # whichever route the sense stage takes.
         executor = self.ssd.controllers[chip].executor
         sensing = self.ssd.chips[chip].sensing
         before = (executor.dispatches, sensing.restacked_tensors)
-        if ahead.sensed is None:
-            records, reuse_hits = self._sense(
-                window,
-                executor,
-                index,
-                [window.tasks.plan[position] for position in unique],
-            )
-        else:
-            # A stripe sensed this die at its leader's turn (its counts
-            # from then): one that dropped out since cannot hand the
-            # results over.
-            self.ssd.chips[chip]._check_online()
-            (records, *before), reuse_hits = ahead.sensed, 0
-        dispatches = executor.dispatches - before[0]
-        restacked = sensing.restacked_tensors - before[1]
+        plans = [window.tasks.plan[position] for position in unique]
+        records, reuse_hits = self._sense(window, executor, chip, plans)
+        self._executor_dispatches += executor.dispatches - before[0]
+        self._restacked_tensors += sensing.restacked_tensors - before[1]
         shared_senses = self._publish(window, chip, unique, records, followers)
-        self._executor_dispatches += dispatches
         self._shared_plans += len(followers)
         self._shared_senses += shared_senses
         self._stack_reuse_hits += reuse_hits
-        self._restacked_tensors += restacked
 
     def _fail_fast(
         self, window: _Window, chip: int, positions: list[int]
@@ -1130,14 +1092,16 @@ class QueryEngine:
             return positions
         return cache.serve(chip, window.tasks.plan, positions, window.cached)
 
-    def _dedup(self, window: _Window, pending: list[int]) -> _Ahead:
+    def _dedup(
+        self, window: _Window, pending: list[int]
+    ) -> tuple[list[int], list[tuple[int, int]]]:
         """Split the pending positions into the unique plans, in
         first-appearance order (exactly the sequence the flash would
         have sensed), and the ``(position, leader position)`` pairs
         of the tasks that repeat one."""
         followers: list[tuple[int, int]] = []
         if not window.share:
-            return _Ahead(pending, pending, followers)
+            return pending, followers
         plans = window.tasks.plan
         unique: list[int] = []
         first_at: dict[Plan, int] = {}
@@ -1147,10 +1111,10 @@ class QueryEngine:
                 unique.append(position)
             else:
                 followers.append((position, first))
-        return _Ahead(pending, unique, followers)
+        return unique, followers
 
     def _sense(
-        self, window: _Window, executor, index: int, plans: list[Plan]
+        self, window: _Window, executor, chip: int, plans: list[Plan]
     ) -> tuple[list[_SenseRecord], int]:
         """Sense a chip's unique plans; one record per plan, in one
         shape whatever the route, plus the stack-cache hit count.
@@ -1163,36 +1127,36 @@ class QueryEngine:
         among them) every plan takes the scalar walk.  With the
         retry half of the policy off every plan is one clean attempt:
         the queue replays through the stack cache when one is engaged,
-        and senses as a stripe (:meth:`_sense_stripe`) otherwise.
-        With it on, the queue's **attempt schedule** is drawn first, in
-        blocks (``queue_attempt_draws``) -- fault draws never depend on
-        sensed data, so drawing every plan's attempts up front consumes
-        the chip's stream exactly as the scalar walk would between
-        executions -- and the queue drains as batched dispatches
-        charged once per attempt, split only at a plan whose every
-        attempt faulted: that plan's failed executions and its degraded
-        fallback (or ``RetryExhaustedError``) run in scalar order from
-        its drawn schedule between the batches, so chip counters
-        accumulate in the scalar order.
+        and runs as one batch of the window's :meth:`_layout`
+        otherwise.  With it on, the queue's **attempt schedule** is
+        drawn first, in blocks (``queue_attempt_draws``) -- fault
+        draws never depend on sensed data, so drawing every plan's
+        attempts up front consumes the chip's stream exactly as the
+        scalar walk would between executions -- and the queue drains
+        as batched dispatches charged once per attempt, split only at
+        a plan whose every attempt faulted: that plan's failed
+        executions and its degraded fallback (or
+        ``RetryExhaustedError``) run in scalar order from its drawn
+        schedule between the batches, so chip counters accumulate in
+        the scalar order.
         """
-        chip = window.chips[index][0]
         margin = chip in window.degraded
         if margin or not executor.batchable(plans):
             return [
                 self._sense_scalar(window, executor, chip, plan, margin)
                 for plan in plans
             ], 0
-        retry, policy = window.retry, window.policy
-        if not retry and window.stacks is not None:
-            # Plans already sensed under the current stamp replay their
-            # packed rows and only the miss plans reach the flash;
-            # latch replay and charging still run for all.
-            results, hits = window.stacks.execute(executor, chip, plans)
-            return _records(results), hits
-        if not retry:
-            return self._sense_stripe(window, index, plans), 0
+        if not window.retry:
+            if window.stacks is not None:
+                # Plans already sensed under the current stamp replay
+                # their packed rows and only the miss plans reach the
+                # flash; latch replay and charging still run for all.
+                results, hits = window.stacks.execute(executor, chip, plans)
+                return _records(results), hits
+            layout = self._layout(window, plans)
+            return _records(executor.execute_batch(layout)), 0
         schedule = self.ssd.fault_injector.queue_attempt_draws(
-            chip, policy, len(plans)
+            chip, window.policy, len(plans)
         )
         # Plans whose last attempt faulted too split the batch.
         exhausted = [i for i, draws in enumerate(schedule) if draws[-1][0]]
@@ -1203,7 +1167,8 @@ class QueryEngine:
             if drawn:
                 # Charged from the drawn attempt counts.
                 results = executor.execute_batch(
-                    plans[start:stop], [len(draws) for draws in drawn]
+                    self._layout(window, plans[start:stop]),
+                    [len(draws) for draws in drawn],
                 )
                 records += [
                     _SenseRecord(
@@ -1226,57 +1191,16 @@ class QueryEngine:
             start = stop + 1
         return records, 0
 
-    def _sense_stripe(
-        self, window: _Window, index: int, plans: list[Plan]
-    ) -> list[_SenseRecord]:
-        """Sense the ``index``-th chip's plain batched queue with every
-        later chip's that holds the same plan objects in order: one
-        :meth:`~repro.core.mws.MwsExecutor.layout`, then each member's
-        own batch, this chip's first.  Members publish at their turn.
-        All are resolved before any chip state moves, and each member's
-        batch senses from that resolution; one that fails leaves with
-        every chip after it and raises at its turn."""
-        layout = MwsExecutor.layout(plans)
-        cache, plan_at = window.cache, window.tasks.plan
-        members = []
-        later = window.chips[index + 1 :] if window.stripes else []
-        for chip, positions in later:
-            ahead = window.ahead.get(chip, False)
-            if ahead is False:  # read once, moving no cache counter
-                pending = [
-                    p
-                    for p in positions
-                    if cache is None or (chip, plan_at[p]) not in cache
-                ]
-                ahead = window.ahead[chip] = (
-                    self._dedup(window, pending)
-                    if pending
-                    and chip not in window.degraded
-                    and chip not in window.offline
-                    and not self.ssd.chips[chip].offline
-                    else None
-                )
-            if not ahead or ahead.sensed or len(ahead.unique) != len(plans):
-                continue
-            if any(plan_at[p] is not q for p, q in zip(ahead.unique, plans)):
-                continue
-            try:
-                resolve = self.ssd.chips[chip].resolve
-                resolved = [resolve(command) for command in layout.commands]
-            except Exception:
-                break  # it raises again at its own turn
-            members.append((chip, ahead, resolved))
-        executor = self.ssd.controllers[window.chips[index][0]].executor
-        own = _records(executor.execute_batch(layout))
-        for chip, ahead, resolved in members:
-            executor = self.ssd.controllers[chip].executor
-            sensing = self.ssd.chips[chip].sensing
-            counts = executor.dispatches, sensing.restacked_tensors
-            records = _records(
-                executor.execute_batch(layout, resolved=resolved)
-            )
-            window.ahead[chip] = ahead._replace(sensed=(records, *counts))
-        return own
+    def _layout(self, window: _Window, plans: list[Plan]) -> BatchLayout:
+        """The batch layout of a queue, prepared once per window: the
+        FTL stripes every vector at the same place on each chip, so
+        chips whose queue is the same plan objects share it.  Each chip
+        still resolves its commands inside its own batch."""
+        key = tuple(map(id, plans))
+        layout = window.layouts.get(key)
+        if layout is None:
+            layout = window.layouts[key] = MwsExecutor.layout(plans)
+        return layout
 
     def _sense_scalar(
         self,

@@ -101,6 +101,19 @@ class TestFcWrite:
         with pytest.raises(AllocationError, match="exhausted"):
             fc.fc_write("v8", env["v8"], group="g")
 
+    def test_check_room_counts_open_strings_and_free_subblocks(self):
+        fc = make_fc()
+        env = pages([f"v{i}" for i in range(7)], seed=4)
+        for i in range(7):  # one wordline of group g's string left
+            fc.fc_write(f"v{i}", env[f"v{i}"], group="g")
+        free = fc.free_subblocks()
+        fc.check_room(["g"] + [None] * (free - 1) + ["h"])
+        with pytest.raises(AllocationError, match="'g' has no room"):
+            fc.check_room(["g", "g"])
+        with pytest.raises(AllocationError, match="free sub-blocks"):
+            fc.check_room([None] * free + ["h"])
+        assert fc.free_subblocks() == free
+
     def test_plane_block_exhaustion(self):
         fc = make_fc()
         total = GEOMETRY.blocks_per_plane * GEOMETRY.subblocks_per_block

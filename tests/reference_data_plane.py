@@ -9,9 +9,9 @@ compare against the two references that used to be switches:
   the reference semantics the batch is property-tested against.  It
   patches ``MwsExecutor.batchable`` to say no, so the drain takes the
   very route production takes for a queue with no batched equivalent.
-* :func:`chip_by_chip` -- no stripe: every chip's batched queue runs
-  at its own turn, the drain before chips running the same queue
-  shared one prepared layout.
+* :func:`chip_by_chip` -- no shared layout: every chip's batched
+  queue prepares its own ``MwsExecutor.layout``, where production
+  shares one per window among chips running the same queue.
 * :func:`vth_query` -- ``ssd.query(expr)`` with every sense evaluated
   through the per-cell V_TH comparison (``force_vth``), the way the
   retired one-byte-per-bit plane sensed.  On an error-free chip it
@@ -43,12 +43,7 @@ from repro.core.mws import MwsExecutor
 from repro.flash.geometry import ChipGeometry
 from repro.flash.latches import LatchStateError
 from repro.ssd.controller import QueryResult, SmallSsd
-from repro.ssd.query_engine import (
-    ChunkTask,
-    QueryEngine,
-    TaskColumns,
-    _SenseRecord,
-)
+from repro.ssd.query_engine import ChunkTask, QueryEngine, TaskColumns
 
 #: 80-bit pages: not a multiple of 64, so every packed page carries 48
 #: padding bits -- the representation's trickiest configuration.
@@ -70,22 +65,15 @@ def forced_walk():
         yield
 
 
-def _sense_own_queue(engine, window, index, plans):
-    executor = engine.ssd.controllers[window.chips[index][0]].executor
-    return [
-        _SenseRecord(
-            r.words, r.n_senses, r.latency_us, r.energy_nj, 0, 0.0, False, None
-        )
-        for r in executor.execute_batch(plans)
-    ]
-
-
 @contextmanager
 def chip_by_chip():
-    """Within the block no stripe forms: each chip's unique queue on
-    the plain batched route runs through ``MwsExecutor.execute_batch``
-    at that chip's own turn, and no chip is read ahead."""
-    with mock.patch.object(QueryEngine, "_sense_stripe", _sense_own_queue):
+    """Within the block no chips share a batch layout: each chip's
+    batched queue prepares a fresh ``MwsExecutor.layout``."""
+
+    def fresh(engine, window, plans):
+        return MwsExecutor.layout(plans)
+
+    with mock.patch.object(QueryEngine, "_layout", fresh):
         yield
 
 

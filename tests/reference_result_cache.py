@@ -92,11 +92,6 @@ class LazyResultCache:
                 cached[position] = words
         return pending
 
-    def __contains__(self, key) -> bool:
-        """Whether :meth:`get` would hit, moving nothing."""
-        entry = self._entries.get(key)
-        return entry is not None and entry[0] == self._epoch_stamp(key[0])
-
     def put(self, chip: int, plan, words: np.ndarray, n_senses: int) -> None:
         words.setflags(write=False)
         key = (chip, plan)

@@ -208,7 +208,7 @@ class TestResultCacheUnit:
             for a, b in ("ab", "ac", "ad", "bc", "bd", "cd")
         ]
         run_window(service, exprs)
-        assert len(cache) <= 4
+        assert cache.stats.entries <= 4
 
     def test_enable_is_idempotent(self):
         ssd, _ = make_ssd()
@@ -227,14 +227,14 @@ class TestResultCacheUnit:
         ]
         run_window(service, exprs)
         cache = ssd.engine.result_cache
-        entries = len(cache)
+        entries = cache.stats.entries
         assert entries > 2
         with pytest.raises(ValueError, match="capacity"):
             ssd.engine.enable_result_cache(2)
         assert ssd.engine.enable_result_cache(4096) is cache
         assert ssd.engine.result_cache is cache
         assert cache.capacity == 4096
-        assert len(cache) == entries
+        assert cache.stats.entries == entries
 
     def test_default_size_never_resizes_shared_cache(self):
         """A sibling service enabling the cache must adopt the shared
@@ -295,9 +295,9 @@ class TestResultCacheUnit:
         expr = And(Operand("a"), Operand("b"))
         run_window(service, [expr])
         cache = ssd.engine.result_cache
-        assert len(cache) > 0
+        assert cache.stats.entries > 0
         cache.clear()
-        assert len(cache) == 0
+        assert cache.stats.entries == 0
         second = run_window(service, [expr])
         assert second.stats.n_senses > 0
 
@@ -508,7 +508,7 @@ def _replay_scan(seed, cache_type, capacity=4096):
         windows.append(_WindowLog(
             cached=[words is not None for words in result.cached],
             puts=len(stored) - n_stored,
-            entries=len(cache),
+            entries=cache.stats.entries,
             after_rewrite=after_rewrite,
             alive_from_before=sum(ref() is not None for ref in before),
         ))

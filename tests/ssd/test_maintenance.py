@@ -528,8 +528,9 @@ class TestDrain:
 
     def test_a_column_that_does_not_fit_moves_nothing(self):
         """Chip 1 has one free sub-block, and chip 0's column spans
-        three string groups: the drain writes part of it, runs out of
-        room, and must leave every page where it was."""
+        three string groups: the drain must fail before it writes any
+        of it, leaving every page where it was and chip 1's free
+        sub-blocks and string-group cursors as they were."""
         tiny = GEOMETRY.scaled(blocks_per_plane=2)
         ssd = SmallSsd(n_chips=2, geometry=tiny)
         rng = np.random.default_rng(0)
@@ -541,8 +542,12 @@ class TestDrain:
             ssd.write_vector(name, env[name], group=group)
         overrides = ssd.ftl.chunk_overrides()
         directories = [dict(c.directory.operands) for c in ssd.controllers]
+        dest = ssd.controllers[1]
+        free, cursors = dest.free_subblocks(), dict(dest._group_cursor)
         with pytest.raises(AllocationError):
             ssd.maintenance().drain_chip(0)
+        assert dest.free_subblocks() == free
+        assert dest._group_cursor == cursors
         for name, bits in env.items():
             np.testing.assert_array_equal(ssd.read_vector(name), bits)
         assert ssd.ftl.chunk_overrides() == overrides

@@ -1,14 +1,13 @@
-"""A stripe of chips that runs the same sense queue prepares it once.
+"""Chips that run the same sense queue share one batch layout.
 
 The FTL stripes a vector group at the same place on every chip, so a
 fresh query's chunks share one plan and every chip's unique queue is
-the same list of plan objects.  ``QueryEngine._sense_stripe`` prepares
-that queue's batch layout once and runs every matching chip's batch at
-the first chip's turn, each on its own chip; the others publish at
-their own turn.  Everything here is compared, ``==`` for floats,
-against ``reference_data_plane.chip_by_chip``: the drain that senses
-each chip's queue through ``MwsExecutor.execute_batch`` at that chip's
-own turn.
+the same list of plan objects.  Each chip still drains at its own turn;
+``QueryEngine._layout`` prepares each queue's batch layout once per
+window and hands it to every chip whose queue is those plans.
+Everything here is compared, ``==`` for floats, against
+``reference_data_plane.chip_by_chip``: the drain in which every chip
+prepares its own layout.
 """
 
 from contextlib import contextmanager
@@ -124,12 +123,12 @@ def test_one_query_on_eight_chips_prepares_one_layout():
     assert layouts["n"] == 1
 
 
-def test_a_cache_a_put_could_evict_from_forms_no_stripe():
+def test_a_cache_a_put_could_evict_from_prepares_one_layout():
     # 3 plans x 8 chips = 24 puts: a capacity of 20 evicts mid-window.
     _, _, prepared = _twin_drains(
         WINDOW, mine_kwargs={"capacity": 20}, use_cache=True
     )
-    assert prepared == N_CHIPS
+    assert prepared == 1
 
 
 def test_without_the_cache_the_plain_route_still_stripes():
@@ -165,7 +164,7 @@ def test_a_member_that_fails_resolution_raises_at_its_own_turn():
     # drained: exactly the reference's state.
     assert_same_state(mine, theirs)
     assert mine.chips[victim + 1].counters.senses == 0
-    assert len(mine.engine.result_cache) == victim * 3
+    assert mine.engine.result_cache.stats.entries == victim * 3
 
 
 def test_a_degraded_chip_takes_margin_reads_outside_the_stripe():
@@ -190,7 +189,7 @@ def test_a_degraded_chip_takes_margin_reads_outside_the_stripe():
     assert chips == [ours] * 3 + [reference] * 3 + [ours, reference]
 
 
-def test_a_window_with_an_active_injector_does_not_stripe():
+def test_a_window_with_an_active_injector_prepares_one_layout():
     mine, theirs = _build(), _build()
     for ssd in (mine, theirs):
         ssd.attach_fault_injector(
@@ -205,6 +204,41 @@ def test_a_window_with_an_active_injector_does_not_stripe():
         reference = drain(
             theirs.engine, window_tasks(theirs, WINDOW), use_cache=True
         )
-    assert layouts["n"] == N_CHIPS
+    assert layouts["n"] == 1
     assert_outcomes_equal(outcomes, reference)
     assert_same_state(mine, theirs)
+
+
+def test_the_retry_route_shares_layouts_across_chips():
+    """Under a recovery policy each chip draws its attempt schedule and
+    splits its queue at every plan whose attempts all faulted; chips
+    whose batches hold the same plans share one layout."""
+    mine, theirs = _build(), _build()
+    for ssd in (mine, theirs):
+        ssd.attach_fault_injector(
+            FaultInjector(
+                FaultConfig(sense_fault_rate=0.5, stall_rate=0.5, seed=3)
+            )
+        )
+    policy = RecoveryPolicy()
+    with counting_layouts() as layouts:
+        outcomes = drain(
+            mine.engine,
+            window_tasks(mine, WINDOW),
+            use_cache=True,
+            recovery=policy,
+        )
+    with chip_by_chip():
+        reference = drain(
+            theirs.engine,
+            window_tasks(theirs, WINDOW),
+            use_cache=True,
+            recovery=policy,
+        )
+    assert_outcomes_equal(outcomes, reference)
+    assert_same_state(mine, theirs)
+    # Some plan exhausted its retries and split its chip's queue, yet
+    # the chips prepared fewer layouts than there are chips.
+    retries = [getattr(outcome, "retries", 0) for outcome in outcomes]
+    assert policy.max_retries in retries
+    assert layouts["n"] < N_CHIPS

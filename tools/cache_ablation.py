@@ -240,16 +240,15 @@ def resolved_off(plan):
     for that chip's token: minting a fresh token before every batch
     makes every command the batch resolves itself resolve its chip
     half again (the entry is still written -- the executor reads it
-    back).  Only the memo goes: a stripe member's batch keeps the
-    resolution it is handed (``resolved=``), which is no memo, and the
-    shared half (``MwsCommand._rows``) stays on."""
+    back).  Only the memo goes: the shared half
+    (``MwsCommand._rows``) stays on."""
     from repro.flash.chip import NandFlashChip
 
     sense = NandFlashChip.execute_sense_batch
 
-    def resolving(self, commands, resolved=None):
+    def resolving(self, commands):
         self._resolve_token = object()
-        return sense(self, commands, resolved)
+        return sense(self, commands)
 
     with _patched(NandFlashChip, "execute_sense_batch", resolving):
         yield
@@ -258,9 +257,8 @@ def resolved_off(plan):
 @contextlib.contextmanager
 def resolved_probe(plan, tally: Tally):
     """A lookup is one ``NandFlashChip.resolve``; a hit is a command
-    whose chip half for that chip survived it untouched.  A striped
-    chip resolves its queue once, before the stripe senses, and its
-    batch senses from that resolution without a second lookup."""
+    whose chip half for that chip survived it untouched.  Each chip
+    resolves each command of its queue once, inside its own batch."""
     from repro.flash.chip import NandFlashChip
 
     resolve = NandFlashChip.resolve
