@@ -69,8 +69,8 @@ class MwsCommand:
     iscm: IscmFlags
     targets: tuple[tuple[BlockAddress, tuple[int, ...]], ...]
     #: Memo slots, not part of the command's value.  ``_hash``: the
-    #: recursive hash (plans are dict keys, and their hash covers
-    #: every command).  Resolving the command
+    #: recursive hash (the engine interns every plan it binds by its
+    #: steps, whose hash covers every command).  Resolving the command
     #: (:meth:`~repro.flash.chip.NandFlashChip.resolve`) is split:
     #: ``_rows`` is the half every chip shares, ``(geometry, per-target
     #: row indices, profile)``; ``_resolved`` maps chip -> its half.

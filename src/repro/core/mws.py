@@ -133,7 +133,7 @@ def _batch_info(plan: Plan) -> tuple | None:
             commands.append(step.command)
         elif isinstance(step, XorStep):
             if step.plane != plan.plane:
-                object.__setattr__(plan, "_batch_info", None)
+                plan.__dict__["_batch_info"] = None
                 return None
             codes.append(-1)
             capture_steps.append(None)
@@ -146,7 +146,7 @@ def _batch_info(plan: Plan) -> tuple | None:
         tuple(charges),
         tuple(commands),
     )
-    object.__setattr__(plan, "_batch_info", info)
+    plan.__dict__["_batch_info"] = info
     return info
 
 
@@ -333,10 +333,10 @@ class MwsExecutor:
     ) -> tuple[list[ExecutionResult], int] | None:
         """:meth:`execute_batch` with cross-window sense-row reuse.
 
-        ``cached`` maps a :class:`~repro.core.planner.Plan` to its
-        memoized ``(sense rows, (block, n_wordlines) read pairs)``
-        from an earlier window; ``store(plan, rows, reads)`` is called
-        for every plan sensed fresh so the caller can extend the memo.
+        ``cached`` holds, per plan, its memoized ``(sense rows,
+        (block, n_wordlines) read pairs)`` from an earlier window, or
+        ``None``; ``store(index, rows, reads)`` is called for every
+        plan sensed fresh so the caller can extend the memo.
         The caller (:class:`repro.ssd.query_engine.StackCache`) owns
         staleness: it hands in entries only while its layout/content
         stamp is unchanged, which is exactly when the packed plane
@@ -375,7 +375,7 @@ class MwsExecutor:
         miss_slices: list[tuple[int, int, int]] = []
         miss_commands: list = []
         for index, info in enumerate(infos):
-            entry = cached.get(plans[index])
+            entry = cached[index]
             if entry is not None:
                 plan_rows[index] = entry[0]
                 hit_reads.append(entry[1])
@@ -420,7 +420,7 @@ class MwsExecutor:
                     for block, block_rows in command._resolved[chip][1]
                 )
                 plan_rows[index] = rows
-                store(plans[index], rows, reads)
+                store(index, rows, reads)
         for reads in hit_reads:
             for block, n_wordlines in reads:
                 block.note_read(n_wordlines)
@@ -591,21 +591,11 @@ class MwsExecutor:
 
     def estimate_latency_us(self, plan: Plan) -> float:
         """Latency of a plan from the physically derived tMWS model,
-        without executing it.
-
-        Memoized on the plan object as ``(timing parameters, us)``
-        pairs: the scheduler estimates every window's buckets from
-        this, and a plan shared by chips placed alike walks the model
-        once for all chips whose (frozen) parameters are equal."""
+        without executing it.  A service run memoizes it per task key;
+        here one walk of the plan's steps serves this estimate and the
+        batched drain that follows (``_batch_info``), and each sense
+        shape's tMWS is modelled once per timing instance."""
         timing = self.timing
-        params = timing.params
-        memo = plan.__dict__.get("_est_latency_us", ())
-        for key, cached in memo:
-            if key is params or key == params:
-                return cached
-        # A fresh plan: one walk of its steps serves this estimate and
-        # the batched drain that follows (``_batch_info``), and each
-        # sense shape's tMWS is modelled once per timing instance.
         info = _batch_info(plan)
         profile = plan.sense_profile() if info is None else info[2]
         table = self._t_mws_table
@@ -620,5 +610,4 @@ class MwsExecutor:
             if us is None:
                 us = t_mws_us[shape] = timing.t_mws_us(*shape)
             total += us
-        plan.__dict__["_est_latency_us"] = (*memo, (params, total))
         return total

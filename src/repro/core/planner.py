@@ -181,32 +181,19 @@ class XorStep:
 class Plan:
     """Ordered command sequence computing one expression on one plane.
 
-    Plans are deeply nested value objects that the query engine uses
-    as dict keys on hot paths (cross-query sense dedup, batched queue
-    grouping), so the recursive hash and the derived step views are
-    memoized on the instance -- cheap insurance that equality-by-value
-    identity stays O(1) after the first use.
+    A value object down to the MWS command bytes: two plans that
+    compare equal ask a chip for the same sensing operation.  The
+    query engine interns the plans it binds, so its hot paths key on
+    an int per ``(chip, plan)`` (``repro.ssd.query_engine.PlanKeys``)
+    and never hash a plan; the hash is the dataclass's own.
     """
 
     plane: int
     steps: tuple[SenseStep | XorStep, ...]
 
-    def __hash__(self) -> int:
-        try:  # an attribute read: every window hashes each plan
-            return self._hash
-        except AttributeError:
-            object.__setattr__(self, "_hash", hash((self.plane, self.steps)))
-            return self._hash
-
-    @property
+    @cached_property
     def sense_steps(self) -> tuple[SenseStep, ...]:
-        cached = self.__dict__.get("_sense_steps")
-        if cached is None:
-            cached = tuple(
-                s for s in self.steps if isinstance(s, SenseStep)
-            )
-            object.__setattr__(self, "_sense_steps", cached)
-        return cached
+        return tuple(s for s in self.steps if isinstance(s, SenseStep))
 
     @property
     def n_senses(self) -> int:

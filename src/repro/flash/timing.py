@@ -57,8 +57,7 @@ class TimingParameters:
 @dataclass
 class TimingModel:
     """Latency calculator for every chip operation.  Models built with
-    the default parameters share one instance of them (plans memoize
-    their latency estimates per parameters, identity first)."""
+    the default parameters share one instance of them."""
 
     params: TimingParameters = TimingParameters()
 

@@ -13,8 +13,9 @@ list of its task positions.
 The ``balanced`` policy reorders across queries to minimize window
 makespan rather than any single query's latency:
 
-1. **Share groups first** -- tasks with identical ``(chip, plan)``
-   identity are bucketed together so a shared sense's subscribers
+1. **Share groups first** -- tasks with one ``(chip, plan)`` key
+   (:class:`~repro.ssd.query_engine.PlanKeys`: equal plans on one
+   chip) are bucketed together so a shared sense's subscribers
    drain immediately behind their primary (their results leave the
    chip as soon as the one real sense finishes, instead of waiting in
    program order).
@@ -46,9 +47,10 @@ the shared external link serves deadline traffic first too.
 benchmarks compare against.
 
 **Cost.**  This runs once per admission window on the host, for every
-query of every workload, so it is O(tasks) to bucket (one ``Plan``
-hash per task position, no record per task) plus O(share groups x log
-chips) to order.  Both the
+query of every workload, so it is O(tasks) to bucket (one int key
+hashed per task position, no record per task) plus O(share groups x
+log chips) to order, each bucket's estimate read from the caller's
+per-key memo when it has one.  Both the
 per-chip fair drain and the cross-chip interleave are "repeatedly pick
 the minimum key, then change only the picked one's key" loops, so they
 run off :mod:`heapq` heads that hold *the same key tuples* a scan over
@@ -154,6 +156,7 @@ def schedule_window(
     degraded_slowdown: float = 3.0,
     gc_busy: Mapping[int, float] | None = None,
     reconstruct: bool = False,
+    costs: dict[int, float] | None = None,
 ) -> list[int]:
     """Order one window's chunk tasks into the global emission order:
     the list of their positions, each once.
@@ -162,6 +165,8 @@ def schedule_window(
     prices a sense.  ``share`` mirrors the engine's sense-sharing
     switch: with it on, duplicate tasks of a share group cost nothing,
     which changes the LPT weights and the cross-chip balance.
+    ``costs`` memoizes ``estimate``'s answer per task key across calls
+    that pass it (the service: one per run, as its estimators).
     ``info`` carries the per-query deadlines/priorities/weights the
     ``edf`` policy orders by; the other policies ignore it.
 
@@ -213,12 +218,7 @@ def schedule_window(
     if callable(estimate):
         n_chips = max(chips, default=-1) + 1
         estimate = [partial(estimate, chip) for chip in range(n_chips)]
-    if degraded_chips:
-        estimate = [
-            (lambda plan, unit=unit: unit(plan) * degraded_slowdown)
-            if chip in degraded_chips else unit
-            for chip, unit in enumerate(estimate)
-        ]
+    slowdown = dict.fromkeys(degraded_chips, degraded_slowdown)
     if policy == "edf":
         info = info or {}
         default = QueryInfo()
@@ -228,7 +228,10 @@ def schedule_window(
         }
     else:
         metas = dict.fromkeys(tasks.query, (_NO_DEADLINE, 0, 1.0, ""))
-    chip_queues = _share_groups(tasks, live, estimate, share, metas)
+    chip_queues = _share_groups(
+        tasks, live, estimate, share, metas,
+        {} if costs is None else costs, slowdown,
+    )
     if policy == "edf":
         _edf_queues(chip_queues)
     else:
@@ -278,20 +281,23 @@ def _share_groups(
     estimate: ChipEstimators,
     share: bool,
     metas: Mapping[int, tuple[float, int, float, str]],
+    costs: dict[int, float],
+    slowdown: Mapping[int, float],
 ) -> dict[int, list[_Bucket]]:
     """Share-group buckets of the ``live`` positions, per chip in
     first-seen order, in one pass: each subscriber's ``metas[query]``
     folds in as it joins -- earliest deadline, highest priority, the
-    (first) heaviest weight's tenant.  One estimate a bucket: a sense
+    (first) heaviest weight's tenant.  One estimate a bucket, read
+    through ``costs`` and scaled by its chip's ``slowdown``: a sense
     when sharing, one per task otherwise."""
-    chips, plans, queries = tasks.chip, tasks.plan, tasks.query
-    folds: dict[tuple[int, Plan], list] = {}
-    join = folds.setdefault  # one Plan hash a position
+    keys, queries = tasks.key, tasks.query
+    folds: dict[int, list] = {}
+    join = folds.setdefault  # one int hash a position
     for position in live:
         # A bucket is ``[(deadline, priority, weight, client), *group]``.
         meta = metas[queries[position]]
         new = [meta, position]
-        fold = join((chips[position], plans[position]), new)
+        fold = join(keys[position], new)
         if fold is new:
             continue
         fold.append(position)
@@ -306,10 +312,16 @@ def _share_groups(
                 heavier[2],
                 heavier[3],
             )
+    chips, plans = tasks.chip, tasks.plan
     queues: dict[int, list[_Bucket]] = {}
-    for arrival, ((chip, plan), group) in enumerate(folds.items()):
+    for arrival, (key, group) in enumerate(folds.items()):
         deadline, priority, weight, client = group.pop(0)
-        unit = estimate[chip](plan)
+        chip = chips[group[0]]
+        unit = costs.get(key)
+        if unit is None:
+            unit = costs[key] = estimate[chip](plans[group[0]])
+        if chip in slowdown:
+            unit *= slowdown[chip]
         cost = unit if share else unit * len(group)
         queue = queues.get(chip)
         if queue is None:

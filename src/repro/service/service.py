@@ -220,8 +220,10 @@ class _Run(_RunTotals):
     )
     #: The run's event sweep, fed once per window.
     sweep: StageSweep | None = None
-    #: Per chip, its executor's ``estimate_latency_us``, bound once.
+    #: Per chip, its executor's ``estimate_latency_us``, bound once,
+    #: and per task key what it said (the scheduler's memo).
     estimators: list = field(default_factory=list)
+    est_latency_us: dict[int, float] = field(default_factory=dict)
     #: Queries admitted and not yet served (some job still in flight).
     states: dict[int, _QueryState] = field(default_factory=dict)
     #: The window's sweep rows and, per row, its owner: its query's
@@ -259,6 +261,15 @@ class _Run(_RunTotals):
                 self.gc_busy[chip] = (
                     self.gc_busy.get(chip, 0.0) + job.durations[0] * 1e6
                 )
+
+
+def _frozen(cls: type, values: dict):
+    """A frozen dataclass record from every field's value, in order,
+    without the ``object.__setattr__`` a field of its ``__init__``;
+    pair by pair, so its dict keeps sharing its class's keys."""
+    record = object.__new__(cls)
+    record.__dict__.update(values.items())
+    return record
 
 
 def _die_seconds(chip: int, what: str, us: float) -> float:
@@ -525,12 +536,14 @@ class QueryService:
         if drain and self.maintenance is not None:
             # Probation drain: migrate the parked chip's live vectors
             # to chips still in service, so the next windows answer
-            # from healthy silicon instead of failing the chip's tasks.
+            # from healthy silicon instead of failing the chip's tasks;
+            # a column no survivor has room for stays parked.
             run.add_background(
                 self.maintenance.drain_chip(
                     chip,
                     healthy=self.health.survivors(exclude=chip),
                     ready_at_s=ready_s,
+                    best_effort=True,
                 )
             )
 
@@ -585,6 +598,7 @@ class QueryService:
             # rebuilt results, so the scheduler prices offline chips'
             # tasks as degraded work instead of parking them.
             reconstruct=self.ssd.parity,
+            costs=run.est_latency_us,
         )
         return tasks.take(order)
 
@@ -909,32 +923,32 @@ class QueryService:
                 )
             words = assembled[key][1]
             n_bits = state.prepared.n_bits
-        result = QueryResult(
-            words=words,
-            page_bits=page_bits,
-            n_bits=n_bits,
-            n_senses=state.n_senses,
-            latency_us=max(state.chip_busy.values(), default=0.0),
-            energy_nj=state.energy_nj,
-            makespan_us=state.completed_us - state.admitted_us,
-            template_hit=state.prepared.template_hit,
-        )
-        return ServedQuery(
-            query_id=submission.query_id,
-            client=submission.client,
-            expr=submission.expr,
-            submitted_us=submission.submitted_us,
-            admitted_us=state.admitted_us,
-            completed_us=state.completed_us,
-            result=result,
-            shared_chunks=state.shared_chunks,
-            cached_chunks=state.cached_chunks,
-            priority=submission.priority,
-            deadline_us=submission.deadline_us,
-            error=state.error,
-            retries=state.retries,
-            degraded_chunks=state.degraded_chunks,
-            fault_overhead_us=state.fault_us,
-            reconstructed_chunks=state.reconstructed_chunks,
-            reconstruction_us=state.reconstruction_us,
-        )
+        result = _frozen(QueryResult, {
+            "words": words,
+            "page_bits": page_bits,
+            "n_bits": n_bits,
+            "n_senses": state.n_senses,
+            "latency_us": max(state.chip_busy.values(), default=0.0),
+            "energy_nj": state.energy_nj,
+            "makespan_us": state.completed_us - state.admitted_us,
+            "template_hit": state.prepared.template_hit,
+        })
+        return _frozen(ServedQuery, {
+            "query_id": submission.query_id,
+            "client": submission.client,
+            "expr": submission.expr,
+            "submitted_us": submission.submitted_us,
+            "admitted_us": state.admitted_us,
+            "completed_us": state.completed_us,
+            "result": result,
+            "shared_chunks": state.shared_chunks,
+            "cached_chunks": state.cached_chunks,
+            "priority": submission.priority,
+            "deadline_us": submission.deadline_us,
+            "error": state.error,
+            "retries": state.retries,
+            "degraded_chunks": state.degraded_chunks,
+            "fault_overhead_us": state.fault_us,
+            "reconstructed_chunks": state.reconstructed_chunks,
+            "reconstruction_us": state.reconstruction_us,
+        })

@@ -426,6 +426,7 @@ class MaintenanceManager:
         *,
         healthy: list[int] | None = None,
         ready_at_s: float = 0.0,
+        best_effort: bool = False,
     ) -> list[StageJob]:
         """Migrate a quarantined chip's live chunk columns to healthy
         chips (probation drain), then reclaim its dead blocks.
@@ -441,8 +442,12 @@ class MaintenanceManager:
         -- is queued for parity rebuild when the SSD stripes parity
         (:meth:`rebuild_cycle` re-materializes it from survivors);
         without parity it stays parked as stuck, never silently
-        dropped.  Parity pages recorded on the sick chip drain the
-        same way; every page moves through :meth:`_move`.  GC
+        dropped.  A column no healthy chip has room for raises
+        :class:`~repro.core.api.AllocationError`, having moved nothing
+        of it -- or, ``best_effort`` (the service's quarantine drain),
+        stays parked, its pages counted stuck, and the drain goes on.
+        Parity pages recorded on the sick chip drain the same way;
+        every page moves through :meth:`_move`.  GC
         reclamation of the drained chip is skipped when the chip is
         fail-stopped (there is no die left to erase).  A ``sick`` or
         ``healthy`` entry that is no chip index is refused up front.
@@ -500,9 +505,13 @@ class MaintenanceManager:
                     self.stats.pages_stuck += stuck
                 continue
             group = ftl.group_of_chunk(chunk) if parity else None
-            ftl.remap_chunk(chunk, self._move(sick, pages, healthy, group))
-            self.stats.pages_migrated += len(pages)
-        drained_parity = parity and self._drain_parity_pages(sick, healthy)
+            dest = self._move(sick, pages, healthy, group, best_effort)
+            if dest is not None:
+                ftl.remap_chunk(chunk, dest)
+                self.stats.pages_migrated += len(pages)
+        drained_parity = parity and self._drain_parity_pages(
+            sick, healthy, best_effort
+        )
         if columns or drained_parity:
             self.stats.chips_drained += 1
         # Reclaim the drained chip's now-dead blocks so it returns
@@ -552,20 +561,24 @@ class MaintenanceManager:
                 )
         return jobs
 
-    def _destination(self, healthy: list[int], group: int | None) -> int:
-        """The one placement rule of every move: the least-loaded
-        healthy chip, index order on ties.  Given a rotation ``group``,
-        chips holding none of its pages (its data chunks' chips and
-        its parity chip) come first, so one chip loss costs the group
-        one page.  The page being moved sits on a chip outside
-        ``healthy``, so one set serves a column and a parity page."""
+    def _destinations(
+        self, healthy: list[int], group: int | None
+    ) -> list[int]:
+        """The one placement rule of every move, as the order in which
+        the healthy chips are tried: least loaded first, index order on
+        ties.  Given a rotation ``group``, chips holding none of its
+        pages (its data chunks' chips and its parity chip) come first,
+        so one chip loss costs the group one page.  The page being
+        moved sits on a chip outside ``healthy``, so one set serves a
+        column and a parity page."""
         ftl = self.ssd.ftl
-        candidates = healthy
+        taken = set()
         if group is not None:
             taken = {ftl.parity_chip(group)}
             taken.update(map(ftl.chip_of_chunk, ftl.group_data_chunks(group)))
-            candidates = [h for h in healthy if h not in taken] or healthy
-        return min(candidates, key=lambda h: (ftl.live_pages(h), h))
+        return sorted(
+            healthy, key=lambda h: (h in taken, ftl.live_pages(h), h)
+        )
 
     def _move(
         self,
@@ -573,20 +586,33 @@ class MaintenanceManager:
         pages: list[tuple[str, np.ndarray, str | None, bool]],
         healthy: list[int],
         group: int | None,
-    ) -> int:
+        best_effort: bool = False,
+    ) -> int | None:
         """Program every ``(operand, logical bits, string group,
-        inverse)`` page on the :meth:`_destination` chip, then
-        unregister them all on ``source``; returns the destination.
-        The move is all or nothing: a destination without room for
-        every page raises ``AllocationError`` before the first write,
-        and a write that raises unregisters the pages already written
-        on the destination (the rollback of a failed multi-chunk
-        write) and re-raises, leaving the source as it was.  The
-        caller commits the move in the FTL (``remap_chunk`` for a
-        column, ``set_parity_chip`` for a parity group)."""
-        dest = self._destination(healthy, group)
-        dst_ctrl = self.ssd.controllers[dest]
-        dst_ctrl.check_room([string_group for _, _, string_group, _ in pages])
+        inverse)`` page on the first :meth:`_destinations` chip with
+        room for all of them, then unregister them all on ``source``;
+        returns the destination.  The move is all or nothing: when no
+        chip has room it raises ``AllocationError`` before the first
+        write (or, ``best_effort``, counts the pages stuck and returns
+        ``None``), and a write that raises unregisters the pages
+        already written on the destination (the rollback of a failed
+        multi-chunk write) and re-raises, leaving the source as it
+        was.  The caller commits the move in the FTL (``remap_chunk``
+        for a column, ``set_parity_chip`` for a parity group)."""
+        groups = [string_group for _, _, string_group, _ in pages]
+        error = AllocationError("no healthy chip to move to")
+        for dest in self._destinations(healthy, group):
+            dst_ctrl = self.ssd.controllers[dest]
+            try:
+                dst_ctrl.check_room(groups)
+                break
+            except AllocationError as full:
+                error = full
+        else:
+            if not best_effort:
+                raise error
+            self.stats.pages_stuck += len(pages)
+            return None
         written: list[str] = []
         try:
             for operand, bits, string_group, inverse in pages:
@@ -622,9 +648,11 @@ class MaintenanceManager:
             self._rebuild_queued.add(entry)
             self.pending_rebuild.append(entry)
 
-    def _drain_parity_pages(self, sick: int, healthy: list[int]) -> bool:
-        """Move (or queue for rebuild) every parity page recorded on
-        the sick chip, each group's pages whole."""
+    def _drain_parity_pages(
+        self, sick: int, healthy: list[int], best_effort: bool
+    ) -> bool:
+        """Move (or queue for rebuild, or park) every parity page
+        recorded on the sick chip, each group's pages whole."""
         ssd = self.ssd
         ftl = ssd.ftl
         moved_any = False
@@ -654,7 +682,10 @@ class MaintenanceManager:
             except (FlashFault, KeyError):
                 self._queue_rebuild("parity", group)
                 continue
-            ftl.set_parity_chip(group, self._move(sick, pages, healthy, group))
+            dest = self._move(sick, pages, healthy, group, best_effort)
+            if dest is None:
+                continue
+            ftl.set_parity_chip(group, dest)
             self.stats.pages_migrated += len(pages)
             moved_any = True
         return moved_any

@@ -28,8 +28,9 @@ per distinct chunk layout (``docs/architecture.md`` §2):
    here, a sweep row in the service.
 5. **Shared-sense execution** -- :meth:`QueryEngine.execute_tasks`
    drains a multi-query :class:`TaskColumns` window; plans are values
-   down to the MWS command bytes, so per chip a dict keyed on the plan
-   runs a sense two queries ask for once and fans its words out.
+   down to the MWS command bytes, interned with an int key per chip
+   (:class:`PlanKeys`), so per chip a dict keyed on the key runs a
+   sense two queries ask for once and fans its words out.
 6. **Window-at-a-time batched execution** -- each chip's unique queue
    runs as one :meth:`~repro.core.mws.MwsExecutor.execute_batch` (a
    queue with no batched equivalent walks its plans one by one);
@@ -49,12 +50,13 @@ cache, and the sense term by sharing and result caching.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import repeat
+from itertools import count, repeat
 from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, NamedTuple
+from weakref import KeyedRef
 
 import numpy as np
 
@@ -142,6 +144,38 @@ class _ChunkDirectory:
         return name + self._suffix in self._operands
 
 
+class PlanKeys:
+    """The engine's bound plans, interned: equal plans are one object,
+    held weakly, and each ``(chip, plan)`` has one int key from a
+    counter that never repeats, which every "same sense?" structure
+    keys on (``docs/architecture.md`` §3).  A key is found again only
+    while its plan lives: a :class:`ResultCache` entry keeps the plan."""
+
+    def __init__(self) -> None:
+        #: (plane, steps) -> (weak reference to the canonical plan,
+        #: chip -> key).
+        self._plans: dict[tuple, tuple[KeyedRef, defaultdict]] = {}
+        self._next = count().__next__
+
+    def intern(self, plan: Plan) -> tuple[Plan, defaultdict]:
+        """The canonical plan equal to ``plan`` and its keys by chip (a
+        chip not seen yet draws one)."""
+        value = (plan.plane, plan.steps)
+        entry = self._plans.get(value)
+        canonical = None if entry is None else entry[0]()
+        if canonical is None:
+            entry = self._plans[value] = (
+                KeyedRef(plan, self._forget, value),
+                defaultdict(self._next),
+            )
+            canonical = plan
+        return canonical, entry[1]
+
+    def _forget(self, ref: KeyedRef) -> None:
+        if self._plans.get(ref.key, (None,))[0] is ref:
+            del self._plans[ref.key]
+
+
 @dataclass(frozen=True)
 class EngineStats:
     """Counters exposing how much planning the cache amortized and how
@@ -192,7 +226,8 @@ class ChunkTask(NamedTuple):
     The identity that matters for cross-query sense sharing is
     ``(chip, plan)``: :class:`~repro.core.planner.Plan` is a frozen
     value object down to the MWS command targets, so two tasks whose
-    plans compare equal ask the chip for the *same* sensing operation.
+    plans compare equal ask the chip for the *same* sensing operation
+    -- and carry the same ``key`` (:class:`PlanKeys`).
 
     Windows travel as :class:`TaskColumns`; a task becomes a record
     only as the ``task`` of a :class:`ChunkOutcome`.
@@ -209,20 +244,23 @@ class ChunkTask(NamedTuple):
     #: chunks.  Deliberately not part of the sharing identity --
     #: sharing is a property of the sensing operation, not of who
     #: asked.
-    expr: Expression | None = None
+    expr: Expression | None
+    #: The engine's int key of ``(chip, plan)``: what sharing and
+    #: caching compare.
+    key: int
 
 
 class TaskColumns:
     """Chunk tasks as parallel columns, one per :class:`ChunkTask`
     field: how a window travels from admission to its job listing, so
-    a cache-served chunk is never a record of its own.  Adopts five
+    a cache-served chunk is never a record of its own.  Adopts six
     equal-length lists; no argument starts an empty window."""
 
-    __slots__ = ("query", "chunk", "chip", "plan", "expr")
+    __slots__ = ("query", "chunk", "chip", "plan", "expr", "key")
 
     def __init__(self, *columns: list) -> None:
-        self.query, self.chunk, self.chip, self.plan, self.expr = (
-            columns or ([], [], [], [], [])
+        self.query, self.chunk, self.chip, self.plan, self.expr, self.key = (
+            columns or ([], [], [], [], [], [])
         )
 
     def __len__(self) -> int:
@@ -236,17 +274,20 @@ class TaskColumns:
         self.chip += prepared.chips
         self.plan += prepared.plans
         self.expr += repeat(prepared.expr, n_tasks)
+        self.key += prepared.keys
 
     def take(self, order: list[int]) -> "TaskColumns":
         """The tasks at ``order``'s positions, in that order."""
-        columns = self.query, self.chunk, self.chip, self.plan, self.expr
+        columns = (
+            self.query, self.chunk, self.chip, self.plan, self.expr, self.key
+        )
         return TaskColumns(*([c[i] for i in order] for c in columns))
 
     def task(self, position: int) -> ChunkTask:
         """The task at ``position`` as a record."""
         return ChunkTask(
             self.query[position], self.chunk[position], self.chip[position],
-            self.plan[position], self.expr[position],
+            self.plan[position], self.expr[position], self.key[position],
         )
 
 
@@ -348,7 +389,8 @@ class CacheStats:
 
 class ResultCache:
     """Cross-window memo of packed per-chunk sense results, keyed on
-    the ``(chip, plan)`` value identity the dedup uses: sense sharing
+    the ``(chip, plan)`` key the dedup uses (:class:`PlanKeys`; an
+    entry keeps its plan, so a rebind finds the key): sense sharing
     reuses a sense within one ``execute_tasks`` call, this cache across
     calls (admission windows, and service runs sharing one SSD).
 
@@ -371,9 +413,9 @@ class ResultCache:
     def __init__(self, ssd: "SmallSsd", *, capacity: int = 4096) -> None:
         self.ssd = ssd
         self.capacity = positive_int("capacity", capacity)
-        #: (chip, plan) -> (packed words, n_senses).
+        #: key -> (packed words, n_senses, chip, plan).
         self._entries: OrderedDict[
-            tuple[int, Plan], tuple[np.ndarray, int]
+            int, tuple[np.ndarray, int, int, Plan]
         ] = OrderedDict()
         #: chip -> the layout stamp its entries were sensed under.
         self._stamps: dict[int, tuple] = {}
@@ -385,11 +427,12 @@ class ResultCache:
     def get(self, chip: int, plan: Plan) -> np.ndarray | None:
         """The plan's memoized packed result words, or ``None``."""
         words = [None]
-        self.serve(chip, (plan,), (0,), words)
+        key = self.ssd.engine.plan_keys.intern(plan)[1][chip]
+        self.serve(chip, (key,), (0,), words)
         return words[0]
 
-    def serve(self, chip: int, plans, positions, cached: list) -> list[int]:
-        """:meth:`get` of ``plans[p]`` for each position ``p`` in turn:
+    def serve(self, chip: int, keys, positions, cached: list) -> list[int]:
+        """The entry of ``keys[p]`` for each position ``p`` in turn:
         a hit's words go into ``cached[p]``; returns the positions that
         missed.  The counters are added once."""
         entries = self._entries
@@ -397,7 +440,7 @@ class ResultCache:
         pending: list[int] = []
         avoided = 0
         for position in positions:
-            key = (chip, plans[position])
+            key = keys[position]
             entry = lookup(key)
             if entry is None:
                 pending.append(position)
@@ -411,7 +454,8 @@ class ResultCache:
         return pending
 
     def put(
-        self, chip: int, plan: Plan, words: np.ndarray, n_senses: int
+        self, chip: int, key: int, plan: Plan, words: np.ndarray,
+        n_senses: int,
     ) -> None:
         """Memoize one executed plan's packed result words.
 
@@ -424,8 +468,7 @@ class ResultCache:
         if chip not in self._stamps:
             # First entry of a chip no prune has stamped yet.
             self._stamps[chip] = _chip_stamp(self.ssd, chip)
-        key = (chip, plan)
-        self._entries[key] = (words, n_senses)
+        self._entries[key] = (words, n_senses, chip, plan)
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
@@ -444,7 +487,7 @@ class ResultCache:
                 stamps[chip] = stamp
         if not moved:
             return 0
-        dead = [key for key in self._entries if key[0] in moved]
+        dead = [key for key, e in self._entries.items() if e[2] in moved]
         for key in dead:
             del self._entries[key]
         self._invalidations += len(dead)
@@ -487,7 +530,7 @@ class StackCache:
             raise ValueError("capacity must be >= 1")
         self.ssd = ssd
         self.capacity = capacity
-        #: chip -> (layout/content stamp, plan -> (rows, reads)).
+        #: chip -> (layout/content stamp, key -> (rows, reads)).
         self._chips: dict[int, tuple[tuple, dict]] = {}
         self._hits = 0
         self._misses = 0
@@ -500,7 +543,7 @@ class StackCache:
         )
 
     def execute(
-        self, executor, chip: int, plans: list[Plan]
+        self, executor, chip: int, plans: list[Plan], keys: list[int]
     ) -> tuple[list, int] | None:
         """Run one chip window through
         :meth:`~repro.core.mws.MwsExecutor.execute_batch_reuse`
@@ -517,12 +560,13 @@ class StackCache:
             plan_rows = {}
             self._chips[chip] = (stamp, plan_rows)
 
-        def store(plan, rows, reads):
+        def store(index, rows, reads):
             if len(plan_rows) >= self.capacity:
                 plan_rows.clear()
-            plan_rows[plan] = (rows, reads)
+            plan_rows[keys[index]] = (rows, reads)
 
-        outcome = executor.execute_batch_reuse(plans, plan_rows, store)
+        cached = [plan_rows.get(key) for key in keys]
+        outcome = executor.execute_batch_reuse(plans, cached, store)
         if outcome is None:
             return None
         results, reused = outcome
@@ -610,8 +654,8 @@ class _Window(NamedTuple):
 @dataclass(frozen=True)
 class PreparedQuery:
     """A query planned and bound, ready for (shared) execution: the
-    bound plans as per-task columns, chip by chip, each chip's in chunk
-    order (chunks placed alike share one plan object).  ``planned`` is
+    bound plans and their keys as per-task columns, chip by chip, each
+    chip's in chunk order (equal plans are one object).  ``planned`` is
     threaded from the template/bind steps, not inferred from planner
     counters, so a window preparing many queries back to back
     attributes cache hits to the right query."""
@@ -623,6 +667,7 @@ class PreparedQuery:
     chunks: tuple[int, ...]
     chips: tuple[int, ...]
     plans: tuple[Plan, ...]
+    keys: tuple[int, ...]
 
     @property
     def template_hit(self) -> bool:
@@ -666,6 +711,8 @@ class QueryEngine:
         self._bound: OrderedDict[
             Expression, tuple[tuple, tuple, PreparedQuery]
         ] = OrderedDict()
+        #: Every plan this engine binds, interned and keyed.
+        self.plan_keys = PlanKeys()
         self._planner_invocations = 0
         self._template_hits = 0
         self._template_misses = 0
@@ -794,40 +841,42 @@ class QueryEngine:
         self, expr, names, classes, template, rename, record
     ) -> tuple[PreparedQuery, bool]:
         """Bind the template (its names read through ``rename``) once
-        per distinct chunk layout (chunks placed alike share one plan
-        object), replanning a chunk whose slot classes differ from
+        per distinct chunk layout (chunks placed alike share one plan),
+        interned, replanning a chunk whose slot classes differ from
         chunk 0's or whose bind fails; returns the prepared query a
         repeat gets (``planned`` off) and whether any replan ran."""
         planned = False
         tasks = []
-        layouts: dict[tuple | None, Plan] = {}
+        layouts: dict[tuple | None, tuple] = {}
+        intern = self.plan_keys.intern
         for chunk in range(record.n_chunks):
             chip = self.ssd.ftl.chip_of_chunk(chunk)
             controller = self.ssd.controllers[chip]
             layout = _placements(controller, chunk, names)
-            plan = layouts.get(layout)
-            if plan is None:
+            bound = layouts.get(layout)
+            if bound is None:
                 view = _ChunkDirectory(controller, chunk)
                 if _slot_classes(layout) == classes:
                     try:
-                        plan = layouts[layout] = template.bind(
+                        bound = layouts[layout] = intern(template.bind(
                             lambda name: view.lookup(rename[name])
-                        )
+                        ))
                     except TemplateBindError:
                         pass
-                if plan is None:  # replanned alone, never shared
+                if bound is None:  # replanned alone, never shared
                     planner = Planner(
                         view, block_limit=controller.planner.block_limit
                     )
-                    plan = planner.plan(expr)
+                    bound = intern(planner.plan(expr))
                     self._planner_invocations += 1
                     self._bind_fallbacks += 1
                     planned = True
-            tasks.append((chip, chunk, plan))
+            tasks.append((chip, chunk, bound[0], bound[1][chip]))
         tasks.sort(key=itemgetter(0))  # chip by chip, chunk order kept
-        chips, chunks, plans = zip(*tasks)
+        chips, chunks, plans, keys = zip(*tasks)
         return PreparedQuery(
-            expr, record.n_bits, record.n_chunks, False, chunks, chips, plans
+            expr, record.n_bits, record.n_chunks, False, chunks, chips,
+            plans, keys,
         ), planned
 
     def prepare(self, expr: Expression) -> PreparedQuery:
@@ -881,7 +930,8 @@ class QueryEngine:
             return prepared
         p = prepared  # the memo keeps the unplanned copy a repeat gets
         return PreparedQuery(
-            expr, p.n_bits, p.n_chunks, True, p.chunks, p.chips, p.plans
+            expr, p.n_bits, p.n_chunks, True, p.chunks, p.chips, p.plans,
+            p.keys,
         )
 
     def stage_constants(self, chip: int) -> tuple[float, float, tuple]:
@@ -1049,8 +1099,7 @@ class QueryEngine:
         executor = self.ssd.controllers[chip].executor
         sensing = self.ssd.chips[chip].sensing
         before = (executor.dispatches, sensing.restacked_tensors)
-        plans = [window.tasks.plan[position] for position in unique]
-        records, reuse_hits = self._sense(window, executor, chip, plans)
+        records, reuse_hits = self._sense(window, executor, chip, unique)
         self._executor_dispatches += executor.dispatches - before[0]
         self._restacked_tensors += sensing.restacked_tensors - before[1]
         shared_senses = self._publish(window, chip, unique, records, followers)
@@ -1090,7 +1139,7 @@ class QueryEngine:
         cache = window.cache
         if cache is None:
             return positions
-        return cache.serve(chip, window.tasks.plan, positions, window.cached)
+        return cache.serve(chip, window.tasks.key, positions, window.cached)
 
     def _dedup(
         self, window: _Window, pending: list[int]
@@ -1102,11 +1151,11 @@ class QueryEngine:
         followers: list[tuple[int, int]] = []
         if not window.share:
             return pending, followers
-        plans = window.tasks.plan
+        keys = window.tasks.key
         unique: list[int] = []
-        first_at: dict[Plan, int] = {}
+        first_at: dict[int, int] = {}
         for position in pending:
-            first = first_at.setdefault(plans[position], position)
+            first = first_at.setdefault(keys[position], position)
             if first == position:
                 unique.append(position)
             else:
@@ -1114,9 +1163,9 @@ class QueryEngine:
         return unique, followers
 
     def _sense(
-        self, window: _Window, executor, chip: int, plans: list[Plan]
+        self, window: _Window, executor, chip: int, unique: list[int]
     ) -> tuple[list[_SenseRecord], int]:
-        """Sense a chip's unique plans; one record per plan, in one
+        """Sense a chip's ``unique`` plans; one record per plan, in one
         shape whatever the route, plus the stack-cache hit count.
 
         The route is read off what the drain already sees.  A chip in
@@ -1140,6 +1189,7 @@ class QueryEngine:
         schedule between the batches, so chip counters accumulate in
         the scalar order.
         """
+        plans = [window.tasks.plan[position] for position in unique]
         margin = chip in window.degraded
         if margin or not executor.batchable(plans):
             return [
@@ -1151,7 +1201,10 @@ class QueryEngine:
                 # Plans already sensed under the current stamp replay
                 # their packed rows and only the miss plans reach the
                 # flash; latch replay and charging still run for all.
-                results, hits = window.stacks.execute(executor, chip, plans)
+                keys = [window.tasks.key[p] for p in unique]
+                results, hits = window.stacks.execute(
+                    executor, chip, plans, keys
+                )
                 return _records(results), hits
             layout = self._layout(window, plans)
             return _records(executor.execute_batch(layout)), 0
@@ -1318,7 +1371,9 @@ class QueryEngine:
                 and record.data is not None
                 and record.error is None
             ):
-                cache.put(chip, task.plan, record.data, record.n_senses)
+                cache.put(
+                    chip, task.key, task.plan, record.data, record.n_senses
+                )
         shared_senses = 0
         for position, first in followers:
             prior = outcomes[first]
@@ -1427,7 +1482,7 @@ class QueryEngine:
         """
         #: share key -> position of the reconstructed leader (``None``:
         #: its reconstruction failed).
-        memo: dict[tuple[int, Plan], int | None] = {}
+        memo: dict[int, int | None] = {}
         pages: dict[tuple[str, int], tuple[np.ndarray, tuple[int, ...]]] = {}
         reconstructed = 0
         senses = 0
@@ -1439,7 +1494,7 @@ class QueryEngine:
                 prior.error, (ChipUnavailableError, RetryExhaustedError)
             ):
                 continue
-            key = (task.chip, task.plan)
+            key = task.key
             if key in memo:
                 if memo[key] is None:
                     continue
@@ -1492,7 +1547,7 @@ class QueryEngine:
                 # reads are senses, not programs, so no layout stamp
                 # moved; when the service later quarantines the dead
                 # chip its directory generation bump drops the entry.
-                cache.put(task.chip, task.plan, data, n_senses)
+                cache.put(task.chip, key, task.plan, data, n_senses)
         self._reconstructed_plans += reconstructed
         self._reconstruction_senses += senses
 

@@ -93,9 +93,9 @@ def tasks_of(prepared, query: int) -> list[ChunkTask]:
     """A prepared query's chunk tasks as records, attributed to
     ``query``, in the order its columns hold them."""
     return [
-        ChunkTask(query, chunk, chip, plan, prepared.expr)
-        for chunk, chip, plan in zip(
-            prepared.chunks, prepared.chips, prepared.plans
+        ChunkTask(query, chunk, chip, plan, prepared.expr, key)
+        for chunk, chip, plan, key in zip(
+            prepared.chunks, prepared.chips, prepared.plans, prepared.keys
         )
     ]
 

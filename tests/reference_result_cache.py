@@ -34,7 +34,8 @@ class LazyResultCache:
     def __init__(self, ssd, *, capacity: int = 4096) -> None:
         self.ssd = ssd
         self.capacity = capacity
-        #: (chip, plan) -> (stamp when stored, packed words, n_senses).
+        #: (chip, plan key) -> (stamp when stored, packed words,
+        #: n_senses).
         self._entries: OrderedDict = OrderedDict()
         self._epoch: dict[int, tuple] = {}
         self.hits = 0
@@ -63,8 +64,8 @@ class LazyResultCache:
         }
         return 0
 
-    def get(self, chip: int, plan) -> np.ndarray | None:
-        key = (chip, plan)
+    def _get(self, chip: int, plan_key: int) -> np.ndarray | None:
+        key = (chip, plan_key)
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
@@ -80,21 +81,23 @@ class LazyResultCache:
         self.senses_avoided += n_senses
         return words
 
-    def serve(self, chip: int, plans, positions, cached: list) -> list[int]:
-        """:meth:`get` of each position's plan in turn: a hit's words go
-        into ``cached``; returns the positions that missed."""
+    def serve(self, chip: int, keys, positions, cached: list) -> list[int]:
+        """:meth:`_get` of each position's plan key in turn: a hit's
+        words go into ``cached``; returns the positions that missed."""
         pending = []
         for position in positions:
-            words = self.get(chip, plans[position])
+            words = self._get(chip, keys[position])
             if words is None:
                 pending.append(position)
             else:
                 cached[position] = words
         return pending
 
-    def put(self, chip: int, plan, words: np.ndarray, n_senses: int) -> None:
+    def put(
+        self, chip: int, plan_key: int, plan, words: np.ndarray, n_senses: int
+    ) -> None:
         words.setflags(write=False)
-        key = (chip, plan)
+        key = (chip, plan_key)
         self._entries[key] = (self._epoch_stamp(chip), words, n_senses)
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:

@@ -109,15 +109,15 @@ def test_result_cache_pruned_across_drain(monkeypatch):
     sensed_under = {}
     dropped = []
 
-    def recording_put(chip, plan, words, n_senses):
-        sensed_under[chip, plan] = _chip_stamp(ssd, chip)
-        put(chip, plan, words, n_senses)
+    def recording_put(chip, key, plan, words, n_senses):
+        sensed_under[key] = _chip_stamp(ssd, chip)
+        put(chip, key, plan, words, n_senses)
 
     def checked_prune():
         dropped.append(prune())
         # No stale entry survives into the window.
-        for chip, plan in cache._entries:
-            assert sensed_under[chip, plan] == _chip_stamp(ssd, chip)
+        for key, (_, _, chip, _) in cache._entries.items():
+            assert sensed_under[key] == _chip_stamp(ssd, chip)
         return dropped[-1]
 
     monkeypatch.setattr(cache, "put", recording_put)
@@ -353,3 +353,44 @@ def test_no_sense_waits_for_an_erase_and_gc_does_the_same_work(monkeypatch):
     assert any(replay.resource_guard_waits for _, replay in replays)
     assert service.maintenance.stats == twin_service.maintenance.stats
     assert service.maintenance.stats.blocks_reclaimed > 0
+
+
+def test_a_quarantine_drain_that_fits_nowhere_parks_the_column():
+    """Each chip has four sub-blocks and chip 0's column opens three
+    string groups; chip 1 has one free.  When the breaker parks chip 0
+    the drain cannot place the column anywhere: it stays on chip 0,
+    its pages count stuck, and ``run()`` returns -- every query served
+    exact or failed with a typed error, none lost to the drain."""
+    from repro.flash.errors import FlashFault
+    from repro.ssd.controller import SmallSsd
+
+    injector = FaultInjector(
+        FaultConfig(seed=3, chip_sense_fault_rates={0: 1.0})
+    )
+    ssd = SmallSsd(
+        n_chips=2, geometry=GEOMETRY.scaled(blocks_per_plane=2), seed=3,
+        fault_injector=injector,
+    )
+    rng = np.random.default_rng(3)
+    env = {}
+    for name, group in (("a", "g"), ("b", "g"), ("c", "h"), ("d", "k")):
+        env[name] = rng.integers(0, 2, 2 * GEOMETRY.page_size_bits,
+                                 dtype=np.uint8)
+        ssd.write_vector(name, env[name], group=group)
+    assert ssd.controllers[1].free_subblocks() == 1
+    service, report = _run(ssd)
+    stats = report.stats
+    assert stats.quarantines >= 1
+    assert service.health.state(0) == QUARANTINED
+    assert service.maintenance.stats.pages_stuck == len(env)
+    assert stats.pages_migrated == 0 and ssd.ftl.chunk_overrides() == {}
+    assert ssd.ftl.live_pages(0) == len(env)
+    assert len(report.queries) == len(_traffic())
+    assert any(query.error is not None for query in report.queries)
+    for query in report.queries:
+        if query.error is None:
+            np.testing.assert_array_equal(
+                query.result.bits, evaluate(query.expr, env)
+            )
+        else:
+            assert isinstance(query.error, FlashFault)

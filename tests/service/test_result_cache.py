@@ -494,9 +494,9 @@ def _replay_scan(seed, cache_type, capacity=4096):
     before: list[weakref.ref] = []
     put, execute = cache.put, ssd.engine.execute_tasks
 
-    def recording_put(chip, plan, words, n_senses):
+    def recording_put(chip, key, plan, words, n_senses):
         stored.append(weakref.ref(words))
-        put(chip, plan, words, n_senses)
+        put(chip, key, plan, words, n_senses)
 
     def recording_execute(tasks, **kwargs):
         n_stored = len(stored)

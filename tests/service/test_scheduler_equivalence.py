@@ -18,7 +18,7 @@ import reference_control_path as reference
 from reference_data_plane import columns
 from repro.core.planner import Plan, XorStep
 from repro.service.scheduler import POLICIES, QueryInfo, schedule_window
-from repro.ssd.query_engine import ChunkTask
+from repro.ssd.query_engine import ChunkTask, PlanKeys
 
 #: Few distinct values each, so ties are the common case.
 DEADLINES = st.sampled_from([None, None, 100.0, 100.0, 250.0, 900.0])
@@ -32,6 +32,22 @@ def _plan(shape: int) -> Plan:
     """A fresh ``Plan`` object per call: equal shapes are equal by
     value but not identical, like two queries binding one template."""
     return Plan(plane=0, steps=(XorStep(plane=shape),))
+
+
+def _task(query: int, chunk: int, chip: int, plan: Plan) -> ChunkTask:
+    """A task not keyed yet (:func:`_keyed` keys a window)."""
+    return ChunkTask(query, chunk, chip, plan, None, -1)
+
+
+def _keyed(tasks: list[ChunkTask]) -> list[ChunkTask]:
+    """The tasks with the keys the engine's table gives their ``(chip,
+    plan)``: equal plans on one chip share one.  Each task keeps its
+    own plan object."""
+    keys = PlanKeys()
+    return [
+        task._replace(key=keys.intern(task.plan)[1][task.chip])
+        for task in tasks
+    ]
 
 
 @st.composite
@@ -49,15 +65,15 @@ def windows(draw):
             deadline_us=draw(DEADLINES),
             weight=draw(WEIGHTS),
         )
-    tasks = [
-        ChunkTask(
+    tasks = _keyed([
+        _task(
             query=draw(st.integers(0, n_queries - 1)),
             chunk=chunk,
             chip=draw(st.integers(0, n_chips - 1)),
             plan=_plan(draw(st.integers(0, n_shapes - 1))),
         )
         for chunk in range(draw(st.integers(0, 40)))
-    ]
+    ])
     costs = {
         (chip, shape): draw(COSTS)
         for chip in range(n_chips)
@@ -88,7 +104,7 @@ def _scheduled(tasks, estimate, **kwargs) -> list[ChunkTask]:
     task objects themselves)."""
     order = schedule_window(
         columns(tasks),
-        lambda chip, plan: estimate(ChunkTask(-1, -1, chip, plan)),
+        lambda chip, plan: estimate(_task(-1, -1, chip, plan)),
         **kwargs,
     )
     assert sorted(order) == list(range(len(tasks)))
@@ -124,10 +140,10 @@ def test_fair_drain_accumulates_like_the_scan():
         1: QueryInfo(client="b", weight=3.0),
         2: QueryInfo(client="c", weight=1.0),
     }
-    tasks = [
-        ChunkTask(query=chunk % 3, chunk=chunk, chip=0, plan=_plan(chunk))
+    tasks = _keyed([
+        _task(query=chunk % 3, chunk=chunk, chip=0, plan=_plan(chunk))
         for chunk in range(60)
-    ]
+    ])
 
     costs = {(t.chip, t.plan): 0.1 if t.query < 2 else 1 / 30 for t in tasks}
 

@@ -555,6 +555,58 @@ class TestDrain:
             directories
         )
 
+    def test_a_column_moves_to_the_next_chip_with_room(self):
+        """Chip 0's column opens four string groups.  The least-loaded
+        survivor, chip 2, has no free sub-block left (hand-placed pages
+        the FTL does not count); chip 1 has four: the drain moves the
+        column there, and every vector reads back exact."""
+        ssd = SmallSsd(n_chips=3, geometry=GEOMETRY.scaled(blocks_per_plane=4))
+        rng = np.random.default_rng(1)
+        env = {}
+        for name, group, n_chunks in (
+            ("v0", "g", 3), ("v1", "g", 3), ("v2", "h", 3), ("v3", "h", 3),
+            ("k0", "k", 3), ("w", "w", 2),
+        ):
+            n_bits = n_chunks * GEOMETRY.page_size_bits
+            env[name] = rng.integers(0, 2, n_bits, dtype=np.uint8)
+            ssd.write_vector(name, env[name], group=group)
+        full = ssd.controllers[2]
+        for i in range(full.free_subblocks()):
+            full.fc_write(f"pad{i}", rng.integers(0, 2, 128, dtype=np.uint8))
+        assert full.free_subblocks() == 0
+        loads = [ssd.ftl.live_pages(chip) for chip in range(3)]
+        assert loads[2] < loads[1] and ssd.controllers[1].free_subblocks() == 4
+        mgr = ssd.maintenance()
+        mgr.drain_chip(0)
+        assert ssd.ftl.chunk_overrides() == {0: 1}
+        assert mgr.stats.pages_migrated == len(env)
+        assert ssd.ftl.live_pages(0) == 0 and full.free_subblocks() == 0
+        for name, bits in env.items():
+            np.testing.assert_array_equal(ssd.read_vector(name), bits)
+
+    def test_a_best_effort_drain_parks_a_column_that_fits_nowhere(self):
+        """The same squeeze as above with no room anywhere: a best-effort
+        drain leaves the column on the sick chip, counts its pages
+        stuck, and moves on; the strict one raises."""
+        tiny = GEOMETRY.scaled(blocks_per_plane=2)
+        ssd = SmallSsd(n_chips=2, geometry=tiny)
+        rng = np.random.default_rng(0)
+        env = {}
+        for name, group in (
+            ("v0", "g"), ("v1", "g"), ("v2", "h"), ("v3", "h"), ("k0", "k")
+        ):
+            env[name] = rng.integers(0, 2, 256, dtype=np.uint8)
+            ssd.write_vector(name, env[name], group=group)
+        mgr = ssd.maintenance()
+        mgr.drain_chip(0, best_effort=True)
+        assert mgr.stats.pages_stuck == len(env)
+        assert mgr.stats.pages_migrated == 0
+        assert ssd.ftl.chunk_overrides() == {}
+        for name, bits in env.items():
+            np.testing.assert_array_equal(ssd.read_vector(name), bits)
+        with pytest.raises(AllocationError):
+            mgr.drain_chip(0)
+
 
 class TestServiceIntegration:
     def test_service_reports_wear_without_maintenance(self):

@@ -68,7 +68,11 @@ def _record_stack_hits(ssd) -> list[tuple[int, object]]:
         original = executor.execute_batch_reuse
 
         def recording(plans, cached, store, _chip=chip, _run=original):
-            hits.extend((_chip, plan) for plan in plans if plan in cached)
+            hits.extend(
+                (_chip, plan)
+                for plan, entry in zip(plans, cached)
+                if entry is not None
+            )
             return _run(plans, cached, store)
 
         executor.execute_batch_reuse = recording

@@ -80,9 +80,15 @@ def assert_cache_entries_equal(mine, theirs):
     whatever order their chips finish, so order is not compared)."""
     cache_a, cache_b = mine.engine.result_cache, theirs.engine.result_cache
     assert cache_a._stamps == cache_b._stamps
-    assert cache_a._entries.keys() == cache_b._entries.keys()
-    for key, (words, n_senses) in cache_a._entries.items():
-        words_b, n_senses_b = cache_b._entries[key]
+    # Entries are keyed per engine; their ``(chip, plan)`` compares.
+    entries_a, entries_b = (
+        {(chip, plan): (words, n_senses)
+         for words, n_senses, chip, plan in cache._entries.values()}
+        for cache in (cache_a, cache_b)
+    )
+    assert entries_a.keys() == entries_b.keys()
+    for key, (words, n_senses) in entries_a.items():
+        words_b, n_senses_b = entries_b[key]
         assert n_senses == n_senses_b
         np.testing.assert_array_equal(words, words_b)
 

@@ -4,9 +4,9 @@ The FTL stripes a vector group at the same place on every chip, so the
 chunks of a query over it bind to one plan value.  ``QueryEngine``
 binds that value once and lets every chunk placed alike share the
 object; a chunk whose operands moved (GC, a drain) binds its own.  The
-memos a shared plan carries are kept per chip (the resolution memo) or
-per timing parameters (the latency estimate), so sharing never makes
-one chip's entry evict another's.
+memos a shared plan carries are kept per chip (the resolution memo,
+and the latency estimate under its per-chip key), so sharing never
+makes one chip's entry evict another's.
 """
 
 import numpy as np
@@ -174,28 +174,34 @@ def test_eight_chips_share_one_resolution_half(monkeypatch):
     assert builds["n"] == len(commands)
 
 
-def test_estimate_walks_once_per_timing_parameters(monkeypatch):
-    """Chips with equal (frozen) timing parameters share one tMWS walk
-    of a shared plan; a chip given other parameters gets its own."""
-    ssd, _ = _build(names="ab")
-    _, plan = _shared_plan(ssd)
-    walks = {"n": 0}
-    batch_info = mws_module._batch_info
-
-    def counting(plan_):
-        walks["n"] += 1
-        return batch_info(plan_)
-
-    monkeypatch.setattr(mws_module, "_batch_info", counting)
-    executors = [controller.executor for controller in ssd.controllers]
-    assert len({id(executor.timing) for executor in executors}) == N_CHIPS
-    estimates = {executor.estimate_latency_us(plan) for executor in executors}
-    assert walks["n"] == 1 and len(estimates) == 1
-    slow = executors[4]
+def test_a_run_estimates_each_chip_key_once(monkeypatch):
+    """The scheduler reads a bucket's estimate through the run's
+    per-key memo: a service run asks each chip's executor once per
+    ``(chip, plan)`` key however many windows schedule it, and a chip
+    given other timing parameters prices the shared plan by its own."""
+    ssd, env = _build(names="ab")
+    expr = And(Operand("a"), Operand("b"))
+    slow = ssd.controllers[4].executor
     slow.timing = TimingModel(TimingParameters(t_read_slc_us=30.0))
-    own = slow.estimate_latency_us(plan)
-    assert walks["n"] == 2
-    assert own > estimates.pop()
-    assert slow.estimate_latency_us(plan) == own
-    assert executors[0].estimate_latency_us(plan) < own
-    assert walks["n"] == 2
+    asked = {}
+    estimate = mws_module.MwsExecutor.estimate_latency_us
+
+    def counting(self, plan_):
+        asked.setdefault(self, []).append(estimate(self, plan_))
+        return asked[self][-1]
+
+    monkeypatch.setattr(
+        mws_module.MwsExecutor, "estimate_latency_us", counting
+    )
+    service = ssd.service(window_us=50.0, policy="balanced")
+    for window in range(3):
+        service.submit(expr, at_us=100.0 * window)
+    report = service.run()
+    assert report.stats.n_windows == 3
+    assert asked.keys() == {c.executor for c in ssd.controllers}
+    assert all(len(answers) == 1 for answers in asked.values())
+    (own,) = asked.pop(slow)
+    (shared,) = {answer for (answer,) in asked.values()}
+    assert own > shared
+    for query in report.queries:
+        np.testing.assert_array_equal(query.result.bits, evaluate(expr, env))

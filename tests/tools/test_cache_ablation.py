@@ -178,10 +178,9 @@ def test_probes_count_what_the_program_reports(benchmarks_importable):
         lambda plan: tool.bound_plans_probe(plan, tally),
     )
     assert 0 < tally.hits < tally.lookups
-    # The scheduler prices its buckets through ``estimate_latency_us``
-    # as the probe finds it on the class while the pass runs: a service
-    # that bound the estimators before the patch would read "never
-    # consulted" here.
+    # The scheduler prices its buckets through the run's per-key memo,
+    # handed to it by the service on every window: a memo the probe
+    # never saw would read "never consulted" here.
     tally = tool.Tally()
     tool.run_pass(
         "write_churn",
@@ -198,11 +197,11 @@ def test_main_prints_one_row_per_cache_and_workload(
     code = tool.main(
         [
             "--scale", "0.04", "--pairs", "1",
-            "--workload", "write_churn", "--cache", "_est_latency_us",
+            "--workload", "write_churn", "--cache", "_Run.est_latency_us",
         ]
     )
     assert code == 0
     lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0].startswith("| cache | workload |")
     assert len(lines) == 3
-    assert lines[2].startswith("| _est_latency_us | write_churn | ")
+    assert lines[2].startswith("| _Run.est_latency_us | write_churn | ")

@@ -275,33 +275,39 @@ def resolved_probe(plan, tally: Tally):
 
 
 @contextlib.contextmanager
+def _run_memo(wrap):
+    """Hand every ``schedule_window`` call of the service the run's
+    per-key estimate memo (``_Run.est_latency_us``) as ``wrap`` sees it."""
+    from repro.service import service
+
+    schedule = service.schedule_window
+
+    def wrapped(*args, costs, **kwargs):
+        return schedule(*args, costs=wrap(costs), **kwargs)
+
+    with _patched(service, "schedule_window", wrapped):
+        yield
+
+
 def est_latency_off(plan):
-    from repro.core.mws import MwsExecutor
-
-    estimate = MwsExecutor.estimate_latency_us
-
-    def forgetting(self, plan_):
-        plan_.__dict__.pop("_est_latency_us", None)
-        return estimate(self, plan_)
-
-    with _patched(MwsExecutor, "estimate_latency_us", forgetting):
-        yield
+    """Every window asks the executors for every bucket's estimate."""
+    return _run_memo(lambda memo: _NeverRemembers())
 
 
-@contextlib.contextmanager
 def est_latency_probe(plan, tally: Tally):
-    from repro.core.mws import MwsExecutor
+    class Counting:
+        def __init__(self, memo: dict) -> None:
+            self.memo = memo
 
-    estimate = MwsExecutor.estimate_latency_us
+        def get(self, key):
+            tally.lookups += 1
+            tally.hits += key in self.memo
+            return self.memo.get(key)
 
-    def counting(self, plan_):
-        memo = plan_.__dict__.get("_est_latency_us", ())
-        tally.lookups += 1
-        tally.hits += any(key == self.timing.params for key, _ in memo)
-        return estimate(self, plan_)
+        def __setitem__(self, key, value) -> None:
+            self.memo[key] = value
 
-    with _patched(MwsExecutor, "estimate_latency_us", counting):
-        yield
+    return _run_memo(Counting)
 
 
 @contextlib.contextmanager
@@ -333,7 +339,7 @@ CACHES = {
     "StackCache": (stack_cache_off, stack_cache_probe),
     "_window_memo": (window_memo_off, window_memo_probe),
     "MwsCommand._resolved": (resolved_off, resolved_probe),
-    "_est_latency_us": (est_latency_off, est_latency_probe),
+    "_Run.est_latency_us": (est_latency_off, est_latency_probe),
     "bound-plan LRU": (bound_plans_off, bound_plans_probe),
 }
 
