@@ -543,7 +543,6 @@ class QueryService:
                     chip,
                     healthy=self.health.survivors(exclude=chip),
                     ready_at_s=ready_s,
-                    best_effort=True,
                 )
             )
 

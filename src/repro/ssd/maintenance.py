@@ -26,13 +26,17 @@ that finally exercises it.  Three responsibilities:
   *bound* plans and result-cache stamps go stale, which the directory
   generation bump forces to rebind.
 
-* **Probation drain.**  When the health plane quarantines a chip, the
-  manager migrates its live chunk columns to healthy chips: each
-  column's operands are read back (de-randomized, polarity restored)
-  and re-written ESP-mode on the destination under the same chunk
-  group, then the FTL's striping overlay redirects the column and
-  bumps its generation.  Queries keep answering bit-identically while
-  the sick chip sits out its probation empty.
+* **Probation drain and rebuild.**  When the health plane
+  quarantines a chip, the manager moves its *units* to healthy chips.
+  A unit is a chunk column or a rotation group's parity pages: MWS
+  computes only over operands that share a block, so a unit moves
+  whole or not at all.  Every move is one read -> place -> commit
+  step: the unit's pages are read back (de-randomized, polarity
+  restored) -- or, for a unit lost with a dead chip, re-derived from
+  parity -- then re-written ESP-mode on one destination under their
+  string groups, and the FTL commits the move and bumps its
+  generation.  Queries keep answering bit-identically while the sick
+  chip sits out its probation empty.
 
 * **Bad-block scrub.**  Stuck bad blocks from the fault plane are
   *retired* -- permanently excluded from the allocation pool -- so
@@ -56,7 +60,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.core.api import AllocationError, FlashCosmos
-from repro.flash.errors import FlashFault, ReconstructionError
+from repro.flash.errors import BadBlockFault, FlashFault
 from repro.flash.geometry import BlockAddress, WordlineAddress
 from repro.ssd.events import StageJob, background_job
 
@@ -86,8 +90,8 @@ class MaintenanceConfig:
     gc_high_watermark: int = 4
     max_victims_per_cycle: int = 4
     min_invalid_pages: int = 1
-    #: Rebuild pacing: columns (or parity pages) re-materialized from
-    #: parity per :meth:`MaintenanceManager.rebuild_cycle` call -- the
+    #: Rebuild pacing: units (columns or parity groups) re-materialized
+    #: from parity per :meth:`MaintenanceManager.rebuild_cycle` call -- the
     #: foreground-impact throttle of the rebuild-on-repair plane,
     #: playing the same role ``max_victims_per_cycle`` plays for GC.
     rebuild_columns_per_cycle: int = 2
@@ -160,8 +164,9 @@ class MaintenanceStats:
     pages_stuck: int = 0
     gc_cycles: int = 0
     busy_us: float = 0.0
-    #: Chunk columns and parity pages re-materialized from parity by
-    #: :meth:`MaintenanceManager.rebuild_cycle` after a chip loss.
+    #: Units (chunk columns and parity groups) re-materialized from
+    #: parity by :meth:`MaintenanceManager.rebuild_cycle` after a chip
+    #: loss.
     columns_rebuilt: int = 0
 
 
@@ -172,10 +177,10 @@ class MaintenanceManager:
         self.ssd = ssd
         self.config = config or MaintenanceConfig()
         self.stats = MaintenanceStats()
-        #: Rebuild queue: ``("column", chunk)`` for a lost data column,
-        #: ``("parity", group)`` for a lost parity page.  Filled by
-        #: :meth:`drain_chip` when a quarantined chip's pages cannot be
-        #: read (fail-stopped hardware), drained FIFO by
+        #: Rebuild queue of units: ``("column", chunk)`` for a lost data
+        #: column, ``("parity", group)`` for a group's lost parity pages.
+        #: Filled by :meth:`drain_chip` when a quarantined chip's unit
+        #: cannot be read (fail-stopped hardware), drained FIFO by
         #: :meth:`rebuild_cycle` at ``rebuild_columns_per_cycle`` per
         #: call.
         self.pending_rebuild: list[tuple[str, int]] = []
@@ -287,9 +292,13 @@ class MaintenanceManager:
         """Collect victims on one plane until ``target_free``
         sub-blocks are allocatable (or victims/budget run out).
         Functional state mutates immediately; the returned background
-        jobs carry the chip-time cost into the event simulation."""
+        jobs carry the chip-time cost into the event simulation.  A
+        fail-stopped chip is left alone: there is no die to copy back
+        on or erase."""
         controller: FlashCosmos = self.ssd.controllers[chip_index]
         chip = controller.chip
+        if chip.offline:
+            return []
         budget = (
             max_victims
             if max_victims is not None
@@ -426,34 +435,25 @@ class MaintenanceManager:
         *,
         healthy: list[int] | None = None,
         ready_at_s: float = 0.0,
-        best_effort: bool = False,
     ) -> list[StageJob]:
-        """Migrate a quarantined chip's live chunk columns to healthy
-        chips (probation drain), then reclaim its dead blocks.
+        """Move a quarantined chip's units to healthy chips (probation
+        drain), then reclaim its dead blocks.
 
-        Each chunk column moves whole -- every vector's ``name@chunk``
-        operand lands on the same destination under its original chunk
-        group -- so cross-vector co-location survives and the striping
-        overlay (:meth:`FlashTranslationLayer.remap_chunk`) keeps the
-        engine's queues consistent.  The whole column is *read before
-        anything is written*, so a mid-column read failure can never
-        leave it half-migrated.  A column that cannot be read -- any
-        page on a stuck bad block, or the chip fail-stopped entirely
-        -- is queued for parity rebuild when the SSD stripes parity
-        (:meth:`rebuild_cycle` re-materializes it from survivors);
-        without parity it stays parked as stuck, never silently
-        dropped.  A column no healthy chip has room for raises
-        :class:`~repro.core.api.AllocationError`, having moved nothing
-        of it -- or, ``best_effort`` (the service's quarantine drain),
-        stays parked, its pages counted stuck, and the drain goes on.
-        Parity pages recorded on the sick chip drain the same way;
-        every page moves through :meth:`_move`.  GC
-        reclamation of the drained chip is skipped when the chip is
-        fail-stopped (there is no die left to erase).  A ``sick`` or
-        ``healthy`` entry that is no chip index is refused up front.
+        A unit (:meth:`_units`) is a chunk column or a rotation group's
+        parity pages, and it moves whole: every page lands on one
+        destination under its original string group, so cross-vector
+        co-location survives and the FTL commit keeps the engine's
+        queues consistent.  The whole unit is read before anything is
+        written (:meth:`_pages`).  A unit that cannot be read -- a page
+        on a stuck bad block, a failed read, or the chip fail-stopped
+        -- is queued for :meth:`rebuild_cycle` when the SSD stripes
+        parity and parked otherwise; a unit that no healthy chip takes
+        (:meth:`_move`) is parked.  A parked unit stays on the sick
+        chip with its pages counted in ``pages_stuck``, never half
+        moved.  A ``sick`` or ``healthy`` entry that is no chip index
+        is refused up front.
         """
         ssd = self.ssd
-        ftl = ssd.ftl
         self._check_chips("sick", (sick,))
         if healthy is None:
             healthy = [i for i in range(len(ssd.chips)) if i != sick]
@@ -461,66 +461,29 @@ class MaintenanceManager:
         healthy = [h for h in healthy if h != sick]
         if not healthy:
             return []
-        injector = ssd.fault_injector
         busy_before = [c.counters.busy_us for c in ssd.chips]
-        columns: dict[int, list[str]] = {}
-        for name in ftl.vectors():
-            for placement in ftl.lookup(name).placements:
-                if placement.chip == sick:
-                    columns.setdefault(placement.chunk, []).append(name)
-        parity = ssd.parity
-        src_ctrl = ssd.controllers[sick]
-        for chunk in sorted(columns):
-            stuck = 0
-            pages: list[tuple[str, np.ndarray, str | None, bool]] = []
-            try:
-                for name in columns[chunk]:
-                    chunk_name = ssd._chunk_operand_name(name, chunk)
-                    stored = src_ctrl.stored(chunk_name)
-                    if injector is not None and injector.has_bad_block(
-                        sick, stored.address
-                    ):
-                        stuck += 1
-                        continue
-                    pages.append(
-                        (
-                            chunk_name,
-                            src_ctrl.chip.read_page(
-                                stored.address, inverse=stored.inverted
-                            ),
-                            ssd._chunk_group_name(
-                                ftl.lookup(name).group, chunk
-                            ),
-                            stored.inverted,
-                        )
-                    )
-            except FlashFault:
-                stuck += 1
-            if stuck:
-                # The column cannot move whole: queue it for parity
-                # rebuild, or park it as stuck without parity.
-                if parity:
-                    self._queue_rebuild("column", chunk)
-                else:
-                    self.stats.pages_stuck += stuck
+        units = self._units(sick)
+        drained = any(kind == "column" for kind, _ in units)
+        for kind, key in units:
+            names = self._names(kind, key)
+            if not names:
                 continue
-            group = ftl.group_of_chunk(chunk) if parity else None
-            dest = self._move(sick, pages, healthy, group, best_effort)
-            if dest is not None:
-                ftl.remap_chunk(chunk, dest)
+            try:
+                pages = self._pages(kind, key, names, sick)
+            except (FlashFault, KeyError):
+                if ssd.parity:
+                    self._queue_rebuild(kind, key)
+                else:
+                    self.stats.pages_stuck += len(names)
+                continue
+            if self._place(kind, key, sick, pages, healthy):
                 self.stats.pages_migrated += len(pages)
-        drained_parity = parity and self._drain_parity_pages(
-            sick, healthy, best_effort
-        )
-        if columns or drained_parity:
+                drained = True
+        if drained:
             self.stats.chips_drained += 1
         # Reclaim the drained chip's now-dead blocks so it returns
-        # from probation with free space -- unless the chip is
-        # fail-stopped, where copyback/erase would only raise.
-        if ssd.chips[sick].offline:
-            jobs: list[StageJob] = []
-        else:
-            jobs = self.collect(sick, ready_at_s=ready_at_s)
+        # from probation with free space.
+        jobs = self.collect(sick, ready_at_s=ready_at_s)
         return self._background_jobs(busy_before, ready_at_s, jobs, sick)
 
     def _check_chips(self, argument: str, chips) -> None:
@@ -565,20 +528,126 @@ class MaintenanceManager:
         self, healthy: list[int], group: int | None
     ) -> list[int]:
         """The one placement rule of every move, as the order in which
-        the healthy chips are tried: least loaded first, index order on
-        ties.  Given a rotation ``group``, chips holding none of its
-        pages (its data chunks' chips and its parity chip) come first,
-        so one chip loss costs the group one page.  The page being
-        moved sits on a chip outside ``healthy``, so one set serves a
-        column and a parity page."""
+        the online healthy chips are tried: least loaded first, index
+        order on ties.  Given a rotation ``group``, chips holding none
+        of its pages (its data chunks' chips and its parity chip) come
+        first, so one chip loss costs the group one page.  The unit
+        being moved sits on a chip outside ``healthy``, so one set
+        serves a column and a parity group."""
         ftl = self.ssd.ftl
         taken = set()
         if group is not None:
             taken = {ftl.parity_chip(group)}
             taken.update(map(ftl.chip_of_chunk, ftl.group_data_chunks(group)))
+        online = [h for h in healthy if not self.ssd.chips[h].offline]
         return sorted(
-            healthy, key=lambda h: (h in taken, ftl.live_pages(h), h)
+            online, key=lambda h: (h in taken, ftl.live_pages(h), h)
         )
+
+    def _units(self, chip: int) -> list[tuple[str, int]]:
+        """The units ``chip`` holds, in drain order: ``("column",
+        chunk)`` by chunk, then ``("parity", group)`` by group -- the
+        entries :attr:`pending_rebuild` queues."""
+        ftl = self.ssd.ftl
+        chunks = {
+            placement.chunk
+            for name in ftl.vectors()
+            for placement in ftl.lookup(name).placements
+            if placement.chip == chip
+        }
+        homes = ftl.parity_placements()
+        groups = sorted(g for g in homes if homes[g] == chip)
+        return [("column", c) for c in sorted(chunks)] + [
+            ("parity", g) for g in groups
+        ]
+
+    def _names(self, kind: str, key: int) -> list[str]:
+        """The vectors with a page in one unit: those long enough to
+        reach the column, or the parity group's first chunk."""
+        ftl = self.ssd.ftl
+        first = key if kind == "column" else key * ftl.parity_group_size
+        return [n for n in ftl.vectors() if first < ftl.lookup(n).n_chunks]
+
+    def _pages(
+        self, kind: str, key: int, names: list[str], source: int | None = None
+    ) -> list[tuple[str, np.ndarray, str | None, bool]]:
+        """Every page of one unit as ``(operand, logical bits, string
+        group, inverse)``, built before anything is written.  With a
+        ``source`` chip the bits are read off it; without one they are
+        re-derived from survivors: a column's by parity reconstruction,
+        a parity page as the XOR of its group's data chunks.  An
+        inverted operand's logical bits are re-inverted physically on
+        the destination, preserving its template congruence."""
+        ssd = self.ssd
+        ftl = ssd.ftl
+        pages = []
+        for name in names:
+            record = ftl.lookup(name)
+            if kind == "column":
+                operand = ssd._chunk_operand_name(name, key)
+                string_group = ssd._chunk_group_name(record.group, key)
+                inverse = record.inverted
+            else:
+                operand = ssd._parity_operand_name(name, key)
+                string_group = ssd._parity_group_name(record.group, key)
+                inverse = False
+            if source is not None:
+                bits = self._read(source, operand)
+            elif kind == "column":
+                bits = ssd.reconstruct_chunk_bits(name, key)
+            else:
+                members = [
+                    self._read(
+                        ftl.chip_of_chunk(c), ssd._chunk_operand_name(name, c)
+                    )
+                    for c in ftl.group_data_chunks(key)
+                    if c < record.n_chunks
+                ]
+                bits = np.bitwise_xor.reduce(np.vstack(members), axis=0)
+            pages.append((operand, bits, string_group, inverse))
+        return pages
+
+    def _read(self, chip: int, operand: str) -> np.ndarray:
+        """One stored operand's logical bits (polarity restored).  A
+        page on a stuck bad block raises without a sense: the probe
+        is side-effect free, and the read would count a fault."""
+        controller = self.ssd.controllers[chip]
+        stored = controller.stored(operand)
+        injector = self.ssd.fault_injector
+        if injector is not None and injector.has_bad_block(
+            chip, stored.address
+        ):
+            raise BadBlockFault(
+                f"{operand!r} sits on a bad block", address=stored.address
+            )
+        return controller.chip.read_page(
+            stored.address, inverse=stored.inverted
+        )
+
+    def _place(
+        self,
+        kind: str,
+        key: int,
+        source: int,
+        pages: list[tuple[str, np.ndarray, str | None, bool]],
+        healthy: list[int],
+    ) -> bool:
+        """Move one unit's pages off ``source`` (:meth:`_move`) and
+        commit the move in the FTL: ``remap_chunk`` for a column,
+        ``set_parity_chip`` for a parity group.  Returns whether the
+        unit moved; a parked one leaves the FTL as it was."""
+        ftl = self.ssd.ftl
+        group = None
+        if self.ssd.parity:
+            group = ftl.group_of_chunk(key) if kind == "column" else key
+        dest = self._move(source, pages, healthy, group)
+        if dest is None:
+            return False
+        if kind == "column":
+            ftl.remap_chunk(key, dest)
+        else:
+            ftl.set_parity_chip(key, dest)
+        return True
 
     def _move(
         self,
@@ -586,109 +655,54 @@ class MaintenanceManager:
         pages: list[tuple[str, np.ndarray, str | None, bool]],
         healthy: list[int],
         group: int | None,
-        best_effort: bool = False,
     ) -> int | None:
         """Program every ``(operand, logical bits, string group,
-        inverse)`` page on the first :meth:`_destinations` chip with
-        room for all of them, then unregister them all on ``source``;
-        returns the destination.  The move is all or nothing: when no
-        chip has room it raises ``AllocationError`` before the first
-        write (or, ``best_effort``, counts the pages stuck and returns
-        ``None``), and a write that raises unregisters the pages
-        already written on the destination (the rollback of a failed
-        multi-chunk write) and re-raises, leaving the source as it
-        was.  The caller commits the move in the FTL (``remap_chunk``
-        for a column, ``set_parity_chip`` for a parity group)."""
+        inverse)`` page on the first :meth:`_destinations` chip that
+        takes all of them, then unregister them all on ``source``;
+        returns the destination.  The move is all or nothing: a chip
+        without room (``check_room``) is skipped before its first
+        write, and a write that fails unregisters the pages already
+        written there (they stay programmed, dead, for GC) before the
+        next chip is tried.  When no chip takes the unit, the source
+        is left as it was, the pages are counted stuck and ``None`` is
+        returned."""
         groups = [string_group for _, _, string_group, _ in pages]
-        error = AllocationError("no healthy chip to move to")
         for dest in self._destinations(healthy, group):
             dst_ctrl = self.ssd.controllers[dest]
             try:
                 dst_ctrl.check_room(groups)
-                break
-            except AllocationError as full:
-                error = full
-        else:
-            if not best_effort:
-                raise error
-            self.stats.pages_stuck += len(pages)
-            return None
-        written: list[str] = []
-        try:
-            for operand, bits, string_group, inverse in pages:
-                dst_ctrl.fc_write(
-                    operand, bits, group=string_group, inverse=inverse
-                )
-                written.append(operand)
-        except Exception:
-            for operand in written:
-                dst_ctrl.directory.unregister(operand)
-            raise
-        src_dir = self.ssd.controllers[source].directory
-        for operand, *_ in pages:
-            src_dir.unregister(operand)
-        return dest
-
-    def _read(self, chip: int, operand: str) -> np.ndarray:
-        """One stored operand's logical bits (polarity restored)."""
-        controller = self.ssd.controllers[chip]
-        stored = controller.stored(operand)
-        return controller.chip.read_page(
-            stored.address, inverse=stored.inverted
-        )
+            except AllocationError:
+                continue
+            written: list[str] = []
+            try:
+                for operand, bits, string_group, inverse in pages:
+                    dst_ctrl.fc_write(
+                        operand, bits, group=string_group, inverse=inverse
+                    )
+                    written.append(operand)
+            except Exception as error:
+                for operand in written:
+                    dst_ctrl.directory.unregister(operand)
+                if not isinstance(error, FlashFault):
+                    raise
+                continue
+            src_dir = self.ssd.controllers[source].directory
+            for operand, *_ in pages:
+                src_dir.unregister(operand)
+            return dest
+        self.stats.pages_stuck += len(pages)
+        return None
 
     # ------------------------------------------------------------------
     # Parity rebuild (rebuild-on-repair)
     # ------------------------------------------------------------------
 
     def _queue_rebuild(self, kind: str, key: int) -> None:
-        """Enqueue one lost column/parity page for rebuild, once."""
+        """Enqueue one lost unit for rebuild, once."""
         entry = (kind, key)
         if entry not in self._rebuild_queued:
             self._rebuild_queued.add(entry)
             self.pending_rebuild.append(entry)
-
-    def _drain_parity_pages(
-        self, sick: int, healthy: list[int], best_effort: bool
-    ) -> bool:
-        """Move (or queue for rebuild, or park) every parity page
-        recorded on the sick chip, each group's pages whole."""
-        ssd = self.ssd
-        ftl = ssd.ftl
-        moved_any = False
-        for group, pchip in sorted(ftl.parity_placements().items()):
-            if pchip != sick:
-                continue
-            first = group * ftl.parity_group_size
-            names = [
-                n for n in ftl.vectors() if first < ftl.lookup(n).n_chunks
-            ]
-            if not names:
-                continue
-            pages: list[tuple[str, np.ndarray, str | None, bool]] = []
-            try:
-                for name in names:
-                    pname = ssd._parity_operand_name(name, group)
-                    pages.append(
-                        (
-                            pname,
-                            self._read(sick, pname),
-                            ssd._parity_group_name(
-                                ftl.lookup(name).group, group
-                            ),
-                            False,
-                        )
-                    )
-            except (FlashFault, KeyError):
-                self._queue_rebuild("parity", group)
-                continue
-            dest = self._move(sick, pages, healthy, group, best_effort)
-            if dest is None:
-                continue
-            ftl.set_parity_chip(group, dest)
-            self.stats.pages_migrated += len(pages)
-            moved_any = True
-        return moved_any
 
     def rebuild_cycle(
         self,
@@ -698,98 +712,48 @@ class MaintenanceManager:
     ) -> list[StageJob]:
         """One rebuild pacing decision (the service calls this per
         window, like :meth:`run_cycle` for GC): re-materialize up to
-        ``rebuild_columns_per_cycle`` queued columns/parity pages from
-        parity onto healthy chips.  Reconstruction reads and the
-        re-writes are charged as background jobs on the chips that
-        performed them, so rebuild traffic competes with foreground
-        queries in the event simulation exactly like GC copyback.  An
-        entry whose reconstruction fails (double fault) is dropped and
-        counted stuck rather than looping forever.  A ``healthy`` entry
-        that is no chip index is refused up front."""
+        ``rebuild_columns_per_cycle`` queued units from parity onto
+        healthy chips.  Reconstruction reads and the re-writes are
+        charged as background jobs on the chips that performed them,
+        so rebuild traffic competes with foreground queries in the
+        event simulation exactly like GC copyback.  With no healthy
+        chip online the queue waits.  A ``healthy`` entry that is no
+        chip index is refused up front."""
         ssd = self.ssd
         if healthy is None:
             healthy = list(range(len(ssd.chips)))
         self._check_chips("healthy", healthy)
         if not self.pending_rebuild:
             return []
-        healthy = [h for h in healthy if not ssd.chips[h].offline]
-        if not healthy:
+        if not [h for h in healthy if not ssd.chips[h].offline]:
             return []
         busy_before = [c.counters.busy_us for c in ssd.chips]
-        done = 0
-        while self.pending_rebuild and done < self.config.rebuild_columns_per_cycle:
+        budget = self.config.rebuild_columns_per_cycle
+        for _ in range(min(len(self.pending_rebuild), budget)):
             kind, key = self.pending_rebuild.pop(0)
             self._rebuild_queued.discard((kind, key))
-            done += 1
-            try:
-                rebuilt = self._rebuild(kind, key, healthy)
-            except (
-                ReconstructionError,
-                FlashFault,
-                AllocationError,
-                KeyError,
-            ):
-                self.stats.pages_stuck += 1
-                continue
-            if rebuilt:
+            if self._rebuild(kind, key, healthy):
                 self.stats.columns_rebuilt += 1
         return self._background_jobs(busy_before, ready_at_s, [])
 
     def _rebuild(self, kind: str, key: int, healthy: list[int]) -> bool:
-        """Re-materialize one lost data column (``kind == "column"``,
-        ``key`` its chunk: each page is the XOR of surviving peers +
-        parity) or one rotation group's parity pages (``key`` the
-        group: each the XOR of its data chunks) on one healthy chip,
-        then commit the move in the FTL (generation bump -- the same
-        invalidation contract as a probation drain)."""
+        """Re-materialize one unit lost with a dead chip from
+        survivors (:meth:`_pages` with no source) and place it
+        (:meth:`_place`): the same move, and the same invalidation
+        contract, as a probation drain.  A unit already drained or
+        re-mapped since it was queued is skipped; one whose pages
+        cannot be rebuilt (a double fault) is parked, its pages
+        counted stuck, rather than looping forever."""
         ssd = self.ssd
         ftl = ssd.ftl
+        names = self._names(kind, key)
         column = kind == "column"
-        group = ftl.group_of_chunk(key) if column else key
-        first = key if column else group * ftl.parity_group_size
-        names = [n for n in ftl.vectors() if first < ftl.lookup(n).n_chunks]
-        if not names:
+        home = ftl.chip_of_chunk(key) if column else ftl.parity_chip(key)
+        if not names or home is None or not ssd.chips[home].offline:
             return False
-        current = ftl.chip_of_chunk(key) if column else ftl.parity_chip(key)
-        if current is None or not ssd.chips[current].offline:
-            # Already drained or re-mapped since it was queued.
+        try:
+            pages = self._pages(kind, key, names)
+        except (FlashFault, KeyError):
+            self.stats.pages_stuck += len(names)
             return False
-        # Rebuild every page before writing anything: a double fault
-        # surfaces here and leaves no half-column behind.
-        pages: list[tuple[str, np.ndarray, str | None, bool]] = []
-        for name in names:
-            record = ftl.lookup(name)
-            if column:
-                # Logical bits re-inverted physically on the
-                # destination, preserving the template congruence of
-                # inverted operands.
-                pages.append(
-                    (
-                        ssd._chunk_operand_name(name, key),
-                        ssd.reconstruct_chunk_bits(name, key),
-                        ssd._chunk_group_name(record.group, key),
-                        record.inverted,
-                    )
-                )
-                continue
-            members = [
-                self._read(
-                    ftl.chip_of_chunk(c), ssd._chunk_operand_name(name, c)
-                )
-                for c in ftl.group_data_chunks(group)
-                if c < record.n_chunks
-            ]
-            pages.append(
-                (
-                    ssd._parity_operand_name(name, group),
-                    np.bitwise_xor.reduce(np.vstack(members), axis=0),
-                    ssd._parity_group_name(record.group, group),
-                    False,
-                )
-            )
-        dest = self._move(current, pages, healthy, group)
-        if column:
-            ftl.remap_chunk(key, dest)
-        else:
-            ftl.set_parity_chip(key, dest)
-        return True
+        return self._place(kind, key, home, pages, healthy)

@@ -528,9 +528,10 @@ class TestDrain:
 
     def test_a_column_that_does_not_fit_moves_nothing(self):
         """Chip 1 has one free sub-block, and chip 0's column spans
-        three string groups: the drain must fail before it writes any
-        of it, leaving every page where it was and chip 1's free
-        sub-blocks and string-group cursors as they were."""
+        three string groups: the drain parks the column before it
+        writes any of it, counts its pages stuck and moves on, leaving
+        every page where it was and chip 1's free sub-blocks and
+        string-group cursors as they were."""
         tiny = GEOMETRY.scaled(blocks_per_plane=2)
         ssd = SmallSsd(n_chips=2, geometry=tiny)
         rng = np.random.default_rng(0)
@@ -544,8 +545,10 @@ class TestDrain:
         directories = [dict(c.directory.operands) for c in ssd.controllers]
         dest = ssd.controllers[1]
         free, cursors = dest.free_subblocks(), dict(dest._group_cursor)
-        with pytest.raises(AllocationError):
-            ssd.maintenance().drain_chip(0)
+        mgr = ssd.maintenance()
+        mgr.drain_chip(0)
+        assert mgr.stats.pages_stuck == len(env)
+        assert mgr.stats.pages_migrated == 0
         assert dest.free_subblocks() == free
         assert dest._group_cursor == cursors
         for name, bits in env.items():
@@ -585,9 +588,10 @@ class TestDrain:
             np.testing.assert_array_equal(ssd.read_vector(name), bits)
 
     def test_a_best_effort_drain_parks_a_column_that_fits_nowhere(self):
-        """The same squeeze as above with no room anywhere: a best-effort
-        drain leaves the column on the sick chip, counts its pages
-        stuck, and moves on; the strict one raises."""
+        """The same squeeze as above with no room anywhere: every drain
+        is best effort, so it leaves the column on the sick chip, counts
+        its pages stuck, and moves on; draining again parks it again
+        rather than raising."""
         tiny = GEOMETRY.scaled(blocks_per_plane=2)
         ssd = SmallSsd(n_chips=2, geometry=tiny)
         rng = np.random.default_rng(0)
@@ -598,14 +602,80 @@ class TestDrain:
             env[name] = rng.integers(0, 2, 256, dtype=np.uint8)
             ssd.write_vector(name, env[name], group=group)
         mgr = ssd.maintenance()
-        mgr.drain_chip(0, best_effort=True)
+        mgr.drain_chip(0)
         assert mgr.stats.pages_stuck == len(env)
         assert mgr.stats.pages_migrated == 0
         assert ssd.ftl.chunk_overrides() == {}
         for name, bits in env.items():
             np.testing.assert_array_equal(ssd.read_vector(name), bits)
-        with pytest.raises(AllocationError):
-            mgr.drain_chip(0)
+        mgr.drain_chip(0)
+        assert mgr.stats.pages_stuck == 2 * len(env)
+        assert mgr.stats.pages_migrated == 0
+        assert ssd.ftl.chunk_overrides() == {}
+        for name, bits in env.items():
+            np.testing.assert_array_equal(ssd.read_vector(name), bits)
+
+
+class TestFailStop:
+    def test_gc_leaves_a_fail_stopped_chip_alone(self):
+        """Dead chip 0 sits below the GC low watermark and holds a
+        sub-block of live and dead pages.  GC allocates no relocation
+        target there, and the dead die's error never leaves ``run()``:
+        the query is served exact by parity."""
+        ssd, env = _build(n_chips=3, n_vectors=4, parity=True)
+        ssd.delete_vector("v0")
+        del env["v0"]
+        ssd.kill_chip(0)
+        dead = ssd.controllers[0]
+        free = dead.free_subblocks()
+        config = MaintenanceConfig(
+            gc_low_watermark=free + 1, gc_high_watermark=free + 1
+        )
+        service = ssd.service(
+            window_us=120.0, maintenance=ssd.maintenance(config)
+        )
+        expr = And(Operand("v1"), Operand("v2"))
+        service.submit(expr, at_us=0.0)
+        report = service.run()
+        assert report.queries[0].error is None
+        np.testing.assert_array_equal(
+            report.queries[0].result.bits, evaluate(expr, env)
+        )
+        assert service.maintenance.stats.gc_cycles >= 1
+        assert dead.free_subblocks() == free
+
+    def test_a_drain_skips_a_fail_stopped_destination(self):
+        """Each chip holds one column, so dead chip 0 ties chip 2 for
+        least loaded and wins on index: the drain of chip 1 passes it
+        over, moves the column to chip 2, and leaves chip 0 as it
+        was."""
+        ssd, env = _build(n_chips=3, n_vectors=3, n_chunks=3)
+        ssd.kill_chip(0)
+        free = ssd.controllers[0].free_subblocks()
+        mgr = ssd.maintenance()
+        mgr.drain_chip(1, healthy=[0, 2])
+        assert ssd.ftl.chunk_overrides() == {1: 2}
+        assert mgr.stats.pages_migrated == len(env)
+        assert ssd.controllers[0].free_subblocks() == free
+        ssd.chips[0].offline = False
+        for name, bits in env.items():
+            np.testing.assert_array_equal(ssd.read_vector(name), bits)
+
+    def test_a_rebuild_that_fails_counts_the_units_pages_stuck(self):
+        """Chips 0 and 1 hold both data chunks of rotation group 0: a
+        double fault.  Column 0 cannot be rebuilt, so it leaves the
+        queue parked and every page of it counts stuck."""
+        ssd, env = _build(n_chips=3, n_vectors=4, parity=True)
+        ssd.kill_chip(0)
+        ssd.kill_chip(1)
+        mgr = ssd.maintenance()
+        mgr.drain_chip(0, healthy=[2])
+        assert mgr.pending_rebuild == [("column", 0)]
+        mgr.rebuild_cycle()
+        assert mgr.pending_rebuild == []
+        assert mgr.stats.pages_stuck == len(env)
+        assert mgr.stats.columns_rebuilt == 0
+        assert ssd.ftl.chunk_overrides() == {}
 
 
 class TestServiceIntegration:
