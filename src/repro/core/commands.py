@@ -72,8 +72,8 @@ class MwsCommand:
     #: recursive hash (the engine interns every plan it binds by its
     #: steps, whose hash covers every command).  Resolving the command
     #: (:meth:`~repro.flash.chip.NandFlashChip.resolve`) is split:
-    #: ``_rows`` is the half every chip shares, ``(geometry, per-target
-    #: row indices, profile)``; ``_resolved`` maps chip -> its half.
+    #: ``_rows`` is the half every chip shares, ``(geometry, profile,
+    #: address rows)``; ``_resolved`` maps chip -> its half.
     _hash: int | None = field(
         default=None, init=False, repr=False, compare=False
     )

@@ -415,9 +415,11 @@ class MwsExecutor:
                 # command's blocks; read them back off the command
                 # instead of resolving each address again.
                 reads = tuple(
-                    (block, len(block_rows))
+                    pair
                     for command in infos[index][3]
-                    for block, block_rows in command._resolved[chip][1]
+                    for pair in zip(
+                        command._resolved[chip][1], command._rows[1]
+                    )
                 )
                 plan_rows[index] = rows
                 store(index, rows, reads)

@@ -25,14 +25,22 @@ Cell state lives in **two representations** (see
   idealized mean-valued distributions only when something asks for it
   (read-retry VREF offsets, V_TH introspection).
 
+A chip's functional plane is one ``uint64`` *slab*
+(:class:`~repro.flash.array.PlaneArray`): every materialized block's
+packed rows, each block's rows a view of it, plus a map from every
+address row of the chip to its slab row.  The slab grows by doubling
+and re-points those views, so nothing holds one across a
+materialization.
+
 On top of the per-sense fast path sits a *batched* execution plane
 (:meth:`~repro.flash.sensing.SensingEngine.sense_batch_stacks`,
 :meth:`~repro.flash.latches.LatchBank.capture_batch`,
 :meth:`~repro.flash.chip.NandFlashChip.execute_sense_batch`): a whole
-queue of MWS commands stacks its packed operand rows into 3-D
-``uint64`` tensors (grouped by per-block wordline-count profile) and
-evaluates every string-group AND / inter-block OR -- and the latch
-protocol of every plan -- with a handful of word-wide NumPy calls.
+queue of MWS commands gathers its packed operand rows off the slab
+into 3-D ``uint64`` tensors (one gather per per-block wordline-count
+profile) and evaluates every string-group AND / inter-block OR -- and
+the latch protocol of every plan -- with a handful of word-wide NumPy
+calls.
 The batch plane engages only where the packed fast path does (error
 injection off, no VREF offset); error-injecting senses stay strictly
 per sense on the V_TH oracle, and batch results are bit-identical to

@@ -16,10 +16,15 @@ representations of its cells:
 
 ``PlaneArray`` lazily materializes blocks so a realistically sized
 plane (2,048 blocks) costs memory only for the blocks a test touches.
+It keeps every materialized block's packed rows in one ``uint64``
+*slab* per chip, so a batch of senses gathers its operand rows with one
+``take`` over the slab (:meth:`PlaneArray.gather`) however many blocks
+they come from.
 """
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,8 +111,14 @@ class BlockArray:
         n_bl = geometry.page_size_bits
         self._n_words = words_per_page(n_bl)
         #: Packed functional plane: one row of uint64 words per
-        #: wordline, padding bits held at one (the erased state).
-        self._packed = np.empty((n_wl, self._n_words), dtype=np.uint64)
+        #: wordline, padding bits held at one (the erased state).  A
+        #: block of a plane is a view of the plane's slab, re-pointed
+        #: when the slab grows: never hold it across a materialization.
+        self._packed = (
+            np.empty((n_wl, self._n_words), dtype=np.uint64)
+            if owner is None
+            else owner._claim(self)
+        )
         self._vth: np.ndarray | None = None
         #: MLC state indices, allocated on first MLC program (the
         #: functional hot path never touches them).
@@ -360,17 +371,6 @@ class BlockArray:
         sensing fast path operates directly on these)."""
         return self._packed[rows]
 
-    def gather_packed_rows(self, rows: np.ndarray, out: np.ndarray) -> None:
-        """:meth:`packed_rows` copied straight into ``out`` (the
-        batched sensing kernel's slot of a group tensor).  ``rows``
-        must already be valid wordline indices -- resolving a sense
-        (:meth:`~repro.flash.chip.NandFlashChip.resolve`) rejects any
-        other --
-        because the gather indexes in ``wrap`` mode: NumPy's default
-        ``raise`` mode fills a temporary first and copies it over,
-        which is the second copy this method exists to avoid."""
-        self._packed.take(rows, axis=0, out=out, mode="wrap")
-
     def stored_rows(self, rows: np.ndarray) -> np.ndarray:
         """Unpacked 0/1 pages of the selected wordlines."""
         return unpack_rows(
@@ -406,9 +406,38 @@ class BlockArray:
         self.reads_since_erase += count
 
 
+#: Blocks the first slab of a plane holds.  Mapped, not written, rows
+#: cost no memory, and a growth copies every row, so the slab starts
+#: big enough that small chips never grow.
+FIRST_BLOCKS = 8
+
+
+def first_row(geometry: ChipGeometry, address) -> int:
+    """The chip-wide *address row* of wordline 0 of ``address``'s
+    sub-block (any address carrying plane / block / subblock): sub-blocks
+    plane-major, ``wordlines_per_string`` rows each."""
+    return (
+        (address.plane * geometry.blocks_per_plane + address.block)
+        * geometry.subblocks_per_block
+        + address.subblock
+    ) * geometry.wordlines_per_string
+
+
 @dataclass
 class PlaneArray:
-    """Lazy map from block address to materialized :class:`BlockArray`."""
+    """Lazy map from block address to materialized :class:`BlockArray`,
+    their packed rows held in one slab.
+
+    The slab is one ``(rows, words)`` ``uint64`` array over an anonymous
+    ``mmap``: each materialized block owns ``wordlines_per_string``
+    consecutive rows, in materialization order, and its ``_packed`` is
+    a view of them.  The slab grows by doubling (from
+    :data:`FIRST_BLOCKS` blocks, up to the chip's), copying the rows and
+    re-pointing every block's view, so nothing may hold a ``_packed``
+    view across a materialization.  ``row_of`` maps every address row
+    (:func:`first_row` plus the wordline) to its slab row, ``-1`` for a
+    row of a block not materialized.  Rows are never freed: a block,
+    once materialized, stays."""
 
     geometry: ChipGeometry
     calibration: FlashCalibration = field(default_factory=lambda: DEFAULT_CALIBRATION)
@@ -417,6 +446,66 @@ class PlaneArray:
     _blocks: dict[BlockAddress, BlockArray] = field(default_factory=dict)
     #: Sum of every block's ``layout_version``, kept by the blocks.
     _layout_sum: int = 0
+    slab: np.ndarray = field(init=False, repr=False)
+    row_of: np.ndarray = field(init=False, repr=False)
+    #: The materialized blocks in slab order.
+    _resident: list[BlockArray] = field(
+        init=False, repr=False, default_factory=list
+    )
+
+    def __post_init__(self) -> None:
+        g = self.geometry
+        self.slab = np.empty(
+            (0, words_per_page(g.page_size_bits)), dtype=np.uint64
+        )
+        self.row_of = np.full(
+            g.planes_per_die
+            * g.blocks_per_plane
+            * g.subblocks_per_block
+            * g.wordlines_per_string,
+            -1,
+            dtype=np.intp,
+        )
+
+    def _claim(self, block: BlockArray) -> np.ndarray:
+        """Slab rows for a block being materialized: its ``_packed``.
+        The first slab holds :data:`FIRST_BLOCKS` blocks, each growth
+        doubles it, and none outgrows the chip."""
+        n_wl = self.geometry.wordlines_per_string
+        start = len(self._resident) * n_wl
+        if start + n_wl > len(self.slab):
+            self._grow(
+                min(
+                    len(self.row_of),
+                    max(FIRST_BLOCKS * n_wl, 2 * len(self.slab)),
+                )
+            )
+        self._resident.append(block)
+        first = first_row(self.geometry, block.address)
+        self.row_of[first : first + n_wl] = range(start, start + n_wl)
+        return self.slab[start : start + n_wl]
+
+    def _grow(self, capacity: int) -> None:
+        """Move the slab to ``capacity`` rows.  An anonymous map, not
+        ``np.empty``: its pages cost memory only once written, and it
+        takes no huge-page advice, so a doubled slab's unused half is
+        free."""
+        n_wl, n_words = self.geometry.wordlines_per_string, self.slab.shape[1]
+        buffer = mmap.mmap(-1, capacity * n_words * 8)
+        slab = np.frombuffer(buffer, dtype=np.uint64).reshape(
+            capacity, n_words
+        )
+        used = len(self._resident) * n_wl
+        slab[:used] = self.slab[:used]
+        self.slab = slab
+        for index, block in enumerate(self._resident):
+            block._packed = slab[index * n_wl : (index + 1) * n_wl]
+
+    def gather(self, rows: np.ndarray) -> np.ndarray:
+        """The packed words of address ``rows`` (materialized blocks
+        only: an unmaterialized row reads ``-1``, the slab's last
+        row), one row each, in one ``take``."""
+        return self.slab.take(self.row_of[rows], axis=0)
 
     def block(self, address: BlockAddress) -> BlockArray:
         block = self._blocks.get(address)

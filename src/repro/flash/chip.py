@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.flash.array import BlockArray, PlaneArray
+from repro.flash.array import BlockArray, PlaneArray, first_row
 from repro.flash.calibration import DEFAULT_CALIBRATION, FlashCalibration
 from repro.flash.errors import (
     BadBlockFault,
@@ -60,17 +60,20 @@ from repro.flash.timing import TimingModel
 
 def validate_targets(targets, geometry: ChipGeometry) -> int:
     """Check one MWS target list against ``geometry`` (non-empty, one
-    plane, valid addresses, non-empty wordline sets); returns the
+    plane, valid addresses, non-empty in-range wordline sets); returns the
     plane.  Every sense path runs it, so all reject the same ones."""
     if not targets:
         raise ValueError("sense requires at least one target")
     planes = {block.plane for block, _ in targets}
     if len(planes) != 1:
         raise ValueError("one sense operation targets a single plane")
+    n_wordlines = geometry.wordlines_per_string
     for address, wordlines in targets:
         address.validate(geometry)
         if not wordlines:
             raise ValueError("empty wordline set for a target block")
+        if not 0 <= min(wordlines) <= max(wordlines) < n_wordlines:
+            raise IndexError(f"wordline out of range in {wordlines}")
     return planes.pop()
 
 
@@ -161,10 +164,10 @@ class NandFlashChip:
         #: offline chip never serves again.
         self.offline = False
         #: Validity token of the batched path's per-command resolution
-        #: memo.  :meth:`resolve` pins ``chip -> (token, per-block
-        #: (block, row indices) source, per-block layout versions)`` on
-        #: each command it resolves (one plan serves every chip holding
-        #: its operands at the same place), so the chip half -- the
+        #: memo.  :meth:`resolve` pins ``chip -> (token, target
+        #: blocks, per-block layout versions)`` on each command it
+        #: resolves (one plan serves every chip holding its operands
+        #: at the same place), so the chip half -- the
         #: bad-block probe, block lookup and metadata scan -- runs once
         #: per command and chip, revalidated only when a target block's
         #: ``layout_version`` moves (program/erase).  The memo dies
@@ -239,11 +242,7 @@ class NandFlashChip:
         return duration
 
     def page_index(self, address: WordlineAddress) -> int:
-        g = self.geometry
-        block_linear = (
-            address.plane * g.blocks_per_plane + address.block
-        ) * g.subblocks_per_block + address.subblock
-        return block_linear * g.wordlines_per_string + address.wordline
+        return first_row(self.geometry, address) + address.wordline
 
     def program_page(
         self,
@@ -600,57 +599,68 @@ class NandFlashChip:
                 "plane; an error-injecting chip senses one command at "
                 "a time through execute_sense"
             )
-        sources: list[tuple] = []
+        rows: list[np.ndarray] = []
         profiles: list[tuple[int, ...]] = []
-        for source, profile in map(self.resolve, commands):
-            for (block, _), n_wordlines in zip(source, profile):
+        for blocks, shared in map(self.resolve, commands):
+            profile = shared[1]
+            for block, n_wordlines in zip(blocks, profile):
                 block.note_read(n_wordlines)
-            sources.append(source)
+            rows.append(shared[2])
             profiles.append(profile)
-        return self.sensing.sense_batch_stacks(sources, profiles)
+        return self.sensing.sense_batch_stacks(
+            self.plane_array, rows, profiles
+        )
 
     def resolve(
         self, command: "MwsCommand"
-    ) -> tuple[tuple[tuple[BlockArray, np.ndarray], ...], tuple[int, ...]]:
+    ) -> tuple[tuple[BlockArray, ...], tuple]:
         """Where this chip finds one MWS command's operand rows:
-        ``(source, profile)``, per target ``(block, row indices)``.
-        The half that depends on the command and the geometry alone
-        (:func:`validate_targets`, sorted row indices, profile) is built
-        once for every chip; this chip's half (bad-block probe, block
-        lookup, the scalar path's metadata scan) is memoized per chip
-        (see ``_resolve_token``).  Nothing is read: a queue may resolve
-        before any chip state moves."""
+        ``(blocks, shared)``, the target blocks' live arrays and the
+        command's chip-independent half ``(geometry, profile, address
+        rows)`` -- per target its wordline count, and every target's
+        sorted address rows (:func:`~repro.flash.array.first_row` plus
+        the wordline), target by target, as one frozen array.  The
+        shared half (:func:`validate_targets` included) is built once
+        for every chip; this chip's half (bad-block probe, block
+        lookup, which materializes the blocks, the scalar path's
+        metadata scan) is memoized per chip (see ``_resolve_token``).
+        Nothing is read: a queue may resolve before any chip state
+        moves."""
         memo = command._resolved
         cached = None if memo is None else memo.get(self)
         token = self._resolve_token
         if cached is not None and cached[0] is token:
-            for (block, _), version in zip(cached[1], cached[2]):
+            for block, version in zip(cached[1], cached[2]):
                 if block.layout_version != version:
                     break
             else:
-                return cached[1], command._rows[2]
+                return cached[1], command._rows
         targets, geometry = command.targets, self.geometry
         shared = command._rows
         if shared is None or (
             shared[0] is not geometry and shared[0] != geometry
         ):
             validate_targets(targets, geometry)
-            rows = tuple(SensingEngine._rows(w) for _, w in targets)
-            shared = (geometry, rows, tuple(map(len, rows)))
+            rows = np.concatenate(
+                [
+                    first_row(geometry, address) + SensingEngine._rows(w)
+                    for address, w in targets
+                ]
+            )
+            rows.setflags(write=False)
+            shared = (geometry, tuple(len(w) for _, w in targets), rows)
             object.__setattr__(command, "_rows", shared)
-        _, rows, profile = shared
-        blocks = [self._target_block(address) for address, _ in targets]
+        blocks = tuple([self._target_block(address) for address, _ in targets])
         scan = self.sensing._scan_metadata
         for block, (_, wordlines) in zip(blocks, targets):
             scan(block, tuple(wordlines))
-        source = tuple(zip(blocks, rows))
         versions = tuple([block.layout_version for block in blocks])
-        cached = (token, source, versions)
+        cached = (token, blocks, versions)
         if memo is None:  # one entry per chip: no thrash
             object.__setattr__(command, "_resolved", {self: cached})
         else:
             memo[self] = cached
-        return source, profile
+        return blocks, shared
 
     def execute_sense_batch_vth(self, commands, **kwargs):
         """Retired: an error-injecting or margin sense walks, one

@@ -21,13 +21,15 @@ query engine only draws inside the owning chip's drain.  Sense-attempt
 draws never depend on sensed data, so their order is fixed by one
 function, :meth:`FaultInjector.attempt_draws` -- per plan, per attempt:
 stall, then sense fault, stopping at the first clean attempt or when the
-retry budget is spent.  The batched drain runs it for a chip's whole
-queue up front, its uniforms drawn in blocks (the *attempt schedule*)
-and the scalar loop plan by plan; both consume the stream identically,
-so the draw sequence per chip is a pure function of that chip's schedule --
-identical in whatever order the chips drain and under either drain,
-which is what lets the chaos property suites compare batched and
-scalar runs bit for bit.
+retry budget is spent.  The batched drain draws a chip's whole queue up
+front (the *attempt schedule*, :meth:`FaultInjector.queue_attempt_draws`):
+its uniforms come in blocks, a clean first attempt is found by an
+array compare and only a plan whose first attempt faulted walks
+``attempt_draws``; the scalar loop walks plan by plan.  Both consume
+the stream identically, so the draw sequence per chip is a pure
+function of that chip's schedule -- identical in whatever order the
+chips drain and under either drain, which is what lets the chaos
+property suites compare batched and scalar runs bit for bit.
 
 An injector whose every rate is zero and whose bad-block set is empty
 is *inactive* (:attr:`FaultInjector.active` is ``False``): the chip and
@@ -39,13 +41,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import inf
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 
 from repro.flash.geometry import BlockAddress
 
-__all__ = ["FaultConfig", "FaultInjector", "RecoveryPolicy"]
+__all__ = ["AttemptSchedule", "FaultConfig", "FaultInjector", "RecoveryPolicy"]
 
 
 def _check_fields(config, counts: tuple, amounts: dict) -> None:
@@ -96,6 +98,23 @@ class FaultConfig:
             if isinstance(rate, bool) or not 0.0 <= rate <= 1.0:
                 raise ValueError(f"fault rate {rate} outside [0, 1]")
         _check_fields(self, ("seed",), {"stall_us": 0.0})
+
+
+class AttemptSchedule(NamedTuple):
+    """The attempt schedule of a queue of plans
+    (:meth:`FaultInjector.queue_attempt_draws`): per plan what its
+    :meth:`~FaultInjector.attempt_draws` would yield, kept whole only
+    for the plans whose first attempt faulted."""
+
+    #: Per plan, the attempts drawn: 1 for a clean first attempt.
+    attempts: list[int]
+    #: Per plan, the stall and backoff time up to its last attempt
+    #: (the last ``recovery_us`` its walk yields).
+    recovery_us: list[float]
+    #: Plan index -> its ``attempt_draws`` list, for every plan whose
+    #: first attempt faulted, in ascending plan order.  A plan whose
+    #: last attempt faulted too exhausted its retries.
+    walks: dict[int, list[tuple[bool, float]]]
 
 
 class FaultInjector:
@@ -216,25 +235,61 @@ class FaultInjector:
 
     def queue_attempt_draws(
         self, chip: int, policy: "RecoveryPolicy", n_plans: int
-    ) -> list[list[tuple[bool, float]]]:
-        """:meth:`attempt_draws` of ``n_plans`` plans in turn, as lists,
-        the uniforms drawn in ``rng.random(k)`` blocks: a block, drawn
-        at an attempt's start, holds only the draws certain to be
-        needed (this attempt's, one first attempt's per later plan), so
-        the stream ends where the plan-by-plan walk leaves it."""
-        draws = (self.config.stall_rate > 0) + (self.sense_rate(chip) > 0)
-        block: list[float] = []
+    ) -> AttemptSchedule:
+        """:meth:`attempt_draws` of ``n_plans`` plans in turn, as one
+        :class:`AttemptSchedule`, the uniforms drawn in
+        ``rng.random(k)`` blocks.  A block holds only the draws certain
+        to be needed -- one first attempt per plan not yet drawn, less
+        those already drawn -- and one compare over it finds the first
+        plan whose first attempt faults: the plans before it are clean
+        single attempts (their stalls counted in one go), and that plan
+        alone walks :meth:`attempt_draws` over the block's rest, then
+        over blocks drawn as the walk needs them.  Every uniform is
+        used where the plan-by-plan walk uses it, so the counts and the
+        stream end where that walk leaves them."""
+        stall_rate, rate = self.config.stall_rate, self.sense_rate(chip)
+        draws = (stall_rate > 0) + (rate > 0)
+        attempts = [1] * n_plans
+        recovery_us = [0.0] * n_plans
+        walks: dict[int, list[tuple[bool, float]]] = {}
+        if not (draws and n_plans):  # nothing can fault: nothing drawn
+            return AttemptSchedule(attempts, recovery_us, walks)
+        rng = self._rng(chip)
+        counts = self._counts[chip]
+        stalled_us = 0.0 + self.config.stall_us  # as the walk sums it
+        ahead: list[float] = []  # drawn and not yet used, in order
+        plan = 0
+        while plan < n_plans:
+            firsts = rng.random(draws * (n_plans - plan) - len(ahead))
+            if ahead:
+                firsts = np.concatenate((ahead, firsts))
+            firsts = firsts.reshape(-1, draws)
+            # A stall-only stream never faults: ``u < 0.0`` is false.
+            faulted = np.flatnonzero(firsts[:, -1] < rate)
+            clean = int(faulted[0]) if len(faulted) else len(firsts)
+            if stall_rate > 0:
+                stalls = np.flatnonzero(firsts[:clean, 0] < stall_rate)
+                counts["stalls"] += len(stalls)
+                for index in (stalls + plan).tolist():
+                    recovery_us[index] = stalled_us
+            plan += clean
+            if plan == n_plans:
+                break
+            rest = firsts[clean:].ravel().tolist()[::-1]
 
-        def uniform() -> float:
-            if not block:
-                k = draws * (n_plans - plan)
-                block.extend(self._rng(chip).random(k).tolist()[::-1])
-            return block.pop()
+            def uniform() -> float:
+                if not rest:  # this attempt's and one per later plan
+                    k = draws * (n_plans - plan)
+                    rest.extend(rng.random(k).tolist()[::-1])
+                return rest.pop()
 
-        schedules = []
-        for plan in range(n_plans):  # ``uniform`` reads ``plan``
-            schedules.append(list(self.attempt_draws(chip, policy, uniform)))
-        return schedules
+            walk = list(self.attempt_draws(chip, policy, uniform))
+            walks[plan] = walk
+            attempts[plan] = len(walk)
+            recovery_us[plan] = walk[-1][1]
+            plan += 1
+            ahead = rest[::-1]
+        return AttemptSchedule(attempts, recovery_us, walks)
 
     def draw_program_fault(self, chip: int) -> bool:
         if self.config.program_fault_rate <= 0.0:

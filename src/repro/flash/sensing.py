@@ -34,10 +34,13 @@ Two evaluation paths implement the same semantics:
 
 On top of the per-sense fast path sits the batched plane, which
 evaluates a whole *queue* of error-free MWS operations at once.
-The chip resolves each operation to where its packed operand rows
-live (:meth:`~repro.flash.chip.NandFlashChip.resolve`);
+The chip resolves each operation to its address rows
+(:meth:`~repro.flash.chip.NandFlashChip.resolve`);
 :meth:`SensingEngine.sense_batch_stacks` gathers the rows of every
-resolved sense into one 3-D ``uint64`` tensor per group-size profile,
+resolved sense off the chip's slab (one ``uint64`` array holding every
+materialized block's packed rows, :class:`~repro.flash.array.PlaneArray`)
+into one 3-D ``uint64`` tensor per group-size profile, one ``take``
+per profile,
 and the string-group ANDs / inter-block ORs of the entire batch
 collapse into a handful of ``np.bitwise_and.reduce`` / ``bitwise_or``
 calls -- O(profiles) NumPy dispatches for O(senses) sensing
@@ -56,14 +59,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.flash.array import BlockArray
+from repro.flash.array import BlockArray, PlaneArray
 from repro.flash.errors import ErrorModel, OperatingCondition
 from repro.flash.ispp import ProgramMode
-from repro.flash.packing import (
-    pack_bits,
-    unpack_words,
-    words_per_page,
-)
+from repro.flash.packing import pack_bits, unpack_words
 
 
 class SenseMode(enum.Enum):
@@ -367,24 +366,28 @@ class SensingEngine:
 
     def sense_batch_stacks(
         self,
-        sources: list[tuple],
+        plane_array: PlaneArray,
+        rows: list[np.ndarray],
         profiles: list[tuple[int, ...]],
     ) -> np.ndarray:
         """Evaluate many resolved MWS operations in one vectorized
-        pass: ``sources[i]`` is one sense's ``(block, row indices)``
-        pairs and ``profiles[i]`` its per-block wordline counts
-        (:meth:`~repro.flash.chip.NandFlashChip.resolve`).  Returns one
-        packed, ones-padded ``uint64`` result row per sense, bit-identical to
+        pass over ``plane_array``'s slab: ``rows[i]`` is one sense's
+        address rows, target by target, and ``profiles[i]`` its
+        per-target wordline counts (both the command's shared half,
+        :meth:`~repro.flash.chip.NandFlashChip.resolve`, which also
+        materializes every target block).  Returns one packed,
+        ones-padded ``uint64`` result row per sense, bit-identical to
         ``inter_block_mws(senses[i], ...).words``.
 
         Senses are grouped by their *group-size profile*; each group
-        stacks its operand rows into one 3-D tensor and computes every
-        string-group AND and inter-block OR of the group with one
-        reduce per segment.  Validation and read-disturb accounting
-        are the caller's: the chip's batched entry point memoizes
-        resolution per command (revalidated via block
-        ``layout_version``), so steady-state windows pay only the row
-        gathers and the per-profile tensor reduces.  Only the packed
+        gathers its operand rows off the slab with one
+        :meth:`~repro.flash.array.PlaneArray.gather` into one 3-D
+        tensor and computes every string-group AND and inter-block OR
+        of the group with one reduce per segment.  Validation and
+        read-disturb accounting are the caller's: the chip's batched
+        entry point memoizes resolution per command (revalidated via
+        block ``layout_version``), so steady-state windows pay only
+        one gather and the reduces per profile.  Only the packed
         error-free plane can batch this way -- error injection and
         VREF offsets evaluate per cell through V_TH -- so an
         error-injecting engine raises rather than silently
@@ -394,7 +397,7 @@ class SensingEngine:
                 "sense_batch_stacks requires the packed error-free "
                 "plane; error injection evaluates through V_TH"
             )
-        n = len(sources)
+        n = len(rows)
         if n == 0:
             raise ValueError(
                 "sense_batch_stacks requires at least one sense"
@@ -406,23 +409,18 @@ class SensingEngine:
                 groups[profile] = [i]
             else:
                 group.append(i)
-        n_words = words_per_page(sources[0][0][0].geometry.page_size_bits)
+        n_words = plane_array.slab.shape[1]
         out = np.empty((n, n_words), dtype=np.uint64)
         self.restacked_tensors += len(groups)
         for profile, members in groups.items():
             total_rows = sum(profile)
-            # Every operand row is copied exactly once: gathered from
-            # its block straight into its slot of the group tensor.
-            tensor = np.empty(
-                (len(members), total_rows, n_words), dtype=np.uint64
-            )
-            for slot, i in enumerate(members):
-                lo = 0
-                for (block, rows), size in zip(sources[i], profile):
-                    block.gather_packed_rows(
-                        rows, tensor[slot, lo : lo + size]
-                    )
-                    lo += size
+            # Every operand row is copied exactly once: gathered off
+            # the slab straight into the group tensor.
+            tensor = plane_array.gather(
+                rows[members[0]]
+                if len(members) == 1
+                else np.concatenate([rows[i] for i in members])
+            ).reshape(len(members), total_rows, n_words)
             # Members ascend, so a gap-free group is a slice of ``out``
             # and reduces in place; a scattered one reduces into a
             # temporary that is stored by index.

@@ -180,11 +180,13 @@ class MaintenanceManager:
         #: Rebuild queue of units: ``("column", chunk)`` for a lost data
         #: column, ``("parity", group)`` for a group's lost parity pages.
         #: Filled by :meth:`drain_chip` when a quarantined chip's unit
-        #: cannot be read (fail-stopped hardware), drained FIFO by
+        #: cannot be read (fail-stopped hardware, or a live chip's
+        #: page on a stuck bad block), drained FIFO by
         #: :meth:`rebuild_cycle` at ``rebuild_columns_per_cycle`` per
         #: call.
         self.pending_rebuild: list[tuple[str, int]] = []
-        self._rebuild_queued: set[tuple[str, int]] = set()
+        #: Each queued unit -> the chip it was queued from.
+        self._rebuild_queued: dict[tuple[str, int], int] = {}
 
     # ------------------------------------------------------------------
     # Occupancy and wear accounting
@@ -472,7 +474,7 @@ class MaintenanceManager:
                 pages = self._pages(kind, key, names, sick)
             except (FlashFault, KeyError):
                 if ssd.parity:
-                    self._queue_rebuild(kind, key)
+                    self._queue_rebuild(kind, key, sick)
                 else:
                     self.stats.pages_stuck += len(names)
                 continue
@@ -697,11 +699,11 @@ class MaintenanceManager:
     # Parity rebuild (rebuild-on-repair)
     # ------------------------------------------------------------------
 
-    def _queue_rebuild(self, kind: str, key: int) -> None:
-        """Enqueue one lost unit for rebuild, once."""
+    def _queue_rebuild(self, kind: str, key: int, chip: int) -> None:
+        """Enqueue one unit ``chip`` lost for rebuild, once."""
         entry = (kind, key)
         if entry not in self._rebuild_queued:
-            self._rebuild_queued.add(entry)
+            self._rebuild_queued[entry] = chip
             self.pending_rebuild.append(entry)
 
     def rebuild_cycle(
@@ -731,29 +733,37 @@ class MaintenanceManager:
         budget = self.config.rebuild_columns_per_cycle
         for _ in range(min(len(self.pending_rebuild), budget)):
             kind, key = self.pending_rebuild.pop(0)
-            self._rebuild_queued.discard((kind, key))
-            if self._rebuild(kind, key, healthy):
+            lost_on = self._rebuild_queued.pop((kind, key), None)
+            if self._rebuild(kind, key, lost_on, healthy):
                 self.stats.columns_rebuilt += 1
         return self._background_jobs(busy_before, ready_at_s, [])
 
-    def _rebuild(self, kind: str, key: int, healthy: list[int]) -> bool:
-        """Re-materialize one unit lost with a dead chip from
-        survivors (:meth:`_pages` with no source) and place it
-        (:meth:`_place`): the same move, and the same invalidation
-        contract, as a probation drain.  A unit already drained or
-        re-mapped since it was queued is skipped; one whose pages
-        cannot be rebuilt (a double fault) is parked, its pages
-        counted stuck, rather than looping forever."""
+    def _rebuild(
+        self, kind: str, key: int, lost_on: int | None, healthy: list[int]
+    ) -> bool:
+        """Re-materialize one unit lost on chip ``lost_on`` -- dead, or
+        live with a page it cannot read -- from survivors
+        (:meth:`_pages` with no source) and place it on a healthy chip
+        other than ``lost_on`` (:meth:`_place`): the same move, and
+        the same invalidation contract, as a probation drain.  A unit
+        re-mapped off ``lost_on`` since it was queued is skipped; one
+        whose pages cannot be rebuilt (a double fault) is parked, its
+        pages counted stuck, rather than looping forever.  A unit with
+        no record of where it was queued from counts as lost on its
+        home."""
         ssd = self.ssd
         ftl = ssd.ftl
         names = self._names(kind, key)
         column = kind == "column"
         home = ftl.chip_of_chunk(key) if column else ftl.parity_chip(key)
-        if not names or home is None or not ssd.chips[home].offline:
+        if lost_on is None:
+            lost_on = home
+        if not names or home is None or home != lost_on:
             return False
         try:
             pages = self._pages(kind, key, names)
         except (FlashFault, KeyError):
             self.stats.pages_stuck += len(names)
             return False
+        healthy = [h for h in healthy if h != home]
         return self._place(kind, key, home, pages, healthy)

@@ -1178,16 +1178,17 @@ class QueryEngine:
         the queue replays through the stack cache when one is engaged,
         and runs as one batch of the window's :meth:`_layout`
         otherwise.  With it on, the queue's **attempt schedule** is
-        drawn first, in blocks (``queue_attempt_draws``) -- fault
-        draws never depend on sensed data, so drawing every plan's
-        attempts up front consumes the chip's stream exactly as the
-        scalar walk would between executions -- and the queue drains
-        as batched dispatches charged once per attempt, split only at
-        a plan whose every attempt faulted: that plan's failed
-        executions and its degraded fallback (or
-        ``RetryExhaustedError``) run in scalar order from its drawn
-        schedule between the batches, so chip counters accumulate in
-        the scalar order.
+        drawn first (``queue_attempt_draws``: per plan its attempt
+        count and recovery time, and the attempt walk of each plan
+        whose first attempt faulted) -- fault draws never depend on
+        sensed data, so drawing every plan's attempts up front
+        consumes the chip's stream exactly as the scalar walk would
+        between executions -- and the queue drains as batched
+        dispatches charged once per attempt, split only at a plan
+        whose every attempt faulted: that plan's failed executions and
+        its degraded fallback (or ``RetryExhaustedError``) run in
+        scalar order from its walk between the batches, so chip
+        counters accumulate in the scalar order.
         """
         plans = [window.tasks.plan[position] for position in unique]
         margin = chip in window.degraded
@@ -1208,37 +1209,39 @@ class QueryEngine:
                 return _records(results), hits
             layout = self._layout(window, plans)
             return _records(executor.execute_batch(layout)), 0
-        schedule = self.ssd.fault_injector.queue_attempt_draws(
-            chip, window.policy, len(plans)
+        attempts, recovery_us, walks = (
+            self.ssd.fault_injector.queue_attempt_draws(
+                chip, window.policy, len(plans)
+            )
         )
         # Plans whose last attempt faulted too split the batch.
-        exhausted = [i for i, draws in enumerate(schedule) if draws[-1][0]]
+        exhausted = [i for i, walk in walks.items() if walk[-1][0]]
         records: list[_SenseRecord] = []
         start = 0
         for stop in (*exhausted, len(plans)):
-            drawn = schedule[start:stop]
-            if drawn:
-                # Charged from the drawn attempt counts.
+            if start < stop:
+                # Charged from the drawn attempt counts (a queue that
+                # drew no retry is the fault-free one).
+                counts = attempts[start:stop]
                 results = executor.execute_batch(
                     self._layout(window, plans[start:stop]),
-                    [len(draws) for draws in drawn],
+                    counts if walks else None,
                 )
+                record = _SenseRecord._make  # queue hot loop
                 records += [
-                    _SenseRecord(
-                        result.words,
-                        result.n_senses,
-                        result.latency_us,
-                        result.energy_nj,
-                        len(draws) - 1,
-                        draws[-1][1],
+                    record(
+                        (r.words, r.n_senses, r.latency_us, r.energy_nj)
+                        + (n - 1, recovery, False, None)
                     )
-                    for result, draws in zip(results, drawn)
+                    for r, n, recovery in zip(
+                        results, counts, recovery_us[start:stop]
+                    )
                 ]
             if stop < len(plans):
                 records.append(
                     self._sense_scalar(
                         window, executor, chip, plans[stop], margin,
-                        schedule[stop],
+                        walks[stop],
                     )
                 )
             start = stop + 1

@@ -189,6 +189,22 @@ class TestMwsCommand:
         with pytest.raises(ValueError, match="empty wordline"):
             clean_chip.execute_sense([(BlockAddress(0, 0, 0), ())], IscmFlags())
 
+    def test_out_of_range_wordline_rejected_by_both_paths(self, clean_chip):
+        """A wordline outside the string is refused by the walk and by
+        the batch alike: the batch's address row would otherwise land
+        on a neighbouring block's row of the slab."""
+        from repro.core.commands import MwsCommand
+
+        past = clean_chip.geometry.wordlines_per_string
+        for wordline in (-1, past):
+            targets = ((BlockAddress(0, 1, 0), (0, wordline)),)
+            with pytest.raises(IndexError, match="wordline out of range"):
+                clean_chip.execute_sense(list(targets), IscmFlags())
+            with pytest.raises(IndexError, match="wordline out of range"):
+                clean_chip.execute_sense_batch(
+                    [MwsCommand(IscmFlags(), targets)]
+                )
+
 
 class TestXorCommand:
     def test_xor_between_latches(self, clean_chip):

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_sense_path as reference
-from repro.flash.array import BlockArray
+from repro.flash.array import BlockArray, PlaneArray, first_row
 from repro.flash.chip import IscmFlags
 from repro.flash.errors import ErrorModel
 from repro.flash.geometry import BlockAddress, ChipGeometry
@@ -37,16 +37,16 @@ PAGE_BITS = GEOMETRY.page_size_bits
 REPLAY_BITS = {True: PAGE_BITS, False: 128}
 
 
+#: The blocks' packed rows live in one slab, which the kernel gathers
+#: from; the reference reads each block's own rows.
+PLANE = PlaneArray(GEOMETRY, noise_enabled=False)
+
+
 def _programmed_blocks() -> list[BlockArray]:
     rng = np.random.default_rng(2022)
     blocks = []
     for index in range(GEOMETRY.blocks_per_plane):
-        block = BlockArray(
-            GEOMETRY,
-            BlockAddress(0, index, 0),
-            rng=np.random.default_rng(index),
-            noise_enabled=False,
-        )
+        block = PLANE.block(BlockAddress(0, index, 0))
         for wordline in range(GEOMETRY.wordlines_per_string):
             block.program(
                 wordline, rng.integers(0, 2, PAGE_BITS, dtype=np.uint8)
@@ -103,13 +103,20 @@ def sense_windows(draw):
 
 def assert_same_senses(window):
     engine, oracle = _engine(), _engine()
-    # What resolution hands the kernel: per block its sorted rows.
+    # What resolution hands the kernel: per sense its targets' sorted
+    # address rows; the reference, per block its sorted rows.
     sources = [
         tuple((block, SensingEngine._rows(wls)) for block, wls in targets)
         for targets in window
     ]
+    rows = [
+        np.concatenate(
+            [first_row(GEOMETRY, block.address) + r for block, r in source]
+        )
+        for source in sources
+    ]
     profiles = [tuple(len(wls) for _, wls in targets) for targets in window]
-    out = engine.sense_batch_stacks(sources, profiles)
+    out = engine.sense_batch_stacks(PLANE, rows, profiles)
     expected = reference.sense_batch_stacks(oracle, sources, profiles)
     assert out.dtype == expected.dtype
     assert out.shape == expected.shape
@@ -153,10 +160,10 @@ def test_scattered_and_adjacent_profile_groups():
 
 def test_empty_window_and_vth_plane_still_refused():
     with pytest.raises(ValueError, match="at least one sense"):
-        _engine().sense_batch_stacks([], [])
+        _engine().sense_batch_stacks(PLANE, [], [])
     noisy = SensingEngine(ErrorModel(), inject_errors=True)
     with pytest.raises(RuntimeError, match="packed error-free plane"):
-        noisy.sense_batch_stacks([], [])
+        noisy.sense_batch_stacks(PLANE, [], [])
 
 
 # ----------------------------------------------------------------------

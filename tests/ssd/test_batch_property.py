@@ -173,7 +173,7 @@ def test_sense_batch_refuses_vth_plane():
     with pytest.raises(RuntimeError, match="packed error-free"):
         chip.execute_sense_batch([])
     with pytest.raises(RuntimeError, match="packed error-free"):
-        chip.sensing.sense_batch_stacks([], [])
+        chip.sensing.sense_batch_stacks(chip.plane_array, [], [])
 
 
 def test_an_error_injecting_chip_has_no_batch():
@@ -242,10 +242,14 @@ def test_sense_batch_rows_match_per_sense_outcomes(seed):
     resolved = [
         chip.resolve(MwsCommand(IscmFlags(), tuple(sense))) for sense in senses
     ]
-    for source, profile in resolved:
-        for (block, _), n_wordlines in zip(source, profile):
+    for blocks, (_, profile, _) in resolved:
+        for block, n_wordlines in zip(blocks, profile):
             block.note_read(n_wordlines)
-    rows = chip.sensing.sense_batch_stacks(*map(list, zip(*resolved)))
+    rows = chip.sensing.sense_batch_stacks(
+        chip.plane_array,
+        [shared[2] for _, shared in resolved],
+        [shared[1] for _, shared in resolved],
+    )
     for row, sense in zip(rows, targets_for(scalar_ssd)):
         outcome = scalar_ssd.chips[0].sensing.inter_block_mws(
             [(b, tuple(w)) for b, w in sense], condition

@@ -661,6 +661,48 @@ class TestFailStop:
         for name, bits in env.items():
             np.testing.assert_array_equal(ssd.read_vector(name), bits)
 
+    def test_a_live_chips_unreadable_unit_is_rebuilt_from_parity(self):
+        """A live chip's column that cannot be read (a page on a stuck
+        bad block) is queued by the drain; the rebuild re-derives it
+        from parity onto a healthy chip rather than skipping it because
+        its home chip is online, which left it behind uncounted."""
+        ssd, env = _build(n_chips=3, n_vectors=3, parity=True)
+        a = ssd.controllers[1].stored("v0@1").address
+        bad = ((1, a.plane, a.block, a.subblock),)
+        ssd.attach_fault_injector(FaultInjector(FaultConfig(bad_blocks=bad)))
+        mgr = ssd.maintenance()
+        mgr.drain_chip(1)
+        assert mgr.pending_rebuild == [("column", 1)]
+        assert ssd.ftl.live_pages(1) == len(env)
+        mgr.rebuild_cycle()
+        assert mgr.pending_rebuild == []
+        assert ssd.ftl.live_pages(1) == 0
+        assert mgr.stats.columns_rebuilt == 1
+        assert mgr.stats.pages_stuck == 0
+        assert ssd.fault_injector.counts()["bad_block_hits"] == 0
+        for name, bits in env.items():
+            np.testing.assert_array_equal(ssd.read_vector(name), bits)
+
+    def test_a_unit_remapped_since_it_was_queued_is_skipped(self):
+        """Only a unit that left the chip it was queued from is skipped:
+        queued on live chip 1, then moved by hand to chip 0, it is
+        neither rebuilt nor counted."""
+        ssd, env = _build(n_chips=3, n_vectors=3, parity=True)
+        a = ssd.controllers[1].stored("v0@1").address
+        bad = ((1, a.plane, a.block, a.subblock),)
+        ssd.attach_fault_injector(FaultInjector(FaultConfig(bad_blocks=bad)))
+        mgr = ssd.maintenance()
+        mgr.drain_chip(1)
+        pages = mgr._pages("column", 1, mgr._names("column", 1))
+        assert mgr._place("column", 1, 1, pages, [0])
+        mgr.rebuild_cycle()
+        assert mgr.pending_rebuild == []
+        assert ssd.ftl.chip_of_chunk(1) == 0
+        assert mgr.stats.columns_rebuilt == 0
+        assert mgr.stats.pages_stuck == 0
+        for name, bits in env.items():
+            np.testing.assert_array_equal(ssd.read_vector(name), bits)
+
     def test_a_rebuild_that_fails_counts_the_units_pages_stuck(self):
         """Chips 0 and 1 hold both data chunks of rotation group 0: a
         double fault.  Column 0 cannot be rebuilt, so it leaves the

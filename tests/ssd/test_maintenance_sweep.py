@@ -276,9 +276,10 @@ def _check_drain(ssd, mgr, sick, healthy, stuck_before, faulted):
             assert _fits_nowhere(ssd, *unit, healthy)
 
 
-def _check_rebuild(ssd, mgr, queue, healthy, stuck_before, faulted):
-    """A rebuild popped the queue's head; each popped unit lost with a
-    dead chip was placed on a live one or parked for a reason."""
+def _check_rebuild(ssd, mgr, queue, lost_on, healthy, stuck_before, faulted):
+    """A rebuild popped the queue's head; each popped unit still on the
+    chip it was queued from (``lost_on``) was placed on another chip or
+    parked for a reason."""
     after = mgr.pending_rebuild
     popped = queue[: len(queue) - len(after)]
     assert after == queue[len(popped):]
@@ -286,7 +287,7 @@ def _check_rebuild(ssd, mgr, queue, healthy, stuck_before, faulted):
     for kind, key in popped:
         home = _home(ssd, kind, key)
         pages = _unit_pages(ssd, kind, key)
-        if not pages or home is None or not ssd.chips[home].offline:
+        if not pages or home is None or home != lost_on[kind, key]:
             continue
         parked += len(pages)
         if not faulted:
@@ -328,6 +329,7 @@ def test_every_maintenance_step_moves_whole_units_or_nothing(s):
     for step in _steps(s["steps"]):
         before = _snapshot(ssd, mgr)
         queue = list(mgr.pending_rebuild)
+        lost_on = dict(mgr._rebuild_queued)
         stuck_before = mgr.stats.pages_stuck
         faults = _program_faults(ssd)
         try:
@@ -347,6 +349,8 @@ def test_every_maintenance_step_moves_whole_units_or_nothing(s):
                 _check_drain(ssd, mgr, sick, healthy, stuck_before, faulted)
         elif step[0] == "rebuild":
             healthy = everyone if step[1] is None else step[1]
-            _check_rebuild(ssd, mgr, queue, healthy, stuck_before, faulted)
+            _check_rebuild(
+                ssd, mgr, queue, lost_on, healthy, stuck_before, faulted
+            )
         _check_layout(ssd, env)
         _check_data(ssd, mgr, env, drained_dead)

@@ -313,10 +313,13 @@ def test_queue_draws_are_the_per_plan_draws(
     seed, rate, stall_rate, chip_rate, max_retries, lengths
 ):
     """The batched route draws a retried queue's schedule in
-    ``rng.random(k)`` blocks; it must be the plan-by-plan
-    ``attempt_draws`` lists of a twin injector draw for draw, leave the
-    same counts, and leave the stream where the twin's is -- so one
-    uniform drawn past what the walk draws fails it."""
+    ``rng.random(k)`` blocks and keeps per plan its attempt count and
+    recovery time, walking only the plans whose first attempt faulted.
+    Against the plan-by-plan ``attempt_draws`` lists of a twin injector
+    it must hold the same attempt counts, the same ``recovery_us``
+    floats, the walk of exactly the first-faulted plans, leave the same
+    counts, and leave the stream where the twin's is -- so one uniform
+    drawn past what the walk draws fails it."""
     config = FaultConfig(
         seed=seed,
         sense_fault_rate=rate,
@@ -327,9 +330,16 @@ def test_queue_draws_are_the_per_plan_draws(
     queued, walked = FaultInjector(config), FaultInjector(config)
     for i, n_plans in enumerate(lengths):
         chip = i % 2
-        assert queued.queue_attempt_draws(chip, policy, n_plans) == [
+        schedule = queued.queue_attempt_draws(chip, policy, n_plans)
+        expected = [
             list(walked.attempt_draws(chip, policy)) for _ in range(n_plans)
         ]
+        assert schedule.attempts == [len(walk) for walk in expected]
+        assert schedule.recovery_us == [walk[-1][1] for walk in expected]
+        assert schedule.walks == {
+            plan: walk for plan, walk in enumerate(expected) if walk[0][0]
+        }
+        assert list(schedule.walks) == sorted(schedule.walks)
         assert queued.counts(chip) == walked.counts(chip)
     assert queued.counts() == walked.counts()
     for chip in (0, 1):

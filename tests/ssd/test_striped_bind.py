@@ -144,9 +144,11 @@ def test_a_shared_plan_resolves_once_per_chip(monkeypatch):
 
 def test_eight_chips_share_one_resolution_half(monkeypatch):
     """A command resolved on eight chips validates its targets and
-    builds its row arrays once: every chip's ``_resolved`` entry holds
-    only its own half (token, blocks, layout versions) over the same
-    row-array objects."""
+    builds its address rows once: the shared half ``(geometry,
+    profile, address rows)`` is one object every chip's resolution
+    hands back, and every chip's ``_resolved`` entry holds only its own
+    half (token, blocks, layout versions), naming its own blocks,
+    whose rows those address rows find in that chip's slab."""
     ssd, _ = _build(names="ab")
     _, plan = _shared_plan(ssd)
     builds = {"n": 0}
@@ -162,15 +164,33 @@ def test_eight_chips_share_one_resolution_half(monkeypatch):
     commands = [step.command for step in plan.sense_steps]
     assert builds["n"] == len(commands)
     for command in commands:
-        _, rows, profile = command._rows
+        shared = command._rows
+        _, profile, rows = shared
+        assert profile == tuple(len(w) for _, w in command.targets)
+        assert len(rows) == sum(profile) and not rows.flags.writeable
         entries = [command._resolved[chip] for chip in ssd.chips]
-        for chip, (token, source, versions) in zip(ssd.chips, entries):
+        for chip, (token, blocks, versions) in zip(ssd.chips, entries):
             assert token is chip._resolve_token
-            assert len(source) == len(rows) == len(profile)
-            assert all(r is shared for (_, r), shared in zip(source, rows))
-            assert versions == tuple(b.layout_version for b, _ in source)
+            assert chip.resolve(command) == (blocks, shared)
+            assert chip.resolve(command)[1] is shared
+            assert all(
+                block is chip.plane_array.block(address)
+                for block, (address, _) in zip(blocks, command.targets)
+            )
+            assert versions == tuple(b.layout_version for b in blocks)
+            np.testing.assert_array_equal(
+                chip.plane_array.gather(rows),
+                np.concatenate(
+                    [
+                        block.packed_rows(sorted(wordlines))
+                        for block, (_, wordlines) in zip(
+                            blocks, command.targets
+                        )
+                    ]
+                ),
+            )
         # Each chip's half names its own blocks.
-        assert len({id(source[0][0]) for _, source, _ in entries}) == N_CHIPS
+        assert len({id(blocks[0]) for _, blocks, _ in entries}) == N_CHIPS
     assert builds["n"] == len(commands)
 
 

@@ -69,6 +69,40 @@ def test_two_invocations_agree_and_a_perturbed_field_shows(monkeypatch):
     assert served_digest != first.served.hexdigest()
 
 
+def test_the_device_digest_sees_read_disturb_and_the_fault_stream(
+    monkeypatch,
+):
+    """Read disturb and the fault streams reach no report: one read
+    more on one block, or one uniform more drawn off a chip's fault
+    stream at an episode's end, leaves ``stats`` and ``served`` as they
+    were and changes ``device``."""
+    first = tool.fingerprint(*SMOKE)
+    assert tool.fingerprint(*SMOKE).device.hexdigest() == (
+        first.device.hexdigest()
+    )
+    end_episode = tool.harness.Collector.end_episode
+
+    def perturbed(perturb):
+        def end(self, episode):
+            perturb(episode.ssd)
+            end_episode(self, episode)
+
+        monkeypatch.setattr(tool.harness.Collector, "end_episode", end)
+        folded = tool.fingerprint(*SMOKE)
+        assert _digests(folded) == _digests(first)
+        assert folded.device.hexdigest() != first.device.hexdigest()
+
+    def one_read_more(ssd):
+        array = ssd.chips[0].plane_array
+        array.block(array.materialized()[0]).note_read()
+
+    def one_draw_more(ssd):
+        ssd.fault_injector._rng(0).random()
+
+    perturbed(one_read_more)
+    perturbed(one_draw_more)
+
+
 def test_a_result_hashes_what_it_serves_not_how_it_is_stored():
     """A ``QueryResult`` is hashed by public name -- ``bits`` unpacked,
     then the cost fields, the order they had when ``bits`` was a field
@@ -138,7 +172,10 @@ def test_main_prints_one_line_per_workload(capsys):
     assert tool.main(["--seed", "3", "--scale", "0.02"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines] == list(tool.BUILDERS)
-    assert all("stats=" in line and "served=" in line for line in lines)
+    assert all(
+        "stats=" in line and "served=" in line and "device=" in line
+        for line in lines
+    )
 
 
 def test_compare_names_every_workload_that_differs():

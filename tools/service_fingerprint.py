@@ -4,9 +4,11 @@
 Replays the four ``benchmarks/e2e`` workloads exactly as the benchmark
 does (``harness.execute`` over the ``workloads.build_*`` plans, read
 only) and prints, per workload, one SHA-256 over ``repr`` of every
-``ServiceStats`` field of every ``run()`` and one over every
+``ServiceStats`` field of every ``run()``, one over every
 ``ServedQuery`` field of every query -- floats by ``repr``, result bits
-as bytes, an error as its type and message::
+as bytes, an error as its type and message -- and one over the device
+state each episode ends in (:func:`device_state`: chip counters, every
+materialized block's wear and read disturb, every fault stream)::
 
     python tools/service_fingerprint.py --seed 1
     python tools/service_fingerprint.py --seed 2 --scale 0.1   # smoke
@@ -90,12 +92,38 @@ def canonical(value):
     return value
 
 
+def device_state(ssd) -> tuple[list, list]:
+    """What an SSD's chips and fault streams hold, which no report
+    carries: per chip its ``ChipCounters`` fields and, per materialized
+    block (address order), its address, ``pe_cycles``, ``programs``,
+    ``reads_since_erase`` and ``layout_version``; per chip the
+    injector has drawn for, its ``counts()`` and its stream's
+    ``bit_generator.state``."""
+    chips = []
+    for chip in ssd.chips:
+        counters, array = chip.counters, chip.plane_array
+        addresses = array.materialized()
+        blocks = [
+            (a, b.pe_cycles, b.programs, b.reads_since_erase, b.layout_version)
+            for a, b in zip(addresses, map(array.block, addresses))
+        ]
+        fold = [(f.name, getattr(counters, f.name)) for f in fields(counters)]
+        chips.append((fold, blocks))
+    injector = ssd.fault_injector
+    streams = [
+        (chip, injector.counts(chip), rng.bit_generator.state)
+        for chip, rng in sorted((injector._rngs if injector else {}).items())
+    ]
+    return chips, streams
+
+
 @dataclass
 class Fingerprint(harness.Collector):
-    """The harness's collector with the fold replaced by two hashes."""
+    """The harness's collector with the fold replaced by three hashes."""
 
     stats: object = field(default_factory=hashlib.sha256)
     served: object = field(default_factory=hashlib.sha256)
+    device: object = field(default_factory=hashlib.sha256)
     runs: int = 0
 
     def add_report(self, report, env) -> None:
@@ -104,6 +132,10 @@ class Fingerprint(harness.Collector):
         self.stats.update(repr(canonical(report.stats)).encode())
         for query in report.queries:
             self.served.update(repr(canonical(query)).encode())
+
+    def end_episode(self, episode) -> None:
+        super().end_episode(episode)
+        self.device.update(repr(device_state(episode.ssd)).encode())
 
 
 def fingerprint(workload: str, seed: int, scale: float = 1.0) -> Fingerprint:
@@ -121,7 +153,8 @@ def lines(workloads, seed: int, scale: float):
             f"{workload} seed={seed} scale={scale} "
             f"runs={folded.runs} queries={folded.submitted} "
             f"stats={folded.stats.hexdigest()} "
-            f"served={folded.served.hexdigest()}"
+            f"served={folded.served.hexdigest()} "
+            f"device={folded.device.hexdigest()}"
         )
 
 
